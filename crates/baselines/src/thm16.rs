@@ -30,7 +30,7 @@ use rand::Rng;
 use routing_core::{BuildContext, BuildError, Params, SchemeBuilder};
 use routing_graph::{Graph, VertexId, Weight};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
-use routing_tree::{tree_route_step, TreeLabel};
+use routing_tree::TreeLabel;
 use routing_vicinity::BallTable;
 
 use crate::tz::{FlatBunches, TzHierarchy};
@@ -175,7 +175,6 @@ impl RoutingScheme for Thm16Scheme {
                 self.hierarchy
                     .cluster_tree(p)
                     .label(v)
-                    .cloned()
                     .unwrap_or(TreeLabel { tin: u32::MAX, light_ports: Vec::new() }),
             );
         }
@@ -192,7 +191,7 @@ impl RoutingScheme for Thm16Scheme {
         // from the source, so this hop is exact.
         if let Some(label) = self.hierarchy.cluster_tree(source).label(v) {
             routing_obs::counters::ROUTING_PHASE_TREE.inc();
-            return Ok(Thm16Header { phase: Phase::Tree { root: source, label: label.clone() } });
+            return Ok(Thm16Header { phase: Phase::Tree { root: source, label } });
         }
         // Cost every reachable pivot of v and take the cheapest; ties go to
         // the lower ladder level, reproducing plain TZ as the fallback.
@@ -279,19 +278,7 @@ impl RoutingScheme for Thm16Scheme {
                         });
                 }
                 Phase::Tree { root, label } => {
-                    let tree = self.hierarchy.cluster_tree(*root);
-                    let node = tree.node_info(at).ok_or_else(|| {
-                        RouteError::MissingInformation {
-                            at,
-                            what: format!("no routing information for cluster tree T({root})"),
-                        }
-                    })?;
-                    return tree_route_step(node, label).map_err(|e| match e {
-                        RouteError::MissingInformation { what, .. } => {
-                            RouteError::MissingInformation { at, what }
-                        }
-                        other => other,
-                    });
+                    return self.hierarchy.cluster_tree(*root).step(at, label);
                 }
             }
         }
@@ -303,12 +290,7 @@ impl RoutingScheme for Thm16Scheme {
             .iter()
             .map(|&(w, _)| self.hierarchy.cluster_tree(w).table_words(v))
             .sum();
-        let own_labels: usize = self
-            .hierarchy
-            .cluster_tree(v)
-            .vertices()
-            .map(|x| self.hierarchy.cluster_tree(v).label(x).map(TreeLabel::words).unwrap_or(0))
-            .sum();
+        let own_labels = self.hierarchy.cluster_tree(v).labels_words();
         self.balls.words_at(v) + 2 * bunch.len() + membership + own_labels
             + 2 * self.hierarchy.k()
     }

@@ -42,15 +42,13 @@
 //! the caller's thread, so the built hierarchy is bit-identical for every
 //! thread count.
 
-use std::collections::HashMap;
-
 use rand::Rng;
 
 use routing_core::{BuildContext, BuildError, SchemeBuilder};
 use routing_graph::shortest_path::multi_source_dijkstra;
 use routing_graph::{Graph, SearchScratch, VertexId, Weight, INFINITY};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
-use routing_tree::{tree_route_step, TreeLabel, TreeScheme};
+use routing_tree::{TreeLabel, TreeScheme};
 use routing_vicinity::sample_centers_bounded;
 
 /// The Thorup–Zwick level hierarchy with pivots, bunches and cluster trees.
@@ -67,9 +65,8 @@ pub struct TzHierarchy {
     /// `bunches[v]` = `B(v)` with distances, sorted by `(distance, id)`.
     bunches: Vec<Vec<(VertexId, Weight)>>,
     /// The cluster tree `T(w)` of every vertex `w` (rooted at `w`, spanning
-    /// `C(w)` with respect to `w`'s level).
-    // lint:allow(det-hash-iter): keyed lookup by pivot at query time; never iterated
-    cluster_trees: HashMap<VertexId, TreeScheme>,
+    /// `C(w)` with respect to `w`'s level), indexed by vertex id.
+    cluster_trees: Vec<TreeScheme>,
 }
 
 impl TzHierarchy {
@@ -153,34 +150,33 @@ impl TzHierarchy {
         // ascending `w` order, so the hierarchy is thread-count independent.
         drop(span_pivots);
         let _span_ct = routing_obs::span("cluster-trees");
+        // `bounds[lvl][v] = d(v, A_{lvl+1})`: the cluster bound of a level-`lvl`
+        // root, one row per level (the top level is unbounded).
+        let bounds: Vec<Vec<Weight>> = (0..k)
+            .map(|lvl| match pivots.get(lvl + 1) {
+                Some(next) => next.iter().map(|&(_, d)| d).collect(),
+                None => vec![INFINITY; n],
+            })
+            .collect();
         let per_w: Vec<(Vec<(VertexId, Weight)>, TreeScheme)> = routing_par::par_map_scratch(
             n,
-            || (SearchScratch::for_graph(g), vec![INFINITY; n]),
-            |(scratch, bound), w| {
+            || SearchScratch::for_graph(g),
+            |scratch, w| {
                 let w = VertexId(w as u32);
-                let lvl = level_of[w.index()];
-                if lvl + 1 < k {
-                    for v in 0..n {
-                        bound[v] = pivots[lvl + 1][v].1;
-                    }
-                } else {
-                    bound.fill(INFINITY);
-                }
-                scratch.cluster_into(g, w, bound);
+                scratch.cluster_into(g, w, &bounds[level_of[w.index()]]);
                 let tree = TreeScheme::from_scratch(g, scratch)
                     .expect("restricted tree of a connected component is valid");
                 (scratch.order().to_vec(), tree)
             },
         );
-        // lint:allow(det-hash-iter): filled in vertex order, read by key; never iterated
-        let mut cluster_trees = HashMap::with_capacity(n);
+        let mut cluster_trees = Vec::with_capacity(n);
         let mut bunches: Vec<Vec<(VertexId, Weight)>> = vec![Vec::new(); n];
         for (w, (members, tree)) in per_w.into_iter().enumerate() {
             let w = VertexId(w as u32);
             for (v, d) in members {
                 bunches[v.index()].push((w, d));
             }
-            cluster_trees.insert(w, tree);
+            cluster_trees.push(tree);
         }
         for bunch in &mut bunches {
             bunch.sort_unstable_by_key(|&(w, d)| (d, w));
@@ -221,7 +217,7 @@ impl TzHierarchy {
 
     /// The cluster tree `T(w)`.
     pub fn cluster_tree(&self, w: VertexId) -> &TreeScheme {
-        &self.cluster_trees[&w]
+        &self.cluster_trees[w.index()]
     }
 
     /// All bunches as raw per-vertex lists, for flattening into a
@@ -439,7 +435,6 @@ impl RoutingScheme for TzRoutingScheme {
                 self.hierarchy
                     .cluster_tree(p)
                     .label(v)
-                    .cloned()
                     .unwrap_or(TreeLabel { tin: u32::MAX, light_ports: Vec::new() }),
             );
         }
@@ -456,7 +451,7 @@ impl RoutingScheme for TzRoutingScheme {
         // source's cluster tree with the label stored at the source.
         if let Some(label) = self.hierarchy.cluster_tree(source).label(v) {
             routing_obs::counters::ROUTING_PHASE_TREE.inc();
-            return Ok(TzHeader { root: source, label: label.clone() });
+            return Ok(TzHeader { root: source, label });
         }
         for i in 0..self.hierarchy.k() {
             let w = dest.pivots[i];
@@ -486,15 +481,7 @@ impl RoutingScheme for TzRoutingScheme {
         if at == dest.vertex {
             return Ok(Decision::Deliver);
         }
-        let tree = self.hierarchy.cluster_tree(header.root);
-        let node = tree.node_info(at).ok_or_else(|| RouteError::MissingInformation {
-            at,
-            what: format!("no routing information for cluster tree T({})", header.root),
-        })?;
-        tree_route_step(node, &header.label).map_err(|e| match e {
-            RouteError::MissingInformation { what, .. } => RouteError::MissingInformation { at, what },
-            other => other,
-        })
+        self.hierarchy.cluster_tree(header.root).step(at, &header.label)
     }
 
     fn table_words(&self, v: VertexId) -> usize {
@@ -503,12 +490,7 @@ impl RoutingScheme for TzRoutingScheme {
             .iter()
             .map(|&(w, _)| self.hierarchy.cluster_tree(w).table_words(v))
             .sum();
-        let own_labels: usize = self
-            .hierarchy
-            .cluster_tree(v)
-            .vertices()
-            .map(|x| self.hierarchy.cluster_tree(v).label(x).map(TreeLabel::words).unwrap_or(0))
-            .sum();
+        let own_labels = self.hierarchy.cluster_tree(v).labels_words();
         2 * bunch.len() + membership + own_labels + 2 * self.hierarchy.k()
     }
 

@@ -28,7 +28,7 @@ use rand::Rng;
 
 use routing_graph::{Graph, SearchScratch, VertexId, Weight};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
-use routing_tree::{tree_route_step, TreeLabel, TreeScheme};
+use routing_tree::{TreeLabel, TreeScheme};
 use routing_vicinity::{all_clusters, bunches, sample_centers_bounded, BallTable, Coloring, Landmarks};
 
 use crate::scheme_3eps::build_color_reps;
@@ -107,9 +107,8 @@ pub struct SchemeTwoPlusEps {
     cluster_trees: Vec<TreeScheme>,
     /// Bunch of every vertex: `B_A(v)` with distances.
     bunch_of: Vec<Vec<(VertexId, Weight)>>,
-    /// Global trees `T(a)` for every landmark `a`.
-    // lint:allow(det-hash-iter): keyed lookup by landmark; the only iteration is an order-independent usize sum of table words
-    global_trees: HashMap<VertexId, TreeScheme>,
+    /// Global trees `T(a)`, parallel to the id-sorted `landmarks.members()`.
+    global_trees: Vec<TreeScheme>,
     /// At `u`: destination `v` -> best intersection vertex `w`.
     // lint:allow(det-hash-iter): keyed lookup at query time; len() is the only whole-map read
     best_intersection: Vec<HashMap<VertexId, VertexId>>,
@@ -164,7 +163,7 @@ impl SchemeTwoPlusEps {
         // Global trees for every landmark (one full Dijkstra each, fanned
         // out in parallel over per-worker search workspaces).
         let span_gt = routing_obs::span("global-trees");
-        let built: Vec<Result<TreeScheme, BuildError>> = routing_par::par_map_scratch(
+        let global_trees: Vec<TreeScheme> = routing_par::par_map_scratch(
             landmarks.len(),
             || SearchScratch::for_graph(g),
             |scratch, i| {
@@ -172,12 +171,9 @@ impl SchemeTwoPlusEps {
                 TreeScheme::from_scratch(g, scratch)
                     .map_err(|e| BuildError::TooSmall { what: e.to_string() })
             },
-        );
-        // lint:allow(det-hash-iter): filled in sorted landmark order, read by key (see the field pragma)
-        let mut global_trees = HashMap::with_capacity(landmarks.len());
-        for (&a, tree) in landmarks.members().iter().zip(built) {
-            global_trees.insert(a, tree?);
-        }
+        )
+        .into_iter()
+        .collect::<Result<_, _>>()?;
         drop(span_gt);
 
         // Best intersection vertex per (u, v) with B(u, q̃) ∩ B_A(v) != ∅.
@@ -252,6 +248,12 @@ impl SchemeTwoPlusEps {
     pub fn landmarks(&self) -> &Landmarks {
         &self.landmarks
     }
+
+    /// The global tree `T(a)` of landmark `a` — one binary search over the
+    /// id-sorted landmark list, no hash table.
+    fn global_tree(&self, a: VertexId) -> Option<&TreeScheme> {
+        self.landmarks.members().binary_search(&a).ok().map(|i| &self.global_trees[i])
+    }
 }
 
 impl RoutingScheme for SchemeTwoPlusEps {
@@ -270,10 +272,8 @@ impl RoutingScheme for SchemeTwoPlusEps {
         let p_a = self.landmarks.nearest(v).unwrap_or(v);
         let d_pa = self.landmarks.dist_to_set(v).unwrap_or(0);
         let global_label = self
-            .global_trees
-            .get(&p_a)
+            .global_tree(p_a)
             .and_then(|t| t.label(v))
-            .cloned()
             .unwrap_or(TreeLabel { tin: u32::MAX, light_ports: Vec::new() });
         Scheme2Label { vertex: v, color: self.color_of[v.index()], p_a, d_pa, global_label }
     }
@@ -286,13 +286,12 @@ impl RoutingScheme for SchemeTwoPlusEps {
         }
         if let Some(&w) = self.best_intersection[source.index()].get(&v) {
             if w == source {
-                let label = self.cluster_trees[source.index()]
-                    .label(v)
-                    .cloned()
-                    .ok_or_else(|| RouteError::MissingInformation {
+                let label = self.cluster_trees[source.index()].label(v).ok_or_else(|| {
+                    RouteError::MissingInformation {
                         at: source,
                         what: format!("{v} missing from own cluster tree"),
-                    })?;
+                    }
+                })?;
                 routing_obs::counters::ROUTING_PHASE_TREE.inc();
                 return Ok(Scheme2Header { phase: Phase::ClusterTree { root: source, label } });
             }
@@ -337,7 +336,7 @@ impl RoutingScheme for SchemeTwoPlusEps {
                 }
                 Phase::ToIntersection(w) => {
                     if at == *w {
-                        let label = self.cluster_trees[at.index()].label(v).cloned().ok_or_else(
+                        let label = self.cluster_trees[at.index()].label(v).ok_or_else(
                             || RouteError::MissingInformation {
                                 at,
                                 what: format!("{v} is not in the cluster of {at}"),
@@ -357,33 +356,13 @@ impl RoutingScheme for SchemeTwoPlusEps {
                         });
                 }
                 Phase::ClusterTree { root, label } => {
-                    let node = self.cluster_trees[root.index()].node_info(at).ok_or_else(|| {
-                        RouteError::MissingInformation {
-                            at,
-                            what: format!("no cluster-tree information for T_C({root})"),
-                        }
-                    })?;
-                    return tree_route_step(node, label).map_err(|e| match e {
-                        RouteError::MissingInformation { what, .. } => {
-                            RouteError::MissingInformation { at, what }
-                        }
-                        other => other,
-                    });
+                    return self.cluster_trees[root.index()].step(at, label);
                 }
                 Phase::GlobalTree => {
-                    let tree = self.global_trees.get(&dest.p_a).ok_or_else(|| {
-                        RouteError::BadLabel { what: format!("{} is not a landmark", dest.p_a) }
+                    let tree = self.global_tree(dest.p_a).ok_or_else(|| RouteError::BadLabel {
+                        what: format!("{} is not a landmark", dest.p_a),
                     })?;
-                    let node = tree.node_info(at).ok_or_else(|| RouteError::MissingInformation {
-                        at,
-                        what: format!("no routing information for global tree T({})", dest.p_a),
-                    })?;
-                    return tree_route_step(node, &dest.global_label).map_err(|e| match e {
-                        RouteError::MissingInformation { what, .. } => {
-                            RouteError::MissingInformation { at, what }
-                        }
-                        other => other,
-                    });
+                    return tree.step(at, &dest.global_label);
                 }
                 Phase::ToRep(w) => {
                     if at == *w {
@@ -411,12 +390,8 @@ impl RoutingScheme for SchemeTwoPlusEps {
             .iter()
             .map(|&(w, _)| self.cluster_trees[w.index()].table_words(u))
             .sum();
-        let own_cluster_labels: usize = self.cluster_trees[u.index()]
-            .vertices()
-            .map(|v| self.cluster_trees[u.index()].label(v).map(TreeLabel::words).unwrap_or(0))
-            .sum();
-        let global: usize =
-            self.global_trees.values().map(|t| t.table_words(u)).sum();
+        let own_cluster_labels = self.cluster_trees[u.index()].labels_words();
+        let global: usize = self.global_trees.iter().map(|t| t.table_words(u)).sum();
         self.balls.words_at(u)
             + cluster_membership
             + own_cluster_labels

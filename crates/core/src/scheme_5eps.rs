@@ -24,7 +24,7 @@ use rand::Rng;
 
 use routing_graph::{Graph, Port, VertexId};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
-use routing_tree::{tree_route_step, TreeLabel, TreeScheme};
+use routing_tree::{TreeLabel, TreeScheme};
 use routing_vicinity::{all_clusters, bunches, sample_centers_bounded, BallTable, Coloring, Landmarks};
 
 use crate::scheme_3eps::build_color_reps;
@@ -278,9 +278,7 @@ impl RoutingScheme for SchemeFivePlusEps {
         // stored at the source.
         if let Some(label) = self.cluster_trees[source.index()].label(v) {
             routing_obs::counters::ROUTING_PHASE_TREE.inc();
-            return Ok(Scheme5Header {
-                phase: Phase::ClusterTree { root: source, label: label.clone() },
-            });
+            return Ok(Scheme5Header { phase: Phase::ClusterTree { root: source, label } });
         }
         let w = self.color_rep[source.index()][dest.alpha as usize];
         if w == source {
@@ -315,18 +313,7 @@ impl RoutingScheme for SchemeFivePlusEps {
                         })
                 }
                 Phase::ClusterTree { root, label } => {
-                    let node = self.cluster_trees[root.index()].node_info(at).ok_or_else(|| {
-                        RouteError::MissingInformation {
-                            at,
-                            what: format!("no cluster-tree information for T_C({root})"),
-                        }
-                    })?;
-                    return tree_route_step(node, label).map_err(|e| match e {
-                        RouteError::MissingInformation { what, .. } => {
-                            RouteError::MissingInformation { at, what }
-                        }
-                        other => other,
-                    });
+                    return self.cluster_trees[root.index()].step(at, label);
                 }
                 Phase::ToRep(w) => {
                     if at == *w {
@@ -360,7 +347,7 @@ impl RoutingScheme for SchemeFivePlusEps {
                         return Ok(Decision::Forward(port));
                     }
                     // At z now: v is in C_A(z); finish on z's cluster tree.
-                    let label = self.cluster_trees[at.index()].label(v).cloned().ok_or_else(
+                    let label = self.cluster_trees[at.index()].label(v).ok_or_else(
                         || RouteError::MissingInformation {
                             at,
                             what: format!("{v} is not in the cluster of {at}"),
@@ -378,10 +365,7 @@ impl RoutingScheme for SchemeFivePlusEps {
             .iter()
             .map(|&(w, _)| self.cluster_trees[w.index()].table_words(u))
             .sum();
-        let own_cluster_labels: usize = self.cluster_trees[u.index()]
-            .vertices()
-            .map(|v| self.cluster_trees[u.index()].label(v).map(TreeLabel::words).unwrap_or(0))
-            .sum();
+        let own_cluster_labels = self.cluster_trees[u.index()].labels_words();
         self.balls.words_at(u)
             + cluster_membership
             + own_cluster_labels

@@ -20,7 +20,7 @@ use rand::Rng;
 
 use routing_graph::{Graph, SearchScratch, VertexId, Weight};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
-use routing_tree::{tree_route_step, TreeLabel, TreeScheme};
+use routing_tree::{TreeLabel, TreeScheme};
 use routing_vicinity::{hitting_set_greedy, hitting_set_random, BallTable};
 
 use crate::params::HittingStrategy;
@@ -364,14 +364,7 @@ impl Technique1Router {
             at,
             what: format!("no global tree stored for hitting-set vertex {w}"),
         })?;
-        let node = tree.node_info(at).ok_or_else(|| RouteError::MissingInformation {
-            at,
-            what: format!("vertex has no routing information for T({w})"),
-        })?;
-        tree_route_step(node, label).map_err(|e| match e {
-            RouteError::MissingInformation { what, .. } => RouteError::MissingInformation { at, what },
-            other => other,
-        })
+        tree.step(at, label)
     }
 
     /// The words Lemma 7 charges to `v`: tree-routing information for every
@@ -446,10 +439,7 @@ fn build_sequence(
                 .expect("hitting set hits every vicinity");
             let tree_idx =
                 hitting.binary_search(&w).expect("w was found in the hitting set above");
-            let label = trees[tree_idx]
-                .label(v)
-                .expect("global tree spans every vertex")
-                .clone();
+            let label = trees[tree_idx].label(v).expect("global tree spans every vertex");
             entries.push(SeqEntry::ball(w));
             return StoredSeq { entries, final_tree_label: Some(label) };
         }

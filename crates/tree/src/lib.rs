@@ -19,9 +19,9 @@
 //! shortest-path-tree or cluster-tree segment routed with exactly this
 //! scheme, and the Thorup–Zwick baseline in `routing-baselines` routes
 //! inside every cluster `C(w)` the same way. Both embed copies of
-//! [`TreeNodeInfo`]/[`TreeLabel`] into their own tables and labels and call
-//! [`tree_route_step`] directly, which is why the per-vertex structures are
-//! public.
+//! [`TreeLabel`] into their own labels and headers and take one hop with
+//! [`TreeScheme::step`] — [`tree_route_step`] on the current vertex's
+//! [`TreeNodeInfo`] — which is why the per-vertex structures are public.
 //!
 //! The construction is the classic heavy-path one:
 //!
@@ -46,7 +46,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
 use std::error::Error;
 use std::fmt;
 
@@ -172,141 +172,182 @@ pub fn tree_route_step(node: &TreeNodeInfo, dest: &TreeLabel) -> Result<Decision
 }
 
 /// A complete tree routing scheme for one rooted tree.
+///
+/// Stored flat: every member owns a *slot* (members in ascending id order),
+/// [`TreeNodeInfo`]s live in one slot-indexed array and all labels share one
+/// light-port CSR indexed by DFS entry time. A tree that spans the graph
+/// has slot = vertex id and stores no member list; any other tree finds a
+/// slot by binary search over its id-sorted members.
 #[derive(Debug, Clone)]
 pub struct TreeScheme {
     name: String,
     root: VertexId,
     n_graph: usize,
-    // lint:allow(det-hash-iter): keyed lookups at query time only; never iterated
-    nodes: HashMap<VertexId, TreeNodeInfo>,
-    // lint:allow(det-hash-iter): keyed lookups at query time only; never iterated
-    labels: HashMap<VertexId, TreeLabel>,
+    /// Member ids, ascending; empty when the tree spans the graph
+    /// (`nodes.len() == n_graph`, slot = id).
+    ids: Vec<VertexId>,
+    /// Local routing information per slot.
+    nodes: Vec<TreeNodeInfo>,
+    /// `light[light_off[t]..light_off[t + 1]]` are the label's light ports
+    /// of the member whose DFS entry time is `t`.
+    light_off: Vec<u32>,
+    light: Vec<(u32, Port)>,
+}
+
+/// The slot of `v` in a tree of `len` members: its id when the tree spans
+/// the graph (`ids` empty), its rank among the id-sorted `ids` otherwise.
+#[inline]
+fn slot_in(ids: &[VertexId], len: usize, v: VertexId) -> Option<usize> {
+    if ids.is_empty() {
+        (v.index() < len).then_some(v.index())
+    } else {
+        ids.binary_search(&v).ok()
+    }
 }
 
 impl TreeScheme {
     /// Builds the tree router from an explicit parent relation.
     ///
-    /// `parents` maps every non-root tree vertex to its parent; the root must
-    /// not appear as a key. Every parent edge must exist in `g` (ports are
-    /// taken from `g`).
+    /// `parents` yields one `(child, parent)` pair per non-root tree vertex,
+    /// in any order; the root must not appear as a child. Every parent edge
+    /// must exist in `g` (ports are taken from `g`).
+    ///
+    /// One array pass per stage, no hashing: slots, a counting-sort children
+    /// CSR (children id-ascending, which fixes the DFS order), preorder
+    /// entry times, subtree sizes from one reverse sweep, then labels filled
+    /// top-down in preorder — a child's light ports are its parent's plus at
+    /// most one entry.
     ///
     /// # Errors
     ///
     /// Returns an error if a parent edge is missing from the graph or the
     /// relation is not a tree rooted at `root`.
-    pub fn from_parents(
-        g: &Graph,
-        root: VertexId,
-        // lint:allow(det-hash-iter): iterated only to populate per-child entries of `children`, whose lists are sorted before any order-sensitive use
-        parents: &HashMap<VertexId, VertexId>,
-    ) -> Result<Self, TreeBuildError> {
-        if parents.contains_key(&root) {
-            return Err(TreeBuildError::NotATree { what: format!("root {root} has a parent") });
-        }
-        // children lists
-        // lint:allow(det-hash-iter): every kids list is sort_unstable()d below, and per-key work in later iterations is order-independent
-        let mut children: HashMap<VertexId, Vec<VertexId>> = HashMap::new();
-        children.entry(root).or_default();
-        for (&c, &p) in parents {
-            if g.port_to(p, c).is_none() {
-                return Err(TreeBuildError::MissingEdge { child: c, parent: p });
+    pub fn from_parents<I>(g: &Graph, root: VertexId, parents: I) -> Result<Self, TreeBuildError>
+    where
+        I: IntoIterator<Item = (VertexId, VertexId)>,
+    {
+        const UNSET: u32 = u32::MAX;
+        let not_a_tree = |what: String| TreeBuildError::NotATree { what };
+        let n = g.n();
+        // Tree edges with the port at the child and the port at the parent.
+        let mut edges: Vec<(VertexId, VertexId, Port, Port)> = Vec::new();
+        for (c, p) in parents {
+            if c == root {
+                return Err(not_a_tree(format!("root {root} has a parent")));
             }
-            children.entry(p).or_default();
-            children.entry(c).or_default();
-            children.get_mut(&p).expect("just inserted").push(c);
+            let ports = (c.index() < n && p.index() < n)
+                .then(|| g.port_to(c, p).zip(g.port_to(p, c)))
+                .flatten();
+            let (up, down) = ports.ok_or(TreeBuildError::MissingEdge { child: c, parent: p })?;
+            edges.push((c, p, up, down));
         }
-        for kids in children.values_mut() {
-            kids.sort_unstable();
+        let m = edges.len() + 1;
+        let mut ids: Vec<VertexId> = Vec::new();
+        if m != n {
+            ids.extend(edges.iter().map(|e| e.0));
+            ids.push(root);
+            ids.sort_unstable();
         }
-        let tree_size = parents.len() + 1;
-        if children.len() != tree_size {
-            return Err(TreeBuildError::NotATree {
-                what: format!("{} vertices reachable but {} declared", children.len(), tree_size),
-            });
-        }
+        let slot_of = |v: VertexId| slot_in(&ids, m, v);
+        let root_slot = slot_of(root)
+            .ok_or_else(|| not_a_tree(format!("root {root} is not a vertex of the host graph")))?;
 
-        // Iterative DFS computing tin/tout and subtree sizes.
-        // lint:allow(det-hash-iter): keyed lookups only; DFS visit order is fixed by the sorted children lists, so every tin value is deterministic
-        let mut tin: HashMap<VertexId, u32> = HashMap::new();
-        // lint:allow(det-hash-iter): keyed lookups only, deterministic values (see tin)
-        let mut tout: HashMap<VertexId, u32> = HashMap::new();
-        // lint:allow(det-hash-iter): keyed lookups only, deterministic values (see tin)
-        let mut size: HashMap<VertexId, u32> = HashMap::new();
-        let mut clock = 0u32;
-        let mut stack: Vec<(VertexId, usize)> = vec![(root, 0)];
-        tin.insert(root, clock);
-        clock += 1;
-        loop {
-            let (v, idx) = match stack.last() {
-                Some(&top) => top,
-                None => break,
+        // Scatter the edges into slots and count children per parent slot.
+        let unvisited = TreeNodeInfo { tin: UNSET, tout: 0, parent_port: None, heavy: None };
+        let mut nodes = vec![unvisited; m];
+        let mut parent = vec![UNSET; m];
+        let mut down_port = vec![Port(0); m];
+        let mut kid_off = vec![0u32; m + 1];
+        for &(c, p, up, down) in &edges {
+            let (Some(s), Some(ps)) = (slot_of(c), slot_of(p)) else {
+                return Err(not_a_tree(format!("parent {p} of {c} is not a tree vertex")));
             };
-            let kids = &children[&v];
-            if idx < kids.len() {
-                stack.last_mut().expect("stack is non-empty").1 += 1;
-                let c = kids[idx];
-                if tin.contains_key(&c) {
-                    return Err(TreeBuildError::NotATree {
-                        what: format!("vertex {c} visited twice (cycle)"),
-                    });
-                }
-                tin.insert(c, clock);
-                clock += 1;
-                stack.push((c, 0));
-            } else {
-                tout.insert(v, clock);
-                let s = 1 + kids.iter().map(|c| size.get(c).copied().unwrap_or(0)).sum::<u32>();
-                size.insert(v, s);
-                stack.pop();
+            if parent[s] != UNSET {
+                return Err(not_a_tree(format!("vertex {c} has two parents")));
+            }
+            parent[s] = ps as u32;
+            down_port[s] = down;
+            nodes[s].parent_port = Some(up);
+            kid_off[ps + 1] += 1;
+        }
+        for s in 0..m {
+            kid_off[s + 1] += kid_off[s];
+        }
+        // Ascending slots are ascending ids, so every child list is sorted.
+        let mut kids = vec![0u32; m - 1];
+        let mut cursor = kid_off.clone();
+        for s in 0..m {
+            if parent[s] != UNSET {
+                let at = &mut cursor[parent[s] as usize];
+                kids[*at as usize] = s as u32;
+                *at += 1;
             }
         }
-        if tin.len() != tree_size {
-            return Err(TreeBuildError::NotATree {
-                what: "some declared vertices are not reachable from the root".into(),
-            });
-        }
+        let kids_of = |s: usize| &kids[kid_off[s] as usize..kid_off[s + 1] as usize];
 
-        // Node info: parent port + heavy child.
-        // lint:allow(det-hash-iter): filled per key from deterministic inputs; visit order of the fill loop cannot affect any entry
-        let mut nodes: HashMap<VertexId, TreeNodeInfo> = HashMap::new();
-        for (&v, kids) in &children {
-            let parent_port = parents
-                .get(&v)
-                .map(|&p| g.port_to(v, p).expect("parent edge checked above"));
-            let heavy = kids
+        // Preorder DFS: `tin` is the position in `pre`. Every slot has at
+        // most one parent, so none is entered twice; a slot on or below a
+        // cycle is never entered at all.
+        let mut pre: Vec<u32> = Vec::with_capacity(m);
+        let mut stack = vec![root_slot as u32];
+        while let Some(s) = stack.pop() {
+            nodes[s as usize].tin = pre.len() as u32;
+            pre.push(s);
+            stack.extend(kids_of(s as usize).iter().rev());
+        }
+        if pre.len() != m {
+            return Err(not_a_tree("some declared vertices are not reachable from the root".into()));
+        }
+        // Subtree sizes accumulate in `tout` bottom-up; `tout = tin + size`.
+        for &s in pre.iter().rev() {
+            let size = nodes[s as usize].tout + 1;
+            nodes[s as usize].tout = size;
+            if parent[s as usize] != UNSET {
+                nodes[parent[s as usize] as usize].tout += size;
+            }
+        }
+        for node in &mut nodes {
+            node.tout += node.tin;
+        }
+        // Heavy child: largest subtree, smallest id (= slot) among equals.
+        for s in 0..m {
+            nodes[s].heavy = kids_of(s)
                 .iter()
-                .max_by_key(|&&c| (size[&c], std::cmp::Reverse(c)))
-                .map(|&c| {
-                    let port = g.port_to(v, c).expect("child edge checked above");
-                    (tin[&c], tout[&c], port)
-                });
-            nodes.insert(v, TreeNodeInfo { tin: tin[&v], tout: tout[&v], parent_port, heavy });
+                .map(|&c| c as usize)
+                .max_by_key(|&c| (nodes[c].tout - nodes[c].tin, Reverse(c)))
+                .map(|c| (nodes[c].tin, nodes[c].tout, down_port[c]));
         }
 
-        // Labels: walk from each vertex up to the root collecting light edges.
-        // lint:allow(det-hash-iter): filled per key from deterministic inputs; visit order of the fill loop cannot affect any entry
-        let mut labels: HashMap<VertexId, TreeLabel> = HashMap::new();
-        for &v in children.keys() {
-            let mut light_rev: Vec<(u32, Port)> = Vec::new();
-            let mut cur = v;
-            while let Some(&p) = parents.get(&cur) {
-                let heavy_child_tin = nodes[&p].heavy.map(|(h_tin, _, _)| h_tin);
-                if heavy_child_tin != Some(tin[&cur]) {
-                    let port = g.port_to(p, cur).expect("parent edge checked above");
-                    light_rev.push((tin[&p], port));
+        // Labels, top-down: the parent's light ports, plus the edge into
+        // this vertex when it is a light one.
+        let mut light: Vec<(u32, Port)> = Vec::new();
+        let mut light_off: Vec<u32> = Vec::with_capacity(m + 1);
+        light_off.push(0);
+        for &s in &pre {
+            let s = s as usize;
+            if parent[s] != UNSET {
+                let p = &nodes[parent[s] as usize];
+                let t = p.tin as usize;
+                light.extend_from_within(light_off[t] as usize..light_off[t + 1] as usize);
+                if p.heavy.map(|(h_tin, _, _)| h_tin) != Some(nodes[s].tin) {
+                    light.push((p.tin, down_port[s]));
                 }
-                cur = p;
             }
-            light_rev.reverse();
-            labels.insert(v, TreeLabel { tin: tin[&v], light_ports: light_rev });
+            light_off.push(
+                u32::try_from(light.len())
+                    .map_err(|_| not_a_tree("labels exceed the u32 offset range".into()))?,
+            );
         }
+        light.shrink_to_fit();
 
         Ok(TreeScheme {
             name: format!("tree-routing(root={root})"),
             root,
-            n_graph: g.n(),
+            n_graph: n,
+            ids,
             nodes,
-            labels,
+            light_off,
+            light,
         })
     }
 
@@ -318,14 +359,8 @@ impl TreeScheme {
     /// Propagates [`TreeBuildError`] (cannot occur for a well-formed SPT of
     /// `g`).
     pub fn from_spt(g: &Graph, spt: &ShortestPathTree) -> Result<Self, TreeBuildError> {
-        // lint:allow(det-hash-iter): consumed by from_parents, which is order-insensitive (children lists sorted there)
-        let mut parents = HashMap::new();
-        for (v, _) in spt.reachable() {
-            if let Some(p) = spt.parent(v) {
-                parents.insert(v, p);
-            }
-        }
-        Self::from_parents(g, spt.source(), &parents)
+        let edges = spt.reachable().filter_map(|(v, _)| spt.parent(v).map(|p| (v, p)));
+        Self::from_parents(g, spt.source(), edges)
     }
 
     /// Builds the router for a cluster tree produced by
@@ -336,14 +371,8 @@ impl TreeScheme {
     /// Propagates [`TreeBuildError`] (cannot occur for a well-formed cluster
     /// tree of `g`).
     pub fn from_restricted(g: &Graph, tree: &RestrictedTree) -> Result<Self, TreeBuildError> {
-        // lint:allow(det-hash-iter): consumed by from_parents, which is order-insensitive (children lists sorted there)
-        let mut parents = HashMap::new();
-        for &(v, _) in tree.members() {
-            if let Some(Some(p)) = tree.parent(v) {
-                parents.insert(v, p);
-            }
-        }
-        Self::from_parents(g, tree.root(), &parents)
+        let edges = tree.members().iter().filter_map(|&(v, _)| tree.parent(v)?.map(|p| (v, p)));
+        Self::from_parents(g, tree.root(), edges)
     }
 
     /// Builds the router straight from the last search run on a
@@ -364,14 +393,8 @@ impl TreeScheme {
     /// Propagates [`TreeBuildError`] (cannot occur for a well-formed search
     /// on `g`).
     pub fn from_scratch(g: &Graph, scratch: &SearchScratch) -> Result<Self, TreeBuildError> {
-        // lint:allow(det-hash-iter): consumed by from_parents, which is order-insensitive (children lists sorted there)
-        let mut parents = HashMap::with_capacity(scratch.order().len());
-        for &(v, _) in scratch.order() {
-            if let Some(p) = scratch.parent(v) {
-                parents.insert(v, p);
-            }
-        }
-        Self::from_parents(g, scratch.source(), &parents)
+        let edges = scratch.order().iter().filter_map(|&(v, _)| scratch.parent(v).map(|p| (v, p)));
+        Self::from_parents(g, scratch.source(), edges)
     }
 
     /// The root of the tree.
@@ -389,24 +412,62 @@ impl TreeScheme {
         self.nodes.len() <= 1
     }
 
-    /// Returns true if `v` is a tree vertex.
-    pub fn contains(&self, v: VertexId) -> bool {
-        self.nodes.contains_key(&v)
+    #[inline]
+    fn slot(&self, v: VertexId) -> Option<usize> {
+        slot_in(&self.ids, self.nodes.len(), v)
     }
 
-    /// Iterator over the tree's vertices (arbitrary order).
+    /// The light ports of the label whose DFS entry time is `tin`.
+    fn light_ports(&self, tin: u32) -> &[(u32, Port)] {
+        let t = tin as usize;
+        &self.light[self.light_off[t] as usize..self.light_off[t + 1] as usize]
+    }
+
+    /// Returns true if `v` is a tree vertex.
+    pub fn contains(&self, v: VertexId) -> bool {
+        self.slot(v).is_some()
+    }
+
+    /// Iterator over the tree's vertices in ascending id order.
     pub fn vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
-        self.nodes.keys().copied()
+        let spanning = self.ids.is_empty();
+        (0..self.nodes.len()).map(move |s| if spanning { VertexId(s as u32) } else { self.ids[s] })
     }
 
     /// The local routing information of tree vertex `v`.
+    #[inline]
     pub fn node_info(&self, v: VertexId) -> Option<&TreeNodeInfo> {
-        self.nodes.get(&v)
+        self.slot(v).map(|s| &self.nodes[s])
     }
 
     /// The tree label of tree vertex `v`.
-    pub fn label(&self, v: VertexId) -> Option<&TreeLabel> {
-        self.labels.get(&v)
+    pub fn label(&self, v: VertexId) -> Option<TreeLabel> {
+        let tin = self.node_info(v)?.tin;
+        Some(TreeLabel { tin, light_ports: self.light_ports(tin).to_vec() })
+    }
+
+    /// Total size of every member's label in `O(log n)`-bit words.
+    pub fn labels_words(&self) -> usize {
+        self.nodes.len() + 2 * self.light.len()
+    }
+
+    /// One local routing decision at tree vertex `at` towards the holder of
+    /// `dest`: [`tree_route_step`] on `at`'s own [`TreeNodeInfo`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RouteError::MissingInformation`] attributed to `at` if `at`
+    /// is not a tree vertex or `dest` is inconsistent with this tree.
+    #[inline]
+    pub fn step(&self, at: VertexId, dest: &TreeLabel) -> Result<Decision, RouteError> {
+        let node = self.node_info(at).ok_or_else(|| RouteError::MissingInformation {
+            at,
+            what: format!("vertex is not in the tree rooted at {}", self.root),
+        })?;
+        tree_route_step(node, dest).map_err(|e| match e {
+            RouteError::MissingInformation { what, .. } => RouteError::MissingInformation { at, what },
+            other => other,
+        })
     }
 }
 
@@ -433,17 +494,14 @@ impl RoutingScheme for TreeScheme {
     }
 
     fn label_of(&self, v: VertexId) -> TreeLabel {
-        self.labels
-            .get(&v)
-            .cloned()
-            .unwrap_or(TreeLabel { tin: u32::MAX, light_ports: Vec::new() })
+        self.label(v).unwrap_or(TreeLabel { tin: u32::MAX, light_ports: Vec::new() })
     }
 
     fn init_header(&self, source: VertexId, dest: &TreeLabel) -> Result<TreeHeader, RouteError> {
         if dest.tin == u32::MAX {
             return Err(RouteError::BadLabel { what: "destination is not in the tree".into() });
         }
-        if !self.nodes.contains_key(&source) {
+        if !self.contains(source) {
             return Err(RouteError::MissingInformation {
                 at: source,
                 what: "source is not in the tree".into(),
@@ -458,22 +516,15 @@ impl RoutingScheme for TreeScheme {
         _header: &mut TreeHeader,
         dest: &TreeLabel,
     ) -> Result<Decision, RouteError> {
-        let node = self.nodes.get(&at).ok_or_else(|| RouteError::MissingInformation {
-            at,
-            what: "vertex is not in the tree".into(),
-        })?;
-        tree_route_step(node, dest).map_err(|e| match e {
-            RouteError::MissingInformation { what, .. } => RouteError::MissingInformation { at, what },
-            other => other,
-        })
+        self.step(at, dest)
     }
 
     fn table_words(&self, v: VertexId) -> usize {
-        self.nodes.get(&v).map(TreeNodeInfo::words).unwrap_or(0)
+        self.node_info(v).map_or(0, TreeNodeInfo::words)
     }
 
     fn label_words(&self, v: VertexId) -> usize {
-        self.labels.get(&v).map(TreeLabel::words).unwrap_or(0)
+        self.node_info(v).map_or(0, |node| 1 + 2 * self.light_ports(node.tin).len())
     }
 }
 
@@ -604,10 +655,8 @@ mod tests {
     fn non_members_are_rejected() {
         let g = generators::path(6);
         // Tree containing only vertices 0..=2.
-        let mut parents = HashMap::new();
-        parents.insert(VertexId(1), VertexId(0));
-        parents.insert(VertexId(2), VertexId(1));
-        let t = TreeScheme::from_parents(&g, VertexId(0), &parents).unwrap();
+        let parents = [(VertexId(1), VertexId(0)), (VertexId(2), VertexId(1))];
+        let t = TreeScheme::from_parents(&g, VertexId(0), parents).unwrap();
         assert!(t.contains(VertexId(2)));
         assert!(!t.contains(VertexId(5)));
         assert_eq!(t.len(), 3);
@@ -621,22 +670,18 @@ mod tests {
     #[test]
     fn build_rejects_missing_edges_and_cycles() {
         let g = generators::path(4);
-        let mut parents = HashMap::new();
-        parents.insert(VertexId(3), VertexId(0)); // not an edge
-        let err = TreeScheme::from_parents(&g, VertexId(0), &parents).unwrap_err();
+        let parents = [(VertexId(3), VertexId(0))]; // not an edge
+        let err = TreeScheme::from_parents(&g, VertexId(0), parents).unwrap_err();
         assert_eq!(err, TreeBuildError::MissingEdge { child: VertexId(3), parent: VertexId(0) });
 
-        let mut parents = HashMap::new();
-        parents.insert(VertexId(0), VertexId(1)); // root has a parent
-        let err = TreeScheme::from_parents(&g, VertexId(0), &parents).unwrap_err();
+        let parents = [(VertexId(0), VertexId(1))]; // root has a parent
+        let err = TreeScheme::from_parents(&g, VertexId(0), parents).unwrap_err();
         assert!(matches!(err, TreeBuildError::NotATree { .. }));
         assert!(err.to_string().contains("not a tree"));
 
         // Disconnected declaration: vertex 3's parent chain never reaches root 0.
-        let mut parents = HashMap::new();
-        parents.insert(VertexId(1), VertexId(0));
-        parents.insert(VertexId(3), VertexId(2));
-        let err = TreeScheme::from_parents(&g, VertexId(0), &parents).unwrap_err();
+        let parents = [(VertexId(1), VertexId(0)), (VertexId(3), VertexId(2))];
+        let err = TreeScheme::from_parents(&g, VertexId(0), parents).unwrap_err();
         assert!(matches!(err, TreeBuildError::NotATree { .. }));
     }
 

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use routing_churn::{ChurnPlan, ChurnPlanConfig, RemovalMode};
-use routing_core::{Params, SchemeFivePlusEps, SchemeThreePlusEps};
+use routing_core::{Params, SchemeFivePlusEps, SchemeThreePlusEps, SchemeTwoPlusEps};
 use routing_graph::apsp::DistanceMatrix;
 use routing_graph::generators::{self, WeightModel};
 use routing_graph::mutate::apply_events;
@@ -250,9 +250,17 @@ fn parallel_and_sequential_scheme_builds_are_identical() {
         let mut rng = StdRng::seed_from_u64(7);
         SchemeFivePlusEps::build(&g, &params, &mut rng).unwrap()
     });
-    assert_threads_invariant(&g, || {
+    for k in [2, 3] {
+        assert_threads_invariant(&g, || {
+            let mut rng = StdRng::seed_from_u64(7);
+            routing_baselines::TzRoutingScheme::build(&g, k, &mut rng).unwrap()
+        });
+    }
+    // Theorem 10 takes unweighted input only.
+    let unit = generators::erdos_renyi(130, 0.05, WeightModel::Unit, &mut gen_rng);
+    assert_threads_invariant(&unit, || {
         let mut rng = StdRng::seed_from_u64(7);
-        routing_baselines::TzRoutingScheme::build(&g, 2, &mut rng).unwrap()
+        SchemeTwoPlusEps::build(&unit, &params, &mut rng).unwrap()
     });
 }
 
