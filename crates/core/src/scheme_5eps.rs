@@ -100,9 +100,6 @@ pub struct SchemeFivePlusEps {
     landmarks: Landmarks,
     cluster_trees: Vec<TreeScheme>,
     bunch_of: Vec<Vec<(VertexId, routing_graph::Weight)>>,
-    /// `α(a)` for every landmark `a`: its set in the destination partition.
-    // lint:allow(det-hash-iter): keyed lookup at query time; never iterated
-    alpha_of: std::collections::HashMap<VertexId, u32>,
     color_of: Vec<u32>,
     color_rep: Vec<Vec<VertexId>>,
     router: Technique2Router,
@@ -209,12 +206,8 @@ impl SchemeFivePlusEps {
 
         // Arbitrary balanced partition W of the landmark set A.
         let mut dest_partition: Vec<Vec<VertexId>> = vec![Vec::new(); q as usize];
-        // lint:allow(det-hash-iter): filled in sorted landmark order, read by key; never iterated
-        let mut alpha_of = std::collections::HashMap::new();
         for (i, &a) in landmarks.members().iter().enumerate() {
-            let j = (i % q as usize) as u32;
-            dest_partition[j as usize].push(a);
-            alpha_of.insert(a, j);
+            dest_partition[i % q as usize].push(a);
         }
         let router = Technique2Router::build(g, &balls, color_of.clone(), &dest_partition, params)?;
 
@@ -226,7 +219,6 @@ impl SchemeFivePlusEps {
             landmarks,
             cluster_trees,
             bunch_of,
-            alpha_of,
             color_of,
             color_rep,
             router,
@@ -264,7 +256,7 @@ impl RoutingScheme for SchemeFivePlusEps {
 
     fn label_of(&self, v: VertexId) -> Scheme5Label {
         let p_a = self.landmarks.nearest(v).unwrap_or(v);
-        let alpha = self.alpha_of.get(&p_a).copied().unwrap_or(0);
+        let alpha = self.router.dest_set_of(p_a).unwrap_or(0);
         Scheme5Label { vertex: v, p_a, alpha, first_edge: self.first_edge[v.index()] }
     }
 

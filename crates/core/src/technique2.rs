@@ -41,15 +41,18 @@ impl HeaderSize for Technique2Header {
     }
 }
 
+/// `dest_set_of` entry of a vertex outside the destination partition `W`.
+const NO_SET: u32 = u32::MAX;
+
 /// The Lemma 8 router, designed to be embedded in the full schemes. The
 /// embedding scheme owns the shared [`BallTable`] and passes it to
 /// [`Technique2Router::step`].
 #[derive(Debug, Clone)]
 pub struct Technique2Router {
     color_of: Vec<u32>,
-    /// Destination vertex -> its index `j` in the destination partition `W`.
-    // lint:allow(det-hash-iter): keyed membership lookup at query time; never iterated
-    dest_set_of: HashMap<VertexId, u32>,
+    /// Per vertex: its index `j` in the destination partition `W`, or
+    /// `NO_SET` outside `W`.
+    dest_set_of: Vec<u32>,
     // lint:allow(det-hash-iter): keyed sequence lookup at query time; never iterated
     seqs: HashMap<(VertexId, VertexId), Vec<SeqEntry>>,
     seq_words: Vec<usize>,
@@ -88,11 +91,10 @@ impl Technique2Router {
         let b = params.b_lemma8();
         let _span = routing_obs::span("technique2");
 
-        // lint:allow(det-hash-iter): filled per key, read by key; never iterated
-        let mut dest_set_of = HashMap::new();
+        let mut dest_set_of = vec![NO_SET; g.n()];
         for (j, set) in dest_partition.iter().enumerate() {
             for &w in set {
-                dest_set_of.insert(w, j as u32);
+                dest_set_of[w.index()] = j as u32;
             }
         }
 
@@ -164,7 +166,7 @@ impl Technique2Router {
 
     /// The `W` set index of destination `w`, if `w ∈ W`.
     pub fn dest_set_of(&self, w: VertexId) -> Option<u32> {
-        self.dest_set_of.get(&w).copied()
+        self.dest_set_of.get(w.index()).copied().filter(|&j| j != NO_SET)
     }
 
     /// True if `u` stores a sequence for destination `w`.

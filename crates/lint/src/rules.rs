@@ -105,11 +105,15 @@ pub const WORKSPACE_CRATES: &[CrateSpec] = &[
 /// Hard panic-ban scopes, keyed by workspace-relative file path. These are
 /// the routed-query hot paths: `graph::scratch` (query scratchpad),
 /// `model::simulate_lean*` + `record_delivery` (zero-alloc simulation),
-/// `serve::engine`/`snapshot` (the serving data plane), and the `obs`
+/// `serve::engine`/`snapshot` (the serving data plane), the `obs`
 /// disabled paths (span/metric fast-outs that run even when telemetry is
-/// off).
+/// off), and the `vicinity::balls` slot probe every scheme runs per hop.
 pub const HOT_PATHS: &[(&str, HotScope)] = &[
     ("crates/graph/src/scratch.rs", HotScope::File),
+    (
+        "crates/vicinity/src/balls.rs",
+        HotScope::FnPrefixes(&["find", "contains", "first_port", "dist", "rank"]),
+    ),
     ("crates/model/src/simulator.rs", HotScope::FnPrefixes(&["simulate_lean", "record_delivery"])),
     ("crates/serve/src/engine.rs", HotScope::File),
     ("crates/serve/src/snapshot.rs", HotScope::File),

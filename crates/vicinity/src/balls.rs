@@ -9,17 +9,19 @@
 //!
 //! # Memory layout
 //!
-//! The table is stored **flat**: all `n` balls share four parallel arrays
-//! indexed through one CSR offset table, instead of one `Ball` object plus
-//! one `HashMap` per vertex. Per vertex `u` the table keeps
+//! The table is stored **flat**: all `n` balls share parallel arrays indexed
+//! through two CSR offset tables, instead of one `Ball` object plus one
+//! `HashMap` per vertex. Per vertex `u` the table keeps
 //!
 //! * its members `(v, d(u, v))` in `(distance, id)` settle order (what
 //!   [`BallView::members`] exposes and the sequence builders iterate), with
 //!   the first hop towards each member alongside, and
-//! * the same members as **id-sorted** `(v, port, d(u, v))` triples, so the
+//! * one static open-addressing region of 12-byte `[member, port, rank]`
+//!   slots at load ≤ 3/4, its members placed in ascending hash order, so the
 //!   query-path operations — [`BallTable::contains`], [`BallTable::dist`],
-//!   [`BallTable::first_port`] — are one binary search over a contiguous
-//!   slice instead of a hash lookup per call.
+//!   [`BallTable::first_port`], [`BallView::rank`] — are one probe of about
+//!   two adjacent slots, for members and non-members alike (see
+//!   `docs/ARCHITECTURE.md`, "Search kernel & memory layout").
 //!
 //! Building runs one *bounded* ball search per vertex
 //! ([`SearchScratch::ball_into`], which stops after `ℓ` settled vertices) on
@@ -33,9 +35,40 @@ use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
 /// Sentinel port stored for the ball's center (which has no first hop).
 const NO_PORT: Port = Port(u32::MAX);
 
+/// Sentinel in `first_hops` for the ball's center.
+const NO_HOP: u32 = u32::MAX;
+
+/// One slot of a vertex's open-addressing region: `[member id, port, rank]`.
+type Slot = [u32; 3];
+
+/// Key of an unoccupied slot. `find` rejects ids outside `0..n` before
+/// probing, so a foreign `VertexId(u32::MAX)` cannot match it.
+const EMPTY_KEY: u32 = u32::MAX;
+const EMPTY: Slot = [EMPTY_KEY; 3];
+
+/// The slot hash: a fixed bijection on `u32` (odd multiplier), so equal
+/// hashes mean equal ids and hash order is a total order on members.
+#[inline]
+fn slot_hash(id: u32) -> u32 {
+    id.wrapping_mul(0x9E37_79B1)
+}
+
+/// Slots a ball of `members` members is hashed onto: load ≤ 3/4.
+#[inline]
+fn slot_cap(members: usize) -> usize {
+    (4 * members).div_ceil(3)
+}
+
+/// Home slot of hash `h` among `cap` slots: the hash scaled onto `0..cap`,
+/// monotone in `h`.
+#[inline]
+fn home_slot(h: u32, cap: usize) -> usize {
+    ((u64::from(h) * cap as u64) >> 32) as usize
+}
+
 /// The balls `B(u, ℓ)` of every vertex, with the routing information of
 /// Lemma 2 (first-hop port towards every member), in flat CSR form.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BallTable {
     ell: usize,
     /// `offsets[u]..offsets[u+1]` indexes the member arrays for vertex `u`.
@@ -44,11 +77,14 @@ pub struct BallTable {
     /// (center first).
     members: Vec<(VertexId, Weight)>,
     /// First hop from the center towards each member, aligned with
-    /// `members` (`None` for the center).
-    first_hops: Vec<Option<VertexId>>,
-    /// Per vertex: the same members as id-sorted `(member, port, distance)`
-    /// triples — the binary-searched query path.
-    lookup: Vec<(VertexId, Port, Weight)>,
+    /// `members` (`NO_HOP` for the center).
+    first_hops: Vec<u32>,
+    /// `slot_off[u]..slot_off[u+1]` is the open-addressing region of `u`.
+    slot_off: Vec<u32>,
+    /// Per vertex: its members in ascending [`slot_hash`] order, each at
+    /// `max(home, previous + 1)`, never wrapping; the region's last slot is
+    /// always [`EMPTY`].
+    slots: Vec<Slot>,
     /// The radius `r_u(ℓ)` of every ball.
     radius: Vec<Weight>,
 }
@@ -62,50 +98,71 @@ impl BallTable {
     pub fn build(g: &Graph, ell: usize) -> Self {
         let _span = routing_obs::span("balls");
         let n = g.n();
-        type PerVertex = (Vec<(VertexId, Weight)>, Vec<Option<VertexId>>, Vec<Port>, Weight);
+        type PerVertex = (Vec<(VertexId, Weight)>, Vec<Slot>, Weight);
         let per_vertex: Vec<PerVertex> = routing_par::par_map_scratch(
             n,
-            || SearchScratch::for_graph(g),
-            |scratch, i| {
+            || (SearchScratch::for_graph(g), Vec::<Slot>::new()),
+            |(scratch, region), i| {
                 let u = VertexId(i as u32);
                 let radius = scratch.ball_into(g, u, ell);
                 let members = scratch.order().to_vec();
-                let mut first_hops = Vec::with_capacity(members.len());
-                let mut ports = Vec::with_capacity(members.len());
-                for &(v, _) in &members {
-                    if v == u {
-                        first_hops.push(None);
-                        ports.push(NO_PORT);
+                // Ordered insertion: walk from the home slot past smaller
+                // hashes, then carry every larger resident one slot right.
+                // The result is the placement of the members in ascending
+                // hash order at `max(home, previous + 1)`, whatever order
+                // they arrive in. `cap + len` slots hold the longest run.
+                let cap = slot_cap(members.len());
+                region.clear();
+                region.resize(cap + members.len() + 1, EMPTY);
+                let mut end = 0;
+                for (&(v, _), rank) in members.iter().zip(0u32..) {
+                    let port = if v == u {
+                        NO_PORT
                     } else {
                         let hop =
                             scratch.first_hop(v).expect("non-center members have a first hop");
-                        first_hops.push(Some(hop));
-                        ports.push(g.port_to(u, hop).expect("first hop is a neighbour"));
+                        g.port_to(u, hop).expect("first hop is a neighbour")
+                    };
+                    let mut slot = [v.0, port.0, rank];
+                    let mut at = home_slot(slot_hash(v.0), cap);
+                    while region[at][0] != EMPTY_KEY {
+                        if slot_hash(region[at][0]) > slot_hash(slot[0]) {
+                            std::mem::swap(&mut region[at], &mut slot);
+                        }
+                        at += 1;
                     }
+                    region[at] = slot;
+                    end = end.max(at + 1);
                 }
-                (members, first_hops, ports, radius)
+                // Keep `cap` slots, or more when the last run passes them;
+                // either way the region's last slot stays empty.
+                let slots = region[..cap.max(end + 1)].to_vec();
+                (members, slots, radius)
             },
         );
 
-        let total: usize = per_vertex.iter().map(|(m, _, _, _)| m.len()).sum();
+        let total: usize = per_vertex.iter().map(|(m, _, _)| m.len()).sum();
+        let total_slots: usize = per_vertex.iter().map(|(_, s, _)| s.len()).sum();
         let mut offsets = Vec::with_capacity(n + 1);
+        let mut slot_off = Vec::with_capacity(n + 1);
         let mut members = Vec::with_capacity(total);
-        let mut first_hops = Vec::with_capacity(total);
-        let mut lookup = Vec::with_capacity(total);
+        let mut first_hops = vec![NO_HOP; total];
+        let mut slots = Vec::with_capacity(total_slots);
         let mut radius = Vec::with_capacity(n);
         offsets.push(0u32);
-        let mut sorted: Vec<(VertexId, Port, Weight)> = Vec::new();
-        for (m, fh, ports, r) in per_vertex {
-            sorted.clear();
-            sorted.extend(m.iter().zip(&ports).map(|(&(v, d), &p)| (v, p, d)));
-            sorted.sort_unstable_by_key(|&(v, _, _)| v);
-            lookup.extend_from_slice(&sorted);
+        slot_off.push(0u32);
+        for (u, (m, s, r)) in g.vertices().zip(per_vertex) {
+            // The first hop towards a member is the far end of its port.
+            for &[_, port, rank] in s.iter().filter(|slot| slot[1] != NO_PORT.0) {
+                first_hops[members.len() + rank as usize] = g.neighbor_at(u, Port(port)).to.0;
+            }
             members.extend(m);
-            first_hops.extend(fh);
+            slots.extend(s);
             radius.push(r);
             offsets.push(members.len() as u32);
+            slot_off.push(slots.len() as u32);
         }
-        BallTable { ell, offsets, members, first_hops, lookup, radius }
+        BallTable { ell, offsets, members, first_hops, slot_off, slots, radius }
     }
 
     /// The ball size parameter `ℓ` the table was built with.
@@ -123,25 +180,40 @@ impl BallTable {
         BallView { table: self, u }
     }
 
-    /// The id-sorted `(member, port, distance)` triple for `v` in `B(u, ℓ)`,
-    /// found by binary search.
+    /// The slot of `v` in the region of `u`, or `None` when `v ∉ B(u, ℓ)` or
+    /// either id is outside `0..n`. Scans forward from `v`'s home slot; the
+    /// ordered placement means an empty slot or a resident with a larger
+    /// hash proves absence, so a miss stops as early as a hit.
     #[inline]
-    fn entry(&self, u: VertexId, v: VertexId) -> Option<(VertexId, Port, Weight)> {
-        let slice = &self.lookup[self.range(u)];
-        slice
-            .binary_search_by_key(&v, |&(m, _, _)| m)
-            .ok()
-            .map(|i| slice[i])
+    fn find(&self, u: VertexId, v: VertexId) -> Option<&Slot> {
+        if v.index() >= self.radius.len() {
+            return None;
+        }
+        let i = u.index();
+        let members = self.offsets.get(i + 1)? - self.offsets.get(i)?;
+        let h = slot_hash(v.0);
+        let start = *self.slot_off.get(i)? as usize + home_slot(h, slot_cap(members as usize));
+        for slot in self.slots.get(start..)? {
+            if slot[0] == v.0 {
+                return Some(slot);
+            }
+            if slot[0] == EMPTY_KEY || slot_hash(slot[0]) > h {
+                return None;
+            }
+        }
+        None
     }
 
     /// Returns true if `v ∈ B(u, ℓ)`.
     pub fn contains(&self, u: VertexId, v: VertexId) -> bool {
-        self.entry(u, v).is_some()
+        self.find(u, v).is_some()
     }
 
     /// Distance from `u` to `v` if `v ∈ B(u, ℓ)`.
     pub fn dist(&self, u: VertexId, v: VertexId) -> Option<Weight> {
-        self.entry(u, v).map(|(_, _, d)| d)
+        let rank = self.find(u, v)?[2] as usize;
+        let base = *self.offsets.get(u.index())? as usize;
+        self.members.get(base + rank).map(|&(_, d)| d)
     }
 
     /// The first hop of a shortest path from `u` to `v`, if `v ∈ B(u, ℓ)`
@@ -152,7 +224,16 @@ impl BallTable {
 
     /// The port at `u` on a shortest path towards ball member `v`.
     pub fn first_port(&self, u: VertexId, v: VertexId) -> Option<Port> {
-        self.entry(u, v).and_then(|(_, p, _)| (p != NO_PORT).then_some(p))
+        let port = Port(self.find(u, v)?[1]);
+        (port != NO_PORT).then_some(port)
+    }
+
+    /// The open-addressing region of `u`: `[member id, port, rank]` slots,
+    /// `[u32::MAX; 3]` where empty. Queries go through
+    /// [`BallTable::contains`] and friends; this view exists so tests can
+    /// hold the layout invariants.
+    pub fn slot_region(&self, u: VertexId) -> &[[u32; 3]] {
+        &self.slots[self.slot_off[u.index()] as usize..self.slot_off[u.index() + 1] as usize]
     }
 
     /// The space Lemma 2 charges to `u`, in `O(log n)`-bit words: one id, one
@@ -176,7 +257,7 @@ impl BallTable {
 ///
 /// Mirrors the API of the owned [`routing_graph::shortest_path::Ball`], but
 /// reads straight from the table's flat arrays; membership-style queries are
-/// binary searches over the id-sorted member slice.
+/// one slot probe each.
 #[derive(Debug, Clone, Copy)]
 pub struct BallView<'a> {
     table: &'a BallTable,
@@ -220,17 +301,15 @@ impl BallView<'_> {
     /// is exactly the membership test `v ∈ B(u, k)` for any `k` up to this
     /// ball's size.
     pub fn rank(&self, v: VertexId) -> Option<usize> {
-        let d = self.table.dist(self.u, v)?;
-        self.members()
-            .binary_search_by(|&(m, md)| (md, m).cmp(&(d, v)))
-            .ok()
+        self.table.find(self.u, v).map(|slot| slot[2] as usize)
     }
 
     /// The first hop of a shortest path from the center to member `v`
     /// (`None` if `v` is not a member or is the center itself).
     pub fn first_hop(&self, v: VertexId) -> Option<VertexId> {
         let rank = self.rank(v)?;
-        self.table.first_hops[self.table.range(self.u)][rank]
+        let hop = *self.table.first_hops.get(self.table.range(self.u).start + rank)?;
+        (hop != NO_HOP).then_some(VertexId(hop))
     }
 
     /// The largest distance value `r` such that every vertex at distance
@@ -382,6 +461,10 @@ mod tests {
             &mut rng,
         );
         let t = BallTable::build(&g, 8);
+        // Every array is sized once: slack here is retained table memory.
+        assert_eq!(t.slots.len(), t.slots.capacity());
+        assert_eq!(t.members.len(), t.members.capacity());
+        assert_eq!(t.first_hops.len(), t.first_hops.capacity());
         for u in g.vertices() {
             let owned = ball(&g, u, 8);
             let view = t.ball(u);
@@ -501,6 +584,30 @@ mod tests {
         let scheme = BallRoutingScheme::new(&g, 3);
         let err = simulate(&g, &scheme, VertexId(0), VertexId(29)).unwrap_err();
         assert!(matches!(err, RouteError::MissingInformation { .. }));
+    }
+
+    #[test]
+    fn hostile_ids_miss_instead_of_panicking_or_matching_the_sentinel() {
+        // ℓ = n, so every in-range pair is a member: only the range check
+        // stands between a foreign id and an answer.
+        let g = generators::cycle(12);
+        let scheme = BallRoutingScheme::new(&g, 12);
+        let t = scheme.table();
+        let inside = VertexId(3);
+        for hostile in [VertexId(12), VertexId(13), VertexId(u32::MAX - 1), VertexId(u32::MAX)] {
+            for (u, v) in [(inside, hostile), (hostile, inside), (hostile, hostile)] {
+                assert!(!t.contains(u, v), "contains({u}, {v})");
+                assert_eq!(t.dist(u, v), None);
+                assert_eq!(t.first_port(u, v), None);
+                assert_eq!(t.first_hop(u, v), None);
+                assert_eq!(t.ball(u).rank(v), None);
+            }
+            // Typed surface, then the erased one `simulate` drives.
+            assert!(scheme.init_header(inside, &hostile).is_err());
+            assert!(scheme.decide(inside, &mut BallHeader, &hostile).is_err());
+            let err = simulate(&g, &scheme, inside, hostile).unwrap_err();
+            assert!(matches!(err, RouteError::MissingInformation { .. }), "{err:?}");
+        }
     }
 
     #[test]

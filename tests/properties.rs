@@ -9,8 +9,8 @@ use routing_core::{Params, SchemeFivePlusEps, SchemeThreePlusEps, SchemeTwoPlusE
 use routing_graph::apsp::DistanceMatrix;
 use routing_graph::generators::{self, WeightModel};
 use routing_graph::mutate::apply_events;
-use routing_graph::shortest_path::dijkstra;
-use routing_graph::{Graph, SampledDistances, VertexId};
+use routing_graph::shortest_path::{ball, dijkstra, Ball};
+use routing_graph::{Graph, GraphBuilder, SampledDistances, VertexId};
 use routing_model::simulate;
 use routing_vicinity::BallTable;
 
@@ -287,6 +287,64 @@ fn parallel_and_sequential_ground_truth_are_identical() {
 // pre-refactor implementations kept in `routing_graph::reference`.
 // ---------------------------------------------------------------------------
 
+/// The multiplier of `BallTable`'s slot hash (`docs/ARCHITECTURE.md`,
+/// "Search kernel & memory layout"), pinned here so the layout checks below
+/// are an independent reading of the documented format.
+const SLOT_HASH_MULT: u32 = 0x9E37_79B1;
+const EMPTY_KEY: u32 = u32::MAX;
+
+/// Holds `table` against `reference(u)` for **every** `(u, v)` pair, members
+/// and non-members alike, and checks the documented slot layout of every
+/// region: members in strictly ascending hash order, each at
+/// `max(home, previous + 1)`, load ≤ 3/4, the last slot empty, no slack, and
+/// every probe sequence — hit or miss — no longer than the ball plus the
+/// slot that ends it.
+fn check_ball_table(g: &Graph, table: &BallTable, reference: impl Fn(VertexId) -> Ball) {
+    let hash = |id: u32| id.wrapping_mul(SLOT_HASH_MULT);
+    for u in g.vertices() {
+        let owned = reference(u);
+        let view = table.ball(u);
+        assert_eq!(view.members(), owned.members(), "members of B({u})");
+        assert_eq!(view.radius(), owned.radius());
+        for v in g.vertices() {
+            assert_eq!(table.contains(u, v), owned.contains(v), "contains({u}, {v})");
+            assert_eq!(table.dist(u, v), owned.dist_to(v));
+            assert_eq!(view.rank(v), owned.rank(v));
+            assert_eq!(table.first_hop(u, v), owned.first_hop(v));
+            let port = owned.first_hop(v).and_then(|hop| g.port_to(u, hop));
+            assert_eq!(table.first_port(u, v), port);
+        }
+
+        let region = table.slot_region(u);
+        let m = view.len();
+        let cap = (4 * m).div_ceil(3);
+        let home = |h: u32| ((u64::from(h) * cap as u64) >> 32) as usize;
+        assert!(4 * m <= 3 * region.len(), "load above 3/4 at {u}");
+        assert_eq!(region.last().map(|s| s[0]), Some(EMPTY_KEY), "no sentinel at {u}");
+        let occupied: Vec<usize> = (0..region.len()).filter(|&i| region[i][0] != EMPTY_KEY).collect();
+        assert_eq!(occupied.len(), m);
+        let mut next = 0;
+        let mut prev_hash = None;
+        for &at in &occupied {
+            let [id, _, rank] = region[at];
+            assert!(prev_hash < Some(hash(id)), "hash order broken at slot {at} of region {u}");
+            assert_eq!(at, home(hash(id)).max(next), "slot of {id} in region {u}");
+            assert_eq!(view.members()[rank as usize].0, VertexId(id));
+            (next, prev_hash) = (at + 1, Some(hash(id)));
+        }
+        assert_eq!(region.len(), cap.max(next + 1), "slack in region {u}");
+        for v in g.vertices() {
+            let h = hash(v.0);
+            let probes = region[home(h)..]
+                .iter()
+                .position(|s| s[0] == v.0 || s[0] == EMPTY_KEY || hash(s[0]) > h)
+                .expect("the sentinel ends every probe sequence")
+                + 1;
+            assert!(probes <= m + 1, "{probes} probes for ({u}, {v}) in a ball of {m}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8, .. ProptestConfig::default() })]
 
@@ -410,10 +468,9 @@ proptest! {
     }
 
     /// The flat CSR `BallTable`, built at thread counts 1 and 4, is
-    /// bit-identical to a table assembled per vertex from the pre-refactor
-    /// `HashMap` ball search: same members in the same order, same
-    /// membership answers, distances, ports and first hops, for members and
-    /// non-members alike.
+    /// bit-identical — member arrays and slot regions alike — and answers
+    /// like a table assembled per vertex from the pre-refactor `HashMap`
+    /// ball search, for members and non-members alike.
     #[test]
     fn flat_ball_table_matches_reference_at_thread_counts(
         (g, _seed) in arb_graph(),
@@ -421,25 +478,15 @@ proptest! {
     ) {
         use routing_graph::reference;
         let _guard = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        for threads in [1usize, 4] {
+        let build = |threads: usize| {
             routing_par::set_threads(threads);
             let table = BallTable::build(&g, ell);
             routing_par::set_threads(routing_par::available_threads());
-            for u in g.vertices() {
-                let b = reference::ball_hashmap(&g, u, ell);
-                prop_assert_eq!(table.ball(u).members(), b.members(), "threads={}", threads);
-                prop_assert_eq!(table.ball(u).radius(), b.radius());
-                for v in g.vertices() {
-                    prop_assert_eq!(table.contains(u, v), b.contains(v));
-                    prop_assert_eq!(table.dist(u, v), b.dist_to(v));
-                    prop_assert_eq!(table.first_hop(u, v), b.first_hop(v));
-                    let expect_port = b
-                        .first_hop(v)
-                        .map(|hop| g.port_to(u, hop).expect("first hop is a neighbour"));
-                    prop_assert_eq!(table.first_port(u, v), expect_port);
-                }
-            }
-        }
+            table
+        };
+        let table = build(1);
+        prop_assert!(table == build(4), "threads = 1 and threads = 4 built different tables");
+        check_ball_table(&g, &table, |u| reference::ball_hashmap(&g, u, ell));
     }
 
     /// The flat (sorted-slice) TZ bunch tables answer exactly like the
@@ -543,6 +590,60 @@ proptest! {
         for v in g.vertices() {
             prop_assert_eq!(a.dist(v), b.dist(v));
             prop_assert_eq!(a.nearest(v), b.nearest(v));
+        }
+    }
+}
+
+/// The slot table against the owned `shortest_path::ball` reference on every
+/// graph family, with weight ties, at `ℓ ∈ {1, 2, ⌈√n⌉, 40, n}` — and on two
+/// hostile id patterns: balls whose members form an arithmetic progression
+/// with a power-of-two stride, and a ball made of the ids with the smallest
+/// slot hashes, which all claim the first few home slots.
+#[test]
+fn ball_table_answers_every_pair_on_every_family() {
+    let mut rng = StdRng::seed_from_u64(61);
+    let ties = WeightModel::Uniform { lo: 1, hi: 3 };
+    let n = 240;
+    let mut graphs = vec![
+        ("er-unit", generators::erdos_renyi(n, 8.0 / n as f64, WeightModel::Unit, &mut rng)),
+        ("er-ties", generators::erdos_renyi(n, 8.0 / n as f64, ties, &mut rng)),
+        ("geometric", generators::random_geometric(n, 0.12, ties, &mut rng)),
+        ("grid", generators::grid(15, 16)),
+        ("star", generators::star(n)),
+        ("path", generators::path(n)),
+    ];
+    // Sixteen unit-weight chains i, i + 16, i + 32, …, joined at their heads
+    // by heavy edges: every ball up to ℓ = 15 is a stride-16 progression.
+    let mut strided = GraphBuilder::new(n);
+    for i in 0..n - 16 {
+        strided.add_edge(i, i + 16, 1).unwrap();
+    }
+    for i in 0..15 {
+        strided.add_edge(i, i + 1, 1_000).unwrap();
+    }
+    graphs.push(("stride-16", strided.build()));
+    // A unit-weight clique on the 40 ids with the smallest slot hashes, the
+    // rest hanging off it on heavy edges: the clique is every member's ball
+    // at ℓ = 40 and its keys all hash to the front of the region.
+    let mut by_hash: Vec<usize> = (0..n).collect();
+    by_hash.sort_unstable_by_key(|&i| (i as u32).wrapping_mul(SLOT_HASH_MULT));
+    let (clique, rest) = by_hash.split_at(40);
+    let mut clustered = GraphBuilder::new(n);
+    for (k, &a) in clique.iter().enumerate() {
+        for &b in &clique[k + 1..] {
+            clustered.add_edge(a, b, 1).unwrap();
+        }
+    }
+    for (k, &r) in rest.iter().enumerate() {
+        clustered.add_edge(r, clique[k % clique.len()], 1_000).unwrap();
+    }
+    graphs.push(("hash-clustered", clustered.build()));
+
+    for (name, g) in &graphs {
+        let sqrt_n = (g.n() as f64).sqrt().ceil() as usize;
+        for ell in [1, 2, sqrt_n, 40, g.n()] {
+            println!("{name}, ℓ = {ell}");
+            check_ball_table(g, &BallTable::build(g, ell), |u| ball(g, u, ell));
         }
     }
 }
