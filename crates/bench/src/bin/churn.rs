@@ -18,26 +18,8 @@
 //!
 //! # Options
 //!
-//! | flag | default | meaning |
-//! |------|---------|---------|
-//! | `--n <N>` | 1000 | vertices of the base graph |
-//! | `--family <F>` | `erdos-renyi` | `erdos-renyi`, `geometric`, `grid`, or `scale-free` |
-//! | `--rounds <R>` | 6 | churn rounds |
-//! | `--remove-frac <F>` | 0.05 | fraction of alive vertices removed per round |
-//! | `--add-frac <F>` | 0.5 | rejoining vertices per removed vertex |
-//! | `--edge-remove-frac <F>` | 0.02 | fraction of surviving edges failed per round |
-//! | `--edge-add-frac <F>` | 0.02 | new random edges per round (fraction of current edges) |
-//! | `--pairs <P>` | 2000 | routed pairs sampled per round |
-//! | `--sources <K>` | 0 | cap on distinct pair sources per round (0 = uniform pairs); set e.g. 128 for `n ≥ 10,000` so each round's ground truth costs `K` parallel Dijkstras |
-//! | `--threads <T>` | 0 | preprocessing/ground-truth threads (0 = all hardware threads) |
-//! | `--epsilon <E>` | 0.5 | stretch slack for the paper's schemes |
-//! | `--seed <S>` | 7 | master seed (schedules and pair samples derive from it) |
-//! | `--schemes <LIST>` | `tz2,warmup,thm11` | comma list of registered scheme names, or `all` |
-//! | `--modes <LIST>` | `random,targeted` | comma list of `random`, `targeted`, `degree-weighted` |
-//! | `--policies <LIST>` | `never,every-2,threshold-0.9` | comma list of `never`, `every-round`, `every-<k>`, `threshold-<x>` |
-//! | `--json <PATH>` | — | also write every run as a JSON array of `ChurnRunResult` |
-//! | `--metrics <PATH>` | — | enable telemetry counters and write a JSON metric export (failure-class counters, rebuild timing histogram, run aggregates) |
-//! | `--help` | — | print this table |
+//! `churn --help` prints the flag table with every default (the README
+//! carries the same table with longer explanations).
 //!
 //! # Output schema (`--json`)
 //!
@@ -113,7 +95,7 @@ fn usage() -> ! {
 }
 
 fn print_usage() {
-    // Keep this text in sync with the module doc table above and README.md.
+    // Keep this text in sync with the flag table in README.md.
     eprintln!(
         "churn — churn-resilience experiment for compact routing schemes
 

@@ -1,29 +1,23 @@
-//! Shared command-line flag handling for the harness binaries.
+//! Shared command-line handling for the harness binaries: `churn`'s
+//! `--flag value` pairs and `experiments`' positionals fail with the same
+//! diagnostics.
 //!
-//! Every registry-driven binary accepts the same core flags
-//! (`--schemes`, `--n`, `--seed`, `--json`, `--family`, `--threads`, …);
-//! before this module each binary re-implemented the `flag → value →
-//! parse-or-die` loop and its diagnostics. The pieces they share live here:
-//!
-//! * [`Args`] — a cursor over `flag value` pairs with uniform
-//!   missing-value diagnostics;
-//! * typed value parsers ([`parse_value`], [`parse_usize_list`],
-//!   [`parse_family`], [`parse_schemes`]) that return [`CliError`] with the
-//!   exact `invalid value "…" for --flag: …` wording the binaries printed
-//!   before;
+//! * [`Args`] — a cursor over the tokens with uniform missing-value
+//!   diagnostics;
+//! * typed value parsers ([`parse_value`], [`parse_family`],
+//!   [`parse_schemes`]) that return [`CliError`] with the
+//!   `invalid value "…" for --flag: …` wording;
 //! * [`CliError`] — the diagnostic type, `Display`-formatted for stderr.
 //!
-//! Binaries keep their own `match` over flag *names* (each experiment has
-//! its own flag set); what is shared is everything after the flag name is
-//! recognized. [`parse_schemes`] validates scheme lists against the
-//! registry's names and expands the special value `all` to every
-//! registered scheme, so a new registry entry is reachable from every
-//! binary with no flag-parsing edits.
+//! Each binary keeps its own `match` over flag or experiment *names*; what
+//! is shared is everything after the name is recognized. [`parse_schemes`]
+//! validates scheme lists against the registry's names and expands the
+//! special value `all` to every registered scheme, so a new registry entry
+//! is reachable with no flag-parsing edits.
 
 use routing_graph::generators::Family;
 
-/// A malformed command line, with the same wording the binaries printed
-/// before this module existed.
+/// A malformed command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CliError {
     /// A flag was given without its value.
@@ -45,6 +39,11 @@ pub enum CliError {
         /// The unrecognized token.
         flag: String,
     },
+    /// A positional argument beyond those the command takes.
+    UnexpectedArgument {
+        /// The surplus token.
+        arg: String,
+    },
 }
 
 impl std::fmt::Display for CliError {
@@ -55,6 +54,7 @@ impl std::fmt::Display for CliError {
                 write!(f, "invalid value {value:?} for {flag}: {what}")
             }
             CliError::UnknownFlag { flag } => write!(f, "unknown flag {flag}"),
+            CliError::UnexpectedArgument { arg } => write!(f, "unexpected argument {arg:?}"),
         }
     }
 }
@@ -108,20 +108,6 @@ pub fn parse_value<T: std::str::FromStr>(
         value: value.to_string(),
         what: what.to_string(),
     })
-}
-
-/// Parses a comma-separated list of sizes (the `--n 1000,5000,10000` form).
-/// The result is never empty: `split(',')` yields at least one piece, and
-/// an empty piece fails the integer parse.
-///
-/// # Errors
-///
-/// [`CliError::Invalid`] on a non-integer (or empty) entry.
-pub fn parse_usize_list(flag: &str, value: &str) -> Result<Vec<usize>, CliError> {
-    value
-        .split(',')
-        .map(|s| parse_value(flag, s, "expected integers"))
-        .collect()
 }
 
 /// Parses a graph family name.
@@ -211,14 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn size_lists_reject_junk_and_accept_sweeps() {
-        assert_eq!(parse_usize_list("--n", "1000").unwrap(), vec![1000]);
-        assert_eq!(parse_usize_list("--n", "1000,5000,10000").unwrap(), vec![1000, 5000, 10000]);
-        let err = parse_usize_list("--n", "1000,abc").unwrap_err();
-        assert!(err.to_string().contains("expected integers"), "{err}");
-    }
-
-    #[test]
     fn family_parsing_matches_the_documented_names() {
         assert_eq!(parse_family("--family", "erdos-renyi").unwrap(), Family::ErdosRenyi);
         assert_eq!(parse_family("--family", "scale-free").unwrap(), Family::ScaleFree);
@@ -243,5 +221,7 @@ mod tests {
     fn unknown_flag_display() {
         let err = CliError::UnknownFlag { flag: "--frobnicate".into() };
         assert_eq!(err.to_string(), "unknown flag --frobnicate");
+        let err = CliError::UnexpectedArgument { arg: "0.5".into() };
+        assert_eq!(err.to_string(), "unexpected argument \"0.5\"");
     }
 }

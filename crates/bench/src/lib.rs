@@ -14,44 +14,23 @@
 //!
 //! # Registry-driven dispatch
 //!
-//! Every binary under `src/bin/` selects schemes by **name** through the
-//! facade's [`compact_routing::registry::SchemeRegistry`] — no binary
-//! carries per-scheme construction code. What the binaries add on top is
+//! Both binaries under `src/bin/` select schemes by **name** through the
+//! facade's [`compact_routing::registry::SchemeRegistry`] — neither
+//! carries per-scheme construction code. What they add on top is
 //! harness *metadata* ([`SchemeMeta`]: the paper's claimed bounds, the
 //! claimed `Õ(n^x)` space exponent, and whether the scheme evaluates on the
 //! weighted or the unweighted instance), looked up by the same registry key.
 //! Adding a scheme to the workspace therefore costs one `SchemeBuilder`
-//! registration (facade) plus one [`SCHEME_METAS`] row (here); every binary
-//! discovers it through `--schemes` with no further edits.
+//! registration (facade) plus one [`SCHEME_METAS`] row (here); every
+//! experiment discovers it with no further edits.
 //!
-//! The shared `--schemes`/`--n`/`--seed`/`--json`/… flag handling lives in
-//! [`cli`].
+//! # The `experiments` binary
 //!
-//! Binaries under `src/bin/` drive individual experiments (see DESIGN.md's
-//! experiment index); the Criterion benches under `benches/` time
-//! preprocessing and per-hop routing decisions.
-//!
-//! # The `perf` binary
-//!
-//! The `perf` binary is the repo's **tracked performance baseline**: it
-//! times, single-threadedly, every selected scheme's build plus a fixed
-//! number of routed queries at a sweep of `n`, and the allocation-free
-//! ball-kernel build against the pre-refactor `HashMap` implementation
-//! (verifying the two tables bit-identical — CI fails on divergence). Its
-//! `--json` output is the `BENCH_<pr>.json` artefact format; `BENCH_5.json`
-//! at the repository root is the first committed point of that trajectory.
-//!
-//! # The `serve` binary
-//!
-//! The `serve` binary benchmarks the `routing-serve` serving layer: it
-//! drives a sharded [`routing_serve::ShardedEngine`] with concurrent
-//! readers pulling Zipf-skewed batches while a writer hot-swaps rebuilt
-//! tables (epoch swaps) under the load, and reports aggregate + per-shard
-//! queries/second and p50/p99/p999 latency against a `single-thread`
-//! anchor row measured with the `perf` methodology in the same run.
-//! `BENCH_7.json` at the repository root is its committed artefact;
-//! `--verify` adds an equivalence + accounting self-check with a non-zero
-//! exit on failure (the CI smoke mode).
+//! `experiments <table1|theorems|techniques|ablations|epsilon-sweep> [n]
+//! [epsilon]` regenerates the paper's static artefacts, one subcommand per
+//! experiment; `--help` lists them with their defaults. Timing is not
+//! measured here: the repository's one yardstick is the `benchmark/`
+//! package.
 //!
 //! # The `churn` binary
 //!
@@ -65,10 +44,10 @@
 //! unknown vertex / scheme error), and the wall-clock cost of rebuilds
 //! triggered by the selected `routing_churn::RebuildPolicy`. Run
 //! `cargo run -p routing-bench --release --bin churn -- --help` for the
-//! full flag table; the flags and the JSON output schema are documented in
-//! the binary's module docs (`src/bin/churn.rs`) and in the top-level
-//! README, and `--json <path>` writes the runs as a JSON array of
-//! `routing_churn::ChurnRunResult`.
+//! full flag table (also in the top-level README); `--json <path>` writes
+//! the runs as a JSON array of `routing_churn::ChurnRunResult`, whose
+//! schema the binary's module docs (`src/bin/churn.rs`) spell out. The
+//! shared flag handling lives in [`cli`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -187,8 +166,8 @@ pub struct SchemeMeta {
 
 /// Metadata for every scheme the default registry registers, in registry
 /// order. Kept in sync with `SchemeRegistry::with_defaults` by
-/// [`assert_meta_covers_registry`] (which CI's registry smoke run
-/// exercises).
+/// `routing-lint`'s `registry-coherence` rule (ordered equality, in CI and
+/// in the tier-1 `workspace_lint` test).
 pub const SCHEME_METAS: &[SchemeMeta] = &[
     SchemeMeta {
         key: "warmup",
@@ -287,29 +266,53 @@ pub fn scheme_meta(key: &str) -> Option<&'static SchemeMeta> {
     SCHEME_METAS.iter().find(|m| m.key == key)
 }
 
-/// Asserts that every scheme in `registry` has a [`SchemeMeta`] row and
-/// vice versa — the harness-side half of the registry naming invariant.
-///
-/// # Panics
-///
-/// Panics (with the offending key) on any mismatch; the registry smoke run
-/// in CI calls this so a scheme can never be registered without harness
-/// metadata or the other way around.
-pub fn assert_meta_covers_registry(registry: &SchemeRegistry) {
-    for key in registry.names() {
-        assert!(scheme_meta(key).is_some(), "registered scheme {key:?} has no SchemeMeta row");
+/// The unweighted and the weighted instance of one experiment, each with
+/// its exact distance matrix. A scheme evaluates on the flavour its
+/// [`SchemeMeta`] row declares ([`Instances::for_key`]).
+#[derive(Debug)]
+pub struct Instances {
+    /// The unit-weight instance (Theorem 10 and the exact anchor).
+    pub unweighted: Graph,
+    /// The weighted instance (every other scheme).
+    pub weighted: Graph,
+    exact_u: DistanceMatrix,
+    exact_w: DistanceMatrix,
+}
+
+impl Instances {
+    /// Computes both ground-truth matrices.
+    pub fn new(unweighted: Graph, weighted: Graph) -> Self {
+        let exact_u = DistanceMatrix::new(&unweighted);
+        let exact_w = DistanceMatrix::new(&weighted);
+        Instances { unweighted, weighted, exact_u, exact_w }
     }
-    for (i, meta) in SCHEME_METAS.iter().enumerate() {
-        assert!(
-            registry.contains(meta.key),
-            "SchemeMeta row {:?} is dead: no scheme is registered under it",
-            meta.key
-        );
-        assert!(
-            SCHEME_METAS[..i].iter().all(|m| m.key != meta.key),
-            "duplicate SchemeMeta row for {:?}",
-            meta.key
-        );
+
+    /// The instance pair `table1` and `theorems` evaluate on: `family` at
+    /// `cfg.n` vertices from `cfg.seed`, once with unit weights and once with
+    /// uniform weights in `1..=32`.
+    pub fn generate(family: Family, cfg: &ExperimentConfig) -> Self {
+        Instances::new(
+            make_graph(family, WeightModel::Unit, cfg),
+            make_graph(family, WeightModel::Uniform { lo: 1, hi: 32 }, cfg),
+        )
+    }
+
+    /// The metadata row of `key` with the instance and ground truth it
+    /// declares.
+    ///
+    /// # Errors
+    ///
+    /// [`HarnessError::NoMeta`] when `key` has no [`SCHEME_METAS`] row.
+    pub fn for_key(
+        &self,
+        key: &str,
+    ) -> Result<(&'static SchemeMeta, &Graph, &DistanceMatrix), HarnessError> {
+        let meta = scheme_meta(key).ok_or_else(|| HarnessError::NoMeta { key: key.to_string() })?;
+        Ok(if meta.weighted {
+            (meta, &self.weighted, &self.exact_w)
+        } else {
+            (meta, &self.unweighted, &self.exact_u)
+        })
     }
 }
 
@@ -412,6 +415,18 @@ pub enum HarnessError {
     Build(routing_core::BuildError),
     /// Routing failed (always a bug in a scheme).
     Route(RouteError),
+    /// A registered scheme has no [`SCHEME_METAS`] row.
+    NoMeta {
+        /// The registry key without metadata.
+        key: String,
+    },
+    /// An artefact could not be serialized or written.
+    Artefact {
+        /// The file that was being written.
+        path: String,
+        /// The serializer's or the file system's message.
+        what: String,
+    },
 }
 
 impl std::fmt::Display for HarnessError {
@@ -419,6 +434,8 @@ impl std::fmt::Display for HarnessError {
         match self {
             HarnessError::Build(e) => write!(f, "preprocessing failed: {e}"),
             HarnessError::Route(e) => write!(f, "routing failed: {e}"),
+            HarnessError::NoMeta { key } => write!(f, "scheme {key:?} has no SchemeMeta row"),
+            HarnessError::Artefact { path, what } => write!(f, "could not write {path}: {what}"),
         }
     }
 }
@@ -459,9 +476,8 @@ pub fn evaluate_scheme(
     Ok(evaluate(g, scheme, exact, cfg.selection(), &mut rng)?)
 }
 
-/// Runs the full Table 1 experiment on one unweighted and one weighted
-/// instance: every measured scheme the registry knows, plus the theory-only
-/// comparison rows.
+/// Runs the full Table 1 experiment on one pair of instances: every
+/// measured scheme the registry knows, plus the theory-only comparison rows.
 ///
 /// Measured rows are built through `registry` — this function contains no
 /// per-scheme construction code; [`SCHEME_METAS`] supplies each row's
@@ -472,8 +488,7 @@ pub fn evaluate_scheme(
 /// Propagates preprocessing and routing failures.
 pub fn run_table1(
     registry: &SchemeRegistry,
-    unweighted: &Graph,
-    weighted: &Graph,
+    instances: &Instances,
     cfg: &ExperimentConfig,
 ) -> Result<Vec<Table1Row>, HarnessError> {
     // The traditional Table 1 row order: the exact anchor first, then prior
@@ -488,8 +503,6 @@ pub fn run_table1(
         }
     }
 
-    let exact_u = DistanceMatrix::new(unweighted);
-    let exact_w = DistanceMatrix::new(weighted);
     let ctx = BuildContext {
         params: cfg.params(),
         seed: cfg.seed ^ 0xc0ffee,
@@ -516,9 +529,7 @@ pub fn run_table1(
                 measured: None,
             });
         }
-        let meta = scheme_meta(key).expect("ROW_ORDER keys all have metadata");
-        let (g, exact) =
-            if meta.weighted { (weighted, &exact_w) } else { (unweighted, &exact_u) };
+        let (meta, g, exact) = instances.for_key(key)?;
         let scheme = registry.build(key, g, &ctx)?;
         // ε-parameterized schemes (the paper's) get the concrete ε in their
         // row label; fixed-bound baselines do not.
@@ -577,24 +588,6 @@ mod tests {
     }
 
     #[test]
-    fn metas_cover_the_default_registry() {
-        assert_meta_covers_registry(&SchemeRegistry::with_defaults());
-        assert!(scheme_meta("tz2").is_some());
-        assert!(scheme_meta("thm13").is_some());
-        assert!(scheme_meta("thm16k3").is_some());
-        assert!(scheme_meta("thm12").is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "dead")]
-    fn meta_rows_without_a_registered_scheme_are_rejected() {
-        // An empty registry leaves every SCHEME_METAS row dead; the checker
-        // must fail on the dead-row direction, not only on registered
-        // schemes lacking metadata.
-        assert_meta_covers_registry(&SchemeRegistry::new());
-    }
-
-    #[test]
     fn conformance_checker_accepts_exact_and_rejects_impossible_bounds() {
         let cfg = ExperimentConfig { n: 40, seed: 11, epsilon: 0.5, pairs: None };
         let g = make_graph(Family::ErdosRenyi, WeightModel::Uniform { lo: 1, hi: 9 }, &cfg);
@@ -622,10 +615,17 @@ mod tests {
     #[test]
     fn table1_runs_on_small_instances() {
         let cfg = ExperimentConfig { n: 60, seed: 3, epsilon: 0.5, pairs: Some(200) };
-        let unweighted = make_graph(Family::ErdosRenyi, WeightModel::Unit, &cfg);
-        let weighted = make_graph(Family::ErdosRenyi, WeightModel::Uniform { lo: 1, hi: 8 }, &cfg);
+        let instances = Instances::new(
+            make_graph(Family::ErdosRenyi, WeightModel::Unit, &cfg),
+            make_graph(Family::ErdosRenyi, WeightModel::Uniform { lo: 1, hi: 8 }, &cfg),
+        );
+        // Each key evaluates on the flavour its metadata row declares.
+        let (thm10, g, _) = instances.for_key("thm10").unwrap();
+        assert!(!thm10.weighted && g.is_unweighted());
+        assert!(!instances.for_key("tz2").unwrap().1.is_unweighted());
+        assert!(matches!(instances.for_key("thm12"), Err(HarnessError::NoMeta { .. })));
         let registry = SchemeRegistry::with_defaults();
-        let rows = run_table1(&registry, &unweighted, &weighted, &cfg).unwrap();
+        let rows = run_table1(&registry, &instances, &cfg).unwrap();
         assert!(rows.len() >= 8);
         // Exact routing row must have stretch exactly 1.
         let exact_row = rows.iter().find(|r| r.scheme.contains("exact")).unwrap();
@@ -662,6 +662,10 @@ mod tests {
         let e: HarnessError =
             RouteError::BadLabel { what: "x".into() }.into();
         assert!(e.to_string().contains("routing failed"));
+        let e = HarnessError::NoMeta { key: "thm12".into() };
+        assert_eq!(e.to_string(), "scheme \"thm12\" has no SchemeMeta row");
+        let e = HarnessError::Artefact { path: "t.json".into(), what: "disk full".into() };
+        assert_eq!(e.to_string(), "could not write t.json: disk full");
         let _ = generators::path(2);
     }
 }

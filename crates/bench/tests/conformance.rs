@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use compact_routing::registry::SchemeRegistry;
-use routing_bench::{assert_meta_covers_registry, check_stretch_conformance, scheme_meta};
+use routing_bench::{check_stretch_conformance, scheme_meta};
 use routing_core::{BuildContext, Params};
 use routing_graph::apsp::DistanceMatrix;
 use routing_graph::generators::{self, WeightModel};
@@ -45,7 +45,6 @@ proptest! {
         let exact_u = DistanceMatrix::new(&unweighted);
 
         let registry = SchemeRegistry::with_defaults();
-        assert_meta_covers_registry(&registry);
         let ctx = BuildContext {
             params: Params::with_epsilon(eps),
             seed: seed ^ 0xbead,
@@ -56,7 +55,7 @@ proptest! {
         let pairs = routing_model::sample_pairs_from(&ids, &ids, 40, &mut pair_rng);
 
         for key in registry.names() {
-            let meta = scheme_meta(key).expect("assert_meta_covers_registry passed");
+            let meta = scheme_meta(key).expect("every registered key has a SchemeMeta row");
             let (g, exact) =
                 if meta.weighted { (&weighted, &exact_w) } else { (&unweighted, &exact_u) };
             let scheme = registry.build(key, g, &ctx).expect(key);

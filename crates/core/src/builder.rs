@@ -81,8 +81,7 @@ impl BuildContext {
 ///
 /// Implementations must be deterministic in `(g, ctx)` and must build a
 /// scheme whose [`DynScheme::name`] equals the key the builder is
-/// registered under (the facade's `SchemeRegistry` and the CI smoke run
-/// both enforce this).
+/// registered under (the facade's `SchemeRegistry::build` enforces this).
 ///
 /// Builders do **not** apply `ctx.threads` themselves — the registry's
 /// `build` applies it once at the dispatch point ([`BuildContext::

@@ -16,8 +16,7 @@
 //!   shortest-path trees; the free functions are thin fresh-workspace
 //!   wrappers over the kernel.
 //! * [`mod@reference`] — the pre-refactor allocating implementations, kept
-//!   as bit-identity baselines for the equivalence tests and the `perf`
-//!   harness binary.
+//!   as bit-identity baselines for the equivalence tests.
 //! * [`generators`] — seeded synthetic graph families used by the experiment
 //!   harness (the paper is evaluated on "any undirected graph"; generators
 //!   stand in for the absence of a dataset).

@@ -2,13 +2,10 @@
 //!
 //! The allocation-free kernel ([`crate::scratch::SearchScratch`]) replaced
 //! the per-call `HashMap`/`Vec` searches this crate originally shipped. The
-//! originals live on here, verbatim, for two purposes:
-//!
-//! * the equivalence property tests (`tests/properties.rs`) assert the new
-//!   kernel is **bit-identical** to them — same distances, parents, first
-//!   hops, member order and radii — on random graphs;
-//! * the `perf` harness binary times the new kernel **against** them, so the
-//!   claimed speedups are measured, not asserted.
+//! originals live on here, verbatim, for one purpose: the equivalence
+//! property tests (`tests/properties.rs`) assert the new kernel is
+//! **bit-identical** to them — same distances, parents, first hops, member
+//! order and radii — on random graphs.
 //!
 //! Nothing else should call these: they allocate three `HashMap`s per ball
 //! or cluster search and four `O(n)` vectors per Dijkstra run.

@@ -25,7 +25,7 @@
 //! * the priority queue is a monotone **bucket queue** (Dial's algorithm
 //!   with a 64-distance circular window tracked by one occupancy bitmask)
 //!   backed by a binary-heap overflow for pushes beyond the window, all
-//!   kept allocated between searches — see [`SearchScratch::queue_pop`]'s
+//!   kept allocated between searches — see `SearchScratch::queue_pop`'s
 //!   source for why its pop order is bit-identical to a binary heap's;
 //! * the settle order (the `(distance, id)`-sorted vertex sequence every
 //!   bounded search is defined by) is recorded in a reusable buffer.
@@ -62,7 +62,7 @@ const NONE: u32 = u32::MAX;
 /// Width of the bucket-queue distance window (must be a power of two so the
 /// slot index is a mask). Pushes whose distance lies within this many units
 /// of the frontier go into a bucket slot; farther pushes wait in the
-/// overflow heap. With the perf families' weights (1..32) every push lands
+/// overflow heap. With the harness families' weights (1..32) every push lands
 /// in the window, so the binary heap is never touched.
 const BQ_WINDOW: Weight = 64;
 

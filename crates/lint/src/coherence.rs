@@ -5,9 +5,9 @@
 //! the real registry rather than re-listing the keys, so the lint cannot
 //! itself drift). Against that the rule checks:
 //!
-//! * the harness `SCHEME_METAS` rows cover the registry in order (the same
-//!   invariant `assert_meta_covers_registry` enforces at binary startup —
-//!   duplicated here so drift fails in CI before any binary runs);
+//! * the harness `SCHEME_METAS` rows cover the registry in order (the
+//!   experiments look rows up by key, so drift must fail in CI before any
+//!   binary runs);
 //! * the scheme table in `src/registry.rs`'s module docs lists exactly the
 //!   registered keys in order;
 //! * every "full key list" in README.md and docs/ARCHITECTURE.md matches —

@@ -33,8 +33,8 @@
 //!    forest; [`reset`] clears it. The preprocessing code of every scheme
 //!    (balls, landmark sampling, cluster searches, technique builds, TZ
 //!    ladder levels, exact/spanner tables) is threaded with these spans,
-//!    which is where the `BENCH_8.json` per-phase build breakdowns come
-//!    from.
+//!    which is where the benchmark's per-phase `core.<scheme>.*_ms` rows
+//!    come from.
 //! 2. [`metrics`] — [`Counter`] statics for the query
 //!    path (routing phase taken, hops, header words), the serving layer
 //!    (label-cache hits, epoch swaps, snapshot loads) and churn failure

@@ -17,7 +17,7 @@
 //! what [`MetricSet::gather`] snapshots. Keeping the list static means a
 //! disabled-telemetry process never allocates a registry, and an exporter
 //! always emits every series — a counter that never fired exports as `0`
-//! instead of silently missing (the CI smoke job greps for exactly this).
+//! instead of silently missing.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

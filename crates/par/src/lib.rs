@@ -130,8 +130,8 @@ where
 }
 
 /// [`par_map_index`] with an explicit thread count, ignoring the global
-/// setting. Used by the scaling harness to compare `threads=1` against
-/// `threads=T` inside one process without racing on the global.
+/// setting, so `threads=1` can be compared against `threads=T` inside one
+/// process without racing on the global.
 #[track_caller]
 pub fn par_map_index_with<U, F>(threads: usize, n: usize, f: F) -> Vec<U>
 where

@@ -41,8 +41,8 @@ use routing_graph::{Graph, VertexId, Weight};
 use routing_model::{
     simulate_lean_with_label, simulate_with_ttl, DynScheme, ErasedLabel, RouteError,
 };
+use routing_obs::latency::LatencyHistogram;
 
-use crate::latency::LatencyHistogram;
 use crate::snapshot::{EpochCell, SchemeSnapshot};
 
 /// Errors surfaced by the serving engine.

@@ -37,11 +37,10 @@
 #![warn(missing_docs)]
 
 pub mod engine;
-pub mod latency;
 pub mod load;
 pub mod snapshot;
 
 pub use engine::{EngineConfig, RouteAnswer, ServeError, ShardStats, ShardedEngine};
-pub use latency::LatencyHistogram;
 pub use load::ZipfWorkload;
+pub use routing_obs::latency::LatencyHistogram;
 pub use snapshot::{EpochCell, SchemeSnapshot};

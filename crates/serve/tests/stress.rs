@@ -7,7 +7,9 @@
 //! answer observed by any reader at any time is exactly the answer of the
 //! epoch it claims to come from — never a blend of two epochs, never an
 //! answer no published epoch would give. After the last swap, a quiescent
-//! batch must observe the final epoch.
+//! batch must observe the final epoch, and the telemetry counters, live for
+//! the whole run, must account for every swap, query, label-cache probe and
+//! phase and be rendered as such by the Prometheus exporter.
 //!
 //! Sized to run in the default `cargo test -q` tier: a small graph, a few
 //! thousand queries per reader. CI additionally runs it under
@@ -96,6 +98,10 @@ fn readers_never_observe_an_answer_outside_a_published_epoch() {
         );
     }
 
+    // Telemetry goes live only now, after the ground truth was routed, so
+    // the counters checked at the end hold exactly the served traffic (this
+    // file is one test in its own process: nothing else increments them).
+    routing_obs::set_metrics(true);
     let engine = Arc::new(
         ShardedEngine::new(Arc::clone(&g), Arc::clone(&schemes[0]), EngineConfig::with_shards(2))
             .unwrap(),
@@ -176,4 +182,28 @@ fn readers_never_observe_an_answer_outside_a_published_epoch() {
         expected_queries,
         "the latency histograms must account for every routed query"
     );
+
+    // Live metrics under load: no increment was lost, and the exposition
+    // renders what the counters hold.
+    use routing_obs::counters as c;
+    let live = [
+        ("serve_epoch_swaps_total", c::SERVE_EPOCH_SWAPS.get()),
+        ("routing_queries_total", c::ROUTING_QUERIES.get()),
+        ("serve_snapshot_loads_total", c::SERVE_SNAPSHOT_LOADS.get()),
+        ("serve_label_cache_hits_total", c::SERVE_LABEL_CACHE_HITS.get()),
+        ("serve_label_cache_misses_total", c::SERVE_LABEL_CACHE_MISSES.get()),
+        ("routing_phase_direct_total", c::ROUTING_PHASE_DIRECT.get()),
+        ("routing_phase_to_pivot_total", c::ROUTING_PHASE_TO_PIVOT.get()),
+        ("routing_phase_tree_total", c::ROUTING_PHASE_TREE.get()),
+    ];
+    let [swaps, queries, loads, hits, misses, direct, to_pivot, tree] = live.map(|(_, v)| v);
+    assert_eq!(swaps, SWAPS, "one epoch swap per publish");
+    assert_eq!(queries, expected_queries, "one delivery per served query");
+    assert!(loads > 0, "every served sub-batch loads a snapshot");
+    assert_eq!(hits + misses, expected_queries, "every query consults the label cache");
+    assert_eq!(direct + to_pivot + tree, expected_queries, "every query takes one phase");
+    let text = routing_obs::export::prometheus(&routing_obs::MetricSet::gather());
+    for (series, value) in live {
+        assert!(text.contains(&format!("\n{series} {value}\n")), "{series} {value} not rendered");
+    }
 }

@@ -21,11 +21,11 @@
 //!
 //! Registering a new scheme costs one [`SchemeBuilder`] implementation and
 //! one [`SchemeRegistry::register`] call; every registry-driven binary
-//! (`scaling`, `churn`, `table1`, …) then discovers it with no further
-//! edits. The registry enforces the naming invariant the whole workspace
-//! leans on — a built scheme's [`DynScheme::name`] equals its registry key
-//! — at build time, so `--schemes` flags, harness output and registry keys
-//! cannot drift apart.
+//! (`experiments`, `churn`) then discovers it with no further edits. The
+//! registry enforces the naming invariant the whole workspace leans on — a
+//! built scheme's [`DynScheme::name`] equals its registry key — at build
+//! time, so `--schemes` flags, harness output and registry keys cannot
+//! drift apart.
 //!
 //! # Example
 //!

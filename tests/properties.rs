@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use routing_churn::{ChurnPlan, ChurnPlanConfig, RemovalMode};
-use routing_core::{Params, SchemeFivePlusEps, SchemeThreePlusEps, SchemeTwoPlusEps};
+use routing_core::{Params, SchemeFivePlusEps, SchemeThreePlusEps};
 use routing_graph::apsp::DistanceMatrix;
 use routing_graph::generators::{self, WeightModel};
 use routing_graph::mutate::apply_events;
@@ -199,69 +199,57 @@ proptest! {
 /// undetected.
 static THREADS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-/// Builds a scheme once with 1 worker thread and once with 4, from the same
-/// seed, and asserts the results are indistinguishable: identical per-vertex
-/// table/label word counts and identical routed paths (weight and hop count)
-/// for every sampled pair. This is the bit-identity contract `routing_par`
-/// documents: parallelism changes wall-clock only, never what gets built.
-fn assert_threads_invariant<S, F>(g: &Graph, build: F)
-where
-    S: routing_model::RoutingScheme + Send + Sync,
-    F: Fn() -> S,
-{
-    routing_par::set_threads(1);
-    let seq = build();
-    routing_par::set_threads(4);
-    let par = build();
-    routing_par::set_threads(routing_par::available_threads());
-    for v in g.vertices() {
-        assert_eq!(seq.table_words(v), par.table_words(v), "table words differ at {v}");
-        assert_eq!(seq.label_words(v), par.label_words(v), "label words differ at {v}");
-    }
-    for u in g.vertices().step_by(7) {
-        for v in g.vertices().step_by(5) {
-            if u == v {
-                continue;
-            }
-            let a = simulate(g, &seq, u, v).unwrap();
-            let b = simulate(g, &par, u, v).unwrap();
-            assert_eq!(a.weight, b.weight, "routed weight differs for {u}->{v}");
-            assert_eq!(a.hops, b.hops, "hop count differs for {u}->{v}");
-        }
-    }
-}
-
+/// Every registered scheme, built through the registry once with 1 worker
+/// thread and once with 4 from the same seed, is indistinguishable: identical
+/// per-vertex table/label word counts and identical routed paths (weight and
+/// hop count) for every sampled pair. This is the bit-identity contract
+/// `routing_par` documents: parallelism changes wall-clock only, never what
+/// gets built. The loop is over the registry, so a newly registered scheme is
+/// covered with no edit here.
 #[test]
 fn parallel_and_sequential_scheme_builds_are_identical() {
+    use compact_routing::registry::SchemeRegistry;
+    use routing_core::BuildContext;
+
     let _guard = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut gen_rng = StdRng::seed_from_u64(33);
-    let g = generators::erdos_renyi(
+    let weighted = generators::erdos_renyi(
         130,
         0.05,
         WeightModel::Uniform { lo: 1, hi: 8 },
         &mut gen_rng,
     );
-    let params = Params::with_epsilon(0.5);
-    assert_threads_invariant(&g, || {
-        let mut rng = StdRng::seed_from_u64(7);
-        SchemeThreePlusEps::build(&g, &params, &mut rng).unwrap()
-    });
-    assert_threads_invariant(&g, || {
-        let mut rng = StdRng::seed_from_u64(7);
-        SchemeFivePlusEps::build(&g, &params, &mut rng).unwrap()
-    });
-    for k in [2, 3] {
-        assert_threads_invariant(&g, || {
-            let mut rng = StdRng::seed_from_u64(7);
-            routing_baselines::TzRoutingScheme::build(&g, k, &mut rng).unwrap()
-        });
-    }
     // Theorem 10 takes unweighted input only.
     let unit = generators::erdos_renyi(130, 0.05, WeightModel::Unit, &mut gen_rng);
-    assert_threads_invariant(&unit, || {
-        let mut rng = StdRng::seed_from_u64(7);
-        SchemeTwoPlusEps::build(&unit, &params, &mut rng).unwrap()
-    });
+    let registry = SchemeRegistry::with_defaults();
+    for key in registry.names() {
+        let meta = routing_bench::scheme_meta(key).expect("registered keys have a SchemeMeta row");
+        let g = if meta.weighted { &weighted } else { &unit };
+        let build = |threads: usize| {
+            let ctx = BuildContext { params: Params::with_epsilon(0.5), seed: 7, threads };
+            registry.build(key, g, &ctx).unwrap_or_else(|e| panic!("{key}: {e}"))
+        };
+        let (seq, par) = (build(1), build(4));
+        routing_par::set_threads(routing_par::available_threads());
+        for v in g.vertices() {
+            assert_eq!(seq.table_words(v), par.table_words(v), "{key}: table words differ at {v}");
+            assert_eq!(seq.label_words(v), par.label_words(v), "{key}: label words differ at {v}");
+        }
+        for u in g.vertices().step_by(7) {
+            for v in g.vertices().step_by(5) {
+                if u == v {
+                    continue;
+                }
+                let route = |scheme: &dyn routing_model::DynScheme| {
+                    let out = simulate(g, scheme, u, v)
+                        .unwrap_or_else(|e| panic!("{key}: routing {u}->{v}: {e}"));
+                    (out.weight, out.hops)
+                };
+                let (a, b) = (route(seq.as_ref()), route(par.as_ref()));
+                assert_eq!(a, b, "{key}: routed (weight, hops) differ for {u}->{v}");
+            }
+        }
+    }
 }
 
 #[test]
