@@ -298,6 +298,12 @@ impl RoutingScheme for Thm16Scheme {
     fn label_words(&self, v: VertexId) -> usize {
         self.label_of(v).words()
     }
+
+    fn label_with_words(&self, v: VertexId) -> (Self::Label, usize) {
+        let label = self.label_of(v);
+        let words = label.words();
+        (label, words)
+    }
 }
 
 /// [`SchemeBuilder`] for the Theorem 16 scheme; its registry key is

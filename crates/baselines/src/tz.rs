@@ -497,6 +497,12 @@ impl RoutingScheme for TzRoutingScheme {
     fn label_words(&self, v: VertexId) -> usize {
         self.label_of(v).words()
     }
+
+    fn label_with_words(&self, v: VertexId) -> (Self::Label, usize) {
+        let label = self.label_of(v);
+        let words = label.words();
+        (label, words)
+    }
 }
 
 /// [`SchemeBuilder`] for the Thorup–Zwick `(4k−5)` routing scheme; its

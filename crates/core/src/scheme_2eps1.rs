@@ -404,6 +404,12 @@ impl RoutingScheme for SchemeTwoPlusEps {
     fn label_words(&self, v: VertexId) -> usize {
         self.label_of(v).words()
     }
+
+    fn label_with_words(&self, v: VertexId) -> (Self::Label, usize) {
+        let label = self.label_of(v);
+        let words = label.words();
+        (label, words)
+    }
 }
 
 #[cfg(test)]

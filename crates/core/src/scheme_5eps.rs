@@ -368,6 +368,12 @@ impl RoutingScheme for SchemeFivePlusEps {
     fn label_words(&self, v: VertexId) -> usize {
         self.label_of(v).words()
     }
+
+    fn label_with_words(&self, v: VertexId) -> (Self::Label, usize) {
+        let label = self.label_of(v);
+        let words = label.words();
+        (label, words)
+    }
 }
 
 #[cfg(test)]

@@ -209,7 +209,8 @@ impl<S: RoutingScheme + Send + Sync> DynScheme for S {
     }
 
     fn label_of(&self, v: VertexId) -> ErasedLabel {
-        ErasedLabel::new(RoutingScheme::label_of(self, v), RoutingScheme::label_words(self, v))
+        let (label, words) = RoutingScheme::label_with_words(self, v);
+        ErasedLabel::new(label, words)
     }
 
     fn init_header(&self, source: VertexId, dest: &ErasedLabel) -> Result<ErasedHeader, RouteError> {

@@ -99,6 +99,13 @@ pub trait RoutingScheme {
 
     /// Size of the label of `v`, in `O(log n)`-bit words.
     fn label_words(&self, v: VertexId) -> usize;
+
+    /// The label of `v` with its size, as the erased surface asks for both
+    /// per label. A scheme whose `label_words` builds the label to count it
+    /// overrides this to build it once.
+    fn label_with_words(&self, v: VertexId) -> (Self::Label, usize) {
+        (self.label_of(v), self.label_words(v))
+    }
 }
 
 #[cfg(test)]

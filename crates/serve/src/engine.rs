@@ -1,41 +1,43 @@
-//! The sharded engine: resident worker threads, batched routing, and
-//! per-shard accounting.
+//! The engine: one dest-sorted batch, claimed in chunks by the calling
+//! thread and the resident helper threads, with per-lane accounting.
 //!
-//! # Shard layout
+//! # Lanes and chunks
 //!
-//! The vertex space `0..n` is partitioned into `S` contiguous ranges;
-//! shard `s` **owns every query whose source it is resident for**
-//! (`owner = source * S / n`). Ownership is by source because that is the
-//! natural partition for the ROADMAP's deployment story: a shard holds the
-//! routing state of its resident vertices and answers the queries they
-//! inject. Destinations are described by labels, which travel with the
-//! query — exactly the compact-routing contract (a label is everything a
-//! source needs to know about a destination).
+//! An engine with `shards = S` has `S` **lanes**: lane 0 is whichever
+//! thread calls [`ShardedEngine::route_batch`], lanes `1..S` are resident
+//! helper threads. A batch is validated, sorted by `(destination, slot)`,
+//! bound to **one** snapshot and cut into chunks of `CHUNK` queries; every
+//! lane claims the next chunk by one `fetch_add` until none is left, so
+//! work is sized to what each lane gets through, not to a slice of the id
+//! space. Sorting the whole batch keeps queries towards one destination
+//! adjacent, so each lane's one-entry label cache serves the run (label
+//! erasure is the only allocation on the lean query path).
 //!
-//! # Batched queries
+//! The caller routes too, which bounds the worst case: a helper that wakes
+//! late, or not at all, costs parallelism, never progress — the caller then
+//! routes the whole batch itself, which is the plain loop. A batch of one
+//! chunk (so every [`ShardedEngine::route`]) and every batch of a one-lane
+//! engine is routed inline and wakes nobody. One batch at a time is posted
+//! for the helpers; a caller that finds the board taken routes its own
+//! batch alone, so callers beyond the lanes bring threads of their own
+//! rather than queue behind each other.
 //!
-//! [`ShardedEngine::route_batch`] partitions a batch by owner shard in one
-//! pass, ships one message per involved shard, and reassembles answers in
-//! input order. Within a shard's sub-batch, jobs are sorted by destination
-//! so consecutive queries towards the same destination reuse one erased
-//! label (label erasure is the only allocation on the lean query path).
-//! Each sub-batch is routed entirely under **one** snapshot, loaded once
-//! per batch — so every answer in it carries the same epoch and the
-//! per-query cost of the epoch machinery is one `Arc` clone amortized over
-//! the whole sub-batch.
-//!
-//! # Hot swap
+//! # Hot swap and panics
 //!
 //! [`ShardedEngine::publish`] installs a rebuilt `(graph, scheme)` pair as
-//! the next epoch without stopping traffic: in-flight sub-batches finish on
-//! the snapshot they loaded (kept alive by its `Arc`s), later sub-batches
-//! load the new one. The concurrency stress test in `tests/stress.rs`
-//! drives M reader threads against concurrent publishes and asserts every
-//! answer is exactly the answer of *some* published epoch.
+//! the next epoch without stopping traffic: a batch in flight finishes on
+//! the snapshot it loaded, later batches load the new one, and one load per
+//! `route_batch` call means every answer of a call names the same epoch
+//! (`tests/stress.rs` holds each answer against the epoch it names). A lane
+//! routes each query under `catch_unwind`: a scheme that panics on one pair
+//! fails that query with [`ServeError::ShardUnavailable`], the rest of the
+//! batch is answered, and the lane keeps serving.
 
-use std::sync::{mpsc, Arc};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use routing_graph::{Graph, VertexId, Weight};
 use routing_model::{
@@ -44,6 +46,16 @@ use routing_model::{
 use routing_obs::latency::LatencyHistogram;
 
 use crate::snapshot::{EpochCell, SchemeSnapshot};
+
+/// Queries per claimed chunk: small enough that lanes finish a 256-query
+/// batch within one chunk of each other, large enough that a `fetch_add`
+/// and two short locks per chunk are noise beside 16 routed queries.
+const CHUNK: usize = 16;
+
+/// How long a lane keeps looking for what it waits for (the next posted
+/// batch, or the last chunk of its own) before it parks: waking a parked
+/// thread costs tens of microseconds, a tenth of a batch.
+const POLL: Duration = Duration::from_micros(200);
 
 /// Errors surfaced by the serving engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,19 +78,21 @@ pub enum ServeError {
         /// Vertex count the engine serves.
         engine_n: usize,
     },
-    /// A shard worker is gone (its thread exited); the engine is broken.
+    /// The scheme panicked while lane `shard` was routing this query. Only
+    /// this query is lost: the rest of its batch is answered and the lane
+    /// keeps serving.
     ShardUnavailable {
-        /// The shard that did not answer.
+        /// The lane that was routing the query.
         shard: usize,
     },
     /// The scheme failed to route the query (a scheme bug, surfaced rather
     /// than swallowed).
     Route(RouteError),
-    /// The OS refused to spawn a shard worker thread at engine startup
-    /// (resource exhaustion; the underlying `io::Error` is not carried
-    /// because `ServeError` is `Clone + Eq` for cross-channel reporting).
+    /// The OS refused to spawn the helper thread of lane `shard` (≥ 1; lane
+    /// 0 is the caller) at engine startup. The `io::Error` is not carried
+    /// because `ServeError` is `Clone + Eq`.
     WorkerSpawn {
-        /// The shard whose worker could not be spawned.
+        /// The lane whose helper thread could not be spawned.
         shard: usize,
     },
 }
@@ -95,11 +109,11 @@ impl std::fmt::Display for ServeError {
                  {scheme_n}, engine serves {engine_n}"
             ),
             ServeError::ShardUnavailable { shard } => {
-                write!(f, "shard {shard} is unavailable (worker thread exited)")
+                write!(f, "shard {shard} did not answer (the scheme panicked on this query)")
             }
             ServeError::Route(e) => write!(f, "routing failed: {e}"),
             ServeError::WorkerSpawn { shard } => {
-                write!(f, "failed to spawn the worker thread for shard {shard}")
+                write!(f, "failed to spawn the helper thread for shard {shard}")
             }
         }
     }
@@ -120,23 +134,24 @@ impl From<RouteError> for ServeError {
     }
 }
 
-// Serve errors cross shard boundaries by design (workers report them back
-// over channels); checked at compile time like the rest of the workspace's
-// error types.
-const fn assert_send_sync_static<T: Send + Sync + 'static>() {}
-const _: () = assert_send_sync_static::<ServeError>();
+// Checked at compile time: serve errors cross lane boundaries, and one
+// engine is shared by reference across every reader thread.
+const fn assert_send_sync<T: Send + Sync + 'static>() {}
+const _: () = assert_send_sync::<ServeError>();
+const _: () = assert_send_sync::<ShardedEngine>();
 
 /// Configuration of a [`ShardedEngine`].
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
-    /// Number of worker shards (clamped to at least 1).
+    /// Number of lanes that route one batch, **counting the caller**: the
+    /// engine keeps `shards − 1` resident helper threads (clamped to at
+    /// least 1 lane, which is the caller alone).
     pub shards: usize,
     /// Record the full traversed path in every answer. Off on the serving
     /// hot path (the path is the only per-query allocation); on in the
     /// equivalence and stress suites, which compare paths hop by hop.
     pub record_paths: bool,
-    /// Hop budget per query; `None` uses the simulator default
-    /// (`4·n + 16`).
+    /// Hop budget per query; `None` uses the simulator default (`4·n + 16`).
     pub max_hops: Option<usize>,
 }
 
@@ -147,7 +162,7 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// A config with `shards` worker shards and defaults elsewhere.
+    /// A config with `shards` lanes and defaults elsewhere.
     pub fn with_shards(shards: usize) -> Self {
         EngineConfig { shards, ..EngineConfig::default() }
     }
@@ -169,118 +184,223 @@ pub struct RouteAnswer {
     pub max_header_words: usize,
     /// Epoch of the snapshot that produced this answer.
     pub epoch: u64,
-    /// Shard that routed the query (the owner of its source).
+    /// The lane that routed the query: 0 for the calling thread, `1..shards`
+    /// for a helper. Which lane claims which chunk is a race, by design.
     pub shard: usize,
     /// The traversed path, when [`EngineConfig::record_paths`] is on.
     pub path: Option<Vec<VertexId>>,
 }
 
-/// Per-shard serving statistics, as accumulated by the worker thread.
-#[derive(Debug, Clone)]
+/// Per-lane serving statistics. Lane 0 sums over every calling thread.
+#[derive(Debug, Clone, Default)]
 pub struct ShardStats {
-    /// The shard index.
+    /// The lane index.
     pub shard: usize,
     /// Queries routed (including failed ones).
     pub queries: u64,
     /// Queries that returned an error.
     pub errors: u64,
-    /// Sub-batches processed.
+    /// Batches the lane routed at least one chunk of.
     pub batches: u64,
-    /// Wall-clock the worker spent inside batches, nanoseconds.
+    /// Wall-clock the lane spent routing its chunks, nanoseconds.
     pub busy_ns: u64,
     /// Per-query latency distribution, nanoseconds.
     pub latency: LatencyHistogram,
 }
 
-impl ShardStats {
-    fn new(shard: usize) -> Self {
-        ShardStats {
-            shard,
-            queries: 0,
-            errors: 0,
-            batches: 0,
-            busy_ns: 0,
-            latency: LatencyHistogram::new(),
-        }
-    }
-}
+type Answer = Result<RouteAnswer, ServeError>;
 
-/// One query inside a shard sub-batch: the caller's slot plus the pair.
+/// One valid query of a batch: the caller's slot plus the pair.
 struct Job {
     slot: usize,
     source: VertexId,
     dest: VertexId,
 }
 
-enum ShardMsg {
-    Batch { jobs: Vec<Job>, reply: mpsc::Sender<Vec<(usize, Result<RouteAnswer, ServeError>)>> },
-    Stats { reply: mpsc::Sender<ShardStats> },
+/// One `route_batch` call in flight: the dest-sorted jobs, the snapshot
+/// they are all routed under, and what the lanes have done so far.
+struct Task {
+    snap: SchemeSnapshot,
+    jobs: Vec<Job>,
+    /// The next unclaimed chunk. `Relaxed` is enough: it hands out indices
+    /// and publishes nothing — `jobs` and `snap` reach a helper through the
+    /// board's mutex, answers reach the caller through `progress`'s.
+    next: AtomicUsize,
+    progress: Mutex<Progress>,
+    finished: Condvar,
 }
 
-/// The sharded, concurrent query-serving engine (see the module docs for
-/// the shard layout, batching and hot-swap protocols).
-///
-/// The engine is `Send + Sync`: any number of threads can call
-/// [`ShardedEngine::route_batch`] concurrently on one shared engine — the
-/// per-shard channels serialize work *per shard* while different shards
-/// proceed in parallel. Dropping the engine shuts the workers down and
-/// joins them.
-pub struct ShardedEngine {
-    cell: Arc<EpochCell>,
-    senders: Vec<mpsc::Sender<ShardMsg>>,
-    handles: Vec<JoinHandle<()>>,
-    n: usize,
+struct Progress {
+    /// One slot per input pair, `ShardUnavailable { shard: 0 }` until answered.
+    answers: Vec<Answer>,
+    chunks_left: usize,
+}
+
+/// What the helpers watch: the one posted batch, and the stop flag.
+#[derive(Default)]
+struct Board {
+    task: Option<Arc<Task>>,
+    shutdown: bool,
+}
+
+/// Everything the caller's lane and the helper threads share.
+struct Shared {
+    cell: EpochCell,
     config: EngineConfig,
+    lanes: Vec<Mutex<ShardStats>>,
+    board: Mutex<Board>,
+    posted: Condvar,
 }
 
-// The whole point of the engine: one instance, shared by reference across
-// every reader thread. Regressing this bound breaks the serving layer at
-// compile time, here, not at a downstream use site.
-const fn assert_send_sync<T: Send + Sync>() {}
-const _: () = assert_send_sync::<ShardedEngine>();
+/// Locks past poison. Every update under the engine's locks — a counter
+/// bump, an `Option` store — leaves the data valid at each step, and scheme
+/// code, the one thing here that may panic, never runs under one.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Blocks until `ready` finds what it waits for in the guarded state:
+/// keeps looking for [`POLL`], then parks on `cv`. Whoever changes the
+/// state under `m` notifies `cv` afterwards, and the last look before
+/// parking holds the lock, so no wake-up is lost. The poll spins rather
+/// than yields: a thread that keeps calling `sched_yield` is ranked behind
+/// everything else on its CPU and then misses whole batches.
+fn wait_for<T, R>(m: &Mutex<T>, cv: &Condvar, mut ready: impl FnMut(&mut T) -> Option<R>) -> R {
+    let deadline = Instant::now() + POLL;
+    let mut state = lock(m);
+    loop {
+        if let Some(found) = ready(&mut state) {
+            return found;
+        }
+        if Instant::now() < deadline {
+            drop(state);
+            std::hint::spin_loop();
+            state = lock(m);
+        } else {
+            state = cv.wait(state).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+impl Shared {
+    /// A helper's wait: the posted batch with a chunk to claim, `None` at shutdown.
+    fn next_task(&self) -> Option<Arc<Task>> {
+        wait_for(&self.board, &self.posted, |board| match &board.task {
+            _ if board.shutdown => Some(None),
+            Some(task) if task.next.load(Ordering::Relaxed) * CHUNK < task.jobs.len() => {
+                Some(Some(Arc::clone(task)))
+            }
+            _ => None,
+        })
+    }
+
+    /// Claims and routes chunks of `task` as `lane` until none is left
+    /// unclaimed. Runs on the caller's thread (lane 0) and on helpers.
+    fn work(&self, task: &Task, lane: usize) {
+        let mut cached: Option<(VertexId, ErasedLabel)> = None;
+        let mut first = true;
+        loop {
+            let claimed = task.next.fetch_add(1, Ordering::Relaxed);
+            let Some(jobs) = task.jobs.chunks(CHUNK).nth(claimed) else {
+                return;
+            };
+            let mut answers = Vec::with_capacity(jobs.len());
+            let mut nanos = [0u64; CHUNK];
+            // Chained timestamps: one clock read per query, every
+            // nanosecond of the chunk attributed to exactly one query.
+            let begun = Instant::now();
+            let mut prev = begun;
+            for (job, ns) in jobs.iter().zip(&mut nanos) {
+                let routed = catch_unwind(AssertUnwindSafe(|| {
+                    route_one(&task.snap, job, &self.config, lane, &mut cached)
+                }));
+                answers.push(routed.unwrap_or_else(|_| {
+                    cached = None;
+                    Err(ServeError::ShardUnavailable { shard: lane })
+                }));
+                let now = Instant::now();
+                *ns = now.duration_since(prev).as_nanos() as u64;
+                prev = now;
+            }
+            // Statistics first: once the chunk counts as finished the caller
+            // may return, and `stats()` must already cover its answers.
+            let mut stats = lock(&self.lanes[lane]);
+            stats.queries += jobs.len() as u64;
+            stats.errors += answers.iter().filter(|a| a.is_err()).count() as u64;
+            stats.batches += u64::from(std::mem::take(&mut first));
+            stats.busy_ns += prev.duration_since(begun).as_nanos() as u64;
+            nanos[..jobs.len()].iter().for_each(|&ns| stats.latency.record(ns));
+            drop(stats);
+            let mut progress = lock(&task.progress);
+            for (job, answer) in jobs.iter().zip(answers) {
+                progress.answers[job.slot] = answer;
+            }
+            progress.chunks_left -= 1;
+            if progress.chunks_left == 0 {
+                task.finished.notify_one();
+            }
+        }
+    }
+}
+
+/// The concurrent query-serving engine (see the module docs for the
+/// lane/chunk design). It is `Send + Sync`: any number of threads can call
+/// [`ShardedEngine::route_batch`] on one shared engine — each routes its
+/// own batch as lane 0, and the helpers join whichever batch is posted.
+/// Dropping the engine stops the helpers and joins them.
+pub struct ShardedEngine {
+    shared: Arc<Shared>,
+    helpers: Vec<JoinHandle<()>>,
+    n: usize,
+}
 
 impl ShardedEngine {
     /// Starts an engine serving `(graph, scheme)` as epoch 1 with
-    /// `config.shards` resident worker threads.
+    /// `config.shards` lanes: the caller's plus `shards − 1` helper threads.
     ///
     /// # Errors
     ///
     /// [`ServeError::SnapshotMismatch`] when the scheme was not built for
-    /// this graph's vertex count.
+    /// this graph's vertex count; [`ServeError::WorkerSpawn`] when a helper
+    /// thread cannot be spawned.
     pub fn new(
         graph: Arc<Graph>,
         scheme: Arc<dyn DynScheme>,
         config: EngineConfig,
     ) -> Result<Self, ServeError> {
         let n = graph.n();
-        if scheme.n() != n {
-            return Err(ServeError::SnapshotMismatch {
-                graph_n: n,
-                scheme_n: scheme.n(),
-                engine_n: n,
-            });
-        }
+        check_serves(&graph, scheme.as_ref(), n)?;
         let shards = config.shards.max(1);
-        let config = EngineConfig { shards, ..config };
-        let cell = Arc::new(EpochCell::new(graph, scheme));
-        let mut senders = Vec::with_capacity(shards);
-        let mut handles = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            let (tx, rx) = mpsc::channel();
-            let cell = Arc::clone(&cell);
-            let handle = std::thread::Builder::new()
-                .name(format!("serve-shard-{shard}"))
-                .spawn(move || worker(shard, rx, cell, config))
-                .map_err(|_| ServeError::WorkerSpawn { shard })?;
-            senders.push(tx);
-            handles.push(handle);
+        let shared = Arc::new(Shared {
+            cell: EpochCell::new(graph, scheme),
+            config: EngineConfig { shards, ..config },
+            lanes: (0..shards)
+                .map(|shard| Mutex::new(ShardStats { shard, ..ShardStats::default() }))
+                .collect(),
+            board: Mutex::default(),
+            posted: Condvar::new(),
+        });
+        // Helpers join the engine one by one, so a failed spawn drops an
+        // engine that stops and joins the ones already running.
+        let mut engine = ShardedEngine { shared, helpers: Vec::with_capacity(shards - 1), n };
+        for lane in 1..shards {
+            let shared = Arc::clone(&engine.shared);
+            let helper = std::thread::Builder::new()
+                .name(format!("serve-lane-{lane}"))
+                .spawn(move || {
+                    while let Some(task) = shared.next_task() {
+                        shared.work(&task, lane);
+                    }
+                })
+                .map_err(|_| ServeError::WorkerSpawn { shard: lane })?;
+            engine.helpers.push(helper);
         }
-        Ok(ShardedEngine { cell, senders, handles, n, config })
+        Ok(engine)
     }
 
-    /// Number of worker shards.
+    /// Number of lanes, the caller's included.
     pub fn shards(&self) -> usize {
-        self.config.shards
+        self.shared.config.shards
     }
 
     /// Number of vertices of the served vertex space.
@@ -290,27 +410,13 @@ impl ShardedEngine {
 
     /// The currently published epoch.
     pub fn epoch(&self) -> u64 {
-        self.cell.epoch()
+        self.shared.cell.epoch()
     }
 
-    /// The currently published snapshot (what the *next* sub-batch will
-    /// route under; in-flight sub-batches may still be on the previous
-    /// one).
+    /// The currently published snapshot (what the *next* batch will route
+    /// under; batches in flight may still be on the previous one).
     pub fn snapshot(&self) -> SchemeSnapshot {
-        self.cell.load()
-    }
-
-    /// The shard that owns queries sourced at `v` (contiguous balanced
-    /// partition of the vertex space).
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::UnknownVertex`] when `v` is outside the vertex space.
-    pub fn owner_of(&self, v: VertexId) -> Result<usize, ServeError> {
-        if v.index() >= self.n {
-            return Err(ServeError::UnknownVertex { vertex: v.index(), n: self.n });
-        }
-        Ok(v.index() * self.config.shards / self.n)
+        self.shared.cell.load()
     }
 
     /// Publishes a rebuilt `(graph, scheme)` pair as the next epoch and
@@ -319,129 +425,102 @@ impl ShardedEngine {
     /// # Errors
     ///
     /// [`ServeError::SnapshotMismatch`] when the new snapshot does not
-    /// serve this engine's vertex space (the shard partition is keyed on
+    /// serve this engine's vertex space (queries are validated against
     /// `n`; growing or shrinking the vertex space takes a new engine).
     pub fn publish(
         &self,
         graph: Arc<Graph>,
         scheme: Arc<dyn DynScheme>,
     ) -> Result<u64, ServeError> {
-        if graph.n() != self.n || scheme.n() != self.n {
-            return Err(ServeError::SnapshotMismatch {
-                graph_n: graph.n(),
-                scheme_n: scheme.n(),
-                engine_n: self.n,
-            });
-        }
-        Ok(self.cell.publish(graph, scheme))
+        check_serves(&graph, scheme.as_ref(), self.n)?;
+        Ok(self.shared.cell.publish(graph, scheme))
     }
 
-    /// Routes one query (a batch of one; prefer [`route_batch`] for
-    /// throughput).
-    ///
-    /// [`route_batch`]: ShardedEngine::route_batch
+    /// Routes one query: a batch of one, routed inline on the calling thread
+    /// (prefer [`ShardedEngine::route_batch`] for throughput).
     ///
     /// # Errors
     ///
     /// As [`ShardedEngine::route_batch`].
     pub fn route(&self, source: VertexId, dest: VertexId) -> Result<RouteAnswer, ServeError> {
-        // route_batch returns exactly one answer per input pair; an empty
-        // vector here is impossible, but the hot path answers with an error
-        // rather than panicking.
-        match self.route_batch(&[(source, dest)]).pop() {
-            Some(answer) => answer,
-            None => Err(ServeError::ShardUnavailable { shard: 0 }),
-        }
+        // One answer per pair, so never empty; still no panic on the hot path.
+        self.route_batch(&[(source, dest)])
+            .pop()
+            .unwrap_or(Err(ServeError::ShardUnavailable { shard: 0 }))
     }
 
     /// Routes a batch of `(source, destination)` queries and returns one
-    /// answer per query, **in input order**.
-    ///
-    /// The batch is partitioned by owner shard; each involved shard routes
-    /// its sub-batch under one snapshot. Per-query failures (unknown
-    /// vertices, scheme routing errors) are returned in that query's slot
-    /// — they never fail the rest of the batch.
+    /// answer per query, **in input order**, all under one snapshot (so all
+    /// naming one epoch). The calling thread routes chunks of the batch
+    /// while the helpers claim the others, and returns when every chunk is
+    /// answered. Per-query failures (unknown vertices, scheme routing
+    /// errors, a scheme panic) are returned in that query's slot — they
+    /// never fail the rest of the batch.
     pub fn route_batch(
         &self,
         pairs: &[(VertexId, VertexId)],
     ) -> Vec<Result<RouteAnswer, ServeError>> {
-        let mut out: Vec<Option<Result<RouteAnswer, ServeError>>> =
-            pairs.iter().map(|_| None).collect();
-        // slot -> owning shard, for attributing failures when a shard dies.
-        let mut slot_shard = vec![0usize; pairs.len()];
-        let mut per_shard: Vec<Vec<Job>> = (0..self.config.shards).map(|_| Vec::new()).collect();
+        let mut answers: Vec<Answer> = Vec::with_capacity(pairs.len());
+        let mut jobs = Vec::with_capacity(pairs.len());
         for (slot, &(source, dest)) in pairs.iter().enumerate() {
-            if dest.index() >= self.n {
-                out[slot] =
-                    Some(Err(ServeError::UnknownVertex { vertex: dest.index(), n: self.n }));
-                continue;
-            }
-            match self.owner_of(source) {
-                Ok(shard) => {
-                    slot_shard[slot] = shard;
-                    per_shard[shard].push(Job { slot, source, dest });
+            answers.push(Err(match [dest, source].into_iter().find(|v| v.index() >= self.n) {
+                Some(v) => ServeError::UnknownVertex { vertex: v.index(), n: self.n },
+                None => {
+                    jobs.push(Job { slot, source, dest });
+                    ServeError::ShardUnavailable { shard: 0 }
                 }
-                Err(e) => out[slot] = Some(Err(e)),
-            }
+            }));
         }
+        // By destination, so queries towards one destination share an erased
+        // label; slot as tiebreaker keeps the order deterministic.
+        jobs.sort_unstable_by_key(|j| (j.dest, j.slot));
+        let chunks = jobs.len().div_ceil(CHUNK);
+        let shared = &*self.shared;
+        let task = Arc::new(Task {
+            // One snapshot per call: a concurrent publish only affects
+            // later batches.
+            snap: shared.cell.load(),
+            jobs,
+            next: AtomicUsize::new(0),
+            progress: Mutex::new(Progress { answers, chunks_left: chunks }),
+            finished: Condvar::new(),
+        });
 
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let mut outstanding = 0usize;
-        for (shard, jobs) in per_shard.into_iter().enumerate() {
-            if jobs.is_empty() {
-                continue;
-            }
-            match self.senders[shard].send(ShardMsg::Batch { jobs, reply: reply_tx.clone() }) {
-                Ok(()) => outstanding += 1,
-                Err(mpsc::SendError(ShardMsg::Batch { jobs, .. })) => {
-                    for job in jobs {
-                        out[job.slot] = Some(Err(ServeError::ShardUnavailable { shard }));
-                    }
-                }
-                // A send error hands back the message we just constructed,
-                // so it is always a Batch; nothing to attribute otherwise.
-                Err(mpsc::SendError(ShardMsg::Stats { .. })) => {}
-            }
+        // Post only what a helper can take a chunk of, and only on a free
+        // board: otherwise this thread routes the batch alone.
+        let posted = chunks > 1 && !self.helpers.is_empty() && {
+            let mut board = lock(&shared.board);
+            Arc::ptr_eq(board.task.get_or_insert_with(|| Arc::clone(&task)), &task)
+        };
+        if posted {
+            shared.posted.notify_all();
         }
-        drop(reply_tx);
-        for _ in 0..outstanding {
-            let Ok(results) = reply_rx.recv() else {
-                break; // a worker died mid-batch; its slots stay unfilled
-            };
-            for (slot, answer) in results {
-                out[slot] = Some(answer);
-            }
+        shared.work(&task, 0);
+        if posted {
+            // Every chunk is claimed; helpers still inside one hold the
+            // task by their own `Arc`.
+            lock(&shared.board).task = None;
         }
-
-        out.into_iter()
-            .enumerate()
-            .map(|(slot, r)| {
-                r.unwrap_or(Err(ServeError::ShardUnavailable { shard: slot_shard[slot] }))
-            })
-            .collect()
+        wait_for(&task.progress, &task.finished, |p| {
+            (p.chunks_left == 0).then(|| std::mem::take(&mut p.answers))
+        })
     }
 
-    /// A statistics snapshot from every live shard: queries, errors,
-    /// batches, busy wall-clock and the per-query latency histogram.
+    /// A statistics snapshot of every lane: queries, errors, batches, busy
+    /// wall-clock and the per-query latency histogram.
     pub fn stats(&self) -> Vec<ShardStats> {
-        self.senders
-            .iter()
-            .filter_map(|tx| {
-                let (reply, rx) = mpsc::channel();
-                tx.send(ShardMsg::Stats { reply }).ok()?;
-                rx.recv().ok()
-            })
-            .collect()
+        self.shared.lanes.iter().map(|lane| lock(lane).clone()).collect()
     }
 }
 
 impl Drop for ShardedEngine {
     fn drop(&mut self) {
-        // Closing the channels is the shutdown signal; workers exit their
-        // recv loop and are joined so no thread outlives the engine.
-        self.senders.clear();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
+        // The flag is the shutdown signal; helpers see it at their next
+        // look at the board and are joined so no thread outlives the engine.
+        lock(&self.shared.board).shutdown = true;
+        self.shared.posted.notify_all();
+        for helper in self.helpers.drain(..) {
+            let _ = helper.join();
         }
     }
 }
@@ -450,54 +529,18 @@ impl std::fmt::Debug for ShardedEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedEngine")
             .field("n", &self.n)
-            .field("shards", &self.config.shards)
+            .field("shards", &self.shards())
             .field("epoch", &self.epoch())
             .finish()
     }
 }
 
-/// The shard worker loop: route batches under one snapshot each, answer
-/// stats probes, exit when the engine drops the channel.
-fn worker(shard: usize, rx: mpsc::Receiver<ShardMsg>, cell: Arc<EpochCell>, config: EngineConfig) {
-    let mut stats = ShardStats::new(shard);
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            ShardMsg::Batch { mut jobs, reply } => {
-                let batch_start = Instant::now();
-                // One snapshot per sub-batch: every answer in it carries
-                // this epoch, and a concurrent publish only affects later
-                // batches.
-                let snap = cell.load();
-                // Sort by destination so runs of queries towards the same
-                // destination share one erased label; slot as tiebreaker
-                // keeps the order deterministic.
-                jobs.sort_unstable_by_key(|j| (j.dest, j.slot));
-                let mut cached: Option<(VertexId, ErasedLabel)> = None;
-                let mut results = Vec::with_capacity(jobs.len());
-                // Chained timestamps: one clock read per query, every
-                // nanosecond of the loop attributed to exactly one query.
-                let mut prev = Instant::now();
-                for job in &jobs {
-                    let answer = route_one(&snap, job, &config, shard, &mut cached);
-                    let now = Instant::now();
-                    stats.latency.record(now.duration_since(prev).as_nanos() as u64);
-                    prev = now;
-                    stats.queries += 1;
-                    if answer.is_err() {
-                        stats.errors += 1;
-                    }
-                    results.push((job.slot, answer));
-                }
-                stats.batches += 1;
-                stats.busy_ns += batch_start.elapsed().as_nanos() as u64;
-                // A dispatcher that gave up waiting is not an error here.
-                let _ = reply.send(results);
-            }
-            ShardMsg::Stats { reply } => {
-                let _ = reply.send(stats.clone());
-            }
-        }
+/// A snapshot fits an engine when graph and scheme both have its `n` vertices.
+fn check_serves(graph: &Graph, scheme: &dyn DynScheme, engine_n: usize) -> Result<(), ServeError> {
+    if graph.n() == engine_n && scheme.n() == engine_n {
+        return Ok(());
     }
+    Err(ServeError::SnapshotMismatch { graph_n: graph.n(), scheme_n: scheme.n(), engine_n })
 }
 
 /// Routes one job under one snapshot. The lean path reuses the cached
@@ -512,16 +555,12 @@ fn route_one(
     let g = snap.graph();
     let scheme = snap.scheme();
     let max_hops = config.max_hops.unwrap_or(4 * g.n() + 16);
+    let answer = |weight, hops, max_header_words, path| {
+        Ok(RouteAnswer { weight, hops, max_header_words, epoch: snap.epoch(), shard, path })
+    };
     if config.record_paths {
         let out = simulate_with_ttl(g, scheme, job.source, job.dest, max_hops)?;
-        return Ok(RouteAnswer {
-            weight: out.weight,
-            hops: out.hops,
-            max_header_words: out.max_header_words,
-            epoch: snap.epoch(),
-            shard,
-            path: Some(out.path),
-        });
+        return answer(out.weight, out.hops, out.max_header_words, Some(out.path));
     }
     let label = match cached {
         Some((d, label)) if *d == job.dest => {
@@ -535,14 +574,7 @@ fn route_one(
         }
     };
     let out = simulate_lean_with_label(g, scheme, job.source, job.dest, label, max_hops)?;
-    Ok(RouteAnswer {
-        weight: out.weight,
-        hops: out.hops,
-        max_header_words: out.max_header_words,
-        epoch: snap.epoch(),
-        shard,
-        path: None,
-    })
+    answer(out.weight, out.hops, out.max_header_words, None)
 }
 
 #[cfg(test)]
@@ -574,11 +606,10 @@ mod tests {
             let (u, v) = (VertexId(u), VertexId(v));
             let got = engine.route(u, v).unwrap();
             let want = simulate(&g, scheme.as_ref(), u, v).unwrap();
-            assert_eq!(got.weight, want.weight);
-            assert_eq!(got.hops, want.hops);
+            assert_eq!((got.weight, got.hops), (want.weight, want.hops));
             assert_eq!(got.max_header_words, want.max_header_words);
             assert_eq!(got.epoch, 1);
-            assert_eq!(got.shard, engine.owner_of(u).unwrap());
+            assert_eq!(got.shard, 0, "a single query is routed inline by the caller");
             assert_eq!(got.path, None);
         }
     }
@@ -610,14 +641,8 @@ mod tests {
         ];
         let answers = engine.route_batch(&batch);
         assert!(answers[0].is_ok());
-        assert_eq!(
-            answers[1],
-            Err(ServeError::UnknownVertex { vertex: 99, n: 40 })
-        );
-        assert_eq!(
-            answers[2],
-            Err(ServeError::UnknownVertex { vertex: 99, n: 40 })
-        );
+        assert_eq!(answers[1], Err(ServeError::UnknownVertex { vertex: 99, n: 40 }));
+        assert_eq!(answers[2], Err(ServeError::UnknownVertex { vertex: 99, n: 40 }));
         assert!(answers[3].is_ok());
     }
 
@@ -629,34 +654,21 @@ mod tests {
     }
 
     #[test]
-    fn shard_ownership_is_a_contiguous_balanced_partition() {
-        let (g, scheme) = build(40, "tz2", 1);
-        let engine = ShardedEngine::new(g, scheme, EngineConfig::with_shards(4)).unwrap();
-        let owners: Vec<usize> =
-            (0..40u32).map(|v| engine.owner_of(VertexId(v)).unwrap()).collect();
-        // Monotone, covers every shard, each shard owns n/S vertices.
-        assert!(owners.windows(2).all(|w| w[0] <= w[1]));
-        for s in 0..4 {
-            assert_eq!(owners.iter().filter(|&&o| o == s).count(), 10, "shard {s}");
-        }
-        assert!(engine.owner_of(VertexId(40)).is_err());
-    }
-
-    #[test]
     fn stats_account_for_every_routed_query() {
         let (g, scheme) = build(40, "tz2", 1);
         let engine = ShardedEngine::new(g, scheme, EngineConfig::with_shards(2)).unwrap();
         let pairs: Vec<(VertexId, VertexId)> =
             (0..40u32).map(|i| (VertexId(i), VertexId((i + 1) % 40))).collect();
         for _ in 0..3 {
-            let answers = engine.route_batch(&pairs);
-            assert!(answers.iter().all(Result::is_ok));
+            assert!(engine.route_batch(&pairs).iter().all(Result::is_ok));
         }
         let stats = engine.stats();
         assert_eq!(stats.len(), 2);
         assert_eq!(stats.iter().map(|s| s.queries).sum::<u64>(), 120);
         assert_eq!(stats.iter().map(|s| s.errors).sum::<u64>(), 0);
-        assert_eq!(stats.iter().map(|s| s.batches).sum::<u64>(), 6);
+        // The caller routes part of every batch, the helper of those it makes.
+        assert_eq!(stats[0].batches, 3);
+        assert!(stats[1].batches <= 3);
         for s in &stats {
             assert_eq!(s.latency.count(), s.queries, "histogram covers every query");
         }
@@ -668,10 +680,8 @@ mod tests {
         let engine =
             ShardedEngine::new(Arc::clone(&g), scheme, EngineConfig::with_shards(2)).unwrap();
         assert_eq!(engine.route(VertexId(0), VertexId(39)).unwrap().epoch, 1);
-
         let (_, scheme2) = build(40, "warmup", 2);
-        let epoch = engine.publish(Arc::clone(&g), scheme2).unwrap();
-        assert_eq!(epoch, 2);
+        assert_eq!(engine.publish(Arc::clone(&g), scheme2).unwrap(), 2);
         assert_eq!(engine.epoch(), 2);
         assert_eq!(engine.route(VertexId(0), VertexId(39)).unwrap().epoch, 2);
         assert_eq!(engine.snapshot().scheme().name(), "warmup");
@@ -684,13 +694,9 @@ mod tests {
         let err = ShardedEngine::new(Arc::clone(&g60), Arc::clone(&scheme), EngineConfig::default())
             .unwrap_err();
         assert!(matches!(err, ServeError::SnapshotMismatch { .. }));
-
         let engine = ShardedEngine::new(g, scheme, EngineConfig::default()).unwrap();
         let err = engine.publish(g60, scheme60).unwrap_err();
-        assert_eq!(
-            err,
-            ServeError::SnapshotMismatch { graph_n: 60, scheme_n: 60, engine_n: 40 }
-        );
+        assert_eq!(err, ServeError::SnapshotMismatch { graph_n: 60, scheme_n: 60, engine_n: 40 });
     }
 
     #[test]

@@ -1,7 +1,6 @@
-//! A sharded, concurrent query-serving engine over immutable scheme
-//! snapshots, with epoch-based hot swap — the "many routers, one control
-//! plane" deployment story for the compact routing schemes this workspace
-//! builds.
+//! A concurrent query-serving engine over immutable scheme snapshots, with
+//! epoch-based hot swap — the "many routers, one control plane" deployment
+//! story for the compact routing schemes this workspace builds.
 //!
 //! The paper's schemes are *preprocessing* artifacts: once built, routing
 //! is a pure read-only function of `(table, header, label)`. This crate
@@ -14,16 +13,16 @@
 //!   is one pointer swap under a lock held for nanoseconds; readers keep
 //!   routing the snapshot they loaded (its `Arc`s keep it alive) and pick
 //!   up the new epoch at their next batch.
-//! - [`ShardedEngine`] — N resident worker threads, each owning a
-//!   contiguous slice of the vertex space and answering the queries
-//!   sourced there. Batches are partitioned per shard, routed under one
-//!   snapshot each, sorted by destination so repeated destinations share
-//!   one erased label, and answered through the allocation-free
-//!   [`routing_model::simulate_lean_with_label`] path.
+//! - [`ShardedEngine`] — `shards` lanes route one batch: the calling thread
+//!   and `shards − 1` resident helpers claim fixed-size chunks of the
+//!   dest-sorted batch by atomic index, under one snapshot, each lane
+//!   reusing one erased label across a run of equal destinations on the
+//!   allocation-free [`routing_model::simulate_lean_with_label`] path. The
+//!   caller routes too, so the worst case is the plain loop.
 //! - [`ZipfWorkload`] — a seeded, byte-reproducible Zipf-skewed load
 //!   generator for stress tests and benches.
 //! - [`LatencyHistogram`] — HDR-style log-linear histogram backing the
-//!   per-shard p50/p99/p999 latency accounting in [`ShardStats`]
+//!   per-lane p50/p99/p999 latency accounting in [`ShardStats`]
 //!   (re-exported from `routing-obs`, the workspace telemetry crate, which
 //!   also hosts the serving-path counters this crate increments:
 //!   label-cache hits, epoch swaps, snapshot loads).

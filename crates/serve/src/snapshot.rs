@@ -5,20 +5,16 @@
 //! `Arc`s, tagged with the **epoch** at which it was published. Snapshots
 //! are immutable by construction: `DynScheme` is a read-only surface and
 //! `Send + Sync` by contract (see `routing_model::erased`), so any number
-//! of shard threads can route through one snapshot concurrently with no
-//! synchronization beyond the initial `Arc` clone.
+//! of lanes route through one snapshot with no synchronization beyond the
+//! initial `Arc` clone.
 //!
 //! The [`EpochCell`] is the single mutable point of the serving layer: a
 //! rebuilt table is published as a whole new snapshot with the next epoch
-//! number, swapped in under a write lock that is held only for the pointer
-//! store. Readers hold the lock only to clone two `Arc`s — nanoseconds —
-//! so a swap never blocks traffic for longer than one pointer exchange,
-//! and a shard that loaded the old snapshot keeps routing it consistently
-//! until its next load (the `Arc` keeps the retired tables alive). Every
-//! answer the engine produces carries the epoch of the snapshot that
-//! produced it, which is what the concurrency stress test keys on: an
-//! answer must be *exactly* the answer some published epoch gives, never a
-//! blend of two.
+//! number. A batch that loaded the old snapshot keeps routing it (the
+//! `Arc` keeps the retired tables alive), and every answer carries the
+//! epoch of the snapshot that produced it — which is what the concurrency
+//! stress test keys on: an answer must be *exactly* the answer its epoch
+//! gives, never a blend of two.
 
 use std::sync::{Arc, RwLock};
 
@@ -67,10 +63,9 @@ impl std::fmt::Debug for SchemeSnapshot {
 ///
 /// Readers ([`EpochCell::load`]) take the read lock just long enough to
 /// clone the snapshot's `Arc`s; the writer ([`EpochCell::publish`]) takes
-/// the write lock just long enough to store new ones. There is no
-/// copy-on-write of tables, no generation counting on the read path, and
-/// no reader ever observes a half-swapped state: the lock makes the swap
-/// atomic, the `Arc`s make retired snapshots outlive their readers.
+/// the write lock just long enough to store new ones — so a swap never
+/// blocks traffic for longer than one pointer exchange, and no reader ever
+/// observes a half-swapped state.
 pub struct EpochCell {
     slot: RwLock<SchemeSnapshot>,
 }

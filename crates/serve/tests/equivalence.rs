@@ -1,8 +1,7 @@
-//! Shard-count and batching equivalence: routing through the sharded
-//! engine — at any shard count, batched or one-at-a-time — is bit-identical
-//! to direct single-threaded routing through the same `DynScheme`. The
-//! engine adds provenance (epoch, shard) and throughput, never different
-//! answers.
+//! Lane-count and batching equivalence: routing through the engine — at
+//! any lane count, batched or one-at-a-time — is bit-identical to direct
+//! single-threaded routing through the same `DynScheme`. The engine adds
+//! provenance (epoch, lane) and throughput, never different answers.
 
 use std::sync::Arc;
 
@@ -14,7 +13,7 @@ use routing_core::BuildContext;
 use routing_graph::generators::{self, WeightModel};
 use routing_graph::{Graph, VertexId};
 use routing_model::{simulate, DynScheme};
-use routing_serve::{EngineConfig, ShardedEngine, ZipfWorkload};
+use routing_serve::{EngineConfig, RouteAnswer, ShardedEngine, ZipfWorkload};
 
 const KEYS: [&str; 3] = ["warmup", "tz2", "thm13"];
 
@@ -41,7 +40,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 8, .. ProptestConfig::default() })]
 
     /// Satellite 2: for random graphs and schemes, every pair routed through
-    /// the engine at 1, 2 and 4 shards produces exactly the decisions of the
+    /// the engine at 1, 2 and 4 lanes produces exactly the decisions of the
     /// direct simulator — same weight, same hop count, same per-hop header
     /// words, same path.
     #[test]
@@ -66,14 +65,14 @@ proptest! {
             let answers = engine.route_batch(&pairs);
             for ((answer, truth), &(u, v)) in answers.iter().zip(&want).zip(&pairs) {
                 let got = answer.as_ref().unwrap_or_else(|e| {
-                    panic!("{shards}-shard engine failed {u:?}->{v:?}: {e}")
+                    panic!("{shards}-lane engine failed {u:?}->{v:?}: {e}")
                 });
                 prop_assert_eq!(got.weight, truth.weight);
                 prop_assert_eq!(got.hops, truth.hops);
                 prop_assert_eq!(got.max_header_words, truth.max_header_words);
                 prop_assert_eq!(got.path.as_ref().unwrap(), &truth.path);
                 prop_assert_eq!(got.epoch, 1);
-                prop_assert_eq!(got.shard, engine.owner_of(u).unwrap());
+                prop_assert!(got.shard < shards, "lane {} of {shards}", got.shard);
             }
         }
     }
@@ -97,8 +96,10 @@ proptest! {
 
         let batched = engine.route_batch(&pairs);
         for (answer, &(u, v)) in batched.iter().zip(&pairs) {
-            let single = engine.route(u, v);
-            prop_assert_eq!(answer, &single);
+            // Which lane claims a chunk is a race; everything else is not.
+            let single = engine.route(u, v).map(|a| RouteAnswer { shard: 0, ..a });
+            let answer = answer.clone().map(|a| RouteAnswer { shard: 0, ..a });
+            prop_assert_eq!(answer, single);
         }
     }
 }

@@ -6,14 +6,17 @@
 //! answer to every pair is precomputable; the test asserts that **every**
 //! answer observed by any reader at any time is exactly the answer of the
 //! epoch it claims to come from — never a blend of two epochs, never an
-//! answer no published epoch would give. After the last swap, a quiescent
-//! batch must observe the final epoch, and the telemetry counters, live for
-//! the whole run, must account for every swap, query, label-cache probe and
-//! phase and be rendered as such by the Prometheus exporter.
+//! answer no published epoch would give — and that the answers of one
+//! batch all name one epoch (one snapshot load per `route_batch` call).
+//! After the last swap, a quiescent batch must observe the final epoch, and
+//! the telemetry counters, live for the whole run, must account for every
+//! swap, query, snapshot load, label-cache probe and phase and be rendered
+//! as such by the Prometheus exporter.
 //!
 //! Sized to run in the default `cargo test -q` tier: a small graph, a few
-//! thousand queries per reader. CI additionally runs it under
-//! `RUST_BACKTRACE=1` with a hard timeout (see .github/workflows/ci.yml).
+//! thousand queries per reader. CI additionally loops it 20× in release
+//! under `RUST_BACKTRACE=1` with a hard timeout (see
+//! .github/workflows/ci.yml): a lost wake-up in the engine is a hang.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -133,6 +136,14 @@ fn readers_never_observe_an_answer_outside_a_published_epoch() {
                 let mut seen_epochs = 0u64;
                 for round in 0..BATCHES_PER_READER {
                     let answers = engine.route_batch(pairs);
+                    // One snapshot load per call: the whole batch names
+                    // one epoch, whichever lanes routed its chunks.
+                    let epochs: Vec<u64> =
+                        answers.iter().flatten().map(|a| a.epoch).collect();
+                    assert!(
+                        epochs.windows(2).all(|w| w[0] == w[1]),
+                        "reader {reader} round {round}: one batch, epochs {epochs:?}"
+                    );
                     for (answer, pair) in answers.iter().zip(pairs) {
                         let answer = answer
                             .as_ref()
@@ -172,7 +183,7 @@ fn readers_never_observe_an_answer_outside_a_published_epoch() {
     }
 
     // Latency accounting covered every query: READERS * rounds * batch
-    // + the quiescent batch, across all shards.
+    // + the quiescent batch, across all lanes.
     let stats = engine.stats();
     let expected_queries = (READERS * BATCHES_PER_READER * BATCH + BATCH) as u64;
     assert_eq!(stats.iter().map(|s| s.queries).sum::<u64>(), expected_queries);
@@ -199,7 +210,8 @@ fn readers_never_observe_an_answer_outside_a_published_epoch() {
     let [swaps, queries, loads, hits, misses, direct, to_pivot, tree] = live.map(|(_, v)| v);
     assert_eq!(swaps, SWAPS, "one epoch swap per publish");
     assert_eq!(queries, expected_queries, "one delivery per served query");
-    assert!(loads > 0, "every served sub-batch loads a snapshot");
+    let calls = (READERS * BATCHES_PER_READER + 1) as u64;
+    assert_eq!(loads, calls, "one snapshot load per route_batch call");
     assert_eq!(hits + misses, expected_queries, "every query consults the label cache");
     assert_eq!(direct + to_pivot + tree, expected_queries, "every query takes one phase");
     let text = routing_obs::export::prometheus(&routing_obs::MetricSet::gather());
