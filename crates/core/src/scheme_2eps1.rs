@@ -8,9 +8,9 @@
 //!   `O(n^{1/3})` (Lemma 4), the cluster trees `T_{C_A(w)}`, and a global
 //!   shortest-path tree `T(a)` for every landmark `a ∈ A`, whose Lemma 3
 //!   routing information every vertex stores;
-//! * a per-vertex hash table mapping each `v` with
-//!   `B(u, q̃) ∩ B_A(v) ≠ ∅` to the intersection vertex minimizing
-//!   `d(u, w) + d(w, v)` (this pins down an *exact* shortest path);
+//! * a per-vertex table mapping each `v` with `B(u, q̃) ∩ B_A(v) ≠ ∅` to the
+//!   intersection vertex minimizing `d(u, w) + d(w, v)` (this pins down an
+//!   *exact* shortest path);
 //! * a Lemma 6 coloring inducing a partition `U` over which Lemma 7 routes
 //!   with stretch `(1+ε)`.
 //!
@@ -22,16 +22,16 @@
 //! "walk to `w`, then Lemma 7 to `v`" gives a path of length at most
 //! `(2+2ε)·d(u, v) + 1`.
 
-use std::collections::HashMap;
-
 use rand::Rng;
 
-use routing_graph::{Graph, SearchScratch, VertexId, Weight};
+use routing_graph::shortest_path::RestrictedTree;
+use routing_graph::{Graph, VertexId, Weight};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
 use routing_tree::{TreeLabel, TreeScheme};
-use routing_vicinity::{all_clusters, bunches, sample_centers_bounded, BallTable, Coloring, Landmarks};
+use routing_vicinity::{BallTable, Landmarks};
 
-use crate::scheme_3eps::build_color_reps;
+use crate::seq::KeyedStore;
+use crate::stages::{self, Clusters, Vicinities};
 use crate::technique1::{Technique1Header, Technique1Router};
 use crate::{BuildError, Params};
 
@@ -100,21 +100,15 @@ impl HeaderSize for Scheme2Header {
 pub struct SchemeTwoPlusEps {
     n: usize,
     epsilon: f64,
-    q: u32,
-    balls: BallTable,
-    landmarks: Landmarks,
-    /// Cluster tree of every vertex (indexed by vertex id).
-    cluster_trees: Vec<TreeScheme>,
-    /// Bunch of every vertex: `B_A(v)` with distances.
-    bunch_of: Vec<Vec<(VertexId, Weight)>>,
-    /// Global trees `T(a)`, parallel to the id-sorted `landmarks.members()`.
+    pub(crate) vic: Vicinities,
+    pub(crate) clusters: Clusters,
+    /// Row-major `n × q`: `d(u, w)` for `u`'s representative `w` of each
+    /// color, beside the representative the vicinity stage stores.
+    rep_dist: Vec<Weight>,
+    /// Global trees `T(a)`, parallel to the id-sorted landmark list.
     global_trees: Vec<TreeScheme>,
     /// At `u`: destination `v` -> best intersection vertex `w`.
-    // lint:allow(det-hash-iter): keyed lookup at query time; len() is the only whole-map read
-    best_intersection: Vec<HashMap<VertexId, VertexId>>,
-    color_of: Vec<u32>,
-    /// At `u`, per color: `(representative, d(u, representative))`.
-    color_rep: Vec<Vec<(VertexId, Weight)>>,
+    best_intersection: KeyedStore<VertexId>,
     router: Technique1Router,
 }
 
@@ -132,10 +126,7 @@ impl SchemeTwoPlusEps {
     /// (the `(2+ε,1)` guarantee is for unweighted graphs), or when the
     /// Lemma 6 coloring cannot be built.
     pub fn build<R: Rng>(g: &Graph, params: &Params, rng: &mut R) -> Result<Self, BuildError> {
-        params.validate().map_err(|what| BuildError::BadParameter { what })?;
-        if !g.is_connected() {
-            return Err(BuildError::Disconnected);
-        }
+        stages::check(g, params)?;
         if !g.is_unweighted() {
             return Err(BuildError::BadParameter {
                 what: "theorem 10 applies to unweighted graphs".into(),
@@ -144,116 +135,69 @@ impl SchemeTwoPlusEps {
         let n = g.n();
         let q = (n as f64).powf(1.0 / 3.0).ceil().max(1.0) as u32;
         let ell = params.scaled(q as usize, n);
-        let balls = BallTable::build(g, ell);
-
-        // Lemma 4 landmarks with clusters of size O(n^{1/3}).
-        let s = ((params.landmark_scale * (n as f64).powf(2.0 / 3.0)).ceil() as usize).clamp(1, n);
-        let landmarks = sample_centers_bounded(g, s, rng);
-        let clusters = all_clusters(g, &landmarks);
-        let bunch_of = bunches(g, &clusters);
-        let span_ct = routing_obs::span("cluster-trees");
-        let cluster_trees: Vec<TreeScheme> = routing_par::par_map(&clusters, |tree| {
-            TreeScheme::from_restricted(g, tree)
-                .map_err(|e| BuildError::TooSmall { what: e.to_string() })
-        })
-        .into_iter()
-        .collect::<Result<_, _>>()?;
-        drop(span_ct);
-
-        // Global trees for every landmark (one full Dijkstra each, fanned
-        // out in parallel over per-worker search workspaces).
-        let span_gt = routing_obs::span("global-trees");
-        let global_trees: Vec<TreeScheme> = routing_par::par_map_scratch(
-            landmarks.len(),
-            || SearchScratch::for_graph(g),
-            |scratch, i| {
-                scratch.dijkstra_into(g, landmarks.members()[i]);
-                TreeScheme::from_scratch(g, scratch)
-                    .map_err(|e| BuildError::TooSmall { what: e.to_string() })
-            },
-        )
-        .into_iter()
-        .collect::<Result<_, _>>()?;
-        drop(span_gt);
-
-        // Best intersection vertex per (u, v) with B(u, q̃) ∩ B_A(v) != ∅.
-        let span_ix = routing_obs::span("intersections");
-        // lint:allow(det-hash-iter): per-destination best is keyed; ties broken by explicit comparison below, not visit order
-        let mut best_intersection: Vec<HashMap<VertexId, VertexId>> = vec![HashMap::new(); n];
-        // lint:allow(det-hash-iter): keyed min-tracking companion of best_intersection; never iterated
-        let mut best_sum: Vec<HashMap<VertexId, Weight>> = vec![HashMap::new(); n];
-        for u in g.vertices() {
-            for &(w, d_uw) in balls.ball(u).members() {
-                for &(v, d_wv) in clusters[w.index()].members() {
-                    let sum = d_uw + d_wv;
-                    let better = match best_sum[u.index()].get(&v) {
-                        Some(&old) => sum < old,
-                        None => true,
-                    };
-                    if better {
-                        best_sum[u.index()].insert(v, sum);
-                        best_intersection[u.index()].insert(v, w);
-                    }
-                }
-            }
-        }
-
-        drop(span_ix);
-
+        let vic = Vicinities::balls(g, ell);
+        let (clusters, raw_clusters) = Clusters::build(g, params, rng)?;
+        let global_trees = stages::global_trees(g, clusters.landmarks.members())?;
+        let best_intersection = intersections(&vic.balls, &raw_clusters);
+        drop(raw_clusters);
         // Lemma 6 coloring and Lemma 7 over the induced partition.
-        let span_coloring = routing_obs::span("coloring");
-        let ball_sets: Vec<Vec<VertexId>> = g
+        let vic = vic.colour(ell, q, params, rng)?;
+        let rep_dist = g
             .vertices()
-            .map(|u| balls.ball(u).members().iter().map(|&(v, _)| v).collect())
+            .flat_map(|u| vic.reps_at(u).iter().map(move |&w| (u, w)))
+            .map(|(u, w)| vic.balls.dist(u, w).unwrap_or(0))
             .collect();
-        let coloring = Coloring::build_for_sets(n, q, &ball_sets, params.coloring_retries, rng)?;
-        let color_of: Vec<u32> = g.vertices().map(|v| coloring.color(v)).collect();
-        drop(span_coloring);
-        let span_reps = routing_obs::span("color-reps");
-        let reps = build_color_reps(g, &balls, &color_of, q);
-        let color_rep: Vec<Vec<(VertexId, Weight)>> = g
-            .vertices()
-            .map(|u| {
-                reps[u.index()]
-                    .iter()
-                    .map(|&w| (w, balls.dist(u, w).unwrap_or(0)))
-                    .collect()
-            })
-            .collect();
-        drop(span_reps);
-        let router = Technique1Router::build(g, &balls, color_of.clone(), params, rng)?;
+        let router = Technique1Router::build(g, &vic.balls, vic.color_of.clone(), params, rng)?;
 
         Ok(SchemeTwoPlusEps {
             n,
             epsilon: params.epsilon,
-            q,
-            balls,
-            landmarks,
-            cluster_trees,
-            bunch_of,
+            vic,
+            clusters,
+            rep_dist,
             global_trees,
             best_intersection,
-            color_of,
-            color_rep,
             router,
         })
     }
 
     /// The number of colors / the parameter `q = ⌈n^{1/3}⌉`.
     pub fn q(&self) -> u32 {
-        self.q
+        self.vic.q
     }
 
     /// The landmark set `A`.
     pub fn landmarks(&self) -> &Landmarks {
-        &self.landmarks
+        &self.clusters.landmarks
     }
 
     /// The global tree `T(a)` of landmark `a` — one binary search over the
     /// id-sorted landmark list, no hash table.
     fn global_tree(&self, a: VertexId) -> Option<&TreeScheme> {
-        self.landmarks.members().binary_search(&a).ok().map(|i| &self.global_trees[i])
+        self.landmarks().members().binary_search(&a).ok().map(|i| &self.global_trees[i])
     }
+}
+
+/// At every `u`, for every `v` with `B(u, q̃) ∩ B_A(v) ≠ ∅`, the intersection
+/// vertex `w` minimizing `d(u, w) + d(w, v)`; among equal sums, the `w`
+/// settled first from `u`.
+fn intersections(balls: &BallTable, clusters: &[RestrictedTree]) -> KeyedStore<VertexId> {
+    let _span = routing_obs::span("intersections");
+    let rows = (0..balls.len()).flat_map(|u| {
+        let u = VertexId(u as u32);
+        let mut triples: Vec<(VertexId, Weight, VertexId)> = Vec::new();
+        for &(w, d_uw) in balls.ball(u).members() {
+            for &(v, d_wv) in clusters[w.index()].members() {
+                triples.push((v, d_uw + d_wv, w));
+            }
+        }
+        // Stable, and every `w` offers a given `v` once: among equal sums
+        // the first `w` in settle order stays first, and is the one kept.
+        triples.sort_by_key(|&(v, sum, _)| (v, sum));
+        triples.dedup_by_key(|&mut (v, _, _)| v);
+        triples.into_iter().map(move |(v, _, w)| (u, v, w))
+    });
+    KeyedStore::from_sorted(balls.len(), rows)
 }
 
 impl RoutingScheme for SchemeTwoPlusEps {
@@ -269,37 +213,32 @@ impl RoutingScheme for SchemeTwoPlusEps {
     }
 
     fn label_of(&self, v: VertexId) -> Scheme2Label {
-        let p_a = self.landmarks.nearest(v).unwrap_or(v);
-        let d_pa = self.landmarks.dist_to_set(v).unwrap_or(0);
+        let p_a = self.landmarks().nearest(v).unwrap_or(v);
+        let d_pa = self.landmarks().dist_to_set(v).unwrap_or(0);
         let global_label = self
             .global_tree(p_a)
             .and_then(|t| t.label(v))
             .unwrap_or(TreeLabel { tin: u32::MAX, light_ports: Vec::new() });
-        Scheme2Label { vertex: v, color: self.color_of[v.index()], p_a, d_pa, global_label }
+        Scheme2Label { vertex: v, color: self.vic.color(v), p_a, d_pa, global_label }
     }
 
     fn init_header(&self, source: VertexId, dest: &Scheme2Label) -> Result<Scheme2Header, RouteError> {
         let v = dest.vertex;
-        if source == v || self.balls.contains(source, v) {
+        if source == v || self.vic.sees(source, v) {
             routing_obs::counters::ROUTING_PHASE_DIRECT.inc();
             return Ok(Scheme2Header { phase: Phase::Direct });
         }
-        if let Some(&w) = self.best_intersection[source.index()].get(&v) {
+        if let Some(&w) = self.best_intersection.get(source, v) {
             if w == source {
-                let label = self.cluster_trees[source.index()].label(v).ok_or_else(|| {
-                    RouteError::MissingInformation {
-                        at: source,
-                        what: format!("{v} missing from own cluster tree"),
-                    }
-                })?;
+                let label = self.clusters.label_in_cluster(source, v)?;
                 routing_obs::counters::ROUTING_PHASE_TREE.inc();
                 return Ok(Scheme2Header { phase: Phase::ClusterTree { root: source, label } });
             }
             routing_obs::counters::ROUTING_PHASE_TO_PIVOT.inc();
             return Ok(Scheme2Header { phase: Phase::ToIntersection(w) });
         }
-        let (w, d_uw) = self.color_rep[source.index()][dest.color as usize];
-        if dest.d_pa <= d_uw {
+        let w = self.vic.rep(source, dest.color)?;
+        if dest.d_pa <= self.rep_dist[source.index() * self.vic.q as usize + dest.color as usize] {
             routing_obs::counters::ROUTING_PHASE_TREE.inc();
             return Ok(Scheme2Header { phase: Phase::GlobalTree });
         }
@@ -324,40 +263,16 @@ impl RoutingScheme for SchemeTwoPlusEps {
         }
         loop {
             match &mut header.phase {
-                Phase::Direct => {
-                    return self
-                        .balls
-                        .first_port(at, v)
-                        .map(Decision::Forward)
-                        .ok_or_else(|| RouteError::MissingInformation {
-                            at,
-                            what: format!("{v} left the vicinity during direct routing"),
-                        })
-                }
+                Phase::Direct => return self.vic.toward(at, v, "destination"),
                 Phase::ToIntersection(w) => {
                     if at == *w {
-                        let label = self.cluster_trees[at.index()].label(v).ok_or_else(
-                            || RouteError::MissingInformation {
-                                at,
-                                what: format!("{v} is not in the cluster of {at}"),
-                            },
-                        )?;
+                        let label = self.clusters.label_in_cluster(at, v)?;
                         header.phase = Phase::ClusterTree { root: at, label };
                         continue;
                     }
-                    let w = *w;
-                    return self
-                        .balls
-                        .first_port(at, w)
-                        .map(Decision::Forward)
-                        .ok_or_else(|| RouteError::MissingInformation {
-                            at,
-                            what: format!("intersection vertex {w} left the vicinity"),
-                        });
+                    return self.vic.toward(at, *w, "intersection vertex");
                 }
-                Phase::ClusterTree { root, label } => {
-                    return self.cluster_trees[root.index()].step(at, label);
-                }
+                Phase::ClusterTree { root, label } => return self.clusters.step(*root, at, label),
                 Phase::GlobalTree => {
                     let tree = self.global_tree(dest.p_a).ok_or_else(|| RouteError::BadLabel {
                         what: format!("{} is not a landmark", dest.p_a),
@@ -370,34 +285,21 @@ impl RoutingScheme for SchemeTwoPlusEps {
                         header.phase = Phase::Intra(h);
                         continue;
                     }
-                    let w = *w;
-                    return self
-                        .balls
-                        .first_port(at, w)
-                        .map(Decision::Forward)
-                        .ok_or_else(|| RouteError::MissingInformation {
-                            at,
-                            what: format!("representative {w} left the vicinity"),
-                        });
+                    return self.vic.toward(at, *w, "representative");
                 }
-                Phase::Intra(h) => return self.router.step(at, h, v, &self.balls),
+                Phase::Intra(h) => return self.router.step(at, h, v, &self.vic.balls),
             }
         }
     }
 
     fn table_words(&self, u: VertexId) -> usize {
-        let cluster_membership: usize = self.bunch_of[u.index()]
-            .iter()
-            .map(|&(w, _)| self.cluster_trees[w.index()].table_words(u))
-            .sum();
-        let own_cluster_labels = self.cluster_trees[u.index()].labels_words();
         let global: usize = self.global_trees.iter().map(|t| t.table_words(u)).sum();
-        self.balls.words_at(u)
-            + cluster_membership
-            + own_cluster_labels
+        // `rep_dist` is the second `q`: a distance beside each representative.
+        self.vic.words_at(u)
+            + self.vic.q as usize
+            + self.clusters.membership_words(u)
             + global
-            + 2 * self.best_intersection[u.index()].len()
-            + 2 * self.q as usize
+            + 2 * self.best_intersection.slot_len(u)
             + self.router.table_words(u)
     }
 
@@ -417,29 +319,64 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use routing_graph::apsp::DistanceMatrix;
     use routing_graph::generators::{self, WeightModel};
-    use routing_model::simulate;
+    use std::collections::HashMap;
 
     fn check_all_pairs(g: &Graph, epsilon: f64, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let params = Params::with_epsilon(epsilon);
-        let scheme = SchemeTwoPlusEps::build(g, &params, &mut rng).unwrap();
-        let exact = DistanceMatrix::new(g);
+        let scheme = SchemeTwoPlusEps::build(g, &Params::with_epsilon(epsilon), &mut rng).unwrap();
+        crate::test_support::check_all_pairs(g, &scheme, |d| (2.0 + 2.0 * epsilon) * d + 1.0);
+    }
+
+    /// `best_intersection` as the `HashMap` build filled it before the keyed
+    /// store replaced it, verbatim; only the return value changed.
+    fn reference_intersections(
+        g: &Graph,
+        balls: &BallTable,
+        clusters: &[RestrictedTree],
+    ) -> Vec<HashMap<VertexId, VertexId>> {
+        let n = g.n();
+        let mut best_intersection: Vec<HashMap<VertexId, VertexId>> = vec![HashMap::new(); n];
+        let mut best_sum: Vec<HashMap<VertexId, Weight>> = vec![HashMap::new(); n];
         for u in g.vertices() {
-            for v in g.vertices() {
-                if u == v {
-                    continue;
+            for &(w, d_uw) in balls.ball(u).members() {
+                for &(v, d_wv) in clusters[w.index()].members() {
+                    let sum = d_uw + d_wv;
+                    let better = match best_sum[u.index()].get(&v) {
+                        Some(&old) => sum < old,
+                        None => true,
+                    };
+                    if better {
+                        best_sum[u.index()].insert(v, sum);
+                        best_intersection[u.index()].insert(v, w);
+                    }
                 }
-                let out = simulate(g, &scheme, u, v).unwrap();
-                let d = exact.dist(u, v).unwrap();
-                let bound = (2.0 + 2.0 * epsilon) * d as f64 + 1.0 + 1e-9;
-                assert!(
-                    (out.weight as f64) <= bound,
-                    "theorem 10 bound violated for {u}->{v}: routed {} vs d={d}",
-                    out.weight
-                );
             }
+        }
+        best_intersection
+    }
+
+    #[test]
+    fn keyed_store_equals_the_hashmap_build_it_replaced() {
+        let params = Params::default();
+        for (name, g) in crate::test_support::equivalence_graphs() {
+            for threads in [1, 4] {
+                routing_par::set_threads(threads);
+                let balls = BallTable::build(&g, params.scaled(5, g.n()));
+                let (_, clusters) =
+                    Clusters::build(&g, &params, &mut StdRng::seed_from_u64(17)).unwrap();
+                let flat = intersections(&balls, &clusters);
+                let reference = reference_intersections(&g, &balls, &clusters);
+                assert!(reference.iter().any(|at_u| !at_u.is_empty()));
+                for u in g.vertices() {
+                    let at_u = &reference[u.index()];
+                    assert_eq!(flat.slot_len(u), at_u.len(), "{name} x{threads}: slot of {u}");
+                    for v in g.vertices() {
+                        assert_eq!(flat.get(u, v), at_u.get(&v), "{name} x{threads}: ({u}, {v})");
+                    }
+                }
+            }
+            routing_par::set_threads(routing_par::available_threads());
         }
     }
 

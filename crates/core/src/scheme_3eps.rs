@@ -15,8 +15,8 @@ use rand::Rng;
 
 use routing_graph::{Graph, VertexId};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
-use routing_vicinity::{BallTable, Coloring};
 
+use crate::stages::{self, Vicinities};
 use crate::technique1::{Technique1Header, Technique1Router};
 use crate::{BuildError, Params};
 
@@ -62,12 +62,8 @@ pub struct Scheme3Label {
 pub struct SchemeThreePlusEps {
     n: usize,
     epsilon: f64,
-    q: u32,
-    balls: BallTable,
+    pub(crate) vic: Vicinities,
     router: Technique1Router,
-    color_of: Vec<u32>,
-    /// `color_rep[u][i]` = a vertex of color `i` inside `B(u, q̃)`.
-    color_rep: Vec<Vec<VertexId>>,
 }
 
 impl SchemeThreePlusEps {
@@ -83,78 +79,24 @@ impl SchemeThreePlusEps {
     /// Fails on disconnected graphs, invalid parameters, or if the Lemma 6
     /// coloring cannot be constructed (graph too small for `q` colors).
     pub fn build<R: Rng>(g: &Graph, params: &Params, rng: &mut R) -> Result<Self, BuildError> {
-        params.validate().map_err(|what| BuildError::BadParameter { what })?;
-        if !g.is_connected() {
-            return Err(BuildError::Disconnected);
-        }
+        stages::check(g, params)?;
         let n = g.n();
         let q = (n as f64).sqrt().ceil().max(1.0) as u32;
         let ell = params.scaled(q as usize, n);
-        let balls = BallTable::build(g, ell);
-
-        let span_coloring = routing_obs::span("coloring");
-        let ball_sets: Vec<Vec<VertexId>> = g
-            .vertices()
-            .map(|u| balls.ball(u).members().iter().map(|&(v, _)| v).collect())
-            .collect();
-        let coloring = Coloring::build_for_sets(n, q, &ball_sets, params.coloring_retries, rng)?;
-        let color_of: Vec<u32> = g.vertices().map(|v| coloring.color(v)).collect();
-        drop(span_coloring);
-
-        let span_reps = routing_obs::span("color-reps");
-        let color_rep = build_color_reps(g, &balls, &color_of, q);
-        drop(span_reps);
-        let router = Technique1Router::build(g, &balls, color_of.clone(), params, rng)?;
-
-        Ok(SchemeThreePlusEps {
-            n,
-            epsilon: params.epsilon,
-            q,
-            balls,
-            router,
-            color_of,
-            color_rep,
-        })
+        let vic = Vicinities::balls(g, ell).colour(ell, q, params, rng)?;
+        let router = Technique1Router::build(g, &vic.balls, vic.color_of.clone(), params, rng)?;
+        Ok(SchemeThreePlusEps { n, epsilon: params.epsilon, vic, router })
     }
 
     /// The number of colors `q = ⌈√n⌉`.
     pub fn q(&self) -> u32 {
-        self.q
+        self.vic.q
     }
 
     /// The color of vertex `v`.
     pub fn color(&self, v: VertexId) -> u32 {
-        self.color_of[v.index()]
+        self.vic.color(v)
     }
-}
-
-/// Builds, for every vertex and every color, the closest vicinity member of
-/// that color (shared by several schemes).
-pub(crate) fn build_color_reps(
-    g: &Graph,
-    balls: &BallTable,
-    color_of: &[u32],
-    q: u32,
-) -> Vec<Vec<VertexId>> {
-    g.vertices()
-        .map(|u| {
-            let mut reps = vec![u; q as usize];
-            let mut found = vec![false; q as usize];
-            for &(v, _) in balls.ball(u).members() {
-                let c = color_of[v.index()] as usize;
-                if !found[c] {
-                    found[c] = true;
-                    reps[c] = v;
-                }
-            }
-            // Colors missing from the vicinity (possible at tiny scales when
-            // the coloring repair had to give up on balance) fall back to the
-            // vertex itself; routing then starts Lemma 7 directly at `u`,
-            // which is still correct, merely without the paper's guarantee
-            // that `d(u, w) <= d(u, v)`.
-            reps
-        })
-        .collect()
 }
 
 impl RoutingScheme for SchemeThreePlusEps {
@@ -170,15 +112,15 @@ impl RoutingScheme for SchemeThreePlusEps {
     }
 
     fn label_of(&self, v: VertexId) -> Scheme3Label {
-        Scheme3Label { vertex: v, color: self.color_of[v.index()] }
+        Scheme3Label { vertex: v, color: self.vic.color(v) }
     }
 
     fn init_header(&self, source: VertexId, dest: &Scheme3Label) -> Result<Scheme3Header, RouteError> {
-        if source == dest.vertex || self.balls.contains(source, dest.vertex) {
+        if source == dest.vertex || self.vic.sees(source, dest.vertex) {
             routing_obs::counters::ROUTING_PHASE_DIRECT.inc();
             return Ok(Scheme3Header { phase: Phase::Direct });
         }
-        let rep = self.color_rep[source.index()][dest.color as usize];
+        let rep = self.vic.rep(source, dest.color)?;
         if rep == source {
             let h = self.router.start(source, dest.vertex)?;
             routing_obs::counters::ROUTING_PHASE_TREE.inc();
@@ -199,39 +141,22 @@ impl RoutingScheme for SchemeThreePlusEps {
         }
         loop {
             match &mut header.phase {
-                Phase::Direct => {
-                    return self
-                        .balls
-                        .first_port(at, dest.vertex)
-                        .map(Decision::Forward)
-                        .ok_or_else(|| RouteError::MissingInformation {
-                            at,
-                            what: format!("{} left the vicinity during direct routing", dest.vertex),
-                        });
-                }
+                Phase::Direct => return self.vic.toward(at, dest.vertex, "destination"),
                 Phase::ToRep(rep) => {
                     if at == *rep {
                         let h = self.router.start(at, dest.vertex)?;
                         header.phase = Phase::Intra(h);
                         continue;
                     }
-                    let rep = *rep;
-                    return self
-                        .balls
-                        .first_port(at, rep)
-                        .map(Decision::Forward)
-                        .ok_or_else(|| RouteError::MissingInformation {
-                            at,
-                            what: format!("representative {rep} left the vicinity"),
-                        });
+                    return self.vic.toward(at, *rep, "representative");
                 }
-                Phase::Intra(h) => return self.router.step(at, h, dest.vertex, &self.balls),
+                Phase::Intra(h) => return self.router.step(at, h, dest.vertex, &self.vic.balls),
             }
         }
     }
 
     fn table_words(&self, v: VertexId) -> usize {
-        self.balls.words_at(v) + self.router.table_words(v) + self.q as usize
+        self.vic.words_at(v) + self.router.table_words(v)
     }
 
     fn label_words(&self, _v: VertexId) -> usize {
@@ -244,32 +169,13 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use routing_graph::apsp::DistanceMatrix;
     use routing_graph::generators::{self, WeightModel};
-    use routing_model::simulate;
 
     fn check_all_pairs(g: &Graph, epsilon: f64, seed: u64) -> f64 {
         let mut rng = StdRng::seed_from_u64(seed);
-        let params = Params::with_epsilon(epsilon);
-        let scheme = SchemeThreePlusEps::build(g, &params, &mut rng).unwrap();
-        let exact = DistanceMatrix::new(g);
-        let mut worst: f64 = 1.0;
-        for u in g.vertices() {
-            for v in g.vertices() {
-                if u == v {
-                    continue;
-                }
-                let out = simulate(g, &scheme, u, v).unwrap();
-                let d = exact.dist(u, v).unwrap();
-                let stretch = out.weight as f64 / d as f64;
-                worst = worst.max(stretch);
-                assert!(
-                    stretch <= 3.0 + 2.0 * epsilon + 1e-9,
-                    "stretch bound violated for {u}->{v}: {stretch}"
-                );
-            }
-        }
-        worst
+        let scheme =
+            SchemeThreePlusEps::build(g, &Params::with_epsilon(epsilon), &mut rng).unwrap();
+        crate::test_support::check_all_pairs(g, &scheme, |d| (3.0 + 2.0 * epsilon) * d)
     }
 
     #[test]

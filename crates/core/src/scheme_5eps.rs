@@ -24,10 +24,10 @@ use rand::Rng;
 
 use routing_graph::{Graph, Port, VertexId};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
-use routing_tree::{TreeLabel, TreeScheme};
-use routing_vicinity::{all_clusters, bunches, sample_centers_bounded, BallTable, Coloring, Landmarks};
+use routing_tree::TreeLabel;
+use routing_vicinity::Landmarks;
 
-use crate::scheme_3eps::build_color_reps;
+use crate::stages::{self, Clusters, Vicinities};
 use crate::technique2::{Technique2Header, Technique2Router};
 use crate::{BuildError, Params};
 
@@ -95,13 +95,8 @@ impl HeaderSize for Scheme5Header {
 pub struct SchemeFivePlusEps {
     n: usize,
     epsilon: f64,
-    q: u32,
-    balls: BallTable,
-    landmarks: Landmarks,
-    cluster_trees: Vec<TreeScheme>,
-    bunch_of: Vec<Vec<(VertexId, routing_graph::Weight)>>,
-    color_of: Vec<u32>,
-    color_rep: Vec<Vec<VertexId>>,
+    pub(crate) vic: Vicinities,
+    pub(crate) clusters: Clusters,
     router: Technique2Router,
     /// Port at `p_A(v)` of the first edge towards `v`, per vertex `v`.
     first_edge: Vec<Option<(VertexId, Port)>>,
@@ -120,27 +115,13 @@ impl SchemeFivePlusEps {
     /// Fails for disconnected graphs, invalid parameters, or when the Lemma 6
     /// coloring cannot be built.
     pub fn build<R: Rng>(g: &Graph, params: &Params, rng: &mut R) -> Result<Self, BuildError> {
-        params.validate().map_err(|what| BuildError::BadParameter { what })?;
-        if !g.is_connected() {
-            return Err(BuildError::Disconnected);
-        }
+        stages::check(g, params)?;
         let n = g.n();
         let q = (n as f64).powf(1.0 / 3.0).ceil().max(1.0) as u32;
         let ell = params.scaled(q as usize, n);
-        let balls = BallTable::build(g, ell);
-
-        let s = ((params.landmark_scale * (n as f64).powf(2.0 / 3.0)).ceil() as usize).clamp(1, n);
-        let landmarks = sample_centers_bounded(g, s, rng);
-        let clusters = all_clusters(g, &landmarks);
-        let bunch_of = bunches(g, &clusters);
-        let span_ct = routing_obs::span("cluster-trees");
-        let cluster_trees: Vec<TreeScheme> = routing_par::par_map(&clusters, |tree| {
-            TreeScheme::from_restricted(g, tree)
-                .map_err(|e| BuildError::TooSmall { what: e.to_string() })
-        })
-        .into_iter()
-        .collect::<Result<_, _>>()?;
-        drop(span_ct);
+        let vic = Vicinities::balls(g, ell);
+        let (clusters, _) = Clusters::build(g, params, rng)?;
+        let landmarks = &clusters.landmarks;
 
         // First edge (p_A(v), z) of a shortest path from the landmark to v.
         // One Dijkstra per landmark, in parallel over per-worker search
@@ -192,53 +173,32 @@ impl SchemeFivePlusEps {
         drop(span_fe);
 
         // Lemma 6 coloring for the source partition U.
-        let span_coloring = routing_obs::span("coloring");
-        let ball_sets: Vec<Vec<VertexId>> = g
-            .vertices()
-            .map(|u| balls.ball(u).members().iter().map(|&(v, _)| v).collect())
-            .collect();
-        let coloring = Coloring::build_for_sets(n, q, &ball_sets, params.coloring_retries, rng)?;
-        let color_of: Vec<u32> = g.vertices().map(|v| coloring.color(v)).collect();
-        drop(span_coloring);
-        let span_reps = routing_obs::span("color-reps");
-        let color_rep = build_color_reps(g, &balls, &color_of, q);
-        drop(span_reps);
+        let vic = vic.colour(ell, q, params, rng)?;
 
         // Arbitrary balanced partition W of the landmark set A.
         let mut dest_partition: Vec<Vec<VertexId>> = vec![Vec::new(); q as usize];
         for (i, &a) in landmarks.members().iter().enumerate() {
             dest_partition[i % q as usize].push(a);
         }
-        let router = Technique2Router::build(g, &balls, color_of.clone(), &dest_partition, params)?;
+        let router =
+            Technique2Router::build(g, &vic.balls, vic.color_of.clone(), &dest_partition, params);
 
-        Ok(SchemeFivePlusEps {
-            n,
-            epsilon: params.epsilon,
-            q,
-            balls,
-            landmarks,
-            cluster_trees,
-            bunch_of,
-            color_of,
-            color_rep,
-            router,
-            first_edge,
-        })
+        Ok(SchemeFivePlusEps { n, epsilon: params.epsilon, vic, clusters, router, first_edge })
     }
 
     /// The parameter `q = ⌈n^{1/3}⌉`.
     pub fn q(&self) -> u32 {
-        self.q
+        self.vic.q
     }
 
     /// The color (source-partition set) of vertex `v`.
     pub fn color(&self, v: VertexId) -> u32 {
-        self.color_of[v.index()]
+        self.vic.color(v)
     }
 
     /// The landmark set `A`.
     pub fn landmarks(&self) -> &Landmarks {
-        &self.landmarks
+        &self.clusters.landmarks
     }
 }
 
@@ -255,24 +215,24 @@ impl RoutingScheme for SchemeFivePlusEps {
     }
 
     fn label_of(&self, v: VertexId) -> Scheme5Label {
-        let p_a = self.landmarks.nearest(v).unwrap_or(v);
+        let p_a = self.landmarks().nearest(v).unwrap_or(v);
         let alpha = self.router.dest_set_of(p_a).unwrap_or(0);
         Scheme5Label { vertex: v, p_a, alpha, first_edge: self.first_edge[v.index()] }
     }
 
     fn init_header(&self, source: VertexId, dest: &Scheme5Label) -> Result<Scheme5Header, RouteError> {
         let v = dest.vertex;
-        if source == v || self.balls.contains(source, v) {
+        if source == v || self.vic.sees(source, v) {
             routing_obs::counters::ROUTING_PHASE_DIRECT.inc();
             return Ok(Scheme5Header { phase: Phase::Direct });
         }
         // v in C_A(source): the label of v in the source's cluster tree is
         // stored at the source.
-        if let Some(label) = self.cluster_trees[source.index()].label(v) {
+        if let Some(label) = self.clusters.label_in(source, v) {
             routing_obs::counters::ROUTING_PHASE_TREE.inc();
             return Ok(Scheme5Header { phase: Phase::ClusterTree { root: source, label } });
         }
-        let w = self.color_rep[source.index()][dest.alpha as usize];
+        let w = self.vic.rep(source, dest.alpha)?;
         if w == source {
             let h = self.router.start(source, dest.p_a)?;
             routing_obs::counters::ROUTING_PHASE_TO_PIVOT.inc();
@@ -294,41 +254,22 @@ impl RoutingScheme for SchemeFivePlusEps {
         }
         loop {
             match &mut header.phase {
-                Phase::Direct => {
-                    return self
-                        .balls
-                        .first_port(at, v)
-                        .map(Decision::Forward)
-                        .ok_or_else(|| RouteError::MissingInformation {
-                            at,
-                            what: format!("{v} left the vicinity during direct routing"),
-                        })
-                }
-                Phase::ClusterTree { root, label } => {
-                    return self.cluster_trees[root.index()].step(at, label);
-                }
+                Phase::Direct => return self.vic.toward(at, v, "destination"),
+                Phase::ClusterTree { root, label } => return self.clusters.step(*root, at, label),
                 Phase::ToRep(w) => {
                     if at == *w {
                         let h = self.router.start(at, dest.p_a)?;
                         header.phase = Phase::ToLandmark(h);
                         continue;
                     }
-                    let w = *w;
-                    return self
-                        .balls
-                        .first_port(at, w)
-                        .map(Decision::Forward)
-                        .ok_or_else(|| RouteError::MissingInformation {
-                            at,
-                            what: format!("representative {w} left the vicinity"),
-                        });
+                    return self.vic.toward(at, *w, "representative");
                 }
                 Phase::ToLandmark(h) => {
                     if at == dest.p_a {
                         header.phase = Phase::CrossFirstEdge;
                         continue;
                     }
-                    return self.router.step(at, h, dest.p_a, &self.balls);
+                    return self.router.step(at, h, dest.p_a, &self.vic.balls);
                 }
                 Phase::CrossFirstEdge => {
                     // We are at p_A(v) (or just arrived at z after crossing).
@@ -339,12 +280,7 @@ impl RoutingScheme for SchemeFivePlusEps {
                         return Ok(Decision::Forward(port));
                     }
                     // At z now: v is in C_A(z); finish on z's cluster tree.
-                    let label = self.cluster_trees[at.index()].label(v).ok_or_else(
-                        || RouteError::MissingInformation {
-                            at,
-                            what: format!("{v} is not in the cluster of {at}"),
-                        },
-                    )?;
+                    let label = self.clusters.label_in_cluster(at, v)?;
                     header.phase = Phase::ClusterTree { root: at, label };
                     continue;
                 }
@@ -353,16 +289,7 @@ impl RoutingScheme for SchemeFivePlusEps {
     }
 
     fn table_words(&self, u: VertexId) -> usize {
-        let cluster_membership: usize = self.bunch_of[u.index()]
-            .iter()
-            .map(|&(w, _)| self.cluster_trees[w.index()].table_words(u))
-            .sum();
-        let own_cluster_labels = self.cluster_trees[u.index()].labels_words();
-        self.balls.words_at(u)
-            + cluster_membership
-            + own_cluster_labels
-            + self.q as usize
-            + self.router.table_words(u)
+        self.vic.words_at(u) + self.clusters.membership_words(u) + self.router.table_words(u)
     }
 
     fn label_words(&self, v: VertexId) -> usize {
@@ -381,30 +308,12 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use routing_graph::apsp::DistanceMatrix;
     use routing_graph::generators::{self, WeightModel};
-    use routing_model::simulate;
 
     fn check_all_pairs(g: &Graph, epsilon: f64, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let params = Params::with_epsilon(epsilon);
-        let scheme = SchemeFivePlusEps::build(g, &params, &mut rng).unwrap();
-        let exact = DistanceMatrix::new(g);
-        for u in g.vertices() {
-            for v in g.vertices() {
-                if u == v {
-                    continue;
-                }
-                let out = simulate(g, &scheme, u, v).unwrap();
-                let d = exact.dist(u, v).unwrap();
-                let bound = (5.0 + 3.0 * epsilon) * d as f64 + 1e-9;
-                assert!(
-                    (out.weight as f64) <= bound,
-                    "theorem 11 bound violated for {u}->{v}: routed {} vs d={d}",
-                    out.weight
-                );
-            }
-        }
+        let scheme = SchemeFivePlusEps::build(g, &Params::with_epsilon(epsilon), &mut rng).unwrap();
+        crate::test_support::check_all_pairs(g, &scheme, |d| (5.0 + 3.0 * epsilon) * d);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! `b` as a prefix of its member list, **one** stored ball of size `ℓ·b`
 //! answers membership queries for every level — `v` is in the level-`t`
 //! vicinity of `u` iff [`routing_vicinity::BallView::rank`]`(v) < t·b`. Vertices therefore
-//! store a single [`BallTable`] of the top-level size and derive all `ℓ`
+//! store a single [`routing_vicinity::BallTable`] of the top-level size and derive all `ℓ`
 //! levels from ranks, paying one table instead of `ℓ`.
 //!
 //! Routing from `u` to `v`: exact Lemma 2 forwarding when `v` is in `u`'s
@@ -30,9 +30,8 @@ use rand::Rng;
 
 use routing_graph::{Graph, VertexId};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
-use routing_vicinity::{BallTable, Coloring};
 
-use crate::scheme_3eps::build_color_reps;
+use crate::stages::{self, Vicinities};
 use crate::technique1::{Technique1Header, Technique1Router};
 use crate::{BuildError, Params};
 
@@ -86,13 +85,11 @@ pub struct SchemeMultilevel {
     /// Members per level: level `t` (1-based) is the first `t·level_base`
     /// entries of the stored ball.
     level_base: usize,
-    q: u32,
-    balls: BallTable,
+    /// The one stored (top-level) ball per vertex, colored by its level-1
+    /// prefix; representatives are the closest of each color in the whole
+    /// ball.
+    pub(crate) vic: Vicinities,
     router: Technique1Router,
-    color_of: Vec<u32>,
-    /// `color_rep[u][i]` = the closest vertex of color `i` in `u`'s stored
-    /// (top-level) ball.
-    color_rep: Vec<Vec<VertexId>>,
 }
 
 impl SchemeMultilevel {
@@ -110,61 +107,27 @@ impl SchemeMultilevel {
         params: &Params,
         rng: &mut R,
     ) -> Result<Self, BuildError> {
-        params.validate().map_err(|what| BuildError::BadParameter { what })?;
         if levels == 0 {
             return Err(BuildError::BadParameter { what: "levels must be >= 1".to_string() });
         }
-        if !g.is_connected() {
-            return Err(BuildError::Disconnected);
-        }
+        stages::check(g, params)?;
         let n = g.n();
         let q = (n as f64).sqrt().ceil().max(1.0) as u32;
-        // One stored ball of ℓ·b members; level t is its t·b-prefix.
-        let level_base = params.scaled(q as usize, n);
-        let ell = (level_base * levels).clamp(1, n);
-        let balls = BallTable::build(g, ell);
-
-        // The Lemma 6 coloring partitions by the *level-1* vicinities, so
+        // One stored ball of ℓ·b members; level t is its t·b-prefix. The
+        // Lemma 6 coloring partitions by the *level-1* vicinities, so
         // Lemma 7's per-class guarantee matches the warm-up analysis; the
         // larger stored ball only adds direct-routing reach on top.
-        let span_coloring = routing_obs::span("coloring");
-        let level1_sets: Vec<Vec<VertexId>> = g
-            .vertices()
-            .map(|u| {
-                let ball = balls.ball(u);
-                let members = ball.members();
-                let take = level_base.min(members.len());
-                members[..take].iter().map(|&(v, _)| v).collect()
-            })
-            .collect();
-        let coloring = Coloring::build_for_sets(n, q, &level1_sets, params.coloring_retries, rng)?;
-        let color_of: Vec<u32> = g.vertices().map(|v| coloring.color(v)).collect();
-        drop(span_coloring);
-
-        // Representatives come from the full stored ball: the settle order
-        // is by distance, so the first member of each color is the closest.
-        let span_reps = routing_obs::span("color-reps");
-        let color_rep = build_color_reps(g, &balls, &color_of, q);
-        drop(span_reps);
+        let level_base = params.scaled(q as usize, n);
+        let ell = (level_base * levels).clamp(1, n);
+        let vic = Vicinities::balls(g, ell).colour(level_base, q, params, rng)?;
 
         // Split the slack: Lemma 7 runs at ε/2, so the end-to-end worst
         // case d + (1 + ε/2)·2d = (3+ε)d sits inside (3 + 2/ℓ + ε)d + 2
         // for every ℓ ≥ 2 — the declared bound holds with margin.
         let inner = Params { epsilon: params.epsilon / 2.0, ..*params };
-        let router = Technique1Router::build(g, &balls, color_of.clone(), &inner, rng)?;
+        let router = Technique1Router::build(g, &vic.balls, vic.color_of.clone(), &inner, rng)?;
 
-        Ok(SchemeMultilevel {
-            name,
-            n,
-            epsilon: params.epsilon,
-            levels,
-            level_base,
-            q,
-            balls,
-            router,
-            color_of,
-            color_rep,
-        })
+        Ok(SchemeMultilevel { name, n, epsilon: params.epsilon, levels, level_base, vic, router })
     }
 
     /// The stretch slack `ε` this scheme was built with.
@@ -186,12 +149,12 @@ impl SchemeMultilevel {
 
     /// The number of colors `q = ⌈√n⌉`.
     pub fn q(&self) -> u32 {
-        self.q
+        self.vic.q
     }
 
     /// The color of vertex `v`.
     pub fn color(&self, v: VertexId) -> u32 {
-        self.color_of[v.index()]
+        self.vic.color(v)
     }
 
     /// The smallest level `t ∈ 1..=levels` whose vicinity of `u` contains
@@ -202,7 +165,7 @@ impl SchemeMultilevel {
     /// This is the multilevel substrate: one table answers membership at
     /// every level, no per-level storage.
     pub fn member_level(&self, u: VertexId, v: VertexId) -> Option<usize> {
-        let rank = self.balls.ball(u).rank(v)?;
+        let rank = self.vic.balls.ball(u).rank(v)?;
         let t = rank / self.level_base + 1;
         (t <= self.levels).then_some(t)
     }
@@ -221,7 +184,7 @@ impl RoutingScheme for SchemeMultilevel {
     }
 
     fn label_of(&self, v: VertexId) -> MultilevelLabel {
-        MultilevelLabel { vertex: v, color: self.color_of[v.index()] }
+        MultilevelLabel { vertex: v, color: self.vic.color(v) }
     }
 
     fn init_header(
@@ -229,11 +192,11 @@ impl RoutingScheme for SchemeMultilevel {
         source: VertexId,
         dest: &MultilevelLabel,
     ) -> Result<MultilevelHeader, RouteError> {
-        if source == dest.vertex || self.balls.contains(source, dest.vertex) {
+        if source == dest.vertex || self.vic.sees(source, dest.vertex) {
             routing_obs::counters::ROUTING_PHASE_DIRECT.inc();
             return Ok(MultilevelHeader { phase: Phase::Direct });
         }
-        let rep = self.color_rep[source.index()][dest.color as usize];
+        let rep = self.vic.rep(source, dest.color)?;
         if rep == source {
             let h = self.router.start(source, dest.vertex)?;
             routing_obs::counters::ROUTING_PHASE_TREE.inc();
@@ -254,22 +217,13 @@ impl RoutingScheme for SchemeMultilevel {
         }
         loop {
             match &mut header.phase {
-                Phase::Direct => {
-                    return self
-                        .balls
-                        .first_port(at, dest.vertex)
-                        .map(Decision::Forward)
-                        .ok_or_else(|| RouteError::MissingInformation {
-                            at,
-                            what: format!("{} left the vicinity during direct routing", dest.vertex),
-                        });
-                }
+                Phase::Direct => return self.vic.toward(at, dest.vertex, "destination"),
                 Phase::ToRep(rep) => {
                     // The multilevel shortcut: larger stored balls mean
                     // intermediate vertices often already see the
                     // destination — finish exactly (Property 1) instead of
                     // detouring through the representative.
-                    if self.balls.contains(at, dest.vertex) {
+                    if self.vic.sees(at, dest.vertex) {
                         header.phase = Phase::Direct;
                         continue;
                     }
@@ -278,23 +232,15 @@ impl RoutingScheme for SchemeMultilevel {
                         header.phase = Phase::Intra(h);
                         continue;
                     }
-                    let rep = *rep;
-                    return self
-                        .balls
-                        .first_port(at, rep)
-                        .map(Decision::Forward)
-                        .ok_or_else(|| RouteError::MissingInformation {
-                            at,
-                            what: format!("representative {rep} left the vicinity"),
-                        });
+                    return self.vic.toward(at, *rep, "representative");
                 }
-                Phase::Intra(h) => return self.router.step(at, h, dest.vertex, &self.balls),
+                Phase::Intra(h) => return self.router.step(at, h, dest.vertex, &self.vic.balls),
             }
         }
     }
 
     fn table_words(&self, v: VertexId) -> usize {
-        self.balls.words_at(v) + self.router.table_words(v) + self.q as usize
+        self.vic.words_at(v) + self.router.table_words(v)
     }
 
     fn label_words(&self, _v: VertexId) -> usize {
@@ -353,7 +299,6 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use routing_graph::apsp::DistanceMatrix;
     use routing_graph::generators::{self, WeightModel};
     use routing_model::simulate;
 
@@ -361,26 +306,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let params = Params::with_epsilon(epsilon);
         let scheme = SchemeMultilevel::build(g, levels, "thm13", &params, &mut rng).unwrap();
-        let exact = DistanceMatrix::new(g);
         // The declared Theorem 13/15 envelope: (3 + 2/ℓ + ε)·d + 2.
         let factor = 3.0 + 2.0 / levels as f64 + epsilon;
-        let mut worst: f64 = 1.0;
-        for u in g.vertices() {
-            for v in g.vertices() {
-                if u == v {
-                    continue;
-                }
-                let out = simulate(g, &scheme, u, v).unwrap();
-                let d = exact.dist(u, v).unwrap() as f64;
-                worst = worst.max(out.weight as f64 / d);
-                assert!(
-                    out.weight as f64 <= factor * d + 2.0 + 1e-9,
-                    "bound violated for {u}->{v}: routed {} vs dist {d}",
-                    out.weight
-                );
-            }
-        }
-        worst
+        crate::test_support::check_all_pairs(g, &scheme, |d| factor * d + 2.0)
     }
 
     #[test]
@@ -412,7 +340,7 @@ mod tests {
             SchemeMultilevel::build(&g, 4, "thm15", &Params::with_epsilon(0.5), &mut rng).unwrap();
         let b = scheme.level_base();
         for u in g.vertices() {
-            let view = scheme.balls.ball(u);
+            let view = scheme.vic.balls.ball(u);
             // Level 1 membership: exactly the b-prefix of the stored ball.
             assert_eq!(scheme.member_level(u, u), Some(1), "center is level-1");
             for (rank, &(v, _)) in view.members().iter().enumerate() {

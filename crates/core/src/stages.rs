@@ -1,0 +1,387 @@
+//! The preprocessing every scheme of the paper shares, as explicit stages.
+//!
+//! Each theorem composes the same ingredients with Technique 1 or 2:
+//! Lemma 2 vicinities with a Lemma 6 colouring and one representative per
+//! colour ([`Vicinities`]), Lemma 4 landmarks with their clusters
+//! ([`Clusters`], Theorems 10 and 11) and shortest-path trees spanning `V`
+//! ([`global_trees`]). The scheme files call this module for those
+//! ingredients and for the query-side arms that read them; nothing else in
+//! the crate builds a ball table, a colouring or a cluster family.
+//!
+//! A scheme that needs both runs [`Vicinities::balls`], then
+//! [`Clusters::build`], then [`Vicinities::colour`]: the landmark sample is
+//! drawn before the colouring attempts, the only two RNG consumers here.
+//! Each stage opens the spans it always had (`balls`; `centers`, `clusters`,
+//! `bunches`, `cluster-trees`; `coloring`, `color-reps`; `global-trees`),
+//! returns what a scheme keeps for routing, and drops its build-only arrays
+//! on return.
+
+use rand::Rng;
+
+use routing_graph::shortest_path::RestrictedTree;
+use routing_graph::{Graph, SearchScratch, VertexId, Weight};
+use routing_model::{Decision, RouteError, RoutingScheme};
+use routing_tree::{TreeLabel, TreeScheme};
+use routing_vicinity::{
+    all_clusters, bunches, sample_centers_bounded, BallTable, Coloring, Landmarks,
+};
+
+use crate::{BuildError, Params};
+
+/// Rejects invalid parameters and disconnected graphs. Runs once per build;
+/// the technique routers rely on their caller having run it.
+pub(crate) fn check(g: &Graph, params: &Params) -> Result<(), BuildError> {
+    params.validate().map_err(|what| BuildError::BadParameter { what })?;
+    if !g.is_connected() {
+        return Err(BuildError::Disconnected);
+    }
+    Ok(())
+}
+
+/// The `prefix_len` closest member ids of every vicinity: the input of the
+/// Lemma 5 and Lemma 6 constructions. `n·ℓ` ids no scheme keeps — drop the
+/// result once the construction has read it.
+pub(crate) fn ball_sets(balls: &BallTable, prefix_len: usize) -> Vec<Vec<VertexId>> {
+    (0..balls.len())
+        .map(|u| {
+            let ball = balls.ball(VertexId(u as u32));
+            let members = ball.members();
+            members[..prefix_len.min(members.len())].iter().map(|&(v, _)| v).collect()
+        })
+        .collect()
+}
+
+/// A shortest-path tree spanning `V` per root, in `roots` order: one full
+/// Dijkstra each, fanned out over per-worker search workspaces.
+pub(crate) fn global_trees(g: &Graph, roots: &[VertexId]) -> Result<Vec<TreeScheme>, BuildError> {
+    let _span = routing_obs::span("global-trees");
+    routing_par::par_map_scratch(
+        roots.len(),
+        || SearchScratch::for_graph(g),
+        |scratch, i| {
+            scratch.dijkstra_into(g, roots[i]);
+            TreeScheme::from_scratch(g, scratch)
+                .map_err(|e| BuildError::TooSmall { what: e.to_string() })
+        },
+    )
+    .into_iter()
+    .collect()
+}
+
+/// Lemma 2 vicinities `B(u, ℓ)`, their Lemma 6 colouring and, per vertex and
+/// colour, the closest vicinity member of that colour — with the routing
+/// arms that read them.
+#[derive(Debug, Clone)]
+pub(crate) struct Vicinities {
+    /// The number of colours.
+    pub(crate) q: u32,
+    pub(crate) balls: BallTable,
+    /// The colour of every vertex, indexed by vertex id.
+    pub(crate) color_of: Vec<u32>,
+    /// Row-major `n × q`: entry `u·q + i` is the closest vertex of colour
+    /// `i` inside `B(u, ℓ)`.
+    color_rep: Vec<VertexId>,
+}
+
+impl Vicinities {
+    /// Stage one: the vicinities of `ell` members, with no colours yet
+    /// (`q = 0`). Draws nothing from the build's RNG, so it runs before the
+    /// landmark sample — alone on the heap, as the ball-table build is the
+    /// peak of a Theorem 11 build.
+    pub(crate) fn balls(g: &Graph, ell: usize) -> Self {
+        Vicinities {
+            q: 0,
+            balls: BallTable::build(g, ell),
+            color_of: Vec::new(),
+            color_rep: Vec::new(),
+        }
+    }
+
+    /// Stage two: colours the `prefix_len`-member prefixes of the vicinities
+    /// with `q` colours (the multilevel schemes colour level 1 of the one
+    /// stored ball; everyone else the whole ball) and picks the
+    /// representatives from the whole ball. Fails when the graph is too
+    /// small for a Lemma 6 colouring with `q` colours.
+    pub(crate) fn colour<R: Rng>(
+        self,
+        prefix_len: usize,
+        q: u32,
+        params: &Params,
+        rng: &mut R,
+    ) -> Result<Self, BuildError> {
+        let balls = self.balls;
+        let color_of: Vec<u32> = {
+            let _span = routing_obs::span("coloring");
+            let sets = ball_sets(&balls, prefix_len);
+            let coloring =
+                Coloring::build_for_sets(balls.len(), q, &sets, params.coloring_retries, rng)?;
+            (0..balls.len()).map(|v| coloring.color(VertexId(v as u32))).collect()
+        };
+        let _span = routing_obs::span("color-reps");
+        let color_rep = build_color_reps(&balls, &color_of, q as usize);
+        Ok(Vicinities { q, balls, color_of, color_rep })
+    }
+
+    pub(crate) fn color(&self, v: VertexId) -> u32 {
+        self.color_of[v.index()]
+    }
+
+    /// True when `v ∈ B(at, ℓ)`: Lemma 2 forwarding from `at` reaches it on
+    /// a shortest path (Property 1 keeps it visible along the way).
+    #[inline]
+    pub(crate) fn sees(&self, at: VertexId, v: VertexId) -> bool {
+        self.balls.contains(at, v)
+    }
+
+    /// One Lemma 2 forwarding step from `at` towards `target`; `what` names
+    /// the target's role in the error a missing entry produces.
+    #[inline]
+    pub(crate) fn toward(
+        &self,
+        at: VertexId,
+        target: VertexId,
+        what: &str,
+    ) -> Result<Decision, RouteError> {
+        self.balls.first_port(at, target).map(Decision::Forward).ok_or_else(|| {
+            RouteError::MissingInformation {
+                at,
+                what: format!("{what} {target} left the vicinity"),
+            }
+        })
+    }
+
+    /// The representative of `colour` stored at `u`. The colour is label
+    /// data: one from another instance may name no colour of this one, which
+    /// is [`RouteError::BadLabel`].
+    #[inline]
+    pub(crate) fn rep(&self, u: VertexId, colour: u32) -> Result<VertexId, RouteError> {
+        if colour >= self.q {
+            return Err(RouteError::BadLabel {
+                what: format!("colour {colour} is not one of this instance's {} colours", self.q),
+            });
+        }
+        Ok(self.color_rep[u.index() * self.q as usize + colour as usize])
+    }
+
+    /// The representatives stored at `u`, indexed by colour.
+    pub(crate) fn reps_at(&self, u: VertexId) -> &[VertexId] {
+        let q = self.q as usize;
+        &self.color_rep[u.index() * q..(u.index() + 1) * q]
+    }
+
+    /// Words `u` stores: its vicinity and one representative per colour.
+    pub(crate) fn words_at(&self, u: VertexId) -> usize {
+        self.balls.words_at(u) + self.q as usize
+    }
+}
+
+/// For every vertex and every colour, the closest vicinity member of that
+/// colour: the settle order is by distance, so the first member of each
+/// colour is the closest.
+fn build_color_reps(balls: &BallTable, color_of: &[u32], q: usize) -> Vec<VertexId> {
+    let mut reps = Vec::with_capacity(balls.len() * q);
+    let mut found = vec![false; q];
+    for u in (0..balls.len()).map(|u| VertexId(u as u32)) {
+        // Colours missing from the vicinity (possible at tiny scales when
+        // the colouring repair had to give up on balance) fall back to the
+        // vertex itself; routing then starts the technique directly at `u`,
+        // which is still correct, merely without the paper's guarantee
+        // that `d(u, w) <= d(u, v)`.
+        let row = reps.len();
+        reps.resize(row + q, u);
+        found.fill(false);
+        for &(v, _) in balls.ball(u).members() {
+            let c = color_of[v.index()] as usize;
+            if !found[c] {
+                found[c] = true;
+                reps[row + c] = v;
+            }
+        }
+    }
+    reps
+}
+
+/// Lemma 4 landmarks `A` with clusters of `O(n^{1/3})` vertices, the cluster
+/// trees `T_{C_A(w)}` and every vertex's bunch `B_A(v)`.
+#[derive(Debug, Clone)]
+pub(crate) struct Clusters {
+    pub(crate) landmarks: Landmarks,
+    /// Cluster tree of every vertex, indexed by vertex id.
+    cluster_trees: Vec<TreeScheme>,
+    /// `B_A(v)` with distances, per vertex.
+    bunch_of: Vec<Vec<(VertexId, Weight)>>,
+}
+
+impl Clusters {
+    /// Samples `Õ(n^{2/3})` landmarks (the density Theorems 10 and 11 both
+    /// prescribe) and builds the cluster family around them. Also hands back
+    /// the raw cluster searches, which are build-only: Theorem 10 reads its
+    /// intersection minima off them, Theorem 11 drops them at once.
+    pub(crate) fn build<R: Rng>(
+        g: &Graph,
+        params: &Params,
+        rng: &mut R,
+    ) -> Result<(Self, Vec<RestrictedTree>), BuildError> {
+        let n = g.n();
+        let s = ((params.landmark_scale * (n as f64).powf(2.0 / 3.0)).ceil() as usize).clamp(1, n);
+        let landmarks = sample_centers_bounded(g, s, rng);
+        let raw = all_clusters(g, &landmarks);
+        let bunch_of = bunches(g, &raw);
+        let _span = routing_obs::span("cluster-trees");
+        let cluster_trees = routing_par::par_map(&raw, |tree| {
+            TreeScheme::from_restricted(g, tree)
+                .map_err(|e| BuildError::TooSmall { what: e.to_string() })
+        })
+        .into_iter()
+        .collect::<Result<_, _>>()?;
+        Ok((Clusters { landmarks, cluster_trees, bunch_of }, raw))
+    }
+
+    /// The label of `v` in the cluster tree of `root`, if `v ∈ C_A(root)`.
+    #[inline]
+    pub(crate) fn label_in(&self, root: VertexId, v: VertexId) -> Option<TreeLabel> {
+        self.cluster_trees[root.index()].label(v)
+    }
+
+    /// [`Clusters::label_in`] where the scheme's invariants promise
+    /// `v ∈ C_A(root)`: a miss is [`RouteError::MissingInformation`].
+    #[inline]
+    pub(crate) fn label_in_cluster(
+        &self,
+        root: VertexId,
+        v: VertexId,
+    ) -> Result<TreeLabel, RouteError> {
+        self.label_in(root, v).ok_or_else(|| RouteError::MissingInformation {
+            at: root,
+            what: format!("{v} is not in the cluster of {root}"),
+        })
+    }
+
+    /// One routing step at `at` on the cluster tree of `root`.
+    #[inline]
+    pub(crate) fn step(
+        &self,
+        root: VertexId,
+        at: VertexId,
+        label: &TreeLabel,
+    ) -> Result<Decision, RouteError> {
+        self.cluster_trees[root.index()].step(at, label)
+    }
+
+    /// Words `u` stores: tree-routing information of every cluster
+    /// containing it and the labels of its own cluster's members.
+    pub(crate) fn membership_words(&self, u: VertexId) -> usize {
+        let member_of: usize = self.bunch_of[u.index()]
+            .iter()
+            .map(|&(w, _)| self.cluster_trees[w.index()].table_words(u))
+            .sum();
+        member_of + self.cluster_trees[u.index()].labels_words()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use routing_graph::generators::{self, Family, WeightModel};
+    use routing_model::simulate_lean_with_label;
+
+    use crate::{
+        BuildContext, HittingStrategy, SchemeBuilder, SchemeFivePlusEps, SchemeMultilevel,
+        SchemeThreePlusEps, SchemeTwoPlusEps, Thm10Builder, Thm11Builder, Thm13Builder,
+        WarmupBuilder,
+    };
+
+    fn assert_same_vicinities(key: &str, kept: &Vicinities, direct: &Vicinities) {
+        assert_eq!(kept.q, direct.q, "{key}: q");
+        assert_eq!(kept.balls, direct.balls, "{key}: balls");
+        assert_eq!(kept.color_of, direct.color_of, "{key}: colours");
+        assert_eq!(kept.color_rep, direct.color_rep, "{key}: representatives");
+    }
+
+    fn assert_same_clusters(key: &str, g: &Graph, kept: &Clusters, direct: &Clusters) {
+        assert_eq!(kept.landmarks.members(), direct.landmarks.members(), "{key}: landmarks");
+        for u in g.vertices() {
+            assert_eq!(kept.membership_words(u), direct.membership_words(u), "{key}: words at {u}");
+            for v in g.vertices() {
+                assert_eq!(
+                    kept.label_in(u, v),
+                    direct.label_in(u, v),
+                    "{key}: label of {v} in T({u})"
+                );
+            }
+        }
+    }
+
+    /// The stages, run directly in the order and with the RNG a scheme build
+    /// prescribes, produce what each of the five registry keys retains — on
+    /// the instance the committed `table1` goldens are generated from.
+    #[test]
+    fn stages_built_directly_equal_what_every_registry_key_retains() {
+        let params = Params { hitting: HittingStrategy::Random, ..Params::with_epsilon(0.5) };
+        let ctx = BuildContext { params, seed: 7, threads: 0 };
+        let instance = |w| Family::ErdosRenyi.generate(60, w, &mut StdRng::seed_from_u64(7));
+        let unit = instance(WeightModel::Unit);
+        let weighted = instance(WeightModel::Uniform { lo: 1, hi: 32 });
+
+        let b = params.scaled(8, 60);
+        let warmup = SchemeThreePlusEps::build(&weighted, &params, &mut ctx.rng()).unwrap();
+        let direct = Vicinities::balls(&weighted, b).colour(b, 8, &params, &mut ctx.rng()).unwrap();
+        assert_same_vicinities("warmup", &warmup.vic, &direct);
+        for (levels, key) in [(2, "thm13"), (4, "thm15")] {
+            let kept = SchemeMultilevel::build(&weighted, levels, key, &params, &mut ctx.rng());
+            let ell = (b * levels).min(60);
+            let direct = Vicinities::balls(&weighted, ell).colour(b, 8, &params, &mut ctx.rng());
+            assert_same_vicinities(key, &kept.unwrap().vic, &direct.unwrap());
+        }
+
+        let ell = params.scaled(4, 60);
+        let thm10 = SchemeTwoPlusEps::build(&unit, &params, &mut ctx.rng()).unwrap();
+        let mut rng = ctx.rng();
+        let (clusters, _) = Clusters::build(&unit, &params, &mut rng).unwrap();
+        let direct = Vicinities::balls(&unit, ell).colour(ell, 4, &params, &mut rng).unwrap();
+        assert_same_vicinities("thm10", &thm10.vic, &direct);
+        assert_same_clusters("thm10", &unit, &thm10.clusters, &clusters);
+
+        let thm11 = SchemeFivePlusEps::build(&weighted, &params, &mut ctx.rng()).unwrap();
+        let mut rng = ctx.rng();
+        let (clusters, _) = Clusters::build(&weighted, &params, &mut rng).unwrap();
+        let direct = Vicinities::balls(&weighted, ell).colour(ell, 4, &params, &mut rng).unwrap();
+        assert_same_vicinities("thm11", &thm11.vic, &direct);
+        assert_same_clusters("thm11", &weighted, &thm11.clusters, &clusters);
+    }
+
+    /// A label is data from outside: one taken from an instance four times
+    /// the size names colours this instance does not have. Routing with it
+    /// is an error — never an index panic — on every scheme.
+    #[test]
+    fn a_label_from_a_larger_instance_is_an_error_not_a_panic() {
+        let graph = |n: usize| {
+            let mut rng = StdRng::seed_from_u64(n as u64);
+            generators::erdos_renyi(n, 8.0 / n as f64, WeightModel::Unit, &mut rng)
+        };
+        let (small_g, large_g) = (graph(60), graph(240));
+        let ctx = BuildContext::with_seed(3);
+        let builders: [&dyn SchemeBuilder; 4] =
+            [&WarmupBuilder, &Thm10Builder, &Thm11Builder, &Thm13Builder];
+        for builder in builders {
+            let key = builder.key();
+            let small = builder.build(&small_g, &ctx).unwrap();
+            let large = builder.build(&large_g, &ctx).unwrap();
+            let mut foreign_colours = 0;
+            for v in large_g.vertices() {
+                let label = large.label_of(v);
+                for u in small_g.vertices().step_by(7) {
+                    match simulate_lean_with_label(&small_g, small.as_ref(), u, v, &label, 256) {
+                        Err(RouteError::BadLabel { what }) if what.contains("colour") => {
+                            foreign_colours += 1;
+                        }
+                        Ok(_) | Err(_) => {}
+                    }
+                }
+            }
+            assert!(foreign_colours > 0, "{key}: no label named a colour >= q");
+        }
+    }
+}

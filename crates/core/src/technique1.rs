@@ -24,7 +24,8 @@ use routing_tree::{TreeLabel, TreeScheme};
 use routing_vicinity::{hitting_set_greedy, hitting_set_random, BallTable};
 
 use crate::params::HittingStrategy;
-use crate::seq::{sequence_words, HopKind, SeqEntry};
+use crate::seq::{push_hops, sequence_words, walk_round, KeyedStore, SeqEntry};
+use crate::stages;
 use crate::{BuildError, Params};
 
 /// A stored routing sequence for one (source, destination) pair.
@@ -63,31 +64,6 @@ impl HeaderSize for Technique1Header {
     }
 }
 
-/// The flat per-source sequence store: one CSR slot per source vertex with
-/// id-sorted destination keys, in the PR 4 `BallTable`/`FlatBunches` style.
-/// Replaces the former `HashMap<(u, v), StoredSeq>` — a lookup is one
-/// binary search over the source's contiguous slot, and the resident
-/// memory is three flat arrays instead of a hash table of tuple keys.
-#[derive(Debug, Clone)]
-struct SeqStore {
-    /// `offsets[u] .. offsets[u + 1]` delimits `u`'s slot in `dests` /
-    /// `stored` (empty for vertices whose partition set is a singleton).
-    offsets: Vec<usize>,
-    /// Destination keys, id-sorted within each source slot.
-    dests: Vec<VertexId>,
-    /// `stored[i]` is the sequence for destination `dests[i]`.
-    stored: Vec<StoredSeq>,
-}
-
-impl SeqStore {
-    /// The stored sequence at `u` for `v`, if the pair shares a set.
-    fn get(&self, u: VertexId, v: VertexId) -> Option<&StoredSeq> {
-        let lo = self.offsets[u.index()];
-        let hi = self.offsets[u.index() + 1];
-        self.dests[lo..hi].binary_search(&v).ok().map(|i| &self.stored[lo + i])
-    }
-}
-
 /// The Lemma 7 router. It is designed to be *embedded* in the full schemes:
 /// the schemes own the shared [`BallTable`] and pass it to
 /// [`Technique1Router::step`], while the router owns the hitting-set trees
@@ -100,7 +76,8 @@ pub struct Technique1Router {
     /// tree lookups.
     hitting: Vec<VertexId>,
     trees: Vec<TreeScheme>,
-    seqs: SeqStore,
+    /// At `u`, per same-set destination `v`: the stored sequence.
+    seqs: KeyedStore<StoredSeq>,
     /// Per-vertex word count of the stored sequences (precomputed).
     seq_words: Vec<usize>,
     b: usize,
@@ -112,56 +89,37 @@ impl Technique1Router {
     /// distinct vertices sharing a set index.
     ///
     /// `balls` must have been built with the `q̃` the scheme uses; the same
-    /// table must later be passed to [`Technique1Router::step`].
+    /// table must later be passed to [`Technique1Router::step`]. The caller
+    /// has run [`stages::check`] on `(g, params)`: the global shortest-path
+    /// trees must span `V`.
     ///
     /// # Errors
     ///
-    /// Returns an error if the graph is disconnected (global shortest-path
-    /// trees must span `V`) or the parameters are invalid.
-    pub fn build<R: Rng>(
+    /// Returns an error if a global tree cannot be laid out.
+    pub(crate) fn build<R: Rng>(
         g: &Graph,
         balls: &BallTable,
         set_of: Vec<u32>,
         params: &Params,
         rng: &mut R,
     ) -> Result<Self, BuildError> {
-        params.validate().map_err(|what| BuildError::BadParameter { what })?;
-        if !g.is_connected() {
-            return Err(BuildError::Disconnected);
-        }
         assert_eq!(set_of.len(), g.n(), "set_of must cover every vertex");
         let b = params.b_lemma7();
         let _span = routing_obs::span("technique1");
 
         // Lemma 5: a hitting set for every vicinity.
-        let span_hitting = routing_obs::span("hitting-set");
-        let ball_sets: Vec<Vec<VertexId>> = g
-            .vertices()
-            .map(|u| balls.ball(u).members().iter().map(|&(v, _)| v).collect())
-            .collect();
-        let hitting = match params.hitting {
-            HittingStrategy::Greedy => hitting_set_greedy(g.n(), &ball_sets),
-            HittingStrategy::Random => hitting_set_random(g.n(), &ball_sets, rng),
+        let hitting = {
+            let _span = routing_obs::span("hitting-set");
+            let ball_sets = stages::ball_sets(balls, balls.ell());
+            match params.hitting {
+                HittingStrategy::Greedy => hitting_set_greedy(g.n(), &ball_sets),
+                HittingStrategy::Random => hitting_set_random(g.n(), &ball_sets, rng),
+            }
         };
-        drop(span_hitting);
 
-        // Global shortest-path trees for the hitting set: one full Dijkstra
-        // plus a heavy-path decomposition per hitting-set vertex, all
-        // independent — fan them out, one reused search workspace per worker.
-        // These searches stay *full*: every tree must span V.
-        let span_trees = routing_obs::span("global-trees");
-        let trees: Vec<TreeScheme> = routing_par::par_map_scratch(
-            hitting.len(),
-            || SearchScratch::for_graph(g),
-            |scratch, i| {
-                scratch.dijkstra_into(g, hitting[i]);
-                TreeScheme::from_scratch(g, scratch)
-                    .map_err(|e| BuildError::TooSmall { what: e.to_string() })
-            },
-        )
-        .into_iter()
-        .collect::<Result<_, _>>()?;
-        drop(span_trees);
+        // Global shortest-path trees for the hitting set. These searches
+        // stay *full*: every tree must span V.
+        let trees = stages::global_trees(g, &hitting)?;
         let _span_seqs = routing_obs::span("sequences");
 
         // Group vertices by set: sort once by (set, id) and take the
@@ -176,8 +134,8 @@ impl Technique1Router {
         // is an ancestor of a member, settled before it — so the search
         // stops at the member settled last instead of paying for the whole
         // graph. The per-source work items run in parallel; the merge below
-        // fills the CSR slots in vertex order, making the result
-        // independent of the thread count.
+        // fills the store in vertex order, making the result independent of
+        // the thread count.
         let mut sources: Vec<(VertexId, &[VertexId])> = Vec::new();
         let mut run_start = 0usize;
         for i in 1..=by_set.len() {
@@ -196,16 +154,6 @@ impl Technique1Router {
         }
         sources.sort_unstable_by_key(|&(u, _)| u);
 
-        // CSR offsets for the flat store: one destination slot per same-set
-        // ordered pair, keyed in member (= id) order.
-        let mut offsets = vec![0usize; g.n() + 1];
-        for &(u, members) in &sources {
-            offsets[u.index() + 1] = members.len() - 1;
-        }
-        for i in 0..g.n() {
-            offsets[i + 1] += offsets[i];
-        }
-
         let per_source: Vec<Vec<StoredSeq>> = routing_par::par_map_scratch(
             sources.len(),
             || SearchScratch::for_graph(g),
@@ -217,27 +165,23 @@ impl Technique1Router {
                 let out = members
                     .iter()
                     .filter(|&&v| v != u)
-                    .map(|&v| build_sequence(g, balls, scratch, u, v, b, &hitting, &trees))
+                    .map(|&v| build_sequence(g, balls, scratch, v, b, &hitting, &trees))
                     .collect();
                 routing_obs::counters::BUILD_SETTLED_VERTICES.add(scratch.order().len() as u64);
                 out
             },
         );
-        // One pass fills the flat store's slots directly *and* accumulates
-        // the word accounting: sources are sorted by vertex id, so pushing
-        // in iteration order lands every sequence exactly at its CSR slot.
-        let mut dests = Vec::with_capacity(offsets[g.n()]);
-        let mut stored = Vec::with_capacity(offsets[g.n()]);
+        // One pass fills the flat store *and* accumulates the word
+        // accounting: sources are sorted by vertex id and members by id, so
+        // the rows arrive in the `(u, v)` order the store wants.
         let mut seq_words = vec![0usize; g.n()];
-        for (&(u, members), stored_list) in sources.iter().zip(per_source) {
-            debug_assert_eq!(stored.len(), offsets[u.index()]);
-            for (&v, s) in members.iter().filter(|&&v| v != u).zip(stored_list) {
-                seq_words[u.index()] += 1 + s.words();
-                dests.push(v);
-                stored.push(s);
-            }
-        }
-        let seqs = SeqStore { offsets, dests, stored };
+        let rows = sources.iter().zip(per_source).flat_map(|(&(u, members), stored)| {
+            members.iter().filter(move |&&v| v != u).zip(stored).map(move |(&v, s)| (u, v, s))
+        });
+        let seqs = KeyedStore::from_sorted(
+            g.n(),
+            rows.inspect(|(u, _, s)| seq_words[u.index()] += 1 + s.words()),
+        );
 
         Ok(Technique1Router { set_of, hitting, trees, seqs, seq_words, b })
     }
@@ -342,17 +286,7 @@ impl Technique1Router {
             header.tree_mode = true;
             return self.tree_step(at, header);
         }
-        let target = header.seq[header.idx];
-        match target.hop {
-            HopKind::Edge(port) => Ok(Decision::Forward(port)),
-            HopKind::Ball => balls
-                .first_port(at, target.vertex)
-                .map(Decision::Forward)
-                .ok_or_else(|| RouteError::MissingInformation {
-                    at,
-                    what: format!("temporary target {} is outside B({at}, q̃)", target.vertex),
-                }),
-        }
+        header.seq[header.idx].forward(at, balls)
     }
 
     fn tree_step(&self, at: VertexId, header: &Technique1Header) -> Result<Decision, RouteError> {
@@ -386,12 +320,10 @@ impl Technique1Router {
 ///
 /// `hitting` is the id-sorted hitting set; `trees[i]` is the global tree
 /// of `hitting[i]`.
-#[allow(clippy::too_many_arguments)]
 fn build_sequence(
     g: &Graph,
     balls: &BallTable,
     spt_u: &mut SearchScratch,
-    _u: VertexId,
     v: VertexId,
     b: usize,
     hitting: &[VertexId],
@@ -404,52 +336,26 @@ fn build_sequence(
     let d_uv = spt_u.dist(v).expect("graph is connected");
     let mut entries: Vec<SeqEntry> = Vec::new();
     let mut pos = 0usize;
-    loop {
-        let xi = path[pos];
-        if balls.contains(xi, v) {
-            entries.push(SeqEntry::ball(v));
-            return StoredSeq { entries, final_tree_label: None };
-        }
-        // First vertex on the remaining path outside B(xi, q̃); it exists
-        // because v itself is outside.
-        let mut j = pos + 1;
-        while balls.contains(xi, path[j]) {
-            j += 1;
-        }
-        let zi = path[j];
-        let yi = path[j - 1];
-        if zi == v {
-            if yi != xi {
-                entries.push(SeqEntry::ball(yi));
-            }
-            let port = g.port_to(yi, v).expect("consecutive path vertices are adjacent");
-            entries.push(SeqEntry::edge(v, port));
-            return StoredSeq { entries, final_tree_label: None };
-        }
+    while let Some(next) = walk_round(g, balls, &path, pos, &mut entries) {
+        let (xi, zi) = (path[pos], path[next]);
         let d_xi_zi: Weight = spt_u.dist(zi).expect("on path") - spt_u.dist(xi).expect("on path");
         if (d_xi_zi as u128) * (b as u128) < d_uv as u128 {
             // Progress below the threshold s = d(u,v)/b: finish via a
             // hitting-set vertex of B(xi, q̃).
-            let w = balls
+            let (tree_idx, w) = balls
                 .ball(xi)
                 .members()
                 .iter()
-                .map(|&(m, _)| m)
-                .find(|m| hitting.binary_search(m).is_ok())
+                .find_map(|&(m, _)| hitting.binary_search(&m).ok().map(|i| (i, m)))
                 .expect("hitting set hits every vicinity");
-            let tree_idx =
-                hitting.binary_search(&w).expect("w was found in the hitting set above");
             let label = trees[tree_idx].label(v).expect("global tree spans every vertex");
             entries.push(SeqEntry::ball(w));
             return StoredSeq { entries, final_tree_label: Some(label) };
         }
-        if yi != xi {
-            entries.push(SeqEntry::ball(yi));
-        }
-        let port = g.port_to(yi, zi).expect("consecutive path vertices are adjacent");
-        entries.push(SeqEntry::edge(zi, port));
-        pos = j;
+        push_hops(g, &path, pos, next, &mut entries);
+        pos = next;
     }
+    StoredSeq { entries, final_tree_label: None }
 }
 
 /// The standalone Lemma 7 routing scheme: routes between any two vertices of
@@ -483,7 +389,7 @@ impl Technique1Scheme {
         params: &Params,
         rng: &mut R,
     ) -> Result<Self, BuildError> {
-        params.validate().map_err(|what| BuildError::BadParameter { what })?;
+        stages::check(g, params)?;
         let q = set_of.iter().copied().max().map(|m| m as usize + 1).unwrap_or(1);
         let ell = params.scaled(q, g.n());
         let balls = BallTable::build(g, ell);

@@ -19,13 +19,12 @@
 //! the sequence and it is not `w`, that vertex swaps in its own sequence for
 //! `w` and forwarding continues.
 
-use std::collections::HashMap;
-
 use routing_graph::{Graph, SearchScratch, VertexId, Weight};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
 use routing_vicinity::BallTable;
 
-use crate::seq::{sequence_words, HopKind, SeqEntry};
+use crate::seq::{push_hops, sequence_words, walk_round, KeyedStore, SeqEntry};
+use crate::stages;
 use crate::{BuildError, Params};
 
 /// The header carried by a message routed with the second technique.
@@ -53,8 +52,8 @@ pub struct Technique2Router {
     /// Per vertex: its index `j` in the destination partition `W`, or
     /// `NO_SET` outside `W`.
     dest_set_of: Vec<u32>,
-    // lint:allow(det-hash-iter): keyed sequence lookup at query time; never iterated
-    seqs: HashMap<(VertexId, VertexId), Vec<SeqEntry>>,
+    /// At `u ∈ U_j`, per destination `w ∈ W_j`: the stored sequence.
+    seqs: KeyedStore<Vec<SeqEntry>>,
     seq_words: Vec<usize>,
     b: usize,
 }
@@ -73,20 +72,15 @@ impl Technique2Router {
     /// the shortest path instead of stopping early, so routing stays correct
     /// but the sequence may be longer than `2b·log(nD)`).
     ///
-    /// # Errors
-    ///
-    /// Returns an error for invalid parameters or a disconnected graph.
-    pub fn build(
+    /// The caller has run [`stages::check`] on `(g, params)`: every source
+    /// must reach every destination.
+    pub(crate) fn build(
         g: &Graph,
         balls: &BallTable,
         color_of: Vec<u32>,
         dest_partition: &[Vec<VertexId>],
         params: &Params,
-    ) -> Result<Self, BuildError> {
-        params.validate().map_err(|what| BuildError::BadParameter { what })?;
-        if !g.is_connected() {
-            return Err(BuildError::Disconnected);
-        }
+    ) -> Self {
         assert_eq!(color_of.len(), g.n(), "color_of must cover every vertex");
         let b = params.b_lemma8();
         let _span = routing_obs::span("technique2");
@@ -98,11 +92,13 @@ impl Technique2Router {
             }
         }
 
-        // Group the sources by color.
-        // lint:allow(det-hash-iter): read by key (classes.get) only; each class vec is filled in deterministic vertex order
-        let mut classes: HashMap<u32, Vec<VertexId>> = HashMap::new();
+        // Group the sources by color; a color no destination set is
+        // indexed by has no sequences to store.
+        let mut classes: Vec<Vec<VertexId>> = vec![Vec::new(); dest_partition.len()];
         for v in g.vertices() {
-            classes.entry(color_of[v.index()]).or_default().push(v);
+            if let Some(class) = classes.get_mut(color_of[v.index()] as usize) {
+                class.push(v);
+            }
         }
 
         // One Dijkstra per destination `w`, then a sequence per matched
@@ -110,8 +106,10 @@ impl Technique2Router {
         // below runs in a fixed (j, w) order so the router is identical for
         // every thread count.
         let mut work: Vec<(u32, VertexId, &[VertexId])> = Vec::new();
-        for (j, dests) in dest_partition.iter().enumerate() {
-            let Some(sources) = classes.get(&(j as u32)) else { continue };
+        for (j, (dests, sources)) in dest_partition.iter().zip(&classes).enumerate() {
+            if sources.is_empty() {
+                continue;
+            }
             for &w in dests {
                 work.push((j as u32, w, sources.as_slice()));
             }
@@ -141,17 +139,19 @@ impl Technique2Router {
                 out
             },
         );
-        // lint:allow(det-hash-iter): filled per key in deterministic work order, read by key at query time; never iterated
-        let mut seqs = HashMap::new();
-        let mut seq_words = vec![0usize; g.n()];
-        for (&(_, w, _), entries_list) in work.iter().zip(per_dest) {
-            for (u, entries) in entries_list {
-                seq_words[u.index()] += 1 + sequence_words(&entries);
-                seqs.insert((u, w), entries);
-            }
+        // The work ran destination-major; the store wants `(u, w)` order.
+        let mut rows = Vec::with_capacity(per_dest.iter().map(Vec::len).sum());
+        for (&(_, w, _), list) in work.iter().zip(per_dest) {
+            rows.extend(list.into_iter().map(|(u, entries)| (u, w, entries)));
         }
+        rows.sort_unstable_by_key(|&(u, w, _)| (u, w));
+        let mut seq_words = vec![0usize; g.n()];
+        for (u, _, entries) in &rows {
+            seq_words[u.index()] += 1 + sequence_words(entries);
+        }
+        let seqs = KeyedStore::from_sorted(g.n(), rows);
 
-        Ok(Technique2Router { color_of, dest_set_of, seqs, seq_words, b })
+        Technique2Router { color_of, dest_set_of, seqs, seq_words, b }
     }
 
     /// Lemma 8's round budget `b = ⌈2/ε⌉ + 1`.
@@ -171,7 +171,7 @@ impl Technique2Router {
 
     /// True if `u` stores a sequence for destination `w`.
     pub fn has_sequence(&self, u: VertexId, w: VertexId) -> bool {
-        self.seqs.contains_key(&(u, w))
+        self.seqs.get(u, w).is_some()
     }
 
     /// Builds the header for a message starting its Lemma 8 phase at `at`
@@ -185,7 +185,7 @@ impl Technique2Router {
         if at == dest {
             return Ok(Technique2Header { seq: Vec::new(), idx: 0 });
         }
-        let seq = self.seqs.get(&(at, dest)).ok_or_else(|| RouteError::MissingInformation {
+        let seq = self.seqs.get(at, dest).ok_or_else(|| RouteError::MissingInformation {
             at,
             what: format!("no Lemma 8 sequence for destination {dest} at this vertex"),
         })?;
@@ -220,7 +220,7 @@ impl Technique2Router {
             if header.idx + 1 < header.seq.len() {
                 header.idx += 1;
             } else {
-                let next = self.seqs.get(&(at, dest)).ok_or_else(|| {
+                let next = self.seqs.get(at, dest).ok_or_else(|| {
                     RouteError::MissingInformation {
                         at,
                         what: format!(
@@ -239,17 +239,7 @@ impl Technique2Router {
                 });
             }
         }
-        let target = header.seq[header.idx];
-        match target.hop {
-            HopKind::Edge(port) => Ok(Decision::Forward(port)),
-            HopKind::Ball => balls
-                .first_port(at, target.vertex)
-                .map(Decision::Forward)
-                .ok_or_else(|| RouteError::MissingInformation {
-                    at,
-                    what: format!("temporary target {} is outside B({at}, q̃)", target.vertex),
-                }),
-        }
+        header.seq[header.idx].forward(at, balls)
     }
 
     /// The words Lemma 8 charges to `v`: the stored sequences (the shared
@@ -294,26 +284,12 @@ fn build_t2_sequence(
     let mut thr_num: u128 = 2;
     loop {
         let mut count = 0usize;
-        loop {
+        while count < 2 * b {
+            let Some(next) = walk_round(g, balls, path, pos, &mut entries) else {
+                return entries;
+            };
             let xi = path[pos];
-            if balls.contains(xi, w) {
-                entries.push(SeqEntry::ball(w));
-                return entries;
-            }
-            let mut jdx = pos + 1;
-            while balls.contains(xi, path[jdx]) {
-                jdx += 1;
-            }
-            let zi = path[jdx];
-            let yi = path[jdx - 1];
-            if zi == w {
-                if yi != xi {
-                    entries.push(SeqEntry::ball(yi));
-                }
-                entries.push(SeqEntry::edge(w, g.port_to(yi, w).expect("path edge")));
-                return entries;
-            }
-            let d_xi_zi = dist_to_w(xi) - dist_to_w(zi);
+            let d_xi_zi = dist_to_w(xi) - dist_to_w(path[next]);
             if (d_xi_zi as u128) * (b as u128) < thr_num {
                 // Below the threshold: hand over to a vertex of U_j inside
                 // the vicinity (guaranteed by the Lemma 8 assumption).
@@ -331,16 +307,8 @@ fn build_t2_sequence(
                 // scales): keep walking the path instead; routing stays
                 // correct, the sequence is just longer.
             }
-            if yi != xi {
-                entries.push(SeqEntry::ball(yi));
-                count += 1;
-            }
-            entries.push(SeqEntry::edge(zi, g.port_to(yi, zi).expect("path edge")));
-            count += 1;
-            pos = jdx;
-            if count >= 2 * b {
-                break;
-            }
+            count += push_hops(g, path, pos, next, &mut entries);
+            pos = next;
         }
         thr_num = thr_num.saturating_mul(2);
     }
@@ -378,11 +346,11 @@ impl Technique2Scheme {
         dest_partition: Vec<Vec<VertexId>>,
         params: &Params,
     ) -> Result<Self, BuildError> {
-        params.validate().map_err(|what| BuildError::BadParameter { what })?;
+        stages::check(g, params)?;
         let q = dest_partition.len().max(1);
         let ell = params.scaled(q, g.n());
         let balls = BallTable::build(g, ell);
-        let router = Technique2Router::build(g, &balls, color_of, &dest_partition, params)?;
+        let router = Technique2Router::build(g, &balls, color_of, &dest_partition, params);
         Ok(Technique2Scheme { n: g.n(), epsilon: params.epsilon, balls, router })
     }
 
@@ -474,6 +442,7 @@ mod tests {
     use routing_graph::generators::{self, WeightModel};
     use routing_model::simulate;
     use routing_vicinity::Coloring;
+    use std::collections::HashMap;
 
     /// Builds a Lemma-6-style coloring of the graph's vicinities so the
     /// Lemma 8 assumption holds, and an arbitrary partition of `dests`.
@@ -486,11 +455,7 @@ mod tests {
     ) -> (Vec<u32>, Vec<Vec<VertexId>>) {
         let mut rng = StdRng::seed_from_u64(seed);
         let ell = params.scaled(q as usize, g.n());
-        let balls = BallTable::build(g, ell);
-        let sets: Vec<Vec<VertexId>> = g
-            .vertices()
-            .map(|u| balls.ball(u).members().iter().map(|&(v, _)| v).collect())
-            .collect();
+        let sets = stages::ball_sets(&BallTable::build(g, ell), ell);
         let coloring = Coloring::build_for_sets(g.n(), q, &sets, 8, &mut rng).unwrap();
         let color_of: Vec<u32> = g.vertices().map(|v| coloring.color(v)).collect();
         let mut dest_partition = vec![Vec::new(); q as usize];
@@ -527,6 +492,80 @@ mod tests {
             }
         }
         assert!(checked > 0);
+    }
+
+    /// The router's sequence table as the `HashMap` build filled it before
+    /// the keyed store replaced it, verbatim; only the return value changed.
+    fn reference_seqs(
+        g: &Graph,
+        balls: &BallTable,
+        color_of: &[u32],
+        dest_partition: &[Vec<VertexId>],
+        b: usize,
+    ) -> HashMap<(VertexId, VertexId), Vec<SeqEntry>> {
+        let mut classes: HashMap<u32, Vec<VertexId>> = HashMap::new();
+        for v in g.vertices() {
+            classes.entry(color_of[v.index()]).or_default().push(v);
+        }
+        let mut work: Vec<(u32, VertexId, &[VertexId])> = Vec::new();
+        for (j, dests) in dest_partition.iter().enumerate() {
+            let Some(sources) = classes.get(&(j as u32)) else { continue };
+            for &w in dests {
+                work.push((j as u32, w, sources.as_slice()));
+            }
+        }
+        let per_dest: Vec<Vec<(VertexId, Vec<SeqEntry>)>> = routing_par::par_map_scratch(
+            work.len(),
+            || SearchScratch::for_graph(g),
+            |scratch, i| {
+                let (j, w, sources) = work[i];
+                scratch.dijkstra_targets_into(g, w, sources);
+                sources
+                    .iter()
+                    .filter(|&&u| u != w)
+                    .map(|&u| {
+                        let mut path = scratch.path_to(u).expect("graph is connected");
+                        path.reverse(); // now u -> w
+                        (u, build_t2_sequence(g, balls, scratch, &path, w, j, color_of, b))
+                    })
+                    .collect()
+            },
+        );
+        let mut seqs = HashMap::new();
+        for (&(_, w, _), entries_list) in work.iter().zip(per_dest) {
+            for (u, entries) in entries_list {
+                seqs.insert((u, w), entries);
+            }
+        }
+        seqs
+    }
+
+    #[test]
+    fn keyed_store_equals_the_hashmap_build_it_replaced() {
+        let params = Params::with_epsilon(0.5);
+        for (name, g) in crate::test_support::equivalence_graphs() {
+            let dests: Vec<VertexId> = g.vertices().filter(|v| v.0 % 3 == 0).collect();
+            let (color_of, dest_partition) = setup(&g, 4, dests, &params, 9);
+            let balls = BallTable::build(&g, params.scaled(4, g.n()));
+            for threads in [1, 4] {
+                routing_par::set_threads(threads);
+                let router =
+                    Technique2Router::build(&g, &balls, color_of.clone(), &dest_partition, &params);
+                let reference =
+                    reference_seqs(&g, &balls, &color_of, &dest_partition, params.b_lemma8());
+                assert!(!reference.is_empty());
+                for u in g.vertices() {
+                    let mut words = 0;
+                    for w in g.vertices() {
+                        let stored = reference.get(&(u, w));
+                        assert_eq!(router.seqs.get(u, w), stored, "{name} x{threads}: ({u}, {w})");
+                        words += stored.map_or(0, |s| 1 + sequence_words(s));
+                    }
+                    assert_eq!(router.table_words(u), words, "{name} x{threads}: words at {u}");
+                }
+            }
+            routing_par::set_threads(routing_par::available_threads());
+        }
     }
 
     #[test]

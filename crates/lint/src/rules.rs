@@ -107,13 +107,17 @@ pub const WORKSPACE_CRATES: &[CrateSpec] = &[
 /// `model::simulate_lean*` + `record_delivery` (zero-alloc simulation),
 /// `serve::engine`/`snapshot` (the serving data plane), the `obs`
 /// disabled paths (span/metric fast-outs that run even when telemetry is
-/// off), and the `vicinity::balls` slot probe every scheme runs per hop.
+/// off), the `vicinity::balls` slot probe every scheme runs per hop, and
+/// the query arms every `routing-core` scheme shares (`stages`' vicinity and
+/// cluster arms, `seq`'s keyed-store lookup).
 pub const HOT_PATHS: &[(&str, HotScope)] = &[
     ("crates/graph/src/scratch.rs", HotScope::File),
     (
         "crates/vicinity/src/balls.rs",
         HotScope::FnPrefixes(&["find", "contains", "first_port", "dist", "rank"]),
     ),
+    ("crates/core/src/stages.rs", HotScope::FnPrefixes(&["sees", "toward", "rep", "label_in"])),
+    ("crates/core/src/seq.rs", HotScope::FnPrefixes(&["get"])),
     ("crates/model/src/simulator.rs", HotScope::FnPrefixes(&["simulate_lean", "record_delivery"])),
     ("crates/serve/src/engine.rs", HotScope::File),
     ("crates/serve/src/snapshot.rs", HotScope::File),

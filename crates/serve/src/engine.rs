@@ -666,9 +666,11 @@ mod tests {
         assert_eq!(stats.len(), 2);
         assert_eq!(stats.iter().map(|s| s.queries).sum::<u64>(), 120);
         assert_eq!(stats.iter().map(|s| s.errors).sum::<u64>(), 0);
-        // The caller routes part of every batch, the helper of those it makes.
-        assert_eq!(stats[0].batches, 3);
-        assert!(stats[1].batches <= 3);
+        // A lane counts a batch when it routed a chunk of it. Some lane did
+        // for each of the three, but not always the caller: a polling helper
+        // can claim all three chunks before the caller's first claim.
+        assert!(stats.iter().all(|s| s.batches <= 3));
+        assert!(stats.iter().map(|s| s.batches).sum::<u64>() >= 3);
         for s in &stats {
             assert_eq!(s.latency.count(), s.queries, "histogram covers every query");
         }
