@@ -152,7 +152,7 @@ impl SchemeTwoPlusEps {
         Ok(SchemeTwoPlusEps {
             n,
             epsilon: params.epsilon,
-            vic,
+            vic: vic.retain(),
             clusters,
             rep_dist,
             global_trees,

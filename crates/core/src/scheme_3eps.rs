@@ -85,7 +85,7 @@ impl SchemeThreePlusEps {
         let ell = params.scaled(q as usize, n);
         let vic = Vicinities::balls(g, ell).colour(ell, q, params, rng)?;
         let router = Technique1Router::build(g, &vic.balls, vic.color_of.clone(), params, rng)?;
-        Ok(SchemeThreePlusEps { n, epsilon: params.epsilon, vic, router })
+        Ok(SchemeThreePlusEps { n, epsilon: params.epsilon, vic: vic.retain(), router })
     }
 
     /// The number of colors `q = ⌈√n⌉`.

@@ -183,6 +183,7 @@ impl SchemeFivePlusEps {
         let router =
             Technique2Router::build(g, &vic.balls, vic.color_of.clone(), &dest_partition, params);
 
+        let vic = vic.retain();
         Ok(SchemeFivePlusEps { n, epsilon: params.epsilon, vic, clusters, router, first_edge })
     }
 

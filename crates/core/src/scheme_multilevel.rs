@@ -5,9 +5,10 @@
 //! order: because a vicinity of size `t·b` contains the vicinity of size
 //! `b` as a prefix of its member list, **one** stored ball of size `ℓ·b`
 //! answers membership queries for every level — `v` is in the level-`t`
-//! vicinity of `u` iff [`routing_vicinity::BallView::rank`]`(v) < t·b`. Vertices therefore
-//! store a single [`routing_vicinity::BallTable`] of the top-level size and derive all `ℓ`
-//! levels from ranks, paying one table instead of `ℓ`.
+//! vicinity of `u` iff [`routing_vicinity::BallPorts::rank`]`(u, v) < t·b`.
+//! Vertices therefore store a single [`routing_vicinity::BallPorts`] of the
+//! top-level size and derive all `ℓ` levels from ranks, paying one table
+//! instead of `ℓ`.
 //!
 //! Routing from `u` to `v`: exact Lemma 2 forwarding when `v` is in `u`'s
 //! stored (top-level) ball; otherwise walk towards the remembered color
@@ -127,6 +128,7 @@ impl SchemeMultilevel {
         let inner = Params { epsilon: params.epsilon / 2.0, ..*params };
         let router = Technique1Router::build(g, &vic.balls, vic.color_of.clone(), &inner, rng)?;
 
+        let vic = vic.retain();
         Ok(SchemeMultilevel { name, n, epsilon: params.epsilon, levels, level_base, vic, router })
     }
 
@@ -158,14 +160,14 @@ impl SchemeMultilevel {
     }
 
     /// The smallest level `t ∈ 1..=levels` whose vicinity of `u` contains
-    /// `v`, derived from the single stored ball via [`routing_vicinity::BallView::rank`]:
+    /// `v`, derived from the single stored ball via [`routing_vicinity::BallPorts::rank`]:
     /// `v` is in level `t` iff `rank < t · level_base`. `None` when `v` is
     /// outside the top-level (stored) ball.
     ///
     /// This is the multilevel substrate: one table answers membership at
     /// every level, no per-level storage.
     pub fn member_level(&self, u: VertexId, v: VertexId) -> Option<usize> {
-        let rank = self.vic.balls.ball(u).rank(v)?;
+        let rank = self.vic.balls.rank(u, v)?;
         let t = rank / self.level_base + 1;
         (t <= self.levels).then_some(t)
     }
@@ -339,8 +341,12 @@ mod tests {
         let scheme =
             SchemeMultilevel::build(&g, 4, "thm15", &Params::with_epsilon(0.5), &mut rng).unwrap();
         let b = scheme.level_base();
+        // The scheme keeps the ports only; the member lists come from a
+        // table of the same size.
+        let balls = routing_vicinity::BallTable::build(&g, scheme.vic.balls.ell());
+        assert_eq!(scheme.vic.balls, *balls);
         for u in g.vertices() {
-            let view = scheme.vic.balls.ball(u);
+            let view = balls.ball(u);
             // Level 1 membership: exactly the b-prefix of the stored ball.
             assert_eq!(scheme.member_level(u, u), Some(1), "center is level-1");
             for (rank, &(v, _)) in view.members().iter().enumerate() {

@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 
 use routing_graph::{Graph, Port, VertexId};
 use routing_model::{Decision, RouteError};
-use routing_vicinity::BallTable;
+use routing_vicinity::{BallPorts, BallTable};
 
 /// How a temporary target is reached from the previous one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -62,7 +62,7 @@ impl SeqEntry {
     /// this entry: the stored port for an edge hop, Lemma 2 forwarding for
     /// a ball hop.
     #[inline]
-    pub(crate) fn forward(self, at: VertexId, balls: &BallTable) -> Result<Decision, RouteError> {
+    pub(crate) fn forward(self, at: VertexId, balls: &BallPorts) -> Result<Decision, RouteError> {
         match self.hop {
             HopKind::Edge(port) => Ok(Decision::Forward(port)),
             HopKind::Ball => {

@@ -14,7 +14,10 @@
 //! Each stage opens the spans it always had (`balls`; `centers`, `clusters`,
 //! `bunches`, `cluster-trees`; `coloring`, `color-reps`; `global-trees`),
 //! returns what a scheme keeps for routing, and drops its build-only arrays
-//! on return.
+//! on return — except the vicinities' member lists, which the technique
+//! routers still read: a builder holds `Vicinities<BallTable>` until its
+//! last build-time reader has run and stores [`Vicinities::retain`]'s
+//! result, the ports alone.
 
 use rand::Rng;
 
@@ -23,7 +26,7 @@ use routing_graph::{Graph, SearchScratch, VertexId, Weight};
 use routing_model::{Decision, RouteError, RoutingScheme};
 use routing_tree::{TreeLabel, TreeScheme};
 use routing_vicinity::{
-    all_clusters, bunches, sample_centers_bounded, BallTable, Coloring, Landmarks,
+    all_clusters, bunches, sample_centers_bounded, BallPorts, BallTable, Coloring, Landmarks,
 };
 
 use crate::{BuildError, Params};
@@ -70,12 +73,13 @@ pub(crate) fn global_trees(g: &Graph, roots: &[VertexId]) -> Result<Vec<TreeSche
 
 /// Lemma 2 vicinities `B(u, ℓ)`, their Lemma 6 colouring and, per vertex and
 /// colour, the closest vicinity member of that colour — with the routing
-/// arms that read them.
+/// arms that read them. `B` is the full [`BallTable`] while a scheme is
+/// being built and [`BallPorts`] in the scheme.
 #[derive(Debug, Clone)]
-pub(crate) struct Vicinities {
+pub(crate) struct Vicinities<B = BallPorts> {
     /// The number of colours.
     pub(crate) q: u32,
-    pub(crate) balls: BallTable,
+    pub(crate) balls: B,
     /// The colour of every vertex, indexed by vertex id.
     pub(crate) color_of: Vec<u32>,
     /// Row-major `n × q`: entry `u·q + i` is the closest vertex of colour
@@ -83,7 +87,7 @@ pub(crate) struct Vicinities {
     color_rep: Vec<VertexId>,
 }
 
-impl Vicinities {
+impl Vicinities<BallTable> {
     /// Stage one: the vicinities of `ell` members, with no colours yet
     /// (`q = 0`). Draws nothing from the build's RNG, so it runs before the
     /// landmark sample — alone on the heap, as the ball-table build is the
@@ -122,6 +126,23 @@ impl Vicinities {
         Ok(Vicinities { q, balls, color_of, color_rep })
     }
 
+    /// Drops the member lists: call once nothing of the build reads them
+    /// any more.
+    pub(crate) fn retain(self) -> Vicinities {
+        let Vicinities { q, balls, color_of, color_rep } = self;
+        Vicinities { q, balls: balls.into_ports(), color_of, color_rep }
+    }
+}
+
+impl<B> Vicinities<B> {
+    /// The representatives stored at `u`, indexed by colour.
+    pub(crate) fn reps_at(&self, u: VertexId) -> &[VertexId] {
+        let q = self.q as usize;
+        &self.color_rep[u.index() * q..(u.index() + 1) * q]
+    }
+}
+
+impl Vicinities {
     pub(crate) fn color(&self, v: VertexId) -> u32 {
         self.color_of[v.index()]
     }
@@ -161,12 +182,6 @@ impl Vicinities {
             });
         }
         Ok(self.color_rep[u.index() * self.q as usize + colour as usize])
-    }
-
-    /// The representatives stored at `u`, indexed by colour.
-    pub(crate) fn reps_at(&self, u: VertexId) -> &[VertexId] {
-        let q = self.q as usize;
-        &self.color_rep[u.index() * q..(u.index() + 1) * q]
     }
 
     /// Words `u` stores: its vicinity and one representative per colour.
@@ -293,9 +308,16 @@ mod tests {
         WarmupBuilder,
     };
 
-    fn assert_same_vicinities(key: &str, kept: &Vicinities, direct: &Vicinities) {
+    /// `kept` is what a built scheme holds, `direct` the stages' output
+    /// before [`Vicinities::retain`]: same ports and ranks, and of the
+    /// vicinities nothing but the 16-byte-a-member slot table.
+    fn assert_same_vicinities(key: &str, kept: &Vicinities, direct: &Vicinities<BallTable>) {
         assert_eq!(kept.q, direct.q, "{key}: q");
-        assert_eq!(kept.balls, direct.balls, "{key}: balls");
+        assert_eq!(kept.balls, *direct.balls, "{key}: ports and ranks");
+        let n = direct.balls.len();
+        let members: usize = (0..n).map(|u| direct.balls.ball(VertexId(u as u32)).len()).sum();
+        let bytes = kept.balls.heap_bytes();
+        assert!(bytes <= 16 * members + 40 * n + 64, "{key}: {bytes} B for {members} members");
         assert_eq!(kept.color_of, direct.color_of, "{key}: colours");
         assert_eq!(kept.color_rep, direct.color_rep, "{key}: representatives");
     }

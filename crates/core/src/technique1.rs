@@ -21,7 +21,7 @@ use rand::Rng;
 use routing_graph::{Graph, SearchScratch, VertexId, Weight};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
 use routing_tree::{TreeLabel, TreeScheme};
-use routing_vicinity::{hitting_set_greedy, hitting_set_random, BallTable};
+use routing_vicinity::{hitting_set_greedy, hitting_set_random, BallPorts, BallTable};
 
 use crate::params::HittingStrategy;
 use crate::seq::{push_hops, sequence_words, walk_round, KeyedStore, SeqEntry};
@@ -65,9 +65,10 @@ impl HeaderSize for Technique1Header {
 }
 
 /// The Lemma 7 router. It is designed to be *embedded* in the full schemes:
-/// the schemes own the shared [`BallTable`] and pass it to
-/// [`Technique1Router::step`], while the router owns the hitting-set trees
-/// and the per-pair sequences.
+/// the schemes own the shared ball table — the full [`BallTable`] for
+/// `Technique1Router::build`, of which they keep the [`BallPorts`] to pass
+/// to [`Technique1Router::step`] — while the router owns the hitting-set
+/// trees and the per-pair sequences.
 #[derive(Debug, Clone)]
 pub struct Technique1Router {
     set_of: Vec<u32>,
@@ -89,7 +90,7 @@ impl Technique1Router {
     /// distinct vertices sharing a set index.
     ///
     /// `balls` must have been built with the `q̃` the scheme uses; the same
-    /// table must later be passed to [`Technique1Router::step`]. The caller
+    /// table's ports must later be passed to [`Technique1Router::step`]. The caller
     /// has run [`stages::check`] on `(g, params)`: the global shortest-path
     /// trees must span `V`.
     ///
@@ -238,7 +239,7 @@ impl Technique1Router {
 
     /// One local routing decision of the Lemma 7 phase at vertex `at`.
     ///
-    /// `balls` must be the same table the router was built with.
+    /// `balls` must be the ports of the table the router was built with.
     ///
     /// # Errors
     ///
@@ -249,7 +250,7 @@ impl Technique1Router {
         at: VertexId,
         header: &mut Technique1Header,
         dest: VertexId,
-        balls: &BallTable,
+        balls: &BallPorts,
     ) -> Result<Decision, RouteError> {
         if at == dest {
             return Ok(Decision::Deliver);

@@ -21,7 +21,7 @@
 
 use routing_graph::{Graph, SearchScratch, VertexId, Weight};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
-use routing_vicinity::BallTable;
+use routing_vicinity::{BallPorts, BallTable};
 
 use crate::seq::{push_hops, sequence_words, walk_round, KeyedStore, SeqEntry};
 use crate::stages;
@@ -44,8 +44,9 @@ impl HeaderSize for Technique2Header {
 const NO_SET: u32 = u32::MAX;
 
 /// The Lemma 8 router, designed to be embedded in the full schemes. The
-/// embedding scheme owns the shared [`BallTable`] and passes it to
-/// [`Technique2Router::step`].
+/// embedding scheme owns the shared ball table: the full [`BallTable`] for
+/// `Technique2Router::build`, of which it keeps the [`BallPorts`] to pass
+/// to [`Technique2Router::step`].
 #[derive(Debug, Clone)]
 pub struct Technique2Router {
     color_of: Vec<u32>,
@@ -203,7 +204,7 @@ impl Technique2Router {
         at: VertexId,
         header: &mut Technique2Header,
         dest: VertexId,
-        balls: &BallTable,
+        balls: &BallPorts,
     ) -> Result<Decision, RouteError> {
         if at == dest {
             return Ok(Decision::Deliver);

@@ -114,7 +114,15 @@ pub const HOT_PATHS: &[(&str, HotScope)] = &[
     ("crates/graph/src/scratch.rs", HotScope::File),
     (
         "crates/vicinity/src/balls.rs",
-        HotScope::FnPrefixes(&["find", "contains", "first_port", "dist", "rank"]),
+        HotScope::FnPrefixes(&[
+            "find",
+            "contains",
+            "first_port",
+            "dist",
+            "rank",
+            "csr_range",
+            "member_range",
+        ]),
     ),
     ("crates/core/src/stages.rs", HotScope::FnPrefixes(&["sees", "toward", "rep", "label_in"])),
     ("crates/core/src/seq.rs", HotScope::FnPrefixes(&["get"])),

@@ -10,23 +10,31 @@
 //! # Memory layout
 //!
 //! The table is stored **flat**: all `n` balls share parallel arrays indexed
-//! through two CSR offset tables, instead of one `Ball` object plus one
-//! `HashMap` per vertex. Per vertex `u` the table keeps
+//! through CSR offset tables, instead of one `Ball` object plus one
+//! `HashMap` per vertex, and it is split by who reads it.
 //!
-//! * its members `(v, d(u, v))` in `(distance, id)` settle order (what
-//!   [`BallView::members`] exposes and the sequence builders iterate), with
-//!   the first hop towards each member alongside, and
-//! * one static open-addressing region of 12-byte `[member, port, rank]`
-//!   slots at load ≤ 3/4, its members placed in ascending hash order, so the
-//!   query-path operations — [`BallTable::contains`], [`BallTable::dist`],
-//!   [`BallTable::first_port`], [`BallView::rank`] — are one probe of about
-//!   two adjacent slots, for members and non-members alike (see
+//! * [`BallPorts`] is what Lemma 2 *forwarding* reads, and all a built
+//!   scheme retains: per vertex one static open-addressing region of 12-byte
+//!   `[member, port, rank]` slots at load ≤ 3/4 (16 bytes a member), its
+//!   members placed in ascending hash order, so [`BallPorts::contains`],
+//!   [`BallPorts::first_port`] and [`BallPorts::rank`] are one probe of
+//!   about two adjacent slots, for members and non-members alike (see
 //!   `docs/ARCHITECTURE.md`, "Search kernel & memory layout").
+//! * [`BallTable`] is [`BallPorts`] plus what only *preprocessing* reads:
+//!   the members `(v, d(u, v))` of every ball in `(distance, id)` settle
+//!   order (what [`BallView::members`] exposes and the colouring,
+//!   hitting-set and sequence builders iterate; another 16 bytes a member)
+//!   and the radii. It dereferences to its ports, and
+//!   [`BallTable::into_ports`] drops the rest once the last build-time
+//!   reader has run.
 //!
 //! Building runs one *bounded* ball search per vertex
 //! ([`SearchScratch::ball_into`], which stops after `ℓ` settled vertices) on
-//! a per-worker reusable workspace, so the build allocates nothing per
-//! vertex beyond the table itself.
+//! a per-worker reusable workspace and appends the results to the final
+//! arrays a block of vertices at a time, so the build never holds a second
+//! copy of more than one block.
+
+use std::ops::{Deref, Range};
 
 use routing_graph::scratch::SearchScratch;
 use routing_graph::{Graph, Port, VertexId, Weight};
@@ -35,9 +43,6 @@ use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
 /// Sentinel port stored for the ball's center (which has no first hop).
 const NO_PORT: Port = Port(u32::MAX);
 
-/// Sentinel in `first_hops` for the ball's center.
-const NO_HOP: u32 = u32::MAX;
-
 /// One slot of a vertex's open-addressing region: `[member id, port, rank]`.
 type Slot = [u32; 3];
 
@@ -45,6 +50,11 @@ type Slot = [u32; 3];
 /// probing, so a foreign `VertexId(u32::MAX)` cannot match it.
 const EMPTY_KEY: u32 = u32::MAX;
 const EMPTY: Slot = [EMPTY_KEY; 3];
+
+/// [`BallTable::build`] appends the balls to the final arrays in this many
+/// blocks of consecutive vertices, so the per-vertex search results live
+/// beside them are a sixteenth of the table.
+const BUILD_BLOCKS: usize = 16;
 
 /// The slot hash: a fixed bijection on `u32` (odd multiplier), so equal
 /// hashes mean equal ids and hash order is a total order on members.
@@ -66,118 +76,47 @@ fn home_slot(h: u32, cap: usize) -> usize {
     ((u64::from(h) * cap as u64) >> 32) as usize
 }
 
-/// The balls `B(u, ℓ)` of every vertex, with the routing information of
-/// Lemma 2 (first-hop port towards every member), in flat CSR form.
+/// Entry `i` of a CSR offset array: `offsets[i]..offsets[i + 1]`, or `None`
+/// when `i` is not a vertex of the table. Offsets are `usize` — `n·ℓ`
+/// passes `u32::MAX` near `n = 2·10⁵` at Theorem 15's `ℓ`.
+#[inline]
+fn csr_range(offsets: &[usize], i: usize) -> Option<Range<usize>> {
+    Some(*offsets.get(i)?..*offsets.get(i + 1)?)
+}
+
+/// What a lookup reads of a vertex before the slots themselves, in one
+/// 16-byte entry: where its open-addressing region starts in the slot array
+/// and how many members are hashed onto it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Region {
+    /// Offset into the slot array: a `usize`, like a [`BallTable`]'s member
+    /// offsets.
+    start: usize,
+    /// At most `n`, so it fits the width of a vertex id.
+    members: u32,
+}
+
+/// What Lemma 2 forwarding reads of the balls `B(u, ℓ)`: for every vertex
+/// `u` and member `v`, the port at `u` on a shortest path towards `v` and
+/// `v`'s rank in `u`'s `(distance, id)` order. This is the part of a
+/// [`BallTable`] a scheme keeps for routing.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BallTable {
+pub struct BallPorts {
     ell: usize,
-    /// `offsets[u]..offsets[u+1]` indexes the member arrays for vertex `u`.
-    offsets: Vec<u32>,
-    /// Members with distances, per vertex in `(distance, id)` settle order
-    /// (center first).
-    members: Vec<(VertexId, Weight)>,
-    /// First hop from the center towards each member, aligned with
-    /// `members` (`NO_HOP` for the center).
-    first_hops: Vec<u32>,
-    /// `slot_off[u]..slot_off[u+1]` is the open-addressing region of `u`.
-    slot_off: Vec<u32>,
+    /// One entry per vertex, and a closing one of no members that starts
+    /// where the slots end: the region of `u` is
+    /// `regions[u].start..regions[u + 1].start`.
+    regions: Vec<Region>,
     /// Per vertex: its members in ascending [`slot_hash`] order, each at
     /// `max(home, previous + 1)`, never wrapping; the region's last slot is
     /// always [`EMPTY`].
     slots: Vec<Slot>,
-    /// The radius `r_u(ℓ)` of every ball.
-    radius: Vec<Weight>,
 }
 
-impl BallTable {
-    /// Computes `B(u, ℓ)` for every vertex `u` of `g`, together with the
-    /// first-hop ports Lemma 2 stores. The per-vertex bounded ball searches
-    /// are independent, so they fan out over [`routing_par::threads`]
-    /// threads, each worker reusing one search workspace; the resulting
-    /// table is identical for every thread count.
-    pub fn build(g: &Graph, ell: usize) -> Self {
-        let _span = routing_obs::span("balls");
-        let n = g.n();
-        type PerVertex = (Vec<(VertexId, Weight)>, Vec<Slot>, Weight);
-        let per_vertex: Vec<PerVertex> = routing_par::par_map_scratch(
-            n,
-            || (SearchScratch::for_graph(g), Vec::<Slot>::new()),
-            |(scratch, region), i| {
-                let u = VertexId(i as u32);
-                let radius = scratch.ball_into(g, u, ell);
-                let members = scratch.order().to_vec();
-                // Ordered insertion: walk from the home slot past smaller
-                // hashes, then carry every larger resident one slot right.
-                // The result is the placement of the members in ascending
-                // hash order at `max(home, previous + 1)`, whatever order
-                // they arrive in. `cap + len` slots hold the longest run.
-                let cap = slot_cap(members.len());
-                region.clear();
-                region.resize(cap + members.len() + 1, EMPTY);
-                let mut end = 0;
-                for (&(v, _), rank) in members.iter().zip(0u32..) {
-                    let port = if v == u {
-                        NO_PORT
-                    } else {
-                        let hop =
-                            scratch.first_hop(v).expect("non-center members have a first hop");
-                        g.port_to(u, hop).expect("first hop is a neighbour")
-                    };
-                    let mut slot = [v.0, port.0, rank];
-                    let mut at = home_slot(slot_hash(v.0), cap);
-                    while region[at][0] != EMPTY_KEY {
-                        if slot_hash(region[at][0]) > slot_hash(slot[0]) {
-                            std::mem::swap(&mut region[at], &mut slot);
-                        }
-                        at += 1;
-                    }
-                    region[at] = slot;
-                    end = end.max(at + 1);
-                }
-                // Keep `cap` slots, or more when the last run passes them;
-                // either way the region's last slot stays empty.
-                let slots = region[..cap.max(end + 1)].to_vec();
-                (members, slots, radius)
-            },
-        );
-
-        let total: usize = per_vertex.iter().map(|(m, _, _)| m.len()).sum();
-        let total_slots: usize = per_vertex.iter().map(|(_, s, _)| s.len()).sum();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut slot_off = Vec::with_capacity(n + 1);
-        let mut members = Vec::with_capacity(total);
-        let mut first_hops = vec![NO_HOP; total];
-        let mut slots = Vec::with_capacity(total_slots);
-        let mut radius = Vec::with_capacity(n);
-        offsets.push(0u32);
-        slot_off.push(0u32);
-        for (u, (m, s, r)) in g.vertices().zip(per_vertex) {
-            // The first hop towards a member is the far end of its port.
-            for &[_, port, rank] in s.iter().filter(|slot| slot[1] != NO_PORT.0) {
-                first_hops[members.len() + rank as usize] = g.neighbor_at(u, Port(port)).to.0;
-            }
-            members.extend(m);
-            slots.extend(s);
-            radius.push(r);
-            offsets.push(members.len() as u32);
-            slot_off.push(slots.len() as u32);
-        }
-        BallTable { ell, offsets, members, first_hops, slot_off, slots, radius }
-    }
-
+impl BallPorts {
     /// The ball size parameter `ℓ` the table was built with.
     pub fn ell(&self) -> usize {
         self.ell
-    }
-
-    #[inline]
-    fn range(&self, u: VertexId) -> std::ops::Range<usize> {
-        self.offsets[u.index()] as usize..self.offsets[u.index() + 1] as usize
-    }
-
-    /// A borrowed view of the ball of `u`.
-    pub fn ball(&self, u: VertexId) -> BallView<'_> {
-        BallView { table: self, u }
     }
 
     /// The slot of `v` in the region of `u`, or `None` when `v ∉ B(u, ℓ)` or
@@ -186,13 +125,12 @@ impl BallTable {
     /// hash proves absence, so a miss stops as early as a hit.
     #[inline]
     fn find(&self, u: VertexId, v: VertexId) -> Option<&Slot> {
-        if v.index() >= self.radius.len() {
+        if u.index().max(v.index()) >= self.len() {
             return None;
         }
-        let i = u.index();
-        let members = self.offsets.get(i + 1)? - self.offsets.get(i)?;
+        let region = self.regions.get(u.index())?;
         let h = slot_hash(v.0);
-        let start = *self.slot_off.get(i)? as usize + home_slot(h, slot_cap(members as usize));
+        let start = region.start + home_slot(h, slot_cap(region.members as usize));
         for slot in self.slots.get(start..)? {
             if slot[0] == v.0 {
                 return Some(slot);
@@ -209,47 +147,186 @@ impl BallTable {
         self.find(u, v).is_some()
     }
 
-    /// Distance from `u` to `v` if `v ∈ B(u, ℓ)`.
-    pub fn dist(&self, u: VertexId, v: VertexId) -> Option<Weight> {
-        let rank = self.find(u, v)?[2] as usize;
-        let base = *self.offsets.get(u.index())? as usize;
-        self.members.get(base + rank).map(|&(_, d)| d)
-    }
-
-    /// The first hop of a shortest path from `u` to `v`, if `v ∈ B(u, ℓ)`
-    /// and `v != u`.
-    pub fn first_hop(&self, u: VertexId, v: VertexId) -> Option<VertexId> {
-        self.ball(u).first_hop(v)
-    }
-
     /// The port at `u` on a shortest path towards ball member `v`.
     pub fn first_port(&self, u: VertexId, v: VertexId) -> Option<Port> {
         let port = Port(self.find(u, v)?[1]);
         (port != NO_PORT).then_some(port)
     }
 
+    /// The rank of `v` in the `(distance, id)` order of `B(u, ℓ)` (0 for `u`
+    /// itself), or `None` if `v` is not a member. Because balls are nested,
+    /// `rank(u, v) < k` is exactly the membership test `v ∈ B(u, k)` for any
+    /// `k` up to this ball's size.
+    pub fn rank(&self, u: VertexId, v: VertexId) -> Option<usize> {
+        self.find(u, v).map(|slot| slot[2] as usize)
+    }
+
     /// The open-addressing region of `u`: `[member id, port, rank]` slots,
     /// `[u32::MAX; 3]` where empty. Queries go through
-    /// [`BallTable::contains`] and friends; this view exists so tests can
+    /// [`BallPorts::contains`] and friends; this view exists so tests can
     /// hold the layout invariants.
     pub fn slot_region(&self, u: VertexId) -> &[[u32; 3]] {
-        &self.slots[self.slot_off[u.index()] as usize..self.slot_off[u.index() + 1] as usize]
+        match self.regions.get(u.index()..u.index() + 2) {
+            Some([region, next]) => &self.slots[region.start..next.start],
+            _ => &[],
+        }
     }
 
     /// The space Lemma 2 charges to `u`, in `O(log n)`-bit words: one id, one
     /// distance and one port word per ball member other than `u` itself.
     pub fn words_at(&self, u: VertexId) -> usize {
-        3 * (self.range(u).len().saturating_sub(1))
+        3 * self.regions.get(u.index()).map_or(0, |r| (r.members as usize).saturating_sub(1))
     }
 
     /// Number of vertices covered by the table.
     pub fn len(&self) -> usize {
-        self.offsets.len() - 1
+        self.regions.len() - 1
     }
 
     /// True if the table covers no vertices.
     pub fn is_empty(&self) -> bool {
-        self.offsets.len() <= 1
+        self.regions.len() <= 1
+    }
+
+    /// Bytes of heap the arrays hold, by capacity.
+    pub fn heap_bytes(&self) -> usize {
+        std::mem::size_of::<Region>() * self.regions.capacity()
+            + std::mem::size_of::<Slot>() * self.slots.capacity()
+    }
+}
+
+/// The balls `B(u, ℓ)` of every vertex in flat CSR form: the routing
+/// information of Lemma 2 ([`BallPorts`], which the table dereferences to)
+/// beside the member lists and radii preprocessing reads.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BallTable {
+    ports: BallPorts,
+    /// `offsets[u]..offsets[u + 1]` indexes `members` for vertex `u`.
+    offsets: Vec<usize>,
+    /// Members with distances, per vertex in `(distance, id)` settle order
+    /// (center first).
+    members: Vec<(VertexId, Weight)>,
+    /// The radius `r_u(ℓ)` of every ball.
+    radius: Vec<Weight>,
+}
+
+impl Deref for BallTable {
+    type Target = BallPorts;
+
+    fn deref(&self) -> &BallPorts {
+        &self.ports
+    }
+}
+
+impl BallTable {
+    /// Computes `B(u, ℓ)` for every vertex `u` of `g`, together with the
+    /// first-hop ports Lemma 2 stores. The per-vertex bounded ball searches
+    /// are independent, so they fan out over [`routing_par::threads`]
+    /// threads, each worker reusing one search workspace. The final arrays
+    /// are reserved up front and filled a block of consecutive vertices at a
+    /// time, in index order: at most one block of per-vertex results is live
+    /// beside them, and the table is identical for every thread count.
+    pub fn build(g: &Graph, ell: usize) -> Self {
+        let _span = routing_obs::span("balls");
+        let n = g.n();
+        let ball_len = ell.max(1).min(n);
+        let mut regions = Vec::with_capacity(n + 1);
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut members = Vec::with_capacity(n * ball_len);
+        let mut slots = Vec::with_capacity(n * (slot_cap(ball_len) + 2));
+        let mut radius = Vec::with_capacity(n);
+        offsets.push(0);
+        let block = n.div_ceil(BUILD_BLOCKS).max(1);
+        for first in (0..n).step_by(block) {
+            type PerVertex = (Vec<(VertexId, Weight)>, Vec<Slot>, Weight);
+            let per_vertex: Vec<PerVertex> = routing_par::par_map_scratch(
+                block.min(n - first),
+                || (SearchScratch::for_graph(g), Vec::<Slot>::new()),
+                |(scratch, region), i| {
+                    let u = VertexId((first + i) as u32);
+                    let radius = scratch.ball_into(g, u, ell);
+                    let members = scratch.order().to_vec();
+                    // Ordered insertion: walk from the home slot past smaller
+                    // hashes, then carry every larger resident one slot right.
+                    // The result is the placement of the members in ascending
+                    // hash order at `max(home, previous + 1)`, whatever order
+                    // they arrive in. `cap + len` slots hold the longest run.
+                    let cap = slot_cap(members.len());
+                    region.clear();
+                    region.resize(cap + members.len() + 1, EMPTY);
+                    let mut end = 0;
+                    for (&(v, _), rank) in members.iter().zip(0u32..) {
+                        let port = if v == u {
+                            NO_PORT
+                        } else {
+                            let hop =
+                                scratch.first_hop(v).expect("non-center members have a first hop");
+                            g.port_to(u, hop).expect("first hop is a neighbour")
+                        };
+                        let mut slot = [v.0, port.0, rank];
+                        let mut at = home_slot(slot_hash(v.0), cap);
+                        while region[at][0] != EMPTY_KEY {
+                            if slot_hash(region[at][0]) > slot_hash(slot[0]) {
+                                std::mem::swap(&mut region[at], &mut slot);
+                            }
+                            at += 1;
+                        }
+                        region[at] = slot;
+                        end = end.max(at + 1);
+                    }
+                    // Keep `cap` slots, or more when the last run passes them;
+                    // either way the region's last slot stays empty.
+                    let slots = region[..cap.max(end + 1)].to_vec();
+                    (members, slots, radius)
+                },
+            );
+            for (m, s, r) in per_vertex {
+                // A ball has at most `n` members, and ids are `u32`.
+                regions.push(Region { start: slots.len(), members: m.len() as u32 });
+                members.extend(m);
+                slots.extend(s);
+                radius.push(r);
+                offsets.push(members.len());
+            }
+        }
+        regions.push(Region { start: slots.len(), members: 0 });
+        // The reservations are upper estimates (a component smaller than ℓ,
+        // regions that needed no overflow slot): return the slack.
+        members.shrink_to_fit();
+        slots.shrink_to_fit();
+        BallTable { ports: BallPorts { ell, regions, slots }, offsets, members, radius }
+    }
+
+    /// Drops the member lists and radii: what is left is all that routing
+    /// reads.
+    pub fn into_ports(self) -> BallPorts {
+        self.ports
+    }
+
+    /// A borrowed view of the ball of `u`.
+    pub fn ball(&self, u: VertexId) -> BallView<'_> {
+        BallView { table: self, u }
+    }
+
+    /// The range of `u`'s members in the member array; empty for a `u`
+    /// outside `0..n`.
+    #[inline]
+    fn member_range(&self, u: VertexId) -> Range<usize> {
+        csr_range(&self.offsets, u.index()).unwrap_or(0..0)
+    }
+
+    /// Distance from `u` to `v` if `v ∈ B(u, ℓ)`.
+    pub fn dist(&self, u: VertexId, v: VertexId) -> Option<Weight> {
+        let rank = self.rank(u, v)?;
+        self.members.get(self.member_range(u).start + rank).map(|&(_, d)| d)
+    }
+
+    /// Bytes of heap the arrays hold, by capacity, the ports included.
+    pub fn heap_bytes(&self) -> usize {
+        self.ports.heap_bytes()
+            + std::mem::size_of::<usize>() * self.offsets.capacity()
+            + std::mem::size_of::<(VertexId, Weight)>() * self.members.capacity()
+            + std::mem::size_of::<Weight>() * self.radius.capacity()
     }
 }
 
@@ -272,7 +349,7 @@ impl BallView<'_> {
 
     /// Number of members (including the center).
     pub fn len(&self) -> usize {
-        self.table.range(self.u).len()
+        self.table.member_range(self.u).len()
     }
 
     /// True if the ball contains only its center or is empty.
@@ -282,7 +359,7 @@ impl BallView<'_> {
 
     /// Members in `(distance, id)` order, the center first.
     pub fn members(&self) -> &[(VertexId, Weight)] {
-        &self.table.members[self.table.range(self.u)]
+        &self.table.members[self.table.member_range(self.u)]
     }
 
     /// Returns true if `v` is in the ball.
@@ -297,19 +374,9 @@ impl BallView<'_> {
     }
 
     /// The rank of `v` in the `(distance, id)` order (0 for the center), or
-    /// `None` if `v` is not a member. Because balls are nested, `rank(v) < k`
-    /// is exactly the membership test `v ∈ B(u, k)` for any `k` up to this
-    /// ball's size.
+    /// `None` if `v` is not a member: [`BallPorts::rank`].
     pub fn rank(&self, v: VertexId) -> Option<usize> {
-        self.table.find(self.u, v).map(|slot| slot[2] as usize)
-    }
-
-    /// The first hop of a shortest path from the center to member `v`
-    /// (`None` if `v` is not a member or is the center itself).
-    pub fn first_hop(&self, v: VertexId) -> Option<VertexId> {
-        let rank = self.rank(v)?;
-        let hop = *self.table.first_hops.get(self.table.range(self.u).start + rank)?;
-        (hop != NO_HOP).then_some(VertexId(hop))
+        self.table.rank(self.u, v)
     }
 
     /// The largest distance value `r` such that every vertex at distance
@@ -440,10 +507,9 @@ mod tests {
             for &(v, d) in t.ball(u).members() {
                 assert_eq!(t.dist(u, v), Some(d));
                 if v != u {
-                    let hop = t.first_hop(u, v).unwrap();
-                    assert!(g.has_edge(u, hop));
                     let port = t.first_port(u, v).unwrap();
-                    assert_eq!(g.neighbor_at(u, port).to, hop);
+                    let hop = g.neighbor_at(u, port).to;
+                    assert_eq!(t.dist(hop, v), Some(d - g.neighbor_at(u, port).weight));
                 }
             }
         }
@@ -461,10 +527,6 @@ mod tests {
             &mut rng,
         );
         let t = BallTable::build(&g, 8);
-        // Every array is sized once: slack here is retained table memory.
-        assert_eq!(t.slots.len(), t.slots.capacity());
-        assert_eq!(t.members.len(), t.members.capacity());
-        assert_eq!(t.first_hops.len(), t.first_hops.capacity());
         for u in g.vertices() {
             let owned = ball(&g, u, 8);
             let view = t.ball(u);
@@ -477,9 +539,61 @@ mod tests {
                 assert_eq!(view.contains(v), owned.contains(v));
                 assert_eq!(view.dist_to(v), owned.dist_to(v));
                 assert_eq!(view.rank(v), owned.rank(v));
-                assert_eq!(view.first_hop(v), owned.first_hop(v));
+                let hop = t.first_port(u, v).map(|port| g.neighbor_at(u, port).to);
+                assert_eq!(hop, owned.first_hop(v));
             }
         }
+    }
+
+    /// The byte layout, pinned: 16 bytes a member retained (12-byte slots
+    /// at load 3/4) and 16 more while building (the member list). Per vertex
+    /// on top: the region entry (16 B), up to 8 B of `⌈4m/3⌉` rounding and
+    /// the overflow slots past `cap` — about one a vertex, whenever the
+    /// region's last slot is taken; build-only, the member offset and the
+    /// radius (8 B each). And no growth slack in any array, since slack
+    /// here is memory held for a scheme's lifetime.
+    #[test]
+    fn heap_bytes_hold_the_bytes_per_member_budget() {
+        let mut rng = StdRng::seed_from_u64(37);
+        let weights = generators::WeightModel::Uniform { lo: 1, hi: 9 };
+        let instances = [
+            ("er", generators::erdos_renyi(300, 0.03, generators::WeightModel::Unit, &mut rng), 60),
+            ("geometric", generators::random_geometric(300, 0.12, weights, &mut rng), 45),
+            ("grid", generators::grid(15, 20), 300),
+        ];
+        for (name, g, ell) in instances {
+            let n = g.n();
+            let t = BallTable::build(&g, ell);
+            let members: usize = g.vertices().map(|u| t.ball(u).len()).sum();
+            assert!(members > n, "{name}: balls are not trivial");
+            assert_eq!(t.members.len(), members);
+            assert_eq!(t.members.capacity(), t.members.len(), "{name}: members");
+            assert_eq!(t.radius.capacity(), t.radius.len(), "{name}: radius");
+            assert_eq!(t.slots.capacity(), t.slots.len(), "{name}: slots");
+            assert_eq!(t.offsets.capacity(), t.offsets.len(), "{name}: offsets");
+            assert_eq!(t.regions.capacity(), t.regions.len(), "{name}: regions");
+            let full = t.heap_bytes();
+            assert!(full <= 32 * members + 56 * n + 64, "{name}: {full} B for {members} members");
+            let ports = t.into_ports();
+            let kept = ports.heap_bytes();
+            assert!(kept <= 16 * members + 40 * n + 64, "{name}: {kept} B for {members} members");
+            assert_eq!(full - kept, 16 * members + 16 * n + 8, "{name}: what into_ports drops");
+        }
+    }
+
+    /// CSR offsets are `usize`: a table of more than `u32::MAX` members
+    /// (Theorem 15 at n ≈ 2·10⁵) keeps every range where it is instead of
+    /// wrapping into another vertex's.
+    #[test]
+    fn csr_ranges_do_not_wrap_past_u32_max() {
+        let big = u32::MAX as usize + 10;
+        let offsets = [0, big - 7, big, big + 5];
+        assert_eq!(csr_range(&offsets, 0), Some(0..big - 7));
+        assert_eq!(csr_range(&offsets, 1), Some(big - 7..big));
+        assert_eq!(csr_range(&offsets, 1).map(|r| r.len()), Some(7));
+        assert_eq!(csr_range(&offsets, 2), Some(big..big + 5));
+        assert_eq!(csr_range(&offsets, 3), None, "the closing offset starts no range");
+        assert_eq!(csr_range(&offsets, usize::MAX), None);
     }
 
     #[test]
@@ -599,8 +713,7 @@ mod tests {
                 assert!(!t.contains(u, v), "contains({u}, {v})");
                 assert_eq!(t.dist(u, v), None);
                 assert_eq!(t.first_port(u, v), None);
-                assert_eq!(t.first_hop(u, v), None);
-                assert_eq!(t.ball(u).rank(v), None);
+                assert_eq!(t.rank(u, v), None);
             }
             // Typed surface, then the erased one `simulate` drives.
             assert!(scheme.init_header(inside, &hostile).is_err());

@@ -22,21 +22,31 @@ use routing_graph::VertexId;
 /// given sets must be a valid vertex id. Empty input sets are ignored (they
 /// cannot be hit).
 pub fn hitting_set_greedy(n: usize, sets: &[Vec<VertexId>]) -> Vec<VertexId> {
-    let mut hit = vec![false; sets.len()];
-    // occurrences[v] = indices of the sets containing v.
-    let mut occurrences: Vec<Vec<usize>> = vec![Vec::new(); n];
+    assert!(u32::try_from(sets.len()).is_ok(), "set indices are stored as u32");
+    let mut hit: Vec<bool> = sets.iter().map(Vec::is_empty).collect();
+    // Count of unhit sets containing each vertex.
+    let mut gain = vec![0usize; n];
+    for &v in sets.iter().flatten() {
+        gain[v.index()] += 1;
+    }
+    // The inverted index as one CSR, sized by that counting pass:
+    // `occurrences[start[v]..start[v + 1]]` are the indices of the sets
+    // containing `v`, ascending.
+    let mut start = Vec::with_capacity(n + 1);
+    start.push(0usize);
+    for v in 0..n {
+        start.push(start[v] + gain[v]);
+    }
+    let mut occurrences = vec![0u32; start[n]];
+    let mut next = start.clone();
     for (i, set) in sets.iter().enumerate() {
-        if set.is_empty() {
-            hit[i] = true;
-        }
         for &v in set {
-            occurrences[v.index()].push(i);
+            occurrences[next[v.index()]] = i as u32;
+            next[v.index()] += 1;
         }
     }
     let mut remaining = hit.iter().filter(|&&h| !h).count();
     let mut result = Vec::new();
-    // Count of unhit sets containing each vertex.
-    let mut gain: Vec<usize> = occurrences.iter().map(Vec::len).collect();
     while remaining > 0 {
         let best = (0..n).max_by_key(|&v| (gain[v], std::cmp::Reverse(v))).expect("n > 0");
         if gain[best] == 0 {
@@ -44,7 +54,8 @@ pub fn hitting_set_greedy(n: usize, sets: &[Vec<VertexId>]) -> Vec<VertexId> {
             break;
         }
         result.push(VertexId(best as u32));
-        for &set_idx in &occurrences[best] {
+        for &set_idx in &occurrences[start[best]..start[best + 1]] {
+            let set_idx = set_idx as usize;
             if !hit[set_idx] {
                 hit[set_idx] = true;
                 remaining -= 1;

@@ -37,7 +37,7 @@ pub mod centers;
 pub mod coloring;
 pub mod hitting;
 
-pub use balls::{BallRoutingScheme, BallTable, BallView};
+pub use balls::{BallPorts, BallRoutingScheme, BallTable, BallView};
 pub use centers::{all_clusters, bunches, sample_centers_bounded, Landmarks};
 pub use coloring::{Coloring, ColoringError};
 pub use hitting::{hitting_set_greedy, hitting_set_random};

@@ -281,6 +281,15 @@ fn parallel_and_sequential_ground_truth_are_identical() {
 const SLOT_HASH_MULT: u32 = 0x9E37_79B1;
 const EMPTY_KEY: u32 = u32::MAX;
 
+/// `BallTable::build` at a given thread count; the caller holds
+/// `THREADS_LOCK`.
+fn ball_table_at(g: &Graph, ell: usize, threads: usize) -> BallTable {
+    routing_par::set_threads(threads);
+    let table = BallTable::build(g, ell);
+    routing_par::set_threads(routing_par::available_threads());
+    table
+}
+
 /// Holds `table` against `reference(u)` for **every** `(u, v)` pair, members
 /// and non-members alike, and checks the documented slot layout of every
 /// region: members in strictly ascending hash order, each at
@@ -289,18 +298,24 @@ const EMPTY_KEY: u32 = u32::MAX;
 /// slot that ends it.
 fn check_ball_table(g: &Graph, table: &BallTable, reference: impl Fn(VertexId) -> Ball) {
     let hash = |id: u32| id.wrapping_mul(SLOT_HASH_MULT);
+    // What a scheme retains of the table answers exactly as the table did.
+    let ports = table.clone().into_ports();
+    assert_eq!((ports.ell(), ports.len()), (table.ell(), g.n()));
     for u in g.vertices() {
         let owned = reference(u);
         let view = table.ball(u);
         assert_eq!(view.members(), owned.members(), "members of B({u})");
         assert_eq!(view.radius(), owned.radius());
+        assert_eq!(ports.words_at(u), 3 * (owned.members().len() - 1));
         for v in g.vertices() {
             assert_eq!(table.contains(u, v), owned.contains(v), "contains({u}, {v})");
             assert_eq!(table.dist(u, v), owned.dist_to(v));
             assert_eq!(view.rank(v), owned.rank(v));
-            assert_eq!(table.first_hop(u, v), owned.first_hop(v));
             let port = owned.first_hop(v).and_then(|hop| g.port_to(u, hop));
             assert_eq!(table.first_port(u, v), port);
+            assert_eq!(ports.contains(u, v), owned.contains(v), "ports.contains({u}, {v})");
+            assert_eq!(ports.rank(u, v), owned.rank(v), "ports.rank({u}, {v})");
+            assert_eq!(ports.first_port(u, v), port, "ports.first_port({u}, {v})");
         }
 
         let region = table.slot_region(u);
@@ -466,15 +481,34 @@ proptest! {
     ) {
         use routing_graph::reference;
         let _guard = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let build = |threads: usize| {
-            routing_par::set_threads(threads);
-            let table = BallTable::build(&g, ell);
-            routing_par::set_threads(routing_par::available_threads());
-            table
-        };
-        let table = build(1);
-        prop_assert!(table == build(4), "threads = 1 and threads = 4 built different tables");
+        let table = ball_table_at(&g, ell, 1);
+        prop_assert!(
+            table == ball_table_at(&g, ell, 4),
+            "threads = 1 and threads = 4 built different tables"
+        );
         check_ball_table(&g, &table, |u| reference::ball_hashmap(&g, u, ell));
+    }
+
+    /// The table is filled a block of `⌈n/16⌉` consecutive vertices at a
+    /// time: around the block count (one vertex a block, a last short block,
+    /// two a block) and at ℓ below, at and above `n`, both thread counts
+    /// still build the table the per-vertex reference search describes.
+    #[test]
+    fn blocked_ball_build_matches_reference_at_block_boundaries(seed in 1u64..500) {
+        use routing_graph::reference;
+        let _guard = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        for n in [1usize, 15, 16, 17, 33] {
+            let ties = WeightModel::Uniform { lo: 1, hi: 3 };
+            let g = generators::erdos_renyi(n, 0.25, ties, &mut StdRng::seed_from_u64(seed));
+            for ell in [1, n - 1, n, 2 * n] {
+                let table = ball_table_at(&g, ell, 1);
+                prop_assert!(
+                    table == ball_table_at(&g, ell, 4),
+                    "n = {}, ℓ = {}: thread counts differ", n, ell
+                );
+                check_ball_table(&g, &table, |u| reference::ball_hashmap(&g, u, ell));
+            }
+        }
     }
 
     /// The flat (sorted-slice) TZ bunch tables answer exactly like the
@@ -583,8 +617,8 @@ proptest! {
 }
 
 /// The slot table against the owned `shortest_path::ball` reference on every
-/// graph family, with weight ties, at `ℓ ∈ {1, 2, ⌈√n⌉, 40, n}` — and on two
-/// hostile id patterns: balls whose members form an arithmetic progression
+/// graph family, with weight ties, at `ℓ ∈ {1, 2, ⌈√n⌉, 40, n}`, built at
+/// thread counts 1 and 4 — and on two hostile id patterns: balls whose members form an arithmetic progression
 /// with a power-of-two stride, and a ball made of the ids with the smallest
 /// slot hashes, which all claim the first few home slots.
 #[test]
@@ -627,11 +661,14 @@ fn ball_table_answers_every_pair_on_every_family() {
     }
     graphs.push(("hash-clustered", clustered.build()));
 
+    let _guard = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for (name, g) in &graphs {
         let sqrt_n = (g.n() as f64).sqrt().ceil() as usize;
         for ell in [1, 2, sqrt_n, 40, g.n()] {
-            println!("{name}, ℓ = {ell}");
-            check_ball_table(g, &BallTable::build(g, ell), |u| ball(g, u, ell));
+            for threads in [1, 4] {
+                println!("{name}, ℓ = {ell}, threads = {threads}");
+                check_ball_table(g, &ball_table_at(g, ell, threads), |u| ball(g, u, ell));
+            }
         }
     }
 }
