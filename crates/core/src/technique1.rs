@@ -9,6 +9,14 @@
 //! routing *sequence* of at most `2⌈2/ε⌉` temporary targets along a shortest
 //! `u`–`v` path; if the sequence does not end at `v` it ends at a hitting-set
 //! vertex `w ∈ B(·, q̃)` and `u` additionally stores `v`'s label in `T(w)`.
+//! A sequence reads only a shortest `u`–`v` path and the distance from `u`
+//! to each vertex on it, so one search per source serves all its set's
+//! members. On a unit-weight graph — Theorems 10, 13 and 15 take those, and
+//! the warm-up is run on them — the searches come from
+//! [`BfsBatch`](routing_graph::BfsBatch), one bit-parallel BFS per 64
+//! consecutive sources, whose paths are the ones Dijkstra's `(distance, id)`
+//! rule picks; on a weighted graph each source runs a target-bounded
+//! Dijkstra that stops at its last set member.
 //!
 //! **Routing.** The sequence travels in the message header. The message hops
 //! from temporary target to temporary target (ball hops via Lemma 2, edge
@@ -18,7 +26,8 @@
 
 use rand::Rng;
 
-use routing_graph::{Graph, SearchScratch, VertexId, Weight};
+use routing_graph::scratch::BFS_BATCH_WIDTH;
+use routing_graph::{BfsBatch, Graph, SearchScratch, VertexId, Weight};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
 use routing_tree::{TreeLabel, TreeScheme};
 use routing_vicinity::{hitting_set_greedy, hitting_set_random, BallPorts, BallTable};
@@ -29,7 +38,7 @@ use crate::stages;
 use crate::{BuildError, Params};
 
 /// A stored routing sequence for one (source, destination) pair.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct StoredSeq {
     entries: Vec<SeqEntry>,
     /// When the last entry is a hitting-set vertex `w` (not the destination),
@@ -123,68 +132,42 @@ impl Technique1Router {
         let trees = stages::global_trees(g, &hitting)?;
         let _span_seqs = routing_obs::span("sequences");
 
-        // Group vertices by set: sort once by (set, id) and take the
-        // consecutive runs — each run is id-sorted, which is what makes the
-        // per-source destination slots of the flat store binary-searchable.
-        let mut by_set: Vec<VertexId> = g.vertices().collect();
-        by_set.sort_unstable_by_key(|&v| (set_of[v.index()], v));
+        // Sequences for every same-set ordered pair, from one search per
+        // source: a bit-parallel BFS per 64 sources on a unit-weight graph,
+        // a target-bounded Dijkstra per source otherwise. Both produce the
+        // same paths, and both keep the source order, so the result is
+        // independent of the kernel and of the thread count.
+        let by_set = sort_by_set(&set_of);
+        let sources = same_set_sources(&by_set, &set_of);
+        let walk = SeqBuilder { g, balls, b, hitting: &hitting, trees: &trees };
+        let stored = match BfsBatch::for_graph(g) {
+            Some(batch) => walk.by_batch_bfs(batch, &sources),
+            None => walk.by_dijkstra(&sources),
+        }?;
+        Ok(Self::assemble(g.n(), set_of, hitting, trees, &sources, stored, b))
+    }
 
-        // Sequences for every same-set ordered pair. Each source vertex `u`
-        // needs one *target-bounded* search — it only ever reads shortest
-        // paths to its own set members, and every vertex those paths visit
-        // is an ancestor of a member, settled before it — so the search
-        // stops at the member settled last instead of paying for the whole
-        // graph. The per-source work items run in parallel; the merge below
-        // fills the store in vertex order, making the result independent of
-        // the thread count.
-        let mut sources: Vec<(VertexId, &[VertexId])> = Vec::new();
-        let mut run_start = 0usize;
-        for i in 1..=by_set.len() {
-            let run_ends = i == by_set.len()
-                || set_of[by_set[i].index()] != set_of[by_set[run_start].index()];
-            if !run_ends {
-                continue;
-            }
-            let members = &by_set[run_start..i];
-            if members.len() >= 2 {
-                for &u in members {
-                    sources.push((u, members));
-                }
-            }
-            run_start = i;
-        }
-        sources.sort_unstable_by_key(|&(u, _)| u);
-
-        let per_source: Vec<Vec<StoredSeq>> = routing_par::par_map_scratch(
-            sources.len(),
-            || SearchScratch::for_graph(g),
-            |scratch, i| {
-                let (u, members) = sources[i];
-                let _frontier = routing_obs::span("settled-frontier");
-                scratch.dijkstra_targets_into(g, u, members);
-                routing_obs::counters::BUILD_EARLY_EXIT_SEARCHES.inc();
-                let out = members
-                    .iter()
-                    .filter(|&&v| v != u)
-                    .map(|&v| build_sequence(g, balls, scratch, v, b, &hitting, &trees))
-                    .collect();
-                routing_obs::counters::BUILD_SETTLED_VERTICES.add(scratch.order().len() as u64);
-                out
-            },
-        );
+    /// The router over its parts; `stored[k]` holds the sequences of
+    /// `sources[k]`, one per other member of its set, in member order.
+    fn assemble(
+        n: usize,
+        set_of: Vec<u32>,
+        hitting: Vec<VertexId>,
+        trees: Vec<TreeScheme>,
+        sources: &[(VertexId, &[VertexId])],
+        stored: Vec<Vec<StoredSeq>>,
+        b: usize,
+    ) -> Self {
         // One pass fills the flat store *and* accumulates the word
         // accounting: sources are sorted by vertex id and members by id, so
         // the rows arrive in the `(u, v)` order the store wants.
-        let mut seq_words = vec![0usize; g.n()];
-        let rows = sources.iter().zip(per_source).flat_map(|(&(u, members), stored)| {
+        let mut seq_words = vec![0usize; n];
+        let rows = sources.iter().zip(stored).flat_map(|(&(u, members), stored)| {
             members.iter().filter(move |&&v| v != u).zip(stored).map(move |(&v, s)| (u, v, s))
         });
-        let seqs = KeyedStore::from_sorted(
-            g.n(),
-            rows.inspect(|(u, _, s)| seq_words[u.index()] += 1 + s.words()),
-        );
-
-        Ok(Technique1Router { set_of, hitting, trees, seqs, seq_words, b })
+        let seqs =
+            KeyedStore::from_sorted(n, rows.inspect(|(u, _, s)| seq_words[u.index()] += 1 + s.words()));
+        Technique1Router { set_of, hitting, trees, seqs, seq_words, b }
     }
 
     /// The hitting set `H` used by the router.
@@ -311,52 +294,147 @@ impl Technique1Router {
     }
 }
 
-/// Computes the Lemma 7 sequence stored at `u` for `v`. `spt_u` holds the
-/// result of a target-bounded Dijkstra from `u`
-/// ([`SearchScratch::dijkstra_targets_into`]) whose targets included `v`.
-/// Every vertex this walk probes lies on the tree path to `v` — an
-/// ancestor of `v`, settled before it — so the probes stay inside the
-/// settled frontier; the `ensure_settled` below is the defensive fallback
-/// that resumes the search should `v` itself ever not be covered.
-///
-/// `hitting` is the id-sorted hitting set; `trees[i]` is the global tree
-/// of `hitting[i]`.
-fn build_sequence(
-    g: &Graph,
-    balls: &BallTable,
-    spt_u: &mut SearchScratch,
-    v: VertexId,
+/// Vertices sorted by `(set, id)`: each set is one consecutive run, and each
+/// run is id-sorted — which is what makes the per-source destination slots
+/// of the flat store binary-searchable.
+fn sort_by_set(set_of: &[u32]) -> Vec<VertexId> {
+    let mut by_set: Vec<VertexId> = (0..set_of.len() as u32).map(VertexId).collect();
+    by_set.sort_unstable_by_key(|&v| (set_of[v.index()], v));
+    by_set
+}
+
+/// Every vertex whose set has another member, with that set's run of
+/// `by_set`, sorted by vertex id.
+fn same_set_sources<'a>(by_set: &'a [VertexId], set_of: &[u32]) -> Vec<(VertexId, &'a [VertexId])> {
+    let mut sources: Vec<(VertexId, &[VertexId])> = by_set
+        .chunk_by(|a, b| set_of[a.index()] == set_of[b.index()])
+        .filter(|members| members.len() >= 2)
+        .flat_map(|members| members.iter().map(move |&u| (u, members)))
+        .collect();
+    sources.sort_unstable_by_key(|&(u, _)| u);
+    sources
+}
+
+/// What building a Lemma 7 sequence reads besides the path: the graph, the
+/// ball table, the round budget `b`, and the id-sorted hitting set with
+/// `trees[i]` the global tree of `hitting[i]`.
+struct SeqBuilder<'a> {
+    g: &'a Graph,
+    balls: &'a BallTable,
     b: usize,
-    hitting: &[VertexId],
-    trees: &[TreeScheme],
-) -> StoredSeq {
-    if !spt_u.is_settled(v) && spt_u.ensure_settled(g, v) {
-        routing_obs::counters::BUILD_FRONTIER_RESUMES.inc();
+    hitting: &'a [VertexId],
+    trees: &'a [TreeScheme],
+}
+
+impl SeqBuilder<'_> {
+    /// The sequences of every source in `sources`, from one bit-parallel
+    /// BFS per [`BFS_BATCH_WIDTH`] consecutive sources (unit-weight graphs:
+    /// `batch` exists only for those). On a unit-weight graph the `k`-th
+    /// vertex of a shortest path from the source is at distance `k`.
+    fn by_batch_bfs(
+        &self,
+        batch: BfsBatch,
+        sources: &[(VertexId, &[VertexId])],
+    ) -> Result<Vec<Vec<StoredSeq>>, BuildError> {
+        let g = self.g;
+        let ramp: Vec<Weight> = (0..g.n() as Weight).collect();
+        let ids: Vec<VertexId> = sources.iter().map(|&(u, _)| u).collect();
+        let per_batch = routing_par::par_map_scratch(
+            ids.len().div_ceil(BFS_BATCH_WIDTH),
+            || batch.clone(),
+            |bfs, k| -> Result<Vec<Vec<StoredSeq>>, BuildError> {
+                let _frontier = routing_obs::span("settled-frontier");
+                let lo = k * BFS_BATCH_WIDTH;
+                let hi = ids.len().min(lo + BFS_BATCH_WIDTH);
+                bfs.run(g, &ids[lo..hi]).map_err(|e| BuildError::BadParameter { what: e.to_string() })?;
+                routing_obs::counters::BUILD_SETTLED_VERTICES.add(bfs.reached() as u64);
+                sources[lo..hi]
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(u, members))| {
+                        let to = |&v: &VertexId| {
+                            let path = bfs.path_to(g, i, v).ok_or(BuildError::Disconnected)?;
+                            self.sequence(&path, &ramp[..path.len()])
+                        };
+                        members.iter().filter(|&&v| v != u).map(to).collect()
+                    })
+                    .collect()
+            },
+        );
+        Ok(per_batch.into_iter().collect::<Result<Vec<_>, _>>()?.into_iter().flatten().collect())
     }
-    let path = spt_u.path_to(v).expect("graph is connected");
-    let d_uv = spt_u.dist(v).expect("graph is connected");
-    let mut entries: Vec<SeqEntry> = Vec::new();
-    let mut pos = 0usize;
-    while let Some(next) = walk_round(g, balls, &path, pos, &mut entries) {
-        let (xi, zi) = (path[pos], path[next]);
-        let d_xi_zi: Weight = spt_u.dist(zi).expect("on path") - spt_u.dist(xi).expect("on path");
-        if (d_xi_zi as u128) * (b as u128) < d_uv as u128 {
-            // Progress below the threshold s = d(u,v)/b: finish via a
-            // hitting-set vertex of B(xi, q̃).
-            let (tree_idx, w) = balls
-                .ball(xi)
-                .members()
-                .iter()
-                .find_map(|&(m, _)| hitting.binary_search(&m).ok().map(|i| (i, m)))
-                .expect("hitting set hits every vicinity");
-            let label = trees[tree_idx].label(v).expect("global tree spans every vertex");
-            entries.push(SeqEntry::ball(w));
-            return StoredSeq { entries, final_tree_label: Some(label) };
+
+    /// The sequences of every source in `sources`, from one target-bounded
+    /// Dijkstra per source: a source only reads shortest paths to its own
+    /// set members, and every vertex those paths visit is an ancestor of a
+    /// member, settled before it, so the search stops at the member settled
+    /// last. The kernel for weighted graphs, and the reference the batch
+    /// BFS is tested against.
+    fn by_dijkstra(
+        &self,
+        sources: &[(VertexId, &[VertexId])],
+    ) -> Result<Vec<Vec<StoredSeq>>, BuildError> {
+        let g = self.g;
+        let per_source = routing_par::par_map_scratch(
+            sources.len(),
+            || SearchScratch::for_graph(g),
+            |scratch, k| -> Result<Vec<StoredSeq>, BuildError> {
+                let (u, members) = sources[k];
+                let _frontier = routing_obs::span("settled-frontier");
+                scratch.dijkstra_targets_into(g, u, members);
+                routing_obs::counters::BUILD_EARLY_EXIT_SEARCHES.inc();
+                let out = members
+                    .iter()
+                    .filter(|&&v| v != u)
+                    .map(|&v| {
+                        // Defensive: every member is a target, so it is
+                        // settled unless unreachable.
+                        if !scratch.is_settled(v) && scratch.ensure_settled(g, v) {
+                            routing_obs::counters::BUILD_FRONTIER_RESUMES.inc();
+                        }
+                        let path = scratch.path_to(v).ok_or(BuildError::Disconnected)?;
+                        let prefix: Option<Vec<Weight>> =
+                            path.iter().map(|&x| scratch.dist(x)).collect();
+                        self.sequence(&path, &prefix.ok_or(BuildError::Disconnected)?)
+                    })
+                    .collect();
+                routing_obs::counters::BUILD_SETTLED_VERTICES.add(scratch.order().len() as u64);
+                out
+            },
+        );
+        per_source.into_iter().collect()
+    }
+
+    /// The Lemma 7 sequence stored at `path[0]` for `path[last]`, given a
+    /// shortest path between them and the distance from `path[0]` to each
+    /// of its vertices (`prefix[k]` for `path[k]`).
+    fn sequence(&self, path: &[VertexId], prefix: &[Weight]) -> Result<StoredSeq, BuildError> {
+        let (g, balls, hitting) = (self.g, self.balls, self.hitting);
+        let (Some(&v), Some(&d_uv)) = (path.last(), prefix.last()) else {
+            return Err(BuildError::Disconnected);
+        };
+        let mut entries: Vec<SeqEntry> = Vec::new();
+        let mut pos = 0usize;
+        while let Some(next) = walk_round(g, balls, path, pos, &mut entries) {
+            let d_xi_zi = prefix[next] - prefix[pos];
+            if (d_xi_zi as u128) * (self.b as u128) < d_uv as u128 {
+                // Progress below the threshold s = d(u,v)/b: finish via a
+                // hitting-set vertex of B(xi, q̃).
+                let (tree_idx, w) = balls
+                    .ball(path[pos])
+                    .members()
+                    .iter()
+                    .find_map(|&(m, _)| hitting.binary_search(&m).ok().map(|i| (i, m)))
+                    .expect("hitting set hits every vicinity");
+                let label = self.trees[tree_idx].label(v).expect("global tree spans every vertex");
+                entries.push(SeqEntry::ball(w));
+                return Ok(StoredSeq { entries, final_tree_label: Some(label) });
+            }
+            push_hops(g, path, pos, next, &mut entries);
+            pos = next;
         }
-        push_hops(g, &path, pos, next, &mut entries);
-        pos = next;
+        Ok(StoredSeq { entries, final_tree_label: None })
     }
-    StoredSeq { entries, final_tree_label: None }
 }
 
 /// The standalone Lemma 7 routing scheme: routes between any two vertices of
@@ -577,6 +655,51 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, BuildError::BadParameter { .. }));
+    }
+
+    /// On a unit-weight graph the router's sequences come from the batch
+    /// BFS; the per-source Dijkstra kernel, run on the same graph with the
+    /// same hitting set and trees, must store the same sequence for every
+    /// pair and charge every vertex the same words, at 1 and 4 threads.
+    #[test]
+    fn batch_bfs_sequences_equal_the_dijkstra_kernel() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let graphs = [
+            ("er", generators::erdos_renyi(150, 0.04, WeightModel::Unit, &mut rng)),
+            ("geometric", generators::random_geometric(130, 0.16, WeightModel::Unit, &mut rng)),
+            ("scale-free", generators::barabasi_albert(140, 2, WeightModel::Unit, &mut rng)),
+            ("grid", generators::grid(9, 11)),
+        ];
+        let params = Params::with_epsilon(0.5);
+        for (name, g) in &graphs {
+            // Sets of ~10 members: every source runs, and the last batch is short.
+            let set_of = partition_mod(g.n(), 10);
+            let balls = BallTable::build(g, params.scaled(10, g.n()));
+            for threads in [1, 4] {
+                routing_par::set_threads(threads);
+                let router =
+                    Technique1Router::build(g, &balls, set_of.clone(), &params, &mut rng).unwrap();
+                let by_set = sort_by_set(&set_of);
+                let sources = same_set_sources(&by_set, &set_of);
+                assert_eq!(sources.len(), g.n());
+                let (b, hitting, trees) = (router.b, &router.hitting, &router.trees);
+                let walk = SeqBuilder { g, balls: &balls, b, hitting, trees };
+                let stored = walk.by_dijkstra(&sources).unwrap();
+                let (hitting, trees) = (hitting.clone(), trees.clone());
+                let n = g.n();
+                let reference =
+                    Technique1Router::assemble(n, set_of.clone(), hitting, trees, &sources, stored, b);
+                for u in g.vertices() {
+                    for v in g.vertices() {
+                        let (seq, want) = (router.seqs.get(u, v), reference.seqs.get(u, v));
+                        assert_eq!(seq, want, "{name} x{threads}: ({u}, {v})");
+                    }
+                    let words = (router.table_words(u), reference.table_words(u));
+                    assert_eq!(words.0, words.1, "{name} x{threads}: words at {u}");
+                }
+            }
+            routing_par::set_threads(routing_par::available_threads());
+        }
     }
 
     #[test]

@@ -27,6 +27,16 @@ pub enum GraphError {
     },
     /// The graph is not connected but the operation requires connectivity.
     Disconnected,
+    /// The operation needs every edge to have weight 1 (the batch BFS of
+    /// [`crate::scratch::BfsBatch`]).
+    NotUnitWeight,
+    /// A batch search was given more sources than it has bit lanes.
+    BatchTooWide {
+        /// The number of sources given.
+        sources: usize,
+        /// The most one batch carries.
+        width: usize,
+    },
 }
 
 impl fmt::Display for GraphError {
@@ -40,6 +50,10 @@ impl fmt::Display for GraphError {
                 write!(f, "edge ({u}, {v}) has zero weight; weights must be positive")
             }
             GraphError::Disconnected => write!(f, "graph is not connected"),
+            GraphError::NotUnitWeight => write!(f, "the batch search needs unit edge weights"),
+            GraphError::BatchTooWide { sources, width } => {
+                write!(f, "{sources} sources in one batch; a batch carries at most {width}")
+            }
         }
     }
 }
@@ -65,6 +79,9 @@ mod tests {
         let e = GraphError::ZeroWeight { u: 1, v: 2 };
         assert!(e.to_string().contains("zero weight"));
         assert_eq!(GraphError::Disconnected.to_string(), "graph is not connected");
+        assert!(GraphError::NotUnitWeight.to_string().contains("unit edge weights"));
+        let e = GraphError::BatchTooWide { sources: 65, width: 64 };
+        assert!(e.to_string().contains("65 sources"));
     }
 
     #[test]

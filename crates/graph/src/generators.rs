@@ -127,14 +127,16 @@ pub fn barabasi_albert<R: Rng>(n: usize, attach: usize, weights: WeightModel, rn
             pool.push(v);
         }
     }
+    // Targets stay in sampling order: the weight draws and pool pushes below
+    // follow it, so the graph is a function of the seed alone.
+    let mut targets: Vec<usize> = Vec::with_capacity(attach);
     for v in seed..n {
-        // lint:allow(det-hash-iter): duplicate-check membership only; edges are emitted in the seeded sampling order, not set order
-        let mut targets = std::collections::HashSet::new();
+        targets.clear();
         let mut guard = 0;
         while targets.len() < attach.min(v) && guard < 50 * attach {
             let t = pool[rng.gen_range(0..pool.len())];
-            if t != v {
-                targets.insert(t);
+            if t != v && !targets.contains(&t) {
+                targets.push(t);
             }
             guard += 1;
         }
@@ -347,6 +349,15 @@ mod tests {
         let max_deg = g.vertices().map(|v| g.degree(v)).max().unwrap();
         let avg_deg = 2.0 * g.m() as f64 / g.n() as f64;
         assert!(max_deg as f64 > 2.0 * avg_deg, "scale-free graph should have hubs");
+    }
+
+    #[test]
+    fn barabasi_albert_is_seeded() {
+        // Weighted, so the per-edge weight draws follow the target order too.
+        let weights = WeightModel::Uniform { lo: 1, hi: 9 };
+        let g1 = barabasi_albert(300, 4, weights, &mut rng());
+        let g2 = barabasi_albert(300, 4, weights, &mut rng());
+        assert_eq!(g1, g2, "same seed must give the same graph");
     }
 
     #[test]

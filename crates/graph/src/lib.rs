@@ -10,7 +10,9 @@
 //!   [`SearchScratch`] workspace (epoch-stamped arrays + preallocated heap)
 //!   that runs full, bounded (ball), multi-source and restricted searches
 //!   with zero per-call allocation. Every preprocessing hot path holds one
-//!   per worker thread.
+//!   per worker thread. On unit-weight graphs, [`BfsBatch`] runs 64 full
+//!   searches as one bit-parallel BFS sweep with the same distances and
+//!   paths.
 //! * [`shortest_path`] — Dijkstra/BFS with the paper's lexicographic
 //!   tie-breaking, ball (k-nearest) searches, multi-source searches and
 //!   shortest-path trees; the free functions are thin fresh-workspace
@@ -69,7 +71,7 @@ pub mod shortest_path;
 
 pub use apsp::DistanceOracle;
 pub use error::GraphError;
-pub use scratch::SearchScratch;
+pub use scratch::{BfsBatch, SearchScratch};
 pub use graph::{EdgeRef, Graph, GraphBuilder, Port, VertexId, Weight, INFINITY};
 pub use mutate::{ChurnEvent, Mutation, MutationError, MutationStats};
 pub use sampled::SampledDistances;

@@ -36,6 +36,10 @@
 //! property tests in `tests/properties.rs` assert against the pre-refactor
 //! implementations kept in [`crate::reference`].
 //!
+//! On a unit-weight graph a second workspace, [`BfsBatch`], runs up to 64
+//! full searches as one bit-parallel breadth-first sweep and recovers the
+//! same distances and tree paths [`SearchScratch::dijkstra_into`] gives.
+//!
 //! # Example
 //!
 //! ```
@@ -54,7 +58,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::{Graph, VertexId, Weight, INFINITY};
+use crate::{Graph, GraphError, VertexId, Weight, INFINITY};
 
 /// Sentinel for "no parent / no first hop / no nearest source".
 const NONE: u32 = u32::MAX;
@@ -753,6 +757,211 @@ impl SearchScratch {
     }
 }
 
+/// Sources one [`BfsBatch`] sweep carries: one bit of a `u64` lane each.
+pub const BFS_BATCH_WIDTH: usize = 64;
+
+/// The bit lanes of one vertex in a [`BfsBatch`] sweep; bit `i` of each
+/// word belongs to the batch's `i`-th source.
+#[derive(Debug, Clone, Copy, Default)]
+struct Lanes {
+    /// Sources that have reached the vertex.
+    seen: u64,
+    /// Sources whose current BFS level holds the vertex.
+    frontier: u64,
+    /// Sources that reach the vertex on the level being built.
+    next: u64,
+}
+
+/// A reusable workspace that runs up to [`BFS_BATCH_WIDTH`] full searches
+/// on a **unit-weight** graph as one breadth-first sweep of the adjacency —
+/// the multi-source BFS of Then et al., "The More the Merrier" (VLDB 2015).
+///
+/// Per vertex it keeps three `u64` lanes — which sources have *seen* it,
+/// which hold it in their current *frontier*, which reach it *next* — so
+/// one scan of a vertex's edges advances every source whose frontier holds
+/// it. A list of the vertices with frontier bits drives each level (push
+/// mode): a level scans only those vertices' edges, so a batch never does
+/// more edge work than its searches run one by one, where a pull sweep over
+/// all `n` vertices per level would cost `n · diameter` on a grid or a
+/// path. Each source has a `u32` level row, `64 · n · 4` bytes per
+/// workspace.
+///
+/// **Same answers as Dijkstra.** With unit weights, Dijkstra under the
+/// `(distance, id)` tie rule settles level by level, and `v`'s parent is the
+/// first settled neighbour one level closer: the smallest-id one. Adjacency
+/// lists are id-sorted, so [`path_to`](Self::path_to), which walks back
+/// through the first neighbour in port order one level closer, returns
+/// exactly what [`SearchScratch::path_to`] returns after
+/// [`dijkstra_into`](SearchScratch::dijkstra_into), and
+/// [`dist`](Self::dist) its distances.
+///
+/// ```
+/// use routing_graph::scratch::BfsBatch;
+/// use routing_graph::{generators, VertexId};
+///
+/// let g = generators::grid(4, 4);
+/// let mut batch = BfsBatch::for_graph(&g).expect("a grid has unit weights");
+/// batch.run(&g, &[VertexId(0), VertexId(15)]).expect("two sources in range");
+/// assert_eq!(batch.dist(1, VertexId(0)), Some(6));
+/// let path = batch.path_to(&g, 0, VertexId(5));
+/// assert_eq!(path, Some(vec![VertexId(0), VertexId(1), VertexId(5)]));
+/// ```
+#[derive(Debug, Clone)]
+pub struct BfsBatch {
+    n: usize,
+    lanes: Vec<Lanes>,
+    /// `level[i * n + v]`: the distance from source `i` to `v`, meaningful
+    /// only where bit `i` of `v`'s `seen` lane is set.
+    level: Vec<u32>,
+    /// Vertices with frontier bits on the current level.
+    active: Vec<u32>,
+    /// Vertices gaining `next` bits on the level being built.
+    next_active: Vec<u32>,
+    /// Number of sources of the last [`run`](Self::run).
+    sources: usize,
+}
+
+impl BfsBatch {
+    /// A workspace sized for `g`, or `None` unless every edge of `g` has
+    /// unit weight.
+    pub fn for_graph(g: &Graph) -> Option<Self> {
+        g.is_unweighted().then(|| BfsBatch {
+            n: g.n(),
+            lanes: vec![Lanes::default(); g.n()],
+            level: vec![0; BFS_BATCH_WIDTH * g.n()],
+            active: Vec::new(),
+            next_active: Vec::new(),
+            sources: 0,
+        })
+    }
+
+    /// Runs a full breadth-first search from every vertex of `sources` —
+    /// `sources[i]` owns bit `i` — as one sweep. A repeated source gets a
+    /// bit of its own.
+    ///
+    /// # Errors
+    ///
+    /// Runs nothing, and leaves nothing reached, when `sources` holds more
+    /// than [`BFS_BATCH_WIDTH`] vertices ([`GraphError::BatchTooWide`]), a
+    /// vertex outside `0..g.n()` or `g` is larger than the workspace
+    /// ([`GraphError::VertexOutOfRange`]), or `g` has an edge of non-unit
+    /// weight ([`GraphError::NotUnitWeight`]).
+    pub fn run(&mut self, g: &Graph, sources: &[VertexId]) -> Result<(), GraphError> {
+        self.lanes.fill(Lanes::default());
+        self.active.clear();
+        self.sources = 0;
+        if !g.is_unweighted() {
+            return Err(GraphError::NotUnitWeight);
+        }
+        if g.n() > self.n {
+            return Err(GraphError::VertexOutOfRange { vertex: g.n() - 1, n: self.n });
+        }
+        if sources.len() > BFS_BATCH_WIDTH {
+            return Err(GraphError::BatchTooWide { sources: sources.len(), width: BFS_BATCH_WIDTH });
+        }
+        if let Some(s) = sources.iter().find(|s| s.index() >= g.n()) {
+            return Err(GraphError::VertexOutOfRange { vertex: s.index(), n: g.n() });
+        }
+        let n = self.n;
+        for (i, s) in sources.iter().enumerate() {
+            if let Some(lane) = self.lanes.get_mut(s.index()) {
+                if lane.frontier == 0 {
+                    self.active.push(s.0);
+                }
+                lane.seen |= 1 << i;
+                lane.frontier |= 1 << i;
+            }
+            if let Some(d) = self.level.get_mut(i * n + s.index()) {
+                *d = 0;
+            }
+        }
+        self.sources = sources.len();
+        let mut depth = 0u32;
+        while !self.active.is_empty() {
+            depth += 1;
+            // Push: each frontier vertex offers its frontier bits to its
+            // neighbours; a bit is taken the first time it arrives.
+            for &u in &self.active {
+                let Some(lane) = self.lanes.get_mut(u as usize) else { continue };
+                let offer = std::mem::take(&mut lane.frontier);
+                for e in g.edges(VertexId(u)) {
+                    let Some(to) = self.lanes.get_mut(e.to.index()) else { continue };
+                    let fresh = offer & !to.seen;
+                    if fresh != 0 {
+                        if to.next == 0 {
+                            self.next_active.push(e.to.0);
+                        }
+                        to.next |= fresh;
+                        to.seen |= fresh;
+                    }
+                }
+            }
+            // Commit: the bits taken on this level are the next frontier.
+            for &v in &self.next_active {
+                let Some(lane) = self.lanes.get_mut(v as usize) else { continue };
+                let fresh = std::mem::take(&mut lane.next);
+                lane.frontier = fresh;
+                let mut bits = fresh;
+                while bits != 0 {
+                    let i = bits.trailing_zeros() as usize;
+                    if let Some(d) = self.level.get_mut(i * n + v as usize) {
+                        *d = depth;
+                    }
+                    bits &= bits - 1;
+                }
+            }
+            std::mem::swap(&mut self.active, &mut self.next_active);
+            self.next_active.clear();
+        }
+        Ok(())
+    }
+
+    /// The level at which source `i` of the last run reached `v`.
+    #[inline]
+    fn level_of(&self, i: usize, v: VertexId) -> Option<u32> {
+        let seen = self.lanes.get(v.index())?.seen;
+        if i >= self.sources || (seen >> i) & 1 == 0 {
+            return None;
+        }
+        self.level.get(i * self.n + v.index()).copied()
+    }
+
+    /// Distance from source `i` of the last run to `v`, or `None` if that
+    /// search did not reach `v` or the run had no source `i`.
+    #[inline]
+    pub fn dist(&self, i: usize, v: VertexId) -> Option<Weight> {
+        self.level_of(i, v).map(Weight::from)
+    }
+
+    /// The shortest path from source `i` of the last run to `v` (inclusive)
+    /// that `SearchScratch::path_to` returns after a Dijkstra from the same
+    /// source: each step back goes to the first neighbour in port order one
+    /// level closer. `None` if the search did not reach `v`. Allocates
+    /// exactly the returned path.
+    pub fn path_to(&self, g: &Graph, i: usize, v: VertexId) -> Option<Vec<VertexId>> {
+        if v.index() >= g.n() {
+            return None;
+        }
+        let mut d = self.level_of(i, v)?;
+        let mut path = Vec::with_capacity(d as usize + 1);
+        let mut cur = v;
+        path.push(cur);
+        while d > 0 {
+            d -= 1;
+            cur = g.edges(cur).map(|e| e.to).find(|&w| self.level_of(i, w) == Some(d))?;
+            path.push(cur);
+        }
+        path.reverse();
+        Some(path)
+    }
+
+    /// Vertices the last run reached, summed over its sources (each
+    /// source's component, itself included).
+    pub fn reached(&self) -> usize {
+        self.lanes.iter().map(|l| l.seen.count_ones() as usize).sum()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1011,6 +1220,105 @@ mod tests {
         let mut s = SearchScratch::for_graph(&g);
         s.dijkstra_into(&g, VertexId(0));
         let _ = s.nearest(VertexId(3));
+    }
+
+    /// The unit-weight families the batch BFS is held to Dijkstra on, at `n`
+    /// vertices: ER, geometric, grid, path, star (one hub), scale-free and
+    /// two components.
+    fn unit_families(n: usize) -> Vec<(&'static str, Graph)> {
+        let mut rng = StdRng::seed_from_u64(n as u64);
+        let unit = generators::WeightModel::Unit;
+        let cols = [13, 9, 8, 7, 5, 1].into_iter().find(|&c| n.is_multiple_of(c)).unwrap_or(1);
+        let mut halves = crate::GraphBuilder::new(n);
+        for i in 1..n {
+            if i != n / 2 {
+                halves.add_unit_edge(i - 1, i).unwrap();
+            }
+        }
+        vec![
+            ("er", generators::erdos_renyi(n, 4.0 / n as f64, unit, &mut rng)),
+            ("geometric", generators::random_geometric(n, 0.2, unit, &mut rng)),
+            ("grid", generators::grid(n / cols, cols)),
+            ("path", generators::path(n)),
+            ("star", generators::star(n)),
+            ("scale-free", generators::barabasi_albert(n, 3, unit, &mut rng)),
+            ("two-components", halves.build()),
+        ]
+    }
+
+    #[test]
+    fn bfs_batch_equals_dijkstra_on_every_pair() {
+        for n in [1, 63, 64, 65, 130] {
+            for (name, g) in unit_families(n) {
+                assert_eq!(g.n(), n, "{name}");
+                let mut batch = BfsBatch::for_graph(&g).unwrap();
+                let mut full = SearchScratch::for_graph(&g);
+                let all: Vec<VertexId> = g.vertices().collect();
+                // One workspace across widths and batches, so a stale lane
+                // or level row from an earlier run would show.
+                for width in [1, 63, 64] {
+                    for sources in all.chunks(width) {
+                        batch.run(&g, sources).unwrap();
+                        let mut reached = 0;
+                        for (i, &s) in sources.iter().enumerate() {
+                            full.dijkstra_into(&g, s);
+                            reached += full.order().len();
+                            for v in g.vertices() {
+                                let (dist, path) = (batch.dist(i, v), batch.path_to(&g, i, v));
+                                assert_eq!(dist, full.dist(v), "{name} {n}/{width}: {s}->{v}");
+                                assert_eq!(path, full.path_to(v), "{name} {n}/{width}: {s}->{v}");
+                            }
+                        }
+                        assert_eq!(batch.reached(), reached, "{name} n={n} width={width}");
+                        assert_eq!(batch.dist(sources.len(), sources[0]), None, "no such source");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bfs_batch_refuses_what_it_cannot_search() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let weighted = generators::erdos_renyi(
+            40,
+            0.1,
+            generators::WeightModel::Uniform { lo: 1, hi: 5 },
+            &mut rng,
+        );
+        assert!(BfsBatch::for_graph(&weighted).is_none());
+
+        let g = generators::path(70);
+        let mut batch = BfsBatch::for_graph(&g).unwrap();
+        let all: Vec<VertexId> = g.vertices().collect();
+        batch.run(&g, &all[..2]).unwrap();
+        assert_eq!(batch.dist(1, VertexId(69)), Some(68));
+        // Every refusal leaves nothing reached.
+        let refused = |batch: &BfsBatch| batch.reached() == 0 && batch.dist(0, VertexId(0)).is_none();
+        let too_wide = GraphError::BatchTooWide { sources: 65, width: 64 };
+        assert_eq!(batch.run(&g, &all[..65]), Err(too_wide));
+        assert!(refused(&batch));
+        batch.run(&g, &all[..2]).unwrap();
+        assert_eq!(
+            batch.run(&g, &[VertexId(3), VertexId(70)]),
+            Err(GraphError::VertexOutOfRange { vertex: 70, n: 70 })
+        );
+        assert!(refused(&batch));
+        assert_eq!(batch.run(&weighted, &[VertexId(0)]), Err(GraphError::NotUnitWeight));
+        assert!(refused(&batch));
+        let larger = generators::path(71);
+        assert_eq!(
+            batch.run(&larger, &[VertexId(0)]),
+            Err(GraphError::VertexOutOfRange { vertex: 70, n: 70 })
+        );
+        assert_eq!(batch.path_to(&larger, 0, VertexId(70)), None);
+        // An empty batch and a repeated source are fine.
+        batch.run(&g, &[]).unwrap();
+        assert_eq!(batch.reached(), 0);
+        batch.run(&g, &[VertexId(9), VertexId(9)]).unwrap();
+        let path = batch.path_to(&g, 1, VertexId(7));
+        assert_eq!(path, Some(vec![VertexId(9), VertexId(8), VertexId(7)]));
+        assert_eq!(batch.reached(), 140);
     }
 
     #[test]

@@ -124,10 +124,15 @@ pub mod counters {
     /// Churn failures: internal scheme errors on stale state.
     pub static CHURN_FAIL_SCHEME_ERROR: Counter = Counter::new();
     /// Target-bounded (early-exit) Dijkstra searches run by the build
-    /// phases in place of full per-source searches.
+    /// phases in place of full per-source searches. Technique 1 on a
+    /// unit-weight graph runs none: its batch BFS is a full search, so it
+    /// does not count here (`t1-er-direct` reads 0).
     pub static BUILD_EARLY_EXIT_SEARCHES: Counter = Counter::new();
-    /// Vertices settled by the target-bounded build searches — divide by
-    /// `build_early_exit_searches_total` for the mean settled frontier,
+    /// Vertices settled per source by the build searches: the
+    /// target-bounded Dijkstras, plus, for Technique 1's batch BFS on a
+    /// unit-weight graph, every vertex each source of a batch reached (its
+    /// component). Divide the early-exit share by
+    /// `build_early_exit_searches_total` for the mean settled frontier, and
     /// compare against `n` for the per-source work the early exit saved.
     pub static BUILD_SETTLED_VERTICES: Counter = Counter::new();
     /// Defensive frontier resumes: a sequence construction probed a vertex
@@ -217,7 +222,7 @@ pub static COUNTER_SERIES: &[(&str, &str, &Counter)] = &[
     ),
     (
         "build_settled_vertices_total",
-        "Vertices settled by the target-bounded build searches",
+        "Vertices settled per source by the build searches (target-bounded and batch BFS)",
         &counters::BUILD_SETTLED_VERTICES,
     ),
     (
