@@ -23,7 +23,10 @@
 //!    vicinity buys the paper's `4k−7+ε` at the declared parameters.
 //!
 //! The tables grow by one vicinity (`3` words per member) over the TZ
-//! scheme — `Õ((k/ε)·n^{1/k})` words total, matching the theorem.
+//! scheme — `Õ((k/ε)·n^{1/k})` words total, matching the theorem. Bunches,
+//! cluster trees, the pivot ladder and the TZ share of the table are read
+//! from the [`TzHierarchy`] and its [`routing_core::ClusterFamily`]; the
+//! scheme itself keeps only the vicinities.
 
 use rand::Rng;
 
@@ -33,7 +36,7 @@ use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
 use routing_tree::TreeLabel;
 use routing_vicinity::BallTable;
 
-use crate::tz::{FlatBunches, TzHierarchy};
+use crate::tz::TzHierarchy;
 
 /// Routing phase carried in the message header.
 #[derive(Debug, Clone)]
@@ -92,8 +95,6 @@ pub struct Thm16Scheme {
     name: String,
     epsilon: f64,
     hierarchy: TzHierarchy,
-    /// Bunch membership/distances as one flat id-sorted CSR table.
-    bunch: FlatBunches,
     /// The `ε`-vicinities of Lemma 2, `Õ((k/ε)·n^{1/k})` members each.
     balls: BallTable,
 }
@@ -123,17 +124,8 @@ impl Thm16Scheme {
     ) -> Result<Self, BuildError> {
         params.validate().map_err(|what| BuildError::BadParameter { what })?;
         let hierarchy = TzHierarchy::build(g, k, rng)?;
-        let span_bunches = routing_obs::span("bunches");
-        let bunch = FlatBunches::new(hierarchy.bunches_raw());
-        drop(span_bunches);
         let balls = BallTable::build(g, vicinity_size(k, g.n(), params));
-        Ok(Thm16Scheme {
-            name: format!("thm16k{k}"),
-            epsilon: params.epsilon,
-            hierarchy,
-            bunch,
-            balls,
-        })
+        Ok(Thm16Scheme { name: format!("thm16k{k}"), epsilon: params.epsilon, hierarchy, balls })
     }
 
     /// The stretch slack `ε` this scheme was built with.
@@ -165,19 +157,7 @@ impl RoutingScheme for Thm16Scheme {
     }
 
     fn label_of(&self, v: VertexId) -> Thm16Label {
-        let k = self.hierarchy.k();
-        let mut pivots = Vec::with_capacity(k);
-        let mut tree_labels = Vec::with_capacity(k);
-        for i in 0..k {
-            let (p, d) = self.hierarchy.pivot(i, v);
-            pivots.push((p, d));
-            tree_labels.push(
-                self.hierarchy
-                    .cluster_tree(p)
-                    .label(v)
-                    .unwrap_or(TreeLabel { tin: u32::MAX, light_ports: Vec::new() }),
-            );
-        }
+        let (pivots, tree_labels) = self.hierarchy.ladder(v).unzip();
         Thm16Label { vertex: v, pivots, tree_labels }
     }
 
@@ -189,7 +169,8 @@ impl RoutingScheme for Thm16Scheme {
         }
         // v in the source's own cluster: T(source) is a shortest-path tree
         // from the source, so this hop is exact.
-        if let Some(label) = self.hierarchy.cluster_tree(source).label(v) {
+        let clusters = self.hierarchy.clusters();
+        if let Some(label) = clusters.label_in(source, v) {
             routing_obs::counters::ROUTING_PHASE_TREE.inc();
             return Ok(Thm16Header { phase: Phase::Tree { root: source, label } });
         }
@@ -204,7 +185,7 @@ impl RoutingScheme for Thm16Scheme {
             }
             let (duw, phase) = if w == source {
                 (0, Phase::Tree { root: w, label: label.clone() })
-            } else if let Some(d) = self.bunch.get(source, w) {
+            } else if let Some(d) = clusters.bunch_dist(source, w) {
                 // u ∈ C(w) by bunch/cluster duality: T(w) already covers u.
                 (d, Phase::Tree { root: w, label: label.clone() })
             } else if let Some(d) = self.balls.dist(source, w) {
@@ -278,21 +259,14 @@ impl RoutingScheme for Thm16Scheme {
                         });
                 }
                 Phase::Tree { root, label } => {
-                    return self.hierarchy.cluster_tree(*root).step(at, label);
+                    return self.hierarchy.clusters().step(*root, at, label);
                 }
             }
         }
     }
 
     fn table_words(&self, v: VertexId) -> usize {
-        let bunch = self.hierarchy.bunch(v);
-        let membership: usize = bunch
-            .iter()
-            .map(|&(w, _)| self.hierarchy.cluster_tree(w).table_words(v))
-            .sum();
-        let own_labels = self.hierarchy.cluster_tree(v).labels_words();
-        self.balls.words_at(v) + 2 * bunch.len() + membership + own_labels
-            + 2 * self.hierarchy.k()
+        self.balls.words_at(v) + self.hierarchy.table_words(v)
     }
 
     fn label_words(&self, v: VertexId) -> usize {

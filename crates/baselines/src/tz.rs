@@ -37,36 +37,32 @@
 //! classic ping-pong scan, returning `d̂(u, v) ≤ (2k−1)·d(u, v)` in `O(k)`
 //! time.
 //!
-//! Preprocessing fans its `n` restricted cluster searches (the dominant
-//! cost) out over [`routing_par::threads`] worker threads; sampling stays on
-//! the caller's thread, so the built hierarchy is bit-identical for every
-//! thread count.
+//! Clusters, cluster trees and bunches are one [`routing_core::ClusterFamily`]
+//! built by the stage Theorems 10 and 11 use, and the routing scheme, the
+//! oracle and Theorem 16 all read it; [`TzHierarchy::bunch`] is in id order.
+//! Sampling stays on the caller's thread, so the hierarchy is bit-identical
+//! for every thread count.
 
 use rand::Rng;
 
-use routing_core::{BuildContext, BuildError, SchemeBuilder};
-use routing_graph::shortest_path::multi_source_dijkstra;
-use routing_graph::{Graph, SearchScratch, VertexId, Weight, INFINITY};
+use routing_core::{BuildContext, BuildError, ClusterFamily, SchemeBuilder};
+use routing_graph::{Graph, VertexId, Weight, INFINITY};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
 use routing_tree::{TreeLabel, TreeScheme};
-use routing_vicinity::sample_centers_bounded;
+use routing_vicinity::{sample_centers_bounded, Landmarks};
 
 /// The Thorup–Zwick level hierarchy with pivots, bunches and cluster trees.
 #[derive(Debug, Clone)]
 pub struct TzHierarchy {
     k: usize,
-    n: usize,
     /// `levels[i]` = the set `A_i` (sorted); `levels[0]` is all of `V`.
     levels: Vec<Vec<VertexId>>,
     /// `pivots[i][v]` = `(p_i(v), d(v, A_i))`; `pivots[0][v] = (v, 0)`.
     pivots: Vec<Vec<(VertexId, Weight)>>,
     /// The highest level that contains each vertex.
     level_of: Vec<usize>,
-    /// `bunches[v]` = `B(v)` with distances, sorted by `(distance, id)`.
-    bunches: Vec<Vec<(VertexId, Weight)>>,
-    /// The cluster tree `T(w)` of every vertex `w` (rooted at `w`, spanning
-    /// `C(w)` with respect to `w`'s level), indexed by vertex id.
-    cluster_trees: Vec<TreeScheme>,
+    /// `C(w)` of every `w` with respect to `w`'s level, and every `B(v)`.
+    clusters: ClusterFamily,
 }
 
 impl TzHierarchy {
@@ -80,8 +76,9 @@ impl TzHierarchy {
     ///
     /// # Errors
     ///
-    /// Returns [`BuildError::BadParameter`] if `k < 2` and
-    /// [`BuildError::TooSmall`] on an empty graph.
+    /// Returns [`BuildError::BadParameter`] if `k < 2`,
+    /// [`BuildError::TooSmall`] on an empty graph and
+    /// [`BuildError::Disconnected`] on a disconnected one.
     pub fn build<R: Rng>(g: &Graph, k: usize, rng: &mut R) -> Result<Self, BuildError> {
         if k < 2 {
             return Err(BuildError::BadParameter {
@@ -94,95 +91,61 @@ impl TzHierarchy {
                 what: "thorup-zwick hierarchy needs at least one vertex".into(),
             });
         }
+        if !g.is_connected() {
+            return Err(BuildError::Disconnected);
+        }
         let p = (n as f64).powf(-1.0 / k as f64);
 
-        // Levels.
+        // Levels `A_1, ..., A_{k-1}` with their nearest-member data: `A_1` by
+        // Lemma 4, each next one sampled from the one below.
         let span_levels = routing_obs::span("levels");
-        let mut levels: Vec<Vec<VertexId>> = Vec::with_capacity(k);
-        levels.push(g.vertices().collect());
         let s1 = ((n as f64).powf(1.0 - 1.0 / k as f64).ceil() as usize).clamp(1, n);
-        let a1 = sample_centers_bounded(g, s1, rng).members().to_vec();
-        levels.push(if a1.is_empty() { vec![VertexId(0)] } else { a1 });
-        for _ in 2..k {
-            let prev = levels.last().expect("levels is non-empty");
+        let mut upper = vec![sample_centers_bounded(g, s1, rng)];
+        while upper.len() < k - 1 {
+            let prev = upper[upper.len() - 1].members();
             let mut next: Vec<VertexId> = prev.iter().copied().filter(|_| rng.gen::<f64>() < p).collect();
             if next.is_empty() {
                 next.push(prev[0]);
             }
-            levels.push(next);
+            upper.push(Landmarks::new(g, next));
         }
-
+        let mut levels = vec![g.vertices().collect::<Vec<_>>()];
+        levels.extend(upper.iter().map(|a| a.members().to_vec()));
         let mut level_of = vec![0usize; n];
         for (i, level) in levels.iter().enumerate() {
             for &v in level {
-                level_of[v.index()] = level_of[v.index()].max(i);
+                level_of[v.index()] = i;
             }
         }
         drop(span_levels);
 
-        // Pivots per level.
         let span_pivots = routing_obs::span("pivots");
-        let mut pivots: Vec<Vec<(VertexId, Weight)>> = Vec::with_capacity(k);
-        pivots.push(g.vertices().map(|v| (v, 0)).collect());
-        for level in levels.iter().skip(1) {
-            let ms = multi_source_dijkstra(g, level);
-            pivots.push(
-                g.vertices()
-                    .map(|v| (ms.nearest(v).unwrap_or(v), ms.dist(v).unwrap_or(INFINITY)))
-                    .collect(),
-            );
-        }
+        let mut pivots = vec![g.vertices().map(|v| (v, 0)).collect::<Vec<_>>()];
+        pivots.extend(upper.iter().map(|a| {
+            g.vertices()
+                .map(|v| (a.nearest(v).unwrap_or(v), a.dist_to_set(v).unwrap_or(INFINITY)))
+                .collect()
+        }));
         // Tie inheritance (Thorup–Zwick): when d(v, A_i) = d(v, A_{i+1}) use
         // the higher-level pivot, so that v is guaranteed to lie in the
         // cluster of each of its pivots.
-        for i in (1..k.saturating_sub(1)).rev() {
+        for i in (1..k - 1).rev() {
             for v in 0..n {
                 if pivots[i][v].1 == pivots[i + 1][v].1 {
                     pivots[i][v] = pivots[i + 1][v];
                 }
             }
         }
-
-        // Clusters (and their trees) with respect to each vertex's level, and
-        // the bunches obtained by inverting them. One restricted search plus
-        // one heavy-path decomposition per vertex — the dominant cost of the
-        // build — fanned out in parallel; the bunch inversion below merges in
-        // ascending `w` order, so the hierarchy is thread-count independent.
         drop(span_pivots);
-        let _span_ct = routing_obs::span("cluster-trees");
-        // `bounds[lvl][v] = d(v, A_{lvl+1})`: the cluster bound of a level-`lvl`
-        // root, one row per level (the top level is unbounded).
-        let bounds: Vec<Vec<Weight>> = (0..k)
-            .map(|lvl| match pivots.get(lvl + 1) {
-                Some(next) => next.iter().map(|&(_, d)| d).collect(),
-                None => vec![INFINITY; n],
-            })
-            .collect();
-        let per_w: Vec<(Vec<(VertexId, Weight)>, TreeScheme)> = routing_par::par_map_scratch(
-            n,
-            || SearchScratch::for_graph(g),
-            |scratch, w| {
-                let w = VertexId(w as u32);
-                scratch.cluster_into(g, w, &bounds[level_of[w.index()]]);
-                let tree = TreeScheme::from_scratch(g, scratch)
-                    .expect("restricted tree of a connected component is valid");
-                (scratch.order().to_vec(), tree)
-            },
-        );
-        let mut cluster_trees = Vec::with_capacity(n);
-        let mut bunches: Vec<Vec<(VertexId, Weight)>> = vec![Vec::new(); n];
-        for (w, (members, tree)) in per_w.into_iter().enumerate() {
-            let w = VertexId(w as u32);
-            for (v, d) in members {
-                bunches[v.index()].push((w, d));
-            }
-            cluster_trees.push(tree);
-        }
-        for bunch in &mut bunches {
-            bunch.sort_unstable_by_key(|&(w, d)| (d, w));
-        }
 
-        Ok(TzHierarchy { k, n, levels, pivots, level_of, bunches, cluster_trees })
+        // The cluster of a level-`i` root is bounded by `d(·, A_{i+1})`; the
+        // top level's is unbounded.
+        let unbounded = vec![INFINITY; n];
+        let (clusters, _) = ClusterFamily::build(g, |w| {
+            upper.get(level_of[w.index()]).map_or(&unbounded[..], Landmarks::bound_slice)
+        })?;
+
+        Ok(TzHierarchy { k, levels, pivots, level_of, clusters })
     }
 
     /// The parameter `k`.
@@ -192,7 +155,7 @@ impl TzHierarchy {
 
     /// Number of vertices.
     pub fn n(&self) -> usize {
-        self.n
+        self.level_of.len()
     }
 
     /// The level sets `A_0, ..., A_{k-1}`.
@@ -210,76 +173,48 @@ impl TzHierarchy {
         self.pivots[i][v.index()]
     }
 
-    /// The bunch `B(v)` with distances.
+    /// The bunch `B(v)` with distances, in ascending id order.
     pub fn bunch(&self, v: VertexId) -> &[(VertexId, Weight)] {
-        &self.bunches[v.index()]
+        self.clusters.bunch(v)
     }
 
     /// The cluster tree `T(w)`.
     pub fn cluster_tree(&self, w: VertexId) -> &TreeScheme {
-        &self.cluster_trees[w.index()]
+        self.clusters.tree(w)
     }
 
-    /// All bunches as raw per-vertex lists, for flattening into a
-    /// [`FlatBunches`] table (shared with the Theorem 16 scheme).
-    pub(crate) fn bunches_raw(&self) -> &[Vec<(VertexId, Weight)>] {
-        &self.bunches
+    /// The cluster family: every `T(w)` and `B(v)`, and the arms reading them.
+    pub fn clusters(&self) -> &ClusterFamily {
+        &self.clusters
     }
 
     /// The largest bunch size (a `Õ(k·n^{1/k})` quantity).
     pub fn max_bunch_size(&self) -> usize {
-        self.bunches.iter().map(Vec::len).max().unwrap_or(0)
-    }
-}
-
-/// All bunches `B(v)` flattened into one id-sorted CSR table.
-///
-/// The query path of the oracle and the routing scheme is a **membership
-/// probe** — "is `w ∈ B(v)`, and at what distance?" — which used to go
-/// through one `HashMap`/`HashSet` per vertex. Here every bunch is a
-/// contiguous id-sorted slice of `(w, d(v, w))` pairs inside two flat
-/// arrays, so the probe is a binary search over adjacent memory: no hashing,
-/// no per-vertex allocations, and the whole structure is two `Vec`s
-/// regardless of `n`.
-#[derive(Debug, Clone)]
-pub(crate) struct FlatBunches {
-    /// `offsets[v]..offsets[v+1]` indexes `entries` for vertex `v`.
-    offsets: Vec<u32>,
-    /// Bunch entries `(w, d(v, w))`, sorted by `w` within each vertex.
-    entries: Vec<(VertexId, Weight)>,
-}
-
-impl FlatBunches {
-    /// Flattens per-vertex bunch lists (any order) into the CSR form.
-    pub(crate) fn new(bunches: &[Vec<(VertexId, Weight)>]) -> Self {
-        let total = bunches.iter().map(Vec::len).sum();
-        let mut offsets = Vec::with_capacity(bunches.len() + 1);
-        let mut entries = Vec::with_capacity(total);
-        offsets.push(0u32);
-        for bunch in bunches {
-            let start = entries.len();
-            entries.extend_from_slice(bunch);
-            entries[start..].sort_unstable_by_key(|&(w, _)| w);
-            offsets.push(entries.len() as u32);
-        }
-        FlatBunches { offsets, entries }
+        (0..self.n()).map(|v| self.bunch(VertexId(v as u32)).len()).max().unwrap_or(0)
     }
 
-    /// `d(v, w)` if `w ∈ B(v)`.
-    #[inline]
-    pub(crate) fn get(&self, v: VertexId, w: VertexId) -> Option<Weight> {
-        let slice =
-            &self.entries[self.offsets[v.index()] as usize..self.offsets[v.index() + 1] as usize];
-        slice
-            .binary_search_by_key(&w, |&(x, _)| x)
-            .ok()
-            .map(|i| slice[i].1)
+    /// The pivot ladder of `v`: for `i = 0..k`, `(p_i(v), d(v, A_i))` and the
+    /// label of `v` in `T(p_i(v))`. Tie inheritance puts `v` in every
+    /// pivot's cluster; a label that is missing anyway has `tin = u32::MAX`.
+    pub fn ladder(
+        &self,
+        v: VertexId,
+    ) -> impl Iterator<Item = ((VertexId, Weight), TreeLabel)> + '_ {
+        (0..self.k).map(move |i| {
+            let (p, d) = self.pivot(i, v);
+            let label = self
+                .clusters
+                .label_in(p, v)
+                .unwrap_or(TreeLabel { tin: u32::MAX, light_ports: Vec::new() });
+            ((p, d), label)
+        })
     }
 
-    /// True if `w ∈ B(v)`.
-    #[inline]
-    pub(crate) fn contains(&self, v: VertexId, w: VertexId) -> bool {
-        self.get(v, w).is_some()
+    /// Words the routing table of `v` holds: its bunch with distances, the
+    /// tree-routing information of every cluster containing it, the labels
+    /// of its own cluster's members, and its `k` pivots with distances.
+    pub fn table_words(&self, v: VertexId) -> usize {
+        2 * self.bunch(v).len() + self.clusters.membership_words(v) + 2 * self.k
     }
 }
 
@@ -287,15 +222,12 @@ impl FlatBunches {
 #[derive(Debug, Clone)]
 pub struct TzOracle {
     hierarchy: TzHierarchy,
-    /// Bunch distances as one flat id-sorted CSR table (see [`FlatBunches`]).
-    bunch_dist: FlatBunches,
 }
 
 impl TzOracle {
     /// Builds the oracle on top of an existing hierarchy.
     pub fn new(hierarchy: TzHierarchy) -> Self {
-        let bunch_dist = FlatBunches::new(&hierarchy.bunches);
-        TzOracle { hierarchy, bunch_dist }
+        TzOracle { hierarchy }
     }
 
     /// Builds the hierarchy and the oracle in one step.
@@ -317,12 +249,13 @@ impl TzOracle {
         if u == v {
             return 0;
         }
+        let clusters = &self.hierarchy.clusters;
         let (mut u, mut v) = (u, v);
         let mut w = u;
         let mut i = 0usize;
         loop {
-            if let Some(dwv) = self.bunch_dist.get(v, w) {
-                let dwu = self.bunch_dist.get(u, w).unwrap_or_else(|| {
+            if let Some(dwv) = clusters.bunch_dist(v, w) {
+                let dwu = clusters.bunch_dist(u, w).unwrap_or_else(|| {
                     // w is p_i(u), so d(u, w) is the pivot distance.
                     self.hierarchy.pivots[i][u.index()].1
                 });
@@ -379,17 +312,12 @@ pub struct TzRoutingScheme {
     /// Cached scheme name: the registry key `tz<k>` (`tz2`, `tz3`, ...).
     name: String,
     hierarchy: TzHierarchy,
-    /// Bunch membership for routing decisions at the source, as one flat
-    /// id-sorted CSR table probed by binary search (see [`FlatBunches`]).
-    bunch_set: FlatBunches,
 }
 
 impl TzRoutingScheme {
     /// Builds the scheme on top of an existing hierarchy.
     pub fn new(hierarchy: TzHierarchy) -> Self {
-        let _span = routing_obs::span("bunches");
-        let bunch_set = FlatBunches::new(&hierarchy.bunches);
-        TzRoutingScheme { name: format!("tz{}", hierarchy.k()), hierarchy, bunch_set }
+        TzRoutingScheme { name: format!("tz{}", hierarchy.k()), hierarchy }
     }
 
     /// Builds the hierarchy and the scheme in one step.
@@ -425,19 +353,7 @@ impl RoutingScheme for TzRoutingScheme {
     }
 
     fn label_of(&self, v: VertexId) -> TzLabel {
-        let k = self.hierarchy.k();
-        let mut pivots = Vec::with_capacity(k);
-        let mut tree_labels = Vec::with_capacity(k);
-        for i in 0..k {
-            let (p, _) = self.hierarchy.pivot(i, v);
-            pivots.push(p);
-            tree_labels.push(
-                self.hierarchy
-                    .cluster_tree(p)
-                    .label(v)
-                    .unwrap_or(TreeLabel { tin: u32::MAX, light_ports: Vec::new() }),
-            );
-        }
+        let (pivots, tree_labels) = self.hierarchy.ladder(v).map(|((p, _), l)| (p, l)).unzip();
         TzLabel { vertex: v, pivots, tree_labels }
     }
 
@@ -449,13 +365,14 @@ impl RoutingScheme for TzRoutingScheme {
         }
         // 4k-5 improvement: if v is in the source's own cluster, route on the
         // source's cluster tree with the label stored at the source.
-        if let Some(label) = self.hierarchy.cluster_tree(source).label(v) {
+        let clusters = self.hierarchy.clusters();
+        if let Some(label) = clusters.label_in(source, v) {
             routing_obs::counters::ROUTING_PHASE_TREE.inc();
             return Ok(TzHeader { root: source, label });
         }
         for i in 0..self.hierarchy.k() {
             let w = dest.pivots[i];
-            if w == source || self.bunch_set.contains(source, w) {
+            if w == source || clusters.bunch_dist(source, w).is_some() {
                 let label = dest.tree_labels[i].clone();
                 if label.tin == u32::MAX {
                     return Err(RouteError::BadLabel {
@@ -481,17 +398,11 @@ impl RoutingScheme for TzRoutingScheme {
         if at == dest.vertex {
             return Ok(Decision::Deliver);
         }
-        self.hierarchy.cluster_tree(header.root).step(at, &header.label)
+        self.hierarchy.clusters().step(header.root, at, &header.label)
     }
 
     fn table_words(&self, v: VertexId) -> usize {
-        let bunch = self.hierarchy.bunch(v);
-        let membership: usize = bunch
-            .iter()
-            .map(|&(w, _)| self.hierarchy.cluster_tree(w).table_words(v))
-            .sum();
-        let own_labels = self.hierarchy.cluster_tree(v).labels_words();
-        2 * bunch.len() + membership + own_labels + 2 * self.hierarchy.k()
+        self.hierarchy.table_words(v)
     }
 
     fn label_words(&self, v: VertexId) -> usize {

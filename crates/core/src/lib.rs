@@ -51,6 +51,7 @@ pub use scheme_2eps1::SchemeTwoPlusEps;
 pub use scheme_3eps::SchemeThreePlusEps;
 pub use scheme_5eps::SchemeFivePlusEps;
 pub use scheme_multilevel::{SchemeMultilevel, Thm13Builder, Thm15Builder};
+pub use stages::{ClusterFamily, ClusterMembers};
 pub use technique1::{Technique1Router, Technique1Scheme};
 pub use technique2::{Technique2Router, Technique2Scheme};
 

@@ -24,14 +24,13 @@
 
 use rand::Rng;
 
-use routing_graph::shortest_path::RestrictedTree;
 use routing_graph::{Graph, VertexId, Weight};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
 use routing_tree::{TreeLabel, TreeScheme};
 use routing_vicinity::{BallTable, Landmarks};
 
 use crate::seq::KeyedStore;
-use crate::stages::{self, Clusters, Vicinities};
+use crate::stages::{self, ClusterMembers, Clusters, Vicinities};
 use crate::technique1::{Technique1Header, Technique1Router};
 use crate::{BuildError, Params};
 
@@ -136,10 +135,10 @@ impl SchemeTwoPlusEps {
         let q = (n as f64).powf(1.0 / 3.0).ceil().max(1.0) as u32;
         let ell = params.scaled(q as usize, n);
         let vic = Vicinities::balls(g, ell);
-        let (clusters, raw_clusters) = Clusters::build(g, params, rng)?;
+        let (clusters, members) = Clusters::build(g, params, rng)?;
         let global_trees = stages::global_trees(g, clusters.landmarks.members())?;
-        let best_intersection = intersections(&vic.balls, &raw_clusters);
-        drop(raw_clusters);
+        let best_intersection = intersections(&vic.balls, &members);
+        drop(members);
         // Lemma 6 coloring and Lemma 7 over the induced partition.
         let vic = vic.colour(ell, q, params, rng)?;
         let rep_dist = g
@@ -181,13 +180,13 @@ impl SchemeTwoPlusEps {
 /// At every `u`, for every `v` with `B(u, q̃) ∩ B_A(v) ≠ ∅`, the intersection
 /// vertex `w` minimizing `d(u, w) + d(w, v)`; among equal sums, the `w`
 /// settled first from `u`.
-fn intersections(balls: &BallTable, clusters: &[RestrictedTree]) -> KeyedStore<VertexId> {
+fn intersections(balls: &BallTable, clusters: &ClusterMembers) -> KeyedStore<VertexId> {
     let _span = routing_obs::span("intersections");
     let rows = (0..balls.len()).flat_map(|u| {
         let u = VertexId(u as u32);
         let mut triples: Vec<(VertexId, Weight, VertexId)> = Vec::new();
         for &(w, d_uw) in balls.ball(u).members() {
-            for &(v, d_wv) in clusters[w.index()].members() {
+            for &(v, d_wv) in &clusters[w.index()] {
                 triples.push((v, d_uw + d_wv, w));
             }
         }
@@ -329,18 +328,18 @@ mod tests {
     }
 
     /// `best_intersection` as the `HashMap` build filled it before the keyed
-    /// store replaced it, verbatim; only the return value changed.
+    /// store replaced it, verbatim; only the argument and return types changed.
     fn reference_intersections(
         g: &Graph,
         balls: &BallTable,
-        clusters: &[RestrictedTree],
+        clusters: &ClusterMembers,
     ) -> Vec<HashMap<VertexId, VertexId>> {
         let n = g.n();
         let mut best_intersection: Vec<HashMap<VertexId, VertexId>> = vec![HashMap::new(); n];
         let mut best_sum: Vec<HashMap<VertexId, Weight>> = vec![HashMap::new(); n];
         for u in g.vertices() {
             for &(w, d_uw) in balls.ball(u).members() {
-                for &(v, d_wv) in clusters[w.index()].members() {
+                for &(v, d_wv) in &clusters[w.index()] {
                     let sum = d_uw + d_wv;
                     let better = match best_sum[u.index()].get(&v) {
                         Some(&old) => sum < old,

@@ -12,9 +12,9 @@
 //!   model needs no neighbour-to-port oracle).
 //!
 //! Both techniques build their sequences with the same per-round walk
-//! ([`walk_round`]), forward on an entry the same way
-//! ([`SeqEntry::forward`]) and keep what a vertex stores per destination in
-//! the same flat table ([`KeyedStore`]).
+//! (`walk_round`), forward on an entry the same way (`SeqEntry::forward`)
+//! and keep what a vertex stores per destination in the same flat table
+//! (`KeyedStore`).
 
 use serde::{Deserialize, Serialize};
 

@@ -6,13 +6,15 @@
 //! ([`Clusters`], Theorems 10 and 11) and shortest-path trees spanning `V`
 //! ([`global_trees`]). The scheme files call this module for those
 //! ingredients and for the query-side arms that read them; nothing else in
-//! the crate builds a ball table, a colouring or a cluster family.
+//! the crate builds a ball table, a colouring or a cluster family. The
+//! cluster family itself ([`ClusterFamily`]) is public: the Thorup–Zwick
+//! hierarchy under `tz*` and `thm16k*` builds each of its levels with it.
 //!
 //! A scheme that needs both runs [`Vicinities::balls`], then
 //! [`Clusters::build`], then [`Vicinities::colour`]: the landmark sample is
 //! drawn before the colouring attempts, the only two RNG consumers here.
 //! Each stage opens the spans it always had (`balls`; `centers`, `clusters`,
-//! `bunches`, `cluster-trees`; `coloring`, `color-reps`; `global-trees`),
+//! `cluster-trees`, `bunches`; `coloring`, `color-reps`; `global-trees`),
 //! returns what a scheme keeps for routing, and drops its build-only arrays
 //! on return — except the vicinities' member lists, which the technique
 //! routers still read: a builder holds `Vicinities<BallTable>` until its
@@ -21,13 +23,10 @@
 
 use rand::Rng;
 
-use routing_graph::shortest_path::RestrictedTree;
 use routing_graph::{Graph, SearchScratch, VertexId, Weight};
 use routing_model::{Decision, RouteError, RoutingScheme};
 use routing_tree::{TreeLabel, TreeScheme};
-use routing_vicinity::{
-    all_clusters, bunches, sample_centers_bounded, BallPorts, BallTable, Coloring, Landmarks,
-};
+use routing_vicinity::{sample_centers_bounded, BallPorts, BallTable, Coloring, Landmarks};
 
 use crate::{BuildError, Params};
 
@@ -216,81 +215,185 @@ fn build_color_reps(balls: &BallTable, color_of: &[u32], q: usize) -> Vec<Vertex
     reps
 }
 
-/// Lemma 4 landmarks `A` with clusters of `O(n^{1/3})` vertices, the cluster
-/// trees `T_{C_A(w)}` and every vertex's bunch `B_A(v)`.
+/// Every cluster's members with their distances from the root, in settle
+/// order: the build-only output of [`ClusterFamily::build`].
+pub type ClusterMembers = Vec<Vec<(VertexId, Weight)>>;
+
+/// A Lemma 4 cluster family: for every root `w` the cluster
+/// `C(w) = {v : d(w, v) < bound_w(v)}` (the root always belongs) as its
+/// Lemma 3 tree `T(w)`, and for every `v` the bunch `B(v) = {w : v ∈ C(w)}`
+/// with distances. Theorems 10 and 11 bound every root by `d(·, A)`, the
+/// Thorup–Zwick hierarchy a level-`i` root by `d(·, A_{i+1})`.
 #[derive(Debug, Clone)]
-pub(crate) struct Clusters {
-    pub(crate) landmarks: Landmarks,
-    /// Cluster tree of every vertex, indexed by vertex id.
-    cluster_trees: Vec<TreeScheme>,
-    /// `B_A(v)` with distances, per vertex.
-    bunch_of: Vec<Vec<(VertexId, Weight)>>,
+pub struct ClusterFamily {
+    /// `T(w)` of every root, indexed by vertex id.
+    trees: Vec<TreeScheme>,
+    bunches: FlatBunches,
 }
 
-impl Clusters {
-    /// Samples `Õ(n^{2/3})` landmarks (the density Theorems 10 and 11 both
-    /// prescribe) and builds the cluster family around them. Also hands back
-    /// the raw cluster searches, which are build-only: Theorem 10 reads its
-    /// intersection minima off them, Theorem 11 drops them at once.
-    pub(crate) fn build<R: Rng>(
+impl ClusterFamily {
+    /// One restricted search per root `w` under the row `bound(w)`, `T(w)`
+    /// built straight from the search workspace, and the members inverted
+    /// into the bunches: spans `clusters` and `cluster-trees` (per root, on
+    /// its worker) and `bunches`. The members are handed back too, for
+    /// Theorem 10's intersections. Thread-count independent.
+    ///
+    /// # Errors
+    ///
+    /// [`BuildError::TooSmall`] if a search's parent relation is not a tree
+    /// of `g`, which a well-formed search never produces.
+    pub fn build<'b>(
         g: &Graph,
-        params: &Params,
-        rng: &mut R,
-    ) -> Result<(Self, Vec<RestrictedTree>), BuildError> {
-        let n = g.n();
-        let s = ((params.landmark_scale * (n as f64).powf(2.0 / 3.0)).ceil() as usize).clamp(1, n);
-        let landmarks = sample_centers_bounded(g, s, rng);
-        let raw = all_clusters(g, &landmarks);
-        let bunch_of = bunches(g, &raw);
-        let _span = routing_obs::span("cluster-trees");
-        let cluster_trees = routing_par::par_map(&raw, |tree| {
-            TreeScheme::from_restricted(g, tree)
-                .map_err(|e| BuildError::TooSmall { what: e.to_string() })
-        })
-        .into_iter()
-        .collect::<Result<_, _>>()?;
-        Ok((Clusters { landmarks, cluster_trees, bunch_of }, raw))
+        bound: impl Fn(VertexId) -> &'b [Weight] + Sync,
+    ) -> Result<(Self, ClusterMembers), BuildError> {
+        let per_root = routing_par::par_map_scratch(
+            g.n(),
+            || SearchScratch::for_graph(g),
+            |scratch, w| {
+                let w = VertexId(w as u32);
+                let members = {
+                    let _span = routing_obs::span("clusters");
+                    scratch.cluster_into(g, w, bound(w));
+                    scratch.order().to_vec()
+                };
+                let _span = routing_obs::span("cluster-trees");
+                let tree = TreeScheme::from_scratch(g, scratch)
+                    .map_err(|e| BuildError::TooSmall { what: e.to_string() })?;
+                Ok::<_, BuildError>((members, tree))
+            },
+        );
+        let _span = routing_obs::span("bunches");
+        let (members, trees): (ClusterMembers, _) =
+            per_root.into_iter().collect::<Result<_, _>>()?;
+        let bunches = FlatBunches::new(&members);
+        Ok((ClusterFamily { trees, bunches }, members))
     }
 
-    /// The label of `v` in the cluster tree of `root`, if `v ∈ C_A(root)`.
-    #[inline]
-    pub(crate) fn label_in(&self, root: VertexId, v: VertexId) -> Option<TreeLabel> {
-        self.cluster_trees[root.index()].label(v)
+    /// The cluster tree `T(w)`.
+    pub fn tree(&self, w: VertexId) -> &TreeScheme {
+        &self.trees[w.index()]
     }
 
-    /// [`Clusters::label_in`] where the scheme's invariants promise
-    /// `v ∈ C_A(root)`: a miss is [`RouteError::MissingInformation`].
+    /// The bunch `B(v)` as `(w, d(w, v))` pairs, in ascending id order.
+    pub fn bunch(&self, v: VertexId) -> &[(VertexId, Weight)] {
+        self.bunches.of(v)
+    }
+
+    /// `d(v, w)` if `w ∈ B(v)`, which is when `v ∈ C(w)`.
     #[inline]
-    pub(crate) fn label_in_cluster(
-        &self,
-        root: VertexId,
-        v: VertexId,
-    ) -> Result<TreeLabel, RouteError> {
+    pub fn bunch_dist(&self, v: VertexId, w: VertexId) -> Option<Weight> {
+        let bunch = self.bunches.of(v);
+        bunch.binary_search_by_key(&w, |&(x, _)| x).ok().map(|i| bunch[i].1)
+    }
+
+    /// The label of `v` in `T(root)`, if `v ∈ C(root)`.
+    #[inline]
+    pub fn label_in(&self, root: VertexId, v: VertexId) -> Option<TreeLabel> {
+        self.trees[root.index()].label(v)
+    }
+
+    /// [`ClusterFamily::label_in`] where the scheme's invariants promise
+    /// `v ∈ C(root)`: a miss is [`RouteError::MissingInformation`].
+    #[inline]
+    pub fn label_in_cluster(&self, root: VertexId, v: VertexId) -> Result<TreeLabel, RouteError> {
         self.label_in(root, v).ok_or_else(|| RouteError::MissingInformation {
             at: root,
             what: format!("{v} is not in the cluster of {root}"),
         })
     }
 
-    /// One routing step at `at` on the cluster tree of `root`.
+    /// One routing step at `at` on `T(root)`.
+    ///
+    /// # Errors
+    ///
+    /// As [`TreeScheme::step`].
     #[inline]
-    pub(crate) fn step(
+    pub fn step(
         &self,
         root: VertexId,
         at: VertexId,
         label: &TreeLabel,
     ) -> Result<Decision, RouteError> {
-        self.cluster_trees[root.index()].step(at, label)
+        self.trees[root.index()].step(at, label)
     }
 
     /// Words `u` stores: tree-routing information of every cluster
     /// containing it and the labels of its own cluster's members.
-    pub(crate) fn membership_words(&self, u: VertexId) -> usize {
-        let member_of: usize = self.bunch_of[u.index()]
-            .iter()
-            .map(|&(w, _)| self.cluster_trees[w.index()].table_words(u))
-            .sum();
-        member_of + self.cluster_trees[u.index()].labels_words()
+    pub fn membership_words(&self, u: VertexId) -> usize {
+        let member_of: usize =
+            self.bunch(u).iter().map(|&(w, _)| self.trees[w.index()].table_words(u)).sum();
+        member_of + self.trees[u.index()].labels_words()
+    }
+}
+
+/// Every bunch in one CSR table: a probe is one binary search over
+/// adjacent memory.
+#[derive(Debug, Clone)]
+struct FlatBunches {
+    /// `offsets[v]..offsets[v + 1]` indexes `entries` for vertex `v`.
+    offsets: Vec<u32>,
+    /// `(w, d(w, v))`, ascending `w` within each vertex.
+    entries: Vec<(VertexId, Weight)>,
+}
+
+impl FlatBunches {
+    /// Inverts the clusters by a counting sort over ascending roots, so
+    /// every bunch comes out id-sorted.
+    fn new(clusters: &[Vec<(VertexId, Weight)>]) -> Self {
+        let n = clusters.len();
+        let mut offsets = vec![0u32; n + 1];
+        for &(v, _) in clusters.iter().flatten() {
+            offsets[v.index() + 1] += 1;
+        }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        let mut next = offsets.clone();
+        let mut entries = vec![(VertexId(0), 0); offsets[n] as usize];
+        for (w, members) in clusters.iter().enumerate() {
+            for &(v, d) in members {
+                entries[next[v.index()] as usize] = (VertexId(w as u32), d);
+                next[v.index()] += 1;
+            }
+        }
+        FlatBunches { offsets, entries }
+    }
+
+    fn of(&self, v: VertexId) -> &[(VertexId, Weight)] {
+        &self.entries[self.offsets[v.index()] as usize..self.offsets[v.index() + 1] as usize]
+    }
+}
+
+/// Lemma 4 landmarks `A` with clusters of `O(n^{1/3})` vertices, bounded by
+/// `d(·, A)`. Dereferences to its cluster family.
+#[derive(Debug, Clone)]
+pub(crate) struct Clusters {
+    pub(crate) landmarks: Landmarks,
+    family: ClusterFamily,
+}
+
+impl std::ops::Deref for Clusters {
+    type Target = ClusterFamily;
+
+    fn deref(&self) -> &ClusterFamily {
+        &self.family
+    }
+}
+
+impl Clusters {
+    /// Samples `Õ(n^{2/3})` landmarks (the density Theorems 10 and 11 both
+    /// prescribe) and builds the cluster family around them, handing back
+    /// its build-only member lists.
+    pub(crate) fn build<R: Rng>(
+        g: &Graph,
+        params: &Params,
+        rng: &mut R,
+    ) -> Result<(Self, ClusterMembers), BuildError> {
+        let n = g.n();
+        let s = ((params.landmark_scale * (n as f64).powf(2.0 / 3.0)).ceil() as usize).clamp(1, n);
+        let landmarks = sample_centers_bounded(g, s, rng);
+        let (family, members) = ClusterFamily::build(g, |_| landmarks.bound_slice())?;
+        Ok((Clusters { landmarks, family }, members))
     }
 }
 
@@ -322,23 +425,35 @@ mod tests {
         assert_eq!(kept.color_rep, direct.color_rep, "{key}: representatives");
     }
 
-    fn assert_same_clusters(key: &str, g: &Graph, kept: &Clusters, direct: &Clusters) {
-        assert_eq!(kept.landmarks.members(), direct.landmarks.members(), "{key}: landmarks");
+    /// The cluster stage equals the path it replaced under the same
+    /// landmarks: `all_clusters` + `bunches` + `TreeScheme::from_restricted`.
+    fn assert_reference_clusters(key: &str, g: &Graph, stage: &Clusters, members: &ClusterMembers) {
+        let raw = routing_vicinity::all_clusters(g, &stage.landmarks);
+        let bunches = routing_vicinity::bunches(g, &raw);
+        let trees: Vec<TreeScheme> =
+            raw.iter().map(|c| TreeScheme::from_restricted(g, c).unwrap()).collect();
         for u in g.vertices() {
-            assert_eq!(kept.membership_words(u), direct.membership_words(u), "{key}: words at {u}");
+            assert_eq!(members[u.index()], raw[u.index()].members(), "{key}: C({u})");
+            let mut bunch = bunches[u.index()].clone();
+            bunch.sort_unstable();
+            assert_eq!(stage.bunch(u), bunch, "{key}: B({u})");
+            let words = trees[u.index()].labels_words()
+                + bunch.iter().map(|&(w, _)| trees[w.index()].table_words(u)).sum::<usize>();
+            assert_eq!(stage.membership_words(u), words, "{key}: words at {u}");
             for v in g.vertices() {
-                assert_eq!(
-                    kept.label_in(u, v),
-                    direct.label_in(u, v),
-                    "{key}: label of {v} in T({u})"
-                );
+                let (tree, reference) = (stage.tree(u), &trees[u.index()]);
+                assert_eq!(tree.node_info(v), reference.node_info(v), "{key}: {v} in T({u})");
+                assert_eq!(tree.label(v), reference.label(v), "{key}: label of {v} in T({u})");
             }
         }
     }
 
     /// The stages, run directly in the order and with the RNG a scheme build
     /// prescribes, produce what each of the five registry keys retains — on
-    /// the instance the committed `table1` goldens are generated from.
+    /// the instance the committed `table1` goldens are generated from. The
+    /// cluster stage also equals its reference path on every family, unit
+    /// (tie-heavy) and weighted, around the 64-wide batch boundary, at one
+    /// and four threads.
     #[test]
     fn stages_built_directly_equal_what_every_registry_key_retains() {
         let params = Params { hitting: HittingStrategy::Random, ..Params::with_epsilon(0.5) };
@@ -361,17 +476,34 @@ mod tests {
         let ell = params.scaled(4, 60);
         let thm10 = SchemeTwoPlusEps::build(&unit, &params, &mut ctx.rng()).unwrap();
         let mut rng = ctx.rng();
-        let (clusters, _) = Clusters::build(&unit, &params, &mut rng).unwrap();
+        let (clusters, members) = Clusters::build(&unit, &params, &mut rng).unwrap();
         let direct = Vicinities::balls(&unit, ell).colour(ell, 4, &params, &mut rng).unwrap();
         assert_same_vicinities("thm10", &thm10.vic, &direct);
-        assert_same_clusters("thm10", &unit, &thm10.clusters, &clusters);
+        assert_eq!(thm10.clusters.landmarks.members(), clusters.landmarks.members());
+        assert_reference_clusters("thm10", &unit, &thm10.clusters, &members);
 
         let thm11 = SchemeFivePlusEps::build(&weighted, &params, &mut ctx.rng()).unwrap();
         let mut rng = ctx.rng();
-        let (clusters, _) = Clusters::build(&weighted, &params, &mut rng).unwrap();
+        let (clusters, members) = Clusters::build(&weighted, &params, &mut rng).unwrap();
         let direct = Vicinities::balls(&weighted, ell).colour(ell, 4, &params, &mut rng).unwrap();
         assert_same_vicinities("thm11", &thm11.vic, &direct);
-        assert_same_clusters("thm11", &weighted, &thm11.clusters, &clusters);
+        assert_eq!(thm11.clusters.landmarks.members(), clusters.landmarks.members());
+        assert_reference_clusters("thm11", &weighted, &thm11.clusters, &members);
+
+        for family in Family::ALL {
+            for weights in [WeightModel::Unit, WeightModel::Uniform { lo: 1, hi: 32 }] {
+                for n in [2, 63, 64, 65, 130] {
+                    let g = family.generate(n, weights, &mut StdRng::seed_from_u64(n as u64));
+                    for threads in [1, 4] {
+                        routing_par::set_threads(threads);
+                        let built = Clusters::build(&g, &params, &mut ctx.rng()).unwrap();
+                        let key = format!("{} {weights:?} n={n} x{threads}", family.name());
+                        assert_reference_clusters(&key, &g, &built.0, &built.1);
+                    }
+                }
+            }
+        }
+        routing_par::set_threads(routing_par::available_threads());
     }
 
     /// A label is data from outside: one taken from an instance four times

@@ -13,7 +13,7 @@
 //! to each vertex on it, so one search per source serves all its set's
 //! members. On a unit-weight graph — Theorems 10, 13 and 15 take those, and
 //! the warm-up is run on them — the searches come from
-//! [`BfsBatch`](routing_graph::BfsBatch), one bit-parallel BFS per 64
+//! [`BfsBatch`], one bit-parallel BFS per 64
 //! consecutive sources, whose paths are the ones Dijkstra's `(distance, id)`
 //! rule picks; on a weighted graph each source runs a target-bounded
 //! Dijkstra that stops at its last set member.

@@ -14,8 +14,6 @@
 //! that guarantees the cluster bound deterministically (it keeps adding
 //! centers until every cluster is small enough).
 
-use std::collections::HashMap;
-
 use rand::Rng;
 
 use routing_graph::shortest_path::{multi_source_dijkstra, RestrictedTree};
@@ -26,7 +24,6 @@ use routing_graph::{Graph, SearchScratch, VertexId, Weight, INFINITY};
 #[derive(Debug, Clone)]
 pub struct Landmarks {
     members: Vec<VertexId>,
-    is_member: Vec<bool>,
     dist: Vec<Weight>,
     nearest: Vec<Option<VertexId>>,
 }
@@ -38,10 +35,6 @@ impl Landmarks {
         let mut members = set;
         members.sort_unstable();
         members.dedup();
-        let mut is_member = vec![false; g.n()];
-        for &a in &members {
-            is_member[a.index()] = true;
-        }
         let (dist, nearest) = if members.is_empty() {
             (vec![INFINITY; g.n()], vec![None; g.n()])
         } else {
@@ -51,7 +44,7 @@ impl Landmarks {
                 g.vertices().map(|v| ms.nearest(v)).collect(),
             )
         };
-        Landmarks { members, is_member, dist, nearest }
+        Landmarks { members, dist, nearest }
     }
 
     /// The landmark vertices, sorted by id.
@@ -67,11 +60,6 @@ impl Landmarks {
     /// True if `A` is empty.
     pub fn is_empty(&self) -> bool {
         self.members.is_empty()
-    }
-
-    /// Returns true if `v ∈ A`.
-    pub fn contains(&self, v: VertexId) -> bool {
-        self.is_member[v.index()]
     }
 
     /// `d(v, A)`, or `None` when `A` is empty or unreachable from `v`.
@@ -144,6 +132,10 @@ pub fn sample_centers_bounded<R: Rng>(g: &Graph, s: usize, rng: &mut R) -> Landm
 
 /// Computes the cluster tree `T_{C_A(w)}` of every vertex `w`, indexed by
 /// vertex id. One restricted search per vertex, run in parallel.
+///
+/// The schemes build their clusters with `routing_core::ClusterFamily`;
+/// this and [`bunches`] are the reference that stage is tested against and
+/// a per-layer probe of the benchmark.
 pub fn all_clusters(g: &Graph, landmarks: &Landmarks) -> Vec<RestrictedTree> {
     let _span = routing_obs::span("clusters");
     routing_par::par_map_scratch(
@@ -202,13 +194,6 @@ pub fn sample_uniform<R: Rng>(g: &Graph, k: usize, rng: &mut R) -> Vec<VertexId>
     ids
 }
 
-/// Membership map `vertex -> position` for a sorted landmark list; used by
-/// schemes that need to index per-landmark arrays.
-// lint:allow(det-hash-iter): position lookup over a sorted list; callers enumerate the list itself, never this map
-pub fn index_of(members: &[VertexId]) -> HashMap<VertexId, usize> {
-    members.iter().enumerate().map(|(i, &v)| (v, i)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,8 +212,6 @@ mod tests {
         let lm = Landmarks::new(&g, vec![VertexId(0), VertexId(9)]);
         assert_eq!(lm.len(), 2);
         assert!(!lm.is_empty());
-        assert!(lm.contains(VertexId(9)));
-        assert!(!lm.contains(VertexId(5)));
         assert_eq!(lm.dist_to_set(VertexId(3)), Some(3));
         assert_eq!(lm.nearest(VertexId(3)), Some(VertexId(0)));
         assert_eq!(lm.nearest(VertexId(6)), Some(VertexId(9)));
@@ -328,8 +311,5 @@ mod tests {
         assert!(s.windows(2).all(|w| w[0] < w[1]));
         let all = sample_uniform(&g, 100, &mut r);
         assert_eq!(all.len(), 30);
-        let idx = index_of(&s);
-        assert_eq!(idx.len(), 10);
-        assert_eq!(idx[&s[3]], 3);
     }
 }

@@ -206,6 +206,24 @@ mod tests {
     }
 
     #[test]
+    fn every_cluster_and_vicinity_key_rejects_a_disconnected_graph() {
+        // Two 30-cycles: unit weights, so thm10 reaches its connectivity
+        // check rather than its unweighted-only one.
+        let mut b = routing_graph::GraphBuilder::new(60);
+        for i in 0..60 {
+            b.add_unit_edge(i, if i % 30 == 29 { i - 29 } else { i + 1 }).unwrap();
+        }
+        let g = b.build();
+        let r = SchemeRegistry::with_defaults();
+        let ctx = BuildContext { seed: 9, threads: 1, ..BuildContext::default() };
+        let keys = ["warmup", "thm10", "thm11", "thm13", "thm15", "tz2", "tz3", "thm16k3"];
+        for key in keys {
+            let err = r.build(key, &g, &ctx).err();
+            assert_eq!(err, Some(BuildError::Disconnected), "{key}");
+        }
+    }
+
+    #[test]
     fn unknown_keys_are_reported_as_unknown_scheme() {
         let r = SchemeRegistry::with_defaults();
         let g = routing_graph::generators::path(4);

@@ -4,12 +4,13 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use routing_baselines::TzHierarchy;
 use routing_churn::{ChurnPlan, ChurnPlanConfig, RemovalMode};
 use routing_core::{Params, SchemeFivePlusEps, SchemeThreePlusEps};
 use routing_graph::apsp::DistanceMatrix;
 use routing_graph::generators::{self, WeightModel};
 use routing_graph::mutate::apply_events;
-use routing_graph::shortest_path::{ball, dijkstra, Ball};
+use routing_graph::shortest_path::{ball, cluster_dijkstra, dijkstra, Ball};
 use routing_graph::{Graph, GraphBuilder, SampledDistances, VertexId};
 use routing_model::simulate;
 use routing_vicinity::BallTable;
@@ -348,6 +349,46 @@ fn check_ball_table(g: &Graph, table: &BallTable, reference: impl Fn(VertexId) -
     }
 }
 
+/// Holds a TZ hierarchy against the path its clusters replaced — per root
+/// one `cluster_dijkstra` under its level's bound row, then `bunches` and
+/// `TreeScheme::from_restricted` — and against the lemmas on exact
+/// distances: `v ∈ C(w) ⇔ w ∈ B(v) ⇔ d(w, v) < d(v, A_{level(w)+1})`, with
+/// `d(w, v)` recorded in the bunch, and `v ∈ C(p_i(v))` at every level `i`
+/// (tie inheritance).
+fn check_tz_hierarchy(g: &Graph, h: &TzHierarchy, exact: &DistanceMatrix) {
+    use routing_model::RoutingScheme;
+    use routing_tree::TreeScheme;
+    let k = h.k();
+    let bound = |next: usize, v: VertexId| if next < k { h.pivot(next, v).1 } else { u64::MAX };
+    let rows: Vec<Vec<u64>> =
+        (1..=k).map(|next| g.vertices().map(|v| bound(next, v)).collect()).collect();
+    let row = |w: VertexId| &rows[h.level_of(w)];
+    let raw: Vec<_> = g.vertices().map(|w| cluster_dijkstra(g, w, row(w))).collect();
+    let bunches = routing_vicinity::bunches(g, &raw);
+    let trees: Vec<TreeScheme> =
+        raw.iter().map(|c| TreeScheme::from_restricted(g, c).unwrap()).collect();
+    for v in g.vertices() {
+        let mut bunch = bunches[v.index()].clone();
+        bunch.sort_unstable();
+        assert_eq!(h.bunch(v), bunch, "B({v})");
+        let words = trees[v.index()].labels_words()
+            + bunch.iter().map(|&(w, _)| trees[w.index()].table_words(v)).sum::<usize>();
+        assert_eq!(h.clusters().membership_words(v), words, "words at {v}");
+        for i in 0..k {
+            assert!(h.cluster_tree(h.pivot(i, v).0).contains(v), "{v} is not in C(p_{i}({v}))");
+        }
+        for w in g.vertices() {
+            let (tree, reference) = (h.cluster_tree(w), &trees[w.index()]);
+            assert_eq!(tree.node_info(v), reference.node_info(v), "{v} in T({w})");
+            assert_eq!(tree.label(v), reference.label(v), "label of {v} in T({w})");
+            let d = exact.dist(w, v).unwrap();
+            let member = d < row(w)[v.index()];
+            assert_eq!(tree.contains(v), member, "{v} in C({w}) at d = {d}");
+            assert_eq!(h.clusters().bunch_dist(v, w), member.then_some(d), "{w} in B({v})");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8, .. ProptestConfig::default() })]
 
@@ -554,11 +595,33 @@ proptest! {
     /// hierarchy's bunch lists: every bunch entry is found at its recorded
     /// distance, every non-member probe misses, the oracle's ping-pong query
     /// built on them matches a `HashMap`-based reference evaluation, and
-    /// builds at thread counts 1 and 4 route identically.
+    /// builds at thread counts 1 and 4 route identically. On every family,
+    /// unit (tie-heavy) and weighted, around the 64-wide batch boundary, at
+    /// k = 2, 3 and at thread counts 1 and 4, the hierarchy also equals its
+    /// reference path and satisfies the TZ lemmas (`check_tz_hierarchy`).
     #[test]
     fn flat_tz_bunches_match_hashmap_baseline(seed in 1u64..500, n in 40usize..80) {
         use std::collections::HashMap;
         let _guard = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let build = |g: &Graph, k: usize, threads: usize| {
+            routing_par::set_threads(threads);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x72);
+            let h = TzHierarchy::build(g, k, &mut rng).unwrap();
+            routing_par::set_threads(routing_par::available_threads());
+            h
+        };
+        for family in generators::Family::ALL {
+            for weights in [WeightModel::Unit, WeightModel::Uniform { lo: 1, hi: 9 }] {
+                for size in [2usize, 63, 64, 65, 130] {
+                    let g = family.generate(size, weights, &mut StdRng::seed_from_u64(seed));
+                    let exact = DistanceMatrix::new(&g);
+                    for (k, threads) in [(2, 1), (2, 4), (3, 1), (3, 4)] {
+                        check_tz_hierarchy(&g, &build(&g, k, threads), &exact);
+                    }
+                }
+            }
+        }
+
         let mut gen_rng = StdRng::seed_from_u64(seed);
         let g = generators::erdos_renyi(
             n,
@@ -566,16 +629,8 @@ proptest! {
             WeightModel::Uniform { lo: 1, hi: 9 },
             &mut gen_rng,
         );
-
-        let build = |threads: usize| {
-            routing_par::set_threads(threads);
-            let mut rng = StdRng::seed_from_u64(seed ^ 0x72);
-            let h = routing_baselines::TzHierarchy::build(&g, 2, &mut rng).unwrap();
-            routing_par::set_threads(routing_par::available_threads());
-            h
-        };
-        let h1 = build(1);
-        let h4 = build(4);
+        let h1 = build(&g, 2, 1);
+        let h4 = build(&g, 2, 4);
 
         // Reference: per-vertex HashMaps rebuilt from the hierarchy's
         // bunch lists (the exact pre-refactor oracle layout).
