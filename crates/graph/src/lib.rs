@@ -10,9 +10,9 @@
 //!   [`SearchScratch`] workspace (epoch-stamped arrays + preallocated heap)
 //!   that runs full, bounded (ball), multi-source and restricted searches
 //!   with zero per-call allocation. Every preprocessing hot path holds one
-//!   per worker thread. On unit-weight graphs, [`BfsBatch`] runs 64 full
-//!   searches as one bit-parallel BFS sweep with the same distances and
-//!   paths.
+//!   per worker thread. On unit-weight graphs, [`BfsBatch`] runs 64 full or
+//!   ball searches as one bit-parallel BFS sweep with the same distances,
+//!   paths, balls and first ports.
 //! * [`shortest_path`] — Dijkstra/BFS with the paper's lexicographic
 //!   tie-breaking, ball (k-nearest) searches, multi-source searches and
 //!   shortest-path trees; the free functions are thin fresh-workspace

@@ -7,11 +7,12 @@
 //! Preprocessing in this workspace is thousands of independent graph
 //! searches: one Dijkstra per source in
 //! [`crate::apsp::DistanceMatrix::new`], one bounded ball search per vertex
-//! in `BallTable::build`, one restricted cluster search per vertex in the
-//! Thorup–Zwick hierarchy. The original entry points in [`crate::shortest_path`]
-//! allocate their working state per call — four `O(n)` vectors for a full
-//! Dijkstra, three `HashMap`s for a ball or cluster search — which makes the
-//! allocator, not the graph, the bottleneck once `n` reaches 10⁴.
+//! in `BallTable::build` on weighted graphs, one restricted cluster search
+//! per vertex in the Thorup–Zwick hierarchy. The original entry points in
+//! [`crate::shortest_path`] allocate their working state per call — four
+//! `O(n)` vectors for a full Dijkstra, three `HashMap`s for a ball or
+//! cluster search — which makes the allocator, not the graph, the
+//! bottleneck once `n` reaches 10⁴.
 //!
 //! A [`SearchScratch`] is allocated **once** (per worker thread — see
 //! `routing_par::par_map_scratch`) and reused across searches:
@@ -37,8 +38,10 @@
 //! implementations kept in [`crate::reference`].
 //!
 //! On a unit-weight graph a second workspace, [`BfsBatch`], runs up to 64
-//! full searches as one bit-parallel breadth-first sweep and recovers the
-//! same distances and tree paths [`SearchScratch::dijkstra_into`] gives.
+//! searches as one bit-parallel breadth-first sweep: full searches, with the
+//! distances and tree paths [`SearchScratch::dijkstra_into`] gives, or ball
+//! searches under a per-source budget `ℓ`, with the members, radii and
+//! first ports [`SearchScratch::ball_into`] gives.
 //!
 //! # Example
 //!
@@ -58,7 +61,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::{Graph, GraphError, VertexId, Weight, INFINITY};
+use crate::{Graph, GraphError, Port, VertexId, Weight, INFINITY};
 
 /// Sentinel for "no parent / no first hop / no nearest source".
 const NONE: u32 = u32::MAX;
@@ -772,9 +775,11 @@ struct Lanes {
     next: u64,
 }
 
-/// A reusable workspace that runs up to [`BFS_BATCH_WIDTH`] full searches
-/// on a **unit-weight** graph as one breadth-first sweep of the adjacency —
-/// the multi-source BFS of Then et al., "The More the Merrier" (VLDB 2015).
+/// A reusable workspace that runs up to [`BFS_BATCH_WIDTH`] searches on a
+/// **unit-weight** graph as one breadth-first sweep of the adjacency — the
+/// multi-source BFS of Then et al., "The More the Merrier" (VLDB 2015):
+/// full searches ([`run`](Self::run)) or ball searches that stop after `ℓ`
+/// vertices each ([`run_balls`](Self::run_balls)).
 ///
 /// Per vertex it keeps three `u64` lanes — which sources have *seen* it,
 /// which hold it in their current *frontier*, which reach it *next* — so
@@ -784,7 +789,10 @@ struct Lanes {
 /// more edge work than its searches run one by one, where a pull sweep over
 /// all `n` vertices per level would cost `n · diameter` on a grid or a
 /// path. Each source has a `u32` level row, `64 · n · 4` bytes per
-/// workspace.
+/// workspace; ball searches add a `u32` first-port row per source and a
+/// member log of `64 · min(ℓ, n)` ids. A run resets only the vertices the
+/// previous run reached, so a batch of small balls on a large graph costs
+/// what its balls cost.
 ///
 /// **Same answers as Dijkstra.** With unit weights, Dijkstra under the
 /// `(distance, id)` tie rule settles level by level, and `v`'s parent is the
@@ -806,6 +814,29 @@ struct Lanes {
 /// let path = batch.path_to(&g, 0, VertexId(5));
 /// assert_eq!(path, Some(vec![VertexId(0), VertexId(1), VertexId(5)]));
 /// ```
+///
+/// A budgeted run gives each source its ball `B(s, ℓ)` in `(distance, id)`
+/// order, as [`SearchScratch::ball_into`] does:
+///
+/// ```
+/// use routing_graph::scratch::BfsBatch;
+/// use routing_graph::{generators, Port, VertexId};
+///
+/// // 0 1 2
+/// // 3 4 5
+/// let g = generators::grid(2, 3);
+/// let mut batch = BfsBatch::for_graph(&g).expect("a grid has unit weights");
+/// batch.run_balls(&g, &[VertexId(0), VertexId(4)], 3).expect("two centres in range");
+/// // Level 1 of vertex 0 is {1, 3}: both fit.
+/// assert_eq!(batch.members(0), [VertexId(0), VertexId(1), VertexId(3)]);
+/// assert_eq!(batch.radius(0), 1);
+/// // Level 1 of vertex 4 is {1, 3, 5}: the two smallest ids fit, so the
+/// // level is cut and the radius is the last complete level.
+/// assert_eq!(batch.members(1), [VertexId(4), VertexId(1), VertexId(3)]);
+/// assert_eq!(batch.radius(1), 0);
+/// // Vertex 4's adjacency is [1, 3, 5]: port 1 leads to 3.
+/// assert_eq!(batch.first_port(1, VertexId(3)), Some(Port(1)));
+/// ```
 #[derive(Debug, Clone)]
 pub struct BfsBatch {
     n: usize,
@@ -813,11 +844,25 @@ pub struct BfsBatch {
     /// `level[i * n + v]`: the distance from source `i` to `v`, meaningful
     /// only where bit `i` of `v`'s `seen` lane is set.
     level: Vec<u32>,
+    /// `port[i * n + v]`: after a ball run, the port at source `i` of the
+    /// first edge on its path to `v`, meaningful where `level` is, except
+    /// at the source. Sized by the first ball run.
+    port: Vec<u32>,
+    /// After a ball run, lane `i`'s members in `(level, id)` order:
+    /// `members[i * budget..][..ball_len[i]]`.
+    members: Vec<VertexId>,
+    ball_len: [usize; BFS_BATCH_WIDTH],
+    /// Lanes whose last level did not fit in their ball.
+    cut: u64,
+    /// The ball size of the last run, `0` after a full run.
+    budget: usize,
     /// Vertices with frontier bits on the current level.
     active: Vec<u32>,
     /// Vertices gaining `next` bits on the level being built.
     next_active: Vec<u32>,
-    /// Number of sources of the last [`run`](Self::run).
+    /// Every vertex the last run reached, once: what the next run resets.
+    touched: Vec<u32>,
+    /// Number of sources of the last run.
     sources: usize,
 }
 
@@ -829,8 +874,14 @@ impl BfsBatch {
             n: g.n(),
             lanes: vec![Lanes::default(); g.n()],
             level: vec![0; BFS_BATCH_WIDTH * g.n()],
+            port: Vec::new(),
+            members: Vec::new(),
+            ball_len: [0; BFS_BATCH_WIDTH],
+            cut: 0,
+            budget: 0,
             active: Vec::new(),
             next_active: Vec::new(),
+            touched: Vec::new(),
             sources: 0,
         })
     }
@@ -847,9 +898,52 @@ impl BfsBatch {
     /// ([`GraphError::VertexOutOfRange`]), or `g` has an edge of non-unit
     /// weight ([`GraphError::NotUnitWeight`]).
     pub fn run(&mut self, g: &Graph, sources: &[VertexId]) -> Result<(), GraphError> {
-        self.lanes.fill(Lanes::default());
+        self.sweep::<false>(g, sources, usize::MAX)
+    }
+
+    /// Runs the ball search `B(s, ℓ)` from every vertex `s` of `centres` —
+    /// `centres[i]` owns bit `i` — as one sweep, with the members, radius
+    /// and first ports [`SearchScratch::ball_into`] gives each centre:
+    /// [`members`](Self::members), [`radius`](Self::radius) and
+    /// [`first_port`](Self::first_port).
+    ///
+    /// A lane counts the vertices it holds. At the end of the first level
+    /// `L` at which it holds `ℓ` (or `1` when `ℓ ≤ 1`), it stops offering
+    /// its bit. Each level's new vertices are logged in id order, so the
+    /// ball is every vertex below level `L` plus the smallest ids of level
+    /// `L`. A lane whose component runs out first keeps everything it
+    /// reached. The active list is id-sorted, so the first frontier vertex
+    /// to offer a lane's bit to `v` is `v`'s smallest-id neighbour one level
+    /// closer — Dijkstra's parent — and `v` takes that vertex's first port,
+    /// or the centre's own port to `v` at depth 1.
+    ///
+    /// # Errors
+    ///
+    /// As [`run`](Self::run).
+    pub fn run_balls(&mut self, g: &Graph, centres: &[VertexId], ell: usize) -> Result<(), GraphError> {
+        self.sweep::<true>(g, centres, ell.max(1).min(g.n()))
+    }
+
+    /// The one level loop behind [`run`](Self::run) and
+    /// [`run_balls`](Self::run_balls). `BALLS` adds the first-port
+    /// propagation, the id-sorted member log and lane retirement at
+    /// `budget` members; a full run compiles without them.
+    fn sweep<const BALLS: bool>(
+        &mut self,
+        g: &Graph,
+        sources: &[VertexId],
+        budget: usize,
+    ) -> Result<(), GraphError> {
+        for &v in &self.touched {
+            if let Some(lane) = self.lanes.get_mut(v as usize) {
+                *lane = Lanes::default();
+            }
+        }
+        self.touched.clear();
         self.active.clear();
         self.sources = 0;
+        self.budget = 0;
+        self.cut = 0;
         if !g.is_unweighted() {
             return Err(GraphError::NotUnitWeight);
         }
@@ -863,8 +957,20 @@ impl BfsBatch {
             return Err(GraphError::VertexOutOfRange { vertex: s.index(), n: g.n() });
         }
         let n = self.n;
+        if BALLS {
+            self.budget = budget;
+            if self.port.len() < BFS_BATCH_WIDTH * n {
+                self.port.resize(BFS_BATCH_WIDTH * n, 0);
+            }
+            if self.members.len() < BFS_BATCH_WIDTH * budget {
+                self.members.resize(BFS_BATCH_WIDTH * budget, VertexId(0));
+            }
+        }
         for (i, s) in sources.iter().enumerate() {
             if let Some(lane) = self.lanes.get_mut(s.index()) {
+                if lane.seen == 0 {
+                    self.touched.push(s.0);
+                }
                 if lane.frontier == 0 {
                     self.active.push(s.0);
                 }
@@ -874,38 +980,95 @@ impl BfsBatch {
             if let Some(d) = self.level.get_mut(i * n + s.index()) {
                 *d = 0;
             }
+            if BALLS {
+                if let Some(m) = self.members.get_mut(i * budget) {
+                    *m = *s;
+                }
+                self.ball_len[i] = 1;
+            }
         }
         self.sources = sources.len();
+        // The lanes still offering their bit.
+        let mut live = u64::MAX.checked_shr((BFS_BATCH_WIDTH - sources.len()) as u32).unwrap_or(0);
         let mut depth = 0u32;
-        while !self.active.is_empty() {
+        loop {
+            if BALLS {
+                let mut bits = live;
+                while bits != 0 {
+                    let i = bits.trailing_zeros() as usize;
+                    if self.ball_len[i] >= budget {
+                        live &= !(1 << i);
+                    }
+                    bits &= bits - 1;
+                }
+            }
+            if self.active.is_empty() || live == 0 {
+                break;
+            }
             depth += 1;
-            // Push: each frontier vertex offers its frontier bits to its
-            // neighbours; a bit is taken the first time it arrives.
+            // Push: each frontier vertex offers its live frontier bits to
+            // its neighbours; a bit is taken the first time it arrives.
             for &u in &self.active {
                 let Some(lane) = self.lanes.get_mut(u as usize) else { continue };
-                let offer = std::mem::take(&mut lane.frontier);
+                let offer = std::mem::take(&mut lane.frontier) & live;
+                if offer == 0 {
+                    continue;
+                }
                 for e in g.edges(VertexId(u)) {
                     let Some(to) = self.lanes.get_mut(e.to.index()) else { continue };
                     let fresh = offer & !to.seen;
-                    if fresh != 0 {
-                        if to.next == 0 {
-                            self.next_active.push(e.to.0);
+                    if fresh == 0 {
+                        continue;
+                    }
+                    if to.next == 0 {
+                        self.next_active.push(e.to.0);
+                    }
+                    to.next |= fresh;
+                    to.seen |= fresh;
+                    if BALLS {
+                        let mut bits = fresh;
+                        while bits != 0 {
+                            let i = bits.trailing_zeros() as usize;
+                            let port = if depth == 1 {
+                                e.port.0
+                            } else {
+                                self.port.get(i * n + u as usize).copied().unwrap_or(NONE)
+                            };
+                            if let Some(p) = self.port.get_mut(i * n + e.to.index()) {
+                                *p = port;
+                            }
+                            bits &= bits - 1;
                         }
-                        to.next |= fresh;
-                        to.seen |= fresh;
                     }
                 }
+            }
+            if BALLS {
+                self.next_active.sort_unstable();
             }
             // Commit: the bits taken on this level are the next frontier.
             for &v in &self.next_active {
                 let Some(lane) = self.lanes.get_mut(v as usize) else { continue };
                 let fresh = std::mem::take(&mut lane.next);
+                if lane.seen == fresh {
+                    self.touched.push(v);
+                }
                 lane.frontier = fresh;
                 let mut bits = fresh;
                 while bits != 0 {
                     let i = bits.trailing_zeros() as usize;
                     if let Some(d) = self.level.get_mut(i * n + v as usize) {
                         *d = depth;
+                    }
+                    if BALLS {
+                        let len = &mut self.ball_len[i];
+                        if *len < budget {
+                            if let Some(m) = self.members.get_mut(i * budget + *len) {
+                                *m = VertexId(v);
+                            }
+                            *len += 1;
+                        } else {
+                            self.cut |= 1 << i;
+                        }
                     }
                     bits &= bits - 1;
                 }
@@ -927,10 +1090,49 @@ impl BfsBatch {
     }
 
     /// Distance from source `i` of the last run to `v`, or `None` if that
-    /// search did not reach `v` or the run had no source `i`.
+    /// search did not reach `v` or the run had no source `i`. After
+    /// [`run_balls`](Self::run_balls) a lane has reached its members and
+    /// the rest of its last level.
     #[inline]
     pub fn dist(&self, i: usize, v: VertexId) -> Option<Weight> {
         self.level_of(i, v).map(Weight::from)
+    }
+
+    /// The ball of centre `i` of the last [`run_balls`](Self::run_balls), in
+    /// `(distance, id)` order, the centre first; empty after a full run or
+    /// for a centre the run did not have.
+    pub fn members(&self, i: usize) -> &[VertexId] {
+        if i >= self.sources || self.budget == 0 {
+            return &[];
+        }
+        self.members.get(i * self.budget..).and_then(|m| m.get(..self.ball_len[i])).unwrap_or(&[])
+    }
+
+    /// The radius `r_s(ℓ)` of ball `i`: its last level `L`, or `L − 1` when
+    /// level `L` did not fit. `0` for a centre the run did not have.
+    pub fn radius(&self, i: usize) -> Weight {
+        let Some(top) = self.members(i).last().and_then(|&v| self.level_of(i, v)) else {
+            return 0;
+        };
+        Weight::from(top).saturating_sub(self.cut >> i & 1)
+    }
+
+    /// The port at centre `i` of the last [`run_balls`](Self::run_balls) on
+    /// its shortest path to `v`, the one [`SearchScratch::ball_into`]'s
+    /// first hop names; `None` for the centre itself, after a full run, and
+    /// for a `v` the lane did not reach.
+    pub fn first_port(&self, i: usize, v: VertexId) -> Option<Port> {
+        if self.budget == 0 || self.level_of(i, v)? == 0 {
+            return None;
+        }
+        self.port.get(i * self.n + v.index()).map(|&p| Port(p))
+    }
+
+    /// Ball `i` of the last [`run_balls`](Self::run_balls) as
+    /// `(member, distance, first port)` in `(distance, id)` order, the
+    /// centre first with no port.
+    pub fn ball(&self, i: usize) -> impl ExactSizeIterator<Item = (VertexId, Weight, Option<Port>)> + '_ {
+        self.members(i).iter().map(move |&v| (v, self.dist(i, v).unwrap_or(0), self.first_port(i, v)))
     }
 
     /// The shortest path from source `i` of the last run to `v` (inclusive)
@@ -955,10 +1157,11 @@ impl BfsBatch {
         Some(path)
     }
 
-    /// Vertices the last run reached, summed over its sources (each
-    /// source's component, itself included).
+    /// Vertices the last run reached, summed over its sources (after a full
+    /// run, each source's component, itself included).
     pub fn reached(&self) -> usize {
-        self.lanes.iter().map(|l| l.seen.count_ones() as usize).sum()
+        let seen = |&v: &u32| self.lanes.get(v as usize).map_or(0, |l| l.seen.count_ones() as usize);
+        self.touched.iter().map(seen).sum()
     }
 }
 
@@ -1277,6 +1480,83 @@ mod tests {
         }
     }
 
+    /// The budgeted batch is `ball_into` lane by lane: members in order,
+    /// radius, and the port of every member's first hop. One workspace runs
+    /// every width and ball size, a full run before each ball run and after
+    /// it, so a stale lane, level, port or log row from any earlier run —
+    /// a larger ball, a full search, another width — would show.
+    #[test]
+    fn bfs_batch_balls_equal_ball_into_in_every_lane() {
+        for n in [1, 63, 64, 65, 130] {
+            for (name, g) in unit_families(n) {
+                let mut batch = BfsBatch::for_graph(&g).unwrap();
+                let mut single = SearchScratch::for_graph(&g);
+                let all: Vec<VertexId> = g.vertices().collect();
+                for width in [1, 63, 64] {
+                    for ell in [1, n - 1, n, 2 * n] {
+                        for sources in all.chunks(width) {
+                            batch.run(&g, sources).unwrap();
+                            assert!(batch.members(0).is_empty(), "{name}: a full run has no balls");
+                            let full = batch.reached();
+                            batch.run_balls(&g, sources, ell).unwrap();
+                            for (i, &s) in sources.iter().enumerate() {
+                                let radius = single.ball_into(&g, s, ell);
+                                let port = |v| single.first_hop(v).and_then(|hop| g.port_to(s, hop));
+                                let want: Vec<_> = single.order().iter().map(|&(v, d)| (v, d, port(v))).collect();
+                                let at = format!("{name} n={n} w={width} ℓ={ell}: B({s})");
+                                assert_eq!(batch.ball(i).collect::<Vec<_>>(), want, "{at}");
+                                assert_eq!(batch.radius(i), radius, "{at} radius");
+                            }
+                            assert!(batch.members(sources.len()).is_empty());
+                            batch.run(&g, sources).unwrap();
+                            assert_eq!(batch.reached(), full, "{name}: a ball run left lanes behind");
+                            assert_eq!(batch.first_port(0, sources[0]), None);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The ball rules at their edges, on a path `0 – 1 – … – 9` and two
+    /// components: `ℓ ≤ 1` is the centre alone at radius 0, depth-1 members
+    /// take the centre's own port, a cut level drops the radius by one, an
+    /// exactly full level does not, and a lane whose component runs out
+    /// first keeps all of it.
+    #[test]
+    fn bfs_batch_ball_rules() {
+        let g = generators::path(10);
+        let mut batch = BfsBatch::for_graph(&g).unwrap();
+        let centre = [VertexId(4)];
+        for ell in [0, 1] {
+            batch.run_balls(&g, &centre, ell).unwrap();
+            assert_eq!((batch.members(0), batch.radius(0)), (&[VertexId(4)][..], 0));
+        }
+        batch.run_balls(&g, &centre, 3).unwrap();
+        assert_eq!(batch.members(0), [VertexId(4), VertexId(3), VertexId(5)]);
+        assert_eq!(batch.radius(0), 1, "level 1 filled the ball exactly");
+        // Vertex 4's adjacency is [3, 5].
+        assert_eq!(batch.first_port(0, VertexId(3)), Some(Port(0)));
+        assert_eq!(batch.first_port(0, VertexId(5)), Some(Port(1)));
+        batch.run_balls(&g, &centre, 4).unwrap();
+        assert_eq!(batch.members(0), [VertexId(4), VertexId(3), VertexId(5), VertexId(2)]);
+        assert_eq!(batch.radius(0), 1, "level 2 was cut");
+        assert_eq!(batch.first_port(0, VertexId(2)), Some(Port(0)), "inherited from 3");
+        assert_eq!(batch.dist(0, VertexId(6)), Some(2), "the cut level is reached");
+        assert_eq!(batch.dist(0, VertexId(7)), None, "the lane retired after it");
+
+        let mut halves = crate::GraphBuilder::new(6);
+        for (a, b) in [(0, 1), (1, 2), (3, 4), (4, 5)] {
+            halves.add_unit_edge(a, b).unwrap();
+        }
+        let g = halves.build();
+        let mut batch = BfsBatch::for_graph(&g).unwrap();
+        batch.run_balls(&g, &[VertexId(1), VertexId(5)], 5).unwrap();
+        assert_eq!(batch.members(0), [VertexId(1), VertexId(0), VertexId(2)]);
+        assert_eq!(batch.members(1), [VertexId(5), VertexId(4), VertexId(3)]);
+        assert_eq!((batch.radius(0), batch.radius(1)), (1, 2));
+    }
+
     #[test]
     fn bfs_batch_refuses_what_it_cannot_search() {
         let mut rng = StdRng::seed_from_u64(5);
@@ -1296,7 +1576,7 @@ mod tests {
         // Every refusal leaves nothing reached.
         let refused = |batch: &BfsBatch| batch.reached() == 0 && batch.dist(0, VertexId(0)).is_none();
         let too_wide = GraphError::BatchTooWide { sources: 65, width: 64 };
-        assert_eq!(batch.run(&g, &all[..65]), Err(too_wide));
+        assert_eq!(batch.run(&g, &all[..65]), Err(too_wide.clone()));
         assert!(refused(&batch));
         batch.run(&g, &all[..2]).unwrap();
         assert_eq!(
@@ -1306,6 +1586,9 @@ mod tests {
         assert!(refused(&batch));
         assert_eq!(batch.run(&weighted, &[VertexId(0)]), Err(GraphError::NotUnitWeight));
         assert!(refused(&batch));
+        batch.run_balls(&g, &all[..2], 5).unwrap();
+        assert_eq!(batch.run_balls(&g, &all[..65], 5), Err(too_wide));
+        assert!(refused(&batch) && batch.members(0).is_empty());
         let larger = generators::path(71);
         assert_eq!(
             batch.run(&larger, &[VertexId(0)]),

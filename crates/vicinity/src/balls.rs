@@ -28,15 +28,18 @@
 //!   [`BallTable::into_ports`] drops the rest once the last build-time
 //!   reader has run.
 //!
-//! Building runs one *bounded* ball search per vertex
-//! ([`SearchScratch::ball_into`], which stops after `ℓ` settled vertices) on
-//! a per-worker reusable workspace and appends the results to the final
-//! arrays a block of vertices at a time, so the build never holds a second
-//! copy of more than one block.
+//! Building searches 64 consecutive centres at a time on a per-worker
+//! reusable workspace: on a unit-weight graph one budgeted bit-parallel BFS
+//! ([`BfsBatch::run_balls`], each lane retiring once it holds `ℓ` vertices),
+//! otherwise one *bounded* Dijkstra per centre
+//! ([`SearchScratch::ball_into`], which stops after `ℓ` settled vertices).
+//! Both feed one slot-fill routine, and the results are appended to the
+//! final arrays a block of whole batches at a time, so the build never holds
+//! a second copy of more than one block.
 
 use std::ops::{Deref, Range};
 
-use routing_graph::scratch::SearchScratch;
+use routing_graph::scratch::{BfsBatch, SearchScratch, BFS_BATCH_WIDTH};
 use routing_graph::{Graph, Port, VertexId, Weight};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
 
@@ -51,9 +54,10 @@ type Slot = [u32; 3];
 const EMPTY_KEY: u32 = u32::MAX;
 const EMPTY: Slot = [EMPTY_KEY; 3];
 
-/// [`BallTable::build`] appends the balls to the final arrays in this many
-/// blocks of consecutive vertices, so the per-vertex search results live
-/// beside them are a sixteenth of the table.
+/// [`BallTable::build`] appends the balls to the final arrays in blocks of
+/// `⌈n / BUILD_BLOCKS⌉` consecutive vertices rounded up to whole batches of
+/// [`BFS_BATCH_WIDTH`], so the per-vertex search results live beside them
+/// are a sixteenth of the table plus at most 63 balls.
 const BUILD_BLOCKS: usize = 16;
 
 /// The slot hash: a fixed bijection on `u32` (odd multiplier), so equal
@@ -220,13 +224,24 @@ impl Deref for BallTable {
 
 impl BallTable {
     /// Computes `B(u, ℓ)` for every vertex `u` of `g`, together with the
-    /// first-hop ports Lemma 2 stores. The per-vertex bounded ball searches
-    /// are independent, so they fan out over [`routing_par::threads`]
-    /// threads, each worker reusing one search workspace. The final arrays
-    /// are reserved up front and filled a block of consecutive vertices at a
-    /// time, in index order: at most one block of per-vertex results is live
-    /// beside them, and the table is identical for every thread count.
+    /// first-hop ports Lemma 2 stores. The searches run over batches of
+    /// [`BFS_BATCH_WIDTH`] consecutive centres: on a unit-weight graph one
+    /// budgeted bit-parallel BFS per batch ([`BfsBatch::run_balls`]),
+    /// otherwise one bounded Dijkstra per centre
+    /// ([`SearchScratch::ball_into`]); both give the same balls, ports and
+    /// radii. The batches are independent, so they fan out over
+    /// [`routing_par::threads`] threads, each worker reusing one workspace.
+    /// The final arrays are reserved up front and filled a block of whole
+    /// batches at a time, in index order: at most one block of per-vertex
+    /// results is live beside them, and the table is identical for every
+    /// thread count.
     pub fn build(g: &Graph, ell: usize) -> Self {
+        Self::build_with(g, ell, BallSearch::for_graph)
+    }
+
+    /// [`BallTable::build`] with each worker's search state from `search`
+    /// (the tests pin the batch-built table to the per-vertex one with it).
+    fn build_with(g: &Graph, ell: usize, search: fn(&Graph) -> BallSearch) -> Self {
         let _span = routing_obs::span("balls");
         let n = g.n();
         let ball_len = ell.max(1).min(n);
@@ -236,51 +251,18 @@ impl BallTable {
         let mut slots = Vec::with_capacity(n * (slot_cap(ball_len) + 2));
         let mut radius = Vec::with_capacity(n);
         offsets.push(0);
-        let block = n.div_ceil(BUILD_BLOCKS).max(1);
+        let block = n.div_ceil(BUILD_BLOCKS).next_multiple_of(BFS_BATCH_WIDTH).max(1);
         for first in (0..n).step_by(block) {
-            type PerVertex = (Vec<(VertexId, Weight)>, Vec<Slot>, Weight);
-            let per_vertex: Vec<PerVertex> = routing_par::par_map_scratch(
-                block.min(n - first),
-                || (SearchScratch::for_graph(g), Vec::<Slot>::new()),
-                |(scratch, region), i| {
-                    let u = VertexId((first + i) as u32);
-                    let radius = scratch.ball_into(g, u, ell);
-                    let members = scratch.order().to_vec();
-                    // Ordered insertion: walk from the home slot past smaller
-                    // hashes, then carry every larger resident one slot right.
-                    // The result is the placement of the members in ascending
-                    // hash order at `max(home, previous + 1)`, whatever order
-                    // they arrive in. `cap + len` slots hold the longest run.
-                    let cap = slot_cap(members.len());
-                    region.clear();
-                    region.resize(cap + members.len() + 1, EMPTY);
-                    let mut end = 0;
-                    for (&(v, _), rank) in members.iter().zip(0u32..) {
-                        let port = if v == u {
-                            NO_PORT
-                        } else {
-                            let hop =
-                                scratch.first_hop(v).expect("non-center members have a first hop");
-                            g.port_to(u, hop).expect("first hop is a neighbour")
-                        };
-                        let mut slot = [v.0, port.0, rank];
-                        let mut at = home_slot(slot_hash(v.0), cap);
-                        while region[at][0] != EMPTY_KEY {
-                            if slot_hash(region[at][0]) > slot_hash(slot[0]) {
-                                std::mem::swap(&mut region[at], &mut slot);
-                            }
-                            at += 1;
-                        }
-                        region[at] = slot;
-                        end = end.max(at + 1);
-                    }
-                    // Keep `cap` slots, or more when the last run passes them;
-                    // either way the region's last slot stays empty.
-                    let slots = region[..cap.max(end + 1)].to_vec();
-                    (members, slots, radius)
+            let last = n.min(first + block);
+            let per_batch: Vec<Vec<BuiltBall>> = routing_par::par_map_scratch(
+                (last - first).div_ceil(BFS_BATCH_WIDTH),
+                || search(g),
+                |search, k| {
+                    let lo = first + k * BFS_BATCH_WIDTH;
+                    search.balls(g, lo..last.min(lo + BFS_BATCH_WIDTH), ell)
                 },
             );
-            for (m, s, r) in per_vertex {
+            for (m, s, r) in per_batch.into_iter().flatten() {
                 // A ball has at most `n` members, and ids are `u32`.
                 regions.push(Region { start: slots.len(), members: m.len() as u32 });
                 members.extend(m);
@@ -328,6 +310,84 @@ impl BallTable {
             + std::mem::size_of::<(VertexId, Weight)>() * self.members.capacity()
             + std::mem::size_of::<Weight>() * self.radius.capacity()
     }
+}
+
+/// One ball as [`BallTable::build`] appends it: the members with distances
+/// in settle order, the slot region, the radius.
+type BuiltBall = (Vec<(VertexId, Weight)>, Vec<Slot>, Weight);
+
+/// One worker's state in [`BallTable::build`]: the batch BFS when the graph
+/// has unit weights, a Dijkstra workspace (made on first use) otherwise, and
+/// the scratch region balls are hashed into.
+struct BallSearch {
+    batch: Option<BfsBatch>,
+    scratch: Option<SearchScratch>,
+    region: Vec<Slot>,
+}
+
+impl BallSearch {
+    fn for_graph(g: &Graph) -> Self {
+        BallSearch { batch: BfsBatch::for_graph(g), scratch: None, region: Vec::new() }
+    }
+
+    /// The balls of the consecutive centres `centres` (at most
+    /// [`BFS_BATCH_WIDTH`] of them), in order: one budgeted sweep when the
+    /// batch BFS takes them — it refuses only what [`BfsBatch::for_graph`]
+    /// already did — and one bounded Dijkstra per centre otherwise.
+    fn balls(&mut self, g: &Graph, centres: Range<usize>, ell: usize) -> Vec<BuiltBall> {
+        let ids: Vec<VertexId> = centres.map(|u| VertexId(u as u32)).collect();
+        let region = &mut self.region;
+        if let Some(bfs) = &mut self.batch {
+            if bfs.run_balls(g, &ids, ell).is_ok() {
+                return (0..ids.len()).map(|i| fill_ball(region, bfs.ball(i), bfs.radius(i))).collect();
+            }
+        }
+        let scratch = self.scratch.get_or_insert_with(|| SearchScratch::for_graph(g));
+        ids.iter()
+            .map(|&u| {
+                let radius = scratch.ball_into(g, u, ell);
+                let port = |v| scratch.first_hop(v).and_then(|hop| g.port_to(u, hop));
+                fill_ball(region, scratch.order().iter().map(|&(v, d)| (v, d, port(v))), radius)
+            })
+            .collect()
+    }
+}
+
+/// Hashes one ball, given as `(member, distance, first port)` in settle
+/// order with no port for the centre, into its slot region, using `region`
+/// as scratch.
+///
+/// Ordered insertion: walk from the home slot past smaller hashes, then
+/// carry every larger resident one slot right. The result is the placement
+/// of the members in ascending hash order at `max(home, previous + 1)`,
+/// whatever order they arrive in. `cap + len` slots hold the longest run.
+fn fill_ball(
+    region: &mut Vec<Slot>,
+    ball: impl ExactSizeIterator<Item = (VertexId, Weight, Option<Port>)>,
+    radius: Weight,
+) -> BuiltBall {
+    let len = ball.len();
+    let cap = slot_cap(len);
+    region.clear();
+    region.resize(cap + len + 1, EMPTY);
+    let mut members = Vec::with_capacity(len);
+    let mut end = 0;
+    for ((v, d, port), rank) in ball.zip(0u32..) {
+        members.push((v, d));
+        let mut slot = [v.0, port.unwrap_or(NO_PORT).0, rank];
+        let mut at = home_slot(slot_hash(v.0), cap);
+        while region[at][0] != EMPTY_KEY {
+            if slot_hash(region[at][0]) > slot_hash(slot[0]) {
+                std::mem::swap(&mut region[at], &mut slot);
+            }
+            at += 1;
+        }
+        region[at] = slot;
+        end = end.max(at + 1);
+    }
+    // Keep `cap` slots, or more when the last run passes them; either way
+    // the region's last slot stays empty.
+    (members, region[..cap.max(end + 1)].to_vec(), radius)
 }
 
 /// A borrowed view of one ball `B(u, ℓ)` inside a [`BallTable`].
@@ -510,6 +570,43 @@ mod tests {
                     let port = t.first_port(u, v).unwrap();
                     let hop = g.neighbor_at(u, port).to;
                     assert_eq!(t.dist(hop, v), Some(d - g.neighbor_at(u, port).weight));
+                }
+            }
+        }
+    }
+
+    /// On unit weights the table comes from the budgeted batch BFS; it is
+    /// `==` — members, radii, offsets, every slot — to the table one bounded
+    /// Dijkstra per vertex builds, on every family and two components
+    /// around the batch width, at ℓ below, at and above `n`, at 1 and 4
+    /// threads, and across block boundaries (n = 1100: nine blocks of 128).
+    #[test]
+    fn batch_built_table_equals_the_per_vertex_table() {
+        let per_vertex = |_: &Graph| BallSearch { batch: None, scratch: None, region: Vec::new() };
+        let unit = generators::WeightModel::Unit;
+        let mut graphs = Vec::new();
+        for n in [63, 64, 65, 130] {
+            let mut rng = StdRng::seed_from_u64(n as u64);
+            for family in generators::Family::ALL {
+                graphs.push((family.generate(n, unit, &mut rng), vec![1, n - 1, n, 2 * n]));
+            }
+            let mut halves = routing_graph::GraphBuilder::new(n);
+            for i in (1..n).filter(|&i| i != n / 3) {
+                halves.add_unit_edge(i - 1, i).unwrap();
+            }
+            graphs.push((halves.build(), vec![n / 3, n / 2, n]));
+        }
+        let mut rng = StdRng::seed_from_u64(1100);
+        graphs.push((generators::erdos_renyi(1100, 0.004, unit, &mut rng), vec![1, 40]));
+        for (g, ells) in graphs {
+            assert!(g.is_unweighted());
+            for ell in ells {
+                let reference = BallTable::build_with(&g, ell, per_vertex);
+                for threads in [1, 4] {
+                    routing_par::set_threads(threads);
+                    let table = BallTable::build(&g, ell);
+                    routing_par::set_threads(routing_par::available_threads());
+                    assert!(table == reference, "n = {}, ℓ = {ell}, threads = {threads}", g.n());
                 }
             }
         }

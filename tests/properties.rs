@@ -11,7 +11,7 @@ use routing_graph::apsp::DistanceMatrix;
 use routing_graph::generators::{self, WeightModel};
 use routing_graph::mutate::apply_events;
 use routing_graph::shortest_path::{ball, cluster_dijkstra, dijkstra, Ball};
-use routing_graph::{Graph, GraphBuilder, SampledDistances, VertexId};
+use routing_graph::{Graph, GraphBuilder, Port, SampledDistances, VertexId};
 use routing_model::simulate;
 use routing_vicinity::BallTable;
 
@@ -349,6 +349,38 @@ fn check_ball_table(g: &Graph, table: &BallTable, reference: impl Fn(VertexId) -
     }
 }
 
+/// Property 1 along the ports Lemma 2 forwards on: from every `u`, for every
+/// member `v` of `B(u, ℓ)`, following `port(w, v)` hop by hop reaches `v`
+/// over exactly `d(u, v)` — one hop per unit on unit weights — and every
+/// vertex `w` the walk visits has `v ∈ B(w, ℓ)`. `port` is the table's
+/// `first_port`, or a stand-in with a planted fault.
+fn property_one_along_ports(
+    g: &Graph,
+    table: &BallTable,
+    port: impl Fn(VertexId, VertexId) -> Option<Port>,
+) -> Result<(), String> {
+    for u in g.vertices() {
+        for &(v, d) in table.ball(u).members() {
+            let (mut w, mut walked) = (u, 0);
+            while w != v {
+                if !table.contains(w, v) {
+                    return Err(format!("{v} ∈ B({u}) but not B({w})"));
+                }
+                let p = port(w, v).ok_or_else(|| format!("no port at {w} towards {v}"))?;
+                let edge = g.neighbor_at(w, p);
+                (w, walked) = (edge.to, walked + edge.weight);
+                if walked > d {
+                    return Err(format!("{u} → {v}: walked {walked} at {w}, d = {d}"));
+                }
+            }
+            if walked != d {
+                return Err(format!("{u} → {v}: walked {walked}, d = {d}"));
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Holds a TZ hierarchy against the path its clusters replaced — per root
 /// one `cluster_dijkstra` under its level's bound row, then `bunches` and
 /// `TreeScheme::from_restricted` — and against the lemmas on exact
@@ -569,28 +601,6 @@ proptest! {
         check_ball_table(&g, &table, |u| reference::ball_hashmap(&g, u, ell));
     }
 
-    /// The table is filled a block of `⌈n/16⌉` consecutive vertices at a
-    /// time: around the block count (one vertex a block, a last short block,
-    /// two a block) and at ℓ below, at and above `n`, both thread counts
-    /// still build the table the per-vertex reference search describes.
-    #[test]
-    fn blocked_ball_build_matches_reference_at_block_boundaries(seed in 1u64..500) {
-        use routing_graph::reference;
-        let _guard = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        for n in [1usize, 15, 16, 17, 33] {
-            let ties = WeightModel::Uniform { lo: 1, hi: 3 };
-            let g = generators::erdos_renyi(n, 0.25, ties, &mut StdRng::seed_from_u64(seed));
-            for ell in [1, n - 1, n, 2 * n] {
-                let table = ball_table_at(&g, ell, 1);
-                prop_assert!(
-                    table == ball_table_at(&g, ell, 4),
-                    "n = {}, ℓ = {}: thread counts differ", n, ell
-                );
-                check_ball_table(&g, &table, |u| reference::ball_hashmap(&g, u, ell));
-            }
-        }
-    }
-
     /// The flat (sorted-slice) TZ bunch tables answer exactly like the
     /// hierarchy's bunch lists: every bunch entry is found at its recorded
     /// distance, every non-member probe misses, the oracle's ping-pong query
@@ -710,11 +720,66 @@ proptest! {
     }
 }
 
+proptest! {
+    // Each case builds 152 tables and checks 72 of them pair by pair, so
+    // four cases keep it near ten seconds in debug.
+    #![proptest_config(ProptestConfig { cases: 4, .. ProptestConfig::default() })]
+
+    /// The table is filled in blocks of `⌈n/16⌉` consecutive vertices
+    /// rounded up to whole batches of 64 centres, and on unit weights each
+    /// batch is one budgeted batch BFS. With weight ties (one bounded
+    /// Dijkstra per vertex) and on unit weights (the batch BFS), around the
+    /// batch width (one short batch, one full, one and a bit, two and a
+    /// bit) and at ℓ below, at and above `n`, on graphs sparse enough for
+    /// components smaller than ℓ, both thread counts build the table the
+    /// per-vertex reference search describes — every pair and the layout;
+    /// and across block boundaries (n = 1100: nine blocks of 128) every
+    /// ball, radius and first port still matches it.
+    #[test]
+    fn blocked_ball_build_matches_reference_at_block_boundaries(seed in 1u64..500) {
+        use routing_graph::reference;
+        let _guard = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        for weights in [WeightModel::Uniform { lo: 1, hi: 3 }, WeightModel::Unit] {
+            let graph = |n: usize, p: f64| {
+                generators::erdos_renyi(n, p, weights, &mut StdRng::seed_from_u64(seed))
+            };
+            for n in [1usize, 15, 16, 17, 33, 63, 64, 65, 130] {
+                let g = graph(n, (4.0 / n as f64).min(0.25));
+                for ell in [1, n - 1, n, 2 * n] {
+                    let table = ball_table_at(&g, ell, 1);
+                    prop_assert!(
+                        table == ball_table_at(&g, ell, 4),
+                        "n = {}, ℓ = {}, {:?}: thread counts differ", n, ell, weights
+                    );
+                    check_ball_table(&g, &table, |u| reference::ball_hashmap(&g, u, ell));
+                }
+            }
+            let g = graph(1100, 0.004);
+            for ell in [1, 40] {
+                let table = ball_table_at(&g, ell, 1);
+                prop_assert!(table == ball_table_at(&g, ell, 4), "ℓ = {}: thread counts differ", ell);
+                for u in g.vertices() {
+                    let owned = reference::ball_hashmap(&g, u, ell);
+                    prop_assert_eq!(table.ball(u).members(), owned.members());
+                    prop_assert_eq!(table.ball(u).radius(), owned.radius());
+                    for &(v, _) in owned.members() {
+                        let port = owned.first_hop(v).and_then(|hop| g.port_to(u, hop));
+                        prop_assert_eq!(table.first_port(u, v), port);
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// The slot table against the owned `shortest_path::ball` reference on every
 /// graph family, with weight ties, at `ℓ ∈ {1, 2, ⌈√n⌉, 40, n}`, built at
-/// thread counts 1 and 4 — and on two hostile id patterns: balls whose members form an arithmetic progression
-/// with a power-of-two stride, and a ball made of the ids with the smallest
-/// slot hashes, which all claim the first few home slots.
+/// thread counts 1 and 4 — and on two hostile id patterns: balls whose
+/// members form an arithmetic progression with a power-of-two stride, and a
+/// ball made of the ids with the smallest slot hashes, which all claim the
+/// first few home slots. Each pattern comes weighted (the per-vertex
+/// Dijkstra builds it) and on unit weights (the batch BFS does), and a
+/// two-component unit graph has lanes that never fill.
 #[test]
 fn ball_table_answers_every_pair_on_every_family() {
     let mut rng = StdRng::seed_from_u64(61);
@@ -738,6 +803,14 @@ fn ball_table_answers_every_pair_on_every_family() {
         strided.add_edge(i, i + 1, 1_000).unwrap();
     }
     graphs.push(("stride-16", strided.build()));
+    // The same chains on unit weights and never joined: sixteen components
+    // of fifteen, so every ball is a stride-16 progression and no lane fills
+    // past ℓ = 15.
+    let mut chains = GraphBuilder::new(n);
+    for i in 0..n - 16 {
+        chains.add_unit_edge(i, i + 16).unwrap();
+    }
+    graphs.push(("stride-16-unit", chains.build()));
     // A unit-weight clique on the 40 ids with the smallest slot hashes, the
     // rest hanging off it on heavy edges: the clique is every member's ball
     // at ℓ = 40 and its keys all hash to the front of the region.
@@ -745,18 +818,40 @@ fn ball_table_answers_every_pair_on_every_family() {
     by_hash.sort_unstable_by_key(|&i| (i as u32).wrapping_mul(SLOT_HASH_MULT));
     let (clique, rest) = by_hash.split_at(40);
     let mut clustered = GraphBuilder::new(n);
+    let mut clustered_unit = GraphBuilder::new(n);
     for (k, &a) in clique.iter().enumerate() {
         for &b in &clique[k + 1..] {
             clustered.add_edge(a, b, 1).unwrap();
+            clustered_unit.add_unit_edge(a, b).unwrap();
         }
     }
     for (k, &r) in rest.iter().enumerate() {
         clustered.add_edge(r, clique[k % clique.len()], 1_000).unwrap();
     }
     graphs.push(("hash-clustered", clustered.build()));
+    // On unit weights the rest hangs off one clique member as a path, so
+    // the clique is still the ball at ℓ = 40 of every other member.
+    for (k, &r) in rest.iter().enumerate() {
+        clustered_unit.add_unit_edge(r, if k == 0 { clique[0] } else { rest[k - 1] }).unwrap();
+    }
+    graphs.push(("hash-clustered-unit", clustered_unit.build()));
+    // Two unit components, of 200 and 40: at ℓ = n no lane fills, and at
+    // ℓ = 40 the small one fills exactly at its last level.
+    let mut two = GraphBuilder::new(n);
+    let big = generators::erdos_renyi(200, 6.0 / 200.0, WeightModel::Unit, &mut rng);
+    for u in big.vertices() {
+        for e in big.edges(u).filter(|e| u < e.to) {
+            two.add_unit_edge(u.index(), e.to.index()).unwrap();
+        }
+    }
+    for a in 201..n {
+        two.add_unit_edge(a - 1, a).unwrap();
+    }
+    graphs.push(("two-components-unit", two.build()));
 
     let _guard = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for (name, g) in &graphs {
+        assert!(!name.ends_with("-unit") || g.is_unweighted(), "{name} must reach the batch BFS");
         let sqrt_n = (g.n() as f64).sqrt().ceil() as usize;
         for ell in [1, 2, sqrt_n, 40, g.n()] {
             for threads in [1, 4] {
@@ -765,6 +860,40 @@ fn ball_table_answers_every_pair_on_every_family() {
             }
         }
     }
+}
+
+/// Property 1 holds along the stored ports, not only along Dijkstra's path:
+/// on every family, unit (the batch BFS's ports) and tie-heavy (the bounded
+/// Dijkstra's), at sizes crossing the 64-wide batch, at `ℓ ∈ {2, ⌈√n⌉, n}`.
+/// Negative control: one swapped port must fail the check.
+#[test]
+fn property_one_holds_along_stored_ports() {
+    let ties = WeightModel::Uniform { lo: 1, hi: 3 };
+    for family in generators::Family::ALL {
+        for weights in [WeightModel::Unit, ties] {
+            for n in [63usize, 64, 65, 130] {
+                let g = family.generate(n, weights, &mut StdRng::seed_from_u64(n as u64));
+                let sqrt_n = (n as f64).sqrt().ceil() as usize;
+                for ell in [2, sqrt_n, n] {
+                    let t = BallTable::build(&g, ell);
+                    if let Err(e) = property_one_along_ports(&g, &t, |w, v| t.first_port(w, v)) {
+                        panic!("{} n = {n} ℓ = {ell} {weights:?}: {e}", family.name());
+                    }
+                }
+            }
+        }
+    }
+
+    // Swap the port of one edge-neighbour member for another port at `u`.
+    let g = generators::erdos_renyi(80, 0.08, WeightModel::Unit, &mut StdRng::seed_from_u64(5));
+    let t = BallTable::build(&g, 9);
+    let u = g.vertices().find(|&u| g.degree(u) >= 2).expect("a vertex of degree 2");
+    let v = t.ball(u).members()[1].0;
+    let right = t.first_port(u, v).expect("a neighbour member has a port");
+    let wrong = Port((right.0 + 1) % g.degree(u) as u32);
+    let swapped = |w: VertexId, x: VertexId| if (w, x) == (u, v) { Some(wrong) } else { t.first_port(w, x) };
+    assert!(property_one_along_ports(&g, &t, |w, x| t.first_port(w, x)).is_ok());
+    assert!(property_one_along_ports(&g, &t, swapped).is_err(), "a swapped port went unnoticed");
 }
 
 // ---------------------------------------------------------------------------
