@@ -790,9 +790,7 @@ struct Lanes {
 /// all `n` vertices per level would cost `n · diameter` on a grid or a
 /// path. Each source has a `u32` level row, `64 · n · 4` bytes per
 /// workspace; ball searches add a `u32` first-port row per source and a
-/// member log of `64 · min(ℓ, n)` ids. A run resets only the vertices the
-/// previous run reached, so a batch of small balls on a large graph costs
-/// what its balls cost.
+/// member log of `64 · min(ℓ, n)` ids.
 ///
 /// **Same answers as Dijkstra.** With unit weights, Dijkstra under the
 /// `(distance, id)` tie rule settles level by level, and `v`'s parent is the
@@ -860,8 +858,6 @@ pub struct BfsBatch {
     active: Vec<u32>,
     /// Vertices gaining `next` bits on the level being built.
     next_active: Vec<u32>,
-    /// Every vertex the last run reached, once: what the next run resets.
-    touched: Vec<u32>,
     /// Number of sources of the last run.
     sources: usize,
 }
@@ -881,7 +877,6 @@ impl BfsBatch {
             budget: 0,
             active: Vec::new(),
             next_active: Vec::new(),
-            touched: Vec::new(),
             sources: 0,
         })
     }
@@ -934,12 +929,7 @@ impl BfsBatch {
         sources: &[VertexId],
         budget: usize,
     ) -> Result<(), GraphError> {
-        for &v in &self.touched {
-            if let Some(lane) = self.lanes.get_mut(v as usize) {
-                *lane = Lanes::default();
-            }
-        }
-        self.touched.clear();
+        self.lanes.fill(Lanes::default());
         self.active.clear();
         self.sources = 0;
         self.budget = 0;
@@ -968,9 +958,6 @@ impl BfsBatch {
         }
         for (i, s) in sources.iter().enumerate() {
             if let Some(lane) = self.lanes.get_mut(s.index()) {
-                if lane.seen == 0 {
-                    self.touched.push(s.0);
-                }
                 if lane.frontier == 0 {
                     self.active.push(s.0);
                 }
@@ -1049,9 +1036,6 @@ impl BfsBatch {
             for &v in &self.next_active {
                 let Some(lane) = self.lanes.get_mut(v as usize) else { continue };
                 let fresh = std::mem::take(&mut lane.next);
-                if lane.seen == fresh {
-                    self.touched.push(v);
-                }
                 lane.frontier = fresh;
                 let mut bits = fresh;
                 while bits != 0 {
@@ -1160,8 +1144,7 @@ impl BfsBatch {
     /// Vertices the last run reached, summed over its sources (after a full
     /// run, each source's component, itself included).
     pub fn reached(&self) -> usize {
-        let seen = |&v: &u32| self.lanes.get(v as usize).map_or(0, |l| l.seen.count_ones() as usize);
-        self.touched.iter().map(seen).sum()
+        self.lanes.iter().map(|l| l.seen.count_ones() as usize).sum()
     }
 }
 

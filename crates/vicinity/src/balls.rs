@@ -28,14 +28,14 @@
 //!   [`BallTable::into_ports`] drops the rest once the last build-time
 //!   reader has run.
 //!
-//! Building searches 64 consecutive centres at a time on a per-worker
-//! reusable workspace: on a unit-weight graph one budgeted bit-parallel BFS
+//! Building runs on a per-worker reusable workspace: on a unit-weight graph
+//! one budgeted bit-parallel BFS per 64 consecutive centres
 //! ([`BfsBatch::run_balls`], each lane retiring once it holds `ℓ` vertices),
 //! otherwise one *bounded* Dijkstra per centre
 //! ([`SearchScratch::ball_into`], which stops after `ℓ` settled vertices).
 //! Both feed one slot-fill routine, and the results are appended to the
-//! final arrays a block of whole batches at a time, so the build never holds
-//! a second copy of more than one block.
+//! final arrays a block of consecutive centres at a time, so the build never
+//! holds a second copy of more than one block.
 
 use std::ops::{Deref, Range};
 
@@ -55,9 +55,9 @@ const EMPTY_KEY: u32 = u32::MAX;
 const EMPTY: Slot = [EMPTY_KEY; 3];
 
 /// [`BallTable::build`] appends the balls to the final arrays in blocks of
-/// `⌈n / BUILD_BLOCKS⌉` consecutive vertices rounded up to whole batches of
-/// [`BFS_BATCH_WIDTH`], so the per-vertex search results live beside them
-/// are a sixteenth of the table plus at most 63 balls.
+/// `⌈n / BUILD_BLOCKS⌉` consecutive vertices, on unit weights rounded up to
+/// whole batches of [`BFS_BATCH_WIDTH`], so the per-vertex search results
+/// live beside them are a sixteenth of the table plus at most 63 balls.
 const BUILD_BLOCKS: usize = 16;
 
 /// The slot hash: a fixed bijection on `u32` (odd multiplier), so equal
@@ -224,24 +224,24 @@ impl Deref for BallTable {
 
 impl BallTable {
     /// Computes `B(u, ℓ)` for every vertex `u` of `g`, together with the
-    /// first-hop ports Lemma 2 stores. The searches run over batches of
-    /// [`BFS_BATCH_WIDTH`] consecutive centres: on a unit-weight graph one
-    /// budgeted bit-parallel BFS per batch ([`BfsBatch::run_balls`]),
-    /// otherwise one bounded Dijkstra per centre
-    /// ([`SearchScratch::ball_into`]); both give the same balls, ports and
-    /// radii. The batches are independent, so they fan out over
-    /// [`routing_par::threads`] threads, each worker reusing one workspace.
-    /// The final arrays are reserved up front and filled a block of whole
-    /// batches at a time, in index order: at most one block of per-vertex
-    /// results is live beside them, and the table is identical for every
-    /// thread count.
+    /// first-hop ports Lemma 2 stores. On a unit-weight graph the searches
+    /// run one budgeted bit-parallel BFS per batch of [`BFS_BATCH_WIDTH`]
+    /// consecutive centres ([`BfsBatch::run_balls`]), otherwise one bounded
+    /// Dijkstra per centre ([`SearchScratch::ball_into`]); both give the
+    /// same balls, ports and radii. The batches (or centres) are
+    /// independent, so they fan out over [`routing_par::threads`] threads,
+    /// each worker reusing one workspace. The final arrays are reserved up
+    /// front and filled a block of consecutive centres at a time, in index
+    /// order: at most one block of per-vertex results is live beside them,
+    /// and the table is identical for every thread count.
     pub fn build(g: &Graph, ell: usize) -> Self {
-        Self::build_with(g, ell, BallSearch::for_graph)
+        Self::build_with(g, ell, g.is_unweighted())
     }
 
-    /// [`BallTable::build`] with each worker's search state from `search`
-    /// (the tests pin the batch-built table to the per-vertex one with it).
-    fn build_with(g: &Graph, ell: usize, search: fn(&Graph) -> BallSearch) -> Self {
+    /// [`BallTable::build`] with the batch BFS when `batch` is set and one
+    /// bounded Dijkstra per vertex otherwise (the tests pin the batch-built
+    /// table to the per-vertex one with it).
+    fn build_with(g: &Graph, ell: usize, batch: bool) -> Self {
         let _span = routing_obs::span("balls");
         let n = g.n();
         let ball_len = ell.max(1).min(n);
@@ -251,18 +251,20 @@ impl BallTable {
         let mut slots = Vec::with_capacity(n * (slot_cap(ball_len) + 2));
         let mut radius = Vec::with_capacity(n);
         offsets.push(0);
-        let block = n.div_ceil(BUILD_BLOCKS).next_multiple_of(BFS_BATCH_WIDTH).max(1);
+        // Centres per task: one sweep's worth, or one Dijkstra.
+        let width = if batch { BFS_BATCH_WIDTH } else { 1 };
+        let block = n.div_ceil(BUILD_BLOCKS).next_multiple_of(width).max(1);
         for first in (0..n).step_by(block) {
             let last = n.min(first + block);
-            let per_batch: Vec<Vec<BuiltBall>> = routing_par::par_map_scratch(
-                (last - first).div_ceil(BFS_BATCH_WIDTH),
-                || search(g),
+            let per_task: Vec<Vec<BuiltBall>> = routing_par::par_map_scratch(
+                (last - first).div_ceil(width),
+                || BallSearch::new(g, batch),
                 |search, k| {
-                    let lo = first + k * BFS_BATCH_WIDTH;
-                    search.balls(g, lo..last.min(lo + BFS_BATCH_WIDTH), ell)
+                    let lo = first + k * width;
+                    search.balls(g, lo..last.min(lo + width), ell)
                 },
             );
-            for (m, s, r) in per_batch.into_iter().flatten() {
+            for (m, s, r) in per_task.into_iter().flatten() {
                 // A ball has at most `n` members, and ids are `u32`.
                 regions.push(Region { start: slots.len(), members: m.len() as u32 });
                 members.extend(m);
@@ -316,40 +318,47 @@ impl BallTable {
 /// in settle order, the slot region, the radius.
 type BuiltBall = (Vec<(VertexId, Weight)>, Vec<Slot>, Weight);
 
-/// One worker's state in [`BallTable::build`]: the batch BFS when the graph
-/// has unit weights, a Dijkstra workspace (made on first use) otherwise, and
-/// the scratch region balls are hashed into.
-struct BallSearch {
-    batch: Option<BfsBatch>,
-    scratch: Option<SearchScratch>,
-    region: Vec<Slot>,
+/// One worker's kernel in [`BallTable::build`], chosen once, with the
+/// scratch region its balls are hashed into.
+enum BallSearch {
+    /// The budgeted batch BFS, on a unit-weight graph.
+    Batch(BfsBatch, Vec<Slot>),
+    /// One bounded Dijkstra per centre.
+    Dijkstra(SearchScratch, Vec<Slot>),
 }
 
 impl BallSearch {
-    fn for_graph(g: &Graph) -> Self {
-        BallSearch { batch: BfsBatch::for_graph(g), scratch: None, region: Vec::new() }
+    /// The batch BFS when `batch` is set and [`BfsBatch::for_graph`] takes
+    /// `g`, the Dijkstra workspace otherwise.
+    fn new(g: &Graph, batch: bool) -> Self {
+        match batch.then(|| BfsBatch::for_graph(g)).flatten() {
+            Some(bfs) => BallSearch::Batch(bfs, Vec::new()),
+            None => BallSearch::Dijkstra(SearchScratch::for_graph(g), Vec::new()),
+        }
     }
 
-    /// The balls of the consecutive centres `centres` (at most
-    /// [`BFS_BATCH_WIDTH`] of them), in order: one budgeted sweep when the
-    /// batch BFS takes them — it refuses only what [`BfsBatch::for_graph`]
-    /// already did — and one bounded Dijkstra per centre otherwise.
+    /// The balls of the consecutive centres `centres`, in order: one
+    /// budgeted sweep (at most [`BFS_BATCH_WIDTH`] centres), or one bounded
+    /// Dijkstra per centre.
     fn balls(&mut self, g: &Graph, centres: Range<usize>, ell: usize) -> Vec<BuiltBall> {
-        let ids: Vec<VertexId> = centres.map(|u| VertexId(u as u32)).collect();
-        let region = &mut self.region;
-        if let Some(bfs) = &mut self.batch {
-            if bfs.run_balls(g, &ids, ell).is_ok() {
-                return (0..ids.len()).map(|i| fill_ball(region, bfs.ball(i), bfs.radius(i))).collect();
+        match self {
+            BallSearch::Batch(bfs, region) => {
+                let ids: Vec<VertexId> = centres.map(|u| VertexId(u as u32)).collect();
+                // The sweep refuses only what `for_graph` already refused, a
+                // graph of another size, or more than a batch of centres.
+                let run = bfs.run_balls(g, &ids, ell);
+                assert!(run.is_ok(), "the batch BFS refused a batch of centres: {run:?}");
+                (0..ids.len()).map(|i| fill_ball(region, bfs.ball(i), bfs.radius(i))).collect()
             }
+            BallSearch::Dijkstra(scratch, region) => centres
+                .map(|u| {
+                    let u = VertexId(u as u32);
+                    let radius = scratch.ball_into(g, u, ell);
+                    let port = |v| scratch.first_hop(v).and_then(|hop| g.port_to(u, hop));
+                    fill_ball(region, scratch.order().iter().map(|&(v, d)| (v, d, port(v))), radius)
+                })
+                .collect(),
         }
-        let scratch = self.scratch.get_or_insert_with(|| SearchScratch::for_graph(g));
-        ids.iter()
-            .map(|&u| {
-                let radius = scratch.ball_into(g, u, ell);
-                let port = |v| scratch.first_hop(v).and_then(|hop| g.port_to(u, hop));
-                fill_ball(region, scratch.order().iter().map(|&(v, d)| (v, d, port(v))), radius)
-            })
-            .collect()
     }
 }
 
@@ -582,7 +591,6 @@ mod tests {
     /// threads, and across block boundaries (n = 1100: nine blocks of 128).
     #[test]
     fn batch_built_table_equals_the_per_vertex_table() {
-        let per_vertex = |_: &Graph| BallSearch { batch: None, scratch: None, region: Vec::new() };
         let unit = generators::WeightModel::Unit;
         let mut graphs = Vec::new();
         for n in [63, 64, 65, 130] {
@@ -601,7 +609,7 @@ mod tests {
         for (g, ells) in graphs {
             assert!(g.is_unweighted());
             for ell in ells {
-                let reference = BallTable::build_with(&g, ell, per_vertex);
+                let reference = BallTable::build_with(&g, ell, false);
                 for threads in [1, 4] {
                     routing_par::set_threads(threads);
                     let table = BallTable::build(&g, ell);

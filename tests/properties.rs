@@ -601,6 +601,28 @@ proptest! {
         check_ball_table(&g, &table, |u| reference::ball_hashmap(&g, u, ell));
     }
 
+    /// The table is filled a block of `⌈n/16⌉` consecutive vertices at a
+    /// time: around the block count (one vertex a block, a last short block,
+    /// two a block) and at ℓ below, at and above `n`, both thread counts
+    /// still build the table the per-vertex reference search describes.
+    #[test]
+    fn blocked_ball_build_matches_reference_at_block_boundaries(seed in 1u64..500) {
+        use routing_graph::reference;
+        let _guard = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        for n in [1usize, 15, 16, 17, 33] {
+            let ties = WeightModel::Uniform { lo: 1, hi: 3 };
+            let g = generators::erdos_renyi(n, 0.25, ties, &mut StdRng::seed_from_u64(seed));
+            for ell in [1, n - 1, n, 2 * n] {
+                let table = ball_table_at(&g, ell, 1);
+                prop_assert!(
+                    table == ball_table_at(&g, ell, 4),
+                    "n = {}, ℓ = {}: thread counts differ", n, ell
+                );
+                check_ball_table(&g, &table, |u| reference::ball_hashmap(&g, u, ell));
+            }
+        }
+    }
+
     /// The flat (sorted-slice) TZ bunch tables answer exactly like the
     /// hierarchy's bunch lists: every bunch entry is found at its recorded
     /// distance, every non-member probe misses, the oracle's ping-pong query
@@ -721,43 +743,47 @@ proptest! {
 }
 
 proptest! {
-    // Each case builds 152 tables and checks 72 of them pair by pair, so
-    // four cases keep it near ten seconds in debug.
+    // Each case checks 36 unit tables pair by pair and four tables of 1100
+    // ball by ball, so four cases keep it near ten seconds in debug.
     #![proptest_config(ProptestConfig { cases: 4, .. ProptestConfig::default() })]
 
-    /// The table is filled in blocks of `⌈n/16⌉` consecutive vertices
-    /// rounded up to whole batches of 64 centres, and on unit weights each
-    /// batch is one budgeted batch BFS. With weight ties (one bounded
-    /// Dijkstra per vertex) and on unit weights (the batch BFS), around the
-    /// batch width (one short batch, one full, one and a bit, two and a
-    /// bit) and at ℓ below, at and above `n`, on graphs sparse enough for
+    /// The unit-weight twin of
+    /// `blocked_ball_build_matches_reference_at_block_boundaries`: on unit
+    /// weights the table is filled in blocks rounded up to whole batches of
+    /// 64 centres, each batch one budgeted batch BFS. Around the block count
+    /// and the batch width (one short batch, one full, one and a bit, two
+    /// and a bit), at ℓ below, at and above `n`, on graphs sparse enough for
     /// components smaller than ℓ, both thread counts build the table the
-    /// per-vertex reference search describes — every pair and the layout;
-    /// and across block boundaries (n = 1100: nine blocks of 128) every
-    /// ball, radius and first port still matches it.
+    /// per-vertex reference search describes — every pair and the layout.
+    /// Across block boundaries (n = 1100: nine blocks of 128 on unit
+    /// weights, sixteen of 69 with weight ties) every ball, radius and
+    /// first port still matches it.
     #[test]
-    fn blocked_ball_build_matches_reference_at_block_boundaries(seed in 1u64..500) {
+    fn blocked_ball_build_matches_reference_on_unit_weights(seed in 1u64..500) {
         use routing_graph::reference;
         let _guard = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        for weights in [WeightModel::Uniform { lo: 1, hi: 3 }, WeightModel::Unit] {
-            let graph = |n: usize, p: f64| {
-                generators::erdos_renyi(n, p, weights, &mut StdRng::seed_from_u64(seed))
-            };
-            for n in [1usize, 15, 16, 17, 33, 63, 64, 65, 130] {
-                let g = graph(n, (4.0 / n as f64).min(0.25));
-                for ell in [1, n - 1, n, 2 * n] {
-                    let table = ball_table_at(&g, ell, 1);
-                    prop_assert!(
-                        table == ball_table_at(&g, ell, 4),
-                        "n = {}, ℓ = {}, {:?}: thread counts differ", n, ell, weights
-                    );
-                    check_ball_table(&g, &table, |u| reference::ball_hashmap(&g, u, ell));
-                }
+        let graph = |n: usize, p: f64, weights| {
+            generators::erdos_renyi(n, p, weights, &mut StdRng::seed_from_u64(seed))
+        };
+        for n in [1usize, 15, 16, 17, 33, 63, 64, 65, 130] {
+            let g = graph(n, (4.0 / n as f64).min(0.25), WeightModel::Unit);
+            for ell in [1, n - 1, n, 2 * n] {
+                let table = ball_table_at(&g, ell, 1);
+                prop_assert!(
+                    table == ball_table_at(&g, ell, 4),
+                    "n = {}, ℓ = {}: thread counts differ", n, ell
+                );
+                check_ball_table(&g, &table, |u| reference::ball_hashmap(&g, u, ell));
             }
-            let g = graph(1100, 0.004);
+        }
+        for weights in [WeightModel::Unit, WeightModel::Uniform { lo: 1, hi: 3 }] {
+            let g = graph(1100, 0.004, weights);
             for ell in [1, 40] {
                 let table = ball_table_at(&g, ell, 1);
-                prop_assert!(table == ball_table_at(&g, ell, 4), "ℓ = {}: thread counts differ", ell);
+                prop_assert!(
+                    table == ball_table_at(&g, ell, 4),
+                    "n = 1100, ℓ = {}, {:?}: thread counts differ", ell, weights
+                );
                 for u in g.vertices() {
                     let owned = reference::ball_hashmap(&g, u, ell);
                     prop_assert_eq!(table.ball(u).members(), owned.members());
