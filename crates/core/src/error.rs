@@ -29,6 +29,13 @@ pub enum BuildError {
         /// The unrecognized scheme name.
         name: String,
     },
+    /// A construction step found its own intermediate results inconsistent
+    /// (for example a shortest path whose consecutive vertices are not
+    /// adjacent): a preprocessing bug, reported instead of a panic.
+    Inconsistent {
+        /// Human-readable description.
+        what: String,
+    },
 }
 
 impl fmt::Display for BuildError {
@@ -41,6 +48,7 @@ impl fmt::Display for BuildError {
             BuildError::UnknownScheme { name } => {
                 write!(f, "no registered scheme is named {name:?}")
             }
+            BuildError::Inconsistent { what } => write!(f, "inconsistent preprocessing: {what}"),
         }
     }
 }

@@ -181,7 +181,7 @@ impl SchemeFivePlusEps {
             dest_partition[i % q as usize].push(a);
         }
         let router =
-            Technique2Router::build(g, &vic.balls, vic.color_of.clone(), &dest_partition, params);
+            Technique2Router::build(g, &vic.balls, vic.color_of.clone(), &dest_partition, params)?;
 
         let vic = vic.retain();
         Ok(SchemeFivePlusEps { n, epsilon: params.epsilon, vic, clusters, router, first_edge })

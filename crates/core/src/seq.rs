@@ -13,14 +13,22 @@
 //!
 //! Both techniques build their sequences with the same per-round walk
 //! (`walk_round`), forward on an entry the same way (`SeqEntry::forward`)
-//! and keep what a vertex stores per destination in the same flat table
-//! (`KeyedStore`).
+//! and keep what a vertex stores per destination in the same flat table,
+//! `SeqStore`: a `KeyedStore` CSR whose value for a pair is the end of its
+//! entries in one arena of 8-byte `PackedEntry`s (the vertex, and the port
+//! of an edge hop or `u32::MAX` for a ball hop). A pair costs 8 bytes — its
+//! key and its end — and an entry 8 bytes; no sequence is a heap object of
+//! its own. The builders append each task's sequences to a `SeqChunk` of
+//! arena entries, and the store concatenates the chunks once. A header
+//! carries a sequence decoded into `SeqEntry`s.
 
 use serde::{Deserialize, Serialize};
 
 use routing_graph::{Graph, Port, VertexId};
 use routing_model::{Decision, RouteError};
 use routing_vicinity::{BallPorts, BallTable};
+
+use crate::BuildError;
 
 /// How a temporary target is reached from the previous one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -82,54 +90,142 @@ pub fn sequence_words(entries: &[SeqEntry]) -> usize {
     SeqEntry::words() * entries.len()
 }
 
+/// The port field of a [`PackedEntry`] that makes it a ball hop.
+const BALL_HOP: u32 = u32::MAX;
+
+/// A temporary target as [`SeqStore`]'s arena holds it, in 8 bytes: the
+/// vertex, and the port of an edge hop or [`BALL_HOP`] for a ball hop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PackedEntry {
+    vertex: u32,
+    port: u32,
+}
+
+impl PackedEntry {
+    /// A ball hop to `vertex`.
+    pub(crate) fn ball(vertex: VertexId) -> Self {
+        PackedEntry { vertex: vertex.0, port: BALL_HOP }
+    }
+
+    /// An edge hop to `vertex` over `port`.
+    pub(crate) fn edge(vertex: VertexId, port: Port) -> Self {
+        debug_assert!(port.0 != BALL_HOP, "port {} is the ball-hop marker", port.0);
+        PackedEntry { vertex: vertex.0, port: port.0 }
+    }
+
+    /// The entry as a header carries it.
+    #[inline]
+    pub(crate) fn decode(self) -> SeqEntry {
+        let hop =
+            if self.port == BALL_HOP { HopKind::Ball } else { HopKind::Edge(Port(self.port)) };
+        SeqEntry { vertex: VertexId(self.vertex), hop }
+    }
+}
+
+/// A stored sequence as a header carries it.
+#[inline]
+pub(crate) fn decode(entries: &[PackedEntry]) -> Vec<SeqEntry> {
+    entries.iter().map(|e| e.decode()).collect()
+}
+
 /// One round of the walk Lemmas 7 and 8 share, from `xi = path[pos]` along
 /// a shortest path that ends at the destination. Returns the position of
 /// `zi`, the first path vertex outside `B(xi, q̃)`, for the caller to choose
 /// between stopping early and [`push_hops`] — unless the destination is
 /// inside `B(xi, q̃)` or is `zi` itself: then the closing entries are
 /// appended and `None` is returned.
+///
+/// # Errors
+///
+/// [`BuildError::Inconsistent`] when `pos` is off the path or a round's
+/// last edge is not an edge of `g`.
 pub(crate) fn walk_round(
     g: &Graph,
     balls: &BallTable,
     path: &[VertexId],
     pos: usize,
-    entries: &mut Vec<SeqEntry>,
-) -> Option<usize> {
-    let (xi, dest) = (path[pos], path[path.len() - 1]);
+    entries: &mut Vec<PackedEntry>,
+) -> Result<Option<usize>, BuildError> {
+    let (Some(&xi), Some(&dest)) = (path.get(pos), path.last()) else {
+        return Err(BuildError::Inconsistent {
+            what: format!("round start {pos} is off a path of {} vertices", path.len()),
+        });
+    };
     if balls.contains(xi, dest) {
-        entries.push(SeqEntry::ball(dest));
-        return None;
+        entries.push(PackedEntry::ball(dest));
+        return Ok(None);
     }
-    // `zi` exists: the destination is outside B(xi, q̃).
-    let mut next = pos + 1;
-    while balls.contains(xi, path[next]) {
-        next += 1;
+    // `zi` exists: the destination, the last path vertex, is outside
+    // B(xi, q̃).
+    let last = path.len() - 1;
+    let next = (pos + 1..last).find(|&k| !balls.contains(xi, path[k])).unwrap_or(last);
+    if next == last {
+        push_hops(g, path, pos, next, entries)?;
+        return Ok(None);
     }
-    if path[next] == dest {
-        push_hops(g, path, pos, next, entries);
-        return None;
-    }
-    Some(next)
+    Ok(Some(next))
 }
 
 /// Appends the hops of the round from `path[pos]` to `zi = path[next]` — a
 /// ball hop to `zi`'s predecessor `yi` unless the round starts there, then
 /// the edge `(yi, zi)` — and returns how many entries that took.
+///
+/// # Errors
+///
+/// [`BuildError::Inconsistent`] unless `pos < next` lie on the path and
+/// `(yi, zi)` is an edge of `g`.
 pub(crate) fn push_hops(
     g: &Graph,
     path: &[VertexId],
     pos: usize,
     next: usize,
-    entries: &mut Vec<SeqEntry>,
-) -> usize {
-    let (yi, zi) = (path[next - 1], path[next]);
+    entries: &mut Vec<PackedEntry>,
+) -> Result<usize, BuildError> {
+    let Some(round @ [.., yi, zi]) = path.get(pos..=next) else {
+        return Err(BuildError::Inconsistent {
+            what: format!(
+                "round {pos}..={next} is not a step along a path of {} vertices",
+                path.len()
+            ),
+        });
+    };
+    let port = g.port_to(*yi, *zi).ok_or_else(|| BuildError::Inconsistent {
+        what: format!("consecutive path vertices {yi} and {zi} are not adjacent"),
+    })?;
     let before = entries.len();
-    if yi != path[pos] {
-        entries.push(SeqEntry::ball(yi));
+    if *yi != round[0] {
+        entries.push(PackedEntry::ball(*yi));
     }
-    let port = g.port_to(yi, zi).expect("consecutive path vertices are adjacent");
-    entries.push(SeqEntry::edge(zi, port));
-    entries.len() - before
+    entries.push(PackedEntry::edge(*zi, port));
+    Ok(entries.len() - before)
+}
+
+/// One build task's sequences back to back, in arena form: sequence `k` is
+/// `entries[ends[k - 1]..ends[k]]` (from `0` for the first). A builder
+/// appends a sequence's entries to `entries`, then [`close`](Self::close)s
+/// it.
+#[derive(Debug, Default)]
+pub(crate) struct SeqChunk {
+    pub(crate) entries: Vec<PackedEntry>,
+    ends: Vec<usize>,
+}
+
+impl SeqChunk {
+    /// Ends the sequence appended since the last close.
+    pub(crate) fn close(&mut self) {
+        self.ends.push(self.entries.len());
+    }
+
+    /// How many sequences the chunk holds.
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// The chunk's sequences, in the order they were closed.
+    pub(crate) fn sequences(&self) -> impl Iterator<Item = &[PackedEntry]> + Clone + '_ {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts.zip(&self.ends).map(|(lo, &hi)| &self.entries[lo..hi])
+    }
 }
 
 /// What every vertex stores per destination, as one flat table: a CSR slot
@@ -155,9 +251,20 @@ impl<T> KeyedStore<T> {
         rows: impl IntoIterator<Item = (VertexId, VertexId, T)>,
     ) -> Self {
         let rows = rows.into_iter();
+        let pairs = rows.size_hint().0;
+        Self::from_sorted_reserving(n, pairs, rows)
+    }
+
+    /// [`from_sorted`](Self::from_sorted) with room for `pairs` rows
+    /// reserved up front.
+    fn from_sorted_reserving(
+        n: usize,
+        pairs: usize,
+        rows: impl Iterator<Item = (VertexId, VertexId, T)>,
+    ) -> Self {
         let mut offsets = vec![0usize; n + 1];
-        let mut keys = Vec::with_capacity(rows.size_hint().0);
-        let mut values = Vec::with_capacity(rows.size_hint().0);
+        let mut keys = Vec::with_capacity(pairs);
+        let mut values = Vec::with_capacity(pairs);
         let mut last = None;
         for (u, key, value) in rows {
             debug_assert!(last < Some((u, key)), "rows must be strictly sorted by (u, key)");
@@ -175,24 +282,113 @@ impl<T> KeyedStore<T> {
         KeyedStore { offsets, keys, values }
     }
 
+    /// The position in the store of what `u` stores for `key`, if
+    /// anything. A `u` outside `0..n` stores nothing.
+    #[inline]
+    fn get_index(&self, u: VertexId, key: VertexId) -> Option<usize> {
+        let lo = *self.offsets.get(u.index())?;
+        let hi = *self.offsets.get(u.index() + 1)?;
+        self.keys.get(lo..hi)?.binary_search(&key).ok().map(|i| lo + i)
+    }
+
     /// What `u` stores for `key`, if anything. A `u` outside `0..n` stores
     /// nothing.
     #[inline]
     pub(crate) fn get(&self, u: VertexId, key: VertexId) -> Option<&T> {
-        let lo = *self.offsets.get(u.index())?;
-        let hi = *self.offsets.get(u.index() + 1)?;
-        self.keys[lo..hi].binary_search(&key).ok().map(|i| &self.values[lo + i])
+        self.values.get(self.get_index(u, key)?)
     }
 
     /// How many destinations `u` stores something for.
     pub(crate) fn slot_len(&self, u: VertexId) -> usize {
         self.offsets[u.index() + 1] - self.offsets[u.index()]
     }
+
+    /// Heap bytes held, by capacity.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        std::mem::size_of::<usize>() * self.offsets.capacity()
+            + std::mem::size_of::<VertexId>() * self.keys.capacity()
+            + std::mem::size_of::<T>() * self.values.capacity()
+    }
+}
+
+/// The Lemma 7 or Lemma 8 sequence every vertex stores per destination, as
+/// one [`KeyedStore`] over one arena: the value of a pair is the end of its
+/// entries in `arena`, and they start where the previous pair's — in
+/// `(u, key)` order — end. 8 bytes a vertex, 8 a pair and 8 an entry.
+#[derive(Debug, Clone)]
+pub(crate) struct SeqStore {
+    ends: KeyedStore<u32>,
+    arena: Vec<PackedEntry>,
+}
+
+impl SeqStore {
+    /// Builds the store over vertices `0..n` from `(u, key, entries)` rows
+    /// that arrive sorted by `(u, key)`, every pair at most once. A first
+    /// pass counts the rows and their entries, so every array is allocated
+    /// once, at its final size.
+    ///
+    /// # Errors
+    ///
+    /// [`BuildError::BadParameter`] when the entries outnumber what a `u32`
+    /// end offset addresses.
+    pub(crate) fn from_sorted<'a, I>(n: usize, rows: I) -> Result<Self, BuildError>
+    where
+        I: IntoIterator<Item = (VertexId, VertexId, &'a [PackedEntry])>,
+        I::IntoIter: Clone,
+    {
+        let rows = rows.into_iter();
+        let (pairs, total) = rows.clone().fold((0, 0), |(p, e), (_, _, s)| (p + 1, e + s.len()));
+        if u32::try_from(total).is_err() {
+            return Err(BuildError::BadParameter {
+                what: format!("{total} sequence entries exceed a u32 arena offset"),
+            });
+        }
+        let mut arena = Vec::with_capacity(total);
+        let rows = rows.map(|(u, key, entries)| {
+            arena.extend_from_slice(entries);
+            (u, key, arena.len() as u32)
+        });
+        let ends = KeyedStore::from_sorted_reserving(n, pairs, rows);
+        Ok(SeqStore { ends, arena })
+    }
+
+    /// The entries `u` stores for `key`, if any. A `u` outside `0..n`
+    /// stores nothing.
+    #[inline]
+    pub(crate) fn get(&self, u: VertexId, key: VertexId) -> Option<&[PackedEntry]> {
+        let i = self.ends.get_index(u, key)?;
+        let lo = match i.checked_sub(1) {
+            Some(prev) => *self.ends.values.get(prev)?,
+            None => 0,
+        };
+        let hi = *self.ends.values.get(i)?;
+        self.arena.get(lo as usize..hi as usize)
+    }
+
+    /// Heap bytes held, by capacity.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.ends.heap_bytes() + std::mem::size_of::<PackedEntry>() * self.arena.capacity()
+    }
+}
+
+#[cfg(test)]
+impl SeqStore {
+    /// `(pairs, entries)` stored, after checking that every array's
+    /// capacity is its length.
+    pub(crate) fn tight_sizes(&self) -> (usize, usize) {
+        let KeyedStore { offsets, keys, values } = &self.ends;
+        assert_eq!(offsets.capacity(), offsets.len(), "offsets");
+        assert_eq!(keys.capacity(), keys.len(), "keys");
+        assert_eq!(values.capacity(), values.len(), "ends");
+        assert_eq!(self.arena.capacity(), self.arena.len(), "arena");
+        (keys.len(), self.arena.len())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use routing_graph::generators;
 
     #[test]
     fn constructors_and_words() {
@@ -203,6 +399,16 @@ mod tests {
         assert_eq!(SeqEntry::words(), 2);
         assert_eq!(sequence_words(&[a, b]), 4);
         assert_eq!(sequence_words(&[]), 0);
+    }
+
+    #[test]
+    fn packed_entries_decode_to_what_they_encode() {
+        assert_eq!(std::mem::size_of::<PackedEntry>(), 8);
+        let v = VertexId(u32::MAX - 1);
+        assert_eq!(PackedEntry::ball(v).decode(), SeqEntry::ball(v));
+        for port in [0, 7, u32::MAX - 1] {
+            assert_eq!(PackedEntry::edge(v, Port(port)).decode(), SeqEntry::edge(v, Port(port)));
+        }
     }
 
     #[test]
@@ -218,5 +424,56 @@ mod tests {
         assert_eq!(store.get(v(3), v(0)), None, "last vertex, empty slot");
         assert_eq!(store.get(v(4), v(0)), None, "a vertex of another instance");
         assert_eq!([0, 1, 2, 3].map(|u| store.slot_len(v(u))), [2, 0, 1, 0]);
+        assert_eq!(store.heap_bytes(), 8 * 5 + 4 * 3 + 4 * 3);
+    }
+
+    /// Each pair reads back exactly its own entries, from chunks cut at
+    /// arbitrary places, and the arrays hold no slack.
+    #[test]
+    fn seq_store_reads_back_every_pair_from_its_chunks() {
+        let v = VertexId;
+        let (b, e) = (PackedEntry::ball, PackedEntry::edge);
+        let seqs: [&[PackedEntry]; 4] = [
+            &[b(v(5)), e(v(6), Port(2))],
+            &[b(v(1))],
+            &[e(v(3), Port(0)), b(v(4)), e(v(0), Port(1))],
+            &[],
+        ];
+        let keys = [(v(0), v(1)), (v(0), v(6)), (v(3), v(0)), (v(3), v(2))];
+        let mut chunks = [SeqChunk::default(), SeqChunk::default()];
+        for (k, s) in seqs.iter().enumerate() {
+            let chunk = &mut chunks[usize::from(k > 0)];
+            chunk.entries.extend_from_slice(s);
+            chunk.close();
+        }
+        assert_eq!(chunks.each_ref().map(SeqChunk::len), [1, 3]);
+        let stored = chunks.iter().flat_map(SeqChunk::sequences);
+        let rows = keys.iter().zip(stored).map(|(&(u, key), s)| (u, key, s));
+        let store = SeqStore::from_sorted(5, rows).unwrap();
+        for (&(u, key), s) in keys.iter().zip(seqs) {
+            assert_eq!(store.get(u, key), Some(s), "({u}, {key})");
+            assert_eq!(store.get(u, key).map(decode), Some(s.iter().map(|e| e.decode()).collect()));
+        }
+        assert_eq!(store.get(v(0), v(2)), None);
+        assert_eq!(store.get(v(5), v(0)), None, "a vertex of another instance");
+        assert_eq!(store.tight_sizes(), (4, 6));
+        assert_eq!(store.heap_bytes(), 8 * 6 + 8 * 4 + 8 * 6);
+    }
+
+    /// A round over a path whose last step is not an edge of the graph is
+    /// an error, and so is a round off the path.
+    #[test]
+    fn rounds_over_an_inconsistent_path_are_errors() {
+        let g = generators::path(10);
+        let balls = BallTable::build(&g, 2);
+        let mut entries = Vec::new();
+        let bad = [VertexId(0), VertexId(5)];
+        let err = walk_round(&g, &balls, &bad, 0, &mut entries).unwrap_err();
+        assert!(matches!(err, BuildError::Inconsistent { .. }), "{err}");
+        let err = walk_round(&g, &balls, &bad, 2, &mut entries).unwrap_err();
+        assert!(matches!(err, BuildError::Inconsistent { .. }), "{err}");
+        let err = push_hops(&g, &bad, 1, 1, &mut entries).unwrap_err();
+        assert!(matches!(err, BuildError::Inconsistent { .. }), "{err}");
+        assert!(entries.is_empty(), "nothing was appended");
     }
 }

@@ -8,7 +8,13 @@
 //! Finally, for every pair `u, v` in the same set of `U`, `u` stores a
 //! routing *sequence* of at most `2⌈2/ε⌉` temporary targets along a shortest
 //! `u`–`v` path; if the sequence does not end at `v` it ends at a hitting-set
-//! vertex `w ∈ B(·, q̃)` and `u` additionally stores `v`'s label in `T(w)`.
+//! vertex `w ∈ B(·, q̃)` and `u` additionally needs `v`'s label in `T(w)`.
+//! That label is charged to `u` as the paper counts it, but it is the same
+//! bytes `T(w)`'s light-port table already holds, so it is not stored twice:
+//! [`Technique1Router::start`] reads it from `T(w)` when the sequence's last
+//! target is not the destination, which happens exactly when the sequence
+//! stopped early. The sequences themselves are one `SeqStore` arena, 8
+//! bytes a pair and 8 an entry.
 //! A sequence reads only a shortest `u`–`v` path and the distance from `u`
 //! to each vertex on it, so one search per source serves all its set's
 //! members. On a unit-weight graph — Theorems 10, 13 and 15 take those, and
@@ -33,25 +39,11 @@ use routing_tree::{TreeLabel, TreeScheme};
 use routing_vicinity::{hitting_set_greedy, hitting_set_random, BallPorts, BallTable};
 
 use crate::params::HittingStrategy;
-use crate::seq::{push_hops, sequence_words, walk_round, KeyedStore, SeqEntry};
+use crate::seq::{
+    decode, push_hops, sequence_words, walk_round, PackedEntry, SeqChunk, SeqEntry, SeqStore,
+};
 use crate::stages;
 use crate::{BuildError, Params};
-
-/// A stored routing sequence for one (source, destination) pair.
-#[derive(Debug, Clone, PartialEq)]
-struct StoredSeq {
-    entries: Vec<SeqEntry>,
-    /// When the last entry is a hitting-set vertex `w` (not the destination),
-    /// the destination's label in `T(w)`.
-    final_tree_label: Option<TreeLabel>,
-}
-
-impl StoredSeq {
-    fn words(&self) -> usize {
-        sequence_words(&self.entries)
-            + self.final_tree_label.as_ref().map(TreeLabel::words).unwrap_or(0)
-    }
-}
 
 /// The header carried by a message routed with the first technique.
 #[derive(Debug, Clone)]
@@ -87,8 +79,9 @@ pub struct Technique1Router {
     hitting: Vec<VertexId>,
     trees: Vec<TreeScheme>,
     /// At `u`, per same-set destination `v`: the stored sequence.
-    seqs: KeyedStore<StoredSeq>,
-    /// Per-vertex word count of the stored sequences (precomputed).
+    seqs: SeqStore,
+    /// Per-vertex word count of the stored sequences, with the tree label
+    /// of each one that stops early (precomputed).
     seq_words: Vec<usize>,
     b: usize,
 }
@@ -139,35 +132,59 @@ impl Technique1Router {
         // independent of the kernel and of the thread count.
         let by_set = sort_by_set(&set_of);
         let sources = same_set_sources(&by_set, &set_of);
-        let walk = SeqBuilder { g, balls, b, hitting: &hitting, trees: &trees };
-        let stored = match BfsBatch::for_graph(g) {
+        let walk = SeqBuilder { g, balls, b, hitting: &hitting };
+        let chunks = match BfsBatch::for_graph(g) {
             Some(batch) => walk.by_batch_bfs(batch, &sources),
             None => walk.by_dijkstra(&sources),
         }?;
-        Ok(Self::assemble(g.n(), set_of, hitting, trees, &sources, stored, b))
+        Self::assemble(g.n(), set_of, hitting, trees, &sources, &chunks, b)
     }
 
-    /// The router over its parts; `stored[k]` holds the sequences of
-    /// `sources[k]`, one per other member of its set, in member order.
+    /// The router over its parts; `chunks` hold the sequences of `sources`
+    /// in order, one per other member of each source's set, in member
+    /// order.
+    ///
+    /// # Errors
+    ///
+    /// [`BuildError::Inconsistent`] when the chunks do not hold one sequence
+    /// per pair, or a sequence stops at a vertex with no global tree.
     fn assemble(
         n: usize,
         set_of: Vec<u32>,
         hitting: Vec<VertexId>,
         trees: Vec<TreeScheme>,
         sources: &[(VertexId, &[VertexId])],
-        stored: Vec<Vec<StoredSeq>>,
+        chunks: &[SeqChunk],
         b: usize,
-    ) -> Self {
-        // One pass fills the flat store *and* accumulates the word
-        // accounting: sources are sorted by vertex id and members by id, so
-        // the rows arrive in the `(u, v)` order the store wants.
-        let mut seq_words = vec![0usize; n];
-        let rows = sources.iter().zip(stored).flat_map(|(&(u, members), stored)| {
-            members.iter().filter(move |&&v| v != u).zip(stored).map(move |(&v, s)| (u, v, s))
+    ) -> Result<Self, BuildError> {
+        // Sources are sorted by vertex id and members by id, so the rows
+        // arrive in the `(u, v)` order the store wants.
+        let pairs = sources.iter().flat_map(|&(u, members)| {
+            members.iter().filter(move |&&v| v != u).map(move |&v| (u, v))
         });
-        let seqs =
-            KeyedStore::from_sorted(n, rows.inspect(|(u, _, s)| seq_words[u.index()] += 1 + s.words()));
-        Technique1Router { set_of, hitting, trees, seqs, seq_words, b }
+        let built = chunks.iter().map(SeqChunk::len).sum::<usize>();
+        if pairs.clone().count() != built {
+            return Err(BuildError::Inconsistent {
+                what: format!("{built} Lemma 7 sequences built for {} pairs", pairs.count()),
+            });
+        }
+        let rows =
+            pairs.zip(chunks.iter().flat_map(SeqChunk::sequences)).map(|((u, v), s)| (u, v, s));
+        let mut seq_words = vec![0usize; n];
+        for (u, v, s) in rows.clone() {
+            let label_words = match s.last().map(|e| e.decode().vertex) {
+                Some(w) if w != v => global_tree(&hitting, &trees, w)
+                    .and_then(|t| t.label(v))
+                    .ok_or_else(|| BuildError::Inconsistent {
+                        what: format!("the sequence at {u} for {v} stops at {w}, which has no tree"),
+                    })?
+                    .words(),
+                _ => 0,
+            };
+            seq_words[u.index()] += 1 + SeqEntry::words() * s.len() + label_words;
+        }
+        let seqs = SeqStore::from_sorted(n, rows)?;
+        Ok(Technique1Router { set_of, hitting, trees, seqs, seq_words, b })
     }
 
     /// The hitting set `H` used by the router.
@@ -190,20 +207,29 @@ impl Technique1Router {
         self.seqs.get(u, v).is_some()
     }
 
-    /// The global tree of hitting-set vertex `w`, if `w ∈ H` — one binary
-    /// search over the sorted hitting vec, no hash table.
+    /// Heap bytes the stored sequences hold, by capacity: 8 a vertex, 8 a
+    /// pair and 8 an entry.
+    pub fn sequences_heap_bytes(&self) -> usize {
+        self.seqs.heap_bytes()
+    }
+
+    /// The global tree of hitting-set vertex `w`, if `w ∈ H`.
     fn tree_of(&self, w: VertexId) -> Option<&TreeScheme> {
-        self.hitting.binary_search(&w).ok().map(|i| &self.trees[i])
+        global_tree(&self.hitting, &self.trees, w)
     }
 
     /// Builds the header a message needs when it starts the Lemma 7 phase at
     /// `at` towards `dest`. `at` and `dest` must share a set of the
-    /// partition.
+    /// partition. A sequence that ends at a vertex `w ≠ dest` stopped early
+    /// at a hitting-set vertex; the header then carries `dest`'s label in
+    /// `T(w)`, read from that tree.
     ///
     /// # Errors
     ///
     /// Returns [`RouteError::MissingInformation`] if `at` stores no sequence
-    /// for `dest` (the pair is not in the same set).
+    /// for `dest` (the pair is not in the same set), or a stored sequence is
+    /// empty or stops at a vertex with no global tree (a preprocessing
+    /// bug).
     pub fn start(&self, at: VertexId, dest: VertexId) -> Result<Technique1Header, RouteError> {
         if at == dest {
             return Ok(Technique1Header { seq: Vec::new(), idx: 0, final_tree: None, tree_mode: false });
@@ -212,12 +238,24 @@ impl Technique1Router {
             at,
             what: format!("no Lemma 7 sequence for destination {dest} (different partition set)"),
         })?;
-        let final_tree = stored.final_tree_label.as_ref().map(|label| {
-            let w = stored.entries.last().expect("sequence is non-empty").vertex;
-            (w, label.clone())
-        });
-        let tree_mode = stored.entries.len() == 1 && final_tree.is_some();
-        Ok(Technique1Header { seq: stored.entries.clone(), idx: 0, final_tree, tree_mode })
+        let seq = decode(stored);
+        let w = seq.last().map(|e| e.vertex).ok_or_else(|| RouteError::MissingInformation {
+            at,
+            what: format!("empty Lemma 7 sequence for destination {dest}"),
+        })?;
+        let final_tree = if w == dest {
+            None
+        } else {
+            let label = self.tree_of(w).and_then(|t| t.label(dest)).ok_or_else(|| {
+                RouteError::MissingInformation {
+                    at,
+                    what: format!("Lemma 7 sequence for {dest} stops at {w}, which has no tree"),
+                }
+            })?;
+            Some((w, label))
+        };
+        let tree_mode = seq.len() == 1 && final_tree.is_some();
+        Ok(Technique1Header { seq, idx: 0, final_tree, tree_mode })
     }
 
     /// One local routing decision of the Lemma 7 phase at vertex `at`.
@@ -294,6 +332,17 @@ impl Technique1Router {
     }
 }
 
+/// The global tree of hitting-set vertex `w`, if `w ∈ H` — one binary search
+/// over the id-sorted hitting set, no hash table; `trees[i]` is the tree of
+/// `hitting[i]`.
+fn global_tree<'a>(
+    hitting: &[VertexId],
+    trees: &'a [TreeScheme],
+    w: VertexId,
+) -> Option<&'a TreeScheme> {
+    trees.get(hitting.binary_search(&w).ok()?)
+}
+
 /// Vertices sorted by `(set, id)`: each set is one consecutive run, and each
 /// run is id-sorted — which is what makes the per-source destination slots
 /// of the flat store binary-searchable.
@@ -316,124 +365,136 @@ fn same_set_sources<'a>(by_set: &'a [VertexId], set_of: &[u32]) -> Vec<(VertexId
 }
 
 /// What building a Lemma 7 sequence reads besides the path: the graph, the
-/// ball table, the round budget `b`, and the id-sorted hitting set with
-/// `trees[i]` the global tree of `hitting[i]`.
+/// ball table, the round budget `b` and the id-sorted hitting set.
 struct SeqBuilder<'a> {
     g: &'a Graph,
     balls: &'a BallTable,
     b: usize,
     hitting: &'a [VertexId],
-    trees: &'a [TreeScheme],
 }
 
 impl SeqBuilder<'_> {
-    /// The sequences of every source in `sources`, from one bit-parallel
-    /// BFS per [`BFS_BATCH_WIDTH`] consecutive sources (unit-weight graphs:
-    /// `batch` exists only for those). On a unit-weight graph the `k`-th
-    /// vertex of a shortest path from the source is at distance `k`.
+    /// The sequences of every source in `sources`, one chunk per
+    /// bit-parallel BFS over [`BFS_BATCH_WIDTH`] consecutive sources
+    /// (unit-weight graphs: `batch` exists only for those). On a unit-weight
+    /// graph the `k`-th vertex of a shortest path from the source is at
+    /// distance `k`.
     fn by_batch_bfs(
         &self,
         batch: BfsBatch,
         sources: &[(VertexId, &[VertexId])],
-    ) -> Result<Vec<Vec<StoredSeq>>, BuildError> {
+    ) -> Result<Vec<SeqChunk>, BuildError> {
         let g = self.g;
         let ramp: Vec<Weight> = (0..g.n() as Weight).collect();
         let ids: Vec<VertexId> = sources.iter().map(|&(u, _)| u).collect();
         let per_batch = routing_par::par_map_scratch(
             ids.len().div_ceil(BFS_BATCH_WIDTH),
-            || batch.clone(),
-            |bfs, k| -> Result<Vec<Vec<StoredSeq>>, BuildError> {
+            || (batch.clone(), Vec::new()),
+            |(bfs, path): &mut (BfsBatch, Vec<VertexId>), k| -> Result<SeqChunk, BuildError> {
                 let _frontier = routing_obs::span("settled-frontier");
                 let lo = k * BFS_BATCH_WIDTH;
                 let hi = ids.len().min(lo + BFS_BATCH_WIDTH);
                 bfs.run(g, &ids[lo..hi]).map_err(|e| BuildError::BadParameter { what: e.to_string() })?;
                 routing_obs::counters::BUILD_SETTLED_VERTICES.add(bfs.reached() as u64);
-                sources[lo..hi]
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &(u, members))| {
-                        let to = |&v: &VertexId| {
-                            let path = bfs.path_to(g, i, v).ok_or(BuildError::Disconnected)?;
-                            self.sequence(&path, &ramp[..path.len()])
-                        };
-                        members.iter().filter(|&&v| v != u).map(to).collect()
-                    })
-                    .collect()
+                let mut chunk = SeqChunk::default();
+                for (i, &(u, members)) in sources[lo..hi].iter().enumerate() {
+                    for &v in members.iter().filter(|&&v| v != u) {
+                        if !bfs.path_into(g, i, v, path) {
+                            return Err(BuildError::Disconnected);
+                        }
+                        self.sequence(path, &ramp[..path.len()], &mut chunk.entries)?;
+                        chunk.close();
+                    }
+                }
+                Ok(chunk)
             },
         );
-        Ok(per_batch.into_iter().collect::<Result<Vec<_>, _>>()?.into_iter().flatten().collect())
+        per_batch.into_iter().collect()
     }
 
-    /// The sequences of every source in `sources`, from one target-bounded
-    /// Dijkstra per source: a source only reads shortest paths to its own
-    /// set members, and every vertex those paths visit is an ancestor of a
-    /// member, settled before it, so the search stops at the member settled
-    /// last. The kernel for weighted graphs, and the reference the batch
-    /// BFS is tested against.
+    /// The sequences of every source in `sources`, one chunk per
+    /// target-bounded Dijkstra from a source: a source only reads shortest
+    /// paths to its own set members, and every vertex those paths visit is
+    /// an ancestor of a member, settled before it, so the search stops at
+    /// the member settled last. The kernel for weighted graphs, and the
+    /// reference the batch BFS is tested against.
     fn by_dijkstra(
         &self,
         sources: &[(VertexId, &[VertexId])],
-    ) -> Result<Vec<Vec<StoredSeq>>, BuildError> {
+    ) -> Result<Vec<SeqChunk>, BuildError> {
         let g = self.g;
+        type Scratch = (SearchScratch, Vec<VertexId>, Vec<Weight>);
         let per_source = routing_par::par_map_scratch(
             sources.len(),
-            || SearchScratch::for_graph(g),
-            |scratch, k| -> Result<Vec<StoredSeq>, BuildError> {
+            || (SearchScratch::for_graph(g), Vec::new(), Vec::new()),
+            |(scratch, path, prefix): &mut Scratch, k| -> Result<SeqChunk, BuildError> {
                 let (u, members) = sources[k];
                 let _frontier = routing_obs::span("settled-frontier");
                 scratch.dijkstra_targets_into(g, u, members);
                 routing_obs::counters::BUILD_EARLY_EXIT_SEARCHES.inc();
-                let out = members
-                    .iter()
-                    .filter(|&&v| v != u)
-                    .map(|&v| {
-                        // Defensive: every member is a target, so it is
-                        // settled unless unreachable.
-                        if !scratch.is_settled(v) && scratch.ensure_settled(g, v) {
-                            routing_obs::counters::BUILD_FRONTIER_RESUMES.inc();
-                        }
-                        let path = scratch.path_to(v).ok_or(BuildError::Disconnected)?;
-                        let prefix: Option<Vec<Weight>> =
-                            path.iter().map(|&x| scratch.dist(x)).collect();
-                        self.sequence(&path, &prefix.ok_or(BuildError::Disconnected)?)
-                    })
-                    .collect();
+                let mut chunk = SeqChunk::default();
+                for &v in members.iter().filter(|&&v| v != u) {
+                    // Defensive: every member is a target, so it is settled
+                    // unless unreachable.
+                    if !scratch.is_settled(v) && scratch.ensure_settled(g, v) {
+                        routing_obs::counters::BUILD_FRONTIER_RESUMES.inc();
+                    }
+                    if !scratch.path_into(v, path) {
+                        return Err(BuildError::Disconnected);
+                    }
+                    prefix.clear();
+                    for &x in path.iter() {
+                        prefix.push(scratch.dist(x).ok_or(BuildError::Disconnected)?);
+                    }
+                    self.sequence(path, prefix, &mut chunk.entries)?;
+                    chunk.close();
+                }
                 routing_obs::counters::BUILD_SETTLED_VERTICES.add(scratch.order().len() as u64);
-                out
+                Ok(chunk)
             },
         );
         per_source.into_iter().collect()
     }
 
-    /// The Lemma 7 sequence stored at `path[0]` for `path[last]`, given a
-    /// shortest path between them and the distance from `path[0]` to each
-    /// of its vertices (`prefix[k]` for `path[k]`).
-    fn sequence(&self, path: &[VertexId], prefix: &[Weight]) -> Result<StoredSeq, BuildError> {
+    /// Appends the Lemma 7 sequence stored at `path[0]` for `path[last]` to
+    /// `entries`, given a shortest path between them and the distance from
+    /// `path[0]` to each of its vertices (`prefix[k]` for `path[k]`).
+    ///
+    /// # Errors
+    ///
+    /// [`BuildError::Inconsistent`] when the path is not a path of the graph
+    /// or a vicinity it stops early in holds no hitting-set vertex.
+    fn sequence(
+        &self,
+        path: &[VertexId],
+        prefix: &[Weight],
+        entries: &mut Vec<PackedEntry>,
+    ) -> Result<(), BuildError> {
         let (g, balls, hitting) = (self.g, self.balls, self.hitting);
-        let (Some(&v), Some(&d_uv)) = (path.last(), prefix.last()) else {
+        let Some(&d_uv) = prefix.last() else {
             return Err(BuildError::Disconnected);
         };
-        let mut entries: Vec<SeqEntry> = Vec::new();
         let mut pos = 0usize;
-        while let Some(next) = walk_round(g, balls, path, pos, &mut entries) {
+        while let Some(next) = walk_round(g, balls, path, pos, entries)? {
             let d_xi_zi = prefix[next] - prefix[pos];
             if (d_xi_zi as u128) * (self.b as u128) < d_uv as u128 {
                 // Progress below the threshold s = d(u,v)/b: finish via a
-                // hitting-set vertex of B(xi, q̃).
-                let (tree_idx, w) = balls
-                    .ball(path[pos])
-                    .members()
-                    .iter()
-                    .find_map(|&(m, _)| hitting.binary_search(&m).ok().map(|i| (i, m)))
-                    .expect("hitting set hits every vicinity");
-                let label = self.trees[tree_idx].label(v).expect("global tree spans every vertex");
-                entries.push(SeqEntry::ball(w));
-                return Ok(StoredSeq { entries, final_tree_label: Some(label) });
+                // hitting-set vertex `w` of B(xi, q̃); `start` reads the
+                // destination's label in T(w) from the tree.
+                let xi = path[pos];
+                let ball = balls.ball(xi);
+                let mut members = ball.members().iter().map(|&(m, _)| m);
+                let w = members.find(|m| hitting.binary_search(m).is_ok());
+                let w = w.ok_or_else(|| BuildError::Inconsistent {
+                    what: format!("the hitting set misses B({xi}, q̃)"),
+                })?;
+                entries.push(PackedEntry::ball(w));
+                return Ok(());
             }
-            push_hops(g, path, pos, next, &mut entries);
+            push_hops(g, path, pos, next, entries)?;
             pos = next;
         }
-        Ok(StoredSeq { entries, final_tree_label: None })
+        Ok(())
     }
 }
 
@@ -660,7 +721,8 @@ mod tests {
     /// On a unit-weight graph the router's sequences come from the batch
     /// BFS; the per-source Dijkstra kernel, run on the same graph with the
     /// same hitting set and trees, must store the same sequence for every
-    /// pair and charge every vertex the same words, at 1 and 4 threads.
+    /// pair — compared decoded — and charge every vertex the same words, at
+    /// 1 and 4 threads.
     #[test]
     fn batch_bfs_sequences_equal_the_dijkstra_kernel() {
         let mut rng = StdRng::seed_from_u64(17);
@@ -683,15 +745,17 @@ mod tests {
                 let sources = same_set_sources(&by_set, &set_of);
                 assert_eq!(sources.len(), g.n());
                 let (b, hitting, trees) = (router.b, &router.hitting, &router.trees);
-                let walk = SeqBuilder { g, balls: &balls, b, hitting, trees };
-                let stored = walk.by_dijkstra(&sources).unwrap();
+                let walk = SeqBuilder { g, balls: &balls, b, hitting };
+                let chunks = walk.by_dijkstra(&sources).unwrap();
                 let (hitting, trees) = (hitting.clone(), trees.clone());
                 let n = g.n();
+                let set_of = set_of.clone();
                 let reference =
-                    Technique1Router::assemble(n, set_of.clone(), hitting, trees, &sources, stored, b);
+                    Technique1Router::assemble(n, set_of, hitting, trees, &sources, &chunks, b).unwrap();
                 for u in g.vertices() {
                     for v in g.vertices() {
-                        let (seq, want) = (router.seqs.get(u, v), reference.seqs.get(u, v));
+                        let seq = router.seqs.get(u, v).map(decode);
+                        let want = reference.seqs.get(u, v).map(decode);
                         assert_eq!(seq, want, "{name} x{threads}: ({u}, {v})");
                     }
                     let words = (router.table_words(u), reference.table_words(u));
@@ -699,6 +763,159 @@ mod tests {
                 }
             }
             routing_par::set_threads(routing_par::available_threads());
+        }
+    }
+
+    /// A stored routing sequence for one (source, destination) pair, as the
+    /// router kept it before the arena.
+    #[derive(Debug, Clone, PartialEq)]
+    struct StoredSeq {
+        entries: Vec<SeqEntry>,
+        /// When the last entry is a hitting-set vertex `w` (not the
+        /// destination), the destination's label in `T(w)`.
+        final_tree_label: Option<TreeLabel>,
+    }
+
+    /// The sequence the router built and stored before the arena, verbatim
+    /// but for the walk helpers' packed entries and `Result`s, plus
+    /// `shift`: `0` is the reference, `1` plants an off-by-one tree index.
+    fn stored_sequence(
+        walk: &SeqBuilder,
+        trees: &[TreeScheme],
+        path: &[VertexId],
+        prefix: &[Weight],
+        shift: usize,
+    ) -> StoredSeq {
+        let (g, balls, hitting) = (walk.g, walk.balls, walk.hitting);
+        let (Some(&v), Some(&d_uv)) = (path.last(), prefix.last()) else {
+            panic!("an empty path");
+        };
+        let mut entries: Vec<PackedEntry> = Vec::new();
+        let mut pos = 0usize;
+        while let Some(next) = walk_round(g, balls, path, pos, &mut entries).unwrap() {
+            let d_xi_zi = prefix[next] - prefix[pos];
+            if (d_xi_zi as u128) * (walk.b as u128) < d_uv as u128 {
+                // Progress below the threshold s = d(u,v)/b: finish via a
+                // hitting-set vertex of B(xi, q̃).
+                let (tree_idx, w) = balls
+                    .ball(path[pos])
+                    .members()
+                    .iter()
+                    .find_map(|&(m, _)| hitting.binary_search(&m).ok().map(|i| (i, m)))
+                    .expect("hitting set hits every vicinity");
+                let tree = &trees[(tree_idx + shift) % trees.len()];
+                let label = tree.label(v).expect("global tree spans every vertex");
+                entries.push(PackedEntry::ball(w));
+                return StoredSeq { entries: decode(&entries), final_tree_label: Some(label) };
+            }
+            push_hops(g, path, pos, next, &mut entries).unwrap();
+            pos = next;
+        }
+        StoredSeq { entries: decode(&entries), final_tree_label: None }
+    }
+
+    /// With balls of three or four vertices on a path and a grid, Lemma 7
+    /// sequences stop early at a hitting-set vertex. For every pair, the
+    /// header `start` builds carries the sequence and the tree label the
+    /// old build stored, and an off-by-one tree index is caught; every such
+    /// pair still routes within `(1+ε)`.
+    #[test]
+    fn early_stops_carry_the_label_the_old_build_stored() {
+        let epsilon = 0.5;
+        let params = Params::with_epsilon(epsilon);
+        let instances = [("path", generators::path(60), 3), ("grid", generators::grid(10, 10), 4)];
+        for (name, g, ell) in instances {
+            let set_of = partition_mod(g.n(), 3);
+            let balls = BallTable::build(&g, ell);
+            let mut rng = StdRng::seed_from_u64(5);
+            let router =
+                Technique1Router::build(&g, &balls, set_of.clone(), &params, &mut rng).unwrap();
+            assert!(router.hitting.len() >= 2, "{name}: a second tree to shift to");
+            let walk = SeqBuilder { g: &g, balls: &balls, b: router.b, hitting: &router.hitting };
+            let mut scratch = SearchScratch::for_graph(&g);
+            let (mut early, mut planted_caught) = (Vec::new(), 0);
+            for u in g.vertices() {
+                scratch.dijkstra_into(&g, u);
+                let same_set = |&v: &VertexId| v != u && set_of[v.index()] == set_of[u.index()];
+                for v in g.vertices().filter(same_set) {
+                    let path = scratch.path_to(v).unwrap();
+                    let prefix: Vec<Weight> =
+                        path.iter().map(|&x| scratch.dist(x).unwrap()).collect();
+                    let old = stored_sequence(&walk, &router.trees, &path, &prefix, 0);
+                    let header = router.start(u, v).unwrap();
+                    assert_eq!(header.seq, old.entries, "{name}: ({u}, {v})");
+                    let last = old.entries.last().map(|e| e.vertex);
+                    let derived = header.final_tree.map(|(w, label)| {
+                        assert_eq!(Some(w), last, "{name}: ({u}, {v})");
+                        label
+                    });
+                    assert_eq!(derived, old.final_tree_label, "{name}: ({u}, {v})");
+                    if derived.is_some() {
+                        early.push((u, v));
+                        let planted = stored_sequence(&walk, &router.trees, &path, &prefix, 1);
+                        planted_caught += usize::from(planted.final_tree_label != derived);
+                    }
+                }
+            }
+            assert!(!early.is_empty(), "{name}: some Lemma 7 sequence stops early");
+            assert!(planted_caught > 0, "{name}: an off-by-one tree index goes unnoticed");
+            let exact = DistanceMatrix::new(&g);
+            let scheme = Technique1Scheme { n: g.n(), epsilon, balls, router };
+            for (u, v) in early {
+                let out = simulate(&g, &scheme, u, v).unwrap();
+                let d = exact.dist(u, v).unwrap();
+                assert!(out.weight as f64 <= (1.0 + epsilon) * d as f64 + 1e-9, "{name}: {u}->{v}");
+            }
+        }
+    }
+
+    /// The builder returns an error, not a panic, on a path whose
+    /// consecutive vertices are not adjacent and on a hitting set that
+    /// misses the vicinity a sequence stops early in.
+    #[test]
+    fn sequence_builder_refuses_an_inconsistent_path() {
+        let g = generators::path(10);
+        let balls = BallTable::build(&g, 2);
+        let hitting: Vec<VertexId> = g.vertices().collect();
+        let walk = SeqBuilder { g: &g, balls: &balls, b: 4, hitting: &hitting };
+        let mut entries = Vec::new();
+        let err = walk.sequence(&[VertexId(0), VertexId(5)], &[0, 1], &mut entries).unwrap_err();
+        assert!(matches!(err, BuildError::Inconsistent { .. }), "{err}");
+        let path: Vec<VertexId> = g.vertices().collect();
+        let ramp: Vec<Weight> = (0..10).collect();
+        let walk = SeqBuilder { hitting: &[], ..walk };
+        let err = walk.sequence(&path, &ramp, &mut entries).unwrap_err();
+        assert!(matches!(err, BuildError::Inconsistent { .. }), "{err}");
+    }
+
+    /// The sequence store holds 8 bytes a vertex, a pair and an entry, and
+    /// no growth slack, on Erdős–Rényi, geometric and grid instances.
+    #[test]
+    fn seq_store_holds_eight_bytes_a_vertex_a_pair_and_an_entry() {
+        let mut rng = StdRng::seed_from_u64(41);
+        let weights = WeightModel::Uniform { lo: 1, hi: 9 };
+        let graphs = [
+            ("er", generators::erdos_renyi(150, 0.04, WeightModel::Unit, &mut rng)),
+            ("geometric", generators::random_geometric(130, 0.18, weights, &mut rng)),
+            ("grid", generators::grid(9, 11)),
+        ];
+        let params = Params::with_epsilon(0.5);
+        for (name, g) in &graphs {
+            let set_of = partition_mod(g.n(), 10);
+            let balls = BallTable::build(g, params.scaled(10, g.n()));
+            let router =
+                Technique1Router::build(g, &balls, set_of.clone(), &params, &mut rng).unwrap();
+            let (pairs, entries) = router.seqs.tight_sizes();
+            let set_sizes = set_of.iter().fold([0usize; 10], |mut s, &c| {
+                s[c as usize] += 1;
+                s
+            });
+            assert_eq!(pairs, set_sizes.iter().map(|s| s * (s - 1)).sum::<usize>(), "{name}");
+            let seqs = &router.seqs;
+            let stored = g.vertices().flat_map(|u| g.vertices().filter_map(move |v| seqs.get(u, v)));
+            assert_eq!(entries, stored.map(<[_]>::len).sum::<usize>(), "{name}");
+            let bytes = 8 * (g.n() + 1) + 8 * pairs + 8 * entries;
+            assert_eq!(router.sequences_heap_bytes(), bytes, "{name}");
         }
     }
 

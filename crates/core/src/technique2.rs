@@ -23,7 +23,9 @@ use routing_graph::{Graph, SearchScratch, VertexId, Weight};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
 use routing_vicinity::{BallPorts, BallTable};
 
-use crate::seq::{push_hops, sequence_words, walk_round, KeyedStore, SeqEntry};
+use crate::seq::{
+    decode, push_hops, sequence_words, walk_round, PackedEntry, SeqChunk, SeqEntry, SeqStore,
+};
 use crate::stages;
 use crate::{BuildError, Params};
 
@@ -54,7 +56,7 @@ pub struct Technique2Router {
     /// `NO_SET` outside `W`.
     dest_set_of: Vec<u32>,
     /// At `u ∈ U_j`, per destination `w ∈ W_j`: the stored sequence.
-    seqs: KeyedStore<Vec<SeqEntry>>,
+    seqs: SeqStore,
     seq_words: Vec<usize>,
     b: usize,
 }
@@ -75,13 +77,19 @@ impl Technique2Router {
     ///
     /// The caller has run [`stages::check`] on `(g, params)`: every source
     /// must reach every destination.
+    ///
+    /// # Errors
+    ///
+    /// [`BuildError::Disconnected`] when a source does not reach its
+    /// destination, and [`BuildError::Inconsistent`] when a search's path is
+    /// not a path of `g`.
     pub(crate) fn build(
         g: &Graph,
         balls: &BallTable,
         color_of: Vec<u32>,
         dest_partition: &[Vec<VertexId>],
         params: &Params,
-    ) -> Self {
+    ) -> Result<Self, BuildError> {
         assert_eq!(color_of.len(), g.n(), "color_of must cover every vertex");
         let b = params.b_lemma8();
         let _span = routing_obs::span("technique2");
@@ -115,10 +123,12 @@ impl Technique2Router {
                 work.push((j as u32, w, sources.as_slice()));
             }
         }
-        let per_dest: Vec<Vec<(VertexId, Vec<SeqEntry>)>> = routing_par::par_map_scratch(
+        // One chunk per destination, its sources' sequences in source order.
+        type Scratch = (SearchScratch, Vec<VertexId>);
+        let per_dest = routing_par::par_map_scratch(
             work.len(),
-            || SearchScratch::for_graph(g),
-            |scratch, i| {
+            || (SearchScratch::for_graph(g), Vec::new()),
+            |(scratch, path): &mut Scratch, i| -> Result<SeqChunk, BuildError> {
                 let (j, w, sources) = work[i];
                 // The sequence for source `u` only reads dist/parent on the
                 // shortest `u`-`w` path, and every path vertex is an SPT
@@ -127,32 +137,36 @@ impl Technique2Router {
                 let _frontier = routing_obs::span("settled-frontier");
                 scratch.dijkstra_targets_into(g, w, sources);
                 routing_obs::counters::BUILD_EARLY_EXIT_SEARCHES.inc();
-                let out = sources
-                    .iter()
-                    .filter(|&&u| u != w)
-                    .map(|&u| {
-                        let mut path = scratch.path_to(u).expect("graph is connected");
-                        path.reverse(); // now u -> w
-                        (u, build_t2_sequence(g, balls, scratch, &path, w, j, &color_of, b))
-                    })
-                    .collect();
+                let mut chunk = SeqChunk::default();
+                for &u in sources.iter().filter(|&&u| u != w) {
+                    if !scratch.path_into(u, path) {
+                        return Err(BuildError::Disconnected);
+                    }
+                    path.reverse(); // now u -> w
+                    let entries = &mut chunk.entries;
+                    build_t2_sequence(g, balls, scratch, path, w, j, &color_of, b, entries)?;
+                    chunk.close();
+                }
                 routing_obs::counters::BUILD_SETTLED_VERTICES.add(scratch.order().len() as u64);
-                out
+                Ok(chunk)
             },
         );
+        let chunks = per_dest.into_iter().collect::<Result<Vec<_>, _>>()?;
         // The work ran destination-major; the store wants `(u, w)` order.
-        let mut rows = Vec::with_capacity(per_dest.iter().map(Vec::len).sum());
-        for (&(_, w, _), list) in work.iter().zip(per_dest) {
-            rows.extend(list.into_iter().map(|(u, entries)| (u, w, entries)));
+        let mut rows: Vec<(VertexId, VertexId, &[PackedEntry])> =
+            Vec::with_capacity(chunks.iter().map(SeqChunk::len).sum());
+        for (&(_, w, sources), chunk) in work.iter().zip(&chunks) {
+            let sources = sources.iter().filter(|&&u| u != w);
+            rows.extend(sources.zip(chunk.sequences()).map(|(&u, s)| (u, w, s)));
         }
         rows.sort_unstable_by_key(|&(u, w, _)| (u, w));
         let mut seq_words = vec![0usize; g.n()];
         for (u, _, entries) in &rows {
-            seq_words[u.index()] += 1 + sequence_words(entries);
+            seq_words[u.index()] += 1 + SeqEntry::words() * entries.len();
         }
-        let seqs = KeyedStore::from_sorted(g.n(), rows);
+        let seqs = SeqStore::from_sorted(g.n(), rows.iter().copied())?;
 
-        Technique2Router { color_of, dest_set_of, seqs, seq_words, b }
+        Ok(Technique2Router { color_of, dest_set_of, seqs, seq_words, b })
     }
 
     /// Lemma 8's round budget `b = ⌈2/ε⌉ + 1`.
@@ -175,6 +189,12 @@ impl Technique2Router {
         self.seqs.get(u, w).is_some()
     }
 
+    /// Heap bytes the stored sequences hold, by capacity: 8 a vertex, 8 a
+    /// pair and 8 an entry.
+    pub fn sequences_heap_bytes(&self) -> usize {
+        self.seqs.heap_bytes()
+    }
+
     /// Builds the header for a message starting its Lemma 8 phase at `at`
     /// towards destination `dest ∈ W`.
     ///
@@ -190,7 +210,7 @@ impl Technique2Router {
             at,
             what: format!("no Lemma 8 sequence for destination {dest} at this vertex"),
         })?;
-        Ok(Technique2Header { seq: seq.clone(), idx: 0 })
+        Ok(Technique2Header { seq: decode(seq), idx: 0 })
     }
 
     /// One local routing decision of the Lemma 8 phase at vertex `at`.
@@ -229,7 +249,7 @@ impl Technique2Router {
                         ),
                     }
                 })?;
-                header.seq = next.clone();
+                header.seq = decode(next);
                 header.idx = 0;
             }
             guard += 1;
@@ -250,10 +270,16 @@ impl Technique2Router {
     }
 }
 
-/// Builds the Lemma 8 sequence stored at `path[0]` for destination `w`.
+/// Appends the Lemma 8 sequence stored at `path[0]` for destination
+/// `w = path[last]` to `entries`.
 ///
 /// `spt_w` is the shortest-path tree rooted at `w`, so `spt_w.dist(x)` is
 /// `d(x, w)` for every path vertex `x`.
+///
+/// # Errors
+///
+/// [`BuildError::Inconsistent`] when the path is not a path of `g` from a
+/// source other than `w` to `w`, or `spt_w` misses one of its vertices.
 #[allow(clippy::too_many_arguments)]
 fn build_t2_sequence(
     g: &Graph,
@@ -264,20 +290,31 @@ fn build_t2_sequence(
     j: u32,
     color_of: &[u32],
     b: usize,
-) -> Vec<SeqEntry> {
-    let mut entries = Vec::new();
-    let dist_to_w = |x: VertexId| -> Weight { spt_w.dist(x).expect("path vertex reaches w") };
+    entries: &mut Vec<PackedEntry>,
+) -> Result<(), BuildError> {
+    let inconsistent = |what: String| BuildError::Inconsistent { what };
+    let dist_to_w = |x: VertexId| -> Result<Weight, BuildError> {
+        spt_w.dist(x).ok_or_else(|| inconsistent(format!("path vertex {x} does not reach {w}")))
+    };
+    let edge = |x: VertexId, y: VertexId| -> Result<PackedEntry, BuildError> {
+        let port = g.port_to(x, y).ok_or_else(|| inconsistent(format!("{x}, {y} not adjacent")))?;
+        Ok(PackedEntry::edge(y, port))
+    };
 
     // First two path vertices are explicit edge hops.
-    let u1 = path[1];
-    entries.push(SeqEntry::edge(u1, g.port_to(path[0], u1).expect("path edge")));
+    let (Some(&u0), Some(&u1)) = (path.first(), path.get(1)) else {
+        return Err(inconsistent(format!("a Lemma 8 path to {w} of {} vertices", path.len())));
+    };
+    entries.push(edge(u0, u1)?);
     if u1 == w {
-        return entries;
+        return Ok(());
     }
-    let u2 = path[2];
-    entries.push(SeqEntry::edge(u2, g.port_to(u1, u2).expect("path edge")));
+    let Some(&u2) = path.get(2) else {
+        return Err(inconsistent(format!("the Lemma 8 path from {u0} ends at {u1}, not {w}")));
+    };
+    entries.push(edge(u1, u2)?);
     if u2 == w {
-        return entries;
+        return Ok(());
     }
 
     // Subsequences with doubling thresholds s = thr_num / b.
@@ -286,11 +323,11 @@ fn build_t2_sequence(
     loop {
         let mut count = 0usize;
         while count < 2 * b {
-            let Some(next) = walk_round(g, balls, path, pos, &mut entries) else {
-                return entries;
+            let Some(next) = walk_round(g, balls, path, pos, entries)? else {
+                return Ok(());
             };
             let xi = path[pos];
-            let d_xi_zi = dist_to_w(xi) - dist_to_w(path[next]);
+            let d_xi_zi = dist_to_w(xi)? - dist_to_w(path[next])?;
             if (d_xi_zi as u128) * (b as u128) < thr_num {
                 // Below the threshold: hand over to a vertex of U_j inside
                 // the vicinity (guaranteed by the Lemma 8 assumption).
@@ -301,14 +338,14 @@ fn build_t2_sequence(
                     .map(|&(m, _)| m)
                     .find(|&m| color_of[m.index()] == j);
                 if let Some(z) = z {
-                    entries.push(SeqEntry::ball(z));
-                    return entries;
+                    entries.push(PackedEntry::ball(z));
+                    return Ok(());
                 }
                 // Assumption violated at this vicinity (possible at tiny
                 // scales): keep walking the path instead; routing stays
                 // correct, the sequence is just longer.
             }
-            count += push_hops(g, path, pos, next, &mut entries);
+            count += push_hops(g, path, pos, next, entries)?;
             pos = next;
         }
         thr_num = thr_num.saturating_mul(2);
@@ -351,7 +388,7 @@ impl Technique2Scheme {
         let q = dest_partition.len().max(1);
         let ell = params.scaled(q, g.n());
         let balls = BallTable::build(g, ell);
-        let router = Technique2Router::build(g, &balls, color_of, &dest_partition, params);
+        let router = Technique2Router::build(g, &balls, color_of, &dest_partition, params)?;
         Ok(Technique2Scheme { n: g.n(), epsilon: params.epsilon, balls, router })
     }
 
@@ -496,7 +533,8 @@ mod tests {
     }
 
     /// The router's sequence table as the `HashMap` build filled it before
-    /// the keyed store replaced it, verbatim; only the return value changed.
+    /// the keyed store replaced it, verbatim but for the return value and
+    /// the builder's arena output, decoded here.
     fn reference_seqs(
         g: &Graph,
         balls: &BallTable,
@@ -527,7 +565,10 @@ mod tests {
                     .map(|&u| {
                         let mut path = scratch.path_to(u).expect("graph is connected");
                         path.reverse(); // now u -> w
-                        (u, build_t2_sequence(g, balls, scratch, &path, w, j, color_of, b))
+                        let mut out = Vec::new();
+                        build_t2_sequence(g, balls, scratch, &path, w, j, color_of, b, &mut out)
+                            .unwrap();
+                        (u, decode(&out))
                     })
                     .collect()
             },
@@ -551,7 +592,8 @@ mod tests {
             for threads in [1, 4] {
                 routing_par::set_threads(threads);
                 let router =
-                    Technique2Router::build(&g, &balls, color_of.clone(), &dest_partition, &params);
+                    Technique2Router::build(&g, &balls, color_of.clone(), &dest_partition, &params)
+                        .unwrap();
                 let reference =
                     reference_seqs(&g, &balls, &color_of, &dest_partition, params.b_lemma8());
                 assert!(!reference.is_empty());
@@ -559,14 +601,47 @@ mod tests {
                     let mut words = 0;
                     for w in g.vertices() {
                         let stored = reference.get(&(u, w));
-                        assert_eq!(router.seqs.get(u, w), stored, "{name} x{threads}: ({u}, {w})");
+                        let decoded = router.seqs.get(u, w).map(decode);
+                        assert_eq!(decoded.as_ref(), stored, "{name} x{threads}: ({u}, {w})");
                         words += stored.map_or(0, |s| 1 + sequence_words(s));
                     }
                     assert_eq!(router.table_words(u), words, "{name} x{threads}: words at {u}");
                 }
+                // 8 bytes a vertex, a pair and an entry, and no slack.
+                let (pairs, entries) = router.seqs.tight_sizes();
+                assert_eq!(pairs, reference.len(), "{name}");
+                assert_eq!(entries, reference.values().map(Vec::len).sum::<usize>(), "{name}");
+                let bytes = 8 * (g.n() + 1) + 8 * pairs + 8 * entries;
+                assert_eq!(router.seqs.heap_bytes(), bytes, "{name}");
             }
             routing_par::set_threads(routing_par::available_threads());
         }
+    }
+
+    /// The builder returns an error, not a panic, on a path with a
+    /// non-edge, on one too short to reach `w`, and on a vertex the search
+    /// from `w` never reached.
+    #[test]
+    fn lemma8_builder_refuses_an_inconsistent_path() {
+        let g = generators::path(10);
+        let balls = BallTable::build(&g, 2);
+        let mut spt = SearchScratch::for_graph(&g);
+        let w = VertexId(9);
+        spt.dijkstra_targets_into(&g, w, &[VertexId(0)]);
+        let v = VertexId;
+        let color_of = vec![0; 10];
+        let build = |spt: &SearchScratch, path: &[VertexId]| {
+            build_t2_sequence(&g, &balls, spt, path, w, 0, &color_of, 3, &mut Vec::new())
+        };
+        for path in [vec![v(0), v(5), w], vec![v(0), v(1)], vec![v(0)]] {
+            let err = build(&spt, &path).unwrap_err();
+            assert!(matches!(err, BuildError::Inconsistent { .. }), "{path:?}: {err}");
+        }
+        // The search from `w` stops at 8, so it never reached 2.
+        spt.dijkstra_targets_into(&g, w, &[v(8)]);
+        let path: Vec<VertexId> = g.vertices().collect();
+        let err = build(&spt, &path).unwrap_err();
+        assert!(matches!(err, BuildError::Inconsistent { .. }), "{err}");
     }
 
     #[test]

@@ -720,26 +720,30 @@ impl SearchScratch {
     }
 
     /// The tree path from the last search's source to `v` (inclusive), or
-    /// `None` if `v` was not settled. Allocates exactly the returned path.
+    /// `None` if `v` was not settled. Allocates the returned path; a caller
+    /// reading many paths reuses one buffer through
+    /// [`path_into`](Self::path_into).
     pub fn path_to(&self, v: VertexId) -> Option<Vec<VertexId>> {
-        if self.settled[v.index()] != self.epoch {
-            return None;
+        let mut path = Vec::new();
+        self.path_into(v, &mut path).then_some(path)
+    }
+
+    /// Writes the tree path from the last search's source to `v`
+    /// (inclusive) into `path`, replacing its contents; `false`, with `path`
+    /// empty, if `v` was not settled.
+    pub fn path_into(&self, v: VertexId, path: &mut Vec<VertexId>) -> bool {
+        path.clear();
+        if self.settled.get(v.index()) != Some(&self.epoch) {
+            return false;
         }
-        let mut len = 1usize;
+        path.push(v);
         let mut cur = v;
         while let Some(p) = self.parent(cur) {
-            len += 1;
+            path.push(p);
             cur = p;
         }
-        let mut path = vec![v; len];
-        let mut i = len - 1;
-        cur = v;
-        while let Some(p) = self.parent(cur) {
-            i -= 1;
-            path[i] = p;
-            cur = p;
-        }
-        Some(path)
+        path.reverse();
+        true
     }
 
     /// Writes the full distance row of the last search into `out`
@@ -1122,23 +1126,35 @@ impl BfsBatch {
     /// The shortest path from source `i` of the last run to `v` (inclusive)
     /// that `SearchScratch::path_to` returns after a Dijkstra from the same
     /// source: each step back goes to the first neighbour in port order one
-    /// level closer. `None` if the search did not reach `v`. Allocates
-    /// exactly the returned path.
+    /// level closer. `None` if the search did not reach `v`. Allocates the
+    /// returned path; [`path_into`](Self::path_into) fills a reused buffer.
     pub fn path_to(&self, g: &Graph, i: usize, v: VertexId) -> Option<Vec<VertexId>> {
-        if v.index() >= g.n() {
-            return None;
-        }
-        let mut d = self.level_of(i, v)?;
-        let mut path = Vec::with_capacity(d as usize + 1);
+        let mut path = Vec::new();
+        self.path_into(g, i, v, &mut path).then_some(path)
+    }
+
+    /// Writes [`path_to`](Self::path_to)'s path into `path`, replacing its
+    /// contents; `false`, with `path` empty, if the search did not reach
+    /// `v`.
+    pub fn path_into(&self, g: &Graph, i: usize, v: VertexId, path: &mut Vec<VertexId>) -> bool {
+        path.clear();
+        let Some(mut d) = self.level_of(i, v).filter(|_| v.index() < g.n()) else {
+            return false;
+        };
         let mut cur = v;
         path.push(cur);
         while d > 0 {
             d -= 1;
-            cur = g.edges(cur).map(|e| e.to).find(|&w| self.level_of(i, w) == Some(d))?;
+            let up = g.edges(cur).map(|e| e.to).find(|&w| self.level_of(i, w) == Some(d));
+            let Some(up) = up else {
+                path.clear();
+                return false;
+            };
+            cur = up;
             path.push(cur);
         }
         path.reverse();
-        Some(path)
+        true
     }
 
     /// Vertices the last run reached, summed over its sources (after a full
@@ -1440,6 +1456,9 @@ mod tests {
                 let mut batch = BfsBatch::for_graph(&g).unwrap();
                 let mut full = SearchScratch::for_graph(&g);
                 let all: Vec<VertexId> = g.vertices().collect();
+                // One buffer across every path read, as the sequence
+                // builders reuse it, so a stale vertex would show.
+                let mut buf = Vec::new();
                 // One workspace across widths and batches, so a stale lane
                 // or level row from an earlier run would show.
                 for width in [1, 63, 64] {
@@ -1453,6 +1472,11 @@ mod tests {
                                 let (dist, path) = (batch.dist(i, v), batch.path_to(&g, i, v));
                                 assert_eq!(dist, full.dist(v), "{name} {n}/{width}: {s}->{v}");
                                 assert_eq!(path, full.path_to(v), "{name} {n}/{width}: {s}->{v}");
+                                let into = batch.path_into(&g, i, v, &mut buf).then(|| buf.clone());
+                                assert_eq!(into, path, "{name} {n}/{width}: {s}->{v} (buffer)");
+                                let into = full.path_into(v, &mut buf).then(|| buf.clone());
+                                assert_eq!(into, path, "{name} {n}/{width}: {s}->{v} (buffer)");
+                                assert!(path.is_some() || buf.is_empty(), "refused, not emptied");
                             }
                         }
                         assert_eq!(batch.reached(), reached, "{name} n={n} width={width}");

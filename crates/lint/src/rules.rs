@@ -109,7 +109,8 @@ pub const WORKSPACE_CRATES: &[CrateSpec] = &[
 /// disabled paths (span/metric fast-outs that run even when telemetry is
 /// off), the `vicinity::balls` slot probe every scheme runs per hop, and
 /// the query arms every `routing-core` scheme shares (`stages`' vicinity and
-/// cluster arms, `seq`'s keyed-store lookup).
+/// cluster arms, `seq`'s keyed-store and sequence-arena lookups and the
+/// decode a header's sequence goes through).
 pub const HOT_PATHS: &[(&str, HotScope)] = &[
     ("crates/graph/src/scratch.rs", HotScope::File),
     (
@@ -125,7 +126,7 @@ pub const HOT_PATHS: &[(&str, HotScope)] = &[
         ]),
     ),
     ("crates/core/src/stages.rs", HotScope::FnPrefixes(&["sees", "toward", "rep", "label_in"])),
-    ("crates/core/src/seq.rs", HotScope::FnPrefixes(&["get"])),
+    ("crates/core/src/seq.rs", HotScope::FnPrefixes(&["get", "decode"])),
     ("crates/model/src/simulator.rs", HotScope::FnPrefixes(&["simulate_lean", "record_delivery"])),
     ("crates/serve/src/engine.rs", HotScope::File),
     ("crates/serve/src/snapshot.rs", HotScope::File),
