@@ -32,14 +32,8 @@ pub trait DistanceOracle {
     ///
     /// May cost a full graph search for pairs the oracle has no stored row
     /// for (see [`crate::sampled::SampledDistances`]); callers that route
-    /// many pairs should anchor them at [`DistanceOracle::preferred_sources`].
+    /// many pairs should anchor them at the sampled oracle's sources.
     fn distance(&self, u: VertexId, v: VertexId) -> Option<Weight>;
-
-    /// Sources for which `distance` is an `O(1)` lookup, or `None` when every
-    /// pair is cheap (dense backends).
-    fn preferred_sources(&self) -> Option<&[VertexId]> {
-        None
-    }
 }
 
 /// Dense all-pairs distance matrix.

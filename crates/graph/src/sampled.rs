@@ -171,10 +171,6 @@ impl DistanceOracle for SampledDistances {
     fn distance(&self, u: VertexId, v: VertexId) -> Option<Weight> {
         self.dist(u, v)
     }
-
-    fn preferred_sources(&self) -> Option<&[VertexId]> {
-        Some(&self.sources)
-    }
 }
 
 fn finite(d: Weight) -> Option<Weight> {
@@ -261,6 +257,5 @@ mod tests {
         let dyn_oracle: &dyn DistanceOracle = &oracle;
         assert_eq!(dyn_oracle.n(), 10);
         assert_eq!(dyn_oracle.distance(VertexId(2), VertexId(7)), Some(5));
-        assert_eq!(dyn_oracle.preferred_sources(), Some(&[VertexId(2)][..]));
     }
 }

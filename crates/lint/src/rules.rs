@@ -104,7 +104,8 @@ pub const WORKSPACE_CRATES: &[CrateSpec] = &[
 
 /// Hard panic-ban scopes, keyed by workspace-relative file path. These are
 /// the routed-query hot paths: `graph::scratch` (query scratchpad),
-/// `model::simulate_lean*` + `record_delivery` (zero-alloc simulation),
+/// `model::simulate_lean*`, `walk` (the one hop loop every simulator entry
+/// point runs) + `record_delivery`,
 /// `serve::engine`/`snapshot` (the serving data plane), the `obs`
 /// disabled paths (span/metric fast-outs that run even when telemetry is
 /// off), the `vicinity::balls` slot probe every scheme runs per hop, and
@@ -127,7 +128,10 @@ pub const HOT_PATHS: &[(&str, HotScope)] = &[
     ),
     ("crates/core/src/stages.rs", HotScope::FnPrefixes(&["sees", "toward", "rep", "label_in"])),
     ("crates/core/src/seq.rs", HotScope::FnPrefixes(&["get", "decode"])),
-    ("crates/model/src/simulator.rs", HotScope::FnPrefixes(&["simulate_lean", "record_delivery"])),
+    (
+        "crates/model/src/simulator.rs",
+        HotScope::FnPrefixes(&["simulate_lean", "walk", "record_delivery"]),
+    ),
     ("crates/serve/src/engine.rs", HotScope::File),
     ("crates/serve/src/snapshot.rs", HotScope::File),
     ("crates/obs/src/profile.rs", HotScope::FnPrefixes(&["span", "profiling_enabled"])),

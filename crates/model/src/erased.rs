@@ -297,23 +297,16 @@ impl<T: HeaderSize + Send + 'static> SizedAny for T {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::toys::Words;
     use routing_graph::Port;
 
     /// A two-vertex scheme whose header counts traversed hops, to exercise
     /// live header-word accounting through the erased surface.
     struct TwoHop;
 
-    #[derive(Clone)]
-    struct CountingHeader(usize);
-    impl HeaderSize for CountingHeader {
-        fn words(&self) -> usize {
-            self.0
-        }
-    }
-
     impl RoutingScheme for TwoHop {
         type Label = VertexId;
-        type Header = CountingHeader;
+        type Header = Words;
         fn name(&self) -> &str {
             "two-hop"
         }
@@ -323,13 +316,13 @@ mod tests {
         fn label_of(&self, v: VertexId) -> VertexId {
             v
         }
-        fn init_header(&self, _: VertexId, _: &VertexId) -> Result<CountingHeader, RouteError> {
-            Ok(CountingHeader(1))
+        fn init_header(&self, _: VertexId, _: &VertexId) -> Result<Words, RouteError> {
+            Ok(Words(1))
         }
         fn decide(
             &self,
             at: VertexId,
-            header: &mut CountingHeader,
+            header: &mut Words,
             dest: &VertexId,
         ) -> Result<Decision, RouteError> {
             if at == *dest {
@@ -389,7 +382,7 @@ mod tests {
     fn erased_debug_shows_words() {
         let label = ErasedLabel::new(VertexId(3), 2);
         assert!(format!("{label:?}").contains("words: 2"));
-        let header = ErasedHeader::new(CountingHeader(5));
+        let header = ErasedHeader::new(Words(5));
         assert!(format!("{header:?}").contains("words: 5"));
     }
 }

@@ -36,6 +36,13 @@ pub enum RouteError {
         /// The true destination.
         destination: VertexId,
     },
+    /// The message reached a vertex the scheme has no routing table for: a
+    /// port of a graph other than the one the scheme was built on (a stale
+    /// table under churn) led to an id `>= scheme.n()`.
+    UnknownVertex {
+        /// The vertex outside the scheme's vertex space.
+        at: VertexId,
+    },
     /// The destination label does not belong to a vertex of this graph, or is
     /// otherwise malformed for this scheme.
     BadLabel {
@@ -59,6 +66,7 @@ impl fmt::Display for RouteError {
             RouteError::DeliveredAtWrongVertex { at, destination } => {
                 write!(f, "delivered at {at} but destination is {destination}")
             }
+            RouteError::UnknownVertex { at } => write!(f, "no routing table at {at}"),
             RouteError::BadLabel { what } => write!(f, "bad destination label: {what}"),
         }
     }
@@ -87,6 +95,8 @@ mod tests {
         assert!(e.to_string().contains("10"));
         let e = RouteError::DeliveredAtWrongVertex { at: VertexId(1), destination: VertexId(2) };
         assert!(e.to_string().contains("v2"));
+        let e = RouteError::UnknownVertex { at: VertexId(7) };
+        assert!(e.to_string().contains("v7"));
         let e = RouteError::BadLabel { what: "unknown vertex".into() };
         assert!(e.to_string().contains("unknown vertex"));
     }

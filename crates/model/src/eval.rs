@@ -7,10 +7,9 @@
 //! [`routing_graph::apsp::DistanceMatrix`] (exact for every pair, `O(n^2)`
 //! memory — correctness tests) and against
 //! [`routing_graph::SampledDistances`] (`k` exact source rows, `O(k·n)` —
-//! the scalable path). For the sampled oracle, draw the pair population with
-//! [`select_pairs_anchored`] over the oracle's sources so every ground-truth
-//! lookup is an `O(1)` exact hit; [`evaluate_sampled`] bundles exactly that
-//! protocol.
+//! the scalable path). For the sampled oracle, draw the pair population
+//! with [`sample_pairs_from`] over the oracle's sources so every
+//! ground-truth lookup is an `O(1)` exact hit.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -98,9 +97,9 @@ pub fn evaluate<O: DistanceOracle, R: Rng>(
 
 /// [`evaluate`] over an explicit pair population.
 ///
-/// This is the primitive both [`evaluate`] and [`evaluate_sampled`] reduce
-/// to; use it directly when the pair population must be shared across
-/// schemes (so every row of a comparison table routes the same pairs).
+/// This is the primitive [`evaluate`] reduces to; use it directly when the
+/// pair population must be shared across schemes (so every row of a
+/// comparison table routes the same pairs).
 ///
 /// # Errors
 ///
@@ -163,43 +162,15 @@ pub fn select_pairs<R: Rng>(
             pairs
         }
         PairSelection::Sampled(k) => {
-            if n < 2 {
-                return Vec::new();
-            }
             let ids: Vec<VertexId> = g.vertices().collect();
-            let mut pairs = Vec::with_capacity(k);
-            while pairs.len() < k {
-                let u = *ids.choose(rng).expect("graph has vertices");
-                let v = *ids.choose(rng).expect("graph has vertices");
-                if u != v {
-                    pairs.push((u, v));
-                }
-            }
-            pairs
+            sample_pairs_from(&ids, &ids, k, rng)
         }
     }
 }
 
-/// Samples `count` ordered pairs whose **sources** are drawn from `sources`
-/// and whose destinations are uniform over `V` — the pair population that
-/// makes every ground-truth lookup against a `k`-source oracle an `O(1)`
-/// exact hit.
-///
-/// Returns an empty vector when `sources` is empty or the graph has fewer
-/// than two vertices.
-pub fn select_pairs_anchored<R: Rng>(
-    g: &Graph,
-    sources: &[VertexId],
-    count: usize,
-    rng: &mut R,
-) -> Vec<(VertexId, VertexId)> {
-    let ids: Vec<VertexId> = g.vertices().collect();
-    sample_pairs_from(sources, &ids, count, rng)
-}
-
-/// The sampling primitive behind [`select_pairs_anchored`] (and the churn
-/// harness's per-round variant, which restricts both slices to alive
-/// vertices): `count` ordered pairs with the source drawn uniformly from
+/// The anchored-pair sampler (the churn harness restricts both slices to
+/// alive vertices and caps the sources, whose rows its per-round oracle
+/// then holds): `count` ordered pairs with the source drawn uniformly from
 /// `sources`, the destination uniformly from `destinations`, rejecting
 /// `u == v`. Empty when either slice is empty or no distinct pair exists.
 pub fn sample_pairs_from<R: Rng>(
@@ -227,102 +198,20 @@ pub fn sample_pairs_from<R: Rng>(
     pairs
 }
 
-/// Evaluates `scheme` against a sampled ground-truth oracle using the
-/// anchored-pair protocol: `count` pairs whose sources are the oracle's
-/// [`DistanceOracle::preferred_sources`] (uniform pairs when the oracle is
-/// dense), so stretch measurement costs no extra graph searches at any `n`.
-///
-/// # Errors
-///
-/// Propagates the first routing failure, as [`evaluate`].
-pub fn evaluate_sampled<O: DistanceOracle, R: Rng>(
-    g: &Graph,
-    scheme: &dyn DynScheme,
-    oracle: &O,
-    count: usize,
-    rng: &mut R,
-) -> Result<EvalReport, RouteError> {
-    let pairs = match oracle.preferred_sources() {
-        Some(sources) => select_pairs_anchored(g, sources, count, rng),
-        None => select_pairs(g, PairSelection::Sampled(count), rng),
-    };
-    evaluate_pairs(g, scheme, oracle, &pairs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::{Decision, HeaderSize, RoutingScheme};
+    use crate::toys::FullTable;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use routing_graph::apsp::DistanceMatrix;
     use routing_graph::generators;
-    use routing_graph::shortest_path::dijkstra;
-    use routing_graph::{Port, SampledDistances};
-
-    struct FullTable {
-        n: usize,
-        next: Vec<Vec<Option<Port>>>,
-    }
-    impl FullTable {
-        fn new(g: &Graph) -> Self {
-            let n = g.n();
-            let mut next = vec![vec![None; n]; n];
-            for v in g.vertices() {
-                let sp = dijkstra(g, v);
-                for u in g.vertices() {
-                    if u != v {
-                        if let Some(p) = sp.parent(u) {
-                            next[u.index()][v.index()] = g.port_to(u, p);
-                        }
-                    }
-                }
-            }
-            FullTable { n, next }
-        }
-    }
-    #[derive(Clone)]
-    struct H;
-    impl HeaderSize for H {
-        fn words(&self) -> usize {
-            2
-        }
-    }
-    impl RoutingScheme for FullTable {
-        type Label = VertexId;
-        type Header = H;
-        fn name(&self) -> &str {
-            "full"
-        }
-        fn n(&self) -> usize {
-            self.n
-        }
-        fn label_of(&self, v: VertexId) -> VertexId {
-            v
-        }
-        fn init_header(&self, _: VertexId, _: &VertexId) -> Result<H, RouteError> {
-            Ok(H)
-        }
-        fn decide(&self, at: VertexId, _: &mut H, dest: &VertexId) -> Result<Decision, RouteError> {
-            if at == *dest {
-                Ok(Decision::Deliver)
-            } else {
-                Ok(Decision::Forward(self.next[at.index()][dest.index()].expect("connected")))
-            }
-        }
-        fn table_words(&self, _: VertexId) -> usize {
-            self.n
-        }
-        fn label_words(&self, _: VertexId) -> usize {
-            1
-        }
-    }
 
     #[test]
     fn evaluate_full_table_has_stretch_one() {
         let g = generators::grid(4, 4);
         let exact = DistanceMatrix::new(&g);
-        let scheme = FullTable::new(&g);
+        let scheme = FullTable::build(&g).with_header_words(2);
         let mut rng = StdRng::seed_from_u64(1);
         let report = evaluate(&g, &scheme, &exact, PairSelection::AllPairs, &mut rng).unwrap();
         assert_eq!(report.pairs, 16 * 15);
@@ -351,30 +240,5 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let pairs = select_pairs(&g, PairSelection::Sampled(5), &mut rng);
         assert!(pairs.is_empty());
-    }
-
-    #[test]
-    fn anchored_pairs_start_at_sources() {
-        let g = generators::cycle(20);
-        let mut rng = StdRng::seed_from_u64(5);
-        let sources = vec![VertexId(3), VertexId(11)];
-        let pairs = select_pairs_anchored(&g, &sources, 40, &mut rng);
-        assert_eq!(pairs.len(), 40);
-        assert!(pairs.iter().all(|(u, v)| sources.contains(u) && u != v));
-        assert!(select_pairs_anchored(&g, &[], 10, &mut rng).is_empty());
-    }
-
-    #[test]
-    fn sampled_oracle_evaluation_matches_dense_ground_truth() {
-        // The full-table scheme routes exactly, so stretch must be exactly
-        // 1.0 under either ground-truth backend.
-        let g = generators::grid(5, 5);
-        let scheme = FullTable::new(&g);
-        let mut rng = StdRng::seed_from_u64(11);
-        let oracle = SampledDistances::sample(&g, 6, &mut rng);
-        let report = evaluate_sampled(&g, &scheme, &oracle, 200, &mut rng).unwrap();
-        assert_eq!(report.pairs, 200);
-        assert_eq!(report.stretch.max_multiplicative(), Some(1.0));
-        assert_eq!(oracle.ondemand_searches(), 0, "anchored pairs are always covered");
     }
 }

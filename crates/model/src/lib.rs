@@ -13,7 +13,9 @@
 //! [`RoutingScheme`] captures exactly that interface; [`simulate`] walks a
 //! message through a graph enforcing the port semantics and accounting for
 //! the traversed weight, and [`stats`] aggregates stretch and table-size
-//! measurements across many routed pairs.
+//! measurements across many routed pairs. The hop loop exists once, in
+//! [`simulator`]: the lean walk of the serving layer and the lossy walk of
+//! [`route_pairs_lossy`] are the same loop recording less.
 //!
 //! [`RoutingScheme`] keeps its per-scheme `Label`/`Header` types (and is
 //! therefore not object safe); the [`erased`] module provides the
@@ -34,15 +36,15 @@ pub mod scheme;
 pub mod simulator;
 pub mod stale;
 pub mod stats;
+#[cfg(test)]
+mod toys;
 
 pub use erased::{DynScheme, ErasedHeader, ErasedLabel};
 pub use error::RouteError;
-pub use eval::{
-    evaluate, evaluate_pairs, evaluate_sampled, sample_pairs_from, select_pairs_anchored,
-};
+pub use eval::{evaluate, evaluate_pairs, sample_pairs_from};
 pub use scheme::{Decision, HeaderSize, RoutingScheme};
 pub use simulator::{
-    simulate, simulate_lean, simulate_lean_with_label, simulate_with_ttl, LeanOutcome,
-    RouteOutcome,
+    simulate, simulate_lean, simulate_lean_with_label, simulate_with_label, simulate_with_ttl,
+    LeanOutcome, RouteOutcome,
 };
 pub use stale::{route_pairs_lossy, sample_alive_pairs, FailureBreakdown, ResilienceReport};

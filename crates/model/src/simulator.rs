@@ -1,8 +1,15 @@
 //! Hop-by-hop message simulator enforcing the fixed-port semantics.
+//!
+//! Every entry point is a wrapper around one private hop loop, `walk`: the
+//! scheme decides from its table, the header and the label, and the loop
+//! checks the delivery or checks the port and follows the edge. The loop is
+//! generic over what it records per hop — nothing for the lean walk (the
+//! serving layer's, and [`crate::route_pairs_lossy`]'s), the path for
+//! [`simulate`].
 
 use routing_graph::{Graph, VertexId, Weight};
 
-use crate::erased::DynScheme;
+use crate::erased::{DynScheme, ErasedLabel};
 use crate::scheme::{Decision, HeaderSize};
 use crate::RouteError;
 
@@ -33,6 +40,24 @@ impl RouteOutcome {
     }
 }
 
+/// The result of routing one message without materializing the path — the
+/// serving layer's per-query answer shape.
+///
+/// Produced by [`simulate_lean`], which makes exactly the decision sequence
+/// of [`simulate_with_ttl`] but never allocates: on a query-serving hot path
+/// the path vector is the only per-query allocation left, and millions of
+/// queries per second pay for it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LeanOutcome {
+    /// Total weight of the traversed path.
+    pub weight: Weight,
+    /// Number of edges traversed.
+    pub hops: usize,
+    /// The largest header size (in `O(log n)`-bit words) observed while the
+    /// message was in flight.
+    pub max_header_words: usize,
+}
+
 /// Routes a message from `source` to `dest` using `scheme`, with a default
 /// hop budget of `4 * n + 16`.
 ///
@@ -40,11 +65,16 @@ impl RouteOutcome {
 /// same code path serves typed schemes (every `&S where S: RoutingScheme`
 /// coerces) and registry-built `Box<dyn DynScheme>` values alike.
 ///
+/// `dest` must be a vertex the scheme was built for (`scheme.label_of` is
+/// the scheme's own code); the walk itself may run on a different graph.
+///
 /// # Errors
 ///
 /// Propagates scheme errors, and fails if the scheme forwards on a
-/// non-existent port, loops past the hop budget, or delivers at the wrong
-/// vertex.
+/// non-existent port, loops past the hop budget, delivers at the wrong
+/// vertex, or the message reaches a vertex the scheme has no table for
+/// ([`RouteError::UnknownVertex`], possible when `g` is not the graph the
+/// scheme was built on).
 pub fn simulate(
     g: &Graph,
     scheme: &dyn DynScheme,
@@ -66,79 +96,36 @@ pub fn simulate_with_ttl(
     dest: VertexId,
     max_hops: usize,
 ) -> Result<RouteOutcome, RouteError> {
-    let label = scheme.label_of(dest);
-    let mut header = scheme.init_header(source, &label)?;
-    let mut at = source;
-    let mut path = vec![source];
-    let mut weight: Weight = 0;
-    let mut max_header_words = header.words();
-
-    loop {
-        match scheme.decide(at, &mut header, &label)? {
-            Decision::Deliver => {
-                if at != dest {
-                    return Err(RouteError::DeliveredAtWrongVertex { at, destination: dest });
-                }
-                let hops = path.len() - 1;
-                record_delivery(hops, max_header_words);
-                return Ok(RouteOutcome { path, weight, hops, max_header_words });
-            }
-            Decision::Forward(port) => {
-                if path.len() > max_hops {
-                    return Err(RouteError::HopBudgetExceeded { budget: max_hops });
-                }
-                if port.index() >= g.degree(at) {
-                    return Err(RouteError::InvalidPort { at, port: port.0 });
-                }
-                let edge = g.neighbor_at(at, port);
-                weight += edge.weight;
-                at = edge.to;
-                path.push(at);
-                max_header_words = max_header_words.max(header.words());
-            }
-        }
-    }
+    simulate_with_label(g, scheme, source, dest, &scheme.label_of(dest), max_hops)
 }
 
-/// Telemetry for one delivered query: one flag load when metrics are off,
-/// three counter bumps when on. Only successful deliveries count — error
-/// paths are accounted by their callers (the churn harness's failure
-/// breakdown maps onto the `churn_fail_*` counters).
-#[inline]
-fn record_delivery(hops: usize, max_header_words: usize) {
-    if routing_obs::metrics_enabled() {
-        routing_obs::counters::ROUTING_QUERIES.inc();
-        routing_obs::counters::ROUTING_HOPS.add(hops as u64);
-        routing_obs::counters::ROUTING_HEADER_WORDS.add(max_header_words as u64);
-    }
-}
-
-/// The result of routing one message without materializing the path — the
-/// serving layer's per-query answer shape.
+/// [`simulate_with_ttl`] with a caller-supplied erased label (see
+/// [`simulate_lean_with_label`]): the serving layer's path-recording walk.
 ///
-/// Produced by [`simulate_lean`], which makes exactly the decision sequence
-/// of [`simulate_with_ttl`] but never allocates: on a query-serving hot path
-/// the path vector is the only per-query allocation left, and millions of
-/// queries per second pay for it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LeanOutcome {
-    /// Total weight of the traversed path.
-    pub weight: Weight,
-    /// Number of edges traversed.
-    pub hops: usize,
-    /// The largest header size (in `O(log n)`-bit words) observed while the
-    /// message was in flight.
-    pub max_header_words: usize,
+/// # Errors
+///
+/// Same conditions as [`simulate`].
+pub fn simulate_with_label(
+    g: &Graph,
+    scheme: &dyn DynScheme,
+    source: VertexId,
+    dest: VertexId,
+    label: &ErasedLabel,
+    max_hops: usize,
+) -> Result<RouteOutcome, RouteError> {
+    let mut path = vec![source];
+    let LeanOutcome { weight, hops, max_header_words } =
+        walk(g, scheme, source, dest, label, max_hops, &mut path)?;
+    Ok(RouteOutcome { path, weight, hops, max_header_words })
 }
 
 /// Routes a message like [`simulate_with_ttl`] but without materializing
 /// the traversed path: same decision sequence, same errors, zero
 /// allocations beyond what the scheme itself does for the label and header.
 ///
-/// The serving layer (`routing-serve`) uses this on its hot path; the
-/// equivalence with [`simulate_with_ttl`] (weight, hops, header words,
-/// errors) is pinned by a test in this module and re-checked per scheme by
-/// the serve equivalence suite.
+/// The serving layer (`routing-serve`) uses this on its hot path; both are
+/// the same loop, and a test in this module pins weight, hops, header
+/// words and errors equal.
 ///
 /// # Errors
 ///
@@ -150,8 +137,7 @@ pub fn simulate_lean(
     dest: VertexId,
     max_hops: usize,
 ) -> Result<LeanOutcome, RouteError> {
-    let label = scheme.label_of(dest);
-    simulate_lean_with_label(g, scheme, source, dest, &label, max_hops)
+    simulate_lean_with_label(g, scheme, source, dest, &scheme.label_of(dest), max_hops)
 }
 
 /// [`simulate_lean`] with a caller-supplied erased label, so a batch of
@@ -170,15 +156,51 @@ pub fn simulate_lean_with_label(
     scheme: &dyn DynScheme,
     source: VertexId,
     dest: VertexId,
-    label: &crate::erased::ErasedLabel,
+    label: &ErasedLabel,
     max_hops: usize,
 ) -> Result<LeanOutcome, RouteError> {
+    walk(g, scheme, source, dest, label, max_hops, &mut ())
+}
+
+/// What a walk records per hop: the vertex it steps onto.
+trait Trail {
+    fn visit(&mut self, at: VertexId);
+}
+
+impl Trail for () {
+    #[inline(always)]
+    fn visit(&mut self, _: VertexId) {}
+}
+
+impl Trail for Vec<VertexId> {
+    #[inline]
+    fn visit(&mut self, at: VertexId) {
+        self.push(at);
+    }
+}
+
+/// The hop loop. Every vertex the message is at is checked against
+/// `scheme.n()` before the scheme is asked about it, so a stale table whose
+/// port leads into a vertex it was not built for is an error, not an index
+/// panic inside `decide`. Fails the hop after `max_hops` edges.
+fn walk(
+    g: &Graph,
+    scheme: &dyn DynScheme,
+    source: VertexId,
+    dest: VertexId,
+    label: &ErasedLabel,
+    max_hops: usize,
+    trail: &mut impl Trail,
+) -> Result<LeanOutcome, RouteError> {
+    let n = scheme.n();
+    if source.index() >= n {
+        return Err(RouteError::UnknownVertex { at: source });
+    }
     let mut header = scheme.init_header(source, label)?;
     let mut at = source;
     let mut weight: Weight = 0;
     let mut hops = 0usize;
     let mut max_header_words = header.words();
-
     loop {
         match scheme.decide(at, &mut header, label)? {
             Decision::Deliver => {
@@ -189,10 +211,7 @@ pub fn simulate_lean_with_label(
                 return Ok(LeanOutcome { weight, hops, max_header_words });
             }
             Decision::Forward(port) => {
-                // Mirrors simulate_with_ttl's `path.len() > max_hops` check
-                // (path.len() == hops + 1) so both variants fail the same
-                // query at the same hop.
-                if hops + 1 > max_hops {
+                if hops >= max_hops {
                     return Err(RouteError::HopBudgetExceeded { budget: max_hops });
                 }
                 if port.index() >= g.degree(at) {
@@ -201,101 +220,41 @@ pub fn simulate_lean_with_label(
                 let edge = g.neighbor_at(at, port);
                 weight += edge.weight;
                 at = edge.to;
+                if at.index() >= n {
+                    return Err(RouteError::UnknownVertex { at });
+                }
                 hops += 1;
+                trail.visit(at);
                 max_header_words = max_header_words.max(header.words());
             }
         }
     }
 }
 
+/// Telemetry for one delivered query: one flag load when metrics are off,
+/// three counter bumps when on. Every delivered walk counts, lossy ones
+/// included; error paths are accounted by their callers (the churn
+/// harness's failure breakdown maps onto the `churn_fail_*` counters).
+#[inline]
+fn record_delivery(hops: usize, max_header_words: usize) {
+    if routing_obs::metrics_enabled() {
+        routing_obs::counters::ROUTING_QUERIES.inc();
+        routing_obs::counters::ROUTING_HOPS.add(hops as u64);
+        routing_obs::counters::ROUTING_HEADER_WORDS.add(max_header_words as u64);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::{HeaderSize, RoutingScheme};
+    use crate::toys::{graph, FullTable, BAD_PORT, EAGER, LOOP};
     use routing_graph::generators;
     use routing_graph::shortest_path::dijkstra;
-    use routing_graph::Port;
-
-    /// A toy scheme with full routing tables (next-hop ports to every
-    /// destination), used to exercise the simulator itself.
-    struct FullTableScheme {
-        name: String,
-        n: usize,
-        /// next_port[u][v] = port at u towards v (None when u == v).
-        next_port: Vec<Vec<Option<Port>>>,
-    }
-
-    impl FullTableScheme {
-        fn new(g: &Graph) -> Self {
-            let n = g.n();
-            let mut next_port = vec![vec![None; n]; n];
-            for v in g.vertices() {
-                let sp = dijkstra(g, v);
-                for u in g.vertices() {
-                    if u == v {
-                        continue;
-                    }
-                    // First hop from u towards v: use the tree rooted at v,
-                    // where u's parent is the next vertex on a shortest path.
-                    if let Some(p) = sp.parent(u) {
-                        next_port[u.index()][v.index()] = g.port_to(u, p);
-                    }
-                }
-            }
-            FullTableScheme { name: "full-table".into(), n, next_port }
-        }
-    }
-
-    #[derive(Clone)]
-    struct IdHeader;
-    impl HeaderSize for IdHeader {
-        fn words(&self) -> usize {
-            1
-        }
-    }
-
-    impl RoutingScheme for FullTableScheme {
-        type Label = VertexId;
-        type Header = IdHeader;
-
-        fn name(&self) -> &str {
-            &self.name
-        }
-        fn n(&self) -> usize {
-            self.n
-        }
-        fn label_of(&self, v: VertexId) -> VertexId {
-            v
-        }
-        fn init_header(&self, _source: VertexId, _dest: &VertexId) -> Result<IdHeader, RouteError> {
-            Ok(IdHeader)
-        }
-        fn decide(
-            &self,
-            at: VertexId,
-            _header: &mut IdHeader,
-            dest: &VertexId,
-        ) -> Result<Decision, RouteError> {
-            if at == *dest {
-                return Ok(Decision::Deliver);
-            }
-            match self.next_port[at.index()][dest.index()] {
-                Some(p) => Ok(Decision::Forward(p)),
-                None => Err(RouteError::MissingInformation { at, what: "no next hop".into() }),
-            }
-        }
-        fn table_words(&self, _v: VertexId) -> usize {
-            self.n
-        }
-        fn label_words(&self, _v: VertexId) -> usize {
-            1
-        }
-    }
 
     #[test]
     fn lean_simulation_matches_the_full_simulator() {
         let g = generators::grid(4, 4);
-        let s = FullTableScheme::new(&g);
+        let s = FullTable::build(&g);
         let ttl = 4 * g.n() + 16;
         for u in g.vertices() {
             for v in g.vertices() {
@@ -308,15 +267,15 @@ mod tests {
         }
         // Both variants fail identically at the same hop budget.
         let cyc = generators::cycle(3);
-        let full = simulate_with_ttl(&cyc, &LoopScheme, VertexId(0), VertexId(2), 10).unwrap_err();
-        let lean = simulate_lean(&cyc, &LoopScheme, VertexId(0), VertexId(2), 10).unwrap_err();
+        let full = simulate_with_ttl(&cyc, &LOOP, VertexId(0), VertexId(2), 10).unwrap_err();
+        let lean = simulate_lean(&cyc, &LOOP, VertexId(0), VertexId(2), 10).unwrap_err();
         assert_eq!(full, lean);
     }
 
     #[test]
     fn simulator_follows_shortest_paths_of_full_tables() {
         let g = generators::grid(4, 4);
-        let s = FullTableScheme::new(&g);
+        let s = FullTable::build(&g);
         let sp = dijkstra(&g, VertexId(0));
         for v in g.vertices() {
             let out = simulate(&g, &s, VertexId(0), v).unwrap();
@@ -331,125 +290,58 @@ mod tests {
     #[test]
     fn self_route_has_zero_weight() {
         let g = generators::path(3);
-        let s = FullTableScheme::new(&g);
+        let s = FullTable::build(&g);
         let out = simulate(&g, &s, VertexId(1), VertexId(1)).unwrap();
         assert_eq!(out.weight, 0);
         assert_eq!(out.hops, 0);
         assert_eq!(out.path, vec![VertexId(1)]);
     }
 
-    /// A scheme that always forwards on port 0 — loops forever on a cycle.
-    struct LoopScheme;
-    #[derive(Clone)]
-    struct NoHeader;
-    impl HeaderSize for NoHeader {
-        fn words(&self) -> usize {
-            0
-        }
-    }
-    impl RoutingScheme for LoopScheme {
-        type Label = VertexId;
-        type Header = NoHeader;
-        fn name(&self) -> &str {
-            "loop"
-        }
-        fn n(&self) -> usize {
-            3
-        }
-        fn label_of(&self, v: VertexId) -> VertexId {
-            v
-        }
-        fn init_header(&self, _: VertexId, _: &VertexId) -> Result<NoHeader, RouteError> {
-            Ok(NoHeader)
-        }
-        fn decide(&self, _: VertexId, _: &mut NoHeader, _: &VertexId) -> Result<Decision, RouteError> {
-            Ok(Decision::Forward(Port(0)))
-        }
-        fn table_words(&self, _: VertexId) -> usize {
-            0
-        }
-        fn label_words(&self, _: VertexId) -> usize {
-            1
-        }
-    }
-
     #[test]
     fn loops_hit_the_hop_budget() {
         let g = generators::cycle(3);
-        let err = simulate_with_ttl(&g, &LoopScheme, VertexId(0), VertexId(2), 10).unwrap_err();
+        let err = simulate_with_ttl(&g, &LOOP, VertexId(0), VertexId(2), 10).unwrap_err();
         assert_eq!(err, RouteError::HopBudgetExceeded { budget: 10 });
-    }
-
-    /// A scheme that delivers immediately regardless of destination.
-    struct EagerScheme;
-    impl RoutingScheme for EagerScheme {
-        type Label = VertexId;
-        type Header = NoHeader;
-        fn name(&self) -> &str {
-            "eager"
-        }
-        fn n(&self) -> usize {
-            3
-        }
-        fn label_of(&self, v: VertexId) -> VertexId {
-            v
-        }
-        fn init_header(&self, _: VertexId, _: &VertexId) -> Result<NoHeader, RouteError> {
-            Ok(NoHeader)
-        }
-        fn decide(&self, _: VertexId, _: &mut NoHeader, _: &VertexId) -> Result<Decision, RouteError> {
-            Ok(Decision::Deliver)
-        }
-        fn table_words(&self, _: VertexId) -> usize {
-            0
-        }
-        fn label_words(&self, _: VertexId) -> usize {
-            1
-        }
     }
 
     #[test]
     fn wrong_delivery_is_detected() {
         let g = generators::path(3);
-        let err = simulate(&g, &EagerScheme, VertexId(0), VertexId(2)).unwrap_err();
+        let err = simulate(&g, &EAGER, VertexId(0), VertexId(2)).unwrap_err();
         assert_eq!(
             err,
             RouteError::DeliveredAtWrongVertex { at: VertexId(0), destination: VertexId(2) }
         );
     }
 
-    /// A scheme that forwards on a port that does not exist.
-    struct BadPortScheme;
-    impl RoutingScheme for BadPortScheme {
-        type Label = VertexId;
-        type Header = NoHeader;
-        fn name(&self) -> &str {
-            "bad-port"
-        }
-        fn n(&self) -> usize {
-            3
-        }
-        fn label_of(&self, v: VertexId) -> VertexId {
-            v
-        }
-        fn init_header(&self, _: VertexId, _: &VertexId) -> Result<NoHeader, RouteError> {
-            Ok(NoHeader)
-        }
-        fn decide(&self, _: VertexId, _: &mut NoHeader, _: &VertexId) -> Result<Decision, RouteError> {
-            Ok(Decision::Forward(Port(99)))
-        }
-        fn table_words(&self, _: VertexId) -> usize {
-            0
-        }
-        fn label_words(&self, _: VertexId) -> usize {
-            1
-        }
-    }
-
     #[test]
     fn invalid_ports_are_detected() {
         let g = generators::path(3);
-        let err = simulate(&g, &BadPortScheme, VertexId(0), VertexId(2)).unwrap_err();
+        let err = simulate(&g, &BAD_PORT, VertexId(0), VertexId(2)).unwrap_err();
         assert_eq!(err, RouteError::InvalidPort { at: VertexId(0), port: 99 });
+    }
+
+    #[test]
+    fn vertices_beyond_the_scheme_are_errors_not_panics() {
+        // Tables of path(3) know vertices 0..3 only.
+        let s = FullTable::build(&generators::path(3));
+        let lean = |g: &Graph, u: u32, v: u32| {
+            simulate_lean(g, &s, VertexId(u), VertexId(v), 4 * g.n() + 16).map(|_| ())
+        };
+        let full = |g: &Graph, u: u32, v: u32| simulate(g, &s, VertexId(u), VertexId(v)).map(|_| ());
+        // On path(5) a walk from vertex 3 or 4 starts outside the tables.
+        let p5 = generators::path(5);
+        for u in [3, 4] {
+            let want = Err(RouteError::UnknownVertex { at: VertexId(u) });
+            assert_eq!(full(&p5, u, 0), want);
+            assert_eq!(lean(&p5, u, 0), want);
+        }
+        assert_eq!(full(&p5, 0, 2), Ok(()), "ports 0..3 of path(5) still match path(3)'s");
+        // path(5) numbered 0-1-3-4-2: vertex 1's port 1, towards 2 in the
+        // tables, now leads to 3.
+        let shifted = graph(5, &[(0, 1), (1, 3), (3, 4), (4, 2)]);
+        let want = Err(RouteError::UnknownVertex { at: VertexId(3) });
+        assert_eq!(full(&shifted, 0, 2), want);
+        assert_eq!(lean(&shifted, 0, 2), want);
     }
 }

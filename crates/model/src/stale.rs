@@ -13,25 +13,29 @@
 //!   neighbours were removed, shifting ports) and eventually deliver at the
 //!   wrong vertex or loop — [`FailureKind::WrongDelivery`] /
 //!   [`FailureKind::HopBudget`];
+//! * forward into a vertex that joined after the tables were built, where
+//!   the walk stops before asking the scheme — [`FailureKind::UnknownVertex`];
 //! * reference routing state that no longer makes sense —
 //!   [`FailureKind::SchemeError`].
 //!
-//! [`route_pairs_lossy`] routes a set of pairs, records each outcome, and
-//! aggregates delivery (reachability) and stretch relative to the mutated
-//! graph's true distances. Pairs that the mutated graph itself disconnects
+//! [`route_pairs_lossy`] routes a set of pairs through the simulator's one
+//! hop loop (the lean walk), classifies each error instead of propagating
+//! it, and aggregates delivery (reachability) and stretch relative to the
+//! mutated graph's true distances. Pairs that the mutated graph itself disconnects
 //! are reported separately ([`ResilienceReport::disconnected_pairs`]): no
 //! routing scheme could deliver those, so they are excluded from the
 //! reachability denominator.
 
-use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use routing_graph::{DistanceOracle, Graph, VertexId, Weight};
+use routing_graph::{DistanceOracle, Graph, VertexId};
 
 use crate::erased::DynScheme;
-use crate::scheme::Decision;
+use crate::eval::sample_pairs_from;
+use crate::simulator::simulate_lean;
 use crate::stats::StretchStats;
+use crate::RouteError;
 
 /// Why a routed pair failed to be delivered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -66,34 +70,35 @@ pub struct FailureBreakdown {
     pub scheme_error: usize,
 }
 
+impl FailureKind {
+    /// The class of a walk's error. Only the walker produces the first
+    /// four; every error a scheme reports is a [`FailureKind::SchemeError`].
+    fn of(e: &RouteError) -> FailureKind {
+        match e {
+            RouteError::InvalidPort { .. } => FailureKind::InvalidPort,
+            RouteError::DeliveredAtWrongVertex { .. } => FailureKind::WrongDelivery,
+            RouteError::HopBudgetExceeded { .. } => FailureKind::HopBudget,
+            RouteError::UnknownVertex { .. } => FailureKind::UnknownVertex,
+            _ => FailureKind::SchemeError,
+        }
+    }
+}
+
 impl FailureBreakdown {
     fn record(&mut self, kind: FailureKind) {
         // Mirror each failure into the process-wide telemetry counters so a
         // churn run exports its failure-class totals without re-summing the
         // per-round breakdowns (no-op unless metrics are enabled).
         use routing_obs::counters as c;
-        match kind {
-            FailureKind::InvalidPort => {
-                self.invalid_port += 1;
-                c::CHURN_FAIL_INVALID_PORT.inc();
-            }
-            FailureKind::WrongDelivery => {
-                self.wrong_delivery += 1;
-                c::CHURN_FAIL_WRONG_DELIVERY.inc();
-            }
-            FailureKind::HopBudget => {
-                self.hop_budget += 1;
-                c::CHURN_FAIL_HOP_BUDGET.inc();
-            }
-            FailureKind::UnknownVertex => {
-                self.unknown_vertex += 1;
-                c::CHURN_FAIL_UNKNOWN_VERTEX.inc();
-            }
-            FailureKind::SchemeError => {
-                self.scheme_error += 1;
-                c::CHURN_FAIL_SCHEME_ERROR.inc();
-            }
-        }
+        let (count, counter) = match kind {
+            FailureKind::InvalidPort => (&mut self.invalid_port, &c::CHURN_FAIL_INVALID_PORT),
+            FailureKind::WrongDelivery => (&mut self.wrong_delivery, &c::CHURN_FAIL_WRONG_DELIVERY),
+            FailureKind::HopBudget => (&mut self.hop_budget, &c::CHURN_FAIL_HOP_BUDGET),
+            FailureKind::UnknownVertex => (&mut self.unknown_vertex, &c::CHURN_FAIL_UNKNOWN_VERTEX),
+            FailureKind::SchemeError => (&mut self.scheme_error, &c::CHURN_FAIL_SCHEME_ERROR),
+        };
+        *count += 1;
+        counter.inc();
     }
 
     /// Total failures across all kinds.
@@ -169,7 +174,10 @@ impl ResilienceReport {
 ///
 /// Both endpoints of every pair must be vertices the scheme was built for
 /// (`id < scheme.n()`); [`sample_alive_pairs`] over a mask restricted to
-/// known vertices guarantees this.
+/// known vertices guarantees this. Each pair is the lean walk of
+/// [`crate::simulate_lean`] with the default hop budget `4·n + 16`, its
+/// error mapped onto a [`FailureKind`]; delivered walks count in the query
+/// telemetry like any other.
 pub fn route_pairs_lossy<O: DistanceOracle>(
     g: &Graph,
     scheme: &dyn DynScheme,
@@ -183,65 +191,21 @@ pub fn route_pairs_lossy<O: DistanceOracle>(
         failures: FailureBreakdown::default(),
         stretch: StretchStats::new(),
     };
+    let max_hops = 4 * g.n() + 16;
     for &(u, v) in pairs {
-        let true_dist = match exact.distance(u, v) {
-            Some(d) => d,
-            None => {
-                report.disconnected_pairs += 1;
-                continue;
-            }
+        let Some(true_dist) = exact.distance(u, v) else {
+            report.disconnected_pairs += 1;
+            continue;
         };
-        match walk_guarded(g, scheme, u, v) {
-            Ok(weight) => {
+        match simulate_lean(g, scheme, u, v, max_hops) {
+            Ok(out) => {
                 report.delivered += 1;
-                report.stretch.record(weight, true_dist);
+                report.stretch.record(out.weight, true_dist);
             }
-            Err(kind) => report.failures.record(kind),
+            Err(e) => report.failures.record(FailureKind::of(&e)),
         }
     }
     report
-}
-
-/// A lossy variant of [`crate::simulate`]: walks a message hop by hop but
-/// classifies every way a stale route can die instead of erroring, and —
-/// crucially — refuses to consult the scheme at a vertex it was not built
-/// for (`id >= scheme.n()`), which on a mutated graph is reachable through
-/// a stale port. Returns the traversed weight on delivery.
-fn walk_guarded(
-    g: &Graph,
-    scheme: &dyn DynScheme,
-    source: VertexId,
-    dest: VertexId,
-) -> Result<Weight, FailureKind> {
-    debug_assert!(source.index() < scheme.n() && dest.index() < scheme.n());
-    let label = scheme.label_of(dest);
-    let mut header = scheme.init_header(source, &label).map_err(|_| FailureKind::SchemeError)?;
-    let max_hops = 4 * g.n() + 16;
-    let mut at = source;
-    let mut weight: Weight = 0;
-    let mut hops = 0usize;
-    loop {
-        if at.index() >= scheme.n() {
-            return Err(FailureKind::UnknownVertex);
-        }
-        match scheme.decide(at, &mut header, &label).map_err(|_| FailureKind::SchemeError)? {
-            Decision::Deliver => {
-                return if at == dest { Ok(weight) } else { Err(FailureKind::WrongDelivery) };
-            }
-            Decision::Forward(port) => {
-                if hops >= max_hops {
-                    return Err(FailureKind::HopBudget);
-                }
-                if port.index() >= g.degree(at) {
-                    return Err(FailureKind::InvalidPort);
-                }
-                let edge = g.neighbor_at(at, port);
-                weight += edge.weight;
-                at = edge.to;
-                hops += 1;
-            }
-        }
-    }
 }
 
 /// Samples `count` ordered pairs with both endpoints alive (and distinct),
@@ -258,95 +222,99 @@ pub fn sample_alive_pairs<R: Rng>(
         .filter(|&(_, &a)| a)
         .map(|(i, _)| VertexId(i as u32))
         .collect();
-    if ids.len() < 2 {
-        return Vec::new();
-    }
-    let mut pairs = Vec::with_capacity(count);
-    while pairs.len() < count {
-        let u = *ids.choose(rng).expect("alive vertices exist");
-        let v = *ids.choose(rng).expect("alive vertices exist");
-        if u != v {
-            pairs.push((u, v));
-        }
-    }
-    pairs
+    sample_pairs_from(&ids, &ids, count, rng)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::{HeaderSize, RoutingScheme};
-    use crate::RouteError;
+    use crate::scheme::Decision;
+    use crate::toys::{graph, FullTable, BAD_PORT, EAGER, LOOP};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use routing_graph::apsp::DistanceMatrix;
     use routing_graph::generators;
     use routing_graph::mutate::{apply_events, ChurnEvent};
-    use routing_graph::shortest_path::dijkstra;
-    use routing_graph::Port;
+    use routing_graph::Weight;
 
-    /// Full next-hop tables for a fixed graph — the simplest "scheme" whose
-    /// staleness behaviour is easy to reason about.
-    struct FullTable {
-        n: usize,
-        next: Vec<Vec<Option<Port>>>,
-    }
-
-    impl FullTable {
-        fn build(g: &Graph) -> Self {
-            let n = g.n();
-            let mut next = vec![vec![None; n]; n];
-            for v in g.vertices() {
-                let sp = dijkstra(g, v);
-                for u in g.vertices() {
-                    if u != v {
-                        if let Some(p) = sp.parent(u) {
-                            next[u.index()][v.index()] = g.port_to(u, p);
-                        }
+    /// The lossy walker `route_pairs_lossy` ran before the simulator's hop
+    /// loop took the stale-table guard, kept verbatim as the reference.
+    fn walk_guarded(
+        g: &Graph,
+        scheme: &dyn DynScheme,
+        source: VertexId,
+        dest: VertexId,
+    ) -> Result<Weight, FailureKind> {
+        debug_assert!(source.index() < scheme.n() && dest.index() < scheme.n());
+        let label = scheme.label_of(dest);
+        let mut header = scheme.init_header(source, &label).map_err(|_| FailureKind::SchemeError)?;
+        let max_hops = 4 * g.n() + 16;
+        let mut at = source;
+        let mut weight: Weight = 0;
+        let mut hops = 0usize;
+        loop {
+            if at.index() >= scheme.n() {
+                return Err(FailureKind::UnknownVertex);
+            }
+            match scheme.decide(at, &mut header, &label).map_err(|_| FailureKind::SchemeError)? {
+                Decision::Deliver => {
+                    return if at == dest { Ok(weight) } else { Err(FailureKind::WrongDelivery) };
+                }
+                Decision::Forward(port) => {
+                    if hops >= max_hops {
+                        return Err(FailureKind::HopBudget);
                     }
+                    if port.index() >= g.degree(at) {
+                        return Err(FailureKind::InvalidPort);
+                    }
+                    let edge = g.neighbor_at(at, port);
+                    weight += edge.weight;
+                    at = edge.to;
+                    hops += 1;
                 }
             }
-            FullTable { n, next }
         }
     }
 
-    #[derive(Clone)]
-    struct H;
-    impl HeaderSize for H {
-        fn words(&self) -> usize {
-            0
-        }
-    }
-
-    impl RoutingScheme for FullTable {
-        type Label = VertexId;
-        type Header = H;
-        fn name(&self) -> &str {
-            "full"
-        }
-        fn n(&self) -> usize {
-            self.n
-        }
-        fn label_of(&self, v: VertexId) -> VertexId {
-            v
-        }
-        fn init_header(&self, _: VertexId, _: &VertexId) -> Result<H, RouteError> {
-            Ok(H)
-        }
-        fn decide(&self, at: VertexId, _: &mut H, dest: &VertexId) -> Result<Decision, RouteError> {
-            if at == *dest {
-                return Ok(Decision::Deliver);
+    #[test]
+    fn lossy_failure_kinds_equal_the_guarded_walk() {
+        let (cycle, p3) = (generators::cycle(12), generators::path(3));
+        let cut = apply_events(&cycle, None, &[ChurnEvent::RemoveVertex(VertexId(0))]).unwrap();
+        let (on_cycle, on_p3) = (FullTable::build(&cycle), FullTable::build(&p3));
+        // Two components at build time: a walk between them has no entry.
+        let on_split = FullTable::build(&graph(4, &[(0, 1), (2, 3)]));
+        let cases: [(Graph, &dyn DynScheme); 6] = [
+            (cut.graph, &on_cycle),
+            (generators::cycle(3), &LOOP),
+            (p3.clone(), &EAGER),
+            (p3, &BAD_PORT),
+            // path(5) numbered 0-1-3-4-2: vertex 1's port towards 2 leads to 3.
+            (graph(5, &[(0, 1), (1, 3), (3, 4), (4, 2)]), &on_p3),
+            (generators::path(4), &on_split),
+        ];
+        let mut seen = FailureBreakdown::default();
+        for (g, scheme) in &cases {
+            let exact = DistanceMatrix::new(g);
+            let known = scheme.n() as u32;
+            for (u, v) in (0..known * known).map(|i| (VertexId(i / known), VertexId(i % known))) {
+                if u == v || exact.distance(u, v).is_none() {
+                    continue;
+                }
+                let report = route_pairs_lossy(g, *scheme, &exact, &[(u, v)]);
+                let mut want = FailureBreakdown::default();
+                match walk_guarded(g, *scheme, u, v) {
+                    Ok(_) => assert_eq!(report.delivered, 1, "{u} -> {v}"),
+                    Err(kind) => {
+                        want.record(kind);
+                        seen.record(kind);
+                    }
+                }
+                assert_eq!(report.failures, want, "{} on {u} -> {v}", scheme.name());
             }
-            self.next[at.index()][dest.index()]
-                .map(Decision::Forward)
-                .ok_or(RouteError::MissingInformation { at, what: "no entry".into() })
         }
-        fn table_words(&self, _: VertexId) -> usize {
-            self.n
-        }
-        fn label_words(&self, _: VertexId) -> usize {
-            1
-        }
+        let s = seen;
+        let kinds = [s.invalid_port, s.wrong_delivery, s.hop_budget, s.unknown_vertex, s.scheme_error];
+        assert!(kinds.iter().all(|&k| k > 0), "every failure kind is exercised: {seen:?}");
     }
 
     #[test]

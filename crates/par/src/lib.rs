@@ -126,21 +126,9 @@ where
     U: Send,
     F: Fn(usize) -> U + Sync,
 {
-    par_map_index_with(threads(), n, f)
-}
-
-/// [`par_map_index`] with an explicit thread count, ignoring the global
-/// setting, so `threads=1` can be compared against `threads=T` inside one
-/// process without racing on the global.
-#[track_caller]
-pub fn par_map_index_with<U, F>(threads: usize, n: usize, f: F) -> Vec<U>
-where
-    U: Send,
-    F: Fn(usize) -> U + Sync,
-{
     // The scratch executor with a unit scratch — one chunk-claiming loop to
     // maintain instead of two.
-    par_map_scratch_with(threads, n, || (), |_, i| f(i))
+    par_map_scratch_with(threads(), n, || (), |_, i| f(i))
 }
 
 /// Applies `f` to every element of `items` in parallel, returning results in
@@ -269,15 +257,15 @@ mod tests {
     fn matches_sequential_for_every_thread_count() {
         let expect: Vec<usize> = (0..997).map(|i| i * 7 + 3).collect();
         for t in [1, 2, 3, 8, 64] {
-            assert_eq!(par_map_index_with(t, 997, |i| i * 7 + 3), expect, "threads={t}");
+            assert_eq!(par_map_scratch_with(t, 997, || (), |_, i| i * 7 + 3), expect, "threads={t}");
         }
     }
 
     #[test]
     fn empty_and_tiny_inputs() {
-        assert!(par_map_index_with(8, 0, |i| i).is_empty());
-        assert_eq!(par_map_index_with(8, 1, |i| i + 1), vec![1]);
-        assert_eq!(par_map_index_with(8, 2, |i| i), vec![0, 1]);
+        assert!(par_map_scratch_with(8, 0, || (), |_, i| i).is_empty());
+        assert_eq!(par_map_scratch_with(8, 1, || (), |_, i| i + 1), vec![1]);
+        assert_eq!(par_map_scratch_with(8, 2, || (), |_, i| i), vec![0, 1]);
     }
 
     #[test]
@@ -340,7 +328,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "worker panicked at fork site")]
     fn worker_panics_propagate() {
-        let _ = par_map_index_with(4, 64, |i| {
+        let _ = par_map_scratch_with(4, 64, || (), |_, i| {
             if i == 33 {
                 panic!("boom");
             }
@@ -351,7 +339,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "boom")]
     fn worker_panic_payload_is_preserved_in_message() {
-        let _ = par_map_index_with(2, 16, |i| {
+        let _ = par_map_scratch_with(2, 16, || (), |_, i| {
             if i == 7 {
                 panic!("boom");
             }
@@ -364,7 +352,7 @@ mod tests {
         // No observer hooks installed in this test binary, so the fork-site
         // name must fall back to this file's #[track_caller] location.
         let result = std::panic::catch_unwind(|| {
-            let _ = par_map_index_with(2, 8, |i| {
+            let _ = par_map_scratch_with(2, 8, || (), |_, i| {
                 if i == 3 {
                     panic!("kapow");
                 }

@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 
 use routing_graph::{Graph, VertexId, Weight};
 use routing_model::{
-    simulate_lean_with_label, simulate_with_ttl, DynScheme, ErasedLabel, RouteError,
+    simulate_lean_with_label, simulate_with_label, DynScheme, ErasedLabel, RouteError,
 };
 use routing_obs::latency::LatencyHistogram;
 
@@ -147,9 +147,10 @@ pub struct EngineConfig {
     /// engine keeps `shards − 1` resident helper threads (clamped to at
     /// least 1 lane, which is the caller alone).
     pub shards: usize,
-    /// Record the full traversed path in every answer. Off on the serving
-    /// hot path (the path is the only per-query allocation); on in the
-    /// equivalence and stress suites, which compare paths hop by hop.
+    /// Record the full traversed path in every answer: the same one walk
+    /// with the cached label, recording the path (the only per-query
+    /// allocation, so off on the serving hot path; on in the equivalence
+    /// suite, which compares paths hop by hop).
     pub record_paths: bool,
     /// Hop budget per query; `None` uses the simulator default (`4·n + 16`).
     pub max_hops: Option<usize>,
@@ -543,8 +544,9 @@ fn check_serves(graph: &Graph, scheme: &dyn DynScheme, engine_n: usize) -> Resul
     Err(ServeError::SnapshotMismatch { graph_n: graph.n(), scheme_n: scheme.n(), engine_n })
 }
 
-/// Routes one job under one snapshot. The lean path reuses the cached
-/// erased label when the destination repeats (jobs arrive dest-sorted).
+/// Routes one job under one snapshot, reusing the cached erased label when
+/// the destination repeats (jobs arrive dest-sorted). `record_paths` only
+/// picks what the walk records.
 fn route_one(
     snap: &SchemeSnapshot,
     job: &Job,
@@ -555,13 +557,6 @@ fn route_one(
     let g = snap.graph();
     let scheme = snap.scheme();
     let max_hops = config.max_hops.unwrap_or(4 * g.n() + 16);
-    let answer = |weight, hops, max_header_words, path| {
-        Ok(RouteAnswer { weight, hops, max_header_words, epoch: snap.epoch(), shard, path })
-    };
-    if config.record_paths {
-        let out = simulate_with_ttl(g, scheme, job.source, job.dest, max_hops)?;
-        return answer(out.weight, out.hops, out.max_header_words, Some(out.path));
-    }
     let label = match cached {
         Some((d, label)) if *d == job.dest => {
             routing_obs::counters::SERVE_LABEL_CACHE_HITS.inc();
@@ -573,8 +568,14 @@ fn route_one(
             &slot.insert((job.dest, label)).1
         }
     };
-    let out = simulate_lean_with_label(g, scheme, job.source, job.dest, label, max_hops)?;
-    answer(out.weight, out.hops, out.max_header_words, None)
+    let (weight, hops, max_header_words, path) = if config.record_paths {
+        let out = simulate_with_label(g, scheme, job.source, job.dest, label, max_hops)?;
+        (out.weight, out.hops, out.max_header_words, Some(out.path))
+    } else {
+        let out = simulate_lean_with_label(g, scheme, job.source, job.dest, label, max_hops)?;
+        (out.weight, out.hops, out.max_header_words, None)
+    };
+    Ok(RouteAnswer { weight, hops, max_header_words, epoch: snap.epoch(), shard, path })
 }
 
 #[cfg(test)]
