@@ -19,7 +19,8 @@
 //! # Options
 //!
 //! `churn --help` prints the flag table with every default (the README
-//! carries the same table with longer explanations).
+//! carries the same table with longer explanations). [`FLAGS`] is the one
+//! declaration the defaults, the help text and the parsing come from.
 //!
 //! # Output schema (`--json`)
 //!
@@ -41,6 +42,9 @@ use routing_churn::{
 use routing_core::{BuildContext, Params};
 use routing_graph::generators::{Family, WeightModel};
 
+/// The parsed command line. `Default` is only the blank [`parse`] writes
+/// every flag's declared default over.
+#[derive(Debug, Default, PartialEq)]
 struct Options {
     n: usize,
     family: Family,
@@ -61,146 +65,113 @@ struct Options {
     metrics: Option<String>,
 }
 
-impl Default for Options {
-    fn default() -> Self {
-        Options {
-            n: 1000,
-            family: Family::ErdosRenyi,
-            rounds: 6,
-            remove_frac: 0.05,
-            add_frac: 0.5,
-            edge_remove_frac: 0.02,
-            edge_add_frac: 0.02,
-            pairs: 2000,
-            sources: 0,
-            threads: 0,
-            epsilon: 0.5,
-            seed: 7,
-            schemes: vec!["tz2".into(), "warmup".into(), "thm11".into()],
-            modes: vec![RemovalMode::Random, RemovalMode::Targeted],
-            policies: vec![
-                RebuildPolicy::Never,
-                RebuildPolicy::EveryK(2),
-                RebuildPolicy::ReachabilityBelow(0.9),
-            ],
-            json: None,
-            metrics: None,
-        }
+/// One flag: its usage (`--name <VALUE>`), its default as typed on a command
+/// line (`""` leaves the option unset), its help text, and where its value
+/// goes.
+struct Flag(&'static str, &'static str, &'static str, fn(&mut Options, &Value) -> Result<(), CliError>);
+
+impl Flag {
+    fn name(&self) -> &'static str {
+        self.0.split_once(' ').map_or(self.0, |(name, _)| name)
     }
 }
 
+/// A flag's value as typed, with the registry names `--schemes` accepts.
+struct Value<'a> {
+    flag: &'static str,
+    text: &'a str,
+    schemes: &'a [&'a str],
+}
+
+impl Value<'_> {
+    /// Parses the value into `slot`; `what` is what a bad value should have been.
+    fn parse_into<T: std::str::FromStr>(&self, slot: &mut T, what: &str) -> Result<(), CliError> {
+        *slot = cli::parse_value(self.flag, self.text, what)?;
+        Ok(())
+    }
+
+    /// Parses every comma-separated item into `slot`; `what` names a bad one.
+    fn list_into<T>(&self, slot: &mut Vec<T>, item: fn(&str) -> Option<T>, what: &str) -> Result<(), CliError> {
+        let invalid = || CliError::Invalid { flag: self.flag.into(), value: self.text.into(), what: what.into() };
+        *slot = self.text.split(',').map(|s| item(s).ok_or_else(invalid)).collect::<Result<_, _>>()?;
+        Ok(())
+    }
+
+    /// Stores the value as a path.
+    fn path_into(&self, slot: &mut Option<String>) -> Result<(), CliError> {
+        *slot = Some(self.text.into());
+        Ok(())
+    }
+}
+
+const INT: &str = "expected an integer";
+const FLOAT: &str = "expected a float";
+
+/// Every flag `churn` takes, in `--help` order.
+const FLAGS: &[Flag] = &[
+    Flag("--n <N>", "1000", "vertices of the base graph", |o, v| v.parse_into(&mut o.n, INT)),
+    Flag("--family <F>", "erdos-renyi", "erdos-renyi|geometric|grid|scale-free", |o, v| {
+        cli::parse_family(v.flag, v.text).map(|family| o.family = family)
+    }),
+    Flag("--rounds <R>", "6", "churn rounds", |o, v| v.parse_into(&mut o.rounds, INT)),
+    Flag("--remove-frac <F>", "0.05", "alive vertices removed per round", |o, v| v.parse_into(&mut o.remove_frac, FLOAT)),
+    Flag("--add-frac <F>", "0.5", "rejoining vertices per removal", |o, v| v.parse_into(&mut o.add_frac, FLOAT)),
+    Flag("--edge-remove-frac <F>", "0.02", "surviving edges failed per round", |o, v| v.parse_into(&mut o.edge_remove_frac, FLOAT)),
+    Flag("--edge-add-frac <F>", "0.02", "new edges per round", |o, v| v.parse_into(&mut o.edge_add_frac, FLOAT)),
+    Flag("--pairs <P>", "2000", "routed pairs sampled per round", |o, v| v.parse_into(&mut o.pairs, INT)),
+    Flag("--sources <K>", "0", "distinct pair sources per round (0 = uniform pairs)", |o, v| v.parse_into(&mut o.sources, INT)),
+    Flag("--threads <T>", "0", "worker threads (0 = all hardware)", |o, v| v.parse_into(&mut o.threads, INT)),
+    Flag("--epsilon <E>", "0.5", "epsilon of the paper's schemes", |o, v| v.parse_into(&mut o.epsilon, FLOAT)),
+    Flag("--seed <S>", "7", "master seed", |o, v| v.parse_into(&mut o.seed, INT)),
+    Flag("--schemes <LIST>", "tz2,warmup,thm11", "registered scheme names, or 'all'", |o, v| {
+        cli::parse_schemes(v.flag, v.text, v.schemes).map(|schemes| o.schemes = schemes)
+    }),
+    Flag("--modes <LIST>", "random,targeted", "random,targeted,degree-weighted", |o, v| {
+        v.list_into(&mut o.modes, RemovalMode::parse, "unknown mode")
+    }),
+    Flag("--policies <LIST>", "never,every-2,threshold-0.9", "never,every-round,every-<k>,threshold-<x>", |o, v| {
+        v.list_into(&mut o.policies, RebuildPolicy::parse, "unknown policy")
+    }),
+    Flag("--json <PATH>", "", "write all runs as a JSON array", |o, v| v.path_into(&mut o.json)),
+    Flag("--metrics <PATH>", "", "enable telemetry counters; write a JSON metric export (failure classes, timings)", |o, v| {
+        v.path_into(&mut o.metrics)
+    }),
+];
+
 fn usage() -> ! {
-    print_usage();
+    eprint!("{}", usage_text());
     std::process::exit(2)
 }
 
-fn print_usage() {
-    // Keep this text in sync with the flag table in README.md.
-    eprintln!(
-        "churn — churn-resilience experiment for compact routing schemes
-
-USAGE: churn [OPTIONS]
-
-OPTIONS:
-  --n <N>                 vertices of the base graph            [default: 1000]
-  --family <F>            erdos-renyi|geometric|grid|scale-free [default: erdos-renyi]
-  --rounds <R>            churn rounds                          [default: 6]
-  --remove-frac <F>       alive vertices removed per round      [default: 0.05]
-  --add-frac <F>          rejoining vertices per removal        [default: 0.5]
-  --edge-remove-frac <F>  surviving edges failed per round      [default: 0.02]
-  --edge-add-frac <F>     new edges per round                   [default: 0.02]
-  --pairs <P>             routed pairs sampled per round        [default: 2000]
-  --sources <K>           distinct pair sources per round
-                          (0 = uniform pairs)                   [default: 0]
-  --threads <T>           worker threads (0 = all hardware)     [default: 0]
-  --epsilon <E>           epsilon of the paper's schemes        [default: 0.5]
-  --seed <S>              master seed                           [default: 7]
-  --schemes <LIST>        registered scheme names, or 'all'     [default: tz2,warmup,thm11]
-  --modes <LIST>          random,targeted,degree-weighted       [default: random,targeted]
-  --policies <LIST>       never,every-round,every-<k>,threshold-<x>
-                                                                [default: never,every-2,threshold-0.9]
-  --json <PATH>           write all runs as a JSON array
-  --metrics <PATH>        enable telemetry counters; write a JSON
-                          metric export (failure classes, timings)
-  --help                  show this help"
+fn usage_text() -> String {
+    let mut text = String::from(
+        "churn — churn-resilience experiment for compact routing schemes\n\n\
+         USAGE: churn [OPTIONS]\n\nOPTIONS:\n",
     );
+    for Flag(usage, default, help, _) in FLAGS {
+        let default = if default.is_empty() { String::new() } else { format!("  [default: {default}]") };
+        text += format!("  {usage:<23} {help:<51}{default}").trim_end();
+        text += "\n";
+    }
+    text + "  --help                  show this help\n"
 }
 
-fn parse_options(registry: &SchemeRegistry) -> Options {
+/// The options a command line asks for: every flag's default, then the
+/// flags given, in order. `None` is `--help`.
+fn parse(mut args: Args, schemes: &[&str]) -> Result<Option<Options>, CliError> {
     let mut opts = Options::default();
-    let mut args = Args::from_env();
-    while let Some(flag) = args.next_flag() {
-        if flag == "--help" || flag == "-h" {
-            print_usage();
-            std::process::exit(0);
-        }
-        let value = cli::ok_or_usage(args.value(&flag), usage);
-        let invalid = |what: &str| -> CliError {
-            CliError::Invalid { flag: flag.clone(), value: value.clone(), what: what.to_string() }
-        };
-        match flag.as_str() {
-            "--n" => opts.n = cli::ok_or_usage(cli::parse_value(&flag, &value, "expected an integer"), usage),
-            "--family" => opts.family = cli::ok_or_usage(cli::parse_family(&flag, &value), usage),
-            "--rounds" => {
-                opts.rounds = cli::ok_or_usage(cli::parse_value(&flag, &value, "expected an integer"), usage)
-            }
-            "--remove-frac" => {
-                opts.remove_frac = cli::ok_or_usage(cli::parse_value(&flag, &value, "expected a float"), usage)
-            }
-            "--add-frac" => {
-                opts.add_frac = cli::ok_or_usage(cli::parse_value(&flag, &value, "expected a float"), usage)
-            }
-            "--edge-remove-frac" => {
-                opts.edge_remove_frac =
-                    cli::ok_or_usage(cli::parse_value(&flag, &value, "expected a float"), usage)
-            }
-            "--edge-add-frac" => {
-                opts.edge_add_frac =
-                    cli::ok_or_usage(cli::parse_value(&flag, &value, "expected a float"), usage)
-            }
-            "--pairs" => {
-                opts.pairs = cli::ok_or_usage(cli::parse_value(&flag, &value, "expected an integer"), usage)
-            }
-            "--sources" => {
-                opts.sources = cli::ok_or_usage(cli::parse_value(&flag, &value, "expected an integer"), usage)
-            }
-            "--threads" => {
-                opts.threads = cli::ok_or_usage(cli::parse_value(&flag, &value, "expected an integer"), usage)
-            }
-            "--epsilon" => {
-                opts.epsilon = cli::ok_or_usage(cli::parse_value(&flag, &value, "expected a float"), usage)
-            }
-            "--seed" => {
-                opts.seed = cli::ok_or_usage(cli::parse_value(&flag, &value, "expected an integer"), usage)
-            }
-            "--schemes" => {
-                opts.schemes =
-                    cli::ok_or_usage(cli::parse_schemes(&flag, &value, &registry.names()), usage)
-            }
-            "--modes" => {
-                opts.modes = cli::ok_or_usage(
-                    value
-                        .split(',')
-                        .map(|m| RemovalMode::parse(m).ok_or_else(|| invalid("unknown mode")))
-                        .collect::<Result<Vec<_>, _>>(),
-                    usage,
-                )
-            }
-            "--policies" => {
-                opts.policies = cli::ok_or_usage(
-                    value
-                        .split(',')
-                        .map(|p| RebuildPolicy::parse(p).ok_or_else(|| invalid("unknown policy")))
-                        .collect::<Result<Vec<_>, _>>(),
-                    usage,
-                )
-            }
-            "--json" => opts.json = Some(value),
-            "--metrics" => opts.metrics = Some(value),
-            _ => cli::die(CliError::UnknownFlag { flag }, usage),
-        }
+    let mut set = |flag: &Flag, text: &str| (flag.3)(&mut opts, &Value { flag: flag.name(), text, schemes });
+    for flag in FLAGS.iter().filter(|f| !f.1.is_empty()) {
+        set(flag, flag.1)?;
     }
-    opts
+    while let Some(name) = args.next_flag() {
+        if name == "--help" || name == "-h" {
+            return Ok(None);
+        }
+        let flag = FLAGS.iter().find(|f| f.name() == name);
+        set(flag.ok_or_else(|| CliError::UnknownFlag { flag: name.clone() })?, &args.value(&name)?)?;
+    }
+    Ok(Some(opts))
 }
 
 fn print_rounds(result: &ChurnRunResult) {
@@ -275,7 +246,10 @@ fn print_summary(results: &[ChurnRunResult]) {
 
 fn main() {
     let registry = SchemeRegistry::with_defaults();
-    let opts = parse_options(&registry);
+    let Some(opts) = cli::ok_or_usage(parse(Args::from_env(), &registry.names()), usage) else {
+        eprint!("{}", usage_text());
+        return;
+    };
     if opts.metrics.is_some() {
         // The stale-routing simulator mirrors every failure class into the
         // churn_fail_* counters; the flag turns those mirrors on.
@@ -395,5 +369,71 @@ fn write_metrics(path: &str, results: &[ChurnRunResult]) {
     match std::fs::write(path, routing_obs::export::json(&set)) {
         Ok(()) => eprintln!("wrote {} metric series to {path}", set.len()),
         Err(e) => eprintln!("could not write {path}: {e}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parsed(tokens: &[&str]) -> Result<Option<Options>, CliError> {
+        let registry = SchemeRegistry::with_defaults();
+        parse(Args::from_tokens(tokens.iter().copied()), &registry.names())
+    }
+
+    #[test]
+    fn help_lists_every_flag_once_with_its_default() {
+        let text = usage_text();
+        for Flag(usage, default, _, _) in FLAGS {
+            let lines: Vec<&str> = text.lines().filter(|l| l.starts_with(&format!("  {usage} "))).collect();
+            assert_eq!(lines.len(), 1, "{usage}:\n{text}");
+            assert_eq!(lines[0].ends_with(&format!("[default: {default}]")), !default.is_empty(), "{usage}");
+        }
+        assert_eq!(parsed(&["--help"]), Ok(None));
+    }
+
+    /// The defaults the hand-written `Options::default` held before the flag
+    /// table, verbatim.
+    #[test]
+    fn an_empty_command_line_gives_the_documented_defaults() {
+        let reference = Options {
+            n: 1000,
+            family: Family::ErdosRenyi,
+            rounds: 6,
+            remove_frac: 0.05,
+            add_frac: 0.5,
+            edge_remove_frac: 0.02,
+            edge_add_frac: 0.02,
+            pairs: 2000,
+            sources: 0,
+            threads: 0,
+            epsilon: 0.5,
+            seed: 7,
+            schemes: vec!["tz2".into(), "warmup".into(), "thm11".into()],
+            modes: vec![RemovalMode::Random, RemovalMode::Targeted],
+            policies: vec![
+                RebuildPolicy::Never,
+                RebuildPolicy::EveryK(2),
+                RebuildPolicy::ReachabilityBelow(0.9),
+            ],
+            json: None,
+            metrics: None,
+        };
+        assert_eq!(parsed(&[]), Ok(Some(reference)));
+    }
+
+    #[test]
+    fn flags_override_defaults_and_malformed_lines_are_named_errors() {
+        let opts = parsed(&["--n", "300", "--modes", "degree-weighted", "--json", "x.json"]);
+        let opts = opts.unwrap().unwrap();
+        assert_eq!((opts.n, opts.rounds, opts.json.as_deref()), (300, 6, Some("x.json")));
+        assert_eq!(opts.modes, vec![RemovalMode::DegreeWeighted]);
+        let err = |tokens: &[&str]| parsed(tokens).unwrap_err().to_string();
+        assert_eq!(err(&["--frobnicate", "1"]), "unknown flag --frobnicate");
+        assert_eq!(err(&["--rounds"]), "missing value for --rounds");
+        assert_eq!(err(&["--n", "12x"]), "invalid value \"12x\" for --n: expected an integer");
+        let policies = "invalid value \"never,sometimes\" for --policies: unknown policy";
+        assert_eq!(err(&["--policies", "never,sometimes"]), policies);
+        assert!(err(&["--schemes", "thm12"]).contains("unknown scheme \"thm12\""));
     }
 }

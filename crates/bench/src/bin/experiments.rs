@@ -16,9 +16,7 @@ use routing_bench::cli::{self, Args, CliError};
 use routing_bench::{
     evaluate_scheme, print_table, run_table1, to_json, ExperimentConfig, HarnessError, Instances,
 };
-use routing_core::{
-    BuildContext, BuildError, HittingStrategy, Params, Technique1Scheme, Technique2Scheme,
-};
+use routing_core::{BuildContext, BuildError, Params, Technique1Scheme, Technique2Scheme};
 use routing_graph::apsp::DistanceMatrix;
 use routing_graph::generators::{self, Family, WeightModel};
 use routing_graph::VertexId;
@@ -64,7 +62,7 @@ const EXPERIMENTS: &[Experiment] = &[
         name: "ablations",
         default_n: 300,
         run: Run::N(ablations),
-        about: "hitting-set construction and ball scale on the warm-up scheme",
+        about: "ball scale on the warm-up scheme",
     },
     Experiment {
         name: "epsilon-sweep",
@@ -269,7 +267,7 @@ fn techniques(n: usize) -> Result<(), HarnessError> {
             Coloring::build_for_sets(n, q, &sets, 8, &mut rng).map_err(BuildError::from)?;
         let color_of: Vec<u32> = g.vertices().map(|v| coloring.color(v)).collect();
 
-        let t1 = Technique1Scheme::build(&g, color_of.clone(), &params, &mut rng)?;
+        let t1 = Technique1Scheme::build(&g, color_of.clone(), &params)?;
         let mut same_color = Vec::new();
         for u in g.vertices() {
             let peers = g.vertices().filter(|&v| v != u && coloring.color(v) == coloring.color(u));
@@ -297,9 +295,8 @@ fn techniques(n: usize) -> Result<(), HarnessError> {
     Ok(())
 }
 
-/// Experiment E-ABL: ablations over two design choices — the Lemma 5
-/// hitting-set construction (greedy vs. randomized) and the ball scaling
-/// constant `α` in `q̃ = α·q·log n`.
+/// Experiment E-ABL: ablation over the ball scaling constant `α` in
+/// `q̃ = α·q·log n`.
 ///
 /// Every variant is one `BuildContext` (different `Params`) against the same
 /// registry entry (`warmup`), so the ablation sweep is pure data: no
@@ -317,8 +314,6 @@ fn ablations(n: usize) -> Result<(), HarnessError> {
         "variant", "max str", "mean str", "table max", "table mean"
     );
     let variants = [
-        ("greedy hitting set", Params { hitting: HittingStrategy::Greedy, ..cfg.params() }),
-        ("random hitting set", Params { hitting: HittingStrategy::Random, ..cfg.params() }),
         ("ball scale 0.5", Params { ball_scale: 0.5, ..cfg.params() }),
         ("ball scale 1.0 (paper)", cfg.params()),
         ("ball scale 2.0", Params { ball_scale: 2.0, ..cfg.params() }),

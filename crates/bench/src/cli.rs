@@ -9,8 +9,9 @@
 //!   `invalid value "…" for --flag: …` wording;
 //! * [`CliError`] — the diagnostic type, `Display`-formatted for stderr.
 //!
-//! Each binary keeps its own `match` over flag or experiment *names*; what
-//! is shared is everything after the name is recognized. [`parse_schemes`]
+//! Each binary keeps its own table of flag or experiment *names* (`churn`'s
+//! `FLAGS`, `experiments`' `EXPERIMENTS`); what is shared is everything
+//! after the name is recognized. [`parse_schemes`]
 //! validates scheme lists against the registry's names and expands the
 //! special value `all` to every registered scheme, so a new registry entry
 //! is reachable with no flag-parsing edits.

@@ -95,14 +95,10 @@ impl ExperimentConfig {
         }
     }
 
-    /// Scheme parameters implied by the configuration.
-    ///
-    /// Pins `HittingStrategy::Random` (the library default moved to the
-    /// deterministic `Greedy`): the committed `table1_*.json` trajectory was
-    /// produced from the seeded Random stream, and keeping experiments on it
-    /// makes those artifacts byte-stable across kernel rewires.
+    /// Scheme parameters implied by the configuration: its `ε`, defaults
+    /// elsewhere.
     pub fn params(&self) -> Params {
-        Params { hitting: routing_core::HittingStrategy::Random, ..Params::with_epsilon(self.epsilon) }
+        Params::with_epsilon(self.epsilon)
     }
 }
 

@@ -32,7 +32,7 @@ use crate::{SchemeFivePlusEps, SchemeThreePlusEps, SchemeTwoPlusEps};
 /// Everything a [`SchemeBuilder`] may consume besides the graph.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BuildContext {
-    /// Scheme parameters (`ε`, ball/landmark scaling, hitting strategy).
+    /// Scheme parameters (`ε`, ball/landmark scaling, colouring retries).
     /// Builders that take no parameters (the baselines) ignore it.
     pub params: Params,
     /// Seed from which the build derives a fresh RNG, so a build is

@@ -46,7 +46,7 @@ pub mod technique2;
 
 pub use builder::{BuildContext, SchemeBuilder, Thm10Builder, Thm11Builder, WarmupBuilder};
 pub use error::BuildError;
-pub use params::{HittingStrategy, Params};
+pub use params::Params;
 pub use scheme_2eps1::SchemeTwoPlusEps;
 pub use scheme_3eps::SchemeThreePlusEps;
 pub use scheme_5eps::SchemeFivePlusEps;

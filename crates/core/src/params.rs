@@ -8,19 +8,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Which Lemma 5 construction a scheme uses for its hitting sets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum HittingStrategy {
-    /// Deterministic greedy set cover, ties broken by smallest vertex id
-    /// (Elkin–Matar-style derandomization). The default: with it, every
-    /// hitting-set-based build is seed-free — two runs on the same graph
-    /// produce identical routers regardless of the RNG handed to `build`.
-    Greedy,
-    /// Randomized sampling with patching (smaller in practice). Kept behind
-    /// this param for experiments that want the paper's Lemma 5 sampling.
-    Random,
-}
-
 /// Parameters controlling preprocessing of every scheme.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Params {
@@ -34,8 +21,6 @@ pub struct Params {
     pub landmark_scale: f64,
     /// How many random colorings to try before running the repair pass.
     pub coloring_retries: usize,
-    /// Hitting-set construction to use (Lemma 5).
-    pub hitting: HittingStrategy,
 }
 
 impl Default for Params {
@@ -45,7 +30,6 @@ impl Default for Params {
             ball_scale: 1.0,
             landmark_scale: 1.0,
             coloring_retries: 8,
-            hitting: HittingStrategy::Greedy,
         }
     }
 }
@@ -102,8 +86,6 @@ mod tests {
         assert!(p.validate().is_ok());
         assert_eq!(p.b_lemma7(), 8);
         assert_eq!(p.b_lemma8(), 9);
-        // The default build must be seed-free (deterministic hitting sets).
-        assert_eq!(p.hitting, HittingStrategy::Greedy);
     }
 
     #[test]

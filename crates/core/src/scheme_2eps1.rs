@@ -146,7 +146,7 @@ impl SchemeTwoPlusEps {
             .flat_map(|u| vic.reps_at(u).iter().map(move |&w| (u, w)))
             .map(|(u, w)| vic.balls.dist(u, w).unwrap_or(0))
             .collect();
-        let router = Technique1Router::build(g, &vic.balls, vic.color_of.clone(), params, rng)?;
+        let router = Technique1Router::build(g, &vic.balls, vic.color_of.clone(), params)?;
 
         Ok(SchemeTwoPlusEps {
             n,

@@ -84,7 +84,7 @@ impl SchemeThreePlusEps {
         let q = (n as f64).sqrt().ceil().max(1.0) as u32;
         let ell = params.scaled(q as usize, n);
         let vic = Vicinities::balls(g, ell).colour(ell, q, params, rng)?;
-        let router = Technique1Router::build(g, &vic.balls, vic.color_of.clone(), params, rng)?;
+        let router = Technique1Router::build(g, &vic.balls, vic.color_of.clone(), params)?;
         Ok(SchemeThreePlusEps { n, epsilon: params.epsilon, vic: vic.retain(), router })
     }
 

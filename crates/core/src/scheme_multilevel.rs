@@ -126,7 +126,7 @@ impl SchemeMultilevel {
         // case d + (1 + ε/2)·2d = (3+ε)d sits inside (3 + 2/ℓ + ε)d + 2
         // for every ℓ ≥ 2 — the declared bound holds with margin.
         let inner = Params { epsilon: params.epsilon / 2.0, ..*params };
-        let router = Technique1Router::build(g, &vic.balls, vic.color_of.clone(), &inner, rng)?;
+        let router = Technique1Router::build(g, &vic.balls, vic.color_of.clone(), &inner)?;
 
         let vic = vic.retain();
         Ok(SchemeMultilevel { name, n, epsilon: params.epsilon, levels, level_base, vic, router })

@@ -406,7 +406,7 @@ mod tests {
     use routing_model::simulate_lean_with_label;
 
     use crate::{
-        BuildContext, HittingStrategy, SchemeBuilder, SchemeFivePlusEps, SchemeMultilevel,
+        BuildContext, SchemeBuilder, SchemeFivePlusEps, SchemeMultilevel,
         SchemeThreePlusEps, SchemeTwoPlusEps, Thm10Builder, Thm11Builder, Thm13Builder,
         WarmupBuilder,
     };
@@ -456,7 +456,7 @@ mod tests {
     /// and four threads.
     #[test]
     fn stages_built_directly_equal_what_every_registry_key_retains() {
-        let params = Params { hitting: HittingStrategy::Random, ..Params::with_epsilon(0.5) };
+        let params = Params::with_epsilon(0.5);
         let ctx = BuildContext { params, seed: 7, threads: 0 };
         let instance = |w| Family::ErdosRenyi.generate(60, w, &mut StdRng::seed_from_u64(7));
         let unit = instance(WeightModel::Unit);

@@ -30,15 +30,12 @@
 //! the remaining distance is covered on the tree `T(w)` using `v`'s tree
 //! label. The traversed path has weight at most `(1+ε)·d(u, v)`.
 
-use rand::Rng;
-
 use routing_graph::scratch::BFS_BATCH_WIDTH;
 use routing_graph::{BfsBatch, Graph, SearchScratch, VertexId, Weight};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
 use routing_tree::{TreeLabel, TreeScheme};
-use routing_vicinity::{hitting_set_greedy, hitting_set_random, BallPorts, BallTable};
+use routing_vicinity::{hitting_set_greedy, BallPorts, BallTable};
 
-use crate::params::HittingStrategy;
 use crate::seq::{
     decode, push_hops, sequence_words, walk_round, PackedEntry, SeqChunk, SeqEntry, SeqStore,
 };
@@ -99,12 +96,11 @@ impl Technique1Router {
     /// # Errors
     ///
     /// Returns an error if a global tree cannot be laid out.
-    pub(crate) fn build<R: Rng>(
+    pub(crate) fn build(
         g: &Graph,
         balls: &BallTable,
         set_of: Vec<u32>,
         params: &Params,
-        rng: &mut R,
     ) -> Result<Self, BuildError> {
         assert_eq!(set_of.len(), g.n(), "set_of must cover every vertex");
         let b = params.b_lemma7();
@@ -113,11 +109,7 @@ impl Technique1Router {
         // Lemma 5: a hitting set for every vicinity.
         let hitting = {
             let _span = routing_obs::span("hitting-set");
-            let ball_sets = stages::ball_sets(balls, balls.ell());
-            match params.hitting {
-                HittingStrategy::Greedy => hitting_set_greedy(g.n(), &ball_sets),
-                HittingStrategy::Random => hitting_set_random(g.n(), &ball_sets, rng),
-            }
+            hitting_set_greedy(g.n(), &stages::ball_sets(balls, balls.ell()))
         };
 
         // Global shortest-path trees for the hitting set. These searches
@@ -523,17 +515,12 @@ impl Technique1Scheme {
     /// # Errors
     ///
     /// Propagates [`BuildError`] from the underlying router.
-    pub fn build<R: Rng>(
-        g: &Graph,
-        set_of: Vec<u32>,
-        params: &Params,
-        rng: &mut R,
-    ) -> Result<Self, BuildError> {
+    pub fn build(g: &Graph, set_of: Vec<u32>, params: &Params) -> Result<Self, BuildError> {
         stages::check(g, params)?;
         let q = set_of.iter().copied().max().map(|m| m as usize + 1).unwrap_or(1);
         let ell = params.scaled(q, g.n());
         let balls = BallTable::build(g, ell);
-        let router = Technique1Router::build(g, &balls, set_of, params, rng)?;
+        let router = Technique1Router::build(g, &balls, set_of, params)?;
         Ok(Technique1Scheme { n: g.n(), epsilon: params.epsilon, balls, router })
     }
 
@@ -613,20 +600,22 @@ impl RoutingScheme for Technique1Scheme {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Reverse;
+
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use routing_graph::apsp::DistanceMatrix;
     use routing_graph::generators::{self, WeightModel};
     use routing_model::simulate;
+    use routing_vicinity::hitting::hits_all;
 
     fn partition_mod(n: usize, q: u32) -> Vec<u32> {
         (0..n).map(|v| (v as u32) % q).collect()
     }
 
     fn check_intra_set_stretch(g: &Graph, set_of: Vec<u32>, epsilon: f64) {
-        let mut rng = StdRng::seed_from_u64(99);
         let params = Params::with_epsilon(epsilon);
-        let scheme = Technique1Scheme::build(g, set_of.clone(), &params, &mut rng).unwrap();
+        let scheme = Technique1Scheme::build(g, set_of.clone(), &params).unwrap();
         let exact = DistanceMatrix::new(g);
         let mut checked = 0usize;
         for u in g.vertices() {
@@ -672,9 +661,7 @@ mod tests {
     #[test]
     fn lemma7_rejects_cross_set_destinations() {
         let g = generators::cycle(20);
-        let mut rng = StdRng::seed_from_u64(1);
-        let scheme =
-            Technique1Scheme::build(&g, partition_mod(20, 4), &Params::default(), &mut rng).unwrap();
+        let scheme = Technique1Scheme::build(&g, partition_mod(20, 4), &Params::default()).unwrap();
         let err = simulate(&g, &scheme, VertexId(0), VertexId(1)).unwrap_err();
         assert!(matches!(err, RouteError::BadLabel { .. }));
         // Same set works (0 and 4 are both in set 0).
@@ -685,9 +672,7 @@ mod tests {
     #[test]
     fn lemma7_self_route() {
         let g = generators::path(10);
-        let mut rng = StdRng::seed_from_u64(1);
-        let scheme =
-            Technique1Scheme::build(&g, partition_mod(10, 2), &Params::default(), &mut rng).unwrap();
+        let scheme = Technique1Scheme::build(&g, partition_mod(10, 2), &Params::default()).unwrap();
         let out = simulate(&g, &scheme, VertexId(3), VertexId(3)).unwrap();
         assert_eq!(out.hops, 0);
     }
@@ -698,23 +683,15 @@ mod tests {
         b.add_unit_edge(0, 1).unwrap();
         b.add_unit_edge(2, 3).unwrap();
         let g = b.build();
-        let mut rng = StdRng::seed_from_u64(1);
-        let err = Technique1Scheme::build(&g, partition_mod(4, 2), &Params::default(), &mut rng)
-            .unwrap_err();
+        let err = Technique1Scheme::build(&g, partition_mod(4, 2), &Params::default()).unwrap_err();
         assert_eq!(err, BuildError::Disconnected);
     }
 
     #[test]
     fn lemma7_bad_epsilon_is_rejected() {
         let g = generators::path(6);
-        let mut rng = StdRng::seed_from_u64(1);
-        let err = Technique1Scheme::build(
-            &g,
-            partition_mod(6, 2),
-            &Params::with_epsilon(0.0),
-            &mut rng,
-        )
-        .unwrap_err();
+        let err =
+            Technique1Scheme::build(&g, partition_mod(6, 2), &Params::with_epsilon(0.0)).unwrap_err();
         assert!(matches!(err, BuildError::BadParameter { .. }));
     }
 
@@ -739,8 +716,7 @@ mod tests {
             let balls = BallTable::build(g, params.scaled(10, g.n()));
             for threads in [1, 4] {
                 routing_par::set_threads(threads);
-                let router =
-                    Technique1Router::build(g, &balls, set_of.clone(), &params, &mut rng).unwrap();
+                let router = Technique1Router::build(g, &balls, set_of.clone(), &params).unwrap();
                 let by_set = sort_by_set(&set_of);
                 let sources = same_set_sources(&by_set, &set_of);
                 assert_eq!(sources.len(), g.n());
@@ -827,9 +803,7 @@ mod tests {
         for (name, g, ell) in instances {
             let set_of = partition_mod(g.n(), 3);
             let balls = BallTable::build(&g, ell);
-            let mut rng = StdRng::seed_from_u64(5);
-            let router =
-                Technique1Router::build(&g, &balls, set_of.clone(), &params, &mut rng).unwrap();
+            let router = Technique1Router::build(&g, &balls, set_of.clone(), &params).unwrap();
             assert!(router.hitting.len() >= 2, "{name}: a second tree to shift to");
             let walk = SeqBuilder { g: &g, balls: &balls, b: router.b, hitting: &router.hitting };
             let mut scratch = SearchScratch::for_graph(&g);
@@ -903,8 +877,7 @@ mod tests {
         for (name, g) in &graphs {
             let set_of = partition_mod(g.n(), 10);
             let balls = BallTable::build(g, params.scaled(10, g.n()));
-            let router =
-                Technique1Router::build(g, &balls, set_of.clone(), &params, &mut rng).unwrap();
+            let router = Technique1Router::build(g, &balls, set_of.clone(), &params).unwrap();
             let (pairs, entries) = router.seqs.tight_sizes();
             let set_sizes = set_of.iter().fold([0usize; 10], |mut s, &c| {
                 s[c as usize] += 1;
@@ -919,17 +892,65 @@ mod tests {
         }
     }
 
+    /// The greedy rule replayed naively, in pick order: the vertex in the
+    /// most unhit sets, ties by smallest id, until every set is hit.
+    fn greedy_picks(n: usize, sets: &[Vec<VertexId>]) -> Vec<VertexId> {
+        let mut unhit: Vec<&Vec<VertexId>> = sets.iter().collect();
+        let mut picks = Vec::new();
+        while !unhit.is_empty() {
+            let mut gain = vec![0usize; n];
+            for v in unhit.iter().copied().flatten() {
+                gain[v.index()] += 1;
+            }
+            let best = (0..n).max_by_key(|&v| (gain[v], Reverse(v))).map(|v| VertexId(v as u32));
+            let best = best.expect("a vertex");
+            picks.push(best);
+            unhit.retain(|s| !s.contains(&best));
+        }
+        picks
+    }
+
+    /// Lemma 5 on what the router keeps, on every generator family, unit and
+    /// tie-heavy, around the 64-wide batch boundary: the hitting set is
+    /// id-sorted without duplicates, meets every vicinity `B(u, ℓ)` it was
+    /// built from, and holds at most `⌈(n/ℓ)·ln n⌉ + 1` vertices. That is the
+    /// greedy averaging bound: each pick is in at least `ℓ/n` of the unhit
+    /// vicinities, so `n·(1 − ℓ/n)^t < 1` after `t = ⌈(n/ℓ)·ln n⌉` picks. The
+    /// set is the naive greedy replay's, and dropping the replay's last pick,
+    /// which hit a vicinity no earlier pick hit, must leave one unhit.
     #[test]
-    fn greedy_and_random_hitting_sets_both_work() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let g = generators::erdos_renyi(60, 0.08, WeightModel::Unit, &mut rng);
-        for strategy in [HittingStrategy::Greedy, HittingStrategy::Random] {
-            let params = Params { hitting: strategy, ..Params::default() };
-            let scheme =
-                Technique1Scheme::build(&g, partition_mod(60, 5), &params, &mut rng).unwrap();
-            assert!(!scheme.router().hitting_set().is_empty());
-            let out = simulate(&g, &scheme, VertexId(0), VertexId(55)).unwrap();
-            assert_eq!(out.destination(), VertexId(55));
+    fn lemma5_hitting_set_is_sorted_hits_every_vicinity_and_meets_the_greedy_bound() {
+        let params = Params::with_epsilon(0.5);
+        for family in generators::Family::ALL {
+            for weights in [WeightModel::Unit, WeightModel::Uniform { lo: 1, hi: 3 }] {
+                for n in [63usize, 64, 65, 130] {
+                    let g = family.generate(n, weights, &mut StdRng::seed_from_u64(n as u64));
+                    let n = g.n();
+                    let q = (n as f64).sqrt().ceil() as usize;
+                    for ell in [q, params.scaled(q, n)] {
+                        let key = format!("{} {weights:?} n = {n} ℓ = {ell}", family.name());
+                        let balls = BallTable::build(&g, ell);
+                        let router =
+                            Technique1Router::build(&g, &balls, partition_mod(n, q as u32), &params)
+                                .unwrap();
+                        let h = router.hitting_set();
+                        let sets = stages::ball_sets(&balls, balls.ell());
+                        assert!(h.windows(2).all(|w| w[0] < w[1]), "{key}: sorted, no duplicates");
+                        assert!(hits_all(h, &sets), "{key}: a vicinity is unhit");
+                        let bound = (n as f64 / ell as f64 * (n as f64).ln()).ceil() as usize + 1;
+                        assert!(h.len() <= bound, "{key}: |H| = {} > {bound}", h.len());
+
+                        let picks = greedy_picks(n, &sets);
+                        let mut sorted = picks.clone();
+                        sorted.sort_unstable();
+                        assert_eq!(h, sorted, "{key}: not the greedy set cover");
+                        let last = picks.last().copied();
+                        let dropped: Vec<VertexId> =
+                            h.iter().copied().filter(|&v| Some(v) != last).collect();
+                        assert!(!hits_all(&dropped, &sets), "{key}: dropping {last:?} went unnoticed");
+                    }
+                }
+            }
         }
     }
 
@@ -938,7 +959,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let g = generators::erdos_renyi(50, 0.1, WeightModel::Unit, &mut rng);
         let params = Params::with_epsilon(0.5);
-        let scheme = Technique1Scheme::build(&g, partition_mod(50, 5), &params, &mut rng).unwrap();
+        let scheme = Technique1Scheme::build(&g, partition_mod(50, 5), &params).unwrap();
         assert_eq!(RoutingScheme::n(&scheme), 50);
         assert!(scheme.name().contains("lemma7"));
         assert_eq!(scheme.router().b(), 4);

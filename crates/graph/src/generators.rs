@@ -265,9 +265,10 @@ pub fn caterpillar(spine: usize, legs: usize) -> Graph {
 }
 
 /// The named graph families the experiment harness sweeps over.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Family {
     /// Sparse Erdős–Rényi with average degree ~8.
+    #[default]
     ErdosRenyi,
     /// Random geometric graph (strong distance locality).
     Geometric,

@@ -1,4 +1,4 @@
-//! Vertex vicinities `B(u, ℓ)` and the Lemma 2 ball router.
+//! Vertex vicinities `B(u, ℓ)` and the Lemma 2 ball table.
 //!
 //! Every vertex stores, for each of its `ℓ` closest vertices `v`, the first
 //! edge (as a port) of a shortest path towards `v`. Property 1 (if
@@ -41,7 +41,6 @@ use std::ops::{Deref, Range};
 
 use routing_graph::scratch::{BfsBatch, SearchScratch, BFS_BATCH_WIDTH};
 use routing_graph::{Graph, Port, VertexId, Weight};
-use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
 
 /// Sentinel port stored for the ball's center (which has no first hop).
 const NO_PORT: Port = Port(u32::MAX);
@@ -461,98 +460,6 @@ impl BallView<'_> {
     }
 }
 
-/// The standalone Lemma 2 routing scheme: routes exactly (stretch 1) between
-/// any `u` and any `v ∈ B(u, ℓ)`, and reports an error for destinations
-/// outside the source's ball.
-///
-/// The full schemes of the paper embed the same tables; this standalone
-/// wrapper exists so Lemma 2 can be tested and benchmarked in isolation.
-#[derive(Debug, Clone)]
-pub struct BallRoutingScheme {
-    name: String,
-    table: BallTable,
-    n: usize,
-}
-
-impl BallRoutingScheme {
-    /// Builds the scheme with balls of size `ℓ`.
-    pub fn new(g: &Graph, ell: usize) -> Self {
-        BallRoutingScheme {
-            name: format!("ball-routing(l={ell})"),
-            table: BallTable::build(g, ell),
-            n: g.n(),
-        }
-    }
-
-    /// Access to the underlying ball table.
-    pub fn table(&self) -> &BallTable {
-        &self.table
-    }
-}
-
-/// Header for ball routing: nothing needs to be carried.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BallHeader;
-
-impl HeaderSize for BallHeader {
-    fn words(&self) -> usize {
-        0
-    }
-}
-
-impl RoutingScheme for BallRoutingScheme {
-    type Label = VertexId;
-    type Header = BallHeader;
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn label_of(&self, v: VertexId) -> VertexId {
-        v
-    }
-
-    fn init_header(&self, source: VertexId, dest: &VertexId) -> Result<BallHeader, RouteError> {
-        if source != *dest && !self.table.contains(source, *dest) {
-            return Err(RouteError::MissingInformation {
-                at: source,
-                what: format!("{dest} is outside B({source}, {})", self.table.ell()),
-            });
-        }
-        Ok(BallHeader)
-    }
-
-    fn decide(
-        &self,
-        at: VertexId,
-        _header: &mut BallHeader,
-        dest: &VertexId,
-    ) -> Result<Decision, RouteError> {
-        if at == *dest {
-            return Ok(Decision::Deliver);
-        }
-        self.table
-            .first_port(at, *dest)
-            .map(Decision::Forward)
-            .ok_or_else(|| RouteError::MissingInformation {
-                at,
-                what: format!("{dest} is outside B({at}, {}) during forwarding", self.table.ell()),
-            })
-    }
-
-    fn table_words(&self, v: VertexId) -> usize {
-        self.table.words_at(v)
-    }
-
-    fn label_words(&self, _v: VertexId) -> usize {
-        1
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -560,7 +467,6 @@ mod tests {
     use rand::SeedableRng;
     use routing_graph::generators;
     use routing_graph::shortest_path::{ball, dijkstra};
-    use routing_model::simulate;
 
     #[test]
     fn ball_table_membership_and_first_hops() {
@@ -572,7 +478,8 @@ mod tests {
         for u in g.vertices() {
             assert!(t.contains(u, u));
             assert_eq!(t.ball(u).len(), 6);
-            assert_eq!(t.words_at(u), 15);
+            // Three words (member, distance, port) per member but the centre.
+            assert_eq!(t.words_at(u), 3 * 5);
             for &(v, d) in t.ball(u).members() {
                 assert_eq!(t.dist(u, v), Some(d));
                 if v != u {
@@ -778,31 +685,13 @@ mod tests {
     }
 
     #[test]
-    fn lemma_2_routes_on_shortest_paths() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let g = generators::erdos_renyi(
-            60,
-            0.07,
-            generators::WeightModel::Uniform { lo: 1, hi: 5 },
-            &mut rng,
-        );
-        let scheme = BallRoutingScheme::new(&g, 12);
-        for u in g.vertices() {
-            let sp = dijkstra(&g, u);
-            for &(v, d) in scheme.table().ball(u).members().to_vec().iter() {
-                let out = simulate(&g, &scheme, u, v).unwrap();
-                assert_eq!(out.weight, d, "ball routing must be exact");
-                assert_eq!(Some(out.weight), sp.dist(v));
-            }
-        }
-    }
-
-    #[test]
     fn destinations_outside_the_ball_are_rejected() {
         let g = generators::path(30);
-        let scheme = BallRoutingScheme::new(&g, 3);
-        let err = simulate(&g, &scheme, VertexId(0), VertexId(29)).unwrap_err();
-        assert!(matches!(err, RouteError::MissingInformation { .. }));
+        let t = BallTable::build(&g, 3);
+        assert!(!t.contains(VertexId(0), VertexId(29)));
+        assert_eq!(t.first_port(VertexId(0), VertexId(29)), None);
+        assert_eq!(t.first_port(VertexId(0), VertexId(3)), None, "one past the ball");
+        assert!(t.first_port(VertexId(0), VertexId(2)).is_some());
     }
 
     #[test]
@@ -810,8 +699,7 @@ mod tests {
         // ℓ = n, so every in-range pair is a member: only the range check
         // stands between a foreign id and an answer.
         let g = generators::cycle(12);
-        let scheme = BallRoutingScheme::new(&g, 12);
-        let t = scheme.table();
+        let t = BallTable::build(&g, 12);
         let inside = VertexId(3);
         for hostile in [VertexId(12), VertexId(13), VertexId(u32::MAX - 1), VertexId(u32::MAX)] {
             for (u, v) in [(inside, hostile), (hostile, inside), (hostile, hostile)] {
@@ -820,23 +708,7 @@ mod tests {
                 assert_eq!(t.first_port(u, v), None);
                 assert_eq!(t.rank(u, v), None);
             }
-            // Typed surface, then the erased one `simulate` drives.
-            assert!(scheme.init_header(inside, &hostile).is_err());
-            assert!(scheme.decide(inside, &mut BallHeader, &hostile).is_err());
-            let err = simulate(&g, &scheme, inside, hostile).unwrap_err();
-            assert!(matches!(err, RouteError::MissingInformation { .. }), "{err:?}");
-        }
-    }
-
-    #[test]
-    fn scheme_reports_sizes() {
-        let g = generators::cycle(12);
-        let scheme = BallRoutingScheme::new(&g, 5);
-        assert_eq!(RoutingScheme::n(&scheme), 12);
-        assert!(scheme.name().contains("ball-routing"));
-        for v in g.vertices() {
-            assert_eq!(scheme.table_words(v), 3 * 4);
-            assert_eq!(scheme.label_words(v), 1);
+            assert_eq!(t.words_at(hostile), 0);
         }
     }
 }

@@ -183,17 +183,6 @@ pub fn max_cluster_size(g: &Graph, landmarks: &Landmarks) -> usize {
     .unwrap_or(0)
 }
 
-/// Picks `k` vertices uniformly at random (without replacement) — the
-/// "expected size" sampling used when the cluster bound is not needed.
-pub fn sample_uniform<R: Rng>(g: &Graph, k: usize, rng: &mut R) -> Vec<VertexId> {
-    use rand::seq::SliceRandom;
-    let mut ids: Vec<VertexId> = g.vertices().collect();
-    ids.shuffle(rng);
-    ids.truncate(k.min(g.n()));
-    ids.sort_unstable();
-    ids
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,7 +229,7 @@ mod tests {
     fn cluster_and_bunch_duality() {
         let mut r = rng();
         let g = generators::erdos_renyi(60, 0.08, generators::WeightModel::Unit, &mut r);
-        let lm = Landmarks::new(&g, sample_uniform(&g, 8, &mut r));
+        let lm = Landmarks::new(&g, (0..8).map(|i| VertexId(7 * i + 3)).collect());
         let clusters = all_clusters(&g, &lm);
         let bunches = bunches(&g, &clusters);
         // w in B(v) iff v in C(w), and the recorded distance is d(w, v).
@@ -300,16 +289,5 @@ mod tests {
         let lm = sample_centers_bounded(&g, 1, &mut r);
         let limit = 4 * g.n();
         assert!(max_cluster_size(&g, &lm) <= limit);
-    }
-
-    #[test]
-    fn uniform_sampling_is_sorted_and_bounded() {
-        let g = generators::cycle(30);
-        let mut r = rng();
-        let s = sample_uniform(&g, 10, &mut r);
-        assert_eq!(s.len(), 10);
-        assert!(s.windows(2).all(|w| w[0] < w[1]));
-        let all = sample_uniform(&g, 100, &mut r);
-        assert_eq!(all.len(), 30);
     }
 }

@@ -1,18 +1,12 @@
 //! Hitting sets (Lemma 5): given sets `S_1, ..., S_k ⊆ V` each of size at
 //! least `s`, find a set `H` of size `Õ(n/s)` intersecting every `S_i`.
 //!
-//! Two constructions are provided:
-//!
-//! * [`hitting_set_greedy`] — the deterministic greedy set-cover argument
-//!   (Aingworth–Chekuri–Indyk–Motwani, Dor–Halperin–Zwick): repeatedly pick
-//!   the vertex contained in the largest number of not-yet-hit sets.
-//! * [`hitting_set_random`] — sample each vertex independently with
-//!   probability `Θ(ln k / s)` and patch any set the sample missed.
-//!
-//! The experiment harness compares the two as an ablation (they trade
-//! determinism against hitting-set size in practice).
-
-use rand::Rng;
+//! [`hitting_set_greedy`] is the deterministic greedy set-cover argument
+//! (Aingworth–Chekuri–Indyk–Motwani, Dor–Halperin–Zwick): repeatedly pick
+//! the vertex contained in the largest number of not-yet-hit sets. Each pick
+//! is in at least the average share `s/n` of the unhit sets, so at most
+//! `⌈(n/s)·ln k⌉` picks hit all `k`. It draws no randomness: the hitting
+//! set is a function of the input sets alone.
 
 use routing_graph::VertexId;
 
@@ -48,9 +42,12 @@ pub fn hitting_set_greedy(n: usize, sets: &[Vec<VertexId>]) -> Vec<VertexId> {
     let mut remaining = hit.iter().filter(|&&h| !h).count();
     let mut result = Vec::new();
     while remaining > 0 {
-        let best = (0..n).max_by_key(|&v| (gain[v], std::cmp::Reverse(v))).expect("n > 0");
+        // No vertex, or none in an unhit set: cannot happen when every unhit
+        // set is non-empty.
+        let Some(best) = (0..n).max_by_key(|&v| (gain[v], std::cmp::Reverse(v))) else {
+            break;
+        };
         if gain[best] == 0 {
-            // Defensive: cannot happen when every unhit set is non-empty.
             break;
         }
         result.push(VertexId(best as u32));
@@ -69,36 +66,6 @@ pub fn hitting_set_greedy(n: usize, sets: &[Vec<VertexId>]) -> Vec<VertexId> {
     result
 }
 
-/// Randomized hitting set: include each vertex with probability
-/// `min(1, c·ln(max(k, 2)) / s)` where `s` is the smallest input-set size,
-/// then add one arbitrary element from every set the sample missed.
-///
-/// The result always hits every non-empty set; the patching step makes the
-/// construction Las Vegas rather than Monte Carlo.
-pub fn hitting_set_random<R: Rng>(n: usize, sets: &[Vec<VertexId>], rng: &mut R) -> Vec<VertexId> {
-    let s = sets.iter().filter(|s| !s.is_empty()).map(Vec::len).min().unwrap_or(1).max(1);
-    let k = sets.len().max(2) as f64;
-    let p = ((2.0 * k.ln()) / s as f64).min(1.0);
-    let mut chosen = vec![false; n];
-    for v in 0..n {
-        if rng.gen::<f64>() < p {
-            chosen[v] = true;
-        }
-    }
-    for set in sets {
-        if set.is_empty() {
-            continue;
-        }
-        if !set.iter().any(|v| chosen[v.index()]) {
-            // Patch: add the smallest-id element so the result is still a
-            // deterministic function of (sample, input).
-            let v = set.iter().min().expect("set is non-empty");
-            chosen[v.index()] = true;
-        }
-    }
-    (0..n).filter(|&v| chosen[v]).map(|v| VertexId(v as u32)).collect()
-}
-
 /// Returns true if `candidate` intersects every non-empty set.
 ///
 /// The candidate is sorted once and every membership probe is a binary
@@ -114,8 +81,6 @@ pub fn hits_all(candidate: &[VertexId], sets: &[Vec<VertexId>]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn sets_of_balls(n: usize, s: usize) -> Vec<Vec<VertexId>> {
         // Set i = {i, i+1, ..., i+s-1} mod n — every set has size s.
@@ -148,37 +113,6 @@ mod tests {
     fn greedy_with_no_sets_is_empty() {
         let h = hitting_set_greedy(10, &[]);
         assert!(h.is_empty());
-    }
-
-    #[test]
-    fn random_hits_everything() {
-        let n = 200;
-        let s = 20;
-        let sets = sets_of_balls(n, s);
-        let mut rng = StdRng::seed_from_u64(5);
-        let h = hitting_set_random(n, &sets, &mut rng);
-        assert!(hits_all(&h, &sets));
-        // Should be well below n (expected ~ n * 2 ln(n)/s ≈ 106 worst-ish);
-        // just check it is not the whole universe.
-        assert!(h.len() < n);
-    }
-
-    #[test]
-    fn random_is_deterministic_given_seed() {
-        let sets = sets_of_balls(60, 8);
-        let a = hitting_set_random(60, &sets, &mut StdRng::seed_from_u64(9));
-        let b = hitting_set_random(60, &sets, &mut StdRng::seed_from_u64(9));
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn random_patches_missed_sets() {
-        // With probability so low nothing gets sampled, the patch step must
-        // still cover every set.
-        let sets = vec![vec![VertexId(7), VertexId(8)], vec![VertexId(1)]];
-        let mut rng = StdRng::seed_from_u64(1);
-        let h = hitting_set_random(1000, &sets, &mut rng);
-        assert!(hits_all(&h, &sets));
     }
 
     #[test]

@@ -10,13 +10,12 @@
 //!   path — so storing, at every vertex, the first-hop port of a shortest
 //!   path to each of its `ℓ` closest vertices (`3ℓ` words) suffices to
 //!   forward hop-by-hop inside a vicinity on exact shortest paths
-//!   ([`BallTable`], [`BallRoutingScheme`]).
+//!   ([`BallTable`], whose [`BallPorts`] every scheme keeps).
 //! * [`hitting`] — **Lemma 5** (hitting sets). For any collection of sets
 //!   each of size ≥ `s`, a set of size `Õ(n/s)` hitting all of them exists;
-//!   both the deterministic greedy set-cover construction and the
-//!   randomized sample-and-patch construction are provided
-//!   ([`hitting_set_greedy`], [`hitting_set_random`]). The schemes hit the
-//!   vicinities `B(u, q̃)` to obtain their temporary-target sets.
+//!   the deterministic greedy set-cover construction builds one
+//!   ([`hitting_set_greedy`]). The schemes hit the vicinities `B(u, q̃)` to
+//!   obtain their temporary-target sets.
 //! * [`coloring`] — **Lemma 6** (colorings). A `q`-coloring of `V` such
 //!   that every given (large enough) set contains every color and the color
 //!   classes stay balanced ([`Coloring`]); Theorem 10's scheme uses it to
@@ -37,7 +36,7 @@ pub mod centers;
 pub mod coloring;
 pub mod hitting;
 
-pub use balls::{BallPorts, BallRoutingScheme, BallTable, BallView};
+pub use balls::{BallPorts, BallTable, BallView};
 pub use centers::{all_clusters, bunches, sample_centers_bounded, Landmarks};
 pub use coloring::{Coloring, ColoringError};
-pub use hitting::{hitting_set_greedy, hitting_set_random};
+pub use hitting::hitting_set_greedy;
