@@ -26,33 +26,34 @@
 //! scheme — `Õ((k/ε)·n^{1/k})` words total, matching the theorem. Bunches,
 //! cluster trees, the pivot ladder and the TZ share of the table are read
 //! from the [`TzHierarchy`] and its [`routing_core::ClusterFamily`]; the
-//! scheme itself keeps only the vicinities.
+//! scheme itself keeps only the vicinities. As in the TZ scheme, a label is a
+//! `Copy` handle on that ladder and a header carries a tree-label view.
 
 use rand::Rng;
 
 use routing_core::{BuildContext, BuildError, Params, SchemeBuilder};
 use routing_graph::{Graph, VertexId, Weight};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
-use routing_tree::TreeLabel;
+use routing_tree::TreeLabelView;
 use routing_vicinity::BallTable;
 
 use crate::tz::TzHierarchy;
 
 /// Routing phase carried in the message header.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum Phase {
     /// The destination is in the current vertex's vicinity: pure Lemma 2
     /// forwarding.
     Direct,
     /// Walking (exactly, through the vicinity) towards pivot `w`, then
     /// finishing on `w`'s cluster tree with the carried label.
-    ToPivot { w: VertexId, label: TreeLabel },
+    ToPivot { w: VertexId, label: TreeLabelView },
     /// Routing on the cluster tree `T(root)` towards the destination.
-    Tree { root: VertexId, label: TreeLabel },
+    Tree { root: VertexId, label: TreeLabelView },
 }
 
 /// Header of the Theorem 16 scheme.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Thm16Header {
     phase: Phase,
 }
@@ -67,24 +68,15 @@ impl HeaderSize for Thm16Header {
     }
 }
 
-/// Label of a destination in the Theorem 16 scheme: the TZ pivot ladder
-/// with distances (the distances are what lets the source cost its
-/// candidates).
-#[derive(Debug, Clone)]
+/// Label of a destination `v` in the Theorem 16 scheme: a handle on `v`
+/// that stands for `v`, its TZ pivot ladder with distances (the distances
+/// are what lets the source cost its candidates) and its labels in
+/// `T(p_i(v))`, all read from the hierarchy ([`TzHierarchy::ladder`]).
+/// [`RoutingScheme::label_words`] charges all of them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Thm16Label {
     /// The destination vertex.
     pub vertex: VertexId,
-    /// `(p_i(v), d(v, A_i))` for `i = 0..k`.
-    pub pivots: Vec<(VertexId, Weight)>,
-    /// The label of `v` in `T(p_i(v))`, aligned with `pivots`.
-    pub tree_labels: Vec<TreeLabel>,
-}
-
-impl Thm16Label {
-    /// Size in `O(log n)`-bit words.
-    pub fn words(&self) -> usize {
-        1 + 2 * self.pivots.len() + self.tree_labels.iter().map(TreeLabel::words).sum::<usize>()
-    }
 }
 
 /// The Theorem 16 `(4k−7+ε)`-stretch scheme with `Õ((k/ε)·n^{1/k})`-word
@@ -157,12 +149,14 @@ impl RoutingScheme for Thm16Scheme {
     }
 
     fn label_of(&self, v: VertexId) -> Thm16Label {
-        let (pivots, tree_labels) = self.hierarchy.ladder(v).unzip();
-        Thm16Label { vertex: v, pivots, tree_labels }
+        Thm16Label { vertex: v }
     }
 
     fn init_header(&self, source: VertexId, dest: &Thm16Label) -> Result<Thm16Header, RouteError> {
         let v = dest.vertex;
+        if v.index() >= self.hierarchy.n() {
+            return Err(RouteError::BadLabel { what: format!("{v} is not a vertex") });
+        }
         if source == v || self.balls.contains(source, v) {
             routing_obs::counters::ROUTING_PHASE_DIRECT.inc();
             return Ok(Thm16Header { phase: Phase::Direct });
@@ -177,19 +171,17 @@ impl RoutingScheme for Thm16Scheme {
         // Cost every reachable pivot of v and take the cheapest; ties go to
         // the lower ladder level, reproducing plain TZ as the fallback.
         let mut best: Option<(Weight, Phase)> = None;
-        for i in 0..self.hierarchy.k() {
-            let (w, dwv) = dest.pivots[i];
-            let label = &dest.tree_labels[i];
-            if label.tin == u32::MAX {
+        for ((w, dwv), label) in self.hierarchy.ladder(v) {
+            if label == TreeLabelView::ABSENT {
                 continue;
             }
             let (duw, phase) = if w == source {
-                (0, Phase::Tree { root: w, label: label.clone() })
+                (0, Phase::Tree { root: w, label })
             } else if let Some(d) = clusters.bunch_dist(source, w) {
                 // u ∈ C(w) by bunch/cluster duality: T(w) already covers u.
-                (d, Phase::Tree { root: w, label: label.clone() })
+                (d, Phase::Tree { root: w, label })
             } else if let Some(d) = self.balls.dist(source, w) {
-                (d, Phase::ToPivot { w, label: label.clone() })
+                (d, Phase::ToPivot { w, label })
             } else {
                 continue;
             };
@@ -245,7 +237,7 @@ impl RoutingScheme for Thm16Scheme {
                         continue;
                     }
                     if at == *w {
-                        header.phase = Phase::Tree { root: *w, label: label.clone() };
+                        header.phase = Phase::Tree { root: *w, label: *label };
                         continue;
                     }
                     let w = *w;
@@ -259,7 +251,7 @@ impl RoutingScheme for Thm16Scheme {
                         });
                 }
                 Phase::Tree { root, label } => {
-                    return self.hierarchy.clusters().step(*root, at, label);
+                    return self.hierarchy.clusters().step(*root, at, *label);
                 }
             }
         }
@@ -269,14 +261,9 @@ impl RoutingScheme for Thm16Scheme {
         self.balls.words_at(v) + self.hierarchy.table_words(v)
     }
 
+    /// `v`, its `k` pivots with distances and its `k` tree labels.
     fn label_words(&self, v: VertexId) -> usize {
-        self.label_of(v).words()
-    }
-
-    fn label_with_words(&self, v: VertexId) -> (Self::Label, usize) {
-        let label = self.label_of(v);
-        let words = label.words();
-        (label, words)
+        1 + self.hierarchy.ladder(v).map(|(_, label)| 2 + label.words()).sum::<usize>()
     }
 }
 
@@ -386,9 +373,10 @@ mod tests {
         assert!((scheme.epsilon() - 0.25).abs() < 1e-12);
         for v in g.vertices() {
             assert!(scheme.table_words(v) > 0);
-            let label = scheme.label_of(v);
-            assert_eq!(label.pivots.len(), 3);
-            assert_eq!(scheme.label_words(v), label.words());
+            assert_eq!(scheme.label_of(v).vertex, v);
+            // v, three pivots with distances and three tree labels.
+            let trees: usize = scheme.hierarchy().ladder(v).map(|(_, l)| l.words()).sum();
+            assert_eq!(scheme.label_words(v), 1 + 2 * 3 + trees);
         }
     }
 

@@ -33,9 +33,12 @@
 //! until the current vertex's bunch certifies `u ∈ C(w)` (TZ prove the
 //! ladder stops within distance `(2i+1)·d(u, v)` at level `i`), then
 //! finishes on the cluster tree `T_{C(w)}` using the tree label embedded in
-//! `v`'s label. The distance oracle answers from bunches alone with the
-//! classic ping-pong scan, returning `d̂(u, v) ≤ (2k−1)·d(u, v)` in `O(k)`
-//! time.
+//! `v`'s label. A label is a `Copy` handle: its pivots and tree labels are
+//! read from the arrays the hierarchy already keeps (`p_i(v)` from the pivot
+//! table, the tree label as a view into `T(p_i(v))`), and it is charged the
+//! words of the ladder it stands for. The distance oracle answers from
+//! bunches alone with the classic ping-pong scan, returning
+//! `d̂(u, v) ≤ (2k−1)·d(u, v)` in `O(k)` time.
 //!
 //! Clusters, cluster trees and bunches are one [`routing_core::ClusterFamily`]
 //! built by the stage Theorems 10 and 11 use, and the routing scheme, the
@@ -48,7 +51,7 @@ use rand::Rng;
 use routing_core::{BuildContext, BuildError, ClusterFamily, SchemeBuilder};
 use routing_graph::{Graph, VertexId, Weight, INFINITY};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
-use routing_tree::{TreeLabel, TreeScheme};
+use routing_tree::{TreeLabelView, TreeScheme};
 use routing_vicinity::{sample_centers_bounded, Landmarks};
 
 /// The Thorup–Zwick level hierarchy with pivots, bunches and cluster trees.
@@ -194,19 +197,16 @@ impl TzHierarchy {
     }
 
     /// The pivot ladder of `v`: for `i = 0..k`, `(p_i(v), d(v, A_i))` and the
-    /// label of `v` in `T(p_i(v))`. Tie inheritance puts `v` in every
-    /// pivot's cluster; a label that is missing anyway has `tin = u32::MAX`.
+    /// label of `v` in `T(p_i(v))`, as a view into that tree. Tie
+    /// inheritance puts `v` in every pivot's cluster; a label that is missing
+    /// anyway is [`TreeLabelView::ABSENT`].
     pub fn ladder(
         &self,
         v: VertexId,
-    ) -> impl Iterator<Item = ((VertexId, Weight), TreeLabel)> + '_ {
+    ) -> impl Iterator<Item = ((VertexId, Weight), TreeLabelView)> + '_ {
         (0..self.k).map(move |i| {
             let (p, d) = self.pivot(i, v);
-            let label = self
-                .clusters
-                .label_in(p, v)
-                .unwrap_or(TreeLabel { tin: u32::MAX, light_ports: Vec::new() });
-            ((p, d), label)
+            ((p, d), self.clusters.label_in(p, v).unwrap_or(TreeLabelView::ABSENT))
         })
     }
 
@@ -274,30 +274,23 @@ impl TzOracle {
     }
 }
 
-/// Label of a destination in the `(4k−5)` routing scheme.
-#[derive(Debug, Clone)]
+/// Label of a destination `v` in the `(4k−5)` routing scheme: a handle on
+/// `v` that stands for `v`, its pivots `p_i(v)` and its labels in
+/// `T(p_i(v))` for `i = 0..k`, which the scheme reads from the hierarchy
+/// ([`TzHierarchy::ladder`]). [`RoutingScheme::label_words`] charges all
+/// of them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TzLabel {
     /// The destination vertex.
     pub vertex: VertexId,
-    /// `p_i(v)` for `i = 0..k`.
-    pub pivots: Vec<VertexId>,
-    /// The label of `v` in `T(p_i(v))`, aligned with `pivots`.
-    pub tree_labels: Vec<TreeLabel>,
-}
-
-impl TzLabel {
-    /// Size in `O(log n)`-bit words.
-    pub fn words(&self) -> usize {
-        1 + self.pivots.len() + self.tree_labels.iter().map(TreeLabel::words).sum::<usize>()
-    }
 }
 
 /// Header of the `(4k−5)` routing scheme: the chosen cluster-tree root and
 /// the destination's label in that tree.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct TzHeader {
     root: VertexId,
-    label: TreeLabel,
+    label: TreeLabelView,
 }
 
 impl HeaderSize for TzHeader {
@@ -353,15 +346,17 @@ impl RoutingScheme for TzRoutingScheme {
     }
 
     fn label_of(&self, v: VertexId) -> TzLabel {
-        let (pivots, tree_labels) = self.hierarchy.ladder(v).map(|((p, _), l)| (p, l)).unzip();
-        TzLabel { vertex: v, pivots, tree_labels }
+        TzLabel { vertex: v }
     }
 
     fn init_header(&self, source: VertexId, dest: &TzLabel) -> Result<TzHeader, RouteError> {
         let v = dest.vertex;
+        if v.index() >= self.hierarchy.n() {
+            return Err(RouteError::BadLabel { what: format!("{v} is not a vertex") });
+        }
         if source == v {
             routing_obs::counters::ROUTING_PHASE_DIRECT.inc();
-            return Ok(TzHeader { root: v, label: TreeLabel { tin: 0, light_ports: Vec::new() } });
+            return Ok(TzHeader { root: v, label: TreeLabelView { tin: 0, light_len: 0 } });
         }
         // 4k-5 improvement: if v is in the source's own cluster, route on the
         // source's cluster tree with the label stored at the source.
@@ -371,14 +366,11 @@ impl RoutingScheme for TzRoutingScheme {
             return Ok(TzHeader { root: source, label });
         }
         for i in 0..self.hierarchy.k() {
-            let w = dest.pivots[i];
+            let (w, _) = self.hierarchy.pivot(i, v);
             if w == source || clusters.bunch_dist(source, w).is_some() {
-                let label = dest.tree_labels[i].clone();
-                if label.tin == u32::MAX {
-                    return Err(RouteError::BadLabel {
-                        what: format!("{v} has no label in the cluster tree of pivot {w}"),
-                    });
-                }
+                let label = clusters.label_in(w, v).ok_or_else(|| RouteError::BadLabel {
+                    what: format!("{v} has no label in the cluster tree of pivot {w}"),
+                })?;
                 routing_obs::counters::ROUTING_PHASE_TREE.inc();
                 return Ok(TzHeader { root: w, label });
             }
@@ -398,21 +390,16 @@ impl RoutingScheme for TzRoutingScheme {
         if at == dest.vertex {
             return Ok(Decision::Deliver);
         }
-        self.hierarchy.clusters().step(header.root, at, &header.label)
+        self.hierarchy.clusters().step(header.root, at, header.label)
     }
 
     fn table_words(&self, v: VertexId) -> usize {
         self.hierarchy.table_words(v)
     }
 
+    /// `v`, its `k` pivots and its `k` tree labels.
     fn label_words(&self, v: VertexId) -> usize {
-        self.label_of(v).words()
-    }
-
-    fn label_with_words(&self, v: VertexId) -> (Self::Label, usize) {
-        let label = self.label_of(v);
-        let words = label.words();
-        (label, words)
+        1 + self.hierarchy.ladder(v).map(|(_, label)| 1 + label.words()).sum::<usize>()
     }
 }
 

@@ -1,8 +1,20 @@
-//! Telemetry overhead guard: with profiling and metrics disabled (the
-//! default state of every binary that doesn't pass `--metrics`), the
-//! instrumentation compiled into the hot paths must cost **zero heap
-//! allocations** — a disabled `span()` is one relaxed load returning an
-//! inert guard, and a disabled `Counter::inc` is a load and a branch.
+//! Allocation guard for the routed-query hot path.
+//!
+//! With profiling and metrics disabled (the default state of every binary
+//! that doesn't pass `--metrics`), the instrumentation compiled into the
+//! hot paths must cost **zero heap allocations** — a disabled `span()` is
+//! one relaxed load returning an inert guard, and a disabled `Counter::inc`
+//! is a load and a branch. Enabled counters are static atomics, so they
+//! allocate nothing either.
+//!
+//! The query path itself allocates nothing for any key of the default
+//! registry: labels and headers are stack values that view the scheme's own
+//! tables, and the walk is one typed loop. After warm-up, per query:
+//! `simulate_lean` and `simulate_lean_with_label` make 0 allocations,
+//! `simulate` makes exactly 1 (its path, reserved once) on a walk that fits
+//! the reservation, and a serving lane refills one erased label in place,
+//! so a batch of 1024 distinct destinations allocates no more than a batch
+//! of 1024 queries towards one.
 //!
 //! The guard counts allocations through a wrapping `#[global_allocator]`.
 //! Everything lives in ONE `#[test]` so no sibling test can allocate
@@ -11,13 +23,17 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
+use compact_routing::registry::SchemeRegistry;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use routing_baselines::ExactScheme;
-use routing_graph::generators::{self, WeightModel};
-use routing_graph::VertexId;
-use routing_model::{simulate_lean_with_label, DynScheme};
+use routing_core::BuildContext;
+use routing_graph::generators::{self, Family, WeightModel};
+use routing_graph::{Graph, VertexId};
+use routing_model::{simulate, simulate_lean, simulate_lean_with_label, DynScheme, ErasedLabel};
+use routing_serve::{EngineConfig, ShardedEngine};
 
 /// Counts every allocation (alloc, alloc_zeroed, realloc) and delegates to
 /// the system allocator. Deallocations are not counted — the guard is about
@@ -57,6 +73,84 @@ fn allocations_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
     (ALLOCS.load(Ordering::Relaxed) - before, result)
 }
 
+/// Queries per key and graph, and the size of each serving batch.
+const PAIRS: usize = 200;
+const BATCH: usize = 1024;
+
+/// The `simulate` path holds this many vertices before it regrows; a walk
+/// of fewer hops makes exactly one allocation.
+const PATH_FITS: usize = 32;
+
+/// `count` random pairs of distinct vertices.
+fn pairs(n: usize, count: usize, rng: &mut StdRng) -> Vec<(VertexId, VertexId)> {
+    let mut out = Vec::with_capacity(count);
+    while out.len() < count {
+        let (u, v) = (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32));
+        if u != v {
+            out.push((VertexId(u), VertexId(v)));
+        }
+    }
+    out
+}
+
+/// The per-query allocation counts of one scheme, after one warm pass of
+/// every call: lean walks make none, `simulate` one per query, and a
+/// 1024-destination batch no more than a one-destination batch.
+fn assert_query_path_allocations(g: &Arc<Graph>, scheme: Arc<dyn DynScheme>, what: &str) {
+    let mut rng = StdRng::seed_from_u64(0xa110c);
+    let n = g.n();
+    let ttl = 4 * n + 16;
+    let queries = pairs(n, PAIRS, &mut rng);
+    let s = scheme.as_ref();
+    let labels: Vec<ErasedLabel> = queries.iter().map(|&(_, v)| s.label_of(v)).collect();
+    let uniform = pairs(n, BATCH, &mut rng);
+    // The same sources, all towards vertex 0 (a source 0 goes to 1).
+    let one_dest: Vec<(VertexId, VertexId)> =
+        uniform.iter().map(|&(u, _)| (u, VertexId(u32::from(u.0 == 0)))).collect();
+    let config = EngineConfig::with_shards(1);
+    let engine = ShardedEngine::new(Arc::clone(g), Arc::clone(&scheme), config).expect("engine");
+
+    // Warm every call once, outside the counted windows; every pair routes.
+    for (&(u, v), label) in queries.iter().zip(&labels) {
+        let out = simulate(g, s, u, v).unwrap_or_else(|e| panic!("{what}: {u}->{v}: {e}"));
+        assert!(out.path.len() <= PATH_FITS, "{what}: {u}->{v} outgrows the reserved path");
+        simulate_lean(g, s, u, v, ttl).expect("lean walk routes");
+        simulate_lean_with_label(g, s, u, v, label, ttl).expect("labelled walk routes");
+    }
+    for batch in [&uniform, &one_dest] {
+        assert!(engine.route_batch(batch).iter().all(Result::is_ok), "{what}: a batch fails");
+    }
+
+    let (allocs, ()) = allocations_in(|| {
+        for &(u, v) in &queries {
+            simulate_lean(g, s, u, v, ttl).expect("lean walk routes");
+        }
+    });
+    assert_eq!(allocs, 0, "{what}: simulate_lean allocated {allocs} times over {PAIRS} queries");
+
+    let (allocs, ()) = allocations_in(|| {
+        for (&(u, v), label) in queries.iter().zip(&labels) {
+            simulate_lean_with_label(g, s, u, v, label, ttl).expect("labelled walk routes");
+        }
+    });
+    assert_eq!(allocs, 0, "{what}: simulate_lean_with_label allocated {allocs} times");
+
+    let (allocs, ()) = allocations_in(|| {
+        for &(u, v) in &queries {
+            drop(simulate(g, s, u, v).expect("simulate routes"));
+        }
+    });
+    assert_eq!(allocs, PAIRS as u64, "{what}: simulate must allocate its path and nothing else");
+
+    let (uniform_allocs, _) = allocations_in(|| engine.route_batch(&uniform));
+    let (one_dest_allocs, _) = allocations_in(|| engine.route_batch(&one_dest));
+    assert!(
+        uniform_allocs <= one_dest_allocs,
+        "{what}: {BATCH} destinations cost {uniform_allocs} allocations, one costs \
+         {one_dest_allocs}: a label-cache miss allocates"
+    );
+}
+
 #[test]
 fn disabled_telemetry_adds_zero_allocations_to_hot_paths() {
     // The process default, restated so the guard cannot be weakened by test
@@ -75,10 +169,8 @@ fn disabled_telemetry_adds_zero_allocations_to_hot_paths() {
     });
     assert_eq!(n, 0, "disabled span()/Counter must be allocation-free, saw {n} allocations");
 
-    // (b) The routed-query hot path end to end. The exact scheme has a
-    // zero-sized header (Box<ZST> does not allocate), so with a pre-erased
-    // destination label `simulate_lean_with_label` is the workspace's one
-    // fully allocation-free query path — any allocation the telemetry layer
+    // (b) The routed-query hot path end to end on the exact scheme, with a
+    // pre-erased destination label: any allocation the telemetry layer
     // sneaks into the simulator shows up here.
     let mut rng = StdRng::seed_from_u64(42);
     let g = generators::erdos_renyi(80, 0.08, WeightModel::Uniform { lo: 1, hi: 9 }, &mut rng);
@@ -125,4 +217,31 @@ fn disabled_telemetry_adds_zero_allocations_to_hot_paths() {
         "the enabled window must have recorded its queries"
     );
     routing_obs::metrics::reset_counters();
+
+    // (d) Every key of the default registry, on a unit and a weighted
+    // Erdős–Rényi graph, with metrics off and on. Theorem 10 is stated for
+    // unweighted graphs and refuses the weighted one; every other build
+    // must succeed.
+    let registry = SchemeRegistry::with_defaults();
+    let ctx = BuildContext { seed: 7, threads: 1, ..BuildContext::default() };
+    let mut checked = 0;
+    for weights in [WeightModel::Unit, WeightModel::Uniform { lo: 1, hi: 32 }] {
+        let g = Arc::new(Family::ErdosRenyi.generate(150, weights, &mut rng));
+        for key in registry.names() {
+            let scheme = match registry.build(key, &g, &ctx) {
+                Ok(scheme) => Arc::from(scheme),
+                Err(_) if key == "thm10" && !matches!(weights, WeightModel::Unit) => continue,
+                Err(e) => panic!("{key} on {weights:?}: {e}"),
+            };
+            for metrics in [false, true] {
+                routing_obs::set_metrics(metrics);
+                let what = format!("{key} on {weights:?}, metrics {metrics}");
+                assert_query_path_allocations(&g, Arc::clone(&scheme), &what);
+                checked += 1;
+            }
+            routing_obs::set_metrics(false);
+        }
+    }
+    routing_obs::metrics::reset_counters();
+    assert_eq!(checked, 2 * (2 * registry.names().len() - 1), "every key, both graphs but one");
 }

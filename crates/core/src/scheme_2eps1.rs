@@ -26,7 +26,7 @@ use rand::Rng;
 
 use routing_graph::{Graph, VertexId, Weight};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
-use routing_tree::{TreeLabel, TreeScheme};
+use routing_tree::{TreeLabelView, TreeScheme};
 use routing_vicinity::{BallTable, Landmarks};
 
 use crate::seq::KeyedStore;
@@ -34,8 +34,9 @@ use crate::stages::{self, ClusterMembers, Clusters, Vicinities};
 use crate::technique1::{Technique1Header, Technique1Router};
 use crate::{BuildError, Params};
 
-/// Label of a destination under Theorem 10.
-#[derive(Debug, Clone)]
+/// Label of a destination under Theorem 10: a `Copy` handle whose tree
+/// label is a view into the global tree `T(p_A(v))` every vertex stores.
+#[derive(Debug, Clone, Copy)]
 pub struct Scheme2Label {
     /// The destination vertex `v`.
     pub vertex: VertexId,
@@ -46,7 +47,7 @@ pub struct Scheme2Label {
     /// The distance `d(v, p_A(v))`.
     pub d_pa: Weight,
     /// The Lemma 3 label of `v` in the global tree `T(p_A(v))`.
-    pub global_label: TreeLabel,
+    pub global_label: TreeLabelView,
 }
 
 impl Scheme2Label {
@@ -57,7 +58,7 @@ impl Scheme2Label {
 }
 
 /// Routing phase carried in the header.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum Phase {
     /// Destination is inside the source's vicinity.
     Direct,
@@ -67,7 +68,7 @@ enum Phase {
     /// label in that tree (fetched from `root`'s table).
     ClusterTree {
         root: VertexId,
-        label: TreeLabel,
+        label: TreeLabelView,
     },
     /// Routing on the global tree `T(p_A(v))` (label comes from `v`'s label).
     GlobalTree,
@@ -78,7 +79,7 @@ enum Phase {
 }
 
 /// Header of the Theorem 10 scheme.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Scheme2Header {
     phase: Phase,
 }
@@ -214,10 +215,8 @@ impl RoutingScheme for SchemeTwoPlusEps {
     fn label_of(&self, v: VertexId) -> Scheme2Label {
         let p_a = self.landmarks().nearest(v).unwrap_or(v);
         let d_pa = self.landmarks().dist_to_set(v).unwrap_or(0);
-        let global_label = self
-            .global_tree(p_a)
-            .and_then(|t| t.label(v))
-            .unwrap_or(TreeLabel { tin: u32::MAX, light_ports: Vec::new() });
+        let global_label =
+            self.global_tree(p_a).and_then(|t| t.label_view(v)).unwrap_or(TreeLabelView::ABSENT);
         Scheme2Label { vertex: v, color: self.vic.color(v), p_a, d_pa, global_label }
     }
 
@@ -271,12 +270,12 @@ impl RoutingScheme for SchemeTwoPlusEps {
                     }
                     return self.vic.toward(at, *w, "intersection vertex");
                 }
-                Phase::ClusterTree { root, label } => return self.clusters.step(*root, at, label),
+                Phase::ClusterTree { root, label } => return self.clusters.step(*root, at, *label),
                 Phase::GlobalTree => {
                     let tree = self.global_tree(dest.p_a).ok_or_else(|| RouteError::BadLabel {
                         what: format!("{} is not a landmark", dest.p_a),
                     })?;
-                    return tree.step(at, &dest.global_label);
+                    return tree.step_view(at, dest.global_label);
                 }
                 Phase::ToRep(w) => {
                     if at == *w {

@@ -21,7 +21,7 @@ use crate::technique1::{Technique1Header, Technique1Router};
 use crate::{BuildError, Params};
 
 /// Routing phase carried in the message header.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum Phase {
     /// The destination is in the source's vicinity: pure Lemma 2 forwarding.
     Direct,
@@ -33,7 +33,7 @@ enum Phase {
 }
 
 /// Header of the warm-up scheme.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Scheme3Header {
     phase: Phase,
 }

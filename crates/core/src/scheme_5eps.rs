@@ -24,7 +24,7 @@ use rand::Rng;
 
 use routing_graph::{Graph, Port, VertexId};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
-use routing_tree::TreeLabel;
+use routing_tree::TreeLabelView;
 use routing_vicinity::Landmarks;
 
 use crate::stages::{self, Clusters, Vicinities};
@@ -32,7 +32,7 @@ use crate::technique2::{Technique2Header, Technique2Router};
 use crate::{BuildError, Params};
 
 /// Label of a destination under Theorem 11.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Scheme5Label {
     /// The destination vertex `v`.
     pub vertex: VertexId,
@@ -55,14 +55,14 @@ impl Scheme5Label {
 }
 
 /// Routing phase carried in the header.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum Phase {
     /// Destination inside the source's vicinity.
     Direct,
     /// Destination inside the source's cluster; route on that cluster tree.
     ClusterTree {
         root: VertexId,
-        label: TreeLabel,
+        label: TreeLabelView,
     },
     /// Walking to the color representative of `α(p_A(v))`.
     ToRep(VertexId),
@@ -74,7 +74,7 @@ enum Phase {
 }
 
 /// Header of the Theorem 11 scheme.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Scheme5Header {
     phase: Phase,
 }
@@ -256,7 +256,7 @@ impl RoutingScheme for SchemeFivePlusEps {
         loop {
             match &mut header.phase {
                 Phase::Direct => return self.vic.toward(at, v, "destination"),
-                Phase::ClusterTree { root, label } => return self.clusters.step(*root, at, label),
+                Phase::ClusterTree { root, label } => return self.clusters.step(*root, at, *label),
                 Phase::ToRep(w) => {
                     if at == *w {
                         let h = self.router.start(at, dest.p_a)?;

@@ -37,7 +37,7 @@ use crate::technique1::{Technique1Header, Technique1Router};
 use crate::{BuildError, Params};
 
 /// Routing phase carried in the message header.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum Phase {
     /// The destination is in the current vertex's stored ball: pure
     /// Lemma 2 forwarding (exact by Property 1).
@@ -51,7 +51,7 @@ enum Phase {
 }
 
 /// Header of the multilevel scheme.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct MultilevelHeader {
     phase: Phase,
 }

@@ -20,7 +20,9 @@
 //! key and its end — and an entry 8 bytes; no sequence is a heap object of
 //! its own. The builders append each task's sequences to a `SeqChunk` of
 //! arena entries, and the store concatenates the chunks once. A header
-//! carries a sequence decoded into `SeqEntry`s.
+//! carries a sequence as a `SeqCursor` — where its row starts in the arena,
+//! how long it is, and which entry is the current target — and reads one
+//! entry at a time; the words it is charged are the sequence's.
 
 use serde::{Deserialize, Serialize};
 
@@ -90,6 +92,48 @@ pub fn sequence_words(entries: &[SeqEntry]) -> usize {
     SeqEntry::words() * entries.len()
 }
 
+/// A stored sequence as a header carries it: a view of one [`SeqStore`] row
+/// (`len` entries from `start` in the arena) and the index of the current
+/// temporary target. The default cursor is the empty sequence.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct SeqCursor {
+    start: u32,
+    len: u32,
+    /// The current temporary target, `< len` on a non-empty sequence.
+    pub(crate) idx: u32,
+}
+
+impl SeqCursor {
+    /// Entries in the sequence.
+    #[inline]
+    pub(crate) fn len(self) -> usize {
+        self.len as usize
+    }
+
+    /// True for the empty sequence.
+    #[inline]
+    pub(crate) fn is_empty(self) -> bool {
+        self.len == 0
+    }
+
+    /// True when the current target is the sequence's last.
+    #[inline]
+    pub(crate) fn at_last(self) -> bool {
+        self.idx + 1 == self.len
+    }
+
+    /// The cursor on the sequence's last entry.
+    #[inline]
+    pub(crate) fn last(self) -> SeqCursor {
+        SeqCursor { idx: self.len.saturating_sub(1), ..self }
+    }
+
+    /// Size of the sequence in `O(log n)`-bit words.
+    pub(crate) fn words(self) -> usize {
+        SeqEntry::words() * self.len()
+    }
+}
+
 /// The port field of a [`PackedEntry`] that makes it a ball hop.
 const BALL_HOP: u32 = u32::MAX;
 
@@ -122,8 +166,8 @@ impl PackedEntry {
     }
 }
 
-/// A stored sequence as a header carries it.
-#[inline]
+/// A stored sequence, decoded.
+#[cfg(test)]
 pub(crate) fn decode(entries: &[PackedEntry]) -> Vec<SeqEntry> {
     entries.iter().map(|e| e.decode()).collect()
 }
@@ -356,13 +400,33 @@ impl SeqStore {
     /// stores nothing.
     #[inline]
     pub(crate) fn get(&self, u: VertexId, key: VertexId) -> Option<&[PackedEntry]> {
+        let c = self.cursor(u, key)?;
+        self.arena.get(c.start as usize..(c.start + c.len) as usize)
+    }
+
+    /// A cursor on the first entry of what `u` stores for `key`, if
+    /// anything.
+    #[inline]
+    pub(crate) fn cursor(&self, u: VertexId, key: VertexId) -> Option<SeqCursor> {
         let i = self.ends.get_index(u, key)?;
-        let lo = match i.checked_sub(1) {
+        let start = match i.checked_sub(1) {
             Some(prev) => *self.ends.values.get(prev)?,
             None => 0,
         };
-        let hi = *self.ends.values.get(i)?;
-        self.arena.get(lo as usize..hi as usize)
+        let end = *self.ends.values.get(i)?;
+        Some(SeqCursor { start, len: end.checked_sub(start)?, idx: 0 })
+    }
+
+    /// The entry at the cursor's index: the current temporary target of a
+    /// header at `at`. A cursor past its row — on the empty sequence, or
+    /// one this store did not make — is [`RouteError::MissingInformation`].
+    #[inline]
+    pub(crate) fn entry(&self, at: VertexId, c: SeqCursor) -> Result<SeqEntry, RouteError> {
+        let slot = (c.idx < c.len).then(|| self.arena.get((c.start + c.idx) as usize)).flatten();
+        slot.map(|e| e.decode()).ok_or_else(|| RouteError::MissingInformation {
+            at,
+            what: format!("the header's sequence cursor {c:?} is off its row"),
+        })
     }
 
     /// Heap bytes held, by capacity.
@@ -373,6 +437,11 @@ impl SeqStore {
 
 #[cfg(test)]
 impl SeqStore {
+    /// Every entry of a cursor's sequence, decoded.
+    pub(crate) fn decode_row(&self, c: SeqCursor) -> Vec<SeqEntry> {
+        decode(&self.arena[c.start as usize..(c.start + c.len) as usize])
+    }
+
     /// `(pairs, entries)` stored, after checking that every array's
     /// capacity is its length.
     pub(crate) fn tight_sizes(&self) -> (usize, usize) {
@@ -452,7 +521,16 @@ mod tests {
         let store = SeqStore::from_sorted(5, rows).unwrap();
         for (&(u, key), s) in keys.iter().zip(seqs) {
             assert_eq!(store.get(u, key), Some(s), "({u}, {key})");
-            assert_eq!(store.get(u, key).map(decode), Some(s.iter().map(|e| e.decode()).collect()));
+            let c = store.cursor(u, key).unwrap();
+            let want: Vec<SeqEntry> = s.iter().map(|e| e.decode()).collect();
+            assert_eq!(store.decode_row(c), want, "({u}, {key})");
+            // Stepping the cursor reads the row entry by entry, then nothing.
+            let read: Vec<SeqEntry> = (0..=c.len() as u32)
+                .map_while(|idx| store.entry(u, SeqCursor { idx, ..c }).ok())
+                .collect();
+            assert_eq!(read, want, "({u}, {key})");
+            assert_eq!(store.entry(u, c.last()).ok(), want.last().copied(), "({u}, {key})");
+            assert_eq!(c.words(), sequence_words(&want));
         }
         assert_eq!(store.get(v(0), v(2)), None);
         assert_eq!(store.get(v(5), v(0)), None, "a vertex of another instance");

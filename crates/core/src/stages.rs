@@ -25,7 +25,7 @@ use rand::Rng;
 
 use routing_graph::{Graph, SearchScratch, VertexId, Weight};
 use routing_model::{Decision, RouteError, RoutingScheme};
-use routing_tree::{TreeLabel, TreeScheme};
+use routing_tree::{TreeLabelView, TreeScheme};
 use routing_vicinity::{sample_centers_bounded, BallPorts, BallTable, Coloring, Landmarks};
 
 use crate::{BuildError, Params};
@@ -286,35 +286,47 @@ impl ClusterFamily {
         bunch.binary_search_by_key(&w, |&(x, _)| x).ok().map(|i| bunch[i].1)
     }
 
-    /// The label of `v` in `T(root)`, if `v ∈ C(root)`.
+    /// The label of `v` in `T(root)`, if `v ∈ C(root)`, as a view into
+    /// `T(root)`'s table: `root` stores the labels of its cluster's members,
+    /// so a header that carries one copies nothing.
     #[inline]
-    pub fn label_in(&self, root: VertexId, v: VertexId) -> Option<TreeLabel> {
-        self.trees[root.index()].label(v)
+    pub fn label_in(&self, root: VertexId, v: VertexId) -> Option<TreeLabelView> {
+        self.trees.get(root.index())?.label_view(v)
     }
 
     /// [`ClusterFamily::label_in`] where the scheme's invariants promise
     /// `v ∈ C(root)`: a miss is [`RouteError::MissingInformation`].
     #[inline]
-    pub fn label_in_cluster(&self, root: VertexId, v: VertexId) -> Result<TreeLabel, RouteError> {
+    pub fn label_in_cluster(
+        &self,
+        root: VertexId,
+        v: VertexId,
+    ) -> Result<TreeLabelView, RouteError> {
         self.label_in(root, v).ok_or_else(|| RouteError::MissingInformation {
             at: root,
             what: format!("{v} is not in the cluster of {root}"),
         })
     }
 
-    /// One routing step at `at` on `T(root)`.
+    /// One routing step at `at` on `T(root)` towards the holder of a view
+    /// [`ClusterFamily::label_in`] returned for `root`.
     ///
     /// # Errors
     ///
-    /// As [`TreeScheme::step`].
+    /// As [`TreeScheme::step`]; a `root` outside the family is
+    /// [`RouteError::MissingInformation`].
     #[inline]
     pub fn step(
         &self,
         root: VertexId,
         at: VertexId,
-        label: &TreeLabel,
+        label: TreeLabelView,
     ) -> Result<Decision, RouteError> {
-        self.trees[root.index()].step(at, label)
+        let tree = self.trees.get(root.index()).ok_or_else(|| RouteError::MissingInformation {
+            at,
+            what: format!("no cluster tree rooted at {root}"),
+        })?;
+        tree.step_view(at, label)
     }
 
     /// Words `u` stores: tree-routing information of every cluster

@@ -14,7 +14,8 @@
 //! [`Technique1Router::start`] reads it from `T(w)` when the sequence's last
 //! target is not the destination, which happens exactly when the sequence
 //! stopped early. The sequences themselves are one `SeqStore` arena, 8
-//! bytes a pair and 8 an entry.
+//! bytes a pair and 8 an entry, and a header carries its sequence as a
+//! cursor into that arena and the tree label as a view into `T(w)`'s table.
 //! A sequence reads only a shortest `u`–`v` path and the distance from `u`
 //! to each vertex on it, so one search per source serves all its set's
 //! members. On a unit-weight graph — Theorems 10, 13 and 15 take those, and
@@ -33,32 +34,30 @@
 use routing_graph::scratch::BFS_BATCH_WIDTH;
 use routing_graph::{BfsBatch, Graph, SearchScratch, VertexId, Weight};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
-use routing_tree::{TreeLabel, TreeScheme};
+use routing_tree::{TreeLabelView, TreeScheme};
 use routing_vicinity::{hitting_set_greedy, BallPorts, BallTable};
 
-use crate::seq::{
-    decode, push_hops, sequence_words, walk_round, PackedEntry, SeqChunk, SeqEntry, SeqStore,
-};
+use crate::seq::{push_hops, walk_round, PackedEntry, SeqChunk, SeqCursor, SeqEntry, SeqStore};
 use crate::stages;
 use crate::{BuildError, Params};
 
-/// The header carried by a message routed with the first technique.
-#[derive(Debug, Clone)]
+/// The header carried by a message routed with the first technique: the
+/// stored sequence as a cursor into the router's arena, and the
+/// destination's label in `T(w)` as a view into that tree. It is charged
+/// the words of the sequence and label it stands for.
+#[derive(Debug, Clone, Copy)]
 pub struct Technique1Header {
-    seq: Vec<SeqEntry>,
-    idx: usize,
+    seq: SeqCursor,
     /// `(w, label of destination in T(w))` when the sequence ends at a
     /// hitting-set vertex.
-    final_tree: Option<(VertexId, TreeLabel)>,
+    final_tree: Option<(VertexId, TreeLabelView)>,
     /// True once the message switched to routing on `T(w)`.
     tree_mode: bool,
 }
 
 impl HeaderSize for Technique1Header {
     fn words(&self) -> usize {
-        sequence_words(&self.seq)
-            + 1
-            + self.final_tree.as_ref().map(|(_, l)| 1 + l.words()).unwrap_or(0)
+        self.seq.words() + 1 + self.final_tree.map_or(0, |(_, l)| 1 + l.words())
     }
 }
 
@@ -166,7 +165,7 @@ impl Technique1Router {
         for (u, v, s) in rows.clone() {
             let label_words = match s.last().map(|e| e.decode().vertex) {
                 Some(w) if w != v => global_tree(&hitting, &trees, w)
-                    .and_then(|t| t.label(v))
+                    .and_then(|t| t.label_view(v))
                     .ok_or_else(|| BuildError::Inconsistent {
                         what: format!("the sequence at {u} for {v} stops at {w}, which has no tree"),
                     })?
@@ -224,21 +223,18 @@ impl Technique1Router {
     /// bug).
     pub fn start(&self, at: VertexId, dest: VertexId) -> Result<Technique1Header, RouteError> {
         if at == dest {
-            return Ok(Technique1Header { seq: Vec::new(), idx: 0, final_tree: None, tree_mode: false });
+            let seq = SeqCursor::default();
+            return Ok(Technique1Header { seq, final_tree: None, tree_mode: false });
         }
-        let stored = self.seqs.get(at, dest).ok_or_else(|| RouteError::MissingInformation {
+        let seq = self.seqs.cursor(at, dest).ok_or_else(|| RouteError::MissingInformation {
             at,
             what: format!("no Lemma 7 sequence for destination {dest} (different partition set)"),
         })?;
-        let seq = decode(stored);
-        let w = seq.last().map(|e| e.vertex).ok_or_else(|| RouteError::MissingInformation {
-            at,
-            what: format!("empty Lemma 7 sequence for destination {dest}"),
-        })?;
+        let w = self.seqs.entry(at, seq.last())?.vertex;
         let final_tree = if w == dest {
             None
         } else {
-            let label = self.tree_of(w).and_then(|t| t.label(dest)).ok_or_else(|| {
+            let label = self.tree_of(w).and_then(|t| t.label_view(dest)).ok_or_else(|| {
                 RouteError::MissingInformation {
                     at,
                     what: format!("Lemma 7 sequence for {dest} stops at {w}, which has no tree"),
@@ -247,7 +243,7 @@ impl Technique1Router {
             Some((w, label))
         };
         let tree_mode = seq.len() == 1 && final_tree.is_some();
-        Ok(Technique1Header { seq, idx: 0, final_tree, tree_mode })
+        Ok(Technique1Header { seq, final_tree, tree_mode })
     }
 
     /// One local routing decision of the Lemma 7 phase at vertex `at`.
@@ -278,16 +274,9 @@ impl Technique1Router {
             });
         }
         // Advance past targets we are standing on.
-        while header.seq[header.idx].vertex == at {
-            if header.idx + 1 < header.seq.len() {
-                header.idx += 1;
-                if header.idx + 1 == header.seq.len() && header.final_tree.is_some() {
-                    // The next (= last) target is the hitting-set vertex: the
-                    // paper routes the rest on T(w) starting here.
-                    header.tree_mode = true;
-                    return self.tree_step(at, header);
-                }
-            } else {
+        let mut target = self.seqs.entry(at, header.seq)?;
+        while target.vertex == at {
+            if header.seq.at_last() {
                 // Standing on the last target which is not the destination
                 // and not a hitting-set final vertex: preprocessing bug.
                 return Err(RouteError::MissingInformation {
@@ -295,24 +284,32 @@ impl Technique1Router {
                     what: "reached end of Lemma 7 sequence before the destination".into(),
                 });
             }
+            header.seq.idx += 1;
+            if header.seq.at_last() && header.final_tree.is_some() {
+                // The next (= last) target is the hitting-set vertex: the
+                // paper routes the rest on T(w) starting here.
+                header.tree_mode = true;
+                return self.tree_step(at, header);
+            }
+            target = self.seqs.entry(at, header.seq)?;
         }
-        if header.idx + 1 == header.seq.len() && header.final_tree.is_some() {
+        if header.seq.at_last() && header.final_tree.is_some() {
             header.tree_mode = true;
             return self.tree_step(at, header);
         }
-        header.seq[header.idx].forward(at, balls)
+        target.forward(at, balls)
     }
 
     fn tree_step(&self, at: VertexId, header: &Technique1Header) -> Result<Decision, RouteError> {
-        let (w, label) = header.final_tree.as_ref().ok_or_else(|| RouteError::MissingInformation {
+        let (w, label) = header.final_tree.ok_or_else(|| RouteError::MissingInformation {
             at,
             what: "tree mode without a final tree label".into(),
         })?;
-        let tree = self.tree_of(*w).ok_or_else(|| RouteError::MissingInformation {
+        let tree = self.tree_of(w).ok_or_else(|| RouteError::MissingInformation {
             at,
             what: format!("no global tree stored for hitting-set vertex {w}"),
         })?;
-        tree.step(at, label)
+        tree.step_view(at, label)
     }
 
     /// The words Lemma 7 charges to `v`: tree-routing information for every
@@ -607,7 +604,10 @@ mod tests {
     use routing_graph::apsp::DistanceMatrix;
     use routing_graph::generators::{self, WeightModel};
     use routing_model::simulate;
+    use routing_tree::TreeLabel;
     use routing_vicinity::hitting::hits_all;
+
+    use crate::seq::decode;
 
     fn partition_mod(n: usize, q: u32) -> Vec<u32> {
         (0..n).map(|v| (v as u32) % q).collect()
@@ -817,11 +817,14 @@ mod tests {
                         path.iter().map(|&x| scratch.dist(x).unwrap()).collect();
                     let old = stored_sequence(&walk, &router.trees, &path, &prefix, 0);
                     let header = router.start(u, v).unwrap();
-                    assert_eq!(header.seq, old.entries, "{name}: ({u}, {v})");
+                    assert_eq!(router.seqs.decode_row(header.seq), old.entries, "{name}: ({u}, {v})");
                     let last = old.entries.last().map(|e| e.vertex);
-                    let derived = header.final_tree.map(|(w, label)| {
+                    // The header's view, read back through the tree it views.
+                    let derived = header.final_tree.map(|(w, view)| {
                         assert_eq!(Some(w), last, "{name}: ({u}, {v})");
-                        label
+                        let tree = router.tree_of(w).unwrap();
+                        assert_eq!(tree.label_view(v), Some(view), "{name}: ({u}, {v})");
+                        tree.label(v).unwrap()
                     });
                     assert_eq!(derived, old.final_tree_label, "{name}: ({u}, {v})");
                     if derived.is_some() {

@@ -17,28 +17,28 @@
 //! temporary targets are ball hops (Lemma 2) or single-edge hops over stored
 //! ports, exactly as in Lemma 7. When the message reaches the last vertex of
 //! the sequence and it is not `w`, that vertex swaps in its own sequence for
-//! `w` and forwarding continues.
+//! `w` and forwarding continues. The header carries the sequence as a cursor
+//! into the router's arena, so the swap re-points the cursor.
 
 use routing_graph::{Graph, SearchScratch, VertexId, Weight};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
 use routing_vicinity::{BallPorts, BallTable};
 
-use crate::seq::{
-    decode, push_hops, sequence_words, walk_round, PackedEntry, SeqChunk, SeqEntry, SeqStore,
-};
+use crate::seq::{push_hops, walk_round, PackedEntry, SeqChunk, SeqCursor, SeqEntry, SeqStore};
 use crate::stages;
 use crate::{BuildError, Params};
 
-/// The header carried by a message routed with the second technique.
-#[derive(Debug, Clone)]
+/// The header carried by a message routed with the second technique: the
+/// current sequence as a cursor into the router's arena, charged the words
+/// of the sequence it stands for.
+#[derive(Debug, Clone, Copy)]
 pub struct Technique2Header {
-    seq: Vec<SeqEntry>,
-    idx: usize,
+    seq: SeqCursor,
 }
 
 impl HeaderSize for Technique2Header {
     fn words(&self) -> usize {
-        sequence_words(&self.seq) + 1
+        self.seq.words() + 1
     }
 }
 
@@ -204,13 +204,13 @@ impl Technique2Router {
     /// for `dest` (they are not matched by the partitions).
     pub fn start(&self, at: VertexId, dest: VertexId) -> Result<Technique2Header, RouteError> {
         if at == dest {
-            return Ok(Technique2Header { seq: Vec::new(), idx: 0 });
+            return Ok(Technique2Header { seq: SeqCursor::default() });
         }
-        let seq = self.seqs.get(at, dest).ok_or_else(|| RouteError::MissingInformation {
+        let seq = self.seqs.cursor(at, dest).ok_or_else(|| RouteError::MissingInformation {
             at,
             what: format!("no Lemma 8 sequence for destination {dest} at this vertex"),
         })?;
-        Ok(Technique2Header { seq: decode(seq), idx: 0 })
+        Ok(Technique2Header { seq })
     }
 
     /// One local routing decision of the Lemma 8 phase at vertex `at`.
@@ -237,11 +237,10 @@ impl Technique2Router {
         // Advance past targets we are standing on; when standing on the final
         // target (which is not `dest`), swap in this vertex's own sequence.
         let mut guard = 0usize;
-        while header.seq[header.idx].vertex == at {
-            if header.idx + 1 < header.seq.len() {
-                header.idx += 1;
-            } else {
-                let next = self.seqs.get(at, dest).ok_or_else(|| {
+        let mut target = self.seqs.entry(at, header.seq)?;
+        while target.vertex == at {
+            if header.seq.at_last() {
+                header.seq = self.seqs.cursor(at, dest).ok_or_else(|| {
                     RouteError::MissingInformation {
                         at,
                         what: format!(
@@ -249,8 +248,8 @@ impl Technique2Router {
                         ),
                     }
                 })?;
-                header.seq = decode(next);
-                header.idx = 0;
+            } else {
+                header.seq.idx += 1;
             }
             guard += 1;
             if guard > header.seq.len() + 2 {
@@ -259,8 +258,9 @@ impl Technique2Router {
                     what: "lemma 8 sequence advance did not make progress".into(),
                 });
             }
+            target = self.seqs.entry(at, header.seq)?;
         }
-        header.seq[header.idx].forward(at, balls)
+        target.forward(at, balls)
     }
 
     /// The words Lemma 8 charges to `v`: the stored sequences (the shared
@@ -434,7 +434,7 @@ impl RoutingScheme for Technique2Scheme {
         dest: &Technique2Label,
     ) -> Result<Technique2Header, RouteError> {
         if source == dest.vertex {
-            return Ok(Technique2Header { seq: Vec::new(), idx: 0 });
+            return Ok(Technique2Header { seq: SeqCursor::default() });
         }
         if dest.set == u32::MAX {
             return Err(RouteError::BadLabel {
@@ -481,6 +481,8 @@ mod tests {
     use routing_model::simulate;
     use routing_vicinity::Coloring;
     use std::collections::HashMap;
+
+    use crate::seq::{decode, sequence_words};
 
     /// Builds a Lemma-6-style coloring of the graph's vicinities so the
     /// Lemma 8 assumption holds, and an arbitrary partition of `dests`.

@@ -105,13 +105,14 @@ pub const WORKSPACE_CRATES: &[CrateSpec] = &[
 /// Hard panic-ban scopes, keyed by workspace-relative file path. These are
 /// the routed-query hot paths: `graph::scratch` (query scratchpad),
 /// `model::simulate_lean*`, `walk` (the one hop loop every simulator entry
-/// point runs) + `record_delivery`,
-/// `serve::engine`/`snapshot` (the serving data plane), the `obs`
-/// disabled paths (span/metric fast-outs that run even when telemetry is
-/// off), the `vicinity::balls` slot probe every scheme runs per hop, and
+/// point runs) + `record_delivery`, the erased adapter's `walk` and the
+/// label check it makes once per query, `serve::engine`/`snapshot` (the
+/// serving data plane), the `obs` disabled paths (span/metric fast-outs that
+/// run even when telemetry is off), the `vicinity::balls` slot probe every
+/// scheme runs per hop, the tree step every tree phase takes per hop, and
 /// the query arms every `routing-core` scheme shares (`stages`' vicinity and
-/// cluster arms, `seq`'s keyed-store and sequence-arena lookups and the
-/// decode a header's sequence goes through).
+/// cluster arms, `seq`'s keyed-store lookups and the cursor reads a header's
+/// sequence goes through, and Techniques 1 and 2's `start`/`step`).
 pub const HOT_PATHS: &[(&str, HotScope)] = &[
     ("crates/graph/src/scratch.rs", HotScope::File),
     (
@@ -126,8 +127,28 @@ pub const HOT_PATHS: &[(&str, HotScope)] = &[
             "member_range",
         ]),
     ),
-    ("crates/core/src/stages.rs", HotScope::FnPrefixes(&["sees", "toward", "rep", "label_in"])),
-    ("crates/core/src/seq.rs", HotScope::FnPrefixes(&["get", "decode"])),
+    (
+        "crates/tree/src/lib.rs",
+        HotScope::FnPrefixes(&[
+            "tree_route_step",
+            "step",
+            "slot",
+            "node_info",
+            "light_ports",
+            "label_view",
+        ]),
+    ),
+    (
+        "crates/core/src/stages.rs",
+        HotScope::FnPrefixes(&["sees", "toward", "rep", "label_in", "step"]),
+    ),
+    ("crates/core/src/seq.rs", HotScope::FnPrefixes(&["get", "cursor", "entry", "decode"])),
+    (
+        "crates/core/src/technique1.rs",
+        HotScope::FnPrefixes(&["start", "step", "tree_step", "tree_of", "global_tree"]),
+    ),
+    ("crates/core/src/technique2.rs", HotScope::FnPrefixes(&["start", "step"])),
+    ("crates/model/src/erased.rs", HotScope::FnPrefixes(&["walk", "typed_for", "label_into"])),
     (
         "crates/model/src/simulator.rs",
         HotScope::FnPrefixes(&["simulate_lean", "walk", "record_delivery"]),

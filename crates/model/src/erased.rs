@@ -33,37 +33,64 @@
 //! encoding every label family into words would buy no generality here —
 //! the word *count* is what the paper's tables compare — and would put a
 //! codec between the typed scheme and its own data on the hot path.
+//!
+//! # One typed walk
+//!
+//! A whole query is one virtual call, [`DynScheme::walk`]: the adapter runs
+//! the simulator's hop loop monomorphised for the concrete scheme, with the
+//! typed label and header on the stack, so no `Box` is made per query. The
+//! per-hop [`DynScheme::init_header`] / [`DynScheme::decide`] pair stays for
+//! callers that step a message themselves; it boxes one header per call.
 
 use std::any::Any;
 
-use routing_graph::VertexId;
+use routing_graph::{Graph, VertexId};
 
 use crate::scheme::{Decision, HeaderSize, RoutingScheme};
+use crate::simulator::{self, LeanOutcome};
 use crate::RouteError;
 
 /// A destination label that has been type-erased for [`DynScheme`].
 ///
 /// Carries the label's size in `O(log n)`-bit words next to the opaque
-/// payload, so space accounting survives erasure.
+/// payload, so space accounting survives erasure, and — for a label a
+/// scheme produced — a fingerprint of that scheme's name: two registry keys
+/// may share a label type (`tz2` and `tz3`, `exact` and `spanner`), and a
+/// label of one is still [`RouteError::BadLabel`] to the other.
 pub struct ErasedLabel {
     inner: Box<dyn ClonableAny>,
     words: usize,
+    /// [`scheme_fingerprint`] of the producing scheme's name; `None` for a
+    /// label built with [`ErasedLabel::new`], which any scheme of its type
+    /// accepts.
+    scheme: Option<u64>,
 }
 
 impl ErasedLabel {
-    /// Erases a typed label, recording its size in words.
+    /// Erases a typed label, recording its size in words. The label is tied
+    /// to no scheme: every scheme with label type `L` accepts it.
     ///
     /// `Send + Sync` on the payload makes the erased label itself
     /// `Send + Sync`, so the serving layer can erase a label on a
     /// dispatcher thread and route with it on a shard thread.
     pub fn new<L: Clone + Send + Sync + 'static>(label: L, words: usize) -> Self {
-        ErasedLabel { inner: Box::new(label), words }
+        ErasedLabel { inner: Box::new(label), words, scheme: None }
     }
 
     /// The typed label, if this label was produced by a scheme with label
     /// type `L`.
     pub fn downcast_ref<L: 'static>(&self) -> Option<&L> {
         self.inner.as_any().downcast_ref::<L>()
+    }
+
+    /// The typed label `scheme` may route with: of its label type, and
+    /// produced by `scheme` or by no scheme at all.
+    #[inline]
+    pub(crate) fn typed_for<L: 'static>(&self, scheme: &str) -> Result<&L, RouteError> {
+        if self.scheme.is_some_and(|f| f != scheme_fingerprint(scheme)) {
+            return Err(foreign_label(scheme));
+        }
+        self.downcast_ref::<L>().ok_or_else(|| foreign_label(scheme))
     }
 
     /// Size of the erased label in `O(log n)`-bit words (as reported by
@@ -75,8 +102,16 @@ impl ErasedLabel {
 
 impl Clone for ErasedLabel {
     fn clone(&self) -> Self {
-        ErasedLabel { inner: self.inner.clone_box(), words: self.words }
+        ErasedLabel { inner: self.inner.clone_box(), words: self.words, scheme: self.scheme }
     }
+}
+
+/// FNV-1a over a scheme's name: what an [`ErasedLabel`] remembers of the
+/// scheme that produced it.
+#[inline]
+fn scheme_fingerprint(name: &str) -> u64 {
+    let step = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+    name.bytes().fold(0xcbf2_9ce4_8422_2325, step)
 }
 
 impl std::fmt::Debug for ErasedLabel {
@@ -155,6 +190,35 @@ pub trait DynScheme: Send + Sync {
     /// The erased label of vertex `v`.
     fn label_of(&self, v: VertexId) -> ErasedLabel;
 
+    /// Overwrites `label` with the label of `v`: in place when `label`
+    /// already holds this scheme's label type, so a caller that keeps one
+    /// erased label and refills it allocates once, not once per label.
+    fn label_into(&self, v: VertexId, label: &mut ErasedLabel);
+
+    /// Routes one message from `source` to `dest` through the hop loop of
+    /// [`crate::simulator`], monomorphised for the concrete scheme: the
+    /// typed label and header live on the stack for the whole walk.
+    ///
+    /// `label` is `dest`'s label when the caller already holds one
+    /// (checked once, up front); `None` takes it from the typed
+    /// [`RoutingScheme::label_of`]. `path`, when given, gets every vertex
+    /// the message steps onto appended (the source is the caller's to
+    /// push). Every `simulate*` entry point is this call.
+    ///
+    /// # Errors
+    ///
+    /// As [`crate::simulate`]; a supplied label of another scheme is
+    /// [`RouteError::BadLabel`].
+    fn walk(
+        &self,
+        g: &Graph,
+        source: VertexId,
+        dest: VertexId,
+        label: Option<&ErasedLabel>,
+        max_hops: usize,
+        path: Option<&mut Vec<VertexId>>,
+    ) -> Result<LeanOutcome, RouteError>;
+
     /// Creates the header for a message injected at `source` towards the
     /// destination described by `dest`.
     ///
@@ -162,10 +226,13 @@ pub trait DynScheme: Send + Sync {
     ///
     /// As [`RoutingScheme::init_header`]; additionally rejects (as
     /// [`RouteError::BadLabel`]) a label that was produced by a different
-    /// scheme type.
+    /// scheme.
     fn init_header(&self, source: VertexId, dest: &ErasedLabel) -> Result<ErasedHeader, RouteError>;
 
     /// The local routing decision at vertex `at`.
+    ///
+    /// `dest` is the label [`DynScheme::init_header`] accepted; per hop only
+    /// its type is checked.
     ///
     /// # Errors
     ///
@@ -210,12 +277,38 @@ impl<S: RoutingScheme + Send + Sync> DynScheme for S {
 
     fn label_of(&self, v: VertexId) -> ErasedLabel {
         let (label, words) = RoutingScheme::label_with_words(self, v);
-        ErasedLabel::new(label, words)
+        let scheme = Some(scheme_fingerprint(RoutingScheme::name(self)));
+        ErasedLabel { inner: Box::new(label), words, scheme }
+    }
+
+    fn label_into(&self, v: VertexId, label: &mut ErasedLabel) {
+        let (typed, words) = RoutingScheme::label_with_words(self, v);
+        match label.inner.as_any_mut().downcast_mut::<S::Label>() {
+            Some(slot) => *slot = typed,
+            None => label.inner = Box::new(typed),
+        }
+        label.words = words;
+        label.scheme = Some(scheme_fingerprint(RoutingScheme::name(self)));
+    }
+
+    #[inline]
+    fn walk(
+        &self,
+        g: &Graph,
+        source: VertexId,
+        dest: VertexId,
+        label: Option<&ErasedLabel>,
+        max_hops: usize,
+        path: Option<&mut Vec<VertexId>>,
+    ) -> Result<LeanOutcome, RouteError> {
+        match path {
+            Some(path) => simulator::walk(g, self, source, dest, label, max_hops, path),
+            None => simulator::walk(g, self, source, dest, label, max_hops, &mut ()),
+        }
     }
 
     fn init_header(&self, source: VertexId, dest: &ErasedLabel) -> Result<ErasedHeader, RouteError> {
-        let label =
-            dest.downcast_ref::<S::Label>().ok_or_else(|| foreign_label(RoutingScheme::name(self)))?;
+        let label = dest.typed_for::<S::Label>(RoutingScheme::name(self))?;
         Ok(ErasedHeader::new(RoutingScheme::init_header(self, source, label)?))
     }
 
@@ -262,11 +355,15 @@ fn foreign_header(scheme: &str) -> RouteError {
 /// can be shared with (and sent to) shard threads.
 trait ClonableAny: Send + Sync {
     fn as_any(&self) -> &dyn Any;
+    fn as_any_mut(&mut self) -> &mut dyn Any;
     fn clone_box(&self) -> Box<dyn ClonableAny>;
 }
 
 impl<T: Clone + Send + Sync + 'static> ClonableAny for T {
     fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
     fn clone_box(&self) -> Box<dyn ClonableAny> {

@@ -1,17 +1,22 @@
 //! Hop-by-hop message simulator enforcing the fixed-port semantics.
 //!
-//! Every entry point is a wrapper around one private hop loop, `walk`: the
-//! scheme decides from its table, the header and the label, and the loop
-//! checks the delivery or checks the port and follows the edge. The loop is
-//! generic over what it records per hop — nothing for the lean walk (the
-//! serving layer's, and [`crate::route_pairs_lossy`]'s), the path for
-//! [`simulate`].
+//! Every entry point is one call of [`DynScheme::walk`], which runs the one
+//! hop loop, `walk`, monomorphised for the concrete scheme: the scheme
+//! decides from its table, the header and the label, and the loop checks
+//! the delivery or checks the port and follows the edge. The typed label
+//! and header stay on the stack. The loop is generic over what it records
+//! per hop — nothing for the lean walk (the serving layer's, and
+//! [`crate::route_pairs_lossy`]'s), the path for [`simulate`].
 
 use routing_graph::{Graph, VertexId, Weight};
 
 use crate::erased::{DynScheme, ErasedLabel};
-use crate::scheme::{Decision, HeaderSize};
+use crate::scheme::{Decision, HeaderSize, RoutingScheme};
 use crate::RouteError;
+
+/// Vertices [`simulate`]'s path has room for before the walk starts: every
+/// walk of fewer hops records its path in this one allocation.
+const PATH_RESERVE: usize = 32;
 
 /// The result of routing one message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,9 +49,10 @@ impl RouteOutcome {
 /// serving layer's per-query answer shape.
 ///
 /// Produced by [`simulate_lean`], which makes exactly the decision sequence
-/// of [`simulate_with_ttl`] but never allocates: on a query-serving hot path
-/// the path vector is the only per-query allocation left, and millions of
-/// queries per second pay for it.
+/// of [`simulate_with_ttl`] without the path vector. For every scheme of the
+/// default registry the lean walk touches the allocator on no successful
+/// query: labels and headers are stack values that point into the scheme's
+/// own tables (an error allocates its message).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LeanOutcome {
     /// Total weight of the traversed path.
@@ -96,7 +102,7 @@ pub fn simulate_with_ttl(
     dest: VertexId,
     max_hops: usize,
 ) -> Result<RouteOutcome, RouteError> {
-    simulate_with_label(g, scheme, source, dest, &scheme.label_of(dest), max_hops)
+    walk_path(g, scheme, source, dest, None, max_hops)
 }
 
 /// [`simulate_with_ttl`] with a caller-supplied erased label (see
@@ -113,15 +119,31 @@ pub fn simulate_with_label(
     label: &ErasedLabel,
     max_hops: usize,
 ) -> Result<RouteOutcome, RouteError> {
-    let mut path = vec![source];
+    walk_path(g, scheme, source, dest, Some(label), max_hops)
+}
+
+/// The path-recording walk: the path is reserved once, for
+/// [`PATH_RESERVE`] vertices, and is the query's one allocation unless the
+/// walk outgrows it.
+fn walk_path(
+    g: &Graph,
+    scheme: &dyn DynScheme,
+    source: VertexId,
+    dest: VertexId,
+    label: Option<&ErasedLabel>,
+    max_hops: usize,
+) -> Result<RouteOutcome, RouteError> {
+    let mut path = Vec::with_capacity(PATH_RESERVE);
+    path.push(source);
     let LeanOutcome { weight, hops, max_header_words } =
-        walk(g, scheme, source, dest, label, max_hops, &mut path)?;
+        scheme.walk(g, source, dest, label, max_hops, Some(&mut path))?;
     Ok(RouteOutcome { path, weight, hops, max_header_words })
 }
 
 /// Routes a message like [`simulate_with_ttl`] but without materializing
-/// the traversed path: same decision sequence, same errors, zero
-/// allocations beyond what the scheme itself does for the label and header.
+/// the traversed path: same decision sequence, same errors. The label comes
+/// from the scheme's typed `label_of`; for every scheme of the default
+/// registry a successful query allocates nothing.
 ///
 /// The serving layer (`routing-serve`) uses this on its hot path; both are
 /// the same loop, and a test in this module pins weight, hops, header
@@ -137,12 +159,13 @@ pub fn simulate_lean(
     dest: VertexId,
     max_hops: usize,
 ) -> Result<LeanOutcome, RouteError> {
-    simulate_lean_with_label(g, scheme, source, dest, &scheme.label_of(dest), max_hops)
+    scheme.walk(g, source, dest, None, max_hops, None)
 }
 
 /// [`simulate_lean`] with a caller-supplied erased label, so a batch of
 /// queries towards the same destination erases the label once (the batched
-/// query API of the serving layer sorts and caches labels per batch).
+/// query API of the serving layer sorts and caches labels per batch). The
+/// label is checked and downcast once; the walk then allocates nothing.
 ///
 /// `label` must be `scheme.label_of(dest)`; a label for a different vertex
 /// routes to that vertex and is then reported as
@@ -150,7 +173,8 @@ pub fn simulate_lean(
 ///
 /// # Errors
 ///
-/// Same conditions as [`simulate`].
+/// Same conditions as [`simulate`]; a label another scheme produced is
+/// [`RouteError::BadLabel`].
 pub fn simulate_lean_with_label(
     g: &Graph,
     scheme: &dyn DynScheme,
@@ -159,11 +183,11 @@ pub fn simulate_lean_with_label(
     label: &ErasedLabel,
     max_hops: usize,
 ) -> Result<LeanOutcome, RouteError> {
-    walk(g, scheme, source, dest, label, max_hops, &mut ())
+    scheme.walk(g, source, dest, Some(label), max_hops, None)
 }
 
 /// What a walk records per hop: the vertex it steps onto.
-trait Trail {
+pub(crate) trait Trail {
     fn visit(&mut self, at: VertexId);
 }
 
@@ -179,16 +203,18 @@ impl Trail for Vec<VertexId> {
     }
 }
 
-/// The hop loop. Every vertex the message is at is checked against
-/// `scheme.n()` before the scheme is asked about it, so a stale table whose
-/// port leads into a vertex it was not built for is an error, not an index
-/// panic inside `decide`. Fails the hop after `max_hops` edges.
-fn walk(
+/// The hop loop, for one concrete scheme. Every vertex the message is at is
+/// checked against `scheme.n()` before the scheme is asked about it, so a
+/// stale table whose port leads into a vertex it was not built for is an
+/// error, not an index panic inside `decide`. A supplied erased label is
+/// checked and downcast once, after the source; without one the typed
+/// label is taken from `label_of`. Fails the hop after `max_hops` edges.
+pub(crate) fn walk<S: RoutingScheme>(
     g: &Graph,
-    scheme: &dyn DynScheme,
+    scheme: &S,
     source: VertexId,
     dest: VertexId,
-    label: &ErasedLabel,
+    label: Option<&ErasedLabel>,
     max_hops: usize,
     trail: &mut impl Trail,
 ) -> Result<LeanOutcome, RouteError> {
@@ -196,6 +222,14 @@ fn walk(
     if source.index() >= n {
         return Err(RouteError::UnknownVertex { at: source });
     }
+    let owned;
+    let label = match label {
+        Some(erased) => erased.typed_for::<S::Label>(scheme.name())?,
+        None => {
+            owned = scheme.label_of(dest);
+            &owned
+        }
+    };
     let mut header = scheme.init_header(source, label)?;
     let mut at = source;
     let mut weight: Weight = 0;

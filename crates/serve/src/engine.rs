@@ -10,8 +10,10 @@
 //! lane claims the next chunk by one `fetch_add` until none is left, so
 //! work is sized to what each lane gets through, not to a slice of the id
 //! space. Sorting the whole batch keeps queries towards one destination
-//! adjacent, so each lane's one-entry label cache serves the run (label
-//! erasure is the only allocation on the lean query path).
+//! adjacent, so each lane's one-entry label cache serves the run. A miss
+//! refills the lane's one erased label in place, so a lane allocates one
+//! label per batch, not one per destination, and the lean walk itself
+//! allocates nothing.
 //!
 //! The caller routes too, which bounds the worst case: a helper that wakes
 //! late, or not at all, costs parallelism, never progress — the caller then
@@ -545,8 +547,8 @@ fn check_serves(graph: &Graph, scheme: &dyn DynScheme, engine_n: usize) -> Resul
 }
 
 /// Routes one job under one snapshot, reusing the cached erased label when
-/// the destination repeats (jobs arrive dest-sorted). `record_paths` only
-/// picks what the walk records.
+/// the destination repeats (jobs arrive dest-sorted) and refilling it in
+/// place when it does not. `record_paths` only picks what the walk records.
 fn route_one(
     snap: &SchemeSnapshot,
     job: &Job,
@@ -558,14 +560,19 @@ fn route_one(
     let scheme = snap.scheme();
     let max_hops = config.max_hops.unwrap_or(4 * g.n() + 16);
     let label = match cached {
-        Some((d, label)) if *d == job.dest => {
-            routing_obs::counters::SERVE_LABEL_CACHE_HITS.inc();
+        Some((d, label)) => {
+            if *d == job.dest {
+                routing_obs::counters::SERVE_LABEL_CACHE_HITS.inc();
+            } else {
+                routing_obs::counters::SERVE_LABEL_CACHE_MISSES.inc();
+                scheme.label_into(job.dest, label);
+                *d = job.dest;
+            }
             &*label
         }
-        slot => {
+        None => {
             routing_obs::counters::SERVE_LABEL_CACHE_MISSES.inc();
-            let label = scheme.label_of(job.dest);
-            &slot.insert((job.dest, label)).1
+            &cached.insert((job.dest, scheme.label_of(job.dest))).1
         }
     };
     let (weight, hops, max_header_words, path) = if config.record_paths {

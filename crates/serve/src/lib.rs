@@ -16,8 +16,10 @@
 //! - [`ShardedEngine`] — `shards` lanes route one batch: the calling thread
 //!   and `shards − 1` resident helpers claim fixed-size chunks of the
 //!   dest-sorted batch by atomic index, under one snapshot, each lane
-//!   reusing one erased label across a run of equal destinations on the
-//!   allocation-free [`routing_model::simulate_lean_with_label`] path. The
+//!   reusing one erased label across a run of equal destinations (and
+//!   refilling it in place at the next one) on the
+//!   [`routing_model::simulate_lean_with_label`] path, which allocates
+//!   nothing per query for every scheme of the default registry. The
 //!   caller routes too, so the worst case is the plain loop.
 //! - [`ZipfWorkload`] — a seeded, byte-reproducible Zipf-skewed load
 //!   generator for stress tests and benches.

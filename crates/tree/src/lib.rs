@@ -18,10 +18,12 @@
 //! techniques in `routing-core` finish every route by switching into a
 //! shortest-path-tree or cluster-tree segment routed with exactly this
 //! scheme, and the Thorup–Zwick baseline in `routing-baselines` routes
-//! inside every cluster `C(w)` the same way. Both embed copies of
-//! [`TreeLabel`] into their own labels and headers and take one hop with
-//! [`TreeScheme::step`] — [`tree_route_step`] on the current vertex's
-//! [`TreeNodeInfo`] — which is why the per-vertex structures are public.
+//! inside every cluster `C(w)` the same way. Both carry a
+//! [`TreeLabelView`] in their own labels and headers — the destination's
+//! entry time and light-port count, a `Copy` view into the tree's own
+//! light-port table — and take one hop with [`TreeScheme::step_view`]. The
+//! owned [`TreeLabel`] and [`tree_route_step`] on a [`TreeNodeInfo`] are the
+//! standalone form; both run over one slice-based step.
 //!
 //! The construction is the classic heavy-path one:
 //!
@@ -38,10 +40,11 @@
 //! if `v` is outside `u`'s interval; go to the heavy child if `v` is inside
 //! its interval; otherwise the label contains the light port to take at `u`.
 //!
-//! The per-vertex structures ([`TreeNodeInfo`], [`TreeLabel`]) are exposed so
-//! that the compact routing schemes of the paper can embed copies of them in
-//! their own routing tables and labels; [`TreeScheme`] additionally
-//! implements [`RoutingScheme`] so the tree router can be tested standalone.
+//! The per-vertex structures ([`TreeNodeInfo`], [`TreeLabel`],
+//! [`TreeLabelView`]) are public so the compact routing schemes of the paper
+//! can account for them in their own tables and labels; [`TreeScheme`]
+//! additionally implements [`RoutingScheme`] with owned labels so the tree
+//! router can be tested standalone.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -131,11 +134,36 @@ impl TreeLabel {
     }
 }
 
+/// A [`TreeLabel`] as a view into the light-port table of the tree that
+/// labelled it: the destination's DFS entry time and the number of light
+/// ports its label lists. The ports themselves stay in the tree, which
+/// already holds every member's label, so the view is two words of stack
+/// and counts the words of the label it stands for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TreeLabelView {
+    /// DFS entry time of the destination.
+    pub tin: u32,
+    /// How many `(tin, port)` light-port pairs the label lists.
+    pub light_len: u32,
+}
+
+impl TreeLabelView {
+    /// The view of a destination the tree does not contain; it labels a
+    /// vertex only as the one-word label `tin = u32::MAX`.
+    pub const ABSENT: TreeLabelView = TreeLabelView { tin: u32::MAX, light_len: 0 };
+
+    /// Size in `O(log n)`-bit words of the label it stands for.
+    pub fn words(&self) -> usize {
+        1 + 2 * self.light_len as usize
+    }
+}
+
 /// Makes one local routing decision on a tree, given only the current
 /// vertex's [`TreeNodeInfo`] and the destination's [`TreeLabel`].
 ///
-/// This free function is what the compact routing schemes call with node
-/// information they copied into their own tables.
+/// This free function is the standalone tree step; it and
+/// [`TreeScheme::step_view`] run the same step over the label's light
+/// ports.
 ///
 /// # Errors
 ///
@@ -144,10 +172,17 @@ impl TreeLabel {
 /// describe) — this indicates corrupted preprocessing, not a routable
 /// situation.
 pub fn tree_route_step(node: &TreeNodeInfo, dest: &TreeLabel) -> Result<Decision, RouteError> {
-    if dest.tin == node.tin {
+    step_over(node, dest.tin, &dest.light_ports)
+}
+
+/// The tree step both label forms run: the destination's entry time `tin`,
+/// and its label's light ports `light`, root first.
+#[inline]
+fn step_over(node: &TreeNodeInfo, tin: u32, light: &[(u32, Port)]) -> Result<Decision, RouteError> {
+    if tin == node.tin {
         return Ok(Decision::Deliver);
     }
-    if !node.subtree_contains(dest.tin) {
+    if !node.subtree_contains(tin) {
         let port = node.parent_port.ok_or_else(|| RouteError::MissingInformation {
             at: VertexId(u32::MAX),
             what: "destination outside the tree rooted here (no parent port)".into(),
@@ -155,13 +190,13 @@ pub fn tree_route_step(node: &TreeNodeInfo, dest: &TreeLabel) -> Result<Decision
         return Ok(Decision::Forward(port));
     }
     if let Some((h_tin, h_tout, h_port)) = node.heavy {
-        if h_tin <= dest.tin && dest.tin < h_tout {
+        if h_tin <= tin && tin < h_tout {
             return Ok(Decision::Forward(h_port));
         }
     }
     // The destination is in a light subtree below this vertex; the label
     // records which port to take here.
-    dest.light_ports
+    light
         .iter()
         .find(|&&(p_tin, _)| p_tin == node.tin)
         .map(|&(_, port)| Decision::Forward(port))
@@ -417,10 +452,13 @@ impl TreeScheme {
         slot_in(&self.ids, self.nodes.len(), v)
     }
 
-    /// The light ports of the label whose DFS entry time is `tin`.
+    /// The light ports of the label whose DFS entry time is `tin`; none for
+    /// an entry time past the tree's.
+    #[inline]
     fn light_ports(&self, tin: u32) -> &[(u32, Port)] {
         let t = tin as usize;
-        &self.light[self.light_off[t] as usize..self.light_off[t + 1] as usize]
+        let range = self.light_off.get(t).zip(self.light_off.get(t + 1));
+        range.and_then(|(&lo, &hi)| self.light.get(lo as usize..hi as usize)).unwrap_or(&[])
     }
 
     /// Returns true if `v` is a tree vertex.
@@ -446,6 +484,14 @@ impl TreeScheme {
         Some(TreeLabel { tin, light_ports: self.light_ports(tin).to_vec() })
     }
 
+    /// The label of tree vertex `v` as a view into this tree's light-port
+    /// table: what [`TreeScheme::step_view`] routes with.
+    #[inline]
+    pub fn label_view(&self, v: VertexId) -> Option<TreeLabelView> {
+        let tin = self.node_info(v)?.tin;
+        Some(TreeLabelView { tin, light_len: self.light_ports(tin).len() as u32 })
+    }
+
     /// Total size of every member's label in `O(log n)`-bit words.
     pub fn labels_words(&self) -> usize {
         self.nodes.len() + 2 * self.light.len()
@@ -460,11 +506,28 @@ impl TreeScheme {
     /// is not a tree vertex or `dest` is inconsistent with this tree.
     #[inline]
     pub fn step(&self, at: VertexId, dest: &TreeLabel) -> Result<Decision, RouteError> {
+        self.step_at(at, dest.tin, &dest.light_ports)
+    }
+
+    /// [`TreeScheme::step`] towards the holder of a label view taken from
+    /// this tree: the light ports are read from the tree's own table.
+    ///
+    /// # Errors
+    ///
+    /// As [`TreeScheme::step`].
+    #[inline]
+    pub fn step_view(&self, at: VertexId, dest: TreeLabelView) -> Result<Decision, RouteError> {
+        self.step_at(at, dest.tin, self.light_ports(dest.tin))
+    }
+
+    /// The step at tree vertex `at`, with errors attributed to `at`.
+    #[inline]
+    fn step_at(&self, at: VertexId, tin: u32, light: &[(u32, Port)]) -> Result<Decision, RouteError> {
         let node = self.node_info(at).ok_or_else(|| RouteError::MissingInformation {
             at,
             what: format!("vertex is not in the tree rooted at {}", self.root),
         })?;
-        tree_route_step(node, dest).map_err(|e| match e {
+        step_over(node, tin, light).map_err(|e| match e {
             RouteError::MissingInformation { what, .. } => RouteError::MissingInformation { at, what },
             other => other,
         })
