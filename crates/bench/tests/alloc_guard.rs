@@ -10,16 +10,20 @@
 //! The query path itself allocates nothing for any key of the default
 //! registry: labels and headers are stack values that view the scheme's own
 //! tables, and the walk is one typed loop. After warm-up, per query:
-//! `simulate_lean` and `simulate_lean_with_label` make 0 allocations,
-//! `simulate` makes exactly 1 (its path, reserved once) on a walk that fits
-//! the reservation, and a serving lane refills one erased label in place,
-//! so a batch of 1024 distinct destinations allocates no more than a batch
-//! of 1024 queries towards one.
+//! `simulate_lean`, `simulate_lean_with_label` and a lean `walk_many` batch
+//! make 0 allocations, `simulate` makes exactly 1 (its path, reserved once)
+//! on a walk that fits the reservation, and a serving lane makes its labels
+//! on the stack, so a batch of 1024 distinct destinations allocates no more
+//! than a batch of 1024 queries towards one, at one lane and at two.
 //!
-//! The guard counts allocations through a wrapping `#[global_allocator]`.
-//! Everything lives in ONE `#[test]` so no sibling test can allocate
-//! concurrently and pollute the counter (the default libtest runner is
-//! multi-threaded *across* tests in a binary).
+//! The same allocator also bounds one build's memory: the ball table's
+//! peak live bytes (see `assert_ball_build_peak`).
+//!
+//! The guard counts allocations, and live and peak bytes, through a
+//! wrapping `#[global_allocator]`. Everything lives in ONE `#[test]` so no
+//! sibling test can allocate concurrently and pollute the counters (the
+//! default libtest runner is multi-threaded *across* tests in a binary,
+//! and reports a finished test from its main thread).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,34 +35,55 @@ use rand::{Rng, SeedableRng};
 use routing_baselines::ExactScheme;
 use routing_core::BuildContext;
 use routing_graph::generators::{self, Family, WeightModel};
-use routing_graph::{Graph, VertexId};
+use routing_graph::{Graph, SearchScratch, VertexId};
 use routing_model::{simulate, simulate_lean, simulate_lean_with_label, DynScheme, ErasedLabel};
 use routing_serve::{EngineConfig, ShardedEngine};
+use routing_vicinity::BallTable;
 
 /// Counts every allocation (alloc, alloc_zeroed, realloc) and delegates to
 /// the system allocator. Deallocations are not counted — the guard is about
-/// *new* memory on the hot path.
+/// *new* memory on the hot path — but they do lower the live bytes.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes allocated and not yet freed, and the most there have been since
+/// the last [`peak_bytes_in`] began.
+static LIVE: AtomicU64 = AtomicU64::new(0);
+static PEAK: AtomicU64 = AtomicU64::new(0);
+
+fn grew(bytes: usize) {
+    let live = LIVE.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+fn shrank(bytes: usize) {
+    LIVE.fetch_sub(bytes as u64, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        grew(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        grew(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        match new_size.checked_sub(layout.size()) {
+            Some(more) => grew(more),
+            None => shrank(layout.size() - new_size),
+        }
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        shrank(layout.size());
         System.dealloc(ptr, layout)
     }
 }
@@ -71,6 +96,15 @@ fn allocations_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = ALLOCS.load(Ordering::Relaxed);
     let result = f();
     (ALLOCS.load(Ordering::Relaxed) - before, result)
+}
+
+/// Runs `f` and returns the most bytes that were live during it beyond
+/// those live when it began.
+fn peak_bytes_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = LIVE.load(Ordering::Relaxed);
+    PEAK.store(before, Ordering::Relaxed);
+    let result = f();
+    (PEAK.load(Ordering::Relaxed) - before, result)
 }
 
 /// Queries per key and graph, and the size of each serving batch.
@@ -94,8 +128,9 @@ fn pairs(n: usize, count: usize, rng: &mut StdRng) -> Vec<(VertexId, VertexId)> 
 }
 
 /// The per-query allocation counts of one scheme, after one warm pass of
-/// every call: lean walks make none, `simulate` one per query, and a
-/// 1024-destination batch no more than a one-destination batch.
+/// every call: lean walks make none, a lean `walk_many` batch none,
+/// `simulate` one per query, and a 1024-destination batch no more than a
+/// one-destination batch, at one lane and at two.
 fn assert_query_path_allocations(g: &Arc<Graph>, scheme: Arc<dyn DynScheme>, what: &str) {
     let mut rng = StdRng::seed_from_u64(0xa110c);
     let n = g.n();
@@ -103,12 +138,18 @@ fn assert_query_path_allocations(g: &Arc<Graph>, scheme: Arc<dyn DynScheme>, wha
     let queries = pairs(n, PAIRS, &mut rng);
     let s = scheme.as_ref();
     let labels: Vec<ErasedLabel> = queries.iter().map(|&(_, v)| s.label_of(v)).collect();
+    let mut by_dest = queries.clone();
+    by_dest.sort_unstable_by_key(|&(u, v)| (v, u));
     let uniform = pairs(n, BATCH, &mut rng);
     // The same sources, all towards vertex 0 (a source 0 goes to 1).
     let one_dest: Vec<(VertexId, VertexId)> =
         uniform.iter().map(|&(u, _)| (u, VertexId(u32::from(u.0 == 0)))).collect();
-    let config = EngineConfig::with_shards(1);
-    let engine = ShardedEngine::new(Arc::clone(g), Arc::clone(&scheme), config).expect("engine");
+    let engines: Vec<ShardedEngine> = [1, 2]
+        .map(|shards| {
+            let config = EngineConfig::with_shards(shards);
+            ShardedEngine::new(Arc::clone(g), Arc::clone(&scheme), config).expect("engine")
+        })
+        .into();
 
     // Warm every call once, outside the counted windows; every pair routes.
     for (&(u, v), label) in queries.iter().zip(&labels) {
@@ -117,7 +158,10 @@ fn assert_query_path_allocations(g: &Arc<Graph>, scheme: Arc<dyn DynScheme>, wha
         simulate_lean(g, s, u, v, ttl).expect("lean walk routes");
         simulate_lean_with_label(g, s, u, v, label, ttl).expect("labelled walk routes");
     }
-    for batch in [&uniform, &one_dest] {
+    let mut routed = 0;
+    s.walk_many(g, &by_dest, ttl, None, &mut |_, out| routed += usize::from(out.is_ok()));
+    assert_eq!(routed, PAIRS, "{what}: walk_many fails a pair");
+    for (engine, batch) in engines.iter().flat_map(|e| [(e, &uniform), (e, &one_dest)]) {
         assert!(engine.route_batch(batch).iter().all(Result::is_ok), "{what}: a batch fails");
     }
 
@@ -142,13 +186,21 @@ fn assert_query_path_allocations(g: &Arc<Graph>, scheme: Arc<dyn DynScheme>, wha
     });
     assert_eq!(allocs, PAIRS as u64, "{what}: simulate must allocate its path and nothing else");
 
-    let (uniform_allocs, _) = allocations_in(|| engine.route_batch(&uniform));
-    let (one_dest_allocs, _) = allocations_in(|| engine.route_batch(&one_dest));
-    assert!(
-        uniform_allocs <= one_dest_allocs,
-        "{what}: {BATCH} destinations cost {uniform_allocs} allocations, one costs \
-         {one_dest_allocs}: a label-cache miss allocates"
-    );
+    let (allocs, ()) = allocations_in(|| {
+        s.walk_many(g, &by_dest, ttl, None, &mut |_, out| assert!(out.is_ok(), "{what}: {out:?}"));
+    });
+    assert_eq!(allocs, 0, "{what}: walk_many allocated {allocs} times over {PAIRS} queries");
+
+    for engine in &engines {
+        let shards = engine.shards();
+        let (uniform_allocs, _) = allocations_in(|| engine.route_batch(&uniform));
+        let (one_dest_allocs, _) = allocations_in(|| engine.route_batch(&one_dest));
+        assert!(
+            uniform_allocs <= one_dest_allocs,
+            "{what}, {shards} lanes: {BATCH} destinations cost {uniform_allocs} allocations, \
+             one costs {one_dest_allocs}: a label-cache miss allocates"
+        );
+    }
 }
 
 #[test]
@@ -244,4 +296,38 @@ fn disabled_telemetry_adds_zero_allocations_to_hot_paths() {
     }
     routing_obs::metrics::reset_counters();
     assert_eq!(checked, 2 * (2 * registry.names().len() - 1), "every key, both graphs but one");
+
+    // (e) One build's memory, with the same allocator.
+    assert_ball_build_peak();
+}
+
+/// `BallTable::build` at thm16k3's ℓ = 219 on the `t2-geo-direct` graph (a
+/// weighted geometric graph, n = 6000, graph seed 13), whose slot regions
+/// need 1,541 more slots than the `n · (cap + 2)` reserved up front. The
+/// build's peak must stay within the table it keeps plus one block of
+/// per-vertex search results and the worker's workspace: growing the slot
+/// array by doubling would add a second slot array on top.
+fn assert_ball_build_peak() {
+    const N: usize = 6000;
+    const ELL: usize = 219;
+    /// `balls.rs`'s block count: results are appended a sixteenth at a time.
+    const BLOCKS: usize = 16;
+    routing_par::set_threads(1);
+    let weights = WeightModel::Uniform { lo: 1, hi: 32 };
+    let g = Family::Geometric.generate(N, weights, &mut StdRng::seed_from_u64(13));
+
+    let (workspace, _) = peak_bytes_in(|| SearchScratch::for_graph(&g));
+    let (peak, table) = peak_bytes_in(|| BallTable::build(&g, ELL));
+    // One ball as a search result: members with distances (16 bytes each),
+    // and its hashed region of at most `⌈4ℓ/3⌉ + ℓ + 1` 12-byte slots.
+    let region = (4 * ELL).div_ceil(3) + ELL + 1;
+    let ball = 16 * ELL + 12 * region + std::mem::size_of::<(Vec<u8>, Vec<u8>, u64)>();
+    // The worker keeps one region as scratch beside its search workspace.
+    let block = N.div_ceil(BLOCKS) * ball + 12 * region + workspace as usize;
+    let kept = table.heap_bytes();
+    assert!(
+        peak as usize <= kept + block,
+        "the build peaked at {peak} bytes: {kept} kept, {} over, one block is {block}",
+        peak as usize - kept.min(peak as usize)
+    );
 }

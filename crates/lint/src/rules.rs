@@ -148,10 +148,10 @@ pub const HOT_PATHS: &[(&str, HotScope)] = &[
         HotScope::FnPrefixes(&["start", "step", "tree_step", "tree_of", "global_tree"]),
     ),
     ("crates/core/src/technique2.rs", HotScope::FnPrefixes(&["start", "step"])),
-    ("crates/model/src/erased.rs", HotScope::FnPrefixes(&["walk", "typed_for", "label_into"])),
+    ("crates/model/src/erased.rs", HotScope::FnPrefixes(&["walk", "typed_for", "walk_many"])),
     (
         "crates/model/src/simulator.rs",
-        HotScope::FnPrefixes(&["simulate_lean", "walk", "record_delivery"]),
+        HotScope::FnPrefixes(&["simulate_lean", "walk", "known", "record_delivery"]),
     ),
     ("crates/serve/src/engine.rs", HotScope::File),
     ("crates/serve/src/snapshot.rs", HotScope::File),

@@ -38,9 +38,12 @@
 //!
 //! A whole query is one virtual call, [`DynScheme::walk`]: the adapter runs
 //! the simulator's hop loop monomorphised for the concrete scheme, with the
-//! typed label and header on the stack, so no `Box` is made per query. The
-//! per-hop [`DynScheme::init_header`] / [`DynScheme::decide`] pair stays for
-//! callers that step a message themselves; it boxes one header per call.
+//! typed label and header on the stack, so no `Box` is made per query. A
+//! batch is one virtual call too, [`DynScheme::walk_many`]: the same hop
+//! loop with a few walks in flight and one typed label per run of equal
+//! destinations. The per-hop [`DynScheme::init_header`] /
+//! [`DynScheme::decide`] pair stays for callers that step a message
+//! themselves; it boxes one header per call.
 
 use std::any::Any;
 
@@ -190,11 +193,6 @@ pub trait DynScheme: Send + Sync {
     /// The erased label of vertex `v`.
     fn label_of(&self, v: VertexId) -> ErasedLabel;
 
-    /// Overwrites `label` with the label of `v`: in place when `label`
-    /// already holds this scheme's label type, so a caller that keeps one
-    /// erased label and refills it allocates once, not once per label.
-    fn label_into(&self, v: VertexId, label: &mut ErasedLabel);
-
     /// Routes one message from `source` to `dest` through the hop loop of
     /// [`crate::simulator`], monomorphised for the concrete scheme: the
     /// typed label and header live on the stack for the whole walk.
@@ -218,6 +216,28 @@ pub trait DynScheme: Send + Sync {
         max_hops: usize,
         path: Option<&mut Vec<VertexId>>,
     ) -> Result<LeanOutcome, RouteError>;
+
+    /// Routes a batch of `(source, destination)` jobs through the same hop
+    /// loop, monomorphised for the concrete scheme, with a few walks in
+    /// flight at once: each is advanced one hop in turn, so the cache misses
+    /// of one overlap the work of the others. Every job's result — exactly
+    /// what [`DynScheme::walk`] returns for it with no label supplied — is
+    /// passed to `out` with the job's index, in the order the walks end.
+    ///
+    /// Labels are typed, from [`RoutingScheme::label_of`], and one is reused
+    /// while consecutive jobs share a destination: sort the jobs by
+    /// destination to make one label per destination. `paths`, when given,
+    /// holds one path per job; each is cleared and gets the job's whole
+    /// path, source first (jobs beyond `paths.len()` are not walked). The
+    /// lean batch allocates nothing for any scheme of the default registry.
+    fn walk_many(
+        &self,
+        g: &Graph,
+        jobs: &[(VertexId, VertexId)],
+        max_hops: usize,
+        paths: Option<&mut [Vec<VertexId>]>,
+        out: &mut dyn FnMut(usize, Result<LeanOutcome, RouteError>),
+    );
 
     /// Creates the header for a message injected at `source` towards the
     /// destination described by `dest`.
@@ -281,16 +301,6 @@ impl<S: RoutingScheme + Send + Sync> DynScheme for S {
         ErasedLabel { inner: Box::new(label), words, scheme }
     }
 
-    fn label_into(&self, v: VertexId, label: &mut ErasedLabel) {
-        let (typed, words) = RoutingScheme::label_with_words(self, v);
-        match label.inner.as_any_mut().downcast_mut::<S::Label>() {
-            Some(slot) => *slot = typed,
-            None => label.inner = Box::new(typed),
-        }
-        label.words = words;
-        label.scheme = Some(scheme_fingerprint(RoutingScheme::name(self)));
-    }
-
     #[inline]
     fn walk(
         &self,
@@ -304,6 +314,23 @@ impl<S: RoutingScheme + Send + Sync> DynScheme for S {
         match path {
             Some(path) => simulator::walk(g, self, source, dest, label, max_hops, path),
             None => simulator::walk(g, self, source, dest, label, max_hops, &mut ()),
+        }
+    }
+
+    fn walk_many(
+        &self,
+        g: &Graph,
+        jobs: &[(VertexId, VertexId)],
+        max_hops: usize,
+        paths: Option<&mut [Vec<VertexId>]>,
+        out: &mut dyn FnMut(usize, Result<LeanOutcome, RouteError>),
+    ) {
+        match paths {
+            Some(paths) => {
+                let jobs = jobs.get(..paths.len()).unwrap_or(jobs);
+                simulator::walk_many(g, self, jobs, max_hops, paths, out);
+            }
+            None => simulator::walk_many(g, self, jobs, max_hops, &mut (), out),
         }
     }
 
@@ -355,15 +382,11 @@ fn foreign_header(scheme: &str) -> RouteError {
 /// can be shared with (and sent to) shard threads.
 trait ClonableAny: Send + Sync {
     fn as_any(&self) -> &dyn Any;
-    fn as_any_mut(&mut self) -> &mut dyn Any;
     fn clone_box(&self) -> Box<dyn ClonableAny>;
 }
 
 impl<T: Clone + Send + Sync + 'static> ClonableAny for T {
     fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
     fn clone_box(&self) -> Box<dyn ClonableAny> {

@@ -13,9 +13,10 @@
 //! [`RoutingScheme`] captures exactly that interface; [`simulate`] walks a
 //! message through a graph enforcing the port semantics and accounting for
 //! the traversed weight, and [`stats`] aggregates stretch and table-size
-//! measurements across many routed pairs. The hop loop exists once, in
-//! [`simulator`]: the lean walk of the serving layer and the lossy walk of
-//! [`route_pairs_lossy`] are the same loop recording less.
+//! measurements across many routed pairs. The hop exists once, in
+//! [`simulator`]: the lossy walk of [`route_pairs_lossy`] is the same loop
+//! recording less, and the serving layer's batches
+//! ([`DynScheme::walk_many`]) step a few messages through that hop in turn.
 //!
 //! [`RoutingScheme`] keeps its per-scheme `Label`/`Header` types (and is
 //! therefore not object safe); the [`erased`] module provides the
@@ -44,7 +45,7 @@ pub use error::RouteError;
 pub use eval::{evaluate, evaluate_pairs, sample_pairs_from};
 pub use scheme::{Decision, HeaderSize, RoutingScheme};
 pub use simulator::{
-    simulate, simulate_lean, simulate_lean_with_label, simulate_with_label, simulate_with_ttl,
-    LeanOutcome, RouteOutcome,
+    simulate, simulate_lean, simulate_lean_with_label, simulate_with_ttl, LeanOutcome,
+    RouteOutcome,
 };
 pub use stale::{route_pairs_lossy, sample_alive_pairs, FailureBreakdown, ResilienceReport};

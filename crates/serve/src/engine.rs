@@ -9,11 +9,18 @@
 //! bound to **one** snapshot and cut into chunks of `CHUNK` queries; every
 //! lane claims the next chunk by one `fetch_add` until none is left, so
 //! work is sized to what each lane gets through, not to a slice of the id
-//! space. Sorting the whole batch keeps queries towards one destination
-//! adjacent, so each lane's one-entry label cache serves the run. A miss
-//! refills the lane's one erased label in place, so a lane allocates one
-//! label per batch, not one per destination, and the lean walk itself
+//! space. A lane routes its chunk with one call of
+//! [`DynScheme::walk_many`]: a few walks in flight at once, each advanced
+//! one hop in turn, so the cache misses of one overlap the work of the
+//! others. Sorting the whole batch keeps queries towards one destination
+//! adjacent, so within a chunk one typed label serves the run: a job whose
+//! destination repeats the previous job's counts as a label-cache hit, any
+//! other as a miss. The labels live on the stack, and the lean walk
 //! allocates nothing.
+//!
+//! Per-query latency is chained: one clock read as each query's walk ends,
+//! so a query's sample is the time since the lane's previous completion,
+//! and every nanosecond of a lane's `busy_ns` belongs to exactly one query.
 //!
 //! The caller routes too, which bounds the worst case: a helper that wakes
 //! late, or not at all, costs parallelism, never progress — the caller then
@@ -31,9 +38,11 @@
 //! the snapshot it loaded, later batches load the new one, and one load per
 //! `route_batch` call means every answer of a call names the same epoch
 //! (`tests/stress.rs` holds each answer against the epoch it names). A lane
-//! routes each query under `catch_unwind`: a scheme that panics on one pair
-//! fails that query with [`ServeError::ShardUnavailable`], the rest of the
-//! batch is answered, and the lane keeps serving.
+//! routes each chunk under `catch_unwind`. When a walk panics, the lane
+//! routes every job of the chunk still without an answer on its own, each
+//! under `catch_unwind` again: a scheme that panics on one pair fails that
+//! query with [`ServeError::ShardUnavailable`], the rest of the batch is
+//! answered, and the lane keeps serving.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -42,9 +51,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use routing_graph::{Graph, VertexId, Weight};
-use routing_model::{
-    simulate_lean_with_label, simulate_with_label, DynScheme, ErasedLabel, RouteError,
-};
+use routing_model::{DynScheme, LeanOutcome, RouteError};
 use routing_obs::latency::LatencyHistogram;
 
 use crate::snapshot::{EpochCell, SchemeSnapshot};
@@ -300,49 +307,117 @@ impl Shared {
     /// Claims and routes chunks of `task` as `lane` until none is left
     /// unclaimed. Runs on the caller's thread (lane 0) and on helpers.
     fn work(&self, task: &Task, lane: usize) {
-        let mut cached: Option<(VertexId, ErasedLabel)> = None;
+        let (g, scheme) = (task.snap.graph(), task.snap.scheme());
+        let max_hops = self.config.max_hops.unwrap_or(4 * g.n() + 16);
+        let mut pairs = [(VertexId(0), VertexId(0)); CHUNK];
         let mut first = true;
         loop {
             let claimed = task.next.fetch_add(1, Ordering::Relaxed);
             let Some(jobs) = task.jobs.chunks(CHUNK).nth(claimed) else {
                 return;
             };
-            let mut answers = Vec::with_capacity(jobs.len());
-            let mut nanos = [0u64; CHUNK];
-            // Chained timestamps: one clock read per query, every
-            // nanosecond of the chunk attributed to exactly one query.
-            let begun = Instant::now();
-            let mut prev = begun;
-            for (job, ns) in jobs.iter().zip(&mut nanos) {
-                let routed = catch_unwind(AssertUnwindSafe(|| {
-                    route_one(&task.snap, job, &self.config, lane, &mut cached)
-                }));
-                answers.push(routed.unwrap_or_else(|_| {
-                    cached = None;
-                    Err(ServeError::ShardUnavailable { shard: lane })
-                }));
-                let now = Instant::now();
-                *ns = now.duration_since(prev).as_nanos() as u64;
-                prev = now;
+            let pairs = &mut pairs[..jobs.len()];
+            for (pair, job) in pairs.iter_mut().zip(jobs) {
+                *pair = (job.source, job.dest);
+            }
+            count_label_reuse(pairs);
+            // One path per job when recording; otherwise none, and then
+            // `paths.get_mut` is `None` for every range of jobs below.
+            let mut paths: Vec<Vec<VertexId>> =
+                if self.config.record_paths { vec![Vec::new(); jobs.len()] } else { Vec::new() };
+            let mut done = Completions::new(jobs.len());
+            let answer = |routed: Result<LeanOutcome, RouteError>| {
+                let LeanOutcome { weight, hops, max_header_words } = routed?;
+                let epoch = task.snap.epoch();
+                Ok(RouteAnswer { weight, hops, max_header_words, epoch, shard: lane, path: None })
+            };
+            let walked = catch_unwind(AssertUnwindSafe(|| {
+                let out = &mut |k, routed| done.record(k, answer(routed));
+                scheme.walk_many(g, pairs, max_hops, paths.get_mut(..jobs.len()), out);
+            }));
+            if walked.is_err() {
+                // A walk panicked, and the walks in flight beside it were
+                // abandoned: route every job still unanswered on its own, so
+                // only the panicking one fails.
+                for k in 0..jobs.len() {
+                    if done.answers[k].is_some() {
+                        continue;
+                    }
+                    let alone = catch_unwind(AssertUnwindSafe(|| {
+                        let out = &mut |_, routed| done.record(k, answer(routed));
+                        scheme.walk_many(g, &pairs[k..=k], max_hops, paths.get_mut(k..=k), out);
+                    }));
+                    if alone.is_err() {
+                        done.record(k, Err(ServeError::ShardUnavailable { shard: lane }));
+                    }
+                }
+            }
+            for (answer, path) in done.answers.iter_mut().zip(paths) {
+                if let Some(Ok(answer)) = answer {
+                    answer.path = Some(path);
+                }
             }
             // Statistics first: once the chunk counts as finished the caller
             // may return, and `stats()` must already cover its answers.
             let mut stats = lock(&self.lanes[lane]);
             stats.queries += jobs.len() as u64;
-            stats.errors += answers.iter().filter(|a| a.is_err()).count() as u64;
+            stats.errors +=
+                done.answers.iter().filter(|a| !matches!(a, Some(Ok(_)))).count() as u64;
             stats.batches += u64::from(std::mem::take(&mut first));
-            stats.busy_ns += prev.duration_since(begun).as_nanos() as u64;
-            nanos[..jobs.len()].iter().for_each(|&ns| stats.latency.record(ns));
+            stats.busy_ns += done.prev.duration_since(done.begun).as_nanos() as u64;
+            done.nanos[..jobs.len()].iter().for_each(|&ns| stats.latency.record(ns));
             drop(stats);
             let mut progress = lock(&task.progress);
-            for (job, answer) in jobs.iter().zip(answers) {
-                progress.answers[job.slot] = answer;
+            for (job, answer) in jobs.iter().zip(done.answers) {
+                progress.answers[job.slot] =
+                    answer.unwrap_or(Err(ServeError::ShardUnavailable { shard: lane }));
             }
             progress.chunks_left -= 1;
             if progress.chunks_left == 0 {
                 task.finished.notify_one();
             }
         }
+    }
+}
+
+/// One claimed chunk's answers as its walks end, with chained timestamps:
+/// one clock read per completed query, whose sample is the time since the
+/// lane's previous completion, so every nanosecond of the chunk is
+/// attributed to exactly one query.
+struct Completions {
+    answers: Vec<Option<Answer>>,
+    nanos: [u64; CHUNK],
+    begun: Instant,
+    prev: Instant,
+}
+
+impl Completions {
+    fn new(jobs: usize) -> Self {
+        let begun = Instant::now();
+        Completions { answers: vec![None; jobs], nanos: [0; CHUNK], begun, prev: begun }
+    }
+
+    /// Job `k` of the chunk has its answer.
+    fn record(&mut self, k: usize, answer: Answer) {
+        let now = Instant::now();
+        self.answers[k] = Some(answer);
+        self.nanos[k] = now.duration_since(self.prev).as_nanos() as u64;
+        self.prev = now;
+    }
+}
+
+/// The label-cache counters of one dest-sorted chunk: a job whose
+/// destination repeats the previous job's reuses that label (a hit), any
+/// other makes one (a miss), as [`DynScheme::walk_many`] does.
+fn count_label_reuse(pairs: &[(VertexId, VertexId)]) {
+    let mut prev = None;
+    for &(_, dest) in pairs {
+        if prev == Some(dest) {
+            routing_obs::counters::SERVE_LABEL_CACHE_HITS.inc();
+        } else {
+            routing_obs::counters::SERVE_LABEL_CACHE_MISSES.inc();
+        }
+        prev = Some(dest);
     }
 }
 
@@ -544,45 +619,6 @@ fn check_serves(graph: &Graph, scheme: &dyn DynScheme, engine_n: usize) -> Resul
         return Ok(());
     }
     Err(ServeError::SnapshotMismatch { graph_n: graph.n(), scheme_n: scheme.n(), engine_n })
-}
-
-/// Routes one job under one snapshot, reusing the cached erased label when
-/// the destination repeats (jobs arrive dest-sorted) and refilling it in
-/// place when it does not. `record_paths` only picks what the walk records.
-fn route_one(
-    snap: &SchemeSnapshot,
-    job: &Job,
-    config: &EngineConfig,
-    shard: usize,
-    cached: &mut Option<(VertexId, ErasedLabel)>,
-) -> Result<RouteAnswer, ServeError> {
-    let g = snap.graph();
-    let scheme = snap.scheme();
-    let max_hops = config.max_hops.unwrap_or(4 * g.n() + 16);
-    let label = match cached {
-        Some((d, label)) => {
-            if *d == job.dest {
-                routing_obs::counters::SERVE_LABEL_CACHE_HITS.inc();
-            } else {
-                routing_obs::counters::SERVE_LABEL_CACHE_MISSES.inc();
-                scheme.label_into(job.dest, label);
-                *d = job.dest;
-            }
-            &*label
-        }
-        None => {
-            routing_obs::counters::SERVE_LABEL_CACHE_MISSES.inc();
-            &cached.insert((job.dest, scheme.label_of(job.dest))).1
-        }
-    };
-    let (weight, hops, max_header_words, path) = if config.record_paths {
-        let out = simulate_with_label(g, scheme, job.source, job.dest, label, max_hops)?;
-        (out.weight, out.hops, out.max_header_words, Some(out.path))
-    } else {
-        let out = simulate_lean_with_label(g, scheme, job.source, job.dest, label, max_hops)?;
-        (out.weight, out.hops, out.max_header_words, None)
-    };
-    Ok(RouteAnswer { weight, hops, max_header_words, epoch: snap.epoch(), shard, path })
 }
 
 #[cfg(test)]

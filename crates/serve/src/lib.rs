@@ -15,11 +15,11 @@
 //!   up the new epoch at their next batch.
 //! - [`ShardedEngine`] — `shards` lanes route one batch: the calling thread
 //!   and `shards − 1` resident helpers claim fixed-size chunks of the
-//!   dest-sorted batch by atomic index, under one snapshot, each lane
-//!   reusing one erased label across a run of equal destinations (and
-//!   refilling it in place at the next one) on the
-//!   [`routing_model::simulate_lean_with_label`] path, which allocates
-//!   nothing per query for every scheme of the default registry. The
+//!   dest-sorted batch by atomic index, under one snapshot. A lane walks
+//!   its chunk a few queries at a time in lockstep
+//!   ([`routing_model::DynScheme::walk_many`]), one typed label per run of
+//!   equal destinations, and allocates nothing per query for every scheme
+//!   of the default registry. Latency is chained per completed query. The
 //!   caller routes too, so the worst case is the plain loop.
 //! - [`ZipfWorkload`] — a seeded, byte-reproducible Zipf-skewed load
 //!   generator for stress tests and benches.

@@ -14,7 +14,7 @@ use routing_core::BuildContext;
 use routing_graph::generators::{self, Family, WeightModel};
 use routing_graph::{Graph, VertexId};
 use routing_model::scheme::{Decision, HeaderSize, RoutingScheme};
-use routing_model::{simulate_lean, DynScheme, RouteError};
+use routing_model::{simulate, simulate_lean, DynScheme, RouteError};
 use routing_serve::{EngineConfig, ServeError, ShardedEngine, ZipfWorkload};
 
 /// `engine.rs`'s chunk size: the batch sizes below straddle it.
@@ -142,8 +142,9 @@ impl RoutingScheme for PanicsOn {
     }
 }
 
-/// The panic message of the toy scheme reaches stderr once per lane that
-/// meets the pair; that is the test working.
+/// The panic message of the toy scheme reaches stderr each time a lane
+/// meets the pair (in its lockstep walk, then routing it alone); that is the
+/// test working.
 #[test]
 fn a_scheme_panic_fails_one_query_and_neither_hangs_nor_poisons_the_engine() {
     const N: u32 = 24;
@@ -152,25 +153,37 @@ fn a_scheme_panic_fails_one_query_and_neither_hangs_nor_poisons_the_engine() {
     let pairs: Vec<(VertexId, VertexId)> =
         (0..N).flat_map(|u| (0..N).step_by(3).map(move |v| (VertexId(u), VertexId(v)))).collect();
     assert!(pairs.len() > 4 * CHUNK && pairs.contains(&bad));
+    // The engine routes the batch dest-sorted: the bad pair sits inside a
+    // run of its destination and inside a chunk, so walks of its chunk are
+    // in flight beside it when it panics.
+    let mut sorted = pairs.clone();
+    sorted.sort_unstable_by_key(|&(u, v)| (v, u));
+    let at = sorted.iter().position(|&p| p == bad).unwrap();
+    assert!((3..CHUNK - 3).contains(&(at % CHUNK)), "chunk position {}", at % CHUNK);
+    assert!(sorted[at - 3..=at + 3].iter().all(|p| p.1 == bad.1));
 
-    for shards in [1usize, 2, 4] {
+    for (shards, record_paths) in [1usize, 2, 4].into_iter().flat_map(|s| [(s, false), (s, true)]) {
         let scheme = Arc::new(PanicsOn { g: Arc::clone(&g), pair: bad });
-        let engine =
-            ShardedEngine::new(Arc::clone(&g), scheme, EngineConfig::with_shards(shards)).unwrap();
+        let config = EngineConfig { shards, record_paths, max_hops: None };
+        let engine = ShardedEngine::new(Arc::clone(&g), Arc::clone(&scheme) as _, config).unwrap();
         // Twice: the lane that caught the panic serves the next batch too.
         for _ in 0..2 {
-            for (answer, &pair) in engine.route_batch(&pairs).iter().zip(&pairs) {
-                if pair == bad {
+            for (answer, &(u, v)) in engine.route_batch(&pairs).iter().zip(&pairs) {
+                if (u, v) == bad {
                     let lane = match answer {
                         Err(ServeError::ShardUnavailable { shard }) => *shard,
                         other => panic!("{shards} lanes: {other:?}"),
                     };
                     assert!(lane < shards, "lane {lane} of {shards}");
                 } else {
-                    // One unit edge, or nothing for a self-query.
                     let got = answer.as_ref().expect("every other pair routes");
-                    let edges = usize::from(pair.0 != pair.1);
-                    assert_eq!((got.weight, got.hops), (edges as u64, edges));
+                    let want = simulate(&g, scheme.as_ref(), u, v).expect("direct routing");
+                    assert_eq!(
+                        (got.weight, got.hops, got.max_header_words),
+                        (want.weight, want.hops, want.max_header_words),
+                        "{shards} lanes: {u:?}->{v:?}"
+                    );
+                    assert_eq!(got.path, record_paths.then_some(want.path));
                 }
             }
         }

@@ -232,7 +232,8 @@ impl BallTable {
     /// each worker reusing one workspace. The final arrays are reserved up
     /// front and filled a block of consecutive centres at a time, in index
     /// order: at most one block of per-vertex results is live beside them,
-    /// and the table is identical for every thread count.
+    /// a block that outgrows the slot reservation grows it by exactly its
+    /// own slots, and the table is identical for every thread count.
     pub fn build(g: &Graph, ell: usize) -> Self {
         Self::build_with(g, ell, g.is_unweighted())
     }
@@ -263,6 +264,11 @@ impl BallTable {
                     search.balls(g, lo..last.min(lo + width), ell)
                 },
             );
+            // The up-front reservation is `cap + 2` slots a ball, but a run
+            // can pass a region's `cap` by more: grow by exactly what this
+            // block needs rather than let `extend` double the array.
+            let block_slots = per_task.iter().flatten().map(|(_, s, _)| s.len()).sum();
+            slots.reserve_exact(block_slots);
             for (m, s, r) in per_task.into_iter().flatten() {
                 // A ball has at most `n` members, and ids are `u32`.
                 regions.push(Region { start: slots.len(), members: m.len() as u32 });

@@ -4,7 +4,9 @@
 //! the same scheme hop by hop through the erased, boxed
 //! `init_header`/`decide` pair — on the graph a scheme was built for and on
 //! another one, where walks fail — and a label erased by one registry key
-//! must be refused by every other key, not misread.
+//! must be refused by every other key, not misread. The batch walk,
+//! `walk_many`, with several walks in flight, must answer every job as
+//! `simulate_lean` does, and record the path `simulate` does.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -15,7 +17,7 @@ use routing_graph::generators::{Family, WeightModel};
 use routing_graph::{Graph, VertexId, Weight};
 use routing_model::{
     simulate, simulate_lean, simulate_lean_with_label, Decision, DynScheme, HeaderSize,
-    RouteError, RouteOutcome,
+    LeanOutcome, RouteError, RouteOutcome,
 };
 
 /// The walk `simulate` makes, written out over the erased surface: a fresh
@@ -124,6 +126,75 @@ fn typed_walk_equals_the_erased_reference_loop() {
         }
     }
     assert!(failed_walks > 0, "the stale walks exercise the error paths");
+}
+
+/// Dest-sorted jobs with what a serving chunk can hold: runs of one
+/// destination, self-queries, and one source outside the vertex space.
+fn lockstep_jobs(n: usize, rng: &mut StdRng) -> Vec<(VertexId, VertexId)> {
+    let mut jobs = sample_pairs(n, 100, rng);
+    let run_to = VertexId(rng.gen_range(0..n as u32));
+    jobs.extend((0..9).map(|i| (VertexId((i * 7) % n as u32), run_to)));
+    jobs.extend((0..6).map(|i| (VertexId(i * 11), VertexId(i * 11))));
+    jobs.push((VertexId(n as u32 + 3), run_to));
+    jobs.sort_unstable_by_key(|&(u, v)| (v, u));
+    jobs
+}
+
+/// Routes `jobs` through `walk_many`, `chunk` jobs per call as the serving
+/// lanes do, and returns each job's result and path.
+type Walked = (Result<(Weight, usize, usize), RouteError>, Vec<VertexId>);
+fn walk_in_chunks(
+    g: &Graph,
+    scheme: &dyn DynScheme,
+    jobs: &[(VertexId, VertexId)],
+    chunk: usize,
+    with_paths: bool,
+) -> Vec<Walked> {
+    let mut walked = Vec::with_capacity(jobs.len());
+    for jobs in jobs.chunks(chunk) {
+        let mut got: Vec<Option<Result<_, RouteError>>> = vec![None; jobs.len()];
+        let mut paths = vec![Vec::new(); jobs.len()];
+        let out = &mut |k: usize, out: Result<LeanOutcome, RouteError>| {
+            let out = out.map(|o| (o.weight, o.hops, o.max_header_words));
+            assert!(got[k].replace(out).is_none(), "job {k} answered twice");
+        };
+        scheme.walk_many(g, jobs, 4 * g.n() + 16, with_paths.then_some(&mut paths[..]), out);
+        for (got, path) in got.into_iter().zip(paths) {
+            walked.push((got.expect("every job is answered"), path));
+        }
+    }
+    walked
+}
+
+#[test]
+fn walk_many_answers_every_job_as_simulate_lean_does() {
+    let mut checked_errors = 0;
+    for (what, g, other) in instances() {
+        let n = g.n();
+        let jobs = lockstep_jobs(n, &mut StdRng::seed_from_u64(n as u64 ^ 0x10c5));
+        for (key, scheme) in build_all(&g, &what) {
+            let s = scheme.as_ref();
+            // On the build graph and stale on another, where walks fail.
+            for (on, walked_on) in [("", &g), ("stale ", &other)] {
+                for chunk in [16, jobs.len()] {
+                    let lean = walk_in_chunks(walked_on, s, &jobs, chunk, false);
+                    let full = walk_in_chunks(walked_on, s, &jobs, chunk, true);
+                    for ((&(u, v), (lean, _)), (full, path)) in jobs.iter().zip(lean).zip(full) {
+                        let at = format!("{key} {on}on {what}, chunks of {chunk}: {u}->{v}");
+                        let want = simulate_lean(walked_on, s, u, v, 4 * n + 16);
+                        let want = want.map(|o| (o.weight, o.hops, o.max_header_words));
+                        checked_errors += usize::from(want.is_err());
+                        assert_eq!(lean, want, "{at}");
+                        assert_eq!(full, want, "{at}, with paths");
+                        if let Ok(routed) = simulate(walked_on, s, u, v) {
+                            assert_eq!(path, routed.path, "{at}: path");
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(checked_errors > 0, "the unknown source and the stale walks exercise the errors");
 }
 
 #[test]
