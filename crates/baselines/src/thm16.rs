@@ -26,8 +26,13 @@
 //! scheme — `Õ((k/ε)·n^{1/k})` words total, matching the theorem. Bunches,
 //! cluster trees, the pivot ladder and the TZ share of the table are read
 //! from the [`TzHierarchy`] and its [`routing_core::ClusterFamily`]; the
-//! scheme itself keeps only the vicinities. As in the TZ scheme, a label is a
-//! `Copy` handle on that ladder and a header carries a tree-label view.
+//! scheme itself keeps only the vicinities, as a [`BallDists`]: the Lemma 2
+//! ports plus the distance of each slot's member, so costing a pivot through
+//! the vicinity is one probe and one read. The member lists, ranks and radii
+//! of the build-time [`BallTable`] are dropped, and the vicinities are built
+//! before the hierarchy, so the two builds' transients never overlap. As in
+//! the TZ scheme, a label is a `Copy` handle on that ladder and a header
+//! carries a tree-label view.
 
 use rand::Rng;
 
@@ -35,7 +40,7 @@ use routing_core::{BuildContext, BuildError, Params, SchemeBuilder};
 use routing_graph::{Graph, VertexId, Weight};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
 use routing_tree::TreeLabelView;
-use routing_vicinity::BallTable;
+use routing_vicinity::{BallDists, BallTable};
 
 use crate::tz::TzHierarchy;
 
@@ -87,8 +92,9 @@ pub struct Thm16Scheme {
     name: String,
     epsilon: f64,
     hierarchy: TzHierarchy,
-    /// The `ε`-vicinities of Lemma 2, `Õ((k/ε)·n^{1/k})` members each.
-    balls: BallTable,
+    /// The `ε`-vicinities of Lemma 2, `Õ((k/ε)·n^{1/k})` members each, with
+    /// the distance to every member.
+    balls: BallDists,
 }
 
 /// The vicinity size Theorem 16 prescribes: `α·(k/ε)·n^{1/k}` members,
@@ -115,8 +121,12 @@ impl Thm16Scheme {
         rng: &mut R,
     ) -> Result<Self, BuildError> {
         params.validate().map_err(|what| BuildError::BadParameter { what })?;
+        TzHierarchy::check(g, k)?;
+        // The ball build draws nothing from the RNG, so building it first
+        // leaves the hierarchy as it was, and its member lists are gone
+        // before the hierarchy's transients arrive.
+        let balls = BallTable::build(g, vicinity_size(k, g.n(), params)).into_dists();
         let hierarchy = TzHierarchy::build(g, k, rng)?;
-        let balls = BallTable::build(g, vicinity_size(k, g.n(), params));
         Ok(Thm16Scheme { name: format!("thm16k{k}"), epsilon: params.epsilon, hierarchy, balls })
     }
 
@@ -171,7 +181,7 @@ impl RoutingScheme for Thm16Scheme {
         // Cost every reachable pivot of v and take the cheapest; ties go to
         // the lower ladder level, reproducing plain TZ as the fallback.
         let mut best: Option<(Weight, Phase)> = None;
-        for ((w, dwv), label) in self.hierarchy.ladder(v) {
+        for &((w, dwv), label) in self.hierarchy.ladder(v) {
             if label == TreeLabelView::ABSENT {
                 continue;
             }
@@ -263,7 +273,7 @@ impl RoutingScheme for Thm16Scheme {
 
     /// `v`, its `k` pivots with distances and its `k` tree labels.
     fn label_words(&self, v: VertexId) -> usize {
-        1 + self.hierarchy.ladder(v).map(|(_, label)| 2 + label.words()).sum::<usize>()
+        1 + self.hierarchy.ladder(v).iter().map(|(_, label)| 2 + label.words()).sum::<usize>()
     }
 }
 
@@ -375,7 +385,7 @@ mod tests {
             assert!(scheme.table_words(v) > 0);
             assert_eq!(scheme.label_of(v).vertex, v);
             // v, three pivots with distances and three tree labels.
-            let trees: usize = scheme.hierarchy().ladder(v).map(|(_, l)| l.words()).sum();
+            let trees: usize = scheme.hierarchy().ladder(v).iter().map(|(_, l)| l.words()).sum();
             assert_eq!(scheme.label_words(v), 1 + 2 * 3 + trees);
         }
     }

@@ -34,11 +34,11 @@
 //! ladder stops within distance `(2i+1)·d(u, v)` at level `i`), then
 //! finishes on the cluster tree `T_{C(w)}` using the tree label embedded in
 //! `v`'s label. A label is a `Copy` handle: its pivots and tree labels are
-//! read from the arrays the hierarchy already keeps (`p_i(v)` from the pivot
-//! table, the tree label as a view into `T(p_i(v))`), and it is charged the
-//! words of the ladder it stands for. The distance oracle answers from
-//! bunches alone with the classic ping-pong scan, returning
-//! `d̂(u, v) ≤ (2k−1)·d(u, v)` in `O(k)` time.
+//! read from the one row the hierarchy keeps per vertex (`p_i(v)` with its
+//! distance and the tree label as a view into `T(p_i(v))`, for every `i`),
+//! and it is charged the words of the ladder it stands for. The distance
+//! oracle answers from bunches and that row with the classic ping-pong
+//! scan, returning `d̂(u, v) ≤ (2k−1)·d(u, v)` in `O(k)` time.
 //!
 //! Clusters, cluster trees and bunches are one [`routing_core::ClusterFamily`]
 //! built by the stage Theorems 10 and 11 use, and the routing scheme, the
@@ -54,14 +54,19 @@ use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
 use routing_tree::{TreeLabelView, TreeScheme};
 use routing_vicinity::{sample_centers_bounded, Landmarks};
 
+/// One rung of a vertex `v`'s pivot ladder: `(p_i(v), d(v, A_i))` and the
+/// label of `v` in `T(p_i(v))`, [`TreeLabelView::ABSENT`] if it has none.
+pub type Rung = ((VertexId, Weight), TreeLabelView);
+
 /// The Thorup–Zwick level hierarchy with pivots, bunches and cluster trees.
 #[derive(Debug, Clone)]
 pub struct TzHierarchy {
     k: usize,
     /// `levels[i]` = the set `A_i` (sorted); `levels[0]` is all of `V`.
     levels: Vec<Vec<VertexId>>,
-    /// `pivots[i][v]` = `(p_i(v), d(v, A_i))`; `pivots[0][v] = (v, 0)`.
-    pivots: Vec<Vec<(VertexId, Weight)>>,
+    /// Row-major `n × k`: entry `v·k + i` is rung `i` of `v`'s ladder, so a
+    /// query reads one contiguous row. Rung 0 is `((v, 0), label in T(v))`.
+    ladder: Vec<Rung>,
     /// The highest level that contains each vertex.
     level_of: Vec<usize>,
     /// `C(w)` of every `w` with respect to `w`'s level, and every `B(v)`.
@@ -83,20 +88,8 @@ impl TzHierarchy {
     /// [`BuildError::TooSmall`] on an empty graph and
     /// [`BuildError::Disconnected`] on a disconnected one.
     pub fn build<R: Rng>(g: &Graph, k: usize, rng: &mut R) -> Result<Self, BuildError> {
-        if k < 2 {
-            return Err(BuildError::BadParameter {
-                what: format!("thorup-zwick hierarchy needs k >= 2, got {k}"),
-            });
-        }
+        Self::check(g, k)?;
         let n = g.n();
-        if n == 0 {
-            return Err(BuildError::TooSmall {
-                what: "thorup-zwick hierarchy needs at least one vertex".into(),
-            });
-        }
-        if !g.is_connected() {
-            return Err(BuildError::Disconnected);
-        }
         let p = (n as f64).powf(-1.0 / k as f64);
 
         // Levels `A_1, ..., A_{k-1}` with their nearest-member data: `A_1` by
@@ -148,7 +141,35 @@ impl TzHierarchy {
             upper.get(level_of[w.index()]).map_or(&unbounded[..], Landmarks::bound_slice)
         })?;
 
-        Ok(TzHierarchy { k, levels, pivots, level_of, clusters })
+        // One row per vertex: its pivots beside its labels in their trees.
+        let mut ladder = Vec::with_capacity(n * k);
+        for v in g.vertices() {
+            ladder.extend(pivots.iter().map(|level| {
+                let (p, d) = level[v.index()];
+                ((p, d), clusters.label_in(p, v).unwrap_or(TreeLabelView::ABSENT))
+            }));
+        }
+        Ok(TzHierarchy { k, levels, ladder, level_of, clusters })
+    }
+
+    /// What [`TzHierarchy::build`] refuses before any work:
+    /// [`BuildError::BadParameter`] if `k < 2`, [`BuildError::TooSmall`] on
+    /// an empty graph and [`BuildError::Disconnected`] on a disconnected one.
+    pub(crate) fn check(g: &Graph, k: usize) -> Result<(), BuildError> {
+        if k < 2 {
+            return Err(BuildError::BadParameter {
+                what: format!("thorup-zwick hierarchy needs k >= 2, got {k}"),
+            });
+        }
+        if g.n() == 0 {
+            return Err(BuildError::TooSmall {
+                what: "thorup-zwick hierarchy needs at least one vertex".into(),
+            });
+        }
+        if !g.is_connected() {
+            return Err(BuildError::Disconnected);
+        }
+        Ok(())
     }
 
     /// The parameter `k`.
@@ -173,7 +194,7 @@ impl TzHierarchy {
 
     /// `(p_i(v), d(v, A_i))`.
     pub fn pivot(&self, i: usize, v: VertexId) -> (VertexId, Weight) {
-        self.pivots[i][v.index()]
+        self.ladder[v.index() * self.k + i].0
     }
 
     /// The bunch `B(v)` with distances, in ascending id order.
@@ -196,18 +217,13 @@ impl TzHierarchy {
         (0..self.n()).map(|v| self.bunch(VertexId(v as u32)).len()).max().unwrap_or(0)
     }
 
-    /// The pivot ladder of `v`: for `i = 0..k`, `(p_i(v), d(v, A_i))` and the
-    /// label of `v` in `T(p_i(v))`, as a view into that tree. Tie
-    /// inheritance puts `v` in every pivot's cluster; a label that is missing
-    /// anyway is [`TreeLabelView::ABSENT`].
-    pub fn ladder(
-        &self,
-        v: VertexId,
-    ) -> impl Iterator<Item = ((VertexId, Weight), TreeLabelView)> + '_ {
-        (0..self.k).map(move |i| {
-            let (p, d) = self.pivot(i, v);
-            ((p, d), self.clusters.label_in(p, v).unwrap_or(TreeLabelView::ABSENT))
-        })
+    /// The pivot ladder of `v`, one contiguous row: for `i = 0..k`,
+    /// `(p_i(v), d(v, A_i))` and the label of `v` in `T(p_i(v))`, as a view
+    /// into that tree. Tie inheritance puts `v` in every pivot's cluster; a
+    /// label that is missing anyway is [`TreeLabelView::ABSENT`]. Empty for
+    /// a `v` outside `0..n`.
+    pub fn ladder(&self, v: VertexId) -> &[Rung] {
+        self.ladder.get(v.index() * self.k..(v.index() + 1) * self.k).unwrap_or(&[])
     }
 
     /// Words the routing table of `v` holds: its bunch with distances, the
@@ -257,13 +273,13 @@ impl TzOracle {
             if let Some(dwv) = clusters.bunch_dist(v, w) {
                 let dwu = clusters.bunch_dist(u, w).unwrap_or_else(|| {
                     // w is p_i(u), so d(u, w) is the pivot distance.
-                    self.hierarchy.pivots[i][u.index()].1
+                    self.hierarchy.pivot(i, u).1
                 });
                 return dwu + dwv;
             }
             i += 1;
             std::mem::swap(&mut u, &mut v);
-            w = self.hierarchy.pivots[i][u.index()].0;
+            w = self.hierarchy.pivot(i, u).0;
         }
     }
 
@@ -365,12 +381,13 @@ impl RoutingScheme for TzRoutingScheme {
             routing_obs::counters::ROUTING_PHASE_TREE.inc();
             return Ok(TzHeader { root: source, label });
         }
-        for i in 0..self.hierarchy.k() {
-            let (w, _) = self.hierarchy.pivot(i, v);
+        for &((w, _), label) in self.hierarchy.ladder(v) {
             if w == source || clusters.bunch_dist(source, w).is_some() {
-                let label = clusters.label_in(w, v).ok_or_else(|| RouteError::BadLabel {
-                    what: format!("{v} has no label in the cluster tree of pivot {w}"),
-                })?;
+                if label == TreeLabelView::ABSENT {
+                    return Err(RouteError::BadLabel {
+                        what: format!("{v} has no label in the cluster tree of pivot {w}"),
+                    });
+                }
                 routing_obs::counters::ROUTING_PHASE_TREE.inc();
                 return Ok(TzHeader { root: w, label });
             }
@@ -399,7 +416,7 @@ impl RoutingScheme for TzRoutingScheme {
 
     /// `v`, its `k` pivots and its `k` tree labels.
     fn label_words(&self, v: VertexId) -> usize {
-        1 + self.hierarchy.ladder(v).map(|(_, label)| 1 + label.words()).sum::<usize>()
+        1 + self.hierarchy.ladder(v).iter().map(|(_, label)| 1 + label.words()).sum::<usize>()
     }
 }
 
@@ -462,6 +479,55 @@ mod tests {
         for v in g.vertices() {
             assert_eq!(h.pivot(0, v), (v, 0));
             assert!(h.level_of(v) < 3);
+        }
+    }
+
+    /// The per-level reading the ladder rows replaced: `(p_i(v), d(v, A_i))`
+    /// from a landmark search over each level `A_i`, under tie inheritance,
+    /// and `v`'s label looked up in `T(p_i(v))`.
+    fn per_level_ladder(g: &Graph, h: &TzHierarchy, v: VertexId) -> Vec<Rung> {
+        let k = h.k();
+        let mut pivots = vec![(v, 0)];
+        for level in &h.levels()[1..] {
+            let a = Landmarks::new(g, level.clone());
+            pivots.push((a.nearest(v).unwrap_or(v), a.dist_to_set(v).unwrap_or(INFINITY)));
+        }
+        for i in (1..k - 1).rev() {
+            if pivots[i].1 == pivots[i + 1].1 {
+                pivots[i] = pivots[i + 1];
+            }
+        }
+        pivots
+            .into_iter()
+            .map(|(p, d)| ((p, d), h.clusters().label_in(p, v).unwrap_or(TreeLabelView::ABSENT)))
+            .collect()
+    }
+
+    /// Each vertex's ladder row, and `pivot(i, v)`, equal the per-level
+    /// reading: ER, geometric and grid graphs, unit and weighted, around a
+    /// power of two, for `k ∈ {2, 3}`.
+    #[test]
+    fn ladder_rows_equal_the_per_level_reading() {
+        use generators::Family;
+        for n in [63, 64, 65, 130] {
+            let mut rng = StdRng::seed_from_u64(n as u64);
+            for family in [Family::ErdosRenyi, Family::Geometric, Family::Grid] {
+                for weights in [WeightModel::Unit, WeightModel::Uniform { lo: 1, hi: 9 }] {
+                    let g = family.generate(n, weights, &mut rng);
+                    for k in [2, 3] {
+                        let h = TzHierarchy::build(&g, k, &mut rng).unwrap();
+                        for v in g.vertices() {
+                            let reference = per_level_ladder(&g, &h, v);
+                            assert_eq!(h.ladder(v), reference, "{family:?} n = {n} k = {k}: {v}");
+                            for (i, &(pivot, _)) in reference.iter().enumerate() {
+                                assert_eq!(h.pivot(i, v), pivot);
+                            }
+                        }
+                        assert!(h.ladder(VertexId(g.n() as u32)).is_empty());
+                        assert_eq!(h.ladder.capacity(), g.n() * k, "no growth slack");
+                    }
+                }
+            }
         }
     }
 

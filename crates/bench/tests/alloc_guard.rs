@@ -16,8 +16,10 @@
 //! on the stack, so a batch of 1024 distinct destinations allocates no more
 //! than a batch of 1024 queries towards one, at one lane and at two.
 //!
-//! The same allocator also bounds one build's memory: the ball table's
-//! peak live bytes (see `assert_ball_build_peak`).
+//! The same allocator also bounds two builds' memory: the ball table's
+//! peak live bytes (see `assert_ball_build_peak`) and Theorem 16's, whose
+//! vicinities must be built and trimmed before its hierarchy (see
+//! `assert_thm16_build_peak`).
 //!
 //! The guard counts allocations, and live and peak bytes, through a
 //! wrapping `#[global_allocator]`. Everything lives in ONE `#[test]` so no
@@ -32,8 +34,8 @@ use std::sync::Arc;
 use compact_routing::registry::SchemeRegistry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use routing_baselines::ExactScheme;
-use routing_core::BuildContext;
+use routing_baselines::{ExactScheme, Thm16Scheme, TzHierarchy};
+use routing_core::{BuildContext, Params};
 use routing_graph::generators::{self, Family, WeightModel};
 use routing_graph::{Graph, SearchScratch, VertexId};
 use routing_model::{simulate, simulate_lean, simulate_lean_with_label, DynScheme, ErasedLabel};
@@ -163,6 +165,18 @@ fn assert_query_path_allocations(g: &Arc<Graph>, scheme: Arc<dyn DynScheme>, wha
     assert_eq!(routed, PAIRS, "{what}: walk_many fails a pair");
     for (engine, batch) in engines.iter().flat_map(|e| [(e, &uniform), (e, &one_dest)]) {
         assert!(engine.route_batch(batch).iter().all(Result::is_ok), "{what}: a batch fails");
+    }
+    // The counters see every thread. A helper lane that the caller outran
+    // in the batches above has not started up yet, and would make its
+    // thread's first allocations inside a counted window: warm until every
+    // lane has routed a chunk.
+    for engine in &engines {
+        let mut rounds = 0;
+        while engine.stats().iter().any(|lane| lane.queries == 0) {
+            assert!(rounds < 10_000, "{what}: a helper lane never took a chunk");
+            engine.route_batch(&uniform);
+            rounds += 1;
+        }
     }
 
     let (allocs, ()) = allocations_in(|| {
@@ -297,7 +311,7 @@ fn disabled_telemetry_adds_zero_allocations_to_hot_paths() {
     routing_obs::metrics::reset_counters();
     assert_eq!(checked, 2 * (2 * registry.names().len() - 1), "every key, both graphs but one");
 
-    // (e) One build's memory, with the same allocator.
+    // (e) Two builds' memory, with the same allocator.
     assert_ball_build_peak();
 }
 
@@ -329,5 +343,33 @@ fn assert_ball_build_peak() {
         peak as usize <= kept + block,
         "the build peaked at {peak} bytes: {kept} kept, {} over, one block is {block}",
         peak as usize - kept.min(peak as usize)
+    );
+    drop(table);
+    assert_thm16_build_peak(&g, ELL);
+}
+
+/// `Thm16Scheme::build` at k = 3 on the same graph: its live-byte peak is
+/// that of its vicinities (the ball build and the per-slot distances it
+/// keeps), or that of the hierarchy build beside the kept vicinities,
+/// whichever is larger. A hierarchy built first, or member lists kept past
+/// the conversion, would sit under the other build's peak.
+fn assert_thm16_build_peak(g: &Graph, ell: usize) {
+    const K: usize = 3;
+    const SEED: u64 = 17;
+    let params = Params::default();
+    let (vicinities, dists) = peak_bytes_in(|| BallTable::build(g, ell).into_dists());
+    let kept = dists.heap_bytes() as u64;
+    drop(dists);
+    let (hierarchy, _) =
+        peak_bytes_in(|| TzHierarchy::build(g, K, &mut StdRng::seed_from_u64(SEED)));
+    let (peak, scheme) =
+        peak_bytes_in(|| Thm16Scheme::build(g, K, &params, &mut StdRng::seed_from_u64(SEED)));
+    assert_eq!(scheme.expect("thm16k3 builds").vicinity_ell(), ell);
+    let bound = vicinities.max(kept + hierarchy);
+    // The scheme's name is the only allocation beyond the two builds.
+    assert!(
+        peak <= bound + 64,
+        "thm16k3 peaked at {peak} bytes: vicinities {vicinities}, \
+         kept {kept} + hierarchy {hierarchy}"
     );
 }

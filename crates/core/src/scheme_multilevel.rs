@@ -4,11 +4,12 @@
 //! vicinities per vertex. The crucial observation is Lemma 2's settle
 //! order: because a vicinity of size `t·b` contains the vicinity of size
 //! `b` as a prefix of its member list, **one** stored ball of size `ℓ·b`
-//! answers membership queries for every level — `v` is in the level-`t`
-//! vicinity of `u` iff [`routing_vicinity::BallPorts::rank`]`(u, v) < t·b`.
-//! Vertices therefore store a single [`routing_vicinity::BallPorts`] of the
-//! top-level size and derive all `ℓ` levels from ranks, paying one table
-//! instead of `ℓ`.
+//! holds every level — `v` is in the level-`t` vicinity of `u` iff
+//! [`routing_vicinity::BallTable::rank`]`(u, v) < t·b`. The levels are a
+//! build-time notion: the Lemma 6 colouring reads the level-1 prefix of the
+//! build-time [`routing_vicinity::BallTable`], and routing reads only the
+//! ports of the top-level ball, the one [`routing_vicinity::BallPorts`]
+//! each vertex keeps in place of `ℓ` tables.
 //!
 //! Routing from `u` to `v`: exact Lemma 2 forwarding when `v` is in `u`'s
 //! stored (top-level) ball; otherwise walk towards the remembered color
@@ -157,19 +158,6 @@ impl SchemeMultilevel {
     /// The color of vertex `v`.
     pub fn color(&self, v: VertexId) -> u32 {
         self.vic.color(v)
-    }
-
-    /// The smallest level `t ∈ 1..=levels` whose vicinity of `u` contains
-    /// `v`, derived from the single stored ball via [`routing_vicinity::BallPorts::rank`]:
-    /// `v` is in level `t` iff `rank < t · level_base`. `None` when `v` is
-    /// outside the top-level (stored) ball.
-    ///
-    /// This is the multilevel substrate: one table answers membership at
-    /// every level, no per-level storage.
-    pub fn member_level(&self, u: VertexId, v: VertexId) -> Option<usize> {
-        let rank = self.vic.balls.rank(u, v)?;
-        let t = rank / self.level_base + 1;
-        (t <= self.levels).then_some(t)
     }
 }
 
@@ -340,29 +328,35 @@ mod tests {
         let g = generators::erdos_renyi(70, 0.08, WeightModel::Uniform { lo: 1, hi: 9 }, &mut rng);
         let scheme =
             SchemeMultilevel::build(&g, 4, "thm15", &Params::with_epsilon(0.5), &mut rng).unwrap();
-        let b = scheme.level_base();
-        // The scheme keeps the ports only; the member lists come from a
-        // table of the same size.
+        let (b, levels) = (scheme.level_base(), scheme.levels());
+        // The scheme keeps the ports only; the ranks and member lists come
+        // from the build-time table of the same size.
         let balls = routing_vicinity::BallTable::build(&g, scheme.vic.balls.ell());
         assert_eq!(scheme.vic.balls, *balls);
+        // The smallest level t ∈ 1..=levels whose vicinity of u holds v:
+        // v is at level t iff rank(u, v) < t·b.
+        let member_level = |u, v| {
+            let t = balls.rank(u, v)? / b + 1;
+            (t <= levels).then_some(t)
+        };
         for u in g.vertices() {
             let view = balls.ball(u);
             // Level 1 membership: exactly the b-prefix of the stored ball.
-            assert_eq!(scheme.member_level(u, u), Some(1), "center is level-1");
+            assert_eq!(member_level(u, u), Some(1), "center is level-1");
             for (rank, &(v, _)) in view.members().iter().enumerate() {
-                let level = scheme.member_level(u, v);
+                let level = member_level(u, v);
                 assert_eq!(level, Some(rank / b + 1), "rank {rank} of {u}");
                 // Monotonicity: levels are nested, so membership at level t
                 // implies membership at every t' >= t.
                 if let Some(t) = level {
-                    assert!(t <= scheme.levels());
+                    assert!(t <= levels);
                     assert!(rank < t * b && (t == 1 || rank >= (t - 1) * b));
                 }
             }
             // A vertex outside the stored ball is at no level.
             for v in g.vertices() {
                 if !view.contains(v) {
-                    assert_eq!(scheme.member_level(u, v), None);
+                    assert_eq!(member_level(u, v), None);
                 }
             }
         }

@@ -148,6 +148,11 @@ pub const HOT_PATHS: &[(&str, HotScope)] = &[
         HotScope::FnPrefixes(&["start", "step", "tree_step", "tree_of", "global_tree"]),
     ),
     ("crates/core/src/technique2.rs", HotScope::FnPrefixes(&["start", "step"])),
+    (
+        "crates/baselines/src/tz.rs",
+        HotScope::FnPrefixes(&["init_header", "decide", "ladder", "pivot"]),
+    ),
+    ("crates/baselines/src/thm16.rs", HotScope::FnPrefixes(&["init_header", "decide"])),
     ("crates/model/src/erased.rs", HotScope::FnPrefixes(&["walk", "typed_for", "walk_many"])),
     (
         "crates/model/src/simulator.rs",

@@ -13,19 +13,23 @@
 //! through CSR offset tables, instead of one `Ball` object plus one
 //! `HashMap` per vertex, and it is split by who reads it.
 //!
-//! * [`BallPorts`] is what Lemma 2 *forwarding* reads, and all a built
-//!   scheme retains: per vertex one static open-addressing region of 12-byte
-//!   `[member, port, rank]` slots at load ≤ 3/4 (16 bytes a member), its
-//!   members placed in ascending hash order, so [`BallPorts::contains`],
-//!   [`BallPorts::first_port`] and [`BallPorts::rank`] are one probe of
-//!   about two adjacent slots, for members and non-members alike (see
-//!   `docs/ARCHITECTURE.md`, "Search kernel & memory layout").
+//! * [`BallPorts`] is what Lemma 2 *forwarding* reads, and all that every
+//!   built scheme but Theorem 16 retains: per vertex one static open-addressing region of 8-byte
+//!   `[member, port]` slots at load ≤ 3/4 (about 10.7 bytes a member), its
+//!   members placed in ascending hash order, so [`BallPorts::contains`] and
+//!   [`BallPorts::first_port`] are one probe of about two adjacent slots,
+//!   for members and non-members alike (see `docs/ARCHITECTURE.md`,
+//!   "Search kernel & memory layout").
+//! * [`BallDists`] is [`BallPorts`] plus the distance of every slot's member,
+//!   what Theorem 16 retains to cost its pivots: [`BallDists::dist`] is the
+//!   same probe and one read (about 21.3 bytes a member).
 //! * [`BallTable`] is [`BallPorts`] plus what only *preprocessing* reads:
-//!   the members `(v, d(u, v))` of every ball in `(distance, id)` settle
-//!   order (what [`BallView::members`] exposes and the colouring,
-//!   hitting-set and sequence builders iterate; another 16 bytes a member)
-//!   and the radii. It dereferences to its ports, and
-//!   [`BallTable::into_ports`] drops the rest once the last build-time
+//!   every slot's rank in its ball (4 bytes a slot), the members
+//!   `(v, d(u, v))` of every ball in `(distance, id)` settle order (what
+//!   [`BallView::members`] exposes and the colouring, hitting-set and
+//!   sequence builders iterate; 16 bytes a member) and the radii. It
+//!   dereferences to its ports, and [`BallTable::into_ports`] (or
+//!   [`BallTable::into_dists`]) drops the rest once the last build-time
 //!   reader has run.
 //!
 //! Building runs on a per-worker reusable workspace: on a unit-weight graph
@@ -40,18 +44,19 @@
 use std::ops::{Deref, Range};
 
 use routing_graph::scratch::{BfsBatch, SearchScratch, BFS_BATCH_WIDTH};
-use routing_graph::{Graph, Port, VertexId, Weight};
+use routing_graph::{Graph, Port, VertexId, Weight, INFINITY};
 
 /// Sentinel port stored for the ball's center (which has no first hop).
 const NO_PORT: Port = Port(u32::MAX);
 
-/// One slot of a vertex's open-addressing region: `[member id, port, rank]`.
-type Slot = [u32; 3];
+/// One slot of a vertex's open-addressing region: `[member id, port]`.
+type Slot = [u32; 2];
 
 /// Key of an unoccupied slot. `find` rejects ids outside `0..n` before
 /// probing, so a foreign `VertexId(u32::MAX)` cannot match it.
 const EMPTY_KEY: u32 = u32::MAX;
-const EMPTY: Slot = [EMPTY_KEY; 3];
+/// The rank a [`BallTable`] records beside an unoccupied slot.
+const NO_RANK: u32 = u32::MAX;
 
 /// [`BallTable::build`] appends the balls to the final arrays in blocks of
 /// `⌈n / BUILD_BLOCKS⌉` consecutive vertices, on unit weights rounded up to
@@ -100,9 +105,8 @@ struct Region {
 }
 
 /// What Lemma 2 forwarding reads of the balls `B(u, ℓ)`: for every vertex
-/// `u` and member `v`, the port at `u` on a shortest path towards `v` and
-/// `v`'s rank in `u`'s `(distance, id)` order. This is the part of a
-/// [`BallTable`] a scheme keeps for routing.
+/// `u` and member `v`, the port at `u` on a shortest path towards `v`. This
+/// is the part of a [`BallTable`] a scheme keeps for routing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BallPorts {
     ell: usize,
@@ -112,7 +116,7 @@ pub struct BallPorts {
     regions: Vec<Region>,
     /// Per vertex: its members in ascending [`slot_hash`] order, each at
     /// `max(home, previous + 1)`, never wrapping; the region's last slot is
-    /// always [`EMPTY`].
+    /// always empty ([`EMPTY_KEY`]).
     slots: Vec<Slot>,
 }
 
@@ -122,21 +126,23 @@ impl BallPorts {
         self.ell
     }
 
-    /// The slot of `v` in the region of `u`, or `None` when `v ∉ B(u, ℓ)` or
-    /// either id is outside `0..n`. Scans forward from `v`'s home slot; the
-    /// ordered placement means an empty slot or a resident with a larger
-    /// hash proves absence, so a miss stops as early as a hit.
+    /// The index and contents of `v`'s slot in the region of `u`, or `None`
+    /// when `v ∉ B(u, ℓ)` or either id is outside `0..n`. Scans forward from
+    /// `v`'s home slot; the ordered placement means an empty slot or a
+    /// resident with a larger hash proves absence, so a miss stops as early
+    /// as a hit. The index also addresses the per-slot arrays beside the
+    /// slots (a [`BallTable`]'s ranks, a [`BallDists`]'s distances).
     #[inline]
-    fn find(&self, u: VertexId, v: VertexId) -> Option<&Slot> {
+    fn find(&self, u: VertexId, v: VertexId) -> Option<(usize, Slot)> {
         if u.index().max(v.index()) >= self.len() {
             return None;
         }
         let region = self.regions.get(u.index())?;
         let h = slot_hash(v.0);
         let start = region.start + home_slot(h, slot_cap(region.members as usize));
-        for slot in self.slots.get(start..)? {
+        for (i, &slot) in self.slots.get(start..)?.iter().enumerate() {
             if slot[0] == v.0 {
-                return Some(slot);
+                return Some((start + i, slot));
             }
             if slot[0] == EMPTY_KEY || slot_hash(slot[0]) > h {
                 return None;
@@ -152,23 +158,15 @@ impl BallPorts {
 
     /// The port at `u` on a shortest path towards ball member `v`.
     pub fn first_port(&self, u: VertexId, v: VertexId) -> Option<Port> {
-        let port = Port(self.find(u, v)?[1]);
+        let port = Port(self.find(u, v)?.1[1]);
         (port != NO_PORT).then_some(port)
     }
 
-    /// The rank of `v` in the `(distance, id)` order of `B(u, ℓ)` (0 for `u`
-    /// itself), or `None` if `v` is not a member. Because balls are nested,
-    /// `rank(u, v) < k` is exactly the membership test `v ∈ B(u, k)` for any
-    /// `k` up to this ball's size.
-    pub fn rank(&self, u: VertexId, v: VertexId) -> Option<usize> {
-        self.find(u, v).map(|slot| slot[2] as usize)
-    }
-
-    /// The open-addressing region of `u`: `[member id, port, rank]` slots,
-    /// `[u32::MAX; 3]` where empty. Queries go through
+    /// The open-addressing region of `u`: `[member id, port]` slots,
+    /// `[u32::MAX; 2]` where empty. Queries go through
     /// [`BallPorts::contains`] and friends; this view exists so tests can
     /// hold the layout invariants.
-    pub fn slot_region(&self, u: VertexId) -> &[[u32; 3]] {
+    pub fn slot_region(&self, u: VertexId) -> &[[u32; 2]] {
         match self.regions.get(u.index()..u.index() + 2) {
             Some([region, next]) => &self.slots[region.start..next.start],
             _ => &[],
@@ -198,12 +196,48 @@ impl BallPorts {
     }
 }
 
+/// [`BallPorts`] plus, per slot, the distance from the region's vertex to
+/// the slot's member: what a scheme that costs routes through vicinity
+/// members keeps (Theorem 16). Built by [`BallTable::into_dists`]; it
+/// dereferences to its ports.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BallDists {
+    ports: BallPorts,
+    /// `dist[i]` is `d(u, v)` for the member `v` in slot `i` of `u`'s
+    /// region, [`INFINITY`] where the slot is empty.
+    dist: Vec<Weight>,
+}
+
+impl Deref for BallDists {
+    type Target = BallPorts;
+
+    fn deref(&self) -> &BallPorts {
+        &self.ports
+    }
+}
+
+impl BallDists {
+    /// Distance from `u` to `v` if `v ∈ B(u, ℓ)`: one probe and one read.
+    #[inline]
+    pub fn dist(&self, u: VertexId, v: VertexId) -> Option<Weight> {
+        self.dist.get(self.ports.find(u, v)?.0).copied()
+    }
+
+    /// Bytes of heap the arrays hold, by capacity, the ports included.
+    pub fn heap_bytes(&self) -> usize {
+        self.ports.heap_bytes() + std::mem::size_of::<Weight>() * self.dist.capacity()
+    }
+}
+
 /// The balls `B(u, ℓ)` of every vertex in flat CSR form: the routing
 /// information of Lemma 2 ([`BallPorts`], which the table dereferences to)
-/// beside the member lists and radii preprocessing reads.
+/// beside the ranks, member lists and radii preprocessing reads.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BallTable {
     ports: BallPorts,
+    /// Parallel to the slots: the rank of the slot's member in its ball's
+    /// `(distance, id)` order, [`NO_RANK`] where the slot is empty.
+    ranks: Vec<u32>,
     /// `offsets[u]..offsets[u + 1]` indexes `members` for vertex `u`.
     offsets: Vec<usize>,
     /// Members with distances, per vertex in `(distance, id)` settle order
@@ -249,6 +283,7 @@ impl BallTable {
         let mut offsets = Vec::with_capacity(n + 1);
         let mut members = Vec::with_capacity(n * ball_len);
         let mut slots = Vec::with_capacity(n * (slot_cap(ball_len) + 2));
+        let mut ranks = Vec::with_capacity(slots.capacity());
         let mut radius = Vec::with_capacity(n);
         offsets.push(0);
         // Centres per task: one sweep's worth, or one Dijkstra.
@@ -269,11 +304,13 @@ impl BallTable {
             // block needs rather than let `extend` double the array.
             let block_slots = per_task.iter().flatten().map(|(_, s, _)| s.len()).sum();
             slots.reserve_exact(block_slots);
+            ranks.reserve_exact(block_slots);
             for (m, s, r) in per_task.into_iter().flatten() {
                 // A ball has at most `n` members, and ids are `u32`.
                 regions.push(Region { start: slots.len(), members: m.len() as u32 });
                 members.extend(m);
-                slots.extend(s);
+                slots.extend(s.iter().map(|&[v, port, _]| [v, port]));
+                ranks.extend(s.iter().map(|&[_, _, rank]| rank));
                 radius.push(r);
                 offsets.push(members.len());
             }
@@ -283,13 +320,29 @@ impl BallTable {
         // regions that needed no overflow slot): return the slack.
         members.shrink_to_fit();
         slots.shrink_to_fit();
-        BallTable { ports: BallPorts { ell, regions, slots }, offsets, members, radius }
+        ranks.shrink_to_fit();
+        BallTable { ports: BallPorts { ell, regions, slots }, ranks, offsets, members, radius }
     }
 
-    /// Drops the member lists and radii: what is left is all that routing
-    /// reads.
+    /// Drops the ranks, member lists and radii: what is left is all that
+    /// Lemma 2 forwarding reads.
     pub fn into_ports(self) -> BallPorts {
         self.ports
+    }
+
+    /// Keeps the ports and, per slot, the distance to its member; drops the
+    /// rest, as [`BallTable::into_ports`] does.
+    pub fn into_dists(self) -> BallDists {
+        let mut dist = Vec::with_capacity(self.ranks.len());
+        for (u, pair) in self.ports.regions.windows(2).enumerate() {
+            let members = &self.members[self.member_range(VertexId(u as u32))];
+            dist.extend(
+                self.ranks[pair[0].start..pair[1].start]
+                    .iter()
+                    .map(|&rank| members.get(rank as usize).map_or(INFINITY, |&(_, d)| d)),
+            );
+        }
+        BallDists { ports: self.ports, dist }
     }
 
     /// A borrowed view of the ball of `u`.
@@ -304,6 +357,14 @@ impl BallTable {
         csr_range(&self.offsets, u.index()).unwrap_or(0..0)
     }
 
+    /// The rank of `v` in the `(distance, id)` order of `B(u, ℓ)` (0 for `u`
+    /// itself), or `None` if `v` is not a member. Because balls are nested,
+    /// `rank(u, v) < k` is exactly the membership test `v ∈ B(u, k)` for any
+    /// `k` up to this ball's size.
+    pub fn rank(&self, u: VertexId, v: VertexId) -> Option<usize> {
+        self.ranks.get(self.ports.find(u, v)?.0).map(|&rank| rank as usize)
+    }
+
     /// Distance from `u` to `v` if `v ∈ B(u, ℓ)`.
     pub fn dist(&self, u: VertexId, v: VertexId) -> Option<Weight> {
         let rank = self.rank(u, v)?;
@@ -313,23 +374,29 @@ impl BallTable {
     /// Bytes of heap the arrays hold, by capacity, the ports included.
     pub fn heap_bytes(&self) -> usize {
         self.ports.heap_bytes()
+            + std::mem::size_of::<u32>() * self.ranks.capacity()
             + std::mem::size_of::<usize>() * self.offsets.capacity()
             + std::mem::size_of::<(VertexId, Weight)>() * self.members.capacity()
             + std::mem::size_of::<Weight>() * self.radius.capacity()
     }
 }
 
+/// A slot as [`BallTable::build`] hashes it: `[member id, port, rank]`, the
+/// rank kept beside the retained [`Slot`] once appended.
+type BuildSlot = [u32; 3];
+const EMPTY: BuildSlot = [EMPTY_KEY, EMPTY_KEY, NO_RANK];
+
 /// One ball as [`BallTable::build`] appends it: the members with distances
 /// in settle order, the slot region, the radius.
-type BuiltBall = (Vec<(VertexId, Weight)>, Vec<Slot>, Weight);
+type BuiltBall = (Vec<(VertexId, Weight)>, Vec<BuildSlot>, Weight);
 
 /// One worker's kernel in [`BallTable::build`], chosen once, with the
 /// scratch region its balls are hashed into.
 enum BallSearch {
     /// The budgeted batch BFS, on a unit-weight graph.
-    Batch(BfsBatch, Vec<Slot>),
+    Batch(BfsBatch, Vec<BuildSlot>),
     /// One bounded Dijkstra per centre.
-    Dijkstra(SearchScratch, Vec<Slot>),
+    Dijkstra(SearchScratch, Vec<BuildSlot>),
 }
 
 impl BallSearch {
@@ -376,7 +443,7 @@ impl BallSearch {
 /// of the members in ascending hash order at `max(home, previous + 1)`,
 /// whatever order they arrive in. `cap + len` slots hold the longest run.
 fn fill_ball(
-    region: &mut Vec<Slot>,
+    region: &mut Vec<BuildSlot>,
     ball: impl ExactSizeIterator<Item = (VertexId, Weight, Option<Port>)>,
     radius: Weight,
 ) -> BuiltBall {
@@ -448,7 +515,7 @@ impl BallView<'_> {
     }
 
     /// The rank of `v` in the `(distance, id)` order (0 for the center), or
-    /// `None` if `v` is not a member: [`BallPorts::rank`].
+    /// `None` if `v` is not a member: [`BallTable::rank`].
     pub fn rank(&self, v: VertexId) -> Option<usize> {
         self.table.rank(self.u, v)
     }
@@ -563,13 +630,16 @@ mod tests {
         }
     }
 
-    /// The byte layout, pinned: 16 bytes a member retained (12-byte slots
-    /// at load 3/4) and 16 more while building (the member list). Per vertex
-    /// on top: the region entry (16 B), up to 8 B of `⌈4m/3⌉` rounding and
-    /// the overflow slots past `cap` — about one a vertex, whenever the
-    /// region's last slot is taken; build-only, the member offset and the
-    /// radius (8 B each). And no growth slack in any array, since slack
-    /// here is memory held for a scheme's lifetime.
+    /// The byte layout, pinned. Retained ports: 8-byte slots at load 3/4,
+    /// about 10.7 bytes a member; per vertex on top the region entry (16 B),
+    /// up to 8 B of `⌈4m/3⌉` rounding and the overflow slots past `cap` —
+    /// about one a vertex, whenever the region's last slot is taken. The
+    /// Theorem 16 form adds an 8-byte distance per slot, about 21.3 bytes a
+    /// member. While building, 4 bytes of rank a slot and 16 bytes of member
+    /// list a member come on top of the ports (32 bytes a member in all),
+    /// plus the member offset and the radius (8 B each). And no growth
+    /// slack in any array, since slack here is memory held for a scheme's
+    /// lifetime.
     #[test]
     fn heap_bytes_hold_the_bytes_per_member_budget() {
         let mut rng = StdRng::seed_from_u64(37);
@@ -583,19 +653,61 @@ mod tests {
             let n = g.n();
             let t = BallTable::build(&g, ell);
             let members: usize = g.vertices().map(|u| t.ball(u).len()).sum();
+            let slots = t.slots.len();
             assert!(members > n, "{name}: balls are not trivial");
             assert_eq!(t.members.len(), members);
+            assert_eq!(t.ranks.len(), slots);
             assert_eq!(t.members.capacity(), t.members.len(), "{name}: members");
             assert_eq!(t.radius.capacity(), t.radius.len(), "{name}: radius");
-            assert_eq!(t.slots.capacity(), t.slots.len(), "{name}: slots");
+            assert_eq!(t.slots.capacity(), slots, "{name}: slots");
+            assert_eq!(t.ranks.capacity(), slots, "{name}: ranks");
             assert_eq!(t.offsets.capacity(), t.offsets.len(), "{name}: offsets");
             assert_eq!(t.regions.capacity(), t.regions.len(), "{name}: regions");
             let full = t.heap_bytes();
             assert!(full <= 32 * members + 56 * n + 64, "{name}: {full} B for {members} members");
-            let ports = t.into_ports();
-            let kept = ports.heap_bytes();
-            assert!(kept <= 16 * members + 40 * n + 64, "{name}: {kept} B for {members} members");
-            assert_eq!(full - kept, 16 * members + 16 * n + 8, "{name}: what into_ports drops");
+            let dists = t.clone().into_dists();
+            assert_eq!(dists.dist.capacity(), slots, "{name}: distances");
+            let with_dists = dists.heap_bytes();
+            assert!(
+                with_dists <= 22 * members + 48 * n + 64,
+                "{name}: {with_dists} B for {members} members"
+            );
+            let kept = t.into_ports().heap_bytes();
+            assert!(kept <= 11 * members + 32 * n + 64, "{name}: {kept} B for {members} members");
+            assert_eq!(with_dists - kept, 8 * slots, "{name}: the distances into_dists keeps");
+            assert_eq!(
+                full - kept,
+                4 * slots + 16 * members + 16 * n + 8,
+                "{name}: what into_ports drops"
+            );
+        }
+    }
+
+    /// The distance a [`BallDists`] stores per slot is [`BallTable::dist`],
+    /// for every pair, members and non-members, and its ports are the
+    /// table's: three families, unit and weighted, around the batch width.
+    #[test]
+    fn per_slot_distances_answer_as_the_table_did() {
+        use generators::{Family, WeightModel};
+        let weighted = WeightModel::Uniform { lo: 1, hi: 9 };
+        for n in [63, 64, 65, 130] {
+            let mut rng = StdRng::seed_from_u64(n as u64);
+            for family in [Family::ErdosRenyi, Family::Geometric, Family::Grid] {
+                for weights in [WeightModel::Unit, weighted] {
+                    let g = family.generate(n, weights, &mut rng);
+                    for ell in [1, 9, n] {
+                        let t = BallTable::build(&g, ell);
+                        let dists = t.clone().into_dists();
+                        assert!(*dists == *t, "{family:?}, n = {n}, ℓ = {ell}: ports");
+                        for u in g.vertices() {
+                            for v in g.vertices() {
+                                let at = format!("{family:?} n = {n} ℓ = {ell}: ({u}, {v})");
+                                assert_eq!(dists.dist(u, v), t.dist(u, v), "{at}");
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 

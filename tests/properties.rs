@@ -301,6 +301,7 @@ fn check_ball_table(g: &Graph, table: &BallTable, reference: impl Fn(VertexId) -
     let hash = |id: u32| id.wrapping_mul(SLOT_HASH_MULT);
     // What a scheme retains of the table answers exactly as the table did.
     let ports = table.clone().into_ports();
+    let dists = table.clone().into_dists();
     assert_eq!((ports.ell(), ports.len()), (table.ell(), g.n()));
     for u in g.vertices() {
         let owned = reference(u);
@@ -315,8 +316,9 @@ fn check_ball_table(g: &Graph, table: &BallTable, reference: impl Fn(VertexId) -
             let port = owned.first_hop(v).and_then(|hop| g.port_to(u, hop));
             assert_eq!(table.first_port(u, v), port);
             assert_eq!(ports.contains(u, v), owned.contains(v), "ports.contains({u}, {v})");
-            assert_eq!(ports.rank(u, v), owned.rank(v), "ports.rank({u}, {v})");
+            assert_eq!(table.rank(u, v), owned.rank(v), "table.rank({u}, {v})");
             assert_eq!(ports.first_port(u, v), port, "ports.first_port({u}, {v})");
+            assert_eq!(dists.dist(u, v), owned.dist_to(v), "dists.dist({u}, {v})");
         }
 
         let region = table.slot_region(u);
@@ -330,10 +332,13 @@ fn check_ball_table(g: &Graph, table: &BallTable, reference: impl Fn(VertexId) -
         let mut next = 0;
         let mut prev_hash = None;
         for &at in &occupied {
-            let [id, _, rank] = region[at];
+            let [id, port] = region[at];
             assert!(prev_hash < Some(hash(id)), "hash order broken at slot {at} of region {u}");
             assert_eq!(at, home(hash(id)).max(next), "slot of {id} in region {u}");
-            assert_eq!(view.members()[rank as usize].0, VertexId(id));
+            let rank = table.rank(u, VertexId(id)).expect("an occupied slot holds a member");
+            assert_eq!(view.members()[rank].0, VertexId(id));
+            let hop = owned.first_hop(VertexId(id)).and_then(|hop| g.port_to(u, hop));
+            assert_eq!(port, hop.map_or(u32::MAX, |p| p.0), "port of {id} in region {u}");
             (next, prev_hash) = (at + 1, Some(hash(id)));
         }
         assert_eq!(region.len(), cap.max(next + 1), "slack in region {u}");
