@@ -25,4 +25,4 @@ pub mod tz;
 pub use exact::{ExactBuilder, ExactScheme};
 pub use spanner::{greedy_spanner, SpannerBuilder, SpannerScheme};
 pub use thm16::{Thm16Builder, Thm16Scheme};
-pub use tz::{TzBuilder, TzHierarchy, TzOracle, TzRoutingScheme};
+pub use tz::{TzBuilder, TzHierarchy, TzLevels, TzOracle, TzRoutingScheme};

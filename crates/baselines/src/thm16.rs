@@ -26,13 +26,17 @@
 //! scheme — `Õ((k/ε)·n^{1/k})` words total, matching the theorem. Bunches,
 //! cluster trees, the pivot ladder and the TZ share of the table are read
 //! from the [`TzHierarchy`] and its [`routing_core::ClusterFamily`]; the
-//! scheme itself keeps only the vicinities, as a [`BallDists`]: the Lemma 2
-//! ports plus the distance of each slot's member, so costing a pivot through
-//! the vicinity is one probe and one read. The member lists, ranks and radii
-//! of the build-time [`BallTable`] are dropped, and the vicinities are built
-//! before the hierarchy, so the two builds' transients never overlap. As in
-//! the TZ scheme, a label is a `Copy` handle on that ladder and a header
-//! carries a tree-label view.
+//! scheme itself keeps only the vicinities: the Lemma 2 ports
+//! ([`BallPorts`]) and, per vertex `u`, one id-sorted list of
+//! `(w, d(u, w))` for the members `w ∈ B(u, ℓ) ∩ A_1`. Step 3 reads a
+//! vicinity distance only after `v ∉ B(u, ℓ)`, and only for a pivot
+//! `w = p_i(v)`: `p_0(v) = v` is then no member, and every `p_i(v)` with
+//! `i ≥ 1` lies in `A_i ⊆ A_1`, so the list answers every lookup the
+//! routing makes. The build samples the hierarchy's levels first (its only
+//! RNG draws), then builds the [`BallTable`], keeps its ports and the `A_1`
+//! distances, drops it, and only then finishes the hierarchy, so the two
+//! builds' transients never overlap. As in the TZ scheme, a label is a
+//! `Copy` handle on that ladder and a header carries a tree-label view.
 
 use rand::Rng;
 
@@ -40,12 +44,12 @@ use routing_core::{BuildContext, BuildError, Params, SchemeBuilder};
 use routing_graph::{Graph, VertexId, Weight};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
 use routing_tree::TreeLabelView;
-use routing_vicinity::{BallDists, BallTable};
+use routing_vicinity::{BallPorts, BallTable};
 
-use crate::tz::TzHierarchy;
+use crate::tz::{TzHierarchy, TzLevels};
 
 /// Routing phase carried in the message header.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
     /// The destination is in the current vertex's vicinity: pure Lemma 2
     /// forwarding.
@@ -92,9 +96,64 @@ pub struct Thm16Scheme {
     name: String,
     epsilon: f64,
     hierarchy: TzHierarchy,
-    /// The `ε`-vicinities of Lemma 2, `Õ((k/ε)·n^{1/k})` members each, with
-    /// the distance to every member.
-    balls: BallDists,
+    /// The `ε`-vicinities of Lemma 2, `Õ((k/ε)·n^{1/k})` members each.
+    balls: BallPorts,
+    /// `d(u, w)` for every vicinity member `w` of `u` in `A_1`.
+    landmark_dists: LandmarkDists,
+}
+
+/// Per vertex `u`, the id-sorted `(w, d(u, w))` of every `w ∈ B(u, ℓ) ∩ A_1`,
+/// in one CSR table: 4 bytes a vertex and 16 an entry.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct LandmarkDists {
+    /// `offsets[u]..offsets[u + 1]` indexes `entries` for vertex `u`.
+    offsets: Vec<u32>,
+    entries: Vec<(VertexId, Weight)>,
+}
+
+impl LandmarkDists {
+    /// The lists of the id-sorted set `level` over the vicinities of `balls`:
+    /// one pass counts, one fills the exact arrays.
+    fn new(balls: &BallTable, level: &[VertexId]) -> Result<Self, BuildError> {
+        let n = balls.len();
+        let mut member = vec![false; n];
+        for &w in level {
+            member[w.index()] = true;
+        }
+        let kept = |u: usize| {
+            let ball = balls.ball(VertexId(u as u32)).members();
+            ball.iter().filter(|&&(w, _)| member[w.index()]).copied()
+        };
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0u32);
+        for u in 0..n {
+            let end = offsets[u] as usize + kept(u).count();
+            offsets.push(u32::try_from(end).map_err(|_| BuildError::TooSmall {
+                what: "vicinity landmark lists exceed the u32 offset range".into(),
+            })?);
+        }
+        let mut entries = Vec::with_capacity(offsets[n] as usize);
+        for u in 0..n {
+            let row = entries.len();
+            entries.extend(kept(u));
+            entries[row..].sort_unstable_by_key(|&(w, _)| w);
+        }
+        Ok(LandmarkDists { offsets, entries })
+    }
+
+    /// `d(u, w)` if `w` is on `u`'s list: one binary search.
+    #[inline]
+    fn landmark_dist(&self, u: VertexId, w: VertexId) -> Option<Weight> {
+        let (lo, hi) = (*self.offsets.get(u.index())?, *self.offsets.get(u.index() + 1)?);
+        let row = self.entries.get(lo as usize..hi as usize)?;
+        row.binary_search_by_key(&w, |&(x, _)| x).ok().map(|i| row[i].1)
+    }
+
+    /// Bytes of heap the arrays hold, by capacity.
+    fn heap_bytes(&self) -> usize {
+        std::mem::size_of::<u32>() * self.offsets.capacity()
+            + std::mem::size_of::<(VertexId, Weight)>() * self.entries.capacity()
+    }
 }
 
 /// The vicinity size Theorem 16 prescribes: `α·(k/ε)·n^{1/k}` members,
@@ -121,13 +180,17 @@ impl Thm16Scheme {
         rng: &mut R,
     ) -> Result<Self, BuildError> {
         params.validate().map_err(|what| BuildError::BadParameter { what })?;
-        TzHierarchy::check(g, k)?;
-        // The ball build draws nothing from the RNG, so building it first
-        // leaves the hierarchy as it was, and its member lists are gone
+        // The levels are the hierarchy's only RNG draws, and the ball build
+        // draws nothing, so sampling them first leaves the hierarchy as it
+        // was. The landmark lists need `A_1`; the member lists are gone
         // before the hierarchy's transients arrive.
-        let balls = BallTable::build(g, vicinity_size(k, g.n(), params)).into_dists();
-        let hierarchy = TzHierarchy::build(g, k, rng)?;
-        Ok(Thm16Scheme { name: format!("thm16k{k}"), epsilon: params.epsilon, hierarchy, balls })
+        let levels = TzLevels::sample(g, k, rng)?;
+        let table = BallTable::build(g, vicinity_size(k, g.n(), params));
+        let landmark_dists = LandmarkDists::new(&table, levels.level(1))?;
+        let balls = table.into_ports();
+        let hierarchy = TzHierarchy::from_levels(g, levels)?;
+        let name = format!("thm16k{k}");
+        Ok(Thm16Scheme { name, epsilon: params.epsilon, hierarchy, balls, landmark_dists })
     }
 
     /// The stretch slack `ε` this scheme was built with.
@@ -143,6 +206,12 @@ impl Thm16Scheme {
     /// The number of members in each stored `ε`-vicinity.
     pub fn vicinity_ell(&self) -> usize {
         self.balls.ell()
+    }
+
+    /// Bytes of heap the vicinities hold, by capacity: the Lemma 2 ports
+    /// and the landmark distance lists.
+    pub fn vicinity_heap_bytes(&self) -> usize {
+        self.balls.heap_bytes() + self.landmark_dists.heap_bytes()
     }
 }
 
@@ -190,7 +259,7 @@ impl RoutingScheme for Thm16Scheme {
             } else if let Some(d) = clusters.bunch_dist(source, w) {
                 // u ∈ C(w) by bunch/cluster duality: T(w) already covers u.
                 (d, Phase::Tree { root: w, label })
-            } else if let Some(d) = self.balls.dist(source, w) {
+            } else if let Some(d) = self.landmark_dists.landmark_dist(source, w) {
                 (d, Phase::ToPivot { w, label })
             } else {
                 continue;
@@ -388,6 +457,111 @@ mod tests {
             let trees: usize = scheme.hierarchy().ladder(v).iter().map(|(_, l)| l.words()).sum();
             assert_eq!(scheme.label_words(v), 1 + 2 * 3 + trees);
         }
+    }
+
+    /// Erdős–Rényi, geometric and grid graphs, unit and weighted, around a
+    /// power of two, each with the scheme built on it and the ball table of
+    /// its vicinity size.
+    fn schemes_beside_their_tables() -> Vec<(String, Graph, Thm16Scheme, BallTable)> {
+        use generators::Family;
+        let params = Params::with_epsilon(0.5);
+        let mut out = Vec::new();
+        for n in [63, 64, 65, 130] {
+            let mut rng = StdRng::seed_from_u64(n as u64);
+            for family in [Family::ErdosRenyi, Family::Geometric, Family::Grid] {
+                for weights in [WeightModel::Unit, WeightModel::Uniform { lo: 1, hi: 9 }] {
+                    let g = family.generate(n, weights, &mut rng);
+                    let scheme = Thm16Scheme::build(&g, 3, &params, &mut rng).unwrap();
+                    let table = BallTable::build(&g, scheme.vicinity_ell());
+                    out.push((format!("{family:?} {weights:?} n = {n}"), g, scheme, table));
+                }
+            }
+        }
+        out
+    }
+
+    /// The landmark lists answer `BallTable::dist(u, w)` for every `u` and
+    /// every `w ∈ A_1`, and nothing for any other `w`; they hold 16 bytes an
+    /// entry and 4 a vertex, with no growth slack.
+    #[test]
+    fn landmark_lists_answer_as_the_table_did() {
+        for (key, g, scheme, table) in schemes_beside_their_tables() {
+            let a1 = &scheme.hierarchy().levels()[1];
+            let lists = &scheme.landmark_dists;
+            let mut entries = 0;
+            for u in g.vertices() {
+                for w in g.vertices() {
+                    let want = if a1.binary_search(&w).is_ok() { table.dist(u, w) } else { None };
+                    assert_eq!(lists.landmark_dist(u, w), want, "{key}: d({u}, {w})");
+                    entries += usize::from(want.is_some());
+                }
+            }
+            assert_eq!(lists.landmark_dist(VertexId(g.n() as u32), a1[0]), None, "{key}");
+            assert!(entries > 0, "{key}: no vicinity holds a landmark");
+            assert_eq!(lists.entries.capacity(), entries, "{key}: entries");
+            assert_eq!(lists.offsets.capacity(), g.n() + 1, "{key}: offsets");
+            assert_eq!(lists.heap_bytes(), 16 * entries + 4 * (g.n() + 1), "{key}: bytes");
+            assert!(scheme.balls == table.clone().into_ports(), "{key}: ports");
+        }
+    }
+
+    /// `init_header` as it read the vicinity distances from the full ball
+    /// table, with `table` standing in for the scheme's vicinities.
+    fn reference_init_header(
+        scheme: &Thm16Scheme,
+        table: &BallTable,
+        source: VertexId,
+        v: VertexId,
+    ) -> Result<Phase, RouteError> {
+        if source == v || table.contains(source, v) {
+            return Ok(Phase::Direct);
+        }
+        let clusters = scheme.hierarchy.clusters();
+        if let Some(label) = clusters.label_in(source, v) {
+            return Ok(Phase::Tree { root: source, label });
+        }
+        let mut best: Option<(Weight, Phase)> = None;
+        for &((w, dwv), label) in scheme.hierarchy.ladder(v) {
+            if label == TreeLabelView::ABSENT {
+                continue;
+            }
+            let (duw, phase) = if w == source {
+                (0, Phase::Tree { root: w, label })
+            } else if let Some(d) = clusters.bunch_dist(source, w) {
+                (d, Phase::Tree { root: w, label })
+            } else if let Some(d) = table.dist(source, w) {
+                (d, Phase::ToPivot { w, label })
+            } else {
+                continue;
+            };
+            let cost = duw.saturating_add(dwv);
+            if best.as_ref().map_or(true, |&(c, _)| cost < c) {
+                best = Some((cost, phase));
+            }
+        }
+        best.map(|(_, phase)| phase).ok_or(RouteError::MissingInformation {
+            at: source,
+            what: format!("no pivot of {v} is reachable from {source}"),
+        })
+    }
+
+    /// Every header `init_header` starts with equals the one the reference
+    /// reading the ball table starts with, for every ordered pair, and some
+    /// of them walk to a pivot through the vicinity.
+    #[test]
+    fn every_header_equals_the_one_the_ball_table_gave() {
+        let mut to_pivot = 0;
+        for (key, g, scheme, table) in schemes_beside_their_tables() {
+            for u in g.vertices() {
+                for v in g.vertices() {
+                    let header = scheme.init_header(u, &scheme.label_of(v)).map(|h| h.phase);
+                    let want = reference_init_header(&scheme, &table, u, v);
+                    assert_eq!(header, want, "{key}: {u} -> {v}");
+                    to_pivot += usize::from(matches!(header, Ok(Phase::ToPivot { .. })));
+                }
+            }
+        }
+        assert!(to_pivot > 0, "no route walks to a pivot");
     }
 
     #[test]

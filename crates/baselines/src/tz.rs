@@ -43,15 +43,17 @@
 //! Clusters, cluster trees and bunches are one [`routing_core::ClusterFamily`]
 //! built by the stage Theorems 10 and 11 use, and the routing scheme, the
 //! oracle and Theorem 16 all read it; [`TzHierarchy::bunch`] is in id order.
-//! Sampling stays on the caller's thread, so the hierarchy is bit-identical
-//! for every thread count.
+//! The build is two halves: [`TzLevels::sample`] draws every random choice,
+//! on the caller's thread, and [`TzHierarchy::from_levels`] draws none, so
+//! the hierarchy is bit-identical for every thread count and Theorem 16 can
+//! build its vicinities in between.
 
 use rand::Rng;
 
 use routing_core::{BuildContext, BuildError, ClusterFamily, SchemeBuilder};
 use routing_graph::{Graph, VertexId, Weight, INFINITY};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
-use routing_tree::{TreeLabelView, TreeScheme};
+use routing_tree::{TreeLabelView, TreeView};
 use routing_vicinity::{sample_centers_bounded, Landmarks};
 
 /// One rung of a vertex `v`'s pivot ladder: `(p_i(v), d(v, A_i))` and the
@@ -73,28 +75,30 @@ pub struct TzHierarchy {
     clusters: ClusterFamily,
 }
 
-impl TzHierarchy {
-    /// Builds the hierarchy for parameter `k ≥ 2`.
-    ///
-    /// `A_1` is chosen with Lemma 4 so that the clusters of level-0 vertices
-    /// have `O(n^{1/k})` vertices (this is what turns the generic `4k−3`
-    /// stretch into `4k−5`); the higher levels are obtained by sampling each
-    /// vertex of the previous level with probability `n^{-1/k}`. Every level
-    /// below `k` is forced to stay non-empty.
+/// The sampled levels `A_1 ⊇ ... ⊇ A_{k-1}` of a [`TzHierarchy`], with their
+/// nearest-member data: the one part of the hierarchy's build that draws
+/// from the RNG.
+#[derive(Debug, Clone)]
+pub struct TzLevels {
+    /// `upper[i - 1]` is `A_i`.
+    upper: Vec<Landmarks>,
+}
+
+impl TzLevels {
+    /// Samples the levels for parameter `k ≥ 2`: `A_1` with Lemma 4, so that
+    /// the clusters of level-0 vertices have `O(n^{1/k})` vertices (this is
+    /// what turns the generic `4k−3` stretch into `4k−5`); every higher level
+    /// by keeping each vertex of the one below with probability `n^{-1/k}`.
+    /// Every level below `k` is forced to stay non-empty. Span `levels`.
     ///
     /// # Errors
     ///
-    /// Returns [`BuildError::BadParameter`] if `k < 2`,
-    /// [`BuildError::TooSmall`] on an empty graph and
-    /// [`BuildError::Disconnected`] on a disconnected one.
-    pub fn build<R: Rng>(g: &Graph, k: usize, rng: &mut R) -> Result<Self, BuildError> {
-        Self::check(g, k)?;
+    /// As [`TzHierarchy::build`].
+    pub fn sample<R: Rng>(g: &Graph, k: usize, rng: &mut R) -> Result<Self, BuildError> {
+        TzHierarchy::check(g, k)?;
+        let _span = routing_obs::span("levels");
         let n = g.n();
         let p = (n as f64).powf(-1.0 / k as f64);
-
-        // Levels `A_1, ..., A_{k-1}` with their nearest-member data: `A_1` by
-        // Lemma 4, each next one sampled from the one below.
-        let span_levels = routing_obs::span("levels");
         let s1 = ((n as f64).powf(1.0 - 1.0 / k as f64).ceil() as usize).clamp(1, n);
         let mut upper = vec![sample_centers_bounded(g, s1, rng)];
         while upper.len() < k - 1 {
@@ -105,6 +109,40 @@ impl TzHierarchy {
             }
             upper.push(Landmarks::new(g, next));
         }
+        Ok(TzLevels { upper })
+    }
+
+    /// The sorted level `A_i`, for `i` in `1..k`; empty otherwise.
+    pub(crate) fn level(&self, i: usize) -> &[VertexId] {
+        i.checked_sub(1).and_then(|j| self.upper.get(j)).map_or(&[], Landmarks::members)
+    }
+}
+
+impl TzHierarchy {
+    /// Builds the hierarchy for parameter `k ≥ 2`: [`TzLevels::sample`],
+    /// then [`TzHierarchy::from_levels`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BuildError::BadParameter`] if `k < 2`,
+    /// [`BuildError::TooSmall`] on an empty graph and
+    /// [`BuildError::Disconnected`] on a disconnected one.
+    pub fn build<R: Rng>(g: &Graph, k: usize, rng: &mut R) -> Result<Self, BuildError> {
+        Self::from_levels(g, TzLevels::sample(g, k, rng)?)
+    }
+
+    /// Finishes the hierarchy over levels sampled for `g`: pivots, the
+    /// cluster family and the ladder rows. Draws nothing, so a caller may
+    /// run other builds between sampling the levels and finishing them.
+    ///
+    /// # Errors
+    ///
+    /// [`BuildError::TooSmall`] if a cluster tree cannot be laid out, which
+    /// a well-formed search never produces.
+    pub fn from_levels(g: &Graph, levels: TzLevels) -> Result<Self, BuildError> {
+        let n = g.n();
+        let upper = levels.upper;
+        let k = upper.len() + 1;
         let mut levels = vec![g.vertices().collect::<Vec<_>>()];
         levels.extend(upper.iter().map(|a| a.members().to_vec()));
         let mut level_of = vec![0usize; n];
@@ -113,7 +151,6 @@ impl TzHierarchy {
                 level_of[v.index()] = i;
             }
         }
-        drop(span_levels);
 
         let span_pivots = routing_obs::span("pivots");
         let mut pivots = vec![g.vertices().map(|v| (v, 0)).collect::<Vec<_>>()];
@@ -202,8 +239,8 @@ impl TzHierarchy {
         self.clusters.bunch(v)
     }
 
-    /// The cluster tree `T(w)`.
-    pub fn cluster_tree(&self, w: VertexId) -> &TreeScheme {
+    /// The cluster tree `T(w)`, or `None` when `w` is not a vertex.
+    pub fn cluster_tree(&self, w: VertexId) -> Option<TreeView<'_>> {
         self.clusters.tree(w)
     }
 
@@ -231,6 +268,17 @@ impl TzHierarchy {
     /// of its own cluster's members, and its `k` pivots with distances.
     pub fn table_words(&self, v: VertexId) -> usize {
         2 * self.bunch(v).len() + self.clusters.membership_words(v) + 2 * self.k
+    }
+
+    /// Bytes of heap the hierarchy holds, by capacity: the level sets, the
+    /// ladder rows, the level of every vertex and the cluster family.
+    pub fn heap_bytes(&self) -> usize {
+        let level_ids: usize = self.levels.iter().map(Vec::capacity).sum();
+        std::mem::size_of::<Vec<VertexId>>() * self.levels.capacity()
+            + std::mem::size_of::<VertexId>() * level_ids
+            + std::mem::size_of::<Rung>() * self.ladder.capacity()
+            + std::mem::size_of::<usize>() * self.level_of.capacity()
+            + self.clusters.heap_bytes()
     }
 }
 
@@ -525,6 +573,10 @@ mod tests {
                         }
                         assert!(h.ladder(VertexId(g.n() as u32)).is_empty());
                         assert_eq!(h.ladder.capacity(), g.n() * k, "no growth slack");
+                        // 24 B a rung and a level's header, 4 an id, 8 a level-of entry.
+                        let ids: usize = h.levels().iter().map(Vec::len).sum();
+                        let fixed = 24 * h.levels.capacity() + 4 * ids + 24 * g.n() * k + 8 * g.n();
+                        assert_eq!(h.heap_bytes(), fixed + h.clusters().heap_bytes());
                     }
                 }
             }
@@ -538,7 +590,7 @@ mod tests {
         let h = TzHierarchy::build(&g, 2, &mut rng).unwrap();
         for v in g.vertices() {
             for &(w, d) in h.bunch(v) {
-                assert!(h.cluster_tree(w).contains(v));
+                assert!(h.cluster_tree(w).unwrap().contains(v));
                 let spt = routing_graph::shortest_path::dijkstra(&g, w);
                 assert_eq!(spt.dist(v), Some(d));
             }

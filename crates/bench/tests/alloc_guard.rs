@@ -19,7 +19,9 @@
 //! The same allocator also bounds two builds' memory: the ball table's
 //! peak live bytes (see `assert_ball_build_peak`) and Theorem 16's, whose
 //! vicinities must be built and trimmed before its hierarchy (see
-//! `assert_thm16_build_peak`).
+//! `assert_thm16_build_peak`). And it counts what a cluster family keeps:
+//! a fixed number of allocations, however many trees it holds (see
+//! `assert_cluster_family_allocations`).
 //!
 //! The guard counts allocations, and live and peak bytes, through a
 //! wrapping `#[global_allocator]`. Everything lives in ONE `#[test]` so no
@@ -34,13 +36,13 @@ use std::sync::Arc;
 use compact_routing::registry::SchemeRegistry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use routing_baselines::{ExactScheme, Thm16Scheme, TzHierarchy};
-use routing_core::{BuildContext, Params};
+use routing_baselines::{ExactScheme, Thm16Scheme, TzHierarchy, TzLevels};
+use routing_core::{BuildContext, ClusterFamily, Params};
 use routing_graph::generators::{self, Family, WeightModel};
 use routing_graph::{Graph, SearchScratch, VertexId};
 use routing_model::{simulate, simulate_lean, simulate_lean_with_label, DynScheme, ErasedLabel};
 use routing_serve::{EngineConfig, ShardedEngine};
-use routing_vicinity::BallTable;
+use routing_vicinity::{sample_centers_bounded, BallTable};
 
 /// Counts every allocation (alloc, alloc_zeroed, realloc) and delegates to
 /// the system allocator. Deallocations are not counted — the guard is about
@@ -48,6 +50,8 @@ use routing_vicinity::BallTable;
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Allocations made and not yet freed.
+static LIVE_ALLOCS: AtomicU64 = AtomicU64::new(0);
 /// Bytes allocated and not yet freed, and the most there have been since
 /// the last [`peak_bytes_in`] began.
 static LIVE: AtomicU64 = AtomicU64::new(0);
@@ -65,12 +69,14 @@ fn shrank(bytes: usize) {
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE_ALLOCS.fetch_add(1, Ordering::Relaxed);
         grew(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE_ALLOCS.fetch_add(1, Ordering::Relaxed);
         grew(layout.size());
         System.alloc_zeroed(layout)
     }
@@ -85,6 +91,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_ALLOCS.fetch_sub(1, Ordering::Relaxed);
         shrank(layout.size());
         System.dealloc(ptr, layout)
     }
@@ -107,6 +114,14 @@ fn peak_bytes_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
     PEAK.store(before, Ordering::Relaxed);
     let result = f();
     (PEAK.load(Ordering::Relaxed) - before, result)
+}
+
+/// Runs `f` and returns the bytes its result keeps live: those live after
+/// it beyond those live when it began.
+fn kept_bytes_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = LIVE.load(Ordering::Relaxed);
+    let result = f();
+    (LIVE.load(Ordering::Relaxed) - before, result)
 }
 
 /// Queries per key and graph, and the size of each serving batch.
@@ -346,30 +361,52 @@ fn assert_ball_build_peak() {
     );
     drop(table);
     assert_thm16_build_peak(&g, ELL);
+    assert_cluster_family_allocations(&g);
 }
 
 /// `Thm16Scheme::build` at k = 3 on the same graph: its live-byte peak is
-/// that of its vicinities (the ball build and the per-slot distances it
-/// keeps), or that of the hierarchy build beside the kept vicinities,
-/// whichever is larger. A hierarchy built first, or member lists kept past
-/// the conversion, would sit under the other build's peak.
+/// that of its vicinities — the ball build and the landmark lists beside
+/// the sampled levels — or that of the rest of the hierarchy build beside
+/// the levels and the kept vicinities, whichever is larger. A hierarchy
+/// built before the vicinities, or member lists kept past the conversion,
+/// would sit under the other build's peak.
 fn assert_thm16_build_peak(g: &Graph, ell: usize) {
     const K: usize = 3;
     const SEED: u64 = 17;
     let params = Params::default();
-    let (vicinities, dists) = peak_bytes_in(|| BallTable::build(g, ell).into_dists());
-    let kept = dists.heap_bytes() as u64;
-    drop(dists);
-    let (hierarchy, _) =
-        peak_bytes_in(|| TzHierarchy::build(g, K, &mut StdRng::seed_from_u64(SEED)));
-    let (peak, scheme) =
-        peak_bytes_in(|| Thm16Scheme::build(g, K, &params, &mut StdRng::seed_from_u64(SEED)));
-    assert_eq!(scheme.expect("thm16k3 builds").vicinity_ell(), ell);
-    let bound = vicinities.max(kept + hierarchy);
-    // The scheme's name is the only allocation beyond the two builds.
+    let rng = || StdRng::seed_from_u64(SEED);
+    let (sampling, _) = peak_bytes_in(|| TzLevels::sample(g, K, &mut rng()));
+    let (levels_bytes, levels) = kept_bytes_in(|| TzLevels::sample(g, K, &mut rng()).expect("levels"));
+    let (ball_build, table) = peak_bytes_in(|| BallTable::build(g, ell));
+    let ports = table.into_ports().heap_bytes() as u64;
+    let (hierarchy, _) = peak_bytes_in(|| TzHierarchy::from_levels(g, levels));
+    let (peak, scheme) = peak_bytes_in(|| Thm16Scheme::build(g, K, &params, &mut rng()));
+    let scheme = scheme.expect("thm16k3 builds");
+    assert_eq!(scheme.vicinity_ell(), ell);
+    let kept = scheme.vicinity_heap_bytes() as u64;
+    let lists = kept - ports;
+    // The list build marks `A_1` in one byte a vertex.
+    let vicinities = levels_bytes + ball_build + lists + g.n() as u64;
+    let bound = sampling.max(vicinities).max(levels_bytes + kept + hierarchy);
+    // The scheme's name is the only allocation beyond the builds.
     assert!(
         peak <= bound + 64,
-        "thm16k3 peaked at {peak} bytes: vicinities {vicinities}, \
-         kept {kept} + hierarchy {hierarchy}"
+        "thm16k3 peaked at {peak} bytes: levels {levels_bytes}, ball build {ball_build}, \
+         landmark lists {lists}, kept {kept} + hierarchy {hierarchy}"
     );
+    assert!(lists < ports / 4, "{lists} bytes of landmark lists beside {ports} of ports");
+}
+
+/// A cluster family on the same graph, under a Lemma 4 landmark bound,
+/// keeps its trees and bunches in a fixed number of allocations: the
+/// forest's five arrays and the bunches' two, not a few per tree.
+fn assert_cluster_family_allocations(g: &Graph) {
+    let s = (g.n() as f64).powf(2.0 / 3.0).ceil() as usize;
+    let landmarks = sample_centers_bounded(g, s, &mut StdRng::seed_from_u64(5));
+    let before = LIVE_ALLOCS.load(Ordering::Relaxed);
+    let (_family, members) =
+        ClusterFamily::build(g, |_| landmarks.bound_slice()).expect("the family builds");
+    drop(members);
+    let retained = LIVE_ALLOCS.load(Ordering::Relaxed) - before;
+    assert!(retained <= 7, "a cluster family of {} trees keeps {retained} allocations", g.n());
 }

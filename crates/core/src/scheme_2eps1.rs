@@ -26,7 +26,7 @@ use rand::Rng;
 
 use routing_graph::{Graph, VertexId, Weight};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
-use routing_tree::{TreeLabelView, TreeScheme};
+use routing_tree::{TreeForest, TreeLabelView, TreeView};
 use routing_vicinity::{BallTable, Landmarks};
 
 use crate::seq::KeyedStore;
@@ -105,8 +105,8 @@ pub struct SchemeTwoPlusEps {
     /// Row-major `n × q`: `d(u, w)` for `u`'s representative `w` of each
     /// color, beside the representative the vicinity stage stores.
     rep_dist: Vec<Weight>,
-    /// Global trees `T(a)`, parallel to the id-sorted landmark list.
-    global_trees: Vec<TreeScheme>,
+    /// Global trees `T(a)`, tree `i` that of landmark `i` in id order.
+    global_trees: TreeForest,
     /// At `u`: destination `v` -> best intersection vertex `w`.
     best_intersection: KeyedStore<VertexId>,
     router: Technique1Router,
@@ -173,8 +173,8 @@ impl SchemeTwoPlusEps {
 
     /// The global tree `T(a)` of landmark `a` — one binary search over the
     /// id-sorted landmark list, no hash table.
-    fn global_tree(&self, a: VertexId) -> Option<&TreeScheme> {
-        self.landmarks().members().binary_search(&a).ok().map(|i| &self.global_trees[i])
+    fn global_tree(&self, a: VertexId) -> Option<TreeView<'_>> {
+        self.global_trees.tree(self.landmarks().members().binary_search(&a).ok()?)
     }
 }
 

@@ -9,6 +9,9 @@
 //! the crate builds a ball table, a colouring or a cluster family. The
 //! cluster family itself ([`ClusterFamily`]) is public: the Thorup–Zwick
 //! hierarchy under `tz*` and `thm16k*` builds each of its levels with it.
+//! Every family of trees built here — a cluster family's `T(w)`, the global
+//! trees — is one [`TreeForest`], built a block of roots at a time and
+//! appended in root order, so no tree is an object of its own.
 //!
 //! A scheme that needs both runs [`Vicinities::balls`], then
 //! [`Clusters::build`], then [`Vicinities::colour`]: the landmark sample is
@@ -24,8 +27,8 @@
 use rand::Rng;
 
 use routing_graph::{Graph, SearchScratch, VertexId, Weight};
-use routing_model::{Decision, RouteError, RoutingScheme};
-use routing_tree::{TreeLabelView, TreeScheme};
+use routing_model::{Decision, RouteError};
+use routing_tree::{TreeForest, TreeLabelView, TreeView};
 use routing_vicinity::{sample_centers_bounded, BallPorts, BallTable, Coloring, Landmarks};
 
 use crate::{BuildError, Params};
@@ -53,21 +56,60 @@ pub(crate) fn ball_sets(balls: &BallTable, prefix_len: usize) -> Vec<Vec<VertexI
         .collect()
 }
 
+/// One tree per root index in `0..roots`: `build` runs the root's search on
+/// a worker's workspace, appends its tree to the chunk it is handed and
+/// returns what the caller keeps of the search besides. A task takes a
+/// block of consecutive roots into one chunk (at most 64, at least eight
+/// blocks a worker), and the chunks are appended to the forest in root
+/// order, every offset rebased. The forest therefore does not depend on the
+/// blocks nor on the thread count, and no tree is an object of its own.
+/// The chunks are trimmed as they finish, so the build peaks at about twice
+/// the forest. Appending them a group at a time would lower that peak, but
+/// each group would regrow the forest's arrays by a copy, which costs more
+/// build time than the peak is worth.
+fn forest_by_blocks<T: Send>(
+    g: &Graph,
+    roots: usize,
+    build: impl Fn(&mut SearchScratch, usize, &mut TreeForest) -> Result<T, BuildError> + Sync,
+) -> Result<(TreeForest, Vec<T>), BuildError> {
+    let width = roots.div_ceil(8 * routing_par::threads()).clamp(1, 64);
+    let blocks = routing_par::par_map_scratch(
+        roots.div_ceil(width),
+        || SearchScratch::for_graph(g),
+        |scratch, b| {
+            let mut chunk = TreeForest::new();
+            let block = b * width..roots.min((b + 1) * width);
+            let kept = block.map(|i| build(scratch, i, &mut chunk)).collect::<Result<Vec<T>, _>>()?;
+            chunk.shrink_to_fit();
+            Ok::<_, BuildError>((chunk, kept))
+        },
+    );
+    let (mut chunks, mut kept) = (Vec::with_capacity(blocks.len()), Vec::with_capacity(roots));
+    for block in blocks {
+        let (chunk, block_kept) = block?;
+        chunks.push(chunk);
+        kept.extend(block_kept);
+    }
+    let mut forest = TreeForest::new();
+    forest.append(chunks).map_err(tree_error)?;
+    Ok((forest, kept))
+}
+
+/// A tree the build could not lay out, which a well-formed search never
+/// produces.
+fn tree_error(e: routing_tree::TreeBuildError) -> BuildError {
+    BuildError::TooSmall { what: e.to_string() }
+}
+
 /// A shortest-path tree spanning `V` per root, in `roots` order: one full
 /// Dijkstra each, fanned out over per-worker search workspaces.
-pub(crate) fn global_trees(g: &Graph, roots: &[VertexId]) -> Result<Vec<TreeScheme>, BuildError> {
+pub(crate) fn global_trees(g: &Graph, roots: &[VertexId]) -> Result<TreeForest, BuildError> {
     let _span = routing_obs::span("global-trees");
-    routing_par::par_map_scratch(
-        roots.len(),
-        || SearchScratch::for_graph(g),
-        |scratch, i| {
-            scratch.dijkstra_into(g, roots[i]);
-            TreeScheme::from_scratch(g, scratch)
-                .map_err(|e| BuildError::TooSmall { what: e.to_string() })
-        },
-    )
-    .into_iter()
-    .collect()
+    let (forest, _) = forest_by_blocks(g, roots.len(), |scratch, i, chunk| {
+        scratch.dijkstra_into(g, roots[i]);
+        chunk.push_scratch(g, scratch).map_err(tree_error)
+    })?;
+    Ok(forest)
 }
 
 /// Lemma 2 vicinities `B(u, ℓ)`, their Lemma 6 colouring and, per vertex and
@@ -223,17 +265,18 @@ pub type ClusterMembers = Vec<Vec<(VertexId, Weight)>>;
 /// `C(w) = {v : d(w, v) < bound_w(v)}` (the root always belongs) as its
 /// Lemma 3 tree `T(w)`, and for every `v` the bunch `B(v) = {w : v ∈ C(w)}`
 /// with distances. Theorems 10 and 11 bound every root by `d(·, A)`, the
-/// Thorup–Zwick hierarchy a level-`i` root by `d(·, A_{i+1})`.
+/// Thorup–Zwick hierarchy a level-`i` root by `d(·, A_{i+1})`. The trees are
+/// one [`TreeForest`], tree `w` being `T(w)`.
 #[derive(Debug, Clone)]
 pub struct ClusterFamily {
     /// `T(w)` of every root, indexed by vertex id.
-    trees: Vec<TreeScheme>,
+    trees: TreeForest,
     bunches: FlatBunches,
 }
 
 impl ClusterFamily {
     /// One restricted search per root `w` under the row `bound(w)`, `T(w)`
-    /// built straight from the search workspace, and the members inverted
+    /// appended straight from the search workspace, and the members inverted
     /// into the bunches: spans `clusters` and `cluster-trees` (per root, on
     /// its worker) and `bunches`. The members are handed back too, for
     /// Theorem 10's intersections. Thread-count independent.
@@ -246,32 +289,26 @@ impl ClusterFamily {
         g: &Graph,
         bound: impl Fn(VertexId) -> &'b [Weight] + Sync,
     ) -> Result<(Self, ClusterMembers), BuildError> {
-        let per_root = routing_par::par_map_scratch(
-            g.n(),
-            || SearchScratch::for_graph(g),
-            |scratch, w| {
-                let w = VertexId(w as u32);
-                let members = {
-                    let _span = routing_obs::span("clusters");
-                    scratch.cluster_into(g, w, bound(w));
-                    scratch.order().to_vec()
-                };
-                let _span = routing_obs::span("cluster-trees");
-                let tree = TreeScheme::from_scratch(g, scratch)
-                    .map_err(|e| BuildError::TooSmall { what: e.to_string() })?;
-                Ok::<_, BuildError>((members, tree))
-            },
-        );
+        let (trees, members) = forest_by_blocks(g, g.n(), |scratch, w, chunk| {
+            let w = VertexId(w as u32);
+            let members = {
+                let _span = routing_obs::span("clusters");
+                scratch.cluster_into(g, w, bound(w));
+                scratch.order().to_vec()
+            };
+            let _span = routing_obs::span("cluster-trees");
+            chunk.push_scratch(g, scratch).map_err(tree_error)?;
+            Ok(members)
+        })?;
         let _span = routing_obs::span("bunches");
-        let (members, trees): (ClusterMembers, _) =
-            per_root.into_iter().collect::<Result<_, _>>()?;
         let bunches = FlatBunches::new(&members);
         Ok((ClusterFamily { trees, bunches }, members))
     }
 
-    /// The cluster tree `T(w)`.
-    pub fn tree(&self, w: VertexId) -> &TreeScheme {
-        &self.trees[w.index()]
+    /// The cluster tree `T(w)`, or `None` when `w` is not a vertex.
+    #[inline]
+    pub fn tree(&self, w: VertexId) -> Option<TreeView<'_>> {
+        self.trees.tree(w.index())
     }
 
     /// The bunch `B(v)` as `(w, d(w, v))` pairs, in ascending id order.
@@ -291,7 +328,7 @@ impl ClusterFamily {
     /// so a header that carries one copies nothing.
     #[inline]
     pub fn label_in(&self, root: VertexId, v: VertexId) -> Option<TreeLabelView> {
-        self.trees.get(root.index())?.label_view(v)
+        self.tree(root)?.label_view(v)
     }
 
     /// [`ClusterFamily::label_in`] where the scheme's invariants promise
@@ -313,7 +350,7 @@ impl ClusterFamily {
     ///
     /// # Errors
     ///
-    /// As [`TreeScheme::step`]; a `root` outside the family is
+    /// As [`TreeView::step`]; a `root` outside the family is
     /// [`RouteError::MissingInformation`].
     #[inline]
     pub fn step(
@@ -322,7 +359,7 @@ impl ClusterFamily {
         at: VertexId,
         label: TreeLabelView,
     ) -> Result<Decision, RouteError> {
-        let tree = self.trees.get(root.index()).ok_or_else(|| RouteError::MissingInformation {
+        let tree = self.tree(root).ok_or_else(|| RouteError::MissingInformation {
             at,
             what: format!("no cluster tree rooted at {root}"),
         })?;
@@ -332,9 +369,15 @@ impl ClusterFamily {
     /// Words `u` stores: tree-routing information of every cluster
     /// containing it and the labels of its own cluster's members.
     pub fn membership_words(&self, u: VertexId) -> usize {
+        let trees = |w: VertexId| self.tree(w);
         let member_of: usize =
-            self.bunch(u).iter().map(|&(w, _)| self.trees[w.index()].table_words(u)).sum();
-        member_of + self.trees[u.index()].labels_words()
+            self.bunch(u).iter().filter_map(|&(w, _)| trees(w)).map(|t| t.table_words(u)).sum();
+        member_of + trees(u).map_or(0, |t| t.labels_words())
+    }
+
+    /// Bytes of heap the trees and bunches hold, by capacity.
+    pub fn heap_bytes(&self) -> usize {
+        self.trees.heap_bytes() + self.bunches.heap_bytes()
     }
 }
 
@@ -373,6 +416,11 @@ impl FlatBunches {
 
     fn of(&self, v: VertexId) -> &[(VertexId, Weight)] {
         &self.entries[self.offsets[v.index()] as usize..self.offsets[v.index() + 1] as usize]
+    }
+
+    fn heap_bytes(&self) -> usize {
+        std::mem::size_of::<u32>() * self.offsets.capacity()
+            + std::mem::size_of::<(VertexId, Weight)>() * self.entries.capacity()
     }
 }
 
@@ -415,7 +463,8 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use routing_graph::generators::{self, Family, WeightModel};
-    use routing_model::simulate_lean_with_label;
+    use routing_model::{simulate_lean_with_label, RoutingScheme};
+    use routing_tree::TreeScheme;
 
     use crate::{
         BuildContext, SchemeBuilder, SchemeFivePlusEps, SchemeMultilevel,
@@ -424,15 +473,16 @@ mod tests {
     };
 
     /// `kept` is what a built scheme holds, `direct` the stages' output
-    /// before [`Vicinities::retain`]: same ports and ranks, and of the
-    /// vicinities nothing but the 16-byte-a-member slot table.
+    /// before [`Vicinities::retain`]: the same ports, and of the vicinities
+    /// nothing but the 8-byte `[member, port]` slots, within the budget
+    /// `balls.rs` pins for them (11 bytes a member, 32 a vertex).
     fn assert_same_vicinities(key: &str, kept: &Vicinities, direct: &Vicinities<BallTable>) {
         assert_eq!(kept.q, direct.q, "{key}: q");
-        assert_eq!(kept.balls, *direct.balls, "{key}: ports and ranks");
+        assert_eq!(kept.balls, *direct.balls, "{key}: ports");
         let n = direct.balls.len();
         let members: usize = (0..n).map(|u| direct.balls.ball(VertexId(u as u32)).len()).sum();
         let bytes = kept.balls.heap_bytes();
-        assert!(bytes <= 16 * members + 40 * n + 64, "{key}: {bytes} B for {members} members");
+        assert!(bytes <= 11 * members + 32 * n + 64, "{key}: {bytes} B for {members} members");
         assert_eq!(kept.color_of, direct.color_of, "{key}: colours");
         assert_eq!(kept.color_rep, direct.color_rep, "{key}: representatives");
     }
@@ -452,10 +502,98 @@ mod tests {
             let words = trees[u.index()].labels_words()
                 + bunch.iter().map(|&(w, _)| trees[w.index()].table_words(u)).sum::<usize>();
             assert_eq!(stage.membership_words(u), words, "{key}: words at {u}");
+            let tree = stage.tree(u).unwrap();
             for v in g.vertices() {
-                let (tree, reference) = (stage.tree(u), &trees[u.index()]);
+                let reference = &trees[u.index()];
                 assert_eq!(tree.node_info(v), reference.node_info(v), "{key}: {v} in T({u})");
                 assert_eq!(tree.label(v), reference.label(v), "{key}: label of {v} in T({u})");
+            }
+        }
+        assert_eq!(stage.tree(VertexId(g.n() as u32)).map(|t| t.len()), None, "{key}: T(n)");
+    }
+
+    /// Every observable of a forest's tree equals the standalone
+    /// [`TreeScheme`] built from the same search: node records, labels and
+    /// label views of every vertex, the step on every pair of members in
+    /// both label forms, and the word counts.
+    fn assert_same_tree(key: &str, g: &Graph, tree: TreeView, reference: &TreeScheme) {
+        assert_eq!(tree.len(), reference.len(), "{key}: size");
+        assert_eq!(tree.root(), Some(reference.root()), "{key}: root");
+        assert_eq!(tree.labels_words(), reference.labels_words(), "{key}: labels words");
+        for v in g.vertices() {
+            assert_eq!(tree.node_info(v), reference.node_info(v), "{key}: node of {v}");
+            assert_eq!(tree.label(v), reference.label(v), "{key}: label of {v}");
+            assert_eq!(tree.label_view(v), reference.label_view(v), "{key}: view of {v}");
+            assert_eq!(tree.table_words(v), reference.table_words(v), "{key}: words at {v}");
+            assert_eq!(tree.label_words(v), reference.label_words(v), "{key}: label words of {v}");
+        }
+        for dest in reference.vertices() {
+            let (view, label) = (reference.label_view(dest).unwrap(), reference.label(dest).unwrap());
+            for at in reference.vertices() {
+                let want = reference.step(at, &label);
+                assert_eq!(tree.step_view(at, view), want, "{key}: {at} towards {dest}");
+                assert_eq!(tree.step(at, &label), want, "{key}: {at} towards {dest}");
+            }
+        }
+    }
+
+    /// Every tree of a cluster family, and of a global-tree forest, equals
+    /// the standalone tree of the same search, on Erdős–Rényi, geometric and
+    /// grid graphs, unit and weighted, around the 64-root block boundary.
+    /// The forests are equal at one and four threads, and hold 24 bytes a
+    /// node, 4 a light offset, 4 a member id of a tree that does not span
+    /// the graph, 8 a light port and 8 a tree, with no growth slack.
+    #[test]
+    fn every_forest_tree_equals_the_standalone_tree_of_its_search() {
+        let params = Params::with_epsilon(0.5);
+        for family in [Family::ErdosRenyi, Family::Geometric, Family::Grid] {
+            for weights in [WeightModel::Unit, WeightModel::Uniform { lo: 1, hi: 9 }] {
+                for n in [63, 64, 65, 130] {
+                    let g = family.generate(n, weights, &mut StdRng::seed_from_u64(n as u64));
+                    let n = g.n();
+                    let key = format!("{} {weights:?} n = {n}", family.name());
+                    let mut built = Vec::new();
+                    for threads in [1, 4] {
+                        routing_par::set_threads(threads);
+                        let rng = &mut StdRng::seed_from_u64(5);
+                        let (clusters, _) = Clusters::build(&g, &params, rng).unwrap();
+                        let global = global_trees(&g, clusters.landmarks.members()).unwrap();
+                        built.push((clusters, global));
+                    }
+                    routing_par::set_threads(routing_par::available_threads());
+                    let (clusters, global) = &built[0];
+                    assert_eq!(clusters.family.trees, built[1].0.family.trees, "{key}: threads");
+                    assert_eq!(*global, built[1].1, "{key}: threads, global trees");
+
+                    let mut scratch = SearchScratch::for_graph(&g);
+                    let bound = clusters.landmarks.bound_slice();
+                    for w in g.vertices() {
+                        scratch.cluster_into(&g, w, bound);
+                        let reference = TreeScheme::from_scratch(&g, &scratch).unwrap();
+                        let tree = clusters.tree(w).unwrap();
+                        assert_same_tree(&format!("{key}: T({w})"), &g, tree, &reference);
+                    }
+                    let landmarks = clusters.landmarks.members();
+                    assert_eq!(global.len(), landmarks.len(), "{key}: one global tree a landmark");
+                    for (i, &a) in landmarks.iter().enumerate() {
+                        scratch.dijkstra_into(&g, a);
+                        let reference = TreeScheme::from_scratch(&g, &scratch).unwrap();
+                        let tree = global.tree(i).unwrap();
+                        assert_same_tree(&format!("{key}: global T({a})"), &g, tree, &reference);
+                    }
+
+                    for forest in [&clusters.family.trees, global] {
+                        let trees: Vec<TreeView> = forest.iter().collect();
+                        let nodes: usize = trees.iter().map(|t| t.len()).sum();
+                        let ids: usize = trees.iter().filter(|t| t.len() != n).map(|t| t.len()).sum();
+                        let light: usize = trees.iter().map(|t| (t.labels_words() - t.len()) / 2).sum();
+                        let bytes = 8 * (trees.len() + 1) + 4 * ids + 24 * nodes + 4 * (nodes + 1) + 8 * light;
+                        assert_eq!(forest.heap_bytes(), bytes, "{key}: forest bytes");
+                    }
+                    let bunches: usize = g.vertices().map(|v| clusters.bunch(v).len()).sum();
+                    let family_bytes = clusters.family.trees.heap_bytes() + 4 * (n + 1) + 16 * bunches;
+                    assert_eq!(clusters.heap_bytes(), family_bytes, "{key}: family bytes");
+                }
             }
         }
     }

@@ -34,7 +34,7 @@
 use routing_graph::scratch::BFS_BATCH_WIDTH;
 use routing_graph::{BfsBatch, Graph, SearchScratch, VertexId, Weight};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
-use routing_tree::{TreeLabelView, TreeScheme};
+use routing_tree::{TreeForest, TreeLabelView, TreeView};
 use routing_vicinity::{hitting_set_greedy, BallPorts, BallTable};
 
 use crate::seq::{push_hops, walk_round, PackedEntry, SeqChunk, SeqCursor, SeqEntry, SeqStore};
@@ -69,11 +69,11 @@ impl HeaderSize for Technique1Header {
 #[derive(Debug, Clone)]
 pub struct Technique1Router {
     set_of: Vec<u32>,
-    /// The hitting set, id-sorted; `trees[i]` is the global tree of
-    /// `hitting[i]`, so one binary search resolves both membership and
+    /// The hitting set, id-sorted; tree `i` of `trees` is the global tree
+    /// of `hitting[i]`, so one binary search resolves both membership and
     /// tree lookups.
     hitting: Vec<VertexId>,
-    trees: Vec<TreeScheme>,
+    trees: TreeForest,
     /// At `u`, per same-set destination `v`: the stored sequence.
     seqs: SeqStore,
     /// Per-vertex word count of the stored sequences, with the tree label
@@ -143,7 +143,7 @@ impl Technique1Router {
         n: usize,
         set_of: Vec<u32>,
         hitting: Vec<VertexId>,
-        trees: Vec<TreeScheme>,
+        trees: TreeForest,
         sources: &[(VertexId, &[VertexId])],
         chunks: &[SeqChunk],
         b: usize,
@@ -205,7 +205,7 @@ impl Technique1Router {
     }
 
     /// The global tree of hitting-set vertex `w`, if `w ∈ H`.
-    fn tree_of(&self, w: VertexId) -> Option<&TreeScheme> {
+    fn tree_of(&self, w: VertexId) -> Option<TreeView<'_>> {
         global_tree(&self.hitting, &self.trees, w)
     }
 
@@ -322,14 +322,10 @@ impl Technique1Router {
 }
 
 /// The global tree of hitting-set vertex `w`, if `w ∈ H` — one binary search
-/// over the id-sorted hitting set, no hash table; `trees[i]` is the tree of
+/// over the id-sorted hitting set, no hash table; tree `i` is the tree of
 /// `hitting[i]`.
-fn global_tree<'a>(
-    hitting: &[VertexId],
-    trees: &'a [TreeScheme],
-    w: VertexId,
-) -> Option<&'a TreeScheme> {
-    trees.get(hitting.binary_search(&w).ok()?)
+fn global_tree<'a>(hitting: &[VertexId], trees: &'a TreeForest, w: VertexId) -> Option<TreeView<'a>> {
+    trees.tree(hitting.binary_search(&w).ok()?)
 }
 
 /// Vertices sorted by `(set, id)`: each set is one consecutive run, and each
@@ -757,7 +753,7 @@ mod tests {
     /// `shift`: `0` is the reference, `1` plants an off-by-one tree index.
     fn stored_sequence(
         walk: &SeqBuilder,
-        trees: &[TreeScheme],
+        trees: &TreeForest,
         path: &[VertexId],
         prefix: &[Weight],
         shift: usize,
@@ -779,7 +775,7 @@ mod tests {
                     .iter()
                     .find_map(|&(m, _)| hitting.binary_search(&m).ok().map(|i| (i, m)))
                     .expect("hitting set hits every vicinity");
-                let tree = &trees[(tree_idx + shift) % trees.len()];
+                let tree = trees.tree((tree_idx + shift) % trees.len()).unwrap();
                 let label = tree.label(v).expect("global tree spans every vertex");
                 entries.push(PackedEntry::ball(w));
                 return StoredSeq { entries: decode(&entries), final_tree_label: Some(label) };

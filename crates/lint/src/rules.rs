@@ -109,10 +109,12 @@ pub const WORKSPACE_CRATES: &[CrateSpec] = &[
 /// label check it makes once per query, `serve::engine`/`snapshot` (the
 /// serving data plane), the `obs` disabled paths (span/metric fast-outs that
 /// run even when telemetry is off), the `vicinity::balls` slot probe every
-/// scheme runs per hop, the tree step every tree phase takes per hop, and
-/// the query arms every `routing-core` scheme shares (`stages`' vicinity and
-/// cluster arms, `seq`'s keyed-store lookups and the cursor reads a header's
-/// sequence goes through, and Techniques 1 and 2's `start`/`step`).
+/// scheme runs per hop, the tree step every tree phase takes per hop and the
+/// forest's tree lookup before it, the query arms every `routing-core`
+/// scheme shares (`stages`' vicinity, cluster and bunch arms, `seq`'s
+/// keyed-store lookups and the cursor reads a header's sequence goes
+/// through, and Techniques 1 and 2's `start`/`step`), and Theorem 16's
+/// landmark-distance lookup.
 pub const HOT_PATHS: &[(&str, HotScope)] = &[
     ("crates/graph/src/scratch.rs", HotScope::File),
     (
@@ -130,7 +132,8 @@ pub const HOT_PATHS: &[(&str, HotScope)] = &[
     (
         "crates/tree/src/lib.rs",
         HotScope::FnPrefixes(&[
-            "tree_route_step",
+            "tree",
+            "view",
             "step",
             "slot",
             "node_info",
@@ -140,7 +143,7 @@ pub const HOT_PATHS: &[(&str, HotScope)] = &[
     ),
     (
         "crates/core/src/stages.rs",
-        HotScope::FnPrefixes(&["sees", "toward", "rep", "label_in", "step"]),
+        HotScope::FnPrefixes(&["sees", "toward", "rep", "label_in", "step", "bunch", "tree"]),
     ),
     ("crates/core/src/seq.rs", HotScope::FnPrefixes(&["get", "cursor", "entry", "decode"])),
     (
@@ -152,7 +155,10 @@ pub const HOT_PATHS: &[(&str, HotScope)] = &[
         "crates/baselines/src/tz.rs",
         HotScope::FnPrefixes(&["init_header", "decide", "ladder", "pivot"]),
     ),
-    ("crates/baselines/src/thm16.rs", HotScope::FnPrefixes(&["init_header", "decide"])),
+    (
+        "crates/baselines/src/thm16.rs",
+        HotScope::FnPrefixes(&["init_header", "decide", "landmark_dist"]),
+    ),
     ("crates/model/src/erased.rs", HotScope::FnPrefixes(&["walk", "typed_for", "walk_many"])),
     (
         "crates/model/src/simulator.rs",

@@ -18,12 +18,18 @@
 //! techniques in `routing-core` finish every route by switching into a
 //! shortest-path-tree or cluster-tree segment routed with exactly this
 //! scheme, and the Thorup–Zwick baseline in `routing-baselines` routes
-//! inside every cluster `C(w)` the same way. Both carry a
-//! [`TreeLabelView`] in their own labels and headers — the destination's
+//! inside every cluster `C(w)` the same way. They keep each family of
+//! trees — a cluster family's `T(w)`, the shortest-path trees of a hitting
+//! or landmark set — as one [`TreeForest`]: a handful of flat arrays for the
+//! whole family, 24 bytes a node record, 8 a light port and 8 a tree, and no
+//! per-tree object. A tree is looked up as a `Copy` [`TreeView`]. Both carry
+//! a [`TreeLabelView`] in their own labels and headers — the destination's
 //! entry time and light-port count, a `Copy` view into the tree's own
-//! light-port table — and take one hop with [`TreeScheme::step_view`]. The
-//! owned [`TreeLabel`] and [`tree_route_step`] on a [`TreeNodeInfo`] are the
-//! standalone form; both run over one slice-based step.
+//! light-port table — and take one hop with [`TreeView::step_view`].
+//! [`TreeScheme`] is a named forest of one tree; it, the owned [`TreeLabel`]
+//! and [`tree_route_step`] on a [`TreeNodeInfo`] are the standalone form.
+//! Every form runs the one build ([`TreeForest::push_parents`]) and the one
+//! slice-based step.
 //!
 //! The construction is the classic heavy-path one:
 //!
@@ -91,23 +97,61 @@ impl fmt::Display for TreeBuildError {
 
 impl Error for TreeBuildError {}
 
-/// The constant-size local routing information a tree vertex stores.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// The port a [`TreeNodeInfo`] stores where there is no edge: at the root in
+/// place of the parent port, at a leaf in place of the heavy child's. A
+/// vertex has fewer than `u32::MAX` ports, so no real port equals it.
+const NO_PORT: Port = Port(u32::MAX);
+
+/// The constant-size local routing information a tree vertex stores: six
+/// `u32`s, 24 bytes, with a sentinel port standing for an absent parent or
+/// heavy child.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TreeNodeInfo {
-    /// DFS entry time of this vertex.
-    pub tin: u32,
-    /// DFS exit time: the subtree of this vertex is `[tin, tout)`.
-    pub tout: u32,
-    /// Port towards the parent (`None` at the root).
-    pub parent_port: Option<Port>,
-    /// `(tin, tout, port)` of the heavy child, if any.
-    pub heavy: Option<(u32, u32, Port)>,
+    tin: u32,
+    tout: u32,
+    parent_port: Port,
+    heavy_tin: u32,
+    heavy_tout: u32,
+    heavy_port: Port,
 }
 
 impl TreeNodeInfo {
+    /// A slot the build has not entered yet: no entry time, no subtree, no
+    /// edges. A heavy child's absent interval is empty.
+    const UNVISITED: TreeNodeInfo = TreeNodeInfo {
+        tin: u32::MAX,
+        tout: 0,
+        parent_port: NO_PORT,
+        heavy_tin: 0,
+        heavy_tout: 0,
+        heavy_port: NO_PORT,
+    };
+
+    /// DFS entry time of this vertex.
+    pub fn tin(&self) -> u32 {
+        self.tin
+    }
+
+    /// DFS exit time: the subtree of this vertex is `[tin, tout)`.
+    pub fn tout(&self) -> u32 {
+        self.tout
+    }
+
+    /// Port towards the parent (`None` at the root).
+    #[inline]
+    pub fn parent_port(&self) -> Option<Port> {
+        (self.parent_port != NO_PORT).then_some(self.parent_port)
+    }
+
+    /// `(tin, tout, port)` of the heavy child, if any.
+    #[inline]
+    pub fn heavy(&self) -> Option<(u32, u32, Port)> {
+        (self.heavy_port != NO_PORT).then_some((self.heavy_tin, self.heavy_tout, self.heavy_port))
+    }
+
     /// Size in `O(log n)`-bit words.
     pub fn words(&self) -> usize {
-        2 + usize::from(self.parent_port.is_some()) + if self.heavy.is_some() { 3 } else { 0 }
+        2 + usize::from(self.parent_port().is_some()) + if self.heavy().is_some() { 3 } else { 0 }
     }
 
     /// True if `tin` falls inside this vertex's subtree interval.
@@ -162,8 +206,7 @@ impl TreeLabelView {
 /// vertex's [`TreeNodeInfo`] and the destination's [`TreeLabel`].
 ///
 /// This free function is the standalone tree step; it and
-/// [`TreeScheme::step_view`] run the same step over the label's light
-/// ports.
+/// [`TreeView::step_view`] run the same step over the label's light ports.
 ///
 /// # Errors
 ///
@@ -183,13 +226,13 @@ fn step_over(node: &TreeNodeInfo, tin: u32, light: &[(u32, Port)]) -> Result<Dec
         return Ok(Decision::Deliver);
     }
     if !node.subtree_contains(tin) {
-        let port = node.parent_port.ok_or_else(|| RouteError::MissingInformation {
+        let port = node.parent_port().ok_or_else(|| RouteError::MissingInformation {
             at: VertexId(u32::MAX),
             what: "destination outside the tree rooted here (no parent port)".into(),
         })?;
         return Ok(Decision::Forward(port));
     }
-    if let Some((h_tin, h_tout, h_port)) = node.heavy {
+    if let Some((h_tin, h_tout, h_port)) = node.heavy() {
         if h_tin <= tin && tin < h_tout {
             return Ok(Decision::Forward(h_port));
         }
@@ -206,29 +249,6 @@ fn step_over(node: &TreeNodeInfo, tin: u32, light: &[(u32, Port)]) -> Result<Dec
         })
 }
 
-/// A complete tree routing scheme for one rooted tree.
-///
-/// Stored flat: every member owns a *slot* (members in ascending id order),
-/// [`TreeNodeInfo`]s live in one slot-indexed array and all labels share one
-/// light-port CSR indexed by DFS entry time. A tree that spans the graph
-/// has slot = vertex id and stores no member list; any other tree finds a
-/// slot by binary search over its id-sorted members.
-#[derive(Debug, Clone)]
-pub struct TreeScheme {
-    name: String,
-    root: VertexId,
-    n_graph: usize,
-    /// Member ids, ascending; empty when the tree spans the graph
-    /// (`nodes.len() == n_graph`, slot = id).
-    ids: Vec<VertexId>,
-    /// Local routing information per slot.
-    nodes: Vec<TreeNodeInfo>,
-    /// `light[light_off[t]..light_off[t + 1]]` are the label's light ports
-    /// of the member whose DFS entry time is `t`.
-    light_off: Vec<u32>,
-    light: Vec<(u32, Port)>,
-}
-
 /// The slot of `v` in a tree of `len` members: its id when the tree spans
 /// the graph (`ids` empty), its rank among the id-sorted `ids` otherwise.
 #[inline]
@@ -240,8 +260,59 @@ fn slot_in(ids: &[VertexId], len: usize, v: VertexId) -> Option<usize> {
     }
 }
 
-impl TreeScheme {
-    /// Builds the tree router from an explicit parent relation.
+/// Many rooted trees of one graph in one set of flat arrays, indexed by tree
+/// number: a cluster family's `T(w)`, or the shortest-path trees of a
+/// landmark or hitting set.
+///
+/// Every member of a tree owns a *slot* (members in ascending id order). A
+/// tree that spans the graph has slot = vertex id and stores no member ids;
+/// any other tree keeps its id-sorted members as one run of `ids` and finds
+/// a slot by binary search. The [`TreeNodeInfo`]s of every tree are one
+/// slot-indexed `nodes` array, and all labels share one light-port CSR whose
+/// offsets are absolute, one per node and indexed by the tree's first node
+/// plus the member's DFS entry time. Per tree that leaves 8 bytes: where its
+/// nodes and its ids start.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TreeForest {
+    /// `[first node, first id]` of every tree, and a closing entry.
+    spans: Vec<[u32; 2]>,
+    /// Member ids of every tree that does not span the graph, ascending
+    /// within each tree.
+    ids: Vec<VertexId>,
+    /// Local routing information per slot, tree after tree.
+    nodes: Vec<TreeNodeInfo>,
+    /// One offset per node and a closing one: the light ports of the member
+    /// whose DFS entry time is `t` in the tree whose nodes start at `s` are
+    /// `light[light_off[s + t]..light_off[s + t + 1]]`.
+    light_off: Vec<u32>,
+    light: Vec<(u32, Port)>,
+}
+
+impl Default for TreeForest {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// An offset into a [`TreeForest`] array: they are `u32`.
+fn offset(len: usize) -> Result<u32, TreeBuildError> {
+    u32::try_from(len)
+        .map_err(|_| TreeBuildError::NotATree { what: "trees exceed the u32 offset range".into() })
+}
+
+impl TreeForest {
+    /// A forest of no trees.
+    pub fn new() -> Self {
+        TreeForest {
+            spans: vec![[0, 0]],
+            ids: Vec::new(),
+            nodes: Vec::new(),
+            light_off: vec![0],
+            light: Vec::new(),
+        }
+    }
+
+    /// Appends the tree of an explicit parent relation as the next tree.
     ///
     /// `parents` yields one `(child, parent)` pair per non-root tree vertex,
     /// in any order; the root must not appear as a child. Every parent edge
@@ -251,13 +322,42 @@ impl TreeScheme {
     /// CSR (children id-ascending, which fixes the DFS order), preorder
     /// entry times, subtree sizes from one reverse sweep, then labels filled
     /// top-down in preorder — a child's light ports are its parent's plus at
-    /// most one entry.
+    /// most one entry. The nodes and light ports are written straight into
+    /// the forest's arrays; on an error the forest is left as it was.
     ///
     /// # Errors
     ///
-    /// Returns an error if a parent edge is missing from the graph or the
-    /// relation is not a tree rooted at `root`.
-    pub fn from_parents<I>(g: &Graph, root: VertexId, parents: I) -> Result<Self, TreeBuildError>
+    /// Returns an error if a parent edge is missing from the graph, the
+    /// relation is not a tree rooted at `root`, or the forest would outgrow
+    /// its `u32` offsets.
+    pub fn push_parents<I>(&mut self, g: &Graph, root: VertexId, parents: I) -> Result<(), TreeBuildError>
+    where
+        I: IntoIterator<Item = (VertexId, VertexId)>,
+    {
+        let lens = (self.ids.len(), self.nodes.len(), self.light_off.len(), self.light.len());
+        let pushed = self.push_tree(g, root, parents);
+        if pushed.is_err() {
+            self.ids.truncate(lens.0);
+            self.nodes.truncate(lens.1);
+            self.light_off.truncate(lens.2);
+            self.light.truncate(lens.3);
+        }
+        pushed
+    }
+
+    /// Appends the tree of the last search run on a [`SearchScratch`]: its
+    /// settled vertices, under the search's parents.
+    ///
+    /// # Errors
+    ///
+    /// As [`TreeForest::push_parents`].
+    pub fn push_scratch(&mut self, g: &Graph, scratch: &SearchScratch) -> Result<(), TreeBuildError> {
+        let edges = scratch.order().iter().filter_map(|&(v, _)| scratch.parent(v).map(|p| (v, p)));
+        self.push_parents(g, scratch.source(), edges)
+    }
+
+    /// [`TreeForest::push_parents`] without the roll-back.
+    fn push_tree<I>(&mut self, g: &Graph, root: VertexId, parents: I) -> Result<(), TreeBuildError>
     where
         I: IntoIterator<Item = (VertexId, VertexId)>,
     {
@@ -277,19 +377,21 @@ impl TreeScheme {
             edges.push((c, p, up, down));
         }
         let m = edges.len() + 1;
-        let mut ids: Vec<VertexId> = Vec::new();
+        let id_base = self.ids.len();
         if m != n {
-            ids.extend(edges.iter().map(|e| e.0));
-            ids.push(root);
-            ids.sort_unstable();
+            self.ids.extend(edges.iter().map(|e| e.0));
+            self.ids.push(root);
+            self.ids[id_base..].sort_unstable();
         }
-        let slot_of = |v: VertexId| slot_in(&ids, m, v);
+        let ids = &self.ids[id_base..];
+        let slot_of = |v: VertexId| slot_in(ids, m, v);
         let root_slot = slot_of(root)
             .ok_or_else(|| not_a_tree(format!("root {root} is not a vertex of the host graph")))?;
 
         // Scatter the edges into slots and count children per parent slot.
-        let unvisited = TreeNodeInfo { tin: UNSET, tout: 0, parent_port: None, heavy: None };
-        let mut nodes = vec![unvisited; m];
+        let node_base = self.nodes.len();
+        self.nodes.resize(node_base + m, TreeNodeInfo::UNVISITED);
+        let nodes = &mut self.nodes[node_base..];
         let mut parent = vec![UNSET; m];
         let mut down_port = vec![Port(0); m];
         let mut kid_off = vec![0u32; m + 1];
@@ -302,7 +404,7 @@ impl TreeScheme {
             }
             parent[s] = ps as u32;
             down_port[s] = down;
-            nodes[s].parent_port = Some(up);
+            nodes[s].parent_port = up;
             kid_off[ps + 1] += 1;
         }
         for s in 0..m {
@@ -341,49 +443,290 @@ impl TreeScheme {
                 nodes[parent[s as usize] as usize].tout += size;
             }
         }
-        for node in &mut nodes {
+        for node in nodes.iter_mut() {
             node.tout += node.tin;
         }
         // Heavy child: largest subtree, smallest id (= slot) among equals.
         for s in 0..m {
-            nodes[s].heavy = kids_of(s)
+            let heavy = kids_of(s)
                 .iter()
                 .map(|&c| c as usize)
-                .max_by_key(|&c| (nodes[c].tout - nodes[c].tin, Reverse(c)))
-                .map(|c| (nodes[c].tin, nodes[c].tout, down_port[c]));
+                .max_by_key(|&c| (nodes[c].tout - nodes[c].tin, Reverse(c)));
+            if let Some(c) = heavy {
+                let (tin, tout) = (nodes[c].tin, nodes[c].tout);
+                (nodes[s].heavy_tin, nodes[s].heavy_tout, nodes[s].heavy_port) = (tin, tout, down_port[c]);
+            }
         }
 
         // Labels, top-down: the parent's light ports, plus the edge into
-        // this vertex when it is a light one.
-        let mut light: Vec<(u32, Port)> = Vec::new();
-        let mut light_off: Vec<u32> = Vec::with_capacity(m + 1);
-        light_off.push(0);
+        // this vertex when it is a light one. Offsets are absolute, so a
+        // parent's range is read where it was written.
+        offset(node_base + m)?;
+        let off_base = self.light_off.len() - 1;
         for &s in &pre {
             let s = s as usize;
             if parent[s] != UNSET {
-                let p = &nodes[parent[s] as usize];
-                let t = p.tin as usize;
-                light.extend_from_within(light_off[t] as usize..light_off[t + 1] as usize);
-                if p.heavy.map(|(h_tin, _, _)| h_tin) != Some(nodes[s].tin) {
-                    light.push((p.tin, down_port[s]));
+                let p = &self.nodes[node_base + parent[s] as usize];
+                let t = off_base + p.tin as usize;
+                let (lo, hi) = (self.light_off[t] as usize, self.light_off[t + 1] as usize);
+                self.light.extend_from_within(lo..hi);
+                if p.heavy().map(|(h_tin, _, _)| h_tin) != Some(self.nodes[node_base + s].tin) {
+                    self.light.push((p.tin, down_port[s]));
                 }
             }
-            light_off.push(
-                u32::try_from(light.len())
-                    .map_err(|_| not_a_tree("labels exceed the u32 offset range".into()))?,
-            );
+            self.light_off.push(offset(self.light.len())?);
         }
-        light.shrink_to_fit();
+        self.spans.push([offset(self.nodes.len())?, offset(self.ids.len())?]);
+        Ok(())
+    }
 
-        Ok(TreeScheme {
-            name: format!("tree-routing(root={root})"),
-            root,
-            n_graph: n,
-            ids,
-            nodes,
-            light_off,
-            light,
+    /// Appends the trees of `parts`, forests over the same graph, in order:
+    /// tree `t` of `parts` comes after this forest's trees and the earlier
+    /// parts'. Every offset is rebased onto the arrays before it, and each
+    /// array grows by exactly what the parts hold, once.
+    ///
+    /// # Errors
+    ///
+    /// [`TreeBuildError::NotATree`] if the forest would outgrow its `u32`
+    /// offsets; the forest is then left as it was.
+    pub fn append(&mut self, parts: Vec<TreeForest>) -> Result<(), TreeBuildError> {
+        let total = |len: fn(&TreeForest) -> usize| parts.iter().map(len).sum::<usize>();
+        let (trees, ids) = (total(TreeForest::len), total(|f| f.ids.len()));
+        let (nodes, light) = (total(|f| f.nodes.len()), total(|f| f.light.len()));
+        offset(self.nodes.len() + nodes)?;
+        offset(self.ids.len() + ids)?;
+        offset(self.light.len() + light)?;
+        self.spans.reserve_exact(trees);
+        self.ids.reserve_exact(ids);
+        self.nodes.reserve_exact(nodes);
+        self.light_off.reserve_exact(nodes);
+        self.light.reserve_exact(light);
+        for part in parts {
+            let (node_base, id_base) = (self.nodes.len() as u32, self.ids.len() as u32);
+            let light_base = self.light.len() as u32;
+            self.spans.extend(part.spans[1..].iter().map(|&[s, i]| [s + node_base, i + id_base]));
+            self.light_off.extend(part.light_off[1..].iter().map(|&o| o + light_base));
+            self.ids.extend_from_slice(&part.ids);
+            self.nodes.extend_from_slice(&part.nodes);
+            self.light.extend_from_slice(&part.light);
+        }
+        Ok(())
+    }
+
+    /// Number of trees.
+    pub fn len(&self) -> usize {
+        self.spans.len() - 1
+    }
+
+    /// True if the forest holds no tree.
+    pub fn is_empty(&self) -> bool {
+        self.spans.len() <= 1
+    }
+
+    /// Tree `t`, or `None` past the last tree.
+    #[inline]
+    pub fn tree(&self, t: usize) -> Option<TreeView<'_>> {
+        let (&[n0, i0], &[n1, i1]) = (self.spans.get(t)?, self.spans.get(t + 1)?);
+        let (n0, n1) = (n0 as usize, n1 as usize);
+        Some(TreeView {
+            ids: self.ids.get(i0 as usize..i1 as usize)?,
+            nodes: self.nodes.get(n0..n1)?,
+            light_off: self.light_off.get(n0..n1 + 1)?,
+            light: &self.light,
         })
+    }
+
+    /// Every tree, in order.
+    pub fn iter(&self) -> impl Iterator<Item = TreeView<'_>> + '_ {
+        (0..self.len()).filter_map(|t| self.tree(t))
+    }
+
+    /// Bytes of heap the arrays hold, by capacity: 8 a tree, 4 a member id
+    /// of a tree that does not span the graph, 24 a node, 4 a light offset
+    /// and 8 a light port.
+    pub fn heap_bytes(&self) -> usize {
+        std::mem::size_of::<[u32; 2]>() * self.spans.capacity()
+            + std::mem::size_of::<VertexId>() * self.ids.capacity()
+            + std::mem::size_of::<TreeNodeInfo>() * self.nodes.capacity()
+            + std::mem::size_of::<u32>() * self.light_off.capacity()
+            + std::mem::size_of::<(u32, Port)>() * self.light.capacity()
+    }
+
+    /// Returns the growth slack of every array.
+    pub fn shrink_to_fit(&mut self) {
+        self.spans.shrink_to_fit();
+        self.ids.shrink_to_fit();
+        self.nodes.shrink_to_fit();
+        self.light_off.shrink_to_fit();
+        self.light.shrink_to_fit();
+    }
+}
+
+/// One tree of a [`TreeForest`], as a `Copy` view into the forest's arrays:
+/// what a scheme looks a tree up as, and routes on.
+#[derive(Debug, Clone, Copy)]
+pub struct TreeView<'a> {
+    /// Member ids, ascending; empty when the tree spans the graph.
+    ids: &'a [VertexId],
+    nodes: &'a [TreeNodeInfo],
+    /// `nodes.len() + 1` absolute offsets into `light`, by DFS entry time.
+    light_off: &'a [u32],
+    /// The forest's whole light-port array.
+    light: &'a [(u32, Port)],
+}
+
+impl<'a> TreeView<'a> {
+    /// Number of vertices in the tree.
+    pub fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// True if the tree contains only its root.
+    pub fn is_empty(&self) -> bool {
+        self.nodes.len() <= 1
+    }
+
+    #[inline]
+    fn slot(&self, v: VertexId) -> Option<usize> {
+        slot_in(self.ids, self.nodes.len(), v)
+    }
+
+    /// The root: the member whose DFS entry time is 0.
+    pub fn root(&self) -> Option<VertexId> {
+        let s = self.nodes.iter().position(|node| node.tin == 0)?;
+        Some(self.ids.get(s).copied().unwrap_or(VertexId(s as u32)))
+    }
+
+    /// Returns true if `v` is a tree vertex.
+    pub fn contains(&self, v: VertexId) -> bool {
+        self.slot(v).is_some()
+    }
+
+    /// Iterator over the tree's vertices in ascending id order.
+    pub fn vertices(&self) -> impl Iterator<Item = VertexId> + 'a {
+        let ids = self.ids;
+        (0..self.nodes.len()).map(move |s| ids.get(s).copied().unwrap_or(VertexId(s as u32)))
+    }
+
+    /// The local routing information of tree vertex `v`.
+    #[inline]
+    pub fn node_info(&self, v: VertexId) -> Option<&'a TreeNodeInfo> {
+        self.nodes.get(self.slot(v)?)
+    }
+
+    /// The light ports of the label whose DFS entry time is `tin`; none for
+    /// an entry time past the tree's.
+    #[inline]
+    fn light_ports(&self, tin: u32) -> &'a [(u32, Port)] {
+        let t = tin as usize;
+        let range = self.light_off.get(t).zip(self.light_off.get(t + 1));
+        range.and_then(|(&lo, &hi)| self.light.get(lo as usize..hi as usize)).unwrap_or(&[])
+    }
+
+    /// The tree label of tree vertex `v`.
+    pub fn label(&self, v: VertexId) -> Option<TreeLabel> {
+        let tin = self.node_info(v)?.tin;
+        Some(TreeLabel { tin, light_ports: self.light_ports(tin).to_vec() })
+    }
+
+    /// The label of tree vertex `v` as a view into this tree's light-port
+    /// table: what [`TreeView::step_view`] routes with.
+    #[inline]
+    pub fn label_view(&self, v: VertexId) -> Option<TreeLabelView> {
+        let tin = self.node_info(v)?.tin;
+        Some(TreeLabelView { tin, light_len: self.light_ports(tin).len() as u32 })
+    }
+
+    /// Total size of every member's label in `O(log n)`-bit words.
+    pub fn labels_words(&self) -> usize {
+        let light = match (self.light_off.first(), self.light_off.last()) {
+            (Some(&lo), Some(&hi)) => (hi - lo) as usize,
+            _ => 0,
+        };
+        self.nodes.len() + 2 * light
+    }
+
+    /// Words of tree-routing information `v` stores: its [`TreeNodeInfo`]'s,
+    /// none outside the tree.
+    pub fn table_words(&self, v: VertexId) -> usize {
+        self.node_info(v).map_or(0, TreeNodeInfo::words)
+    }
+
+    /// Words of `v`'s label, none outside the tree.
+    pub fn label_words(&self, v: VertexId) -> usize {
+        self.node_info(v).map_or(0, |node| 1 + 2 * self.light_ports(node.tin).len())
+    }
+
+    /// One local routing decision at tree vertex `at` towards the holder of
+    /// `dest`: [`tree_route_step`] on `at`'s own [`TreeNodeInfo`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RouteError::MissingInformation`] attributed to `at` if `at`
+    /// is not a tree vertex or `dest` is inconsistent with this tree.
+    #[inline]
+    pub fn step(&self, at: VertexId, dest: &TreeLabel) -> Result<Decision, RouteError> {
+        self.step_at(at, dest.tin, &dest.light_ports)
+    }
+
+    /// [`TreeView::step`] towards the holder of a label view taken from this
+    /// tree: the light ports are read from the tree's own table.
+    ///
+    /// # Errors
+    ///
+    /// As [`TreeView::step`].
+    #[inline]
+    pub fn step_view(&self, at: VertexId, dest: TreeLabelView) -> Result<Decision, RouteError> {
+        self.step_at(at, dest.tin, self.light_ports(dest.tin))
+    }
+
+    /// The step at tree vertex `at`, with errors attributed to `at`.
+    #[inline]
+    fn step_at(&self, at: VertexId, tin: u32, light: &[(u32, Port)]) -> Result<Decision, RouteError> {
+        let Some(node) = self.node_info(at) else {
+            let root = self.root().map_or_else(|| "nothing".into(), |r| r.to_string());
+            return Err(RouteError::MissingInformation {
+                at,
+                what: format!("vertex is not in the tree rooted at {root}"),
+            });
+        };
+        step_over(node, tin, light).map_err(|e| match e {
+            RouteError::MissingInformation { what, .. } => RouteError::MissingInformation { at, what },
+            other => other,
+        })
+    }
+}
+
+/// A complete tree routing scheme for one rooted tree: a named
+/// [`TreeForest`] of that one tree, routed with the same step.
+#[derive(Debug, Clone)]
+pub struct TreeScheme {
+    name: String,
+    root: VertexId,
+    n_graph: usize,
+    forest: TreeForest,
+}
+
+impl TreeScheme {
+    /// Builds the tree router from an explicit parent relation: a one-tree
+    /// [`TreeForest::push_parents`].
+    ///
+    /// `parents` yields one `(child, parent)` pair per non-root tree vertex,
+    /// in any order; the root must not appear as a child. Every parent edge
+    /// must exist in `g` (ports are taken from `g`).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if a parent edge is missing from the graph or the
+    /// relation is not a tree rooted at `root`.
+    pub fn from_parents<I>(g: &Graph, root: VertexId, parents: I) -> Result<Self, TreeBuildError>
+    where
+        I: IntoIterator<Item = (VertexId, VertexId)>,
+    {
+        let mut forest = TreeForest::new();
+        forest.push_parents(g, root, parents)?;
+        forest.shrink_to_fit();
+        Ok(TreeScheme { name: format!("tree-routing(root={root})"), root, n_graph: g.n(), forest })
     }
 
     /// Builds the router from a single-source shortest-path tree, spanning
@@ -437,100 +780,74 @@ impl TreeScheme {
         self.root
     }
 
+    /// The tree as a view: the forest's one tree.
+    #[inline]
+    fn view(&self) -> TreeView<'_> {
+        const NONE: TreeView<'static> = TreeView { ids: &[], nodes: &[], light_off: &[], light: &[] };
+        self.forest.tree(0).unwrap_or(NONE)
+    }
+
     /// Number of vertices in the tree.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.view().len()
     }
 
     /// True if the tree contains only its root.
     pub fn is_empty(&self) -> bool {
-        self.nodes.len() <= 1
-    }
-
-    #[inline]
-    fn slot(&self, v: VertexId) -> Option<usize> {
-        slot_in(&self.ids, self.nodes.len(), v)
-    }
-
-    /// The light ports of the label whose DFS entry time is `tin`; none for
-    /// an entry time past the tree's.
-    #[inline]
-    fn light_ports(&self, tin: u32) -> &[(u32, Port)] {
-        let t = tin as usize;
-        let range = self.light_off.get(t).zip(self.light_off.get(t + 1));
-        range.and_then(|(&lo, &hi)| self.light.get(lo as usize..hi as usize)).unwrap_or(&[])
+        self.view().is_empty()
     }
 
     /// Returns true if `v` is a tree vertex.
     pub fn contains(&self, v: VertexId) -> bool {
-        self.slot(v).is_some()
+        self.view().contains(v)
     }
 
     /// Iterator over the tree's vertices in ascending id order.
     pub fn vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
-        let spanning = self.ids.is_empty();
-        (0..self.nodes.len()).map(move |s| if spanning { VertexId(s as u32) } else { self.ids[s] })
+        self.view().vertices()
     }
 
     /// The local routing information of tree vertex `v`.
     #[inline]
     pub fn node_info(&self, v: VertexId) -> Option<&TreeNodeInfo> {
-        self.slot(v).map(|s| &self.nodes[s])
+        self.forest.tree(0)?.node_info(v)
     }
 
     /// The tree label of tree vertex `v`.
     pub fn label(&self, v: VertexId) -> Option<TreeLabel> {
-        let tin = self.node_info(v)?.tin;
-        Some(TreeLabel { tin, light_ports: self.light_ports(tin).to_vec() })
+        self.view().label(v)
     }
 
     /// The label of tree vertex `v` as a view into this tree's light-port
     /// table: what [`TreeScheme::step_view`] routes with.
     #[inline]
     pub fn label_view(&self, v: VertexId) -> Option<TreeLabelView> {
-        let tin = self.node_info(v)?.tin;
-        Some(TreeLabelView { tin, light_len: self.light_ports(tin).len() as u32 })
+        self.view().label_view(v)
     }
 
     /// Total size of every member's label in `O(log n)`-bit words.
     pub fn labels_words(&self) -> usize {
-        self.nodes.len() + 2 * self.light.len()
+        self.view().labels_words()
     }
 
-    /// One local routing decision at tree vertex `at` towards the holder of
-    /// `dest`: [`tree_route_step`] on `at`'s own [`TreeNodeInfo`].
+    /// [`TreeView::step`] on this tree.
     ///
     /// # Errors
     ///
-    /// Returns [`RouteError::MissingInformation`] attributed to `at` if `at`
-    /// is not a tree vertex or `dest` is inconsistent with this tree.
+    /// As [`TreeView::step`].
     #[inline]
     pub fn step(&self, at: VertexId, dest: &TreeLabel) -> Result<Decision, RouteError> {
-        self.step_at(at, dest.tin, &dest.light_ports)
+        self.view().step(at, dest)
     }
 
-    /// [`TreeScheme::step`] towards the holder of a label view taken from
-    /// this tree: the light ports are read from the tree's own table.
+    /// [`TreeView::step_view`] on this tree.
     ///
     /// # Errors
     ///
-    /// As [`TreeScheme::step`].
+    /// As [`TreeView::step`].
     #[inline]
     pub fn step_view(&self, at: VertexId, dest: TreeLabelView) -> Result<Decision, RouteError> {
-        self.step_at(at, dest.tin, self.light_ports(dest.tin))
-    }
-
-    /// The step at tree vertex `at`, with errors attributed to `at`.
-    #[inline]
-    fn step_at(&self, at: VertexId, tin: u32, light: &[(u32, Port)]) -> Result<Decision, RouteError> {
-        let node = self.node_info(at).ok_or_else(|| RouteError::MissingInformation {
-            at,
-            what: format!("vertex is not in the tree rooted at {}", self.root),
-        })?;
-        step_over(node, tin, light).map_err(|e| match e {
-            RouteError::MissingInformation { what, .. } => RouteError::MissingInformation { at, what },
-            other => other,
-        })
+        self.view().step_view(at, dest)
     }
 }
 
@@ -583,11 +900,11 @@ impl RoutingScheme for TreeScheme {
     }
 
     fn table_words(&self, v: VertexId) -> usize {
-        self.node_info(v).map_or(0, TreeNodeInfo::words)
+        self.view().table_words(v)
     }
 
     fn label_words(&self, v: VertexId) -> usize {
-        self.node_info(v).map_or(0, |node| 1 + 2 * self.light_ports(node.tin).len())
+        self.view().label_words(v)
     }
 }
 
@@ -760,6 +1077,67 @@ mod tests {
         assert!(t.label(VertexId(2)).unwrap().words() >= 1);
         assert_eq!(t.name(), "tree-routing(root=v0)");
         assert_eq!(RoutingScheme::n(&t), 4);
+    }
+
+    /// A node record is six `u32`s; the sentinel ports read back as absent
+    /// at the root and at a leaf.
+    #[test]
+    fn node_records_are_24_bytes_with_sentinel_ports() {
+        assert_eq!(std::mem::size_of::<TreeNodeInfo>(), 24);
+        let g = generators::path(3);
+        let t = spt_scheme(&g, VertexId(0));
+        let (root, leaf) = (t.node_info(VertexId(0)).unwrap(), t.node_info(VertexId(2)).unwrap());
+        assert_eq!((root.parent_port(), root.heavy().map(|h| h.0)), (None, Some(1)));
+        assert_eq!((leaf.parent_port(), leaf.heavy()), (Some(Port(0)), None));
+        assert_eq!((root.words(), leaf.words()), (5, 3));
+    }
+
+    /// A forest built in chunks and appended equals the forest built in one
+    /// piece, tree for tree, and holds its bytes without slack; a tree that
+    /// fails to build leaves the forest as it was.
+    #[test]
+    fn concatenated_chunks_equal_one_forest() {
+        let g = generators::grid(5, 7);
+        let mut scratch = SearchScratch::for_graph(&g);
+        let bound: Vec<_> = g.vertices().map(|v| if v.index() % 6 == 0 { 0 } else { 3 }).collect();
+        let search = |scratch: &mut SearchScratch, r: usize| {
+            if r % 3 == 0 {
+                scratch.dijkstra_into(&g, VertexId(r as u32));
+            } else {
+                scratch.cluster_into(&g, VertexId(r as u32), &bound);
+            }
+        };
+        let mut whole = TreeForest::new();
+        let mut chunks = vec![TreeForest::new(), TreeForest::new()];
+        for r in 0..g.n() {
+            search(&mut scratch, r);
+            whole.push_scratch(&g, &scratch).unwrap();
+            chunks[usize::from(r >= 10)].push_scratch(&g, &scratch).unwrap();
+            let before = whole.clone();
+            let cycle = [(VertexId(1), VertexId(0)), (VertexId(0), VertexId(1))];
+            assert!(whole.push_parents(&g, VertexId(2), cycle).is_err());
+            assert_eq!(whole, before, "a failed push rolls back");
+        }
+        let mut joined = TreeForest::new();
+        joined.append(chunks).unwrap();
+        whole.shrink_to_fit();
+        assert_eq!(joined, whole);
+        assert_eq!(joined.len(), g.n());
+        for (r, tree) in joined.iter().enumerate() {
+            search(&mut scratch, r);
+            let alone = TreeScheme::from_scratch(&g, &scratch).unwrap();
+            assert_eq!(tree.root(), Some(alone.root()));
+            for v in g.vertices() {
+                assert_eq!(tree.node_info(v), alone.node_info(v), "{v} in tree {r}");
+                assert_eq!(tree.label(v), alone.label(v), "label of {v} in tree {r}");
+            }
+        }
+        assert!(joined.tree(g.n()).is_none());
+        let nodes: usize = joined.iter().map(|t| t.len()).sum();
+        let ids: usize = joined.iter().filter(|t| t.len() != g.n()).map(|t| t.len()).sum();
+        let light: usize = joined.iter().map(|t| (t.labels_words() - t.len()) / 2).sum();
+        let bytes = 8 * (g.n() + 1) + 4 * ids + 24 * nodes + 4 * (nodes + 1) + 8 * light;
+        assert_eq!(joined.heap_bytes(), bytes);
     }
 
     #[test]

@@ -18,9 +18,35 @@ use routing_graph::{Graph, Port, SearchScratch, VertexId, Weight, INFINITY};
 use routing_model::{simulate, RouteError, RoutingScheme};
 use routing_tree::{TreeBuildError, TreeLabel, TreeNodeInfo, TreeScheme};
 
+/// A node as the HashMap construction stored it, before the node record
+/// traded its `Option`s for sentinel ports.
+#[derive(Debug, PartialEq)]
+struct RefNode {
+    tin: u32,
+    tout: u32,
+    parent_port: Option<Port>,
+    heavy: Option<(u32, u32, Port)>,
+}
+
+impl RefNode {
+    /// What a flat tree's record reads back as, through its accessors.
+    fn of(node: &TreeNodeInfo) -> Self {
+        RefNode {
+            tin: node.tin(),
+            tout: node.tout(),
+            parent_port: node.parent_port(),
+            heavy: node.heavy(),
+        }
+    }
+
+    fn words(&self) -> usize {
+        2 + usize::from(self.parent_port.is_some()) + if self.heavy.is_some() { 3 } else { 0 }
+    }
+}
+
 /// What the HashMap construction stored per tree.
 struct RefTree {
-    nodes: HashMap<VertexId, TreeNodeInfo>,
+    nodes: HashMap<VertexId, RefNode>,
     labels: HashMap<VertexId, TreeLabel>,
 }
 
@@ -99,7 +125,7 @@ impl RefTree {
 
         // Node info: parent port + heavy child.
         // lint:allow(det-hash-iter): filled per key from deterministic inputs; visit order of the fill loop cannot affect any entry
-        let mut nodes: HashMap<VertexId, TreeNodeInfo> = HashMap::new();
+        let mut nodes: HashMap<VertexId, RefNode> = HashMap::new();
         for (&v, kids) in &children {
             let parent_port = parents
                 .get(&v)
@@ -111,7 +137,7 @@ impl RefTree {
                     let port = g.port_to(v, c).expect("child edge checked above");
                     (tin[&c], tout[&c], port)
                 });
-            nodes.insert(v, TreeNodeInfo { tin: tin[&v], tout: tout[&v], parent_port, heavy });
+            nodes.insert(v, RefNode { tin: tin[&v], tout: tout[&v], parent_port, heavy });
         }
 
         // Labels: walk from each vertex up to the root collecting light edges.
@@ -157,10 +183,13 @@ fn assert_same_tree(g: &Graph, flat: &TreeScheme, reference: &RefTree) {
     assert_eq!(flat.vertices().collect::<Vec<_>>(), members, "vertices() is id-ascending");
     let mut labels_words = 0;
     for v in g.vertices() {
-        assert_eq!(flat.node_info(v), reference.nodes.get(&v), "node info of {v}");
+        assert_eq!(flat.node_info(v).map(RefNode::of).as_ref(), reference.nodes.get(&v), "node info of {v}");
         assert_eq!(flat.label(v).as_ref(), reference.labels.get(&v), "label of {v}");
         assert_eq!(flat.contains(v), reference.nodes.contains_key(&v));
-        assert_eq!(flat.table_words(v), reference.nodes.get(&v).map_or(0, TreeNodeInfo::words));
+        assert_eq!(flat.table_words(v), reference.nodes.get(&v).map_or(0, RefNode::words));
+        if let Some(node) = flat.node_info(v) {
+            assert_eq!(node.words(), RefNode::of(node).words(), "words of {v}");
+        }
         assert_eq!(flat.label_words(v), reference.labels.get(&v).map_or(0, TreeLabel::words));
         labels_words += flat.label_words(v);
     }

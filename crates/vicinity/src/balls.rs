@@ -14,24 +14,22 @@
 //! `HashMap` per vertex, and it is split by who reads it.
 //!
 //! * [`BallPorts`] is what Lemma 2 *forwarding* reads, and all that every
-//!   built scheme but Theorem 16 retains: per vertex one static open-addressing region of 8-byte
-//!   `[member, port]` slots at load ≤ 3/4 (about 10.7 bytes a member), its
-//!   members placed in ascending hash order, so [`BallPorts::contains`] and
-//!   [`BallPorts::first_port`] are one probe of about two adjacent slots,
-//!   for members and non-members alike (see `docs/ARCHITECTURE.md`,
-//!   "Search kernel & memory layout").
-//! * [`BallDists`] is [`BallPorts`] plus the distance of every slot's member,
-//!   what Theorem 16 retains to cost its pivots: [`BallDists::dist`] is the
-//!   same probe and one read (about 21.3 bytes a member).
+//!   built scheme retains of its vicinities: per vertex one static
+//!   open-addressing region of 8-byte `[member, port]` slots at load ≤ 3/4
+//!   (about 10.7 bytes a member), its members placed in ascending hash
+//!   order, so [`BallPorts::contains`] and [`BallPorts::first_port`] are one
+//!   probe of about two adjacent slots, for members and non-members alike
+//!   (see `docs/ARCHITECTURE.md`, "Search kernel & memory layout").
+//!   Theorem 16 keeps, beside it, the distances to the members in its first
+//!   hierarchy level, which it reads from the table before dropping it.
 //! * [`BallTable`] is [`BallPorts`] plus what only *preprocessing* reads:
 //!   every slot's rank in its ball (4 bytes a slot), the members
 //!   `(v, d(u, v))` of every ball in `(distance, id)` settle order (what
 //!   [`BallView::members`] exposes and the colouring, hitting-set and
 //!   sequence builders iterate; 16 bytes a member) and the radii. It
-//!   dereferences to its ports, and [`BallTable::into_ports`] (or
-//!   [`BallTable::into_dists`]) drops the rest once the last build-time
-//!   reader has run.
-//!
+//!   dereferences to its ports, and [`BallTable::into_ports`] drops the rest
+//!   once the last build-time reader has run.
+
 //! Building runs on a per-worker reusable workspace: on a unit-weight graph
 //! one budgeted bit-parallel BFS per 64 consecutive centres
 //! ([`BfsBatch::run_balls`], each lane retiring once it holds `ℓ` vertices),
@@ -44,7 +42,7 @@
 use std::ops::{Deref, Range};
 
 use routing_graph::scratch::{BfsBatch, SearchScratch, BFS_BATCH_WIDTH};
-use routing_graph::{Graph, Port, VertexId, Weight, INFINITY};
+use routing_graph::{Graph, Port, VertexId, Weight};
 
 /// Sentinel port stored for the ball's center (which has no first hop).
 const NO_PORT: Port = Port(u32::MAX);
@@ -130,8 +128,8 @@ impl BallPorts {
     /// when `v ∉ B(u, ℓ)` or either id is outside `0..n`. Scans forward from
     /// `v`'s home slot; the ordered placement means an empty slot or a
     /// resident with a larger hash proves absence, so a miss stops as early
-    /// as a hit. The index also addresses the per-slot arrays beside the
-    /// slots (a [`BallTable`]'s ranks, a [`BallDists`]'s distances).
+    /// as a hit. The index also addresses the per-slot array beside the
+    /// slots, a [`BallTable`]'s ranks.
     #[inline]
     fn find(&self, u: VertexId, v: VertexId) -> Option<(usize, Slot)> {
         if u.index().max(v.index()) >= self.len() {
@@ -193,39 +191,6 @@ impl BallPorts {
     pub fn heap_bytes(&self) -> usize {
         std::mem::size_of::<Region>() * self.regions.capacity()
             + std::mem::size_of::<Slot>() * self.slots.capacity()
-    }
-}
-
-/// [`BallPorts`] plus, per slot, the distance from the region's vertex to
-/// the slot's member: what a scheme that costs routes through vicinity
-/// members keeps (Theorem 16). Built by [`BallTable::into_dists`]; it
-/// dereferences to its ports.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BallDists {
-    ports: BallPorts,
-    /// `dist[i]` is `d(u, v)` for the member `v` in slot `i` of `u`'s
-    /// region, [`INFINITY`] where the slot is empty.
-    dist: Vec<Weight>,
-}
-
-impl Deref for BallDists {
-    type Target = BallPorts;
-
-    fn deref(&self) -> &BallPorts {
-        &self.ports
-    }
-}
-
-impl BallDists {
-    /// Distance from `u` to `v` if `v ∈ B(u, ℓ)`: one probe and one read.
-    #[inline]
-    pub fn dist(&self, u: VertexId, v: VertexId) -> Option<Weight> {
-        self.dist.get(self.ports.find(u, v)?.0).copied()
-    }
-
-    /// Bytes of heap the arrays hold, by capacity, the ports included.
-    pub fn heap_bytes(&self) -> usize {
-        self.ports.heap_bytes() + std::mem::size_of::<Weight>() * self.dist.capacity()
     }
 }
 
@@ -328,21 +293,6 @@ impl BallTable {
     /// Lemma 2 forwarding reads.
     pub fn into_ports(self) -> BallPorts {
         self.ports
-    }
-
-    /// Keeps the ports and, per slot, the distance to its member; drops the
-    /// rest, as [`BallTable::into_ports`] does.
-    pub fn into_dists(self) -> BallDists {
-        let mut dist = Vec::with_capacity(self.ranks.len());
-        for (u, pair) in self.ports.regions.windows(2).enumerate() {
-            let members = &self.members[self.member_range(VertexId(u as u32))];
-            dist.extend(
-                self.ranks[pair[0].start..pair[1].start]
-                    .iter()
-                    .map(|&rank| members.get(rank as usize).map_or(INFINITY, |&(_, d)| d)),
-            );
-        }
-        BallDists { ports: self.ports, dist }
     }
 
     /// A borrowed view of the ball of `u`.
@@ -482,7 +432,7 @@ pub struct BallView<'a> {
     u: VertexId,
 }
 
-impl BallView<'_> {
+impl<'a> BallView<'a> {
     /// The center vertex `u`.
     pub fn center(&self) -> VertexId {
         self.u
@@ -499,7 +449,7 @@ impl BallView<'_> {
     }
 
     /// Members in `(distance, id)` order, the center first.
-    pub fn members(&self) -> &[(VertexId, Weight)] {
+    pub fn members(&self) -> &'a [(VertexId, Weight)] {
         &self.table.members[self.table.member_range(self.u)]
     }
 
@@ -633,9 +583,8 @@ mod tests {
     /// The byte layout, pinned. Retained ports: 8-byte slots at load 3/4,
     /// about 10.7 bytes a member; per vertex on top the region entry (16 B),
     /// up to 8 B of `⌈4m/3⌉` rounding and the overflow slots past `cap` —
-    /// about one a vertex, whenever the region's last slot is taken. The
-    /// Theorem 16 form adds an 8-byte distance per slot, about 21.3 bytes a
-    /// member. While building, 4 bytes of rank a slot and 16 bytes of member
+    /// about one a vertex, whenever the region's last slot is taken. While
+    /// building, 4 bytes of rank a slot and 16 bytes of member
     /// list a member come on top of the ports (32 bytes a member in all),
     /// plus the member offset and the radius (8 B each). And no growth
     /// slack in any array, since slack here is memory held for a scheme's
@@ -665,49 +614,13 @@ mod tests {
             assert_eq!(t.regions.capacity(), t.regions.len(), "{name}: regions");
             let full = t.heap_bytes();
             assert!(full <= 32 * members + 56 * n + 64, "{name}: {full} B for {members} members");
-            let dists = t.clone().into_dists();
-            assert_eq!(dists.dist.capacity(), slots, "{name}: distances");
-            let with_dists = dists.heap_bytes();
-            assert!(
-                with_dists <= 22 * members + 48 * n + 64,
-                "{name}: {with_dists} B for {members} members"
-            );
             let kept = t.into_ports().heap_bytes();
             assert!(kept <= 11 * members + 32 * n + 64, "{name}: {kept} B for {members} members");
-            assert_eq!(with_dists - kept, 8 * slots, "{name}: the distances into_dists keeps");
             assert_eq!(
                 full - kept,
                 4 * slots + 16 * members + 16 * n + 8,
                 "{name}: what into_ports drops"
             );
-        }
-    }
-
-    /// The distance a [`BallDists`] stores per slot is [`BallTable::dist`],
-    /// for every pair, members and non-members, and its ports are the
-    /// table's: three families, unit and weighted, around the batch width.
-    #[test]
-    fn per_slot_distances_answer_as_the_table_did() {
-        use generators::{Family, WeightModel};
-        let weighted = WeightModel::Uniform { lo: 1, hi: 9 };
-        for n in [63, 64, 65, 130] {
-            let mut rng = StdRng::seed_from_u64(n as u64);
-            for family in [Family::ErdosRenyi, Family::Geometric, Family::Grid] {
-                for weights in [WeightModel::Unit, weighted] {
-                    let g = family.generate(n, weights, &mut rng);
-                    for ell in [1, 9, n] {
-                        let t = BallTable::build(&g, ell);
-                        let dists = t.clone().into_dists();
-                        assert!(*dists == *t, "{family:?}, n = {n}, ℓ = {ell}: ports");
-                        for u in g.vertices() {
-                            for v in g.vertices() {
-                                let at = format!("{family:?} n = {n} ℓ = {ell}: ({u}, {v})");
-                                assert_eq!(dists.dist(u, v), t.dist(u, v), "{at}");
-                            }
-                        }
-                    }
-                }
-            }
         }
     }
 
