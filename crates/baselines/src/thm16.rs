@@ -121,8 +121,9 @@ impl LandmarkDists {
             member[w.index()] = true;
         }
         let kept = |u: usize| {
-            let ball = balls.ball(VertexId(u as u32)).members();
-            ball.iter().filter(|&&(w, _)| member[w.index()]).copied()
+            let ball = balls.ball(VertexId(u as u32));
+            let members = ball.ids().iter().copied().zip(ball.dists().iter().copied());
+            members.filter(|&(w, _)| member[w.index()])
         };
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0u32);
@@ -480,7 +481,14 @@ mod tests {
         out
     }
 
-    /// The landmark lists answer `BallTable::dist(u, w)` for every `u` and
+    /// `d(u, w)` for a member `w` of `B(u, ℓ)`, read from the table at `w`'s
+    /// position in the settle-order ids; `None` for a non-member.
+    fn table_dist(table: &BallTable, u: VertexId, w: VertexId) -> Option<Weight> {
+        let ball = table.ball(u);
+        ball.ids().iter().position(|&x| x == w).map(|i| ball.dists()[i])
+    }
+
+    /// The landmark lists answer the table's `d(u, w)` for every `u` and
     /// every `w ∈ A_1`, and nothing for any other `w`; they hold 16 bytes an
     /// entry and 4 a vertex, with no growth slack.
     #[test]
@@ -491,7 +499,8 @@ mod tests {
             let mut entries = 0;
             for u in g.vertices() {
                 for w in g.vertices() {
-                    let want = if a1.binary_search(&w).is_ok() { table.dist(u, w) } else { None };
+                    let in_a1 = a1.binary_search(&w).is_ok();
+                    let want = if in_a1 { table_dist(&table, u, w) } else { None };
                     assert_eq!(lists.landmark_dist(u, w), want, "{key}: d({u}, {w})");
                     entries += usize::from(want.is_some());
                 }
@@ -529,7 +538,7 @@ mod tests {
                 (0, Phase::Tree { root: w, label })
             } else if let Some(d) = clusters.bunch_dist(source, w) {
                 (d, Phase::Tree { root: w, label })
-            } else if let Some(d) = table.dist(source, w) {
+            } else if let Some(d) = table_dist(table, source, w) {
                 (d, Phase::ToPivot { w, label })
             } else {
                 continue;

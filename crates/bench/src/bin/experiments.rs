@@ -259,10 +259,7 @@ fn techniques(n: usize) -> Result<(), HarnessError> {
         // Lemma 7: partition by a Lemma 6 coloring of the vicinities.
         let ell = params.scaled(q as usize, n);
         let balls = BallTable::build(&g, ell);
-        let sets: Vec<Vec<VertexId>> = g
-            .vertices()
-            .map(|u| balls.ball(u).members().iter().map(|&(v, _)| v).collect())
-            .collect();
+        let sets = balls.id_prefixes(ell);
         let coloring =
             Coloring::build_for_sets(n, q, &sets, 8, &mut rng).map_err(BuildError::from)?;
         let color_of: Vec<u32> = g.vertices().map(|v| coloring.color(v)).collect();

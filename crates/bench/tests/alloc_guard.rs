@@ -16,9 +16,11 @@
 //! on the stack, so a batch of 1024 distinct destinations allocates no more
 //! than a batch of 1024 queries towards one, at one lane and at two.
 //!
-//! The same allocator also bounds two builds' memory: the ball table's
-//! peak live bytes (see `assert_ball_build_peak`) and Theorem 16's, whose
-//! vicinities must be built and trimmed before its hierarchy (see
+//! The same allocator also bounds three builds' memory: the ball table's
+//! peak live bytes (see `assert_ball_build_peak`), Theorem 15's, whose
+//! Lemma 5 hitting set reads the table in place (see
+//! `assert_multilevel_build_peak`), and Theorem 16's, whose vicinities must
+//! be built and trimmed before its hierarchy (see
 //! `assert_thm16_build_peak`). And it counts what a cluster family keeps:
 //! a fixed number of allocations, however many trees it holds (see
 //! `assert_cluster_family_allocations`).
@@ -37,7 +39,7 @@ use compact_routing::registry::SchemeRegistry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use routing_baselines::{ExactScheme, Thm16Scheme, TzHierarchy, TzLevels};
-use routing_core::{BuildContext, ClusterFamily, Params};
+use routing_core::{BuildContext, ClusterFamily, Params, SchemeMultilevel};
 use routing_graph::generators::{self, Family, WeightModel};
 use routing_graph::{Graph, SearchScratch, VertexId};
 use routing_model::{simulate, simulate_lean, simulate_lean_with_label, DynScheme, ErasedLabel};
@@ -326,8 +328,9 @@ fn disabled_telemetry_adds_zero_allocations_to_hot_paths() {
     routing_obs::metrics::reset_counters();
     assert_eq!(checked, 2 * (2 * registry.names().len() - 1), "every key, both graphs but one");
 
-    // (e) Two builds' memory, with the same allocator.
+    // (e) Three builds' memory, with the same allocator.
     assert_ball_build_peak();
+    assert_multilevel_build_peak();
 }
 
 /// `BallTable::build` at thm16k3's ℓ = 219 on the `t2-geo-direct` graph (a
@@ -347,12 +350,13 @@ fn assert_ball_build_peak() {
 
     let (workspace, _) = peak_bytes_in(|| SearchScratch::for_graph(&g));
     let (peak, table) = peak_bytes_in(|| BallTable::build(&g, ELL));
-    // One ball as a search result: members with distances (16 bytes each),
-    // and its hashed region of at most `⌈4ℓ/3⌉ + ℓ + 1` 12-byte slots.
+    // One ball as a search result: member ids and distances (12 bytes a
+    // member), and its hashed region of at most `⌈4ℓ/3⌉ + ℓ + 1` 8-byte
+    // slots.
     let region = (4 * ELL).div_ceil(3) + ELL + 1;
-    let ball = 16 * ELL + 12 * region + std::mem::size_of::<(Vec<u8>, Vec<u8>, u64)>();
+    let ball = 12 * ELL + 8 * region + std::mem::size_of::<(Vec<u8>, Vec<u8>, Vec<u8>, u64)>();
     // The worker keeps one region as scratch beside its search workspace.
-    let block = N.div_ceil(BLOCKS) * ball + 12 * region + workspace as usize;
+    let block = N.div_ceil(BLOCKS) * ball + 8 * region + workspace as usize;
     let kept = table.heap_bytes();
     assert!(
         peak as usize <= kept + block,
@@ -362,6 +366,41 @@ fn assert_ball_build_peak() {
     drop(table);
     assert_thm16_build_peak(&g, ELL);
     assert_cluster_family_allocations(&g);
+}
+
+/// `SchemeMultilevel::build` at Theorem 15's four levels on the
+/// `t1-er-direct` graph (a unit-weight Erdős–Rényi graph, n = 2000, graph
+/// seed 13), where ℓ = 1372 makes the ball table the largest build-time
+/// structure of any scheme. Its live-byte peak must stay within the ball
+/// build's, or the table beside the greedy hitting set's inverted index
+/// (4 bytes a member) and what the scheme keeps besides its ports. A copy
+/// of the balls made for Lemma 5 or 6 (4 bytes a member) sits over it.
+fn assert_multilevel_build_peak() {
+    const N: usize = 2000;
+    const LEVELS: usize = 4;
+    routing_par::set_threads(1);
+    let g = Family::ErdosRenyi.generate(N, WeightModel::Unit, &mut StdRng::seed_from_u64(13));
+    let params = Params::default();
+    let build =
+        || SchemeMultilevel::build(&g, LEVELS, "thm15", &params, &mut StdRng::seed_from_u64(7));
+    let (kept, scheme) = kept_bytes_in(build);
+    let scheme = scheme.expect("thm15 builds");
+    let ell = (scheme.level_base() * LEVELS).min(N);
+    drop(scheme);
+    let (ball_build, table) = peak_bytes_in(|| BallTable::build(&g, ell));
+    let members: usize = g.vertices().map(|u| table.ball(u).len()).sum();
+    let full = table.heap_bytes() as u64;
+    let ports = table.into_ports().heap_bytes() as u64;
+    let (peak, _scheme) = peak_bytes_in(build);
+    // Beside the index the greedy holds five arrays of at most 8 bytes a
+    // vertex, and the sets are one 16-byte slice a vertex.
+    let greedy = 4 * members as u64 + 56 * N as u64;
+    let bound = ball_build.max(full + greedy + kept - ports);
+    assert!(
+        peak <= bound,
+        "thm15 peaked at {peak} bytes over a bound of {bound}: ball build {ball_build}, \
+         table {full} of {members} members, kept {kept} of which ports {ports}"
+    );
 }
 
 /// `Thm16Scheme::build` at k = 3 on the same graph: its live-byte peak is

@@ -142,11 +142,7 @@ impl SchemeTwoPlusEps {
         drop(members);
         // Lemma 6 coloring and Lemma 7 over the induced partition.
         let vic = vic.colour(ell, q, params, rng)?;
-        let rep_dist = g
-            .vertices()
-            .flat_map(|u| vic.reps_at(u).iter().map(move |&w| (u, w)))
-            .map(|(u, w)| vic.balls.dist(u, w).unwrap_or(0))
-            .collect();
+        let rep_dist = rep_dists(&vic);
         let router = Technique1Router::build(g, &vic.balls, vic.color_of.clone(), params)?;
 
         Ok(SchemeTwoPlusEps {
@@ -166,6 +162,12 @@ impl SchemeTwoPlusEps {
         self.vic.q
     }
 
+    /// Bytes of heap the vicinities hold, by capacity: the Lemma 2 ports,
+    /// the colours and the colour representatives.
+    pub fn vicinity_heap_bytes(&self) -> usize {
+        self.vic.heap_bytes()
+    }
+
     /// The landmark set `A`.
     pub fn landmarks(&self) -> &Landmarks {
         &self.clusters.landmarks
@@ -178,6 +180,26 @@ impl SchemeTwoPlusEps {
     }
 }
 
+/// Row-major `n × q`: `d(u, w)` for every representative `w` stored at `u`,
+/// from one settle-order pass over `B(u, ℓ)` — a representative is the
+/// first member of its colour there, and one that fell back to `u` itself
+/// (a colour missing from the vicinity) is at distance 0.
+fn rep_dists(vic: &Vicinities<BallTable>) -> Vec<Weight> {
+    let q = vic.q as usize;
+    let mut out = vec![0; vic.balls.len() * q];
+    for (u, row) in out.chunks_exact_mut(q.max(1)).enumerate() {
+        let u = VertexId(u as u32);
+        let (reps, ball) = (vic.reps_at(u), vic.balls.ball(u));
+        for (&v, &d) in ball.ids().iter().zip(ball.dists()) {
+            let c = vic.color_of[v.index()] as usize;
+            if reps[c] == v {
+                row[c] = d;
+            }
+        }
+    }
+    out
+}
+
 /// At every `u`, for every `v` with `B(u, q̃) ∩ B_A(v) ≠ ∅`, the intersection
 /// vertex `w` minimizing `d(u, w) + d(w, v)`; among equal sums, the `w`
 /// settled first from `u`.
@@ -186,7 +208,8 @@ fn intersections(balls: &BallTable, clusters: &ClusterMembers) -> KeyedStore<Ver
     let rows = (0..balls.len()).flat_map(|u| {
         let u = VertexId(u as u32);
         let mut triples: Vec<(VertexId, Weight, VertexId)> = Vec::new();
-        for &(w, d_uw) in balls.ball(u).members() {
+        let ball = balls.ball(u);
+        for (&w, &d_uw) in ball.ids().iter().zip(ball.dists()) {
             for &(v, d_wv) in &clusters[w.index()] {
                 triples.push((v, d_uw + d_wv, w));
             }
@@ -337,7 +360,7 @@ mod tests {
         let mut best_intersection: Vec<HashMap<VertexId, VertexId>> = vec![HashMap::new(); n];
         let mut best_sum: Vec<HashMap<VertexId, Weight>> = vec![HashMap::new(); n];
         for u in g.vertices() {
-            for &(w, d_uw) in balls.ball(u).members() {
+            for (w, d_uw) in balls.ball(u).members() {
                 for &(v, d_wv) in &clusters[w.index()] {
                     let sum = d_uw + d_wv;
                     let better = match best_sum[u.index()].get(&v) {
@@ -375,6 +398,31 @@ mod tests {
                 }
             }
             routing_par::set_threads(routing_par::available_threads());
+        }
+    }
+
+    /// The distance stored beside every representative, taken from one
+    /// settle-order pass over the ball, is the exact `d(u, rep)` for every
+    /// vertex and colour, on every unit-weight family around a power of two.
+    #[test]
+    fn rep_dist_is_the_exact_distance_to_every_representative() {
+        let params = Params::with_epsilon(0.5);
+        for family in generators::Family::ALL {
+            for n in [63, 64, 65, 130] {
+                let g = family.generate(n, WeightModel::Unit, &mut StdRng::seed_from_u64(n as u64));
+                let scheme = SchemeTwoPlusEps::build(&g, &params, &mut StdRng::seed_from_u64(3));
+                let scheme = scheme.unwrap();
+                let exact = routing_graph::apsp::DistanceMatrix::new(&g);
+                let q = scheme.q() as usize;
+                assert_eq!(scheme.rep_dist.len(), g.n() * q);
+                for u in g.vertices() {
+                    for (c, &rep) in scheme.vic.reps_at(u).iter().enumerate() {
+                        let stored = scheme.rep_dist[u.index() * q + c];
+                        let key = format!("{} n = {n}: colour {c} at {u}", family.name());
+                        assert_eq!(Some(stored), exact.dist(u, rep), "{key}, rep {rep}");
+                    }
+                }
+            }
         }
     }
 

@@ -192,6 +192,12 @@ impl SchemeFivePlusEps {
         self.vic.q
     }
 
+    /// Bytes of heap the vicinities hold, by capacity: the Lemma 2 ports,
+    /// the colours and the colour representatives.
+    pub fn vicinity_heap_bytes(&self) -> usize {
+        self.vic.heap_bytes()
+    }
+
     /// The color (source-partition set) of vertex `v`.
     pub fn color(&self, v: VertexId) -> u32 {
         self.vic.color(v)

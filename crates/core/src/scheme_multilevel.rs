@@ -4,10 +4,11 @@
 //! vicinities per vertex. The crucial observation is Lemma 2's settle
 //! order: because a vicinity of size `t·b` contains the vicinity of size
 //! `b` as a prefix of its member list, **one** stored ball of size `ℓ·b`
-//! holds every level — `v` is in the level-`t` vicinity of `u` iff
-//! [`routing_vicinity::BallTable::rank`]`(u, v) < t·b`. The levels are a
-//! build-time notion: the Lemma 6 colouring reads the level-1 prefix of the
-//! build-time [`routing_vicinity::BallTable`], and routing reads only the
+//! holds every level — `v` is in the level-`t` vicinity of `u` iff its
+//! position in [`routing_vicinity::BallView::ids`] is below `t·b`. The
+//! levels are a build-time notion: the Lemma 6 colouring reads the level-1
+//! id prefixes of the build-time [`routing_vicinity::BallTable`] in place,
+//! and routing reads only the
 //! ports of the top-level ball, the one [`routing_vicinity::BallPorts`]
 //! each vertex keeps in place of `ℓ` tables.
 //!
@@ -153,6 +154,12 @@ impl SchemeMultilevel {
     /// The number of colors `q = ⌈√n⌉`.
     pub fn q(&self) -> u32 {
         self.vic.q
+    }
+
+    /// Bytes of heap the vicinities hold, by capacity: the Lemma 2 ports,
+    /// the colours and the colour representatives.
+    pub fn vicinity_heap_bytes(&self) -> usize {
+        self.vic.heap_bytes()
     }
 
     /// The color of vertex `v`.
@@ -329,21 +336,22 @@ mod tests {
         let scheme =
             SchemeMultilevel::build(&g, 4, "thm15", &Params::with_epsilon(0.5), &mut rng).unwrap();
         let (b, levels) = (scheme.level_base(), scheme.levels());
-        // The scheme keeps the ports only; the ranks and member lists come
-        // from the build-time table of the same size.
+        // The scheme keeps the ports only; the member ids come from the
+        // build-time table of the same size.
         let balls = routing_vicinity::BallTable::build(&g, scheme.vic.balls.ell());
         assert_eq!(scheme.vic.balls, *balls);
         // The smallest level t ∈ 1..=levels whose vicinity of u holds v:
-        // v is at level t iff rank(u, v) < t·b.
-        let member_level = |u, v| {
-            let t = balls.rank(u, v)? / b + 1;
+        // v is at level t iff its position in the ids is below t·b.
+        let member_level = |u, v: VertexId| {
+            let t = balls.ball(u).ids().iter().position(|&x| x == v)? / b + 1;
             (t <= levels).then_some(t)
         };
         for u in g.vertices() {
             let view = balls.ball(u);
             // Level 1 membership: exactly the b-prefix of the stored ball.
             assert_eq!(member_level(u, u), Some(1), "center is level-1");
-            for (rank, &(v, _)) in view.members().iter().enumerate() {
+            for (rank, &v) in view.ids().iter().enumerate() {
+                assert!(view.contains(v), "{v} listed in B({u}) but not in its slots");
                 let level = member_level(u, v);
                 assert_eq!(level, Some(rank / b + 1), "rank {rank} of {u}");
                 // Monotonicity: levels are nested, so membership at level t

@@ -19,10 +19,12 @@
 //! Each stage opens the spans it always had (`balls`; `centers`, `clusters`,
 //! `cluster-trees`, `bunches`; `coloring`, `color-reps`; `global-trees`),
 //! returns what a scheme keeps for routing, and drops its build-only arrays
-//! on return — except the vicinities' member lists, which the technique
-//! routers still read: a builder holds `Vicinities<BallTable>` until its
-//! last build-time reader has run and stores [`Vicinities::retain`]'s
-//! result, the ports alone.
+//! on return — except the vicinities' member ids and distances, which the
+//! technique routers still read: a builder holds `Vicinities<BallTable>`
+//! until its last build-time reader has run and stores
+//! [`Vicinities::retain`]'s result, the ports alone. No stage copies a
+//! ball: the Lemma 6 colouring, like Technique 1's Lemma 5 hitting set,
+//! reads [`BallTable::id_prefixes`], one borrowed slice a vertex.
 
 use rand::Rng;
 
@@ -41,19 +43,6 @@ pub(crate) fn check(g: &Graph, params: &Params) -> Result<(), BuildError> {
         return Err(BuildError::Disconnected);
     }
     Ok(())
-}
-
-/// The `prefix_len` closest member ids of every vicinity: the input of the
-/// Lemma 5 and Lemma 6 constructions. `n·ℓ` ids no scheme keeps — drop the
-/// result once the construction has read it.
-pub(crate) fn ball_sets(balls: &BallTable, prefix_len: usize) -> Vec<Vec<VertexId>> {
-    (0..balls.len())
-        .map(|u| {
-            let ball = balls.ball(VertexId(u as u32));
-            let members = ball.members();
-            members[..prefix_len.min(members.len())].iter().map(|&(v, _)| v).collect()
-        })
-        .collect()
 }
 
 /// One tree per root index in `0..roots`: `build` runs the root's search on
@@ -157,7 +146,7 @@ impl Vicinities<BallTable> {
         let balls = self.balls;
         let color_of: Vec<u32> = {
             let _span = routing_obs::span("coloring");
-            let sets = ball_sets(&balls, prefix_len);
+            let sets = balls.id_prefixes(prefix_len);
             let coloring =
                 Coloring::build_for_sets(balls.len(), q, &sets, params.coloring_retries, rng)?;
             (0..balls.len()).map(|v| coloring.color(VertexId(v as u32))).collect()
@@ -167,8 +156,8 @@ impl Vicinities<BallTable> {
         Ok(Vicinities { q, balls, color_of, color_rep })
     }
 
-    /// Drops the member lists: call once nothing of the build reads them
-    /// any more.
+    /// Drops the member ids and distances: call once nothing of the build
+    /// reads them any more.
     pub(crate) fn retain(self) -> Vicinities {
         let Vicinities { q, balls, color_of, color_rep } = self;
         Vicinities { q, balls: balls.into_ports(), color_of, color_rep }
@@ -229,6 +218,14 @@ impl Vicinities {
     pub(crate) fn words_at(&self, u: VertexId) -> usize {
         self.balls.words_at(u) + self.q as usize
     }
+
+    /// Bytes of heap the vicinities hold, by capacity: the ports, one
+    /// colour a vertex and one representative a (vertex, colour) pair.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.balls.heap_bytes()
+            + std::mem::size_of::<u32>() * self.color_of.capacity()
+            + std::mem::size_of::<VertexId>() * self.color_rep.capacity()
+    }
 }
 
 /// For every vertex and every colour, the closest vicinity member of that
@@ -246,7 +243,7 @@ fn build_color_reps(balls: &BallTable, color_of: &[u32], q: usize) -> Vec<Vertex
         let row = reps.len();
         reps.resize(row + q, u);
         found.fill(false);
-        for &(v, _) in balls.ball(u).members() {
+        for &v in balls.ball(u).ids() {
             let c = color_of[v.index()] as usize;
             if !found[c] {
                 found[c] = true;
@@ -475,14 +472,17 @@ mod tests {
     /// `kept` is what a built scheme holds, `direct` the stages' output
     /// before [`Vicinities::retain`]: the same ports, and of the vicinities
     /// nothing but the 8-byte `[member, port]` slots, within the budget
-    /// `balls.rs` pins for them (11 bytes a member, 32 a vertex).
+    /// `balls.rs` pins for them (11 bytes a member, 32 a vertex), 4 bytes
+    /// of colour a vertex and 4 of representative a (vertex, colour) pair.
     fn assert_same_vicinities(key: &str, kept: &Vicinities, direct: &Vicinities<BallTable>) {
         assert_eq!(kept.q, direct.q, "{key}: q");
         assert_eq!(kept.balls, *direct.balls, "{key}: ports");
         let n = direct.balls.len();
         let members: usize = (0..n).map(|u| direct.balls.ball(VertexId(u as u32)).len()).sum();
-        let bytes = kept.balls.heap_bytes();
-        assert!(bytes <= 11 * members + 32 * n + 64, "{key}: {bytes} B for {members} members");
+        let ports = kept.balls.heap_bytes();
+        assert!(ports <= 11 * members + 32 * n + 64, "{key}: {ports} B for {members} members");
+        let reps = n * kept.q as usize;
+        assert_eq!(kept.heap_bytes(), ports + 4 * n + 4 * reps, "{key}: vicinity bytes");
         assert_eq!(kept.color_of, direct.color_of, "{key}: colours");
         assert_eq!(kept.color_rep, direct.color_rep, "{key}: representatives");
     }

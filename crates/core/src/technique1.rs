@@ -108,7 +108,7 @@ impl Technique1Router {
         // Lemma 5: a hitting set for every vicinity.
         let hitting = {
             let _span = routing_obs::span("hitting-set");
-            hitting_set_greedy(g.n(), &stages::ball_sets(balls, balls.ell()))
+            hitting_set_greedy(g.n(), &balls.id_prefixes(balls.ell()))
         };
 
         // Global shortest-path trees for the hitting set. These searches
@@ -467,10 +467,8 @@ impl SeqBuilder<'_> {
                 // hitting-set vertex `w` of B(xi, q̃); `start` reads the
                 // destination's label in T(w) from the tree.
                 let xi = path[pos];
-                let ball = balls.ball(xi);
-                let mut members = ball.members().iter().map(|&(m, _)| m);
-                let w = members.find(|m| hitting.binary_search(m).is_ok());
-                let w = w.ok_or_else(|| BuildError::Inconsistent {
+                let w = balls.ball(xi).ids().iter().find(|m| hitting.binary_search(m).is_ok());
+                let w = *w.ok_or_else(|| BuildError::Inconsistent {
                     what: format!("the hitting set misses B({xi}, q̃)"),
                 })?;
                 entries.push(PackedEntry::ball(w));
@@ -771,9 +769,9 @@ mod tests {
                 // hitting-set vertex of B(xi, q̃).
                 let (tree_idx, w) = balls
                     .ball(path[pos])
-                    .members()
+                    .ids()
                     .iter()
-                    .find_map(|&(m, _)| hitting.binary_search(&m).ok().map(|i| (i, m)))
+                    .find_map(|&m| hitting.binary_search(&m).ok().map(|i| (i, m)))
                     .expect("hitting set hits every vicinity");
                 let tree = trees.tree((tree_idx + shift) % trees.len()).unwrap();
                 let label = tree.label(v).expect("global tree spans every vertex");
@@ -893,8 +891,8 @@ mod tests {
 
     /// The greedy rule replayed naively, in pick order: the vertex in the
     /// most unhit sets, ties by smallest id, until every set is hit.
-    fn greedy_picks(n: usize, sets: &[Vec<VertexId>]) -> Vec<VertexId> {
-        let mut unhit: Vec<&Vec<VertexId>> = sets.iter().collect();
+    fn greedy_picks(n: usize, sets: &[&[VertexId]]) -> Vec<VertexId> {
+        let mut unhit: Vec<&[VertexId]> = sets.to_vec();
         let mut picks = Vec::new();
         while !unhit.is_empty() {
             let mut gain = vec![0usize; n];
@@ -933,7 +931,7 @@ mod tests {
                             Technique1Router::build(&g, &balls, partition_mod(n, q as u32), &params)
                                 .unwrap();
                         let h = router.hitting_set();
-                        let sets = stages::ball_sets(&balls, balls.ell());
+                        let sets = balls.id_prefixes(balls.ell());
                         assert!(h.windows(2).all(|w| w[0] < w[1]), "{key}: sorted, no duplicates");
                         assert!(hits_all(h, &sets), "{key}: a vicinity is unhit");
                         let bound = (n as f64 / ell as f64 * (n as f64).ln()).ceil() as usize + 1;

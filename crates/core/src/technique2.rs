@@ -331,12 +331,7 @@ fn build_t2_sequence(
             if (d_xi_zi as u128) * (b as u128) < thr_num {
                 // Below the threshold: hand over to a vertex of U_j inside
                 // the vicinity (guaranteed by the Lemma 8 assumption).
-                let z = balls
-                    .ball(xi)
-                    .members()
-                    .iter()
-                    .map(|&(m, _)| m)
-                    .find(|&m| color_of[m.index()] == j);
+                let z = balls.ball(xi).ids().iter().copied().find(|&m| color_of[m.index()] == j);
                 if let Some(z) = z {
                     entries.push(PackedEntry::ball(z));
                     return Ok(());
@@ -495,7 +490,8 @@ mod tests {
     ) -> (Vec<u32>, Vec<Vec<VertexId>>) {
         let mut rng = StdRng::seed_from_u64(seed);
         let ell = params.scaled(q as usize, g.n());
-        let sets = stages::ball_sets(&BallTable::build(g, ell), ell);
+        let balls = BallTable::build(g, ell);
+        let sets = balls.id_prefixes(ell);
         let coloring = Coloring::build_for_sets(g.n(), q, &sets, 8, &mut rng).unwrap();
         let color_of: Vec<u32> = g.vertices().map(|v| coloring.color(v)).collect();
         let mut dest_partition = vec![Vec::new(); q as usize];

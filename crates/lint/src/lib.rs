@@ -138,6 +138,10 @@ pub fn run_workspace(root: &Path, options: &Options) -> Outcome {
         }
     }
 
+    // ---- every hot-path ban names code that exists ----
+    let read = |rel: &str| fs::read_to_string(root.join(rel)).ok();
+    rules::check_hot_paths(rules::HOT_PATHS, read, &mut findings);
+
     // ---- registry / doc / CI coherence ----
     let keys = coherence::runtime_keys();
     coherence::check_metas(&keys, &mut findings);

@@ -9,18 +9,19 @@
 //! * **Budgeted** (`panic-budget`): matches outside hot paths are not
 //!   individually erroneous, but the per-(crate, rule) count is compared to
 //!   the committed budget — above ⇒ error, below ⇒ suggestion to tighten.
-//! * **Hard** (`panic-hot-path`, `forbid-unsafe`, `pragma-grammar`,
-//!   `registry-coherence`): always an error; pragmas are *not* honored —
-//!   there is deliberately no annotation that lets a panic back into a
-//!   hot-path module.
+//! * **Hard** (`panic-hot-path`, `stale-hot-path`, `forbid-unsafe`,
+//!   `pragma-grammar`, `registry-coherence`): always an error; pragmas are
+//!   *not* honored — there is deliberately no annotation that lets a panic
+//!   back into a hot-path module.
 
-use crate::scan::{FileAnalysis, HotScope, find_token};
+use crate::scan::{FileAnalysis, HotScope, analyze, find_token, fn_name};
 
 /// Rule identifiers (stable strings: used in pragmas and the budget file).
 pub const DET_HASH_ITER: &str = "det-hash-iter";
 pub const DET_WALL_CLOCK: &str = "det-wall-clock";
 pub const DET_UNSEEDED_RNG: &str = "det-unseeded-rng";
 pub const PANIC_HOT_PATH: &str = "panic-hot-path";
+pub const STALE_HOT_PATH: &str = "stale-hot-path";
 pub const PANIC_BUDGET: &str = "panic-budget";
 pub const FORBID_UNSAFE: &str = "forbid-unsafe";
 pub const PRAGMA_GRAMMAR: &str = "pragma-grammar";
@@ -32,6 +33,7 @@ pub const ALL_RULES: &[&str] = &[
     DET_WALL_CLOCK,
     DET_UNSEEDED_RNG,
     PANIC_HOT_PATH,
+    STALE_HOT_PATH,
     PANIC_BUDGET,
     FORBID_UNSAFE,
     PRAGMA_GRAMMAR,
@@ -124,7 +126,6 @@ pub const HOT_PATHS: &[(&str, HotScope)] = &[
             "contains",
             "first_port",
             "dist",
-            "rank",
             "csr_range",
             "member_range",
         ]),
@@ -173,6 +174,44 @@ pub const HOT_PATHS: &[(&str, HotScope)] = &[
 /// Returns the hot scope for a workspace-relative path, if designated.
 pub fn hot_scope(rel_path: &str) -> Option<HotScope> {
     HOT_PATHS.iter().find(|(p, _)| *p == rel_path).map(|(_, s)| *s)
+}
+
+/// Holds every hot-path entry to the tree: a file that does not exist, or a
+/// prefix that names no non-test `fn` of its file, is a ban that guards
+/// nothing — what is left when the function it named is deleted or renamed.
+/// `read` returns a workspace-relative file's text, `None` when it is
+/// missing.
+pub fn check_hot_paths(
+    entries: &[(&str, HotScope)],
+    read: impl Fn(&str) -> Option<String>,
+    findings: &mut Vec<Finding>,
+) {
+    for &(file, scope) in entries {
+        let stale = |message: String| Finding {
+            rule: STALE_HOT_PATH,
+            krate: "workspace".to_string(),
+            file: file.to_string(),
+            line: 0,
+            severity: Severity::Error,
+            message,
+            reason: None,
+        };
+        let Some(text) = read(file) else {
+            findings.push(stale("the hot-path file does not exist".to_string()));
+            continue;
+        };
+        let HotScope::FnPrefixes(prefixes) = scope else {
+            continue;
+        };
+        let fa = analyze(&text, None);
+        let names: Vec<&str> =
+            fa.lines.iter().filter(|l| !l.in_test).filter_map(|l| fn_name(&l.code)).collect();
+        for prefix in prefixes {
+            if !names.iter().any(|name| name.starts_with(prefix)) {
+                findings.push(stale(format!("hot-path prefix `{prefix}` names no fn")));
+            }
+        }
+    }
 }
 
 /// Panic-family tokens. `(`/`!` suffixes pin call/macro syntax so
@@ -417,6 +456,32 @@ mod tests {
 
     fn errors<'a>(f: &'a [Finding], rule: &str) -> Vec<&'a Finding> {
         f.iter().filter(|x| x.rule == rule && x.severity == Severity::Error).collect()
+    }
+
+    /// Every prefix names a live fn of an existing file: no finding.
+    #[test]
+    fn live_hot_path_entries_pass() {
+        let src = "pub fn find(x: u32) -> u32 { x }\nfn first_port() {}\n";
+        let entries =
+            [("a.rs", HotScope::FnPrefixes(&["find", "first"])), ("b.rs", HotScope::File)];
+        let mut f = Vec::new();
+        check_hot_paths(&entries, |_| Some(src.to_string()), &mut f);
+        assert!(f.is_empty(), "{f:?}");
+    }
+
+    /// A prefix whose fn is gone (or lives only in tests), and a file that
+    /// does not exist, are each one error.
+    #[test]
+    fn stale_hot_path_entries_are_errors() {
+        let src = "fn find() {}\n#[cfg(test)]\nmod tests {\n    fn rank() {}\n}\n";
+        let entries =
+            [("a.rs", HotScope::FnPrefixes(&["find", "rank"])), ("gone.rs", HotScope::File)];
+        let mut f = Vec::new();
+        check_hot_paths(&entries, |p| (p == "a.rs").then(|| src.to_string()), &mut f);
+        let stale = errors(&f, STALE_HOT_PATH);
+        assert_eq!(stale.len(), 2, "{f:?}");
+        assert!(stale[0].message.contains("`rank`") && stale[0].file == "a.rs");
+        assert!(stale[1].message.contains("does not exist") && stale[1].file == "gone.rs");
     }
 
     // ---- det-hash-iter ----

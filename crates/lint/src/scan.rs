@@ -369,7 +369,7 @@ pub fn analyze(text: &str, hot: Option<HotScope>) -> FileAnalysis {
 }
 
 /// Extracts the name of a `fn` declared on this (stripped) line, if any.
-fn fn_name(code: &str) -> Option<&str> {
+pub(crate) fn fn_name(code: &str) -> Option<&str> {
     let mut search_from = 0;
     loop {
         let rel = code[search_from..].find("fn ")?;

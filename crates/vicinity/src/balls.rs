@@ -23,13 +23,16 @@
 //!   Theorem 16 keeps, beside it, the distances to the members in its first
 //!   hierarchy level, which it reads from the table before dropping it.
 //! * [`BallTable`] is [`BallPorts`] plus what only *preprocessing* reads:
-//!   every slot's rank in its ball (4 bytes a slot), the members
-//!   `(v, d(u, v))` of every ball in `(distance, id)` settle order (what
-//!   [`BallView::members`] exposes and the colouring, hitting-set and
-//!   sequence builders iterate; 16 bytes a member) and the radii. It
-//!   dereferences to its ports, and [`BallTable::into_ports`] drops the rest
-//!   once the last build-time reader has run.
-
+//!   every ball's member ids and their distances in `(distance, id)` settle
+//!   order, as two parallel arrays ([`BallView::ids`], 4 bytes a member,
+//!   and [`BallView::dists`], 8 bytes a member — 12 bytes a member on top
+//!   of the ports, about 22.7 in all), and the radii. There is no per-slot
+//!   rank: a member's rank is its position in [`BallView::ids`], and the
+//!   colouring, hitting-set and sequence builders read the id prefixes in
+//!   place ([`BallTable::id_prefixes`]). It dereferences to its ports, and
+//!   [`BallTable::into_ports`] drops the rest once the last build-time
+//!   reader has run.
+//!
 //! Building runs on a per-worker reusable workspace: on a unit-weight graph
 //! one budgeted bit-parallel BFS per 64 consecutive centres
 //! ([`BfsBatch::run_balls`], each lane retiring once it holds `ℓ` vertices),
@@ -53,8 +56,8 @@ type Slot = [u32; 2];
 /// Key of an unoccupied slot. `find` rejects ids outside `0..n` before
 /// probing, so a foreign `VertexId(u32::MAX)` cannot match it.
 const EMPTY_KEY: u32 = u32::MAX;
-/// The rank a [`BallTable`] records beside an unoccupied slot.
-const NO_RANK: u32 = u32::MAX;
+/// An unoccupied slot.
+const EMPTY: Slot = [EMPTY_KEY, EMPTY_KEY];
 
 /// [`BallTable::build`] appends the balls to the final arrays in blocks of
 /// `⌈n / BUILD_BLOCKS⌉` consecutive vertices, on unit weights rounded up to
@@ -124,23 +127,22 @@ impl BallPorts {
         self.ell
     }
 
-    /// The index and contents of `v`'s slot in the region of `u`, or `None`
-    /// when `v ∉ B(u, ℓ)` or either id is outside `0..n`. Scans forward from
+    /// The contents of `v`'s slot in the region of `u`, or `None` when
+    /// `v ∉ B(u, ℓ)` or either id is outside `0..n`. Scans forward from
     /// `v`'s home slot; the ordered placement means an empty slot or a
     /// resident with a larger hash proves absence, so a miss stops as early
-    /// as a hit. The index also addresses the per-slot array beside the
-    /// slots, a [`BallTable`]'s ranks.
+    /// as a hit.
     #[inline]
-    fn find(&self, u: VertexId, v: VertexId) -> Option<(usize, Slot)> {
+    fn find(&self, u: VertexId, v: VertexId) -> Option<Slot> {
         if u.index().max(v.index()) >= self.len() {
             return None;
         }
         let region = self.regions.get(u.index())?;
         let h = slot_hash(v.0);
         let start = region.start + home_slot(h, slot_cap(region.members as usize));
-        for (i, &slot) in self.slots.get(start..)?.iter().enumerate() {
+        for &slot in self.slots.get(start..)? {
             if slot[0] == v.0 {
-                return Some((start + i, slot));
+                return Some(slot);
             }
             if slot[0] == EMPTY_KEY || slot_hash(slot[0]) > h {
                 return None;
@@ -156,7 +158,7 @@ impl BallPorts {
 
     /// The port at `u` on a shortest path towards ball member `v`.
     pub fn first_port(&self, u: VertexId, v: VertexId) -> Option<Port> {
-        let port = Port(self.find(u, v)?.1[1]);
+        let port = Port(self.find(u, v)?[1]);
         (port != NO_PORT).then_some(port)
     }
 
@@ -196,18 +198,17 @@ impl BallPorts {
 
 /// The balls `B(u, ℓ)` of every vertex in flat CSR form: the routing
 /// information of Lemma 2 ([`BallPorts`], which the table dereferences to)
-/// beside the ranks, member lists and radii preprocessing reads.
+/// beside the member ids, distances and radii preprocessing reads.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BallTable {
     ports: BallPorts,
-    /// Parallel to the slots: the rank of the slot's member in its ball's
-    /// `(distance, id)` order, [`NO_RANK`] where the slot is empty.
-    ranks: Vec<u32>,
-    /// `offsets[u]..offsets[u + 1]` indexes `members` for vertex `u`.
+    /// `offsets[u]..offsets[u + 1]` indexes `ids` and `dists` for vertex `u`.
     offsets: Vec<usize>,
-    /// Members with distances, per vertex in `(distance, id)` settle order
-    /// (center first).
-    members: Vec<(VertexId, Weight)>,
+    /// Member ids, per vertex in `(distance, id)` settle order (center
+    /// first).
+    ids: Vec<VertexId>,
+    /// Parallel to `ids`: the distance from the ball's center.
+    dists: Vec<Weight>,
     /// The radius `r_u(ℓ)` of every ball.
     radius: Vec<Weight>,
 }
@@ -246,9 +247,9 @@ impl BallTable {
         let ball_len = ell.max(1).min(n);
         let mut regions = Vec::with_capacity(n + 1);
         let mut offsets = Vec::with_capacity(n + 1);
-        let mut members = Vec::with_capacity(n * ball_len);
+        let mut ids = Vec::with_capacity(n * ball_len);
+        let mut dists = Vec::with_capacity(n * ball_len);
         let mut slots = Vec::with_capacity(n * (slot_cap(ball_len) + 2));
-        let mut ranks = Vec::with_capacity(slots.capacity());
         let mut radius = Vec::with_capacity(n);
         offsets.push(0);
         // Centres per task: one sweep's worth, or one Dijkstra.
@@ -267,29 +268,28 @@ impl BallTable {
             // The up-front reservation is `cap + 2` slots a ball, but a run
             // can pass a region's `cap` by more: grow by exactly what this
             // block needs rather than let `extend` double the array.
-            let block_slots = per_task.iter().flatten().map(|(_, s, _)| s.len()).sum();
+            let block_slots = per_task.iter().flatten().map(|b| b.slots.len()).sum();
             slots.reserve_exact(block_slots);
-            ranks.reserve_exact(block_slots);
-            for (m, s, r) in per_task.into_iter().flatten() {
+            for ball in per_task.into_iter().flatten() {
                 // A ball has at most `n` members, and ids are `u32`.
-                regions.push(Region { start: slots.len(), members: m.len() as u32 });
-                members.extend(m);
-                slots.extend(s.iter().map(|&[v, port, _]| [v, port]));
-                ranks.extend(s.iter().map(|&[_, _, rank]| rank));
-                radius.push(r);
-                offsets.push(members.len());
+                regions.push(Region { start: slots.len(), members: ball.ids.len() as u32 });
+                ids.extend_from_slice(&ball.ids);
+                dists.extend_from_slice(&ball.dists);
+                slots.extend_from_slice(&ball.slots);
+                radius.push(ball.radius);
+                offsets.push(ids.len());
             }
         }
         regions.push(Region { start: slots.len(), members: 0 });
         // The reservations are upper estimates (a component smaller than ℓ,
         // regions that needed no overflow slot): return the slack.
-        members.shrink_to_fit();
+        ids.shrink_to_fit();
+        dists.shrink_to_fit();
         slots.shrink_to_fit();
-        ranks.shrink_to_fit();
-        BallTable { ports: BallPorts { ell, regions, slots }, ranks, offsets, members, radius }
+        BallTable { ports: BallPorts { ell, regions, slots }, offsets, ids, dists, radius }
     }
 
-    /// Drops the ranks, member lists and radii: what is left is all that
+    /// Drops the member ids, distances and radii: what is left is all that
     /// Lemma 2 forwarding reads.
     pub fn into_ports(self) -> BallPorts {
         self.ports
@@ -300,53 +300,52 @@ impl BallTable {
         BallView { table: self, u }
     }
 
-    /// The range of `u`'s members in the member array; empty for a `u`
+    /// The `len` closest member ids of every ball, borrowed from the table
+    /// in settle order: the sets the Lemma 5 hitting set and the Lemma 6
+    /// colouring read, at 16 bytes a vertex.
+    pub fn id_prefixes(&self, len: usize) -> Vec<&[VertexId]> {
+        (0..self.len())
+            .map(|u| {
+                let ids = self.ball(VertexId(u as u32)).ids();
+                &ids[..len.min(ids.len())]
+            })
+            .collect()
+    }
+
+    /// The range of `u`'s members in the member arrays; empty for a `u`
     /// outside `0..n`.
     #[inline]
     fn member_range(&self, u: VertexId) -> Range<usize> {
         csr_range(&self.offsets, u.index()).unwrap_or(0..0)
     }
 
-    /// The rank of `v` in the `(distance, id)` order of `B(u, ℓ)` (0 for `u`
-    /// itself), or `None` if `v` is not a member. Because balls are nested,
-    /// `rank(u, v) < k` is exactly the membership test `v ∈ B(u, k)` for any
-    /// `k` up to this ball's size.
-    pub fn rank(&self, u: VertexId, v: VertexId) -> Option<usize> {
-        self.ranks.get(self.ports.find(u, v)?.0).map(|&rank| rank as usize)
-    }
-
-    /// Distance from `u` to `v` if `v ∈ B(u, ℓ)`.
-    pub fn dist(&self, u: VertexId, v: VertexId) -> Option<Weight> {
-        let rank = self.rank(u, v)?;
-        self.members.get(self.member_range(u).start + rank).map(|&(_, d)| d)
-    }
-
     /// Bytes of heap the arrays hold, by capacity, the ports included.
     pub fn heap_bytes(&self) -> usize {
         self.ports.heap_bytes()
-            + std::mem::size_of::<u32>() * self.ranks.capacity()
             + std::mem::size_of::<usize>() * self.offsets.capacity()
-            + std::mem::size_of::<(VertexId, Weight)>() * self.members.capacity()
-            + std::mem::size_of::<Weight>() * self.radius.capacity()
+            + std::mem::size_of::<VertexId>() * self.ids.capacity()
+            + std::mem::size_of::<Weight>() * (self.dists.capacity() + self.radius.capacity())
     }
 }
 
-/// A slot as [`BallTable::build`] hashes it: `[member id, port, rank]`, the
-/// rank kept beside the retained [`Slot`] once appended.
-type BuildSlot = [u32; 3];
-const EMPTY: BuildSlot = [EMPTY_KEY, EMPTY_KEY, NO_RANK];
-
-/// One ball as [`BallTable::build`] appends it: the members with distances
-/// in settle order, the slot region, the radius.
-type BuiltBall = (Vec<(VertexId, Weight)>, Vec<BuildSlot>, Weight);
+/// One ball as [`BallTable::build`] appends it.
+struct BuiltBall {
+    /// The member ids in settle order.
+    ids: Vec<VertexId>,
+    /// Their distances from the centre.
+    dists: Vec<Weight>,
+    /// The hashed slot region.
+    slots: Vec<Slot>,
+    radius: Weight,
+}
 
 /// One worker's kernel in [`BallTable::build`], chosen once, with the
 /// scratch region its balls are hashed into.
 enum BallSearch {
     /// The budgeted batch BFS, on a unit-weight graph.
-    Batch(BfsBatch, Vec<BuildSlot>),
+    Batch(BfsBatch, Vec<Slot>),
     /// One bounded Dijkstra per centre.
-    Dijkstra(SearchScratch, Vec<BuildSlot>),
+    Dijkstra(SearchScratch, Vec<Slot>),
 }
 
 impl BallSearch {
@@ -393,7 +392,7 @@ impl BallSearch {
 /// of the members in ascending hash order at `max(home, previous + 1)`,
 /// whatever order they arrive in. `cap + len` slots hold the longest run.
 fn fill_ball(
-    region: &mut Vec<BuildSlot>,
+    region: &mut Vec<Slot>,
     ball: impl ExactSizeIterator<Item = (VertexId, Weight, Option<Port>)>,
     radius: Weight,
 ) -> BuiltBall {
@@ -401,11 +400,13 @@ fn fill_ball(
     let cap = slot_cap(len);
     region.clear();
     region.resize(cap + len + 1, EMPTY);
-    let mut members = Vec::with_capacity(len);
+    let mut ids = Vec::with_capacity(len);
+    let mut dists = Vec::with_capacity(len);
     let mut end = 0;
-    for ((v, d, port), rank) in ball.zip(0u32..) {
-        members.push((v, d));
-        let mut slot = [v.0, port.unwrap_or(NO_PORT).0, rank];
+    for (v, d, port) in ball {
+        ids.push(v);
+        dists.push(d);
+        let mut slot = [v.0, port.unwrap_or(NO_PORT).0];
         let mut at = home_slot(slot_hash(v.0), cap);
         while region[at][0] != EMPTY_KEY {
             if slot_hash(region[at][0]) > slot_hash(slot[0]) {
@@ -418,7 +419,7 @@ fn fill_ball(
     }
     // Keep `cap` slots, or more when the last run passes them; either way
     // the region's last slot stays empty.
-    (members, region[..cap.max(end + 1)].to_vec(), radius)
+    BuiltBall { ids, dists, slots: region[..cap.max(end + 1)].to_vec(), radius }
 }
 
 /// A borrowed view of one ball `B(u, ℓ)` inside a [`BallTable`].
@@ -448,26 +449,29 @@ impl<'a> BallView<'a> {
         self.len() <= 1
     }
 
-    /// Members in `(distance, id)` order, the center first.
-    pub fn members(&self) -> &'a [(VertexId, Weight)] {
-        &self.table.members[self.table.member_range(self.u)]
+    /// Member ids in `(distance, id)` order, the center first. A member's
+    /// position here is its rank, and because balls are nested the first
+    /// `k` ids are exactly `B(u, k)` for any `k` up to the ball's size.
+    pub fn ids(&self) -> &'a [VertexId] {
+        &self.table.ids[self.table.member_range(self.u)]
+    }
+
+    /// Parallel to [`BallView::ids`]: each member's distance from the
+    /// center, non-decreasing.
+    pub fn dists(&self) -> &'a [Weight] {
+        &self.table.dists[self.table.member_range(self.u)]
+    }
+
+    /// Members with distances in `(distance, id)` order, as a fresh list
+    /// zipped from [`BallView::ids`] and [`BallView::dists`]. For readers
+    /// outside the build; the builders read the two slices in place.
+    pub fn members(&self) -> Vec<(VertexId, Weight)> {
+        self.ids().iter().copied().zip(self.dists().iter().copied()).collect()
     }
 
     /// Returns true if `v` is in the ball.
     pub fn contains(&self, v: VertexId) -> bool {
         self.table.contains(self.u, v)
-    }
-
-    /// Distance from the center to member `v`, or `None` if `v` is not in
-    /// the ball.
-    pub fn dist_to(&self, v: VertexId) -> Option<Weight> {
-        self.table.dist(self.u, v)
-    }
-
-    /// The rank of `v` in the `(distance, id)` order (0 for the center), or
-    /// `None` if `v` is not a member: [`BallTable::rank`].
-    pub fn rank(&self, v: VertexId) -> Option<usize> {
-        self.table.rank(self.u, v)
     }
 
     /// The largest distance value `r` such that every vertex at distance
@@ -479,7 +483,7 @@ impl<'a> BallView<'a> {
 
     /// The largest distance of any member.
     pub fn max_dist(&self) -> Weight {
-        self.members().last().map(|&(_, d)| d).unwrap_or(0)
+        self.dists().last().copied().unwrap_or(0)
     }
 }
 
@@ -490,6 +494,16 @@ mod tests {
     use rand::SeedableRng;
     use routing_graph::generators;
     use routing_graph::shortest_path::{ball, dijkstra};
+
+    /// The rank of `v` in `B(u, ℓ)`: its position in the settle-order ids.
+    fn position(t: &BallTable, u: VertexId, v: VertexId) -> Option<usize> {
+        t.ball(u).ids().iter().position(|&x| x == v)
+    }
+
+    /// `d(u, v)` for a member `v` of `B(u, ℓ)`, read at its position.
+    fn dist(t: &BallTable, u: VertexId, v: VertexId) -> Option<Weight> {
+        position(t, u, v).map(|i| t.ball(u).dists()[i])
+    }
 
     #[test]
     fn ball_table_membership_and_first_hops() {
@@ -503,12 +517,13 @@ mod tests {
             assert_eq!(t.ball(u).len(), 6);
             // Three words (member, distance, port) per member but the centre.
             assert_eq!(t.words_at(u), 3 * 5);
-            for &(v, d) in t.ball(u).members() {
-                assert_eq!(t.dist(u, v), Some(d));
+            for (v, d) in t.ball(u).members() {
+                assert!(t.contains(u, v));
+                assert_eq!(dist(&t, u, v), Some(d));
                 if v != u {
                     let port = t.first_port(u, v).unwrap();
                     let hop = g.neighbor_at(u, port).to;
-                    assert_eq!(t.dist(hop, v), Some(d - g.neighbor_at(u, port).weight));
+                    assert_eq!(dist(&t, hop, v), Some(d - g.neighbor_at(u, port).weight));
                 }
             }
         }
@@ -553,7 +568,7 @@ mod tests {
     #[test]
     fn flat_table_matches_standalone_balls() {
         // The CSR table must agree with the owned Ball API member for
-        // member: same order, ranks, radii, hops.
+        // member: same order, ranks (positions in the ids), radii, hops.
         let mut rng = StdRng::seed_from_u64(23);
         let g = generators::erdos_renyi(
             60,
@@ -566,14 +581,18 @@ mod tests {
             let owned = ball(&g, u, 8);
             let view = t.ball(u);
             assert_eq!(view.members(), owned.members());
+            let ids: Vec<VertexId> = owned.members().iter().map(|&(v, _)| v).collect();
+            let dists: Vec<Weight> = owned.members().iter().map(|&(_, d)| d).collect();
+            assert_eq!(view.ids(), ids);
+            assert_eq!(view.dists(), dists);
             assert_eq!(view.radius(), owned.radius());
             assert_eq!(view.max_dist(), owned.max_dist());
             assert_eq!(view.center(), owned.center());
             assert_eq!(view.is_empty(), owned.is_empty());
             for v in g.vertices() {
                 assert_eq!(view.contains(v), owned.contains(v));
-                assert_eq!(view.dist_to(v), owned.dist_to(v));
-                assert_eq!(view.rank(v), owned.rank(v));
+                assert_eq!(dist(&t, u, v), owned.dist_to(v));
+                assert_eq!(position(&t, u, v), owned.rank(v));
                 let hop = t.first_port(u, v).map(|port| g.neighbor_at(u, port).to);
                 assert_eq!(hop, owned.first_hop(v));
             }
@@ -584,11 +603,13 @@ mod tests {
     /// about 10.7 bytes a member; per vertex on top the region entry (16 B),
     /// up to 8 B of `⌈4m/3⌉` rounding and the overflow slots past `cap` —
     /// about one a vertex, whenever the region's last slot is taken. While
-    /// building, 4 bytes of rank a slot and 16 bytes of member
-    /// list a member come on top of the ports (32 bytes a member in all),
-    /// plus the member offset and the radius (8 B each). And no growth
-    /// slack in any array, since slack here is memory held for a scheme's
-    /// lifetime.
+    /// building, a 4-byte id and an 8-byte distance a member come on top of
+    /// the ports (about 22.7 bytes a member in all, no per-slot rank and no
+    /// padded pair), plus the member offset and the radius (8 B each). At
+    /// these ball sizes (ℓ ≥ 45) 23 B a member and the ports' 32 B a vertex
+    /// bound the whole table: the third of a byte a member of slack stands
+    /// in for those 16 B a vertex. And no growth slack in any array, since
+    /// slack here is memory held for a scheme's lifetime.
     #[test]
     fn heap_bytes_hold_the_bytes_per_member_budget() {
         let mut rng = StdRng::seed_from_u64(37);
@@ -604,23 +625,19 @@ mod tests {
             let members: usize = g.vertices().map(|u| t.ball(u).len()).sum();
             let slots = t.slots.len();
             assert!(members > n, "{name}: balls are not trivial");
-            assert_eq!(t.members.len(), members);
-            assert_eq!(t.ranks.len(), slots);
-            assert_eq!(t.members.capacity(), t.members.len(), "{name}: members");
+            assert_eq!(t.ids.len(), members);
+            assert_eq!(t.dists.len(), members);
+            assert_eq!(t.ids.capacity(), members, "{name}: ids");
+            assert_eq!(t.dists.capacity(), members, "{name}: dists");
             assert_eq!(t.radius.capacity(), t.radius.len(), "{name}: radius");
             assert_eq!(t.slots.capacity(), slots, "{name}: slots");
-            assert_eq!(t.ranks.capacity(), slots, "{name}: ranks");
             assert_eq!(t.offsets.capacity(), t.offsets.len(), "{name}: offsets");
             assert_eq!(t.regions.capacity(), t.regions.len(), "{name}: regions");
             let full = t.heap_bytes();
-            assert!(full <= 32 * members + 56 * n + 64, "{name}: {full} B for {members} members");
+            assert!(full <= 23 * members + 32 * n + 64, "{name}: {full} B for {members} members");
             let kept = t.into_ports().heap_bytes();
             assert!(kept <= 11 * members + 32 * n + 64, "{name}: {kept} B for {members} members");
-            assert_eq!(
-                full - kept,
-                4 * slots + 16 * members + 16 * n + 8,
-                "{name}: what into_ports drops"
-            );
+            assert_eq!(full - kept, 12 * members + 16 * n + 8, "{name}: what into_ports drops");
         }
     }
 
@@ -642,7 +659,8 @@ mod tests {
     #[test]
     fn rank_boundaries_and_nested_ball_monotonicity() {
         // The Theorem 13/15 substrate: one stored ball answers membership
-        // at every level because rank(v) < k  ⟺  v ∈ B(u, k).
+        // at every level because rank(v) < k  ⟺  v ∈ B(u, k), a member's
+        // rank being its position in the settle-order ids.
         let mut rng = StdRng::seed_from_u64(29);
         let g = generators::erdos_renyi(
             50,
@@ -654,38 +672,83 @@ mod tests {
         for u in g.vertices() {
             let view = big.ball(u);
             // The center always has rank 0.
-            assert_eq!(view.rank(u), Some(0));
-            // Members occupy exactly the ranks 0..len, each exactly once.
-            let mut seen = vec![false; view.len()];
-            for &(v, _) in view.members() {
-                let r = view.rank(v).unwrap();
-                assert!(r < view.len() && !seen[r], "rank {r} out of range or duplicated");
-                seen[r] = true;
+            assert_eq!(position(&big, u, u), Some(0));
+            // Members occupy exactly the ranks 0..len, each exactly once,
+            // and every id is a member of the ports.
+            let mut seen = vec![false; g.n()];
+            for &v in view.ids() {
+                assert!(view.contains(v), "{v} listed in B({u}) but not in its slots");
+                assert!(!seen[v.index()], "{v} listed twice in B({u})");
+                seen[v.index()] = true;
             }
             // Non-members have no rank.
             for v in g.vertices() {
                 if !view.contains(v) {
-                    assert_eq!(view.rank(v), None);
+                    assert_eq!(position(&big, u, v), None);
                 }
             }
         }
         // Nested-ball monotonicity: for every smaller size k, the k-ball is
         // exactly the rank-< k prefix of the big ball — same members, same
-        // ranks.
+        // ranks, same distances.
         for k in [1usize, 4, 9, 16] {
             let small = BallTable::build(&g, k);
             for u in g.vertices() {
                 let sv = small.ball(u);
                 let bv = big.ball(u);
+                let prefix = k.min(bv.len());
+                assert_eq!(sv.ids(), &bv.ids()[..prefix], "B({u}, {k}) is not a prefix");
+                assert_eq!(sv.dists(), &bv.dists()[..prefix], "distances changed between sizes");
                 for v in g.vertices() {
-                    let in_prefix = bv.rank(v).is_some_and(|r| r < k);
+                    let in_prefix = position(&big, u, v).is_some_and(|r| r < k);
                     assert_eq!(
                         sv.contains(v),
                         in_prefix,
                         "rank-derived level-{k} membership differs for ({u}, {v})"
                     );
-                    if sv.contains(v) {
-                        assert_eq!(sv.rank(v), bv.rank(v), "rank changed between sizes");
+                }
+            }
+        }
+    }
+
+    /// Lemmas 5 and 6 read the table in place: over the borrowed id
+    /// prefixes, the greedy hitting set and the colouring (colours, or the
+    /// error) are exactly what they are over owned copies of the same
+    /// prefixes — on Erdős–Rényi, geometric and grid graphs, unit and
+    /// weighted, around a power of two, at prefix lengths 1, `b` and `ℓ`.
+    #[test]
+    fn lemma5_and_lemma6_read_the_table_in_place_as_they_read_copies() {
+        use crate::{hitting_set_greedy, Coloring, ColoringError};
+        use generators::{Family, WeightModel};
+        fn coloured<S: AsRef<[VertexId]>>(
+            n: usize,
+            q: u32,
+            sets: &[S],
+        ) -> Result<Vec<u32>, ColoringError> {
+            let c = Coloring::build_for_sets(n, q, sets, 3, &mut StdRng::seed_from_u64(5))?;
+            Ok((0..n).map(|v| c.color(VertexId(v as u32))).collect())
+        }
+        for family in [Family::ErdosRenyi, Family::Geometric, Family::Grid] {
+            for weights in [WeightModel::Unit, WeightModel::Uniform { lo: 1, hi: 9 }] {
+                for n in [63, 64, 65, 130] {
+                    let g = family.generate(n, weights, &mut StdRng::seed_from_u64(n as u64));
+                    let n = g.n();
+                    let q = (n as f64).sqrt().ceil() as usize;
+                    let b = (q * (n as f64).ln().ceil() as usize).min(n);
+                    let ell = (4 * b).min(n);
+                    let t = BallTable::build(&g, ell);
+                    for len in [1, b, ell] {
+                        let key = format!("{} {weights:?} n = {n}, prefix {len}", family.name());
+                        let slices = t.id_prefixes(len);
+                        let copies: Vec<Vec<VertexId>> = g
+                            .vertices()
+                            .map(|u| t.ball(u).ids().iter().take(len).copied().collect())
+                            .collect();
+                        assert!(slices.iter().eq(copies.iter()), "{key}: prefixes");
+                        let hit = hitting_set_greedy(n, &slices);
+                        assert_eq!(hit, hitting_set_greedy(n, &copies), "{key}: hitting set");
+                        let in_place = coloured(n, q as u32, &slices);
+                        assert_eq!(in_place, coloured(n, q as u32, &copies), "{key}: colouring");
                     }
                 }
             }
@@ -701,7 +764,7 @@ mod tests {
         let t = BallTable::build(&g, ell);
         for u in g.vertices() {
             let sp = dijkstra(&g, u);
-            for &(v, _) in t.ball(u).members() {
+            for &v in t.ball(u).ids() {
                 if v == u {
                     continue;
                 }
@@ -735,11 +798,10 @@ mod tests {
         for hostile in [VertexId(12), VertexId(13), VertexId(u32::MAX - 1), VertexId(u32::MAX)] {
             for (u, v) in [(inside, hostile), (hostile, inside), (hostile, hostile)] {
                 assert!(!t.contains(u, v), "contains({u}, {v})");
-                assert_eq!(t.dist(u, v), None);
                 assert_eq!(t.first_port(u, v), None);
-                assert_eq!(t.rank(u, v), None);
             }
             assert_eq!(t.words_at(hostile), 0);
+            assert!(t.ball(hostile).ids().is_empty() && t.ball(hostile).dists().is_empty());
         }
     }
 }

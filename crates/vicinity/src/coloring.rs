@@ -57,7 +57,8 @@ impl Coloring {
     }
 
     /// Builds a coloring satisfying Lemma 6 with respect to `sets`:
-    /// every set must end up containing every color.
+    /// every set must end up containing every color. The sets are read in
+    /// place — owned lists, or slices borrowed from a ball table.
     ///
     /// Strategy: sample a random coloring; if validation fails, retry up to
     /// `retries` times; on the last attempt run a repair pass that recolors
@@ -68,10 +69,10 @@ impl Coloring {
     /// Returns [`ColoringError`] if even the repaired coloring leaves some
     /// set without some color — which can only happen when some set has
     /// fewer than `q` vertices.
-    pub fn build_for_sets<R: Rng>(
+    pub fn build_for_sets<S: AsRef<[VertexId]>, R: Rng>(
         n: usize,
         q: u32,
-        sets: &[Vec<VertexId>],
+        sets: &[S],
         retries: usize,
         rng: &mut R,
     ) -> Result<Self, ColoringError> {
@@ -137,11 +138,13 @@ impl Coloring {
     }
 
     /// Returns the first `(set index, missing color)` violation of
-    /// requirement 1, or `None` if every set contains every color.
-    pub fn first_violation(&self, sets: &[Vec<VertexId>]) -> Option<(usize, u32)> {
+    /// requirement 1, or `None` if every set contains every color. One
+    /// buffer of `q` flags serves every set.
+    pub fn first_violation<S: AsRef<[VertexId]>>(&self, sets: &[S]) -> Option<(usize, u32)> {
+        let mut present = vec![false; self.q as usize];
         for (i, set) in sets.iter().enumerate() {
-            let mut present = vec![false; self.q as usize];
-            for &v in set {
+            present.fill(false);
+            for &v in set.as_ref() {
                 present[self.color(v) as usize] = true;
             }
             if let Some(c) = present.iter().position(|&p| !p) {
@@ -154,12 +157,12 @@ impl Coloring {
     /// In-place repair pass: for up to `max_steps` iterations, find a set
     /// missing a color and recolor one of its vertices whose current color
     /// appears at least twice in that set.
-    fn repair(&mut self, sets: &[Vec<VertexId>], max_steps: usize) {
+    fn repair<S: AsRef<[VertexId]>>(&mut self, sets: &[S], max_steps: usize) {
         for _ in 0..max_steps {
             let Some((set_idx, missing)) = self.first_violation(sets) else {
                 return;
             };
-            let set = &sets[set_idx];
+            let set = sets[set_idx].as_ref();
             let mut count = vec![0usize; self.q as usize];
             for &v in set {
                 count[self.color(v) as usize] += 1;

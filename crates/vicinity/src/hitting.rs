@@ -14,13 +14,15 @@ use routing_graph::VertexId;
 ///
 /// `n` is the size of the universe `V = {0, ..., n-1}`; every element of the
 /// given sets must be a valid vertex id. Empty input sets are ignored (they
-/// cannot be hit).
-pub fn hitting_set_greedy(n: usize, sets: &[Vec<VertexId>]) -> Vec<VertexId> {
+/// cannot be hit). The sets are read in place — owned lists, or slices
+/// borrowed from a ball table; beside them the greedy holds one inverted
+/// index of 4 bytes a set member.
+pub fn hitting_set_greedy<S: AsRef<[VertexId]>>(n: usize, sets: &[S]) -> Vec<VertexId> {
     assert!(u32::try_from(sets.len()).is_ok(), "set indices are stored as u32");
-    let mut hit: Vec<bool> = sets.iter().map(Vec::is_empty).collect();
+    let mut hit: Vec<bool> = sets.iter().map(|s| s.as_ref().is_empty()).collect();
     // Count of unhit sets containing each vertex.
     let mut gain = vec![0usize; n];
-    for &v in sets.iter().flatten() {
+    for &v in sets.iter().flat_map(S::as_ref) {
         gain[v.index()] += 1;
     }
     // The inverted index as one CSR, sized by that counting pass:
@@ -34,7 +36,7 @@ pub fn hitting_set_greedy(n: usize, sets: &[Vec<VertexId>]) -> Vec<VertexId> {
     let mut occurrences = vec![0u32; start[n]];
     let mut next = start.clone();
     for (i, set) in sets.iter().enumerate() {
-        for &v in set {
+        for &v in set.as_ref() {
             occurrences[next[v.index()]] = i as u32;
             next[v.index()] += 1;
         }
@@ -56,7 +58,7 @@ pub fn hitting_set_greedy(n: usize, sets: &[Vec<VertexId>]) -> Vec<VertexId> {
             if !hit[set_idx] {
                 hit[set_idx] = true;
                 remaining -= 1;
-                for &w in &sets[set_idx] {
+                for &w in sets[set_idx].as_ref() {
                     gain[w.index()] = gain[w.index()].saturating_sub(1);
                 }
             }
@@ -70,10 +72,11 @@ pub fn hitting_set_greedy(n: usize, sets: &[Vec<VertexId>]) -> Vec<VertexId> {
 ///
 /// The candidate is sorted once and every membership probe is a binary
 /// search over that slice — no per-check hash set is materialized.
-pub fn hits_all(candidate: &[VertexId], sets: &[Vec<VertexId>]) -> bool {
+pub fn hits_all<S: AsRef<[VertexId]>>(candidate: &[VertexId], sets: &[S]) -> bool {
     let mut lookup: Vec<VertexId> = candidate.to_vec();
     lookup.sort_unstable();
     sets.iter()
+        .map(S::as_ref)
         .filter(|s| !s.is_empty())
         .all(|s| s.iter().any(|v| lookup.binary_search(v).is_ok()))
 }
@@ -111,7 +114,7 @@ mod tests {
 
     #[test]
     fn greedy_with_no_sets_is_empty() {
-        let h = hitting_set_greedy(10, &[]);
+        let h = hitting_set_greedy::<Vec<VertexId>>(10, &[]);
         assert!(h.is_empty());
     }
 

@@ -11,7 +11,7 @@ use routing_graph::apsp::DistanceMatrix;
 use routing_graph::generators::{self, WeightModel};
 use routing_graph::mutate::apply_events;
 use routing_graph::shortest_path::{ball, cluster_dijkstra, dijkstra, Ball};
-use routing_graph::{Graph, GraphBuilder, Port, SampledDistances, VertexId};
+use routing_graph::{Graph, GraphBuilder, Port, SampledDistances, VertexId, Weight};
 use routing_model::simulate;
 use routing_vicinity::BallTable;
 
@@ -38,7 +38,7 @@ proptest! {
         let balls = BallTable::build(&g, ell);
         for u in g.vertices().step_by(5) {
             let spt = dijkstra(&g, u);
-            for &(v, _) in balls.ball(u).members() {
+            for &v in balls.ball(u).ids() {
                 if v == u { continue; }
                 for w in spt.path_to(v).unwrap() {
                     prop_assert!(balls.contains(w, v));
@@ -292,8 +292,11 @@ fn ball_table_at(g: &Graph, ell: usize, threads: usize) -> BallTable {
 }
 
 /// Holds `table` against `reference(u)` for **every** `(u, v)` pair, members
-/// and non-members alike, and checks the documented slot layout of every
-/// region: members in strictly ascending hash order, each at
+/// and non-members alike — the settle-order ids and distances equal the
+/// reference ball's, which fixes every member's rank and distance — and
+/// checks the documented slot layout of every region: every occupied slot
+/// holds a member listed in the ids, members in strictly ascending hash
+/// order, each at
 /// `max(home, previous + 1)`, load ≤ 3/4, the last slot empty, no slack, and
 /// every probe sequence — hit or miss — no longer than the ball plus the
 /// slot that ends it.
@@ -305,17 +308,17 @@ fn check_ball_table(g: &Graph, table: &BallTable, reference: impl Fn(VertexId) -
     for u in g.vertices() {
         let owned = reference(u);
         let view = table.ball(u);
-        assert_eq!(view.members(), owned.members(), "members of B({u})");
+        let ids: Vec<VertexId> = owned.members().iter().map(|&(v, _)| v).collect();
+        let dists: Vec<Weight> = owned.members().iter().map(|&(_, d)| d).collect();
+        assert_eq!(view.ids(), ids, "ids of B({u})");
+        assert_eq!(view.dists(), dists, "distances in B({u})");
         assert_eq!(view.radius(), owned.radius());
         assert_eq!(ports.words_at(u), 3 * (owned.members().len() - 1));
         for v in g.vertices() {
             assert_eq!(table.contains(u, v), owned.contains(v), "contains({u}, {v})");
-            assert_eq!(table.dist(u, v), owned.dist_to(v));
-            assert_eq!(view.rank(v), owned.rank(v));
             let port = owned.first_hop(v).and_then(|hop| g.port_to(u, hop));
             assert_eq!(table.first_port(u, v), port);
             assert_eq!(ports.contains(u, v), owned.contains(v), "ports.contains({u}, {v})");
-            assert_eq!(table.rank(u, v), owned.rank(v), "table.rank({u}, {v})");
             assert_eq!(ports.first_port(u, v), port, "ports.first_port({u}, {v})");
         }
 
@@ -333,8 +336,10 @@ fn check_ball_table(g: &Graph, table: &BallTable, reference: impl Fn(VertexId) -
             let [id, port] = region[at];
             assert!(prev_hash < Some(hash(id)), "hash order broken at slot {at} of region {u}");
             assert_eq!(at, home(hash(id)).max(next), "slot of {id} in region {u}");
-            let rank = table.rank(u, VertexId(id)).expect("an occupied slot holds a member");
-            assert_eq!(view.members()[rank].0, VertexId(id));
+            assert!(
+                view.ids().contains(&VertexId(id)),
+                "slot {at} of region {u} holds a non-member"
+            );
             let hop = owned.first_hop(VertexId(id)).and_then(|hop| g.port_to(u, hop));
             assert_eq!(port, hop.map_or(u32::MAX, |p| p.0), "port of {id} in region {u}");
             (next, prev_hash) = (at + 1, Some(hash(id)));
@@ -363,7 +368,7 @@ fn property_one_along_ports(
     port: impl Fn(VertexId, VertexId) -> Option<Port>,
 ) -> Result<(), String> {
     for u in g.vertices() {
-        for &(v, d) in table.ball(u).members() {
+        for (v, d) in table.ball(u).members() {
             let (mut w, mut walked) = (u, 0);
             while w != v {
                 if !table.contains(w, v) {
@@ -918,7 +923,7 @@ fn property_one_holds_along_stored_ports() {
     let g = generators::erdos_renyi(80, 0.08, WeightModel::Unit, &mut StdRng::seed_from_u64(5));
     let t = BallTable::build(&g, 9);
     let u = g.vertices().find(|&u| g.degree(u) >= 2).expect("a vertex of degree 2");
-    let v = t.ball(u).members()[1].0;
+    let v = t.ball(u).ids()[1];
     let right = t.first_port(u, v).expect("a neighbour member has a port");
     let wrong = Port((right.0 + 1) % g.degree(u) as u32);
     let swapped = |w: VertexId, x: VertexId| if (w, x) == (u, v) { Some(wrong) } else { t.first_port(w, x) };
