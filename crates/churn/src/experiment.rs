@@ -311,7 +311,7 @@ mod tests {
     use super::*;
     use crate::plan::RemovalMode;
     use routing_baselines::{ExactScheme, TzRoutingScheme};
-    use routing_core::{Params, SchemeThreePlusEps};
+    use routing_core::{Params, SchemeMultilevel};
     use routing_graph::generators::{Family, WeightModel};
 
     fn base(n: usize) -> Graph {
@@ -456,7 +456,8 @@ mod tests {
         };
         let result = run_churn(&g, &plan_cfg, &cfg, |g: &Graph| {
             let mut rng = StdRng::seed_from_u64(8);
-            Ok(Box::new(SchemeThreePlusEps::build(g, &Params::with_epsilon(0.5), &mut rng)?))
+            let params = Params::with_epsilon(0.5);
+            Ok(Box::new(SchemeMultilevel::build(g, 1, "warmup", &params, &mut rng)?))
         })
         .unwrap();
         assert_eq!(result.rounds.len(), 2);

@@ -16,8 +16,9 @@
 //! [`routing_par::set_threads`] — which never changes *what* is built, only
 //! how fast (see `routing-par`). The facade crate's `SchemeRegistry` maps
 //! CLI names to boxed builders; this module provides the builders for the
-//! paper's schemes (`warmup`, `thm10`, `thm11`), and `routing-baselines`
-//! provides the baseline builders (`tz2`/`tz3`, `exact`, `spanner`).
+//! paper's schemes (`warmup`, `thm10`, `thm11`, `thm13`, `thm15`), and
+//! `routing-baselines` provides the rest (`tz2`/`tz3`, `exact`, `spanner`,
+//! `thm16k3`).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -27,7 +28,7 @@ use routing_model::DynScheme;
 
 use crate::error::BuildError;
 use crate::params::Params;
-use crate::{SchemeFivePlusEps, SchemeThreePlusEps, SchemeTwoPlusEps};
+use crate::{SchemeFivePlusEps, SchemeMultilevel, SchemeTwoPlusEps};
 
 /// Everything a [`SchemeBuilder`] may consume besides the graph.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -104,17 +105,30 @@ pub trait SchemeBuilder {
     fn build(&self, g: &Graph, ctx: &BuildContext) -> Result<Box<dyn DynScheme>, BuildError>;
 }
 
-/// Builds the `(3+ε)` warm-up scheme (registry key `warmup`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WarmupBuilder;
+/// Builds a [`SchemeMultilevel`] with `ℓ` levels under its registry key:
+/// the `(3+ε)` warm-up is `("warmup", 1)`, Theorem 13 `("thm13", 2)` and
+/// Theorem 15 `("thm15", 4)`.
+#[derive(Debug, Clone, Copy)]
+pub struct MultilevelBuilder {
+    key: &'static str,
+    levels: usize,
+}
 
-impl SchemeBuilder for WarmupBuilder {
+impl MultilevelBuilder {
+    /// A builder of the `levels`-level scheme, registered under `key`.
+    pub fn new(key: &'static str, levels: usize) -> Self {
+        MultilevelBuilder { key, levels }
+    }
+}
+
+impl SchemeBuilder for MultilevelBuilder {
     fn key(&self) -> &str {
-        "warmup"
+        self.key
     }
 
     fn build(&self, g: &Graph, ctx: &BuildContext) -> Result<Box<dyn DynScheme>, BuildError> {
-        let scheme = SchemeThreePlusEps::build(g, &ctx.params, &mut ctx.rng())?;
+        let scheme =
+            SchemeMultilevel::build(g, self.levels, self.key, &ctx.params, &mut ctx.rng())?;
         Ok(Box::new(scheme))
     }
 }
@@ -175,7 +189,7 @@ mod tests {
         let ctx = BuildContext::with_seed(11);
         // Theorem 10 is stated for unweighted graphs; the other two take any.
         let builders: [(&dyn SchemeBuilder, &Graph); 3] = [
-            (&WarmupBuilder, &weighted),
+            (&MultilevelBuilder::new("warmup", 1), &weighted),
             (&Thm10Builder, &unweighted),
             (&Thm11Builder, &weighted),
         ];
@@ -192,8 +206,9 @@ mod tests {
     fn builds_are_deterministic_in_the_context() {
         let g = graph();
         let ctx = BuildContext { seed: 5, threads: 1, ..BuildContext::default() };
-        let a = WarmupBuilder.build(&g, &ctx).unwrap();
-        let b = WarmupBuilder.build(&g, &ctx).unwrap();
+        let warmup = MultilevelBuilder::new("warmup", 1);
+        let a = warmup.build(&g, &ctx).unwrap();
+        let b = warmup.build(&g, &ctx).unwrap();
         for v in g.vertices() {
             assert_eq!(a.table_words(v), b.table_words(v));
             assert_eq!(a.label_words(v), b.label_words(v));
@@ -212,7 +227,7 @@ mod tests {
             params: Params::with_epsilon(-1.0),
             ..BuildContext::default()
         };
-        let err = WarmupBuilder.build(&g, &ctx).unwrap_err();
+        let err = MultilevelBuilder::new("warmup", 1).build(&g, &ctx).unwrap_err();
         assert!(matches!(err, BuildError::BadParameter { .. }));
     }
 }

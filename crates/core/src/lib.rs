@@ -15,14 +15,14 @@
 //! use rand::rngs::StdRng;
 //! use rand::SeedableRng;
 //! use routing_graph::generators::{self, WeightModel};
-//! use routing_core::{Params, SchemeThreePlusEps};
+//! use routing_core::{Params, SchemeMultilevel};
 //! use routing_model::simulate;
 //! use routing_graph::VertexId;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut rng = StdRng::seed_from_u64(1);
 //! let g = generators::erdos_renyi(120, 0.06, WeightModel::Unit, &mut rng);
-//! let scheme = SchemeThreePlusEps::build(&g, &Params::default(), &mut rng)?;
+//! let scheme = SchemeMultilevel::build(&g, 1, "warmup", &Params::default(), &mut rng)?;
 //! let out = simulate(&g, &scheme, VertexId(0), VertexId(97))?;
 //! assert_eq!(out.destination(), VertexId(97));
 //! # Ok(())
@@ -36,7 +36,6 @@ pub mod builder;
 mod error;
 mod params;
 pub mod scheme_2eps1;
-pub mod scheme_3eps;
 pub mod scheme_5eps;
 pub mod scheme_multilevel;
 pub mod seq;
@@ -44,13 +43,12 @@ mod stages;
 pub mod technique1;
 pub mod technique2;
 
-pub use builder::{BuildContext, SchemeBuilder, Thm10Builder, Thm11Builder, WarmupBuilder};
+pub use builder::{BuildContext, MultilevelBuilder, SchemeBuilder, Thm10Builder, Thm11Builder};
 pub use error::BuildError;
 pub use params::Params;
 pub use scheme_2eps1::SchemeTwoPlusEps;
-pub use scheme_3eps::SchemeThreePlusEps;
 pub use scheme_5eps::SchemeFivePlusEps;
-pub use scheme_multilevel::{SchemeMultilevel, Thm13Builder, Thm15Builder};
+pub use scheme_multilevel::SchemeMultilevel;
 pub use stages::{ClusterFamily, ClusterMembers};
 pub use technique1::{Technique1Router, Technique1Scheme};
 pub use technique2::{Technique2Router, Technique2Scheme};
@@ -102,5 +100,78 @@ pub(crate) mod test_support {
             }
         }
         worst
+    }
+}
+
+/// Section 4's `(3+ε)` warm-up: [`SchemeMultilevel`] at ℓ = 1 under the
+/// registry key `warmup`, held to its own bound `(3+2ε)·d` rather than to the
+/// Theorem 13/15 envelope.
+#[cfg(test)]
+mod scheme_3eps {
+    mod tests {
+        use crate::{BuildError, Params, SchemeMultilevel};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use routing_graph::generators::{self, WeightModel};
+        use routing_graph::Graph;
+        use routing_model::RoutingScheme;
+
+        fn build(g: &Graph, params: &Params, seed: u64) -> Result<SchemeMultilevel, BuildError> {
+            let mut rng = StdRng::seed_from_u64(seed);
+            SchemeMultilevel::build(g, 1, "warmup", params, &mut rng)
+        }
+
+        fn check_all_pairs(g: &Graph, epsilon: f64, seed: u64) -> f64 {
+            let scheme = build(g, &Params::with_epsilon(epsilon), seed).unwrap();
+            crate::test_support::check_all_pairs(g, &scheme, |d| (3.0 + 2.0 * epsilon) * d)
+        }
+
+        #[test]
+        fn warmup_meets_bound_on_unweighted_graph() {
+            let mut rng = StdRng::seed_from_u64(31);
+            let g = generators::erdos_renyi(80, 0.06, WeightModel::Unit, &mut rng);
+            let worst = check_all_pairs(&g, 0.5, 1);
+            assert!(worst >= 1.0);
+        }
+
+        #[test]
+        fn warmup_meets_bound_on_weighted_graph() {
+            let mut rng = StdRng::seed_from_u64(32);
+            let weights = WeightModel::Uniform { lo: 1, hi: 20 };
+            let g = generators::erdos_renyi(60, 0.08, weights, &mut rng);
+            check_all_pairs(&g, 0.25, 2);
+        }
+
+        #[test]
+        fn warmup_on_grid() {
+            let g = generators::grid(7, 7);
+            check_all_pairs(&g, 1.0, 3);
+        }
+
+        #[test]
+        fn warmup_reports_metadata() {
+            let g = generators::cycle(36);
+            let scheme = build(&g, &Params::default(), 33).unwrap();
+            assert_eq!(scheme.q(), 6);
+            assert_eq!(scheme.levels(), 1);
+            assert_eq!(RoutingScheme::n(&scheme), 36);
+            assert_eq!(scheme.name(), "warmup");
+            for v in g.vertices() {
+                assert!(scheme.table_words(v) > 0);
+                assert_eq!(scheme.label_words(v), 2);
+                assert!(scheme.color(v) < 6);
+                assert_eq!(scheme.label_of(v).color, scheme.color(v));
+            }
+        }
+
+        #[test]
+        fn warmup_rejects_disconnected_graphs() {
+            let mut b = routing_graph::GraphBuilder::new(4);
+            b.add_unit_edge(0, 1).unwrap();
+            b.add_unit_edge(2, 3).unwrap();
+            let g = b.build();
+            let err = build(&g, &Params::default(), 1).unwrap_err();
+            assert_eq!(err, BuildError::Disconnected);
+        }
     }
 }

@@ -52,9 +52,10 @@ impl Params {
         (2.0 / self.epsilon).ceil() as usize
     }
 
-    /// Lemma 8's round budget `b = ⌈2/ε⌉ + 1`.
+    /// Lemma 8's round budget `b = ⌈2/ε⌉ + 1`, saturating at `usize::MAX`
+    /// for an `ε` so small that `⌈2/ε⌉` already does.
     pub fn b_lemma8(&self) -> usize {
-        (2.0 / self.epsilon).ceil() as usize + 1
+        ((2.0 / self.epsilon).ceil() as usize).saturating_add(1)
     }
 
     /// Validates the parameters.
@@ -105,6 +106,9 @@ mod tests {
         assert_eq!(p.b_lemma8(), 3);
         let p = Params::with_epsilon(0.5);
         assert_eq!(p.b_lemma7(), 4);
+        // ⌈2/ε⌉ saturates below ε ≈ 1.1e-19; the `+ 1` must not wrap to 0.
+        let p = Params::with_epsilon(1e-20);
+        assert_eq!((p.b_lemma7(), p.b_lemma8()), (usize::MAX, usize::MAX));
     }
 
     #[test]

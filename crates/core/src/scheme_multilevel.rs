@@ -1,33 +1,44 @@
-//! The multilevel `(3 ± 2/ℓ + ε, 2)` schemes of Theorems 13 and 15.
+//! The vicinity schemes: the `(3+ε)` warm-up of Section 4 (`ℓ = 1`) and
+//! the multilevel `(3 ± 2/ℓ + ε, 2)` schemes of Theorems 13 and 15.
 //!
-//! Section 5 refines the warm-up scheme with a hierarchy of `ℓ` nested
-//! vicinities per vertex. The crucial observation is Lemma 2's settle
-//! order: because a vicinity of size `t·b` contains the vicinity of size
-//! `b` as a prefix of its member list, **one** stored ball of size `ℓ·b`
-//! holds every level — `v` is in the level-`t` vicinity of `u` iff its
-//! position in [`routing_vicinity::BallView::ids`] is below `t·b`. The
-//! levels are a build-time notion: the Lemma 6 colouring reads the level-1
-//! id prefixes of the build-time [`routing_vicinity::BallTable`] in place,
-//! and routing reads only the
-//! ports of the top-level ball, the one [`routing_vicinity::BallPorts`]
-//! each vertex keeps in place of `ℓ` tables.
+//! Let `q = ⌈√n⌉` and `b = q̃`. A Lemma 6 coloring with `q` colors of the
+//! vicinities `B(u, b)` induces a partition `U` of `V` into `q` classes of
+//! `Õ(√n)` vertices, over which Lemma 7 routes with stretch `(1+ε)`. Every
+//! vertex also remembers, for each color, the closest vertex of that color
+//! in its own stored ball.
+//!
+//! Section 5 refines this with a hierarchy of `ℓ` nested vicinities per
+//! vertex. The crucial observation is Lemma 2's settle order: because a
+//! vicinity of size `t·b` contains the vicinity of size `b` as a prefix of
+//! its member list, **one** stored ball of size `ℓ·b` holds every level —
+//! `v` is in the level-`t` vicinity of `u` iff its position in
+//! [`routing_vicinity::BallView::ids`] is below `t·b`. The levels are a
+//! build-time notion: the Lemma 6 colouring reads the level-1 id prefixes
+//! of the build-time [`routing_vicinity::BallTable`] in place, and routing
+//! reads only the ports of the top-level ball, the one
+//! [`routing_vicinity::BallPorts`] each vertex keeps in place of `ℓ` tables.
 //!
 //! Routing from `u` to `v`: exact Lemma 2 forwarding when `v` is in `u`'s
-//! stored (top-level) ball; otherwise walk towards the remembered color
-//! representative `w` of `c(v)` — with the multilevel shortcut that any
-//! intermediate vertex whose own ball already contains `v` finishes the
-//! route exactly — and from `w` route with Lemma 7 at slack `ε/2`. The
-//! larger the top-level ball (the larger `ℓ`), the more often the direct
-//! and shortcut cases fire, trading table space `Õ(ℓ√n/ε)` for stretch
-//! `(3 + 2/ℓ + ε)·d + 2`: Theorem 13 instantiates `ℓ = 2`, Theorem 15
-//! `ℓ = 4`.
+//! stored ball; otherwise walk (exactly) towards the remembered
+//! representative `w` of `c(v)` — which satisfies `d(u, w) ≤ d(u, v)` — and
+//! from `w` route to `v` with Lemma 7.
 //!
-//! The bound this implementation *declares* (see the bench crate's
-//! `SchemeMeta`) is the `+` branch of Theorem 13/15 with additive 2; the
-//! internal slack split (Lemma 7 runs at `ε/2`) makes the implemented
-//! worst case `(3+ε)·d`, strictly inside the declared envelope for every
-//! `ℓ ≥ 2`, so the machine-checked conformance bound holds with margin on
-//! every input.
+//! At `ℓ = 1` this is the Section 4 scheme and its analysis: the walk always
+//! reaches `w`, Lemma 7 runs at `ε`, and the total is at most
+//! `(3+2ε)·d(u, v)`. Section 5's refinement adds two rules, both applied
+//! iff `ℓ > 1`:
+//! - **The slack split.** Lemma 7 runs at `ε/2`, so the worst case is
+//!   `d + (1 + ε/2)·2d = (3+ε)·d`.
+//! - **The shortcut.** The walk towards `w` switches to exact forwarding at
+//!   the first vertex whose stored ball already contains `v`. The larger
+//!   the top-level ball, the more often the direct and shortcut cases fire,
+//!   trading table space `Õ(ℓ√n/ε)` for stretch `(3 + 2/ℓ + ε)·d + 2`:
+//!   Theorem 13 instantiates `ℓ = 2`, Theorem 15 `ℓ = 4`.
+//!
+//! The bound the bench crate's `SchemeMeta` *declares* for `ℓ ≥ 2` is the
+//! `+` branch of Theorem 13/15 with additive 2; the implemented worst case
+//! `(3+ε)·d` sits strictly inside it, so the machine-checked conformance
+//! bound holds with margin on every input.
 
 use rand::Rng;
 
@@ -45,14 +56,14 @@ enum Phase {
     /// Lemma 2 forwarding (exact by Property 1).
     Direct,
     /// Walking towards the color representative `w` of the destination's
-    /// color, with the level shortcut: switch to [`Phase::Direct`] at the
-    /// first vertex whose stored ball contains the destination.
+    /// color; for `ℓ > 1`, with the shortcut: switch to [`Phase::Direct`]
+    /// at the first vertex whose stored ball contains the destination.
     ToRep(VertexId),
     /// Lemma 7 routing from the representative to the destination.
     Intra(Technique1Header),
 }
 
-/// Header of the multilevel scheme.
+/// Header of the vicinity schemes.
 #[derive(Debug, Clone, Copy)]
 pub struct MultilevelHeader {
     phase: Phase,
@@ -68,7 +79,7 @@ impl HeaderSize for MultilevelHeader {
     }
 }
 
-/// Label of the multilevel scheme: the destination and its color.
+/// Label of the vicinity schemes: the destination and its color.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MultilevelLabel {
     /// The destination vertex.
@@ -77,8 +88,8 @@ pub struct MultilevelLabel {
     pub color: u32,
 }
 
-/// The multilevel `(3 ± 2/ℓ + ε, 2)` scheme with `Õ(ℓ√n/ε)`-word tables
-/// (Theorems 13 and 15; `ℓ` is chosen at build time).
+/// The vicinity scheme with `Õ(ℓ√n/ε)`-word tables: the `(3+ε)` warm-up at
+/// `ℓ = 1`, the `(3 ± 2/ℓ + ε, 2)` scheme of Theorems 13 and 15 at `ℓ > 1`.
 #[derive(Debug, Clone)]
 pub struct SchemeMultilevel {
     name: &'static str,
@@ -121,13 +132,12 @@ impl SchemeMultilevel {
         // Lemma 7's per-class guarantee matches the warm-up analysis; the
         // larger stored ball only adds direct-routing reach on top.
         let level_base = params.scaled(q as usize, n);
-        let ell = (level_base * levels).clamp(1, n);
+        let ell = level_base.saturating_mul(levels).clamp(1, n);
         let vic = Vicinities::balls(g, ell).colour(level_base, q, params, rng)?;
 
-        // Split the slack: Lemma 7 runs at ε/2, so the end-to-end worst
-        // case d + (1 + ε/2)·2d = (3+ε)d sits inside (3 + 2/ℓ + ε)d + 2
-        // for every ℓ ≥ 2 — the declared bound holds with margin.
-        let inner = Params { epsilon: params.epsilon / 2.0, ..*params };
+        // Section 5's slack split (see the module doc): ε/2 for ℓ > 1.
+        let split = if levels > 1 { 2.0 } else { 1.0 };
+        let inner = Params { epsilon: params.epsilon / split, ..*params };
         let router = Technique1Router::build(g, &vic.balls, vic.color_of.clone(), &inner)?;
 
         let vic = vic.retain();
@@ -216,11 +226,11 @@ impl RoutingScheme for SchemeMultilevel {
             match &mut header.phase {
                 Phase::Direct => return self.vic.toward(at, dest.vertex, "destination"),
                 Phase::ToRep(rep) => {
-                    // The multilevel shortcut: larger stored balls mean
-                    // intermediate vertices often already see the
-                    // destination — finish exactly (Property 1) instead of
-                    // detouring through the representative.
-                    if self.vic.sees(at, dest.vertex) {
+                    // Section 5's shortcut (ℓ > 1): a vertex whose stored
+                    // ball holds the destination finishes exactly
+                    // (Property 1) instead of detouring through the
+                    // representative.
+                    if self.levels > 1 && self.vic.sees(at, dest.vertex) {
                         header.phase = Phase::Direct;
                         continue;
                     }
@@ -245,52 +255,6 @@ impl RoutingScheme for SchemeMultilevel {
     }
 }
 
-/// Builds the Theorem 13 multilevel scheme, `ℓ = 2` (registry key `thm13`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Thm13Builder;
-
-/// `ℓ` used by [`Thm13Builder`].
-pub const THM13_LEVELS: usize = 2;
-
-impl crate::SchemeBuilder for Thm13Builder {
-    fn key(&self) -> &str {
-        "thm13"
-    }
-
-    fn build(
-        &self,
-        g: &Graph,
-        ctx: &crate::BuildContext,
-    ) -> Result<Box<dyn routing_model::DynScheme>, BuildError> {
-        let scheme =
-            SchemeMultilevel::build(g, THM13_LEVELS, "thm13", &ctx.params, &mut ctx.rng())?;
-        Ok(Box::new(scheme))
-    }
-}
-
-/// Builds the Theorem 15 multilevel scheme, `ℓ = 4` (registry key `thm15`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Thm15Builder;
-
-/// `ℓ` used by [`Thm15Builder`].
-pub const THM15_LEVELS: usize = 4;
-
-impl crate::SchemeBuilder for Thm15Builder {
-    fn key(&self) -> &str {
-        "thm15"
-    }
-
-    fn build(
-        &self,
-        g: &Graph,
-        ctx: &crate::BuildContext,
-    ) -> Result<Box<dyn routing_model::DynScheme>, BuildError> {
-        let scheme =
-            SchemeMultilevel::build(g, THM15_LEVELS, "thm15", &ctx.params, &mut ctx.rng())?;
-        Ok(Box::new(scheme))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,10 +263,19 @@ mod tests {
     use routing_graph::generators::{self, WeightModel};
     use routing_model::simulate;
 
+    /// The registry key of the `levels`-level scheme.
+    fn key(levels: usize) -> &'static str {
+        match levels {
+            1 => "warmup",
+            2 => "thm13",
+            _ => "thm15",
+        }
+    }
+
     fn check_all_pairs(g: &Graph, levels: usize, epsilon: f64, seed: u64) -> f64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let params = Params::with_epsilon(epsilon);
-        let scheme = SchemeMultilevel::build(g, levels, "thm13", &params, &mut rng).unwrap();
+        let scheme = SchemeMultilevel::build(g, levels, key(levels), &params, &mut rng).unwrap();
         // The declared Theorem 13/15 envelope: (3 + 2/ℓ + ε)·d + 2.
         let factor = 3.0 + 2.0 / levels as f64 + epsilon;
         crate::test_support::check_all_pairs(g, &scheme, |d| factor * d + 2.0)
@@ -327,6 +300,36 @@ mod tests {
     fn multilevel_on_grid() {
         let g = generators::grid(7, 7);
         check_all_pairs(&g, 4, 1.0, 3);
+    }
+
+    /// The ℓ = 1 rule: the warm-up walks every route whose destination lies
+    /// outside the source's ball through the representative `rep(u, c(v))`.
+    /// At ℓ = 4, on the same graph, the shortcut fires: some such route
+    /// never reaches its representative.
+    #[test]
+    fn the_warmup_visits_every_representative_and_thm15_shortcuts_past_one() {
+        let mut rng = StdRng::seed_from_u64(46);
+        let g = generators::erdos_renyi(1000, 0.008, WeightModel::Unit, &mut rng);
+        let params = Params::with_epsilon(0.5);
+        let mut skipped = Vec::new();
+        for levels in [1, 4] {
+            let mut rng = StdRng::seed_from_u64(7);
+            let scheme =
+                SchemeMultilevel::build(&g, levels, key(levels), &params, &mut rng).unwrap();
+            let (mut far, mut skips) = (0, 0);
+            for u in g.vertices().step_by(5) {
+                for v in g.vertices().filter(|&v| !scheme.vic.sees(u, v)) {
+                    let rep = scheme.vic.rep(u, scheme.color(v)).unwrap();
+                    let out = simulate(&g, &scheme, u, v).unwrap();
+                    far += 1;
+                    skips += usize::from(!out.path.contains(&rep));
+                }
+            }
+            assert!(far > 0, "ℓ = {levels}: every destination is in the source's ball");
+            skipped.push(skips);
+        }
+        assert_eq!(skipped[0], 0, "the warm-up skipped a representative");
+        assert!(skipped[1] > 0, "the ℓ = 4 shortcut never fired");
     }
 
     #[test]
@@ -395,14 +398,24 @@ mod tests {
         b.add_unit_edge(2, 3).unwrap();
         let g = b.build();
         let mut rng = StdRng::seed_from_u64(1);
-        let err =
-            SchemeMultilevel::build(&g, 2, "thm13", &Params::default(), &mut rng).unwrap_err();
+        let params = Params::default();
+        let err = SchemeMultilevel::build(&g, 2, "thm13", &params, &mut rng).unwrap_err();
         assert_eq!(err, BuildError::Disconnected);
 
         let g = generators::cycle(12);
-        let err =
-            SchemeMultilevel::build(&g, 0, "thm13", &Params::default(), &mut rng).unwrap_err();
+        let err = SchemeMultilevel::build(&g, 0, "thm13", &params, &mut rng).unwrap_err();
         assert!(matches!(err, BuildError::BadParameter { .. }));
+
+        // ℓ·b saturates: a huge ℓ stores the whole graph in every ball, or
+        // is refused, and never overflows.
+        for levels in [usize::MAX, 1 << 63, 1 << 62] {
+            let Ok(scheme) = SchemeMultilevel::build(&g, levels, "thm15", &params, &mut rng) else {
+                continue;
+            };
+            assert_eq!(scheme.vic.balls.ell(), 12, "ℓ = {levels}");
+            let out = simulate(&g, &scheme, VertexId(0), VertexId(6)).unwrap();
+            assert_eq!(out.weight, 6, "ℓ = {levels}: a whole-graph ball routes exactly");
+        }
     }
 
     #[test]
@@ -410,12 +423,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(45);
         let g = generators::erdos_renyi(70, 0.08, WeightModel::Uniform { lo: 1, hi: 9 }, &mut rng);
         let ctx = crate::BuildContext::with_seed(11);
-        for (builder, key) in
-            [(&Thm13Builder as &dyn crate::SchemeBuilder, "thm13"), (&Thm15Builder, "thm15")]
-        {
-            assert_eq!(builder.key(), key);
-            let scheme = builder.build(&g, &ctx).unwrap();
-            assert_eq!(scheme.name(), key);
+        for levels in [1, 2, 4] {
+            let builder = crate::MultilevelBuilder::new(key(levels), levels);
+            assert_eq!(crate::SchemeBuilder::key(&builder), key(levels));
+            let scheme = crate::SchemeBuilder::build(&builder, &g, &ctx).unwrap();
+            assert_eq!(scheme.name(), key(levels));
             let out = simulate(&g, scheme.as_ref(), VertexId(0), VertexId(69)).unwrap();
             assert_eq!(out.destination(), VertexId(69));
         }

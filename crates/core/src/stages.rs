@@ -464,9 +464,8 @@ mod tests {
     use routing_tree::TreeScheme;
 
     use crate::{
-        BuildContext, SchemeBuilder, SchemeFivePlusEps, SchemeMultilevel,
-        SchemeThreePlusEps, SchemeTwoPlusEps, Thm10Builder, Thm11Builder, Thm13Builder,
-        WarmupBuilder,
+        BuildContext, MultilevelBuilder, SchemeBuilder, SchemeFivePlusEps, SchemeMultilevel,
+        SchemeTwoPlusEps, Thm10Builder, Thm11Builder,
     };
 
     /// `kept` is what a built scheme holds, `direct` the stages' output
@@ -613,10 +612,7 @@ mod tests {
         let weighted = instance(WeightModel::Uniform { lo: 1, hi: 32 });
 
         let b = params.scaled(8, 60);
-        let warmup = SchemeThreePlusEps::build(&weighted, &params, &mut ctx.rng()).unwrap();
-        let direct = Vicinities::balls(&weighted, b).colour(b, 8, &params, &mut ctx.rng()).unwrap();
-        assert_same_vicinities("warmup", &warmup.vic, &direct);
-        for (levels, key) in [(2, "thm13"), (4, "thm15")] {
+        for (levels, key) in [(1, "warmup"), (2, "thm13"), (4, "thm15")] {
             let kept = SchemeMultilevel::build(&weighted, levels, key, &params, &mut ctx.rng());
             let ell = (b * levels).min(60);
             let direct = Vicinities::balls(&weighted, ell).colour(b, 8, &params, &mut ctx.rng());
@@ -667,8 +663,9 @@ mod tests {
         };
         let (small_g, large_g) = (graph(60), graph(240));
         let ctx = BuildContext::with_seed(3);
-        let builders: [&dyn SchemeBuilder; 4] =
-            [&WarmupBuilder, &Thm10Builder, &Thm11Builder, &Thm13Builder];
+        let warmup = MultilevelBuilder::new("warmup", 1);
+        let thm13 = MultilevelBuilder::new("thm13", 2);
+        let builders: [&dyn SchemeBuilder; 4] = [&warmup, &Thm10Builder, &Thm11Builder, &thm13];
         for builder in builders {
             let key = builder.key();
             let small = builder.build(&small_g, &ctx).unwrap();

@@ -322,7 +322,7 @@ fn build_t2_sequence(
     let mut thr_num: u128 = 2;
     loop {
         let mut count = 0usize;
-        while count < 2 * b {
+        while count < b.saturating_mul(2) {
             let Some(next) = walk_round(g, balls, path, pos, entries)? else {
                 return Ok(());
             };
@@ -660,6 +660,19 @@ mod tests {
     fn lemma8_stretch_on_grid() {
         let g = generators::grid(9, 9);
         check_stretch(&g, 3, 1.0, 3);
+    }
+
+    /// At ε = 1e-20, `⌈2/ε⌉ + 1` overflows `usize`: the round budget
+    /// saturates instead of wrapping to 0, so Lemma 8 and Theorem 11 build
+    /// and route (exactly: the budget is never spent).
+    #[test]
+    fn lemma8_and_thm11_build_and_route_at_a_tiny_epsilon() {
+        let mut rng = StdRng::seed_from_u64(60);
+        let g = generators::erdos_renyi(60, 0.1, WeightModel::Unit, &mut rng);
+        check_stretch(&g, 3, 1e-20, 4);
+        let scheme =
+            crate::SchemeFivePlusEps::build(&g, &Params::with_epsilon(1e-20), &mut rng).unwrap();
+        crate::test_support::check_all_pairs(&g, &scheme, |d| 5.0 * d);
     }
 
     #[test]

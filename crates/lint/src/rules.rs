@@ -115,8 +115,8 @@ pub const WORKSPACE_CRATES: &[CrateSpec] = &[
 /// forest's tree lookup before it, the query arms every `routing-core`
 /// scheme shares (`stages`' vicinity, cluster and bunch arms, `seq`'s
 /// keyed-store lookups and the cursor reads a header's sequence goes
-/// through, and Techniques 1 and 2's `start`/`step`), and Theorem 16's
-/// landmark-distance lookup.
+/// through, and Techniques 1 and 2's `start`/`step`), the core schemes'
+/// own `init_header`/`decide`, and Theorem 16's landmark-distance lookup.
 pub const HOT_PATHS: &[(&str, HotScope)] = &[
     ("crates/graph/src/scratch.rs", HotScope::File),
     (
@@ -152,6 +152,9 @@ pub const HOT_PATHS: &[(&str, HotScope)] = &[
         HotScope::FnPrefixes(&["start", "step", "tree_step", "tree_of", "global_tree"]),
     ),
     ("crates/core/src/technique2.rs", HotScope::FnPrefixes(&["start", "step"])),
+    ("crates/core/src/scheme_multilevel.rs", HotScope::FnPrefixes(&["init_header", "decide"])),
+    ("crates/core/src/scheme_2eps1.rs", HotScope::FnPrefixes(&["init_header", "decide"])),
+    ("crates/core/src/scheme_5eps.rs", HotScope::FnPrefixes(&["init_header", "decide"])),
     (
         "crates/baselines/src/tz.rs",
         HotScope::FnPrefixes(&["init_header", "decide", "ladder", "pivot"]),

@@ -8,7 +8,7 @@
 use compact_routing::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use routing_core::SchemeThreePlusEps;
+use routing_core::SchemeMultilevel;
 use routing_graph::apsp::DistanceMatrix;
 use routing_model::eval::{evaluate, PairSelection};
 
@@ -20,7 +20,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{:>8} {:>12} {:>12} {:>10} {:>10}", "epsilon", "table max", "table mean", "max str", "mean str");
     for &eps in &[2.0, 1.0, 0.5, 0.25] {
         let mut rng = StdRng::seed_from_u64(5);
-        let scheme = SchemeThreePlusEps::build(&g, &Params::with_epsilon(eps), &mut rng)?;
+        let params = Params::with_epsilon(eps);
+        let scheme = SchemeMultilevel::build(&g, 1, "warmup", &params, &mut rng)?;
         let report = evaluate(&g, &scheme, &exact, PairSelection::Sampled(3000), &mut rng)?;
         println!(
             "{:>8} {:>12} {:>12.1} {:>10.3} {:>10.3}",

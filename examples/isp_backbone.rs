@@ -10,7 +10,7 @@ use compact_routing::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use routing_baselines::{ExactScheme, TzRoutingScheme};
-use routing_core::{SchemeFivePlusEps, SchemeThreePlusEps};
+use routing_core::{SchemeFivePlusEps, SchemeMultilevel};
 use routing_graph::apsp::DistanceMatrix;
 use routing_model::eval::{evaluate, PairSelection};
 
@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let params = Params::with_epsilon(0.25);
 
     let thm11 = SchemeFivePlusEps::build(&g, &params, &mut rng)?;
-    let warmup = SchemeThreePlusEps::build(&g, &params, &mut rng)?;
+    let warmup = SchemeMultilevel::build(&g, 1, "warmup", &params, &mut rng)?;
     let tz2 = TzRoutingScheme::build(&g, 2, &mut rng)?;
     let full = ExactScheme::build(&g)?;
 

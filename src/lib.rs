@@ -38,7 +38,7 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut rng = StdRng::seed_from_u64(7);
 //! let g = generators::erdos_renyi(150, 0.05, generators::WeightModel::Unit, &mut rng);
-//! let scheme = SchemeThreePlusEps::build(&g, &Params::default(), &mut rng)?;
+//! let scheme = SchemeMultilevel::build(&g, 1, "warmup", &Params::default(), &mut rng)?;
 //! let out = simulate(&g, &scheme, VertexId(0), VertexId(149))?;
 //! println!("routed over {} hops with weight {}", out.hops, out.weight);
 //! # Ok(())
@@ -65,7 +65,7 @@ pub mod prelude {
         run_churn, ChurnExperimentConfig, ChurnPlanConfig, RebuildPolicy, RemovalMode,
     };
     pub use routing_core::{
-        BuildContext, BuildError, Params, SchemeBuilder, SchemeThreePlusEps,
+        BuildContext, BuildError, Params, SchemeBuilder, SchemeMultilevel,
     };
     pub use routing_graph::generators;
     pub use routing_graph::{

@@ -8,7 +8,7 @@
 //!
 //! | key | scheme | source |
 //! |-----|--------|--------|
-//! | `warmup` | the `(3+ε)` warm-up scheme | `routing-core` |
+//! | `warmup` | the `(3+ε)` warm-up scheme, multilevel at `ℓ = 1` | `routing-core` |
 //! | `thm10` | Theorem 10, `(2+ε, 1)` (unweighted graphs) | `routing-core` |
 //! | `thm11` | Theorem 11, `(5+ε)` | `routing-core` |
 //! | `tz2` | Thorup–Zwick `(4k−5)`, `k = 2` (stretch 3) | `routing-baselines` |
@@ -60,8 +60,7 @@
 
 use routing_baselines::{ExactBuilder, SpannerBuilder, Thm16Builder, TzBuilder};
 use routing_core::{
-    BuildContext, BuildError, SchemeBuilder, Thm10Builder, Thm11Builder, Thm13Builder,
-    Thm15Builder, WarmupBuilder,
+    BuildContext, BuildError, MultilevelBuilder, SchemeBuilder, Thm10Builder, Thm11Builder,
 };
 use routing_graph::Graph;
 use routing_model::DynScheme;
@@ -85,7 +84,7 @@ impl SchemeRegistry {
     /// registered under its CLI name (see the module docs for the table).
     pub fn with_defaults() -> Self {
         let mut r = SchemeRegistry::new();
-        r.register(Box::new(WarmupBuilder));
+        r.register(Box::new(MultilevelBuilder::new("warmup", 1)));
         r.register(Box::new(Thm10Builder));
         r.register(Box::new(Thm11Builder));
         r.register(Box::new(TzBuilder::new(2)));
@@ -94,8 +93,8 @@ impl SchemeRegistry {
         r.register(Box::new(SpannerBuilder::default()));
         // The Theorem 13/15/16 schemes are appended after the seed seven so
         // artifact rows produced by older registries keep their positions.
-        r.register(Box::new(Thm13Builder));
-        r.register(Box::new(Thm15Builder));
+        r.register(Box::new(MultilevelBuilder::new("thm13", 2)));
+        r.register(Box::new(MultilevelBuilder::new("thm15", 4)));
         r.register(Box::new(Thm16Builder::new(3)));
         r
     }

@@ -6,7 +6,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use routing_baselines::{ExactScheme, TzOracle, TzRoutingScheme};
-use routing_core::{Params, SchemeFivePlusEps, SchemeThreePlusEps, SchemeTwoPlusEps};
+use routing_core::{Params, SchemeFivePlusEps, SchemeMultilevel, SchemeTwoPlusEps};
 use routing_graph::apsp::DistanceMatrix;
 use routing_graph::generators::{self, Family, WeightModel};
 use routing_graph::{Graph, VertexId};
@@ -31,7 +31,7 @@ fn all_schemes_deliver_every_message_on_every_family() {
 
         let thm10 = SchemeTwoPlusEps::build(&unweighted, &params, &mut rng).unwrap();
         let thm11 = SchemeFivePlusEps::build(&weighted, &params, &mut rng).unwrap();
-        let warm = SchemeThreePlusEps::build(&weighted, &params, &mut rng).unwrap();
+        let warm = SchemeMultilevel::build(&weighted, 1, "warmup", &params, &mut rng).unwrap();
 
         let r10 = evaluate(&unweighted, &thm10, &exact_u, PairSelection::Sampled(500), &mut rng)
             .expect("thm10 routes everything");
@@ -62,7 +62,7 @@ fn table_size_ordering_matches_table_1() {
     let mut rng = StdRng::seed_from_u64(12);
 
     let thm11 = SchemeFivePlusEps::build(&g, &params, &mut rng).unwrap();
-    let warm = SchemeThreePlusEps::build(&g, &params, &mut rng).unwrap();
+    let warm = SchemeMultilevel::build(&g, 1, "warmup", &params, &mut rng).unwrap();
     let thm10 = SchemeTwoPlusEps::build(&unweighted, &params, &mut rng).unwrap();
     let exact = ExactScheme::build(&g).unwrap();
 
@@ -132,7 +132,7 @@ fn facade_prelude_builds_and_routes() {
     use compact_routing::prelude::*;
     let mut rng = StdRng::seed_from_u64(41);
     let g = generators::cycle(60);
-    let scheme = SchemeThreePlusEps::build(&g, &Params::default(), &mut rng).unwrap();
+    let scheme = SchemeMultilevel::build(&g, 1, "warmup", &Params::default(), &mut rng).unwrap();
     let out = simulate(&g, &scheme, VertexId(0), VertexId(30)).unwrap();
     assert_eq!(out.destination(), VertexId(30));
     assert!(out.weight >= 30);

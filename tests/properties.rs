@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use routing_baselines::TzHierarchy;
 use routing_churn::{ChurnPlan, ChurnPlanConfig, RemovalMode};
-use routing_core::{Params, SchemeFivePlusEps, SchemeThreePlusEps};
+use routing_core::{Params, SchemeFivePlusEps, SchemeMultilevel};
 use routing_graph::apsp::DistanceMatrix;
 use routing_graph::generators::{self, WeightModel};
 use routing_graph::mutate::apply_events;
@@ -72,7 +72,8 @@ proptest! {
     fn warmup_stretch_never_violated((g, seed) in arb_graph()) {
         let eps = 0.5;
         let mut rng = StdRng::seed_from_u64(seed);
-        let scheme = SchemeThreePlusEps::build(&g, &Params::with_epsilon(eps), &mut rng).unwrap();
+        let params = Params::with_epsilon(eps);
+        let scheme = SchemeMultilevel::build(&g, 1, "warmup", &params, &mut rng).unwrap();
         let exact = DistanceMatrix::new(&g);
         for u in g.vertices().step_by(6) {
             for v in g.vertices().step_by(4) {
@@ -1040,11 +1041,14 @@ proptest! {
             // must be observably identical to its typed self.
             let mut rng = ctx.rng();
             match key {
-                "warmup" => assert_erasure_fidelity(
-                    &g,
-                    &SchemeThreePlusEps::build(&g, &ctx.params, &mut rng).unwrap(),
-                    &pairs,
-                ),
+                "warmup" | "thm13" | "thm15" => {
+                    let (name, levels) = [("warmup", 1), ("thm13", 2), ("thm15", 4)]
+                        .into_iter()
+                        .find(|&(name, _)| name == key)
+                        .unwrap();
+                    let scheme = SchemeMultilevel::build(&g, levels, name, &ctx.params, &mut rng);
+                    assert_erasure_fidelity(&g, &scheme.unwrap(), &pairs)
+                }
                 "thm10" => assert_erasure_fidelity(
                     &g,
                     &routing_core::SchemeTwoPlusEps::build(&g, &ctx.params, &mut rng).unwrap(),
@@ -1073,18 +1077,6 @@ proptest! {
                 "spanner" => assert_erasure_fidelity(
                     &g,
                     &routing_baselines::SpannerScheme::build(&g, 2).unwrap(),
-                    &pairs,
-                ),
-                "thm13" => assert_erasure_fidelity(
-                    &g,
-                    &routing_core::SchemeMultilevel::build(&g, 2, "thm13", &ctx.params, &mut rng)
-                        .unwrap(),
-                    &pairs,
-                ),
-                "thm15" => assert_erasure_fidelity(
-                    &g,
-                    &routing_core::SchemeMultilevel::build(&g, 4, "thm15", &ctx.params, &mut rng)
-                        .unwrap(),
                     &pairs,
                 ),
                 "thm16k3" => assert_erasure_fidelity(
