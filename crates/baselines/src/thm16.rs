@@ -113,7 +113,8 @@ struct LandmarkDists {
 
 impl LandmarkDists {
     /// The lists of the id-sorted set `level` over the vicinities of `balls`:
-    /// one pass counts, one fills the exact arrays.
+    /// one pass counts, one fills the exact arrays. Fails on a table built
+    /// without distances.
     fn new(balls: &BallTable, level: &[VertexId]) -> Result<Self, BuildError> {
         let n = balls.len();
         let mut member = vec![false; n];
@@ -122,13 +123,16 @@ impl LandmarkDists {
         }
         let kept = |u: usize| {
             let ball = balls.ball(VertexId(u as u32));
-            let members = ball.ids().iter().copied().zip(ball.dists().iter().copied());
-            members.filter(|&(w, _)| member[w.index()])
+            let dists = ball.dists().ok_or_else(|| BuildError::Inconsistent {
+                what: "the landmark lists read ball distances the table was built without".into(),
+            })?;
+            let members = ball.ids().iter().copied().zip(dists.iter().copied());
+            Ok::<_, BuildError>(members.filter(|&(w, _)| member[w.index()]))
         };
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0u32);
         for u in 0..n {
-            let end = offsets[u] as usize + kept(u).count();
+            let end = offsets[u] as usize + kept(u)?.count();
             offsets.push(u32::try_from(end).map_err(|_| BuildError::TooSmall {
                 what: "vicinity landmark lists exceed the u32 offset range".into(),
             })?);
@@ -136,7 +140,7 @@ impl LandmarkDists {
         let mut entries = Vec::with_capacity(offsets[n] as usize);
         for u in 0..n {
             let row = entries.len();
-            entries.extend(kept(u));
+            entries.extend(kept(u)?);
             entries[row..].sort_unstable_by_key(|&(w, _)| w);
         }
         Ok(LandmarkDists { offsets, entries })
@@ -384,6 +388,7 @@ mod tests {
     use routing_graph::apsp::DistanceMatrix;
     use routing_graph::generators::{self, WeightModel};
     use routing_model::simulate;
+    use routing_vicinity::BallDists;
 
     fn weighted_graph(n: usize, seed: u64) -> Graph {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -485,7 +490,7 @@ mod tests {
     /// position in the settle-order ids; `None` for a non-member.
     fn table_dist(table: &BallTable, u: VertexId, w: VertexId) -> Option<Weight> {
         let ball = table.ball(u);
-        ball.ids().iter().position(|&x| x == w).map(|i| ball.dists()[i])
+        ball.ids().iter().position(|&x| x == w).map(|i| ball.dists().unwrap()[i])
     }
 
     /// The landmark lists answer the table's `d(u, w)` for every `u` and
@@ -511,6 +516,9 @@ mod tests {
             assert_eq!(lists.offsets.capacity(), g.n() + 1, "{key}: offsets");
             assert_eq!(lists.heap_bytes(), 16 * entries + 4 * (g.n() + 1), "{key}: bytes");
             assert!(scheme.balls == table.clone().into_ports(), "{key}: ports");
+            let bare = BallTable::build_with_dists(&g, table.ell(), BallDists::Skip);
+            let refused = LandmarkDists::new(&bare, a1);
+            assert!(matches!(refused, Err(BuildError::Inconsistent { .. })), "{key}: no dists");
         }
     }
 

@@ -16,11 +16,13 @@
 //! on the stack, so a batch of 1024 distinct destinations allocates no more
 //! than a batch of 1024 queries towards one, at one lane and at two.
 //!
-//! The same allocator also bounds three builds' memory: the ball table's
-//! peak live bytes (see `assert_ball_build_peak`), Theorem 15's, whose
-//! Lemma 5 hitting set reads the table in place (see
-//! `assert_multilevel_build_peak`), and Theorem 16's, whose vicinities must
-//! be built and trimmed before its hierarchy (see
+//! The same allocator also bounds four builds' memory: the ball table's
+//! peak live bytes, with distances and without (see
+//! `assert_ball_build_peak`), Theorem 15's, whose Lemma 5 hitting set reads
+//! a table without distances in place (see `assert_multilevel_build_peak`),
+//! Theorem 11's, whose table holds no distances either (see
+//! `assert_thm11_build_peak`), and Theorem 16's, whose vicinities must be
+//! built and trimmed before its hierarchy (see
 //! `assert_thm16_build_peak`). And it counts what a cluster family keeps:
 //! a fixed number of allocations, however many trees it holds (see
 //! `assert_cluster_family_allocations`).
@@ -39,12 +41,12 @@ use compact_routing::registry::SchemeRegistry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use routing_baselines::{ExactScheme, Thm16Scheme, TzHierarchy, TzLevels};
-use routing_core::{BuildContext, ClusterFamily, Params, SchemeMultilevel};
+use routing_core::{BuildContext, ClusterFamily, Params, SchemeFivePlusEps, SchemeMultilevel};
 use routing_graph::generators::{self, Family, WeightModel};
-use routing_graph::{Graph, SearchScratch, VertexId};
+use routing_graph::{BfsBatch, Graph, SearchScratch, VertexId};
 use routing_model::{simulate, simulate_lean, simulate_lean_with_label, DynScheme, ErasedLabel};
 use routing_serve::{EngineConfig, ShardedEngine};
-use routing_vicinity::{sample_centers_bounded, BallTable};
+use routing_vicinity::{sample_centers_bounded, BallDists, BallTable};
 
 /// Counts every allocation (alloc, alloc_zeroed, realloc) and delegates to
 /// the system allocator. Deallocations are not counted — the guard is about
@@ -328,58 +330,87 @@ fn disabled_telemetry_adds_zero_allocations_to_hot_paths() {
     routing_obs::metrics::reset_counters();
     assert_eq!(checked, 2 * (2 * registry.names().len() - 1), "every key, both graphs but one");
 
-    // (e) Three builds' memory, with the same allocator.
+    // (e) Four builds' memory, with the same allocator.
     assert_ball_build_peak();
     assert_multilevel_build_peak();
+    assert_thm11_build_peak();
 }
 
-/// `BallTable::build` at thm16k3's ℓ = 219 on the `t2-geo-direct` graph (a
-/// weighted geometric graph, n = 6000, graph seed 13), whose slot regions
-/// need 1,541 more slots than the `n · (cap + 2)` reserved up front. The
-/// build's peak must stay within the table it keeps plus one block of
-/// per-vertex search results and the worker's workspace: growing the slot
-/// array by doubling would add a second slot array on top.
+/// The `t1-er-direct` graph: a unit-weight Erdős–Rényi graph, n = 2000,
+/// graph seed 13.
+fn t1_graph() -> Graph {
+    Family::ErdosRenyi.generate(2000, WeightModel::Unit, &mut StdRng::seed_from_u64(13))
+}
+
+/// The ball table's build, in both shapes. With distances at thm16k3's
+/// ℓ = 219 on the `t2-geo-direct` graph (a weighted geometric graph,
+/// n = 6000, graph seed 13), whose slot regions need 1,541 more slots than
+/// the `n · (cap + 2)` reserved up front; without at thm15's ℓ = 1372 on
+/// the `t1-er-direct` graph, through the batch BFS. Each build's peak must
+/// stay within the table it keeps plus one block of per-vertex search
+/// results and the worker's workspace: growing the slot array by doubling
+/// would add a second slot array on top, and distances collected for a
+/// table that keeps none would add 8 bytes a member of the block.
 fn assert_ball_build_peak() {
-    const N: usize = 6000;
     const ELL: usize = 219;
-    /// `balls.rs`'s block count: results are appended a sixteenth at a time.
-    const BLOCKS: usize = 16;
     routing_par::set_threads(1);
     let weights = WeightModel::Uniform { lo: 1, hi: 32 };
-    let g = Family::Geometric.generate(N, weights, &mut StdRng::seed_from_u64(13));
-
+    let g = Family::Geometric.generate(6000, weights, &mut StdRng::seed_from_u64(13));
     let (workspace, _) = peak_bytes_in(|| SearchScratch::for_graph(&g));
-    let (peak, table) = peak_bytes_in(|| BallTable::build(&g, ELL));
-    // One ball as a search result: member ids and distances (12 bytes a
-    // member), and its hashed region of at most `⌈4ℓ/3⌉ + ℓ + 1` 8-byte
-    // slots.
-    let region = (4 * ELL).div_ceil(3) + ELL + 1;
-    let ball = 12 * ELL + 8 * region + std::mem::size_of::<(Vec<u8>, Vec<u8>, Vec<u8>, u64)>();
-    // The worker keeps one region as scratch beside its search workspace.
-    let block = N.div_ceil(BLOCKS) * ball + 8 * region + workspace as usize;
-    let kept = table.heap_bytes();
-    assert!(
-        peak as usize <= kept + block,
-        "the build peaked at {peak} bytes: {kept} kept, {} over, one block is {block}",
-        peak as usize - kept.min(peak as usize)
-    );
-    drop(table);
+    assert_ball_build_within_a_block(&g, ELL, BallDists::Keep, workspace);
+    let t1 = t1_graph();
+    let (workspace, _) = peak_bytes_in(|| BfsBatch::for_graph(&t1));
+    assert_ball_build_within_a_block(&t1, 1372, BallDists::Skip, workspace);
+    drop(t1);
     assert_thm16_build_peak(&g, ELL);
     assert_cluster_family_allocations(&g);
 }
 
+/// `BallTable::build_with_dists(g, ell, dists)` peaks at no more than the
+/// table it keeps, one block of per-vertex search results and `workspace`,
+/// the bytes of one worker's search workspace.
+fn assert_ball_build_within_a_block(g: &Graph, ell: usize, dists: BallDists, workspace: u64) {
+    /// `balls.rs`'s block count: results are appended a sixteenth at a
+    /// time, on unit weights in whole batches of 64 centres.
+    const BLOCKS: usize = 16;
+    let n = g.n();
+    let (peak, table) = peak_bytes_in(|| BallTable::build_with_dists(g, ell, dists));
+    // One ball as a search result: its member ids (4 bytes a member), their
+    // distances if the table keeps them (8 more), and its hashed region of
+    // at most `⌈4ℓ/3⌉ + ℓ + 1` 8-byte slots.
+    let per_member = if dists == BallDists::Keep { 12 } else { 4 };
+    let region = (4 * ell).div_ceil(3) + ell + 1;
+    let ball =
+        per_member * ell + 8 * region + std::mem::size_of::<(Vec<u8>, Vec<u8>, Vec<u8>, u64)>();
+    let balls = if g.is_unweighted() {
+        n.div_ceil(BLOCKS).next_multiple_of(64)
+    } else {
+        n.div_ceil(BLOCKS)
+    };
+    // The worker keeps one region as scratch beside its search workspace.
+    let block = balls * ball + 8 * region + workspace as usize;
+    let kept = table.heap_bytes();
+    assert!(
+        peak as usize <= kept + block,
+        "the build at ℓ = {ell}, {dists:?} peaked at {peak} bytes: {kept} kept, {} over, one \
+         block is {block}",
+        peak as usize - kept.min(peak as usize)
+    );
+}
+
 /// `SchemeMultilevel::build` at Theorem 15's four levels on the
-/// `t1-er-direct` graph (a unit-weight Erdős–Rényi graph, n = 2000, graph
-/// seed 13), where ℓ = 1372 makes the ball table the largest build-time
-/// structure of any scheme. Its live-byte peak must stay within the ball
-/// build's, or the table beside the greedy hitting set's inverted index
-/// (4 bytes a member) and what the scheme keeps besides its ports. A copy
-/// of the balls made for Lemma 5 or 6 (4 bytes a member) sits over it.
+/// `t1-er-direct` graph, where ℓ = 1372 makes the ball table the largest
+/// build-time structure of any scheme. Its live-byte peak must stay within
+/// the build of a table without distances, or that table beside the greedy
+/// hitting set's inverted index (4 bytes a member) and what the scheme
+/// keeps besides its ports. A copy of the balls made for Lemma 5 or 6
+/// (4 bytes a member), or a distance array the build never reads (8), sits
+/// over it.
 fn assert_multilevel_build_peak() {
     const N: usize = 2000;
     const LEVELS: usize = 4;
     routing_par::set_threads(1);
-    let g = Family::ErdosRenyi.generate(N, WeightModel::Unit, &mut StdRng::seed_from_u64(13));
+    let g = t1_graph();
     let params = Params::default();
     let build =
         || SchemeMultilevel::build(&g, LEVELS, "thm15", &params, &mut StdRng::seed_from_u64(7));
@@ -387,7 +418,8 @@ fn assert_multilevel_build_peak() {
     let scheme = scheme.expect("thm15 builds");
     let ell = (scheme.level_base() * LEVELS).min(N);
     drop(scheme);
-    let (ball_build, table) = peak_bytes_in(|| BallTable::build(&g, ell));
+    let (ball_build, table) =
+        peak_bytes_in(|| BallTable::build_with_dists(&g, ell, BallDists::Skip));
     let members: usize = g.vertices().map(|u| table.ball(u).len()).sum();
     let full = table.heap_bytes() as u64;
     let ports = table.into_ports().heap_bytes() as u64;
@@ -403,12 +435,49 @@ fn assert_multilevel_build_peak() {
     );
 }
 
-/// `Thm16Scheme::build` at k = 3 on the same graph: its live-byte peak is
-/// that of its vicinities — the ball build and the landmark lists beside
-/// the sampled levels — or that of the rest of the hierarchy build beside
-/// the levels and the kept vicinities, whichever is larger. A hierarchy
-/// built before the vicinities, or member lists kept past the conversion,
-/// would sit under the other build's peak.
+/// `SchemeFivePlusEps::build` on the serve workloads' graph (a weighted
+/// Erdős–Rényi graph, n = 8000, graph seed 13) at ℓ = 180. Its peak is the
+/// Lemma 8 merge at the end of `Technique2Router::build`: the
+/// per-destination sequence chunks and the `(u, w)` rows beside the
+/// sequence store they are copied into, with the ball table's ids still
+/// live. It must stay within the build of a table without distances, or
+/// that table beside what the scheme keeps besides its ports and twice the
+/// sequence store — the chunks and rows take 8 bytes an entry and 32 a
+/// sequence, no more than twice the store's 8 and 8, since every sequence
+/// holds at least two entries. A distance array the build never reads
+/// (8 bytes a member) sits over it.
+fn assert_thm11_build_peak() {
+    const N: usize = 8000;
+    routing_par::set_threads(1);
+    let weights = WeightModel::Uniform { lo: 1, hi: 32 };
+    let g = Family::ErdosRenyi.generate(N, weights, &mut StdRng::seed_from_u64(13));
+    let params = Params::default();
+    let before = LIVE.load(Ordering::Relaxed);
+    let (peak, scheme) =
+        peak_bytes_in(|| SchemeFivePlusEps::build(&g, &params, &mut StdRng::seed_from_u64(7)));
+    let kept = LIVE.load(Ordering::Relaxed) - before;
+    let scheme = scheme.expect("thm11 builds");
+    let seqs = scheme.sequences_heap_bytes() as u64;
+    drop(scheme);
+    let ell = params.scaled((N as f64).powf(1.0 / 3.0).ceil() as usize, N);
+    let (ball_build, table) =
+        peak_bytes_in(|| BallTable::build_with_dists(&g, ell, BallDists::Skip));
+    let full = table.heap_bytes() as u64;
+    let ports = table.into_ports().heap_bytes() as u64;
+    let bound = ball_build.max(full + kept - ports + 2 * seqs);
+    assert!(
+        peak <= bound,
+        "thm11 peaked at {peak} bytes over a bound of {bound}: ball build {ball_build}, \
+         table {full} at ℓ = {ell}, kept {kept} of which ports {ports}, sequences {seqs}"
+    );
+}
+
+/// `Thm16Scheme::build` at k = 3 on the `t2-geo-direct` graph: its
+/// live-byte peak is that of its vicinities — the ball build and the
+/// landmark lists beside the sampled levels — or that of the rest of the
+/// hierarchy build beside the levels and the kept vicinities, whichever is
+/// larger. A hierarchy built before the vicinities, or member lists kept
+/// past the conversion, would sit under the other build's peak.
 fn assert_thm16_build_peak(g: &Graph, ell: usize) {
     const K: usize = 3;
     const SEED: u64 = 17;

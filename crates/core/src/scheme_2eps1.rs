@@ -27,7 +27,7 @@ use rand::Rng;
 use routing_graph::{Graph, VertexId, Weight};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
 use routing_tree::{TreeForest, TreeLabelView, TreeView};
-use routing_vicinity::{BallTable, Landmarks};
+use routing_vicinity::{BallDists, BallTable, Landmarks};
 
 use crate::seq::KeyedStore;
 use crate::stages::{self, ClusterMembers, Clusters, Vicinities};
@@ -135,14 +135,16 @@ impl SchemeTwoPlusEps {
         let n = g.n();
         let q = (n as f64).powf(1.0 / 3.0).ceil().max(1.0) as u32;
         let ell = params.scaled(q as usize, n);
-        let vic = Vicinities::balls(g, ell);
+        // The one build that reads the members' distances: for the
+        // intersections and the representatives' distances.
+        let vic = Vicinities::balls(g, ell, BallDists::Keep);
         let (clusters, members) = Clusters::build(g, params, rng)?;
         let global_trees = stages::global_trees(g, clusters.landmarks.members())?;
-        let best_intersection = intersections(&vic.balls, &members);
+        let best_intersection = intersections(&vic.balls, &members)?;
         drop(members);
         // Lemma 6 coloring and Lemma 7 over the induced partition.
         let vic = vic.colour(ell, q, params, rng)?;
-        let rep_dist = rep_dists(&vic);
+        let rep_dist = rep_dists(&vic)?;
         let router = Technique1Router::build(g, &vic.balls, vic.color_of.clone(), params)?;
 
         Ok(SchemeTwoPlusEps {
@@ -184,32 +186,48 @@ impl SchemeTwoPlusEps {
 /// from one settle-order pass over `B(u, ℓ)` — a representative is the
 /// first member of its colour there, and one that fell back to `u` itself
 /// (a colour missing from the vicinity) is at distance 0.
-fn rep_dists(vic: &Vicinities<BallTable>) -> Vec<Weight> {
+fn rep_dists(vic: &Vicinities<BallTable>) -> Result<Vec<Weight>, BuildError> {
     let q = vic.q as usize;
+    let dists = ball_dists(&vic.balls)?;
     let mut out = vec![0; vic.balls.len() * q];
-    for (u, row) in out.chunks_exact_mut(q.max(1)).enumerate() {
+    for (u, (row, dists)) in out.chunks_exact_mut(q.max(1)).zip(dists).enumerate() {
         let u = VertexId(u as u32);
-        let (reps, ball) = (vic.reps_at(u), vic.balls.ball(u));
-        for (&v, &d) in ball.ids().iter().zip(ball.dists()) {
+        let (reps, ids) = (vic.reps_at(u), vic.balls.ball(u).ids());
+        for (&v, &d) in ids.iter().zip(dists) {
             let c = vic.color_of[v.index()] as usize;
             if reps[c] == v {
                 row[c] = d;
             }
         }
     }
-    out
+    Ok(out)
+}
+
+/// Every ball's member distances, borrowed from the table (one slice a
+/// vertex, each as long as the ball), or the error a table built without
+/// them gives.
+fn ball_dists(balls: &BallTable) -> Result<Vec<&[Weight]>, BuildError> {
+    (0..balls.len())
+        .map(|u| balls.ball(VertexId(u as u32)).dists())
+        .collect::<Option<_>>()
+        .ok_or_else(|| BuildError::Inconsistent {
+            what: "theorem 10 reads ball distances the table was built without".into(),
+        })
 }
 
 /// At every `u`, for every `v` with `B(u, q̃) ∩ B_A(v) ≠ ∅`, the intersection
 /// vertex `w` minimizing `d(u, w) + d(w, v)`; among equal sums, the `w`
 /// settled first from `u`.
-fn intersections(balls: &BallTable, clusters: &ClusterMembers) -> KeyedStore<VertexId> {
+fn intersections(
+    balls: &BallTable,
+    clusters: &ClusterMembers,
+) -> Result<KeyedStore<VertexId>, BuildError> {
     let _span = routing_obs::span("intersections");
-    let rows = (0..balls.len()).flat_map(|u| {
+    let dists = ball_dists(balls)?;
+    let rows = dists.iter().enumerate().flat_map(|(u, &dists)| {
         let u = VertexId(u as u32);
         let mut triples: Vec<(VertexId, Weight, VertexId)> = Vec::new();
-        let ball = balls.ball(u);
-        for (&w, &d_uw) in ball.ids().iter().zip(ball.dists()) {
+        for (&w, &d_uw) in balls.ball(u).ids().iter().zip(dists) {
             for &(v, d_wv) in &clusters[w.index()] {
                 triples.push((v, d_uw + d_wv, w));
             }
@@ -220,7 +238,7 @@ fn intersections(balls: &BallTable, clusters: &ClusterMembers) -> KeyedStore<Ver
         triples.dedup_by_key(|&mut (v, _, _)| v);
         triples.into_iter().map(move |(v, _, w)| (u, v, w))
     });
-    KeyedStore::from_sorted(balls.len(), rows)
+    Ok(KeyedStore::from_sorted(balls.len(), rows))
 }
 
 impl RoutingScheme for SchemeTwoPlusEps {
@@ -386,7 +404,7 @@ mod tests {
                 let balls = BallTable::build(&g, params.scaled(5, g.n()));
                 let (_, clusters) =
                     Clusters::build(&g, &params, &mut StdRng::seed_from_u64(17)).unwrap();
-                let flat = intersections(&balls, &clusters);
+                let flat = intersections(&balls, &clusters).unwrap();
                 let reference = reference_intersections(&g, &balls, &clusters);
                 assert!(reference.iter().any(|at_u| !at_u.is_empty()));
                 for u in g.vertices() {
@@ -399,6 +417,27 @@ mod tests {
             }
             routing_par::set_threads(routing_par::available_threads());
         }
+    }
+
+    /// Theorem 10 is the build that reads ball distances: handed a table
+    /// without them, the intersections and the representatives' distances
+    /// are a `BuildError`, not a panic nor a truncated zip.
+    #[test]
+    fn a_table_without_distances_is_refused() {
+        let params = Params::with_epsilon(0.5);
+        let g = generators::Family::ErdosRenyi.generate(
+            80,
+            WeightModel::Unit,
+            &mut StdRng::seed_from_u64(3),
+        );
+        let mut rng = StdRng::seed_from_u64(5);
+        let ell = params.scaled(5, g.n());
+        let vic = Vicinities::balls(&g, ell, BallDists::Skip);
+        let (_, clusters) = Clusters::build(&g, &params, &mut rng).unwrap();
+        let refused = |e| matches!(e, BuildError::Inconsistent { .. });
+        assert!(intersections(&vic.balls, &clusters).is_err_and(refused));
+        let vic = vic.colour(ell, 5, &params, &mut rng).unwrap();
+        assert!(rep_dists(&vic).is_err_and(refused));
     }
 
     /// The distance stored beside every representative, taken from one

@@ -25,7 +25,7 @@ use rand::Rng;
 use routing_graph::{Graph, Port, VertexId};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
 use routing_tree::TreeLabelView;
-use routing_vicinity::Landmarks;
+use routing_vicinity::{BallDists, Landmarks};
 
 use crate::stages::{self, Clusters, Vicinities};
 use crate::technique2::{Technique2Header, Technique2Router};
@@ -119,7 +119,7 @@ impl SchemeFivePlusEps {
         let n = g.n();
         let q = (n as f64).powf(1.0 / 3.0).ceil().max(1.0) as u32;
         let ell = params.scaled(q as usize, n);
-        let vic = Vicinities::balls(g, ell);
+        let vic = Vicinities::balls(g, ell, BallDists::Skip);
         let (clusters, _) = Clusters::build(g, params, rng)?;
         let landmarks = &clusters.landmarks;
 
@@ -145,7 +145,7 @@ impl SchemeFivePlusEps {
                 }
             }
         }
-        let per_landmark: Vec<Vec<(VertexId, (VertexId, Port))>> = routing_par::par_map_scratch(
+        let per_landmark = routing_par::par_map_scratch(
             landmarks.len(),
             || routing_graph::SearchScratch::for_graph(g),
             |scratch, i| {
@@ -155,20 +155,23 @@ impl SchemeFivePlusEps {
                 routing_obs::counters::BUILD_EARLY_EXIT_SEARCHES.inc();
                 let out = claimed[i]
                     .iter()
-                    .filter_map(|&v| {
-                        scratch.first_hop(v).map(|z| {
-                            let port = g.port_to(a, z).expect("first hop is a neighbour");
-                            (v, (z, port))
-                        })
+                    .filter_map(|&v| Some((v, scratch.first_hop(v)?)))
+                    .map(|(v, z)| {
+                        let port = g.port_to(a, z).ok_or_else(|| BuildError::Inconsistent {
+                            what: format!("first hop {z} from landmark {a} is not a neighbour"),
+                        })?;
+                        Ok((v, (z, port)))
                     })
-                    .collect();
+                    .collect::<Result<Vec<_>, BuildError>>();
                 routing_obs::counters::BUILD_SETTLED_VERTICES.add(scratch.order().len() as u64);
                 out
             },
         );
         let mut first_edge: Vec<Option<(VertexId, Port)>> = vec![None; n];
-        for (v, edge) in per_landmark.into_iter().flatten() {
-            first_edge[v.index()] = Some(edge);
+        for edges in per_landmark {
+            for (v, edge) in edges? {
+                first_edge[v.index()] = Some(edge);
+            }
         }
         drop(span_fe);
 
@@ -196,6 +199,12 @@ impl SchemeFivePlusEps {
     /// the colours and the colour representatives.
     pub fn vicinity_heap_bytes(&self) -> usize {
         self.vic.heap_bytes()
+    }
+
+    /// Bytes of heap the Lemma 8 sequences hold, by capacity: 8 a vertex, 8
+    /// a pair and 8 an entry.
+    pub fn sequences_heap_bytes(&self) -> usize {
+        self.router.sequences_heap_bytes()
     }
 
     /// The color (source-partition set) of vertex `v`.

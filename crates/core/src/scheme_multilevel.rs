@@ -44,6 +44,7 @@ use rand::Rng;
 
 use routing_graph::{Graph, VertexId};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
+use routing_vicinity::BallDists;
 
 use crate::stages::{self, Vicinities};
 use crate::technique1::{Technique1Header, Technique1Router};
@@ -133,7 +134,7 @@ impl SchemeMultilevel {
         // larger stored ball only adds direct-routing reach on top.
         let level_base = params.scaled(q as usize, n);
         let ell = level_base.saturating_mul(levels).clamp(1, n);
-        let vic = Vicinities::balls(g, ell).colour(level_base, q, params, rng)?;
+        let vic = Vicinities::balls(g, ell, BallDists::Skip).colour(level_base, q, params, rng)?;
 
         // Section 5's slack split (see the module doc): ε/2 for ℓ > 1.
         let split = if levels > 1 { 2.0 } else { 1.0 };

@@ -19,19 +19,23 @@
 //! Each stage opens the spans it always had (`balls`; `centers`, `clusters`,
 //! `cluster-trees`, `bunches`; `coloring`, `color-reps`; `global-trees`),
 //! returns what a scheme keeps for routing, and drops its build-only arrays
-//! on return — except the vicinities' member ids and distances, which the
-//! technique routers still read: a builder holds `Vicinities<BallTable>`
+//! on return — except the vicinities' member ids, which the colouring and
+//! the technique routers still read: a builder holds `Vicinities<BallTable>`
 //! until its last build-time reader has run and stores
-//! [`Vicinities::retain`]'s result, the ports alone. No stage copies a
-//! ball: the Lemma 6 colouring, like Technique 1's Lemma 5 hitting set,
-//! reads [`BallTable::id_prefixes`], one borrowed slice a vertex.
+//! [`Vicinities::retain`]'s result, the ports alone. The members'
+//! distances are built only for a scheme that reads them (Theorem 10);
+//! the others pass [`BallDists::Skip`]. No stage copies a ball: the
+//! Lemma 6 colouring, like Technique 1's Lemma 5 hitting set, reads
+//! [`BallTable::id_prefixes`], one borrowed slice a vertex.
 
 use rand::Rng;
 
 use routing_graph::{Graph, SearchScratch, VertexId, Weight};
 use routing_model::{Decision, RouteError};
 use routing_tree::{TreeForest, TreeLabelView, TreeView};
-use routing_vicinity::{sample_centers_bounded, BallPorts, BallTable, Coloring, Landmarks};
+use routing_vicinity::{
+    sample_centers_bounded, BallDists, BallPorts, BallTable, Coloring, Landmarks,
+};
 
 use crate::{BuildError, Params};
 
@@ -119,13 +123,16 @@ pub(crate) struct Vicinities<B = BallPorts> {
 
 impl Vicinities<BallTable> {
     /// Stage one: the vicinities of `ell` members, with no colours yet
-    /// (`q = 0`). Draws nothing from the build's RNG, so it runs before the
-    /// landmark sample — alone on the heap, as the ball-table build is the
-    /// peak of a Theorem 11 build.
-    pub(crate) fn balls(g: &Graph, ell: usize) -> Self {
+    /// (`q = 0`), and their distances if `dists` asks for them. Draws
+    /// nothing from the build's RNG, so it runs before the landmark sample.
+    /// The table stays live to the end of the build, but its build is not
+    /// the heap peak of a Theorem 11 build: that is the Lemma 8 merge at the
+    /// end of [`Technique2Router::build`](crate::technique2::Technique2Router),
+    /// where the sequence chunks and rows sit beside the store they fill.
+    pub(crate) fn balls(g: &Graph, ell: usize, dists: BallDists) -> Self {
         Vicinities {
             q: 0,
-            balls: BallTable::build(g, ell),
+            balls: BallTable::build_with_dists(g, ell, dists),
             color_of: Vec::new(),
             color_rep: Vec::new(),
         }
@@ -615,7 +622,8 @@ mod tests {
         for (levels, key) in [(1, "warmup"), (2, "thm13"), (4, "thm15")] {
             let kept = SchemeMultilevel::build(&weighted, levels, key, &params, &mut ctx.rng());
             let ell = (b * levels).min(60);
-            let direct = Vicinities::balls(&weighted, ell).colour(b, 8, &params, &mut ctx.rng());
+            let vic = Vicinities::balls(&weighted, ell, BallDists::Skip);
+            let direct = vic.colour(b, 8, &params, &mut ctx.rng());
             assert_same_vicinities(key, &kept.unwrap().vic, &direct.unwrap());
         }
 
@@ -623,7 +631,8 @@ mod tests {
         let thm10 = SchemeTwoPlusEps::build(&unit, &params, &mut ctx.rng()).unwrap();
         let mut rng = ctx.rng();
         let (clusters, members) = Clusters::build(&unit, &params, &mut rng).unwrap();
-        let direct = Vicinities::balls(&unit, ell).colour(ell, 4, &params, &mut rng).unwrap();
+        let vic = Vicinities::balls(&unit, ell, BallDists::Keep);
+        let direct = vic.colour(ell, 4, &params, &mut rng).unwrap();
         assert_same_vicinities("thm10", &thm10.vic, &direct);
         assert_eq!(thm10.clusters.landmarks.members(), clusters.landmarks.members());
         assert_reference_clusters("thm10", &unit, &thm10.clusters, &members);
@@ -631,7 +640,8 @@ mod tests {
         let thm11 = SchemeFivePlusEps::build(&weighted, &params, &mut ctx.rng()).unwrap();
         let mut rng = ctx.rng();
         let (clusters, members) = Clusters::build(&weighted, &params, &mut rng).unwrap();
-        let direct = Vicinities::balls(&weighted, ell).colour(ell, 4, &params, &mut rng).unwrap();
+        let vic = Vicinities::balls(&weighted, ell, BallDists::Skip);
+        let direct = vic.colour(ell, 4, &params, &mut rng).unwrap();
         assert_same_vicinities("thm11", &thm11.vic, &direct);
         assert_eq!(thm11.clusters.landmarks.members(), clusters.landmarks.members());
         assert_reference_clusters("thm11", &weighted, &thm11.clusters, &members);

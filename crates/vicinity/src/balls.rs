@@ -23,15 +23,19 @@
 //!   Theorem 16 keeps, beside it, the distances to the members in its first
 //!   hierarchy level, which it reads from the table before dropping it.
 //! * [`BallTable`] is [`BallPorts`] plus what only *preprocessing* reads:
-//!   every ball's member ids and their distances in `(distance, id)` settle
-//!   order, as two parallel arrays ([`BallView::ids`], 4 bytes a member,
-//!   and [`BallView::dists`], 8 bytes a member — 12 bytes a member on top
-//!   of the ports, about 22.7 in all), and the radii. There is no per-slot
-//!   rank: a member's rank is its position in [`BallView::ids`], and the
-//!   colouring, hitting-set and sequence builders read the id prefixes in
-//!   place ([`BallTable::id_prefixes`]). It dereferences to its ports, and
-//!   [`BallTable::into_ports`] drops the rest once the last build-time
-//!   reader has run.
+//!   every ball's member ids in `(distance, id)` settle order
+//!   ([`BallView::ids`], 4 bytes a member) and the radii, and — only when
+//!   the builder asks for them — the members' distances, parallel to the
+//!   ids ([`BallView::dists`], 8 bytes a member). A table with distances
+//!   ([`BallTable::build`]) holds about 22.7 bytes a member, one without
+//!   ([`BallDists::Skip`]) about 14.7. Of the schemes, only Theorem 10's
+//!   representative distances and intersections and Theorem 16's landmark
+//!   lists read a distance; every other build skips them. There is no
+//!   per-slot rank: a member's rank is its position in [`BallView::ids`],
+//!   and the colouring, hitting-set and sequence builders read the id
+//!   prefixes in place ([`BallTable::id_prefixes`]). It dereferences to its
+//!   ports, and [`BallTable::into_ports`] drops the rest once the last
+//!   build-time reader has run.
 //!
 //! Building runs on a per-worker reusable workspace: on a unit-weight graph
 //! one budgeted bit-parallel BFS per 64 consecutive centres
@@ -196,9 +200,21 @@ impl BallPorts {
     }
 }
 
+/// Whether a [`BallTable`] stores its members' distances, 8 bytes a member
+/// for as long as the table lives. A builder asks for them only when it
+/// reads them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BallDists {
+    /// Store them: [`BallView::dists`] answers.
+    Keep,
+    /// Store none: [`BallView::dists`] is `None` for every ball.
+    Skip,
+}
+
 /// The balls `B(u, ℓ)` of every vertex in flat CSR form: the routing
 /// information of Lemma 2 ([`BallPorts`], which the table dereferences to)
-/// beside the member ids, distances and radii preprocessing reads.
+/// beside the member ids, radii and (if asked for) distances preprocessing
+/// reads.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BallTable {
     ports: BallPorts,
@@ -207,8 +223,9 @@ pub struct BallTable {
     /// Member ids, per vertex in `(distance, id)` settle order (center
     /// first).
     ids: Vec<VertexId>,
-    /// Parallel to `ids`: the distance from the ball's center.
-    dists: Vec<Weight>,
+    /// Parallel to `ids`: the distance from the ball's center, or `None`
+    /// for a table built with [`BallDists::Skip`].
+    dists: Option<Vec<Weight>>,
     /// The radius `r_u(ℓ)` of every ball.
     radius: Vec<Weight>,
 }
@@ -233,22 +250,31 @@ impl BallTable {
     /// front and filled a block of consecutive centres at a time, in index
     /// order: at most one block of per-vertex results is live beside them,
     /// a block that outgrows the slot reservation grows it by exactly its
-    /// own slots, and the table is identical for every thread count.
+    /// own slots, and the table is identical for every thread count. The
+    /// table keeps every member's distance.
     pub fn build(g: &Graph, ell: usize) -> Self {
-        Self::build_with(g, ell, g.is_unweighted())
+        Self::build_with_dists(g, ell, BallDists::Keep)
     }
 
-    /// [`BallTable::build`] with the batch BFS when `batch` is set and one
-    /// bounded Dijkstra per vertex otherwise (the tests pin the batch-built
-    /// table to the per-vertex one with it).
-    fn build_with(g: &Graph, ell: usize, batch: bool) -> Self {
+    /// [`BallTable::build`], storing the members' distances only when
+    /// `dists` is [`BallDists::Keep`]. Everything else — ports, ids,
+    /// offsets, radii — is the same either way.
+    pub fn build_with_dists(g: &Graph, ell: usize, dists: BallDists) -> Self {
+        Self::build_with(g, ell, g.is_unweighted(), dists)
+    }
+
+    /// [`BallTable::build_with_dists`] with the batch BFS when `batch` is
+    /// set and one bounded Dijkstra per vertex otherwise (the tests pin the
+    /// batch-built table to the per-vertex one with it).
+    fn build_with(g: &Graph, ell: usize, batch: bool, keep: BallDists) -> Self {
         let _span = routing_obs::span("balls");
         let n = g.n();
         let ball_len = ell.max(1).min(n);
+        let keep_dists = keep == BallDists::Keep;
         let mut regions = Vec::with_capacity(n + 1);
         let mut offsets = Vec::with_capacity(n + 1);
         let mut ids = Vec::with_capacity(n * ball_len);
-        let mut dists = Vec::with_capacity(n * ball_len);
+        let mut dists = keep_dists.then(|| Vec::with_capacity(n * ball_len));
         let mut slots = Vec::with_capacity(n * (slot_cap(ball_len) + 2));
         let mut radius = Vec::with_capacity(n);
         offsets.push(0);
@@ -262,7 +288,7 @@ impl BallTable {
                 || BallSearch::new(g, batch),
                 |search, k| {
                     let lo = first + k * width;
-                    search.balls(g, lo..last.min(lo + width), ell)
+                    search.balls(g, lo..last.min(lo + width), ell, keep_dists)
                 },
             );
             // The up-front reservation is `cap + 2` slots a ball, but a run
@@ -274,7 +300,9 @@ impl BallTable {
                 // A ball has at most `n` members, and ids are `u32`.
                 regions.push(Region { start: slots.len(), members: ball.ids.len() as u32 });
                 ids.extend_from_slice(&ball.ids);
-                dists.extend_from_slice(&ball.dists);
+                if let Some(dists) = &mut dists {
+                    dists.extend_from_slice(&ball.dists);
+                }
                 slots.extend_from_slice(&ball.slots);
                 radius.push(ball.radius);
                 offsets.push(ids.len());
@@ -284,7 +312,9 @@ impl BallTable {
         // The reservations are upper estimates (a component smaller than ℓ,
         // regions that needed no overflow slot): return the slack.
         ids.shrink_to_fit();
-        dists.shrink_to_fit();
+        if let Some(dists) = &mut dists {
+            dists.shrink_to_fit();
+        }
         slots.shrink_to_fit();
         BallTable { ports: BallPorts { ell, regions, slots }, offsets, ids, dists, radius }
     }
@@ -324,7 +354,8 @@ impl BallTable {
         self.ports.heap_bytes()
             + std::mem::size_of::<usize>() * self.offsets.capacity()
             + std::mem::size_of::<VertexId>() * self.ids.capacity()
-            + std::mem::size_of::<Weight>() * (self.dists.capacity() + self.radius.capacity())
+            + std::mem::size_of::<Weight>()
+                * (self.dists.as_ref().map_or(0, Vec::capacity) + self.radius.capacity())
     }
 }
 
@@ -332,7 +363,8 @@ impl BallTable {
 struct BuiltBall {
     /// The member ids in settle order.
     ids: Vec<VertexId>,
-    /// Their distances from the centre.
+    /// Their distances from the centre; empty, and never allocated, when
+    /// the table stores none.
     dists: Vec<Weight>,
     /// The hashed slot region.
     slots: Vec<Slot>,
@@ -360,8 +392,14 @@ impl BallSearch {
 
     /// The balls of the consecutive centres `centres`, in order: one
     /// budgeted sweep (at most [`BFS_BATCH_WIDTH`] centres), or one bounded
-    /// Dijkstra per centre.
-    fn balls(&mut self, g: &Graph, centres: Range<usize>, ell: usize) -> Vec<BuiltBall> {
+    /// Dijkstra per centre. Their distances only if `keep_dists`.
+    fn balls(
+        &mut self,
+        g: &Graph,
+        centres: Range<usize>,
+        ell: usize,
+        keep_dists: bool,
+    ) -> Vec<BuiltBall> {
         match self {
             BallSearch::Batch(bfs, region) => {
                 let ids: Vec<VertexId> = centres.map(|u| VertexId(u as u32)).collect();
@@ -369,14 +407,17 @@ impl BallSearch {
                 // graph of another size, or more than a batch of centres.
                 let run = bfs.run_balls(g, &ids, ell);
                 assert!(run.is_ok(), "the batch BFS refused a batch of centres: {run:?}");
-                (0..ids.len()).map(|i| fill_ball(region, bfs.ball(i), bfs.radius(i))).collect()
+                (0..ids.len())
+                    .map(|i| fill_ball(region, bfs.ball(i), bfs.radius(i), keep_dists))
+                    .collect()
             }
             BallSearch::Dijkstra(scratch, region) => centres
                 .map(|u| {
                     let u = VertexId(u as u32);
                     let radius = scratch.ball_into(g, u, ell);
                     let port = |v| scratch.first_hop(v).and_then(|hop| g.port_to(u, hop));
-                    fill_ball(region, scratch.order().iter().map(|&(v, d)| (v, d, port(v))), radius)
+                    let ball = scratch.order().iter().map(|&(v, d)| (v, d, port(v)));
+                    fill_ball(region, ball, radius, keep_dists)
                 })
                 .collect(),
         }
@@ -385,7 +426,7 @@ impl BallSearch {
 
 /// Hashes one ball, given as `(member, distance, first port)` in settle
 /// order with no port for the centre, into its slot region, using `region`
-/// as scratch.
+/// as scratch. The distances are collected only if `keep_dists`.
 ///
 /// Ordered insertion: walk from the home slot past smaller hashes, then
 /// carry every larger resident one slot right. The result is the placement
@@ -395,17 +436,20 @@ fn fill_ball(
     region: &mut Vec<Slot>,
     ball: impl ExactSizeIterator<Item = (VertexId, Weight, Option<Port>)>,
     radius: Weight,
+    keep_dists: bool,
 ) -> BuiltBall {
     let len = ball.len();
     let cap = slot_cap(len);
     region.clear();
     region.resize(cap + len + 1, EMPTY);
     let mut ids = Vec::with_capacity(len);
-    let mut dists = Vec::with_capacity(len);
+    let mut dists = Vec::with_capacity(if keep_dists { len } else { 0 });
     let mut end = 0;
     for (v, d, port) in ball {
         ids.push(v);
-        dists.push(d);
+        if keep_dists {
+            dists.push(d);
+        }
         let mut slot = [v.0, port.unwrap_or(NO_PORT).0];
         let mut at = home_slot(slot_hash(v.0), cap);
         while region[at][0] != EMPTY_KEY {
@@ -456,17 +500,27 @@ impl<'a> BallView<'a> {
         &self.table.ids[self.table.member_range(self.u)]
     }
 
-    /// Parallel to [`BallView::ids`]: each member's distance from the
-    /// center, non-decreasing.
-    pub fn dists(&self) -> &'a [Weight] {
-        &self.table.dists[self.table.member_range(self.u)]
+    /// Parallel to [`BallView::ids`] and of the same length: each member's
+    /// distance from the center, non-decreasing. `None` when the table was
+    /// built with [`BallDists::Skip`].
+    pub fn dists(&self) -> Option<&'a [Weight]> {
+        Some(&self.table.dists.as_ref()?[self.table.member_range(self.u)])
     }
 
     /// Members with distances in `(distance, id)` order, as a fresh list
     /// zipped from [`BallView::ids`] and [`BallView::dists`]. For readers
-    /// outside the build; the builders read the two slices in place.
+    /// outside the build, on a table from [`BallTable::build`]; the builders
+    /// read the two slices in place.
+    ///
+    /// # Panics
+    ///
+    /// On a table built with [`BallDists::Skip`]: there is no distance to
+    /// pair a member with.
     pub fn members(&self) -> Vec<(VertexId, Weight)> {
-        self.ids().iter().copied().zip(self.dists().iter().copied()).collect()
+        let dists = self.dists().unwrap_or_default();
+        let ids = self.ids();
+        assert_eq!(dists.len(), ids.len(), "B({}) is from a table without distances", self.u);
+        ids.iter().copied().zip(dists.iter().copied()).collect()
     }
 
     /// Returns true if `v` is in the ball.
@@ -479,11 +533,6 @@ impl<'a> BallView<'a> {
     /// `r_u(ℓ)`).
     pub fn radius(&self) -> Weight {
         self.table.radius[self.u.index()]
-    }
-
-    /// The largest distance of any member.
-    pub fn max_dist(&self) -> Weight {
-        self.dists().last().copied().unwrap_or(0)
     }
 }
 
@@ -502,7 +551,7 @@ mod tests {
 
     /// `d(u, v)` for a member `v` of `B(u, ℓ)`, read at its position.
     fn dist(t: &BallTable, u: VertexId, v: VertexId) -> Option<Weight> {
-        position(t, u, v).map(|i| t.ball(u).dists()[i])
+        position(t, u, v).map(|i| t.ball(u).dists().unwrap()[i])
     }
 
     #[test]
@@ -554,7 +603,7 @@ mod tests {
         for (g, ells) in graphs {
             assert!(g.is_unweighted());
             for ell in ells {
-                let reference = BallTable::build_with(&g, ell, false);
+                let reference = BallTable::build_with(&g, ell, false, BallDists::Keep);
                 for threads in [1, 4] {
                     routing_par::set_threads(threads);
                     let table = BallTable::build(&g, ell);
@@ -563,6 +612,50 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A table built without distances is the table with them, less the
+    /// distances: the same ports, ids, offsets and radii on every family,
+    /// unit and weighted, through both kernels (the batch BFS applies on
+    /// unit weights only, so the weighted graphs run the per-vertex
+    /// Dijkstra either way), at 1 and 2 threads — and it reports every
+    /// ball's distances missing instead of handing back a short slice.
+    #[test]
+    fn a_table_without_distances_is_the_table_less_its_distances() {
+        use generators::{Family, WeightModel};
+        for family in Family::ALL {
+            for weights in [WeightModel::Unit, WeightModel::Uniform { lo: 1, hi: 9 }] {
+                let g = family.generate(130, weights, &mut StdRng::seed_from_u64(41));
+                let ell = 17;
+                for batch in [true, false] {
+                    let with = BallTable::build_with(&g, ell, batch, BallDists::Keep);
+                    for threads in [1, 2] {
+                        routing_par::set_threads(threads);
+                        let without = BallTable::build_with(&g, ell, batch, BallDists::Skip);
+                        routing_par::set_threads(routing_par::available_threads());
+                        let key = format!("{} {weights:?}", family.name());
+                        let key = format!("{key}, batch {batch}, threads {threads}");
+                        assert_eq!(without.ids, with.ids, "{key}: ids");
+                        assert_eq!(without.offsets, with.offsets, "{key}: offsets");
+                        for u in g.vertices() {
+                            assert_eq!(without.ball(u).radius(), with.ball(u).radius(), "{key}");
+                            assert_eq!(without.ball(u).dists(), None, "{key}: B({u})");
+                        }
+                        assert!(without.dists.is_none(), "{key}: a distance array");
+                        assert!(without.into_ports() == with.clone().into_ports(), "{key}: ports");
+                    }
+                }
+            }
+        }
+    }
+
+    /// `members` pairs each id with its distance, so on a table without
+    /// distances it refuses rather than return a short list.
+    #[test]
+    #[should_panic(expected = "without distances")]
+    fn members_of_a_table_without_distances_panics() {
+        let t = BallTable::build_with_dists(&generators::cycle(12), 4, BallDists::Skip);
+        t.ball(VertexId(0)).members();
     }
 
     #[test]
@@ -584,9 +677,8 @@ mod tests {
             let ids: Vec<VertexId> = owned.members().iter().map(|&(v, _)| v).collect();
             let dists: Vec<Weight> = owned.members().iter().map(|&(_, d)| d).collect();
             assert_eq!(view.ids(), ids);
-            assert_eq!(view.dists(), dists);
+            assert_eq!(view.dists(), Some(&dists[..]));
             assert_eq!(view.radius(), owned.radius());
-            assert_eq!(view.max_dist(), owned.max_dist());
             assert_eq!(view.center(), owned.center());
             assert_eq!(view.is_empty(), owned.is_empty());
             for v in g.vertices() {
@@ -603,13 +695,14 @@ mod tests {
     /// about 10.7 bytes a member; per vertex on top the region entry (16 B),
     /// up to 8 B of `⌈4m/3⌉` rounding and the overflow slots past `cap` —
     /// about one a vertex, whenever the region's last slot is taken. While
-    /// building, a 4-byte id and an 8-byte distance a member come on top of
-    /// the ports (about 22.7 bytes a member in all, no per-slot rank and no
-    /// padded pair), plus the member offset and the radius (8 B each). At
-    /// these ball sizes (ℓ ≥ 45) 23 B a member and the ports' 32 B a vertex
-    /// bound the whole table: the third of a byte a member of slack stands
-    /// in for those 16 B a vertex. And no growth slack in any array, since
-    /// slack here is memory held for a scheme's lifetime.
+    /// building, a 4-byte id a member comes on top of the ports, and an
+    /// 8-byte distance a member if the builder asks for it: about 22.7
+    /// bytes a member with distances and 14.7 without, no per-slot rank and
+    /// no padded pair, plus the member offset and the radius (8 B each). At
+    /// these ball sizes (ℓ ≥ 45) 23 B (15 B) a member and the ports' 32 B a
+    /// vertex bound the whole table: the third of a byte a member of slack
+    /// stands in for those 16 B a vertex. And no growth slack in any array,
+    /// since slack here is memory held for a scheme's lifetime.
     #[test]
     fn heap_bytes_hold_the_bytes_per_member_budget() {
         let mut rng = StdRng::seed_from_u64(37);
@@ -621,23 +714,37 @@ mod tests {
         ];
         for (name, g, ell) in instances {
             let n = g.n();
-            let t = BallTable::build(&g, ell);
-            let members: usize = g.vertices().map(|u| t.ball(u).len()).sum();
-            let slots = t.slots.len();
-            assert!(members > n, "{name}: balls are not trivial");
-            assert_eq!(t.ids.len(), members);
-            assert_eq!(t.dists.len(), members);
-            assert_eq!(t.ids.capacity(), members, "{name}: ids");
-            assert_eq!(t.dists.capacity(), members, "{name}: dists");
-            assert_eq!(t.radius.capacity(), t.radius.len(), "{name}: radius");
-            assert_eq!(t.slots.capacity(), slots, "{name}: slots");
-            assert_eq!(t.offsets.capacity(), t.offsets.len(), "{name}: offsets");
-            assert_eq!(t.regions.capacity(), t.regions.len(), "{name}: regions");
-            let full = t.heap_bytes();
-            assert!(full <= 23 * members + 32 * n + 64, "{name}: {full} B for {members} members");
-            let kept = t.into_ports().heap_bytes();
-            assert!(kept <= 11 * members + 32 * n + 64, "{name}: {kept} B for {members} members");
-            assert_eq!(full - kept, 12 * members + 16 * n + 8, "{name}: what into_ports drops");
+            // Bytes a member of the whole table, and of what `into_ports`
+            // drops, with and without the distances.
+            let shapes = [(BallDists::Keep, 23, 12), (BallDists::Skip, 15, 4)];
+            for (keep, per_member, dropped) in shapes {
+                let name = format!("{name} {keep:?}");
+                let t = BallTable::build_with_dists(&g, ell, keep);
+                let members: usize = g.vertices().map(|u| t.ball(u).len()).sum();
+                let slots = t.slots.len();
+                assert!(members > n, "{name}: balls are not trivial");
+                assert_eq!(t.ids.len(), members);
+                assert_eq!(t.ids.capacity(), members, "{name}: ids");
+                match &t.dists {
+                    Some(dists) => {
+                        assert_eq!(dists.len(), members);
+                        assert_eq!(dists.capacity(), members, "{name}: dists");
+                    }
+                    None => assert_eq!(keep, BallDists::Skip, "{name}: no dists kept"),
+                }
+                assert_eq!(t.radius.capacity(), t.radius.len(), "{name}: radius");
+                assert_eq!(t.slots.capacity(), slots, "{name}: slots");
+                assert_eq!(t.offsets.capacity(), t.offsets.len(), "{name}: offsets");
+                assert_eq!(t.regions.capacity(), t.regions.len(), "{name}: regions");
+                let full = t.heap_bytes();
+                let bound = per_member * members + 32 * n + 64;
+                assert!(full <= bound, "{name}: {full} B for {members} members");
+                let kept = t.into_ports().heap_bytes();
+                let ports_bound = 11 * members + 32 * n + 64;
+                assert!(kept <= ports_bound, "{name}: {kept} B for {members} members");
+                let drops = dropped * members + 16 * n + 8;
+                assert_eq!(full - kept, drops, "{name}: what into_ports drops");
+            }
         }
     }
 
@@ -698,7 +805,8 @@ mod tests {
                 let bv = big.ball(u);
                 let prefix = k.min(bv.len());
                 assert_eq!(sv.ids(), &bv.ids()[..prefix], "B({u}, {k}) is not a prefix");
-                assert_eq!(sv.dists(), &bv.dists()[..prefix], "distances changed between sizes");
+                let (sd, bd) = (sv.dists().unwrap(), bv.dists().unwrap());
+                assert_eq!(sd, &bd[..prefix], "distances changed between sizes");
                 for v in g.vertices() {
                     let in_prefix = position(&big, u, v).is_some_and(|r| r < k);
                     assert_eq!(
@@ -801,7 +909,8 @@ mod tests {
                 assert_eq!(t.first_port(u, v), None);
             }
             assert_eq!(t.words_at(hostile), 0);
-            assert!(t.ball(hostile).ids().is_empty() && t.ball(hostile).dists().is_empty());
+            assert!(t.ball(hostile).ids().is_empty());
+            assert_eq!(t.ball(hostile).dists(), Some(&[][..]));
         }
     }
 }
