@@ -356,10 +356,22 @@ fn assert_ball_build_peak() {
     routing_par::set_threads(1);
     let weights = WeightModel::Uniform { lo: 1, hi: 32 };
     let g = Family::Geometric.generate(6000, weights, &mut StdRng::seed_from_u64(13));
-    let (workspace, _) = peak_bytes_in(|| SearchScratch::for_graph(&g));
+    // A workspace is charged as it stands after one search: the batch BFS
+    // sizes its port and member logs on its first run.
+    let (workspace, _) = peak_bytes_in(|| {
+        let mut scratch = SearchScratch::for_graph(&g);
+        scratch.ball_into(&g, VertexId(0), ELL);
+        scratch
+    });
     assert_ball_build_within_a_block(&g, ELL, BallDists::Keep, workspace);
     let t1 = t1_graph();
-    let (workspace, _) = peak_bytes_in(|| BfsBatch::for_graph(&t1));
+    let (workspace, _) = peak_bytes_in(|| {
+        let mut bfs = BfsBatch::for_graph(&t1);
+        let centres: Vec<VertexId> = (0..64).map(VertexId).collect();
+        let run = bfs.as_mut().map(|bfs| bfs.run_balls(&t1, &centres, 1372));
+        assert!(matches!(run, Some(Ok(()))), "the t1 graph takes the batch BFS");
+        bfs
+    });
     assert_ball_build_within_a_block(&t1, 1372, BallDists::Skip, workspace);
     drop(t1);
     assert_thm16_build_peak(&g, ELL);
@@ -377,17 +389,19 @@ fn assert_ball_build_within_a_block(g: &Graph, ell: usize, dists: BallDists, wor
     let (peak, table) = peak_bytes_in(|| BallTable::build_with_dists(g, ell, dists));
     // One ball as a search result: its member ids (4 bytes a member), their
     // distances if the table keeps them (8 more), and its hashed region of
-    // at most `⌈4ℓ/3⌉ + ℓ + 1` 8-byte slots.
+    // at most `⌈4ℓ/3⌉ + ℓ + 1` slots, packed at the table's width.
     let per_member = if dists == BallDists::Keep { 12 } else { 4 };
     let region = (4 * ell).div_ceil(3) + ell + 1;
-    let ball =
-        per_member * ell + 8 * region + std::mem::size_of::<(Vec<u8>, Vec<u8>, Vec<u8>, u64)>();
+    let ball = per_member * ell
+        + table.slot_bytes() * region
+        + std::mem::size_of::<(Vec<u8>, Vec<u8>, Vec<u8>, u64)>();
     let balls = if g.is_unweighted() {
         n.div_ceil(BLOCKS).next_multiple_of(64)
     } else {
         n.div_ceil(BLOCKS)
     };
-    // The worker keeps one region as scratch beside its search workspace.
+    // The worker keeps one region of 8-byte unpacked slots as scratch beside
+    // its search workspace.
     let block = balls * ball + 8 * region + workspace as usize;
     let kept = table.heap_bytes();
     assert!(

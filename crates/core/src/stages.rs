@@ -477,16 +477,19 @@ mod tests {
 
     /// `kept` is what a built scheme holds, `direct` the stages' output
     /// before [`Vicinities::retain`]: the same ports, and of the vicinities
-    /// nothing but the 8-byte `[member, port]` slots, within the budget
-    /// `balls.rs` pins for them (11 bytes a member, 32 a vertex), 4 bytes
-    /// of colour a vertex and 4 of representative a (vertex, colour) pair.
+    /// nothing but the packed `[member, port]` slots, within the budget
+    /// `balls.rs` pins for them (`⌈4w/3⌉` bytes a member at `w` bytes a
+    /// slot, 32 a vertex), 4 bytes of colour a vertex and 4 of
+    /// representative a (vertex, colour) pair.
     fn assert_same_vicinities(key: &str, kept: &Vicinities, direct: &Vicinities<BallTable>) {
         assert_eq!(kept.q, direct.q, "{key}: q");
         assert_eq!(kept.balls, *direct.balls, "{key}: ports");
         let n = direct.balls.len();
         let members: usize = (0..n).map(|u| direct.balls.ball(VertexId(u as u32)).len()).sum();
         let ports = kept.balls.heap_bytes();
-        assert!(ports <= 11 * members + 32 * n + 64, "{key}: {ports} B for {members} members");
+        let per_member = (4 * kept.balls.slot_bytes()).div_ceil(3);
+        let bound = per_member * members + 32 * n + 64;
+        assert!(ports <= bound, "{key}: {ports} B for {members} members");
         let reps = n * kept.q as usize;
         assert_eq!(kept.heap_bytes(), ports + 4 * n + 4 * reps, "{key}: vicinity bytes");
         assert_eq!(kept.color_of, direct.color_of, "{key}: colours");

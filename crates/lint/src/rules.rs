@@ -128,6 +128,8 @@ pub const HOT_PATHS: &[(&str, HotScope)] = &[
             "dist",
             "csr_range",
             "member_range",
+            "decode",
+            "field_mask",
         ]),
     ),
     (

@@ -15,22 +15,25 @@
 //!
 //! * [`BallPorts`] is what Lemma 2 *forwarding* reads, and all that every
 //!   built scheme retains of its vicinities: per vertex one static
-//!   open-addressing region of 8-byte `[member, port]` slots at load ≤ 3/4
-//!   (about 10.7 bytes a member), its members placed in ascending hash
-//!   order, so [`BallPorts::contains`] and [`BallPorts::first_port`] are one
-//!   probe of about two adjacent slots, for members and non-members alike
-//!   (see `docs/ARCHITECTURE.md`, "Search kernel & memory layout").
+//!   open-addressing region of `[member, port]` slots at load ≤ 3/4, its
+//!   members placed in ascending hash order, so [`BallPorts::contains`] and
+//!   [`BallPorts::first_port`] are one probe of about two adjacent slots,
+//!   for members and non-members alike (see `docs/ARCHITECTURE.md`, "Search
+//!   kernel & memory layout"). A slot is packed at the graph's width: the
+//!   id in the fewest bytes that hold `n`, the port in the fewest that hold
+//!   the largest degree. That is 3 bytes on graphs of up to 65,535
+//!   vertices and degree 255, about 4 bytes a member.
 //!   Theorem 16 keeps, beside it, the distances to the members in its first
 //!   hierarchy level, which it reads from the table before dropping it.
 //! * [`BallTable`] is [`BallPorts`] plus what only *preprocessing* reads:
 //!   every ball's member ids in `(distance, id)` settle order
 //!   ([`BallView::ids`], 4 bytes a member) and the radii, and — only when
 //!   the builder asks for them — the members' distances, parallel to the
-//!   ids ([`BallView::dists`], 8 bytes a member). A table with distances
-//!   ([`BallTable::build`]) holds about 22.7 bytes a member, one without
-//!   ([`BallDists::Skip`]) about 14.7. Of the schemes, only Theorem 10's
-//!   representative distances and intersections and Theorem 16's landmark
-//!   lists read a distance; every other build skips them. There is no
+//!   ids ([`BallView::dists`], 8 bytes a member). At 3-byte slots a table
+//!   with distances ([`BallTable::build`]) holds about 16 bytes a member,
+//!   one without ([`BallDists::Skip`]) about 8. Of the schemes, only
+//!   Theorem 10's representative distances and intersections and Theorem
+//!   16's landmark lists read a distance; every other build skips them. There is no
 //!   per-slot rank: a member's rank is its position in [`BallView::ids`],
 //!   and the colouring, hitting-set and sequence builders read the id
 //!   prefixes in place ([`BallTable::id_prefixes`]). It dereferences to its
@@ -54,7 +57,8 @@ use routing_graph::{Graph, Port, VertexId, Weight};
 /// Sentinel port stored for the ball's center (which has no first hop).
 const NO_PORT: Port = Port(u32::MAX);
 
-/// One slot of a vertex's open-addressing region: `[member id, port]`.
+/// One slot of a vertex's open-addressing region, decoded: `[member id,
+/// port]`.
 type Slot = [u32; 2];
 
 /// Key of an unoccupied slot. `find` rejects ids outside `0..n` before
@@ -62,6 +66,68 @@ type Slot = [u32; 2];
 const EMPTY_KEY: u32 = u32::MAX;
 /// An unoccupied slot.
 const EMPTY: Slot = [EMPTY_KEY, EMPTY_KEY];
+
+/// Zero bytes after the last packed slot, so that every slot is read as one
+/// whole 8-byte window.
+const SLOT_PAD: usize = 8;
+
+/// How a [`BallPorts`] packs a [`Slot`]: the member id in the low
+/// `id_bytes` bytes, the port in the `port_bytes` above them,
+/// little-endian. Each field is as wide as the graph needs, and its
+/// all-ones value is its sentinel: the empty key for the id, "no port" for
+/// the port. Both decode back to `u32::MAX`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SlotCodec {
+    id_bytes: u8,
+    port_bytes: u8,
+}
+
+/// The fewest bytes, at least one and at most four, whose all-ones value is
+/// at least `max`: ids `0..n` leave `n`'s all-ones value free for the empty
+/// key, ports `0..deg` leave it free for "no port".
+fn bytes_for(max: usize) -> u8 {
+    (1..4).find(|&b| field_mask(b) >= max as u64).unwrap_or(4)
+}
+
+/// The all-ones value of a `bytes`-byte field.
+#[inline]
+fn field_mask(bytes: u8) -> u64 {
+    (1 << (8 * u32::from(bytes))) - 1
+}
+
+impl SlotCodec {
+    /// Ids of `g`'s vertices and ports of its largest degree.
+    fn for_graph(g: &Graph) -> Self {
+        let max_degree = g.vertices().map(|u| g.degree(u)).max().unwrap_or(0);
+        SlotCodec { id_bytes: bytes_for(g.n()), port_bytes: bytes_for(max_degree) }
+    }
+
+    /// Bytes a slot: at most 8, the width of the window it is read through.
+    #[inline]
+    fn width(self) -> usize {
+        usize::from(self.id_bytes + self.port_bytes)
+    }
+
+    /// Appends `slot` to `out` in `width` bytes.
+    fn encode(self, [id, port]: Slot, out: &mut Vec<u8>) {
+        let narrow = |x: u32, bytes| if x == u32::MAX { field_mask(bytes) } else { u64::from(x) };
+        let word = narrow(id, self.id_bytes) | narrow(port, self.port_bytes) << (8 * self.id_bytes);
+        out.extend_from_slice(&word.to_le_bytes()[..self.width()]);
+    }
+
+    /// Slot `i` of `slots`, or `None` past the last one: one 8-byte window,
+    /// shifted and masked, the narrow sentinels widened to `u32::MAX`.
+    #[inline]
+    fn decode(self, slots: &[u8], i: usize) -> Option<Slot> {
+        let window = slots.get(i * self.width()..)?.first_chunk::<8>()?;
+        let word = u64::from_le_bytes(*window);
+        let field = |x: u64, bytes| {
+            let mask = field_mask(bytes);
+            if x & mask == mask { u32::MAX } else { (x & mask) as u32 }
+        };
+        Some([field(word, self.id_bytes), field(word >> (8 * self.id_bytes), self.port_bytes)])
+    }
+}
 
 /// [`BallTable::build`] appends the balls to the final arrays in blocks of
 /// `⌈n / BUILD_BLOCKS⌉` consecutive vertices, on unit weights rounded up to
@@ -121,8 +187,10 @@ pub struct BallPorts {
     regions: Vec<Region>,
     /// Per vertex: its members in ascending [`slot_hash`] order, each at
     /// `max(home, previous + 1)`, never wrapping; the region's last slot is
-    /// always empty ([`EMPTY_KEY`]).
-    slots: Vec<Slot>,
+    /// always empty ([`EMPTY_KEY`]). Packed by `codec`, [`SLOT_PAD`] zero
+    /// bytes at the end.
+    slots: Vec<u8>,
+    codec: SlotCodec,
 }
 
 impl BallPorts {
@@ -143,14 +211,15 @@ impl BallPorts {
         }
         let region = self.regions.get(u.index())?;
         let h = slot_hash(v.0);
-        let start = region.start + home_slot(h, slot_cap(region.members as usize));
-        for &slot in self.slots.get(start..)? {
+        let mut at = region.start + home_slot(h, slot_cap(region.members as usize));
+        while let Some(slot) = self.codec.decode(&self.slots, at) {
             if slot[0] == v.0 {
                 return Some(slot);
             }
             if slot[0] == EMPTY_KEY || slot_hash(slot[0]) > h {
                 return None;
             }
+            at += 1;
         }
         None
     }
@@ -166,15 +235,22 @@ impl BallPorts {
         (port != NO_PORT).then_some(port)
     }
 
-    /// The open-addressing region of `u`: `[member id, port]` slots,
-    /// `[u32::MAX; 2]` where empty. Queries go through
-    /// [`BallPorts::contains`] and friends; this view exists so tests can
-    /// hold the layout invariants.
-    pub fn slot_region(&self, u: VertexId) -> &[[u32; 2]] {
+    /// The open-addressing region of `u`, decoded: `[member id, port]`
+    /// slots, `u32::MAX` for the empty key and the centre's port. Queries go
+    /// through [`BallPorts::contains`] and friends; this view exists so
+    /// tests can hold the layout invariants.
+    pub fn slot_region(&self, u: VertexId) -> Vec<[u32; 2]> {
         match self.regions.get(u.index()..u.index() + 2) {
-            Some([region, next]) => &self.slots[region.start..next.start],
-            _ => &[],
+            Some([region, next]) => (region.start..next.start)
+                .filter_map(|i| self.codec.decode(&self.slots, i))
+                .collect(),
+            _ => Vec::new(),
         }
+    }
+
+    /// Bytes a packed slot: the id and port widths the table's graph needs.
+    pub fn slot_bytes(&self) -> usize {
+        self.codec.width()
     }
 
     /// The space Lemma 2 charges to `u`, in `O(log n)`-bit words: one id, one
@@ -195,8 +271,7 @@ impl BallPorts {
 
     /// Bytes of heap the arrays hold, by capacity.
     pub fn heap_bytes(&self) -> usize {
-        std::mem::size_of::<Region>() * self.regions.capacity()
-            + std::mem::size_of::<Slot>() * self.slots.capacity()
+        std::mem::size_of::<Region>() * self.regions.capacity() + self.slots.capacity()
     }
 }
 
@@ -271,11 +346,13 @@ impl BallTable {
         let n = g.n();
         let ball_len = ell.max(1).min(n);
         let keep_dists = keep == BallDists::Keep;
+        let codec = SlotCodec::for_graph(g);
         let mut regions = Vec::with_capacity(n + 1);
         let mut offsets = Vec::with_capacity(n + 1);
         let mut ids = Vec::with_capacity(n * ball_len);
         let mut dists = keep_dists.then(|| Vec::with_capacity(n * ball_len));
-        let mut slots = Vec::with_capacity(n * (slot_cap(ball_len) + 2));
+        let reserved = n * (slot_cap(ball_len) + 2) * codec.width();
+        let mut slots = Vec::with_capacity(reserved + SLOT_PAD);
         let mut radius = Vec::with_capacity(n);
         offsets.push(0);
         // Centres per task: one sweep's worth, or one Dijkstra.
@@ -288,17 +365,19 @@ impl BallTable {
                 || BallSearch::new(g, batch),
                 |search, k| {
                     let lo = first + k * width;
-                    search.balls(g, lo..last.min(lo + width), ell, keep_dists)
+                    search.balls(g, lo..last.min(lo + width), ell, codec, keep_dists)
                 },
             );
             // The up-front reservation is `cap + 2` slots a ball, but a run
             // can pass a region's `cap` by more: grow by exactly what this
-            // block needs rather than let `extend` double the array.
-            let block_slots = per_task.iter().flatten().map(|b| b.slots.len()).sum();
-            slots.reserve_exact(block_slots);
+            // block needs, the closing pad included, rather than let
+            // `extend` double the array.
+            let block_bytes: usize = per_task.iter().flatten().map(|b| b.slots.len()).sum();
+            slots.reserve_exact(block_bytes + SLOT_PAD);
             for ball in per_task.into_iter().flatten() {
                 // A ball has at most `n` members, and ids are `u32`.
-                regions.push(Region { start: slots.len(), members: ball.ids.len() as u32 });
+                let start = slots.len() / codec.width();
+                regions.push(Region { start, members: ball.ids.len() as u32 });
                 ids.extend_from_slice(&ball.ids);
                 if let Some(dists) = &mut dists {
                     dists.extend_from_slice(&ball.dists);
@@ -308,7 +387,8 @@ impl BallTable {
                 offsets.push(ids.len());
             }
         }
-        regions.push(Region { start: slots.len(), members: 0 });
+        regions.push(Region { start: slots.len() / codec.width(), members: 0 });
+        slots.extend_from_slice(&[0; SLOT_PAD]);
         // The reservations are upper estimates (a component smaller than ℓ,
         // regions that needed no overflow slot): return the slack.
         ids.shrink_to_fit();
@@ -316,7 +396,7 @@ impl BallTable {
             dists.shrink_to_fit();
         }
         slots.shrink_to_fit();
-        BallTable { ports: BallPorts { ell, regions, slots }, offsets, ids, dists, radius }
+        BallTable { ports: BallPorts { ell, regions, slots, codec }, offsets, ids, dists, radius }
     }
 
     /// Drops the member ids, distances and radii: what is left is all that
@@ -366,8 +446,8 @@ struct BuiltBall {
     /// Their distances from the centre; empty, and never allocated, when
     /// the table stores none.
     dists: Vec<Weight>,
-    /// The hashed slot region.
-    slots: Vec<Slot>,
+    /// The hashed slot region, packed.
+    slots: Vec<u8>,
     radius: Weight,
 }
 
@@ -398,6 +478,7 @@ impl BallSearch {
         g: &Graph,
         centres: Range<usize>,
         ell: usize,
+        codec: SlotCodec,
         keep_dists: bool,
     ) -> Vec<BuiltBall> {
         match self {
@@ -408,7 +489,7 @@ impl BallSearch {
                 let run = bfs.run_balls(g, &ids, ell);
                 assert!(run.is_ok(), "the batch BFS refused a batch of centres: {run:?}");
                 (0..ids.len())
-                    .map(|i| fill_ball(region, bfs.ball(i), bfs.radius(i), keep_dists))
+                    .map(|i| fill_ball(region, bfs.ball(i), bfs.radius(i), codec, keep_dists))
                     .collect()
             }
             BallSearch::Dijkstra(scratch, region) => centres
@@ -417,7 +498,7 @@ impl BallSearch {
                     let radius = scratch.ball_into(g, u, ell);
                     let port = |v| scratch.first_hop(v).and_then(|hop| g.port_to(u, hop));
                     let ball = scratch.order().iter().map(|&(v, d)| (v, d, port(v)));
-                    fill_ball(region, ball, radius, keep_dists)
+                    fill_ball(region, ball, radius, codec, keep_dists)
                 })
                 .collect(),
         }
@@ -426,7 +507,8 @@ impl BallSearch {
 
 /// Hashes one ball, given as `(member, distance, first port)` in settle
 /// order with no port for the centre, into its slot region, using `region`
-/// as scratch. The distances are collected only if `keep_dists`.
+/// as scratch, and packs the region by `codec`. The distances are collected
+/// only if `keep_dists`.
 ///
 /// Ordered insertion: walk from the home slot past smaller hashes, then
 /// carry every larger resident one slot right. The result is the placement
@@ -436,6 +518,7 @@ fn fill_ball(
     region: &mut Vec<Slot>,
     ball: impl ExactSizeIterator<Item = (VertexId, Weight, Option<Port>)>,
     radius: Weight,
+    codec: SlotCodec,
     keep_dists: bool,
 ) -> BuiltBall {
     let len = ball.len();
@@ -463,7 +546,12 @@ fn fill_ball(
     }
     // Keep `cap` slots, or more when the last run passes them; either way
     // the region's last slot stays empty.
-    BuiltBall { ids, dists, slots: region[..cap.max(end + 1)].to_vec(), radius }
+    let kept = &region[..cap.max(end + 1)];
+    let mut slots = Vec::with_capacity(kept.len() * codec.width());
+    for &slot in kept {
+        codec.encode(slot, &mut slots);
+    }
+    BuiltBall { ids, dists, slots, radius }
 }
 
 /// A borrowed view of one ball `B(u, ℓ)` inside a [`BallTable`].
@@ -691,18 +779,19 @@ mod tests {
         }
     }
 
-    /// The byte layout, pinned. Retained ports: 8-byte slots at load 3/4,
-    /// about 10.7 bytes a member; per vertex on top the region entry (16 B),
-    /// up to 8 B of `⌈4m/3⌉` rounding and the overflow slots past `cap` —
-    /// about one a vertex, whenever the region's last slot is taken. While
-    /// building, a 4-byte id a member comes on top of the ports, and an
-    /// 8-byte distance a member if the builder asks for it: about 22.7
-    /// bytes a member with distances and 14.7 without, no per-slot rank and
-    /// no padded pair, plus the member offset and the radius (8 B each). At
-    /// these ball sizes (ℓ ≥ 45) 23 B (15 B) a member and the ports' 32 B a
-    /// vertex bound the whole table: the third of a byte a member of slack
-    /// stands in for those 16 B a vertex. And no growth slack in any array,
-    /// since slack here is memory held for a scheme's lifetime.
+    /// The byte layout, pinned. Retained ports: at these graphs' width (ids
+    /// below 300 in 2 bytes, ports below degree 256 in 1) 3-byte slots at
+    /// load 3/4, 4 bytes a member; per vertex on top the region entry
+    /// (16 B), up to 2 B of `⌈4m/3⌉` rounding and the overflow slots past
+    /// `cap` — about one a vertex, whenever the region's last slot is taken
+    /// — and 8 bytes of pad for the whole table. While building, a 4-byte id
+    /// a member comes on top of the ports, and an 8-byte distance a member
+    /// if the builder asks for it: 16 bytes a member with distances and 8
+    /// without, no per-slot rank and no padded pair, plus the member offset
+    /// and the radius (8 B each) a vertex. So 4 B a member and 32 B a vertex
+    /// bound the ports, 16 B (8 B) a member and 48 B a vertex the whole
+    /// table. And no growth slack in any array, since slack here is memory
+    /// held for a scheme's lifetime.
     #[test]
     fn heap_bytes_hold_the_bytes_per_member_budget() {
         let mut rng = StdRng::seed_from_u64(37);
@@ -716,13 +805,14 @@ mod tests {
             let n = g.n();
             // Bytes a member of the whole table, and of what `into_ports`
             // drops, with and without the distances.
-            let shapes = [(BallDists::Keep, 23, 12), (BallDists::Skip, 15, 4)];
+            let shapes = [(BallDists::Keep, 16, 12), (BallDists::Skip, 8, 4)];
             for (keep, per_member, dropped) in shapes {
                 let name = format!("{name} {keep:?}");
                 let t = BallTable::build_with_dists(&g, ell, keep);
                 let members: usize = g.vertices().map(|u| t.ball(u).len()).sum();
                 let slots = t.slots.len();
                 assert!(members > n, "{name}: balls are not trivial");
+                assert_eq!(t.slot_bytes(), 3, "{name}: a 2-byte id and a 1-byte port");
                 assert_eq!(t.ids.len(), members);
                 assert_eq!(t.ids.capacity(), members, "{name}: ids");
                 match &t.dists {
@@ -734,13 +824,14 @@ mod tests {
                 }
                 assert_eq!(t.radius.capacity(), t.radius.len(), "{name}: radius");
                 assert_eq!(t.slots.capacity(), slots, "{name}: slots");
+                assert_eq!(t.slots[slots - SLOT_PAD..], [0; SLOT_PAD], "{name}: the pad");
                 assert_eq!(t.offsets.capacity(), t.offsets.len(), "{name}: offsets");
                 assert_eq!(t.regions.capacity(), t.regions.len(), "{name}: regions");
                 let full = t.heap_bytes();
-                let bound = per_member * members + 32 * n + 64;
+                let bound = per_member * members + 48 * n + 64;
                 assert!(full <= bound, "{name}: {full} B for {members} members");
                 let kept = t.into_ports().heap_bytes();
-                let ports_bound = 11 * members + 32 * n + 64;
+                let ports_bound = 4 * members + 32 * n + 64;
                 assert!(kept <= ports_bound, "{name}: {kept} B for {members} members");
                 let drops = dropped * members + 16 * n + 8;
                 assert_eq!(full - kept, drops, "{name}: what into_ports drops");
@@ -896,14 +987,64 @@ mod tests {
         assert!(t.first_port(VertexId(0), VertexId(2)).is_some());
     }
 
+    /// Each field takes the fewest bytes whose all-ones value is at least
+    /// `n` (ids) or the largest degree (ports): one byte up to 255, two up
+    /// to 65,535, three up to 2²⁴ − 1, four beyond.
+    #[test]
+    fn slot_widths_switch_where_the_sentinel_stops_fitting() {
+        for (max, bytes) in [(0, 1), (1, 1), (255, 1), (256, 2), (65_535, 2), (65_536, 3)] {
+            assert_eq!(bytes_for(max), bytes, "values below {max}");
+        }
+        assert_eq!(bytes_for((1 << 24) - 1), 3);
+        assert_eq!(bytes_for(1 << 24), 4);
+        assert_eq!(bytes_for(u32::MAX as usize), 4);
+        let codec = |g: &Graph| {
+            let c = SlotCodec::for_graph(g);
+            (c.id_bytes, c.port_bytes)
+        };
+        assert_eq!(codec(&generators::path(255)), (1, 1));
+        assert_eq!(codec(&generators::path(256)), (2, 1));
+        assert_eq!(codec(&generators::path(65_536)), (3, 1));
+        assert_eq!(codec(&generators::star(256)), (2, 1), "the hub's degree is 255");
+        assert_eq!(codec(&generators::star(257)), (2, 2), "the hub's degree is 256");
+    }
+
+    /// Every slot packs and unpacks to itself at every width, the sentinels
+    /// included, and a slot is read whole up to the last one before the pad.
+    #[test]
+    fn slots_round_trip_at_every_width() {
+        for id_bytes in 1..=4u8 {
+            for port_bytes in 1..=4u8 {
+                let codec = SlotCodec { id_bytes, port_bytes };
+                let (ids, ports) = (field_mask(id_bytes) as u32, field_mask(port_bytes) as u32);
+                let slots = [EMPTY, [0, u32::MAX], [ids - 1, ports - 1], [ids / 3, 0]];
+                let mut packed = Vec::new();
+                for slot in slots {
+                    codec.encode(slot, &mut packed);
+                }
+                assert_eq!(packed.len(), slots.len() * codec.width());
+                packed.extend_from_slice(&[0; SLOT_PAD]);
+                for (i, &slot) in slots.iter().enumerate() {
+                    assert_eq!(codec.decode(&packed, i), Some(slot), "{codec:?}, slot {i}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn hostile_ids_miss_instead_of_panicking_or_matching_the_sentinel() {
         // ℓ = n, so every in-range pair is a member: only the range check
         // stands between a foreign id and an answer.
+        // The ids take one byte: `0xFF` is the narrow empty key, and
+        // `256 + 3` masks down to member 3, so the range check must come
+        // before any masking.
         let g = generators::cycle(12);
         let t = BallTable::build(&g, 12);
+        assert_eq!(t.codec.id_bytes, 1);
         let inside = VertexId(3);
-        for hostile in [VertexId(12), VertexId(13), VertexId(u32::MAX - 1), VertexId(u32::MAX)] {
+        let narrow = [VertexId(0xFF), VertexId(256 + 3)];
+        let wide = [VertexId(12), VertexId(13), VertexId(u32::MAX - 1), VertexId(u32::MAX)];
+        for hostile in narrow.into_iter().chain(wide) {
             for (u, v) in [(inside, hostile), (hostile, inside), (hostile, hostile)] {
                 assert!(!t.contains(u, v), "contains({u}, {v})");
                 assert_eq!(t.first_port(u, v), None);

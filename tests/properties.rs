@@ -302,6 +302,18 @@ fn ball_table_at(g: &Graph, ell: usize, threads: usize) -> BallTable {
 /// every probe sequence — hit or miss — no longer than the ball plus the
 /// slot that ends it.
 fn check_ball_table(g: &Graph, table: &BallTable, reference: impl Fn(VertexId) -> Ball) {
+    check_ball_table_probing(g, table, reference, |_| g.vertices().collect());
+}
+
+/// [`check_ball_table`] with the pairs `(u, v)` limited to `v ∈ probes(u)`,
+/// for graphs too large for every pair; the layout of every region is
+/// checked whole either way.
+fn check_ball_table_probing(
+    g: &Graph,
+    table: &BallTable,
+    reference: impl Fn(VertexId) -> Ball,
+    probes: impl Fn(VertexId) -> Vec<VertexId>,
+) {
     let hash = |id: u32| id.wrapping_mul(SLOT_HASH_MULT);
     // What a scheme retains of the table answers exactly as the table did.
     let ports = table.clone().into_ports();
@@ -315,7 +327,8 @@ fn check_ball_table(g: &Graph, table: &BallTable, reference: impl Fn(VertexId) -
         assert_eq!(view.dists(), Some(&dists[..]), "distances in B({u})");
         assert_eq!(view.radius(), owned.radius());
         assert_eq!(ports.words_at(u), 3 * (owned.members().len() - 1));
-        for v in g.vertices() {
+        let probes = probes(u);
+        for &v in &probes {
             assert_eq!(table.contains(u, v), owned.contains(v), "contains({u}, {v})");
             let port = owned.first_hop(v).and_then(|hop| g.port_to(u, hop));
             assert_eq!(table.first_port(u, v), port);
@@ -346,7 +359,7 @@ fn check_ball_table(g: &Graph, table: &BallTable, reference: impl Fn(VertexId) -
             (next, prev_hash) = (at + 1, Some(hash(id)));
         }
         assert_eq!(region.len(), cap.max(next + 1), "slack in region {u}");
-        for v in g.vertices() {
+        for &v in &probes {
             let h = hash(v.0);
             let probes = region[home(h)..]
                 .iter()
@@ -896,6 +909,47 @@ fn ball_table_answers_every_pair_on_every_family() {
             }
         }
     }
+}
+
+/// The packed slots at every width the graph can ask for: ports in two
+/// bytes around a hub of degree 299, ids in one byte at n = 255 and in two
+/// at n = 256, and in three on a path of 65,536 vertices (ℓ = 2; there
+/// every region's layout is checked whole, its pairs near the centre and at
+/// a stride of 4099). Each answers like the reference search and keeps the
+/// layout `check_ball_table` holds.
+#[test]
+fn ball_table_holds_its_layout_at_every_slot_width() {
+    let mut rng = StdRng::seed_from_u64(67);
+    // A wheel: the hub's degree needs 2-byte ports, its rim is a cycle.
+    let mut wheel = GraphBuilder::new(300);
+    for v in 1..300 {
+        wheel.add_unit_edge(0, v).unwrap();
+        wheel.add_unit_edge(v, v % 299 + 1).unwrap();
+    }
+    let ties = WeightModel::Uniform { lo: 1, hi: 3 };
+    let graphs = [
+        ("wheel", wheel.build(), 4),
+        ("er-255", generators::erdos_renyi(255, 8.0 / 255.0, ties, &mut rng), 2),
+        ("er-256", generators::erdos_renyi(256, 8.0 / 256.0, ties, &mut rng), 3),
+    ];
+    let _guard = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for (name, g, bytes) in &graphs {
+        for ell in [2, 40, g.n()] {
+            let table = ball_table_at(g, ell, 4);
+            assert_eq!(table.slot_bytes(), *bytes, "{name}: bytes a slot");
+            check_ball_table(g, &table, |u| ball(g, u, ell));
+        }
+    }
+    let n = 65_536;
+    let path = generators::path(n);
+    let table = ball_table_at(&path, 2, 4);
+    assert_eq!(table.slot_bytes(), 4, "path: a 3-byte id and a 1-byte port");
+    let probes = |u: VertexId| {
+        let near = u.index().saturating_sub(3)..(u.index() + 4).min(n);
+        near.chain((u.index() % 4099..n).step_by(4099)).map(|v| VertexId(v as u32)).collect()
+    };
+    let reference = |u| routing_graph::reference::ball_hashmap(&path, u, 2);
+    check_ball_table_probing(&path, &table, reference, probes);
 }
 
 /// Property 1 holds along the stored ports, not only along Dijkstra's path:
