@@ -16,14 +16,15 @@
 //! on the stack, so a batch of 1024 distinct destinations allocates no more
 //! than a batch of 1024 queries towards one, at one lane and at two.
 //!
-//! The same allocator also bounds four builds' memory: the ball table's
+//! The same allocator also bounds five builds' memory: the ball table's
 //! peak live bytes, with distances and without (see
 //! `assert_ball_build_peak`), Theorem 15's, whose Lemma 5 hitting set reads
 //! a table without distances in place (see `assert_multilevel_build_peak`),
-//! Theorem 11's, whose table holds no distances either (see
-//! `assert_thm11_build_peak`), and Theorem 16's, whose vicinities must be
-//! built and trimmed before its hierarchy (see
-//! `assert_thm16_build_peak`). And it counts what a cluster family keeps:
+//! Theorem 11's and Theorem 10's, whose peaks are the Lemma 8 and Lemma 7
+//! merges of packed sequence chunks into the sequence store (see
+//! `assert_thm11_build_peak` and `assert_thm10_build_peak`), and Theorem
+//! 16's, whose vicinities must be built and trimmed before its hierarchy
+//! (see `assert_thm16_build_peak`). And it counts what a cluster family keeps:
 //! a fixed number of allocations, however many trees it holds (see
 //! `assert_cluster_family_allocations`).
 //!
@@ -41,12 +42,14 @@ use compact_routing::registry::SchemeRegistry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use routing_baselines::{ExactScheme, Thm16Scheme, TzHierarchy, TzLevels};
-use routing_core::{BuildContext, ClusterFamily, Params, SchemeFivePlusEps, SchemeMultilevel};
+use routing_core::{
+    BuildContext, ClusterFamily, Params, SchemeFivePlusEps, SchemeMultilevel, SchemeTwoPlusEps,
+};
 use routing_graph::generators::{self, Family, WeightModel};
 use routing_graph::{BfsBatch, Graph, SearchScratch, VertexId};
 use routing_model::{simulate, simulate_lean, simulate_lean_with_label, DynScheme, ErasedLabel};
 use routing_serve::{EngineConfig, ShardedEngine};
-use routing_vicinity::{sample_centers_bounded, BallDists, BallTable};
+use routing_vicinity::{sample_centers_bounded, BallDists, BallTable, SlotCodec};
 
 /// Counts every allocation (alloc, alloc_zeroed, realloc) and delegates to
 /// the system allocator. Deallocations are not counted — the guard is about
@@ -330,10 +333,11 @@ fn disabled_telemetry_adds_zero_allocations_to_hot_paths() {
     routing_obs::metrics::reset_counters();
     assert_eq!(checked, 2 * (2 * registry.names().len() - 1), "every key, both graphs but one");
 
-    // (e) Four builds' memory, with the same allocator.
+    // (e) Five builds' memory, with the same allocator.
     assert_ball_build_peak();
     assert_multilevel_build_peak();
     assert_thm11_build_peak();
+    assert_thm10_build_peak();
 }
 
 /// The `t1-er-direct` graph: a unit-weight Erdős–Rényi graph, n = 2000,
@@ -449,17 +453,25 @@ fn assert_multilevel_build_peak() {
     );
 }
 
+/// What a Lemma 7 or Lemma 8 merge holds beside the sequence store it
+/// fills: the build's chunks, whose entries take `width` bytes and whose
+/// sequence ends take 8 — each array under twice its length, since it grew
+/// by doubling — and at most 128 bytes a chunk for the chunk itself and its
+/// arrays' smallest capacities. `counts` is the store's `(pairs, entries)`.
+fn sequence_chunks(width: usize, (pairs, entries): (usize, usize), chunks: usize) -> u64 {
+    (2 * (width * entries + 8 * pairs) + 128 * chunks) as u64
+}
+
 /// `SchemeFivePlusEps::build` on the serve workloads' graph (a weighted
 /// Erdős–Rényi graph, n = 8000, graph seed 13) at ℓ = 180. Its peak is the
 /// Lemma 8 merge at the end of `Technique2Router::build`: the
-/// per-destination sequence chunks and the `(u, w)` rows beside the
-/// sequence store they are copied into, with the ball table's ids still
-/// live. It must stay within the build of a table without distances, or
-/// that table beside what the scheme keeps besides its ports and twice the
-/// sequence store — the chunks and rows take 8 bytes an entry and 32 a
-/// sequence, no more than twice the store's 8 and 8, since every sequence
-/// holds at least two entries. A distance array the build never reads
-/// (8 bytes a member) sits over it.
+/// per-destination sequence chunks (at most one a landmark) and the
+/// `(u, w, row)` list, 24 bytes a pair, beside the sequence store they are
+/// copied into, with the ball table's ids still live. It must stay within
+/// the build of a table without distances, or that table beside what the
+/// scheme keeps besides its ports, the chunks and the list. Chunks of
+/// 8-byte entries, or a distance array the build never reads (8 bytes a
+/// member), sit over it.
 fn assert_thm11_build_peak() {
     const N: usize = 8000;
     routing_par::set_threads(1);
@@ -471,18 +483,54 @@ fn assert_thm11_build_peak() {
         peak_bytes_in(|| SchemeFivePlusEps::build(&g, &params, &mut StdRng::seed_from_u64(7)));
     let kept = LIVE.load(Ordering::Relaxed) - before;
     let scheme = scheme.expect("thm11 builds");
-    let seqs = scheme.sequences_heap_bytes() as u64;
+    let counts = scheme.router().sequence_counts();
+    let width = SlotCodec::for_graph(&g).width();
+    let chunks = sequence_chunks(width, counts, scheme.landmarks().len());
+    let rows = 24 * counts.0 as u64;
     drop(scheme);
     let ell = params.scaled((N as f64).powf(1.0 / 3.0).ceil() as usize, N);
     let (ball_build, table) =
         peak_bytes_in(|| BallTable::build_with_dists(&g, ell, BallDists::Skip));
     let full = table.heap_bytes() as u64;
     let ports = table.into_ports().heap_bytes() as u64;
-    let bound = ball_build.max(full + kept - ports + 2 * seqs);
+    let bound = ball_build.max(full + kept - ports + chunks + rows);
     assert!(
         peak <= bound,
         "thm11 peaked at {peak} bytes over a bound of {bound}: ball build {ball_build}, \
-         table {full} at ℓ = {ell}, kept {kept} of which ports {ports}, sequences {seqs}"
+         table {full} at ℓ = {ell}, kept {kept} of which ports {ports}, chunks {chunks}, \
+         rows {rows}"
+    );
+}
+
+/// `SchemeTwoPlusEps::build` on the `t1-er-direct` graph, the workload's
+/// peak scheme. Its peak is the Lemma 7 merge at the end of
+/// `Technique1Router::build`: the sequence chunks (one per batch of 64
+/// sources) beside the sequence store they are copied into, with the ball
+/// table's ids and distances still live. It must stay within the build of
+/// that table, or the table beside what the scheme keeps besides its ports
+/// and the chunks. Chunks of 8-byte entries sit over it.
+fn assert_thm10_build_peak() {
+    routing_par::set_threads(1);
+    let g = t1_graph();
+    let params = Params::default();
+    let before = LIVE.load(Ordering::Relaxed);
+    let (peak, scheme) =
+        peak_bytes_in(|| SchemeTwoPlusEps::build(&g, &params, &mut StdRng::seed_from_u64(7)));
+    let kept = LIVE.load(Ordering::Relaxed) - before;
+    let scheme = scheme.expect("thm10 builds");
+    let (n, width) = (g.n(), SlotCodec::for_graph(&g).width());
+    let chunks = sequence_chunks(width, scheme.router().sequence_counts(), n.div_ceil(64));
+    let ell = params.scaled(scheme.q() as usize, n);
+    drop(scheme);
+    let (ball_build, table) =
+        peak_bytes_in(|| BallTable::build_with_dists(&g, ell, BallDists::Keep));
+    let full = table.heap_bytes() as u64;
+    let ports = table.into_ports().heap_bytes() as u64;
+    let bound = ball_build.max(full + kept - ports + chunks);
+    assert!(
+        peak <= bound,
+        "thm10 peaked at {peak} bytes over a bound of {bound}: ball build {ball_build}, \
+         table {full} at ℓ = {ell}, kept {kept} of which ports {ports}, chunks {chunks}"
     );
 }
 

@@ -175,6 +175,11 @@ impl SchemeTwoPlusEps {
         &self.clusters.landmarks
     }
 
+    /// The Lemma 7 router, whose sequences every vertex stores.
+    pub fn router(&self) -> &Technique1Router {
+        &self.router
+    }
+
     /// The global tree `T(a)` of landmark `a` — one binary search over the
     /// id-sorted landmark list, no hash table.
     fn global_tree(&self, a: VertexId) -> Option<TreeView<'_>> {

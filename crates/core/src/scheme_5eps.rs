@@ -201,10 +201,9 @@ impl SchemeFivePlusEps {
         self.vic.heap_bytes()
     }
 
-    /// Bytes of heap the Lemma 8 sequences hold, by capacity: 8 a vertex, 8
-    /// a pair and 8 an entry.
-    pub fn sequences_heap_bytes(&self) -> usize {
-        self.router.sequences_heap_bytes()
+    /// The Lemma 8 router, whose sequences every vertex stores.
+    pub fn router(&self) -> &Technique2Router {
+        &self.router
     }
 
     /// The color (source-partition set) of vertex `v`.

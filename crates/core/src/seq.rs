@@ -15,20 +15,24 @@
 //! (`walk_round`), forward on an entry the same way (`SeqEntry::forward`)
 //! and keep what a vertex stores per destination in the same flat table,
 //! `SeqStore`: a `KeyedStore` CSR whose value for a pair is the end of its
-//! entries in one arena of 8-byte `PackedEntry`s (the vertex, and the port
-//! of an edge hop or `u32::MAX` for a ball hop). A pair costs 8 bytes — its
-//! key and its end — and an entry 8 bytes; no sequence is a heap object of
-//! its own. The builders append each task's sequences to a `SeqChunk` of
-//! arena entries, and the store concatenates the chunks once. A header
-//! carries a sequence as a `SeqCursor` — where its row starts in the arena,
-//! how long it is, and which entry is the current target — and reads one
-//! entry at a time; the words it is charged are the sequence's.
+//! entries in one arena of packed entries. An entry is a `[vertex, port]`
+//! slot of the ball table's `SlotCodec`, at the graph's width: the vertex in
+//! the bytes `n` needs, the port of an edge hop in the bytes the largest
+//! degree needs, and the port field's all-ones sentinel for a ball hop.
+//! Destination keys are packed the same way, at the id width. On a graph of
+//! up to 65,535 vertices and degree 255 a vertex costs 8 bytes, a pair 6 —
+//! its 2-byte key and its 4-byte end — and an entry 3; no sequence is a heap
+//! object of its own. The builders append each task's sequences, packed by
+//! the same codec, to a `SeqChunk`, and the store concatenates the chunks
+//! once. A header carries a sequence as a `SeqCursor` — where its row starts
+//! in the arena, how long it is, and which entry is the current target — and
+//! reads one entry at a time; the words it is charged are the sequence's.
 
 use serde::{Deserialize, Serialize};
 
 use routing_graph::{Graph, Port, VertexId};
 use routing_model::{Decision, RouteError};
-use routing_vicinity::{BallPorts, BallTable};
+use routing_vicinity::{BallPorts, BallTable, SlotCodec, SLOT_PAD};
 
 use crate::BuildError;
 
@@ -61,6 +65,18 @@ impl SeqEntry {
     /// An edge-hop entry over `port` (the port lives at the previous target).
     pub fn edge(vertex: VertexId, port: Port) -> Self {
         SeqEntry { vertex, hop: HopKind::Edge(port) }
+    }
+
+    /// The entry as a [`SlotCodec`] packs it: the vertex, and the port of an
+    /// edge hop or [`BALL_HOP`] for a ball hop.
+    fn slot(self) -> [u32; 2] {
+        match self.hop {
+            HopKind::Ball => [self.vertex.0, BALL_HOP],
+            HopKind::Edge(port) => {
+                debug_assert!(port.0 != BALL_HOP, "port {} is the ball-hop marker", port.0);
+                [self.vertex.0, port.0]
+            }
+        }
     }
 
     /// Size of one entry in `O(log n)`-bit words (vertex + hop descriptor).
@@ -134,42 +150,28 @@ impl SeqCursor {
     }
 }
 
-/// The port field of a [`PackedEntry`] that makes it a ball hop.
+/// The port of a packed entry that makes it a ball hop: what the codec's
+/// port sentinel decodes to.
 const BALL_HOP: u32 = u32::MAX;
 
-/// A temporary target as [`SeqStore`]'s arena holds it, in 8 bytes: the
-/// vertex, and the port of an edge hop or [`BALL_HOP`] for a ball hop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct PackedEntry {
-    vertex: u32,
-    port: u32,
+/// The entry a decoded `[vertex, port]` slot holds.
+#[inline]
+fn decode_entry([vertex, port]: [u32; 2]) -> SeqEntry {
+    let hop = if port == BALL_HOP { HopKind::Ball } else { HopKind::Edge(Port(port)) };
+    SeqEntry { vertex: VertexId(vertex), hop }
 }
 
-impl PackedEntry {
-    /// A ball hop to `vertex`.
-    pub(crate) fn ball(vertex: VertexId) -> Self {
-        PackedEntry { vertex: vertex.0, port: BALL_HOP }
-    }
-
-    /// An edge hop to `vertex` over `port`.
-    pub(crate) fn edge(vertex: VertexId, port: Port) -> Self {
-        debug_assert!(port.0 != BALL_HOP, "port {} is the ball-hop marker", port.0);
-        PackedEntry { vertex: vertex.0, port: port.0 }
-    }
-
-    /// The entry as a header carries it.
-    #[inline]
-    pub(crate) fn decode(self) -> SeqEntry {
-        let hop =
-            if self.port == BALL_HOP { HopKind::Ball } else { HopKind::Edge(Port(self.port)) };
-        SeqEntry { vertex: VertexId(self.vertex), hop }
-    }
-}
-
-/// A stored sequence, decoded.
-#[cfg(test)]
-pub(crate) fn decode(entries: &[PackedEntry]) -> Vec<SeqEntry> {
-    entries.iter().map(|e| e.decode()).collect()
+/// The entries of `row`, packed by `codec` back to back with no pad after
+/// them — a row of a [`SeqChunk`] — decoded one window at a time.
+pub(crate) fn decode_packed(
+    codec: SlotCodec,
+    row: &[u8],
+) -> impl DoubleEndedIterator<Item = SeqEntry> + '_ {
+    row.chunks_exact(codec.width()).filter_map(move |packed| {
+        let mut window = [0; SLOT_PAD];
+        window.get_mut(..packed.len())?.copy_from_slice(packed);
+        codec.decode(&window, 0).map(decode_entry)
+    })
 }
 
 /// One round of the walk Lemmas 7 and 8 share, from `xi = path[pos]` along
@@ -188,7 +190,7 @@ pub(crate) fn walk_round(
     balls: &BallTable,
     path: &[VertexId],
     pos: usize,
-    entries: &mut Vec<PackedEntry>,
+    chunk: &mut SeqChunk,
 ) -> Result<Option<usize>, BuildError> {
     let (Some(&xi), Some(&dest)) = (path.get(pos), path.last()) else {
         return Err(BuildError::Inconsistent {
@@ -196,7 +198,7 @@ pub(crate) fn walk_round(
         });
     };
     if balls.contains(xi, dest) {
-        entries.push(PackedEntry::ball(dest));
+        chunk.push(SeqEntry::ball(dest));
         return Ok(None);
     }
     // `zi` exists: the destination, the last path vertex, is outside
@@ -204,7 +206,7 @@ pub(crate) fn walk_round(
     let last = path.len() - 1;
     let next = (pos + 1..last).find(|&k| !balls.contains(xi, path[k])).unwrap_or(last);
     if next == last {
-        push_hops(g, path, pos, next, entries)?;
+        push_hops(g, path, pos, next, chunk)?;
         return Ok(None);
     }
     Ok(Some(next))
@@ -223,7 +225,7 @@ pub(crate) fn push_hops(
     path: &[VertexId],
     pos: usize,
     next: usize,
-    entries: &mut Vec<PackedEntry>,
+    chunk: &mut SeqChunk,
 ) -> Result<usize, BuildError> {
     let Some(round @ [.., yi, zi]) = path.get(pos..=next) else {
         return Err(BuildError::Inconsistent {
@@ -236,28 +238,52 @@ pub(crate) fn push_hops(
     let port = g.port_to(*yi, *zi).ok_or_else(|| BuildError::Inconsistent {
         what: format!("consecutive path vertices {yi} and {zi} are not adjacent"),
     })?;
-    let before = entries.len();
+    let mut pushed = 1;
     if *yi != round[0] {
-        entries.push(PackedEntry::ball(*yi));
+        chunk.push(SeqEntry::ball(*yi));
+        pushed += 1;
     }
-    entries.push(PackedEntry::edge(*zi, port));
-    Ok(entries.len() - before)
+    chunk.push(SeqEntry::edge(*zi, port));
+    Ok(pushed)
 }
 
-/// One build task's sequences back to back, in arena form: sequence `k` is
-/// `entries[ends[k - 1]..ends[k]]` (from `0` for the first). A builder
-/// appends a sequence's entries to `entries`, then [`close`](Self::close)s
-/// it.
-#[derive(Debug, Default)]
+/// One build task's sequences back to back, in arena form: entries packed
+/// by the build's codec, sequence `k` in `bytes[ends[k - 1]..ends[k]]`
+/// (from `0` for the first). A builder [`push`](Self::push)es a sequence's
+/// entries, then [`close`](Self::close)s it.
+#[derive(Debug)]
 pub(crate) struct SeqChunk {
-    pub(crate) entries: Vec<PackedEntry>,
+    codec: SlotCodec,
+    bytes: Vec<u8>,
     ends: Vec<usize>,
+    /// Every entry pushed, unpacked: the reference the tests hold the
+    /// packed rows to.
+    #[cfg(test)]
+    pub(crate) pushed: Vec<SeqEntry>,
 }
 
 impl SeqChunk {
+    /// An empty chunk whose entries `codec` packs.
+    pub(crate) fn new(codec: SlotCodec) -> Self {
+        SeqChunk {
+            codec,
+            bytes: Vec::new(),
+            ends: Vec::new(),
+            #[cfg(test)]
+            pushed: Vec::new(),
+        }
+    }
+
+    /// Appends `entry` to the open sequence.
+    pub(crate) fn push(&mut self, entry: SeqEntry) {
+        self.codec.encode(entry.slot(), &mut self.bytes);
+        #[cfg(test)]
+        self.pushed.push(entry);
+    }
+
     /// Ends the sequence appended since the last close.
     pub(crate) fn close(&mut self) {
-        self.ends.push(self.entries.len());
+        self.ends.push(self.bytes.len());
     }
 
     /// How many sequences the chunk holds.
@@ -265,31 +291,35 @@ impl SeqChunk {
         self.ends.len()
     }
 
-    /// The chunk's sequences, in the order they were closed.
-    pub(crate) fn sequences(&self) -> impl Iterator<Item = &[PackedEntry]> + Clone + '_ {
+    /// The chunk's sequences, packed, in the order they were closed.
+    pub(crate) fn sequences(&self) -> impl Iterator<Item = &[u8]> + Clone + '_ {
         let starts = std::iter::once(0).chain(self.ends.iter().copied());
-        starts.zip(&self.ends).map(|(lo, &hi)| &self.entries[lo..hi])
+        starts.zip(&self.ends).map(|(lo, &hi)| &self.bytes[lo..hi])
     }
 }
 
 /// What every vertex stores per destination, as one flat table: a CSR slot
 /// per vertex `u` with id-sorted destination keys, in the
 /// `BallTable`/`FlatBunches` style. A lookup is one binary search over
-/// `u`'s contiguous slot; the resident memory is three flat arrays, no
-/// hashing anywhere.
+/// `u`'s contiguous slot, decoding a key per probe; the resident memory is
+/// three flat arrays, no hashing anywhere.
 #[derive(Debug, Clone)]
 pub(crate) struct KeyedStore<T> {
     /// `offsets[u] .. offsets[u + 1]` delimits `u`'s slot.
     offsets: Vec<usize>,
-    /// Destination keys, id-sorted within each slot.
-    keys: Vec<VertexId>,
-    /// `values[i]` belongs to `keys[i]`.
+    /// Destination keys, id-sorted within each slot, packed by `codec`, with
+    /// [`SLOT_PAD`] zero bytes at the end.
+    keys: Vec<u8>,
+    /// The bare ids of `0..n` ([`SlotCodec::for_ids`]).
+    codec: SlotCodec,
+    /// `values[i]` belongs to key `i`.
     values: Vec<T>,
 }
 
 impl<T> KeyedStore<T> {
     /// Builds the store over vertices `0..n` from `(u, key, value)` rows
-    /// that arrive sorted by `(u, key)`, every pair at most once.
+    /// that arrive sorted by `(u, key)`, every pair at most once, every key
+    /// in `0..n`.
     pub(crate) fn from_sorted(
         n: usize,
         rows: impl IntoIterator<Item = (VertexId, VertexId, T)>,
@@ -306,33 +336,54 @@ impl<T> KeyedStore<T> {
         pairs: usize,
         rows: impl Iterator<Item = (VertexId, VertexId, T)>,
     ) -> Self {
+        let codec = SlotCodec::for_ids(n);
         let mut offsets = vec![0usize; n + 1];
-        let mut keys = Vec::with_capacity(pairs);
+        let mut keys = Vec::with_capacity(pairs * codec.width() + SLOT_PAD);
         let mut values = Vec::with_capacity(pairs);
         let mut last = None;
         for (u, key, value) in rows {
             debug_assert!(last < Some((u, key)), "rows must be strictly sorted by (u, key)");
+            debug_assert!(key.index() < n, "key {key} is not a vertex of 0..{n}");
             last = Some((u, key));
             offsets[u.index() + 1] += 1;
-            keys.push(key);
+            codec.encode([key.0, 0], &mut keys);
             values.push(value);
         }
         for u in 0..n {
             offsets[u + 1] += offsets[u];
         }
+        keys.extend_from_slice(&[0; SLOT_PAD]);
         // The tables are kept for the scheme's lifetime: no growth slack.
         keys.shrink_to_fit();
         values.shrink_to_fit();
-        KeyedStore { offsets, keys, values }
+        KeyedStore { offsets, keys, codec, values }
+    }
+
+    /// Key `i` of the store, decoded.
+    #[inline]
+    fn decode_key(&self, i: usize) -> Option<u32> {
+        Some(self.codec.decode(&self.keys, i)?[0])
     }
 
     /// The position in the store of what `u` stores for `key`, if
-    /// anything. A `u` outside `0..n` stores nothing.
+    /// anything. A `u` or `key` outside `0..n` stores nothing: the range
+    /// check comes before any key is masked to the packed width.
     #[inline]
     fn get_index(&self, u: VertexId, key: VertexId) -> Option<usize> {
-        let lo = *self.offsets.get(u.index())?;
-        let hi = *self.offsets.get(u.index() + 1)?;
-        self.keys.get(lo..hi)?.binary_search(&key).ok().map(|i| lo + i)
+        if key.index() >= self.offsets.len().saturating_sub(1) {
+            return None;
+        }
+        let mut lo = *self.offsets.get(u.index())?;
+        let mut hi = *self.offsets.get(u.index() + 1)?;
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.decode_key(mid)?.cmp(&key.0) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+                std::cmp::Ordering::Equal => return Some(mid),
+            }
+        }
+        None
     }
 
     /// What `u` stores for `key`, if anything. A `u` outside `0..n` stores
@@ -350,7 +401,7 @@ impl<T> KeyedStore<T> {
     /// Heap bytes held, by capacity.
     pub(crate) fn heap_bytes(&self) -> usize {
         std::mem::size_of::<usize>() * self.offsets.capacity()
-            + std::mem::size_of::<VertexId>() * self.keys.capacity()
+            + self.keys.capacity()
             + std::mem::size_of::<T>() * self.values.capacity()
     }
 }
@@ -358,54 +409,57 @@ impl<T> KeyedStore<T> {
 /// The Lemma 7 or Lemma 8 sequence every vertex stores per destination, as
 /// one [`KeyedStore`] over one arena: the value of a pair is the end of its
 /// entries in `arena`, and they start where the previous pair's — in
-/// `(u, key)` order — end. 8 bytes a vertex, 8 a pair and 8 an entry.
+/// `(u, key)` order — end. 8 bytes a vertex, a packed key and 4 bytes a
+/// pair, and one packed slot an entry: 8, 6 and 3 on graphs of up to 65,535
+/// vertices and degree 255.
 #[derive(Debug, Clone)]
 pub(crate) struct SeqStore {
     ends: KeyedStore<u32>,
-    arena: Vec<PackedEntry>,
+    /// The entries, packed by `codec`, with [`SLOT_PAD`] zero bytes at the
+    /// end.
+    arena: Vec<u8>,
+    codec: SlotCodec,
 }
 
 impl SeqStore {
     /// Builds the store over vertices `0..n` from `(u, key, entries)` rows
-    /// that arrive sorted by `(u, key)`, every pair at most once. A first
-    /// pass counts the rows and their entries, so every array is allocated
-    /// once, at its final size.
+    /// that arrive sorted by `(u, key)`, every pair at most once, each row
+    /// packed by `codec`. A first pass counts the rows and their bytes, so
+    /// every array is allocated once, at its final size.
     ///
     /// # Errors
     ///
     /// [`BuildError::BadParameter`] when the entries outnumber what a `u32`
     /// end offset addresses.
-    pub(crate) fn from_sorted<'a, I>(n: usize, rows: I) -> Result<Self, BuildError>
+    pub(crate) fn from_sorted<'a, I>(
+        codec: SlotCodec,
+        n: usize,
+        rows: I,
+    ) -> Result<Self, BuildError>
     where
-        I: IntoIterator<Item = (VertexId, VertexId, &'a [PackedEntry])>,
+        I: IntoIterator<Item = (VertexId, VertexId, &'a [u8])>,
         I::IntoIter: Clone,
     {
         let rows = rows.into_iter();
-        let (pairs, total) = rows.clone().fold((0, 0), |(p, e), (_, _, s)| (p + 1, e + s.len()));
+        let (pairs, bytes) = rows.clone().fold((0, 0), |(p, b), (_, _, s)| (p + 1, b + s.len()));
+        let total = bytes / codec.width();
         if u32::try_from(total).is_err() {
             return Err(BuildError::BadParameter {
                 what: format!("{total} sequence entries exceed a u32 arena offset"),
             });
         }
-        let mut arena = Vec::with_capacity(total);
+        let mut arena = Vec::with_capacity(bytes + SLOT_PAD);
         let rows = rows.map(|(u, key, entries)| {
             arena.extend_from_slice(entries);
-            (u, key, arena.len() as u32)
+            (u, key, (arena.len() / codec.width()) as u32)
         });
         let ends = KeyedStore::from_sorted_reserving(n, pairs, rows);
-        Ok(SeqStore { ends, arena })
-    }
-
-    /// The entries `u` stores for `key`, if any. A `u` outside `0..n`
-    /// stores nothing.
-    #[inline]
-    pub(crate) fn get(&self, u: VertexId, key: VertexId) -> Option<&[PackedEntry]> {
-        let c = self.cursor(u, key)?;
-        self.arena.get(c.start as usize..(c.start + c.len) as usize)
+        arena.extend_from_slice(&[0; SLOT_PAD]);
+        Ok(SeqStore { ends, arena, codec })
     }
 
     /// A cursor on the first entry of what `u` stores for `key`, if
-    /// anything.
+    /// anything. A `u` or `key` outside `0..n` stores nothing.
     #[inline]
     pub(crate) fn cursor(&self, u: VertexId, key: VertexId) -> Option<SeqCursor> {
         let i = self.ends.get_index(u, key)?;
@@ -417,21 +471,37 @@ impl SeqStore {
         Some(SeqCursor { start, len: end.checked_sub(start)?, idx: 0 })
     }
 
+    /// Entry `i` of the arena, or `None` past the last one (into the pad).
+    #[inline]
+    fn decode_at(&self, i: usize) -> Option<SeqEntry> {
+        if (i + 1) * self.codec.width() + SLOT_PAD > self.arena.len() {
+            return None;
+        }
+        self.codec.decode(&self.arena, i).map(decode_entry)
+    }
+
     /// The entry at the cursor's index: the current temporary target of a
     /// header at `at`. A cursor past its row — on the empty sequence, or
     /// one this store did not make — is [`RouteError::MissingInformation`].
     #[inline]
     pub(crate) fn entry(&self, at: VertexId, c: SeqCursor) -> Result<SeqEntry, RouteError> {
-        let slot = (c.idx < c.len).then(|| self.arena.get((c.start + c.idx) as usize)).flatten();
-        slot.map(|e| e.decode()).ok_or_else(|| RouteError::MissingInformation {
+        let i = c.start as usize + c.idx as usize;
+        let entry = (c.idx < c.len).then(|| self.decode_at(i)).flatten();
+        entry.ok_or_else(|| RouteError::MissingInformation {
             at,
             what: format!("the header's sequence cursor {c:?} is off its row"),
         })
     }
 
+    /// `(pairs, entries)` stored.
+    pub(crate) fn counts(&self) -> (usize, usize) {
+        let bytes = self.arena.len() - SLOT_PAD;
+        (self.ends.values.len(), bytes / self.codec.width())
+    }
+
     /// Heap bytes held, by capacity.
     pub(crate) fn heap_bytes(&self) -> usize {
-        self.ends.heap_bytes() + std::mem::size_of::<PackedEntry>() * self.arena.capacity()
+        self.ends.heap_bytes() + self.arena.capacity()
     }
 }
 
@@ -439,18 +509,26 @@ impl SeqStore {
 impl SeqStore {
     /// Every entry of a cursor's sequence, decoded.
     pub(crate) fn decode_row(&self, c: SeqCursor) -> Vec<SeqEntry> {
-        decode(&self.arena[c.start as usize..(c.start + c.len) as usize])
+        (c.start..c.start + c.len).map(|i| self.decode_at(i as usize).unwrap()).collect()
+    }
+
+    /// Every entry `u` stores for `key`, decoded, if it stores any.
+    pub(crate) fn decoded(&self, u: VertexId, key: VertexId) -> Option<Vec<SeqEntry>> {
+        self.cursor(u, key).map(|c| self.decode_row(c))
     }
 
     /// `(pairs, entries)` stored, after checking that every array's
-    /// capacity is its length.
+    /// capacity is its length and that the keys and arena end in their
+    /// pads.
     pub(crate) fn tight_sizes(&self) -> (usize, usize) {
-        let KeyedStore { offsets, keys, values } = &self.ends;
+        let KeyedStore { offsets, keys, values, .. } = &self.ends;
         assert_eq!(offsets.capacity(), offsets.len(), "offsets");
         assert_eq!(keys.capacity(), keys.len(), "keys");
         assert_eq!(values.capacity(), values.len(), "ends");
         assert_eq!(self.arena.capacity(), self.arena.len(), "arena");
-        (keys.len(), self.arena.len())
+        assert!(keys.ends_with(&[0; SLOT_PAD]) && self.arena.ends_with(&[0; SLOT_PAD]), "pads");
+        assert_eq!(keys.len(), values.len() * self.ends.codec.width() + SLOT_PAD, "keys");
+        self.counts()
     }
 }
 
@@ -470,14 +548,39 @@ mod tests {
         assert_eq!(sequence_words(&[]), 0);
     }
 
+    /// A codec whose entries take 3 bytes: 2-byte ids (n = 300) and 1-byte
+    /// ports, and the path it is read from.
+    fn three_byte_codec() -> (Graph, SlotCodec) {
+        let g = generators::path(300);
+        let codec = SlotCodec::for_graph(&g);
+        assert_eq!(codec.width(), 3, "a 2-byte id and a 1-byte port");
+        (g, codec)
+    }
+
+    /// Every entry packs into the codec's width and decodes back to itself,
+    /// the largest vertex and the ports beside the ball-hop sentinel
+    /// included, from a chunk row and from the store's arena alike.
     #[test]
     fn packed_entries_decode_to_what_they_encode() {
-        assert_eq!(std::mem::size_of::<PackedEntry>(), 8);
-        let v = VertexId(u32::MAX - 1);
-        assert_eq!(PackedEntry::ball(v).decode(), SeqEntry::ball(v));
-        for port in [0, 7, u32::MAX - 1] {
-            assert_eq!(PackedEntry::edge(v, Port(port)).decode(), SeqEntry::edge(v, Port(port)));
+        let (_, codec) = three_byte_codec();
+        let v = VertexId(299);
+        let entries = [
+            SeqEntry::ball(v),
+            SeqEntry::edge(v, Port(0)),
+            SeqEntry::edge(VertexId(0), Port(254)),
+            SeqEntry::ball(VertexId(0)),
+        ];
+        let mut chunk = SeqChunk::new(codec);
+        for e in entries {
+            chunk.push(e);
         }
+        chunk.close();
+        assert_eq!(chunk.bytes.len(), 3 * entries.len());
+        let rows: Vec<&[u8]> = chunk.sequences().collect();
+        assert_eq!(decode_packed(codec, rows[0]).collect::<Vec<_>>(), entries);
+        assert_eq!(decode_packed(codec, rows[0]).next_back(), entries.last().copied());
+        let store = SeqStore::from_sorted(codec, 300, [(VertexId(1), v, rows[0])]).unwrap();
+        assert_eq!(store.decoded(VertexId(1), v), Some(entries.to_vec()));
     }
 
     #[test]
@@ -493,36 +596,40 @@ mod tests {
         assert_eq!(store.get(v(3), v(0)), None, "last vertex, empty slot");
         assert_eq!(store.get(v(4), v(0)), None, "a vertex of another instance");
         assert_eq!([0, 1, 2, 3].map(|u| store.slot_len(v(u))), [2, 0, 1, 0]);
-        assert_eq!(store.heap_bytes(), 8 * 5 + 4 * 3 + 4 * 3);
+        // 1-byte keys and their pad, 4-byte chars.
+        assert_eq!(store.heap_bytes(), 8 * 5 + (3 + SLOT_PAD) + 4 * 3);
     }
 
     /// Each pair reads back exactly its own entries, from chunks cut at
-    /// arbitrary places, and the arrays hold no slack.
+    /// arbitrary places, and the arrays hold no slack: 8 bytes a vertex, a
+    /// 2-byte key and a 4-byte end a pair, 3 bytes an entry, and the two
+    /// pads.
     #[test]
     fn seq_store_reads_back_every_pair_from_its_chunks() {
         let v = VertexId;
-        let (b, e) = (PackedEntry::ball, PackedEntry::edge);
-        let seqs: [&[PackedEntry]; 4] = [
-            &[b(v(5)), e(v(6), Port(2))],
+        let (g, codec) = three_byte_codec();
+        let (b, e) = (SeqEntry::ball, SeqEntry::edge);
+        let seqs: [&[SeqEntry]; 4] = [
+            &[b(v(5)), e(v(6), Port(1))],
             &[b(v(1))],
             &[e(v(3), Port(0)), b(v(4)), e(v(0), Port(1))],
             &[],
         ];
         let keys = [(v(0), v(1)), (v(0), v(6)), (v(3), v(0)), (v(3), v(2))];
-        let mut chunks = [SeqChunk::default(), SeqChunk::default()];
+        let mut chunks = [SeqChunk::new(codec), SeqChunk::new(codec)];
         for (k, s) in seqs.iter().enumerate() {
             let chunk = &mut chunks[usize::from(k > 0)];
-            chunk.entries.extend_from_slice(s);
+            for &entry in *s {
+                chunk.push(entry);
+            }
             chunk.close();
         }
         assert_eq!(chunks.each_ref().map(SeqChunk::len), [1, 3]);
         let stored = chunks.iter().flat_map(SeqChunk::sequences);
         let rows = keys.iter().zip(stored).map(|(&(u, key), s)| (u, key, s));
-        let store = SeqStore::from_sorted(5, rows).unwrap();
-        for (&(u, key), s) in keys.iter().zip(seqs) {
-            assert_eq!(store.get(u, key), Some(s), "({u}, {key})");
+        let store = SeqStore::from_sorted(codec, g.n(), rows).unwrap();
+        for (&(u, key), want) in keys.iter().zip(seqs) {
             let c = store.cursor(u, key).unwrap();
-            let want: Vec<SeqEntry> = s.iter().map(|e| e.decode()).collect();
             assert_eq!(store.decode_row(c), want, "({u}, {key})");
             // Stepping the cursor reads the row entry by entry, then nothing.
             let read: Vec<SeqEntry> = (0..=c.len() as u32)
@@ -530,12 +637,65 @@ mod tests {
                 .collect();
             assert_eq!(read, want, "({u}, {key})");
             assert_eq!(store.entry(u, c.last()).ok(), want.last().copied(), "({u}, {key})");
-            assert_eq!(c.words(), sequence_words(&want));
+            assert_eq!(c.words(), sequence_words(want));
         }
-        assert_eq!(store.get(v(0), v(2)), None);
-        assert_eq!(store.get(v(5), v(0)), None, "a vertex of another instance");
+        assert_eq!(store.cursor(v(0), v(2)), None);
+        assert_eq!(store.cursor(v(300), v(0)), None, "a vertex of another instance");
         assert_eq!(store.tight_sizes(), (4, 6));
-        assert_eq!(store.heap_bytes(), 8 * 6 + 8 * 4 + 8 * 6);
+        assert_eq!(store.heap_bytes(), 8 * 301 + (2 + 4) * 4 + 3 * 6 + 2 * SLOT_PAD);
+    }
+
+    /// On a store of 1-byte keys, an id that masks down to a stored key
+    /// (`256 + k`, or the narrow sentinel `0xFF`), a source outside `0..n`
+    /// and a cursor of another store whose entry lies past this store's
+    /// arena all miss, without panicking and without matching: the range
+    /// checks come before any key is masked, and a cursor is checked against
+    /// this store's arena, not its pad.
+    #[test]
+    fn hostile_keys_and_cursors_miss_instead_of_panicking_or_matching() {
+        let v = VertexId;
+        let g = generators::cycle(12);
+        let codec = SlotCodec::for_graph(&g);
+        assert_eq!((SlotCodec::for_ids(g.n()).width(), codec.width()), (1, 2));
+        let mut chunk = SeqChunk::new(codec);
+        let keys = [(v(0), v(3)), (v(0), v(6)), (v(5), v(11))];
+        for &(_, key) in &keys {
+            chunk.push(SeqEntry::ball(key));
+            chunk.close();
+        }
+        let rows = keys.iter().zip(chunk.sequences()).map(|(&(u, key), s)| (u, key, s));
+        let store = SeqStore::from_sorted(codec, g.n(), rows).unwrap();
+        // A larger store: a 40-entry row, then a row that starts past the
+        // small store's arena.
+        let (big_g, big_codec) = three_byte_codec();
+        let mut big = SeqChunk::new(big_codec);
+        for len in [40, 3] {
+            for k in 0..len {
+                big.push(SeqEntry::edge(v(k), Port(1)));
+            }
+            big.close();
+        }
+        let big_keys = [(v(298), v(297)), (v(299), v(298))];
+        let rows = big_keys.iter().zip(big.sequences()).map(|(&(u, key), s)| (u, key, s));
+        let big = SeqStore::from_sorted(big_codec, big_g.n(), rows).unwrap();
+        let (long, foreign) =
+            (big.cursor(v(298), v(297)).unwrap(), big.cursor(v(299), v(298)).unwrap());
+        for &(u, key) in &keys {
+            let c = store.cursor(u, key).unwrap();
+            assert_eq!(store.entry(u, c).ok(), Some(SeqEntry::ball(key)));
+            for hostile in [v(256 + key.0), v(0xFF), v(12), v(u32::MAX)] {
+                assert_eq!(store.cursor(u, hostile), None, "({u}, {hostile})");
+                assert_eq!(store.ends.get(u, hostile), None, "({u}, {hostile})");
+                assert_eq!(store.cursor(hostile, key), None, "({hostile}, {key})");
+                assert_eq!(store.ends.get(hostile, key), None, "({hostile}, {key})");
+            }
+        }
+        for c in [foreign, foreign.last(), SeqCursor { idx: 3, ..long }, long.last()] {
+            assert!(store.entry(v(0), c).is_err(), "{c:?}");
+        }
+        let wild = SeqCursor { start: u32::MAX, len: u32::MAX, idx: u32::MAX - 1 };
+        assert!(store.entry(v(0), wild).is_err());
+        assert!(store.entry(v(0), SeqCursor::default()).is_err(), "the empty sequence");
     }
 
     /// A round over a path whose last step is not an edge of the graph is
@@ -544,14 +704,14 @@ mod tests {
     fn rounds_over_an_inconsistent_path_are_errors() {
         let g = generators::path(10);
         let balls = BallTable::build(&g, 2);
-        let mut entries = Vec::new();
+        let mut chunk = SeqChunk::new(SlotCodec::for_graph(&g));
         let bad = [VertexId(0), VertexId(5)];
-        let err = walk_round(&g, &balls, &bad, 0, &mut entries).unwrap_err();
+        let err = walk_round(&g, &balls, &bad, 0, &mut chunk).unwrap_err();
         assert!(matches!(err, BuildError::Inconsistent { .. }), "{err}");
-        let err = walk_round(&g, &balls, &bad, 2, &mut entries).unwrap_err();
+        let err = walk_round(&g, &balls, &bad, 2, &mut chunk).unwrap_err();
         assert!(matches!(err, BuildError::Inconsistent { .. }), "{err}");
-        let err = push_hops(&g, &bad, 1, 1, &mut entries).unwrap_err();
+        let err = push_hops(&g, &bad, 1, 1, &mut chunk).unwrap_err();
         assert!(matches!(err, BuildError::Inconsistent { .. }), "{err}");
-        assert!(entries.is_empty(), "nothing was appended");
+        assert!(chunk.bytes.is_empty(), "nothing was appended");
     }
 }

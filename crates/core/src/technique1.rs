@@ -13,8 +13,9 @@
 //! bytes `T(w)`'s light-port table already holds, so it is not stored twice:
 //! [`Technique1Router::start`] reads it from `T(w)` when the sequence's last
 //! target is not the destination, which happens exactly when the sequence
-//! stopped early. The sequences themselves are one `SeqStore` arena, 8
-//! bytes a pair and 8 an entry, and a header carries its sequence as a
+//! stopped early. The sequences themselves are one `SeqStore` arena, packed
+//! at the graph's width — on graphs of up to 65,535 vertices and degree 255,
+//! 6 bytes a pair and 3 an entry — and a header carries its sequence as a
 //! cursor into that arena and the tree label as a view into `T(w)`'s table.
 //! A sequence reads only a shortest `u`–`v` path and the distance from `u`
 //! to each vertex on it, so one search per source serves all its set's
@@ -35,9 +36,9 @@ use routing_graph::scratch::BFS_BATCH_WIDTH;
 use routing_graph::{BfsBatch, Graph, SearchScratch, VertexId, Weight};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
 use routing_tree::{TreeForest, TreeLabelView, TreeView};
-use routing_vicinity::{hitting_set_greedy, BallPorts, BallTable};
+use routing_vicinity::{hitting_set_greedy, BallPorts, BallTable, SlotCodec};
 
-use crate::seq::{push_hops, walk_round, PackedEntry, SeqChunk, SeqCursor, SeqEntry, SeqStore};
+use crate::seq::{decode_packed, push_hops, walk_round, SeqChunk, SeqCursor, SeqEntry, SeqStore};
 use crate::stages;
 use crate::{BuildError, Params};
 
@@ -123,24 +124,25 @@ impl Technique1Router {
         // independent of the kernel and of the thread count.
         let by_set = sort_by_set(&set_of);
         let sources = same_set_sources(&by_set, &set_of);
-        let walk = SeqBuilder { g, balls, b, hitting: &hitting };
+        let codec = SlotCodec::for_graph(g);
+        let walk = SeqBuilder { g, balls, b, hitting: &hitting, codec };
         let chunks = match BfsBatch::for_graph(g) {
             Some(batch) => walk.by_batch_bfs(batch, &sources),
             None => walk.by_dijkstra(&sources),
         }?;
-        Self::assemble(g.n(), set_of, hitting, trees, &sources, &chunks, b)
+        Self::assemble(codec, set_of, hitting, trees, &sources, &chunks, b)
     }
 
     /// The router over its parts; `chunks` hold the sequences of `sources`
     /// in order, one per other member of each source's set, in member
-    /// order.
+    /// order, packed by `codec`.
     ///
     /// # Errors
     ///
     /// [`BuildError::Inconsistent`] when the chunks do not hold one sequence
     /// per pair, or a sequence stops at a vertex with no global tree.
     fn assemble(
-        n: usize,
+        codec: SlotCodec,
         set_of: Vec<u32>,
         hitting: Vec<VertexId>,
         trees: TreeForest,
@@ -153,6 +155,7 @@ impl Technique1Router {
         let pairs = sources.iter().flat_map(|&(u, members)| {
             members.iter().filter(move |&&v| v != u).map(move |&v| (u, v))
         });
+        let n = set_of.len();
         let built = chunks.iter().map(SeqChunk::len).sum::<usize>();
         if pairs.clone().count() != built {
             return Err(BuildError::Inconsistent {
@@ -163,7 +166,7 @@ impl Technique1Router {
             pairs.zip(chunks.iter().flat_map(SeqChunk::sequences)).map(|((u, v), s)| (u, v, s));
         let mut seq_words = vec![0usize; n];
         for (u, v, s) in rows.clone() {
-            let label_words = match s.last().map(|e| e.decode().vertex) {
+            let label_words = match decode_packed(codec, s).next_back().map(|e| e.vertex) {
                 Some(w) if w != v => global_tree(&hitting, &trees, w)
                     .and_then(|t| t.label_view(v))
                     .ok_or_else(|| BuildError::Inconsistent {
@@ -172,9 +175,9 @@ impl Technique1Router {
                     .words(),
                 _ => 0,
             };
-            seq_words[u.index()] += 1 + SeqEntry::words() * s.len() + label_words;
+            seq_words[u.index()] += 1 + SeqEntry::words() * (s.len() / codec.width()) + label_words;
         }
-        let seqs = SeqStore::from_sorted(n, rows)?;
+        let seqs = SeqStore::from_sorted(codec, n, rows)?;
         Ok(Technique1Router { set_of, hitting, trees, seqs, seq_words, b })
     }
 
@@ -195,13 +198,21 @@ impl Technique1Router {
 
     /// True if a sequence is stored at `u` for `v` (i.e. they share a set).
     pub fn has_sequence(&self, u: VertexId, v: VertexId) -> bool {
-        self.seqs.get(u, v).is_some()
+        self.seqs.cursor(u, v).is_some()
     }
 
-    /// Heap bytes the stored sequences hold, by capacity: 8 a vertex, 8 a
-    /// pair and 8 an entry.
+    /// Heap bytes the stored sequences hold, by capacity: 8 a vertex, a
+    /// packed key and a 4-byte end a pair, and a packed `[vertex, port]`
+    /// slot an entry (6 and 3 bytes on graphs of up to 65,535 vertices and
+    /// degree 255), plus the closing pads.
     pub fn sequences_heap_bytes(&self) -> usize {
         self.seqs.heap_bytes()
+    }
+
+    /// How many `(source, destination)` pairs store a sequence, and how
+    /// many entries those sequences hold.
+    pub fn sequence_counts(&self) -> (usize, usize) {
+        self.seqs.counts()
     }
 
     /// The global tree of hitting-set vertex `w`, if `w ∈ H`.
@@ -350,12 +361,14 @@ fn same_set_sources<'a>(by_set: &'a [VertexId], set_of: &[u32]) -> Vec<(VertexId
 }
 
 /// What building a Lemma 7 sequence reads besides the path: the graph, the
-/// ball table, the round budget `b` and the id-sorted hitting set.
+/// ball table, the round budget `b`, the id-sorted hitting set and the
+/// codec that packs the entries.
 struct SeqBuilder<'a> {
     g: &'a Graph,
     balls: &'a BallTable,
     b: usize,
     hitting: &'a [VertexId],
+    codec: SlotCodec,
 }
 
 impl SeqBuilder<'_> {
@@ -381,13 +394,13 @@ impl SeqBuilder<'_> {
                 let hi = ids.len().min(lo + BFS_BATCH_WIDTH);
                 bfs.run(g, &ids[lo..hi]).map_err(|e| BuildError::BadParameter { what: e.to_string() })?;
                 routing_obs::counters::BUILD_SETTLED_VERTICES.add(bfs.reached() as u64);
-                let mut chunk = SeqChunk::default();
+                let mut chunk = SeqChunk::new(self.codec);
                 for (i, &(u, members)) in sources[lo..hi].iter().enumerate() {
                     for &v in members.iter().filter(|&&v| v != u) {
                         if !bfs.path_into(g, i, v, path) {
                             return Err(BuildError::Disconnected);
                         }
-                        self.sequence(path, &ramp[..path.len()], &mut chunk.entries)?;
+                        self.sequence(path, &ramp[..path.len()], &mut chunk)?;
                         chunk.close();
                     }
                 }
@@ -417,7 +430,7 @@ impl SeqBuilder<'_> {
                 let _frontier = routing_obs::span("settled-frontier");
                 scratch.dijkstra_targets_into(g, u, members);
                 routing_obs::counters::BUILD_EARLY_EXIT_SEARCHES.inc();
-                let mut chunk = SeqChunk::default();
+                let mut chunk = SeqChunk::new(self.codec);
                 for &v in members.iter().filter(|&&v| v != u) {
                     // Defensive: every member is a target, so it is settled
                     // unless unreachable.
@@ -431,7 +444,7 @@ impl SeqBuilder<'_> {
                     for &x in path.iter() {
                         prefix.push(scratch.dist(x).ok_or(BuildError::Disconnected)?);
                     }
-                    self.sequence(path, prefix, &mut chunk.entries)?;
+                    self.sequence(path, prefix, &mut chunk)?;
                     chunk.close();
                 }
                 routing_obs::counters::BUILD_SETTLED_VERTICES.add(scratch.order().len() as u64);
@@ -442,7 +455,7 @@ impl SeqBuilder<'_> {
     }
 
     /// Appends the Lemma 7 sequence stored at `path[0]` for `path[last]` to
-    /// `entries`, given a shortest path between them and the distance from
+    /// `chunk`, given a shortest path between them and the distance from
     /// `path[0]` to each of its vertices (`prefix[k]` for `path[k]`).
     ///
     /// # Errors
@@ -453,14 +466,14 @@ impl SeqBuilder<'_> {
         &self,
         path: &[VertexId],
         prefix: &[Weight],
-        entries: &mut Vec<PackedEntry>,
+        chunk: &mut SeqChunk,
     ) -> Result<(), BuildError> {
         let (g, balls, hitting) = (self.g, self.balls, self.hitting);
         let Some(&d_uv) = prefix.last() else {
             return Err(BuildError::Disconnected);
         };
         let mut pos = 0usize;
-        while let Some(next) = walk_round(g, balls, path, pos, entries)? {
+        while let Some(next) = walk_round(g, balls, path, pos, chunk)? {
             let d_xi_zi = prefix[next] - prefix[pos];
             if (d_xi_zi as u128) * (self.b as u128) < d_uv as u128 {
                 // Progress below the threshold s = d(u,v)/b: finish via a
@@ -471,10 +484,10 @@ impl SeqBuilder<'_> {
                 let w = *w.ok_or_else(|| BuildError::Inconsistent {
                     what: format!("the hitting set misses B({xi}, q̃)"),
                 })?;
-                entries.push(PackedEntry::ball(w));
+                chunk.push(SeqEntry::ball(w));
                 return Ok(());
             }
-            push_hops(g, path, pos, next, entries)?;
+            push_hops(g, path, pos, next, chunk)?;
             pos = next;
         }
         Ok(())
@@ -597,11 +610,13 @@ mod tests {
     use rand::SeedableRng;
     use routing_graph::apsp::DistanceMatrix;
     use routing_graph::generators::{self, WeightModel};
+    use routing_graph::Port;
     use routing_model::simulate;
     use routing_tree::TreeLabel;
     use routing_vicinity::hitting::hits_all;
+    use routing_vicinity::SLOT_PAD;
 
-    use crate::seq::decode;
+    use crate::seq::HopKind;
 
     fn partition_mod(n: usize, q: u32) -> Vec<u32> {
         (0..n).map(|v| (v as u32) % q).collect()
@@ -715,17 +730,18 @@ mod tests {
                 let sources = same_set_sources(&by_set, &set_of);
                 assert_eq!(sources.len(), g.n());
                 let (b, hitting, trees) = (router.b, &router.hitting, &router.trees);
-                let walk = SeqBuilder { g, balls: &balls, b, hitting };
+                let codec = SlotCodec::for_graph(g);
+                let walk = SeqBuilder { g, balls: &balls, b, hitting, codec };
                 let chunks = walk.by_dijkstra(&sources).unwrap();
                 let (hitting, trees) = (hitting.clone(), trees.clone());
-                let n = g.n();
                 let set_of = set_of.clone();
                 let reference =
-                    Technique1Router::assemble(n, set_of, hitting, trees, &sources, &chunks, b).unwrap();
+                    Technique1Router::assemble(codec, set_of, hitting, trees, &sources, &chunks, b)
+                        .unwrap();
                 for u in g.vertices() {
                     for v in g.vertices() {
-                        let seq = router.seqs.get(u, v).map(decode);
-                        let want = reference.seqs.get(u, v).map(decode);
+                        let seq = router.seqs.decoded(u, v);
+                        let want = reference.seqs.decoded(u, v);
                         assert_eq!(seq, want, "{name} x{threads}: ({u}, {v})");
                     }
                     let words = (router.table_words(u), reference.table_words(u));
@@ -747,8 +763,9 @@ mod tests {
     }
 
     /// The sequence the router built and stored before the arena, verbatim
-    /// but for the walk helpers' packed entries and `Result`s, plus
-    /// `shift`: `0` is the reference, `1` plants an off-by-one tree index.
+    /// but for the walk helpers' chunk — read back as the entries pushed
+    /// into it, unpacked — and `Result`s, plus `shift`: `0` is the
+    /// reference, `1` plants an off-by-one tree index.
     fn stored_sequence(
         walk: &SeqBuilder,
         trees: &TreeForest,
@@ -760,9 +777,9 @@ mod tests {
         let (Some(&v), Some(&d_uv)) = (path.last(), prefix.last()) else {
             panic!("an empty path");
         };
-        let mut entries: Vec<PackedEntry> = Vec::new();
+        let mut chunk = SeqChunk::new(walk.codec);
         let mut pos = 0usize;
-        while let Some(next) = walk_round(g, balls, path, pos, &mut entries).unwrap() {
+        while let Some(next) = walk_round(g, balls, path, pos, &mut chunk).unwrap() {
             let d_xi_zi = prefix[next] - prefix[pos];
             if (d_xi_zi as u128) * (walk.b as u128) < d_uv as u128 {
                 // Progress below the threshold s = d(u,v)/b: finish via a
@@ -775,13 +792,13 @@ mod tests {
                     .expect("hitting set hits every vicinity");
                 let tree = trees.tree((tree_idx + shift) % trees.len()).unwrap();
                 let label = tree.label(v).expect("global tree spans every vertex");
-                entries.push(PackedEntry::ball(w));
-                return StoredSeq { entries: decode(&entries), final_tree_label: Some(label) };
+                chunk.push(SeqEntry::ball(w));
+                return StoredSeq { entries: chunk.pushed, final_tree_label: Some(label) };
             }
-            push_hops(g, path, pos, next, &mut entries).unwrap();
+            push_hops(g, path, pos, next, &mut chunk).unwrap();
             pos = next;
         }
-        StoredSeq { entries: decode(&entries), final_tree_label: None }
+        StoredSeq { entries: chunk.pushed, final_tree_label: None }
     }
 
     /// With balls of three or four vertices on a path and a grid, Lemma 7
@@ -799,7 +816,9 @@ mod tests {
             let balls = BallTable::build(&g, ell);
             let router = Technique1Router::build(&g, &balls, set_of.clone(), &params).unwrap();
             assert!(router.hitting.len() >= 2, "{name}: a second tree to shift to");
-            let walk = SeqBuilder { g: &g, balls: &balls, b: router.b, hitting: &router.hitting };
+            let codec = SlotCodec::for_graph(&g);
+            let walk =
+                SeqBuilder { g: &g, balls: &balls, b: router.b, hitting: &router.hitting, codec };
             let mut scratch = SearchScratch::for_graph(&g);
             let (mut early, mut planted_caught) = (Vec::new(), 0);
             for u in g.vertices() {
@@ -848,19 +867,23 @@ mod tests {
         let g = generators::path(10);
         let balls = BallTable::build(&g, 2);
         let hitting: Vec<VertexId> = g.vertices().collect();
-        let walk = SeqBuilder { g: &g, balls: &balls, b: 4, hitting: &hitting };
-        let mut entries = Vec::new();
-        let err = walk.sequence(&[VertexId(0), VertexId(5)], &[0, 1], &mut entries).unwrap_err();
+        let codec = SlotCodec::for_graph(&g);
+        let walk = SeqBuilder { g: &g, balls: &balls, b: 4, hitting: &hitting, codec };
+        let mut chunk = SeqChunk::new(codec);
+        let err = walk.sequence(&[VertexId(0), VertexId(5)], &[0, 1], &mut chunk).unwrap_err();
         assert!(matches!(err, BuildError::Inconsistent { .. }), "{err}");
         let path: Vec<VertexId> = g.vertices().collect();
         let ramp: Vec<Weight> = (0..10).collect();
         let walk = SeqBuilder { hitting: &[], ..walk };
-        let err = walk.sequence(&path, &ramp, &mut entries).unwrap_err();
+        let err = walk.sequence(&path, &ramp, &mut chunk).unwrap_err();
         assert!(matches!(err, BuildError::Inconsistent { .. }), "{err}");
     }
 
-    /// The sequence store holds 8 bytes a vertex, a pair and an entry, and
-    /// no growth slack, on Erdős–Rényi, geometric and grid instances.
+    /// The sequence store holds 8 bytes a vertex, a key at the id width and
+    /// a 4-byte end a pair, and an entry at the codec's width — 1-byte ids
+    /// and ports on these graphs, so 5 bytes a pair and 2 an entry — plus
+    /// the two closing pads, and no growth slack, on Erdős–Rényi, geometric
+    /// and grid instances.
     #[test]
     fn seq_store_holds_eight_bytes_a_vertex_a_pair_and_an_entry() {
         let mut rng = StdRng::seed_from_u64(41);
@@ -876,16 +899,67 @@ mod tests {
             let balls = BallTable::build(g, params.scaled(10, g.n()));
             let router = Technique1Router::build(g, &balls, set_of.clone(), &params).unwrap();
             let (pairs, entries) = router.seqs.tight_sizes();
+            assert_eq!(router.sequence_counts(), (pairs, entries), "{name}");
             let set_sizes = set_of.iter().fold([0usize; 10], |mut s, &c| {
                 s[c as usize] += 1;
                 s
             });
             assert_eq!(pairs, set_sizes.iter().map(|s| s * (s - 1)).sum::<usize>(), "{name}");
             let seqs = &router.seqs;
-            let stored = g.vertices().flat_map(|u| g.vertices().filter_map(move |v| seqs.get(u, v)));
-            assert_eq!(entries, stored.map(<[_]>::len).sum::<usize>(), "{name}");
-            let bytes = 8 * (g.n() + 1) + 8 * pairs + 8 * entries;
+            let stored =
+                g.vertices().flat_map(|u| g.vertices().filter_map(move |v| seqs.cursor(u, v)));
+            assert_eq!(entries, stored.map(SeqCursor::len).sum::<usize>(), "{name}");
+            let (key, width) = (SlotCodec::for_ids(g.n()).width(), SlotCodec::for_graph(g).width());
+            assert_eq!((key, width), (1, 2), "{name}: 1-byte ids, 1-byte ports");
+            let bytes = 8 * (g.n() + 1) + (key + 4) * pairs + width * entries + 2 * SLOT_PAD;
             assert_eq!(router.sequences_heap_bytes(), bytes, "{name}");
+        }
+    }
+
+    /// At the width boundaries — a star's hub of degree 255 (1-byte ports,
+    /// port 254 beside the ball-hop sentinel) and of degree 256 (2-byte
+    /// ports), Erdős–Rényi at n = 255 and 256 (1- and 2-byte ids and keys) —
+    /// every stored row decodes to the entries its walk pushed, unpacked,
+    /// and every other pair stores nothing.
+    #[test]
+    fn stored_rows_decode_to_the_unpacked_entries_at_every_width() {
+        let mut rng = StdRng::seed_from_u64(43);
+        let graphs = [
+            ("star 256", generators::star(256), 3),
+            ("star 257", generators::star(257), 4),
+            ("er 255", generators::erdos_renyi(255, 0.03, WeightModel::Unit, &mut rng), 2),
+            ("er 256", generators::erdos_renyi(256, 0.03, WeightModel::Unit, &mut rng), 3),
+        ];
+        let params = Params::with_epsilon(0.5);
+        for (name, g, width) in &graphs {
+            let codec = SlotCodec::for_graph(g);
+            assert_eq!(codec.width(), *width, "{name}");
+            let set_of = partition_mod(g.n(), 16);
+            let balls = BallTable::build(g, params.scaled(16, g.n()));
+            let router = Technique1Router::build(g, &balls, set_of.clone(), &params).unwrap();
+            let (b, hitting) = (router.b, &router.hitting);
+            let walk = SeqBuilder { g, balls: &balls, b, hitting, codec };
+            let mut scratch = SearchScratch::for_graph(g);
+            let (mut rows, mut port_254) = (0, false);
+            for u in g.vertices() {
+                scratch.dijkstra_into(g, u);
+                for v in g.vertices() {
+                    let stored = router.seqs.decoded(u, v);
+                    if u == v || set_of[u.index()] != set_of[v.index()] {
+                        assert_eq!(stored, None, "{name}: ({u}, {v})");
+                        continue;
+                    }
+                    let path = scratch.path_to(v).unwrap();
+                    let prefix: Vec<Weight> =
+                        path.iter().map(|&x| scratch.dist(x).unwrap()).collect();
+                    let want = stored_sequence(&walk, &router.trees, &path, &prefix, 0).entries;
+                    port_254 |= want.iter().any(|e| e.hop == HopKind::Edge(Port(254)));
+                    assert_eq!(stored, Some(want), "{name}: ({u}, {v})");
+                    rows += 1;
+                }
+            }
+            assert_eq!(router.sequence_counts().0, rows, "{name}");
+            assert!(!name.starts_with("star") || port_254, "{name}: no hop over port 254");
         }
     }
 

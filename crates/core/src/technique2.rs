@@ -22,9 +22,9 @@
 
 use routing_graph::{Graph, SearchScratch, VertexId, Weight};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
-use routing_vicinity::{BallPorts, BallTable};
+use routing_vicinity::{BallPorts, BallTable, SlotCodec};
 
-use crate::seq::{push_hops, walk_round, PackedEntry, SeqChunk, SeqCursor, SeqEntry, SeqStore};
+use crate::seq::{push_hops, walk_round, SeqChunk, SeqCursor, SeqEntry, SeqStore};
 use crate::stages;
 use crate::{BuildError, Params};
 
@@ -124,6 +124,7 @@ impl Technique2Router {
             }
         }
         // One chunk per destination, its sources' sequences in source order.
+        let codec = SlotCodec::for_graph(g);
         type Scratch = (SearchScratch, Vec<VertexId>);
         let per_dest = routing_par::par_map_scratch(
             work.len(),
@@ -137,14 +138,13 @@ impl Technique2Router {
                 let _frontier = routing_obs::span("settled-frontier");
                 scratch.dijkstra_targets_into(g, w, sources);
                 routing_obs::counters::BUILD_EARLY_EXIT_SEARCHES.inc();
-                let mut chunk = SeqChunk::default();
+                let mut chunk = SeqChunk::new(codec);
                 for &u in sources.iter().filter(|&&u| u != w) {
                     if !scratch.path_into(u, path) {
                         return Err(BuildError::Disconnected);
                     }
                     path.reverse(); // now u -> w
-                    let entries = &mut chunk.entries;
-                    build_t2_sequence(g, balls, scratch, path, w, j, &color_of, b, entries)?;
+                    build_t2_sequence(g, balls, scratch, path, w, j, &color_of, b, &mut chunk)?;
                     chunk.close();
                 }
                 routing_obs::counters::BUILD_SETTLED_VERTICES.add(scratch.order().len() as u64);
@@ -153,7 +153,7 @@ impl Technique2Router {
         );
         let chunks = per_dest.into_iter().collect::<Result<Vec<_>, _>>()?;
         // The work ran destination-major; the store wants `(u, w)` order.
-        let mut rows: Vec<(VertexId, VertexId, &[PackedEntry])> =
+        let mut rows: Vec<(VertexId, VertexId, &[u8])> =
             Vec::with_capacity(chunks.iter().map(SeqChunk::len).sum());
         for (&(_, w, sources), chunk) in work.iter().zip(&chunks) {
             let sources = sources.iter().filter(|&&u| u != w);
@@ -162,9 +162,9 @@ impl Technique2Router {
         rows.sort_unstable_by_key(|&(u, w, _)| (u, w));
         let mut seq_words = vec![0usize; g.n()];
         for (u, _, entries) in &rows {
-            seq_words[u.index()] += 1 + SeqEntry::words() * entries.len();
+            seq_words[u.index()] += 1 + SeqEntry::words() * (entries.len() / codec.width());
         }
-        let seqs = SeqStore::from_sorted(g.n(), rows.iter().copied())?;
+        let seqs = SeqStore::from_sorted(codec, g.n(), rows.iter().copied())?;
 
         Ok(Technique2Router { color_of, dest_set_of, seqs, seq_words, b })
     }
@@ -186,13 +186,21 @@ impl Technique2Router {
 
     /// True if `u` stores a sequence for destination `w`.
     pub fn has_sequence(&self, u: VertexId, w: VertexId) -> bool {
-        self.seqs.get(u, w).is_some()
+        self.seqs.cursor(u, w).is_some()
     }
 
-    /// Heap bytes the stored sequences hold, by capacity: 8 a vertex, 8 a
-    /// pair and 8 an entry.
+    /// Heap bytes the stored sequences hold, by capacity: 8 a vertex, a
+    /// packed key and a 4-byte end a pair, and a packed `[vertex, port]`
+    /// slot an entry (6 and 3 bytes on graphs of up to 65,535 vertices and
+    /// degree 255), plus the closing pads.
     pub fn sequences_heap_bytes(&self) -> usize {
         self.seqs.heap_bytes()
+    }
+
+    /// How many `(source, destination)` pairs store a sequence, and how
+    /// many entries those sequences hold.
+    pub fn sequence_counts(&self) -> (usize, usize) {
+        self.seqs.counts()
     }
 
     /// Builds the header for a message starting its Lemma 8 phase at `at`
@@ -271,7 +279,7 @@ impl Technique2Router {
 }
 
 /// Appends the Lemma 8 sequence stored at `path[0]` for destination
-/// `w = path[last]` to `entries`.
+/// `w = path[last]` to `chunk`.
 ///
 /// `spt_w` is the shortest-path tree rooted at `w`, so `spt_w.dist(x)` is
 /// `d(x, w)` for every path vertex `x`.
@@ -290,29 +298,29 @@ fn build_t2_sequence(
     j: u32,
     color_of: &[u32],
     b: usize,
-    entries: &mut Vec<PackedEntry>,
+    chunk: &mut SeqChunk,
 ) -> Result<(), BuildError> {
     let inconsistent = |what: String| BuildError::Inconsistent { what };
     let dist_to_w = |x: VertexId| -> Result<Weight, BuildError> {
         spt_w.dist(x).ok_or_else(|| inconsistent(format!("path vertex {x} does not reach {w}")))
     };
-    let edge = |x: VertexId, y: VertexId| -> Result<PackedEntry, BuildError> {
+    let edge = |x: VertexId, y: VertexId| -> Result<SeqEntry, BuildError> {
         let port = g.port_to(x, y).ok_or_else(|| inconsistent(format!("{x}, {y} not adjacent")))?;
-        Ok(PackedEntry::edge(y, port))
+        Ok(SeqEntry::edge(y, port))
     };
 
     // First two path vertices are explicit edge hops.
     let (Some(&u0), Some(&u1)) = (path.first(), path.get(1)) else {
         return Err(inconsistent(format!("a Lemma 8 path to {w} of {} vertices", path.len())));
     };
-    entries.push(edge(u0, u1)?);
+    chunk.push(edge(u0, u1)?);
     if u1 == w {
         return Ok(());
     }
     let Some(&u2) = path.get(2) else {
         return Err(inconsistent(format!("the Lemma 8 path from {u0} ends at {u1}, not {w}")));
     };
-    entries.push(edge(u1, u2)?);
+    chunk.push(edge(u1, u2)?);
     if u2 == w {
         return Ok(());
     }
@@ -323,7 +331,7 @@ fn build_t2_sequence(
     loop {
         let mut count = 0usize;
         while count < b.saturating_mul(2) {
-            let Some(next) = walk_round(g, balls, path, pos, entries)? else {
+            let Some(next) = walk_round(g, balls, path, pos, chunk)? else {
                 return Ok(());
             };
             let xi = path[pos];
@@ -333,14 +341,14 @@ fn build_t2_sequence(
                 // the vicinity (guaranteed by the Lemma 8 assumption).
                 let z = balls.ball(xi).ids().iter().copied().find(|&m| color_of[m.index()] == j);
                 if let Some(z) = z {
-                    entries.push(PackedEntry::ball(z));
+                    chunk.push(SeqEntry::ball(z));
                     return Ok(());
                 }
                 // Assumption violated at this vicinity (possible at tiny
                 // scales): keep walking the path instead; routing stays
                 // correct, the sequence is just longer.
             }
-            count += push_hops(g, path, pos, next, entries)?;
+            count += push_hops(g, path, pos, next, chunk)?;
             pos = next;
         }
         thr_num = thr_num.saturating_mul(2);
@@ -473,11 +481,12 @@ mod tests {
     use rand::SeedableRng;
     use routing_graph::apsp::DistanceMatrix;
     use routing_graph::generators::{self, WeightModel};
+    use routing_graph::Port;
     use routing_model::simulate;
-    use routing_vicinity::Coloring;
+    use routing_vicinity::{Coloring, SLOT_PAD};
     use std::collections::HashMap;
 
-    use crate::seq::{decode, sequence_words};
+    use crate::seq::{sequence_words, HopKind};
 
     /// Builds a Lemma-6-style coloring of the graph's vicinities so the
     /// Lemma 8 assumption holds, and an arbitrary partition of `dests`.
@@ -532,7 +541,8 @@ mod tests {
 
     /// The router's sequence table as the `HashMap` build filled it before
     /// the keyed store replaced it, verbatim but for the return value and
-    /// the builder's arena output, decoded here.
+    /// the builder's chunk, read back as the entries pushed into it,
+    /// unpacked.
     fn reference_seqs(
         g: &Graph,
         balls: &BallTable,
@@ -563,10 +573,10 @@ mod tests {
                     .map(|&u| {
                         let mut path = scratch.path_to(u).expect("graph is connected");
                         path.reverse(); // now u -> w
-                        let mut out = Vec::new();
+                        let mut out = SeqChunk::new(SlotCodec::for_graph(g));
                         build_t2_sequence(g, balls, scratch, &path, w, j, color_of, b, &mut out)
                             .unwrap();
-                        (u, decode(&out))
+                        (u, out.pushed)
                     })
                     .collect()
             },
@@ -580,10 +590,25 @@ mod tests {
         seqs
     }
 
+    /// On the equivalence graphs, and at the width boundaries — a star's hub
+    /// of degree 255 (1-byte ports, port 254 beside the ball-hop sentinel)
+    /// and of degree 256 (2-byte ports), Erdős–Rényi at n = 255 and 256 (1-
+    /// and 2-byte ids and keys) — every stored row decodes to the entries
+    /// the `HashMap` build's walk pushed, unpacked, every vertex is charged
+    /// the same words, and the store holds 8 bytes a vertex, a key at the
+    /// id width and a 4-byte end a pair, an entry at the codec's width and
+    /// the two closing pads, with no slack.
     #[test]
     fn keyed_store_equals_the_hashmap_build_it_replaced() {
         let params = Params::with_epsilon(0.5);
-        for (name, g) in crate::test_support::equivalence_graphs() {
+        let mut rng = StdRng::seed_from_u64(62);
+        let boundaries = [
+            ("star 256", generators::star(256)),
+            ("star 257", generators::star(257)),
+            ("er 255", generators::erdos_renyi(255, 0.03, WeightModel::Unit, &mut rng)),
+            ("er 256", generators::erdos_renyi(256, 0.03, WeightModel::Unit, &mut rng)),
+        ];
+        for (name, g) in crate::test_support::equivalence_graphs().into_iter().chain(boundaries) {
             let dests: Vec<VertexId> = g.vertices().filter(|v| v.0 % 3 == 0).collect();
             let (color_of, dest_partition) = setup(&g, 4, dests, &params, 9);
             let balls = BallTable::build(&g, params.scaled(4, g.n()));
@@ -595,21 +620,31 @@ mod tests {
                 let reference =
                     reference_seqs(&g, &balls, &color_of, &dest_partition, params.b_lemma8());
                 assert!(!reference.is_empty());
+                let hub_port =
+                    reference.values().flatten().any(|e| e.hop == HopKind::Edge(Port(254)));
+                assert!(!name.starts_with("star") || hub_port, "{name}: no hop over port 254");
                 for u in g.vertices() {
                     let mut words = 0;
                     for w in g.vertices() {
                         let stored = reference.get(&(u, w));
-                        let decoded = router.seqs.get(u, w).map(decode);
+                        let decoded = router.seqs.decoded(u, w);
                         assert_eq!(decoded.as_ref(), stored, "{name} x{threads}: ({u}, {w})");
                         words += stored.map_or(0, |s| 1 + sequence_words(s));
                     }
                     assert_eq!(router.table_words(u), words, "{name} x{threads}: words at {u}");
                 }
-                // 8 bytes a vertex, a pair and an entry, and no slack.
                 let (pairs, entries) = router.seqs.tight_sizes();
                 assert_eq!(pairs, reference.len(), "{name}");
                 assert_eq!(entries, reference.values().map(Vec::len).sum::<usize>(), "{name}");
-                let bytes = 8 * (g.n() + 1) + 8 * pairs + 8 * entries;
+                let (key, width) =
+                    (SlotCodec::for_ids(g.n()).width(), SlotCodec::for_graph(&g).width());
+                let want = match name {
+                    "star 256" | "er 256" => (2, 3),
+                    "star 257" => (2, 4),
+                    _ => (1, 2),
+                };
+                assert_eq!((key, width), want, "{name}: key and entry bytes");
+                let bytes = 8 * (g.n() + 1) + (key + 4) * pairs + width * entries + 2 * SLOT_PAD;
                 assert_eq!(router.seqs.heap_bytes(), bytes, "{name}");
             }
             routing_par::set_threads(routing_par::available_threads());
@@ -629,7 +664,8 @@ mod tests {
         let v = VertexId;
         let color_of = vec![0; 10];
         let build = |spt: &SearchScratch, path: &[VertexId]| {
-            build_t2_sequence(&g, &balls, spt, path, w, 0, &color_of, 3, &mut Vec::new())
+            let mut chunk = SeqChunk::new(SlotCodec::for_graph(&g));
+            build_t2_sequence(&g, &balls, spt, path, w, 0, &color_of, 3, &mut chunk)
         };
         for path in [vec![v(0), v(5), w], vec![v(0), v(1)], vec![v(0)]] {
             let err = build(&spt, &path).unwrap_err();

@@ -67,17 +67,18 @@ const EMPTY_KEY: u32 = u32::MAX;
 /// An unoccupied slot.
 const EMPTY: Slot = [EMPTY_KEY, EMPTY_KEY];
 
-/// Zero bytes after the last packed slot, so that every slot is read as one
-/// whole 8-byte window.
-const SLOT_PAD: usize = 8;
+/// Zero bytes after the last packed slot of an array, so that every slot is
+/// read as one whole 8-byte window.
+pub const SLOT_PAD: usize = 8;
 
-/// How a [`BallPorts`] packs a [`Slot`]: the member id in the low
-/// `id_bytes` bytes, the port in the `port_bytes` above them,
-/// little-endian. Each field is as wide as the graph needs, and its
-/// all-ones value is its sentinel: the empty key for the id, "no port" for
-/// the port. Both decode back to `u32::MAX`.
+/// How an array packs `[id, port]` slots: the id in the low `id_bytes`
+/// bytes, the port in the `port_bytes` above them, little-endian. Each field
+/// is as wide as the graph needs, and its all-ones value is its sentinel —
+/// the empty key for a [`BallPorts`] id, "no port" for its port, a ball hop
+/// for a sequence entry's port. Both decode back to `u32::MAX`. An array
+/// read with [`decode`](Self::decode) ends in [`SLOT_PAD`] zero bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SlotCodec {
+pub struct SlotCodec {
     id_bytes: u8,
     port_bytes: u8,
 }
@@ -97,28 +98,36 @@ fn field_mask(bytes: u8) -> u64 {
 
 impl SlotCodec {
     /// Ids of `g`'s vertices and ports of its largest degree.
-    fn for_graph(g: &Graph) -> Self {
+    pub fn for_graph(g: &Graph) -> Self {
         let max_degree = g.vertices().map(|u| g.degree(u)).max().unwrap_or(0);
         SlotCodec { id_bytes: bytes_for(g.n()), port_bytes: bytes_for(max_degree) }
     }
 
+    /// Bare ids of `0..n`: the id field of [`for_graph`](Self::for_graph) on
+    /// an `n`-vertex graph, and no port field — a slot is the id alone, and
+    /// decodes with the port sentinel.
+    pub fn for_ids(n: usize) -> Self {
+        SlotCodec { id_bytes: bytes_for(n), port_bytes: 0 }
+    }
+
     /// Bytes a slot: at most 8, the width of the window it is read through.
     #[inline]
-    fn width(self) -> usize {
+    pub fn width(self) -> usize {
         usize::from(self.id_bytes + self.port_bytes)
     }
 
-    /// Appends `slot` to `out` in `width` bytes.
-    fn encode(self, [id, port]: Slot, out: &mut Vec<u8>) {
+    /// Appends `slot` to `out` in [`width`](Self::width) bytes.
+    pub fn encode(self, [id, port]: [u32; 2], out: &mut Vec<u8>) {
         let narrow = |x: u32, bytes| if x == u32::MAX { field_mask(bytes) } else { u64::from(x) };
         let word = narrow(id, self.id_bytes) | narrow(port, self.port_bytes) << (8 * self.id_bytes);
         out.extend_from_slice(&word.to_le_bytes()[..self.width()]);
     }
 
-    /// Slot `i` of `slots`, or `None` past the last one: one 8-byte window,
-    /// shifted and masked, the narrow sentinels widened to `u32::MAX`.
+    /// Slot `i` of `slots`, or `None` where fewer than 8 bytes start there:
+    /// one 8-byte window, shifted and masked, the narrow sentinels widened
+    /// to `u32::MAX`.
     #[inline]
-    fn decode(self, slots: &[u8], i: usize) -> Option<Slot> {
+    pub fn decode(self, slots: &[u8], i: usize) -> Option<[u32; 2]> {
         let window = slots.get(i * self.width()..)?.first_chunk::<8>()?;
         let word = u64::from_le_bytes(*window);
         let field = |x: u64, bytes| {
@@ -1007,6 +1016,9 @@ mod tests {
         assert_eq!(codec(&generators::path(65_536)), (3, 1));
         assert_eq!(codec(&generators::star(256)), (2, 1), "the hub's degree is 255");
         assert_eq!(codec(&generators::star(257)), (2, 2), "the hub's degree is 256");
+        for (n, bytes) in [(255, 1), (256, 2), (65_536, 3)] {
+            assert_eq!(SlotCodec::for_ids(n), SlotCodec { id_bytes: bytes, port_bytes: 0 });
+        }
     }
 
     /// Every slot packs and unpacks to itself at every width, the sentinels
@@ -1027,6 +1039,18 @@ mod tests {
                 for (i, &slot) in slots.iter().enumerate() {
                     assert_eq!(codec.decode(&packed, i), Some(slot), "{codec:?}, slot {i}");
                 }
+            }
+            // Bare ids: the slot is the id alone, its port the sentinel.
+            let codec = SlotCodec { id_bytes, port_bytes: 0 };
+            let ids = [0, field_mask(id_bytes) as u32 - 1, u32::MAX];
+            let mut packed = Vec::new();
+            for id in ids {
+                codec.encode([id, 0], &mut packed);
+            }
+            assert_eq!(packed.len(), ids.len() * usize::from(id_bytes));
+            packed.extend_from_slice(&[0; SLOT_PAD]);
+            for (i, &id) in ids.iter().enumerate() {
+                assert_eq!(codec.decode(&packed, i), Some([id, u32::MAX]), "{codec:?}, id {i}");
             }
         }
     }
