@@ -18,7 +18,7 @@
 //! measured against. The `n` per-destination Dijkstra runs fan out over
 //! [`routing_par::threads`] worker threads.
 
-use routing_core::{BuildContext, BuildError, SchemeBuilder};
+use routing_core::BuildError;
 use routing_graph::SearchScratch;
 use routing_graph::{Graph, Port, VertexId};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
@@ -77,20 +77,6 @@ impl ExactScheme {
             }
         }
         Ok(ExactScheme { n, next })
-    }
-}
-
-/// [`SchemeBuilder`] for [`ExactScheme`]; registry key `exact`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExactBuilder;
-
-impl SchemeBuilder for ExactBuilder {
-    fn key(&self) -> &str {
-        "exact"
-    }
-
-    fn build(&self, g: &Graph, _ctx: &BuildContext) -> Result<Box<dyn routing_model::DynScheme>, BuildError> {
-        Ok(Box::new(ExactScheme::build(g)?))
     }
 }
 

@@ -22,7 +22,7 @@ pub mod spanner;
 pub mod thm16;
 pub mod tz;
 
-pub use exact::{ExactBuilder, ExactScheme};
-pub use spanner::{greedy_spanner, SpannerBuilder, SpannerScheme};
-pub use thm16::{Thm16Builder, Thm16Scheme};
-pub use tz::{TzBuilder, TzHierarchy, TzLevels, TzOracle, TzRoutingScheme};
+pub use exact::ExactScheme;
+pub use spanner::{greedy_spanner, SpannerScheme};
+pub use thm16::Thm16Scheme;
+pub use tz::{TzHierarchy, TzLevels, TzOracle, TzRoutingScheme};

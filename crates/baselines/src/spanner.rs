@@ -21,7 +21,7 @@
 //! immediate: a discarded edge is certified by a `(2k−1)`-approximate
 //! detour, and shortest paths compose such certificates edge by edge.
 
-use routing_core::{BuildContext, BuildError, SchemeBuilder};
+use routing_core::BuildError;
 use routing_graph::SearchScratch;
 use routing_graph::{Graph, GraphBuilder, Port, VertexId};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
@@ -33,7 +33,12 @@ use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
 ///
 /// The result has girth greater than `2k`, hence `O(n^{1+1/k})` edges, and
 /// preserves all distances within a factor `2k−1`.
-pub fn greedy_spanner(g: &Graph, k: usize) -> Graph {
+///
+/// # Errors
+///
+/// [`BuildError::Inconsistent`] if an edge of `g` cannot be added to the
+/// spanner (it cannot: every edge comes from a valid graph).
+pub fn greedy_spanner(g: &Graph, k: usize) -> Result<Graph, BuildError> {
     let k = k.max(1);
     let factor = (2 * k - 1) as u128;
     let mut edges: Vec<_> = g.all_edges().collect();
@@ -50,11 +55,13 @@ pub fn greedy_spanner(g: &Graph, k: usize) -> Graph {
             None => true,
         };
         if keep {
-            builder.add_edge(u.index(), v.index(), w).expect("edge comes from a valid graph");
+            builder.add_edge(u.index(), v.index(), w).map_err(|e| BuildError::Inconsistent {
+                what: format!("spanner edge {u}-{v}: {e}"),
+            })?;
             spanner = builder.clone().build();
         }
     }
-    spanner
+    Ok(spanner)
 }
 
 /// Header for spanner routing (nothing needs to be carried).
@@ -99,8 +106,9 @@ impl SpannerScheme {
     ///
     /// # Errors
     ///
-    /// Returns [`BuildError::TooSmall`] on an empty graph and
-    /// [`BuildError::BadParameter`] for `k < 1`.
+    /// Returns [`BuildError::TooSmall`] on an empty graph,
+    /// [`BuildError::BadParameter`] for `k < 1`, and whatever
+    /// [`greedy_spanner`] reports.
     pub fn build(g: &Graph, k: usize) -> Result<Self, BuildError> {
         if g.n() == 0 {
             return Err(BuildError::TooSmall {
@@ -114,7 +122,7 @@ impl SpannerScheme {
         }
         let n = g.n();
         let span_greedy = routing_obs::span("greedy-spanner");
-        let spanner = greedy_spanner(g, k);
+        let spanner = greedy_spanner(g, k)?;
         drop(span_greedy);
         // Column v comes from the spanner tree rooted at v; the parent edge
         // exists in g (the spanner's edges are a subset), so it has a port.
@@ -213,30 +221,6 @@ impl RoutingScheme for SpannerScheme {
     }
 }
 
-/// [`SchemeBuilder`] for [`SpannerScheme`]; registry key `spanner`
-/// (the default registration uses `k = 2`, the 3-stretch spanner).
-#[derive(Debug, Clone, Copy)]
-pub struct SpannerBuilder {
-    /// The spanner parameter `k`.
-    pub k: usize,
-}
-
-impl Default for SpannerBuilder {
-    fn default() -> Self {
-        SpannerBuilder { k: 2 }
-    }
-}
-
-impl SchemeBuilder for SpannerBuilder {
-    fn key(&self) -> &str {
-        "spanner"
-    }
-
-    fn build(&self, g: &Graph, _ctx: &BuildContext) -> Result<Box<dyn routing_model::DynScheme>, BuildError> {
-        Ok(Box::new(SpannerScheme::build(g, self.k)?))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,7 +234,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let g = generators::erdos_renyi(50, 0.15, WeightModel::Uniform { lo: 1, hi: 10 }, &mut rng);
         for k in [2usize, 3] {
-            let h = greedy_spanner(&g, k);
+            let h = greedy_spanner(&g, k).unwrap();
             assert!(h.m() <= g.m());
             let dg = DistanceMatrix::new(&g);
             let dh = DistanceMatrix::new(&h);
@@ -273,15 +257,15 @@ mod tests {
     #[test]
     fn spanner_of_a_tree_is_the_tree() {
         let g = generators::binary_tree(31);
-        let h = greedy_spanner(&g, 2);
+        let h = greedy_spanner(&g, 2).unwrap();
         assert_eq!(h.m(), g.m());
     }
 
     #[test]
     fn larger_k_gives_sparser_spanner() {
         let g = generators::complete(30);
-        let h2 = greedy_spanner(&g, 2);
-        let h4 = greedy_spanner(&g, 4);
+        let h2 = greedy_spanner(&g, 2).unwrap();
+        let h4 = greedy_spanner(&g, 4).unwrap();
         assert!(h4.m() <= h2.m());
         assert!(h2.m() < g.m());
     }
@@ -332,9 +316,8 @@ mod tests {
     #[test]
     fn spanner_builder_key_matches_scheme_name() {
         let g = generators::cycle(12);
-        let b = SpannerBuilder::default();
-        let scheme = b.build(&g, &routing_core::BuildContext::with_seed(1)).unwrap();
-        assert_eq!(scheme.name(), b.key());
+        let scheme = SpannerScheme::build(&g, 2).unwrap();
+        assert_eq!(scheme.name(), "spanner");
         assert_eq!(scheme.n(), 12);
     }
 }

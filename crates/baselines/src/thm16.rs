@@ -40,7 +40,7 @@
 
 use rand::Rng;
 
-use routing_core::{BuildContext, BuildError, Params, SchemeBuilder};
+use routing_core::{BuildError, Params};
 use routing_graph::{Graph, VertexId, Weight};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
 use routing_tree::TreeLabelView;
@@ -351,35 +351,6 @@ impl RoutingScheme for Thm16Scheme {
     }
 }
 
-/// [`SchemeBuilder`] for the Theorem 16 scheme; its registry key is
-/// `thm16k<k>` (the default registry registers `thm16k3`).
-#[derive(Debug, Clone)]
-pub struct Thm16Builder {
-    k: usize,
-    key: String,
-}
-
-impl Thm16Builder {
-    /// A builder for the given hierarchy parameter `k ≥ 2`.
-    pub fn new(k: usize) -> Self {
-        Thm16Builder { k, key: format!("thm16k{k}") }
-    }
-}
-
-impl SchemeBuilder for Thm16Builder {
-    fn key(&self) -> &str {
-        &self.key
-    }
-
-    fn build(
-        &self,
-        g: &Graph,
-        ctx: &BuildContext,
-    ) -> Result<Box<dyn routing_model::DynScheme>, BuildError> {
-        Ok(Box::new(Thm16Scheme::build(g, self.k, &ctx.params, &mut ctx.rng())?))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -594,12 +565,10 @@ mod tests {
     #[test]
     fn builder_builds_scheme_named_after_its_key() {
         let g = weighted_graph(60, 36);
-        let b = Thm16Builder::new(3);
-        assert_eq!(b.key(), "thm16k3");
-        let ctx = BuildContext::with_seed(11);
-        let scheme = b.build(&g, &ctx).unwrap();
+        let mut rng = StdRng::seed_from_u64(11);
+        let scheme = Thm16Scheme::build(&g, 3, &Params::default(), &mut rng).unwrap();
         assert_eq!(scheme.name(), "thm16k3");
-        let out = simulate(&g, scheme.as_ref(), VertexId(0), VertexId(59)).unwrap();
+        let out = simulate(&g, &scheme, VertexId(0), VertexId(59)).unwrap();
         assert_eq!(out.destination(), VertexId(59));
     }
 }

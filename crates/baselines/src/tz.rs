@@ -50,7 +50,7 @@
 
 use rand::Rng;
 
-use routing_core::{BuildContext, BuildError, ClusterFamily, SchemeBuilder};
+use routing_core::{BuildError, ClusterFamily};
 use routing_graph::{Graph, VertexId, Weight, INFINITY};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
 use routing_tree::{TreeLabelView, TreeView};
@@ -465,31 +465,6 @@ impl RoutingScheme for TzRoutingScheme {
     /// `v`, its `k` pivots and its `k` tree labels.
     fn label_words(&self, v: VertexId) -> usize {
         1 + self.hierarchy.ladder(v).iter().map(|(_, label)| 1 + label.words()).sum::<usize>()
-    }
-}
-
-/// [`SchemeBuilder`] for the Thorup–Zwick `(4k−5)` routing scheme; its
-/// registry key is `tz<k>` (the two Table 1 rows are `tz2` and `tz3`).
-#[derive(Debug, Clone)]
-pub struct TzBuilder {
-    k: usize,
-    key: String,
-}
-
-impl TzBuilder {
-    /// A builder for the given level count `k ≥ 2`.
-    pub fn new(k: usize) -> Self {
-        TzBuilder { k, key: format!("tz{k}") }
-    }
-}
-
-impl SchemeBuilder for TzBuilder {
-    fn key(&self) -> &str {
-        &self.key
-    }
-
-    fn build(&self, g: &Graph, ctx: &BuildContext) -> Result<Box<dyn routing_model::DynScheme>, BuildError> {
-        Ok(Box::new(TzRoutingScheme::build(g, self.k, &mut ctx.rng())?))
     }
 }
 

@@ -150,8 +150,7 @@ fn main() {
 /// Erdős–Rényi and one geometric instance pair. Writes each family's rows
 /// to `table1_<family>.json` in the working directory.
 ///
-/// Registering a new scheme (plus its `SchemeMeta` row) adds a measured row
-/// with no edits here.
+/// A new registry row adds a measured row with no edits here.
 fn table1(n: usize, epsilon: f64) -> Result<(), HarnessError> {
     let cfg = ExperimentConfig { n, epsilon, seed: 7, pairs: Some(4000) };
     let registry = SchemeRegistry::with_defaults();
@@ -180,7 +179,7 @@ fn table1(n: usize, epsilon: f64) -> Result<(), HarnessError> {
 /// Experiments E-T10, E-T11, E-W3: per-theorem stretch and table-size
 /// measurements across graph families, printed as one series per theorem
 /// (the paper's per-theorem "figures"), with the claimed-bound annotation
-/// derived from each scheme's `SchemeMeta` row and the configured `ε`.
+/// derived from each registry row's `SchemeMeta` and the configured `ε`.
 fn theorems(n: usize, epsilon: f64) -> Result<(), HarnessError> {
     let cfg = ExperimentConfig { n, epsilon, seed: 11, pairs: Some(3000) };
     let registry = SchemeRegistry::with_defaults();

@@ -16,13 +16,12 @@
 //!
 //! Both binaries under `src/bin/` select schemes by **name** through the
 //! facade's [`compact_routing::registry::SchemeRegistry`] — neither
-//! carries per-scheme construction code. What they add on top is
-//! harness *metadata* ([`SchemeMeta`]: the paper's claimed bounds, the
-//! claimed `Õ(n^x)` space exponent, and whether the scheme evaluates on the
-//! weighted or the unweighted instance), looked up by the same registry key.
-//! Adding a scheme to the workspace therefore costs one `SchemeBuilder`
-//! registration (facade) plus one [`SCHEME_METAS`] row (here); every
-//! experiment discovers it with no further edits.
+//! carries per-scheme construction code. Each registry row also carries
+//! the scheme's [`SchemeMeta`]: the paper's claimed bounds, the claimed
+//! `Õ(n^x)` space exponent, and whether the scheme evaluates on the
+//! weighted or the unweighted instance. Adding a scheme to the workspace
+//! therefore costs one registry row; every experiment discovers it with no
+//! further edits.
 //!
 //! # The `experiments` binary
 //!
@@ -54,12 +53,12 @@
 
 pub mod cli;
 
-use compact_routing::registry::SchemeRegistry;
+use compact_routing::registry::{SchemeMeta, SchemeRegistry, StretchBound};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use routing_core::{BuildContext, Params};
+use routing_core::{BuildContext, BuildError, Params};
 use routing_graph::apsp::DistanceMatrix;
 use routing_graph::generators::{Family, WeightModel};
 use routing_graph::Graph;
@@ -102,169 +101,9 @@ impl ExperimentConfig {
     }
 }
 
-/// A claimed stretch bound in machine-checkable form:
-/// `(base + eps_coeff·ε)·d + additive`, covering both the fixed bounds of
-/// the baselines (`eps_coeff = 0`) and the paper's ε-parameterized schemes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StretchBound {
-    /// The multiplicative constant (3 for the warm-up, 5 for Thm 11, …).
-    pub base: f64,
-    /// The coefficient of `ε` in the multiplicative part (0 for baselines).
-    pub eps_coeff: f64,
-    /// The additive term (1 for Thm 10's `(2+ε, 1)`; 0 otherwise).
-    pub additive: f64,
-}
-
-impl StretchBound {
-    /// The multiplicative factor at a concrete `ε`.
-    pub fn factor_at(&self, epsilon: f64) -> f64 {
-        self.base + self.eps_coeff * epsilon
-    }
-
-    /// Human-readable annotation at a concrete `ε`, e.g. `"5+eps = 5.50"`
-    /// or `"(2+eps, 1) = 2.50d+1"` (claim text supplied by the caller).
-    pub fn label_at(&self, claim: &str, epsilon: f64) -> String {
-        if self.additive > 0.0 {
-            format!("{claim} = {:.2}d+{}", self.factor_at(epsilon), self.additive)
-        } else if self.eps_coeff > 0.0 {
-            format!("{claim} = {:.2}", self.factor_at(epsilon))
-        } else {
-            claim.to_string()
-        }
-    }
-}
-
-/// Harness metadata for one registered scheme: the paper's claims next to
-/// the key the scheme is registered (and built) under.
-///
-/// This is deliberately *data*, not code — the only per-scheme knowledge a
-/// binary needs beyond what the registry provides.
-#[derive(Debug, Clone, Copy)]
-pub struct SchemeMeta {
-    /// The registry key (== `DynScheme::name` of the built scheme).
-    pub key: &'static str,
-    /// Display name for the Table 1 row.
-    pub table1_label: &'static str,
-    /// The paper's stretch claim (e.g. `"(2+eps, 1)"`).
-    pub claimed_stretch: &'static str,
-    /// The stretch claim in machine-checkable form (see [`StretchBound`]).
-    pub stretch_bound: StretchBound,
-    /// The paper's table-size claim (e.g. `"O~(n^2/3 / eps)"`).
-    pub claimed_space: &'static str,
-    /// The exponent `x` such that the claimed space is `Õ(n^x)` (used for
-    /// normalized columns).
-    pub space_exponent: Option<f64>,
-    /// Whether the scheme evaluates on the weighted instance (`false`:
-    /// unweighted — Theorem 10 is stated for unweighted graphs, and the
-    /// exact row anchors the unweighted comparison).
-    pub weighted: bool,
-}
-
-/// Metadata for every scheme the default registry registers, in registry
-/// order. Kept in sync with `SchemeRegistry::with_defaults` by
-/// `routing-lint`'s `registry-coherence` rule (ordered equality, in CI and
-/// in the tier-1 `workspace_lint` test).
-pub const SCHEME_METAS: &[SchemeMeta] = &[
-    SchemeMeta {
-        key: "warmup",
-        table1_label: "this paper: warm-up 3+eps",
-        claimed_stretch: "3+eps",
-        stretch_bound: StretchBound { base: 3.0, eps_coeff: 1.0, additive: 0.0 },
-        claimed_space: "O~(n^1/2 / eps)",
-        space_exponent: Some(0.5),
-        weighted: true,
-    },
-    SchemeMeta {
-        key: "thm10",
-        table1_label: "this paper: Thm 10 (2+eps,1)",
-        claimed_stretch: "(2+eps, 1)",
-        stretch_bound: StretchBound { base: 2.0, eps_coeff: 1.0, additive: 1.0 },
-        claimed_space: "O~(n^2/3 / eps)",
-        space_exponent: Some(2.0 / 3.0),
-        weighted: false,
-    },
-    SchemeMeta {
-        key: "thm11",
-        table1_label: "this paper: Thm 11 5+eps",
-        claimed_stretch: "5+eps",
-        stretch_bound: StretchBound { base: 5.0, eps_coeff: 1.0, additive: 0.0 },
-        claimed_space: "O~(n^1/3 logD / eps)",
-        space_exponent: Some(1.0 / 3.0),
-        weighted: true,
-    },
-    SchemeMeta {
-        key: "tz2",
-        table1_label: "Thorup-Zwick / Abraham et al. (k=2)",
-        claimed_stretch: "3",
-        stretch_bound: StretchBound { base: 3.0, eps_coeff: 0.0, additive: 0.0 },
-        claimed_space: "O~(n^1/2)",
-        space_exponent: Some(0.5),
-        weighted: true,
-    },
-    SchemeMeta {
-        key: "tz3",
-        table1_label: "Thorup-Zwick (k=3)",
-        claimed_stretch: "7",
-        stretch_bound: StretchBound { base: 7.0, eps_coeff: 0.0, additive: 0.0 },
-        claimed_space: "O~(n^1/3)",
-        space_exponent: Some(1.0 / 3.0),
-        weighted: true,
-    },
-    SchemeMeta {
-        key: "exact",
-        table1_label: "exact shortest paths",
-        claimed_stretch: "1",
-        stretch_bound: StretchBound { base: 1.0, eps_coeff: 0.0, additive: 0.0 },
-        claimed_space: "Theta(n)",
-        space_exponent: Some(1.0),
-        weighted: false,
-    },
-    SchemeMeta {
-        key: "spanner",
-        table1_label: "greedy 3-spanner routing",
-        claimed_stretch: "3",
-        stretch_bound: StretchBound { base: 3.0, eps_coeff: 0.0, additive: 0.0 },
-        claimed_space: "Theta(n)",
-        space_exponent: Some(1.0),
-        weighted: true,
-    },
-    SchemeMeta {
-        key: "thm13",
-        table1_label: "this paper: Thm 13 multilevel (l=2)",
-        claimed_stretch: "(3+2/l+eps, 2)",
-        stretch_bound: StretchBound { base: 4.0, eps_coeff: 1.0, additive: 2.0 },
-        claimed_space: "O~(l n^1/2 / eps)",
-        space_exponent: Some(0.5),
-        weighted: true,
-    },
-    SchemeMeta {
-        key: "thm15",
-        table1_label: "this paper: Thm 15 multilevel (l=4)",
-        claimed_stretch: "(3+2/l+eps, 2)",
-        stretch_bound: StretchBound { base: 3.5, eps_coeff: 1.0, additive: 2.0 },
-        claimed_space: "O~(l n^1/2 / eps)",
-        space_exponent: Some(0.5),
-        weighted: true,
-    },
-    SchemeMeta {
-        key: "thm16k3",
-        table1_label: "this paper: Thm 16 (k=3)",
-        claimed_stretch: "4k-7+eps",
-        stretch_bound: StretchBound { base: 5.0, eps_coeff: 1.0, additive: 0.0 },
-        claimed_space: "O~(n^1/3 / eps)",
-        space_exponent: Some(1.0 / 3.0),
-        weighted: true,
-    },
-];
-
-/// The metadata row for a registry key.
-pub fn scheme_meta(key: &str) -> Option<&'static SchemeMeta> {
-    SCHEME_METAS.iter().find(|m| m.key == key)
-}
-
 /// The unweighted and the weighted instance of one experiment, each with
 /// its exact distance matrix. A scheme evaluates on the flavour its
-/// [`SchemeMeta`] row declares ([`Instances::for_key`]).
+/// registry row's [`SchemeMeta`] declares ([`Instances::for_key`]).
 #[derive(Debug)]
 pub struct Instances {
     /// The unit-weight instance (Theorem 10 and the exact anchor).
@@ -293,17 +132,18 @@ impl Instances {
         )
     }
 
-    /// The metadata row of `key` with the instance and ground truth it
-    /// declares.
+    /// The registry row's claims for `key` with the instance and ground
+    /// truth they declare.
     ///
     /// # Errors
     ///
-    /// [`HarnessError::NoMeta`] when `key` has no [`SCHEME_METAS`] row.
+    /// [`BuildError::UnknownScheme`] when the default registry has no row
+    /// for `key`.
     pub fn for_key(
         &self,
         key: &str,
-    ) -> Result<(&'static SchemeMeta, &Graph, &DistanceMatrix), HarnessError> {
-        let meta = scheme_meta(key).ok_or_else(|| HarnessError::NoMeta { key: key.to_string() })?;
+    ) -> Result<(&'static SchemeMeta, &Graph, &DistanceMatrix), BuildError> {
+        let meta = SchemeRegistry::with_defaults().meta(key)?;
         Ok(if meta.weighted {
             (meta, &self.weighted, &self.exact_w)
         } else {
@@ -314,7 +154,7 @@ impl Instances {
 
 /// Routes every pair in `pairs` through `scheme` and checks the routed
 /// weight against the declared envelope `(base + eps_coeff·ε)·d + additive`
-/// — the executable form of the bound table ([`SCHEME_METAS`]).
+/// — the executable form of each registry row's [`SchemeMeta::stretch_bound`].
 ///
 /// Returns the number of checked (non-self) pairs on success.
 ///
@@ -411,11 +251,6 @@ pub enum HarnessError {
     Build(routing_core::BuildError),
     /// Routing failed (always a bug in a scheme).
     Route(RouteError),
-    /// A registered scheme has no [`SCHEME_METAS`] row.
-    NoMeta {
-        /// The registry key without metadata.
-        key: String,
-    },
     /// An artefact could not be serialized or written.
     Artefact {
         /// The file that was being written.
@@ -430,7 +265,6 @@ impl std::fmt::Display for HarnessError {
         match self {
             HarnessError::Build(e) => write!(f, "preprocessing failed: {e}"),
             HarnessError::Route(e) => write!(f, "routing failed: {e}"),
-            HarnessError::NoMeta { key } => write!(f, "scheme {key:?} has no SchemeMeta row"),
             HarnessError::Artefact { path, what } => write!(f, "could not write {path}: {what}"),
         }
     }
@@ -476,8 +310,8 @@ pub fn evaluate_scheme(
 /// measured scheme the registry knows, plus the theory-only comparison rows.
 ///
 /// Measured rows are built through `registry` — this function contains no
-/// per-scheme construction code; [`SCHEME_METAS`] supplies each row's
-/// claimed bounds and instance flavour.
+/// per-scheme construction code; each registry row's [`SchemeMeta`]
+/// supplies its claimed bounds and instance flavour.
 ///
 /// # Errors
 ///
@@ -619,7 +453,7 @@ mod tests {
         let (thm10, g, _) = instances.for_key("thm10").unwrap();
         assert!(!thm10.weighted && g.is_unweighted());
         assert!(!instances.for_key("tz2").unwrap().1.is_unweighted());
-        assert!(matches!(instances.for_key("thm12"), Err(HarnessError::NoMeta { .. })));
+        assert!(matches!(instances.for_key("thm12"), Err(BuildError::UnknownScheme { .. })));
         let registry = SchemeRegistry::with_defaults();
         let rows = run_table1(&registry, &instances, &cfg).unwrap();
         assert!(rows.len() >= 8);
@@ -658,8 +492,6 @@ mod tests {
         let e: HarnessError =
             RouteError::BadLabel { what: "x".into() }.into();
         assert!(e.to_string().contains("routing failed"));
-        let e = HarnessError::NoMeta { key: "thm12".into() };
-        assert_eq!(e.to_string(), "scheme \"thm12\" has no SchemeMeta row");
         let e = HarnessError::Artefact { path: "t.json".into(), what: "disk full".into() };
         assert_eq!(e.to_string(), "could not write t.json: disk full");
         let _ = generators::path(2);

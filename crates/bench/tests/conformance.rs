@@ -1,5 +1,6 @@
-//! Stretch-bound conformance: the declared bound table ([`routing_bench::
-//! SCHEME_METAS`]) is executable, not documentation. For every key the
+//! Stretch-bound conformance: the bound each registry row declares
+//! ([`compact_routing::registry::SchemeMeta::stretch_bound`]) is executable,
+//! not documentation. For every key the
 //! default registry registers, build on random graphs and check every routed
 //! pair against the scheme's declared `(base + eps_coeff·ε)·d + additive`
 //! envelope — plus a deliberate-violation case proving the checker can fail.
@@ -12,8 +13,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use compact_routing::registry::SchemeRegistry;
-use routing_bench::{check_stretch_conformance, scheme_meta};
+use compact_routing::registry::{SchemeRegistry, StretchBound};
+use routing_bench::check_stretch_conformance;
 use routing_core::{BuildContext, Params};
 use routing_graph::apsp::DistanceMatrix;
 use routing_graph::generators::{self, WeightModel};
@@ -55,7 +56,7 @@ proptest! {
         let pairs = routing_model::sample_pairs_from(&ids, &ids, 40, &mut pair_rng);
 
         for key in registry.names() {
-            let meta = scheme_meta(key).expect("every registered key has a SchemeMeta row");
+            let meta = registry.meta(key).expect("every registered key has a row");
             let (g, exact) =
                 if meta.weighted { (&weighted, &exact_w) } else { (&unweighted, &exact_u) };
             let scheme = registry.build(key, g, &ctx).expect(key);
@@ -88,7 +89,7 @@ fn conformance_checker_fails_on_a_deliberately_violated_bound() {
     let scheme = registry.build("warmup", &g, &ctx).unwrap();
     let pairs: Vec<(VertexId, VertexId)> =
         (0..50).map(|i| (VertexId(i), VertexId((i + 11) % 50))).collect();
-    let impossible = routing_bench::StretchBound { base: 0.9, eps_coeff: 0.0, additive: 0.0 };
+    let impossible = StretchBound { base: 0.9, eps_coeff: 0.0, additive: 0.0 };
     let err =
         check_stretch_conformance(&g, scheme.as_ref(), &exact, &impossible, 0.5, &pairs)
             .unwrap_err();

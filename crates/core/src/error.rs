@@ -23,7 +23,7 @@ pub enum BuildError {
     },
     /// The Lemma 6 coloring could not be constructed for the derived sets.
     Coloring(ColoringError),
-    /// A scheme name was looked up in a registry that has no builder for it
+    /// A scheme name was looked up in a registry that has no row for it
     /// (see the facade crate's `SchemeRegistry`).
     UnknownScheme {
         /// The unrecognized scheme name.

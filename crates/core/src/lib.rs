@@ -43,7 +43,7 @@ mod stages;
 pub mod technique1;
 pub mod technique2;
 
-pub use builder::{BuildContext, MultilevelBuilder, SchemeBuilder, Thm10Builder, Thm11Builder};
+pub use builder::BuildContext;
 pub use error::BuildError;
 pub use params::Params;
 pub use scheme_2eps1::SchemeTwoPlusEps;

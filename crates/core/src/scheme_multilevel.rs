@@ -35,7 +35,7 @@
 //!   trading table space `Õ(ℓ√n/ε)` for stretch `(3 + 2/ℓ + ε)·d + 2`:
 //!   Theorem 13 instantiates `ℓ = 2`, Theorem 15 `ℓ = 4`.
 //!
-//! The bound the bench crate's `SchemeMeta` *declares* for `ℓ ≥ 2` is the
+//! The bound the registry row's `SchemeMeta` *declares* for `ℓ ≥ 2` is the
 //! `+` branch of Theorem 13/15 with additive 2; the implemented worst case
 //! `(3+ε)·d` sits strictly inside it, so the machine-checked conformance
 //! bound holds with margin on every input.
@@ -425,11 +425,11 @@ mod tests {
         let g = generators::erdos_renyi(70, 0.08, WeightModel::Uniform { lo: 1, hi: 9 }, &mut rng);
         let ctx = crate::BuildContext::with_seed(11);
         for levels in [1, 2, 4] {
-            let builder = crate::MultilevelBuilder::new(key(levels), levels);
-            assert_eq!(crate::SchemeBuilder::key(&builder), key(levels));
-            let scheme = crate::SchemeBuilder::build(&builder, &g, &ctx).unwrap();
+            let scheme =
+                SchemeMultilevel::build(&g, levels, key(levels), &ctx.params, &mut ctx.rng())
+                    .unwrap();
             assert_eq!(scheme.name(), key(levels));
-            let out = simulate(&g, scheme.as_ref(), VertexId(0), VertexId(69)).unwrap();
+            let out = simulate(&g, &scheme, VertexId(0), VertexId(69)).unwrap();
             assert_eq!(out.destination(), VertexId(69));
         }
     }

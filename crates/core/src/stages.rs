@@ -470,10 +470,7 @@ mod tests {
     use routing_model::{simulate_lean_with_label, RoutingScheme};
     use routing_tree::TreeScheme;
 
-    use crate::{
-        BuildContext, MultilevelBuilder, SchemeBuilder, SchemeFivePlusEps, SchemeMultilevel,
-        SchemeTwoPlusEps, Thm10Builder, Thm11Builder,
-    };
+    use crate::{BuildContext, SchemeFivePlusEps, SchemeMultilevel, SchemeTwoPlusEps};
 
     /// `kept` is what a built scheme holds, `direct` the stages' output
     /// before [`Vicinities::retain`]: the same ports, and of the vicinities
@@ -676,13 +673,21 @@ mod tests {
         };
         let (small_g, large_g) = (graph(60), graph(240));
         let ctx = BuildContext::with_seed(3);
-        let warmup = MultilevelBuilder::new("warmup", 1);
-        let thm13 = MultilevelBuilder::new("thm13", 2);
-        let builders: [&dyn SchemeBuilder; 4] = [&warmup, &Thm10Builder, &Thm11Builder, &thm13];
-        for builder in builders {
-            let key = builder.key();
-            let small = builder.build(&small_g, &ctx).unwrap();
-            let large = builder.build(&large_g, &ctx).unwrap();
+        type Build =
+            fn(&Graph, &BuildContext) -> Result<Box<dyn routing_model::DynScheme>, BuildError>;
+        let builds: [(&str, Build); 4] = [
+            ("warmup", |g, c| {
+                Ok(Box::new(SchemeMultilevel::build(g, 1, "warmup", &c.params, &mut c.rng())?))
+            }),
+            ("thm10", |g, c| Ok(Box::new(SchemeTwoPlusEps::build(g, &c.params, &mut c.rng())?))),
+            ("thm11", |g, c| Ok(Box::new(SchemeFivePlusEps::build(g, &c.params, &mut c.rng())?))),
+            ("thm13", |g, c| {
+                Ok(Box::new(SchemeMultilevel::build(g, 2, "thm13", &c.params, &mut c.rng())?))
+            }),
+        ];
+        for (key, build) in builds {
+            let small = build(&small_g, &ctx).unwrap();
+            let large = build(&large_g, &ctx).unwrap();
             let mut foreign_colours = 0;
             for v in large_g.vertices() {
                 let label = large.label_of(v);

@@ -11,7 +11,6 @@
 //! with [`sample_pairs_from`] over the oracle's sources so every
 //! ground-truth lookup is an `O(1)` exact hit.
 
-use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -189,8 +188,8 @@ pub fn sample_pairs_from<R: Rng>(
     }
     let mut pairs = Vec::with_capacity(count);
     while pairs.len() < count {
-        let u = *sources.choose(rng).expect("sources is non-empty");
-        let v = *destinations.choose(rng).expect("destinations is non-empty");
+        let u = sources[rng.gen_range(0..sources.len())];
+        let v = destinations[rng.gen_range(0..destinations.len())];
         if u != v {
             pairs.push((u, v));
         }

@@ -53,7 +53,7 @@ impl RouteOutcome {
 
     /// The vertex where the message was delivered.
     pub fn destination(&self) -> VertexId {
-        *self.path.last().expect("path is never empty")
+        self.path[self.path.len() - 1]
     }
 }
 

@@ -65,7 +65,7 @@ impl StretchStats {
             return None;
         }
         let mut v: Vec<f64> = self.samples.iter().map(|&(r, e)| r as f64 / e as f64).collect();
-        v.sort_by(|a, b| a.partial_cmp(b).expect("stretch values are finite"));
+        v.sort_by(f64::total_cmp);
         let idx = ((p / 100.0) * (v.len() - 1) as f64).round() as usize;
         Some(v[idx.min(v.len() - 1)])
     }

@@ -25,6 +25,7 @@
 //! * [`churn`] — dynamic-churn workloads: seeded churn schedules, stale-table
 //!   degradation measurement, and rebuild policies with cost accounting.
 //! * [`registry`] — the string-keyed [`registry::SchemeRegistry`]: one
+//!   table with a row per scheme (key, build, the paper's claims), and one
 //!   `build(name, graph, ctx) -> Box<dyn DynScheme>` surface over every
 //!   scheme above, the dispatch point of every harness binary.
 //!
@@ -64,9 +65,7 @@ pub mod prelude {
     pub use routing_churn::{
         run_churn, ChurnExperimentConfig, ChurnPlanConfig, RebuildPolicy, RemovalMode,
     };
-    pub use routing_core::{
-        BuildContext, BuildError, Params, SchemeBuilder, SchemeMultilevel,
-    };
+    pub use routing_core::{BuildContext, BuildError, Params, SchemeMultilevel};
     pub use routing_graph::generators;
     pub use routing_graph::{
         DistanceOracle, Graph, GraphBuilder, SampledDistances, VertexId, Weight,

@@ -225,7 +225,7 @@ fn parallel_and_sequential_scheme_builds_are_identical() {
     let unit = generators::erdos_renyi(130, 0.05, WeightModel::Unit, &mut gen_rng);
     let registry = SchemeRegistry::with_defaults();
     for key in registry.names() {
-        let meta = routing_bench::scheme_meta(key).expect("registered keys have a SchemeMeta row");
+        let meta = registry.meta(key).expect("every registered key has a row");
         let g = if meta.weighted { &weighted } else { &unit };
         let build = |threads: usize| {
             let ctx = BuildContext { params: Params::with_epsilon(0.5), seed: 7, threads };
