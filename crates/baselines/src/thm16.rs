@@ -28,7 +28,8 @@
 //! from the [`TzHierarchy`] and its [`routing_core::ClusterFamily`]; the
 //! scheme itself keeps only the vicinities: the Lemma 2 ports
 //! ([`BallPorts`]) and, per vertex `u`, one id-sorted list of
-//! `(w, d(u, w))` for the members `w ∈ B(u, ℓ) ∩ A_1`. Step 3 reads a
+//! `(w, d(u, w))` for the members `w ∈ B(u, ℓ) ∩ A_1`, packed like the
+//! bunches ([`landmark_lists`], a [`DistLists`]). Step 3 reads a
 //! vicinity distance only after `v ∉ B(u, ℓ)`, and only for a pivot
 //! `w = p_i(v)`: `p_0(v) = v` is then no member, and every `p_i(v)` with
 //! `i ≥ 1` lies in `A_i ⊆ A_1`, so the list answers every lookup the
@@ -40,7 +41,7 @@
 
 use rand::Rng;
 
-use routing_core::{BuildError, Params};
+use routing_core::{BuildError, DistLists, Params};
 use routing_graph::{Graph, VertexId, Weight};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
 use routing_tree::TreeLabelView;
@@ -99,66 +100,30 @@ pub struct Thm16Scheme {
     /// The `ε`-vicinities of Lemma 2, `Õ((k/ε)·n^{1/k})` members each.
     balls: BallPorts,
     /// `d(u, w)` for every vicinity member `w` of `u` in `A_1`.
-    landmark_dists: LandmarkDists,
+    landmark_dists: DistLists,
 }
 
-/// Per vertex `u`, the id-sorted `(w, d(u, w))` of every `w ∈ B(u, ℓ) ∩ A_1`,
-/// in one CSR table: 4 bytes a vertex and 16 an entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct LandmarkDists {
-    /// `offsets[u]..offsets[u + 1]` indexes `entries` for vertex `u`.
-    offsets: Vec<u32>,
-    entries: Vec<(VertexId, Weight)>,
-}
-
-impl LandmarkDists {
-    /// The lists of the id-sorted set `level` over the vicinities of `balls`:
-    /// one pass counts, one fills the exact arrays. Fails on a table built
-    /// without distances.
-    fn new(balls: &BallTable, level: &[VertexId]) -> Result<Self, BuildError> {
-        let n = balls.len();
-        let mut member = vec![false; n];
-        for &w in level {
-            member[w.index()] = true;
-        }
-        let kept = |u: usize| {
-            let ball = balls.ball(VertexId(u as u32));
-            let dists = ball.dists().ok_or_else(|| BuildError::Inconsistent {
-                what: "the landmark lists read ball distances the table was built without".into(),
-            })?;
-            let members = ball.ids().iter().copied().zip(dists.iter().copied());
-            Ok::<_, BuildError>(members.filter(|&(w, _)| member[w.index()]))
-        };
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u32);
-        for u in 0..n {
-            let end = offsets[u] as usize + kept(u)?.count();
-            offsets.push(u32::try_from(end).map_err(|_| BuildError::TooSmall {
-                what: "vicinity landmark lists exceed the u32 offset range".into(),
-            })?);
-        }
-        let mut entries = Vec::with_capacity(offsets[n] as usize);
-        for u in 0..n {
-            let row = entries.len();
-            entries.extend(kept(u)?);
-            entries[row..].sort_unstable_by_key(|&(w, _)| w);
-        }
-        Ok(LandmarkDists { offsets, entries })
+/// Per vertex `u`, the id-sorted `(w, d(u, w))` of every `w ∈ B(u, ℓ)` in
+/// the id-sorted set `level`, read from a table built with distances: one
+/// pass counts, one fills the exact arrays of a [`DistLists`]. Theorem 16
+/// keeps them for `level = A_1`.
+///
+/// # Errors
+///
+/// [`BuildError::Inconsistent`] on a table built without distances.
+pub fn landmark_lists(balls: &BallTable, level: &[VertexId]) -> Result<DistLists, BuildError> {
+    let mut member = vec![false; balls.len()];
+    for &w in level {
+        member[w.index()] = true;
     }
-
-    /// `d(u, w)` if `w` is on `u`'s list: one binary search.
-    #[inline]
-    fn landmark_dist(&self, u: VertexId, w: VertexId) -> Option<Weight> {
-        let (lo, hi) = (*self.offsets.get(u.index())?, *self.offsets.get(u.index() + 1)?);
-        let row = self.entries.get(lo as usize..hi as usize)?;
-        row.binary_search_by_key(&w, |&(x, _)| x).ok().map(|i| row[i].1)
-    }
-
-    /// Bytes of heap the arrays hold, by capacity.
-    fn heap_bytes(&self) -> usize {
-        std::mem::size_of::<u32>() * self.offsets.capacity()
-            + std::mem::size_of::<(VertexId, Weight)>() * self.entries.capacity()
-    }
+    DistLists::from_rows(balls.len(), |u| {
+        let ball = balls.ball(u);
+        let dists = ball.dists().ok_or_else(|| BuildError::Inconsistent {
+            what: "the landmark lists read ball distances the table was built without".into(),
+        })?;
+        let members = ball.ids().iter().copied().zip(dists.iter().copied());
+        Ok(members.filter(|&(w, _)| member[w.index()]))
+    })
 }
 
 /// The vicinity size Theorem 16 prescribes: `α·(k/ε)·n^{1/k}` members,
@@ -191,7 +156,7 @@ impl Thm16Scheme {
         // before the hierarchy's transients arrive.
         let levels = TzLevels::sample(g, k, rng)?;
         let table = BallTable::build(g, vicinity_size(k, g.n(), params));
-        let landmark_dists = LandmarkDists::new(&table, levels.level(1))?;
+        let landmark_dists = landmark_lists(&table, levels.level(1))?;
         let balls = table.into_ports();
         let hierarchy = TzHierarchy::from_levels(g, levels)?;
         let name = format!("thm16k{k}");
@@ -264,7 +229,7 @@ impl RoutingScheme for Thm16Scheme {
             } else if let Some(d) = clusters.bunch_dist(source, w) {
                 // u ∈ C(w) by bunch/cluster duality: T(w) already covers u.
                 (d, Phase::Tree { root: w, label })
-            } else if let Some(d) = self.landmark_dists.landmark_dist(source, w) {
+            } else if let Some(d) = self.landmark_dists.dist(source, w) {
                 (d, Phase::ToPivot { w, label })
             } else {
                 continue;
@@ -357,7 +322,9 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use routing_graph::apsp::DistanceMatrix;
+    use routing_graph::codec::bytes_for;
     use routing_graph::generators::{self, WeightModel};
+    use routing_graph::SLOT_PAD;
     use routing_model::simulate;
     use routing_vicinity::BallDists;
 
@@ -465,30 +432,35 @@ mod tests {
     }
 
     /// The landmark lists answer the table's `d(u, w)` for every `u` and
-    /// every `w ∈ A_1`, and nothing for any other `w`; they hold 16 bytes an
-    /// entry and 4 a vertex, with no growth slack.
+    /// every `w ∈ A_1`, and nothing for any other `w`; they hold an entry at
+    /// the id width plus the bytes the largest listed distance needs, and 4
+    /// bytes a vertex, with no growth slack.
     #[test]
     fn landmark_lists_answer_as_the_table_did() {
         for (key, g, scheme, table) in schemes_beside_their_tables() {
             let a1 = &scheme.hierarchy().levels()[1];
             let lists = &scheme.landmark_dists;
-            let mut entries = 0;
+            let (mut entries, mut far) = (0, 0);
             for u in g.vertices() {
                 for w in g.vertices() {
                     let in_a1 = a1.binary_search(&w).is_ok();
                     let want = if in_a1 { table_dist(&table, u, w) } else { None };
-                    assert_eq!(lists.landmark_dist(u, w), want, "{key}: d({u}, {w})");
+                    assert_eq!(lists.dist(u, w), want, "{key}: d({u}, {w})");
                     entries += usize::from(want.is_some());
+                    far = far.max(want.unwrap_or(0));
                 }
+                let row: Vec<_> = lists.row(u).collect();
+                assert!(row.windows(2).all(|p| p[0].0 < p[1].0), "{key}: row of {u} is id-sorted");
             }
-            assert_eq!(lists.landmark_dist(VertexId(g.n() as u32), a1[0]), None, "{key}");
+            assert_eq!(lists.dist(VertexId(g.n() as u32), a1[0]), None, "{key}");
             assert!(entries > 0, "{key}: no vicinity holds a landmark");
-            assert_eq!(lists.entries.capacity(), entries, "{key}: entries");
-            assert_eq!(lists.offsets.capacity(), g.n() + 1, "{key}: offsets");
-            assert_eq!(lists.heap_bytes(), 16 * entries + 4 * (g.n() + 1), "{key}: bytes");
+            assert_eq!(lists.len(), entries, "{key}: entries");
+            let entry = usize::from(bytes_for(g.n() as u64) + bytes_for(far + 1));
+            assert_eq!(lists.entry_bytes(), entry, "{key}: entry bytes");
+            assert_eq!(lists.heap_bytes(), entry * entries + SLOT_PAD + 4 * (g.n() + 1), "{key}: bytes");
             assert!(scheme.balls == table.clone().into_ports(), "{key}: ports");
             let bare = BallTable::build_with_dists(&g, table.ell(), BallDists::Skip);
-            let refused = LandmarkDists::new(&bare, a1);
+            let refused = landmark_lists(&bare, a1);
             assert!(matches!(refused, Err(BuildError::Inconsistent { .. })), "{key}: no dists");
         }
     }

@@ -69,8 +69,9 @@ pub struct TzHierarchy {
     /// Row-major `n × k`: entry `v·k + i` is rung `i` of `v`'s ladder, so a
     /// query reads one contiguous row. Rung 0 is `((v, 0), label in T(v))`.
     ladder: Vec<Rung>,
-    /// The highest level that contains each vertex.
-    level_of: Vec<usize>,
+    /// The highest level that contains each vertex: below `k ≤ 255`, one
+    /// byte a vertex.
+    level_of: Vec<u8>,
     /// `C(w)` of every `w` with respect to `w`'s level, and every `B(v)`.
     clusters: ClusterFamily,
 }
@@ -124,7 +125,7 @@ impl TzHierarchy {
     ///
     /// # Errors
     ///
-    /// Returns [`BuildError::BadParameter`] if `k < 2`,
+    /// Returns [`BuildError::BadParameter`] unless `2 ≤ k ≤ 255`,
     /// [`BuildError::TooSmall`] on an empty graph and
     /// [`BuildError::Disconnected`] on a disconnected one.
     pub fn build<R: Rng>(g: &Graph, k: usize, rng: &mut R) -> Result<Self, BuildError> {
@@ -145,8 +146,8 @@ impl TzHierarchy {
         let k = upper.len() + 1;
         let mut levels = vec![g.vertices().collect::<Vec<_>>()];
         levels.extend(upper.iter().map(|a| a.members().to_vec()));
-        let mut level_of = vec![0usize; n];
-        for (i, level) in levels.iter().enumerate() {
+        let mut level_of = vec![0u8; n];
+        for (i, level) in (0u8..).zip(&levels) {
             for &v in level {
                 level_of[v.index()] = i;
             }
@@ -175,7 +176,7 @@ impl TzHierarchy {
         // top level's is unbounded.
         let unbounded = vec![INFINITY; n];
         let (clusters, _) = ClusterFamily::build(g, |w| {
-            upper.get(level_of[w.index()]).map_or(&unbounded[..], Landmarks::bound_slice)
+            upper.get(usize::from(level_of[w.index()])).map_or(&unbounded[..], Landmarks::bound_slice)
         })?;
 
         // One row per vertex: its pivots beside its labels in their trees.
@@ -190,12 +191,13 @@ impl TzHierarchy {
     }
 
     /// What [`TzHierarchy::build`] refuses before any work:
-    /// [`BuildError::BadParameter`] if `k < 2`, [`BuildError::TooSmall`] on
-    /// an empty graph and [`BuildError::Disconnected`] on a disconnected one.
+    /// [`BuildError::BadParameter`] unless `2 ≤ k ≤ 255` (a level is one
+    /// byte), [`BuildError::TooSmall`] on an empty graph and
+    /// [`BuildError::Disconnected`] on a disconnected one.
     pub(crate) fn check(g: &Graph, k: usize) -> Result<(), BuildError> {
-        if k < 2 {
+        if !(2..=255).contains(&k) {
             return Err(BuildError::BadParameter {
-                what: format!("thorup-zwick hierarchy needs k >= 2, got {k}"),
+                what: format!("thorup-zwick hierarchy needs 2 <= k <= 255, got {k}"),
             });
         }
         if g.n() == 0 {
@@ -226,7 +228,7 @@ impl TzHierarchy {
 
     /// The highest level containing `v`.
     pub fn level_of(&self, v: VertexId) -> usize {
-        self.level_of[v.index()]
+        usize::from(self.level_of[v.index()])
     }
 
     /// `(p_i(v), d(v, A_i))`.
@@ -234,8 +236,8 @@ impl TzHierarchy {
         self.ladder[v.index() * self.k + i].0
     }
 
-    /// The bunch `B(v)` with distances, in ascending id order.
-    pub fn bunch(&self, v: VertexId) -> &[(VertexId, Weight)] {
+    /// The bunch `B(v)` with distances, decoded, in ascending id order.
+    pub fn bunch(&self, v: VertexId) -> impl Iterator<Item = (VertexId, Weight)> + '_ {
         self.clusters.bunch(v)
     }
 
@@ -251,7 +253,7 @@ impl TzHierarchy {
 
     /// The largest bunch size (a `Õ(k·n^{1/k})` quantity).
     pub fn max_bunch_size(&self) -> usize {
-        (0..self.n()).map(|v| self.bunch(VertexId(v as u32)).len()).max().unwrap_or(0)
+        (0..self.n()).map(|v| self.bunch(VertexId(v as u32)).count()).max().unwrap_or(0)
     }
 
     /// The pivot ladder of `v`, one contiguous row: for `i = 0..k`,
@@ -267,7 +269,7 @@ impl TzHierarchy {
     /// tree-routing information of every cluster containing it, the labels
     /// of its own cluster's members, and its `k` pivots with distances.
     pub fn table_words(&self, v: VertexId) -> usize {
-        2 * self.bunch(v).len() + self.clusters.membership_words(v) + 2 * self.k
+        2 * self.bunch(v).count() + self.clusters.membership_words(v) + 2 * self.k
     }
 
     /// Bytes of heap the hierarchy holds, by capacity: the level sets, the
@@ -277,7 +279,7 @@ impl TzHierarchy {
         std::mem::size_of::<Vec<VertexId>>() * self.levels.capacity()
             + std::mem::size_of::<VertexId>() * level_ids
             + std::mem::size_of::<Rung>() * self.ladder.capacity()
-            + std::mem::size_of::<usize>() * self.level_of.capacity()
+            + self.level_of.capacity()
             + self.clusters.heap_bytes()
     }
 }
@@ -334,7 +336,7 @@ impl TzOracle {
     /// Per-vertex oracle storage in `O(log n)`-bit words (bunch entries plus
     /// pivots).
     pub fn words_at(&self, v: VertexId) -> usize {
-        2 * self.hierarchy.bunch(v).len() + 2 * self.hierarchy.k()
+        2 * self.hierarchy.bunch(v).count() + 2 * self.hierarchy.k()
     }
 }
 
@@ -548,13 +550,24 @@ mod tests {
                         }
                         assert!(h.ladder(VertexId(g.n() as u32)).is_empty());
                         assert_eq!(h.ladder.capacity(), g.n() * k, "no growth slack");
-                        // 24 B a rung and a level's header, 4 an id, 8 a level-of entry.
+                        // 24 B a rung and a level's header, 4 an id, 1 a level-of entry.
                         let ids: usize = h.levels().iter().map(Vec::len).sum();
-                        let fixed = 24 * h.levels.capacity() + 4 * ids + 24 * g.n() * k + 8 * g.n();
+                        let fixed = 24 * h.levels.capacity() + 4 * ids + 24 * g.n() * k + g.n();
                         assert_eq!(h.heap_bytes(), fixed + h.clusters().heap_bytes());
                     }
                 }
             }
+        }
+    }
+
+    /// A level is one byte a vertex, so `k` stops at 255.
+    #[test]
+    fn k_is_refused_past_255() {
+        let g = generators::cycle(12);
+        assert_eq!(TzHierarchy::check(&g, 255), Ok(()));
+        for k in [0, 1, 256, usize::MAX] {
+            let refused = TzHierarchy::build(&g, k, &mut StdRng::seed_from_u64(1));
+            assert!(matches!(refused, Err(BuildError::BadParameter { .. })), "k = {k}");
         }
     }
 
@@ -564,7 +577,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let h = TzHierarchy::build(&g, 2, &mut rng).unwrap();
         for v in g.vertices() {
-            for &(w, d) in h.bunch(v) {
+            for (w, d) in h.bunch(v) {
                 assert!(h.cluster_tree(w).unwrap().contains(v));
                 let spt = routing_graph::shortest_path::dijkstra(&g, w);
                 assert_eq!(spt.dist(v), Some(d));

@@ -26,7 +26,10 @@
 //! 16's, whose vicinities must be built and trimmed before its hierarchy
 //! (see `assert_thm16_build_peak`). And it counts what a cluster family keeps:
 //! a fixed number of allocations, however many trees it holds (see
-//! `assert_cluster_family_allocations`).
+//! `assert_cluster_family_allocations`), and holds the bytes a tree forest,
+//! a cluster family, a Thorup–Zwick hierarchy and Theorem 16's landmark
+//! lists keep live to their `heap_bytes()`, exactly (see
+//! `assert_kept_bytes_are_heap_bytes`).
 //!
 //! The guard counts allocations, and live and peak bytes, through a
 //! wrapping `#[global_allocator]`. Everything lives in ONE `#[test]` so no
@@ -39,17 +42,19 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use compact_routing::registry::SchemeRegistry;
+use compact_routing::tree::TreeForest;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use routing_baselines::thm16::landmark_lists;
 use routing_baselines::{ExactScheme, Thm16Scheme, TzHierarchy, TzLevels};
 use routing_core::{
     BuildContext, ClusterFamily, Params, SchemeFivePlusEps, SchemeMultilevel, SchemeTwoPlusEps,
 };
 use routing_graph::generators::{self, Family, WeightModel};
-use routing_graph::{BfsBatch, Graph, SearchScratch, VertexId};
+use routing_graph::{BfsBatch, Graph, SearchScratch, SlotCodec, VertexId};
 use routing_model::{simulate, simulate_lean, simulate_lean_with_label, DynScheme, ErasedLabel};
 use routing_serve::{EngineConfig, ShardedEngine};
-use routing_vicinity::{sample_centers_bounded, BallDists, BallTable, SlotCodec};
+use routing_vicinity::{sample_centers_bounded, BallDists, BallTable};
 
 /// Counts every allocation (alloc, alloc_zeroed, realloc) and delegates to
 /// the system allocator. Deallocations are not counted — the guard is about
@@ -338,6 +343,7 @@ fn disabled_telemetry_adds_zero_allocations_to_hot_paths() {
     assert_multilevel_build_peak();
     assert_thm11_build_peak();
     assert_thm10_build_peak();
+    assert_kept_bytes_are_heap_bytes();
 }
 
 /// The `t1-er-direct` graph: a unit-weight Erdős–Rényi graph, n = 2000,
@@ -565,6 +571,58 @@ fn assert_thm16_build_peak(g: &Graph, ell: usize) {
          landmark lists {lists}, kept {kept} + hierarchy {hierarchy}"
     );
     assert!(lists < ports / 4, "{lists} bytes of landmark lists beside {ports} of ports");
+}
+
+/// On the `t1-er-direct` graph, what a `TreeForest`, a `ClusterFamily`, a
+/// `TzHierarchy` and Theorem 16's landmark lists keep live is exactly what
+/// their `heap_bytes()` report: a hand-written sum that drifts from the
+/// allocations it stands for (an over-reserve, an array left out) fails.
+fn assert_kept_bytes_are_heap_bytes() {
+    routing_par::set_threads(1);
+    let g = t1_graph();
+    let s = (g.n() as f64).powf(2.0 / 3.0).ceil() as usize;
+    let landmarks = sample_centers_bounded(&g, s, &mut StdRng::seed_from_u64(5));
+    let bound = landmarks.bound_slice();
+
+    // Spanning trees and clusters, through a workspace the same searches
+    // sized beforehand.
+    let roots: Vec<VertexId> = (0..g.n() as u32).step_by(50).map(VertexId).collect();
+    let search = |scratch: &mut SearchScratch, r: VertexId| {
+        if r.0 % 100 == 0 {
+            scratch.dijkstra_into(&g, r);
+        } else {
+            scratch.cluster_into(&g, r, bound);
+        }
+    };
+    let mut scratch = SearchScratch::for_graph(&g);
+    for &r in &roots {
+        search(&mut scratch, r);
+    }
+    let (kept, forest) = kept_bytes_in(|| {
+        let mut forest = TreeForest::new(&g);
+        for &r in &roots {
+            search(&mut scratch, r);
+            forest.push_scratch(&g, &scratch).expect("a search is a tree");
+        }
+        forest
+    });
+    assert_eq!(kept as usize, forest.heap_bytes(), "a forest of {} trees", forest.len());
+
+    let (kept, family) = kept_bytes_in(|| {
+        ClusterFamily::build(&g, |_| bound).map(|(family, _)| family).expect("the family builds")
+    });
+    assert_eq!(kept as usize, family.heap_bytes(), "a cluster family");
+
+    let mut rng = StdRng::seed_from_u64(17);
+    let (kept, hierarchy) =
+        kept_bytes_in(|| TzHierarchy::build(&g, 3, &mut rng).expect("the hierarchy builds"));
+    assert_eq!(kept as usize, hierarchy.heap_bytes(), "a k = 3 hierarchy");
+
+    let table = BallTable::build(&g, 100);
+    let a1 = &hierarchy.levels()[1];
+    let (kept, lists) = kept_bytes_in(|| landmark_lists(&table, a1).expect("the table has distances"));
+    assert!(!lists.is_empty(), "no vicinity holds a landmark");
+    assert_eq!(kept as usize, lists.heap_bytes(), "landmark lists of {} entries", lists.len());
 }
 
 /// A cluster family on the same graph, under a Lemma 4 landmark bound,

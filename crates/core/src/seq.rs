@@ -16,7 +16,7 @@
 //! and keep what a vertex stores per destination in the same flat table,
 //! `SeqStore`: a `KeyedStore` CSR whose value for a pair is the end of its
 //! entries in one arena of packed entries. An entry is a `[vertex, port]`
-//! slot of the ball table's `SlotCodec`, at the graph's width: the vertex in
+//! slot of the ball table's `SlotCodec<2>`, at the graph's width: the vertex in
 //! the bytes `n` needs, the port of an edge hop in the bytes the largest
 //! degree needs, and the port field's all-ones sentinel for a ball hop.
 //! Destination keys are packed the same way, at the id width. On a graph of
@@ -30,9 +30,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use routing_graph::{Graph, Port, VertexId};
+use routing_graph::{Graph, Port, SlotCodec, VertexId, SLOT_PAD};
 use routing_model::{Decision, RouteError};
-use routing_vicinity::{BallPorts, BallTable, SlotCodec, SLOT_PAD};
+use routing_vicinity::{BallPorts, BallTable};
 
 use crate::BuildError;
 
@@ -164,7 +164,7 @@ fn decode_entry([vertex, port]: [u32; 2]) -> SeqEntry {
 /// The entries of `row`, packed by `codec` back to back with no pad after
 /// them — a row of a [`SeqChunk`] — decoded one window at a time.
 pub(crate) fn decode_packed(
-    codec: SlotCodec,
+    codec: SlotCodec<2>,
     row: &[u8],
 ) -> impl DoubleEndedIterator<Item = SeqEntry> + '_ {
     row.chunks_exact(codec.width()).filter_map(move |packed| {
@@ -253,7 +253,7 @@ pub(crate) fn push_hops(
 /// entries, then [`close`](Self::close)s it.
 #[derive(Debug)]
 pub(crate) struct SeqChunk {
-    codec: SlotCodec,
+    codec: SlotCodec<2>,
     bytes: Vec<u8>,
     ends: Vec<usize>,
     /// Every entry pushed, unpacked: the reference the tests hold the
@@ -264,7 +264,7 @@ pub(crate) struct SeqChunk {
 
 impl SeqChunk {
     /// An empty chunk whose entries `codec` packs.
-    pub(crate) fn new(codec: SlotCodec) -> Self {
+    pub(crate) fn new(codec: SlotCodec<2>) -> Self {
         SeqChunk {
             codec,
             bytes: Vec::new(),
@@ -300,8 +300,8 @@ impl SeqChunk {
 
 /// What every vertex stores per destination, as one flat table: a CSR slot
 /// per vertex `u` with id-sorted destination keys, in the
-/// `BallTable`/`FlatBunches` style. A lookup is one binary search over
-/// `u`'s contiguous slot, decoding a key per probe; the resident memory is
+/// `BallTable`/`DistLists` style. A lookup is one binary search over
+/// `u`'s contiguous slot, one key window a probe; the resident memory is
 /// three flat arrays, no hashing anywhere.
 #[derive(Debug, Clone)]
 pub(crate) struct KeyedStore<T> {
@@ -311,7 +311,7 @@ pub(crate) struct KeyedStore<T> {
     /// [`SLOT_PAD`] zero bytes at the end.
     keys: Vec<u8>,
     /// The bare ids of `0..n` ([`SlotCodec::for_ids`]).
-    codec: SlotCodec,
+    codec: SlotCodec<1>,
     /// `values[i]` belongs to key `i`.
     values: Vec<T>,
 }
@@ -346,7 +346,7 @@ impl<T> KeyedStore<T> {
             debug_assert!(key.index() < n, "key {key} is not a vertex of 0..{n}");
             last = Some((u, key));
             offsets[u.index() + 1] += 1;
-            codec.encode([key.0, 0], &mut keys);
+            codec.encode([key.0], &mut keys);
             values.push(value);
         }
         for u in 0..n {
@@ -359,12 +359,6 @@ impl<T> KeyedStore<T> {
         KeyedStore { offsets, keys, codec, values }
     }
 
-    /// Key `i` of the store, decoded.
-    #[inline]
-    fn decode_key(&self, i: usize) -> Option<u32> {
-        Some(self.codec.decode(&self.keys, i)?[0])
-    }
-
     /// The position in the store of what `u` stores for `key`, if
     /// anything. A `u` or `key` outside `0..n` stores nothing: the range
     /// check comes before any key is masked to the packed width.
@@ -373,17 +367,8 @@ impl<T> KeyedStore<T> {
         if key.index() >= self.offsets.len().saturating_sub(1) {
             return None;
         }
-        let mut lo = *self.offsets.get(u.index())?;
-        let mut hi = *self.offsets.get(u.index() + 1)?;
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            match self.decode_key(mid)?.cmp(&key.0) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return Some(mid),
-            }
-        }
-        None
+        let range = *self.offsets.get(u.index())?..*self.offsets.get(u.index() + 1)?;
+        self.codec.search(&self.keys, range, key.0.into())
     }
 
     /// What `u` stores for `key`, if anything. A `u` outside `0..n` stores
@@ -418,7 +403,7 @@ pub(crate) struct SeqStore {
     /// The entries, packed by `codec`, with [`SLOT_PAD`] zero bytes at the
     /// end.
     arena: Vec<u8>,
-    codec: SlotCodec,
+    codec: SlotCodec<2>,
 }
 
 impl SeqStore {
@@ -432,7 +417,7 @@ impl SeqStore {
     /// [`BuildError::BadParameter`] when the entries outnumber what a `u32`
     /// end offset addresses.
     pub(crate) fn from_sorted<'a, I>(
-        codec: SlotCodec,
+        codec: SlotCodec<2>,
         n: usize,
         rows: I,
     ) -> Result<Self, BuildError>
@@ -550,7 +535,7 @@ mod tests {
 
     /// A codec whose entries take 3 bytes: 2-byte ids (n = 300) and 1-byte
     /// ports, and the path it is read from.
-    fn three_byte_codec() -> (Graph, SlotCodec) {
+    fn three_byte_codec() -> (Graph, SlotCodec<2>) {
         let g = generators::path(300);
         let codec = SlotCodec::for_graph(&g);
         assert_eq!(codec.width(), 3, "a 2-byte id and a 1-byte port");

@@ -28,9 +28,12 @@
 //! Lemma 6 colouring, like Technique 1's Lemma 5 hitting set, reads
 //! [`BallTable::id_prefixes`], one borrowed slice a vertex.
 
+use std::ops::Range;
+
 use rand::Rng;
 
-use routing_graph::{Graph, SearchScratch, VertexId, Weight};
+use routing_graph::codec::{bytes_for, Field};
+use routing_graph::{Graph, SearchScratch, SlotCodec, VertexId, Weight, SLOT_PAD};
 use routing_model::{Decision, RouteError};
 use routing_tree::{TreeForest, TreeLabelView, TreeView};
 use routing_vicinity::{
@@ -66,11 +69,12 @@ fn forest_by_blocks<T: Send>(
     build: impl Fn(&mut SearchScratch, usize, &mut TreeForest) -> Result<T, BuildError> + Sync,
 ) -> Result<(TreeForest, Vec<T>), BuildError> {
     let width = roots.div_ceil(8 * routing_par::threads()).clamp(1, 64);
+    let empty = TreeForest::new(g);
     let blocks = routing_par::par_map_scratch(
         roots.div_ceil(width),
         || SearchScratch::for_graph(g),
         |scratch, b| {
-            let mut chunk = TreeForest::new();
+            let mut chunk = empty.clone();
             let block = b * width..roots.min((b + 1) * width);
             let kept = block.map(|i| build(scratch, i, &mut chunk)).collect::<Result<Vec<T>, _>>()?;
             chunk.shrink_to_fit();
@@ -83,7 +87,7 @@ fn forest_by_blocks<T: Send>(
         chunks.push(chunk);
         kept.extend(block_kept);
     }
-    let mut forest = TreeForest::new();
+    let mut forest = empty;
     forest.append(chunks).map_err(tree_error)?;
     Ok((forest, kept))
 }
@@ -275,7 +279,7 @@ pub type ClusterMembers = Vec<Vec<(VertexId, Weight)>>;
 pub struct ClusterFamily {
     /// `T(w)` of every root, indexed by vertex id.
     trees: TreeForest,
-    bunches: FlatBunches,
+    bunches: DistLists,
 }
 
 impl ClusterFamily {
@@ -305,7 +309,7 @@ impl ClusterFamily {
             Ok(members)
         })?;
         let _span = routing_obs::span("bunches");
-        let bunches = FlatBunches::new(&members);
+        let bunches = DistLists::invert(&members)?;
         Ok((ClusterFamily { trees, bunches }, members))
     }
 
@@ -315,16 +319,16 @@ impl ClusterFamily {
         self.trees.tree(w.index())
     }
 
-    /// The bunch `B(v)` as `(w, d(w, v))` pairs, in ascending id order.
-    pub fn bunch(&self, v: VertexId) -> &[(VertexId, Weight)] {
-        self.bunches.of(v)
+    /// The bunch `B(v)` as `(w, d(w, v))` pairs, decoded, in ascending id
+    /// order.
+    pub fn bunch(&self, v: VertexId) -> impl Iterator<Item = (VertexId, Weight)> + '_ {
+        self.bunches.row(v)
     }
 
     /// `d(v, w)` if `w ∈ B(v)`, which is when `v ∈ C(w)`.
     #[inline]
     pub fn bunch_dist(&self, v: VertexId, w: VertexId) -> Option<Weight> {
-        let bunch = self.bunches.of(v);
-        bunch.binary_search_by_key(&w, |&(x, _)| x).ok().map(|i| bunch[i].1)
+        self.bunches.dist(v, w)
     }
 
     /// The label of `v` in `T(root)`, if `v ∈ C(root)`, as a view into
@@ -375,7 +379,7 @@ impl ClusterFamily {
     pub fn membership_words(&self, u: VertexId) -> usize {
         let trees = |w: VertexId| self.tree(w);
         let member_of: usize =
-            self.bunch(u).iter().filter_map(|&(w, _)| trees(w)).map(|t| t.table_words(u)).sum();
+            self.bunch(u).filter_map(|(w, _)| trees(w)).map(|t| t.table_words(u)).sum();
         member_of + trees(u).map_or(0, |t| t.labels_words())
     }
 
@@ -385,46 +389,153 @@ impl ClusterFamily {
     }
 }
 
-/// Every bunch in one CSR table: a probe is one binary search over
-/// adjacent memory.
-#[derive(Debug, Clone)]
-struct FlatBunches {
-    /// `offsets[v]..offsets[v + 1]` indexes `entries` for vertex `v`.
+/// Per vertex `u`, an id-sorted list of `(w, d)` pairs in one CSR table, a
+/// probe being one binary search over adjacent memory: a cluster family's
+/// bunches (`d = d(w, u)`, [`DistLists::invert`]) and Theorem 16's landmark
+/// lists (`d = d(u, w)` for the landmarks of `u`'s vicinity,
+/// [`DistLists::from_rows`]). An entry is packed by a [`SlotCodec`]: `w` in
+/// the bytes `n` needs, `d` in the bytes the table's largest distance
+/// needs. That is 4 bytes on a graph of up to 65,535 vertices whose
+/// distances stay below 65,535, beside a 4-byte offset a vertex.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DistLists {
+    /// `offsets[u]..offsets[u + 1]` indexes the entries of `u`.
     offsets: Vec<u32>,
-    /// `(w, d(w, v))`, ascending `w` within each vertex.
-    entries: Vec<(VertexId, Weight)>,
+    /// `[w, d]`, ascending `w` within each vertex, packed by `codec`, with
+    /// [`SLOT_PAD`] zero bytes at the end.
+    entries: Vec<u8>,
+    codec: SlotCodec<2>,
 }
 
-impl FlatBunches {
-    /// Inverts the clusters by a counting sort over ascending roots, so
-    /// every bunch comes out id-sorted.
-    fn new(clusters: &[Vec<(VertexId, Weight)>]) -> Self {
+impl DistLists {
+    /// Lists of `counts[u]` zeroed entries for each of `n` vertices, whose
+    /// distances are at most `max`: the one place an offset is converted.
+    fn zeroed(n: usize, counts: impl Iterator<Item = usize>, max: Weight) -> Result<Self, BuildError> {
+        let too_many = |what: String| BuildError::TooSmall { what };
+        let max = max.checked_add(1).ok_or_else(|| too_many("an infinite distance in a list".into()))?;
+        let codec = SlotCodec::new([bytes_for(n as u64), bytes_for(max)]);
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        let mut total = 0usize;
+        for count in counts {
+            total += count;
+            offsets.push(u32::try_from(total).map_err(|_| too_many(format!("{total} list entries exceed a u32 offset")))?);
+        }
+        Ok(DistLists { offsets, entries: vec![0; total * codec.width() + SLOT_PAD], codec })
+    }
+
+    /// Writes `(w, d)` as entry `i`.
+    fn put(&mut self, i: usize, (w, d): (VertexId, Weight)) {
+        let width = self.codec.width();
+        self.codec.put([u64::from(w.0), d], &mut self.entries[i * width..]);
+    }
+
+    /// The bunches of a cluster family: `B(v) = {(w, d(w, v)) : v ∈ C(w)}`
+    /// for every `v`, from each cluster `C(w)`'s members with their
+    /// distances, by a counting sort over ascending `w`, so every bunch
+    /// comes out id-sorted.
+    ///
+    /// # Errors
+    ///
+    /// [`BuildError::TooSmall`] if the entries outnumber a `u32` offset.
+    pub fn invert(clusters: &[Vec<(VertexId, Weight)>]) -> Result<Self, BuildError> {
         let n = clusters.len();
-        let mut offsets = vec![0u32; n + 1];
-        for &(v, _) in clusters.iter().flatten() {
-            offsets[v.index() + 1] += 1;
+        let (mut counts, mut max) = (vec![0usize; n], 0);
+        for &(v, d) in clusters.iter().flatten() {
+            counts[v.index()] += 1;
+            max = max.max(d);
         }
-        for v in 0..n {
-            offsets[v + 1] += offsets[v];
-        }
-        let mut next = offsets.clone();
-        let mut entries = vec![(VertexId(0), 0); offsets[n] as usize];
+        let mut lists = Self::zeroed(n, counts.into_iter(), max)?;
+        let mut next = lists.offsets.clone();
         for (w, members) in clusters.iter().enumerate() {
             for &(v, d) in members {
-                entries[next[v.index()] as usize] = (VertexId(w as u32), d);
+                lists.put(next[v.index()] as usize, (VertexId(w as u32), d));
                 next[v.index()] += 1;
             }
         }
-        FlatBunches { offsets, entries }
+        Ok(lists)
     }
 
-    fn of(&self, v: VertexId) -> &[(VertexId, Weight)] {
-        &self.entries[self.offsets[v.index()] as usize..self.offsets[v.index() + 1] as usize]
+    /// The lists of `n` vertices, `row(u)` yielding the `(w, d)` of `u` in
+    /// any order and at most once each: one pass counts, one fills the
+    /// exact arrays, sorting each row by `w`.
+    ///
+    /// # Errors
+    ///
+    /// What `row` returns, and [`BuildError::TooSmall`] if the entries
+    /// outnumber a `u32` offset.
+    pub fn from_rows<I>(
+        n: usize,
+        row: impl Fn(VertexId) -> Result<I, BuildError>,
+    ) -> Result<Self, BuildError>
+    where
+        I: Iterator<Item = (VertexId, Weight)>,
+    {
+        let (mut counts, mut max) = (Vec::with_capacity(n), 0);
+        for u in (0..n).map(|u| VertexId(u as u32)) {
+            counts.push(row(u)?.inspect(|&(_, d)| max = max.max(d)).count());
+        }
+        let mut lists = Self::zeroed(n, counts.into_iter(), max)?;
+        let mut sorted = Vec::new();
+        for u in 0..n {
+            sorted.clear();
+            sorted.extend(row(VertexId(u as u32))?);
+            sorted.sort_unstable_by_key(|&(w, _)| w);
+            for (k, &entry) in sorted.iter().enumerate() {
+                lists.put(lists.offsets[u] as usize + k, entry);
+            }
+        }
+        Ok(lists)
     }
 
-    fn heap_bytes(&self) -> usize {
-        std::mem::size_of::<u32>() * self.offsets.capacity()
-            + std::mem::size_of::<(VertexId, Weight)>() * self.entries.capacity()
+    /// The entries of `u`, by index; none for a `u` outside `0..n`.
+    #[inline]
+    fn range(&self, u: VertexId) -> Range<usize> {
+        match (self.offsets.get(u.index()), self.offsets.get(u.index() + 1)) {
+            (Some(&lo), Some(&hi)) => lo as usize..hi as usize,
+            _ => 0..0,
+        }
+    }
+
+    /// Entry `i`, decoded.
+    #[inline]
+    fn entry(&self, i: usize) -> Option<(VertexId, Weight)> {
+        let [w, d] = self.codec.decode::<u64>(&self.entries, i)?;
+        Some((VertexId(<u32 as Field>::narrow(w)), d))
+    }
+
+    /// `(w, d)` of every entry of `u`, in ascending `w`.
+    pub fn row(&self, u: VertexId) -> impl Iterator<Item = (VertexId, Weight)> + '_ {
+        self.range(u).filter_map(|i| self.entry(i))
+    }
+
+    /// `d` of the entry `(w, d)` of `u`, if `u` lists `w`: one binary search.
+    #[inline]
+    pub fn dist(&self, u: VertexId, w: VertexId) -> Option<Weight> {
+        let i = self.codec.search(&self.entries, self.range(u), w.0.into())?;
+        Some(self.entry(i)?.1)
+    }
+
+    /// Entries of every list.
+    pub fn len(&self) -> usize {
+        (self.entries.len() - SLOT_PAD) / self.codec.width()
+    }
+
+    /// True if no vertex lists anything.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Bytes an entry: `w` at the id width, `d` at the distance width.
+    pub fn entry_bytes(&self) -> usize {
+        self.codec.width()
+    }
+
+    /// Bytes of heap the arrays hold, by capacity: 4 a vertex and one
+    /// closing offset, [`entry_bytes`](Self::entry_bytes) an entry and the
+    /// pad.
+    pub fn heap_bytes(&self) -> usize {
+        std::mem::size_of::<u32>() * self.offsets.capacity() + self.entries.capacity()
     }
 }
 
@@ -504,14 +615,14 @@ mod tests {
             assert_eq!(members[u.index()], raw[u.index()].members(), "{key}: C({u})");
             let mut bunch = bunches[u.index()].clone();
             bunch.sort_unstable();
-            assert_eq!(stage.bunch(u), bunch, "{key}: B({u})");
+            assert_eq!(stage.bunch(u).collect::<Vec<_>>(), bunch, "{key}: B({u})");
             let words = trees[u.index()].labels_words()
                 + bunch.iter().map(|&(w, _)| trees[w.index()].table_words(u)).sum::<usize>();
             assert_eq!(stage.membership_words(u), words, "{key}: words at {u}");
             let tree = stage.tree(u).unwrap();
             for v in g.vertices() {
                 let reference = &trees[u.index()];
-                assert_eq!(tree.node_info(v), reference.node_info(v), "{key}: {v} in T({u})");
+                assert_eq!(tree.node_info(v).as_ref(), reference.node_info(v), "{key}: {v} in T({u})");
                 assert_eq!(tree.label(v), reference.label(v), "{key}: label of {v} in T({u})");
             }
         }
@@ -527,7 +638,7 @@ mod tests {
         assert_eq!(tree.root(), Some(reference.root()), "{key}: root");
         assert_eq!(tree.labels_words(), reference.labels_words(), "{key}: labels words");
         for v in g.vertices() {
-            assert_eq!(tree.node_info(v), reference.node_info(v), "{key}: node of {v}");
+            assert_eq!(tree.node_info(v).as_ref(), reference.node_info(v), "{key}: node of {v}");
             assert_eq!(tree.label(v), reference.label(v), "{key}: label of {v}");
             assert_eq!(tree.label_view(v), reference.label_view(v), "{key}: view of {v}");
             assert_eq!(tree.table_words(v), reference.table_words(v), "{key}: words at {v}");
@@ -546,9 +657,15 @@ mod tests {
     /// Every tree of a cluster family, and of a global-tree forest, equals
     /// the standalone tree of the same search, on Erdős–Rényi, geometric and
     /// grid graphs, unit and weighted, around the 64-root block boundary.
-    /// The forests are equal at one and four threads, and hold 24 bytes a
-    /// node, 4 a light offset, 4 a member id of a tree that does not span
-    /// the graph, 8 a light port and 8 a tree, with no growth slack.
+    /// The forests are equal at one and four threads, and hold, with no
+    /// growth slack, 8 bytes a tree, 4 a light offset and, packed at the
+    /// graph's width, a member id of a tree that does not span the graph
+    /// (1 byte below 255 vertices, 2 from 255), a node record (four times
+    /// at the bytes `0..=n` need, two ports at the bytes the largest degree
+    /// needs) and a light port (an entry time and a port), each array closed
+    /// by an 8-byte pad. The bunches hold 4 bytes a vertex and one closing
+    /// offset, and an entry at the id width plus the bytes the largest
+    /// bunch distance needs.
     #[test]
     fn every_forest_tree_equals_the_standalone_tree_of_its_search() {
         let params = Params::with_epsilon(0.5);
@@ -588,16 +705,25 @@ mod tests {
                         assert_same_tree(&format!("{key}: global T({a})"), &g, tree, &reference);
                     }
 
+                    let [_, port] = SlotCodec::for_graph(&g).bytes().map(usize::from);
+                    let (id, time) = (usize::from(bytes_for(n as u64)), usize::from(bytes_for(n as u64 + 1)));
                     for forest in [&clusters.family.trees, global] {
                         let trees: Vec<TreeView> = forest.iter().collect();
                         let nodes: usize = trees.iter().map(|t| t.len()).sum();
                         let ids: usize = trees.iter().filter(|t| t.len() != n).map(|t| t.len()).sum();
                         let light: usize = trees.iter().map(|t| (t.labels_words() - t.len()) / 2).sum();
-                        let bytes = 8 * (trees.len() + 1) + 4 * ids + 24 * nodes + 4 * (nodes + 1) + 8 * light;
+                        let packed = id * ids + (4 * time + 2 * port) * nodes + (id + port) * light;
+                        let bytes = 8 * (trees.len() + 1) + 4 * (nodes + 1) + packed + 3 * SLOT_PAD;
                         assert_eq!(forest.heap_bytes(), bytes, "{key}: forest bytes");
                     }
-                    let bunches: usize = g.vertices().map(|v| clusters.bunch(v).len()).sum();
-                    let family_bytes = clusters.family.trees.heap_bytes() + 4 * (n + 1) + 16 * bunches;
+                    let bunches: Vec<_> = g.vertices().flat_map(|v| clusters.bunch(v)).collect();
+                    let far = bunches.iter().map(|&(_, d)| d).max().unwrap_or(0);
+                    let entry = id + usize::from(bytes_for(far + 1));
+                    assert_eq!(clusters.bunches.entry_bytes(), entry, "{key}: bunch entries");
+                    let family_bytes = clusters.family.trees.heap_bytes()
+                        + 4 * (n + 1)
+                        + entry * bunches.len()
+                        + SLOT_PAD;
                     assert_eq!(clusters.heap_bytes(), family_bytes, "{key}: family bytes");
                 }
             }

@@ -33,10 +33,10 @@
 //! label. The traversed path has weight at most `(1+ε)·d(u, v)`.
 
 use routing_graph::scratch::BFS_BATCH_WIDTH;
-use routing_graph::{BfsBatch, Graph, SearchScratch, VertexId, Weight};
+use routing_graph::{BfsBatch, Graph, SearchScratch, SlotCodec, VertexId, Weight};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
 use routing_tree::{TreeForest, TreeLabelView, TreeView};
-use routing_vicinity::{hitting_set_greedy, BallPorts, BallTable, SlotCodec};
+use routing_vicinity::{hitting_set_greedy, BallPorts, BallTable};
 
 use crate::seq::{decode_packed, push_hops, walk_round, SeqChunk, SeqCursor, SeqEntry, SeqStore};
 use crate::stages;
@@ -142,7 +142,7 @@ impl Technique1Router {
     /// [`BuildError::Inconsistent`] when the chunks do not hold one sequence
     /// per pair, or a sequence stops at a vertex with no global tree.
     fn assemble(
-        codec: SlotCodec,
+        codec: SlotCodec<2>,
         set_of: Vec<u32>,
         hitting: Vec<VertexId>,
         trees: TreeForest,
@@ -368,7 +368,7 @@ struct SeqBuilder<'a> {
     balls: &'a BallTable,
     b: usize,
     hitting: &'a [VertexId],
-    codec: SlotCodec,
+    codec: SlotCodec<2>,
 }
 
 impl SeqBuilder<'_> {
@@ -614,7 +614,7 @@ mod tests {
     use routing_model::simulate;
     use routing_tree::TreeLabel;
     use routing_vicinity::hitting::hits_all;
-    use routing_vicinity::SLOT_PAD;
+    use routing_graph::SLOT_PAD;
 
     use crate::seq::HopKind;
 

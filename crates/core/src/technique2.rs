@@ -20,9 +20,9 @@
 //! `w` and forwarding continues. The header carries the sequence as a cursor
 //! into the router's arena, so the swap re-points the cursor.
 
-use routing_graph::{Graph, SearchScratch, VertexId, Weight};
+use routing_graph::{Graph, SearchScratch, SlotCodec, VertexId, Weight};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
-use routing_vicinity::{BallPorts, BallTable, SlotCodec};
+use routing_vicinity::{BallPorts, BallTable};
 
 use crate::seq::{push_hops, walk_round, SeqChunk, SeqCursor, SeqEntry, SeqStore};
 use crate::stages;
@@ -483,7 +483,8 @@ mod tests {
     use routing_graph::generators::{self, WeightModel};
     use routing_graph::Port;
     use routing_model::simulate;
-    use routing_vicinity::{Coloring, SLOT_PAD};
+    use routing_graph::SLOT_PAD;
+    use routing_vicinity::Coloring;
     use std::collections::HashMap;
 
     use crate::seq::{sequence_words, HopKind};

@@ -110,15 +110,21 @@ pub const WORKSPACE_CRATES: &[CrateSpec] = &[
 /// point runs) + `record_delivery`, the erased adapter's `walk` and the
 /// label check it makes once per query, `serve::engine`/`snapshot` (the
 /// serving data plane), the `obs` disabled paths (span/metric fast-outs that
-/// run even when telemetry is off), the `vicinity::balls` slot probe every
+/// run even when telemetry is off), the `graph::codec` record decode every
+/// packed table read goes through, the `vicinity::balls` slot probe every
 /// scheme runs per hop, the tree step every tree phase takes per hop and the
 /// forest's tree lookup before it, the query arms every `routing-core`
-/// scheme shares (`stages`' vicinity, cluster and bunch arms, `seq`'s
-/// keyed-store lookups and the cursor reads a header's sequence goes
-/// through, and Techniques 1 and 2's `start`/`step`), the core schemes'
-/// own `init_header`/`decide`, and Theorem 16's landmark-distance lookup.
+/// scheme shares (`stages`' vicinity, cluster and bunch arms and the
+/// distance-list lookup the bunches and Theorem 16's landmark lists share,
+/// `seq`'s keyed-store lookups and the cursor reads a header's sequence goes
+/// through, and Techniques 1 and 2's `start`/`step`), and the core schemes'
+/// own `init_header`/`decide`.
 pub const HOT_PATHS: &[(&str, HotScope)] = &[
     ("crates/graph/src/scratch.rs", HotScope::File),
+    (
+        "crates/graph/src/codec.rs",
+        HotScope::FnPrefixes(&["decode", "search", "field_mask", "narrow", "widen"]),
+    ),
     (
         "crates/vicinity/src/balls.rs",
         HotScope::FnPrefixes(&[
@@ -128,8 +134,6 @@ pub const HOT_PATHS: &[(&str, HotScope)] = &[
             "dist",
             "csr_range",
             "member_range",
-            "decode",
-            "field_mask",
         ]),
     ),
     (
@@ -139,14 +143,18 @@ pub const HOT_PATHS: &[(&str, HotScope)] = &[
             "view",
             "step",
             "slot",
-            "node_info",
+            "node",
+            "member",
+            "light_range",
             "light_ports",
             "label_view",
         ]),
     ),
     (
         "crates/core/src/stages.rs",
-        HotScope::FnPrefixes(&["sees", "toward", "rep", "label_in", "step", "bunch", "tree"]),
+        HotScope::FnPrefixes(&[
+            "sees", "toward", "rep", "label_in", "step", "bunch", "tree", "dist", "range", "entry",
+        ]),
     ),
     ("crates/core/src/seq.rs", HotScope::FnPrefixes(&["get", "cursor", "entry", "decode"])),
     (
@@ -163,7 +171,7 @@ pub const HOT_PATHS: &[(&str, HotScope)] = &[
     ),
     (
         "crates/baselines/src/thm16.rs",
-        HotScope::FnPrefixes(&["init_header", "decide", "landmark_dist"]),
+        HotScope::FnPrefixes(&["init_header", "decide"]),
     ),
     ("crates/model/src/erased.rs", HotScope::FnPrefixes(&["walk", "typed_for", "walk_many"])),
     (

@@ -21,15 +21,19 @@
 //! inside every cluster `C(w)` the same way. They keep each family of
 //! trees — a cluster family's `T(w)`, the shortest-path trees of a hitting
 //! or landmark set — as one [`TreeForest`]: a handful of flat arrays for the
-//! whole family, 24 bytes a node record, 8 a light port and 8 a tree, and no
-//! per-tree object. A tree is looked up as a `Copy` [`TreeView`]. Both carry
+//! whole family and no per-tree object. Its member ids, node records and
+//! light ports are packed at the graph's width by one
+//! [`routing_graph::SlotCodec`] each — on a graph of up to 65,535 vertices
+//! and degree 255 a node record is 10 bytes, a light port 3 and an id 2 —
+//! beside 4 bytes a light offset and 8 a tree. A tree is looked up as a
+//! `Copy` [`TreeView`], which decodes a record as it reads it. Both carry
 //! a [`TreeLabelView`] in their own labels and headers — the destination's
 //! entry time and light-port count, a `Copy` view into the tree's own
 //! light-port table — and take one hop with [`TreeView::step_view`].
-//! [`TreeScheme`] is a named forest of one tree; it, the owned [`TreeLabel`]
-//! and [`tree_route_step`] on a [`TreeNodeInfo`] are the standalone form.
-//! Every form runs the one build ([`TreeForest::push_parents`]) and the one
-//! slice-based step.
+//! [`TreeScheme`] is a named forest of one tree that keeps its records
+//! decoded beside it; it, the owned [`TreeLabel`] and [`tree_route_step`]
+//! on a [`TreeNodeInfo`] are the standalone form. Every form runs the one
+//! build ([`TreeForest::push_parents`]) and the one step.
 //!
 //! The construction is the classic heavy-path one:
 //!
@@ -58,11 +62,13 @@
 use std::cmp::Reverse;
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
 use routing_graph::shortest_path::{RestrictedTree, ShortestPathTree};
-use routing_graph::{Graph, Port, SearchScratch, VertexId};
+use routing_graph::codec::bytes_for;
+use routing_graph::{Graph, Port, SearchScratch, SlotCodec, VertexId, SLOT_PAD};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
 
 /// Errors produced while building a tree router.
@@ -102,9 +108,9 @@ impl Error for TreeBuildError {}
 /// vertex has fewer than `u32::MAX` ports, so no real port equals it.
 const NO_PORT: Port = Port(u32::MAX);
 
-/// The constant-size local routing information a tree vertex stores: six
-/// `u32`s, 24 bytes, with a sentinel port standing for an absent parent or
-/// heavy child.
+/// The constant-size local routing information a tree vertex stores, decoded:
+/// six `u32`s, with a sentinel port standing for an absent parent or heavy
+/// child. A [`TreeForest`] stores it packed at the graph's width.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TreeNodeInfo {
     tin: u32,
@@ -126,6 +132,19 @@ impl TreeNodeInfo {
         heavy_tout: 0,
         heavy_port: NO_PORT,
     };
+
+    /// The record as a forest packs it: the four times, then the two ports.
+    fn record(&self) -> [u32; 6] {
+        let TreeNodeInfo { tin, tout, parent_port, heavy_tin, heavy_tout, heavy_port } = *self;
+        [tin, tout, heavy_tin, heavy_tout, parent_port.0, heavy_port.0]
+    }
+
+    /// The record [`TreeNodeInfo::record`] packed, decoded.
+    #[inline]
+    fn from_record([tin, tout, heavy_tin, heavy_tout, parent, heavy]: [u32; 6]) -> Self {
+        let (parent_port, heavy_port) = (Port(parent), Port(heavy));
+        TreeNodeInfo { tin, tout, parent_port, heavy_tin, heavy_tout, heavy_port }
+    }
 
     /// DFS entry time of this vertex.
     pub fn tin(&self) -> u32 {
@@ -215,13 +234,17 @@ impl TreeLabelView {
 /// describe) — this indicates corrupted preprocessing, not a routable
 /// situation.
 pub fn tree_route_step(node: &TreeNodeInfo, dest: &TreeLabel) -> Result<Decision, RouteError> {
-    step_over(node, dest.tin, &dest.light_ports)
+    step_over(node, dest.tin, dest.light_ports.iter().copied())
 }
 
 /// The tree step both label forms run: the destination's entry time `tin`,
 /// and its label's light ports `light`, root first.
 #[inline]
-fn step_over(node: &TreeNodeInfo, tin: u32, light: &[(u32, Port)]) -> Result<Decision, RouteError> {
+fn step_over(
+    node: &TreeNodeInfo,
+    tin: u32,
+    mut light: impl Iterator<Item = (u32, Port)>,
+) -> Result<Decision, RouteError> {
     if tin == node.tin {
         return Ok(Decision::Deliver);
     }
@@ -240,9 +263,8 @@ fn step_over(node: &TreeNodeInfo, tin: u32, light: &[(u32, Port)]) -> Result<Dec
     // The destination is in a light subtree below this vertex; the label
     // records which port to take here.
     light
-        .iter()
-        .find(|&&(p_tin, _)| p_tin == node.tin)
-        .map(|&(_, port)| Decision::Forward(port))
+        .find(|&(p_tin, _)| p_tin == node.tin)
+        .map(|(_, port)| Decision::Forward(port))
         .ok_or_else(|| RouteError::MissingInformation {
             at: VertexId(u32::MAX),
             what: "destination label lacks the light port for this vertex".into(),
@@ -260,6 +282,48 @@ fn slot_in(ids: &[VertexId], len: usize, v: VertexId) -> Option<usize> {
     }
 }
 
+/// How a [`TreeForest`] packs its records, fixed by the graph it is made
+/// for: every field at the graph's width.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Layout {
+    /// Vertices of the graph.
+    n: usize,
+    /// A node record `[tin, tout, heavy tin, heavy tout, parent port, heavy
+    /// port]`: the times in the bytes `0..=n` need, the ports in the bytes
+    /// the largest degree needs, with "no port" their sentinel.
+    nodes: SlotCodec<6>,
+    /// A light port `[tin of the edge's parent, port there]`: the graph's
+    /// `[vertex, port]` width, since entry times are below `n`.
+    light: SlotCodec<2>,
+    /// A member id.
+    ids: SlotCodec<1>,
+}
+
+impl Layout {
+    fn of(g: &Graph) -> Self {
+        let light = SlotCodec::for_graph(g);
+        let [_, port] = light.bytes();
+        let time = bytes_for(g.n() as u64 + 1);
+        let nodes = SlotCodec::new([time, time, time, time, port, port]);
+        Layout { n: g.n(), nodes, light, ids: SlotCodec::for_ids(g.n()) }
+    }
+}
+
+/// The records of a packed array, its closing [`SLOT_PAD`] left out.
+fn unpadded(bytes: &[u8]) -> &[u8] {
+    bytes.split_at(bytes.len().saturating_sub(SLOT_PAD)).0
+}
+
+/// Drops the closing pad of a packed array, to append to it.
+fn unpad(bytes: &mut Vec<u8>) {
+    bytes.truncate(bytes.len().saturating_sub(SLOT_PAD));
+}
+
+/// Closes a packed array with its pad.
+fn pad(bytes: &mut Vec<u8>) {
+    bytes.extend_from_slice(&[0; SLOT_PAD]);
+}
+
 /// Many rooted trees of one graph in one set of flat arrays, indexed by tree
 /// number: a cluster family's `T(w)`, or the shortest-path trees of a
 /// landmark or hitting set.
@@ -267,31 +331,33 @@ fn slot_in(ids: &[VertexId], len: usize, v: VertexId) -> Option<usize> {
 /// Every member of a tree owns a *slot* (members in ascending id order). A
 /// tree that spans the graph has slot = vertex id and stores no member ids;
 /// any other tree keeps its id-sorted members as one run of `ids` and finds
-/// a slot by binary search. The [`TreeNodeInfo`]s of every tree are one
+/// a slot by binary search. The node records of every tree are one
 /// slot-indexed `nodes` array, and all labels share one light-port CSR whose
 /// offsets are absolute, one per node and indexed by the tree's first node
 /// plus the member's DFS entry time. Per tree that leaves 8 bytes: where its
 /// nodes and its ids start.
+///
+/// Ids, node records and light ports are packed by a [`SlotCodec`] at the
+/// width of the graph the forest is made for ([`TreeForest::new`]): an id in
+/// the bytes `n` needs, a time in the bytes `0..=n` need, a port in the bytes
+/// the largest degree needs. On a graph of up to 65,535 vertices and degree
+/// 255 a node record is 10 bytes, a light port 3 and an id 2.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TreeForest {
+    layout: Layout,
     /// `[first node, first id]` of every tree, and a closing entry.
     spans: Vec<[u32; 2]>,
     /// Member ids of every tree that does not span the graph, ascending
-    /// within each tree.
-    ids: Vec<VertexId>,
-    /// Local routing information per slot, tree after tree.
-    nodes: Vec<TreeNodeInfo>,
+    /// within each tree. Packed, like `nodes` and `light`, with [`SLOT_PAD`]
+    /// zero bytes at the end.
+    ids: Vec<u8>,
+    /// A node record per slot, tree after tree.
+    nodes: Vec<u8>,
     /// One offset per node and a closing one: the light ports of the member
     /// whose DFS entry time is `t` in the tree whose nodes start at `s` are
-    /// `light[light_off[s + t]..light_off[s + t + 1]]`.
+    /// entries `light_off[s + t]..light_off[s + t + 1]` of `light`.
     light_off: Vec<u32>,
-    light: Vec<(u32, Port)>,
-}
-
-impl Default for TreeForest {
-    fn default() -> Self {
-        Self::new()
-    }
+    light: Vec<u8>,
 }
 
 /// An offset into a [`TreeForest`] array: they are `u32`.
@@ -301,69 +367,64 @@ fn offset(len: usize) -> Result<u32, TreeBuildError> {
 }
 
 impl TreeForest {
-    /// A forest of no trees.
-    pub fn new() -> Self {
+    /// A forest of no trees, for trees of `g`.
+    pub fn new(g: &Graph) -> Self {
         TreeForest {
+            layout: Layout::of(g),
             spans: vec![[0, 0]],
-            ids: Vec::new(),
-            nodes: Vec::new(),
+            ids: vec![0; SLOT_PAD],
+            nodes: vec![0; SLOT_PAD],
             light_off: vec![0],
-            light: Vec::new(),
+            light: vec![0; SLOT_PAD],
         }
+    }
+
+    /// Member ids stored, of the trees that do not span the graph.
+    fn id_count(&self) -> usize {
+        unpadded(&self.ids).len() / self.layout.ids.width()
+    }
+
+    /// Node records stored.
+    fn node_count(&self) -> usize {
+        unpadded(&self.nodes).len() / self.layout.nodes.width()
+    }
+
+    /// Light ports stored.
+    fn light_count(&self) -> usize {
+        unpadded(&self.light).len() / self.layout.light.width()
     }
 
     /// Appends the tree of an explicit parent relation as the next tree.
     ///
     /// `parents` yields one `(child, parent)` pair per non-root tree vertex,
     /// in any order; the root must not appear as a child. Every parent edge
-    /// must exist in `g` (ports are taken from `g`).
+    /// must exist in `g`, the graph the forest is made for (ports are taken
+    /// from `g`).
     ///
     /// One array pass per stage, no hashing: slots, a counting-sort children
     /// CSR (children id-ascending, which fixes the DFS order), preorder
     /// entry times, subtree sizes from one reverse sweep, then labels filled
     /// top-down in preorder — a child's light ports are its parent's plus at
-    /// most one entry. The nodes and light ports are written straight into
-    /// the forest's arrays; on an error the forest is left as it was.
+    /// most one entry. The tree is laid out in working arrays of its own
+    /// first; only once it is known to fit are its ids, node records and
+    /// light ports packed onto the forest's arrays, so on an error the
+    /// forest is left as it was.
     ///
     /// # Errors
     ///
     /// Returns an error if a parent edge is missing from the graph, the
-    /// relation is not a tree rooted at `root`, or the forest would outgrow
-    /// its `u32` offsets.
+    /// relation is not a tree rooted at `root`, `g` is not the forest's
+    /// graph, or the forest would outgrow its `u32` offsets.
     pub fn push_parents<I>(&mut self, g: &Graph, root: VertexId, parents: I) -> Result<(), TreeBuildError>
-    where
-        I: IntoIterator<Item = (VertexId, VertexId)>,
-    {
-        let lens = (self.ids.len(), self.nodes.len(), self.light_off.len(), self.light.len());
-        let pushed = self.push_tree(g, root, parents);
-        if pushed.is_err() {
-            self.ids.truncate(lens.0);
-            self.nodes.truncate(lens.1);
-            self.light_off.truncate(lens.2);
-            self.light.truncate(lens.3);
-        }
-        pushed
-    }
-
-    /// Appends the tree of the last search run on a [`SearchScratch`]: its
-    /// settled vertices, under the search's parents.
-    ///
-    /// # Errors
-    ///
-    /// As [`TreeForest::push_parents`].
-    pub fn push_scratch(&mut self, g: &Graph, scratch: &SearchScratch) -> Result<(), TreeBuildError> {
-        let edges = scratch.order().iter().filter_map(|&(v, _)| scratch.parent(v).map(|p| (v, p)));
-        self.push_parents(g, scratch.source(), edges)
-    }
-
-    /// [`TreeForest::push_parents`] without the roll-back.
-    fn push_tree<I>(&mut self, g: &Graph, root: VertexId, parents: I) -> Result<(), TreeBuildError>
     where
         I: IntoIterator<Item = (VertexId, VertexId)>,
     {
         const UNSET: u32 = u32::MAX;
         let not_a_tree = |what: String| TreeBuildError::NotATree { what };
-        let n = g.n();
+        let (n, layout) = (g.n(), self.layout);
+        if n != layout.n {
+            return Err(not_a_tree(format!("a tree of {n} vertices in a forest of {}", layout.n)));
+        }
         // Tree edges with the port at the child and the port at the parent.
         let mut edges: Vec<(VertexId, VertexId, Port, Port)> = Vec::new();
         for (c, p) in parents {
@@ -374,24 +435,24 @@ impl TreeForest {
                 .then(|| g.port_to(c, p).zip(g.port_to(p, c)))
                 .flatten();
             let (up, down) = ports.ok_or(TreeBuildError::MissingEdge { child: c, parent: p })?;
+            if !layout.light.fits([0, up.0]) || !layout.light.fits([0, down.0]) {
+                return Err(not_a_tree(format!("edge ({c}, {p}) has a port the forest's graph lacks")));
+            }
             edges.push((c, p, up, down));
         }
         let m = edges.len() + 1;
-        let id_base = self.ids.len();
+        let mut ids = Vec::new();
         if m != n {
-            self.ids.extend(edges.iter().map(|e| e.0));
-            self.ids.push(root);
-            self.ids[id_base..].sort_unstable();
+            ids.extend(edges.iter().map(|e| e.0));
+            ids.push(root);
+            ids.sort_unstable();
         }
-        let ids = &self.ids[id_base..];
-        let slot_of = |v: VertexId| slot_in(ids, m, v);
+        let slot_of = |v: VertexId| slot_in(&ids, m, v);
         let root_slot = slot_of(root)
             .ok_or_else(|| not_a_tree(format!("root {root} is not a vertex of the host graph")))?;
 
         // Scatter the edges into slots and count children per parent slot.
-        let node_base = self.nodes.len();
-        self.nodes.resize(node_base + m, TreeNodeInfo::UNVISITED);
-        let nodes = &mut self.nodes[node_base..];
+        let mut nodes = vec![TreeNodeInfo::UNVISITED; m];
         let mut parent = vec![UNSET; m];
         let mut down_port = vec![Port(0); m];
         let mut kid_off = vec![0u32; m + 1];
@@ -457,58 +518,106 @@ impl TreeForest {
                 (nodes[s].heavy_tin, nodes[s].heavy_tout, nodes[s].heavy_port) = (tin, tout, down_port[c]);
             }
         }
+        // The edge into a slot is light unless it leads to its parent's
+        // heavy child; a label lists its parent's light ports and that edge,
+        // so a light edge is listed once a member of the subtree below it.
+        let is_light = |s: usize| {
+            let p = &nodes[parent[s] as usize];
+            p.heavy().map(|(h_tin, _, _)| h_tin) != Some(nodes[s].tin)
+        };
+        let light_edges = (0..m).filter(|&s| parent[s] != UNSET && is_light(s));
+        let light: usize = light_edges.map(|s| (nodes[s].tout - nodes[s].tin) as usize).sum();
+        let (node_base, id_base) = (self.node_count(), self.id_count());
+        let span = [offset(node_base + m)?, offset(id_base + ids.len())?];
+        offset(self.light_count() + light)?;
 
-        // Labels, top-down: the parent's light ports, plus the edge into
-        // this vertex when it is a light one. Offsets are absolute, so a
-        // parent's range is read where it was written.
-        offset(node_base + m)?;
-        let off_base = self.light_off.len() - 1;
+        // The tree fits: pack it. Labels go top-down, and offsets are
+        // absolute, so a parent's light ports are copied from where they
+        // were written.
+        unpad(&mut self.ids);
+        for v in &ids {
+            layout.ids.encode([v.0], &mut self.ids);
+        }
+        pad(&mut self.ids);
+        unpad(&mut self.nodes);
+        for node in &nodes {
+            layout.nodes.encode(node.record(), &mut self.nodes);
+        }
+        pad(&mut self.nodes);
+        unpad(&mut self.light);
+        let (off_base, width) = (self.light_off.len() - 1, layout.light.width());
         for &s in &pre {
             let s = s as usize;
             if parent[s] != UNSET {
-                let p = &self.nodes[node_base + parent[s] as usize];
+                let p = &nodes[parent[s] as usize];
                 let t = off_base + p.tin as usize;
                 let (lo, hi) = (self.light_off[t] as usize, self.light_off[t + 1] as usize);
-                self.light.extend_from_within(lo..hi);
-                if p.heavy().map(|(h_tin, _, _)| h_tin) != Some(self.nodes[node_base + s].tin) {
-                    self.light.push((p.tin, down_port[s]));
+                self.light.extend_from_within(lo * width..hi * width);
+                if is_light(s) {
+                    layout.light.encode([p.tin, down_port[s].0], &mut self.light);
                 }
             }
-            self.light_off.push(offset(self.light.len())?);
+            self.light_off.push((self.light.len() / width) as u32);
         }
-        self.spans.push([offset(self.nodes.len())?, offset(self.ids.len())?]);
+        pad(&mut self.light);
+        self.spans.push(span);
         Ok(())
     }
 
-    /// Appends the trees of `parts`, forests over the same graph, in order:
-    /// tree `t` of `parts` comes after this forest's trees and the earlier
-    /// parts'. Every offset is rebased onto the arrays before it, and each
-    /// array grows by exactly what the parts hold, once.
+    /// Appends the tree of the last search run on a [`SearchScratch`]: its
+    /// settled vertices, under the search's parents.
     ///
     /// # Errors
     ///
-    /// [`TreeBuildError::NotATree`] if the forest would outgrow its `u32`
-    /// offsets; the forest is then left as it was.
+    /// As [`TreeForest::push_parents`].
+    pub fn push_scratch(&mut self, g: &Graph, scratch: &SearchScratch) -> Result<(), TreeBuildError> {
+        let edges = scratch.order().iter().filter_map(|&(v, _)| scratch.parent(v).map(|p| (v, p)));
+        self.push_parents(g, scratch.source(), edges)
+    }
+
+    /// Appends the trees of `parts`, forests of the same graph, in order:
+    /// tree `t` of `parts` comes after this forest's trees and the earlier
+    /// parts'. The packed records are copied as bytes, every offset is
+    /// rebased onto the arrays before it, and each array grows by exactly
+    /// what the parts hold, once.
+    ///
+    /// # Errors
+    ///
+    /// [`TreeBuildError::NotATree`] if a part is a forest of another graph
+    /// or the forest would outgrow its `u32` offsets; the forest is then
+    /// left as it was.
     pub fn append(&mut self, parts: Vec<TreeForest>) -> Result<(), TreeBuildError> {
+        if parts.iter().any(|f| f.layout != self.layout) {
+            return Err(TreeBuildError::NotATree { what: "a forest of another graph".into() });
+        }
         let total = |len: fn(&TreeForest) -> usize| parts.iter().map(len).sum::<usize>();
-        let (trees, ids) = (total(TreeForest::len), total(|f| f.ids.len()));
-        let (nodes, light) = (total(|f| f.nodes.len()), total(|f| f.light.len()));
-        offset(self.nodes.len() + nodes)?;
-        offset(self.ids.len() + ids)?;
-        offset(self.light.len() + light)?;
+        let (trees, ids) = (total(TreeForest::len), total(TreeForest::id_count));
+        let (nodes, light) = (total(TreeForest::node_count), total(TreeForest::light_count));
+        let (mut node_base, mut id_base) = (self.node_count(), self.id_count());
+        let mut light_base = self.light_count();
+        offset(node_base + nodes)?;
+        offset(id_base + ids)?;
+        offset(light_base + light)?;
+        let bytes = |len: fn(&TreeForest) -> &Vec<u8>| parts.iter().map(|f| unpadded(len(f)).len()).sum::<usize>();
+        let (id_bytes, node_bytes, light_bytes) = (bytes(|f| &f.ids), bytes(|f| &f.nodes), bytes(|f| &f.light));
         self.spans.reserve_exact(trees);
-        self.ids.reserve_exact(ids);
-        self.nodes.reserve_exact(nodes);
         self.light_off.reserve_exact(nodes);
-        self.light.reserve_exact(light);
+        for (array, more) in [(&mut self.ids, id_bytes), (&mut self.nodes, node_bytes), (&mut self.light, light_bytes)] {
+            unpad(array);
+            array.reserve_exact(more + SLOT_PAD);
+        }
         for part in parts {
-            let (node_base, id_base) = (self.nodes.len() as u32, self.ids.len() as u32);
-            let light_base = self.light.len() as u32;
-            self.spans.extend(part.spans[1..].iter().map(|&[s, i]| [s + node_base, i + id_base]));
-            self.light_off.extend(part.light_off[1..].iter().map(|&o| o + light_base));
-            self.ids.extend_from_slice(&part.ids);
-            self.nodes.extend_from_slice(&part.nodes);
-            self.light.extend_from_slice(&part.light);
+            let base = [node_base as u32, id_base as u32];
+            self.spans.extend(part.spans[1..].iter().map(|&[s, i]| [s + base[0], i + base[1]]));
+            self.light_off.extend(part.light_off[1..].iter().map(|&o| o + light_base as u32));
+            self.ids.extend_from_slice(unpadded(&part.ids));
+            self.nodes.extend_from_slice(unpadded(&part.nodes));
+            self.light.extend_from_slice(unpadded(&part.light));
+            (node_base, id_base) = (node_base + part.node_count(), id_base + part.id_count());
+            light_base += part.light_count();
+        }
+        for array in [&mut self.ids, &mut self.nodes, &mut self.light] {
+            pad(array);
         }
         Ok(())
     }
@@ -529,8 +638,11 @@ impl TreeForest {
         let (&[n0, i0], &[n1, i1]) = (self.spans.get(t)?, self.spans.get(t + 1)?);
         let (n0, n1) = (n0 as usize, n1 as usize);
         Some(TreeView {
-            ids: self.ids.get(i0 as usize..i1 as usize)?,
-            nodes: self.nodes.get(n0..n1)?,
+            layout: &self.layout,
+            spanning: i0 == i1,
+            ids: self.ids.get(i0 as usize * self.layout.ids.width()..)?,
+            nodes: self.nodes.get(n0 * self.layout.nodes.width()..)?,
+            len: n1.checked_sub(n0)?,
             light_off: self.light_off.get(n0..n1 + 1)?,
             light: &self.light,
         })
@@ -541,15 +653,16 @@ impl TreeForest {
         (0..self.len()).filter_map(|t| self.tree(t))
     }
 
-    /// Bytes of heap the arrays hold, by capacity: 8 a tree, 4 a member id
-    /// of a tree that does not span the graph, 24 a node, 4 a light offset
-    /// and 8 a light port.
+    /// Bytes of heap the arrays hold, by capacity: 8 a tree, 4 a light
+    /// offset, and the packed ids (of the trees that do not span the
+    /// graph), node records and light ports, each array closed by its
+    /// [`SLOT_PAD`].
     pub fn heap_bytes(&self) -> usize {
         std::mem::size_of::<[u32; 2]>() * self.spans.capacity()
-            + std::mem::size_of::<VertexId>() * self.ids.capacity()
-            + std::mem::size_of::<TreeNodeInfo>() * self.nodes.capacity()
+            + self.ids.capacity()
+            + self.nodes.capacity()
             + std::mem::size_of::<u32>() * self.light_off.capacity()
-            + std::mem::size_of::<(u32, Port)>() * self.light.capacity()
+            + self.light.capacity()
     }
 
     /// Returns the growth slack of every array.
@@ -563,38 +676,67 @@ impl TreeForest {
 }
 
 /// One tree of a [`TreeForest`], as a `Copy` view into the forest's arrays:
-/// what a scheme looks a tree up as, and routes on.
+/// what a scheme looks a tree up as, and routes on. Its records are decoded
+/// as they are read.
 #[derive(Debug, Clone, Copy)]
 pub struct TreeView<'a> {
-    /// Member ids, ascending; empty when the tree spans the graph.
-    ids: &'a [VertexId],
-    nodes: &'a [TreeNodeInfo],
-    /// `nodes.len() + 1` absolute offsets into `light`, by DFS entry time.
+    layout: &'a Layout,
+    /// The tree spans the graph: slot = id, and no ids are stored.
+    spanning: bool,
+    /// The tree's member ids, ascending, and the forest's packed ids after
+    /// them; only the first `len` are the tree's, none when it spans.
+    ids: &'a [u8],
+    /// The tree's node records by slot, and the forest's after them.
+    nodes: &'a [u8],
+    /// Number of members.
+    len: usize,
+    /// `len + 1` absolute offsets into `light`, by DFS entry time.
     light_off: &'a [u32],
     /// The forest's whole light-port array.
-    light: &'a [(u32, Port)],
+    light: &'a [u8],
 }
 
 impl<'a> TreeView<'a> {
     /// Number of vertices in the tree.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.len
     }
 
     /// True if the tree contains only its root.
     pub fn is_empty(&self) -> bool {
-        self.nodes.len() <= 1
+        self.len <= 1
     }
 
+    /// The slot of `v`: its id in a spanning tree, else its rank among the
+    /// packed ids by binary search. A `v` outside the graph is no member.
     #[inline]
     fn slot(&self, v: VertexId) -> Option<usize> {
-        slot_in(self.ids, self.nodes.len(), v)
+        if self.spanning {
+            return (v.index() < self.len).then_some(v.index());
+        }
+        self.layout.ids.search(self.ids, 0..self.len, v.0.into())
+    }
+
+    /// The member in slot `s`.
+    fn member(&self, s: usize) -> Option<VertexId> {
+        if self.spanning {
+            return (s < self.len).then_some(VertexId(s as u32));
+        }
+        let [id] = self.layout.ids.decode::<u32>(self.ids, s).filter(|_| s < self.len)?;
+        Some(VertexId(id))
+    }
+
+    /// The node record in slot `s`, decoded.
+    #[inline]
+    fn node(&self, s: usize) -> Option<TreeNodeInfo> {
+        let record = self.layout.nodes.decode(self.nodes, s).filter(|_| s < self.len)?;
+        Some(TreeNodeInfo::from_record(record))
     }
 
     /// The root: the member whose DFS entry time is 0.
     pub fn root(&self) -> Option<VertexId> {
-        let s = self.nodes.iter().position(|node| node.tin == 0)?;
-        Some(self.ids.get(s).copied().unwrap_or(VertexId(s as u32)))
+        let s = (0..self.len).find(|&s| self.node(s).is_some_and(|node| node.tin == 0))?;
+        self.member(s)
     }
 
     /// Returns true if `v` is a tree vertex.
@@ -604,29 +746,40 @@ impl<'a> TreeView<'a> {
 
     /// Iterator over the tree's vertices in ascending id order.
     pub fn vertices(&self) -> impl Iterator<Item = VertexId> + 'a {
-        let ids = self.ids;
-        (0..self.nodes.len()).map(move |s| ids.get(s).copied().unwrap_or(VertexId(s as u32)))
+        let view = *self;
+        (0..self.len).filter_map(move |s| view.member(s))
     }
 
-    /// The local routing information of tree vertex `v`.
+    /// The local routing information of tree vertex `v`, decoded.
     #[inline]
-    pub fn node_info(&self, v: VertexId) -> Option<&'a TreeNodeInfo> {
-        self.nodes.get(self.slot(v)?)
+    pub fn node_info(&self, v: VertexId) -> Option<TreeNodeInfo> {
+        self.node(self.slot(v)?)
     }
 
-    /// The light ports of the label whose DFS entry time is `tin`; none for
-    /// an entry time past the tree's.
+    /// The range of `light` entries the label whose DFS entry time is `tin`
+    /// lists; empty for an entry time past the tree's.
     #[inline]
-    fn light_ports(&self, tin: u32) -> &'a [(u32, Port)] {
+    fn light_range(&self, tin: u32) -> Range<usize> {
         let t = tin as usize;
-        let range = self.light_off.get(t).zip(self.light_off.get(t + 1));
-        range.and_then(|(&lo, &hi)| self.light.get(lo as usize..hi as usize)).unwrap_or(&[])
+        match (self.light_off.get(t), self.light_off.get(t + 1)) {
+            (Some(&lo), Some(&hi)) => lo as usize..hi as usize,
+            _ => 0..0,
+        }
+    }
+
+    /// The light ports of the label whose DFS entry time is `tin`, decoded
+    /// one at a time, root first.
+    #[inline]
+    fn light_ports(&self, tin: u32) -> impl Iterator<Item = (u32, Port)> + 'a {
+        let (codec, light) = (self.layout.light, self.light);
+        let ports = self.light_range(tin).map_while(move |i| codec.decode::<u32>(light, i));
+        ports.map(|[p_tin, port]| (p_tin, Port(port)))
     }
 
     /// The tree label of tree vertex `v`.
     pub fn label(&self, v: VertexId) -> Option<TreeLabel> {
         let tin = self.node_info(v)?.tin;
-        Some(TreeLabel { tin, light_ports: self.light_ports(tin).to_vec() })
+        Some(TreeLabel { tin, light_ports: self.light_ports(tin).collect() })
     }
 
     /// The label of tree vertex `v` as a view into this tree's light-port
@@ -634,7 +787,7 @@ impl<'a> TreeView<'a> {
     #[inline]
     pub fn label_view(&self, v: VertexId) -> Option<TreeLabelView> {
         let tin = self.node_info(v)?.tin;
-        Some(TreeLabelView { tin, light_len: self.light_ports(tin).len() as u32 })
+        Some(TreeLabelView { tin, light_len: self.light_range(tin).len() as u32 })
     }
 
     /// Total size of every member's label in `O(log n)`-bit words.
@@ -643,18 +796,18 @@ impl<'a> TreeView<'a> {
             (Some(&lo), Some(&hi)) => (hi - lo) as usize,
             _ => 0,
         };
-        self.nodes.len() + 2 * light
+        self.len + 2 * light
     }
 
     /// Words of tree-routing information `v` stores: its [`TreeNodeInfo`]'s,
     /// none outside the tree.
     pub fn table_words(&self, v: VertexId) -> usize {
-        self.node_info(v).map_or(0, TreeNodeInfo::words)
+        self.node_info(v).map_or(0, |node| node.words())
     }
 
     /// Words of `v`'s label, none outside the tree.
     pub fn label_words(&self, v: VertexId) -> usize {
-        self.node_info(v).map_or(0, |node| 1 + 2 * self.light_ports(node.tin).len())
+        self.node_info(v).map_or(0, |node| 1 + 2 * self.light_range(node.tin).len())
     }
 
     /// One local routing decision at tree vertex `at` towards the holder of
@@ -666,7 +819,7 @@ impl<'a> TreeView<'a> {
     /// is not a tree vertex or `dest` is inconsistent with this tree.
     #[inline]
     pub fn step(&self, at: VertexId, dest: &TreeLabel) -> Result<Decision, RouteError> {
-        self.step_at(at, dest.tin, &dest.light_ports)
+        self.step_at(at, dest.tin, dest.light_ports.iter().copied())
     }
 
     /// [`TreeView::step`] towards the holder of a label view taken from this
@@ -682,7 +835,12 @@ impl<'a> TreeView<'a> {
 
     /// The step at tree vertex `at`, with errors attributed to `at`.
     #[inline]
-    fn step_at(&self, at: VertexId, tin: u32, light: &[(u32, Port)]) -> Result<Decision, RouteError> {
+    fn step_at(
+        &self,
+        at: VertexId,
+        tin: u32,
+        light: impl Iterator<Item = (u32, Port)>,
+    ) -> Result<Decision, RouteError> {
         let Some(node) = self.node_info(at) else {
             let root = self.root().map_or_else(|| "nothing".into(), |r| r.to_string());
             return Err(RouteError::MissingInformation {
@@ -690,7 +848,7 @@ impl<'a> TreeView<'a> {
                 what: format!("vertex is not in the tree rooted at {root}"),
             });
         };
-        step_over(node, tin, light).map_err(|e| match e {
+        step_over(&node, tin, light).map_err(|e| match e {
             RouteError::MissingInformation { what, .. } => RouteError::MissingInformation { at, what },
             other => other,
         })
@@ -698,13 +856,16 @@ impl<'a> TreeView<'a> {
 }
 
 /// A complete tree routing scheme for one rooted tree: a named
-/// [`TreeForest`] of that one tree, routed with the same step.
+/// [`TreeForest`] of that one tree, routed with the same step, and its node
+/// records decoded beside it, which [`TreeScheme::node_info`] lends.
 #[derive(Debug, Clone)]
 pub struct TreeScheme {
     name: String,
     root: VertexId,
     n_graph: usize,
     forest: TreeForest,
+    /// The tree's node records by slot, decoded.
+    nodes: Vec<TreeNodeInfo>,
 }
 
 impl TreeScheme {
@@ -723,10 +884,11 @@ impl TreeScheme {
     where
         I: IntoIterator<Item = (VertexId, VertexId)>,
     {
-        let mut forest = TreeForest::new();
+        let mut forest = TreeForest::new(g);
         forest.push_parents(g, root, parents)?;
         forest.shrink_to_fit();
-        Ok(TreeScheme { name: format!("tree-routing(root={root})"), root, n_graph: g.n(), forest })
+        let nodes = forest.tree(0).map_or_else(Vec::new, |t| (0..t.len).filter_map(|s| t.node(s)).collect());
+        Ok(TreeScheme { name: format!("tree-routing(root={root})"), root, n_graph: g.n(), forest, nodes })
     }
 
     /// Builds the router from a single-source shortest-path tree, spanning
@@ -783,8 +945,15 @@ impl TreeScheme {
     /// The tree as a view: the forest's one tree.
     #[inline]
     fn view(&self) -> TreeView<'_> {
-        const NONE: TreeView<'static> = TreeView { ids: &[], nodes: &[], light_off: &[], light: &[] };
-        self.forest.tree(0).unwrap_or(NONE)
+        self.forest.tree(0).unwrap_or(TreeView {
+            layout: &self.forest.layout,
+            spanning: true,
+            ids: &[],
+            nodes: &[],
+            len: 0,
+            light_off: &[],
+            light: &[],
+        })
     }
 
     /// Number of vertices in the tree.
@@ -807,10 +976,11 @@ impl TreeScheme {
         self.view().vertices()
     }
 
-    /// The local routing information of tree vertex `v`.
+    /// The local routing information of tree vertex `v`, as the scheme
+    /// keeps it decoded.
     #[inline]
     pub fn node_info(&self, v: VertexId) -> Option<&TreeNodeInfo> {
-        self.forest.tree(0)?.node_info(v)
+        self.nodes.get(self.view().slot(v)?)
     }
 
     /// The tree label of tree vertex `v`.
@@ -1079,22 +1249,103 @@ mod tests {
         assert_eq!(RoutingScheme::n(&t), 4);
     }
 
-    /// A node record is six `u32`s; the sentinel ports read back as absent
-    /// at the root and at a leaf.
+    /// A node record packs four times at the bytes `0..=n` need and two
+    /// ports at the bytes the largest degree needs; the sentinel ports read
+    /// back as absent at the root and at a leaf.
     #[test]
-    fn node_records_are_24_bytes_with_sentinel_ports() {
-        assert_eq!(std::mem::size_of::<TreeNodeInfo>(), 24);
+    fn node_records_pack_at_the_graphs_width_with_sentinel_ports() {
         let g = generators::path(3);
         let t = spt_scheme(&g, VertexId(0));
+        assert_eq!(t.forest.layout.nodes.bytes(), [1, 1, 1, 1, 1, 1]);
+        assert_eq!(t.forest.nodes.len(), 3 * 6 + SLOT_PAD);
         let (root, leaf) = (t.node_info(VertexId(0)).unwrap(), t.node_info(VertexId(2)).unwrap());
         assert_eq!((root.parent_port(), root.heavy().map(|h| h.0)), (None, Some(1)));
         assert_eq!((leaf.parent_port(), leaf.heavy()), (Some(Port(0)), None));
         assert_eq!((root.words(), leaf.words()), (5, 3));
+        let view = t.forest.tree(0).unwrap();
+        assert_eq!((view.node_info(VertexId(0)).as_ref(), view.node_info(VertexId(2)).as_ref()), (Some(root), Some(leaf)));
+    }
+
+    /// Every tree of a forest equals the standalone tree of the same search
+    /// where a field's width flips: ports at the hub of `star(256)` (degree
+    /// 255, one byte beside the sentinel) and `star(257)` (two bytes), times
+    /// on paths of 254, 255 and 256 vertices (the root's `tout` is `n`, so
+    /// 255 vertices take two bytes). Nodes, labels, label views, word counts
+    /// and the step in both label forms, on every pair of members.
+    #[test]
+    fn forest_trees_equal_standalone_trees_where_a_width_flips() {
+        let cases = [
+            (generators::star(256), [2, 1], vec![0, 1, 255]),
+            (generators::star(257), [2, 2], vec![0, 1, 256]),
+            (generators::path(254), [1, 1], vec![0, 127, 253]),
+            (generators::path(255), [2, 1], vec![0, 127, 254]),
+            (generators::path(256), [2, 1], vec![0, 128, 255]),
+        ];
+        for (g, [time, port], roots) in cases {
+            let mut scratch = SearchScratch::for_graph(&g);
+            let bound: Vec<_> = g.vertices().map(|v| if v.index() % 5 == 0 { 0 } else { 40 }).collect();
+            let mut forest = TreeForest::new(&g);
+            let mut alone = Vec::new();
+            for (i, &r) in roots.iter().enumerate() {
+                let search = |scratch: &mut SearchScratch| {
+                    if i == 1 {
+                        scratch.cluster_into(&g, VertexId(r), &bound);
+                    } else {
+                        scratch.dijkstra_into(&g, VertexId(r));
+                    }
+                };
+                search(&mut scratch);
+                forest.push_scratch(&g, &scratch).unwrap();
+                alone.push(TreeScheme::from_scratch(&g, &scratch).unwrap());
+            }
+            let key = format!("n = {}", g.n());
+            assert_eq!(forest.layout.nodes.bytes(), [time, time, time, time, port, port], "{key}");
+            for (tree, alone) in forest.iter().zip(&alone) {
+                assert_eq!(tree.root(), Some(alone.root()), "{key}");
+                assert_eq!(tree.labels_words(), alone.labels_words(), "{key}");
+                for v in g.vertices() {
+                    assert_eq!(tree.node_info(v).as_ref(), alone.node_info(v), "{key}: node of {v}");
+                    assert_eq!(tree.label(v), alone.label(v), "{key}: label of {v}");
+                    assert_eq!(tree.label_view(v), alone.label_view(v), "{key}: view of {v}");
+                    assert_eq!(tree.table_words(v), alone.table_words(v), "{key}: words at {v}");
+                    assert_eq!(tree.label_words(v), alone.label_words(v), "{key}: label words of {v}");
+                }
+                for dest in alone.vertices() {
+                    let (view, label) = (alone.label_view(dest).unwrap(), alone.label(dest).unwrap());
+                    for at in alone.vertices() {
+                        let want = tree_route_step(alone.node_info(at).unwrap(), &label);
+                        assert_eq!(tree.step_view(at, view), want, "{key}: {at} towards {dest}");
+                        assert_eq!(tree.step(at, &label), want, "{key}: {at} towards {dest}");
+                    }
+                }
+            }
+        }
+        // The root's exit time is `n` itself, which one byte holds only up
+        // to 254; the hub's last port is 255 on `star(257)`.
+        let g = generators::path(255);
+        let t = spt_scheme(&g, VertexId(0));
+        assert_eq!(t.node_info(VertexId(0)).unwrap().tout(), 255);
+        let g = generators::star(257);
+        let t = spt_scheme(&g, VertexId(0));
+        assert_eq!(t.label(VertexId(256)).unwrap().light_ports, vec![(0, Port(255))]);
+    }
+
+    /// A forest made for one graph refuses a tree of another, and a forest
+    /// of another graph as a part; both leave it as it was.
+    #[test]
+    fn a_forest_holds_trees_of_its_own_graph_only() {
+        let (small, large) = (generators::path(6), generators::path(300));
+        let mut forest = TreeForest::new(&small);
+        let before = forest.clone();
+        let edges = [(VertexId(1), VertexId(0))];
+        assert!(matches!(forest.push_parents(&large, VertexId(0), edges), Err(TreeBuildError::NotATree { .. })));
+        assert!(forest.append(vec![TreeForest::new(&large)]).is_err());
+        assert_eq!(forest, before);
     }
 
     /// A forest built in chunks and appended equals the forest built in one
-    /// piece, tree for tree, and holds its bytes without slack; a tree that
-    /// fails to build leaves the forest as it was.
+    /// piece, tree for tree, and holds its packed bytes without slack; a
+    /// tree that fails to build leaves the forest as it was.
     #[test]
     fn concatenated_chunks_equal_one_forest() {
         let g = generators::grid(5, 7);
@@ -1107,8 +1358,8 @@ mod tests {
                 scratch.cluster_into(&g, VertexId(r as u32), &bound);
             }
         };
-        let mut whole = TreeForest::new();
-        let mut chunks = vec![TreeForest::new(), TreeForest::new()];
+        let mut whole = TreeForest::new(&g);
+        let mut chunks = vec![TreeForest::new(&g), TreeForest::new(&g)];
         for r in 0..g.n() {
             search(&mut scratch, r);
             whole.push_scratch(&g, &scratch).unwrap();
@@ -1118,7 +1369,7 @@ mod tests {
             assert!(whole.push_parents(&g, VertexId(2), cycle).is_err());
             assert_eq!(whole, before, "a failed push rolls back");
         }
-        let mut joined = TreeForest::new();
+        let mut joined = TreeForest::new(&g);
         joined.append(chunks).unwrap();
         whole.shrink_to_fit();
         assert_eq!(joined, whole);
@@ -1128,7 +1379,7 @@ mod tests {
             let alone = TreeScheme::from_scratch(&g, &scratch).unwrap();
             assert_eq!(tree.root(), Some(alone.root()));
             for v in g.vertices() {
-                assert_eq!(tree.node_info(v), alone.node_info(v), "{v} in tree {r}");
+                assert_eq!(tree.node_info(v).as_ref(), alone.node_info(v), "{v} in tree {r}");
                 assert_eq!(tree.label(v), alone.label(v), "label of {v} in tree {r}");
             }
         }
@@ -1136,8 +1387,10 @@ mod tests {
         let nodes: usize = joined.iter().map(|t| t.len()).sum();
         let ids: usize = joined.iter().filter(|t| t.len() != g.n()).map(|t| t.len()).sum();
         let light: usize = joined.iter().map(|t| (t.labels_words() - t.len()) / 2).sum();
-        let bytes = 8 * (g.n() + 1) + 4 * ids + 24 * nodes + 4 * (nodes + 1) + 8 * light;
-        assert_eq!(joined.heap_bytes(), bytes);
+        // Ids, times (n = 35) and ports take a byte each, and each packed
+        // array ends in its pad.
+        let packed = ids + 6 * nodes + 2 * light + 3 * SLOT_PAD;
+        assert_eq!(joined.heap_bytes(), 8 * (g.n() + 1) + 4 * (nodes + 1) + packed);
     }
 
     #[test]

@@ -260,6 +260,19 @@ fn flat_kernel_matches_reference_on_fixed_shapes() {
     }
 }
 
+/// Where a packed field's width flips: the hub's ports on `star(256)` (one
+/// byte) and `star(257)` (two), times on paths of 254 vertices (one byte)
+/// and 255 and 256 (two, the root's exit time being `n`).
+#[test]
+fn flat_kernel_matches_reference_where_a_width_flips() {
+    for n in [256, 257] {
+        check_graph(&generators::star(n), 64);
+    }
+    for n in [254, 255, 256] {
+        check_graph(&generators::path(n), 64);
+    }
+}
+
 #[test]
 fn single_vertex_tree_of_a_larger_graph() {
     let g = generators::path(5);

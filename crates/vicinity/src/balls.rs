@@ -52,7 +52,7 @@
 use std::ops::{Deref, Range};
 
 use routing_graph::scratch::{BfsBatch, SearchScratch, BFS_BATCH_WIDTH};
-use routing_graph::{Graph, Port, VertexId, Weight};
+use routing_graph::{Graph, Port, SlotCodec, VertexId, Weight, SLOT_PAD};
 
 /// Sentinel port stored for the ball's center (which has no first hop).
 const NO_PORT: Port = Port(u32::MAX);
@@ -66,77 +66,6 @@ type Slot = [u32; 2];
 const EMPTY_KEY: u32 = u32::MAX;
 /// An unoccupied slot.
 const EMPTY: Slot = [EMPTY_KEY, EMPTY_KEY];
-
-/// Zero bytes after the last packed slot of an array, so that every slot is
-/// read as one whole 8-byte window.
-pub const SLOT_PAD: usize = 8;
-
-/// How an array packs `[id, port]` slots: the id in the low `id_bytes`
-/// bytes, the port in the `port_bytes` above them, little-endian. Each field
-/// is as wide as the graph needs, and its all-ones value is its sentinel —
-/// the empty key for a [`BallPorts`] id, "no port" for its port, a ball hop
-/// for a sequence entry's port. Both decode back to `u32::MAX`. An array
-/// read with [`decode`](Self::decode) ends in [`SLOT_PAD`] zero bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SlotCodec {
-    id_bytes: u8,
-    port_bytes: u8,
-}
-
-/// The fewest bytes, at least one and at most four, whose all-ones value is
-/// at least `max`: ids `0..n` leave `n`'s all-ones value free for the empty
-/// key, ports `0..deg` leave it free for "no port".
-fn bytes_for(max: usize) -> u8 {
-    (1..4).find(|&b| field_mask(b) >= max as u64).unwrap_or(4)
-}
-
-/// The all-ones value of a `bytes`-byte field.
-#[inline]
-fn field_mask(bytes: u8) -> u64 {
-    (1 << (8 * u32::from(bytes))) - 1
-}
-
-impl SlotCodec {
-    /// Ids of `g`'s vertices and ports of its largest degree.
-    pub fn for_graph(g: &Graph) -> Self {
-        let max_degree = g.vertices().map(|u| g.degree(u)).max().unwrap_or(0);
-        SlotCodec { id_bytes: bytes_for(g.n()), port_bytes: bytes_for(max_degree) }
-    }
-
-    /// Bare ids of `0..n`: the id field of [`for_graph`](Self::for_graph) on
-    /// an `n`-vertex graph, and no port field — a slot is the id alone, and
-    /// decodes with the port sentinel.
-    pub fn for_ids(n: usize) -> Self {
-        SlotCodec { id_bytes: bytes_for(n), port_bytes: 0 }
-    }
-
-    /// Bytes a slot: at most 8, the width of the window it is read through.
-    #[inline]
-    pub fn width(self) -> usize {
-        usize::from(self.id_bytes + self.port_bytes)
-    }
-
-    /// Appends `slot` to `out` in [`width`](Self::width) bytes.
-    pub fn encode(self, [id, port]: [u32; 2], out: &mut Vec<u8>) {
-        let narrow = |x: u32, bytes| if x == u32::MAX { field_mask(bytes) } else { u64::from(x) };
-        let word = narrow(id, self.id_bytes) | narrow(port, self.port_bytes) << (8 * self.id_bytes);
-        out.extend_from_slice(&word.to_le_bytes()[..self.width()]);
-    }
-
-    /// Slot `i` of `slots`, or `None` where fewer than 8 bytes start there:
-    /// one 8-byte window, shifted and masked, the narrow sentinels widened
-    /// to `u32::MAX`.
-    #[inline]
-    pub fn decode(self, slots: &[u8], i: usize) -> Option<[u32; 2]> {
-        let window = slots.get(i * self.width()..)?.first_chunk::<8>()?;
-        let word = u64::from_le_bytes(*window);
-        let field = |x: u64, bytes| {
-            let mask = field_mask(bytes);
-            if x & mask == mask { u32::MAX } else { (x & mask) as u32 }
-        };
-        Some([field(word, self.id_bytes), field(word >> (8 * self.id_bytes), self.port_bytes)])
-    }
-}
 
 /// [`BallTable::build`] appends the balls to the final arrays in blocks of
 /// `⌈n / BUILD_BLOCKS⌉` consecutive vertices, on unit weights rounded up to
@@ -199,7 +128,7 @@ pub struct BallPorts {
     /// always empty ([`EMPTY_KEY`]). Packed by `codec`, [`SLOT_PAD`] zero
     /// bytes at the end.
     slots: Vec<u8>,
-    codec: SlotCodec,
+    codec: SlotCodec<2>,
 }
 
 impl BallPorts {
@@ -212,8 +141,8 @@ impl BallPorts {
     /// `v ∉ B(u, ℓ)` or either id is outside `0..n`. Scans forward from
     /// `v`'s home slot; the ordered placement means an empty slot or a
     /// resident with a larger hash proves absence, so a miss stops as early
-    /// as a hit.
-    #[inline]
+    /// as a hit. Inlined into both lookups: it is the probe every hop runs.
+    #[inline(always)]
     fn find(&self, u: VertexId, v: VertexId) -> Option<Slot> {
         if u.index().max(v.index()) >= self.len() {
             return None;
@@ -221,7 +150,7 @@ impl BallPorts {
         let region = self.regions.get(u.index())?;
         let h = slot_hash(v.0);
         let mut at = region.start + home_slot(h, slot_cap(region.members as usize));
-        while let Some(slot) = self.codec.decode(&self.slots, at) {
+        while let Some(slot) = self.codec.decode::<u32>(&self.slots, at) {
             if slot[0] == v.0 {
                 return Some(slot);
             }
@@ -487,7 +416,7 @@ impl BallSearch {
         g: &Graph,
         centres: Range<usize>,
         ell: usize,
-        codec: SlotCodec,
+        codec: SlotCodec<2>,
         keep_dists: bool,
     ) -> Vec<BuiltBall> {
         match self {
@@ -527,7 +456,7 @@ fn fill_ball(
     region: &mut Vec<Slot>,
     ball: impl ExactSizeIterator<Item = (VertexId, Weight, Option<Port>)>,
     radius: Weight,
-    codec: SlotCodec,
+    codec: SlotCodec<2>,
     keep_dists: bool,
 ) -> BuiltBall {
     let len = ball.len();
@@ -996,39 +925,32 @@ mod tests {
         assert!(t.first_port(VertexId(0), VertexId(2)).is_some());
     }
 
-    /// Each field takes the fewest bytes whose all-ones value is at least
-    /// `n` (ids) or the largest degree (ports): one byte up to 255, two up
-    /// to 65,535, three up to 2²⁴ − 1, four beyond.
+    /// Each slot field takes the fewest bytes whose all-ones value is at
+    /// least `n` (ids) or the largest degree (ports): one byte up to 255,
+    /// two up to 65,535, three up to 2²⁴ − 1, four beyond.
     #[test]
     fn slot_widths_switch_where_the_sentinel_stops_fitting() {
-        for (max, bytes) in [(0, 1), (1, 1), (255, 1), (256, 2), (65_535, 2), (65_536, 3)] {
-            assert_eq!(bytes_for(max), bytes, "values below {max}");
-        }
-        assert_eq!(bytes_for((1 << 24) - 1), 3);
-        assert_eq!(bytes_for(1 << 24), 4);
-        assert_eq!(bytes_for(u32::MAX as usize), 4);
-        let codec = |g: &Graph| {
-            let c = SlotCodec::for_graph(g);
-            (c.id_bytes, c.port_bytes)
-        };
-        assert_eq!(codec(&generators::path(255)), (1, 1));
-        assert_eq!(codec(&generators::path(256)), (2, 1));
-        assert_eq!(codec(&generators::path(65_536)), (3, 1));
-        assert_eq!(codec(&generators::star(256)), (2, 1), "the hub's degree is 255");
-        assert_eq!(codec(&generators::star(257)), (2, 2), "the hub's degree is 256");
+        let codec = |g: &Graph| SlotCodec::for_graph(g).bytes();
+        assert_eq!(codec(&generators::path(255)), [1, 1]);
+        assert_eq!(codec(&generators::path(256)), [2, 1]);
+        assert_eq!(codec(&generators::path(65_536)), [3, 1]);
+        assert_eq!(codec(&generators::star(256)), [2, 1], "the hub's degree is 255");
+        assert_eq!(codec(&generators::star(257)), [2, 2], "the hub's degree is 256");
         for (n, bytes) in [(255, 1), (256, 2), (65_536, 3)] {
-            assert_eq!(SlotCodec::for_ids(n), SlotCodec { id_bytes: bytes, port_bytes: 0 });
+            assert_eq!(SlotCodec::for_ids(n).bytes(), [bytes]);
         }
+        assert_eq!(BallTable::build(&generators::star(257), 3).slot_bytes(), 4);
     }
 
     /// Every slot packs and unpacks to itself at every width, the sentinels
     /// included, and a slot is read whole up to the last one before the pad.
     #[test]
     fn slots_round_trip_at_every_width() {
+        let all_ones = |bytes: u8| (u64::MAX >> (64 - 8 * u32::from(bytes))) as u32;
         for id_bytes in 1..=4u8 {
             for port_bytes in 1..=4u8 {
-                let codec = SlotCodec { id_bytes, port_bytes };
-                let (ids, ports) = (field_mask(id_bytes) as u32, field_mask(port_bytes) as u32);
+                let codec = SlotCodec::new([id_bytes, port_bytes]);
+                let (ids, ports) = (all_ones(id_bytes), all_ones(port_bytes));
                 let slots = [EMPTY, [0, u32::MAX], [ids - 1, ports - 1], [ids / 3, 0]];
                 let mut packed = Vec::new();
                 for slot in slots {
@@ -1040,17 +962,17 @@ mod tests {
                     assert_eq!(codec.decode(&packed, i), Some(slot), "{codec:?}, slot {i}");
                 }
             }
-            // Bare ids: the slot is the id alone, its port the sentinel.
-            let codec = SlotCodec { id_bytes, port_bytes: 0 };
-            let ids = [0, field_mask(id_bytes) as u32 - 1, u32::MAX];
+            // Bare ids: the slot is the id alone.
+            let codec = SlotCodec::for_ids(all_ones(id_bytes) as usize);
+            let ids = [0, all_ones(id_bytes) - 1, u32::MAX];
             let mut packed = Vec::new();
             for id in ids {
-                codec.encode([id, 0], &mut packed);
+                codec.encode([id], &mut packed);
             }
             assert_eq!(packed.len(), ids.len() * usize::from(id_bytes));
             packed.extend_from_slice(&[0; SLOT_PAD]);
             for (i, &id) in ids.iter().enumerate() {
-                assert_eq!(codec.decode(&packed, i), Some([id, u32::MAX]), "{codec:?}, id {i}");
+                assert_eq!(codec.decode(&packed, i), Some([id]), "{codec:?}, id {i}");
             }
         }
     }
@@ -1064,7 +986,7 @@ mod tests {
         // before any masking.
         let g = generators::cycle(12);
         let t = BallTable::build(&g, 12);
-        assert_eq!(t.codec.id_bytes, 1);
+        assert_eq!(t.codec.bytes()[0], 1);
         let inside = VertexId(3);
         let narrow = [VertexId(0xFF), VertexId(256 + 3)];
         let wide = [VertexId(12), VertexId(13), VertexId(u32::MAX - 1), VertexId(u32::MAX)];
