@@ -213,7 +213,7 @@ impl RoutingScheme for SpannerScheme {
     }
 
     fn table_words(&self, v: VertexId) -> usize {
-        self.next[v.index()].iter().filter(|p| p.is_some()).count()
+        self.next.get(v.index()).map_or(0, |row| row.iter().filter(|p| p.is_some()).count())
     }
 
     fn label_words(&self, _v: VertexId) -> usize {

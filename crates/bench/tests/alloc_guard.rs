@@ -27,8 +27,9 @@
 //! (see `assert_thm16_build_peak`). And it counts what a cluster family keeps:
 //! a fixed number of allocations, however many trees it holds (see
 //! `assert_cluster_family_allocations`), and holds the bytes a tree forest,
-//! a cluster family, a Thorup–Zwick hierarchy and Theorem 16's landmark
-//! lists keep live to their `heap_bytes()`, exactly (see
+//! a cluster family, a Thorup–Zwick hierarchy, Theorem 16's landmark lists,
+//! a ball table with distances and one without, and the ports each leaves,
+//! keep live to their `heap_bytes()`, exactly (see
 //! `assert_kept_bytes_are_heap_bytes`).
 //!
 //! The guard counts allocations, and live and peak bytes, through a
@@ -574,9 +575,11 @@ fn assert_thm16_build_peak(g: &Graph, ell: usize) {
 }
 
 /// On the `t1-er-direct` graph, what a `TreeForest`, a `ClusterFamily`, a
-/// `TzHierarchy` and Theorem 16's landmark lists keep live is exactly what
-/// their `heap_bytes()` report: a hand-written sum that drifts from the
-/// allocations it stands for (an over-reserve, an array left out) fails.
+/// `TzHierarchy`, Theorem 16's landmark lists, a `BallTable` built with and
+/// without distances and the `BallPorts` each turns into keep live is
+/// exactly what their `heap_bytes()` report: a hand-written sum that drifts
+/// from the allocations it stands for (an over-reserve, an array left out)
+/// fails.
 fn assert_kept_bytes_are_heap_bytes() {
     routing_par::set_threads(1);
     let g = t1_graph();
@@ -618,6 +621,12 @@ fn assert_kept_bytes_are_heap_bytes() {
         kept_bytes_in(|| TzHierarchy::build(&g, 3, &mut rng).expect("the hierarchy builds"));
     assert_eq!(kept as usize, hierarchy.heap_bytes(), "a k = 3 hierarchy");
 
+    for dists in [BallDists::Keep, BallDists::Skip] {
+        let (kept, table) = kept_bytes_in(|| BallTable::build_with_dists(&g, 100, dists));
+        assert_eq!(kept as usize, table.heap_bytes(), "a ball table, {dists:?}");
+        let (kept, ports) = kept_bytes_in(|| BallTable::build_with_dists(&g, 100, dists).into_ports());
+        assert_eq!(kept as usize, ports.heap_bytes(), "the ports of a ball table, {dists:?}");
+    }
     let table = BallTable::build(&g, 100);
     let a1 = &hierarchy.levels()[1];
     let (kept, lists) = kept_bytes_in(|| landmark_lists(&table, a1).expect("the table has distances"));

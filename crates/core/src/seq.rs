@@ -30,7 +30,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use routing_graph::{Graph, Port, SlotCodec, VertexId, SLOT_PAD};
+use routing_graph::{Graph, PackedColumn, PackedView, Port, SlotCodec, VertexId};
 use routing_model::{Decision, RouteError};
 use routing_vicinity::{BallPorts, BallTable};
 
@@ -161,19 +161,6 @@ fn decode_entry([vertex, port]: [u32; 2]) -> SeqEntry {
     SeqEntry { vertex: VertexId(vertex), hop }
 }
 
-/// The entries of `row`, packed by `codec` back to back with no pad after
-/// them — a row of a [`SeqChunk`] — decoded one window at a time.
-pub(crate) fn decode_packed(
-    codec: SlotCodec<2>,
-    row: &[u8],
-) -> impl DoubleEndedIterator<Item = SeqEntry> + '_ {
-    row.chunks_exact(codec.width()).filter_map(move |packed| {
-        let mut window = [0; SLOT_PAD];
-        window.get_mut(..packed.len())?.copy_from_slice(packed);
-        codec.decode(&window, 0).map(decode_entry)
-    })
-}
-
 /// One round of the walk Lemmas 7 and 8 share, from `xi = path[pos]` along
 /// a shortest path that ends at the destination. Returns the position of
 /// `zi`, the first path vertex outside `B(xi, q̃)`, for the caller to choose
@@ -248,13 +235,12 @@ pub(crate) fn push_hops(
 }
 
 /// One build task's sequences back to back, in arena form: entries packed
-/// by the build's codec, sequence `k` in `bytes[ends[k - 1]..ends[k]]`
+/// by the build's codec, sequence `k` in `entries[ends[k - 1]..ends[k]]`
 /// (from `0` for the first). A builder [`push`](Self::push)es a sequence's
 /// entries, then [`close`](Self::close)s it.
 #[derive(Debug)]
 pub(crate) struct SeqChunk {
-    codec: SlotCodec<2>,
-    bytes: Vec<u8>,
+    entries: PackedColumn<2>,
     ends: Vec<usize>,
     /// Every entry pushed, unpacked: the reference the tests hold the
     /// packed rows to.
@@ -266,8 +252,7 @@ impl SeqChunk {
     /// An empty chunk whose entries `codec` packs.
     pub(crate) fn new(codec: SlotCodec<2>) -> Self {
         SeqChunk {
-            codec,
-            bytes: Vec::new(),
+            entries: PackedColumn::new(codec),
             ends: Vec::new(),
             #[cfg(test)]
             pushed: Vec::new(),
@@ -276,14 +261,14 @@ impl SeqChunk {
 
     /// Appends `entry` to the open sequence.
     pub(crate) fn push(&mut self, entry: SeqEntry) {
-        self.codec.encode(entry.slot(), &mut self.bytes);
+        self.entries.push(entry.slot());
         #[cfg(test)]
         self.pushed.push(entry);
     }
 
     /// Ends the sequence appended since the last close.
     pub(crate) fn close(&mut self) {
-        self.ends.push(self.bytes.len());
+        self.ends.push(self.entries.len());
     }
 
     /// How many sequences the chunk holds.
@@ -292,9 +277,9 @@ impl SeqChunk {
     }
 
     /// The chunk's sequences, packed, in the order they were closed.
-    pub(crate) fn sequences(&self) -> impl Iterator<Item = &[u8]> + Clone + '_ {
+    pub(crate) fn sequences(&self) -> impl Iterator<Item = PackedView<'_, 2>> + Clone + '_ {
         let starts = std::iter::once(0).chain(self.ends.iter().copied());
-        starts.zip(&self.ends).map(|(lo, &hi)| &self.bytes[lo..hi])
+        starts.zip(&self.ends).filter_map(|(lo, &hi)| self.entries.slice(lo..hi))
     }
 }
 
@@ -307,11 +292,9 @@ impl SeqChunk {
 pub(crate) struct KeyedStore<T> {
     /// `offsets[u] .. offsets[u + 1]` delimits `u`'s slot.
     offsets: Vec<usize>,
-    /// Destination keys, id-sorted within each slot, packed by `codec`, with
-    /// [`SLOT_PAD`] zero bytes at the end.
-    keys: Vec<u8>,
-    /// The bare ids of `0..n` ([`SlotCodec::for_ids`]).
-    codec: SlotCodec<1>,
+    /// Destination keys, id-sorted within each slot, at the id width of
+    /// `0..n` ([`SlotCodec::for_ids`]).
+    keys: PackedColumn<1>,
     /// `values[i]` belongs to key `i`.
     values: Vec<T>,
 }
@@ -336,9 +319,8 @@ impl<T> KeyedStore<T> {
         pairs: usize,
         rows: impl Iterator<Item = (VertexId, VertexId, T)>,
     ) -> Self {
-        let codec = SlotCodec::for_ids(n);
         let mut offsets = vec![0usize; n + 1];
-        let mut keys = Vec::with_capacity(pairs * codec.width() + SLOT_PAD);
+        let mut keys = PackedColumn::with_capacity(SlotCodec::for_ids(n), pairs);
         let mut values = Vec::with_capacity(pairs);
         let mut last = None;
         for (u, key, value) in rows {
@@ -346,17 +328,16 @@ impl<T> KeyedStore<T> {
             debug_assert!(key.index() < n, "key {key} is not a vertex of 0..{n}");
             last = Some((u, key));
             offsets[u.index() + 1] += 1;
-            codec.encode([key.0], &mut keys);
+            keys.push([key.0]);
             values.push(value);
         }
         for u in 0..n {
             offsets[u + 1] += offsets[u];
         }
-        keys.extend_from_slice(&[0; SLOT_PAD]);
         // The tables are kept for the scheme's lifetime: no growth slack.
         keys.shrink_to_fit();
         values.shrink_to_fit();
-        KeyedStore { offsets, keys, codec, values }
+        KeyedStore { offsets, keys, values }
     }
 
     /// The position in the store of what `u` stores for `key`, if
@@ -368,7 +349,7 @@ impl<T> KeyedStore<T> {
             return None;
         }
         let range = *self.offsets.get(u.index())?..*self.offsets.get(u.index() + 1)?;
-        self.codec.search(&self.keys, range, key.0.into())
+        Some(range.start + self.keys.slice(range)?.search(key.0.into())?)
     }
 
     /// What `u` stores for `key`, if anything. A `u` outside `0..n` stores
@@ -378,15 +359,16 @@ impl<T> KeyedStore<T> {
         self.values.get(self.get_index(u, key)?)
     }
 
-    /// How many destinations `u` stores something for.
+    /// How many destinations `u` stores something for; none for a `u`
+    /// outside `0..n`.
     pub(crate) fn slot_len(&self, u: VertexId) -> usize {
-        self.offsets[u.index() + 1] - self.offsets[u.index()]
+        self.offsets.get(u.index() + 1).zip(self.offsets.get(u.index())).map_or(0, |(hi, lo)| hi - lo)
     }
 
     /// Heap bytes held, by capacity.
     pub(crate) fn heap_bytes(&self) -> usize {
         std::mem::size_of::<usize>() * self.offsets.capacity()
-            + self.keys.capacity()
+            + self.keys.heap_bytes()
             + std::mem::size_of::<T>() * self.values.capacity()
     }
 }
@@ -400,16 +382,13 @@ impl<T> KeyedStore<T> {
 #[derive(Debug, Clone)]
 pub(crate) struct SeqStore {
     ends: KeyedStore<u32>,
-    /// The entries, packed by `codec`, with [`SLOT_PAD`] zero bytes at the
-    /// end.
-    arena: Vec<u8>,
-    codec: SlotCodec<2>,
+    arena: PackedColumn<2>,
 }
 
 impl SeqStore {
     /// Builds the store over vertices `0..n` from `(u, key, entries)` rows
     /// that arrive sorted by `(u, key)`, every pair at most once, each row
-    /// packed by `codec`. A first pass counts the rows and their bytes, so
+    /// packed by `codec`. A first pass counts the rows and their entries, so
     /// every array is allocated once, at its final size.
     ///
     /// # Errors
@@ -422,25 +401,23 @@ impl SeqStore {
         rows: I,
     ) -> Result<Self, BuildError>
     where
-        I: IntoIterator<Item = (VertexId, VertexId, &'a [u8])>,
+        I: IntoIterator<Item = (VertexId, VertexId, PackedView<'a, 2>)>,
         I::IntoIter: Clone,
     {
         let rows = rows.into_iter();
-        let (pairs, bytes) = rows.clone().fold((0, 0), |(p, b), (_, _, s)| (p + 1, b + s.len()));
-        let total = bytes / codec.width();
+        let (pairs, total) = rows.clone().fold((0, 0), |(p, e), (_, _, s)| (p + 1, e + s.len()));
         if u32::try_from(total).is_err() {
             return Err(BuildError::BadParameter {
                 what: format!("{total} sequence entries exceed a u32 arena offset"),
             });
         }
-        let mut arena = Vec::with_capacity(bytes + SLOT_PAD);
+        let mut arena = PackedColumn::with_capacity(codec, total);
         let rows = rows.map(|(u, key, entries)| {
-            arena.extend_from_slice(entries);
-            (u, key, (arena.len() / codec.width()) as u32)
+            arena.extend_from(entries);
+            (u, key, arena.len() as u32)
         });
         let ends = KeyedStore::from_sorted_reserving(n, pairs, rows);
-        arena.extend_from_slice(&[0; SLOT_PAD]);
-        Ok(SeqStore { ends, arena, codec })
+        Ok(SeqStore { ends, arena })
     }
 
     /// A cursor on the first entry of what `u` stores for `key`, if
@@ -456,23 +433,14 @@ impl SeqStore {
         Some(SeqCursor { start, len: end.checked_sub(start)?, idx: 0 })
     }
 
-    /// Entry `i` of the arena, or `None` past the last one (into the pad).
-    #[inline]
-    fn decode_at(&self, i: usize) -> Option<SeqEntry> {
-        if (i + 1) * self.codec.width() + SLOT_PAD > self.arena.len() {
-            return None;
-        }
-        self.codec.decode(&self.arena, i).map(decode_entry)
-    }
-
     /// The entry at the cursor's index: the current temporary target of a
     /// header at `at`. A cursor past its row — on the empty sequence, or
     /// one this store did not make — is [`RouteError::MissingInformation`].
     #[inline]
     pub(crate) fn entry(&self, at: VertexId, c: SeqCursor) -> Result<SeqEntry, RouteError> {
         let i = c.start as usize + c.idx as usize;
-        let entry = (c.idx < c.len).then(|| self.decode_at(i)).flatten();
-        entry.ok_or_else(|| RouteError::MissingInformation {
+        let entry = (c.idx < c.len).then(|| self.arena.get(i)).flatten();
+        entry.map(decode_entry).ok_or_else(|| RouteError::MissingInformation {
             at,
             what: format!("the header's sequence cursor {c:?} is off its row"),
         })
@@ -480,13 +448,12 @@ impl SeqStore {
 
     /// `(pairs, entries)` stored.
     pub(crate) fn counts(&self) -> (usize, usize) {
-        let bytes = self.arena.len() - SLOT_PAD;
-        (self.ends.values.len(), bytes / self.codec.width())
+        (self.ends.values.len(), self.arena.len())
     }
 
     /// Heap bytes held, by capacity.
     pub(crate) fn heap_bytes(&self) -> usize {
-        self.ends.heap_bytes() + self.arena.capacity()
+        self.ends.heap_bytes() + self.arena.heap_bytes()
     }
 }
 
@@ -494,7 +461,7 @@ impl SeqStore {
 impl SeqStore {
     /// Every entry of a cursor's sequence, decoded.
     pub(crate) fn decode_row(&self, c: SeqCursor) -> Vec<SeqEntry> {
-        (c.start..c.start + c.len).map(|i| self.decode_at(i as usize).unwrap()).collect()
+        (c.start..c.start + c.len).map(|i| decode_entry(self.arena.get(i as usize).unwrap())).collect()
     }
 
     /// Every entry `u` stores for `key`, decoded, if it stores any.
@@ -503,16 +470,16 @@ impl SeqStore {
     }
 
     /// `(pairs, entries)` stored, after checking that every array's
-    /// capacity is its length and that the keys and arena end in their
+    /// capacity is its length, the keys' and the arena's their records and
     /// pads.
     pub(crate) fn tight_sizes(&self) -> (usize, usize) {
-        let KeyedStore { offsets, keys, values, .. } = &self.ends;
+        let KeyedStore { offsets, keys, values } = &self.ends;
         assert_eq!(offsets.capacity(), offsets.len(), "offsets");
-        assert_eq!(keys.capacity(), keys.len(), "keys");
         assert_eq!(values.capacity(), values.len(), "ends");
-        assert_eq!(self.arena.capacity(), self.arena.len(), "arena");
-        assert!(keys.ends_with(&[0; SLOT_PAD]) && self.arena.ends_with(&[0; SLOT_PAD]), "pads");
-        assert_eq!(keys.len(), values.len() * self.ends.codec.width() + SLOT_PAD, "keys");
+        assert_eq!(keys.len(), values.len(), "a key a pair");
+        for (column, width, what) in [(keys.heap_bytes(), keys.codec().width() * keys.len(), "keys"), (self.arena.heap_bytes(), self.arena.codec().width() * self.arena.len(), "arena")] {
+            assert_eq!(column, width + routing_graph::SLOT_PAD, "{what}");
+        }
         self.counts()
     }
 }
@@ -520,7 +487,7 @@ impl SeqStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use routing_graph::generators;
+    use routing_graph::{generators, SLOT_PAD};
 
     #[test]
     fn constructors_and_words() {
@@ -560,10 +527,10 @@ mod tests {
             chunk.push(e);
         }
         chunk.close();
-        assert_eq!(chunk.bytes.len(), 3 * entries.len());
-        let rows: Vec<&[u8]> = chunk.sequences().collect();
-        assert_eq!(decode_packed(codec, rows[0]).collect::<Vec<_>>(), entries);
-        assert_eq!(decode_packed(codec, rows[0]).next_back(), entries.last().copied());
+        assert_eq!(chunk.entries.len(), entries.len());
+        let rows: Vec<PackedView<'_, 2>> = chunk.sequences().collect();
+        let row: Vec<SeqEntry> = (0..=rows[0].len()).map_while(|i| rows[0].get(i).map(decode_entry)).collect();
+        assert_eq!(row, entries);
         let store = SeqStore::from_sorted(codec, 300, [(VertexId(1), v, rows[0])]).unwrap();
         assert_eq!(store.decoded(VertexId(1), v), Some(entries.to_vec()));
     }
@@ -697,6 +664,6 @@ mod tests {
         assert!(matches!(err, BuildError::Inconsistent { .. }), "{err}");
         let err = push_hops(&g, &bad, 1, 1, &mut chunk).unwrap_err();
         assert!(matches!(err, BuildError::Inconsistent { .. }), "{err}");
-        assert!(chunk.bytes.is_empty(), "nothing was appended");
+        assert_eq!(chunk.entries.len(), 0, "nothing was appended");
     }
 }

@@ -33,7 +33,7 @@ use std::ops::Range;
 use rand::Rng;
 
 use routing_graph::codec::{bytes_for, Field};
-use routing_graph::{Graph, SearchScratch, SlotCodec, VertexId, Weight, SLOT_PAD};
+use routing_graph::{Graph, PackedColumn, SearchScratch, SlotCodec, VertexId, Weight};
 use routing_model::{Decision, RouteError};
 use routing_tree::{TreeForest, TreeLabelView, TreeView};
 use routing_vicinity::{
@@ -393,7 +393,7 @@ impl ClusterFamily {
 /// probe being one binary search over adjacent memory: a cluster family's
 /// bunches (`d = d(w, u)`, [`DistLists::invert`]) and Theorem 16's landmark
 /// lists (`d = d(u, w)` for the landmarks of `u`'s vicinity,
-/// [`DistLists::from_rows`]). An entry is packed by a [`SlotCodec`]: `w` in
+/// [`DistLists::from_rows`]). An entry is a [`PackedColumn`] record: `w` in
 /// the bytes `n` needs, `d` in the bytes the table's largest distance
 /// needs. That is 4 bytes on a graph of up to 65,535 vertices whose
 /// distances stay below 65,535, beside a 4-byte offset a vertex.
@@ -401,10 +401,8 @@ impl ClusterFamily {
 pub struct DistLists {
     /// `offsets[u]..offsets[u + 1]` indexes the entries of `u`.
     offsets: Vec<u32>,
-    /// `[w, d]`, ascending `w` within each vertex, packed by `codec`, with
-    /// [`SLOT_PAD`] zero bytes at the end.
-    entries: Vec<u8>,
-    codec: SlotCodec<2>,
+    /// `[w, d]`, ascending `w` within each vertex.
+    entries: PackedColumn<2>,
 }
 
 impl DistLists {
@@ -421,13 +419,7 @@ impl DistLists {
             total += count;
             offsets.push(u32::try_from(total).map_err(|_| too_many(format!("{total} list entries exceed a u32 offset")))?);
         }
-        Ok(DistLists { offsets, entries: vec![0; total * codec.width() + SLOT_PAD], codec })
-    }
-
-    /// Writes `(w, d)` as entry `i`.
-    fn put(&mut self, i: usize, (w, d): (VertexId, Weight)) {
-        let width = self.codec.width();
-        self.codec.put([u64::from(w.0), d], &mut self.entries[i * width..]);
+        Ok(DistLists { offsets, entries: PackedColumn::zeroed(codec, total) })
     }
 
     /// The bunches of a cluster family: `B(v) = {(w, d(w, v)) : v ∈ C(w)}`
@@ -449,7 +441,7 @@ impl DistLists {
         let mut next = lists.offsets.clone();
         for (w, members) in clusters.iter().enumerate() {
             for &(v, d) in members {
-                lists.put(next[v.index()] as usize, (VertexId(w as u32), d));
+                lists.entries.set(next[v.index()] as usize, [w as u64, d]);
                 next[v.index()] += 1;
             }
         }
@@ -481,8 +473,8 @@ impl DistLists {
             sorted.clear();
             sorted.extend(row(VertexId(u as u32))?);
             sorted.sort_unstable_by_key(|&(w, _)| w);
-            for (k, &entry) in sorted.iter().enumerate() {
-                lists.put(lists.offsets[u] as usize + k, entry);
+            for (k, &(w, d)) in sorted.iter().enumerate() {
+                lists.entries.set(lists.offsets[u] as usize + k, [u64::from(w.0), d]);
             }
         }
         Ok(lists)
@@ -497,28 +489,22 @@ impl DistLists {
         }
     }
 
-    /// Entry `i`, decoded.
-    #[inline]
-    fn entry(&self, i: usize) -> Option<(VertexId, Weight)> {
-        let [w, d] = self.codec.decode::<u64>(&self.entries, i)?;
-        Some((VertexId(<u32 as Field>::narrow(w)), d))
-    }
-
     /// `(w, d)` of every entry of `u`, in ascending `w`.
     pub fn row(&self, u: VertexId) -> impl Iterator<Item = (VertexId, Weight)> + '_ {
-        self.range(u).filter_map(|i| self.entry(i))
+        let entries = self.range(u).filter_map(|i| self.entries.get::<u64>(i));
+        entries.map(|[w, d]| (VertexId(<u32 as Field>::narrow(w)), d))
     }
 
     /// `d` of the entry `(w, d)` of `u`, if `u` lists `w`: one binary search.
     #[inline]
     pub fn dist(&self, u: VertexId, w: VertexId) -> Option<Weight> {
-        let i = self.codec.search(&self.entries, self.range(u), w.0.into())?;
-        Some(self.entry(i)?.1)
+        let row = self.entries.slice(self.range(u))?;
+        Some(row.get::<u64>(row.search(w.0.into())?)?[1])
     }
 
     /// Entries of every list.
     pub fn len(&self) -> usize {
-        (self.entries.len() - SLOT_PAD) / self.codec.width()
+        self.entries.len()
     }
 
     /// True if no vertex lists anything.
@@ -528,14 +514,14 @@ impl DistLists {
 
     /// Bytes an entry: `w` at the id width, `d` at the distance width.
     pub fn entry_bytes(&self) -> usize {
-        self.codec.width()
+        self.entries.codec().width()
     }
 
     /// Bytes of heap the arrays hold, by capacity: 4 a vertex and one
     /// closing offset, [`entry_bytes`](Self::entry_bytes) an entry and the
     /// pad.
     pub fn heap_bytes(&self) -> usize {
-        std::mem::size_of::<u32>() * self.offsets.capacity() + self.entries.capacity()
+        std::mem::size_of::<u32>() * self.offsets.capacity() + self.entries.heap_bytes()
     }
 }
 
@@ -578,6 +564,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use routing_graph::generators::{self, Family, WeightModel};
+    use routing_graph::SLOT_PAD;
     use routing_model::{simulate_lean_with_label, RoutingScheme};
     use routing_tree::TreeScheme;
 

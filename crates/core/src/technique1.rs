@@ -38,7 +38,7 @@ use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
 use routing_tree::{TreeForest, TreeLabelView, TreeView};
 use routing_vicinity::{hitting_set_greedy, BallPorts, BallTable};
 
-use crate::seq::{decode_packed, push_hops, walk_round, SeqChunk, SeqCursor, SeqEntry, SeqStore};
+use crate::seq::{push_hops, walk_round, SeqChunk, SeqCursor, SeqEntry, SeqStore};
 use crate::stages;
 use crate::{BuildError, Params};
 
@@ -166,7 +166,8 @@ impl Technique1Router {
             pairs.zip(chunks.iter().flat_map(SeqChunk::sequences)).map(|((u, v), s)| (u, v, s));
         let mut seq_words = vec![0usize; n];
         for (u, v, s) in rows.clone() {
-            let label_words = match decode_packed(codec, s).next_back().map(|e| e.vertex) {
+            let last = s.len().checked_sub(1).and_then(|i| s.get::<u32>(i));
+            let label_words = match last.map(|[w, _]| VertexId(w)) {
                 Some(w) if w != v => global_tree(&hitting, &trees, w)
                     .and_then(|t| t.label_view(v))
                     .ok_or_else(|| BuildError::Inconsistent {
@@ -175,7 +176,7 @@ impl Technique1Router {
                     .words(),
                 _ => 0,
             };
-            seq_words[u.index()] += 1 + SeqEntry::words() * (s.len() / codec.width()) + label_words;
+            seq_words[u.index()] += 1 + SeqEntry::words() * s.len() + label_words;
         }
         let seqs = SeqStore::from_sorted(codec, n, rows)?;
         Ok(Technique1Router { set_of, hitting, trees, seqs, seq_words, b })
@@ -328,7 +329,7 @@ impl Technique1Router {
     /// accounted by the embedding scheme.)
     pub fn table_words(&self, v: VertexId) -> usize {
         let tree_words: usize = self.trees.iter().map(|t| t.table_words(v)).sum();
-        tree_words + self.seq_words[v.index()]
+        tree_words + self.seq_words.get(v.index()).map_or(0, |&w| w)
     }
 }
 

@@ -20,7 +20,7 @@
 //! `w` and forwarding continues. The header carries the sequence as a cursor
 //! into the router's arena, so the swap re-points the cursor.
 
-use routing_graph::{Graph, SearchScratch, SlotCodec, VertexId, Weight};
+use routing_graph::{Graph, PackedView, SearchScratch, SlotCodec, VertexId, Weight};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
 use routing_vicinity::{BallPorts, BallTable};
 
@@ -153,7 +153,7 @@ impl Technique2Router {
         );
         let chunks = per_dest.into_iter().collect::<Result<Vec<_>, _>>()?;
         // The work ran destination-major; the store wants `(u, w)` order.
-        let mut rows: Vec<(VertexId, VertexId, &[u8])> =
+        let mut rows: Vec<(VertexId, VertexId, PackedView<'_, 2>)> =
             Vec::with_capacity(chunks.iter().map(SeqChunk::len).sum());
         for (&(_, w, sources), chunk) in work.iter().zip(&chunks) {
             let sources = sources.iter().filter(|&&u| u != w);
@@ -162,7 +162,7 @@ impl Technique2Router {
         rows.sort_unstable_by_key(|&(u, w, _)| (u, w));
         let mut seq_words = vec![0usize; g.n()];
         for (u, _, entries) in &rows {
-            seq_words[u.index()] += 1 + SeqEntry::words() * (entries.len() / codec.width());
+            seq_words[u.index()] += 1 + SeqEntry::words() * entries.len();
         }
         let seqs = SeqStore::from_sorted(codec, g.n(), rows.iter().copied())?;
 
@@ -274,7 +274,7 @@ impl Technique2Router {
     /// The words Lemma 8 charges to `v`: the stored sequences (the shared
     /// ball table is accounted by the embedding scheme).
     pub fn table_words(&self, v: VertexId) -> usize {
-        self.seq_words[v.index()]
+        self.seq_words.get(v.index()).map_or(0, |&w| w)
     }
 }
 

@@ -1,4 +1,4 @@
-//! Records packed at a graph's width: [`SlotCodec`].
+//! Records packed at a graph's width: [`SlotCodec`] and [`PackedColumn`].
 //!
 //! Every table a routing scheme keeps is an array of fixed-length records
 //! of small unsigned fields — a ball slot `[member, port]`, a sequence entry
@@ -10,11 +10,11 @@
 //!
 //! A field's all-ones value is its sentinel, and a column is sized so that
 //! no stored value reaches it: it stands for the value type's `MAX` (the
-//! empty key, "no port", a ball hop) and decodes back to it. An array of
-//! records ends in [`SLOT_PAD`] zero bytes, so every record is read through
-//! whole 8-byte windows, with no `unsafe`: one window for a record of up to
-//! 8 bytes, two for one of up to 16 (every record on a graph of fewer than
-//! 2²⁴ vertices), one a field beyond.
+//! empty key, "no port", a ball hop) and decodes back to it. A
+//! [`PackedColumn`] owns the records and their closing [`SLOT_PAD`] zero
+//! bytes, so every record is read through whole 8-byte windows with no
+//! `unsafe` — one up to 8 bytes, two up to 16, one a field beyond — and its
+//! reads and a [`PackedView`]'s stop at the last record, never at the pad.
 
 use std::hint::select_unpredictable;
 use std::ops::Range;
@@ -104,9 +104,8 @@ impl Field for u64 {
 }
 
 /// How an array packs records of `F` fields: field `j` in `bytes[j]`
-/// little-endian bytes, the fields back to back, the records back to back.
-/// An array read with [`decode`](Self::decode) ends in [`SLOT_PAD`] zero
-/// bytes.
+/// little-endian bytes, the fields back to back, the records back to back
+/// in a [`PackedColumn`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlotCodec<const F: usize> {
     bytes: [u8; F],
@@ -137,50 +136,42 @@ impl<const F: usize> SlotCodec<F> {
     }
 
     /// True if every field of `fields` is its sentinel or below it, so that
-    /// [`encode`](Self::encode) stores it as it is.
+    /// it is stored as it is.
     pub fn fits<T: Field>(self, fields: [T; F]) -> bool {
         fields.iter().zip(self.bytes).all(|(&x, b)| x.widen() == u64::MAX || x.widen() < field_mask(b))
     }
 
-    /// Writes `fields` into the first [`width`](Self::width) bytes of
-    /// `record`, the type's `MAX` as the field's sentinel.
-    ///
-    /// # Panics
-    ///
-    /// If `record` is shorter than a record.
-    pub fn put<T: Field>(self, fields: [T; F], record: &mut [u8]) {
-        let mut at = 0;
-        for (&x, b) in fields.iter().zip(self.bytes) {
-            let (x, b) = (stored(x, b), usize::from(b));
-            record[at..at + b].copy_from_slice(&x.to_le_bytes()[..b]);
-            at += b;
-        }
-    }
-
-    /// Appends `fields` to `out` in [`width`](Self::width) bytes: a record
-    /// of up to 16 bytes is assembled in one word and copied once.
-    pub fn encode<T: Field>(self, fields: [T; F], out: &mut Vec<u8>) {
-        if self.width() <= 16 {
-            let (mut record, mut at) = (0u128, 0);
-            for (&x, b) in fields.iter().zip(self.bytes) {
-                record |= u128::from(stored(x, b)) << (8 * at);
-                at += u32::from(b);
-            }
-            out.extend_from_slice(&record.to_le_bytes()[..self.width()]);
-        } else {
-            let start = out.len();
-            out.resize(start + self.width(), 0);
-            self.put(fields, &mut out[start..]);
-        }
-    }
-
-    /// Record `i` of `records`, or `None` where the windows it is read
-    /// through run past the end: a record of up to 8 bytes is one 8-byte
-    /// window, each field shifted out of it and masked, its sentinel
-    /// widened to the type's `MAX`. A wider record is read out of line:
-    /// two windows up to 16 bytes, a window a field beyond.
+    /// `fields` in the low bytes of a word, for a record of up to 16 bytes.
     #[inline]
-    pub fn decode<T: Field>(self, records: &[u8], i: usize) -> Option<[T; F]> {
+    fn word<T: Field>(self, fields: [T; F]) -> u128 {
+        let (mut word, mut at) = (0u128, 0);
+        for (&x, b) in fields.iter().zip(self.bytes) {
+            word |= u128::from(stored(x, b)) << (8 * at);
+            at += u32::from(b);
+        }
+        word
+    }
+
+    /// Writes `fields` into the first [`width`](Self::width) bytes of
+    /// `record`: a record of up to 16 bytes as one word, copied once.
+    fn put<T: Field>(self, fields: [T; F], record: &mut [u8]) {
+        let width = self.width();
+        if width <= 16 {
+            record[..width].copy_from_slice(&self.word(fields).to_le_bytes()[..width]);
+        } else {
+            let mut at = 0;
+            for (&x, b) in fields.iter().zip(self.bytes.map(usize::from)) {
+                record[at..at + b].copy_from_slice(&stored(x, b as u8).to_le_bytes()[..b]);
+                at += b;
+            }
+        }
+    }
+
+    /// Record `i` of `records`, or `None` where its windows run past the
+    /// end: up to 8 bytes one window, each field shifted out, masked and its
+    /// sentinel widened to the type's `MAX`; a wider record out of line.
+    #[inline]
+    fn decode<T: Field>(self, records: &[u8], i: usize) -> Option<[T; F]> {
         let record = records.get(i * self.width()..)?;
         if self.width() > 8 {
             return self.decode_wide(record);
@@ -224,7 +215,7 @@ impl<const F: usize> SlotCodec<F> {
     /// that reads one window a probe. A key at or past the first field's
     /// sentinel is in no record.
     #[inline]
-    pub fn search(self, records: &[u8], range: Range<usize>, key: u64) -> Option<usize> {
+    fn search(self, records: &[u8], range: Range<usize>, key: u64) -> Option<usize> {
         let mask = field_mask(*self.bytes.first()?);
         let first = |i: usize| {
             let window = records.get(i * self.width()..)?.first_chunk::<8>()?;
@@ -263,20 +254,174 @@ impl SlotCodec<1> {
     }
 }
 
+/// Every packed table's storage: records packed by one [`SlotCodec`], then
+/// [`SLOT_PAD`] zero bytes. Fewer than 2³² of them, so that a [`PackedView`]
+/// of any range is 16 bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PackedColumn<const F: usize> {
+    codec: SlotCodec<F>,
+    /// The records back to back, then the pad.
+    bytes: Vec<u8>,
+}
+
+impl<const F: usize> PackedColumn<F> {
+    /// An empty column of records packed by `codec`.
+    pub fn new(codec: SlotCodec<F>) -> Self {
+        Self::with_capacity(codec, 0)
+    }
+
+    /// An empty column with room for `records` records.
+    pub fn with_capacity(codec: SlotCodec<F>, records: usize) -> Self {
+        let mut bytes = Vec::with_capacity(records * codec.width() + SLOT_PAD);
+        bytes.extend_from_slice(&[0; SLOT_PAD]);
+        PackedColumn { codec, bytes }
+    }
+
+    /// A column of `records` all-zero records, to [`set`](Self::set).
+    pub fn zeroed(codec: SlotCodec<F>, records: usize) -> Self {
+        assert!(records <= u32::MAX as usize, "{records} records exceed a column");
+        PackedColumn { codec, bytes: vec![0; records * codec.width() + SLOT_PAD] }
+    }
+
+    /// How the records are packed.
+    #[inline]
+    pub fn codec(&self) -> SlotCodec<F> {
+        self.codec
+    }
+
+    /// Records stored.
+    #[inline]
+    pub fn len(&self) -> usize {
+        (self.bytes.len() - SLOT_PAD) / self.codec.width()
+    }
+
+    /// True if at least `records` records are stored: no division.
+    #[inline]
+    fn holds(&self, records: usize) -> bool {
+        records.saturating_mul(self.codec.width()) <= self.bytes.len() - SLOT_PAD
+    }
+
+    /// Appends `fields` as a record: zeros join the pad, and the record goes
+    /// over the old pad's first bytes, as one 8-byte window if it fits.
+    pub fn push<T: Field>(&mut self, fields: [T; F]) {
+        assert!(!self.holds(u32::MAX as usize), "a column holds fewer than 2³² records");
+        let (at, width) = (self.bytes.len() - SLOT_PAD, self.codec.width());
+        self.bytes.extend_from_slice(&[0; 64][..width]);
+        match self.bytes.get_mut(at..at + 8) {
+            Some(window) if width <= 8 => window.copy_from_slice(&(self.codec.word(fields) as u64).to_le_bytes()),
+            _ => self.codec.put(fields, &mut self.bytes[at..]),
+        }
+    }
+
+    /// Writes `fields` as record `i`.
+    ///
+    /// # Panics
+    ///
+    /// If `i` is at or past the last record.
+    pub fn set<T: Field>(&mut self, i: usize, fields: [T; F]) {
+        assert!(self.holds(i.saturating_add(1)), "record {i} of a column of {}", self.len());
+        self.codec.put(fields, &mut self.bytes[i * self.codec.width()..]);
+    }
+
+    /// Appends the records of `view`, a view of a column packed by the same
+    /// codec, as they are packed.
+    pub fn extend_from(&mut self, view: PackedView<'_, F>) {
+        assert_eq!(view.column.codec, self.codec, "records packed by another codec");
+        assert!(self.len() + view.len() <= u32::MAX as usize, "a column holds fewer than 2³² records");
+        let width = self.codec.width();
+        let records = &view.column.bytes[view.start as usize * width..view.end as usize * width];
+        self.bytes.reserve(records.len());
+        self.bytes.truncate(self.bytes.len() - SLOT_PAD);
+        self.bytes.extend_from_slice(records);
+        self.bytes.extend_from_slice(&[0; SLOT_PAD]);
+    }
+
+    /// Record `i`, or `None` at and past the last one.
+    #[inline]
+    pub fn get<T: Field>(&self, i: usize) -> Option<[T; F]> {
+        self.holds(i.saturating_add(1)).then(|| self.codec.decode(&self.bytes, i)).flatten()
+    }
+
+    /// Every record.
+    #[inline]
+    pub fn view(&self) -> PackedView<'_, F> {
+        PackedView { column: self, start: 0, end: self.len() as u32 }
+    }
+
+    /// The records in `range`, or `None` where it runs past the last one.
+    #[inline]
+    pub fn slice(&self, range: Range<usize>) -> Option<PackedView<'_, F>> {
+        let end = u32::try_from(range.end).ok().filter(|_| self.holds(range.end))?;
+        Some(PackedView { column: self, start: u32::try_from(range.start).ok().filter(|&s| s <= end)?, end })
+    }
+
+    /// Makes room for `records` more records.
+    pub fn reserve_exact(&mut self, records: usize) {
+        self.bytes.reserve_exact(records * self.codec.width());
+    }
+
+    /// Returns the growth slack.
+    pub fn shrink_to_fit(&mut self) {
+        self.bytes.shrink_to_fit();
+    }
+
+    /// Bytes of heap held, by capacity: the records and the pad.
+    pub fn heap_bytes(&self) -> usize {
+        self.bytes.capacity()
+    }
+}
+
+/// A borrowed range of a [`PackedColumn`]'s records, indexed from the
+/// range's first; reads stay inside the range.
+#[derive(Debug, Clone, Copy)]
+pub struct PackedView<'a, const F: usize> {
+    column: &'a PackedColumn<F>,
+    start: u32,
+    end: u32,
+}
+
+impl<const F: usize> PackedView<'_, F> {
+    /// Records in the view.
+    #[inline]
+    pub fn len(self) -> usize {
+        (self.end - self.start) as usize
+    }
+
+    /// Record `i` of the view, or `None` at and past its last one.
+    #[inline]
+    pub fn get<T: Field>(self, i: usize) -> Option<[T; F]> {
+        let at = (i < self.len()).then_some(self.start as usize + i)?;
+        self.column.codec.decode(&self.column.bytes, at)
+    }
+
+    /// The index in the view of the record whose first field is `key`, in
+    /// a view whose first fields ascend: one window a probe.
+    #[inline]
+    pub fn search(self, key: u64) -> Option<usize> {
+        let (start, end) = (self.start as usize, self.end as usize);
+        Some(self.column.codec.search(&self.column.bytes, start..end, key)? - start)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators;
 
-    /// Packs `records` by `codec` with the closing pad.
-    fn packed<T: Field, const F: usize>(codec: SlotCodec<F>, records: &[[T; F]]) -> Vec<u8> {
-        let mut out = Vec::new();
+    /// A column of `records` packed by `codec`, its bytes checked against
+    /// the fields' little-endian bytes back to back and the closing pad.
+    fn packed<T: Field, const F: usize>(codec: SlotCodec<F>, records: &[[T; F]]) -> PackedColumn<F> {
+        let (mut column, mut out) = (PackedColumn::new(codec), Vec::new());
         for &r in records {
-            codec.encode(r, &mut out);
+            column.push(r);
+            for (x, b) in r.into_iter().zip(codec.bytes().map(usize::from)) {
+                out.extend_from_slice(&stored(x, b as u8).to_le_bytes()[..b]);
+            }
         }
         assert_eq!(out.len(), records.len() * codec.width());
         out.extend_from_slice(&[0; SLOT_PAD]);
-        out
+        assert_eq!((column.len(), &column.bytes), (records.len(), &out));
+        column
     }
 
     /// A field's width switches where its all-ones value stops exceeding
@@ -323,13 +468,12 @@ mod tests {
                     .collect();
                 let bytes = packed(codec, &records);
                 for (i, &r) in records.iter().enumerate() {
-                    assert_eq!(codec.decode::<u32>(&bytes, i), Some(r), "{codec:?}, record {i}");
+                    assert_eq!(bytes.get::<u32>(i), Some(r), "{codec:?}, record {i}");
                 }
             }
             // The sentinel is stored as the all-ones value.
-            let mut sentinel = Vec::new();
-            SlotCodec::new([b]).encode([u32::MAX], &mut sentinel);
-            assert_eq!(sentinel, vec![0xFF; usize::from(b)]);
+            let sentinel = packed(SlotCodec::new([b]), &[[u32::MAX]]);
+            assert_eq!(sentinel.bytes[..usize::from(b)], vec![0xFF; usize::from(b)]);
             let one = SlotCodec::new([b]);
             assert!(one.fits([below]) && !one.fits([u64::from(below) + 1]), "{b} bytes");
         }
@@ -346,12 +490,13 @@ mod tests {
             let records: Vec<[u64; 2]> = keys.iter().map(|&k| [k, field_mask(other) - 1]).collect();
             let bytes = packed(codec, &records);
             for (i, &k) in keys.iter().enumerate() {
-                assert_eq!(codec.search(&bytes, 0..keys.len(), k), Some(i), "{codec:?}: {k}");
-                assert_eq!(codec.search(&bytes, 0..i, k), None, "{codec:?}: {k} left of its range");
-                assert_eq!(codec.search(&bytes, 0..keys.len(), k + 1), None, "{codec:?}: {}", k + 1);
+                let all = bytes.slice(0..keys.len()).unwrap();
+                assert_eq!(all.search(k), Some(i), "{codec:?}: {k}");
+                assert_eq!(bytes.slice(0..i).unwrap().search(k), None, "{codec:?}: {k} left of its range");
+                assert_eq!(all.search(k + 1), None, "{codec:?}: {}", k + 1);
             }
             for hostile in [field_mask(id), field_mask(id) + 1, u64::MAX] {
-                assert_eq!(codec.search(&bytes, 0..keys.len(), hostile), None, "{codec:?}: {hostile}");
+                assert_eq!(bytes.slice(0..keys.len()).unwrap().search(hostile), None, "{codec:?}: {hostile}");
             }
         }
     }
@@ -372,7 +517,7 @@ mod tests {
                     .collect();
                 let bytes = packed(codec, &records);
                 for (i, &r) in records.iter().enumerate() {
-                    assert_eq!(codec.decode::<u64>(&bytes, i), Some(r), "{codec:?}, record {i}");
+                    assert_eq!(bytes.get::<u64>(i), Some(r), "{codec:?}, record {i}");
                 }
             }
         }
@@ -390,8 +535,110 @@ mod tests {
                 [[0, tm, 1, tm / 2, pm, u32::MAX], [tm, 0, tm, 0, u32::MAX, pm], [1, 2, 3, 4, 5 % pm.max(1), 0]];
             let bytes = packed(codec, &records);
             for (i, &r) in records.iter().enumerate() {
-                assert_eq!(codec.decode::<u32>(&bytes, i), Some(r), "{codec:?}, record {i}");
+                assert_eq!(bytes.get::<u32>(i), Some(r), "{codec:?}, record {i}");
             }
         }
+    }
+
+    /// Codecs of every record width from one byte to 24: one field up to 8
+    /// bytes, three beyond.
+    fn every_width() -> (Vec<SlotCodec<1>>, Vec<SlotCodec<3>>) {
+        let narrow = (1..=8).map(|w| SlotCodec::new([w])).collect();
+        let wide = (9..=24u8).map(|w| SlotCodec::new([w.div_ceil(3), (w - w.div_ceil(3)).div_ceil(2), w / 3])).collect();
+        (narrow, wide)
+    }
+
+    /// A column's records and a view's are `None` at and past their last
+    /// one, on every record width: nothing reads the pad's zero bytes as a
+    /// record.
+    #[test]
+    fn reads_stop_at_the_last_record_on_every_width() {
+        fn check<const F: usize>(codec: SlotCodec<F>) {
+            for len in 0..4 {
+                let column = packed(codec, &vec![[1u64; F]; len]);
+                for i in [len, len + 1, len + 8, usize::MAX] {
+                    assert_eq!(column.get::<u64>(i), None, "{codec:?}: record {i} of {len}");
+                }
+                assert_eq!(column.slice(0..len + 1).map(PackedView::len), None, "{codec:?}");
+                let view = column.slice(0..len.saturating_sub(1)).unwrap();
+                assert_eq!(view.get::<u64>(view.len()), None, "{codec:?}: past a view of {len}");
+                if len > 0 {
+                    assert_eq!(column.get::<u64>(len - 1), Some([1; F]), "{codec:?}");
+                    assert_eq!(column.slice(1..len).unwrap().get::<u64>(len - 1), None, "{codec:?}");
+                }
+            }
+        }
+        let (narrow, wide) = every_width();
+        narrow.into_iter().for_each(check);
+        wide.into_iter().for_each(check);
+    }
+
+    /// A view's search finds only the keys inside it, and indexes them from
+    /// the view's first record.
+    #[test]
+    fn search_stays_inside_its_view() {
+        let codec = SlotCodec::new([1, 2]);
+        let column = packed(codec, &(0..10u32).map(|k| [2 * k, k]).collect::<Vec<_>>());
+        let view = column.slice(3..7).unwrap();
+        for k in 0..10 {
+            let inside = (3..7).contains(&k).then(|| k as usize - 3);
+            assert_eq!(view.search(2 * u64::from(k)), inside, "key {}", 2 * k);
+            assert_eq!(view.get::<u32>(k as usize), (k < 4).then(|| [2 * (k + 3), k + 3]));
+        }
+        assert_eq!(column.slice(5..5).unwrap().search(10), None, "an empty view");
+    }
+
+    /// Views of two columns joined by `extend_from` are the same bytes as
+    /// their records pushed one by one, on every record width.
+    #[test]
+    fn extend_from_joins_views_byte_identically() {
+        fn check<const F: usize>(codec: SlotCodec<F>) {
+            let rows: Vec<[u64; F]> = (0..6).map(|k| [k + 1; F]).collect();
+            let (a, b) = (packed(codec, &rows[..4]), packed(codec, &rows[4..]));
+            let mut joined = PackedColumn::new(codec);
+            joined.extend_from(a.slice(1..3).unwrap());
+            joined.extend_from(b.slice(0..2).unwrap());
+            joined.extend_from(a.slice(4..4).unwrap());
+            assert_eq!(joined, packed(codec, &[rows[1], rows[2], rows[4], rows[5]]), "{codec:?}");
+        }
+        let (narrow, wide) = every_width();
+        narrow.into_iter().for_each(check);
+        wide.into_iter().for_each(check);
+    }
+
+    /// A zeroed column reads all-zero records, and `set` writes each record
+    /// in place without touching its neighbours or the pad.
+    #[test]
+    fn zeroed_records_take_what_is_set() {
+        let codec = SlotCodec::new([2, 3]);
+        let mut column = PackedColumn::zeroed(codec, 5);
+        assert!((0..5).all(|i| column.get::<u64>(i) == Some([0, 0])));
+        for i in [3, 0, 4, 1, 2] {
+            column.set(i, [i as u64 + 1, u64::MAX]);
+        }
+        let rows: Vec<[u64; 2]> = (1..=5).map(|k| [k, u64::MAX]).collect();
+        assert_eq!(column, packed(codec, &rows));
+    }
+
+    /// `set` past the last record would write into the pad: it panics.
+    #[test]
+    #[should_panic(expected = "record 2 of a column of 2")]
+    fn set_past_the_last_record_panics() {
+        PackedColumn::zeroed(SlotCodec::new([1]), 2).set(2, [7u32]);
+    }
+
+    /// `heap_bytes` is the capacity: the records and the pad once the slack
+    /// is returned, and an exact reservation on top of that.
+    #[test]
+    fn heap_bytes_are_the_records_and_the_pad() {
+        let codec = SlotCodec::new([3, 1]);
+        assert_eq!(PackedColumn::new(codec).heap_bytes(), SLOT_PAD);
+        let mut column = PackedColumn::with_capacity(codec, 100);
+        assert_eq!(column.heap_bytes(), 400 + SLOT_PAD);
+        (0..7u32).for_each(|k| column.push([k, k]));
+        column.shrink_to_fit();
+        assert_eq!(column.heap_bytes(), 7 * 4 + SLOT_PAD);
+        column.reserve_exact(5);
+        assert_eq!(column.heap_bytes(), 12 * 4 + SLOT_PAD);
     }
 }

@@ -28,10 +28,10 @@
 //!   sources plus on-demand pair queries, `O(k·n)` memory instead of
 //!   `O(n^2)`.
 //! * [`codec`] — [`SlotCodec`], the one packing every retained table uses:
-//!   fixed-length records of little-endian fields, each as wide as its
-//!   column needs (ids for `n`, ports for the largest degree, distances for
-//!   the column's maximum), with an all-ones sentinel and 8-byte window
-//!   reads.
+//!   records of little-endian fields, each as wide as its column needs (ids
+//!   for `n`, ports for the largest degree, distances for the column's
+//!   maximum), with an all-ones sentinel; and [`PackedColumn`], the array
+//!   that owns them and their pad, read in 8-byte windows by bounded gets.
 //! * [`mutate`] — churn support: derive a mutated CSR graph from a base
 //!   graph plus a batch of vertex/edge removals and additions, preserving
 //!   fixed ports where possible, with component extraction for rebuilds.
@@ -76,7 +76,7 @@ pub mod scratch;
 pub mod shortest_path;
 
 pub use apsp::DistanceOracle;
-pub use codec::{SlotCodec, SLOT_PAD};
+pub use codec::{PackedColumn, PackedView, SlotCodec, SLOT_PAD};
 pub use error::GraphError;
 pub use scratch::{BfsBatch, SearchScratch};
 pub use graph::{EdgeRef, Graph, GraphBuilder, Port, VertexId, Weight, INFINITY};

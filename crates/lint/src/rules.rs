@@ -123,7 +123,8 @@ pub const HOT_PATHS: &[(&str, HotScope)] = &[
     ("crates/graph/src/scratch.rs", HotScope::File),
     (
         "crates/graph/src/codec.rs",
-        HotScope::FnPrefixes(&["decode", "search", "field_mask", "narrow", "widen"]),
+        HotScope::FnPrefixes(&["decode", "search", "field_mask", "narrow", "widen", "get", "holds",
+            "view", "slice", "len", "codec"]),
     ),
     (
         "crates/vicinity/src/balls.rs",
@@ -153,7 +154,7 @@ pub const HOT_PATHS: &[(&str, HotScope)] = &[
     (
         "crates/core/src/stages.rs",
         HotScope::FnPrefixes(&[
-            "sees", "toward", "rep", "label_in", "step", "bunch", "tree", "dist", "range", "entry",
+            "sees", "toward", "rep", "label_in", "step", "bunch", "tree", "dist", "range", "row",
         ]),
     ),
     ("crates/core/src/seq.rs", HotScope::FnPrefixes(&["get", "cursor", "entry", "decode"])),

@@ -267,10 +267,10 @@ pub trait DynScheme: Send + Sync {
         dest: &ErasedLabel,
     ) -> Result<Decision, RouteError>;
 
-    /// Size of the routing table stored at `v`, in `O(log n)`-bit words.
+    /// Size of the routing table stored at `v` in `O(log n)`-bit words, 0 outside `0..n`.
     fn table_words(&self, v: VertexId) -> usize;
 
-    /// Size of the label of `v`, in `O(log n)`-bit words.
+    /// Size of the label of `v` in `O(log n)`-bit words, 0 outside `0..n`.
     fn label_words(&self, v: VertexId) -> usize;
 }
 
@@ -354,11 +354,11 @@ impl<S: RoutingScheme + Send + Sync> DynScheme for S {
     }
 
     fn table_words(&self, v: VertexId) -> usize {
-        RoutingScheme::table_words(self, v)
+        if v.index() < RoutingScheme::n(self) { RoutingScheme::table_words(self, v) } else { 0 }
     }
 
     fn label_words(&self, v: VertexId) -> usize {
-        RoutingScheme::label_words(self, v)
+        if v.index() < RoutingScheme::n(self) { RoutingScheme::label_words(self, v) } else { 0 }
     }
 }
 

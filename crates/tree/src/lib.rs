@@ -22,11 +22,11 @@
 //! trees — a cluster family's `T(w)`, the shortest-path trees of a hitting
 //! or landmark set — as one [`TreeForest`]: a handful of flat arrays for the
 //! whole family and no per-tree object. Its member ids, node records and
-//! light ports are packed at the graph's width by one
-//! [`routing_graph::SlotCodec`] each — on a graph of up to 65,535 vertices
-//! and degree 255 a node record is 10 bytes, a light port 3 and an id 2 —
-//! beside 4 bytes a light offset and 8 a tree. A tree is looked up as a
-//! `Copy` [`TreeView`], which decodes a record as it reads it. Both carry
+//! light ports are one [`routing_graph::PackedColumn`] each, at the graph's
+//! width — on a graph of up to 65,535 vertices and degree 255 a node record
+//! is 10 bytes, a light port 3 and an id 2 — beside 4 bytes a light offset
+//! and 8 a tree. A tree is looked up as a `Copy` [`TreeView`], whose
+//! bounded views of the columns decode a record as it is read. Both carry
 //! a [`TreeLabelView`] in their own labels and headers — the destination's
 //! entry time and light-port count, a `Copy` view into the tree's own
 //! light-port table — and take one hop with [`TreeView::step_view`].
@@ -68,7 +68,7 @@ use serde::{Deserialize, Serialize};
 
 use routing_graph::shortest_path::{RestrictedTree, ShortestPathTree};
 use routing_graph::codec::bytes_for;
-use routing_graph::{Graph, Port, SearchScratch, SlotCodec, VertexId, SLOT_PAD};
+use routing_graph::{Graph, PackedColumn, PackedView, Port, SearchScratch, SlotCodec, VertexId};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
 
 /// Errors produced while building a tree router.
@@ -282,48 +282,6 @@ fn slot_in(ids: &[VertexId], len: usize, v: VertexId) -> Option<usize> {
     }
 }
 
-/// How a [`TreeForest`] packs its records, fixed by the graph it is made
-/// for: every field at the graph's width.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Layout {
-    /// Vertices of the graph.
-    n: usize,
-    /// A node record `[tin, tout, heavy tin, heavy tout, parent port, heavy
-    /// port]`: the times in the bytes `0..=n` need, the ports in the bytes
-    /// the largest degree needs, with "no port" their sentinel.
-    nodes: SlotCodec<6>,
-    /// A light port `[tin of the edge's parent, port there]`: the graph's
-    /// `[vertex, port]` width, since entry times are below `n`.
-    light: SlotCodec<2>,
-    /// A member id.
-    ids: SlotCodec<1>,
-}
-
-impl Layout {
-    fn of(g: &Graph) -> Self {
-        let light = SlotCodec::for_graph(g);
-        let [_, port] = light.bytes();
-        let time = bytes_for(g.n() as u64 + 1);
-        let nodes = SlotCodec::new([time, time, time, time, port, port]);
-        Layout { n: g.n(), nodes, light, ids: SlotCodec::for_ids(g.n()) }
-    }
-}
-
-/// The records of a packed array, its closing [`SLOT_PAD`] left out.
-fn unpadded(bytes: &[u8]) -> &[u8] {
-    bytes.split_at(bytes.len().saturating_sub(SLOT_PAD)).0
-}
-
-/// Drops the closing pad of a packed array, to append to it.
-fn unpad(bytes: &mut Vec<u8>) {
-    bytes.truncate(bytes.len().saturating_sub(SLOT_PAD));
-}
-
-/// Closes a packed array with its pad.
-fn pad(bytes: &mut Vec<u8>) {
-    bytes.extend_from_slice(&[0; SLOT_PAD]);
-}
-
 /// Many rooted trees of one graph in one set of flat arrays, indexed by tree
 /// number: a cluster family's `T(w)`, or the shortest-path trees of a
 /// landmark or hitting set.
@@ -337,27 +295,27 @@ fn pad(bytes: &mut Vec<u8>) {
 /// plus the member's DFS entry time. Per tree that leaves 8 bytes: where its
 /// nodes and its ids start.
 ///
-/// Ids, node records and light ports are packed by a [`SlotCodec`] at the
+/// Ids, node records and light ports are [`PackedColumn`]s at the
 /// width of the graph the forest is made for ([`TreeForest::new`]): an id in
 /// the bytes `n` needs, a time in the bytes `0..=n` need, a port in the bytes
 /// the largest degree needs. On a graph of up to 65,535 vertices and degree
 /// 255 a node record is 10 bytes, a light port 3 and an id 2.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TreeForest {
-    layout: Layout,
     /// `[first node, first id]` of every tree, and a closing entry.
     spans: Vec<[u32; 2]>,
     /// Member ids of every tree that does not span the graph, ascending
-    /// within each tree. Packed, like `nodes` and `light`, with [`SLOT_PAD`]
-    /// zero bytes at the end.
-    ids: Vec<u8>,
-    /// A node record per slot, tree after tree.
-    nodes: Vec<u8>,
+    /// within each tree.
+    ids: PackedColumn<1>,
+    /// A node record `[tin, tout, heavy tin, heavy tout, parent port, heavy
+    /// port]` per slot, tree after tree; "no port" is the ports' sentinel.
+    nodes: PackedColumn<6>,
     /// One offset per node and a closing one: the light ports of the member
     /// whose DFS entry time is `t` in the tree whose nodes start at `s` are
     /// entries `light_off[s + t]..light_off[s + t + 1]` of `light`.
     light_off: Vec<u32>,
-    light: Vec<u8>,
+    /// `[tin of the edge's parent, port there]`, at `[vertex, port]` width.
+    light: PackedColumn<2>,
 }
 
 /// An offset into a [`TreeForest`] array: they are `u32`.
@@ -369,37 +327,24 @@ fn offset(len: usize) -> Result<u32, TreeBuildError> {
 impl TreeForest {
     /// A forest of no trees, for trees of `g`.
     pub fn new(g: &Graph) -> Self {
+        let light = SlotCodec::for_graph(g);
+        let [_, port] = light.bytes();
+        let time = bytes_for(g.n() as u64 + 1);
         TreeForest {
-            layout: Layout::of(g),
             spans: vec![[0, 0]],
-            ids: vec![0; SLOT_PAD],
-            nodes: vec![0; SLOT_PAD],
+            ids: PackedColumn::new(SlotCodec::for_ids(g.n())),
+            nodes: PackedColumn::new(SlotCodec::new([time, time, time, time, port, port])),
             light_off: vec![0],
-            light: vec![0; SLOT_PAD],
+            light: PackedColumn::new(light),
         }
-    }
-
-    /// Member ids stored, of the trees that do not span the graph.
-    fn id_count(&self) -> usize {
-        unpadded(&self.ids).len() / self.layout.ids.width()
-    }
-
-    /// Node records stored.
-    fn node_count(&self) -> usize {
-        unpadded(&self.nodes).len() / self.layout.nodes.width()
-    }
-
-    /// Light ports stored.
-    fn light_count(&self) -> usize {
-        unpadded(&self.light).len() / self.layout.light.width()
     }
 
     /// Appends the tree of an explicit parent relation as the next tree.
     ///
     /// `parents` yields one `(child, parent)` pair per non-root tree vertex,
     /// in any order; the root must not appear as a child. Every parent edge
-    /// must exist in `g`, the graph the forest is made for (ports are taken
-    /// from `g`).
+    /// must exist in `g` (ports are taken from `g`), whose ids, entry times
+    /// and ports must fit the widths of the graph the forest is made for.
     ///
     /// One array pass per stage, no hashing: slots, a counting-sort children
     /// CSR (children id-ascending, which fixes the DFS order), preorder
@@ -413,17 +358,18 @@ impl TreeForest {
     /// # Errors
     ///
     /// Returns an error if a parent edge is missing from the graph, the
-    /// relation is not a tree rooted at `root`, `g` is not the forest's
-    /// graph, or the forest would outgrow its `u32` offsets.
+    /// relation is not a tree rooted at `root`, `g`'s records do not fit
+    /// the forest's widths, or the forest would outgrow its `u32` offsets.
     pub fn push_parents<I>(&mut self, g: &Graph, root: VertexId, parents: I) -> Result<(), TreeBuildError>
     where
         I: IntoIterator<Item = (VertexId, VertexId)>,
     {
         const UNSET: u32 = u32::MAX;
         let not_a_tree = |what: String| TreeBuildError::NotATree { what };
-        let (n, layout) = (g.n(), self.layout);
-        if n != layout.n {
-            return Err(not_a_tree(format!("a tree of {n} vertices in a forest of {}", layout.n)));
+        let n = g.n();
+        let (ids, times) = (self.ids.codec(), self.nodes.codec());
+        if !ids.fits([n.saturating_sub(1) as u32]) || !times.fits([n as u32, 0, 0, 0, 0, 0]) {
+            return Err(not_a_tree(format!("a tree of {n} vertices in a forest of narrower ids or times")));
         }
         // Tree edges with the port at the child and the port at the parent.
         let mut edges: Vec<(VertexId, VertexId, Port, Port)> = Vec::new();
@@ -435,7 +381,7 @@ impl TreeForest {
                 .then(|| g.port_to(c, p).zip(g.port_to(p, c)))
                 .flatten();
             let (up, down) = ports.ok_or(TreeBuildError::MissingEdge { child: c, parent: p })?;
-            if !layout.light.fits([0, up.0]) || !layout.light.fits([0, down.0]) {
+            if !self.light.codec().fits([0, up.0]) || !self.light.codec().fits([0, down.0]) {
                 return Err(not_a_tree(format!("edge ({c}, {p}) has a port the forest's graph lacks")));
             }
             edges.push((c, p, up, down));
@@ -527,39 +473,31 @@ impl TreeForest {
         };
         let light_edges = (0..m).filter(|&s| parent[s] != UNSET && is_light(s));
         let light: usize = light_edges.map(|s| (nodes[s].tout - nodes[s].tin) as usize).sum();
-        let (node_base, id_base) = (self.node_count(), self.id_count());
-        let span = [offset(node_base + m)?, offset(id_base + ids.len())?];
-        offset(self.light_count() + light)?;
+        let span = [offset(self.nodes.len() + m)?, offset(self.ids.len() + ids.len())?];
+        offset(self.light.len() + light)?;
 
         // The tree fits: pack it. Labels go top-down, and offsets are
         // absolute, so a parent's light ports are copied from where they
         // were written.
-        unpad(&mut self.ids);
-        for v in &ids {
-            layout.ids.encode([v.0], &mut self.ids);
-        }
-        pad(&mut self.ids);
-        unpad(&mut self.nodes);
-        for node in &nodes {
-            layout.nodes.encode(node.record(), &mut self.nodes);
-        }
-        pad(&mut self.nodes);
-        unpad(&mut self.light);
-        let (off_base, width) = (self.light_off.len() - 1, layout.light.width());
+        ids.iter().for_each(|v| self.ids.push([v.0]));
+        nodes.iter().for_each(|node| self.nodes.push(node.record()));
+        let off_base = self.light_off.len() - 1;
         for &s in &pre {
             let s = s as usize;
             if parent[s] != UNSET {
                 let p = &nodes[parent[s] as usize];
                 let t = off_base + p.tin as usize;
-                let (lo, hi) = (self.light_off[t] as usize, self.light_off[t + 1] as usize);
-                self.light.extend_from_within(lo * width..hi * width);
+                for i in self.light_off[t] as usize..self.light_off[t + 1] as usize {
+                    if let Some(port) = self.light.get::<u32>(i) {
+                        self.light.push(port);
+                    }
+                }
                 if is_light(s) {
-                    layout.light.encode([p.tin, down_port[s].0], &mut self.light);
+                    self.light.push([p.tin, down_port[s].0]);
                 }
             }
-            self.light_off.push((self.light.len() / width) as u32);
+            self.light_off.push(self.light.len() as u32);
         }
-        pad(&mut self.light);
         self.spans.push(span);
         Ok(())
     }
@@ -575,7 +513,7 @@ impl TreeForest {
         self.push_parents(g, scratch.source(), edges)
     }
 
-    /// Appends the trees of `parts`, forests of the same graph, in order:
+    /// Appends the trees of `parts`, forests packed at the same widths, in order:
     /// tree `t` of `parts` comes after this forest's trees and the earlier
     /// parts'. The packed records are copied as bytes, every offset is
     /// rebased onto the arrays before it, and each array grows by exactly
@@ -583,41 +521,33 @@ impl TreeForest {
     ///
     /// # Errors
     ///
-    /// [`TreeBuildError::NotATree`] if a part is a forest of another graph
+    /// [`TreeBuildError::NotATree`] if a part is packed at other widths
     /// or the forest would outgrow its `u32` offsets; the forest is then
     /// left as it was.
     pub fn append(&mut self, parts: Vec<TreeForest>) -> Result<(), TreeBuildError> {
-        if parts.iter().any(|f| f.layout != self.layout) {
-            return Err(TreeBuildError::NotATree { what: "a forest of another graph".into() });
+        let codecs = |f: &TreeForest| (f.ids.codec(), f.nodes.codec(), f.light.codec());
+        if parts.iter().any(|f| codecs(f) != codecs(self)) {
+            return Err(TreeBuildError::NotATree { what: "a forest packed at other widths".into() });
         }
         let total = |len: fn(&TreeForest) -> usize| parts.iter().map(len).sum::<usize>();
-        let (trees, ids) = (total(TreeForest::len), total(TreeForest::id_count));
-        let (nodes, light) = (total(TreeForest::node_count), total(TreeForest::light_count));
-        let (mut node_base, mut id_base) = (self.node_count(), self.id_count());
-        let mut light_base = self.light_count();
-        offset(node_base + nodes)?;
-        offset(id_base + ids)?;
-        offset(light_base + light)?;
-        let bytes = |len: fn(&TreeForest) -> &Vec<u8>| parts.iter().map(|f| unpadded(len(f)).len()).sum::<usize>();
-        let (id_bytes, node_bytes, light_bytes) = (bytes(|f| &f.ids), bytes(|f| &f.nodes), bytes(|f| &f.light));
+        let (trees, ids) = (total(TreeForest::len), total(|f| f.ids.len()));
+        let (nodes, light) = (total(|f| f.nodes.len()), total(|f| f.light.len()));
+        for more in [self.nodes.len() + nodes, self.ids.len() + ids, self.light.len() + light] {
+            offset(more)?;
+        }
         self.spans.reserve_exact(trees);
         self.light_off.reserve_exact(nodes);
-        for (array, more) in [(&mut self.ids, id_bytes), (&mut self.nodes, node_bytes), (&mut self.light, light_bytes)] {
-            unpad(array);
-            array.reserve_exact(more + SLOT_PAD);
-        }
+        self.ids.reserve_exact(ids);
+        self.nodes.reserve_exact(nodes);
+        self.light.reserve_exact(light);
         for part in parts {
-            let base = [node_base as u32, id_base as u32];
+            let base = [self.nodes.len() as u32, self.ids.len() as u32];
             self.spans.extend(part.spans[1..].iter().map(|&[s, i]| [s + base[0], i + base[1]]));
-            self.light_off.extend(part.light_off[1..].iter().map(|&o| o + light_base as u32));
-            self.ids.extend_from_slice(unpadded(&part.ids));
-            self.nodes.extend_from_slice(unpadded(&part.nodes));
-            self.light.extend_from_slice(unpadded(&part.light));
-            (node_base, id_base) = (node_base + part.node_count(), id_base + part.id_count());
-            light_base += part.light_count();
-        }
-        for array in [&mut self.ids, &mut self.nodes, &mut self.light] {
-            pad(array);
+            let light_base = self.light.len() as u32;
+            self.light_off.extend(part.light_off[1..].iter().map(|&o| o + light_base));
+            self.ids.extend_from(part.ids.view());
+            self.nodes.extend_from(part.nodes.view());
+            self.light.extend_from(part.light.view());
         }
         Ok(())
     }
@@ -638,11 +568,8 @@ impl TreeForest {
         let (&[n0, i0], &[n1, i1]) = (self.spans.get(t)?, self.spans.get(t + 1)?);
         let (n0, n1) = (n0 as usize, n1 as usize);
         Some(TreeView {
-            layout: &self.layout,
-            spanning: i0 == i1,
-            ids: self.ids.get(i0 as usize * self.layout.ids.width()..)?,
-            nodes: self.nodes.get(n0 * self.layout.nodes.width()..)?,
-            len: n1.checked_sub(n0)?,
+            ids: self.ids.slice(i0 as usize..i1 as usize)?,
+            nodes: self.nodes.slice(n0..n1)?,
             light_off: self.light_off.get(n0..n1 + 1)?,
             light: &self.light,
         })
@@ -654,15 +581,14 @@ impl TreeForest {
     }
 
     /// Bytes of heap the arrays hold, by capacity: 8 a tree, 4 a light
-    /// offset, and the packed ids (of the trees that do not span the
-    /// graph), node records and light ports, each array closed by its
-    /// [`SLOT_PAD`].
+    /// offset, and the packed columns of ids (of the trees that do not
+    /// span the graph), node records and light ports.
     pub fn heap_bytes(&self) -> usize {
         std::mem::size_of::<[u32; 2]>() * self.spans.capacity()
-            + self.ids.capacity()
-            + self.nodes.capacity()
+            + self.ids.heap_bytes()
+            + self.nodes.heap_bytes()
             + std::mem::size_of::<u32>() * self.light_off.capacity()
-            + self.light.capacity()
+            + self.light.heap_bytes()
     }
 
     /// Returns the growth slack of every array.
@@ -680,62 +606,55 @@ impl TreeForest {
 /// as they are read.
 #[derive(Debug, Clone, Copy)]
 pub struct TreeView<'a> {
-    layout: &'a Layout,
-    /// The tree spans the graph: slot = id, and no ids are stored.
-    spanning: bool,
-    /// The tree's member ids, ascending, and the forest's packed ids after
-    /// them; only the first `len` are the tree's, none when it spans.
-    ids: &'a [u8],
-    /// The tree's node records by slot, and the forest's after them.
-    nodes: &'a [u8],
-    /// Number of members.
-    len: usize,
-    /// `len + 1` absolute offsets into `light`, by DFS entry time.
+    /// The tree's member ids, ascending; none when it spans the graph,
+    /// where a member's slot is its id.
+    ids: PackedView<'a, 1>,
+    /// The tree's node records by slot, one a member.
+    nodes: PackedView<'a, 6>,
+    /// `len() + 1` absolute offsets into `light`, by DFS entry time.
     light_off: &'a [u32],
-    /// The forest's whole light-port array.
-    light: &'a [u8],
+    /// The forest's whole light-port column.
+    light: &'a PackedColumn<2>,
 }
 
 impl<'a> TreeView<'a> {
     /// Number of vertices in the tree.
     pub fn len(&self) -> usize {
-        self.len
+        self.nodes.len()
     }
 
     /// True if the tree contains only its root.
     pub fn is_empty(&self) -> bool {
-        self.len <= 1
+        self.len() <= 1
     }
 
     /// The slot of `v`: its id in a spanning tree, else its rank among the
     /// packed ids by binary search. A `v` outside the graph is no member.
     #[inline]
     fn slot(&self, v: VertexId) -> Option<usize> {
-        if self.spanning {
-            return (v.index() < self.len).then_some(v.index());
+        if self.ids.len() == 0 {
+            return (v.index() < self.len()).then_some(v.index());
         }
-        self.layout.ids.search(self.ids, 0..self.len, v.0.into())
+        self.ids.search(v.0.into())
     }
 
     /// The member in slot `s`.
     fn member(&self, s: usize) -> Option<VertexId> {
-        if self.spanning {
-            return (s < self.len).then_some(VertexId(s as u32));
+        if self.ids.len() == 0 {
+            return (s < self.len()).then_some(VertexId(s as u32));
         }
-        let [id] = self.layout.ids.decode::<u32>(self.ids, s).filter(|_| s < self.len)?;
-        Some(VertexId(id))
+        Some(VertexId(self.ids.get::<u32>(s)?[0]))
     }
 
     /// The node record in slot `s`, decoded.
     #[inline]
     fn node(&self, s: usize) -> Option<TreeNodeInfo> {
-        let record = self.layout.nodes.decode(self.nodes, s).filter(|_| s < self.len)?;
-        Some(TreeNodeInfo::from_record(record))
+        Some(TreeNodeInfo::from_record(self.nodes.get(s)?))
     }
 
     /// The root: the member whose DFS entry time is 0.
     pub fn root(&self) -> Option<VertexId> {
-        let s = (0..self.len).find(|&s| self.node(s).is_some_and(|node| node.tin == 0))?;
+        let s = (0..self.len()).find(|&s| self.node(s).is_some_and(|node| node.tin == 0))?;
         self.member(s)
     }
 
@@ -747,7 +666,7 @@ impl<'a> TreeView<'a> {
     /// Iterator over the tree's vertices in ascending id order.
     pub fn vertices(&self) -> impl Iterator<Item = VertexId> + 'a {
         let view = *self;
-        (0..self.len).filter_map(move |s| view.member(s))
+        (0..self.len()).filter_map(move |s| view.member(s))
     }
 
     /// The local routing information of tree vertex `v`, decoded.
@@ -771,8 +690,8 @@ impl<'a> TreeView<'a> {
     /// one at a time, root first.
     #[inline]
     fn light_ports(&self, tin: u32) -> impl Iterator<Item = (u32, Port)> + 'a {
-        let (codec, light) = (self.layout.light, self.light);
-        let ports = self.light_range(tin).map_while(move |i| codec.decode::<u32>(light, i));
+        let light = self.light;
+        let ports = self.light_range(tin).map_while(move |i| light.get::<u32>(i));
         ports.map(|[p_tin, port]| (p_tin, Port(port)))
     }
 
@@ -796,7 +715,7 @@ impl<'a> TreeView<'a> {
             (Some(&lo), Some(&hi)) => (hi - lo) as usize,
             _ => 0,
         };
-        self.len + 2 * light
+        self.len() + 2 * light
     }
 
     /// Words of tree-routing information `v` stores: its [`TreeNodeInfo`]'s,
@@ -887,7 +806,7 @@ impl TreeScheme {
         let mut forest = TreeForest::new(g);
         forest.push_parents(g, root, parents)?;
         forest.shrink_to_fit();
-        let nodes = forest.tree(0).map_or_else(Vec::new, |t| (0..t.len).filter_map(|s| t.node(s)).collect());
+        let nodes = forest.tree(0).map_or_else(Vec::new, |t| (0..t.len()).filter_map(|s| t.node(s)).collect());
         Ok(TreeScheme { name: format!("tree-routing(root={root})"), root, n_graph: g.n(), forest, nodes })
     }
 
@@ -945,14 +864,12 @@ impl TreeScheme {
     /// The tree as a view: the forest's one tree.
     #[inline]
     fn view(&self) -> TreeView<'_> {
+        // Never taken: the one tree is pushed before the scheme is made.
         self.forest.tree(0).unwrap_or(TreeView {
-            layout: &self.forest.layout,
-            spanning: true,
-            ids: &[],
-            nodes: &[],
-            len: 0,
+            ids: self.forest.ids.view(),
+            nodes: self.forest.nodes.view(),
             light_off: &[],
-            light: &[],
+            light: &self.forest.light,
         })
     }
 
@@ -1081,7 +998,7 @@ impl RoutingScheme for TreeScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use routing_graph::generators;
+    use routing_graph::{generators, SLOT_PAD};
     use routing_graph::shortest_path::{cluster_dijkstra, dijkstra, multi_source_dijkstra};
     use routing_model::simulate;
 
@@ -1256,8 +1173,8 @@ mod tests {
     fn node_records_pack_at_the_graphs_width_with_sentinel_ports() {
         let g = generators::path(3);
         let t = spt_scheme(&g, VertexId(0));
-        assert_eq!(t.forest.layout.nodes.bytes(), [1, 1, 1, 1, 1, 1]);
-        assert_eq!(t.forest.nodes.len(), 3 * 6 + SLOT_PAD);
+        assert_eq!(t.forest.nodes.codec().bytes(), [1, 1, 1, 1, 1, 1]);
+        assert_eq!(t.forest.nodes.heap_bytes(), 3 * 6 + SLOT_PAD);
         let (root, leaf) = (t.node_info(VertexId(0)).unwrap(), t.node_info(VertexId(2)).unwrap());
         assert_eq!((root.parent_port(), root.heavy().map(|h| h.0)), (None, Some(1)));
         assert_eq!((leaf.parent_port(), leaf.heavy()), (Some(Port(0)), None));
@@ -1299,7 +1216,7 @@ mod tests {
                 alone.push(TreeScheme::from_scratch(&g, &scratch).unwrap());
             }
             let key = format!("n = {}", g.n());
-            assert_eq!(forest.layout.nodes.bytes(), [time, time, time, time, port, port], "{key}");
+            assert_eq!(forest.nodes.codec().bytes(), [time, time, time, time, port, port], "{key}");
             for (tree, alone) in forest.iter().zip(&alone) {
                 assert_eq!(tree.root(), Some(alone.root()), "{key}");
                 assert_eq!(tree.labels_words(), alone.labels_words(), "{key}");
@@ -1330,8 +1247,9 @@ mod tests {
         assert_eq!(t.label(VertexId(256)).unwrap().light_ports, vec![(0, Port(255))]);
     }
 
-    /// A forest made for one graph refuses a tree of another, and a forest
-    /// of another graph as a part; both leave it as it was.
+    /// A forest made for a 6-vertex graph refuses a tree of a 300-vertex
+    /// one, whose ids outgrow its 1-byte records, and a forest made for that
+    /// graph as a part; both leave it as it was.
     #[test]
     fn a_forest_holds_trees_of_its_own_graph_only() {
         let (small, large) = (generators::path(6), generators::path(300));

@@ -52,7 +52,7 @@
 use std::ops::{Deref, Range};
 
 use routing_graph::scratch::{BfsBatch, SearchScratch, BFS_BATCH_WIDTH};
-use routing_graph::{Graph, Port, SlotCodec, VertexId, Weight, SLOT_PAD};
+use routing_graph::{Graph, PackedColumn, Port, SlotCodec, VertexId, Weight};
 
 /// Sentinel port stored for the ball's center (which has no first hop).
 const NO_PORT: Port = Port(u32::MAX);
@@ -125,10 +125,8 @@ pub struct BallPorts {
     regions: Vec<Region>,
     /// Per vertex: its members in ascending [`slot_hash`] order, each at
     /// `max(home, previous + 1)`, never wrapping; the region's last slot is
-    /// always empty ([`EMPTY_KEY`]). Packed by `codec`, [`SLOT_PAD`] zero
-    /// bytes at the end.
-    slots: Vec<u8>,
-    codec: SlotCodec<2>,
+    /// always empty ([`EMPTY_KEY`]).
+    slots: PackedColumn<2>,
 }
 
 impl BallPorts {
@@ -150,7 +148,7 @@ impl BallPorts {
         let region = self.regions.get(u.index())?;
         let h = slot_hash(v.0);
         let mut at = region.start + home_slot(h, slot_cap(region.members as usize));
-        while let Some(slot) = self.codec.decode::<u32>(&self.slots, at) {
+        while let Some(slot) = self.slots.get::<u32>(at) {
             if slot[0] == v.0 {
                 return Some(slot);
             }
@@ -179,16 +177,14 @@ impl BallPorts {
     /// tests can hold the layout invariants.
     pub fn slot_region(&self, u: VertexId) -> Vec<[u32; 2]> {
         match self.regions.get(u.index()..u.index() + 2) {
-            Some([region, next]) => (region.start..next.start)
-                .filter_map(|i| self.codec.decode(&self.slots, i))
-                .collect(),
+            Some([region, next]) => (region.start..next.start).filter_map(|i| self.slots.get(i)).collect(),
             _ => Vec::new(),
         }
     }
 
     /// Bytes a packed slot: the id and port widths the table's graph needs.
     pub fn slot_bytes(&self) -> usize {
-        self.codec.width()
+        self.slots.codec().width()
     }
 
     /// The space Lemma 2 charges to `u`, in `O(log n)`-bit words: one id, one
@@ -209,7 +205,7 @@ impl BallPorts {
 
     /// Bytes of heap the arrays hold, by capacity.
     pub fn heap_bytes(&self) -> usize {
-        std::mem::size_of::<Region>() * self.regions.capacity() + self.slots.capacity()
+        std::mem::size_of::<Region>() * self.regions.capacity() + self.slots.heap_bytes()
     }
 }
 
@@ -289,8 +285,7 @@ impl BallTable {
         let mut offsets = Vec::with_capacity(n + 1);
         let mut ids = Vec::with_capacity(n * ball_len);
         let mut dists = keep_dists.then(|| Vec::with_capacity(n * ball_len));
-        let reserved = n * (slot_cap(ball_len) + 2) * codec.width();
-        let mut slots = Vec::with_capacity(reserved + SLOT_PAD);
+        let mut slots = PackedColumn::with_capacity(codec, n * (slot_cap(ball_len) + 2));
         let mut radius = Vec::with_capacity(n);
         offsets.push(0);
         // Centres per task: one sweep's worth, or one Dijkstra.
@@ -308,25 +303,21 @@ impl BallTable {
             );
             // The up-front reservation is `cap + 2` slots a ball, but a run
             // can pass a region's `cap` by more: grow by exactly what this
-            // block needs, the closing pad included, rather than let
-            // `extend` double the array.
-            let block_bytes: usize = per_task.iter().flatten().map(|b| b.slots.len()).sum();
-            slots.reserve_exact(block_bytes + SLOT_PAD);
+            // block needs rather than let `extend` double the array.
+            slots.reserve_exact(per_task.iter().flatten().map(|b| b.slots.len()).sum());
             for ball in per_task.into_iter().flatten() {
                 // A ball has at most `n` members, and ids are `u32`.
-                let start = slots.len() / codec.width();
-                regions.push(Region { start, members: ball.ids.len() as u32 });
+                regions.push(Region { start: slots.len(), members: ball.ids.len() as u32 });
                 ids.extend_from_slice(&ball.ids);
                 if let Some(dists) = &mut dists {
                     dists.extend_from_slice(&ball.dists);
                 }
-                slots.extend_from_slice(&ball.slots);
+                slots.extend_from(ball.slots.view());
                 radius.push(ball.radius);
                 offsets.push(ids.len());
             }
         }
-        regions.push(Region { start: slots.len() / codec.width(), members: 0 });
-        slots.extend_from_slice(&[0; SLOT_PAD]);
+        regions.push(Region { start: slots.len(), members: 0 });
         // The reservations are upper estimates (a component smaller than ℓ,
         // regions that needed no overflow slot): return the slack.
         ids.shrink_to_fit();
@@ -334,7 +325,7 @@ impl BallTable {
             dists.shrink_to_fit();
         }
         slots.shrink_to_fit();
-        BallTable { ports: BallPorts { ell, regions, slots, codec }, offsets, ids, dists, radius }
+        BallTable { ports: BallPorts { ell, regions, slots }, offsets, ids, dists, radius }
     }
 
     /// Drops the member ids, distances and radii: what is left is all that
@@ -384,8 +375,8 @@ struct BuiltBall {
     /// Their distances from the centre; empty, and never allocated, when
     /// the table stores none.
     dists: Vec<Weight>,
-    /// The hashed slot region, packed.
-    slots: Vec<u8>,
+    /// The hashed slot region.
+    slots: PackedColumn<2>,
     radius: Weight,
 }
 
@@ -485,10 +476,8 @@ fn fill_ball(
     // Keep `cap` slots, or more when the last run passes them; either way
     // the region's last slot stays empty.
     let kept = &region[..cap.max(end + 1)];
-    let mut slots = Vec::with_capacity(kept.len() * codec.width());
-    for &slot in kept {
-        codec.encode(slot, &mut slots);
-    }
+    let mut slots = PackedColumn::with_capacity(codec, kept.len());
+    kept.iter().for_each(|&slot| slots.push(slot));
     BuiltBall { ids, dists, slots, radius }
 }
 
@@ -567,7 +556,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use routing_graph::generators;
+    use routing_graph::{generators, SLOT_PAD};
     use routing_graph::shortest_path::{ball, dijkstra};
 
     /// The rank of `v` in `B(u, ℓ)`: its position in the settle-order ids.
@@ -761,8 +750,7 @@ mod tests {
                     None => assert_eq!(keep, BallDists::Skip, "{name}: no dists kept"),
                 }
                 assert_eq!(t.radius.capacity(), t.radius.len(), "{name}: radius");
-                assert_eq!(t.slots.capacity(), slots, "{name}: slots");
-                assert_eq!(t.slots[slots - SLOT_PAD..], [0; SLOT_PAD], "{name}: the pad");
+                assert_eq!(t.slots.heap_bytes(), 3 * slots + SLOT_PAD, "{name}: slots");
                 assert_eq!(t.offsets.capacity(), t.offsets.len(), "{name}: offsets");
                 assert_eq!(t.regions.capacity(), t.regions.len(), "{name}: regions");
                 let full = t.heap_bytes();
@@ -943,7 +931,7 @@ mod tests {
     }
 
     /// Every slot packs and unpacks to itself at every width, the sentinels
-    /// included, and a slot is read whole up to the last one before the pad.
+    /// included, and a slot is read whole up to the last one, none past it.
     #[test]
     fn slots_round_trip_at_every_width() {
         let all_ones = |bytes: u8| (u64::MAX >> (64 - 8 * u32::from(bytes))) as u32;
@@ -952,27 +940,22 @@ mod tests {
                 let codec = SlotCodec::new([id_bytes, port_bytes]);
                 let (ids, ports) = (all_ones(id_bytes), all_ones(port_bytes));
                 let slots = [EMPTY, [0, u32::MAX], [ids - 1, ports - 1], [ids / 3, 0]];
-                let mut packed = Vec::new();
-                for slot in slots {
-                    codec.encode(slot, &mut packed);
-                }
-                assert_eq!(packed.len(), slots.len() * codec.width());
-                packed.extend_from_slice(&[0; SLOT_PAD]);
+                let mut packed = PackedColumn::with_capacity(codec, slots.len());
+                slots.iter().for_each(|&slot| packed.push(slot));
+                assert_eq!(packed.heap_bytes(), slots.len() * codec.width() + SLOT_PAD);
                 for (i, &slot) in slots.iter().enumerate() {
-                    assert_eq!(codec.decode(&packed, i), Some(slot), "{codec:?}, slot {i}");
+                    assert_eq!(packed.get(i), Some(slot), "{codec:?}, slot {i}");
                 }
+                assert_eq!(packed.get::<u32>(slots.len()), None, "{codec:?}: the pad");
             }
             // Bare ids: the slot is the id alone.
             let codec = SlotCodec::for_ids(all_ones(id_bytes) as usize);
             let ids = [0, all_ones(id_bytes) - 1, u32::MAX];
-            let mut packed = Vec::new();
-            for id in ids {
-                codec.encode([id], &mut packed);
-            }
-            assert_eq!(packed.len(), ids.len() * usize::from(id_bytes));
-            packed.extend_from_slice(&[0; SLOT_PAD]);
+            let mut packed = PackedColumn::with_capacity(codec, ids.len());
+            ids.iter().for_each(|&id| packed.push([id]));
+            assert_eq!(packed.heap_bytes(), ids.len() * usize::from(id_bytes) + SLOT_PAD);
             for (i, &id) in ids.iter().enumerate() {
-                assert_eq!(codec.decode(&packed, i), Some([id]), "{codec:?}, id {i}");
+                assert_eq!(packed.get(i), Some([id]), "{codec:?}, id {i}");
             }
         }
     }
@@ -986,7 +969,7 @@ mod tests {
         // before any masking.
         let g = generators::cycle(12);
         let t = BallTable::build(&g, 12);
-        assert_eq!(t.codec.bytes()[0], 1);
+        assert_eq!(t.slots.codec().bytes()[0], 1);
         let inside = VertexId(3);
         let narrow = [VertexId(0xFF), VertexId(256 + 3)];
         let wide = [VertexId(12), VertexId(13), VertexId(u32::MAX - 1), VertexId(u32::MAX)];

@@ -62,15 +62,14 @@ impl Landmarks {
         self.members.is_empty()
     }
 
-    /// `d(v, A)`, or `None` when `A` is empty or unreachable from `v`.
+    /// `d(v, A)`, or `None` when `A` is empty or unreachable, or `v` is no vertex.
     pub fn dist_to_set(&self, v: VertexId) -> Option<Weight> {
-        let d = self.dist[v.index()];
-        (d != INFINITY).then_some(d)
+        self.dist.get(v.index()).copied().filter(|&d| d != INFINITY)
     }
 
-    /// The nearest landmark `p_A(v)`.
+    /// The nearest landmark `p_A(v)`, if any; none for `v` outside `0..n`.
     pub fn nearest(&self, v: VertexId) -> Option<VertexId> {
-        self.nearest[v.index()]
+        self.nearest.get(v.index()).copied().flatten()
     }
 
     /// The per-vertex bound slice `d(·, A)` used by

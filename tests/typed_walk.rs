@@ -226,3 +226,20 @@ fn a_label_from_another_key_is_bad_label_not_a_panic() {
         }
     }
 }
+
+/// Every key answers no table and no label words for a vertex outside the
+/// graph it was built on — the end of the id range, just past it, and the
+/// largest id below the `u32::MAX` sentinel — as a tree does for a vertex
+/// outside it, and none panics.
+#[test]
+fn a_vertex_outside_the_graph_holds_no_words() {
+    for (what, g, _) in instances().into_iter().filter(|(what, ..)| what.ends_with("n = 130")) {
+        let n = g.n() as u32;
+        for (key, scheme) in build_all(&g, &what) {
+            for v in [n, n + 3, u32::MAX - 1].map(VertexId) {
+                let words = (scheme.table_words(v), scheme.label_words(v));
+                assert_eq!(words, (0, 0), "{key} on {what}: {v}");
+            }
+        }
+    }
+}
