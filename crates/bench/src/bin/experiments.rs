@@ -1,7 +1,9 @@
 //! The paper's static evaluation artefacts, one subcommand per experiment:
 //! Table 1, the per-theorem series, the two techniques in isolation, the
 //! design ablations and the `ε` sweep ([`EXPERIMENTS`] is the one
-//! declaration the dispatch and the usage text are generated from).
+//! declaration the dispatch and the usage text are generated from) — and
+//! `peak`, each key's build heap: the most bytes live while it builds
+//! beside those its scheme keeps, counted by the binary's allocator.
 //!
 //! Every experiment is seeded. A malformed command line exits 2 with a
 //! named diagnostic and the usage; a failed build, route or artefact write
@@ -12,9 +14,11 @@
 use compact_routing::registry::SchemeRegistry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use routing_bench::alloc::{kept_bytes_in, peak_bytes_in};
 use routing_bench::cli::{self, Args, CliError};
 use routing_bench::{
-    evaluate_scheme, print_table, run_table1, to_json, ExperimentConfig, HarnessError, Instances,
+    evaluate_scheme, make_graph, print_table, run_table1, to_json, ExperimentConfig, HarnessError,
+    Instances,
 };
 use routing_core::{BuildContext, BuildError, Params, Technique1Scheme, Technique2Scheme};
 use routing_graph::apsp::DistanceMatrix;
@@ -23,6 +27,12 @@ use routing_graph::VertexId;
 use routing_model::eval::{evaluate_pairs, EvalReport};
 use routing_vicinity::{BallTable, Coloring};
 
+routing_bench::counting_allocator!(CountingAlloc);
+
+/// Counts every allocation, so `peak` can read a build's heap.
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
 /// What an experiment takes after its name.
 #[derive(Clone, Copy)]
 enum Run {
@@ -30,6 +40,9 @@ enum Run {
     N(fn(usize) -> Result<(), HarnessError>),
     /// `[n] [epsilon]`, with the default `ε`.
     NEps(fn(usize, f64) -> Result<(), HarnessError>, f64),
+    /// `<keys> <family> [n]`: registry keys, comma-separated or `all`, and
+    /// a graph family.
+    KeysFamilyN(fn(&[String], Family, usize) -> Result<(), HarnessError>),
 }
 
 struct Experiment {
@@ -70,6 +83,12 @@ const EXPERIMENTS: &[Experiment] = &[
         run: Run::N(epsilon_sweep),
         about: "stretch and table size of the paper's schemes against epsilon",
     },
+    Experiment {
+        name: "peak",
+        default_n: 600,
+        run: Run::KeysFamilyN(peak),
+        about: "peak build heap beside the heap each key's scheme keeps (1 thread)",
+    },
 ];
 
 /// The `ε` values `techniques` and `epsilon-sweep` step through.
@@ -83,22 +102,28 @@ fn usage() -> ! {
 fn print_usage() {
     eprintln!(
         "experiments — regenerate the paper's evaluation artefacts\n\n\
-         USAGE: experiments <EXPERIMENT> [n] [epsilon]\n\n\
+         USAGE: experiments <EXPERIMENT> [args]\n\n\
          EXPERIMENTS:"
     );
     for e in EXPERIMENTS {
         let (args, defaults) = match e.run {
             Run::N(_) => ("[n]", e.default_n.to_string()),
             Run::NEps(_, epsilon) => ("[n] [epsilon]", format!("{} {epsilon}", e.default_n)),
+            Run::KeysFamilyN(_) => ("<keys> <family> [n]", e.default_n.to_string()),
         };
-        eprintln!("  {:<14} {args:<14} {}  [default: {defaults}]", e.name, e.about);
+        eprintln!("  {:<14} {args:<20} {}  [default: {defaults}]", e.name, e.about);
     }
-    eprintln!("  --help                        show this help");
+    eprintln!("  --help                              show this help");
+    eprintln!(
+        "\n<keys> is a comma-separated list of registry keys or `all`; <family> is \
+         erdos-renyi (or er), geometric, grid or scale-free."
+    );
 }
 
-/// A parsed command line: the experiment with its `n` and, where it takes
-/// one, its `ε`. `None` is `--help`.
-type Invocation = Option<(&'static Experiment, usize, Option<f64>)>;
+/// A parsed command line: the experiment with its `n`, its `ε` where it
+/// takes one, and its keys and family where it takes them. `None` is
+/// `--help`.
+type Invocation = Option<(&'static Experiment, usize, Option<f64>, Option<(Vec<String>, Family)>)>;
 
 fn parse(mut args: Args) -> Result<Invocation, CliError> {
     let name = args.value("<EXPERIMENT>")?;
@@ -114,29 +139,44 @@ fn parse(mut args: Args) -> Result<Invocation, CliError> {
                 EXPERIMENTS.iter().map(|e| e.name).collect::<Vec<_>>().join(", ")
             ),
         })?;
+    let selection = match experiment.run {
+        Run::KeysFamilyN(_) => {
+            let known = SchemeRegistry::with_defaults().names();
+            let keys = cli::parse_schemes("<keys>", &args.value("<keys>")?, &known)?;
+            Some((keys, cli::parse_family("<family>", &args.value("<family>")?)?))
+        }
+        Run::N(_) | Run::NEps(..) => None,
+    };
     let n = match args.next_flag() {
         Some(a) => cli::parse_value("[n]", &a, "expected an integer")?,
         None => experiment.default_n,
     };
     let epsilon = match (experiment.run, args.next_flag()) {
         (Run::NEps(..), Some(a)) => Some(cli::parse_value("[epsilon]", &a, "expected a float")?),
-        (Run::N(_), Some(arg)) => return Err(CliError::UnexpectedArgument { arg }),
+        (Run::N(_) | Run::KeysFamilyN(_), Some(arg)) => {
+            return Err(CliError::UnexpectedArgument { arg })
+        }
         (_, None) => None,
     };
     match args.next_flag() {
         Some(arg) => Err(CliError::UnexpectedArgument { arg }),
-        None => Ok(Some((experiment, n, epsilon))),
+        None => Ok(Some((experiment, n, epsilon, selection))),
     }
 }
 
 fn main() {
-    let Some((experiment, n, epsilon)) = cli::ok_or_usage(parse(Args::from_env()), usage) else {
+    let Some((experiment, n, epsilon, selection)) =
+        cli::ok_or_usage(parse(Args::from_env()), usage)
+    else {
         print_usage();
         return;
     };
-    let result = match experiment.run {
-        Run::N(run) => run(n),
-        Run::NEps(run, default) => run(n, epsilon.unwrap_or(default)),
+    let result = match (experiment.run, selection) {
+        (Run::N(run), _) => run(n),
+        (Run::NEps(run, default), _) => run(n, epsilon.unwrap_or(default)),
+        (Run::KeysFamilyN(run), Some((keys, family))) => run(&keys, family, n),
+        // `parse` reads the keys and family of every experiment that takes them.
+        (Run::KeysFamilyN(_), None) => usage(),
     };
     if let Err(e) = result {
         eprintln!("experiments {}: {e}", experiment.name);
@@ -380,16 +420,68 @@ fn epsilon_sweep(n: usize) -> Result<(), HarnessError> {
     Ok(())
 }
 
+/// Experiment PEAK: the heap each key's build needs beside the heap its
+/// scheme keeps, on the `family` instance of `n` vertices its registry row
+/// evaluates on (generated from seed 7, as `table1`'s are). The builds run
+/// on one thread, so the binary's counting allocator sees theirs alone and
+/// every count repeats exactly: one line a key, the most bytes live during
+/// the build beyond those live before it, the bytes the built scheme keeps
+/// live, and their ratio.
+fn peak(keys: &[String], family: Family, n: usize) -> Result<(), HarnessError> {
+    let cfg = ExperimentConfig { n, ..ExperimentConfig::default() };
+    let registry = SchemeRegistry::with_defaults();
+    let ctx = BuildContext { params: cfg.params(), seed: cfg.seed, threads: 1 };
+    println!("build heap: family={} n={n} threads=1", family.name());
+    println!("{:<10} {:>14} {:>14} {:>10}", "scheme", "peak bytes", "kept bytes", "peak/kept");
+    for key in keys {
+        let meta = registry.meta(key)?;
+        let weights =
+            if meta.weighted { WeightModel::Uniform { lo: 1, hi: 32 } } else { WeightModel::Unit };
+        let g = make_graph(family, weights, &cfg);
+        let (peak, (kept, scheme)) =
+            peak_bytes_in(|| kept_bytes_in(|| registry.build(key, &g, &ctx)));
+        drop(scheme?);
+        println!("{key:<10} {peak:>14} {kept:>14} {:>10.3}", peak as f64 / kept.max(1) as f64);
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn parsed(tokens: &[&str]) -> Result<(&'static str, usize, Option<f64>), String> {
+        parsed_with_keys(tokens).map(|(name, n, epsilon, _)| (name, n, epsilon))
+    }
+
+    type Parsed = (&'static str, usize, Option<f64>, Option<(Vec<String>, Family)>);
+
+    fn parsed_with_keys(tokens: &[&str]) -> Result<Parsed, String> {
         match parse(Args::from_tokens(tokens.iter().copied())) {
-            Ok(Some((e, n, epsilon))) => Ok((e.name, n, epsilon)),
-            Ok(None) => Ok(("--help", 0, None)),
+            Ok(Some((e, n, epsilon, selection))) => Ok((e.name, n, epsilon, selection)),
+            Ok(None) => Ok(("--help", 0, None, None)),
             Err(e) => Err(e.to_string()),
         }
+    }
+
+    #[test]
+    fn peak_takes_keys_a_family_and_n() {
+        let keys = |ks: &[&str]| ks.iter().map(|k| k.to_string()).collect::<Vec<_>>();
+        assert_eq!(
+            parsed_with_keys(&["peak", "thm11,tz3", "er", "600"]),
+            Ok(("peak", 600, None, Some((keys(&["thm11", "tz3"]), Family::ErdosRenyi))))
+        );
+        let all = SchemeRegistry::with_defaults().names();
+        assert_eq!(
+            parsed_with_keys(&["peak", "all", "geometric"]),
+            Ok(("peak", 600, None, Some((keys(&all), Family::Geometric))))
+        );
+        assert_eq!(parsed(&["peak"]), Err("missing value for <keys>".into()));
+        assert_eq!(parsed(&["peak", "thm11"]), Err("missing value for <family>".into()));
+        let surplus = parsed(&["peak", "thm11", "er", "600", "0.5"]);
+        assert_eq!(surplus, Err("unexpected argument \"0.5\"".into()));
+        assert!(parsed(&["peak", "thm12", "er"]).unwrap_err().contains("unknown scheme"));
+        assert!(parsed(&["peak", "thm11", "hypercube"]).unwrap_err().contains("unknown family"));
     }
 
     #[test]

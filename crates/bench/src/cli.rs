@@ -111,14 +111,15 @@ pub fn parse_value<T: std::str::FromStr>(
     })
 }
 
-/// Parses a graph family name.
+/// Parses a graph family name, or `er` for Erdős–Rényi, the short name the
+/// benchmark's workloads use.
 ///
 /// # Errors
 ///
 /// [`CliError::Invalid`] on an unknown family.
 pub fn parse_family(flag: &str, value: &str) -> Result<Family, CliError> {
     match value {
-        "erdos-renyi" => Ok(Family::ErdosRenyi),
+        "erdos-renyi" | "er" => Ok(Family::ErdosRenyi),
         "geometric" => Ok(Family::Geometric),
         "grid" => Ok(Family::Grid),
         "scale-free" => Ok(Family::ScaleFree),
@@ -201,6 +202,7 @@ mod tests {
     fn family_parsing_matches_the_documented_names() {
         assert_eq!(parse_family("--family", "erdos-renyi").unwrap(), Family::ErdosRenyi);
         assert_eq!(parse_family("--family", "scale-free").unwrap(), Family::ScaleFree);
+        assert_eq!(parse_family("--family", "er").unwrap(), Family::ErdosRenyi);
         let err = parse_family("--family", "hypercube").unwrap_err();
         assert_eq!(err.to_string(), "invalid value \"hypercube\" for --family: unknown family");
     }

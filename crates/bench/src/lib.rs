@@ -27,9 +27,11 @@
 //!
 //! `experiments <table1|theorems|techniques|ablations|epsilon-sweep> [n]
 //! [epsilon]` regenerates the paper's static artefacts, one subcommand per
-//! experiment; `--help` lists them with their defaults. Timing is not
-//! measured here: the repository's one yardstick is the `benchmark/`
-//! package.
+//! experiment; `--help` lists them with their defaults. `experiments peak
+//! <keys> <family> [n]` prints each key's build heap — peak and kept bytes
+//! — from the counting allocator of [`alloc`], which the allocation guard
+//! test shares. Timing is not measured here: the repository's one
+//! yardstick is the `benchmark/` package.
 //!
 //! # The `churn` binary
 //!
@@ -51,6 +53,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod alloc;
 pub mod cli;
 
 use compact_routing::registry::{SchemeMeta, SchemeRegistry, StretchBound};

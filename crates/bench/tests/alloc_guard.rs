@@ -32,20 +32,23 @@
 //! keep live to their `heap_bytes()`, exactly (see
 //! `assert_kept_bytes_are_heap_bytes`).
 //!
-//! The guard counts allocations, and live and peak bytes, through a
-//! wrapping `#[global_allocator]`. Everything lives in ONE `#[test]` so no
-//! sibling test can allocate concurrently and pollute the counters (the
+//! The guard counts allocations, and live and peak bytes, through the
+//! counting `#[global_allocator]` that `routing_bench::alloc` defines (the
+//! `experiments peak` command counts with the same one). Everything lives
+//! in ONE `#[test]` so no sibling test can allocate concurrently and
+//! pollute the counters (the
 //! default libtest runner is multi-threaded *across* tests in a binary,
 //! and reports a finished test from its main thread).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use compact_routing::registry::SchemeRegistry;
 use compact_routing::tree::TreeForest;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use routing_bench::alloc::{
+    allocations_in, kept_bytes_in, live_allocations, live_bytes, peak_bytes_in,
+};
 use routing_baselines::thm16::landmark_lists;
 use routing_baselines::{ExactScheme, Thm16Scheme, TzHierarchy, TzLevels};
 use routing_core::{
@@ -57,85 +60,10 @@ use routing_model::{simulate, simulate_lean, simulate_lean_with_label, DynScheme
 use routing_serve::{EngineConfig, ShardedEngine};
 use routing_vicinity::{sample_centers_bounded, BallDists, BallTable};
 
-/// Counts every allocation (alloc, alloc_zeroed, realloc) and delegates to
-/// the system allocator. Deallocations are not counted — the guard is about
-/// *new* memory on the hot path — but they do lower the live bytes.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-/// Allocations made and not yet freed.
-static LIVE_ALLOCS: AtomicU64 = AtomicU64::new(0);
-/// Bytes allocated and not yet freed, and the most there have been since
-/// the last [`peak_bytes_in`] began.
-static LIVE: AtomicU64 = AtomicU64::new(0);
-static PEAK: AtomicU64 = AtomicU64::new(0);
-
-fn grew(bytes: usize) {
-    let live = LIVE.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-fn shrank(bytes: usize) {
-    LIVE.fetch_sub(bytes as u64, Ordering::Relaxed);
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        LIVE_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        grew(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        LIVE_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        grew(layout.size());
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        match new_size.checked_sub(layout.size()) {
-            Some(more) => grew(more),
-            None => shrank(layout.size() - new_size),
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE_ALLOCS.fetch_sub(1, Ordering::Relaxed);
-        shrank(layout.size());
-        System.dealloc(ptr, layout)
-    }
-}
+routing_bench::counting_allocator!(CountingAlloc);
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Runs `f` and returns how many allocations it performed.
-fn allocations_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let result = f();
-    (ALLOCS.load(Ordering::Relaxed) - before, result)
-}
-
-/// Runs `f` and returns the most bytes that were live during it beyond
-/// those live when it began.
-fn peak_bytes_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = LIVE.load(Ordering::Relaxed);
-    PEAK.store(before, Ordering::Relaxed);
-    let result = f();
-    (PEAK.load(Ordering::Relaxed) - before, result)
-}
-
-/// Runs `f` and returns the bytes its result keeps live: those live after
-/// it beyond those live when it began.
-fn kept_bytes_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = LIVE.load(Ordering::Relaxed);
-    let result = f();
-    (LIVE.load(Ordering::Relaxed) - before, result)
-}
 
 /// Queries per key and graph, and the size of each serving batch.
 const PAIRS: usize = 200;
@@ -427,10 +355,11 @@ fn assert_ball_build_within_a_block(g: &Graph, ell: usize, dists: BallDists, wor
 /// `t1-er-direct` graph, where ℓ = 1372 makes the ball table the largest
 /// build-time structure of any scheme. Its live-byte peak must stay within
 /// the build of a table without distances, or that table beside the greedy
-/// hitting set's inverted index (4 bytes a member) and what the scheme
-/// keeps besides its ports. A copy of the balls made for Lemma 5 or 6
-/// (4 bytes a member), or a distance array the build never reads (8), sits
-/// over it.
+/// hitting set's per-vertex arrays and what the scheme keeps besides its
+/// ports. The greedy probes the table's slots for the sets a pick hits, so
+/// an inverted index of the sets (4 bytes a member), a copy of the balls
+/// made for Lemma 5 or 6 (4 bytes a member), or a distance array the build
+/// never reads (8), sits over it.
 fn assert_multilevel_build_peak() {
     const N: usize = 2000;
     const LEVELS: usize = 4;
@@ -449,9 +378,9 @@ fn assert_multilevel_build_peak() {
     let full = table.heap_bytes() as u64;
     let ports = table.into_ports().heap_bytes() as u64;
     let (peak, _scheme) = peak_bytes_in(build);
-    // Beside the index the greedy holds five arrays of at most 8 bytes a
-    // vertex, and the sets are one 16-byte slice a vertex.
-    let greedy = 4 * members as u64 + 56 * N as u64;
+    // The greedy holds a count (8 bytes) a vertex, a flag a set and its
+    // picks, and the sets are one 16-byte slice a vertex.
+    let greedy = 32 * N as u64;
     let bound = ball_build.max(full + greedy + kept - ports);
     assert!(
         peak <= bound,
@@ -461,69 +390,75 @@ fn assert_multilevel_build_peak() {
 }
 
 /// What a Lemma 7 or Lemma 8 merge holds beside the sequence store it
-/// fills: the build's chunks, whose entries take `width` bytes and whose
-/// sequence ends take 8 — each array under twice its length, since it grew
-/// by doubling — and at most 128 bytes a chunk for the chunk itself and its
-/// arrays' smallest capacities. `counts` is the store's `(pairs, entries)`.
+/// fills: the build's chunks, trimmed as each task finishes, whose entries
+/// take `width` bytes and whose sequence ends take 4, and at most 128 bytes
+/// a chunk for the chunk itself and its arrays' closing pad. `counts` is
+/// the store's `(pairs, entries)`.
 fn sequence_chunks(width: usize, (pairs, entries): (usize, usize), chunks: usize) -> u64 {
-    (2 * (width * entries + 8 * pairs) + 128 * chunks) as u64
+    (width * entries + 4 * pairs + 128 * chunks) as u64
 }
 
 /// `SchemeFivePlusEps::build` on the serve workloads' graph (a weighted
-/// Erdős–Rényi graph, n = 8000, graph seed 13) at ℓ = 180. Its peak is the
-/// Lemma 8 merge at the end of `Technique2Router::build`: the
-/// per-destination sequence chunks (at most one a landmark) and the
-/// `(u, w, row)` list, 24 bytes a pair, beside the sequence store they are
-/// copied into, with the ball table's ids still live. It must stay within
-/// the build of a table without distances, or that table beside what the
-/// scheme keeps besides its ports, the chunks and the list. Chunks of
-/// 8-byte entries, or a distance array the build never reads (8 bytes a
-/// member), sit over it.
+/// Erdős–Rényi graph, n = 8000, graph seed 13) at ℓ = 180. Its vicinities
+/// keep their member ids only until the colouring: Lemma 8 reads the ports
+/// and the colour representatives, and merges its per-destination sequence
+/// chunks (at most one a landmark) straight into the sequence store. So the
+/// peak must stay within the build of a table without distances, that
+/// table beside the Lemma 4 stage — the landmark sample and the cluster
+/// family's build —, or what the scheme keeps beside the chunks. A row list
+/// of the merge (24 bytes a pair), member ids kept through Lemma 8 (4 bytes
+/// a member), chunks of 8-byte entries or a distance array the build never
+/// reads (8 bytes a member) sit over it.
 fn assert_thm11_build_peak() {
     const N: usize = 8000;
     routing_par::set_threads(1);
     let weights = WeightModel::Uniform { lo: 1, hi: 32 };
     let g = Family::ErdosRenyi.generate(N, weights, &mut StdRng::seed_from_u64(13));
     let params = Params::default();
-    let before = LIVE.load(Ordering::Relaxed);
+    let before = live_bytes();
     let (peak, scheme) =
         peak_bytes_in(|| SchemeFivePlusEps::build(&g, &params, &mut StdRng::seed_from_u64(7)));
-    let kept = LIVE.load(Ordering::Relaxed) - before;
+    let kept = live_bytes() - before;
     let scheme = scheme.expect("thm11 builds");
     let counts = scheme.router().sequence_counts();
     let width = SlotCodec::for_graph(&g).width();
     let chunks = sequence_chunks(width, counts, scheme.landmarks().len());
-    let rows = 24 * counts.0 as u64;
     drop(scheme);
     let ell = params.scaled((N as f64).powf(1.0 / 3.0).ceil() as usize, N);
     let (ball_build, table) =
         peak_bytes_in(|| BallTable::build_with_dists(&g, ell, BallDists::Skip));
     let full = table.heap_bytes() as u64;
-    let ports = table.into_ports().heap_bytes() as u64;
-    let bound = ball_build.max(full + kept - ports + chunks + rows);
+    drop(table);
+    // The landmarks as the build samples them: its vicinities draw nothing.
+    let s = (params.landmark_scale * (N as f64).powf(2.0 / 3.0)).ceil() as usize;
+    let (clusters, _) = peak_bytes_in(|| {
+        let landmarks = sample_centers_bounded(&g, s, &mut StdRng::seed_from_u64(7));
+        ClusterFamily::build(&g, |_| landmarks.bound_slice()).expect("the family builds")
+    });
+    let bound = ball_build.max(full + clusters).max(kept + chunks);
     assert!(
         peak <= bound,
         "thm11 peaked at {peak} bytes over a bound of {bound}: ball build {ball_build}, \
-         table {full} at ℓ = {ell}, kept {kept} of which ports {ports}, chunks {chunks}, \
-         rows {rows}"
+         table {full} at ℓ = {ell}, cluster stage {clusters}, kept {kept}, chunks {chunks}"
     );
 }
 
-/// `SchemeTwoPlusEps::build` on the `t1-er-direct` graph, the workload's
-/// peak scheme. Its peak is the Lemma 7 merge at the end of
-/// `Technique1Router::build`: the sequence chunks (one per batch of 64
-/// sources) beside the sequence store they are copied into, with the ball
-/// table's ids and distances still live. It must stay within the build of
-/// that table, or the table beside what the scheme keeps besides its ports
-/// and the chunks. Chunks of 8-byte entries sit over it.
+/// `SchemeTwoPlusEps::build` on the `t1-er-direct` graph. Its peak is the
+/// Lemma 7 merge at the end of `Technique1Router::build`: the sequence
+/// chunks (one per batch of 64 sources) beside the sequence store they are
+/// copied into, with the ball table's ids and distances still live, and the
+/// list of sources (24 bytes a vertex) and their set order (4). It must
+/// stay within the build of that table, or the table beside what the
+/// scheme keeps besides its ports, the chunks and those two lists. Chunks
+/// of 8-byte entries, or chunks left with their growth slack, sit over it.
 fn assert_thm10_build_peak() {
     routing_par::set_threads(1);
     let g = t1_graph();
     let params = Params::default();
-    let before = LIVE.load(Ordering::Relaxed);
+    let before = live_bytes();
     let (peak, scheme) =
         peak_bytes_in(|| SchemeTwoPlusEps::build(&g, &params, &mut StdRng::seed_from_u64(7)));
-    let kept = LIVE.load(Ordering::Relaxed) - before;
+    let kept = live_bytes() - before;
     let scheme = scheme.expect("thm10 builds");
     let (n, width) = (g.n(), SlotCodec::for_graph(&g).width());
     let chunks = sequence_chunks(width, scheme.router().sequence_counts(), n.div_ceil(64));
@@ -533,11 +468,13 @@ fn assert_thm10_build_peak() {
         peak_bytes_in(|| BallTable::build_with_dists(&g, ell, BallDists::Keep));
     let full = table.heap_bytes() as u64;
     let ports = table.into_ports().heap_bytes() as u64;
-    let bound = ball_build.max(full + kept - ports + chunks);
+    let sources = 28 * n as u64;
+    let bound = ball_build.max(full + kept - ports + chunks + sources);
     assert!(
         peak <= bound,
         "thm10 peaked at {peak} bytes over a bound of {bound}: ball build {ball_build}, \
-         table {full} at ℓ = {ell}, kept {kept} of which ports {ports}, chunks {chunks}"
+         table {full} at ℓ = {ell}, kept {kept} of which ports {ports}, chunks {chunks}, \
+         sources {sources}"
     );
 }
 
@@ -640,10 +577,10 @@ fn assert_kept_bytes_are_heap_bytes() {
 fn assert_cluster_family_allocations(g: &Graph) {
     let s = (g.n() as f64).powf(2.0 / 3.0).ceil() as usize;
     let landmarks = sample_centers_bounded(g, s, &mut StdRng::seed_from_u64(5));
-    let before = LIVE_ALLOCS.load(Ordering::Relaxed);
+    let before = live_allocations();
     let (_family, members) =
         ClusterFamily::build(g, |_| landmarks.bound_slice()).expect("the family builds");
     drop(members);
-    let retained = LIVE_ALLOCS.load(Ordering::Relaxed) - before;
+    let retained = live_allocations() - before;
     assert!(retained <= 7, "a cluster family of {} trees keeps {retained} allocations", g.n());
 }

@@ -175,18 +175,16 @@ impl SchemeFivePlusEps {
         }
         drop(span_fe);
 
-        // Lemma 6 coloring for the source partition U.
-        let vic = vic.colour(ell, q, params, rng)?;
+        // Lemma 6 coloring for the source partition U. Lemma 8 reads the
+        // ports and the representatives, so the member ids go here.
+        let vic = vic.colour(ell, q, params, rng)?.retain();
 
         // Arbitrary balanced partition W of the landmark set A.
         let mut dest_partition: Vec<Vec<VertexId>> = vec![Vec::new(); q as usize];
         for (i, &a) in landmarks.members().iter().enumerate() {
             dest_partition[i % q as usize].push(a);
         }
-        let router =
-            Technique2Router::build(g, &vic.balls, vic.color_of.clone(), &dest_partition, params)?;
-
-        let vic = vic.retain();
+        let router = Technique2Router::build(g, &vic, &dest_partition, params)?;
         Ok(SchemeFivePlusEps { n, epsilon: params.epsilon, vic, clusters, router, first_edge })
     }
 

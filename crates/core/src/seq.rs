@@ -32,7 +32,7 @@ use serde::{Deserialize, Serialize};
 
 use routing_graph::{Graph, PackedColumn, PackedView, Port, SlotCodec, VertexId};
 use routing_model::{Decision, RouteError};
-use routing_vicinity::{BallPorts, BallTable};
+use routing_vicinity::BallPorts;
 
 use crate::BuildError;
 
@@ -174,7 +174,7 @@ fn decode_entry([vertex, port]: [u32; 2]) -> SeqEntry {
 /// last edge is not an edge of `g`.
 pub(crate) fn walk_round(
     g: &Graph,
-    balls: &BallTable,
+    balls: &BallPorts,
     path: &[VertexId],
     pos: usize,
     chunk: &mut SeqChunk,
@@ -237,11 +237,13 @@ pub(crate) fn push_hops(
 /// One build task's sequences back to back, in arena form: entries packed
 /// by the build's codec, sequence `k` in `entries[ends[k - 1]..ends[k]]`
 /// (from `0` for the first). A builder [`push`](Self::push)es a sequence's
-/// entries, then [`close`](Self::close)s it.
+/// entries, then [`close`](Self::close)s it, and
+/// [`shrink_to_fit`](Self::shrink_to_fit)s the chunk once its task is done.
+/// The chunk holds the packed entries and one 4-byte end a sequence.
 #[derive(Debug)]
 pub(crate) struct SeqChunk {
     entries: PackedColumn<2>,
-    ends: Vec<usize>,
+    ends: Vec<u32>,
     /// Every entry pushed, unpacked: the reference the tests hold the
     /// packed rows to.
     #[cfg(test)]
@@ -267,8 +269,24 @@ impl SeqChunk {
     }
 
     /// Ends the sequence appended since the last close.
-    pub(crate) fn close(&mut self) {
-        self.ends.push(self.entries.len());
+    ///
+    /// # Errors
+    ///
+    /// [`BuildError::BadParameter`] when the chunk's entries outnumber what
+    /// a `u32` end addresses, as the store's arena would.
+    pub(crate) fn close(&mut self) -> Result<(), BuildError> {
+        let end = self.entries.len();
+        self.ends.push(u32::try_from(end).map_err(|_| BuildError::BadParameter {
+            what: format!("{end} sequence entries exceed a u32 arena offset"),
+        })?);
+        Ok(())
+    }
+
+    /// Returns the arrays' growth slack: a finished chunk waits for the
+    /// merge at its length.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.entries.shrink_to_fit();
+        self.ends.shrink_to_fit();
     }
 
     /// How many sequences the chunk holds.
@@ -276,10 +294,18 @@ impl SeqChunk {
         self.ends.len()
     }
 
+    /// Sequence `k`, packed, if the chunk holds that many.
+    pub(crate) fn sequence(&self, k: usize) -> Option<PackedView<'_, 2>> {
+        let lo = match k.checked_sub(1) {
+            Some(prev) => *self.ends.get(prev)?,
+            None => 0,
+        };
+        self.entries.slice(lo as usize..*self.ends.get(k)? as usize)
+    }
+
     /// The chunk's sequences, packed, in the order they were closed.
     pub(crate) fn sequences(&self) -> impl Iterator<Item = PackedView<'_, 2>> + Clone + '_ {
-        let starts = std::iter::once(0).chain(self.ends.iter().copied());
-        starts.zip(&self.ends).filter_map(|(lo, &hi)| self.entries.slice(lo..hi))
+        (0..self.len()).filter_map(|k| self.sequence(k))
     }
 }
 
@@ -488,6 +514,7 @@ impl SeqStore {
 mod tests {
     use super::*;
     use routing_graph::{generators, SLOT_PAD};
+    use routing_vicinity::BallTable;
 
     #[test]
     fn constructors_and_words() {
@@ -526,7 +553,7 @@ mod tests {
         for e in entries {
             chunk.push(e);
         }
-        chunk.close();
+        chunk.close().unwrap();
         assert_eq!(chunk.entries.len(), entries.len());
         let rows: Vec<PackedView<'_, 2>> = chunk.sequences().collect();
         let row: Vec<SeqEntry> = (0..=rows[0].len()).map_while(|i| rows[0].get(i).map(decode_entry)).collect();
@@ -574,7 +601,7 @@ mod tests {
             for &entry in *s {
                 chunk.push(entry);
             }
-            chunk.close();
+            chunk.close().unwrap();
         }
         assert_eq!(chunks.each_ref().map(SeqChunk::len), [1, 3]);
         let stored = chunks.iter().flat_map(SeqChunk::sequences);
@@ -613,7 +640,7 @@ mod tests {
         let keys = [(v(0), v(3)), (v(0), v(6)), (v(5), v(11))];
         for &(_, key) in &keys {
             chunk.push(SeqEntry::ball(key));
-            chunk.close();
+            chunk.close().unwrap();
         }
         let rows = keys.iter().zip(chunk.sequences()).map(|(&(u, key), s)| (u, key, s));
         let store = SeqStore::from_sorted(codec, g.n(), rows).unwrap();
@@ -625,7 +652,7 @@ mod tests {
             for k in 0..len {
                 big.push(SeqEntry::edge(v(k), Port(1)));
             }
-            big.close();
+            big.close().unwrap();
         }
         let big_keys = [(v(298), v(297)), (v(299), v(298))];
         let rows = big_keys.iter().zip(big.sequences()).map(|(&(u, key), s)| (u, key, s));

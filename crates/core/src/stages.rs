@@ -20,13 +20,15 @@
 //! `cluster-trees`, `bunches`; `coloring`, `color-reps`; `global-trees`),
 //! returns what a scheme keeps for routing, and drops its build-only arrays
 //! on return — except the vicinities' member ids, which the colouring and
-//! the technique routers still read: a builder holds `Vicinities<BallTable>`
-//! until its last build-time reader has run and stores
-//! [`Vicinities::retain`]'s result, the ports alone. The members'
-//! distances are built only for a scheme that reads them (Theorem 10);
-//! the others pass [`BallDists::Skip`]. No stage copies a ball: the
+//! Technique 1 still read: a builder holds `Vicinities<BallTable>` until its
+//! last build-time reader has run and stores [`Vicinities::retain`]'s
+//! result, the ports alone. Technique 2 reads none: its handover vertex is
+//! a colour representative, so Theorem 11 retains before Lemma 8. The
+//! members' distances are built only for a scheme that reads them (Theorem
+//! 10); the others pass [`BallDists::Skip`]. No stage copies a ball: the
 //! Lemma 6 colouring, like Technique 1's Lemma 5 hitting set, reads
-//! [`BallTable::id_prefixes`], one borrowed slice a vertex.
+//! [`BallTable::id_prefixes`], one borrowed slice a vertex, and the hitting
+//! set finds the vicinities a pick hits by probing the slots.
 
 use std::ops::Range;
 
@@ -42,10 +44,14 @@ use routing_vicinity::{
 
 use crate::{BuildError, Params};
 
-/// Rejects invalid parameters and disconnected graphs. Runs once per build;
-/// the technique routers rely on their caller having run it.
+/// Rejects invalid parameters, the empty graph and disconnected graphs.
+/// Runs once per build; the technique routers rely on their caller having
+/// run it.
 pub(crate) fn check(g: &Graph, params: &Params) -> Result<(), BuildError> {
     params.validate().map_err(|what| BuildError::BadParameter { what })?;
+    if g.n() == 0 {
+        return Err(BuildError::TooSmall { what: "the scheme needs at least one vertex".into() });
+    }
     if !g.is_connected() {
         return Err(BuildError::Disconnected);
     }
@@ -129,10 +135,9 @@ impl Vicinities<BallTable> {
     /// Stage one: the vicinities of `ell` members, with no colours yet
     /// (`q = 0`), and their distances if `dists` asks for them. Draws
     /// nothing from the build's RNG, so it runs before the landmark sample.
-    /// The table stays live to the end of the build, but its build is not
-    /// the heap peak of a Theorem 11 build: that is the Lemma 8 merge at the
-    /// end of [`Technique2Router::build`](crate::technique2::Technique2Router),
-    /// where the sequence chunks and rows sit beside the store they fill.
+    /// The whole table stays live until the colouring has run, so the heap
+    /// peak of a Theorem 11 build is the Lemma 4 stage beside it, not the
+    /// Lemma 8 merge, which runs on the ports alone.
     pub(crate) fn balls(g: &Graph, ell: usize, dists: BallDists) -> Self {
         Vicinities {
             q: 0,
@@ -154,17 +159,24 @@ impl Vicinities<BallTable> {
         params: &Params,
         rng: &mut R,
     ) -> Result<Self, BuildError> {
-        let balls = self.balls;
         let color_of: Vec<u32> = {
             let _span = routing_obs::span("coloring");
+            let balls = &self.balls;
             let sets = balls.id_prefixes(prefix_len);
             let coloring =
                 Coloring::build_for_sets(balls.len(), q, &sets, params.coloring_retries, rng)?;
             (0..balls.len()).map(|v| coloring.color(VertexId(v as u32))).collect()
         };
+        Ok(self.coloured_by(color_of, q))
+    }
+
+    /// Stage two with the colours given: `color_of[v]` is the colour of
+    /// `v`, and the representatives of the colours `0..q` are picked from
+    /// the whole ball (a colour outside `0..q` has none).
+    pub(crate) fn coloured_by(self, color_of: Vec<u32>, q: u32) -> Self {
         let _span = routing_obs::span("color-reps");
-        let color_rep = build_color_reps(&balls, &color_of, q as usize);
-        Ok(Vicinities { q, balls, color_of, color_rep })
+        let color_rep = build_color_reps(&self.balls, &color_of, q as usize);
+        Vicinities { q, balls: self.balls, color_of, color_rep }
     }
 
     /// Drops the member ids and distances: call once nothing of the build
@@ -241,7 +253,8 @@ impl Vicinities {
 
 /// For every vertex and every colour, the closest vicinity member of that
 /// colour: the settle order is by distance, so the first member of each
-/// colour is the closest.
+/// colour is the closest. It is also the vertex Lemma 8 hands a sequence
+/// over to, the first of its colour in the vicinity.
 fn build_color_reps(balls: &BallTable, color_of: &[u32], q: usize) -> Vec<VertexId> {
     let mut reps = Vec::with_capacity(balls.len() * q);
     let mut found = vec![false; q];
@@ -256,7 +269,7 @@ fn build_color_reps(balls: &BallTable, color_of: &[u32], q: usize) -> Vec<Vertex
         found.fill(false);
         for &v in balls.ball(u).ids() {
             let c = color_of[v.index()] as usize;
-            if !found[c] {
+            if found.get(c) == Some(&false) {
                 found[c] = true;
                 reps[row + c] = v;
             }

@@ -36,7 +36,7 @@ use routing_graph::scratch::BFS_BATCH_WIDTH;
 use routing_graph::{BfsBatch, Graph, SearchScratch, SlotCodec, VertexId, Weight};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
 use routing_tree::{TreeForest, TreeLabelView, TreeView};
-use routing_vicinity::{hitting_set_greedy, BallPorts, BallTable};
+use routing_vicinity::{hitting_set_of_vicinities, BallPorts, BallTable};
 
 use crate::seq::{push_hops, walk_round, SeqChunk, SeqCursor, SeqEntry, SeqStore};
 use crate::stages;
@@ -109,7 +109,7 @@ impl Technique1Router {
         // Lemma 5: a hitting set for every vicinity.
         let hitting = {
             let _span = routing_obs::span("hitting-set");
-            hitting_set_greedy(g.n(), &balls.id_prefixes(balls.ell()))
+            hitting_set_of_vicinities(balls)
         };
 
         // Global shortest-path trees for the hitting set. These searches
@@ -350,13 +350,16 @@ fn sort_by_set(set_of: &[u32]) -> Vec<VertexId> {
 }
 
 /// Every vertex whose set has another member, with that set's run of
-/// `by_set`, sorted by vertex id.
+/// `by_set`, sorted by vertex id: at most one entry a vertex, room for which
+/// is reserved once.
 fn same_set_sources<'a>(by_set: &'a [VertexId], set_of: &[u32]) -> Vec<(VertexId, &'a [VertexId])> {
-    let mut sources: Vec<(VertexId, &[VertexId])> = by_set
-        .chunk_by(|a, b| set_of[a.index()] == set_of[b.index()])
-        .filter(|members| members.len() >= 2)
-        .flat_map(|members| members.iter().map(move |&u| (u, members)))
-        .collect();
+    let mut sources: Vec<(VertexId, &[VertexId])> = Vec::with_capacity(by_set.len());
+    sources.extend(
+        by_set
+            .chunk_by(|a, b| set_of[a.index()] == set_of[b.index()])
+            .filter(|members| members.len() >= 2)
+            .flat_map(|members| members.iter().map(move |&u| (u, members))),
+    );
     sources.sort_unstable_by_key(|&(u, _)| u);
     sources
 }
@@ -402,9 +405,10 @@ impl SeqBuilder<'_> {
                             return Err(BuildError::Disconnected);
                         }
                         self.sequence(path, &ramp[..path.len()], &mut chunk)?;
-                        chunk.close();
+                        chunk.close()?;
                     }
                 }
+                chunk.shrink_to_fit();
                 Ok(chunk)
             },
         );
@@ -446,9 +450,10 @@ impl SeqBuilder<'_> {
                         prefix.push(scratch.dist(x).ok_or(BuildError::Disconnected)?);
                     }
                     self.sequence(path, prefix, &mut chunk)?;
-                    chunk.close();
+                    chunk.close()?;
                 }
                 routing_obs::counters::BUILD_SETTLED_VERTICES.add(scratch.order().len() as u64);
+                chunk.shrink_to_fit();
                 Ok(chunk)
             },
         );

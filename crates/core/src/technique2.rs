@@ -20,12 +20,12 @@
 //! `w` and forwarding continues. The header carries the sequence as a cursor
 //! into the router's arena, so the swap re-points the cursor.
 
-use routing_graph::{Graph, PackedView, SearchScratch, SlotCodec, VertexId, Weight};
+use routing_graph::{Graph, SearchScratch, SlotCodec, VertexId, Weight};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
-use routing_vicinity::{BallPorts, BallTable};
+use routing_vicinity::{BallDists, BallPorts};
 
 use crate::seq::{push_hops, walk_round, SeqChunk, SeqCursor, SeqEntry, SeqStore};
-use crate::stages;
+use crate::stages::{self, Vicinities};
 use crate::{BuildError, Params};
 
 /// The header carried by a message routed with the second technique: the
@@ -45,10 +45,11 @@ impl HeaderSize for Technique2Header {
 /// `dest_set_of` entry of a vertex outside the destination partition `W`.
 const NO_SET: u32 = u32::MAX;
 
-/// The Lemma 8 router, designed to be embedded in the full schemes. The
-/// embedding scheme owns the shared ball table: the full [`BallTable`] for
-/// `Technique2Router::build`, of which it keeps the [`BallPorts`] to pass
-/// to [`Technique2Router::step`].
+/// The Lemma 8 router, designed to be embedded in the full schemes. It is
+/// built from the embedding scheme's retained vicinities — the
+/// [`BallPorts`] it passes to [`Technique2Router::step`], the colouring that
+/// is the source partition `U`, and the colour representatives — so no
+/// ball's member ids need outlive the colouring.
 #[derive(Debug, Clone)]
 pub struct Technique2Router {
     color_of: Vec<u32>,
@@ -64,8 +65,9 @@ pub struct Technique2Router {
 impl Technique2Router {
     /// Builds the router.
     ///
-    /// * `color_of[v]` is the index of the set of `U` containing `v` (every
-    ///   vertex of `V` has one);
+    /// * `vic.color_of[v]` is the index of the set of `U` containing `v`
+    ///   (every vertex of `V` has one), and `vic.reps_at(x)[j]` the first
+    ///   vertex of `U_j` in `B(x, q̃)`, or `x` when there is none;
     /// * `dest_partition[j]` lists the vertices of `W_j` (the destination
     ///   sets); indices must align with the `U` indices.
     ///
@@ -75,6 +77,12 @@ impl Technique2Router {
     /// the shortest path instead of stopping early, so routing stays correct
     /// but the sequence may be longer than `2b·log(nD)`).
     ///
+    /// One target-bounded search per destination fills a chunk with the
+    /// sequences of its class's sources, and the store is fed from the
+    /// chunks in `(u, w)` order: a class's destinations sorted by id once,
+    /// each source's sequence found at its rank in its class. Beside the
+    /// chunks the merge holds a rank a vertex and an index a destination.
+    ///
     /// The caller has run [`stages::check`] on `(g, params)`: every source
     /// must reach every destination.
     ///
@@ -82,14 +90,14 @@ impl Technique2Router {
     ///
     /// [`BuildError::Disconnected`] when a source does not reach its
     /// destination, and [`BuildError::Inconsistent`] when a search's path is
-    /// not a path of `g`.
+    /// not a path of `g` or a pair's sequence is missing.
     pub(crate) fn build(
         g: &Graph,
-        balls: &BallTable,
-        color_of: Vec<u32>,
+        vic: &Vicinities,
         dest_partition: &[Vec<VertexId>],
         params: &Params,
     ) -> Result<Self, BuildError> {
+        let color_of = vic.color_of.clone();
         assert_eq!(color_of.len(), g.n(), "color_of must cover every vertex");
         let b = params.b_lemma8();
         let _span = routing_obs::span("technique2");
@@ -101,19 +109,22 @@ impl Technique2Router {
             }
         }
 
-        // Group the sources by color; a color no destination set is
-        // indexed by has no sequences to store.
+        // Group the sources by color, each class in id order, and rank
+        // every source in its class; a color no destination set is indexed
+        // by has no sequences to store.
         let mut classes: Vec<Vec<VertexId>> = vec![Vec::new(); dest_partition.len()];
+        let mut rank = vec![0u32; g.n()];
         for v in g.vertices() {
             if let Some(class) = classes.get_mut(color_of[v.index()] as usize) {
+                rank[v.index()] = class.len() as u32;
                 class.push(v);
             }
         }
 
         // One Dijkstra per destination `w`, then a sequence per matched
         // source — independent work items, fanned out in parallel. The merge
-        // below runs in a fixed (j, w) order so the router is identical for
-        // every thread count.
+        // below reads them in a fixed `(u, w)` order, so the router is
+        // identical for every thread count.
         let mut work: Vec<(u32, VertexId, &[VertexId])> = Vec::new();
         for (j, (dests, sources)) in dest_partition.iter().zip(&classes).enumerate() {
             if sources.is_empty() {
@@ -144,27 +155,17 @@ impl Technique2Router {
                         return Err(BuildError::Disconnected);
                     }
                     path.reverse(); // now u -> w
-                    build_t2_sequence(g, balls, scratch, path, w, j, &color_of, b, &mut chunk)?;
-                    chunk.close();
+                    build_t2_sequence(g, vic, scratch, path, w, j, b, &mut chunk)?;
+                    chunk.close()?;
                 }
                 routing_obs::counters::BUILD_SETTLED_VERTICES.add(scratch.order().len() as u64);
+                chunk.shrink_to_fit();
                 Ok(chunk)
             },
         );
         let chunks = per_dest.into_iter().collect::<Result<Vec<_>, _>>()?;
-        // The work ran destination-major; the store wants `(u, w)` order.
-        let mut rows: Vec<(VertexId, VertexId, PackedView<'_, 2>)> =
-            Vec::with_capacity(chunks.iter().map(SeqChunk::len).sum());
-        for (&(_, w, sources), chunk) in work.iter().zip(&chunks) {
-            let sources = sources.iter().filter(|&&u| u != w);
-            rows.extend(sources.zip(chunk.sequences()).map(|(&u, s)| (u, w, s)));
-        }
-        rows.sort_unstable_by_key(|&(u, w, _)| (u, w));
-        let mut seq_words = vec![0usize; g.n()];
-        for (u, _, entries) in &rows {
-            seq_words[u.index()] += 1 + SeqEntry::words() * entries.len();
-        }
-        let seqs = SeqStore::from_sorted(codec, g.n(), rows.iter().copied())?;
+        let classes = dest_partition.len();
+        let (seqs, seq_words) = merge(codec, &color_of, &rank, classes, &work, &chunks)?;
 
         Ok(Technique2Router { color_of, dest_set_of, seqs, seq_words, b })
     }
@@ -278,6 +279,55 @@ impl Technique2Router {
     }
 }
 
+/// The store and the words it charges each vertex, from one chunk per work
+/// item `(j, w, sources)` holding the sequences of `sources` — class `j`, in
+/// id order, `rank` giving each source's place — for `w`, `w` itself
+/// skipped. The work ran destination-major; the store is fed in `(u, w)`
+/// order straight from the chunks, each class's destinations sorted by id
+/// once.
+///
+/// # Errors
+///
+/// [`BuildError::Inconsistent`] when a chunk misses a pair's sequence, and
+/// what [`SeqStore::from_sorted`] returns.
+fn merge(
+    codec: SlotCodec<2>,
+    color_of: &[u32],
+    rank: &[u32],
+    classes: usize,
+    work: &[(u32, VertexId, &[VertexId])],
+    chunks: &[SeqChunk],
+) -> Result<(SeqStore, Vec<usize>), BuildError> {
+    let n = color_of.len();
+    let mut dests_of: Vec<Vec<(VertexId, usize)>> = vec![Vec::new(); classes];
+    for (k, &(j, w, _)) in work.iter().enumerate() {
+        dests_of[j as usize].push((w, k));
+    }
+    dests_of.iter_mut().for_each(|dests| dests.sort_unstable());
+    // Source `u` of class `j` is sequence `rank(u)` of a chunk, less one
+    // when the chunk's destination is a source of `j` ranked before `u`.
+    let rows = (0..n as u32).map(VertexId).flat_map(|u| {
+        let j = color_of[u.index()];
+        let dests = dests_of.get(j as usize).map_or(&[][..], Vec::as_slice);
+        let place = rank[u.index()] as usize;
+        dests.iter().filter(move |&&(w, _)| w != u).map(move |&(w, k)| {
+            let skipped = w < u && color_of[w.index()] == j;
+            let at = place.checked_sub(usize::from(skipped));
+            (u, w, at.and_then(|at| chunks.get(k)?.sequence(at)))
+        })
+    });
+    let mut seq_words = vec![0usize; n];
+    for (u, w, entries) in rows.clone() {
+        let entries = entries.ok_or_else(|| BuildError::Inconsistent {
+            what: format!("no Lemma 8 sequence was built at {u} for {w}"),
+        })?;
+        seq_words[u.index()] += 1 + SeqEntry::words() * entries.len();
+    }
+    // Every row holds its sequence: the pass above checked them all.
+    let rows = rows.filter_map(|(u, w, entries)| Some((u, w, entries?)));
+    Ok((SeqStore::from_sorted(codec, n, rows)?, seq_words))
+}
+
 /// Appends the Lemma 8 sequence stored at `path[0]` for destination
 /// `w = path[last]` to `chunk`.
 ///
@@ -291,12 +341,11 @@ impl Technique2Router {
 #[allow(clippy::too_many_arguments)]
 fn build_t2_sequence(
     g: &Graph,
-    balls: &BallTable,
+    vic: &Vicinities,
     spt_w: &SearchScratch,
     path: &[VertexId],
     w: VertexId,
     j: u32,
-    color_of: &[u32],
     b: usize,
     chunk: &mut SeqChunk,
 ) -> Result<(), BuildError> {
@@ -331,16 +380,18 @@ fn build_t2_sequence(
     loop {
         let mut count = 0usize;
         while count < b.saturating_mul(2) {
-            let Some(next) = walk_round(g, balls, path, pos, chunk)? else {
+            let Some(next) = walk_round(g, &vic.balls, path, pos, chunk)? else {
                 return Ok(());
             };
             let xi = path[pos];
             let d_xi_zi = dist_to_w(xi)? - dist_to_w(path[next])?;
             if (d_xi_zi as u128) * (b as u128) < thr_num {
-                // Below the threshold: hand over to a vertex of U_j inside
-                // the vicinity (guaranteed by the Lemma 8 assumption).
-                let z = balls.ball(xi).ids().iter().copied().find(|&m| color_of[m.index()] == j);
-                if let Some(z) = z {
+                // Below the threshold: hand over to the first vertex of U_j
+                // inside the vicinity (guaranteed by the Lemma 8
+                // assumption), the representative of colour `j` at `xi`. A
+                // vicinity without colour `j` stores `xi` itself there.
+                let z = vic.reps_at(xi).get(j as usize).copied();
+                if let Some(z) = z.filter(|z| vic.color_of.get(z.index()) == Some(&j)) {
                     chunk.push(SeqEntry::ball(z));
                     return Ok(());
                 }
@@ -364,7 +415,7 @@ fn build_t2_sequence(
 pub struct Technique2Scheme {
     n: usize,
     epsilon: f64,
-    balls: BallTable,
+    balls: BallPorts,
     router: Technique2Router,
 }
 
@@ -376,7 +427,8 @@ impl Technique2Scheme {
 
     /// Builds the standalone scheme. `color_of` assigns every vertex its `U`
     /// set; `dest_partition` lists the `W_j`. Balls use `q̃ = scaled(q)` where
-    /// `q` is the number of sets.
+    /// `q` is the number of sets, and the representatives of the colours
+    /// `0..q` are picked from them as the full schemes pick theirs.
     ///
     /// # Errors
     ///
@@ -388,11 +440,12 @@ impl Technique2Scheme {
         params: &Params,
     ) -> Result<Self, BuildError> {
         stages::check(g, params)?;
-        let q = dest_partition.len().max(1);
-        let ell = params.scaled(q, g.n());
-        let balls = BallTable::build(g, ell);
-        let router = Technique2Router::build(g, &balls, color_of, &dest_partition, params)?;
-        Ok(Technique2Scheme { n: g.n(), epsilon: params.epsilon, balls, router })
+        let q = dest_partition.len();
+        let ell = params.scaled(q.max(1), g.n());
+        let vic = Vicinities::balls(g, ell, BallDists::Skip).coloured_by(color_of, q as u32);
+        let vic = vic.retain();
+        let router = Technique2Router::build(g, &vic, &dest_partition, params)?;
+        Ok(Technique2Scheme { n: g.n(), epsilon: params.epsilon, balls: vic.balls, router })
     }
 
     /// The underlying router.
@@ -400,8 +453,8 @@ impl Technique2Scheme {
         &self.router
     }
 
-    /// The shared ball table.
-    pub fn balls(&self) -> &BallTable {
+    /// The Lemma 2 ports of the vicinities.
+    pub fn balls(&self) -> &BallPorts {
         &self.balls
     }
 }
@@ -484,7 +537,7 @@ mod tests {
     use routing_graph::Port;
     use routing_model::simulate;
     use routing_graph::SLOT_PAD;
-    use routing_vicinity::Coloring;
+    use routing_vicinity::{BallTable, Coloring};
     use std::collections::HashMap;
 
     use crate::seq::{sequence_words, HopKind};
@@ -540,17 +593,71 @@ mod tests {
         assert!(checked > 0);
     }
 
+    /// The Lemma 8 sequence as the builder appended it before the colour
+    /// representatives replaced its handover search, verbatim but for the
+    /// chunk it returns and `fallbacks`, which counts the rounds that found
+    /// no vertex of `U_j` in the vicinity and kept walking: the handover
+    /// vertex is the first of colour `j` in `B(x_i, q̃)`'s settle order.
+    #[allow(clippy::too_many_arguments)]
+    fn reference_sequence(
+        g: &Graph,
+        balls: &BallTable,
+        spt_w: &SearchScratch,
+        path: &[VertexId],
+        w: VertexId,
+        j: u32,
+        color_of: &[u32],
+        b: usize,
+        fallbacks: &mut usize,
+    ) -> SeqChunk {
+        let mut chunk = SeqChunk::new(SlotCodec::for_graph(g));
+        let dist_to_w = |x: VertexId| spt_w.dist(x).unwrap();
+        let edge = |x: VertexId, y: VertexId| SeqEntry::edge(y, g.port_to(x, y).unwrap());
+        let (u0, u1) = (path[0], path[1]);
+        chunk.push(edge(u0, u1));
+        if u1 == w {
+            return chunk;
+        }
+        chunk.push(edge(u1, path[2]));
+        if path[2] == w {
+            return chunk;
+        }
+        let mut pos = 2usize;
+        let mut thr_num: u128 = 2;
+        loop {
+            let mut count = 0usize;
+            while count < b.saturating_mul(2) {
+                let Some(next) = walk_round(g, balls, path, pos, &mut chunk).unwrap() else {
+                    return chunk;
+                };
+                let xi = path[pos];
+                let d_xi_zi = dist_to_w(xi) - dist_to_w(path[next]);
+                if (d_xi_zi as u128) * (b as u128) < thr_num {
+                    let z = balls.ball(xi).ids().iter().copied().find(|&m| color_of[m.index()] == j);
+                    if let Some(z) = z {
+                        chunk.push(SeqEntry::ball(z));
+                        return chunk;
+                    }
+                    *fallbacks += 1;
+                }
+                count += push_hops(g, path, pos, next, &mut chunk).unwrap();
+                pos = next;
+            }
+            thr_num = thr_num.saturating_mul(2);
+        }
+    }
+
     /// The router's sequence table as the `HashMap` build filled it before
     /// the keyed store replaced it, verbatim but for the return value and
-    /// the builder's chunk, read back as the entries pushed into it,
-    /// unpacked.
+    /// the sequences, from [`reference_sequence`], read back as the entries
+    /// pushed into their chunks, unpacked; with the fallbacks they counted.
     fn reference_seqs(
         g: &Graph,
         balls: &BallTable,
         color_of: &[u32],
         dest_partition: &[Vec<VertexId>],
         b: usize,
-    ) -> HashMap<(VertexId, VertexId), Vec<SeqEntry>> {
+    ) -> (HashMap<(VertexId, VertexId), Vec<SeqEntry>>, usize) {
         let mut classes: HashMap<u32, Vec<VertexId>> = HashMap::new();
         for v in g.vertices() {
             classes.entry(color_of[v.index()]).or_default().push(v);
@@ -562,43 +669,97 @@ mod tests {
                 work.push((j as u32, w, sources.as_slice()));
             }
         }
-        let per_dest: Vec<Vec<(VertexId, Vec<SeqEntry>)>> = routing_par::par_map_scratch(
+        type PerDest = (Vec<(VertexId, Vec<SeqEntry>)>, usize);
+        let per_dest: Vec<PerDest> = routing_par::par_map_scratch(
             work.len(),
             || SearchScratch::for_graph(g),
             |scratch, i| {
                 let (j, w, sources) = work[i];
                 scratch.dijkstra_targets_into(g, w, sources);
-                sources
+                let mut fallbacks = 0;
+                let seqs = sources
                     .iter()
                     .filter(|&&u| u != w)
                     .map(|&u| {
                         let mut path = scratch.path_to(u).expect("graph is connected");
                         path.reverse(); // now u -> w
-                        let mut out = SeqChunk::new(SlotCodec::for_graph(g));
-                        build_t2_sequence(g, balls, scratch, &path, w, j, color_of, b, &mut out)
-                            .unwrap();
+                        let out = reference_sequence(
+                            g, balls, scratch, &path, w, j, color_of, b, &mut fallbacks,
+                        );
                         (u, out.pushed)
                     })
-                    .collect()
+                    .collect();
+                (seqs, fallbacks)
             },
         );
         let mut seqs = HashMap::new();
-        for (&(_, w, _), entries_list) in work.iter().zip(per_dest) {
+        let mut fallbacks = 0;
+        for (&(_, w, _), (entries_list, fell_back)) in work.iter().zip(per_dest) {
+            fallbacks += fell_back;
             for (u, entries) in entries_list {
                 seqs.insert((u, w), entries);
             }
         }
-        seqs
+        (seqs, fallbacks)
+    }
+
+    /// The vicinities a Lemma 8 router is built from: the ports of the
+    /// balls of `ell` members, `color_of`, and the representatives of the
+    /// colours `0..q`.
+    fn vicinities(g: &Graph, ell: usize, color_of: &[u32], q: u32) -> Vicinities {
+        Vicinities::balls(g, ell, BallDists::Skip).coloured_by(color_of.to_vec(), q).retain()
+    }
+
+    /// Builds the router at 1 and 4 threads and holds every stored row to
+    /// the entries the `HashMap` build's walk pushed, unpacked, every
+    /// vertex's words to the reference's, and the store to 8 bytes a
+    /// vertex, a key at the id width and a 4-byte end a pair, an entry at
+    /// the codec's width and the two closing pads, with no slack. Returns
+    /// the reference's sequences and the rounds it found a vicinity without
+    /// the colour in.
+    fn assert_router_equals_reference(
+        name: &str,
+        g: &Graph,
+        ell: usize,
+        (color_of, dest_partition): (&[u32], &[Vec<VertexId>]),
+        params: &Params,
+    ) -> (HashMap<(VertexId, VertexId), Vec<SeqEntry>>, usize) {
+        let balls = BallTable::build(g, ell);
+        let vic = vicinities(g, ell, color_of, dest_partition.len() as u32);
+        let (reference, fallbacks) =
+            reference_seqs(g, &balls, color_of, dest_partition, params.b_lemma8());
+        assert!(!reference.is_empty(), "{name}");
+        for threads in [1, 4] {
+            routing_par::set_threads(threads);
+            let router = Technique2Router::build(g, &vic, dest_partition, params).unwrap();
+            for u in g.vertices() {
+                let mut words = 0;
+                for w in g.vertices() {
+                    let stored = reference.get(&(u, w));
+                    let decoded = router.seqs.decoded(u, w);
+                    assert_eq!(decoded.as_ref(), stored, "{name} x{threads}: ({u}, {w})");
+                    words += stored.map_or(0, |s| 1 + sequence_words(s));
+                }
+                assert_eq!(router.table_words(u), words, "{name} x{threads}: words at {u}");
+            }
+            let (pairs, entries) = router.seqs.tight_sizes();
+            assert_eq!(pairs, reference.len(), "{name}");
+            assert_eq!(entries, reference.values().map(Vec::len).sum::<usize>(), "{name}");
+            let (key, width) = (SlotCodec::for_ids(g.n()).width(), SlotCodec::for_graph(g).width());
+            let bytes = 8 * (g.n() + 1) + (key + 4) * pairs + width * entries + 2 * SLOT_PAD;
+            assert_eq!(router.seqs.heap_bytes(), bytes, "{name}");
+        }
+        routing_par::set_threads(routing_par::available_threads());
+        (reference, fallbacks)
     }
 
     /// On the equivalence graphs, and at the width boundaries — a star's hub
     /// of degree 255 (1-byte ports, port 254 beside the ball-hop sentinel)
     /// and of degree 256 (2-byte ports), Erdős–Rényi at n = 255 and 256 (1-
-    /// and 2-byte ids and keys) — every stored row decodes to the entries
-    /// the `HashMap` build's walk pushed, unpacked, every vertex is charged
-    /// the same words, and the store holds 8 bytes a vertex, a key at the
-    /// id width and a 4-byte end a pair, an entry at the codec's width and
-    /// the two closing pads, with no slack.
+    /// and 2-byte ids and keys) — the router, which hands a sequence over to
+    /// the colour's representative and merges the chunks without a row
+    /// list, stores what the `HashMap` build's id scan stored (see
+    /// [`assert_router_equals_reference`]).
     #[test]
     fn keyed_store_equals_the_hashmap_build_it_replaced() {
         let params = Params::with_epsilon(0.5);
@@ -612,44 +773,44 @@ mod tests {
         for (name, g) in crate::test_support::equivalence_graphs().into_iter().chain(boundaries) {
             let dests: Vec<VertexId> = g.vertices().filter(|v| v.0 % 3 == 0).collect();
             let (color_of, dest_partition) = setup(&g, 4, dests, &params, 9);
-            let balls = BallTable::build(&g, params.scaled(4, g.n()));
-            for threads in [1, 4] {
-                routing_par::set_threads(threads);
-                let router =
-                    Technique2Router::build(&g, &balls, color_of.clone(), &dest_partition, &params)
-                        .unwrap();
-                let reference =
-                    reference_seqs(&g, &balls, &color_of, &dest_partition, params.b_lemma8());
-                assert!(!reference.is_empty());
-                let hub_port =
-                    reference.values().flatten().any(|e| e.hop == HopKind::Edge(Port(254)));
-                assert!(!name.starts_with("star") || hub_port, "{name}: no hop over port 254");
-                for u in g.vertices() {
-                    let mut words = 0;
-                    for w in g.vertices() {
-                        let stored = reference.get(&(u, w));
-                        let decoded = router.seqs.decoded(u, w);
-                        assert_eq!(decoded.as_ref(), stored, "{name} x{threads}: ({u}, {w})");
-                        words += stored.map_or(0, |s| 1 + sequence_words(s));
-                    }
-                    assert_eq!(router.table_words(u), words, "{name} x{threads}: words at {u}");
-                }
-                let (pairs, entries) = router.seqs.tight_sizes();
-                assert_eq!(pairs, reference.len(), "{name}");
-                assert_eq!(entries, reference.values().map(Vec::len).sum::<usize>(), "{name}");
-                let (key, width) =
-                    (SlotCodec::for_ids(g.n()).width(), SlotCodec::for_graph(&g).width());
-                let want = match name {
-                    "star 256" | "er 256" => (2, 3),
-                    "star 257" => (2, 4),
-                    _ => (1, 2),
-                };
-                assert_eq!((key, width), want, "{name}: key and entry bytes");
-                let bytes = 8 * (g.n() + 1) + (key + 4) * pairs + width * entries + 2 * SLOT_PAD;
-                assert_eq!(router.seqs.heap_bytes(), bytes, "{name}");
-            }
-            routing_par::set_threads(routing_par::available_threads());
+            let ell = params.scaled(4, g.n());
+            let (reference, _) =
+                assert_router_equals_reference(name, &g, ell, (&color_of, &dest_partition), &params);
+            let hub_port = reference.values().flatten().any(|e| e.hop == HopKind::Edge(Port(254)));
+            assert!(!name.starts_with("star") || hub_port, "{name}: no hop over port 254");
+            let want = match name {
+                "star 256" | "er 256" => (2, 3),
+                "star 257" => (2, 4),
+                _ => (1, 2),
+            };
+            let widths = (SlotCodec::for_ids(g.n()).width(), SlotCodec::for_graph(&g).width());
+            assert_eq!(widths, want, "{name}: key and entry bytes");
         }
+    }
+
+    /// Where a vicinity holds no vertex of the source's colour, its
+    /// representative is its centre, of another colour: the sequence does
+    /// not stop there but keeps walking, as the id scan's did. On a
+    /// 120-vertex path coloured in blocks of 30, with two-member balls and
+    /// each class's destination two blocks away, rounds that drop below the
+    /// threshold outside the source's block reach such vicinities, and the
+    /// router still stores exactly the reference's sequences; sequences
+    /// that stop early inside it show the handover runs too.
+    #[test]
+    fn a_vicinity_without_the_colour_keeps_the_walk_going() {
+        let g = generators::path(120);
+        let params = Params { ball_scale: 0.1, ..Params::with_epsilon(2.0) };
+        let ell = params.scaled(4, g.n());
+        assert_eq!(ell, 2);
+        let color_of: Vec<u32> = g.vertices().map(|v| v.0 / 30).collect();
+        // Each class's destination lies two blocks away.
+        let dest_partition: Vec<Vec<VertexId>> =
+            (0..4).map(|j| vec![VertexId(30 * ((j + 2) % 4) + 15)]).collect();
+        let (reference, fallbacks) =
+            assert_router_equals_reference("path", &g, ell, (&color_of, &dest_partition), &params);
+        assert!(fallbacks > 0, "no round found a vicinity without its colour");
+        let early = reference.iter().any(|(&(_, w), s)| s.last().map(|e| e.vertex) != Some(w));
+        assert!(early, "no sequence stopped early");
     }
 
     /// The builder returns an error, not a panic, on a path with a
@@ -658,15 +819,14 @@ mod tests {
     #[test]
     fn lemma8_builder_refuses_an_inconsistent_path() {
         let g = generators::path(10);
-        let balls = BallTable::build(&g, 2);
         let mut spt = SearchScratch::for_graph(&g);
         let w = VertexId(9);
         spt.dijkstra_targets_into(&g, w, &[VertexId(0)]);
         let v = VertexId;
-        let color_of = vec![0; 10];
+        let vic = vicinities(&g, 2, &[0; 10], 1);
         let build = |spt: &SearchScratch, path: &[VertexId]| {
             let mut chunk = SeqChunk::new(SlotCodec::for_graph(&g));
-            build_t2_sequence(&g, &balls, spt, path, w, 0, &color_of, 3, &mut chunk)
+            build_t2_sequence(&g, &vic, spt, path, w, 0, 3, &mut chunk)
         };
         for path in [vec![v(0), v(5), w], vec![v(0), v(1)], vec![v(0)]] {
             let err = build(&spt, &path).unwrap_err();
@@ -676,6 +836,38 @@ mod tests {
         spt.dijkstra_targets_into(&g, w, &[v(8)]);
         let path: Vec<VertexId> = g.vertices().collect();
         let err = build(&spt, &path).unwrap_err();
+        assert!(matches!(err, BuildError::Inconsistent { .. }), "{err}");
+    }
+
+    /// The merge returns an error, not a panic, when a chunk holds fewer
+    /// sequences than its class has sources, and reads every pair of
+    /// complete chunks in `(u, w)` order.
+    #[test]
+    fn lemma8_merge_refuses_a_missing_sequence() {
+        let v = VertexId;
+        let g = generators::path(4);
+        let codec = SlotCodec::for_graph(&g);
+        let (color_of, rank) = ([0, 0, 0, 0], [0, 1, 2, 3]);
+        let sources = [v(0), v(1), v(2), v(3)];
+        // Destinations 3 and 1: each chunk skips its own destination.
+        let work = [(0, v(3), &sources[..]), (0, v(1), &sources[..])];
+        let chunk = |us: &[u32], w: u32| {
+            let mut chunk = SeqChunk::new(codec);
+            for &u in us {
+                chunk.push(SeqEntry::ball(v(10 * u + w)));
+                chunk.close().unwrap();
+            }
+            chunk
+        };
+        let chunks = [chunk(&[0, 1, 2], 3), chunk(&[0, 2, 3], 1)];
+        let (store, words) = merge(codec, &color_of, &rank, 1, &work, &chunks).unwrap();
+        for (u, w) in [(0, 1), (0, 3), (1, 3), (2, 1), (2, 3), (3, 1)] {
+            assert_eq!(store.decoded(v(u), v(w)), Some(vec![SeqEntry::ball(v(10 * u + w))]));
+        }
+        assert_eq!(store.counts(), (6, 6));
+        assert_eq!(words, [6, 3, 6, 3]);
+        let short = [chunk(&[0, 1, 2], 3), chunk(&[0, 2], 1)];
+        let err = merge(codec, &color_of, &rank, 1, &work, &short).unwrap_err();
         assert!(matches!(err, BuildError::Inconsistent { .. }), "{err}");
     }
 

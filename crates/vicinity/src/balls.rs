@@ -841,9 +841,11 @@ mod tests {
     /// error) are exactly what they are over owned copies of the same
     /// prefixes — on Erdős–Rényi, geometric and grid graphs, unit and
     /// weighted, around a power of two, at prefix lengths 1, `b` and `ℓ`.
+    /// At `ℓ`, the whole vicinities, the greedy that probes the table's
+    /// slots for a pick picks the same set too.
     #[test]
     fn lemma5_and_lemma6_read_the_table_in_place_as_they_read_copies() {
-        use crate::{hitting_set_greedy, Coloring, ColoringError};
+        use crate::{hitting_set_greedy, hitting_set_of_vicinities, Coloring, ColoringError};
         use generators::{Family, WeightModel};
         fn coloured<S: AsRef<[VertexId]>>(
             n: usize,
@@ -872,6 +874,11 @@ mod tests {
                         assert!(slices.iter().eq(copies.iter()), "{key}: prefixes");
                         let hit = hitting_set_greedy(n, &slices);
                         assert_eq!(hit, hitting_set_greedy(n, &copies), "{key}: hitting set");
+                        if len == ell {
+                            // The whole vicinities: the slot probe picks as
+                            // the scans of owned copies do.
+                            assert_eq!(hitting_set_of_vicinities(&t), hit, "{key}: probed");
+                        }
                         let in_place = coloured(n, q as u32, &slices);
                         assert_eq!(in_place, coloured(n, q as u32, &copies), "{key}: colouring");
                     }

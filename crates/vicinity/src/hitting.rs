@@ -7,39 +7,47 @@
 //! is in at least the average share `s/n` of the unhit sets, so at most
 //! `⌈(n/s)·ln k⌉` picks hit all `k`. It draws no randomness: the hitting
 //! set is a function of the input sets alone.
+//!
+//! The greedy keeps one count a vertex and one flag a set, and nothing a
+//! set member: after a pick it finds the unhit sets that contain it by a
+//! membership probe of each. [`hitting_set_of_vicinities`] probes a ball
+//! table's hashed slots, one probe of about two slots a set, so hitting
+//! the vicinities allocates nothing beside the table it reads.
 
 use routing_graph::VertexId;
+
+use crate::BallTable;
 
 /// Deterministic greedy hitting set.
 ///
 /// `n` is the size of the universe `V = {0, ..., n-1}`; every element of the
 /// given sets must be a valid vertex id. Empty input sets are ignored (they
 /// cannot be hit). The sets are read in place — owned lists, or slices
-/// borrowed from a ball table; beside them the greedy holds one inverted
-/// index of 4 bytes a set member.
+/// borrowed from a ball table — and a pick is looked up in each unhit set
+/// by a scan of it.
 pub fn hitting_set_greedy<S: AsRef<[VertexId]>>(n: usize, sets: &[S]) -> Vec<VertexId> {
-    assert!(u32::try_from(sets.len()).is_ok(), "set indices are stored as u32");
+    greedy(n, sets, |i, v| sets[i].as_ref().contains(&v))
+}
+
+/// [`hitting_set_greedy`] over the whole vicinity `B(u, ℓ)` of every vertex
+/// `u` of `balls`, the same picks: the sets are the member ids in place, and
+/// a pick is looked up in `B(u, ℓ)` by one probe of `u`'s hashed slots.
+pub fn hitting_set_of_vicinities(balls: &BallTable) -> Vec<VertexId> {
+    let sets = balls.id_prefixes(balls.ell());
+    greedy(balls.len(), &sets, |u, v| balls.contains(VertexId(u as u32), v))
+}
+
+/// The greedy: `contains(i, v)` answers whether `v` is in `sets[i]`.
+fn greedy<S: AsRef<[VertexId]>>(
+    n: usize,
+    sets: &[S],
+    contains: impl Fn(usize, VertexId) -> bool,
+) -> Vec<VertexId> {
     let mut hit: Vec<bool> = sets.iter().map(|s| s.as_ref().is_empty()).collect();
     // Count of unhit sets containing each vertex.
     let mut gain = vec![0usize; n];
     for &v in sets.iter().flat_map(S::as_ref) {
         gain[v.index()] += 1;
-    }
-    // The inverted index as one CSR, sized by that counting pass:
-    // `occurrences[start[v]..start[v + 1]]` are the indices of the sets
-    // containing `v`, ascending.
-    let mut start = Vec::with_capacity(n + 1);
-    start.push(0usize);
-    for v in 0..n {
-        start.push(start[v] + gain[v]);
-    }
-    let mut occurrences = vec![0u32; start[n]];
-    let mut next = start.clone();
-    for (i, set) in sets.iter().enumerate() {
-        for &v in set.as_ref() {
-            occurrences[next[v.index()]] = i as u32;
-            next[v.index()] += 1;
-        }
     }
     let mut remaining = hit.iter().filter(|&&h| !h).count();
     let mut result = Vec::new();
@@ -52,13 +60,13 @@ pub fn hitting_set_greedy<S: AsRef<[VertexId]>>(n: usize, sets: &[S]) -> Vec<Ver
         if gain[best] == 0 {
             break;
         }
-        result.push(VertexId(best as u32));
-        for &set_idx in &occurrences[start[best]..start[best + 1]] {
-            let set_idx = set_idx as usize;
-            if !hit[set_idx] {
+        let best = VertexId(best as u32);
+        result.push(best);
+        for (set_idx, set) in sets.iter().enumerate() {
+            if !hit[set_idx] && contains(set_idx, best) {
                 hit[set_idx] = true;
                 remaining -= 1;
-                for &w in sets[set_idx].as_ref() {
+                for &w in set.as_ref() {
                     gain[w.index()] = gain[w.index()].saturating_sub(1);
                 }
             }

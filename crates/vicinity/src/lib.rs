@@ -39,4 +39,4 @@ pub mod hitting;
 pub use balls::{BallDists, BallPorts, BallTable, BallView};
 pub use centers::{all_clusters, bunches, sample_centers_bounded, Landmarks};
 pub use coloring::{Coloring, ColoringError};
-pub use hitting::hitting_set_greedy;
+pub use hitting::{hitting_set_greedy, hitting_set_of_vicinities};

@@ -415,6 +415,20 @@ mod tests {
         }
     }
 
+    /// The empty graph is refused by every key with an error, not a panic:
+    /// there is no vertex to build a table at.
+    #[test]
+    fn every_key_refuses_the_empty_graph() {
+        let g = routing_graph::GraphBuilder::new(0).build();
+        let r = SchemeRegistry::with_defaults();
+        let ctx = BuildContext { seed: 9, threads: 1, ..BuildContext::default() };
+        for key in r.names() {
+            let built = std::panic::catch_unwind(|| r.build(key, &g, &ctx).err());
+            let err = built.unwrap_or_else(|_| panic!("{key} panicked on the empty graph"));
+            assert!(matches!(err, Some(BuildError::TooSmall { .. })), "{key}: {err:?}");
+        }
+    }
+
     #[test]
     fn unknown_keys_are_reported_as_unknown_scheme() {
         let r = SchemeRegistry::with_defaults();
