@@ -29,15 +29,16 @@
 //! scheme itself keeps only the vicinities: the Lemma 2 ports
 //! ([`BallPorts`]) and, per vertex `u`, one id-sorted list of
 //! `(w, d(u, w))` for the members `w ∈ B(u, ℓ) ∩ A_1`, packed like the
-//! bunches ([`landmark_lists`], a [`DistLists`]). Step 3 reads a
+//! bunches ([`vicinities`], a [`DistLists`]). Step 3 reads a
 //! vicinity distance only after `v ∉ B(u, ℓ)`, and only for a pivot
 //! `w = p_i(v)`: `p_0(v) = v` is then no member, and every `p_i(v)` with
 //! `i ≥ 1` lies in `A_i ⊆ A_1`, so the list answers every lookup the
 //! routing makes. The build samples the hierarchy's levels first (its only
-//! RNG draws), then builds the [`BallTable`], keeps its ports and the `A_1`
-//! distances, drops it, and only then finishes the hierarchy, so the two
-//! builds' transients never overlap. As in the TZ scheme, a label is a
-//! `Copy` handle on that ladder and a header carries a tree-label view.
+//! RNG draws), then builds the ports and takes the `A_1` distances from
+//! each block of balls as it is built — no ball table, with its member ids
+//! and distances, ever exists — and only then finishes the hierarchy, so
+//! the two builds' transients never overlap. As in the TZ scheme, a label
+//! is a `Copy` handle on that ladder and a header carries a tree-label view.
 
 use rand::Rng;
 
@@ -45,7 +46,7 @@ use routing_core::{BuildError, DistLists, Params};
 use routing_graph::{Graph, VertexId, Weight};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
 use routing_tree::TreeLabelView;
-use routing_vicinity::{BallPorts, BallTable};
+use routing_vicinity::BallPorts;
 
 use crate::tz::{TzHierarchy, TzLevels};
 
@@ -103,27 +104,40 @@ pub struct Thm16Scheme {
     landmark_dists: DistLists,
 }
 
-/// Per vertex `u`, the id-sorted `(w, d(u, w))` of every `w ∈ B(u, ℓ)` in
-/// the id-sorted set `level`, read from a table built with distances: one
-/// pass counts, one fills the exact arrays of a [`DistLists`]. Theorem 16
-/// keeps them for `level = A_1`.
+/// The vicinities Theorem 16 keeps: the Lemma 2 ports of `B(u, ℓ)` for
+/// every `u`, and per vertex `u` the id-sorted `(w, d(u, w))` of every
+/// `w ∈ B(u, ℓ)` in the id-sorted set `level`, a [`DistLists`]. The
+/// distances are read while the balls are built
+/// ([`BallPorts::build_visiting`]), a block of balls at a time, so neither
+/// the member ids nor the distances of the whole table ever exist: beside
+/// the ports, the build holds one block of balls, a flag and an offset a
+/// vertex, and the listed pairs.
 ///
 /// # Errors
 ///
-/// [`BuildError::Inconsistent`] on a table built without distances.
-pub fn landmark_lists(balls: &BallTable, level: &[VertexId]) -> Result<DistLists, BuildError> {
-    let mut member = vec![false; balls.len()];
+/// [`BuildError::TooSmall`] if the listed pairs outnumber a `u32` offset.
+pub fn vicinities(
+    g: &Graph,
+    ell: usize,
+    level: &[VertexId],
+) -> Result<(BallPorts, DistLists), BuildError> {
+    let mut marked = vec![false; g.n()];
     for &w in level {
-        member[w.index()] = true;
+        marked[w.index()] = true;
     }
-    DistLists::from_rows(balls.len(), |u| {
-        let ball = balls.ball(u);
-        let dists = ball.dists().ok_or_else(|| BuildError::Inconsistent {
-            what: "the landmark lists read ball distances the table was built without".into(),
-        })?;
-        let members = ball.ids().iter().copied().zip(dists.iter().copied());
-        Ok(members.filter(|&(w, _)| member[w.index()]))
-    })
+    // The pairs of `u` are `pairs[ends[u]..ends[u + 1]]`.
+    let (mut ends, mut pairs) = (Vec::with_capacity(g.n() + 1), Vec::new());
+    ends.push(0);
+    let ports = BallPorts::build_visiting(g, ell, |ids, dists| {
+        let members = ids.iter().copied().zip(dists.iter().copied());
+        pairs.extend(members.filter(|&(w, _)| marked[w.index()]));
+        ends.push(pairs.len());
+    });
+    drop(marked);
+    let lists = DistLists::from_rows(g.n(), |u| {
+        Ok(pairs[ends[u.index()]..ends[u.index() + 1]].iter().copied())
+    })?;
+    Ok((ports, lists))
 }
 
 /// The vicinity size Theorem 16 prescribes: `α·(k/ε)·n^{1/k}` members,
@@ -152,12 +166,10 @@ impl Thm16Scheme {
         params.validate().map_err(|what| BuildError::BadParameter { what })?;
         // The levels are the hierarchy's only RNG draws, and the ball build
         // draws nothing, so sampling them first leaves the hierarchy as it
-        // was. The landmark lists need `A_1`; the member lists are gone
-        // before the hierarchy's transients arrive.
+        // was. The landmark lists need `A_1`; the vicinity build's
+        // transients are gone before the hierarchy's arrive.
         let levels = TzLevels::sample(g, k, rng)?;
-        let table = BallTable::build(g, vicinity_size(k, g.n(), params));
-        let landmark_dists = landmark_lists(&table, levels.level(1))?;
-        let balls = table.into_ports();
+        let (balls, landmark_dists) = vicinities(g, vicinity_size(k, g.n(), params), levels.level(1))?;
         let hierarchy = TzHierarchy::from_levels(g, levels)?;
         let name = format!("thm16k{k}");
         Ok(Thm16Scheme { name, epsilon: params.epsilon, hierarchy, balls, landmark_dists })
@@ -326,7 +338,7 @@ mod tests {
     use routing_graph::generators::{self, WeightModel};
     use routing_graph::SLOT_PAD;
     use routing_model::simulate;
-    use routing_vicinity::BallDists;
+    use routing_vicinity::BallTable;
 
     fn weighted_graph(n: usize, seed: u64) -> Graph {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -431,6 +443,56 @@ mod tests {
         ball.ids().iter().position(|&x| x == w).map(|i| ball.dists().unwrap()[i])
     }
 
+    /// The landmark lists read from a whole ball table with distances, as
+    /// the build made them before it read the distances during the ball
+    /// build: per `u`, `(w, d(u, w))` for every `w ∈ B(u, ℓ)` in `level`.
+    fn landmark_lists(table: &BallTable, level: &[VertexId]) -> DistLists {
+        let lists = DistLists::from_rows(table.len(), |u| {
+            let ball = table.ball(u);
+            let members = ball.ids().iter().copied().zip(ball.dists().unwrap().iter().copied());
+            Ok(members.filter(|(w, _)| level.binary_search(w).is_ok()))
+        });
+        lists.unwrap()
+    }
+
+    /// The vicinities built with the balls, a block at a time, are
+    /// byte-identical to the ports of `BallTable::build` and the landmark
+    /// lists read from that table: on every family, unit and weighted, with
+    /// 2-byte ids (n = 300) and 3-byte ids (n = 65,600), at 1, 2 and 4
+    /// threads, for a level that holds some ball centres and not others.
+    #[test]
+    fn vicinities_equal_the_ball_table_and_its_landmark_lists() {
+        use generators::Family;
+        let mut graphs = Vec::new();
+        for family in Family::ALL {
+            for weights in [WeightModel::Unit, WeightModel::Uniform { lo: 1, hi: 9 }] {
+                let g = family.generate(300, weights, &mut StdRng::seed_from_u64(3));
+                graphs.push((format!("{} {weights:?}", family.name()), g, 23, 2));
+            }
+        }
+        let weighted = WeightModel::Uniform { lo: 1, hi: 9 };
+        let wide = Family::Grid.generate(65_600, weighted, &mut StdRng::seed_from_u64(5));
+        graphs.push(("grid, 3-byte ids".into(), wide, 9, 3));
+        graphs.push(("path, 3-byte ids".into(), generators::path(65_600), 9, 3));
+        for (key, g, ell, id_bytes) in graphs {
+            let level: Vec<VertexId> = g.vertices().filter(|v| v.0 % 7 == 3).collect();
+            let table = BallTable::build(&g, ell);
+            let want_lists = landmark_lists(&table, &level);
+            let want_ports = table.into_ports();
+            assert_eq!(bytes_for(g.n() as u64), id_bytes, "{key}: n = {}", g.n());
+            assert!(!want_lists.is_empty(), "{key}: no vicinity holds a level member");
+            for threads in [1, 2, 4] {
+                routing_par::set_threads(threads);
+                let (ports, lists) = vicinities(&g, ell, &level).unwrap();
+                assert!(ports == want_ports, "{key}, {threads} threads: ports");
+                assert_eq!(ports.heap_bytes(), want_ports.heap_bytes(), "{key}, {threads} threads");
+                assert!(lists == want_lists, "{key}, {threads} threads: lists");
+                assert_eq!(lists.heap_bytes(), want_lists.heap_bytes(), "{key}, {threads} threads");
+            }
+        }
+        routing_par::set_threads(routing_par::available_threads());
+    }
+
     /// The landmark lists answer the table's `d(u, w)` for every `u` and
     /// every `w ∈ A_1`, and nothing for any other `w`; they hold an entry at
     /// the id width plus the bytes the largest listed distance needs, and 4
@@ -459,9 +521,7 @@ mod tests {
             assert_eq!(lists.entry_bytes(), entry, "{key}: entry bytes");
             assert_eq!(lists.heap_bytes(), entry * entries + SLOT_PAD + 4 * (g.n() + 1), "{key}: bytes");
             assert!(scheme.balls == table.clone().into_ports(), "{key}: ports");
-            let bare = BallTable::build_with_dists(&g, table.ell(), BallDists::Skip);
-            let refused = landmark_lists(&bare, a1);
-            assert!(matches!(refused, Err(BuildError::Inconsistent { .. })), "{key}: no dists");
+            assert!(*lists == landmark_lists(&table, a1), "{key}: the lists the table gives");
         }
     }
 

@@ -16,20 +16,22 @@
 //! on the stack, so a batch of 1024 distinct destinations allocates no more
 //! than a batch of 1024 queries towards one, at one lane and at two.
 //!
-//! The same allocator also bounds five builds' memory: the ball table's
+//! The same allocator also bounds six builds' memory: the ball table's
 //! peak live bytes, with distances and without (see
 //! `assert_ball_build_peak`), Theorem 15's, whose Lemma 5 hitting set reads
 //! a table without distances in place (see `assert_multilevel_build_peak`),
 //! Theorem 11's and Theorem 10's, whose peaks are the Lemma 8 and Lemma 7
 //! merges of packed sequence chunks into the sequence store (see
-//! `assert_thm11_build_peak` and `assert_thm10_build_peak`), and Theorem
-//! 16's, whose vicinities must be built and trimmed before its hierarchy
-//! (see `assert_thm16_build_peak`). And it counts what a cluster family keeps:
-//! a fixed number of allocations, however many trees it holds (see
-//! `assert_cluster_family_allocations`), and holds the bytes a tree forest,
-//! a cluster family, a Thorup–Zwick hierarchy, Theorem 16's landmark lists,
-//! a ball table with distances and one without, and the ports each leaves,
-//! keep live to their `heap_bytes()`, exactly (see
+//! `assert_thm11_build_peak` and `assert_thm10_build_peak`), Theorem 16's,
+//! whose vicinities are built with no ball table, before its hierarchy (see
+//! `assert_thm16_build_peak`), and the Thorup–Zwick hierarchy's, whose
+//! cluster trees and packed members are appended a round of roots at a
+//! time (see `assert_hierarchy_build_peak`). And it counts what a cluster
+//! family keeps: a fixed number of allocations, however many trees it holds
+//! (see `assert_cluster_family_allocations`), and holds the bytes a tree
+//! forest, a cluster family, a Thorup–Zwick hierarchy, Theorem 16's
+//! vicinities, a ball table with distances and one without, and the ports
+//! each leaves, keep live to their `heap_bytes()`, exactly (see
 //! `assert_kept_bytes_are_heap_bytes`).
 //!
 //! The guard counts allocations, and live and peak bytes, through the
@@ -49,12 +51,13 @@ use rand::{Rng, SeedableRng};
 use routing_bench::alloc::{
     allocations_in, kept_bytes_in, live_allocations, live_bytes, peak_bytes_in,
 };
-use routing_baselines::thm16::landmark_lists;
+use routing_baselines::thm16::vicinities;
 use routing_baselines::{ExactScheme, Thm16Scheme, TzHierarchy, TzLevels};
 use routing_core::{
     BuildContext, ClusterFamily, Params, SchemeFivePlusEps, SchemeMultilevel, SchemeTwoPlusEps,
 };
 use routing_graph::generators::{self, Family, WeightModel};
+use routing_graph::codec::bytes_for;
 use routing_graph::{BfsBatch, Graph, SearchScratch, SlotCodec, VertexId};
 use routing_model::{simulate, simulate_lean, simulate_lean_with_label, DynScheme, ErasedLabel};
 use routing_serve::{EngineConfig, ShardedEngine};
@@ -267,7 +270,7 @@ fn disabled_telemetry_adds_zero_allocations_to_hot_paths() {
     routing_obs::metrics::reset_counters();
     assert_eq!(checked, 2 * (2 * registry.names().len() - 1), "every key, both graphs but one");
 
-    // (e) Five builds' memory, with the same allocator.
+    // (e) Six builds' memory, with the same allocator.
     assert_ball_build_peak();
     assert_multilevel_build_peak();
     assert_thm11_build_peak();
@@ -303,6 +306,8 @@ fn assert_ball_build_peak() {
         scratch
     });
     assert_ball_build_within_a_block(&g, ELL, BallDists::Keep, workspace);
+    assert_thm16_build_peak(&g, ELL, workspace);
+    assert_hierarchy_build_peak(&g);
     let t1 = t1_graph();
     let (workspace, _) = peak_bytes_in(|| {
         let mut bfs = BfsBatch::for_graph(&t1);
@@ -313,26 +318,25 @@ fn assert_ball_build_peak() {
     });
     assert_ball_build_within_a_block(&t1, 1372, BallDists::Skip, workspace);
     drop(t1);
-    assert_thm16_build_peak(&g, ELL);
     assert_cluster_family_allocations(&g);
 }
 
-/// `BallTable::build_with_dists(g, ell, dists)` peaks at no more than the
-/// table it keeps, one block of per-vertex search results and `workspace`,
-/// the bytes of one worker's search workspace.
-fn assert_ball_build_within_a_block(g: &Graph, ell: usize, dists: BallDists, workspace: u64) {
+/// What a ball build holds beside its final arrays: one block of
+/// per-vertex search results at `slot_bytes` a slot, with their distances
+/// if `dists` keeps them, and `workspace`, the bytes of one worker's search
+/// workspace.
+fn ball_block(g: &Graph, ell: usize, dists: BallDists, slot_bytes: usize, workspace: u64) -> usize {
     /// `balls.rs`'s block count: results are appended a sixteenth at a
     /// time, on unit weights in whole batches of 64 centres.
     const BLOCKS: usize = 16;
     let n = g.n();
-    let (peak, table) = peak_bytes_in(|| BallTable::build_with_dists(g, ell, dists));
     // One ball as a search result: its member ids (4 bytes a member), their
     // distances if the table keeps them (8 more), and its hashed region of
     // at most `⌈4ℓ/3⌉ + ℓ + 1` slots, packed at the table's width.
     let per_member = if dists == BallDists::Keep { 12 } else { 4 };
     let region = (4 * ell).div_ceil(3) + ell + 1;
     let ball = per_member * ell
-        + table.slot_bytes() * region
+        + slot_bytes * region
         + std::mem::size_of::<(Vec<u8>, Vec<u8>, Vec<u8>, u64)>();
     let balls = if g.is_unweighted() {
         n.div_ceil(BLOCKS).next_multiple_of(64)
@@ -341,7 +345,14 @@ fn assert_ball_build_within_a_block(g: &Graph, ell: usize, dists: BallDists, wor
     };
     // The worker keeps one region of 8-byte unpacked slots as scratch beside
     // its search workspace.
-    let block = balls * ball + 8 * region + workspace as usize;
+    balls * ball + 8 * region + workspace as usize
+}
+
+/// `BallTable::build_with_dists(g, ell, dists)` peaks at no more than the
+/// table it keeps and [`ball_block`].
+fn assert_ball_build_within_a_block(g: &Graph, ell: usize, dists: BallDists, workspace: u64) {
+    let (peak, table) = peak_bytes_in(|| BallTable::build_with_dists(g, ell, dists));
+    let block = ball_block(g, ell, dists, table.slot_bytes(), workspace);
     let kept = table.heap_bytes();
     assert!(
         peak as usize <= kept + block,
@@ -405,10 +416,13 @@ fn sequence_chunks(width: usize, (pairs, entries): (usize, usize), chunks: usize
 /// chunks (at most one a landmark) straight into the sequence store. So the
 /// peak must stay within the build of a table without distances, that
 /// table beside the Lemma 4 stage — the landmark sample and the cluster
-/// family's build —, or what the scheme keeps beside the chunks. A row list
-/// of the merge (24 bytes a pair), member ids kept through Lemma 8 (4 bytes
-/// a member), chunks of 8-byte entries or a distance array the build never
-/// reads (8 bytes a member) sit over it.
+/// family's build —, or what the scheme keeps beside the chunks and the
+/// Lemma 8 build's working arrays: a rank and a class entry a vertex, the
+/// classes' growth slack and the work lists, charged at 24 bytes a vertex.
+/// The merge is the peak now that the cluster members are packed. A row
+/// list of the merge (24 bytes a pair), member ids kept through Lemma 8 (4
+/// bytes a member), chunks of 8-byte entries or a distance array the build
+/// never reads (8 bytes a member) sit over it.
 fn assert_thm11_build_peak() {
     const N: usize = 8000;
     routing_par::set_threads(1);
@@ -435,11 +449,13 @@ fn assert_thm11_build_peak() {
         let landmarks = sample_centers_bounded(&g, s, &mut StdRng::seed_from_u64(7));
         ClusterFamily::build(&g, |_| landmarks.bound_slice()).expect("the family builds")
     });
-    let bound = ball_build.max(full + clusters).max(kept + chunks);
+    let working = 24 * N as u64;
+    let bound = ball_build.max(full + clusters).max(kept + chunks + working);
     assert!(
         peak <= bound,
         "thm11 peaked at {peak} bytes over a bound of {bound}: ball build {ball_build}, \
-         table {full} at ℓ = {ell}, cluster stage {clusters}, kept {kept}, chunks {chunks}"
+         table {full} at ℓ = {ell}, cluster stage {clusters}, kept {kept}, chunks {chunks}, \
+         working arrays {working}"
     );
 }
 
@@ -479,40 +495,99 @@ fn assert_thm10_build_peak() {
 }
 
 /// `Thm16Scheme::build` at k = 3 on the `t2-geo-direct` graph: its
-/// live-byte peak is that of its vicinities — the ball build and the
-/// landmark lists beside the sampled levels — or that of the rest of the
-/// hierarchy build beside the levels and the kept vicinities, whichever is
-/// larger. A hierarchy built before the vicinities, or member lists kept
-/// past the conversion, would sit under the other build's peak.
-fn assert_thm16_build_peak(g: &Graph, ell: usize) {
+/// live-byte peak is that of its vicinities beside the sampled levels, or
+/// that of the hierarchy build beside the levels and the kept vicinities,
+/// whichever is larger. The vicinities are the ports and the landmark
+/// lists, built with no ball table: beside what they keep, the build holds
+/// one block of balls with their distances ([`ball_block`]), the listed
+/// pairs (16 bytes a pair, up to twice over while their vector grows), one
+/// end offset (8 bytes) and one flag a vertex, and, while the lists are
+/// packed, one count (8 bytes) a vertex. A ball table with its member ids
+/// and distances, a hierarchy built before the vicinities, or member lists
+/// kept past the conversion, sits over it.
+fn assert_thm16_build_peak(g: &Graph, ell: usize, workspace: u64) {
     const K: usize = 3;
     const SEED: u64 = 17;
-    let params = Params::default();
+    let (n, params) = (g.n(), Params::default());
     let rng = || StdRng::seed_from_u64(SEED);
     let (sampling, _) = peak_bytes_in(|| TzLevels::sample(g, K, &mut rng()));
     let (levels_bytes, levels) = kept_bytes_in(|| TzLevels::sample(g, K, &mut rng()).expect("levels"));
-    let (ball_build, table) = peak_bytes_in(|| BallTable::build(g, ell));
-    let ports = table.into_ports().heap_bytes() as u64;
     let (hierarchy, _) = peak_bytes_in(|| TzHierarchy::from_levels(g, levels));
     let (peak, scheme) = peak_bytes_in(|| Thm16Scheme::build(g, K, &params, &mut rng()));
     let scheme = scheme.expect("thm16k3 builds");
     assert_eq!(scheme.vicinity_ell(), ell);
     let kept = scheme.vicinity_heap_bytes() as u64;
-    let lists = kept - ports;
-    // The list build marks `A_1` in one byte a vertex.
-    let vicinities = levels_bytes + ball_build + lists + g.n() as u64;
+    let (ports, lists) = vicinities(g, ell, &scheme.hierarchy().levels()[1]).expect("vicinities");
+    let (entries, slot_bytes) = (lists.len(), ports.slot_bytes());
+    assert_eq!(kept as usize, ports.heap_bytes() + lists.heap_bytes(), "the vicinities");
+    let (ports, lists) = (ports.heap_bytes() as u64, lists.heap_bytes() as u64);
+    let block = ball_block(g, ell, BallDists::Keep, slot_bytes, workspace) as u64;
+    let transient = block.max(8 * n as u64) + 32 * entries as u64 + 9 * n as u64;
+    let vicinities = levels_bytes + kept + transient;
     let bound = sampling.max(vicinities).max(levels_bytes + kept + hierarchy);
     // The scheme's name is the only allocation beyond the builds.
     assert!(
         peak <= bound + 64,
-        "thm16k3 peaked at {peak} bytes: levels {levels_bytes}, ball build {ball_build}, \
-         landmark lists {lists}, kept {kept} + hierarchy {hierarchy}"
+        "thm16k3 peaked at {peak} bytes: levels {levels_bytes}, ports {ports}, landmark lists \
+         {lists}, build transients {transient} (one block of balls {block}), hierarchy {hierarchy}"
     );
     assert!(lists < ports / 4, "{lists} bytes of landmark lists beside {ports} of ports");
 }
 
+/// `TzHierarchy::from_levels` at k = 3 on the `t2-geo-direct` graph peaks
+/// at no more than what it keeps, the cluster members packed at the
+/// graph's width, one round of tree and member chunks, and the pivots
+/// (16 bytes a vertex a level). The forest and the members are appended a
+/// round of roots at a time, so the chunks of every round appended at once
+/// (a second forest), or members kept as 16-byte pairs, sit over it.
+fn assert_hierarchy_build_peak(g: &Graph) {
+    /// `stages.rs`'s round count.
+    const ROUNDS: usize = 8;
+    const K: usize = 3;
+    let n = g.n();
+    let levels = TzLevels::sample(g, K, &mut StdRng::seed_from_u64(17)).expect("levels");
+    let before = live_bytes();
+    let (peak, hierarchy) = peak_bytes_in(|| TzHierarchy::from_levels(g, levels));
+    let kept = live_bytes() - before;
+    let hierarchy = hierarchy.expect("the hierarchy builds");
+    let clusters = hierarchy.clusters();
+    // A member as `ClusterFamily::build` packs it: an id, and a distance in
+    // the bytes `n − 1` heaviest edges need.
+    let heaviest = g.weight_range().map_or(0, |(_, hi)| hi);
+    let member = usize::from(bytes_for(n as u64) + bytes_for(heaviest * (n as u64 - 1) + 1));
+    let [id, port] = SlotCodec::for_graph(g).bytes().map(usize::from);
+    let time = usize::from(bytes_for(n as u64 + 1));
+    // The bytes of the trees of the roots in `roots`, and of their members.
+    let chunk = |roots: std::ops::Range<usize>| -> usize {
+        let trees = roots.map(|w| clusters.tree(VertexId(w as u32)).expect("a tree a vertex"));
+        let bytes = trees.map(|t| {
+            let (nodes, light) = (t.len(), (t.labels_words() - t.len()) / 2);
+            let ids = if nodes == n { 0 } else { nodes };
+            8 + 4 * nodes + id * ids + (4 * time + 2 * port) * nodes + (id + port) * light
+                + (member * nodes + 4)
+        });
+        bytes.sum()
+    };
+    let round = n.div_ceil(ROUNDS);
+    let largest = (0..n).step_by(round).map(|first| chunk(first..n.min(first + round))).max();
+    // At one thread a round is blocks of at most 64 roots, each a tree
+    // chunk and a member chunk: their pads, first offsets and the vectors
+    // that hold them.
+    let blocks = round.div_ceil(round.div_ceil(8).clamp(1, 64));
+    let round_chunks = (largest.unwrap_or(0) + 512 * blocks) as u64;
+    let entries: usize = g.vertices().map(|v| clusters.bunch(v).count()).sum();
+    let members = (member * entries + 4 * (n + 1) + 8) as u64;
+    let pivots = (16 * n * K) as u64;
+    let bound = kept + members + round_chunks + pivots;
+    assert!(
+        peak <= bound,
+        "the k = {K} hierarchy peaked at {peak} bytes over a bound of {bound}: kept {kept}, \
+         members {members}, one round of chunks {round_chunks}, pivots {pivots}"
+    );
+}
+
 /// On the `t1-er-direct` graph, what a `TreeForest`, a `ClusterFamily`, a
-/// `TzHierarchy`, Theorem 16's landmark lists, a `BallTable` built with and
+/// `TzHierarchy`, Theorem 16's vicinities, a `BallTable` built with and
 /// without distances and the `BallPorts` each turns into keep live is
 /// exactly what their `heap_bytes()` report: a hand-written sum that drifts
 /// from the allocations it stands for (an over-reserve, an array left out)
@@ -564,11 +639,10 @@ fn assert_kept_bytes_are_heap_bytes() {
         let (kept, ports) = kept_bytes_in(|| BallTable::build_with_dists(&g, 100, dists).into_ports());
         assert_eq!(kept as usize, ports.heap_bytes(), "the ports of a ball table, {dists:?}");
     }
-    let table = BallTable::build(&g, 100);
     let a1 = &hierarchy.levels()[1];
-    let (kept, lists) = kept_bytes_in(|| landmark_lists(&table, a1).expect("the table has distances"));
+    let (kept, (ports, lists)) = kept_bytes_in(|| vicinities(&g, 100, a1).expect("the vicinities build"));
+    assert_eq!(kept as usize, ports.heap_bytes() + lists.heap_bytes(), "the vicinities");
     assert!(!lists.is_empty(), "no vicinity holds a landmark");
-    assert_eq!(kept as usize, lists.heap_bytes(), "landmark lists of {} entries", lists.len());
 }
 
 /// A cluster family on the same graph, under a Lemma 4 landmark bound,

@@ -49,7 +49,7 @@ pub use params::Params;
 pub use scheme_2eps1::SchemeTwoPlusEps;
 pub use scheme_5eps::SchemeFivePlusEps;
 pub use scheme_multilevel::SchemeMultilevel;
-pub use stages::{ClusterFamily, ClusterMembers, DistLists};
+pub use stages::{ClusterFamily, DistLists};
 pub use technique1::{Technique1Router, Technique1Scheme};
 pub use technique2::{Technique2Router, Technique2Scheme};
 

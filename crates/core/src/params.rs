@@ -58,22 +58,23 @@ impl Params {
         ((2.0 / self.epsilon).ceil() as usize).saturating_add(1)
     }
 
-    /// Validates the parameters.
+    /// Validates the parameters: `ε`, `ball_scale` and `landmark_scale` are
+    /// finite and positive. An infinite `ε` would give Lemma 7
+    /// `⌈2/∞⌉ = 0` rounds and the bound `5 + ε = ∞`.
     ///
     /// # Errors
     ///
     /// Returns a description of the first invalid field.
     pub fn validate(&self) -> Result<(), String> {
-        if !(self.epsilon > 0.0) {
-            return Err(format!("epsilon must be positive, got {}", self.epsilon));
+        let fields = [
+            ("epsilon", self.epsilon),
+            ("ball_scale", self.ball_scale),
+            ("landmark_scale", self.landmark_scale),
+        ];
+        match fields.into_iter().find(|&(_, x)| !(x.is_finite() && x > 0.0)) {
+            Some((name, x)) => Err(format!("{name} must be finite and positive, got {x}")),
+            None => Ok(()),
         }
-        if !(self.ball_scale > 0.0) {
-            return Err(format!("ball_scale must be positive, got {}", self.ball_scale));
-        }
-        if !(self.landmark_scale > 0.0) {
-            return Err(format!("landmark_scale must be positive, got {}", self.landmark_scale));
-        }
-        Ok(())
     }
 }
 
@@ -117,5 +118,11 @@ mod tests {
         assert!(Params::with_epsilon(-1.0).validate().is_err());
         assert!(Params { ball_scale: 0.0, ..Params::default() }.validate().is_err());
         assert!(Params { landmark_scale: -2.0, ..Params::default() }.validate().is_err());
+        for x in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let d = Params::default();
+            assert!(Params::with_epsilon(x).validate().is_err(), "epsilon {x}");
+            assert!(Params { ball_scale: x, ..d }.validate().is_err(), "ball_scale {x}");
+            assert!(Params { landmark_scale: x, ..d }.validate().is_err(), "landmark_scale {x}");
+        }
     }
 }

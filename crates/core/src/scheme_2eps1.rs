@@ -30,7 +30,7 @@ use routing_tree::{TreeForest, TreeLabelView, TreeView};
 use routing_vicinity::{BallDists, BallTable, Landmarks};
 
 use crate::seq::KeyedStore;
-use crate::stages::{self, ClusterMembers, Clusters, Vicinities};
+use crate::stages::{self, Clusters, DistLists, Vicinities};
 use crate::technique1::{Technique1Header, Technique1Router};
 use crate::{BuildError, Params};
 
@@ -222,18 +222,16 @@ fn ball_dists(balls: &BallTable) -> Result<Vec<&[Weight]>, BuildError> {
 
 /// At every `u`, for every `v` with `B(u, q̃) ∩ B_A(v) ≠ ∅`, the intersection
 /// vertex `w` minimizing `d(u, w) + d(w, v)`; among equal sums, the `w`
-/// settled first from `u`.
-fn intersections(
-    balls: &BallTable,
-    clusters: &ClusterMembers,
-) -> Result<KeyedStore<VertexId>, BuildError> {
+/// settled first from `u`. `clusters` lists `C(w)` with `d(w, v)` for every
+/// root `w`, the members [`Clusters::build`] hands back.
+fn intersections(balls: &BallTable, clusters: &DistLists) -> Result<KeyedStore<VertexId>, BuildError> {
     let _span = routing_obs::span("intersections");
     let dists = ball_dists(balls)?;
     let rows = dists.iter().enumerate().flat_map(|(u, &dists)| {
         let u = VertexId(u as u32);
         let mut triples: Vec<(VertexId, Weight, VertexId)> = Vec::new();
         for (&w, &d_uw) in balls.ball(u).ids().iter().zip(dists) {
-            for &(v, d_wv) in &clusters[w.index()] {
+            for (v, d_wv) in clusters.row(w) {
                 triples.push((v, d_uw + d_wv, w));
             }
         }
@@ -377,14 +375,14 @@ mod tests {
     fn reference_intersections(
         g: &Graph,
         balls: &BallTable,
-        clusters: &ClusterMembers,
+        clusters: &DistLists,
     ) -> Vec<HashMap<VertexId, VertexId>> {
         let n = g.n();
         let mut best_intersection: Vec<HashMap<VertexId, VertexId>> = vec![HashMap::new(); n];
         let mut best_sum: Vec<HashMap<VertexId, Weight>> = vec![HashMap::new(); n];
         for u in g.vertices() {
             for (w, d_uw) in balls.ball(u).members() {
-                for &(v, d_wv) in &clusters[w.index()] {
+                for (v, d_wv) in clusters.row(w) {
                     let sum = d_uw + d_wv;
                     let better = match best_sum[u.index()].get(&v) {
                         Some(&old) => sum < old,

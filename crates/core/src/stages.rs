@@ -11,7 +11,8 @@
 //! hierarchy under `tz*` and `thm16k*` builds each of its levels with it.
 //! Every family of trees built here — a cluster family's `T(w)`, the global
 //! trees — is one [`TreeForest`], built a block of roots at a time and
-//! appended in root order, so no tree is an object of its own.
+//! appended in root order a round of blocks at a time, so no tree is an
+//! object of its own and no build holds a second forest.
 //!
 //! A scheme that needs both runs [`Vicinities::balls`], then
 //! [`Clusters::build`], then [`Vicinities::colour`]: the landmark sample is
@@ -58,44 +59,58 @@ pub(crate) fn check(g: &Graph, params: &Params) -> Result<(), BuildError> {
     Ok(())
 }
 
-/// One tree per root index in `0..roots`: `build` runs the root's search on
-/// a worker's workspace, appends its tree to the chunk it is handed and
-/// returns what the caller keeps of the search besides. A task takes a
-/// block of consecutive roots into one chunk (at most 64, at least eight
-/// blocks a worker), and the chunks are appended to the forest in root
-/// order, every offset rebased. The forest therefore does not depend on the
-/// blocks nor on the thread count, and no tree is an object of its own.
-/// The chunks are trimmed as they finish, so the build peaks at about twice
-/// the forest. Appending them a group at a time would lower that peak, but
-/// each group would regrow the forest's arrays by a copy, which costs more
-/// build time than the peak is worth.
+/// The rounds [`forest_by_blocks`] builds a forest in.
+const ROUNDS: usize = 8;
+
+/// One tree per root index in `0..roots`, built a round of consecutive
+/// roots at a time. A round fans out as blocks of consecutive roots (at
+/// most 64, at least eight blocks a worker): `build` runs a block's
+/// searches on a worker's workspace, appends their trees in root order to
+/// the chunk it is handed and returns what the caller keeps of the block
+/// besides. The chunks are trimmed as they finish and appended to the
+/// forest once their round is done, every offset rebased; `take` then gets
+/// the round's kept values, in block order. The forest therefore does not
+/// depend on the rounds, the blocks nor the thread count, no tree is an
+/// object of its own, and the build holds an eighth of the forest in chunks
+/// beside it, where appending every chunk at the end held a second forest.
+/// The price is a regrowth of the forest's arrays a round, and a barrier:
+/// on the `t2-geo-direct` graph (2 vCPUs), tz3's hierarchy built in 118 to
+/// 131 ms (medians of seven, five alternating runs) against 93 to 118 ms
+/// with every chunk appended at the end; at one thread the two overlap,
+/// 139 to 208 ms against 130 to 191.
 fn forest_by_blocks<T: Send>(
     g: &Graph,
     roots: usize,
-    build: impl Fn(&mut SearchScratch, usize, &mut TreeForest) -> Result<T, BuildError> + Sync,
-) -> Result<(TreeForest, Vec<T>), BuildError> {
-    let width = roots.div_ceil(8 * routing_par::threads()).clamp(1, 64);
+    build: impl Fn(&mut SearchScratch, Range<usize>, &mut TreeForest) -> Result<T, BuildError> + Sync,
+    mut take: impl FnMut(Vec<T>) -> Result<(), BuildError>,
+) -> Result<TreeForest, BuildError> {
     let empty = TreeForest::new(g);
-    let blocks = routing_par::par_map_scratch(
-        roots.div_ceil(width),
-        || SearchScratch::for_graph(g),
-        |scratch, b| {
-            let mut chunk = empty.clone();
-            let block = b * width..roots.min((b + 1) * width);
-            let kept = block.map(|i| build(scratch, i, &mut chunk)).collect::<Result<Vec<T>, _>>()?;
-            chunk.shrink_to_fit();
-            Ok::<_, BuildError>((chunk, kept))
-        },
-    );
-    let (mut chunks, mut kept) = (Vec::with_capacity(blocks.len()), Vec::with_capacity(roots));
-    for block in blocks {
-        let (chunk, block_kept) = block?;
-        chunks.push(chunk);
-        kept.extend(block_kept);
+    let mut forest = empty.clone();
+    let round = roots.div_ceil(ROUNDS).max(1);
+    for first in (0..roots).step_by(round) {
+        let last = roots.min(first + round);
+        let width = (last - first).div_ceil(8 * routing_par::threads()).clamp(1, 64);
+        let blocks = routing_par::par_map_scratch(
+            (last - first).div_ceil(width),
+            || SearchScratch::for_graph(g),
+            |scratch, b| {
+                let mut chunk = empty.clone();
+                let lo = first + b * width;
+                let kept = build(scratch, lo..last.min(lo + width), &mut chunk)?;
+                chunk.shrink_to_fit();
+                Ok::<_, BuildError>((chunk, kept))
+            },
+        );
+        let (mut chunks, mut kept) = (Vec::with_capacity(blocks.len()), Vec::with_capacity(blocks.len()));
+        for block in blocks {
+            let (chunk, block_kept) = block?;
+            chunks.push(chunk);
+            kept.push(block_kept);
+        }
+        forest.append(chunks).map_err(tree_error)?;
+        take(kept)?;
     }
-    let mut forest = empty;
-    forest.append(chunks).map_err(tree_error)?;
-    Ok((forest, kept))
+    Ok(forest)
 }
 
 /// A tree the build could not lay out, which a well-formed search never
@@ -108,11 +123,14 @@ fn tree_error(e: routing_tree::TreeBuildError) -> BuildError {
 /// Dijkstra each, fanned out over per-worker search workspaces.
 pub(crate) fn global_trees(g: &Graph, roots: &[VertexId]) -> Result<TreeForest, BuildError> {
     let _span = routing_obs::span("global-trees");
-    let (forest, _) = forest_by_blocks(g, roots.len(), |scratch, i, chunk| {
-        scratch.dijkstra_into(g, roots[i]);
-        chunk.push_scratch(g, scratch).map_err(tree_error)
-    })?;
-    Ok(forest)
+    let build = |scratch: &mut SearchScratch, block: Range<usize>, chunk: &mut TreeForest| {
+        for &root in &roots[block] {
+            scratch.dijkstra_into(g, root);
+            chunk.push_scratch(g, scratch).map_err(tree_error)?;
+        }
+        Ok(())
+    };
+    forest_by_blocks(g, roots.len(), build, |_| Ok(()))
 }
 
 /// Lemma 2 vicinities `B(u, ℓ)`, their Lemma 6 colouring and, per vertex and
@@ -278,10 +296,6 @@ fn build_color_reps(balls: &BallTable, color_of: &[u32], q: usize) -> Vec<Vertex
     reps
 }
 
-/// Every cluster's members with their distances from the root, in settle
-/// order: the build-only output of [`ClusterFamily::build`].
-pub type ClusterMembers = Vec<Vec<(VertexId, Weight)>>;
-
 /// A Lemma 4 cluster family: for every root `w` the cluster
 /// `C(w) = {v : d(w, v) < bound_w(v)}` (the root always belongs) as its
 /// Lemma 3 tree `T(w)`, and for every `v` the bunch `B(v) = {w : v ∈ C(w)}`
@@ -297,32 +311,51 @@ pub struct ClusterFamily {
 
 impl ClusterFamily {
     /// One restricted search per root `w` under the row `bound(w)`, `T(w)`
-    /// appended straight from the search workspace, and the members inverted
-    /// into the bunches: spans `clusters` and `cluster-trees` (per root, on
-    /// its worker) and `bunches`. The members are handed back too, for
-    /// Theorem 10's intersections. Thread-count independent.
+    /// appended straight from the search workspace, and `C(w)` packed as
+    /// row `w` of the members, a [`DistLists`]: `(v, d(w, v))`, id-sorted,
+    /// an id at the id width and a distance in the bytes `n − 1` heaviest
+    /// edges need, since no cluster's distance is known before its search
+    /// — 5 bytes a member on the weighted benchmark graphs. Trees and
+    /// members are appended a round of roots at a time
+    /// ([`forest_by_blocks`]), and the members inverted into the bunches
+    /// ([`DistLists::invert`]): spans `clusters` and `cluster-trees` (per
+    /// root, on its worker) and `bunches`. The members are handed back too,
+    /// for Theorem 10's intersections; every other caller drops them.
+    /// Thread-count independent.
     ///
     /// # Errors
     ///
     /// [`BuildError::TooSmall`] if a search's parent relation is not a tree
-    /// of `g`, which a well-formed search never produces.
+    /// of `g`, which a well-formed search never produces, or the members
+    /// outnumber a `u32` offset.
     pub fn build<'b>(
         g: &Graph,
         bound: impl Fn(VertexId) -> &'b [Weight] + Sync,
-    ) -> Result<(Self, ClusterMembers), BuildError> {
-        let (trees, members) = forest_by_blocks(g, g.n(), |scratch, w, chunk| {
-            let w = VertexId(w as u32);
-            let members = {
-                let _span = routing_obs::span("clusters");
-                scratch.cluster_into(g, w, bound(w));
-                scratch.order().to_vec()
-            };
-            let _span = routing_obs::span("cluster-trees");
-            chunk.push_scratch(g, scratch).map_err(tree_error)?;
-            Ok(members)
-        })?;
+    ) -> Result<(Self, DistLists), BuildError> {
+        let n = g.n();
+        let longest = g.weight_range().map_or(0, |(_, hi)| hi.saturating_mul(n.saturating_sub(1) as u64));
+        let empty = DistLists::empty(n, longest)?;
+        let mut members = empty.clone();
+        let build = |scratch: &mut SearchScratch, block: Range<usize>, chunk: &mut TreeForest| {
+            let (mut rows, mut row) = (empty.clone(), Vec::new());
+            for w in block.map(|w| VertexId(w as u32)) {
+                {
+                    let _span = routing_obs::span("clusters");
+                    scratch.cluster_into(g, w, bound(w));
+                    row.clear();
+                    row.extend_from_slice(scratch.order());
+                    row.sort_unstable_by_key(|&(v, _)| v);
+                    rows.push_row(&row)?;
+                }
+                let _span = routing_obs::span("cluster-trees");
+                chunk.push_scratch(g, scratch).map_err(tree_error)?;
+            }
+            rows.shrink_to_fit();
+            Ok(rows)
+        };
+        let trees = forest_by_blocks(g, n, build, |round| members.append(round))?;
         let _span = routing_obs::span("bunches");
-        let bunches = DistLists::invert(&members)?;
+        let bunches = members.invert()?;
         Ok((ClusterFamily { trees, bunches }, members))
     }
 
@@ -404,11 +437,14 @@ impl ClusterFamily {
 
 /// Per vertex `u`, an id-sorted list of `(w, d)` pairs in one CSR table, a
 /// probe being one binary search over adjacent memory: a cluster family's
-/// bunches (`d = d(w, u)`, [`DistLists::invert`]) and Theorem 16's landmark
+/// members (the list of root `u` is `C(u)`, `d = d(u, w)`,
+/// [`ClusterFamily::build`]) and its bunches (their inversion, `d = d(w, u)`
+/// for every `w ∈ B(u)`, [`DistLists::invert`]), and Theorem 16's landmark
 /// lists (`d = d(u, w)` for the landmarks of `u`'s vicinity,
 /// [`DistLists::from_rows`]). An entry is a [`PackedColumn`] record: `w` in
-/// the bytes `n` needs, `d` in the bytes the table's largest distance
-/// needs. That is 4 bytes on a graph of up to 65,535 vertices whose
+/// the bytes `n` needs, `d` in the bytes the table's largest distance needs
+/// (the members', whose largest is not known before they are, in the bytes
+/// of a bound). That is 4 bytes on a graph of up to 65,535 vertices whose
 /// distances stay below 65,535, beside a 4-byte offset a vertex.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DistLists {
@@ -418,44 +454,96 @@ pub struct DistLists {
     entries: PackedColumn<2>,
 }
 
+/// Lists too long for a `u32` offset, or a distance no field holds.
+fn too_many(what: String) -> BuildError {
+    BuildError::TooSmall { what }
+}
+
 impl DistLists {
-    /// Lists of `counts[u]` zeroed entries for each of `n` vertices, whose
-    /// distances are at most `max`: the one place an offset is converted.
-    fn zeroed(n: usize, counts: impl Iterator<Item = usize>, max: Weight) -> Result<Self, BuildError> {
-        let too_many = |what: String| BuildError::TooSmall { what };
+    /// The entry codec of lists over `n` vertices whose distances are at
+    /// most `max`.
+    fn codec(n: usize, max: Weight) -> Result<SlotCodec<2>, BuildError> {
         let max = max.checked_add(1).ok_or_else(|| too_many("an infinite distance in a list".into()))?;
-        let codec = SlotCodec::new([bytes_for(n as u64), bytes_for(max)]);
+        Ok(SlotCodec::new([bytes_for(n as u64), bytes_for(max)]))
+    }
+
+    /// Lists of `counts[u]` zeroed entries for each of `n` vertices, whose
+    /// distances are at most `max`.
+    fn zeroed(n: usize, counts: impl Iterator<Item = usize>, max: Weight) -> Result<Self, BuildError> {
+        let codec = Self::codec(n, max)?;
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0);
         let mut total = 0usize;
         for count in counts {
             total += count;
-            offsets.push(u32::try_from(total).map_err(|_| too_many(format!("{total} list entries exceed a u32 offset")))?);
+            offsets.push(Self::offset(total)?);
         }
         Ok(DistLists { offsets, entries: PackedColumn::zeroed(codec, total) })
     }
 
-    /// The bunches of a cluster family: `B(v) = {(w, d(w, v)) : v ∈ C(w)}`
-    /// for every `v`, from each cluster `C(w)`'s members with their
-    /// distances, by a counting sort over ascending `w`, so every bunch
-    /// comes out id-sorted.
+    /// The lists of no vertex yet, for ids below `n` and distances of at
+    /// most `max`, to [`push_row`](Self::push_row) to.
+    fn empty(n: usize, max: Weight) -> Result<Self, BuildError> {
+        Ok(DistLists { offsets: vec![0], entries: PackedColumn::new(Self::codec(n, max)?) })
+    }
+
+    /// An entry count as an offset: the one place an offset is converted.
+    fn offset(total: usize) -> Result<u32, BuildError> {
+        u32::try_from(total).map_err(|_| too_many(format!("{total} list entries exceed a u32 offset")))
+    }
+
+    /// Appends the list of the next vertex: `row`, ascending `w`.
+    fn push_row(&mut self, row: &[(VertexId, Weight)]) -> Result<(), BuildError> {
+        let end = Self::offset(self.entries.len() + row.len())?;
+        row.iter().for_each(|&(w, d)| self.entries.push([u64::from(w.0), d]));
+        self.offsets.push(end);
+        Ok(())
+    }
+
+    /// Appends the vertices of `parts`, lists packed by the same codec, in
+    /// order, every offset rebased: each array grows by exactly what the
+    /// parts hold, once.
+    fn append(&mut self, parts: Vec<DistLists>) -> Result<(), BuildError> {
+        let vertices: usize = parts.iter().map(|p| p.offsets.len() - 1).sum();
+        let entries: usize = parts.iter().map(DistLists::len).sum();
+        Self::offset(self.len() + entries)?;
+        self.offsets.reserve_exact(vertices);
+        self.entries.reserve_exact(entries);
+        for part in parts {
+            let base = self.len() as u32;
+            self.offsets.extend(part.offsets[1..].iter().map(|&o| o + base));
+            self.entries.extend_from(part.entries.view());
+        }
+        Ok(())
+    }
+
+    /// Returns the growth slack.
+    fn shrink_to_fit(&mut self) {
+        self.offsets.shrink_to_fit();
+        self.entries.shrink_to_fit();
+    }
+
+    /// The inverted lists: `(u, d)` in the list of `w` for every entry
+    /// `(w, d)` in the list of `u`, by a counting sort over ascending `u`,
+    /// so every list comes out id-sorted. Turns a cluster family's members
+    /// into its bunches, `B(v) = {(w, d(w, v)) : v ∈ C(w)}`.
     ///
     /// # Errors
     ///
     /// [`BuildError::TooSmall`] if the entries outnumber a `u32` offset.
-    pub fn invert(clusters: &[Vec<(VertexId, Weight)>]) -> Result<Self, BuildError> {
-        let n = clusters.len();
+    pub fn invert(&self) -> Result<Self, BuildError> {
+        let n = self.offsets.len() - 1;
         let (mut counts, mut max) = (vec![0usize; n], 0);
-        for &(v, d) in clusters.iter().flatten() {
-            counts[v.index()] += 1;
+        for [w, d] in (0..self.len()).filter_map(|i| self.entries.get::<u64>(i)) {
+            counts[w as usize] += 1;
             max = max.max(d);
         }
         let mut lists = Self::zeroed(n, counts.into_iter(), max)?;
         let mut next = lists.offsets.clone();
-        for (w, members) in clusters.iter().enumerate() {
-            for &(v, d) in members {
-                lists.entries.set(next[v.index()] as usize, [w as u64, d]);
-                next[v.index()] += 1;
+        for u in (0..n).map(|u| VertexId(u as u32)) {
+            for (w, d) in self.row(u) {
+                lists.entries.set(next[w.index()] as usize, [u64::from(u.0), d]);
+                next[w.index()] += 1;
             }
         }
         Ok(lists)
@@ -562,7 +650,7 @@ impl Clusters {
         g: &Graph,
         params: &Params,
         rng: &mut R,
-    ) -> Result<(Self, ClusterMembers), BuildError> {
+    ) -> Result<(Self, DistLists), BuildError> {
         let n = g.n();
         let s = ((params.landmark_scale * (n as f64).powf(2.0 / 3.0)).ceil() as usize).clamp(1, n);
         let landmarks = sample_centers_bounded(g, s, rng);
@@ -606,13 +694,15 @@ mod tests {
 
     /// The cluster stage equals the path it replaced under the same
     /// landmarks: `all_clusters` + `bunches` + `TreeScheme::from_restricted`.
-    fn assert_reference_clusters(key: &str, g: &Graph, stage: &Clusters, members: &ClusterMembers) {
+    fn assert_reference_clusters(key: &str, g: &Graph, stage: &Clusters, members: &DistLists) {
         let raw = routing_vicinity::all_clusters(g, &stage.landmarks);
         let bunches = routing_vicinity::bunches(g, &raw);
         let trees: Vec<TreeScheme> =
             raw.iter().map(|c| TreeScheme::from_restricted(g, c).unwrap()).collect();
         for u in g.vertices() {
-            assert_eq!(members[u.index()], raw[u.index()].members(), "{key}: C({u})");
+            let mut cluster = raw[u.index()].members().to_vec();
+            cluster.sort_unstable();
+            assert_eq!(members.row(u).collect::<Vec<_>>(), cluster, "{key}: C({u})");
             let mut bunch = bunches[u.index()].clone();
             bunch.sort_unstable();
             assert_eq!(stage.bunch(u).collect::<Vec<_>>(), bunch, "{key}: B({u})");
@@ -727,6 +817,117 @@ mod tests {
                     assert_eq!(clusters.heap_bytes(), family_bytes, "{key}: family bytes");
                 }
             }
+        }
+    }
+
+    /// `DistLists::invert` as it read the 16-byte `(v, d(w, v))` member
+    /// lists, one per root in settle order, before the members were packed.
+    fn invert_pairs(clusters: &[Vec<(VertexId, Weight)>]) -> DistLists {
+        let n = clusters.len();
+        let (mut counts, mut max) = (vec![0usize; n], 0);
+        for &(v, d) in clusters.iter().flatten() {
+            counts[v.index()] += 1;
+            max = max.max(d);
+        }
+        let mut lists = DistLists::zeroed(n, counts.into_iter(), max).unwrap();
+        let mut next = lists.offsets.clone();
+        for (w, members) in clusters.iter().enumerate() {
+            for &(v, d) in members {
+                lists.entries.set(next[v.index()] as usize, [w as u64, d]);
+                next[v.index()] += 1;
+            }
+        }
+        lists
+    }
+
+    /// A cluster family's packed members are every cluster, id-sorted, and
+    /// the bunches inverted from them equal, bytes included, the inversion
+    /// of the 16-byte pairs each root's search gives — on every family, unit
+    /// and weighted, around the 64-root block boundary, under a Lemma 4
+    /// bound with every fifth root unbounded (clusters spanning the graph,
+    /// as at the top of a Thorup–Zwick hierarchy), at one and four threads.
+    #[test]
+    fn bunches_from_packed_members_equal_the_inversion_of_the_pairs() {
+        for family in Family::ALL {
+            for weights in [WeightModel::Unit, WeightModel::Uniform { lo: 1, hi: 1000 }] {
+                for n in [63, 64, 65, 130] {
+                    let g = family.generate(n, weights, &mut StdRng::seed_from_u64(n as u64));
+                    let key = format!("{} {weights:?} n = {}", family.name(), g.n());
+                    let s = (g.n() as f64).powf(2.0 / 3.0).ceil() as usize;
+                    let landmarks = sample_centers_bounded(&g, s, &mut StdRng::seed_from_u64(9));
+                    let unbounded = vec![routing_graph::INFINITY; g.n()];
+                    let bound = |w: VertexId| {
+                        if w.0 % 5 == 0 { &unbounded[..] } else { landmarks.bound_slice() }
+                    };
+                    let mut scratch = SearchScratch::for_graph(&g);
+                    let pairs: Vec<Vec<(VertexId, Weight)>> = g
+                        .vertices()
+                        .map(|w| {
+                            scratch.cluster_into(&g, w, bound(w));
+                            scratch.order().to_vec()
+                        })
+                        .collect();
+                    let want = invert_pairs(&pairs);
+                    for threads in [1, 4] {
+                        routing_par::set_threads(threads);
+                        let (family, members) = ClusterFamily::build(&g, bound).unwrap();
+                        let key = format!("{key}, {threads} threads");
+                        for (w, cluster) in g.vertices().zip(&pairs) {
+                            let mut cluster = cluster.clone();
+                            cluster.sort_unstable();
+                            assert_eq!(members.row(w).collect::<Vec<_>>(), cluster, "{key}: C({w})");
+                        }
+                        assert_eq!(family.bunches, want, "{key}: bunches");
+                        assert_eq!(family.bunches.heap_bytes(), want.heap_bytes(), "{key}: bytes");
+                    }
+                    routing_par::set_threads(routing_par::available_threads());
+                }
+            }
+        }
+    }
+
+    /// A forest built a round of roots at a time equals, `heap_bytes`
+    /// included, the forest its chunks appended at once give: one chunk a
+    /// root, appended in one call, as the build did before it appended by
+    /// rounds. On global trees and a cluster family of 130 roots (rounds of
+    /// 17, the last of 11), at one, two and four threads.
+    #[test]
+    fn a_forest_built_by_rounds_equals_its_chunks_appended_at_once() {
+        let all_at_once = |g: &Graph, search: &dyn Fn(&mut SearchScratch, VertexId)| {
+            let mut scratch = SearchScratch::for_graph(g);
+            let chunks: Vec<TreeForest> = g
+                .vertices()
+                .map(|r| {
+                    let mut chunk = TreeForest::new(g);
+                    search(&mut scratch, r);
+                    chunk.push_scratch(g, &scratch).unwrap();
+                    chunk.shrink_to_fit();
+                    chunk
+                })
+                .collect();
+            let mut forest = TreeForest::new(g);
+            forest.append(chunks).unwrap();
+            forest
+        };
+        for weights in [WeightModel::Unit, WeightModel::Uniform { lo: 1, hi: 9 }] {
+            let g = Family::Geometric.generate(130, weights, &mut StdRng::seed_from_u64(4));
+            assert_ne!(g.n() % g.n().div_ceil(ROUNDS), 0, "the last round is short");
+            let landmarks = sample_centers_bounded(&g, 25, &mut StdRng::seed_from_u64(2));
+            let bound = landmarks.bound_slice();
+            let global = all_at_once(&g, &|scratch, r| scratch.dijkstra_into(&g, r));
+            let clusters = all_at_once(&g, &|scratch, r| scratch.cluster_into(&g, r, bound));
+            let roots: Vec<VertexId> = g.vertices().collect();
+            for threads in [1, 2, 4] {
+                routing_par::set_threads(threads);
+                let key = format!("{weights:?}, {threads} threads");
+                let by_rounds = global_trees(&g, &roots).unwrap();
+                assert_eq!(by_rounds, global, "{key}: global trees");
+                assert_eq!(by_rounds.heap_bytes(), global.heap_bytes(), "{key}: global bytes");
+                let (family, _) = ClusterFamily::build(&g, |_| bound).unwrap();
+                assert_eq!(family.trees, clusters, "{key}: cluster trees");
+                assert_eq!(family.trees.heap_bytes(), clusters.heap_bytes(), "{key}: cluster bytes");
+            }
+            routing_par::set_threads(routing_par::available_threads());
         }
     }
 

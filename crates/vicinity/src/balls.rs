@@ -24,7 +24,9 @@
 //!   the largest degree. That is 3 bytes on graphs of up to 65,535
 //!   vertices and degree 255, about 4 bytes a member.
 //!   Theorem 16 keeps, beside it, the distances to the members in its first
-//!   hierarchy level, which it reads from the table before dropping it.
+//!   hierarchy level: [`BallPorts::build_visiting`] hands it every ball's
+//!   members and distances, a block of balls at a time, while it builds the
+//!   ports, so no [`BallTable`] exists.
 //! * [`BallTable`] is [`BallPorts`] plus what only *preprocessing* reads:
 //!   every ball's member ids in `(distance, id)` settle order
 //!   ([`BallView::ids`], 4 bytes a member) and the radii, and — only when
@@ -47,7 +49,9 @@
 //! ([`SearchScratch::ball_into`], which stops after `ℓ` settled vertices).
 //! Both feed one slot-fill routine, and the results are appended to the
 //! final arrays a block of consecutive centres at a time, so the build never
-//! holds a second copy of more than one block.
+//! holds a second copy of more than one block. [`BallPorts::build_visiting`]
+//! shows each block's members to its caller as it is appended and keeps
+//! none of them.
 
 use std::ops::{Deref, Range};
 
@@ -276,56 +280,28 @@ impl BallTable {
     /// set and one bounded Dijkstra per vertex otherwise (the tests pin the
     /// batch-built table to the per-vertex one with it).
     fn build_with(g: &Graph, ell: usize, batch: bool, keep: BallDists) -> Self {
-        let _span = routing_obs::span("balls");
         let n = g.n();
         let ball_len = ell.max(1).min(n);
-        let keep_dists = keep == BallDists::Keep;
-        let codec = SlotCodec::for_graph(g);
-        let mut regions = Vec::with_capacity(n + 1);
         let mut offsets = Vec::with_capacity(n + 1);
         let mut ids = Vec::with_capacity(n * ball_len);
-        let mut dists = keep_dists.then(|| Vec::with_capacity(n * ball_len));
-        let mut slots = PackedColumn::with_capacity(codec, n * (slot_cap(ball_len) + 2));
+        let mut dists = (keep == BallDists::Keep).then(|| Vec::with_capacity(n * ball_len));
         let mut radius = Vec::with_capacity(n);
         offsets.push(0);
-        // Centres per task: one sweep's worth, or one Dijkstra.
-        let width = if batch { BFS_BATCH_WIDTH } else { 1 };
-        let block = n.div_ceil(BUILD_BLOCKS).next_multiple_of(width).max(1);
-        for first in (0..n).step_by(block) {
-            let last = n.min(first + block);
-            let per_task: Vec<Vec<BuiltBall>> = routing_par::par_map_scratch(
-                (last - first).div_ceil(width),
-                || BallSearch::new(g, batch),
-                |search, k| {
-                    let lo = first + k * width;
-                    search.balls(g, lo..last.min(lo + width), ell, codec, keep_dists)
-                },
-            );
-            // The up-front reservation is `cap + 2` slots a ball, but a run
-            // can pass a region's `cap` by more: grow by exactly what this
-            // block needs rather than let `extend` double the array.
-            slots.reserve_exact(per_task.iter().flatten().map(|b| b.slots.len()).sum());
-            for ball in per_task.into_iter().flatten() {
-                // A ball has at most `n` members, and ids are `u32`.
-                regions.push(Region { start: slots.len(), members: ball.ids.len() as u32 });
-                ids.extend_from_slice(&ball.ids);
-                if let Some(dists) = &mut dists {
-                    dists.extend_from_slice(&ball.dists);
-                }
-                slots.extend_from(ball.slots.view());
-                radius.push(ball.radius);
-                offsets.push(ids.len());
+        let ports = build_ports(g, ell, batch, keep, |ball| {
+            ids.extend_from_slice(&ball.ids);
+            if let Some(dists) = &mut dists {
+                dists.extend_from_slice(&ball.dists);
             }
-        }
-        regions.push(Region { start: slots.len(), members: 0 });
-        // The reservations are upper estimates (a component smaller than ℓ,
-        // regions that needed no overflow slot): return the slack.
+            radius.push(ball.radius);
+            offsets.push(ids.len());
+        });
+        // The reservations are upper estimates (a component smaller than ℓ):
+        // return the slack.
         ids.shrink_to_fit();
         if let Some(dists) = &mut dists {
             dists.shrink_to_fit();
         }
-        slots.shrink_to_fit();
-        BallTable { ports: BallPorts { ell, regions, slots }, offsets, ids, dists, radius }
+        BallTable { ports, offsets, ids, dists, radius }
     }
 
     /// Drops the member ids, distances and radii: what is left is all that
@@ -368,20 +344,81 @@ impl BallTable {
     }
 }
 
-/// One ball as [`BallTable::build`] appends it.
+/// The ports of every ball `B(u, ℓ)` of `g`, built a block of consecutive
+/// centres at a time: `take` sees each ball, with its members' distances if
+/// `keep` asks for them, centre by centre in order, before its block is
+/// dropped. The final arrays are reserved up front; a block that outgrows
+/// the slot reservation grows it by exactly its own slots. Span `balls`.
+fn build_ports(
+    g: &Graph,
+    ell: usize,
+    batch: bool,
+    keep: BallDists,
+    mut take: impl FnMut(BuiltBall),
+) -> BallPorts {
+    let _span = routing_obs::span("balls");
+    let n = g.n();
+    let ball_len = ell.max(1).min(n);
+    let codec = SlotCodec::for_graph(g);
+    let mut regions = Vec::with_capacity(n + 1);
+    let mut slots = PackedColumn::with_capacity(codec, n * (slot_cap(ball_len) + 2));
+    // Centres per task: one sweep's worth, or one Dijkstra.
+    let width = if batch { BFS_BATCH_WIDTH } else { 1 };
+    let block = n.div_ceil(BUILD_BLOCKS).next_multiple_of(width).max(1);
+    for first in (0..n).step_by(block) {
+        let last = n.min(first + block);
+        let per_task: Vec<Vec<BuiltBall>> = routing_par::par_map_scratch(
+            (last - first).div_ceil(width),
+            || BallSearch::new(g, batch),
+            |search, k| {
+                let lo = first + k * width;
+                search.balls(g, lo..last.min(lo + width), ell, codec, keep == BallDists::Keep)
+            },
+        );
+        // The up-front reservation is `cap + 2` slots a ball, but a run
+        // can pass a region's `cap` by more: grow by exactly what this
+        // block needs rather than let `extend` double the array.
+        slots.reserve_exact(per_task.iter().flatten().map(|b| b.slots.len()).sum());
+        for ball in per_task.into_iter().flatten() {
+            // A ball has at most `n` members, and ids are `u32`.
+            regions.push(Region { start: slots.len(), members: ball.ids.len() as u32 });
+            slots.extend_from(ball.slots.view());
+            take(ball);
+        }
+    }
+    regions.push(Region { start: slots.len(), members: 0 });
+    // The slot reservation is an upper estimate (regions that needed no
+    // overflow slot): return the slack.
+    slots.shrink_to_fit();
+    BallPorts { ell, regions, slots }
+}
+
+impl BallPorts {
+    /// The ports [`BallTable::build`] keeps, and no member-id or distance
+    /// array of the whole table: `visit(ids, dists)` sees every ball's
+    /// members in settle order and their distances from the centre, centre
+    /// by centre in order, while the block of searches that found them is
+    /// still live. Theorem 16 takes its landmark distances this way. The
+    /// ports are those of [`BallTable::build`] for every thread count.
+    pub fn build_visiting(g: &Graph, ell: usize, mut visit: impl FnMut(&[VertexId], &[Weight])) -> Self {
+        build_ports(g, ell, g.is_unweighted(), BallDists::Keep, |ball| visit(&ball.ids, &ball.dists))
+    }
+}
+
+/// One ball as [`build_ports`] appends it.
 struct BuiltBall {
     /// The member ids in settle order.
     ids: Vec<VertexId>,
     /// Their distances from the centre; empty, and never allocated, when
-    /// the table stores none.
+    /// none are kept.
     dists: Vec<Weight>,
     /// The hashed slot region.
     slots: PackedColumn<2>,
     radius: Weight,
 }
 
-/// One worker's kernel in [`BallTable::build`], chosen once, with the
-/// scratch region its balls are hashed into.
+/// One worker's kernel in [`build_ports`], chosen once, with the scratch
+/// region its balls are hashed into.
 enum BallSearch {
     /// The budgeted batch BFS, on a unit-weight graph.
     Batch(BfsBatch, Vec<Slot>),

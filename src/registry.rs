@@ -415,6 +415,30 @@ mod tests {
         }
     }
 
+    /// Every key that validates its `Params` refuses an `ε` that is not
+    /// finite and positive — infinite, NaN, zero or negative — with
+    /// `BuildError::BadParameter`, before it builds anything.
+    #[test]
+    fn every_validating_key_refuses_a_non_finite_or_non_positive_epsilon() {
+        let g = routing_graph::generators::grid(6, 6);
+        let r = SchemeRegistry::with_defaults();
+        let ctx = |epsilon| BuildContext {
+            params: routing_core::Params::with_epsilon(epsilon),
+            seed: 9,
+            threads: 1,
+        };
+        let refuses = |key: &str, epsilon: f64| {
+            matches!(r.build(key, &g, &ctx(epsilon)), Err(BuildError::BadParameter { .. }))
+        };
+        let validating: Vec<&str> = r.names().into_iter().filter(|key| refuses(key, 0.0)).collect();
+        assert_eq!(validating, ["warmup", "thm10", "thm11", "thm13", "thm15", "thm16k3"]);
+        for key in validating {
+            for epsilon in [f64::INFINITY, f64::NAN, 0.0, -1.0] {
+                assert!(refuses(key, epsilon), "{key} built with epsilon {epsilon}");
+            }
+        }
+    }
+
     /// The empty graph is refused by every key with an error, not a panic:
     /// there is no vertex to build a table at.
     #[test]
