@@ -576,10 +576,11 @@ mod tests {
         let g = weighted_graph(60, 3);
         let mut rng = StdRng::seed_from_u64(4);
         let h = TzHierarchy::build(&g, 2, &mut rng).unwrap();
+        let mut spt = routing_graph::SearchScratch::for_graph(&g);
         for v in g.vertices() {
             for (w, d) in h.bunch(v) {
                 assert!(h.cluster_tree(w).unwrap().contains(v));
-                let spt = routing_graph::shortest_path::dijkstra(&g, w);
+                spt.dijkstra_into(&g, w);
                 assert_eq!(spt.dist(v), Some(d));
             }
         }

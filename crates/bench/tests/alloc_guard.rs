@@ -444,7 +444,7 @@ fn assert_thm11_build_peak() {
     let full = table.heap_bytes() as u64;
     drop(table);
     // The landmarks as the build samples them: its vicinities draw nothing.
-    let s = (params.landmark_scale * (N as f64).powf(2.0 / 3.0)).ceil() as usize;
+    let s = (N as f64).powf(2.0 / 3.0).ceil() as usize;
     let (clusters, _) = peak_bytes_in(|| {
         let landmarks = sample_centers_bounded(&g, s, &mut StdRng::seed_from_u64(7));
         ClusterFamily::build(&g, |_| landmarks.bound_slice()).expect("the family builds")

@@ -17,8 +17,6 @@ pub struct Params {
     /// sizes. `1.0` follows the paper literally; smaller values shrink
     /// preprocessing at the cost of more frequent fallback routing.
     pub ball_scale: f64,
-    /// Multiplier on the Lemma 4 sampling parameter `s` (landmark density).
-    pub landmark_scale: f64,
     /// How many random colorings to try before running the repair pass.
     pub coloring_retries: usize,
 }
@@ -28,7 +26,6 @@ impl Default for Params {
         Params {
             epsilon: 0.25,
             ball_scale: 1.0,
-            landmark_scale: 1.0,
             coloring_retries: 8,
         }
     }
@@ -58,19 +55,15 @@ impl Params {
         ((2.0 / self.epsilon).ceil() as usize).saturating_add(1)
     }
 
-    /// Validates the parameters: `ε`, `ball_scale` and `landmark_scale` are
-    /// finite and positive. An infinite `ε` would give Lemma 7
+    /// Validates the parameters: `ε` and `ball_scale` are finite and
+    /// positive. An infinite `ε` would give Lemma 7
     /// `⌈2/∞⌉ = 0` rounds and the bound `5 + ε = ∞`.
     ///
     /// # Errors
     ///
     /// Returns a description of the first invalid field.
     pub fn validate(&self) -> Result<(), String> {
-        let fields = [
-            ("epsilon", self.epsilon),
-            ("ball_scale", self.ball_scale),
-            ("landmark_scale", self.landmark_scale),
-        ];
+        let fields = [("epsilon", self.epsilon), ("ball_scale", self.ball_scale)];
         match fields.into_iter().find(|&(_, x)| !(x.is_finite() && x > 0.0)) {
             Some((name, x)) => Err(format!("{name} must be finite and positive, got {x}")),
             None => Ok(()),
@@ -117,12 +110,11 @@ mod tests {
         assert!(Params::with_epsilon(0.0).validate().is_err());
         assert!(Params::with_epsilon(-1.0).validate().is_err());
         assert!(Params { ball_scale: 0.0, ..Params::default() }.validate().is_err());
-        assert!(Params { landmark_scale: -2.0, ..Params::default() }.validate().is_err());
+        assert!(Params { ball_scale: -2.0, ..Params::default() }.validate().is_err());
         for x in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
             let d = Params::default();
             assert!(Params::with_epsilon(x).validate().is_err(), "epsilon {x}");
             assert!(Params { ball_scale: x, ..d }.validate().is_err(), "ball_scale {x}");
-            assert!(Params { landmark_scale: x, ..d }.validate().is_err(), "landmark_scale {x}");
         }
     }
 }

@@ -138,7 +138,7 @@ impl SchemeTwoPlusEps {
         // The one build that reads the members' distances: for the
         // intersections and the representatives' distances.
         let vic = Vicinities::balls(g, ell, BallDists::Keep);
-        let (clusters, members) = Clusters::build(g, params, rng)?;
+        let (clusters, members) = Clusters::build(g, rng)?;
         let global_trees = stages::global_trees(g, clusters.landmarks.members())?;
         let best_intersection = intersections(&vic.balls, &members)?;
         drop(members);
@@ -406,7 +406,7 @@ mod tests {
                 routing_par::set_threads(threads);
                 let balls = BallTable::build(&g, params.scaled(5, g.n()));
                 let (_, clusters) =
-                    Clusters::build(&g, &params, &mut StdRng::seed_from_u64(17)).unwrap();
+                    Clusters::build(&g, &mut StdRng::seed_from_u64(17)).unwrap();
                 let flat = intersections(&balls, &clusters).unwrap();
                 let reference = reference_intersections(&g, &balls, &clusters);
                 assert!(reference.iter().any(|at_u| !at_u.is_empty()));
@@ -436,7 +436,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let ell = params.scaled(5, g.n());
         let vic = Vicinities::balls(&g, ell, BallDists::Skip);
-        let (_, clusters) = Clusters::build(&g, &params, &mut rng).unwrap();
+        let (_, clusters) = Clusters::build(&g, &mut rng).unwrap();
         let refused = |e| matches!(e, BuildError::Inconsistent { .. });
         assert!(intersections(&vic.balls, &clusters).is_err_and(refused));
         let vic = vic.colour(ell, 5, &params, &mut rng).unwrap();

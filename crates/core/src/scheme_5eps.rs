@@ -120,7 +120,7 @@ impl SchemeFivePlusEps {
         let q = (n as f64).powf(1.0 / 3.0).ceil().max(1.0) as u32;
         let ell = params.scaled(q as usize, n);
         let vic = Vicinities::balls(g, ell, BallDists::Skip);
-        let (clusters, _) = Clusters::build(g, params, rng)?;
+        let (clusters, _) = Clusters::build(g, rng)?;
         let landmarks = &clusters.landmarks;
 
         // First edge (p_A(v), z) of a shortest path from the landmark to v.

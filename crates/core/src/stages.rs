@@ -317,7 +317,7 @@ impl ClusterFamily {
     /// edges need, since no cluster's distance is known before its search
     /// — 5 bytes a member on the weighted benchmark graphs. Trees and
     /// members are appended a round of roots at a time
-    /// ([`forest_by_blocks`]), and the members inverted into the bunches
+    /// (`forest_by_blocks`), and the members inverted into the bunches
     /// ([`DistLists::invert`]): spans `clusters` and `cluster-trees` (per
     /// root, on its worker) and `bunches`. The members are handed back too,
     /// for Theorem 10's intersections; every other caller drops them.
@@ -646,13 +646,9 @@ impl Clusters {
     /// Samples `Õ(n^{2/3})` landmarks (the density Theorems 10 and 11 both
     /// prescribe) and builds the cluster family around them, handing back
     /// its build-only member lists.
-    pub(crate) fn build<R: Rng>(
-        g: &Graph,
-        params: &Params,
-        rng: &mut R,
-    ) -> Result<(Self, DistLists), BuildError> {
+    pub(crate) fn build<R: Rng>(g: &Graph, rng: &mut R) -> Result<(Self, DistLists), BuildError> {
         let n = g.n();
-        let s = ((params.landmark_scale * (n as f64).powf(2.0 / 3.0)).ceil() as usize).clamp(1, n);
+        let s = ((n as f64).powf(2.0 / 3.0).ceil() as usize).clamp(1, n);
         let landmarks = sample_centers_bounded(g, s, rng);
         let (family, members) = ClusterFamily::build(g, |_| landmarks.bound_slice())?;
         Ok((Clusters { landmarks, family }, members))
@@ -693,14 +689,21 @@ mod tests {
     }
 
     /// The cluster stage equals the path it replaced under the same
-    /// landmarks: `all_clusters` + `bunches` + `TreeScheme::from_restricted`.
+    /// landmarks: `all_clusters` + `bunches`, and one `cluster_into` +
+    /// `TreeScheme::from_scratch` a root.
     fn assert_reference_clusters(key: &str, g: &Graph, stage: &Clusters, members: &DistLists) {
         let raw = routing_vicinity::all_clusters(g, &stage.landmarks);
         let bunches = routing_vicinity::bunches(g, &raw);
-        let trees: Vec<TreeScheme> =
-            raw.iter().map(|c| TreeScheme::from_restricted(g, c).unwrap()).collect();
+        let mut scratch = SearchScratch::for_graph(g);
+        let trees: Vec<TreeScheme> = g
+            .vertices()
+            .map(|w| {
+                scratch.cluster_into(g, w, stage.landmarks.bound_slice());
+                TreeScheme::from_scratch(g, &scratch).unwrap()
+            })
+            .collect();
         for u in g.vertices() {
-            let mut cluster = raw[u.index()].members().to_vec();
+            let mut cluster = raw[u.index()].clone();
             cluster.sort_unstable();
             assert_eq!(members.row(u).collect::<Vec<_>>(), cluster, "{key}: C({u})");
             let mut bunch = bunches[u.index()].clone();
@@ -758,7 +761,6 @@ mod tests {
     /// bunch distance needs.
     #[test]
     fn every_forest_tree_equals_the_standalone_tree_of_its_search() {
-        let params = Params::with_epsilon(0.5);
         for family in [Family::ErdosRenyi, Family::Geometric, Family::Grid] {
             for weights in [WeightModel::Unit, WeightModel::Uniform { lo: 1, hi: 9 }] {
                 for n in [63, 64, 65, 130] {
@@ -769,7 +771,7 @@ mod tests {
                     for threads in [1, 4] {
                         routing_par::set_threads(threads);
                         let rng = &mut StdRng::seed_from_u64(5);
-                        let (clusters, _) = Clusters::build(&g, &params, rng).unwrap();
+                        let (clusters, _) = Clusters::build(&g, rng).unwrap();
                         let global = global_trees(&g, clusters.landmarks.members()).unwrap();
                         built.push((clusters, global));
                     }
@@ -957,7 +959,7 @@ mod tests {
         let ell = params.scaled(4, 60);
         let thm10 = SchemeTwoPlusEps::build(&unit, &params, &mut ctx.rng()).unwrap();
         let mut rng = ctx.rng();
-        let (clusters, members) = Clusters::build(&unit, &params, &mut rng).unwrap();
+        let (clusters, members) = Clusters::build(&unit, &mut rng).unwrap();
         let vic = Vicinities::balls(&unit, ell, BallDists::Keep);
         let direct = vic.colour(ell, 4, &params, &mut rng).unwrap();
         assert_same_vicinities("thm10", &thm10.vic, &direct);
@@ -966,7 +968,7 @@ mod tests {
 
         let thm11 = SchemeFivePlusEps::build(&weighted, &params, &mut ctx.rng()).unwrap();
         let mut rng = ctx.rng();
-        let (clusters, members) = Clusters::build(&weighted, &params, &mut rng).unwrap();
+        let (clusters, members) = Clusters::build(&weighted, &mut rng).unwrap();
         let vic = Vicinities::balls(&weighted, ell, BallDists::Skip);
         let direct = vic.colour(ell, 4, &params, &mut rng).unwrap();
         assert_same_vicinities("thm11", &thm11.vic, &direct);
@@ -979,7 +981,7 @@ mod tests {
                     let g = family.generate(n, weights, &mut StdRng::seed_from_u64(n as u64));
                     for threads in [1, 4] {
                         routing_par::set_threads(threads);
-                        let built = Clusters::build(&g, &params, &mut ctx.rng()).unwrap();
+                        let built = Clusters::build(&g, &mut ctx.rng()).unwrap();
                         let key = format!("{} {weights:?} n={n} x{threads}", family.name());
                         assert_reference_clusters(&key, &g, &built.0, &built.1);
                     }

@@ -114,14 +114,14 @@ impl DistanceOracle for DistanceMatrix {
 mod tests {
     use super::*;
     use crate::generators;
-    use crate::shortest_path::dijkstra;
-    use crate::GraphBuilder;
+    use crate::{GraphBuilder, SearchScratch};
 
     #[test]
     fn matrix_matches_dijkstra() {
         let g = generators::grid(5, 5);
         let m = DistanceMatrix::new(&g);
-        let sp = dijkstra(&g, VertexId(0));
+        let mut sp = SearchScratch::for_graph(&g);
+        sp.dijkstra_into(&g, VertexId(0));
         for v in g.vertices() {
             assert_eq!(m.dist(VertexId(0), v), sp.dist(v));
         }

@@ -223,13 +223,14 @@ impl Graph {
         }
         let mut max_d: Weight = 0;
         let mut min_d: Weight = INFINITY;
+        let mut search = crate::SearchScratch::for_graph(self);
         for u in self.vertices() {
-            let sp = crate::shortest_path::dijkstra(self, u);
+            search.dijkstra_into(self, u);
             for v in self.vertices() {
                 if v == u {
                     continue;
                 }
-                let d = sp.dist(v)?;
+                let d = search.dist(v)?;
                 max_d = max_d.max(d);
                 min_d = min_d.min(d);
             }

@@ -9,14 +9,12 @@
 //! * [`scratch`] — the allocation-free search kernel: a reusable
 //!   [`SearchScratch`] workspace (epoch-stamped arrays + preallocated heap)
 //!   that runs full, bounded (ball), multi-source and restricted searches
-//!   with zero per-call allocation. Every preprocessing hot path holds one
-//!   per worker thread. On unit-weight graphs, [`BfsBatch`] runs 64 full or
-//!   ball searches as one bit-parallel BFS sweep with the same distances,
-//!   paths, balls and first ports.
-//! * [`shortest_path`] — Dijkstra/BFS with the paper's lexicographic
-//!   tie-breaking, ball (k-nearest) searches, multi-source searches and
-//!   shortest-path trees; the free functions are thin fresh-workspace
-//!   wrappers over the kernel.
+//!   with zero per-call allocation, all under the paper's lexicographic
+//!   `(distance, id)` tie-breaking. It is the one way any crate runs a
+//!   search; every preprocessing hot path holds one per worker thread. On
+//!   unit-weight graphs, [`BfsBatch`] runs 64 full or ball searches as one
+//!   bit-parallel BFS sweep with the same distances, paths, balls and first
+//!   ports.
 //! * [`mod@reference`] — the pre-refactor allocating implementations, kept
 //!   as bit-identity baselines for the equivalence tests.
 //! * [`generators`] — seeded synthetic graph families used by the experiment
@@ -45,8 +43,7 @@
 //! # Example
 //!
 //! ```
-//! use routing_graph::{GraphBuilder, VertexId};
-//! use routing_graph::shortest_path::dijkstra;
+//! use routing_graph::{GraphBuilder, SearchScratch, VertexId};
 //!
 //! # fn main() -> Result<(), routing_graph::GraphError> {
 //! let mut b = GraphBuilder::new(4);
@@ -55,8 +52,11 @@
 //! b.add_edge(2, 3, 1)?;
 //! b.add_edge(0, 3, 10)?;
 //! let g = b.build();
-//! let sp = dijkstra(&g, VertexId(0));
-//! assert_eq!(sp.dist(VertexId(3)), Some(4));
+//! let mut search = SearchScratch::for_graph(&g);
+//! search.dijkstra_into(&g, VertexId(0));
+//! assert_eq!(search.dist(VertexId(3)), Some(4));
+//! let path = search.path_to(VertexId(3)).unwrap();
+//! assert_eq!(path, [0, 1, 2, 3].map(VertexId));
 //! # Ok(())
 //! # }
 //! ```
@@ -73,7 +73,6 @@ pub mod mutate;
 pub mod reference;
 pub mod sampled;
 pub mod scratch;
-pub mod shortest_path;
 
 pub use apsp::DistanceOracle;
 pub use codec::{PackedColumn, PackedView, SlotCodec, SLOT_PAD};

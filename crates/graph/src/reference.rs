@@ -13,12 +13,16 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
-use crate::shortest_path::{Ball, MultiSourceShortestPaths, RestrictedTree, ShortestPathTree};
 use crate::{Graph, VertexId, Weight, INFINITY};
 
 /// The original per-call-allocating Dijkstra (four `O(n)` vectors and a
-/// fresh heap per run). Bit-equal to [`crate::shortest_path::dijkstra`].
-pub fn dijkstra_alloc(g: &Graph, source: VertexId) -> ShortestPathTree {
+/// fresh heap per run). Returns the rows `(dist, parent, first_hop)` by
+/// vertex, `INFINITY` / `None` where `v` is unreached; bit-equal to
+/// [`SearchScratch::dijkstra_into`](crate::SearchScratch::dijkstra_into).
+pub fn dijkstra_alloc(
+    g: &Graph,
+    source: VertexId,
+) -> (Vec<Weight>, Vec<Option<VertexId>>, Vec<Option<VertexId>>) {
     let n = g.n();
     let mut dist = vec![INFINITY; n];
     let mut parent: Vec<Option<VertexId>> = vec![None; n];
@@ -44,12 +48,18 @@ pub fn dijkstra_alloc(g: &Graph, source: VertexId) -> ShortestPathTree {
             }
         }
     }
-    ShortestPathTree::from_parts(source, dist, parent, first_hop)
+    (dist, parent, first_hop)
 }
 
-/// The original `HashMap`-backed ball search. Bit-equal to
-/// [`crate::shortest_path::ball`].
-pub fn ball_hashmap(g: &Graph, u: VertexId, ell: usize) -> Ball {
+/// The original `HashMap`-backed ball search. Returns the members
+/// `(v, d(u, v))` in `(distance, id)` order, each member's first hop (`None`
+/// for the center) and the radius `r_u(ℓ)`; bit-equal to
+/// [`SearchScratch::ball_into`](crate::SearchScratch::ball_into).
+pub fn ball_hashmap(
+    g: &Graph,
+    u: VertexId,
+    ell: usize,
+) -> (Vec<(VertexId, Weight)>, Vec<Option<VertexId>>, Weight) {
     let ell = ell.max(1);
     let n = g.n();
     // lint:allow(det-hash-iter): reference impl kept for kernel identity tests; keyed lookups only, members emitted in heap settle order
@@ -109,12 +119,14 @@ pub fn ball_hashmap(g: &Graph, u: VertexId, ell: usize) -> Ball {
     } else {
         max_dist
     };
-    Ball::from_parts(u, members, first_hops, radius)
+    (members, first_hops, radius)
 }
 
-/// The original multi-source Dijkstra. Bit-equal to
-/// [`crate::shortest_path::multi_source_dijkstra`].
-pub fn multi_source_alloc(g: &Graph, sources: &[VertexId]) -> MultiSourceShortestPaths {
+/// The original multi-source Dijkstra. Returns the rows `(d(v, A), p_A(v))`
+/// by vertex, `INFINITY` / `None` where `v` is unreached; bit-equal to
+/// [`SearchScratch::multi_source_into`](crate::SearchScratch::multi_source_into)
+/// on the sorted, deduplicated sources.
+pub fn multi_source_alloc(g: &Graph, sources: &[VertexId]) -> (Vec<Weight>, Vec<Option<VertexId>>) {
     let n = g.n();
     let mut dist = vec![INFINITY; n];
     let mut nearest: Vec<Option<VertexId>> = vec![None; n];
@@ -148,16 +160,23 @@ pub fn multi_source_alloc(g: &Graph, sources: &[VertexId]) -> MultiSourceShortes
             }
         }
     }
-    MultiSourceShortestPaths::from_parts(dist, nearest)
+    (dist, nearest)
 }
 
-/// The original `HashMap`-backed restricted (cluster) search. Bit-equal to
-/// [`crate::shortest_path::cluster_dijkstra`].
-pub fn cluster_dijkstra_hashmap(g: &Graph, w: VertexId, bound: &[Weight]) -> RestrictedTree {
+/// The original `HashMap`-backed restricted (cluster) search: from `w`,
+/// keep a vertex `v` only when `d(w, v) < bound[v]`. Returns the members
+/// `(v, d(w, v))` in settle order, root first, and each member's parent
+/// (`None` for the root); bit-equal to
+/// [`SearchScratch::cluster_into`](crate::SearchScratch::cluster_into).
+pub fn cluster_dijkstra_hashmap(
+    g: &Graph,
+    w: VertexId,
+    bound: &[Weight],
+) -> (Vec<(VertexId, Weight)>, Vec<Option<VertexId>>) {
     assert_eq!(bound.len(), g.n(), "bound slice must have one entry per vertex");
     // lint:allow(det-hash-iter): reference impl kept for kernel identity tests; keyed lookups only, members emitted in heap settle order
     let mut dist: HashMap<VertexId, Weight> = HashMap::new();
-    // lint:allow(det-hash-iter): keyed lookups only; RestrictedTree reads it per child, never by iteration
+    // lint:allow(det-hash-iter): keyed lookups only, read per member, never iterated
     let mut parent: HashMap<VertexId, Option<VertexId>> = HashMap::new();
     // lint:allow(det-hash-iter): keyed lookups only, never iterated
     let mut settled: HashMap<VertexId, bool> = HashMap::new();
@@ -189,47 +208,42 @@ pub fn cluster_dijkstra_hashmap(g: &Graph, w: VertexId, bound: &[Weight]) -> Res
             }
         }
     }
-    parent.retain(|v, _| *settled.get(v).unwrap_or(&false));
-    RestrictedTree::from_parts(w, members, parent)
+    let parents = members.iter().map(|(v, _)| parent[v]).collect();
+    (members, parents)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators;
-    use crate::shortest_path::{ball, cluster_dijkstra, dijkstra, multi_source_dijkstra};
+    use crate::{generators, SearchScratch};
 
     // The real equivalence coverage lives in tests/properties.rs; this is a
     // smoke check that the reference entry points stay callable and aligned.
     #[test]
     fn reference_implementations_agree_with_the_kernel() {
         let g = generators::grid(6, 6);
-        let sp = dijkstra(&g, VertexId(0));
-        let sp_ref = dijkstra_alloc(&g, VertexId(0));
-        for v in g.vertices() {
-            assert_eq!(sp.dist(v), sp_ref.dist(v));
-            assert_eq!(sp.parent(v), sp_ref.parent(v));
-        }
+        let n = g.n();
+        let mut s = SearchScratch::for_graph(&g);
 
-        let b = ball(&g, VertexId(14), 7);
-        let b_ref = ball_hashmap(&g, VertexId(14), 7);
-        assert_eq!(b.members(), b_ref.members());
-        assert_eq!(b.radius(), b_ref.radius());
+        s.dijkstra_into(&g, VertexId(0));
+        let (dist, parent, _) = dijkstra_alloc(&g, VertexId(0));
+        assert_eq!(s.dist_row(n), dist);
+        assert_eq!(g.vertices().map(|v| s.parent(v)).collect::<Vec<_>>(), parent);
+
+        let radius = s.ball_into(&g, VertexId(14), 7);
+        let (members, _, radius_ref) = ball_hashmap(&g, VertexId(14), 7);
+        assert_eq!(s.order(), members);
+        assert_eq!(radius, radius_ref);
 
         let sources = [VertexId(0), VertexId(35)];
-        let ms = multi_source_dijkstra(&g, &sources);
-        let ms_ref = multi_source_alloc(&g, &sources);
-        let bound: Vec<Weight> = g.vertices().map(|v| ms.dist(v).unwrap()).collect();
-        for v in g.vertices() {
-            assert_eq!(ms.dist(v), ms_ref.dist(v));
-            assert_eq!(ms.nearest(v), ms_ref.nearest(v));
-        }
+        s.multi_source_into(&g, &sources);
+        let (bound, nearest) = multi_source_alloc(&g, &sources);
+        assert_eq!(s.dist_row(n), bound);
+        assert_eq!(g.vertices().map(|v| s.nearest(v)).collect::<Vec<_>>(), nearest);
 
-        let t = cluster_dijkstra(&g, VertexId(3), &bound);
-        let t_ref = cluster_dijkstra_hashmap(&g, VertexId(3), &bound);
-        assert_eq!(t.members(), t_ref.members());
-        for &(v, _) in t.members() {
-            assert_eq!(t.parent(v), t_ref.parent(v));
-        }
+        s.cluster_into(&g, VertexId(3), &bound);
+        let (members, parents) = cluster_dijkstra_hashmap(&g, VertexId(3), &bound);
+        assert_eq!(s.order(), members);
+        assert_eq!(members.iter().map(|&(v, _)| s.parent(v)).collect::<Vec<_>>(), parents);
     }
 }

@@ -8,8 +8,8 @@
 //! searches: one Dijkstra per source in
 //! [`crate::apsp::DistanceMatrix::new`], one bounded ball search per vertex
 //! in `BallTable::build` on weighted graphs, one restricted cluster search
-//! per vertex in the Thorup–Zwick hierarchy. The original entry points in
-//! [`crate::shortest_path`] allocate their working state per call — four
+//! per vertex in the Thorup–Zwick hierarchy. The original searches, kept in
+//! [`crate::reference`], allocate their working state per call — four
 //! `O(n)` vectors for a full Dijkstra, three `HashMap`s for a ball or
 //! cluster search — which makes the allocator, not the graph, the
 //! bottleneck once `n` reaches 10⁴.
@@ -32,10 +32,9 @@
 //!   bounded search is defined by) is recorded in a reusable buffer.
 //!
 //! Every search method is **bit-identical** to its allocating counterpart in
-//! [`crate::shortest_path`] — same lexicographic `(distance, id)`
-//! tie-breaking, same member order, same radius rule — which the equivalence
-//! property tests in `tests/properties.rs` assert against the pre-refactor
-//! implementations kept in [`crate::reference`].
+//! [`crate::reference`] — same lexicographic `(distance, id)` tie-breaking,
+//! same member order, same radius rule — which the equivalence property
+//! tests in `tests/properties.rs` assert.
 //!
 //! On a unit-weight graph a second workspace, [`BfsBatch`], runs up to 64
 //! searches as one bit-parallel breadth-first sweep: full searches, with the
@@ -156,7 +155,7 @@ pub struct SearchScratch {
     heap_tagged: BinaryHeap<Reverse<(Weight, VertexId, VertexId)>>,
     /// Vertices in settle order with their final distances.
     order: Vec<(VertexId, Weight)>,
-    /// Source of the last single-origin search (for materialization).
+    /// Source of the last single-origin search.
     source: VertexId,
     /// Which search ran last (gates the kind-specific accessors).
     kind: SearchKind,
@@ -319,7 +318,7 @@ impl SearchScratch {
     }
 
     /// Runs a full Dijkstra from `source` with `(distance, id)` tie-breaking,
-    /// bit-identical to [`crate::shortest_path::dijkstra`].
+    /// bit-identical to [`crate::reference::dijkstra_alloc`].
     ///
     /// # Panics
     ///
@@ -464,8 +463,7 @@ impl SearchScratch {
     /// `(distance, id)` settle order) are available as [`order`](Self::order)
     /// afterwards; the returned value is the ball radius `r_u(ℓ)`.
     ///
-    /// Bit-identical to [`crate::shortest_path::ball`] (kept as
-    /// [`crate::reference::ball_hashmap`] for the equivalence tests).
+    /// Bit-identical to [`crate::reference::ball_hashmap`].
     pub fn ball_into(&mut self, g: &Graph, u: VertexId, ell: usize) -> Weight {
         assert!(g.n() <= self.n, "graph larger than the workspace");
         let ell = ell.max(1);
@@ -527,9 +525,8 @@ impl SearchScratch {
     /// the nearest source `p_A(v)` (readable as [`nearest`](Self::nearest))
     /// with ties broken by source id.
     ///
-    /// `sources` must be sorted by id and deduplicated (the
-    /// [`crate::shortest_path::multi_source_dijkstra`] wrapper normalizes
-    /// arbitrary input). Bit-identical to that wrapper.
+    /// `sources` must be sorted by id and deduplicated. Bit-identical to
+    /// [`crate::reference::multi_source_alloc`] on the same sources.
     ///
     /// # Panics
     ///
@@ -583,8 +580,7 @@ impl SearchScratch {
     /// settle order are available as [`order`](Self::order); parents via
     /// [`parent`](Self::parent) (valid for settled members only).
     ///
-    /// Bit-identical to [`crate::shortest_path::cluster_dijkstra`] (kept as
-    /// [`crate::reference::cluster_dijkstra_hashmap`]).
+    /// Bit-identical to [`crate::reference::cluster_dijkstra_hashmap`].
     pub fn cluster_into(&mut self, g: &Graph, w: VertexId, bound: &[Weight]) {
         assert!(g.n() <= self.n, "graph larger than the workspace");
         assert_eq!(bound.len(), g.n(), "bound slice must have one entry per vertex");
@@ -705,23 +701,16 @@ impl SearchScratch {
     }
 
     /// The source of the last single-origin (full, bounded or restricted)
-    /// search.
-    ///
-    /// # Panics
-    ///
-    /// Panics before the first search and after a multi-source search
-    /// (which has no single source).
-    pub fn source(&self) -> VertexId {
-        assert!(
-            matches!(self.kind, SearchKind::SingleOrigin | SearchKind::Cluster),
-            "source() needs a preceding single-origin search"
-        );
-        self.source
+    /// search; `None` before the first search and after a multi-source
+    /// search, which has no single source.
+    pub fn source(&self) -> Option<VertexId> {
+        matches!(self.kind, SearchKind::SingleOrigin | SearchKind::Cluster).then_some(self.source)
     }
 
     /// The tree path from the last search's source to `v` (inclusive), or
-    /// `None` if `v` was not settled. Allocates the returned path; a caller
-    /// reading many paths reuses one buffer through
+    /// `None` if `v` was not settled or the last search has no source (a
+    /// multi-source search, or none yet). Allocates the returned path; a
+    /// caller reading many paths reuses one buffer through
     /// [`path_into`](Self::path_into).
     pub fn path_to(&self, v: VertexId) -> Option<Vec<VertexId>> {
         let mut path = Vec::new();
@@ -730,10 +719,10 @@ impl SearchScratch {
 
     /// Writes the tree path from the last search's source to `v`
     /// (inclusive) into `path`, replacing its contents; `false`, with `path`
-    /// empty, if `v` was not settled.
+    /// empty, if `v` was not settled or the last search has no source.
     pub fn path_into(&self, v: VertexId, path: &mut Vec<VertexId>) -> bool {
         path.clear();
-        if self.settled.get(v.index()) != Some(&self.epoch) {
+        if self.source().is_none() || self.settled.get(v.index()) != Some(&self.epoch) {
             return false;
         }
         path.push(v);
@@ -1167,8 +1156,7 @@ impl BfsBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators;
-    use crate::shortest_path::{ball, cluster_dijkstra, dijkstra, multi_source_dijkstra};
+    use crate::{generators, reference, GraphBuilder};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1182,21 +1170,61 @@ mod tests {
         )
     }
 
+    /// `0 -1- 1 -1- 3` and `0 -3- 2 -1- 3`.
+    fn weighted_diamond() -> Graph {
+        let mut b = GraphBuilder::new(4);
+        for (u, v, w) in [(0, 1, 1), (1, 3, 1), (0, 2, 3), (2, 3, 1)] {
+            b.add_edge(u, v, w).unwrap();
+        }
+        b.build()
+    }
+
+    /// The last search's parents (or first hops) by vertex, the rows
+    /// [`reference`] returns.
+    fn row(g: &Graph, read: impl Fn(VertexId) -> Option<VertexId>) -> Vec<Option<VertexId>> {
+        g.vertices().map(read).collect()
+    }
+
+    /// The path a parent row spells from its root to `v`.
+    fn walk(parent: &[Option<VertexId>], v: VertexId) -> Vec<VertexId> {
+        let mut path = vec![v];
+        while let Some(p) = parent[path[path.len() - 1].index()] {
+            path.push(p);
+        }
+        path.reverse();
+        path
+    }
+
+    /// The full search from `src` on `s` against the reference Dijkstra:
+    /// distances, parents, first hops and every tree path.
+    fn assert_dijkstra_matches_reference(g: &Graph, s: &SearchScratch, src: VertexId) {
+        let (dist, parent, first_hop) = reference::dijkstra_alloc(g, src);
+        assert_eq!(s.source(), Some(src));
+        assert_eq!(s.dist_row(g.n()), dist, "dist from {src}");
+        assert_eq!(row(g, |v| s.parent(v)), parent, "parents from {src}");
+        assert_eq!(row(g, |v| s.first_hop(v)), first_hop, "first hops from {src}");
+        for v in g.vertices() {
+            let path = (dist[v.index()] != INFINITY).then(|| walk(&parent, v));
+            assert_eq!(s.path_to(v), path, "path {src}->{v}");
+        }
+    }
+
+    /// The ball search just run on `s` against the reference ball search.
+    fn assert_ball_matches_reference(g: &Graph, s: &SearchScratch, radius: Weight, u: VertexId, ell: usize) {
+        let (members, first_hops, radius_ref) = reference::ball_hashmap(g, u, ell);
+        assert_eq!(radius, radius_ref, "radius of B({u}, {ell})");
+        assert_eq!(s.order(), members, "members of B({u}, {ell})");
+        let hops: Vec<_> = s.order().iter().map(|&(v, _)| s.first_hop(v)).collect();
+        assert_eq!(hops, first_hops, "first hops in B({u}, {ell})");
+    }
+
     #[test]
     fn dijkstra_into_matches_wrapper_across_reuses() {
         let g = random_graph(3);
         let mut s = SearchScratch::for_graph(&g);
         for src in [0u32, 17, 42, 0, 79] {
-            let src = VertexId(src);
-            s.dijkstra_into(&g, src);
-            let sp = dijkstra(&g, src);
-            assert_eq!(s.source(), src);
-            for v in g.vertices() {
-                assert_eq!(s.dist(v), sp.dist(v), "dist {src}->{v}");
-                assert_eq!(s.parent(v), sp.parent(v), "parent {src}->{v}");
-                assert_eq!(s.first_hop(v), sp.first_hop(v), "hop {src}->{v}");
-                assert_eq!(s.path_to(v), sp.path_to(v), "path {src}->{v}");
-            }
+            s.dijkstra_into(&g, VertexId(src));
+            assert_dijkstra_matches_reference(&g, &s, VertexId(src));
         }
     }
 
@@ -1208,12 +1236,7 @@ mod tests {
         s.dijkstra_into(&g, VertexId(0));
         for (u, ell) in [(VertexId(7), 1), (VertexId(7), 9), (VertexId(30), 500)] {
             let radius = s.ball_into(&g, u, ell);
-            let b = ball(&g, u, ell);
-            assert_eq!(radius, b.radius());
-            assert_eq!(s.order(), b.members());
-            for &(v, _) in s.order() {
-                assert_eq!(s.first_hop(v), b.first_hop(v));
-            }
+            assert_ball_matches_reference(&g, &s, radius, u, ell);
         }
     }
 
@@ -1221,30 +1244,177 @@ mod tests {
     fn multi_source_into_matches_wrapper() {
         let g = random_graph(7);
         let sources = vec![VertexId(2), VertexId(40), VertexId(71)];
-        let ms = multi_source_dijkstra(&g, &sources);
+        let (dist, nearest) = reference::multi_source_alloc(&g, &sources);
         let mut s = SearchScratch::for_graph(&g);
         s.multi_source_into(&g, &sources);
-        for v in g.vertices() {
-            assert_eq!(s.dist(v), ms.dist(v));
-            assert_eq!(s.nearest(v), ms.nearest(v));
-        }
+        assert_eq!(s.dist_row(g.n()), dist);
+        assert_eq!(row(&g, |v| s.nearest(v)), nearest);
     }
 
     #[test]
     fn cluster_into_matches_wrapper() {
         let g = random_graph(9);
-        let ms = multi_source_dijkstra(&g, &[VertexId(11), VertexId(60)]);
-        let bound: Vec<Weight> =
-            g.vertices().map(|v| ms.dist(v).unwrap_or(INFINITY)).collect();
+        let (bound, _) = reference::multi_source_alloc(&g, &[VertexId(11), VertexId(60)]);
         let mut s = SearchScratch::for_graph(&g);
         for w in [VertexId(0), VertexId(11), VertexId(55)] {
             s.cluster_into(&g, w, &bound);
-            let tree = cluster_dijkstra(&g, w, &bound);
-            assert_eq!(s.order(), tree.members());
-            for &(v, _) in s.order() {
-                assert_eq!(Some(s.parent(v)), tree.parent(v));
-            }
+            let (members, parents) = reference::cluster_dijkstra_hashmap(&g, w, &bound);
+            assert_eq!(s.order(), members);
+            assert_eq!(members.iter().map(|&(v, _)| s.parent(v)).collect::<Vec<_>>(), parents);
         }
+    }
+
+    #[test]
+    fn dijkstra_distances_and_paths() {
+        let g = weighted_diamond();
+        let mut s = SearchScratch::for_graph(&g);
+        s.dijkstra_into(&g, VertexId(0));
+        assert_eq!(s.dist(VertexId(3)), Some(2));
+        assert_eq!(s.dist(VertexId(2)), Some(3));
+        assert_eq!(s.path_to(VertexId(3)), Some(vec![VertexId(0), VertexId(1), VertexId(3)]));
+        assert_eq!(s.first_hop(VertexId(3)), Some(VertexId(1)));
+        assert_eq!(s.first_hop(VertexId(0)), None);
+        assert_eq!(s.source(), Some(VertexId(0)));
+    }
+
+    #[test]
+    fn dijkstra_unreachable() {
+        let mut b = GraphBuilder::new(3);
+        b.add_unit_edge(0, 1).unwrap();
+        let g = b.build();
+        let mut s = SearchScratch::for_graph(&g);
+        s.dijkstra_into(&g, VertexId(0));
+        assert_eq!(s.dist(VertexId(2)), None);
+        assert_eq!(s.parent(VertexId(2)), None);
+        assert_eq!(s.first_hop(VertexId(2)), None);
+        assert_eq!(s.path_to(VertexId(2)), None);
+        assert_eq!(s.order().len(), 2);
+    }
+
+    #[test]
+    fn ball_contains_closest_with_tie_break() {
+        // Star: centre 0, leaves 1..=4, all at distance 1. The ball of size
+        // 3 at 0 holds 0 plus the two smallest-id leaves.
+        let g = generators::star(5);
+        let mut s = SearchScratch::for_graph(&g);
+        let radius = s.ball_into(&g, VertexId(0), 3);
+        assert_eq!(s.order(), [(VertexId(0), 0), (VertexId(1), 1), (VertexId(2), 1)]);
+        // Not every vertex at distance 1 is inside, so the radius falls back
+        // to the previous distance value (0).
+        assert_eq!(radius, 0);
+    }
+
+    #[test]
+    fn ball_radius_complete_level() {
+        // From vertex 0 of a path the 4 closest are 0, 1, 2, 3 and every
+        // vertex at distance <= 3 is included, so the radius is 3.
+        let g = generators::path(6);
+        let mut s = SearchScratch::for_graph(&g);
+        let radius = s.ball_into(&g, VertexId(0), 4);
+        assert_eq!(s.order().len(), 4);
+        assert_eq!(radius, 3);
+        assert_eq!(s.dist(VertexId(3)), Some(3));
+        assert_eq!(s.first_hop(VertexId(3)), Some(VertexId(1)));
+        assert_eq!(s.first_hop(VertexId(0)), None);
+    }
+
+    #[test]
+    fn ball_larger_than_component_returns_component() {
+        let g = generators::path(4);
+        let mut s = SearchScratch::for_graph(&g);
+        let radius = s.ball_into(&g, VertexId(1), 100);
+        assert_eq!(s.order().len(), 4);
+        assert_eq!(Some(radius), s.order().last().map(|&(_, d)| d));
+    }
+
+    #[test]
+    fn ball_center_is_first_member() {
+        let g = weighted_diamond();
+        let mut s = SearchScratch::for_graph(&g);
+        s.ball_into(&g, VertexId(2), 3);
+        assert_eq!(s.order()[0], (VertexId(2), 0));
+        assert_eq!(s.order().len(), 3);
+        assert_eq!(s.source(), Some(VertexId(2)));
+    }
+
+    #[test]
+    fn multi_source_nearest_and_tie_break() {
+        let g = generators::path(7);
+        let mut s = SearchScratch::for_graph(&g);
+        s.multi_source_into(&g, &[VertexId(0), VertexId(6)]);
+        assert_eq!(s.dist(VertexId(2)), Some(2));
+        assert_eq!(s.nearest(VertexId(2)), Some(VertexId(0)));
+        assert_eq!(s.nearest(VertexId(5)), Some(VertexId(6)));
+        // Vertex 3 is equidistant (3) from both sources; the smaller id wins.
+        assert_eq!(s.dist(VertexId(3)), Some(3));
+        assert_eq!(s.nearest(VertexId(3)), Some(VertexId(0)));
+    }
+
+    #[test]
+    fn multi_source_empty_sources() {
+        let g = generators::path(3);
+        let mut s = SearchScratch::for_graph(&g);
+        s.multi_source_into(&g, &[]);
+        assert_eq!(s.dist(VertexId(0)), None);
+        assert_eq!(s.nearest(VertexId(0)), None);
+        assert!(s.order().is_empty());
+    }
+
+    #[test]
+    fn cluster_dijkstra_respects_bound() {
+        // bound[v] = d(v, {5}) on a path: the cluster of 0 is every v with
+        // d(0, v) < d(v, 5), i.e. vertices 0, 1, 2.
+        let g = generators::path(6);
+        let mut s = SearchScratch::for_graph(&g);
+        s.multi_source_into(&g, &[VertexId(5)]);
+        let bound = s.dist_row(g.n());
+        s.cluster_into(&g, VertexId(0), &bound);
+        assert_eq!(s.order(), [(VertexId(0), 0), (VertexId(1), 1), (VertexId(2), 2)]);
+        assert_eq!(s.parent(VertexId(2)), Some(VertexId(1)));
+        assert_eq!(s.parent(VertexId(0)), None);
+        assert!(!s.is_settled(VertexId(4)));
+        assert_eq!(s.source(), Some(VertexId(0)));
+        // The root is kept even where the bound excludes it: d(5, 5) = 0 is
+        // not below d(5, {5}) = 0.
+        s.cluster_into(&g, VertexId(5), &bound);
+        assert_eq!(s.order(), [(VertexId(5), 0)]);
+    }
+
+    #[test]
+    fn cluster_distances_equal_true_distances() {
+        // Subpath property: restricted distances equal true distances for
+        // every cluster member.
+        let g = weighted_diamond();
+        let mut s = SearchScratch::for_graph(&g);
+        s.multi_source_into(&g, &[VertexId(2)]);
+        let bound = s.dist_row(g.n());
+        s.cluster_into(&g, VertexId(0), &bound);
+        let members = s.order().to_vec();
+        assert!(members.len() > 1);
+        s.dijkstra_into(&g, VertexId(0));
+        for (v, d) in members {
+            assert_eq!(s.dist(v), Some(d));
+        }
+    }
+
+    #[test]
+    fn reads_without_a_single_origin_search_answer_none() {
+        let g = generators::path(5);
+        let mut s = SearchScratch::for_graph(&g);
+        let mut path = vec![VertexId(9)];
+        assert_eq!(s.source(), None);
+        assert_eq!(s.path_to(VertexId(2)), None);
+        assert!(!s.path_into(VertexId(2), &mut path) && path.is_empty());
+        // A multi-source search settles vertex 2 but has no single source,
+        // so its slots spell no tree path.
+        s.multi_source_into(&g, &[VertexId(0), VertexId(4)]);
+        assert!(s.is_settled(VertexId(2)));
+        assert_eq!(s.source(), None);
+        assert_eq!(s.path_to(VertexId(2)), None);
+        path.push(VertexId(9));
+        assert!(!s.path_into(VertexId(2), &mut path) && path.is_empty());
+        s.dijkstra_into(&g, VertexId(4));
+        assert_eq!(s.path_to(VertexId(2)), Some(vec![VertexId(4), VertexId(3), VertexId(2)]));
     }
 
     #[test]
@@ -1292,14 +1462,8 @@ mod tests {
         );
         let mut s = SearchScratch::for_graph(&g);
         for src in [0u32, 13, 59] {
-            let src = VertexId(src);
-            s.dijkstra_into(&g, src);
-            let sp = dijkstra(&g, src);
-            for v in g.vertices() {
-                assert_eq!(s.dist(v), sp.dist(v), "dist {src}->{v}");
-                assert_eq!(s.parent(v), sp.parent(v), "parent {src}->{v}");
-                assert_eq!(s.first_hop(v), sp.first_hop(v), "hop {src}->{v}");
-            }
+            s.dijkstra_into(&g, VertexId(src));
+            assert_dijkstra_matches_reference(&g, &s, VertexId(src));
         }
     }
 
@@ -1317,11 +1481,7 @@ mod tests {
         );
         let mut full = SearchScratch::for_graph(&g);
         full.dijkstra_into(&g, VertexId(7));
-        let sp = dijkstra(&g, VertexId(7));
-        for v in g.vertices() {
-            assert_eq!(full.dist(v), sp.dist(v), "dist 7->{v}");
-            assert_eq!(full.parent(v), sp.parent(v), "parent 7->{v}");
-        }
+        assert_dijkstra_matches_reference(&g, &full, VertexId(7));
         // Target-bounded prefix and resume hold across the hybrid queue.
         let mut bounded = SearchScratch::for_graph(&g);
         bounded.dijkstra_targets_into(&g, VertexId(7), &[VertexId(3), VertexId(64)]);
@@ -1331,11 +1491,9 @@ mod tests {
         let settled = bounded.order().len();
         assert_eq!(bounded.order(), &full.order()[..settled]);
         // Bounded ball searches share the queue; check one against the
-        // allocating wrapper.
+        // reference ball search.
         let radius = bounded.ball_into(&g, VertexId(12), 15);
-        let b = ball(&g, VertexId(12), 15);
-        assert_eq!(radius, b.radius());
-        assert_eq!(bounded.order(), b.members());
+        assert_ball_matches_reference(&g, &bounded, radius, VertexId(12), 15);
     }
 
     #[test]

@@ -415,8 +415,7 @@ fn record_delivery(hops: usize, max_header_words: usize) {
 mod tests {
     use super::*;
     use crate::toys::{graph, FullTable, BAD_PORT, EAGER, LOOP};
-    use routing_graph::generators;
-    use routing_graph::shortest_path::dijkstra;
+    use routing_graph::{generators, SearchScratch};
 
     #[test]
     fn lean_simulation_matches_the_full_simulator() {
@@ -443,7 +442,8 @@ mod tests {
     fn simulator_follows_shortest_paths_of_full_tables() {
         let g = generators::grid(4, 4);
         let s = FullTable::build(&g);
-        let sp = dijkstra(&g, VertexId(0));
+        let mut sp = SearchScratch::for_graph(&g);
+        sp.dijkstra_into(&g, VertexId(0));
         for v in g.vertices() {
             let out = simulate(&g, &s, VertexId(0), v).unwrap();
             assert_eq!(out.destination(), v);

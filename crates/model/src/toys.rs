@@ -1,8 +1,7 @@
 //! Toy schemes for this crate's tests (compiled under `cfg(test)` only):
 //! full next-hop tables, and schemes that make one decision everywhere.
 
-use routing_graph::shortest_path::dijkstra;
-use routing_graph::{Graph, GraphBuilder, Port, VertexId};
+use routing_graph::{Graph, GraphBuilder, Port, SearchScratch, VertexId};
 
 use crate::scheme::{Decision, HeaderSize, RoutingScheme};
 use crate::RouteError;
@@ -41,10 +40,11 @@ impl FullTable {
     pub fn build(g: &Graph) -> Self {
         let n = g.n();
         let mut next = vec![vec![None; n]; n];
+        let mut sp = SearchScratch::for_graph(g);
         for v in g.vertices() {
             // In the tree rooted at `v`, `u`'s parent is the next vertex on
             // a shortest path from `u` to `v`.
-            let sp = dijkstra(g, v);
+            sp.dijkstra_into(g, v);
             for u in g.vertices().filter(|&u| u != v) {
                 if let Some(p) = sp.parent(u) {
                     next[u.index()][v.index()] = g.port_to(u, p);

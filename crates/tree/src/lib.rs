@@ -66,7 +66,6 @@ use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
-use routing_graph::shortest_path::{RestrictedTree, ShortestPathTree};
 use routing_graph::codec::bytes_for;
 use routing_graph::{Graph, PackedColumn, PackedView, Port, SearchScratch, SlotCodec, VertexId};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
@@ -324,6 +323,17 @@ fn offset(len: usize) -> Result<u32, TreeBuildError> {
         .map_err(|_| TreeBuildError::NotATree { what: "trees exceed the u32 offset range".into() })
 }
 
+/// The tree the last search on `scratch` settled: its root and the
+/// `(child, parent)` pair of every other settled vertex.
+fn scratch_tree(
+    scratch: &SearchScratch,
+) -> Result<(VertexId, impl Iterator<Item = (VertexId, VertexId)> + '_), TreeBuildError> {
+    let root = scratch
+        .source()
+        .ok_or_else(|| TreeBuildError::NotATree { what: "the search has no single source".into() })?;
+    Ok((root, scratch.order().iter().filter_map(|&(v, _)| scratch.parent(v).map(|p| (v, p)))))
+}
+
 impl TreeForest {
     /// A forest of no trees, for trees of `g`.
     pub fn new(g: &Graph) -> Self {
@@ -507,10 +517,12 @@ impl TreeForest {
     ///
     /// # Errors
     ///
-    /// As [`TreeForest::push_parents`].
+    /// As [`TreeForest::push_parents`], and [`TreeBuildError::NotATree`] if
+    /// the workspace holds no single-origin search (none has run, or the
+    /// last was multi-source); the forest is then unchanged.
     pub fn push_scratch(&mut self, g: &Graph, scratch: &SearchScratch) -> Result<(), TreeBuildError> {
-        let edges = scratch.order().iter().filter_map(|&(v, _)| scratch.parent(v).map(|p| (v, p)));
-        self.push_parents(g, scratch.source(), edges)
+        let (root, edges) = scratch_tree(scratch)?;
+        self.push_parents(g, root, edges)
     }
 
     /// Appends the trees of `parts`, forests packed at the same widths, in order:
@@ -810,36 +822,11 @@ impl TreeScheme {
         Ok(TreeScheme { name: format!("tree-routing(root={root})"), root, n_graph: g.n(), forest, nodes })
     }
 
-    /// Builds the router from a single-source shortest-path tree, spanning
-    /// every vertex reachable from its source.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`TreeBuildError`] (cannot occur for a well-formed SPT of
-    /// `g`).
-    pub fn from_spt(g: &Graph, spt: &ShortestPathTree) -> Result<Self, TreeBuildError> {
-        let edges = spt.reachable().filter_map(|(v, _)| spt.parent(v).map(|p| (v, p)));
-        Self::from_parents(g, spt.source(), edges)
-    }
-
-    /// Builds the router for a cluster tree produced by
-    /// [`routing_graph::shortest_path::cluster_dijkstra`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`TreeBuildError`] (cannot occur for a well-formed cluster
-    /// tree of `g`).
-    pub fn from_restricted(g: &Graph, tree: &RestrictedTree) -> Result<Self, TreeBuildError> {
-        let edges = tree.members().iter().filter_map(|&(v, _)| tree.parent(v)?.map(|p| (v, p)));
-        Self::from_parents(g, tree.root(), edges)
-    }
-
     /// Builds the router straight from the last search run on a
     /// [`SearchScratch`] — a full Dijkstra (`dijkstra_into`) or a restricted
-    /// cluster search (`cluster_into`) — without materializing an owned
-    /// [`ShortestPathTree`]/[`RestrictedTree`] first. The settled vertices
-    /// become the tree; the result is identical to going through
-    /// [`TreeScheme::from_spt`]/[`TreeScheme::from_restricted`].
+    /// cluster search (`cluster_into`). The settled vertices become the
+    /// tree, under the search's parents: the shortest-path tree of the
+    /// source's component, or the cluster tree `T_{C_A(w)}`.
     ///
     /// The tree covers exactly the vertices the search settled. A
     /// target-bounded search (`dijkstra_targets_into`) therefore yields a
@@ -849,11 +836,12 @@ impl TreeScheme {
     ///
     /// # Errors
     ///
-    /// Propagates [`TreeBuildError`] (cannot occur for a well-formed search
-    /// on `g`).
+    /// [`TreeBuildError::NotATree`] if the workspace holds no single-origin
+    /// search (none has run, or the last was multi-source); otherwise
+    /// propagates [`TreeBuildError`] (cannot occur for a search on `g`).
     pub fn from_scratch(g: &Graph, scratch: &SearchScratch) -> Result<Self, TreeBuildError> {
-        let edges = scratch.order().iter().filter_map(|&(v, _)| scratch.parent(v).map(|p| (v, p)));
-        Self::from_parents(g, scratch.source(), edges)
+        let (root, edges) = scratch_tree(scratch)?;
+        Self::from_parents(g, root, edges)
     }
 
     /// The root of the tree.
@@ -998,12 +986,23 @@ impl RoutingScheme for TreeScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use routing_graph::{generators, SLOT_PAD};
-    use routing_graph::shortest_path::{cluster_dijkstra, dijkstra, multi_source_dijkstra};
+    use routing_graph::{generators, reference, SLOT_PAD};
     use routing_model::simulate;
 
     fn spt_scheme(g: &Graph, root: VertexId) -> TreeScheme {
-        TreeScheme::from_spt(g, &dijkstra(g, root)).expect("valid spt")
+        let mut scratch = SearchScratch::for_graph(g);
+        scratch.dijkstra_into(g, root);
+        TreeScheme::from_scratch(g, &scratch).expect("valid spt")
+    }
+
+    /// The cluster tree of 0 on a 6 × 6 grid under `d(·, {35})`: the
+    /// workspace's last search, and the bound.
+    fn grid_cluster(g: &Graph) -> (SearchScratch, Vec<routing_graph::Weight>) {
+        let mut scratch = SearchScratch::for_graph(g);
+        scratch.multi_source_into(g, &[VertexId(35)]);
+        let bound = scratch.dist_row(g.n());
+        scratch.cluster_into(g, VertexId(0), &bound);
+        (scratch, bound)
     }
 
     #[test]
@@ -1039,8 +1038,9 @@ mod tests {
             &mut rng,
         );
         let root = VertexId(0);
-        let spt = dijkstra(&g, root);
-        let t = TreeScheme::from_spt(&g, &spt).unwrap();
+        let mut spt = SearchScratch::for_graph(&g);
+        spt.dijkstra_into(&g, root);
+        let t = TreeScheme::from_scratch(&g, &spt).unwrap();
         // Routing to the root must follow the shortest path in the graph
         // (tree paths to the root are graph shortest paths).
         for v in g.vertices() {
@@ -1080,13 +1080,10 @@ mod tests {
     #[test]
     fn cluster_tree_routing() {
         let g = generators::grid(6, 6);
-        let sources = [VertexId(35)];
-        let ms = multi_source_dijkstra(&g, &sources);
-        let bound: Vec<_> = g.vertices().map(|v| ms.dist(v).unwrap()).collect();
-        let cluster = cluster_dijkstra(&g, VertexId(0), &bound);
-        let t = TreeScheme::from_restricted(&g, &cluster).unwrap();
+        let (cluster, _) = grid_cluster(&g);
+        let t = TreeScheme::from_scratch(&g, &cluster).unwrap();
         assert!(t.len() > 1);
-        for &(v, d) in cluster.members() {
+        for &(v, d) in cluster.order() {
             let out = simulate(&g, &t, VertexId(0), v).unwrap();
             assert_eq!(out.weight, d, "cluster tree routes on shortest paths from the root");
         }
@@ -1094,28 +1091,53 @@ mod tests {
 
     #[test]
     fn from_scratch_matches_the_materializing_constructors() {
+        // `from_parents` over the rows the reference searches materialize.
         let g = generators::grid(6, 6);
         let mut scratch = SearchScratch::for_graph(&g);
 
         scratch.dijkstra_into(&g, VertexId(7));
         let a = TreeScheme::from_scratch(&g, &scratch).unwrap();
-        let b = TreeScheme::from_spt(&g, &dijkstra(&g, VertexId(7))).unwrap();
+        let (_, parent, _) = reference::dijkstra_alloc(&g, VertexId(7));
+        let edges = g.vertices().filter_map(|v| parent[v.index()].map(|p| (v, p)));
+        let b = TreeScheme::from_parents(&g, VertexId(7), edges).unwrap();
         for v in g.vertices() {
             assert_eq!(a.node_info(v), b.node_info(v));
             assert_eq!(a.label(v), b.label(v));
         }
 
-        let ms = multi_source_dijkstra(&g, &[VertexId(35)]);
-        let bound: Vec<_> = g.vertices().map(|v| ms.dist(v).unwrap()).collect();
-        scratch.cluster_into(&g, VertexId(0), &bound);
+        let (scratch, bound) = grid_cluster(&g);
         let a = TreeScheme::from_scratch(&g, &scratch).unwrap();
-        let b =
-            TreeScheme::from_restricted(&g, &cluster_dijkstra(&g, VertexId(0), &bound)).unwrap();
+        let (members, parents) = reference::cluster_dijkstra_hashmap(&g, VertexId(0), &bound);
+        let edges = members.iter().zip(parents).filter_map(|(&(v, _), p)| p.map(|p| (v, p)));
+        let b = TreeScheme::from_parents(&g, VertexId(0), edges).unwrap();
         assert_eq!(a.len(), b.len());
         for v in g.vertices() {
             assert_eq!(a.node_info(v), b.node_info(v));
             assert_eq!(a.label(v), b.label(v));
         }
+    }
+
+    /// A workspace with no single-origin search — none run yet, or a
+    /// multi-source one last — holds no tree: both builds refuse it, and
+    /// the forest is left as it was.
+    #[test]
+    fn builds_from_a_sourceless_search_are_refused() {
+        let g = generators::path(5);
+        let mut scratch = SearchScratch::for_graph(&g);
+        let mut forest = TreeForest::new(&g);
+        for multi_source in [false, true] {
+            if multi_source {
+                scratch.multi_source_into(&g, &[VertexId(0), VertexId(4)]);
+            }
+            let refused = TreeScheme::from_scratch(&g, &scratch);
+            assert!(matches!(refused, Err(TreeBuildError::NotATree { .. })), "multi-source: {multi_source}");
+            let refused = forest.push_scratch(&g, &scratch);
+            assert!(matches!(refused, Err(TreeBuildError::NotATree { .. })), "multi-source: {multi_source}");
+            assert_eq!(forest, TreeForest::new(&g));
+        }
+        scratch.dijkstra_into(&g, VertexId(2));
+        assert_eq!(TreeScheme::from_scratch(&g, &scratch).map(|t| t.len()), Ok(5));
+        assert!(forest.push_scratch(&g, &scratch).is_ok() && forest.len() == 1);
     }
 
     #[test]

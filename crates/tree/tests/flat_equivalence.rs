@@ -13,7 +13,6 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use routing_graph::generators::{self, WeightModel};
-use routing_graph::shortest_path::{cluster_dijkstra, dijkstra};
 use routing_graph::{Graph, Port, SearchScratch, VertexId, Weight, INFINITY};
 use routing_model::{simulate, RouteError, RoutingScheme};
 use routing_tree::{TreeBuildError, TreeLabel, TreeNodeInfo, TreeScheme};
@@ -170,7 +169,7 @@ impl RefTree {
                 parents.insert(v, p);
             }
         }
-        Self::from_parents(g, scratch.source(), &parents)
+        Self::from_parents(g, scratch.source().expect("a single-origin search"), &parents)
     }
 }
 
@@ -197,7 +196,7 @@ fn assert_same_tree(g: &Graph, flat: &TreeScheme, reference: &RefTree) {
 }
 
 /// Spanning trees from every `stride`-th root and restricted cluster trees
-/// under the distance-to-sample bound, through every constructor.
+/// under the distance-to-sample bound.
 fn check_graph(g: &Graph, stride: usize) {
     let mut scratch = SearchScratch::for_graph(g);
     let sample: Vec<VertexId> = g.vertices().step_by(stride.max(2)).collect();
@@ -209,13 +208,10 @@ fn check_graph(g: &Graph, stride: usize) {
         scratch.dijkstra_into(g, root);
         let reference = RefTree::from_scratch(g, &scratch).unwrap();
         assert_same_tree(g, &TreeScheme::from_scratch(g, &scratch).unwrap(), &reference);
-        assert_same_tree(g, &TreeScheme::from_spt(g, &dijkstra(g, root)).unwrap(), &reference);
 
         scratch.cluster_into(g, root, &bound);
         let reference = RefTree::from_scratch(g, &scratch).unwrap();
         assert_same_tree(g, &TreeScheme::from_scratch(g, &scratch).unwrap(), &reference);
-        let cluster = cluster_dijkstra(g, root, &bound);
-        assert_same_tree(g, &TreeScheme::from_restricted(g, &cluster).unwrap(), &reference);
     }
 }
 
@@ -330,7 +326,9 @@ fn non_members_have_no_info_and_cannot_be_routed() {
     let g = generators::grid(4, 4);
     let bound: Vec<Weight> =
         g.vertices().map(|x| if x.index() < 8 { INFINITY } else { 0 }).collect();
-    let t = TreeScheme::from_restricted(&g, &cluster_dijkstra(&g, VertexId(0), &bound)).unwrap();
+    let mut scratch = SearchScratch::for_graph(&g);
+    scratch.cluster_into(&g, VertexId(0), &bound);
+    let t = TreeScheme::from_scratch(&g, &scratch).unwrap();
     assert_eq!(t.len(), 8);
     let outside = VertexId(12);
     assert!(!t.contains(outside));

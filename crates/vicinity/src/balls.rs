@@ -520,8 +520,7 @@ fn fill_ball(
 
 /// A borrowed view of one ball `B(u, ℓ)` inside a [`BallTable`].
 ///
-/// Mirrors the API of the owned [`routing_graph::shortest_path::Ball`], but
-/// reads straight from the table's flat arrays; membership-style queries are
+/// Reads straight from the table's flat arrays; membership-style queries are
 /// one slot probe each.
 #[derive(Debug, Clone, Copy)]
 pub struct BallView<'a> {
@@ -593,8 +592,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use routing_graph::{generators, SLOT_PAD};
-    use routing_graph::shortest_path::{ball, dijkstra};
+    use routing_graph::{generators, reference, SearchScratch, SLOT_PAD};
 
     /// The rank of `v` in `B(u, ℓ)`: its position in the settle-order ids.
     fn position(t: &BallTable, u: VertexId, v: VertexId) -> Option<usize> {
@@ -712,8 +710,8 @@ mod tests {
 
     #[test]
     fn flat_table_matches_standalone_balls() {
-        // The CSR table must agree with the owned Ball API member for
-        // member: same order, ranks (positions in the ids), radii, hops.
+        // The CSR table must agree with the reference ball search member
+        // for member: same order, ranks (positions in the ids), radii, hops.
         let mut rng = StdRng::seed_from_u64(23);
         let g = generators::erdos_renyi(
             60,
@@ -723,22 +721,23 @@ mod tests {
         );
         let t = BallTable::build(&g, 8);
         for u in g.vertices() {
-            let owned = ball(&g, u, 8);
+            let (members, first_hops, radius) = reference::ball_hashmap(&g, u, 8);
             let view = t.ball(u);
-            assert_eq!(view.members(), owned.members());
-            let ids: Vec<VertexId> = owned.members().iter().map(|&(v, _)| v).collect();
-            let dists: Vec<Weight> = owned.members().iter().map(|&(_, d)| d).collect();
+            assert_eq!(view.members(), members);
+            let ids: Vec<VertexId> = members.iter().map(|&(v, _)| v).collect();
+            let dists: Vec<Weight> = members.iter().map(|&(_, d)| d).collect();
             assert_eq!(view.ids(), ids);
             assert_eq!(view.dists(), Some(&dists[..]));
-            assert_eq!(view.radius(), owned.radius());
-            assert_eq!(view.center(), owned.center());
-            assert_eq!(view.is_empty(), owned.is_empty());
+            assert_eq!(view.radius(), radius);
+            assert_eq!(view.center(), members[0].0);
+            assert_eq!(view.is_empty(), members.len() <= 1);
             for v in g.vertices() {
-                assert_eq!(view.contains(v), owned.contains(v));
-                assert_eq!(dist(&t, u, v), owned.dist_to(v));
-                assert_eq!(position(&t, u, v), owned.rank(v));
+                let rank = ids.iter().position(|&x| x == v);
+                assert_eq!(view.contains(v), rank.is_some());
+                assert_eq!(dist(&t, u, v), rank.map(|i| dists[i]));
+                assert_eq!(position(&t, u, v), rank);
                 let hop = t.first_port(u, v).map(|port| g.neighbor_at(u, port).to);
-                assert_eq!(hop, owned.first_hop(v));
+                assert_eq!(hop, rank.and_then(|i| first_hops[i]));
             }
         }
     }
@@ -931,8 +930,9 @@ mod tests {
         let g = generators::erdos_renyi(70, 0.08, generators::WeightModel::Unit, &mut rng);
         let ell = 9;
         let t = BallTable::build(&g, ell);
+        let mut sp = SearchScratch::for_graph(&g);
         for u in g.vertices() {
-            let sp = dijkstra(&g, u);
+            sp.dijkstra_into(&g, u);
             for &v in t.ball(u).ids() {
                 if v == u {
                     continue;

@@ -16,7 +16,6 @@
 
 use rand::Rng;
 
-use routing_graph::shortest_path::{multi_source_dijkstra, RestrictedTree};
 use routing_graph::{Graph, SearchScratch, VertexId, Weight, INFINITY};
 
 /// A landmark set `A` together with the nearest-landmark data of every
@@ -35,16 +34,10 @@ impl Landmarks {
         let mut members = set;
         members.sort_unstable();
         members.dedup();
-        let (dist, nearest) = if members.is_empty() {
-            (vec![INFINITY; g.n()], vec![None; g.n()])
-        } else {
-            let ms = multi_source_dijkstra(g, &members);
-            (
-                g.vertices().map(|v| ms.dist(v).unwrap_or(INFINITY)).collect(),
-                g.vertices().map(|v| ms.nearest(v)).collect(),
-            )
-        };
-        Landmarks { members, dist, nearest }
+        let mut search = SearchScratch::for_graph(g);
+        search.multi_source_into(g, &members);
+        let nearest = g.vertices().map(|v| search.nearest(v)).collect();
+        Landmarks { dist: search.dist_row(g.n()), members, nearest }
     }
 
     /// The landmark vertices, sorted by id.
@@ -72,10 +65,10 @@ impl Landmarks {
         self.nearest.get(v.index()).copied().flatten()
     }
 
-    /// The per-vertex bound slice `d(·, A)` used by
-    /// [`routing_graph::shortest_path::cluster_dijkstra`] (`INFINITY` where
-    /// `A` is unreachable, so clusters degenerate to full reachability when
-    /// `A` is empty).
+    /// The per-vertex bound slice `d(·, A)` a cluster search
+    /// ([`SearchScratch::cluster_into`]) takes (`INFINITY` where `A` is
+    /// unreachable, so clusters degenerate to full reachability when `A` is
+    /// empty).
     pub fn bound_slice(&self) -> &[Weight] {
         &self.dist
     }
@@ -129,32 +122,34 @@ pub fn sample_centers_bounded<R: Rng>(g: &Graph, s: usize, rng: &mut R) -> Landm
     Landmarks::new(g, a)
 }
 
-/// Computes the cluster tree `T_{C_A(w)}` of every vertex `w`, indexed by
-/// vertex id. One restricted search per vertex, run in parallel.
+/// Computes the cluster `C_A(w)` of every vertex `w`, indexed by vertex id:
+/// its members `(v, d(w, v))` in `(distance, id)` settle order, `w` first.
+/// One restricted search per vertex, run in parallel.
 ///
 /// The schemes build their clusters with `routing_core::ClusterFamily`;
 /// this and [`bunches`] are the reference that stage is tested against and
 /// a per-layer probe of the benchmark.
-pub fn all_clusters(g: &Graph, landmarks: &Landmarks) -> Vec<RestrictedTree> {
+pub fn all_clusters(g: &Graph, landmarks: &Landmarks) -> Vec<Vec<(VertexId, Weight)>> {
     let _span = routing_obs::span("clusters");
     routing_par::par_map_scratch(
         g.n(),
         || SearchScratch::for_graph(g),
         |scratch, w| {
             scratch.cluster_into(g, VertexId(w as u32), landmarks.bound_slice());
-            RestrictedTree::from_scratch(scratch)
+            scratch.order().to_vec()
         },
     )
 }
 
 /// Inverts clusters into bunches: `bunches(g, clusters)[v]` lists every
-/// `(w, d(w, v))` with `w ∈ B_A(v)`, sorted by distance then id.
-pub fn bunches(g: &Graph, clusters: &[RestrictedTree]) -> Vec<Vec<(VertexId, Weight)>> {
+/// `(w, d(w, v))` with `w ∈ B_A(v)`, sorted by distance then id, where
+/// `clusters[w]` lists the members of `C_A(w)` as [`all_clusters`] does.
+pub fn bunches(g: &Graph, clusters: &[Vec<(VertexId, Weight)>]) -> Vec<Vec<(VertexId, Weight)>> {
     let _span = routing_obs::span("bunches");
     let mut out: Vec<Vec<(VertexId, Weight)>> = vec![Vec::new(); g.n()];
-    for tree in clusters {
-        let w = tree.root();
-        for &(v, d) in tree.members() {
+    for (w, cluster) in clusters.iter().enumerate() {
+        let w = VertexId(w as u32);
+        for &(v, d) in cluster {
             // The root itself is a member of its restricted tree but
             // d(w, w) = 0 < d(w, A) only holds when w is not a landmark;
             // keep the membership test faithful to the definition.
@@ -188,7 +183,6 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use routing_graph::generators;
-    use routing_graph::shortest_path::dijkstra;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(17)
@@ -231,19 +225,21 @@ mod tests {
         let lm = Landmarks::new(&g, (0..8).map(|i| VertexId(7 * i + 3)).collect());
         let clusters = all_clusters(&g, &lm);
         let bunches = bunches(&g, &clusters);
+        let in_cluster = |w: VertexId, v| clusters[w.index()].iter().any(|&(x, _)| x == v);
+        let mut sp = SearchScratch::for_graph(&g);
         // w in B(v) iff v in C(w), and the recorded distance is d(w, v).
         for v in g.vertices() {
             for &(w, d) in &bunches[v.index()] {
-                assert!(clusters[w.index()].contains(v));
-                let sp = dijkstra(&g, w);
+                assert!(in_cluster(w, v));
+                sp.dijkstra_into(&g, w);
                 assert_eq!(sp.dist(v), Some(d));
             }
         }
         // Definition check: v in C(w) iff d(w,v) < d(v,A).
         for w in g.vertices() {
-            let sp = dijkstra(&g, w);
+            sp.dijkstra_into(&g, w);
             for v in g.vertices() {
-                let in_cluster = clusters[w.index()].contains(v);
+                let in_cluster = in_cluster(w, v);
                 let expected = match lm.dist_to_set(v) {
                     Some(da) => sp.dist(v).map(|d| d < da).unwrap_or(false),
                     None => sp.dist(v).is_some(),

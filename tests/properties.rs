@@ -10,8 +10,8 @@ use routing_core::{Params, SchemeFivePlusEps, SchemeMultilevel};
 use routing_graph::apsp::DistanceMatrix;
 use routing_graph::generators::{self, WeightModel};
 use routing_graph::mutate::apply_events;
-use routing_graph::shortest_path::{ball, cluster_dijkstra, dijkstra, Ball};
-use routing_graph::{Graph, GraphBuilder, Port, SampledDistances, VertexId, Weight};
+use routing_graph::reference;
+use routing_graph::{Graph, GraphBuilder, Port, SampledDistances, SearchScratch, VertexId, Weight};
 use routing_model::simulate;
 use routing_vicinity::BallTable;
 
@@ -36,8 +36,9 @@ proptest! {
     #[test]
     fn property_one_holds((g, _seed) in arb_graph(), ell in 3usize..20) {
         let balls = BallTable::build(&g, ell);
+        let mut spt = SearchScratch::for_graph(&g);
         for u in g.vertices().step_by(5) {
-            let spt = dijkstra(&g, u);
+            spt.dijkstra_into(&g, u);
             for &v in balls.ball(u).ids() {
                 if v == u { continue; }
                 for w in spt.path_to(v).unwrap() {
@@ -283,6 +284,10 @@ fn parallel_and_sequential_ground_truth_are_identical() {
 const SLOT_HASH_MULT: u32 = 0x9E37_79B1;
 const EMPTY_KEY: u32 = u32::MAX;
 
+/// A reference ball, the rows [`reference::ball_hashmap`] returns: the
+/// members in settle order, their first hops and the radius.
+type RefBall = (Vec<(VertexId, Weight)>, Vec<Option<VertexId>>, Weight);
+
 /// `BallTable::build` at a given thread count; the caller holds
 /// `THREADS_LOCK`.
 fn ball_table_at(g: &Graph, ell: usize, threads: usize) -> BallTable {
@@ -301,7 +306,7 @@ fn ball_table_at(g: &Graph, ell: usize, threads: usize) -> BallTable {
 /// `max(home, previous + 1)`, load ≤ 3/4, the last slot empty, no slack, and
 /// every probe sequence — hit or miss — no longer than the ball plus the
 /// slot that ends it.
-fn check_ball_table(g: &Graph, table: &BallTable, reference: impl Fn(VertexId) -> Ball) {
+fn check_ball_table(g: &Graph, table: &BallTable, reference: impl Fn(VertexId) -> RefBall) {
     check_ball_table_probing(g, table, reference, |_| g.vertices().collect());
 }
 
@@ -311,7 +316,7 @@ fn check_ball_table(g: &Graph, table: &BallTable, reference: impl Fn(VertexId) -
 fn check_ball_table_probing(
     g: &Graph,
     table: &BallTable,
-    reference: impl Fn(VertexId) -> Ball,
+    reference: impl Fn(VertexId) -> RefBall,
     probes: impl Fn(VertexId) -> Vec<VertexId>,
 ) {
     let hash = |id: u32| id.wrapping_mul(SLOT_HASH_MULT);
@@ -319,20 +324,24 @@ fn check_ball_table_probing(
     let ports = table.clone().into_ports();
     assert_eq!((ports.ell(), ports.len()), (table.ell(), g.n()));
     for u in g.vertices() {
-        let owned = reference(u);
+        let (members, first_hops, radius) = reference(u);
         let view = table.ball(u);
-        let ids: Vec<VertexId> = owned.members().iter().map(|&(v, _)| v).collect();
-        let dists: Vec<Weight> = owned.members().iter().map(|&(_, d)| d).collect();
+        let ids: Vec<VertexId> = members.iter().map(|&(v, _)| v).collect();
+        let dists: Vec<Weight> = members.iter().map(|&(_, d)| d).collect();
         assert_eq!(view.ids(), ids, "ids of B({u})");
         assert_eq!(view.dists(), Some(&dists[..]), "distances in B({u})");
-        assert_eq!(view.radius(), owned.radius());
-        assert_eq!(ports.words_at(u), 3 * (owned.members().len() - 1));
+        assert_eq!(view.radius(), radius);
+        assert_eq!(ports.words_at(u), 3 * (members.len() - 1));
+        // Each member's first hop, by id: `Some(hop)` for a member.
+        let mut by_id: Vec<_> = ids.iter().copied().zip(first_hops).collect();
+        by_id.sort_unstable();
+        let owned = |v| by_id.binary_search_by_key(&v, |&(x, _)| x).ok().map(|i| by_id[i].1);
         let probes = probes(u);
         for &v in &probes {
-            assert_eq!(table.contains(u, v), owned.contains(v), "contains({u}, {v})");
-            let port = owned.first_hop(v).and_then(|hop| g.port_to(u, hop));
+            assert_eq!(table.contains(u, v), owned(v).is_some(), "contains({u}, {v})");
+            let port = owned(v).flatten().and_then(|hop| g.port_to(u, hop));
             assert_eq!(table.first_port(u, v), port);
-            assert_eq!(ports.contains(u, v), owned.contains(v), "ports.contains({u}, {v})");
+            assert_eq!(ports.contains(u, v), owned(v).is_some(), "ports.contains({u}, {v})");
             assert_eq!(ports.first_port(u, v), port, "ports.first_port({u}, {v})");
         }
 
@@ -354,7 +363,7 @@ fn check_ball_table_probing(
                 view.ids().contains(&VertexId(id)),
                 "slot {at} of region {u} holds a non-member"
             );
-            let hop = owned.first_hop(VertexId(id)).and_then(|hop| g.port_to(u, hop));
+            let hop = owned(VertexId(id)).flatten().and_then(|hop| g.port_to(u, hop));
             assert_eq!(port, hop.map_or(u32::MAX, |p| p.0), "port of {id} in region {u}");
             (next, prev_hash) = (at + 1, Some(hash(id)));
         }
@@ -404,8 +413,9 @@ fn property_one_along_ports(
 }
 
 /// Holds a TZ hierarchy against the path its clusters replaced — per root
-/// one `cluster_dijkstra` under its level's bound row, then `bunches` and
-/// `TreeScheme::from_restricted` — and against the lemmas on exact
+/// one reference cluster search under its level's bound row, then
+/// `bunches`, and each cluster tree from `cluster_into` +
+/// `TreeScheme::from_scratch` — and against the lemmas on exact
 /// distances: `v ∈ C(w) ⇔ w ∈ B(v) ⇔ d(w, v) < d(v, A_{level(w)+1})`, with
 /// `d(w, v)` recorded in the bunch, and `v ∈ C(p_i(v))` at every level `i`
 /// (tie inheritance).
@@ -417,10 +427,16 @@ fn check_tz_hierarchy(g: &Graph, h: &TzHierarchy, exact: &DistanceMatrix) {
     let rows: Vec<Vec<u64>> =
         (1..=k).map(|next| g.vertices().map(|v| bound(next, v)).collect()).collect();
     let row = |w: VertexId| &rows[h.level_of(w)];
-    let raw: Vec<_> = g.vertices().map(|w| cluster_dijkstra(g, w, row(w))).collect();
+    let raw: Vec<_> = g.vertices().map(|w| reference::cluster_dijkstra_hashmap(g, w, row(w)).0).collect();
     let bunches = routing_vicinity::bunches(g, &raw);
-    let trees: Vec<TreeScheme> =
-        raw.iter().map(|c| TreeScheme::from_restricted(g, c).unwrap()).collect();
+    let mut scratch = SearchScratch::for_graph(g);
+    let trees: Vec<TreeScheme> = g
+        .vertices()
+        .map(|w| {
+            scratch.cluster_into(g, w, row(w));
+            TreeScheme::from_scratch(g, &scratch).unwrap()
+        })
+        .collect();
     for v in g.vertices() {
         let mut bunch = bunches[v.index()].clone();
         bunch.sort_unstable();
@@ -452,46 +468,39 @@ proptest! {
     /// search with the pre-refactor allocating implementations — distances,
     /// parents, first hops, member order, radii and nearest-source labels.
     #[test]
-    fn scratch_kernel_matches_reference_searches((g, seed) in arb_graph(), ell in 2usize..16) {
-        use routing_graph::{reference, SearchScratch};
+    fn scratch_kernel_matches_reference_searches((g, _seed) in arb_graph(), ell in 2usize..16) {
         let mut scratch = SearchScratch::for_graph(&g);
         let sources: Vec<VertexId> = g.vertices().step_by(9).collect();
+        let row = |read: &dyn Fn(VertexId) -> Option<VertexId>| g.vertices().map(read).collect::<Vec<_>>();
 
         for u in g.vertices().step_by(5) {
             // Bounded ball search first, so the following full search must
             // overwrite its partial state via the epoch stamp.
             let radius = scratch.ball_into(&g, u, ell);
-            let b = reference::ball_hashmap(&g, u, ell);
-            prop_assert_eq!(radius, b.radius(), "radius differs at {}", u);
-            prop_assert_eq!(scratch.order(), b.members());
-            for &(v, _) in b.members() {
-                prop_assert_eq!(scratch.first_hop(v), b.first_hop(v));
-            }
+            let (members, first_hops, radius_ref) = reference::ball_hashmap(&g, u, ell);
+            prop_assert_eq!(radius, radius_ref, "radius differs at {}", u);
+            prop_assert_eq!(scratch.order(), members.as_slice());
+            let hops: Vec<_> = members.iter().map(|&(v, _)| scratch.first_hop(v)).collect();
+            prop_assert_eq!(hops, first_hops);
 
             scratch.dijkstra_into(&g, u);
-            let sp = reference::dijkstra_alloc(&g, u);
-            for v in g.vertices() {
-                prop_assert_eq!(scratch.dist(v), sp.dist(v));
-                prop_assert_eq!(scratch.parent(v), sp.parent(v));
-                prop_assert_eq!(scratch.first_hop(v), sp.first_hop(v));
-            }
+            let (dist, parent, first_hop) = reference::dijkstra_alloc(&g, u);
+            prop_assert_eq!(scratch.dist_row(g.n()), dist);
+            prop_assert_eq!(row(&|v| scratch.parent(v)), parent);
+            prop_assert_eq!(row(&|v| scratch.first_hop(v)), first_hop);
         }
 
         scratch.multi_source_into(&g, &sources);
-        let ms = reference::multi_source_alloc(&g, &sources);
-        for v in g.vertices() {
-            prop_assert_eq!(scratch.dist(v), ms.dist(v));
-            prop_assert_eq!(scratch.nearest(v), ms.nearest(v));
-        }
+        let (bound, nearest) = reference::multi_source_alloc(&g, &sources);
+        prop_assert_eq!(scratch.dist_row(g.n()), bound.clone());
+        prop_assert_eq!(row(&|v| scratch.nearest(v)), nearest);
 
-        let bound: Vec<u64> = g.vertices().map(|v| ms.dist(v).unwrap_or(u64::MAX)).collect();
         for w in g.vertices().step_by(7) {
             scratch.cluster_into(&g, w, &bound);
-            let tree = reference::cluster_dijkstra_hashmap(&g, w, &bound);
-            prop_assert_eq!(scratch.order(), tree.members());
-            for &(v, _) in tree.members() {
-                prop_assert_eq!(Some(scratch.parent(v)), tree.parent(v));
-            }
+            let (members, parents) = reference::cluster_dijkstra_hashmap(&g, w, &bound);
+            prop_assert_eq!(scratch.order(), members.as_slice());
+            let kept: Vec<_> = members.iter().map(|&(v, _)| scratch.parent(v)).collect();
+            prop_assert_eq!(kept, parents);
         }
     }
 
@@ -506,7 +515,6 @@ proptest! {
         (g, _seed) in arb_graph(),
         stride in 3usize..9,
     ) {
-        use routing_graph::{reference, SearchScratch};
         let _guard = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let sources: Vec<VertexId> = g.vertices().step_by(6).collect();
         // The far probe forces the resume path: the highest-id vertex is
@@ -551,7 +559,7 @@ proptest! {
             prop_assert!(extended.iter().any(|&(v, _)| v == far));
             // Every settled vertex agrees with the allocating reference
             // search on dist, parent and first hop.
-            let sp = reference::dijkstra_alloc(&g, src);
+            let (dist, parent, first_hop) = reference::dijkstra_alloc(&g, src);
             let mut probe = SearchScratch::for_graph(&g);
             let targets: Vec<VertexId> =
                 g.vertices().skip(i % stride).step_by(stride).take(4).collect();
@@ -559,9 +567,9 @@ proptest! {
             probe.ensure_settled(&g, far);
             for &(v, d) in extended {
                 prop_assert_eq!(probe.dist(v), Some(d));
-                prop_assert_eq!(probe.dist(v), sp.dist(v));
-                prop_assert_eq!(probe.parent(v), sp.parent(v));
-                prop_assert_eq!(probe.first_hop(v), sp.first_hop(v));
+                prop_assert_eq!(d, dist[v.index()]);
+                prop_assert_eq!(probe.parent(v), parent[v.index()]);
+                prop_assert_eq!(probe.first_hop(v), first_hop[v.index()]);
             }
         }
     }
@@ -579,7 +587,7 @@ proptest! {
         avg_degree in 0.5f64..4.0,
     ) {
         use rand::Rng;
-        use routing_graph::{BfsBatch, SearchScratch};
+        use routing_graph::BfsBatch;
         let mut rng = StdRng::seed_from_u64(seed);
         let mut b = GraphBuilder::new(n);
         for u in 0..n {
@@ -614,7 +622,6 @@ proptest! {
         (g, _seed) in arb_graph(),
         ell in 2usize..14,
     ) {
-        use routing_graph::reference;
         let _guard = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let table = ball_table_at(&g, ell, 1);
         prop_assert!(
@@ -630,7 +637,6 @@ proptest! {
     /// still build the table the per-vertex reference search describes.
     #[test]
     fn blocked_ball_build_matches_reference_at_block_boundaries(seed in 1u64..500) {
-        use routing_graph::reference;
         let _guard = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         for n in [1usize, 15, 16, 17, 33] {
             let ties = WeightModel::Uniform { lo: 1, hi: 3 };
@@ -733,36 +739,6 @@ proptest! {
             }
         }
     }
-
-    /// The public wrapper entry points (fresh-workspace-per-call) are
-    /// bit-identical to the reference implementations too — the contract the
-    /// rest of the workspace relies on when it mixes wrappers and scratch.
-    #[test]
-    fn wrapper_entry_points_match_reference((g, _seed) in arb_graph(), ell in 2usize..12) {
-        use routing_graph::reference;
-        use routing_graph::shortest_path::{ball, dijkstra, multi_source_dijkstra};
-        for u in g.vertices().step_by(11) {
-            let a = dijkstra(&g, u);
-            let b = reference::dijkstra_alloc(&g, u);
-            for v in g.vertices() {
-                prop_assert_eq!(a.dist(v), b.dist(v));
-                prop_assert_eq!(a.parent(v), b.parent(v));
-                prop_assert_eq!(a.first_hop(v), b.first_hop(v));
-                prop_assert_eq!(a.path_to(v), b.path_to(v));
-            }
-            let a = ball(&g, u, ell);
-            let b = reference::ball_hashmap(&g, u, ell);
-            prop_assert_eq!(a.members(), b.members());
-            prop_assert_eq!(a.radius(), b.radius());
-        }
-        let sources: Vec<VertexId> = g.vertices().step_by(6).collect();
-        let a = multi_source_dijkstra(&g, &sources);
-        let b = reference::multi_source_alloc(&g, &sources);
-        for v in g.vertices() {
-            prop_assert_eq!(a.dist(v), b.dist(v));
-            prop_assert_eq!(a.nearest(v), b.nearest(v));
-        }
-    }
 }
 
 proptest! {
@@ -783,7 +759,6 @@ proptest! {
     /// first port still matches it.
     #[test]
     fn blocked_ball_build_matches_reference_on_unit_weights(seed in 1u64..500) {
-        use routing_graph::reference;
         let _guard = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let graph = |n: usize, p: f64, weights| {
             generators::erdos_renyi(n, p, weights, &mut StdRng::seed_from_u64(seed))
@@ -808,11 +783,11 @@ proptest! {
                     "n = 1100, ℓ = {}, {:?}: thread counts differ", ell, weights
                 );
                 for u in g.vertices() {
-                    let owned = reference::ball_hashmap(&g, u, ell);
-                    prop_assert_eq!(table.ball(u).members(), owned.members());
-                    prop_assert_eq!(table.ball(u).radius(), owned.radius());
-                    for &(v, _) in owned.members() {
-                        let port = owned.first_hop(v).and_then(|hop| g.port_to(u, hop));
+                    let (members, first_hops, radius) = reference::ball_hashmap(&g, u, ell);
+                    prop_assert_eq!(table.ball(u).members(), members.clone());
+                    prop_assert_eq!(table.ball(u).radius(), radius);
+                    for (&(v, _), hop) in members.iter().zip(first_hops) {
+                        let port = hop.and_then(|hop| g.port_to(u, hop));
                         prop_assert_eq!(table.first_port(u, v), port);
                     }
                 }
@@ -821,7 +796,7 @@ proptest! {
     }
 }
 
-/// The slot table against the owned `shortest_path::ball` reference on every
+/// The slot table against the reference ball search on every
 /// graph family, with weight ties, at `ℓ ∈ {1, 2, ⌈√n⌉, 40, n}`, built at
 /// thread counts 1 and 4 — and on two hostile id patterns: balls whose
 /// members form an arithmetic progression with a power-of-two stride, and a
@@ -905,7 +880,7 @@ fn ball_table_answers_every_pair_on_every_family() {
         for ell in [1, 2, sqrt_n, 40, g.n()] {
             for threads in [1, 4] {
                 println!("{name}, ℓ = {ell}, threads = {threads}");
-                check_ball_table(g, &ball_table_at(g, ell, threads), |u| ball(g, u, ell));
+                check_ball_table(g, &ball_table_at(g, ell, threads), |u| reference::ball_hashmap(g, u, ell));
             }
         }
     }
@@ -937,7 +912,7 @@ fn ball_table_holds_its_layout_at_every_slot_width() {
         for ell in [2, 40, g.n()] {
             let table = ball_table_at(g, ell, 4);
             assert_eq!(table.slot_bytes(), *bytes, "{name}: bytes a slot");
-            check_ball_table(g, &table, |u| ball(g, u, ell));
+            check_ball_table(g, &table, |u| reference::ball_hashmap(g, u, ell));
         }
     }
     let n = 65_536;
@@ -948,8 +923,7 @@ fn ball_table_holds_its_layout_at_every_slot_width() {
         let near = u.index().saturating_sub(3)..(u.index() + 4).min(n);
         near.chain((u.index() % 4099..n).step_by(4099)).map(|v| VertexId(v as u32)).collect()
     };
-    let reference = |u| routing_graph::reference::ball_hashmap(&path, u, 2);
-    check_ball_table_probing(&path, &table, reference, probes);
+    check_ball_table_probing(&path, &table, |u| reference::ball_hashmap(&path, u, 2), probes);
 }
 
 /// Property 1 holds along the stored ports, not only along Dijkstra's path:
