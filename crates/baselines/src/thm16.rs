@@ -129,8 +129,7 @@ pub fn vicinities(
     let (mut ends, mut pairs) = (Vec::with_capacity(g.n() + 1), Vec::new());
     ends.push(0);
     let ports = BallPorts::build_visiting(g, ell, |ids, dists| {
-        let members = ids.iter().copied().zip(dists.iter().copied());
-        pairs.extend(members.filter(|&(w, _)| marked[w.index()]));
+        pairs.extend(ids.iter().zip(dists.iter()).filter(|&(w, _)| marked[w.index()]));
         ends.push(pairs.len());
     });
     drop(marked);
@@ -440,7 +439,7 @@ mod tests {
     /// position in the settle-order ids; `None` for a non-member.
     fn table_dist(table: &BallTable, u: VertexId, w: VertexId) -> Option<Weight> {
         let ball = table.ball(u);
-        ball.ids().iter().position(|&x| x == w).map(|i| ball.dists().unwrap()[i])
+        ball.ids().position(w).map(|i| ball.dists().unwrap().get(i).unwrap())
     }
 
     /// The landmark lists read from a whole ball table with distances, as
@@ -449,7 +448,7 @@ mod tests {
     fn landmark_lists(table: &BallTable, level: &[VertexId]) -> DistLists {
         let lists = DistLists::from_rows(table.len(), |u| {
             let ball = table.ball(u);
-            let members = ball.ids().iter().copied().zip(ball.dists().unwrap().iter().copied());
+            let members = ball.ids().iter().zip(ball.dists().unwrap().iter());
             Ok(members.filter(|(w, _)| level.binary_search(w).is_ok()))
         });
         lists.unwrap()

@@ -25,7 +25,7 @@ use routing_graph::apsp::DistanceMatrix;
 use routing_graph::generators::{self, Family, WeightModel};
 use routing_graph::VertexId;
 use routing_model::eval::{evaluate_pairs, EvalReport};
-use routing_vicinity::{BallTable, Coloring};
+use routing_vicinity::{BallDists, BallTable, Coloring};
 
 routing_bench::counting_allocator!(CountingAlloc);
 
@@ -297,7 +297,7 @@ fn techniques(n: usize) -> Result<(), HarnessError> {
 
         // Lemma 7: partition by a Lemma 6 coloring of the vicinities.
         let ell = params.scaled(q as usize, n);
-        let balls = BallTable::build(&g, ell);
+        let balls = BallTable::build_with_dists(&g, ell, BallDists::Skip);
         let sets = balls.id_prefixes(ell);
         let coloring =
             Coloring::build_for_sets(n, q, &sets, 8, &mut rng).map_err(BuildError::from)?;

@@ -17,12 +17,13 @@
 //! than a batch of 1024 queries towards one, at one lane and at two.
 //!
 //! The same allocator also bounds six builds' memory: the ball table's
-//! peak live bytes, with distances and without (see
-//! `assert_ball_build_peak`), Theorem 15's, whose Lemma 5 hitting set reads
-//! a table without distances in place (see `assert_multilevel_build_peak`),
-//! Theorem 11's and Theorem 10's, whose peaks are the Lemma 8 and Lemma 7
-//! merges of packed sequence chunks into the sequence store (see
-//! `assert_thm11_build_peak` and `assert_thm10_build_peak`), Theorem 16's,
+//! peak live bytes, with distances and without, its members packed at the
+//! graph's width (see `assert_ball_build_peak`), Theorem 15's, whose
+//! Lemma 5 hitting set reads a table without distances in place (see
+//! `assert_multilevel_build_peak`), Theorem 11's, whose peak is the Lemma 8
+//! merge of packed sequence chunks into the sequence store (see
+//! `assert_thm11_build_peak`), Theorem 10's, whose Lemma 7 store is filled
+//! a round of chunks at a time (see `assert_thm10_build_peak`), Theorem 16's,
 //! whose vicinities are built with no ball table, before its hierarchy (see
 //! `assert_thm16_build_peak`), and the Thorup–Zwick hierarchy's, whose
 //! cluster trees and packed members are appended a round of roots at a
@@ -57,8 +58,10 @@ use routing_core::{
     BuildContext, ClusterFamily, Params, SchemeFivePlusEps, SchemeMultilevel, SchemeTwoPlusEps,
 };
 use routing_graph::generators::{self, Family, WeightModel};
+use routing_core::Technique1Router;
 use routing_graph::codec::bytes_for;
-use routing_graph::{BfsBatch, Graph, SearchScratch, SlotCodec, VertexId};
+use routing_graph::scratch::BFS_BATCH_WIDTH;
+use routing_graph::{BfsBatch, Graph, PackedColumn, SearchScratch, SlotCodec, VertexId, SLOT_PAD};
 use routing_model::{simulate, simulate_lean, simulate_lean_with_label, DynScheme, ErasedLabel};
 use routing_serve::{EngineConfig, ShardedEngine};
 use routing_vicinity::{sample_centers_bounded, BallDists, BallTable};
@@ -309,16 +312,33 @@ fn assert_ball_build_peak() {
     assert_thm16_build_peak(&g, ELL, workspace);
     assert_hierarchy_build_peak(&g);
     let t1 = t1_graph();
-    let (workspace, _) = peak_bytes_in(|| {
-        let mut bfs = BfsBatch::for_graph(&t1);
-        let centres: Vec<VertexId> = (0..64).map(VertexId).collect();
-        let run = bfs.as_mut().map(|bfs| bfs.run_balls(&t1, &centres, 1372));
-        assert!(matches!(run, Some(Ok(()))), "the t1 graph takes the batch BFS");
-        bfs
-    });
+    let workspace = ball_run_workspace(&t1, 1372);
     assert_ball_build_within_a_block(&t1, 1372, BallDists::Skip, workspace);
     drop(t1);
     assert_cluster_family_allocations(&g);
+}
+
+/// Bytes a member id and, for `BallDists::Keep`, a member distance take in
+/// a ball table of `g`: the id in the bytes `n` needs, the distance in the
+/// bytes `n − 1` heaviest edges need.
+fn member_widths(g: &Graph, dists: BallDists) -> (usize, usize) {
+    let n = g.n() as u64;
+    let heaviest = g.weight_range().map_or(0, |(_, hi)| hi);
+    let dist = match dists {
+        BallDists::Keep => usize::from(bytes_for(heaviest * (n - 1) + 1)),
+        BallDists::Skip => 0,
+    };
+    (usize::from(bytes_for(n)), dist)
+}
+
+/// What a ball table of `g` with `members` members holds beside its
+/// ports, at the graph's width: the packed ids, and distances if `dists`
+/// keeps them, each closed by its pad, and a member offset and a radius
+/// (8 bytes each) a vertex, plus the closing offset.
+fn table_beside_ports(g: &Graph, members: usize, dists: BallDists) -> usize {
+    let (id, dist) = member_widths(g, dists);
+    let pads = SLOT_PAD * (1 + usize::from(dists == BallDists::Keep));
+    (id + dist) * members + pads + 16 * g.n() + 8
 }
 
 /// What a ball build holds beside its final arrays: one block of
@@ -330,16 +350,16 @@ fn ball_block(g: &Graph, ell: usize, dists: BallDists, slot_bytes: usize, worksp
     /// time, on unit weights in whole batches of 64 centres.
     const BLOCKS: usize = 16;
     let n = g.n();
-    // One ball as a search result: its member ids (4 bytes a member), their
-    // distances if the table keeps them (8 more), and its hashed region of
-    // at most `⌈4ℓ/3⌉ + ℓ + 1` slots, packed at the table's width.
-    let per_member = if dists == BallDists::Keep { 12 } else { 4 };
+    // One ball as a search result: its member ids and, if the table keeps
+    // them, their distances, both at the table's width, and its hashed
+    // region of at most `⌈4ℓ/3⌉ + ℓ + 1` slots at the table's width, each
+    // array closed by its pad; and the record that holds the three.
+    let (id, dist) = member_widths(g, dists);
     let region = (4 * ell).div_ceil(3) + ell + 1;
-    let ball = per_member * ell
-        + slot_bytes * region
-        + std::mem::size_of::<(Vec<u8>, Vec<u8>, Vec<u8>, u64)>();
+    let record = std::mem::size_of::<(PackedColumn<1>, Option<PackedColumn<1>>, PackedColumn<2>, u64)>();
+    let ball = (id + dist) * ell + slot_bytes * region + 3 * SLOT_PAD + record;
     let balls = if g.is_unweighted() {
-        n.div_ceil(BLOCKS).next_multiple_of(64)
+        n.div_ceil(BLOCKS).next_multiple_of(BFS_BATCH_WIDTH)
     } else {
         n.div_ceil(BLOCKS)
     };
@@ -349,7 +369,8 @@ fn ball_block(g: &Graph, ell: usize, dists: BallDists, slot_bytes: usize, worksp
 }
 
 /// `BallTable::build_with_dists(g, ell, dists)` peaks at no more than the
-/// table it keeps and [`ball_block`].
+/// table it keeps and [`ball_block`], and keeps, beside its ports, exactly
+/// its members at the graph's width ([`table_beside_ports`]).
 fn assert_ball_build_within_a_block(g: &Graph, ell: usize, dists: BallDists, workspace: u64) {
     let (peak, table) = peak_bytes_in(|| BallTable::build_with_dists(g, ell, dists));
     let block = ball_block(g, ell, dists, table.slot_bytes(), workspace);
@@ -360,17 +381,75 @@ fn assert_ball_build_within_a_block(g: &Graph, ell: usize, dists: BallDists, wor
          block is {block}",
         peak as usize - kept.min(peak as usize)
     );
+    let members: usize = g.vertices().map(|u| table.ball(u).len()).sum();
+    let ports = table.into_ports().heap_bytes();
+    let beside = table_beside_ports(g, members, dists);
+    assert_eq!(kept, ports + beside, "the table at ℓ = {ell}, {dists:?}: {members} members");
+}
+
+/// `stages.rs`'s round count, which the Lemma 7 build runs its sources in.
+const SEQ_ROUNDS: usize = 8;
+
+/// The largest round of chunks a Lemma 7 build on a unit-weight graph
+/// holds beside its store: the sources — the vertices that store a
+/// sequence —, in id order, run in eight rounds of whole batches of 64, a
+/// chunk a batch; a round holds its sources' sequences at `width` bytes an
+/// entry and 4 a sequence end, and 128 bytes a chunk for the chunk itself
+/// and its arrays' closing pads.
+fn largest_round(router: &Technique1Router, n: usize, width: usize) -> u64 {
+    let counts = (0..n as u32).map(|u| router.sequence_counts_at(VertexId(u)));
+    let counts: Vec<(usize, usize)> = counts.filter(|&(pairs, _)| pairs > 0).collect();
+    let round = counts.len().div_ceil(SEQ_ROUNDS).next_multiple_of(BFS_BATCH_WIDTH).max(1);
+    let bytes = counts.chunks(round).map(|sources| {
+        let (pairs, entries) = sources.iter().fold((0, 0), |(p, e), &(sp, se)| (p + sp, e + se));
+        width * entries + 4 * pairs + 128 * sources.len().div_ceil(BFS_BATCH_WIDTH)
+    });
+    bytes.max().unwrap_or(0) as u64
+}
+
+/// What the Lemma 7 sequences phase of a build on the unit-weight graph `g`
+/// holds beside the ball table and what the scheme keeps: the largest
+/// round of chunks, one batch BFS workspace as it stands after a run, and
+/// per vertex the source list (24 bytes), the set order (4) and the
+/// distance ramp (8).
+fn lemma7_transients(g: &Graph, router: &Technique1Router) -> u64 {
+    let (bfs, _) = peak_bytes_in(|| {
+        let mut bfs = BfsBatch::for_graph(g).expect("a unit-weight graph");
+        let sources: Vec<VertexId> = (0..BFS_BATCH_WIDTH as u32).map(VertexId).collect();
+        bfs.run(g, &sources).expect("a batch of sources");
+        bfs
+    });
+    let width = SlotCodec::for_graph(g).width();
+    largest_round(router, g.n(), width) + bfs + 36 * g.n() as u64
+}
+
+/// One batch BFS workspace on `g` as it stands after a ball run of `ell`
+/// members: the ball build charges a worker's workspace so.
+fn ball_run_workspace(g: &Graph, ell: usize) -> u64 {
+    let (workspace, _) = peak_bytes_in(|| {
+        let mut bfs = BfsBatch::for_graph(g);
+        let centres: Vec<VertexId> = (0..BFS_BATCH_WIDTH as u32).map(VertexId).collect();
+        let run = bfs.as_mut().map(|bfs| bfs.run_balls(g, &centres, ell));
+        assert!(matches!(run, Some(Ok(()))), "the graph takes the batch BFS");
+        bfs
+    });
+    workspace
 }
 
 /// `SchemeMultilevel::build` at Theorem 15's four levels on the
 /// `t1-er-direct` graph, where ℓ = 1372 makes the ball table the largest
 /// build-time structure of any scheme. Its live-byte peak must stay within
-/// the build of a table without distances, or that table beside the greedy
-/// hitting set's per-vertex arrays and what the scheme keeps besides its
-/// ports. The greedy probes the table's slots for the sets a pick hits, so
-/// an inverted index of the sets (4 bytes a member), a copy of the balls
-/// made for Lemma 5 or 6 (4 bytes a member), or a distance array the build
-/// never reads (8), sits over it.
+/// the build of a table without distances — its members at the graph's
+/// width beside the ports ([`table_beside_ports`]) and one block
+/// ([`ball_block`]) —, or that table beside the greedy hitting set's
+/// per-vertex arrays and what the scheme keeps besides its ports, or that
+/// table beside what the scheme keeps besides its ports and the Lemma 7
+/// phase's transients ([`lemma7_transients`]: one round of sequence
+/// chunks). Member ids at 4 bytes sit 2 bytes a member over the first; the
+/// greedy probes the table's slots for the sets a pick hits, so an
+/// inverted index of the sets or a copy of the balls made for Lemma 5 or 6
+/// sits over the second; a distance array the build never reads sits over
+/// the first.
 fn assert_multilevel_build_peak() {
     const N: usize = 2000;
     const LEVELS: usize = 4;
@@ -382,21 +461,25 @@ fn assert_multilevel_build_peak() {
     let (kept, scheme) = kept_bytes_in(build);
     let scheme = scheme.expect("thm15 builds");
     let ell = (scheme.level_base() * LEVELS).min(N);
+    let lemma7 = lemma7_transients(&g, scheme.router());
     drop(scheme);
-    let (ball_build, table) =
-        peak_bytes_in(|| BallTable::build_with_dists(&g, ell, BallDists::Skip));
+    let table = BallTable::build_with_dists(&g, ell, BallDists::Skip);
     let members: usize = g.vertices().map(|u| table.ball(u).len()).sum();
-    let full = table.heap_bytes() as u64;
+    let slot_bytes = table.slot_bytes();
     let ports = table.into_ports().heap_bytes() as u64;
+    let full = ports + table_beside_ports(&g, members, BallDists::Skip) as u64;
+    let workspace = ball_run_workspace(&g, ell);
+    let ball_build = full + ball_block(&g, ell, BallDists::Skip, slot_bytes, workspace) as u64;
     let (peak, _scheme) = peak_bytes_in(build);
     // The greedy holds a count (8 bytes) a vertex, a flag a set and its
-    // picks, and the sets are one 16-byte slice a vertex.
+    // picks, and the sets are one 16-byte view a vertex.
     let greedy = 32 * N as u64;
-    let bound = ball_build.max(full + greedy + kept - ports);
+    let bound = ball_build.max(full + greedy + kept - ports).max(full + kept - ports + lemma7);
     assert!(
         peak <= bound,
         "thm15 peaked at {peak} bytes over a bound of {bound}: ball build {ball_build}, \
-         table {full} of {members} members, kept {kept} of which ports {ports}"
+         table {full} of {members} members, kept {kept} of which ports {ports}, Lemma 7 \
+         transients {lemma7}"
     );
 }
 
@@ -460,13 +543,15 @@ fn assert_thm11_build_peak() {
 }
 
 /// `SchemeTwoPlusEps::build` on the `t1-er-direct` graph. Its peak is the
-/// Lemma 7 merge at the end of `Technique1Router::build`: the sequence
-/// chunks (one per batch of 64 sources) beside the sequence store they are
-/// copied into, with the ball table's ids and distances still live, and the
-/// list of sources (24 bytes a vertex) and their set order (4). It must
-/// stay within the build of that table, or the table beside what the
-/// scheme keeps besides its ports, the chunks and those two lists. Chunks
-/// of 8-byte entries, or chunks left with their growth slack, sit over it.
+/// Lemma 7 phase at the end of `Technique1Router::build`: one round of
+/// sequence chunks beside the sequence store they are appended to, with
+/// the ball table's packed ids and distances still live, and the source
+/// list, set order and distance ramp ([`lemma7_transients`]). It must stay
+/// within the build of that table (its members at the graph's width beside
+/// the ports, and one block), or the table beside what the scheme keeps
+/// besides its ports and those transients. The chunks of every round held
+/// until the end, ids and distances at 4 and 8 bytes, or chunks left with
+/// their growth slack, sit over it.
 fn assert_thm10_build_peak() {
     routing_par::set_threads(1);
     let g = t1_graph();
@@ -476,21 +561,22 @@ fn assert_thm10_build_peak() {
         peak_bytes_in(|| SchemeTwoPlusEps::build(&g, &params, &mut StdRng::seed_from_u64(7)));
     let kept = live_bytes() - before;
     let scheme = scheme.expect("thm10 builds");
-    let (n, width) = (g.n(), SlotCodec::for_graph(&g).width());
-    let chunks = sequence_chunks(width, scheme.router().sequence_counts(), n.div_ceil(64));
-    let ell = params.scaled(scheme.q() as usize, n);
+    let lemma7 = lemma7_transients(&g, scheme.router());
+    let ell = params.scaled(scheme.q() as usize, g.n());
     drop(scheme);
-    let (ball_build, table) =
-        peak_bytes_in(|| BallTable::build_with_dists(&g, ell, BallDists::Keep));
-    let full = table.heap_bytes() as u64;
+    let table = BallTable::build_with_dists(&g, ell, BallDists::Keep);
+    let members: usize = g.vertices().map(|u| table.ball(u).len()).sum();
+    let slot_bytes = table.slot_bytes();
     let ports = table.into_ports().heap_bytes() as u64;
-    let sources = 28 * n as u64;
-    let bound = ball_build.max(full + kept - ports + chunks + sources);
+    let full = ports + table_beside_ports(&g, members, BallDists::Keep) as u64;
+    let workspace = ball_run_workspace(&g, ell);
+    let ball_build = full + ball_block(&g, ell, BallDists::Keep, slot_bytes, workspace) as u64;
+    let bound = ball_build.max(full + kept - ports + lemma7);
     assert!(
         peak <= bound,
         "thm10 peaked at {peak} bytes over a bound of {bound}: ball build {ball_build}, \
-         table {full} at ℓ = {ell}, kept {kept} of which ports {ports}, chunks {chunks}, \
-         sources {sources}"
+         table {full} at ℓ = {ell}, kept {kept} of which ports {ports}, Lemma 7 transients \
+         {lemma7}"
     );
 }
 

@@ -24,12 +24,13 @@
 
 use rand::Rng;
 
-use routing_graph::{Graph, VertexId, Weight};
+use routing_graph::codec::bytes_for;
+use routing_graph::{Graph, PackedColumn, SlotCodec, VertexId, Weight};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
 use routing_tree::{TreeForest, TreeLabelView, TreeView};
 use routing_vicinity::{BallDists, BallTable, Landmarks};
 
-use crate::seq::KeyedStore;
+use crate::seq::{KeyedStore, KeyedStoreBuilder};
 use crate::stages::{self, Clusters, DistLists, Vicinities};
 use crate::technique1::{Technique1Header, Technique1Router};
 use crate::{BuildError, Params};
@@ -103,12 +104,14 @@ pub struct SchemeTwoPlusEps {
     pub(crate) vic: Vicinities,
     pub(crate) clusters: Clusters,
     /// Row-major `n × q`: `d(u, w)` for `u`'s representative `w` of each
-    /// color, beside the representative the vicinity stage stores.
-    rep_dist: Vec<Weight>,
+    /// color, beside the representative the vicinity stage stores, in the
+    /// bytes the largest of them needs.
+    rep_dist: PackedColumn<1>,
     /// Global trees `T(a)`, tree `i` that of landmark `i` in id order.
     global_trees: TreeForest,
-    /// At `u`: destination `v` -> best intersection vertex `w`.
-    best_intersection: KeyedStore<VertexId>,
+    /// At `u`: destination `v` -> best intersection vertex `w`, at the id
+    /// width.
+    best_intersection: KeyedStore<PackedColumn<1>>,
     router: Technique1Router,
 }
 
@@ -188,49 +191,61 @@ impl SchemeTwoPlusEps {
 }
 
 /// Row-major `n × q`: `d(u, w)` for every representative `w` stored at `u`,
-/// from one settle-order pass over `B(u, ℓ)` — a representative is the
-/// first member of its colour there, and one that fell back to `u` itself
-/// (a colour missing from the vicinity) is at distance 0.
-fn rep_dists(vic: &Vicinities<BallTable>) -> Result<Vec<Weight>, BuildError> {
-    let q = vic.q as usize;
-    let dists = ball_dists(&vic.balls)?;
-    let mut out = vec![0; vic.balls.len() * q];
-    for (u, (row, dists)) in out.chunks_exact_mut(q.max(1)).zip(dists).enumerate() {
-        let u = VertexId(u as u32);
-        let (reps, ids) = (vic.reps_at(u), vic.balls.ball(u).ids());
-        for (&v, &d) in ids.iter().zip(dists) {
-            let c = vic.color_of[v.index()] as usize;
-            if reps[c] == v {
-                row[c] = d;
+/// from a settle-order pass over `B(u, ℓ)` — a representative is the first
+/// member of its colour there, and one that fell back to `u` itself (a
+/// colour missing from the vicinity) is at distance 0 — packed in the bytes
+/// the largest of them needs, which a first pass finds.
+fn rep_dists(vic: &Vicinities<BallTable>) -> Result<PackedColumn<1>, BuildError> {
+    let (n, q) = (vic.balls.len(), vic.q as usize);
+    let each = |f: &mut dyn FnMut(usize, Weight)| -> Result<(), BuildError> {
+        for u in (0..n).map(|u| VertexId(u as u32)) {
+            let reps = vic.reps_at(u);
+            for (v, d) in members_with_dists(&vic.balls, u)? {
+                let c = vic.color_of[v.index()] as usize;
+                if reps[c] == v {
+                    f(u.index() * q + c, d);
+                }
             }
         }
-    }
+        Ok(())
+    };
+    let mut max = 0;
+    each(&mut |_, d| max = max.max(d))?;
+    let mut out = PackedColumn::zeroed(SlotCodec::new([bytes_for(max.saturating_add(1))]), n * q);
+    each(&mut |i, d| out.set(i, [d]))?;
     Ok(out)
 }
 
-/// Every ball's member distances, borrowed from the table (one slice a
-/// vertex, each as long as the ball), or the error a table built without
-/// them gives.
-fn ball_dists(balls: &BallTable) -> Result<Vec<&[Weight]>, BuildError> {
-    (0..balls.len())
-        .map(|u| balls.ball(VertexId(u as u32)).dists())
-        .collect::<Option<_>>()
-        .ok_or_else(|| BuildError::Inconsistent {
-            what: "theorem 10 reads ball distances the table was built without".into(),
-        })
+/// The members of `B(u, ℓ)` with their distances, read in place from the
+/// table in settle order, or the error a table built without distances
+/// gives.
+fn members_with_dists(
+    balls: &BallTable,
+    u: VertexId,
+) -> Result<impl Iterator<Item = (VertexId, Weight)> + '_, BuildError> {
+    let ball = balls.ball(u);
+    let dists = ball.dists().ok_or_else(|| BuildError::Inconsistent {
+        what: "theorem 10 reads ball distances the table was built without".into(),
+    })?;
+    Ok(ball.ids().iter().zip(dists.iter()))
 }
 
 /// At every `u`, for every `v` with `B(u, q̃) ∩ B_A(v) ≠ ∅`, the intersection
 /// vertex `w` minimizing `d(u, w) + d(w, v)`; among equal sums, the `w`
 /// settled first from `u`. `clusters` lists `C(w)` with `d(w, v)` for every
-/// root `w`, the members [`Clusters::build`] hands back.
-fn intersections(balls: &BallTable, clusters: &DistLists) -> Result<KeyedStore<VertexId>, BuildError> {
+/// root `w`, the members [`Clusters::build`] hands back. The vertices are
+/// kept at the id width.
+fn intersections(
+    balls: &BallTable,
+    clusters: &DistLists,
+) -> Result<KeyedStore<PackedColumn<1>>, BuildError> {
     let _span = routing_obs::span("intersections");
-    let dists = ball_dists(balls)?;
-    let rows = dists.iter().enumerate().flat_map(|(u, &dists)| {
-        let u = VertexId(u as u32);
-        let mut triples: Vec<(VertexId, Weight, VertexId)> = Vec::new();
-        for (&w, &d_uw) in balls.ball(u).ids().iter().zip(dists) {
+    let n = balls.len();
+    let mut store = KeyedStoreBuilder::new(n, PackedColumn::new(SlotCodec::for_ids(n)));
+    let mut triples: Vec<(VertexId, Weight, VertexId)> = Vec::new();
+    for u in (0..n).map(|u| VertexId(u as u32)) {
+        triples.clear();
+        for (w, d_uw) in members_with_dists(balls, u)? {
             for (v, d_wv) in clusters.row(w) {
                 triples.push((v, d_uw + d_wv, w));
             }
@@ -239,9 +254,9 @@ fn intersections(balls: &BallTable, clusters: &DistLists) -> Result<KeyedStore<V
         // the first `w` in settle order stays first, and is the one kept.
         triples.sort_by_key(|&(v, sum, _)| (v, sum));
         triples.dedup_by_key(|&mut (v, _, _)| v);
-        triples.into_iter().map(move |(v, _, w)| (u, v, w))
-    });
-    Ok(KeyedStore::from_sorted(balls.len(), rows))
+        store.extend(0, triples.iter().map(|&(v, _, w)| (u, v, w.0)));
+    }
+    Ok(store.finish())
 }
 
 impl RoutingScheme for SchemeTwoPlusEps {
@@ -270,7 +285,7 @@ impl RoutingScheme for SchemeTwoPlusEps {
             routing_obs::counters::ROUTING_PHASE_DIRECT.inc();
             return Ok(Scheme2Header { phase: Phase::Direct });
         }
-        if let Some(&w) = self.best_intersection.get(source, v) {
+        if let Some(w) = self.best_intersection.get(source, v).map(VertexId) {
             if w == source {
                 let label = self.clusters.label_in_cluster(source, v)?;
                 routing_obs::counters::ROUTING_PHASE_TREE.inc();
@@ -280,7 +295,8 @@ impl RoutingScheme for SchemeTwoPlusEps {
             return Ok(Scheme2Header { phase: Phase::ToIntersection(w) });
         }
         let w = self.vic.rep(source, dest.color)?;
-        if dest.d_pa <= self.rep_dist[source.index() * self.vic.q as usize + dest.color as usize] {
+        let at = source.index() * self.vic.q as usize + dest.color as usize;
+        if self.rep_dist.get::<u64>(at).is_some_and(|[d_w]| dest.d_pa <= d_w) {
             routing_obs::counters::ROUTING_PHASE_TREE.inc();
             return Ok(Scheme2Header { phase: Phase::GlobalTree });
         }
@@ -410,11 +426,18 @@ mod tests {
                 let flat = intersections(&balls, &clusters).unwrap();
                 let reference = reference_intersections(&g, &balls, &clusters);
                 assert!(reference.iter().any(|at_u| !at_u.is_empty()));
+                // 8 bytes a vertex, a key and a vertex at the id width a
+                // pair, and the two columns' pads.
+                let pairs: usize = reference.iter().map(HashMap::len).sum();
+                let id = usize::from(bytes_for(g.n() as u64));
+                let bytes = 8 * (g.n() + 1) + 2 * id * pairs + 2 * routing_graph::SLOT_PAD;
+                assert_eq!(flat.heap_bytes(), bytes, "{name} x{threads}: bytes");
                 for u in g.vertices() {
                     let at_u = &reference[u.index()];
                     assert_eq!(flat.slot_len(u), at_u.len(), "{name} x{threads}: slot of {u}");
                     for v in g.vertices() {
-                        assert_eq!(flat.get(u, v), at_u.get(&v), "{name} x{threads}: ({u}, {v})");
+                        let want = at_u.get(&v).copied();
+                        assert_eq!(flat.get(u, v).map(VertexId), want, "{name} x{threads}: ({u}, {v})");
                     }
                 }
             }
@@ -457,9 +480,15 @@ mod tests {
                 let exact = routing_graph::apsp::DistanceMatrix::new(&g);
                 let q = scheme.q() as usize;
                 assert_eq!(scheme.rep_dist.len(), g.n() * q);
+                // Packed at the width of the largest, with no slack.
+                let largest = (0..g.n() * q).filter_map(|i| scheme.rep_dist.get::<u64>(i)).max();
+                let width = usize::from(bytes_for(largest.unwrap()[0] + 1));
+                assert_eq!(scheme.rep_dist.codec().width(), width, "{} n = {n}", family.name());
+                let bytes = width * g.n() * q + routing_graph::SLOT_PAD;
+                assert_eq!(scheme.rep_dist.heap_bytes(), bytes, "{} n = {n}", family.name());
                 for u in g.vertices() {
                     for (c, &rep) in scheme.vic.reps_at(u).iter().enumerate() {
-                        let stored = scheme.rep_dist[u.index() * q + c];
+                        let [stored] = scheme.rep_dist.get::<u64>(u.index() * q + c).unwrap();
                         let key = format!("{} n = {n}: colour {c} at {u}", family.name());
                         assert_eq!(Some(stored), exact.dist(u, rep), "{key}, rep {rep}");
                     }

@@ -167,6 +167,11 @@ impl SchemeMultilevel {
         self.vic.q
     }
 
+    /// The Lemma 7 router, whose sequences every vertex stores.
+    pub fn router(&self) -> &Technique1Router {
+        &self.router
+    }
+
     /// Bytes of heap the vicinities hold, by capacity: the Lemma 2 ports,
     /// the colours and the colour representatives.
     pub fn vicinity_heap_bytes(&self) -> usize {
@@ -347,14 +352,14 @@ mod tests {
         // The smallest level t ∈ 1..=levels whose vicinity of u holds v:
         // v is at level t iff its position in the ids is below t·b.
         let member_level = |u, v: VertexId| {
-            let t = balls.ball(u).ids().iter().position(|&x| x == v)? / b + 1;
+            let t = balls.ball(u).ids().position(v)? / b + 1;
             (t <= levels).then_some(t)
         };
         for u in g.vertices() {
             let view = balls.ball(u);
             // Level 1 membership: exactly the b-prefix of the stored ball.
             assert_eq!(member_level(u, u), Some(1), "center is level-1");
-            for (rank, &v) in view.ids().iter().enumerate() {
+            for (rank, v) in view.ids().iter().enumerate() {
                 assert!(view.contains(v), "{v} listed in B({u}) but not in its slots");
                 let level = member_level(u, v);
                 assert_eq!(level, Some(rank / b + 1), "rank {rank} of {u}");

@@ -23,10 +23,13 @@
 //! up to 65,535 vertices and degree 255 a vertex costs 8 bytes, a pair 6 —
 //! its 2-byte key and its 4-byte end — and an entry 3; no sequence is a heap
 //! object of its own. The builders append each task's sequences, packed by
-//! the same codec, to a `SeqChunk`, and the store concatenates the chunks
-//! once. A header carries a sequence as a `SeqCursor` — where its row starts
-//! in the arena, how long it is, and which entry is the current target — and
-//! reads one entry at a time; the words it is charged are the sequence's.
+//! the same codec, to a `SeqChunk`, and a `SeqStoreBuilder` appends the
+//! chunks to the store, each batch growing its arrays by exactly what it
+//! holds: Lemma 7 a round of sources at a time, dropping each round's
+//! chunks before the next, Lemma 8 all at once. A header carries a sequence
+//! as a `SeqCursor` — where its row starts in the arena, how long it is,
+//! and which entry is the current target — and reads one entry at a time;
+//! the words it is charged are the sequence's.
 
 use serde::{Deserialize, Serialize};
 
@@ -309,63 +312,149 @@ impl SeqChunk {
     }
 }
 
+/// The values a [`KeyedStore`] keeps, one a key, in key order: a vector,
+/// or a [`PackedColumn`] of one field at the width its values need.
+pub(crate) trait Values {
+    /// What a pair stores.
+    type Value: Copy;
+    /// Appends the value of the next key.
+    fn push(&mut self, value: Self::Value);
+    /// The value of key `i`, if there is one.
+    fn value(&self, i: usize) -> Option<Self::Value>;
+    /// Makes room for `more` values.
+    fn reserve_exact(&mut self, more: usize);
+    /// Returns the growth slack.
+    fn shrink_to_fit(&mut self);
+    /// Heap bytes held, by capacity.
+    fn heap_bytes(&self) -> usize;
+}
+
+impl<T: Copy> Values for Vec<T> {
+    type Value = T;
+
+    fn push(&mut self, value: T) {
+        Vec::push(self, value);
+    }
+
+    #[inline]
+    fn value(&self, i: usize) -> Option<T> {
+        self.get(i).copied()
+    }
+
+    fn reserve_exact(&mut self, more: usize) {
+        Vec::reserve_exact(self, more);
+    }
+
+    fn shrink_to_fit(&mut self) {
+        Vec::shrink_to_fit(self);
+    }
+
+    fn heap_bytes(&self) -> usize {
+        std::mem::size_of::<T>() * self.capacity()
+    }
+}
+
+impl Values for PackedColumn<1> {
+    type Value = u32;
+
+    fn push(&mut self, value: u32) {
+        PackedColumn::push(self, [value]);
+    }
+
+    #[inline]
+    fn value(&self, i: usize) -> Option<u32> {
+        self.get::<u32>(i).map(|[v]| v)
+    }
+
+    fn reserve_exact(&mut self, more: usize) {
+        PackedColumn::reserve_exact(self, more);
+    }
+
+    fn shrink_to_fit(&mut self) {
+        PackedColumn::shrink_to_fit(self);
+    }
+
+    fn heap_bytes(&self) -> usize {
+        PackedColumn::heap_bytes(self)
+    }
+}
+
 /// What every vertex stores per destination, as one flat table: a CSR slot
 /// per vertex `u` with id-sorted destination keys, in the
 /// `BallTable`/`DistLists` style. A lookup is one binary search over
 /// `u`'s contiguous slot, one key window a probe; the resident memory is
 /// three flat arrays, no hashing anywhere.
 #[derive(Debug, Clone)]
-pub(crate) struct KeyedStore<T> {
+pub(crate) struct KeyedStore<V> {
     /// `offsets[u] .. offsets[u + 1]` delimits `u`'s slot.
     offsets: Vec<usize>,
     /// Destination keys, id-sorted within each slot, at the id width of
     /// `0..n` ([`SlotCodec::for_ids`]).
     keys: PackedColumn<1>,
-    /// `values[i]` belongs to key `i`.
-    values: Vec<T>,
+    /// Value `i` belongs to key `i`.
+    values: V,
 }
 
-impl<T> KeyedStore<T> {
+/// A [`KeyedStore`] being filled: rows arrive sorted by `(u, key)`, a batch
+/// at a time, and `offsets[u + 1]` counts the keys of `u` until
+/// [`finish`](Self::finish) sums them up.
+#[derive(Debug)]
+pub(crate) struct KeyedStoreBuilder<V> {
+    store: KeyedStore<V>,
+    last: Option<(VertexId, VertexId)>,
+}
+
+impl<V: Values> KeyedStoreBuilder<V> {
+    /// An empty store over vertices `0..n`, its values appended to `values`.
+    pub(crate) fn new(n: usize, values: V) -> Self {
+        let keys = PackedColumn::new(SlotCodec::for_ids(n));
+        KeyedStoreBuilder { store: KeyedStore { offsets: vec![0; n + 1], keys, values }, last: None }
+    }
+
+    /// Appends `rows`, `pairs` of them if the caller knows, sorted by
+    /// `(u, key)` after every row appended before, every key in `0..n`:
+    /// the keys and values grow by exactly `pairs`.
+    pub(crate) fn extend(&mut self, pairs: usize, rows: impl Iterator<Item = (VertexId, VertexId, V::Value)>) {
+        let store = &mut self.store;
+        store.keys.reserve_exact(pairs);
+        store.values.reserve_exact(pairs);
+        for (u, key, value) in rows {
+            debug_assert!(self.last < Some((u, key)), "rows must be strictly sorted by (u, key)");
+            debug_assert!(key.index() + 1 < store.offsets.len(), "key {key} is not a vertex");
+            self.last = Some((u, key));
+            store.offsets[u.index() + 1] += 1;
+            store.keys.push([key.0]);
+            store.values.push(value);
+        }
+    }
+
+    /// The store, offsets summed and no growth slack: it is kept for the
+    /// scheme's lifetime.
+    pub(crate) fn finish(self) -> KeyedStore<V> {
+        let mut store = self.store;
+        for u in 1..store.offsets.len() {
+            store.offsets[u] += store.offsets[u - 1];
+        }
+        store.keys.shrink_to_fit();
+        store.values.shrink_to_fit();
+        store
+    }
+}
+
+#[cfg(test)]
+impl<T: Copy> KeyedStore<Vec<T>> {
     /// Builds the store over vertices `0..n` from `(u, key, value)` rows
     /// that arrive sorted by `(u, key)`, every pair at most once, every key
     /// in `0..n`.
-    pub(crate) fn from_sorted(
-        n: usize,
-        rows: impl IntoIterator<Item = (VertexId, VertexId, T)>,
-    ) -> Self {
+    pub(crate) fn from_sorted(n: usize, rows: impl IntoIterator<Item = (VertexId, VertexId, T)>) -> Self {
         let rows = rows.into_iter();
-        let pairs = rows.size_hint().0;
-        Self::from_sorted_reserving(n, pairs, rows)
+        let mut store = KeyedStoreBuilder::new(n, Vec::new());
+        store.extend(rows.size_hint().0, rows);
+        store.finish()
     }
+}
 
-    /// [`from_sorted`](Self::from_sorted) with room for `pairs` rows
-    /// reserved up front.
-    fn from_sorted_reserving(
-        n: usize,
-        pairs: usize,
-        rows: impl Iterator<Item = (VertexId, VertexId, T)>,
-    ) -> Self {
-        let mut offsets = vec![0usize; n + 1];
-        let mut keys = PackedColumn::with_capacity(SlotCodec::for_ids(n), pairs);
-        let mut values = Vec::with_capacity(pairs);
-        let mut last = None;
-        for (u, key, value) in rows {
-            debug_assert!(last < Some((u, key)), "rows must be strictly sorted by (u, key)");
-            debug_assert!(key.index() < n, "key {key} is not a vertex of 0..{n}");
-            last = Some((u, key));
-            offsets[u.index() + 1] += 1;
-            keys.push([key.0]);
-            values.push(value);
-        }
-        for u in 0..n {
-            offsets[u + 1] += offsets[u];
-        }
-        // The tables are kept for the scheme's lifetime: no growth slack.
-        keys.shrink_to_fit();
-        values.shrink_to_fit();
-        KeyedStore { offsets, keys, values }
-    }
-
+impl<V: Values> KeyedStore<V> {
     /// The position in the store of what `u` stores for `key`, if
     /// anything. A `u` or `key` outside `0..n` stores nothing: the range
     /// check comes before any key is masked to the packed width.
@@ -381,8 +470,8 @@ impl<T> KeyedStore<T> {
     /// What `u` stores for `key`, if anything. A `u` outside `0..n` stores
     /// nothing.
     #[inline]
-    pub(crate) fn get(&self, u: VertexId, key: VertexId) -> Option<&T> {
-        self.values.get(self.get_index(u, key)?)
+    pub(crate) fn get(&self, u: VertexId, key: VertexId) -> Option<V::Value> {
+        self.values.value(self.get_index(u, key)?)
     }
 
     /// How many destinations `u` stores something for; none for a `u`
@@ -393,9 +482,7 @@ impl<T> KeyedStore<T> {
 
     /// Heap bytes held, by capacity.
     pub(crate) fn heap_bytes(&self) -> usize {
-        std::mem::size_of::<usize>() * self.offsets.capacity()
-            + self.keys.heap_bytes()
-            + std::mem::size_of::<T>() * self.values.capacity()
+        std::mem::size_of::<usize>() * self.offsets.capacity() + self.keys.heap_bytes() + self.values.heap_bytes()
     }
 }
 
@@ -407,43 +494,83 @@ impl<T> KeyedStore<T> {
 /// vertices and degree 255.
 #[derive(Debug, Clone)]
 pub(crate) struct SeqStore {
-    ends: KeyedStore<u32>,
+    ends: KeyedStore<Vec<u32>>,
     arena: PackedColumn<2>,
 }
 
-impl SeqStore {
-    /// Builds the store over vertices `0..n` from `(u, key, entries)` rows
-    /// that arrive sorted by `(u, key)`, every pair at most once, each row
-    /// packed by `codec`. A first pass counts the rows and their entries, so
-    /// every array is allocated once, at its final size.
+/// A [`SeqStore`] being filled a batch of rows at a time, each batch's
+/// arrays growing by exactly what it holds, so that a build can append
+/// each round of its sequence chunks and drop them before the next.
+#[derive(Debug)]
+pub(crate) struct SeqStoreBuilder {
+    ends: KeyedStoreBuilder<Vec<u32>>,
+    arena: PackedColumn<2>,
+}
+
+impl SeqStoreBuilder {
+    /// An empty store over vertices `0..n` whose entries `codec` packs.
+    pub(crate) fn new(codec: SlotCodec<2>, n: usize) -> Self {
+        SeqStoreBuilder { ends: KeyedStoreBuilder::new(n, Vec::new()), arena: PackedColumn::new(codec) }
+    }
+
+    /// Appends `(u, key, entries)` rows sorted by `(u, key)` after every
+    /// row appended before, every pair at most once, each row packed by
+    /// the store's codec. A first pass counts the rows and their entries,
+    /// so every array grows once, by exactly that.
     ///
     /// # Errors
     ///
     /// [`BuildError::BadParameter`] when the entries outnumber what a `u32`
     /// end offset addresses.
-    pub(crate) fn from_sorted<'a, I>(
-        codec: SlotCodec<2>,
-        n: usize,
-        rows: I,
-    ) -> Result<Self, BuildError>
+    pub(crate) fn extend<'a, I>(&mut self, rows: I) -> Result<(), BuildError>
     where
         I: IntoIterator<Item = (VertexId, VertexId, PackedView<'a, 2>)>,
         I::IntoIter: Clone,
     {
         let rows = rows.into_iter();
-        let (pairs, total) = rows.clone().fold((0, 0), |(p, e), (_, _, s)| (p + 1, e + s.len()));
+        let (pairs, entries) = rows.clone().fold((0, 0), |(p, e), (_, _, s)| (p + 1, e + s.len()));
+        let total = self.arena.len() + entries;
         if u32::try_from(total).is_err() {
             return Err(BuildError::BadParameter {
                 what: format!("{total} sequence entries exceed a u32 arena offset"),
             });
         }
-        let mut arena = PackedColumn::with_capacity(codec, total);
+        self.arena.reserve_exact(entries);
+        let arena = &mut self.arena;
         let rows = rows.map(|(u, key, entries)| {
             arena.extend_from(entries);
             (u, key, arena.len() as u32)
         });
-        let ends = KeyedStore::from_sorted_reserving(n, pairs, rows);
-        Ok(SeqStore { ends, arena })
+        self.ends.extend(pairs, rows);
+        Ok(())
+    }
+
+    /// The store, with no growth slack.
+    pub(crate) fn finish(self) -> SeqStore {
+        let mut arena = self.arena;
+        arena.shrink_to_fit();
+        SeqStore { ends: self.ends.finish(), arena }
+    }
+}
+
+impl SeqStore {
+    /// Builds the store over vertices `0..n` from `(u, key, entries)` rows
+    /// that arrive sorted by `(u, key)`, every pair at most once, each row
+    /// packed by `codec`, in one [`SeqStoreBuilder::extend`]: every array
+    /// is allocated once, at its final size.
+    ///
+    /// # Errors
+    ///
+    /// [`BuildError::BadParameter`] when the entries outnumber what a `u32`
+    /// end offset addresses.
+    pub(crate) fn from_sorted<'a, I>(codec: SlotCodec<2>, n: usize, rows: I) -> Result<Self, BuildError>
+    where
+        I: IntoIterator<Item = (VertexId, VertexId, PackedView<'a, 2>)>,
+        I::IntoIter: Clone,
+    {
+        let mut store = SeqStoreBuilder::new(codec, n);
+        store.extend(rows)?;
+        Ok(store.finish())
     }
 
     /// A cursor on the first entry of what `u` stores for `key`, if
@@ -452,10 +579,10 @@ impl SeqStore {
     pub(crate) fn cursor(&self, u: VertexId, key: VertexId) -> Option<SeqCursor> {
         let i = self.ends.get_index(u, key)?;
         let start = match i.checked_sub(1) {
-            Some(prev) => *self.ends.values.get(prev)?,
+            Some(prev) => self.ends.values.value(prev)?,
             None => 0,
         };
-        let end = *self.ends.values.get(i)?;
+        let end = self.ends.values.value(i)?;
         Some(SeqCursor { start, len: end.checked_sub(start)?, idx: 0 })
     }
 
@@ -475,6 +602,16 @@ impl SeqStore {
     /// `(pairs, entries)` stored.
     pub(crate) fn counts(&self) -> (usize, usize) {
         (self.ends.values.len(), self.arena.len())
+    }
+
+    /// `(pairs, entries)` stored at `u`; none for a `u` outside `0..n`.
+    pub(crate) fn counts_at(&self, u: VertexId) -> (usize, usize) {
+        let offsets = &self.ends.offsets;
+        let (Some(&lo), Some(&hi)) = (offsets.get(u.index()), offsets.get(u.index() + 1)) else {
+            return (0, 0);
+        };
+        let end = |i: usize| i.checked_sub(1).and_then(|i| self.ends.values.value(i)).map_or(0, |e| e as usize);
+        (hi - lo, end(hi) - end(lo))
     }
 
     /// Heap bytes held, by capacity.
@@ -567,9 +704,9 @@ mod tests {
         let v = VertexId;
         let store =
             KeyedStore::from_sorted(4, [(v(0), v(2), 'a'), (v(0), v(3), 'b'), (v(2), v(0), 'c')]);
-        assert_eq!(store.get(v(0), v(2)), Some(&'a'));
-        assert_eq!(store.get(v(0), v(3)), Some(&'b'));
-        assert_eq!(store.get(v(2), v(0)), Some(&'c'));
+        assert_eq!(store.get(v(0), v(2)), Some('a'));
+        assert_eq!(store.get(v(0), v(3)), Some('b'));
+        assert_eq!(store.get(v(2), v(0)), Some('c'));
         assert_eq!(store.get(v(0), v(1)), None);
         assert_eq!(store.get(v(1), v(2)), None, "empty slot");
         assert_eq!(store.get(v(3), v(0)), None, "last vertex, empty slot");

@@ -12,7 +12,9 @@
 //! Every family of trees built here — a cluster family's `T(w)`, the global
 //! trees — is one [`TreeForest`], built a block of roots at a time and
 //! appended in root order a round of blocks at a time, so no tree is an
-//! object of its own and no build holds a second forest.
+//! object of its own and no build holds a second forest. The round loop
+//! ([`by_rounds`]) is this module's one: Technique 1 fills its sequence
+//! store with it too, a round of sources at a time.
 //!
 //! A scheme that needs both runs [`Vicinities::balls`], then
 //! [`Clusters::build`], then [`Vicinities::colour`]: the landmark sample is
@@ -26,10 +28,11 @@
 //! result, the ports alone. Technique 2 reads none: its handover vertex is
 //! a colour representative, so Theorem 11 retains before Lemma 8. The
 //! members' distances are built only for a scheme that reads them (Theorem
-//! 10); the others pass [`BallDists::Skip`]. No stage copies a ball: the
-//! Lemma 6 colouring, like Technique 1's Lemma 5 hitting set, reads
-//! [`BallTable::id_prefixes`], one borrowed slice a vertex, and the hitting
-//! set finds the vicinities a pick hits by probing the slots.
+//! 10); the others pass [`BallDists::Skip`]. Both are packed at the
+//! graph's width, like the slots. No stage copies a ball: the Lemma 6
+//! colouring, like Technique 1's Lemma 5 hitting set, reads
+//! [`BallTable::id_prefixes`], one view of the packed ids a vertex, and the
+//! hitting set finds the vicinities a pick hits by probing the slots.
 
 use std::ops::Range;
 
@@ -59,25 +62,67 @@ pub(crate) fn check(g: &Graph, params: &Params) -> Result<(), BuildError> {
     Ok(())
 }
 
-/// The rounds [`forest_by_blocks`] builds a forest in.
-const ROUNDS: usize = 8;
+/// The rounds a build that appends its output a round at a time
+/// ([`by_rounds`]) runs in.
+pub(crate) const ROUNDS: usize = 8;
+
+/// How [`by_rounds`] cuts `0..items`: into `rounds` rounds of consecutive
+/// items, each round a whole number of `align`-item runs (but the last),
+/// and each round into tasks of at most `task` items.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RoundPlan {
+    pub(crate) items: usize,
+    pub(crate) rounds: usize,
+    pub(crate) align: usize,
+    /// Items a task, given the round's length.
+    pub(crate) task: fn(usize) -> usize,
+}
+
+/// Runs `plan.items` items a round at a time: a round's tasks fan out over
+/// per-worker `scratch` workspaces, `run` building a task's output from
+/// its consecutive items, and `take` gets the round's items and outputs,
+/// in task order, before the next round starts. So a build that appends
+/// each round to what it keeps and then drops it holds one round of task
+/// outputs beside it, not all of them; what it builds does not depend on
+/// the rounds, the tasks nor the thread count when `take` appends in
+/// order. The price is a barrier a round, and a regrowth a round of what
+/// the outputs are appended to.
+pub(crate) fn by_rounds<S, T: Send>(
+    plan: RoundPlan,
+    scratch: impl Fn() -> S + Sync,
+    run: impl Fn(&mut S, Range<usize>) -> Result<T, BuildError> + Sync,
+    mut take: impl FnMut(Range<usize>, Vec<T>) -> Result<(), BuildError>,
+) -> Result<(), BuildError> {
+    let RoundPlan { items, rounds, align, task } = plan;
+    let round = items.div_ceil(rounds.max(1)).next_multiple_of(align.max(1)).max(1);
+    for first in (0..items).step_by(round) {
+        let last = items.min(first + round);
+        let width = task(last - first).max(1);
+        let outputs = routing_par::par_map_scratch((last - first).div_ceil(width), &scratch, |scratch, k| {
+            let lo = first + k * width;
+            run(scratch, lo..last.min(lo + width))
+        });
+        take(first..last, outputs.into_iter().collect::<Result<_, _>>()?)?;
+    }
+    Ok(())
+}
 
 /// One tree per root index in `0..roots`, built a round of consecutive
-/// roots at a time. A round fans out as blocks of consecutive roots (at
-/// most 64, at least eight blocks a worker): `build` runs a block's
-/// searches on a worker's workspace, appends their trees in root order to
-/// the chunk it is handed and returns what the caller keeps of the block
-/// besides. The chunks are trimmed as they finish and appended to the
-/// forest once their round is done, every offset rebased; `take` then gets
-/// the round's kept values, in block order. The forest therefore does not
-/// depend on the rounds, the blocks nor the thread count, no tree is an
-/// object of its own, and the build holds an eighth of the forest in chunks
-/// beside it, where appending every chunk at the end held a second forest.
-/// The price is a regrowth of the forest's arrays a round, and a barrier:
-/// on the `t2-geo-direct` graph (2 vCPUs), tz3's hierarchy built in 118 to
-/// 131 ms (medians of seven, five alternating runs) against 93 to 118 ms
-/// with every chunk appended at the end; at one thread the two overlap,
-/// 139 to 208 ms against 130 to 191.
+/// roots at a time ([`by_rounds`]). A round fans out as blocks of
+/// consecutive roots (at most 64, at least eight blocks a worker): `build`
+/// runs a block's searches on a worker's workspace, appends their trees in
+/// root order to the chunk it is handed and returns what the caller keeps
+/// of the block besides. The chunks are trimmed as they finish and
+/// appended to the forest once their round is done, every offset rebased;
+/// `take` then gets the round's kept values, in block order. The forest
+/// therefore does not depend on the rounds, the blocks nor the thread
+/// count, no tree is an object of its own, and the build holds an eighth of
+/// the forest in chunks beside it, where appending every chunk at the end
+/// held a second forest. The price is a regrowth of the forest's arrays a
+/// round, and a barrier: on the `t2-geo-direct` graph (2 vCPUs), tz3's
+/// hierarchy built in 118 to 131 ms (medians of seven, five alternating
+/// runs) against 93 to 118 ms with every chunk appended at the end; at one
+/// thread the two overlap, 139 to 208 ms against 130 to 191.
 fn forest_by_blocks<T: Send>(
     g: &Graph,
     roots: usize,
@@ -86,30 +131,23 @@ fn forest_by_blocks<T: Send>(
 ) -> Result<TreeForest, BuildError> {
     let empty = TreeForest::new(g);
     let mut forest = empty.clone();
-    let round = roots.div_ceil(ROUNDS).max(1);
-    for first in (0..roots).step_by(round) {
-        let last = roots.min(first + round);
-        let width = (last - first).div_ceil(8 * routing_par::threads()).clamp(1, 64);
-        let blocks = routing_par::par_map_scratch(
-            (last - first).div_ceil(width),
-            || SearchScratch::for_graph(g),
-            |scratch, b| {
-                let mut chunk = empty.clone();
-                let lo = first + b * width;
-                let kept = build(scratch, lo..last.min(lo + width), &mut chunk)?;
-                chunk.shrink_to_fit();
-                Ok::<_, BuildError>((chunk, kept))
-            },
-        );
-        let (mut chunks, mut kept) = (Vec::with_capacity(blocks.len()), Vec::with_capacity(blocks.len()));
-        for block in blocks {
-            let (chunk, block_kept) = block?;
-            chunks.push(chunk);
-            kept.push(block_kept);
-        }
+    let plan = RoundPlan {
+        items: roots,
+        rounds: ROUNDS,
+        align: 1,
+        task: |round| round.div_ceil(8 * routing_par::threads()).clamp(1, 64),
+    };
+    let run = |scratch: &mut SearchScratch, block: Range<usize>| {
+        let mut chunk = empty.clone();
+        let kept = build(scratch, block, &mut chunk)?;
+        chunk.shrink_to_fit();
+        Ok((chunk, kept))
+    };
+    by_rounds(plan, || SearchScratch::for_graph(g), run, |_, blocks| {
+        let (chunks, kept): (Vec<TreeForest>, Vec<T>) = blocks.into_iter().unzip();
         forest.append(chunks).map_err(tree_error)?;
-        take(kept)?;
-    }
+        take(kept)
+    })?;
     Ok(forest)
 }
 
@@ -285,7 +323,7 @@ fn build_color_reps(balls: &BallTable, color_of: &[u32], q: usize) -> Vec<Vertex
         let row = reps.len();
         reps.resize(row + q, u);
         found.fill(false);
-        for &v in balls.ball(u).ids() {
+        for v in balls.ball(u).ids().iter() {
             let c = color_of[v.index()] as usize;
             if found.get(c) == Some(&false) {
                 found[c] = true;

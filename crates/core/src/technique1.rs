@@ -33,13 +33,13 @@
 //! label. The traversed path has weight at most `(1+ε)·d(u, v)`.
 
 use routing_graph::scratch::BFS_BATCH_WIDTH;
-use routing_graph::{BfsBatch, Graph, SearchScratch, SlotCodec, VertexId, Weight};
+use routing_graph::{BfsBatch, Graph, PackedView, SearchScratch, SlotCodec, VertexId, Weight};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
 use routing_tree::{TreeForest, TreeLabelView, TreeView};
-use routing_vicinity::{hitting_set_of_vicinities, BallPorts, BallTable};
+use routing_vicinity::{hitting_set_of_vicinities, BallDists, BallPorts, BallTable};
 
-use crate::seq::{push_hops, walk_round, SeqChunk, SeqCursor, SeqEntry, SeqStore};
-use crate::stages;
+use crate::seq::{push_hops, walk_round, SeqChunk, SeqCursor, SeqEntry, SeqStore, SeqStoreBuilder};
+use crate::stages::{self, by_rounds, RoundPlan, ROUNDS};
 use crate::{BuildError, Params};
 
 /// The header carried by a message routed with the first technique: the
@@ -93,17 +93,47 @@ impl Technique1Router {
     /// has run [`stages::check`] on `(g, params)`: the global shortest-path
     /// trees must span `V`.
     ///
+    /// The sequences come from one search per source with another member
+    /// in its set: a bit-parallel BFS per 64 consecutive sources on a
+    /// unit-weight graph, a target-bounded Dijkstra per source otherwise.
+    /// The sources run a round at a time ([`stages::by_rounds`], eight
+    /// rounds, each a whole number of batches): each round's chunks, one a
+    /// batch or source, are appended to the sequence store and charged to
+    /// their sources' words, then dropped, so the build holds one round of
+    /// chunks beside the store, and the store's arrays grow by exactly each
+    /// round's rows, keeping no slack. Both kernels give the same paths and
+    /// keep the source order, so the router does not depend on the kernel,
+    /// the rounds nor the thread count.
+    ///
     /// # Errors
     ///
-    /// Returns an error if a global tree cannot be laid out.
+    /// Returns an error if a global tree cannot be laid out, or a
+    /// sequence cannot be built ([`BuildError::Inconsistent`] when the
+    /// chunks do not hold one sequence per pair, or a sequence stops at a
+    /// vertex with no global tree).
     pub(crate) fn build(
         g: &Graph,
         balls: &BallTable,
         set_of: Vec<u32>,
         params: &Params,
     ) -> Result<Self, BuildError> {
+        Self::build_by(g, balls, set_of, params, true, ROUNDS)
+    }
+
+    /// [`Technique1Router::build`] with the batch BFS only when `batch` is
+    /// set (and the graph takes it), in `rounds` rounds: the tests pin the
+    /// batch BFS to the Dijkstra kernel, and the store built by rounds to
+    /// the store built at once, with it.
+    fn build_by(
+        g: &Graph,
+        balls: &BallTable,
+        set_of: Vec<u32>,
+        params: &Params,
+        batch: bool,
+        rounds: usize,
+    ) -> Result<Self, BuildError> {
         assert_eq!(set_of.len(), g.n(), "set_of must cover every vertex");
-        let b = params.b_lemma7();
+        let (n, b) = (g.n(), params.b_lemma7());
         let _span = routing_obs::span("technique1");
 
         // Lemma 5: a hitting set for every vicinity.
@@ -117,68 +147,44 @@ impl Technique1Router {
         let trees = stages::global_trees(g, &hitting)?;
         let _span_seqs = routing_obs::span("sequences");
 
-        // Sequences for every same-set ordered pair, from one search per
-        // source: a bit-parallel BFS per 64 sources on a unit-weight graph,
-        // a target-bounded Dijkstra per source otherwise. Both produce the
-        // same paths, and both keep the source order, so the result is
-        // independent of the kernel and of the thread count.
+        // Sequences for every same-set ordered pair, a round of sources at
+        // a time. Sources are sorted by vertex id and members by id, so the
+        // rows arrive in the `(u, v)` order the store wants.
         let by_set = sort_by_set(&set_of);
         let sources = same_set_sources(&by_set, &set_of);
         let codec = SlotCodec::for_graph(g);
         let walk = SeqBuilder { g, balls, b, hitting: &hitting, codec };
-        let chunks = match BfsBatch::for_graph(g) {
-            Some(batch) => walk.by_batch_bfs(batch, &sources),
-            None => walk.by_dijkstra(&sources),
-        }?;
-        Self::assemble(codec, set_of, hitting, trees, &sources, &chunks, b)
-    }
-
-    /// The router over its parts; `chunks` hold the sequences of `sources`
-    /// in order, one per other member of each source's set, in member
-    /// order, packed by `codec`.
-    ///
-    /// # Errors
-    ///
-    /// [`BuildError::Inconsistent`] when the chunks do not hold one sequence
-    /// per pair, or a sequence stops at a vertex with no global tree.
-    fn assemble(
-        codec: SlotCodec<2>,
-        set_of: Vec<u32>,
-        hitting: Vec<VertexId>,
-        trees: TreeForest,
-        sources: &[(VertexId, &[VertexId])],
-        chunks: &[SeqChunk],
-        b: usize,
-    ) -> Result<Self, BuildError> {
-        // Sources are sorted by vertex id and members by id, so the rows
-        // arrive in the `(u, v)` order the store wants.
-        let pairs = sources.iter().flat_map(|&(u, members)| {
-            members.iter().filter(move |&&v| v != u).map(move |&v| (u, v))
-        });
-        let n = set_of.len();
-        let built = chunks.iter().map(SeqChunk::len).sum::<usize>();
-        if pairs.clone().count() != built {
-            return Err(BuildError::Inconsistent {
-                what: format!("{built} Lemma 7 sequences built for {} pairs", pairs.count()),
+        // The batch BFS takes exactly the unit-weight graphs; on those the
+        // `k`-th vertex of a shortest path from the source is at distance
+        // `k`.
+        let batch = batch && g.is_unweighted();
+        let ramp: Vec<Weight> = if batch { (0..n as Weight).collect() } else { Vec::new() };
+        let (align, task): (usize, fn(usize) -> usize) =
+            if batch { (BFS_BATCH_WIDTH, |_| BFS_BATCH_WIDTH) } else { (1, |_| 1) };
+        let plan = RoundPlan { items: sources.len(), rounds, align, task };
+        let scratch = || match batch.then(|| BfsBatch::for_graph(g)).flatten() {
+            Some(bfs) => SeqSearch::Batch(bfs, Vec::new(), Vec::new()),
+            None => SeqSearch::Dijkstra(SearchScratch::for_graph(g), Vec::new(), Vec::new()),
+        };
+        let run = |search: &mut SeqSearch, tasks| walk.chunk(search, &sources[tasks], &ramp);
+        let (mut seqs, mut seq_words) = (SeqStoreBuilder::new(codec, n), vec![0usize; n]);
+        by_rounds(plan, scratch, run, |round, chunks| {
+            let pairs = sources[round].iter().flat_map(|&(u, members)| {
+                members.iter().filter(move |&&v| v != u).map(move |&v| (u, v))
             });
-        }
-        let rows =
-            pairs.zip(chunks.iter().flat_map(SeqChunk::sequences)).map(|((u, v), s)| (u, v, s));
-        let mut seq_words = vec![0usize; n];
-        for (u, v, s) in rows.clone() {
-            let last = s.len().checked_sub(1).and_then(|i| s.get::<u32>(i));
-            let label_words = match last.map(|[w, _]| VertexId(w)) {
-                Some(w) if w != v => global_tree(&hitting, &trees, w)
-                    .and_then(|t| t.label_view(v))
-                    .ok_or_else(|| BuildError::Inconsistent {
-                        what: format!("the sequence at {u} for {v} stops at {w}, which has no tree"),
-                    })?
-                    .words(),
-                _ => 0,
-            };
-            seq_words[u.index()] += 1 + SeqEntry::words() * s.len() + label_words;
-        }
-        let seqs = SeqStore::from_sorted(codec, n, rows)?;
+            let built = chunks.iter().map(SeqChunk::len).sum::<usize>();
+            if pairs.clone().count() != built {
+                return Err(BuildError::Inconsistent {
+                    what: format!("{built} Lemma 7 sequences built for {} pairs", pairs.count()),
+                });
+            }
+            let rows = pairs.zip(chunks.iter().flat_map(SeqChunk::sequences)).map(|((u, v), s)| (u, v, s));
+            for (u, v, s) in rows.clone() {
+                seq_words[u.index()] += stored_words(&hitting, &trees, u, v, s)?;
+            }
+            seqs.extend(rows)
+        })?;
+        let seqs = seqs.finish();
         Ok(Technique1Router { set_of, hitting, trees, seqs, seq_words, b })
     }
 
@@ -214,6 +220,12 @@ impl Technique1Router {
     /// many entries those sequences hold.
     pub fn sequence_counts(&self) -> (usize, usize) {
         self.seqs.counts()
+    }
+
+    /// [`sequence_counts`](Self::sequence_counts) of the sequences stored
+    /// at `u` alone; none for a `u` outside `0..n`.
+    pub fn sequence_counts_at(&self, u: VertexId) -> (usize, usize) {
+        self.seqs.counts_at(u)
     }
 
     /// The global tree of hitting-set vertex `w`, if `w ∈ H`.
@@ -340,6 +352,34 @@ fn global_tree<'a>(hitting: &[VertexId], trees: &'a TreeForest, w: VertexId) -> 
     trees.tree(hitting.binary_search(&w).ok()?)
 }
 
+/// The words the sequence `s` stored at `u` for `v` charges `u`: one for
+/// the pair, the entries, and — when it stops early at a `w ≠ v` — `v`'s
+/// label in `T(w)`.
+///
+/// # Errors
+///
+/// [`BuildError::Inconsistent`] when the sequence stops at a vertex with
+/// no global tree.
+fn stored_words(
+    hitting: &[VertexId],
+    trees: &TreeForest,
+    u: VertexId,
+    v: VertexId,
+    s: PackedView<'_, 2>,
+) -> Result<usize, BuildError> {
+    let last = s.len().checked_sub(1).and_then(|i| s.get::<u32>(i));
+    let label_words = match last.map(|[w, _]| VertexId(w)) {
+        Some(w) if w != v => global_tree(hitting, trees, w)
+            .and_then(|t| t.label_view(v))
+            .ok_or_else(|| BuildError::Inconsistent {
+                what: format!("the sequence at {u} for {v} stops at {w}, which has no tree"),
+            })?
+            .words(),
+        _ => 0,
+    };
+    Ok(1 + SeqEntry::words() * s.len() + label_words)
+}
+
 /// Vertices sorted by `(set, id)`: each set is one consecutive run, and each
 /// run is id-sorted — which is what makes the per-source destination slots
 /// of the flat store binary-searchable.
@@ -375,89 +415,77 @@ struct SeqBuilder<'a> {
     codec: SlotCodec<2>,
 }
 
+/// One worker's Lemma 7 search, chosen once for the build, with its
+/// buffers.
+enum SeqSearch {
+    /// The batch BFS, on a unit-weight graph, with the batch's sources and
+    /// a path.
+    Batch(BfsBatch, Vec<VertexId>, Vec<VertexId>),
+    /// A target-bounded Dijkstra, with a path and the distances along it.
+    Dijkstra(SearchScratch, Vec<VertexId>, Vec<Weight>),
+}
+
 impl SeqBuilder<'_> {
-    /// The sequences of every source in `sources`, one chunk per
-    /// bit-parallel BFS over [`BFS_BATCH_WIDTH`] consecutive sources
-    /// (unit-weight graphs: `batch` exists only for those). On a unit-weight
-    /// graph the `k`-th vertex of a shortest path from the source is at
-    /// distance `k`.
-    fn by_batch_bfs(
+    /// The sequences of `sources`, in order, one per other member of each
+    /// source's set, as one chunk: from one bit-parallel BFS over at most
+    /// [`BFS_BATCH_WIDTH`] consecutive sources, reading distances off
+    /// `ramp` (`0..n`), or from one target-bounded Dijkstra a source. A
+    /// source only reads shortest paths to its own set members, and every
+    /// vertex those paths visit is an ancestor of a member, settled before
+    /// it, so the Dijkstra stops at the member settled last; it is the
+    /// kernel for weighted graphs, and the reference the batch BFS is
+    /// tested against.
+    fn chunk(
         &self,
-        batch: BfsBatch,
+        search: &mut SeqSearch,
         sources: &[(VertexId, &[VertexId])],
-    ) -> Result<Vec<SeqChunk>, BuildError> {
+        ramp: &[Weight],
+    ) -> Result<SeqChunk, BuildError> {
         let g = self.g;
-        let ramp: Vec<Weight> = (0..g.n() as Weight).collect();
-        let ids: Vec<VertexId> = sources.iter().map(|&(u, _)| u).collect();
-        let per_batch = routing_par::par_map_scratch(
-            ids.len().div_ceil(BFS_BATCH_WIDTH),
-            || (batch.clone(), Vec::new()),
-            |(bfs, path): &mut (BfsBatch, Vec<VertexId>), k| -> Result<SeqChunk, BuildError> {
-                let _frontier = routing_obs::span("settled-frontier");
-                let lo = k * BFS_BATCH_WIDTH;
-                let hi = ids.len().min(lo + BFS_BATCH_WIDTH);
-                bfs.run(g, &ids[lo..hi]).map_err(|e| BuildError::BadParameter { what: e.to_string() })?;
+        let _frontier = routing_obs::span("settled-frontier");
+        let mut chunk = SeqChunk::new(self.codec);
+        match search {
+            SeqSearch::Batch(bfs, ids, path) => {
+                ids.clear();
+                ids.extend(sources.iter().map(|&(u, _)| u));
+                bfs.run(g, ids).map_err(|e| BuildError::BadParameter { what: e.to_string() })?;
                 routing_obs::counters::BUILD_SETTLED_VERTICES.add(bfs.reached() as u64);
-                let mut chunk = SeqChunk::new(self.codec);
-                for (i, &(u, members)) in sources[lo..hi].iter().enumerate() {
+                for (i, &(u, members)) in sources.iter().enumerate() {
                     for &v in members.iter().filter(|&&v| v != u) {
                         if !bfs.path_into(g, i, v, path) {
                             return Err(BuildError::Disconnected);
                         }
-                        self.sequence(path, &ramp[..path.len()], &mut chunk)?;
+                        self.sequence(path, ramp.get(..path.len()).unwrap_or_default(), &mut chunk)?;
                         chunk.close()?;
                     }
                 }
-                chunk.shrink_to_fit();
-                Ok(chunk)
-            },
-        );
-        per_batch.into_iter().collect()
-    }
-
-    /// The sequences of every source in `sources`, one chunk per
-    /// target-bounded Dijkstra from a source: a source only reads shortest
-    /// paths to its own set members, and every vertex those paths visit is
-    /// an ancestor of a member, settled before it, so the search stops at
-    /// the member settled last. The kernel for weighted graphs, and the
-    /// reference the batch BFS is tested against.
-    fn by_dijkstra(
-        &self,
-        sources: &[(VertexId, &[VertexId])],
-    ) -> Result<Vec<SeqChunk>, BuildError> {
-        let g = self.g;
-        type Scratch = (SearchScratch, Vec<VertexId>, Vec<Weight>);
-        let per_source = routing_par::par_map_scratch(
-            sources.len(),
-            || (SearchScratch::for_graph(g), Vec::new(), Vec::new()),
-            |(scratch, path, prefix): &mut Scratch, k| -> Result<SeqChunk, BuildError> {
-                let (u, members) = sources[k];
-                let _frontier = routing_obs::span("settled-frontier");
-                scratch.dijkstra_targets_into(g, u, members);
-                routing_obs::counters::BUILD_EARLY_EXIT_SEARCHES.inc();
-                let mut chunk = SeqChunk::new(self.codec);
-                for &v in members.iter().filter(|&&v| v != u) {
-                    // Defensive: every member is a target, so it is settled
-                    // unless unreachable.
-                    if !scratch.is_settled(v) && scratch.ensure_settled(g, v) {
-                        routing_obs::counters::BUILD_FRONTIER_RESUMES.inc();
+            }
+            SeqSearch::Dijkstra(scratch, path, prefix) => {
+                for &(u, members) in sources {
+                    scratch.dijkstra_targets_into(g, u, members);
+                    routing_obs::counters::BUILD_EARLY_EXIT_SEARCHES.inc();
+                    for &v in members.iter().filter(|&&v| v != u) {
+                        // Defensive: every member is a target, so it is
+                        // settled unless unreachable.
+                        if !scratch.is_settled(v) && scratch.ensure_settled(g, v) {
+                            routing_obs::counters::BUILD_FRONTIER_RESUMES.inc();
+                        }
+                        if !scratch.path_into(v, path) {
+                            return Err(BuildError::Disconnected);
+                        }
+                        prefix.clear();
+                        for &x in path.iter() {
+                            prefix.push(scratch.dist(x).ok_or(BuildError::Disconnected)?);
+                        }
+                        self.sequence(path, prefix, &mut chunk)?;
+                        chunk.close()?;
                     }
-                    if !scratch.path_into(v, path) {
-                        return Err(BuildError::Disconnected);
-                    }
-                    prefix.clear();
-                    for &x in path.iter() {
-                        prefix.push(scratch.dist(x).ok_or(BuildError::Disconnected)?);
-                    }
-                    self.sequence(path, prefix, &mut chunk)?;
-                    chunk.close()?;
+                    routing_obs::counters::BUILD_SETTLED_VERTICES.add(scratch.order().len() as u64);
                 }
-                routing_obs::counters::BUILD_SETTLED_VERTICES.add(scratch.order().len() as u64);
-                chunk.shrink_to_fit();
-                Ok(chunk)
-            },
-        );
-        per_source.into_iter().collect()
+            }
+        }
+        chunk.shrink_to_fit();
+        Ok(chunk)
     }
 
     /// Appends the Lemma 7 sequence stored at `path[0]` for `path[last]` to
@@ -487,7 +515,7 @@ impl SeqBuilder<'_> {
                 // destination's label in T(w) from the tree.
                 let xi = path[pos];
                 let w = balls.ball(xi).ids().iter().find(|m| hitting.binary_search(m).is_ok());
-                let w = *w.ok_or_else(|| BuildError::Inconsistent {
+                let w = w.ok_or_else(|| BuildError::Inconsistent {
                     what: format!("the hitting set misses B({xi}, q̃)"),
                 })?;
                 chunk.push(SeqEntry::ball(w));
@@ -508,7 +536,7 @@ impl SeqBuilder<'_> {
 pub struct Technique1Scheme {
     n: usize,
     epsilon: f64,
-    balls: BallTable,
+    balls: BallPorts,
     router: Technique1Router,
 }
 
@@ -520,7 +548,8 @@ impl Technique1Scheme {
 
     /// Builds the standalone scheme for a given partition (`set_of[v]` is the
     /// set index of `v`) using balls of size `q̃ = scaled(q)` where `q` is the
-    /// number of distinct sets.
+    /// number of distinct sets. The table is built without distances, which
+    /// the router does not read, and the scheme keeps its ports alone.
     ///
     /// # Errors
     ///
@@ -529,9 +558,9 @@ impl Technique1Scheme {
         stages::check(g, params)?;
         let q = set_of.iter().copied().max().map(|m| m as usize + 1).unwrap_or(1);
         let ell = params.scaled(q, g.n());
-        let balls = BallTable::build(g, ell);
+        let balls = BallTable::build_with_dists(g, ell, BallDists::Skip);
         let router = Technique1Router::build(g, &balls, set_of, params)?;
-        Ok(Technique1Scheme { n: g.n(), epsilon: params.epsilon, balls, router })
+        Ok(Technique1Scheme { n: g.n(), epsilon: params.epsilon, balls: balls.into_ports(), router })
     }
 
     /// The underlying router (for inspection in tests and experiments).
@@ -539,8 +568,8 @@ impl Technique1Scheme {
         &self.router
     }
 
-    /// The shared ball table.
-    pub fn balls(&self) -> &BallTable {
+    /// The Lemma 2 ports of the shared ball table.
+    pub fn balls(&self) -> &BallPorts {
         &self.balls
     }
 }
@@ -710,6 +739,18 @@ mod tests {
         assert!(matches!(err, BuildError::BadParameter { .. }));
     }
 
+    /// Every stored row of `router`, decoded, equals `reference`'s, and
+    /// every vertex is charged the same words.
+    fn assert_same_sequences(key: &str, g: &Graph, router: &Technique1Router, reference: &Technique1Router) {
+        for u in g.vertices() {
+            for v in g.vertices() {
+                assert_eq!(router.seqs.decoded(u, v), reference.seqs.decoded(u, v), "{key}: ({u}, {v})");
+            }
+            assert_eq!(router.table_words(u), reference.table_words(u), "{key}: words at {u}");
+        }
+        assert_eq!(router.seq_words, reference.seq_words, "{key}: sequence words");
+    }
+
     /// On a unit-weight graph the router's sequences come from the batch
     /// BFS; the per-source Dijkstra kernel, run on the same graph with the
     /// same hitting set and trees, must store the same sequence for every
@@ -733,26 +774,40 @@ mod tests {
                 routing_par::set_threads(threads);
                 let router = Technique1Router::build(g, &balls, set_of.clone(), &params).unwrap();
                 let by_set = sort_by_set(&set_of);
-                let sources = same_set_sources(&by_set, &set_of);
-                assert_eq!(sources.len(), g.n());
-                let (b, hitting, trees) = (router.b, &router.hitting, &router.trees);
-                let codec = SlotCodec::for_graph(g);
-                let walk = SeqBuilder { g, balls: &balls, b, hitting, codec };
-                let chunks = walk.by_dijkstra(&sources).unwrap();
-                let (hitting, trees) = (hitting.clone(), trees.clone());
-                let set_of = set_of.clone();
+                assert_eq!(same_set_sources(&by_set, &set_of).len(), g.n());
                 let reference =
-                    Technique1Router::assemble(codec, set_of, hitting, trees, &sources, &chunks, b)
-                        .unwrap();
-                for u in g.vertices() {
-                    for v in g.vertices() {
-                        let seq = router.seqs.decoded(u, v);
-                        let want = reference.seqs.decoded(u, v);
-                        assert_eq!(seq, want, "{name} x{threads}: ({u}, {v})");
-                    }
-                    let words = (router.table_words(u), reference.table_words(u));
-                    assert_eq!(words.0, words.1, "{name} x{threads}: words at {u}");
-                }
+                    Technique1Router::build_by(g, &balls, set_of.clone(), &params, false, ROUNDS).unwrap();
+                assert_same_sequences(&format!("{name} x{threads}"), g, &router, &reference);
+            }
+            routing_par::set_threads(routing_par::available_threads());
+        }
+    }
+
+    /// The store filled a round of sources at a time equals the store the
+    /// chunks of every source build when appended at once: every decoded
+    /// row, the words each vertex is charged, and the arrays' sizes, with
+    /// no growth slack in either — through the batch BFS on a unit-weight
+    /// graph and the Dijkstra kernel on a weighted one, with 700 and 300
+    /// sources (neither a multiple of 64 · 8, so the last round and its
+    /// last batch are short), at 1, 2 and 4 threads.
+    #[test]
+    fn a_store_filled_by_rounds_equals_the_store_filled_at_once() {
+        let mut rng = StdRng::seed_from_u64(29);
+        let unit = generators::erdos_renyi(700, 0.012, WeightModel::Unit, &mut rng);
+        let weighted = generators::erdos_renyi(300, 0.03, WeightModel::Uniform { lo: 1, hi: 9 }, &mut rng);
+        let params = Params::with_epsilon(0.5);
+        for (name, g) in [("unit er, batch BFS", &unit), ("weighted er, Dijkstra", &weighted)] {
+            assert_ne!(g.n() % (BFS_BATCH_WIDTH * ROUNDS), 0, "{name}: the last round is short");
+            let set_of = partition_mod(g.n(), 12);
+            let balls = BallTable::build_with_dists(g, params.scaled(12, g.n()), BallDists::Skip);
+            let at_once = Technique1Router::build_by(g, &balls, set_of.clone(), &params, true, 1).unwrap();
+            for threads in [1, 2, 4] {
+                routing_par::set_threads(threads);
+                let by_rounds = Technique1Router::build(g, &balls, set_of.clone(), &params).unwrap();
+                let key = format!("{name} x{threads}");
+                assert_eq!(by_rounds.seqs.tight_sizes(), at_once.seqs.tight_sizes(), "{key}: sizes");
+                assert_eq!(by_rounds.sequences_heap_bytes(), at_once.sequences_heap_bytes(), "{key}: bytes");
+                assert_same_sequences(&key, g, &by_rounds, &at_once);
             }
             routing_par::set_threads(routing_par::available_threads());
         }
@@ -794,7 +849,7 @@ mod tests {
                     .ball(path[pos])
                     .ids()
                     .iter()
-                    .find_map(|&m| hitting.binary_search(&m).ok().map(|i| (i, m)))
+                    .find_map(|m| hitting.binary_search(&m).ok().map(|i| (i, m)))
                     .expect("hitting set hits every vicinity");
                 let tree = trees.tree((tree_idx + shift) % trees.len()).unwrap();
                 let label = tree.label(v).expect("global tree spans every vertex");
@@ -856,7 +911,7 @@ mod tests {
             assert!(!early.is_empty(), "{name}: some Lemma 7 sequence stops early");
             assert!(planted_caught > 0, "{name}: an off-by-one tree index goes unnoticed");
             let exact = DistanceMatrix::new(&g);
-            let scheme = Technique1Scheme { n: g.n(), epsilon, balls, router };
+            let scheme = Technique1Scheme { n: g.n(), epsilon, balls: balls.into_ports(), router };
             for (u, v) in early {
                 let out = simulate(&g, &scheme, u, v).unwrap();
                 let d = exact.dist(u, v).unwrap();
@@ -915,6 +970,12 @@ mod tests {
             let stored =
                 g.vertices().flat_map(|u| g.vertices().filter_map(move |v| seqs.cursor(u, v)));
             assert_eq!(entries, stored.map(SeqCursor::len).sum::<usize>(), "{name}");
+            for u in g.vertices() {
+                let at_u: Vec<SeqCursor> = g.vertices().filter_map(|v| seqs.cursor(u, v)).collect();
+                let want = (at_u.len(), at_u.iter().map(|c| c.len()).sum());
+                assert_eq!(router.sequence_counts_at(u), want, "{name}: counts at {u}");
+            }
+            assert_eq!(router.sequence_counts_at(VertexId(g.n() as u32)), (0, 0), "{name}");
             let (key, width) = (SlotCodec::for_ids(g.n()).width(), SlotCodec::for_graph(g).width());
             assert_eq!((key, width), (1, 2), "{name}: 1-byte ids, 1-byte ports");
             let bytes = 8 * (g.n() + 1) + (key + 4) * pairs + width * entries + 2 * SLOT_PAD;
@@ -971,8 +1032,8 @@ mod tests {
 
     /// The greedy rule replayed naively, in pick order: the vertex in the
     /// most unhit sets, ties by smallest id, until every set is hit.
-    fn greedy_picks(n: usize, sets: &[&[VertexId]]) -> Vec<VertexId> {
-        let mut unhit: Vec<&[VertexId]> = sets.to_vec();
+    fn greedy_picks(n: usize, sets: &[Vec<VertexId>]) -> Vec<VertexId> {
+        let mut unhit: Vec<&[VertexId]> = sets.iter().map(Vec::as_slice).collect();
         let mut picks = Vec::new();
         while !unhit.is_empty() {
             let mut gain = vec![0usize; n];
@@ -1017,7 +1078,8 @@ mod tests {
                         let bound = (n as f64 / ell as f64 * (n as f64).ln()).ceil() as usize + 1;
                         assert!(h.len() <= bound, "{key}: |H| = {} > {bound}", h.len());
 
-                        let picks = greedy_picks(n, &sets);
+                        let copies: Vec<Vec<VertexId>> = sets.iter().map(|s| s.iter().collect()).collect();
+                        let picks = greedy_picks(n, &copies);
                         let mut sorted = picks.clone();
                         sorted.sort_unstable();
                         assert_eq!(h, sorted, "{key}: not the greedy set cover");

@@ -633,7 +633,7 @@ mod tests {
                 let xi = path[pos];
                 let d_xi_zi = dist_to_w(xi) - dist_to_w(path[next]);
                 if (d_xi_zi as u128) * (b as u128) < thr_num {
-                    let z = balls.ball(xi).ids().iter().copied().find(|&m| color_of[m.index()] == j);
+                    let z = balls.ball(xi).ids().iter().find(|&m| color_of[m.index()] == j);
                     if let Some(z) = z {
                         chunk.push(SeqEntry::ball(z));
                         return chunk;

@@ -306,7 +306,15 @@ impl<const F: usize> PackedColumn<F> {
     pub fn push<T: Field>(&mut self, fields: [T; F]) {
         assert!(!self.holds(u32::MAX as usize), "a column holds fewer than 2³² records");
         let (at, width) = (self.bytes.len() - SLOT_PAD, self.codec.width());
-        self.bytes.extend_from_slice(&[0; 64][..width]);
+        if width <= 8 && self.bytes.capacity() - self.bytes.len() >= 8 {
+            // Room for a whole window past the pad: grow by one fixed-size
+            // window and cut back to the record, rather than copy `width`
+            // zeros, so the array grows exactly as it would byte by byte.
+            self.bytes.extend_from_slice(&[0; 8]);
+            self.bytes.truncate(at + width + SLOT_PAD);
+        } else {
+            self.bytes.extend_from_slice(&[0; 64][..width]);
+        }
         match self.bytes.get_mut(at..at + 8) {
             Some(window) if width <= 8 => window.copy_from_slice(&(self.codec.word(fields) as u64).to_le_bytes()),
             _ => self.codec.put(fields, &mut self.bytes[at..]),
@@ -380,11 +388,23 @@ pub struct PackedView<'a, const F: usize> {
     end: u32,
 }
 
-impl<const F: usize> PackedView<'_, F> {
+impl<'a, const F: usize> PackedView<'a, F> {
     /// Records in the view.
     #[inline]
     pub fn len(self) -> usize {
         (self.end - self.start) as usize
+    }
+
+    /// True if the view holds no record.
+    #[inline]
+    pub fn is_empty(self) -> bool {
+        self.start == self.end
+    }
+
+    /// The view's first `len` records, or all of them if it holds fewer.
+    #[inline]
+    pub fn prefix(self, len: usize) -> Self {
+        PackedView { end: self.start + len.min(self.len()) as u32, ..self }
     }
 
     /// Record `i` of the view, or `None` at and past its last one.
@@ -400,6 +420,25 @@ impl<const F: usize> PackedView<'_, F> {
     pub fn search(self, key: u64) -> Option<usize> {
         let (start, end) = (self.start as usize, self.end as usize);
         Some(self.column.codec.search(&self.column.bytes, start..end, key)? - start)
+    }
+}
+
+impl<'a> PackedView<'a, 1> {
+    /// The view's values, decoded in order. A value is at most 8 bytes, so
+    /// the values are walked as overlapping 8-byte windows — the value and
+    /// the bytes after it, the next values' or the pad — each one load and
+    /// one mask, the mask computed once for the view.
+    #[inline]
+    pub fn iter<T: Field + 'a>(self) -> impl Iterator<Item = T> + Clone + 'a {
+        let width = self.column.codec.width();
+        let mask = field_mask(self.column.codec.bytes[0]);
+        let (bytes, start) = (&self.column.bytes[..], self.start as usize * width);
+        (0..self.len()).map(move |k| {
+            let at = start + k * width;
+            let window = bytes.get(at..at + 8).and_then(|w| w.try_into().ok());
+            let x = window.map_or(0, u64::from_le_bytes) & mask;
+            T::narrow(if x == mask { u64::MAX } else { x })
+        })
     }
 }
 
@@ -586,6 +625,35 @@ mod tests {
             assert_eq!(view.get::<u32>(k as usize), (k < 4).then(|| [2 * (k + 3), k + 3]));
         }
         assert_eq!(column.slice(5..5).unwrap().search(10), None, "an empty view");
+    }
+
+    /// A one-field view's `iter` decodes its values in order — the
+    /// sentinel as the type's `MAX` — and stops at its end, and `prefix`
+    /// cuts a view at its first `len` records, or keeps it whole when it
+    /// holds fewer, on every value width.
+    #[test]
+    fn views_iterate_and_cut_their_records() {
+        let (narrow, wide) = every_width();
+        for codec in narrow {
+            let mask = field_mask(codec.bytes()[0]);
+            let values: Vec<u64> = vec![1, 0, mask - 1, u64::MAX, 7, 2];
+            let column = packed(codec, &values.iter().map(|&x| [x]).collect::<Vec<_>>());
+            let view = column.slice(1..5).unwrap();
+            assert!(view.iter::<u64>().eq(values[1..5].iter().copied()), "{codec:?}");
+            for len in 0..6 {
+                let prefix = view.prefix(len);
+                assert_eq!(prefix.len(), len.min(4), "{codec:?}: prefix {len}");
+                assert!(prefix.iter::<u64>().eq(values[1..1 + len.min(4)].iter().copied()), "{codec:?}");
+                assert_eq!(prefix.is_empty(), len == 0, "{codec:?}: prefix {len}");
+            }
+            assert_eq!(column.slice(3..3).unwrap().iter::<u64>().count(), 0, "{codec:?}: an empty view");
+            assert!(column.view().iter::<u32>().eq(values.iter().map(|&x| <u32 as Field>::narrow(x))));
+        }
+        for codec in wide {
+            let column = packed(codec, &[[1u64; 3], [2; 3], [3; 3]]);
+            let prefix = column.view().prefix(2);
+            assert_eq!((prefix.len(), prefix.get::<u64>(1), prefix.get::<u64>(2)), (2, Some([2; 3]), None));
+        }
     }
 
     /// Views of two columns joined by `extend_from` are the same bytes as

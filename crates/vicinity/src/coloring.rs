@@ -20,6 +20,8 @@ use rand::Rng;
 
 use routing_graph::VertexId;
 
+use crate::VertexSet;
+
 /// Failure to build a Lemma 6 coloring.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColoringError {
@@ -58,7 +60,7 @@ impl Coloring {
 
     /// Builds a coloring satisfying Lemma 6 with respect to `sets`:
     /// every set must end up containing every color. The sets are read in
-    /// place — owned lists, or slices borrowed from a ball table.
+    /// place — owned lists, or a ball table's packed member ids.
     ///
     /// Strategy: sample a random coloring; if validation fails, retry up to
     /// `retries` times; on the last attempt run a repair pass that recolors
@@ -69,7 +71,7 @@ impl Coloring {
     /// Returns [`ColoringError`] if even the repaired coloring leaves some
     /// set without some color — which can only happen when some set has
     /// fewer than `q` vertices.
-    pub fn build_for_sets<S: AsRef<[VertexId]>, R: Rng>(
+    pub fn build_for_sets<S: VertexSet, R: Rng>(
         n: usize,
         q: u32,
         sets: &[S],
@@ -140,11 +142,11 @@ impl Coloring {
     /// Returns the first `(set index, missing color)` violation of
     /// requirement 1, or `None` if every set contains every color. One
     /// buffer of `q` flags serves every set.
-    pub fn first_violation<S: AsRef<[VertexId]>>(&self, sets: &[S]) -> Option<(usize, u32)> {
+    pub fn first_violation<S: VertexSet>(&self, sets: &[S]) -> Option<(usize, u32)> {
         let mut present = vec![false; self.q as usize];
         for (i, set) in sets.iter().enumerate() {
             present.fill(false);
-            for &v in set.as_ref() {
+            for v in set.vertices() {
                 present[self.color(v) as usize] = true;
             }
             if let Some(c) = present.iter().position(|&p| !p) {
@@ -157,21 +159,20 @@ impl Coloring {
     /// In-place repair pass: for up to `max_steps` iterations, find a set
     /// missing a color and recolor one of its vertices whose current color
     /// appears at least twice in that set.
-    fn repair<S: AsRef<[VertexId]>>(&mut self, sets: &[S], max_steps: usize) {
+    fn repair<S: VertexSet>(&mut self, sets: &[S], max_steps: usize) {
         for _ in 0..max_steps {
             let Some((set_idx, missing)) = self.first_violation(sets) else {
                 return;
             };
-            let set = sets[set_idx].as_ref();
+            let set = &sets[set_idx];
             let mut count = vec![0usize; self.q as usize];
-            for &v in set {
+            for v in set.vertices() {
                 count[self.color(v) as usize] += 1;
             }
             // Recolor a vertex whose color is the most over-represented in
             // this set, so we do not create a new violation inside the set.
             let candidate = set
-                .iter()
-                .copied()
+                .vertices()
                 .filter(|&v| count[self.color(v) as usize] >= 2)
                 .max_by_key(|&v| count[self.color(v) as usize]);
             match candidate {

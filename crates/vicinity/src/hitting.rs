@@ -16,17 +16,17 @@
 
 use routing_graph::VertexId;
 
-use crate::BallTable;
+use crate::{BallTable, VertexSet};
 
 /// Deterministic greedy hitting set.
 ///
 /// `n` is the size of the universe `V = {0, ..., n-1}`; every element of the
 /// given sets must be a valid vertex id. Empty input sets are ignored (they
-/// cannot be hit). The sets are read in place — owned lists, or slices
-/// borrowed from a ball table — and a pick is looked up in each unhit set
+/// cannot be hit). The sets are read in place — owned lists, or a ball
+/// table's packed member ids — and a pick is looked up in each unhit set
 /// by a scan of it.
-pub fn hitting_set_greedy<S: AsRef<[VertexId]>>(n: usize, sets: &[S]) -> Vec<VertexId> {
-    greedy(n, sets, |i, v| sets[i].as_ref().contains(&v))
+pub fn hitting_set_greedy<S: VertexSet>(n: usize, sets: &[S]) -> Vec<VertexId> {
+    greedy(n, sets, |i, v| sets[i].vertices().any(|x| x == v))
 }
 
 /// [`hitting_set_greedy`] over the whole vicinity `B(u, ℓ)` of every vertex
@@ -38,16 +38,18 @@ pub fn hitting_set_of_vicinities(balls: &BallTable) -> Vec<VertexId> {
 }
 
 /// The greedy: `contains(i, v)` answers whether `v` is in `sets[i]`.
-fn greedy<S: AsRef<[VertexId]>>(
+fn greedy<S: VertexSet>(
     n: usize,
     sets: &[S],
     contains: impl Fn(usize, VertexId) -> bool,
 ) -> Vec<VertexId> {
-    let mut hit: Vec<bool> = sets.iter().map(|s| s.as_ref().is_empty()).collect();
+    let mut hit: Vec<bool> = sets.iter().map(|s| s.vertices().next().is_none()).collect();
     // Count of unhit sets containing each vertex.
     let mut gain = vec![0usize; n];
-    for &v in sets.iter().flat_map(S::as_ref) {
-        gain[v.index()] += 1;
+    for set in sets {
+        for v in set.vertices() {
+            gain[v.index()] += 1;
+        }
     }
     let mut remaining = hit.iter().filter(|&&h| !h).count();
     let mut result = Vec::new();
@@ -66,7 +68,7 @@ fn greedy<S: AsRef<[VertexId]>>(
             if !hit[set_idx] && contains(set_idx, best) {
                 hit[set_idx] = true;
                 remaining -= 1;
-                for &w in set.as_ref() {
+                for w in set.vertices() {
                     gain[w.index()] = gain[w.index()].saturating_sub(1);
                 }
             }
@@ -80,13 +82,12 @@ fn greedy<S: AsRef<[VertexId]>>(
 ///
 /// The candidate is sorted once and every membership probe is a binary
 /// search over that slice — no per-check hash set is materialized.
-pub fn hits_all<S: AsRef<[VertexId]>>(candidate: &[VertexId], sets: &[S]) -> bool {
+pub fn hits_all<S: VertexSet>(candidate: &[VertexId], sets: &[S]) -> bool {
     let mut lookup: Vec<VertexId> = candidate.to_vec();
     lookup.sort_unstable();
     sets.iter()
-        .map(S::as_ref)
-        .filter(|s| !s.is_empty())
-        .all(|s| s.iter().any(|v| lookup.binary_search(v).is_ok()))
+        .filter(|s| s.vertices().next().is_some())
+        .all(|s| s.vertices().any(|v| lookup.binary_search(&v).is_ok()))
 }
 
 #[cfg(test)]

@@ -36,7 +36,7 @@ pub mod centers;
 pub mod coloring;
 pub mod hitting;
 
-pub use balls::{BallDists, BallPorts, BallTable, BallView};
+pub use balls::{BallDists, BallPorts, BallTable, BallView, MemberDists, MemberIds, VertexSet};
 pub use centers::{all_clusters, bunches, sample_centers_bounded, Landmarks};
 pub use coloring::{Coloring, ColoringError};
 pub use hitting::{hitting_set_greedy, hitting_set_of_vicinities};
