@@ -20,8 +20,9 @@
 //! peak live bytes, with distances and without, its members packed at the
 //! graph's width (see `assert_ball_build_peak`), Theorem 15's, whose
 //! Lemma 5 hitting set reads a table without distances in place (see
-//! `assert_multilevel_build_peak`), Theorem 11's, whose peak is the Lemma 8
-//! merge of packed sequence chunks into the sequence store (see
+//! `assert_multilevel_build_peak`), Theorem 11's, whose Lemma 8 store is
+//! filled a colour class of packed sequence chunks at a time, beside
+//! colours and representatives packed at the graph's width (see
 //! `assert_thm11_build_peak`), Theorem 10's, whose Lemma 7 store is filled
 //! a round of chunks at a time (see `assert_thm10_build_peak`), Theorem 16's,
 //! whose vicinities are built with no ball table, before its hierarchy (see
@@ -483,29 +484,28 @@ fn assert_multilevel_build_peak() {
     );
 }
 
-/// What a Lemma 7 or Lemma 8 merge holds beside the sequence store it
-/// fills: the build's chunks, trimmed as each task finishes, whose entries
-/// take `width` bytes and whose sequence ends take 4, and at most 128 bytes
-/// a chunk for the chunk itself and its arrays' closing pad. `counts` is
-/// the store's `(pairs, entries)`.
+/// What a batch of sequence chunks — a Lemma 7 round, a Lemma 8 class —
+/// holds beside the sequence store it is appended to: the chunks, trimmed
+/// as each task finishes, whose entries take `width` bytes and whose
+/// sequence ends take 4, and at most 128 bytes a chunk for the chunk itself
+/// and its arrays' closing pad. `counts` is the batch's `(pairs, entries)`.
 fn sequence_chunks(width: usize, (pairs, entries): (usize, usize), chunks: usize) -> u64 {
     (width * entries + 4 * pairs + 128 * chunks) as u64
 }
 
 /// `SchemeFivePlusEps::build` on the serve workloads' graph (a weighted
 /// Erdős–Rényi graph, n = 8000, graph seed 13) at ℓ = 180. Its vicinities
-/// keep their member ids only until the colouring: Lemma 8 reads the ports
-/// and the colour representatives, and merges its per-destination sequence
-/// chunks (at most one a landmark) straight into the sequence store. So the
-/// peak must stay within the build of a table without distances, that
-/// table beside the Lemma 4 stage — the landmark sample and the cluster
-/// family's build —, or what the scheme keeps beside the chunks and the
-/// Lemma 8 build's working arrays: a rank and a class entry a vertex, the
-/// classes' growth slack and the work lists, charged at 24 bytes a vertex.
-/// The merge is the peak now that the cluster members are packed. A row
-/// list of the merge (24 bytes a pair), member ids kept through Lemma 8 (4
-/// bytes a member), chunks of 8-byte entries or a distance array the build
-/// never reads (8 bytes a member) sit over it.
+/// keep their member ids only until the colouring, and their colours and
+/// representatives packed: they must hold exactly the ports, a colour a
+/// vertex in the bytes `q` needs and a representative a (vertex, colour)
+/// pair at the id width. Lemma 8 reads the ports and the representatives
+/// and fills its sequence store a colour class at a time, dropping each
+/// class's chunks (one a destination) before the next. So the peak must
+/// stay within the build of a table without distances, that table beside
+/// the Lemma 4 stage — the landmark sample and the cluster family's build
+/// —, or what the scheme keeps beside the Lemma 8 transients
+/// ([`lemma8_transients`]). Every class's chunks held to the end sit over
+/// the last; 4-byte representatives fail the vicinity bytes.
 fn assert_thm11_build_peak() {
     const N: usize = 8000;
     routing_par::set_threads(1);
@@ -517,29 +517,58 @@ fn assert_thm11_build_peak() {
         peak_bytes_in(|| SchemeFivePlusEps::build(&g, &params, &mut StdRng::seed_from_u64(7)));
     let kept = live_bytes() - before;
     let scheme = scheme.expect("thm11 builds");
-    let counts = scheme.router().sequence_counts();
-    let width = SlotCodec::for_graph(&g).width();
-    let chunks = sequence_chunks(width, counts, scheme.landmarks().len());
+    let lemma8 = lemma8_transients(&g, &scheme);
+    let (q, vicinities) = (scheme.q() as usize, scheme.vicinity_heap_bytes());
     drop(scheme);
     let ell = params.scaled((N as f64).powf(1.0 / 3.0).ceil() as usize, N);
     let (ball_build, table) =
         peak_bytes_in(|| BallTable::build_with_dists(&g, ell, BallDists::Skip));
     let full = table.heap_bytes() as u64;
-    drop(table);
+    let ports = table.into_ports().heap_bytes();
+    let (colour, id) = (usize::from(bytes_for(q as u64)), usize::from(bytes_for(N as u64)));
+    let packed = ports + colour * N + id * N * q + 2 * SLOT_PAD;
+    assert_eq!(vicinities, packed, "thm11's vicinities: ports {ports}, colours and representatives packed");
     // The landmarks as the build samples them: its vicinities draw nothing.
     let s = (N as f64).powf(2.0 / 3.0).ceil() as usize;
     let (clusters, _) = peak_bytes_in(|| {
         let landmarks = sample_centers_bounded(&g, s, &mut StdRng::seed_from_u64(7));
         ClusterFamily::build(&g, |_| landmarks.bound_slice()).expect("the family builds")
     });
-    let working = 24 * N as u64;
-    let bound = ball_build.max(full + clusters).max(kept + chunks + working);
+    let bound = ball_build.max(full + clusters).max(kept + lemma8);
     assert!(
         peak <= bound,
         "thm11 peaked at {peak} bytes over a bound of {bound}: ball build {ball_build}, \
-         table {full} at ℓ = {ell}, cluster stage {clusters}, kept {kept}, chunks {chunks}, \
-         working arrays {working}"
+         table {full} at ℓ = {ell}, cluster stage {clusters}, kept {kept}, Lemma 8 \
+         transients {lemma8}"
     );
+}
+
+/// What the Lemma 8 build holds beside the scheme at its largest colour
+/// class: the class's chunks ([`sequence_chunks`], one a destination), the
+/// class lists — a 4-byte source id a vertex of the class with its doubling
+/// slack, and a destination's id, chunk and rank, 24 bytes — and one search
+/// workspace as it stands after a search, with its path buffer.
+fn lemma8_transients(g: &Graph, scheme: &SchemeFivePlusEps) -> u64 {
+    let router = scheme.router();
+    let width = SlotCodec::for_graph(g).width();
+    let mut classes = vec![(0, 0, 0, 0); scheme.q() as usize];
+    for u in g.vertices() {
+        let (pairs, entries) = router.sequence_counts_at(u);
+        let class = &mut classes[scheme.color(u) as usize];
+        *class = (class.0 + pairs, class.1 + entries, class.2, class.3 + 1);
+        if let Some(j) = router.dest_set_of(u) {
+            classes[j as usize].2 += 1;
+        }
+    }
+    let largest = classes.iter().map(|&(pairs, entries, dests, sources)| {
+        sequence_chunks(width, (pairs, entries), dests) + (8 * sources + 24 * dests) as u64
+    });
+    let (workspace, _) = kept_bytes_in(|| {
+        let mut scratch = SearchScratch::for_graph(g);
+        scratch.dijkstra_into(g, VertexId(0));
+        scratch
+    });
+    largest.max().unwrap_or(0) + workspace + 4 * g.n() as u64
 }
 
 /// `SchemeTwoPlusEps::build` on the `t1-er-direct` graph. Its peak is the

@@ -148,7 +148,7 @@ impl SchemeTwoPlusEps {
         // Lemma 6 coloring and Lemma 7 over the induced partition.
         let vic = vic.colour(ell, q, params, rng)?;
         let rep_dist = rep_dists(&vic)?;
-        let router = Technique1Router::build(g, &vic.balls, vic.color_of.clone(), params)?;
+        let router = Technique1Router::build(g, &vic.balls, vic.colours().collect(), params)?;
 
         Ok(SchemeTwoPlusEps {
             n,
@@ -201,8 +201,8 @@ fn rep_dists(vic: &Vicinities<BallTable>) -> Result<PackedColumn<1>, BuildError>
         for u in (0..n).map(|u| VertexId(u as u32)) {
             let reps = vic.reps_at(u);
             for (v, d) in members_with_dists(&vic.balls, u)? {
-                let c = vic.color_of[v.index()] as usize;
-                if reps[c] == v {
+                let c = vic.color(v) as usize;
+                if reps.get(c) == Some([v.0]) {
                     f(u.index() * q + c, d);
                 }
             }
@@ -254,7 +254,7 @@ fn intersections(
         // the first `w` in settle order stays first, and is the one kept.
         triples.sort_by_key(|&(v, sum, _)| (v, sum));
         triples.dedup_by_key(|&mut (v, _, _)| v);
-        store.extend(0, triples.iter().map(|&(v, _, w)| (u, v, w.0)));
+        store.extend(0, triples.iter().map(|&(v, _, w)| (u, v, w.0)))?;
     }
     Ok(store.finish())
 }
@@ -430,7 +430,7 @@ mod tests {
                 // pair, and the two columns' pads.
                 let pairs: usize = reference.iter().map(HashMap::len).sum();
                 let id = usize::from(bytes_for(g.n() as u64));
-                let bytes = 8 * (g.n() + 1) + 2 * id * pairs + 2 * routing_graph::SLOT_PAD;
+                let bytes = 8 * g.n() + 2 * id * pairs + 2 * routing_graph::SLOT_PAD;
                 assert_eq!(flat.heap_bytes(), bytes, "{name} x{threads}: bytes");
                 for u in g.vertices() {
                     let at_u = &reference[u.index()];
@@ -487,7 +487,7 @@ mod tests {
                 let bytes = width * g.n() * q + routing_graph::SLOT_PAD;
                 assert_eq!(scheme.rep_dist.heap_bytes(), bytes, "{} n = {n}", family.name());
                 for u in g.vertices() {
-                    for (c, &rep) in scheme.vic.reps_at(u).iter().enumerate() {
+                    for (c, rep) in scheme.vic.reps_at(u).iter().map(VertexId).enumerate() {
                         let [stored] = scheme.rep_dist.get::<u64>(u.index() * q + c).unwrap();
                         let key = format!("{} n = {n}: colour {c} at {u}", family.name());
                         assert_eq!(Some(stored), exact.dist(u, rep), "{key}, rep {rep}");

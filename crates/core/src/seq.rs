@@ -14,22 +14,25 @@
 //! Both techniques build their sequences with the same per-round walk
 //! (`walk_round`), forward on an entry the same way (`SeqEntry::forward`)
 //! and keep what a vertex stores per destination in the same flat table,
-//! `SeqStore`: a `KeyedStore` CSR whose value for a pair is the end of its
-//! entries in one arena of packed entries. An entry is a `[vertex, port]`
-//! slot of the ball table's `SlotCodec<2>`, at the graph's width: the vertex in
-//! the bytes `n` needs, the port of an edge hop in the bytes the largest
-//! degree needs, and the port field's all-ones sentinel for a ball hop.
-//! Destination keys are packed the same way, at the id width. On a graph of
-//! up to 65,535 vertices and degree 255 a vertex costs 8 bytes, a pair 6 —
-//! its 2-byte key and its 4-byte end — and an entry 3; no sequence is a heap
-//! object of its own. The builders append each task's sequences, packed by
-//! the same codec, to a `SeqChunk`, and a `SeqStoreBuilder` appends the
-//! chunks to the store, each batch growing its arrays by exactly what it
-//! holds: Lemma 7 a round of sources at a time, dropping each round's
-//! chunks before the next, Lemma 8 all at once. A header carries a sequence
-//! as a `SeqCursor` — where its row starts in the arena, how long it is,
-//! and which entry is the current target — and reads one entry at a time;
-//! the words it is charged are the sequence's.
+//! `SeqStore`: a `KeyedStore` — a `[start, end)` slot of id-sorted keys a
+//! vertex — whose value for a pair is the end of its entries in one arena
+//! of packed entries. An entry is a `[vertex, port]` slot of the ball
+//! table's `SlotCodec<2>`, at the graph's width: the vertex in the bytes `n`
+//! needs, the port of an edge hop in the bytes the largest degree needs,
+//! and the port field's all-ones sentinel for a ball hop. Destination keys
+//! are packed the same way, at the id width. On a graph of up to 65,535
+//! vertices and degree 255 a vertex costs 8 bytes, a pair 6 — its 2-byte
+//! key and its 4-byte end — and an entry 3; no sequence is a heap object of
+//! its own. The builders append each task's sequences, packed by the same
+//! codec, to a `SeqChunk`, and a `SeqStoreBuilder` appends the chunks to
+//! the store a batch at a time, each batch growing its arrays by exactly
+//! what it holds and dropped before the next: Lemma 7 a round of sources
+//! at a time, in vertex order, Lemma 8 a colour class of sources at a time.
+//! A vertex's rows are contiguous and key-sorted, the vertices in any
+//! order. A header carries a sequence as a `SeqCursor` — where its row
+//! starts in the arena, how long it is, and which entry is the current
+//! target — and reads one entry at a time; the words it is charged are the
+//! sequence's.
 
 use serde::{Deserialize, Serialize};
 
@@ -285,8 +288,8 @@ impl SeqChunk {
         Ok(())
     }
 
-    /// Returns the arrays' growth slack: a finished chunk waits for the
-    /// merge at its length.
+    /// Returns the arrays' growth slack: a finished chunk waits to be
+    /// appended to the store at its length.
     pub(crate) fn shrink_to_fit(&mut self) {
         self.entries.shrink_to_fit();
         self.ends.shrink_to_fit();
@@ -379,15 +382,18 @@ impl Values for PackedColumn<1> {
     }
 }
 
-/// What every vertex stores per destination, as one flat table: a CSR slot
-/// per vertex `u` with id-sorted destination keys, in the
-/// `BallTable`/`DistLists` style. A lookup is one binary search over
-/// `u`'s contiguous slot, one key window a probe; the resident memory is
-/// three flat arrays, no hashing anywhere.
+/// What every vertex stores per destination, as one flat table: a slot of
+/// contiguous, id-sorted destination keys per vertex `u`, in the
+/// `BallTable`/`DistLists` style. A lookup is one binary search over `u`'s
+/// slot, one key window a probe; the resident memory is three flat arrays,
+/// no hashing anywhere. A slot is a `[start, end)` pair of `u32`s, 8 bytes
+/// a vertex, so the slots may be filled in any vertex order: Lemma 8 fills
+/// them a colour class at a time.
 #[derive(Debug, Clone)]
 pub(crate) struct KeyedStore<V> {
-    /// `offsets[u] .. offsets[u + 1]` delimits `u`'s slot.
-    offsets: Vec<usize>,
+    /// `ranges[u]` is `[start, end)` of `u`'s slot; `[0, 0]` for a vertex
+    /// that stores nothing.
+    ranges: Vec<[u32; 2]>,
     /// Destination keys, id-sorted within each slot, at the id width of
     /// `0..n` ([`SlotCodec::for_ids`]).
     keys: PackedColumn<1>,
@@ -395,12 +401,12 @@ pub(crate) struct KeyedStore<V> {
     values: V,
 }
 
-/// A [`KeyedStore`] being filled: rows arrive sorted by `(u, key)`, a batch
-/// at a time, and `offsets[u + 1]` counts the keys of `u` until
-/// [`finish`](Self::finish) sums them up.
+/// A [`KeyedStore`] being filled, a batch of rows at a time: each vertex's
+/// rows arrive together and sorted by key, the vertices in any order.
 #[derive(Debug)]
 pub(crate) struct KeyedStoreBuilder<V> {
     store: KeyedStore<V>,
+    /// The last row appended.
     last: Option<(VertexId, VertexId)>,
 }
 
@@ -408,33 +414,62 @@ impl<V: Values> KeyedStoreBuilder<V> {
     /// An empty store over vertices `0..n`, its values appended to `values`.
     pub(crate) fn new(n: usize, values: V) -> Self {
         let keys = PackedColumn::new(SlotCodec::for_ids(n));
-        KeyedStoreBuilder { store: KeyedStore { offsets: vec![0; n + 1], keys, values }, last: None }
+        KeyedStoreBuilder { store: KeyedStore { ranges: vec![[0, 0]; n], keys, values }, last: None }
     }
 
-    /// Appends `rows`, `pairs` of them if the caller knows, sorted by
-    /// `(u, key)` after every row appended before, every key in `0..n`:
-    /// the keys and values grow by exactly `pairs`.
-    pub(crate) fn extend(&mut self, pairs: usize, rows: impl Iterator<Item = (VertexId, VertexId, V::Value)>) {
+    /// Appends `rows`, `pairs` of them if the caller knows (the keys and
+    /// values then grow by exactly `pairs`): every `u` and key in `0..n`,
+    /// and each vertex's rows contiguous and strictly sorted by key across
+    /// every batch — a vertex's slot is one run of rows.
+    ///
+    /// # Errors
+    ///
+    /// [`BuildError::Inconsistent`] when a row names no vertex, repeats or
+    /// undercuts its vertex's last key, or resumes a vertex whose rows
+    /// ended before another's; [`BuildError::BadParameter`] when the pairs
+    /// outnumber what a `u32` slot bound addresses. The rows before the
+    /// refused one stay appended.
+    pub(crate) fn extend(
+        &mut self,
+        pairs: usize,
+        rows: impl Iterator<Item = (VertexId, VertexId, V::Value)>,
+    ) -> Result<(), BuildError> {
         let store = &mut self.store;
         store.keys.reserve_exact(pairs);
         store.values.reserve_exact(pairs);
+        let n = store.ranges.len();
         for (u, key, value) in rows {
-            debug_assert!(self.last < Some((u, key)), "rows must be strictly sorted by (u, key)");
-            debug_assert!(key.index() + 1 < store.offsets.len(), "key {key} is not a vertex");
+            let inconsistent = |what: String| BuildError::Inconsistent { what };
+            if u.index() >= n || key.index() >= n {
+                return Err(inconsistent(format!("row ({u}, {key}) of a store over {n} vertices")));
+            }
+            let end = u32::try_from(store.keys.len() + 1).map_err(|_| BuildError::BadParameter {
+                what: format!("{} stored pairs exceed a u32 slot bound", store.keys.len() + 1),
+            })?;
+            let slot = &mut store.ranges[u.index()];
+            match self.last {
+                Some((last_u, last_key)) if last_u == u => {
+                    if key <= last_key {
+                        return Err(inconsistent(format!("key {key} after {last_key} at {u}")));
+                    }
+                }
+                _ if slot[1] != 0 => {
+                    return Err(inconsistent(format!("the rows of {u} are split by another vertex's")));
+                }
+                _ => slot[0] = end - 1,
+            }
+            slot[1] = end;
             self.last = Some((u, key));
-            store.offsets[u.index() + 1] += 1;
             store.keys.push([key.0]);
             store.values.push(value);
         }
+        Ok(())
     }
 
-    /// The store, offsets summed and no growth slack: it is kept for the
-    /// scheme's lifetime.
+    /// The store, with no growth slack: it is kept for the scheme's
+    /// lifetime.
     pub(crate) fn finish(self) -> KeyedStore<V> {
         let mut store = self.store;
-        for u in 1..store.offsets.len() {
-            store.offsets[u] += store.offsets[u - 1];
-        }
         store.keys.shrink_to_fit();
         store.values.shrink_to_fit();
         store
@@ -443,13 +478,12 @@ impl<V: Values> KeyedStoreBuilder<V> {
 
 #[cfg(test)]
 impl<T: Copy> KeyedStore<Vec<T>> {
-    /// Builds the store over vertices `0..n` from `(u, key, value)` rows
-    /// that arrive sorted by `(u, key)`, every pair at most once, every key
-    /// in `0..n`.
+    /// Builds the store over vertices `0..n` from `(u, key, value)` rows,
+    /// each vertex's together and sorted by key, every key in `0..n`.
     pub(crate) fn from_sorted(n: usize, rows: impl IntoIterator<Item = (VertexId, VertexId, T)>) -> Self {
         let rows = rows.into_iter();
         let mut store = KeyedStoreBuilder::new(n, Vec::new());
-        store.extend(rows.size_hint().0, rows);
+        store.extend(rows.size_hint().0, rows).unwrap();
         store.finish()
     }
 }
@@ -460,11 +494,11 @@ impl<V: Values> KeyedStore<V> {
     /// check comes before any key is masked to the packed width.
     #[inline]
     fn get_index(&self, u: VertexId, key: VertexId) -> Option<usize> {
-        if key.index() >= self.offsets.len().saturating_sub(1) {
+        if key.index() >= self.ranges.len() {
             return None;
         }
-        let range = *self.offsets.get(u.index())?..*self.offsets.get(u.index() + 1)?;
-        Some(range.start + self.keys.slice(range)?.search(key.0.into())?)
+        let [lo, hi] = self.ranges.get(u.index())?.map(|b| b as usize);
+        Some(lo + self.keys.slice(lo..hi)?.search(key.0.into())?)
     }
 
     /// What `u` stores for `key`, if anything. A `u` outside `0..n` stores
@@ -477,21 +511,21 @@ impl<V: Values> KeyedStore<V> {
     /// How many destinations `u` stores something for; none for a `u`
     /// outside `0..n`.
     pub(crate) fn slot_len(&self, u: VertexId) -> usize {
-        self.offsets.get(u.index() + 1).zip(self.offsets.get(u.index())).map_or(0, |(hi, lo)| hi - lo)
+        self.ranges.get(u.index()).map_or(0, |&[lo, hi]| (hi - lo) as usize)
     }
 
     /// Heap bytes held, by capacity.
     pub(crate) fn heap_bytes(&self) -> usize {
-        std::mem::size_of::<usize>() * self.offsets.capacity() + self.keys.heap_bytes() + self.values.heap_bytes()
+        std::mem::size_of::<[u32; 2]>() * self.ranges.capacity() + self.keys.heap_bytes() + self.values.heap_bytes()
     }
 }
 
 /// The Lemma 7 or Lemma 8 sequence every vertex stores per destination, as
 /// one [`KeyedStore`] over one arena: the value of a pair is the end of its
-/// entries in `arena`, and they start where the previous pair's — in
-/// `(u, key)` order — end. 8 bytes a vertex, a packed key and 4 bytes a
-/// pair, and one packed slot an entry: 8, 6 and 3 on graphs of up to 65,535
-/// vertices and degree 255.
+/// entries in `arena`, and they start where the previous pair appended
+/// ends. 8 bytes a vertex, a packed key and 4 bytes a pair, and one packed
+/// slot an entry: 8, 6 and 3 on graphs of up to 65,535 vertices and
+/// degree 255.
 #[derive(Debug, Clone)]
 pub(crate) struct SeqStore {
     ends: KeyedStore<Vec<u32>>,
@@ -500,7 +534,8 @@ pub(crate) struct SeqStore {
 
 /// A [`SeqStore`] being filled a batch of rows at a time, each batch's
 /// arrays growing by exactly what it holds, so that a build can append
-/// each round of its sequence chunks and drop them before the next.
+/// each round (Lemma 7) or colour class (Lemma 8) of its sequence chunks
+/// and drop them before the next.
 #[derive(Debug)]
 pub(crate) struct SeqStoreBuilder {
     ends: KeyedStoreBuilder<Vec<u32>>,
@@ -513,15 +548,17 @@ impl SeqStoreBuilder {
         SeqStoreBuilder { ends: KeyedStoreBuilder::new(n, Vec::new()), arena: PackedColumn::new(codec) }
     }
 
-    /// Appends `(u, key, entries)` rows sorted by `(u, key)` after every
-    /// row appended before, every pair at most once, each row packed by
-    /// the store's codec. A first pass counts the rows and their entries,
-    /// so every array grows once, by exactly that.
+    /// Appends `(u, key, entries)` rows, each packed by the store's codec,
+    /// as [`KeyedStoreBuilder::extend`] takes them: each vertex's rows
+    /// together and sorted by key, the vertices in any order. A first pass
+    /// counts the rows and their entries, so every array grows once, by
+    /// exactly that.
     ///
     /// # Errors
     ///
     /// [`BuildError::BadParameter`] when the entries outnumber what a `u32`
-    /// end offset addresses.
+    /// end offset addresses, and what [`KeyedStoreBuilder::extend`]
+    /// returns.
     pub(crate) fn extend<'a, I>(&mut self, rows: I) -> Result<(), BuildError>
     where
         I: IntoIterator<Item = (VertexId, VertexId, PackedView<'a, 2>)>,
@@ -541,8 +578,7 @@ impl SeqStoreBuilder {
             arena.extend_from(entries);
             (u, key, arena.len() as u32)
         });
-        self.ends.extend(pairs, rows);
-        Ok(())
+        self.ends.extend(pairs, rows)
     }
 
     /// The store, with no growth slack.
@@ -554,25 +590,6 @@ impl SeqStoreBuilder {
 }
 
 impl SeqStore {
-    /// Builds the store over vertices `0..n` from `(u, key, entries)` rows
-    /// that arrive sorted by `(u, key)`, every pair at most once, each row
-    /// packed by `codec`, in one [`SeqStoreBuilder::extend`]: every array
-    /// is allocated once, at its final size.
-    ///
-    /// # Errors
-    ///
-    /// [`BuildError::BadParameter`] when the entries outnumber what a `u32`
-    /// end offset addresses.
-    pub(crate) fn from_sorted<'a, I>(codec: SlotCodec<2>, n: usize, rows: I) -> Result<Self, BuildError>
-    where
-        I: IntoIterator<Item = (VertexId, VertexId, PackedView<'a, 2>)>,
-        I::IntoIter: Clone,
-    {
-        let mut store = SeqStoreBuilder::new(codec, n);
-        store.extend(rows)?;
-        Ok(store.finish())
-    }
-
     /// A cursor on the first entry of what `u` stores for `key`, if
     /// anything. A `u` or `key` outside `0..n` stores nothing.
     #[inline]
@@ -606,8 +623,7 @@ impl SeqStore {
 
     /// `(pairs, entries)` stored at `u`; none for a `u` outside `0..n`.
     pub(crate) fn counts_at(&self, u: VertexId) -> (usize, usize) {
-        let offsets = &self.ends.offsets;
-        let (Some(&lo), Some(&hi)) = (offsets.get(u.index()), offsets.get(u.index() + 1)) else {
+        let Some([lo, hi]) = self.ends.ranges.get(u.index()).map(|r| r.map(|b| b as usize)) else {
             return (0, 0);
         };
         let end = |i: usize| i.checked_sub(1).and_then(|i| self.ends.values.value(i)).map_or(0, |e| e as usize);
@@ -622,6 +638,20 @@ impl SeqStore {
 
 #[cfg(test)]
 impl SeqStore {
+    /// Builds the store over vertices `0..n` from `(u, key, entries)` rows,
+    /// each vertex's together and sorted by key, each row packed by
+    /// `codec`, in one [`SeqStoreBuilder::extend`]: every array is
+    /// allocated once, at its final size.
+    pub(crate) fn from_sorted<'a, I>(codec: SlotCodec<2>, n: usize, rows: I) -> Result<Self, BuildError>
+    where
+        I: IntoIterator<Item = (VertexId, VertexId, PackedView<'a, 2>)>,
+        I::IntoIter: Clone,
+    {
+        let mut store = SeqStoreBuilder::new(codec, n);
+        store.extend(rows)?;
+        Ok(store.finish())
+    }
+
     /// Every entry of a cursor's sequence, decoded.
     pub(crate) fn decode_row(&self, c: SeqCursor) -> Vec<SeqEntry> {
         (c.start..c.start + c.len).map(|i| decode_entry(self.arena.get(i as usize).unwrap())).collect()
@@ -636,8 +666,8 @@ impl SeqStore {
     /// capacity is its length, the keys' and the arena's their records and
     /// pads.
     pub(crate) fn tight_sizes(&self) -> (usize, usize) {
-        let KeyedStore { offsets, keys, values } = &self.ends;
-        assert_eq!(offsets.capacity(), offsets.len(), "offsets");
+        let KeyedStore { ranges, keys, values } = &self.ends;
+        assert_eq!(ranges.capacity(), ranges.len(), "ranges");
         assert_eq!(values.capacity(), values.len(), "ends");
         assert_eq!(keys.len(), values.len(), "a key a pair");
         for (column, width, what) in [(keys.heap_bytes(), keys.codec().width() * keys.len(), "keys"), (self.arena.heap_bytes(), self.arena.codec().width() * self.arena.len(), "arena")] {
@@ -713,7 +743,43 @@ mod tests {
         assert_eq!(store.get(v(4), v(0)), None, "a vertex of another instance");
         assert_eq!([0, 1, 2, 3].map(|u| store.slot_len(v(u))), [2, 0, 1, 0]);
         // 1-byte keys and their pad, 4-byte chars.
-        assert_eq!(store.heap_bytes(), 8 * 5 + (3 + SLOT_PAD) + 4 * 3);
+        assert_eq!(store.heap_bytes(), 8 * 4 + (3 + SLOT_PAD) + 4 * 3);
+    }
+
+    /// The slots may be filled in any vertex order, each vertex's rows
+    /// together and key-sorted; a vertex whose rows are split by another's,
+    /// a key repeated or out of order, and a vertex or key outside `0..n`
+    /// are [`BuildError::Inconsistent`], across batches too.
+    #[test]
+    fn keyed_store_takes_vertices_in_any_order_but_refuses_a_split_vertex() {
+        let v = VertexId;
+        let mut store = KeyedStoreBuilder::new(4, Vec::new());
+        store.extend(2, [(v(2), v(0), 'a'), (v(2), v(3), 'b')].into_iter()).unwrap();
+        store.extend(2, [(v(0), v(1), 'c'), (v(3), v(2), 'd')].into_iter()).unwrap();
+        let store = store.finish();
+        for (u, key, value) in [(2, 0, 'a'), (2, 3, 'b'), (0, 1, 'c'), (3, 2, 'd')] {
+            assert_eq!(store.get(v(u), v(key)), Some(value), "({u}, {key})");
+        }
+        assert_eq!(store.get(v(2), v(1)), None);
+        assert_eq!([0, 1, 2, 3].map(|u| store.slot_len(v(u))), [1, 0, 2, 1]);
+        assert_eq!(store.ranges, [[2, 3], [0, 0], [0, 2], [3, 4]]);
+        let refused: [&[(u32, u32)]; 6] = [
+            &[(0, 1), (1, 0), (0, 2)],
+            &[(2, 0), (2, 3), (0, 1), (2, 1)],
+            &[(0, 2), (0, 1)],
+            &[(0, 2), (0, 2)],
+            &[(4, 0)],
+            &[(0, 4)],
+        ];
+        for rows in refused {
+            let mut store = KeyedStoreBuilder::new(4, Vec::new());
+            // Every row but the last in one batch, the last in another.
+            let (last, first) = rows.split_last().unwrap();
+            let batch = |rows: &[(u32, u32)]| rows.iter().map(|&(u, key)| (v(u), v(key), ())).collect::<Vec<_>>();
+            store.extend(0, batch(first).into_iter()).unwrap();
+            let err = store.extend(0, batch(&[*last]).into_iter()).unwrap_err();
+            assert!(matches!(err, BuildError::Inconsistent { .. }), "{rows:?}: {err}");
+        }
     }
 
     /// Each pair reads back exactly its own entries, from chunks cut at
@@ -758,7 +824,7 @@ mod tests {
         assert_eq!(store.cursor(v(0), v(2)), None);
         assert_eq!(store.cursor(v(300), v(0)), None, "a vertex of another instance");
         assert_eq!(store.tight_sizes(), (4, 6));
-        assert_eq!(store.heap_bytes(), 8 * 301 + (2 + 4) * 4 + 3 * 6 + 2 * SLOT_PAD);
+        assert_eq!(store.heap_bytes(), 8 * 300 + (2 + 4) * 4 + 3 * 6 + 2 * SLOT_PAD);
     }
 
     /// On a store of 1-byte keys, an id that masks down to a stored key

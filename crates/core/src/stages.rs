@@ -39,7 +39,7 @@ use std::ops::Range;
 use rand::Rng;
 
 use routing_graph::codec::{bytes_for, Field};
-use routing_graph::{Graph, PackedColumn, SearchScratch, SlotCodec, VertexId, Weight};
+use routing_graph::{Graph, PackedColumn, PackedView, SearchScratch, SlotCodec, VertexId, Weight};
 use routing_model::{Decision, RouteError};
 use routing_tree::{TreeForest, TreeLabelView, TreeView};
 use routing_vicinity::{
@@ -174,33 +174,35 @@ pub(crate) fn global_trees(g: &Graph, roots: &[VertexId]) -> Result<TreeForest, 
 /// Lemma 2 vicinities `B(u, ℓ)`, their Lemma 6 colouring and, per vertex and
 /// colour, the closest vicinity member of that colour — with the routing
 /// arms that read them. `B` is the full [`BallTable`] while a scheme is
-/// being built and [`BallPorts`] in the scheme.
+/// being built and [`BallPorts`] in the scheme. Both colour arrays are
+/// packed at the graph's width and read in place.
 #[derive(Debug, Clone)]
 pub(crate) struct Vicinities<B = BallPorts> {
     /// The number of colours.
     pub(crate) q: u32,
     pub(crate) balls: B,
-    /// The colour of every vertex, indexed by vertex id.
-    pub(crate) color_of: Vec<u32>,
+    /// The colour of every vertex, indexed by vertex id, in the bytes the
+    /// colours need ([`pack_colours`]): one while `q ≤ 255`.
+    color_of: PackedColumn<1>,
     /// Row-major `n × q`: entry `u·q + i` is the closest vertex of colour
-    /// `i` inside `B(u, ℓ)`.
-    color_rep: Vec<VertexId>,
+    /// `i` inside `B(u, ℓ)`, at the id width ([`SlotCodec::for_ids`]).
+    color_rep: PackedColumn<1>,
 }
 
 impl Vicinities<BallTable> {
     /// Stage one: the vicinities of `ell` members, with no colours yet
     /// (`q = 0`), and their distances if `dists` asks for them. Draws
     /// nothing from the build's RNG, so it runs before the landmark sample.
-    /// The whole table stays live until the colouring has run, so the heap
-    /// peak of a Theorem 11 build is the Lemma 4 stage beside it, not the
-    /// Lemma 8 merge, which runs on the ports alone.
+    /// The whole table stays live until the colouring has run, so a
+    /// Theorem 11 build holds it beside its Lemma 4 stage; its peak is the
+    /// Lemma 8 stage after [`retain`](Self::retain), which holds the ports
+    /// and one colour class of sequence chunks beside what it keeps.
     pub(crate) fn balls(g: &Graph, ell: usize, dists: BallDists) -> Self {
-        Vicinities {
-            q: 0,
-            balls: BallTable::build_with_dists(g, ell, dists),
-            color_of: Vec::new(),
-            color_rep: Vec::new(),
-        }
+        let balls = BallTable::build_with_dists(g, ell, dists);
+        // The empty colour columns hold their pads: made after the table,
+        // they are not live during its build.
+        let empty = PackedColumn::new(SlotCodec::for_ids(0));
+        Vicinities { q: 0, balls, color_of: empty.clone(), color_rep: empty }
     }
 
     /// Stage two: colours the `prefix_len`-member prefixes of the vicinities
@@ -215,22 +217,22 @@ impl Vicinities<BallTable> {
         params: &Params,
         rng: &mut R,
     ) -> Result<Self, BuildError> {
-        let color_of: Vec<u32> = {
+        let n = self.balls.len();
+        let coloring = {
             let _span = routing_obs::span("coloring");
-            let balls = &self.balls;
-            let sets = balls.id_prefixes(prefix_len);
-            let coloring =
-                Coloring::build_for_sets(balls.len(), q, &sets, params.coloring_retries, rng)?;
-            (0..balls.len()).map(|v| coloring.color(VertexId(v as u32))).collect()
+            let sets = self.balls.id_prefixes(prefix_len);
+            Coloring::build_for_sets(n, q, &sets, params.coloring_retries, rng)?
         };
-        Ok(self.coloured_by(color_of, q))
+        Ok(self.coloured_by((0..n).map(|v| coloring.color(VertexId(v as u32))), q))
     }
 
-    /// Stage two with the colours given: `color_of[v]` is the colour of
-    /// `v`, and the representatives of the colours `0..q` are picked from
-    /// the whole ball (a colour outside `0..q` has none).
-    pub(crate) fn coloured_by(self, color_of: Vec<u32>, q: u32) -> Self {
+    /// Stage two with the colours given: the colour of every vertex, in id
+    /// order, packed ([`pack_colours`]), and the representatives of the
+    /// colours `0..q` picked from the whole ball (a colour outside `0..q`
+    /// has none).
+    pub(crate) fn coloured_by(self, colours: impl Iterator<Item = u32> + Clone, q: u32) -> Self {
         let _span = routing_obs::span("color-reps");
+        let color_of = pack_colours(q, colours);
         let color_rep = build_color_reps(&self.balls, &color_of, q as usize);
         Vicinities { q, balls: self.balls, color_of, color_rep }
     }
@@ -244,18 +246,27 @@ impl Vicinities<BallTable> {
 }
 
 impl<B> Vicinities<B> {
-    /// The representatives stored at `u`, indexed by colour.
-    pub(crate) fn reps_at(&self, u: VertexId) -> &[VertexId] {
+    /// The representatives stored at `u`, indexed by colour, packed; none
+    /// for a `u` outside `0..n`.
+    pub(crate) fn reps_at(&self, u: VertexId) -> PackedView<'_, 1> {
         let q = self.q as usize;
-        &self.color_rep[u.index() * q..(u.index() + 1) * q]
+        let row = self.color_rep.slice(u.index() * q..(u.index() + 1) * q);
+        row.unwrap_or_else(|| self.color_rep.view().prefix(0))
+    }
+
+    /// The colour of `v`; `u32::MAX`, no colour, for a `v` outside `0..n`.
+    #[inline]
+    pub(crate) fn color(&self, v: VertexId) -> u32 {
+        self.color_of.get(v.index()).map_or(u32::MAX, |[c]| c)
+    }
+
+    /// Every vertex's colour, in id order.
+    pub(crate) fn colours(&self) -> impl Iterator<Item = u32> + '_ {
+        self.color_of.view().iter()
     }
 }
 
 impl Vicinities {
-    pub(crate) fn color(&self, v: VertexId) -> u32 {
-        self.color_of[v.index()]
-    }
-
     /// True when `v ∈ B(at, ℓ)`: Lemma 2 forwarding from `at` reaches it on
     /// a shortest path (Property 1 keeps it visible along the way).
     #[inline]
@@ -290,7 +301,8 @@ impl Vicinities {
                 what: format!("colour {colour} is not one of this instance's {} colours", self.q),
             });
         }
-        Ok(self.color_rep[u.index() * self.q as usize + colour as usize])
+        let rep = self.color_rep.get(u.index() * self.q as usize + colour as usize);
+        rep.map(|[w]| VertexId(w)).ok_or(RouteError::UnknownVertex { at: u })
     }
 
     /// Words `u` stores: its vicinity and one representative per colour.
@@ -299,36 +311,49 @@ impl Vicinities {
     }
 
     /// Bytes of heap the vicinities hold, by capacity: the ports, one
-    /// colour a vertex and one representative a (vertex, colour) pair.
+    /// packed colour a vertex and one packed representative a (vertex,
+    /// colour) pair, and the two columns' pads.
     pub(crate) fn heap_bytes(&self) -> usize {
-        self.balls.heap_bytes()
-            + std::mem::size_of::<u32>() * self.color_of.capacity()
-            + std::mem::size_of::<VertexId>() * self.color_rep.capacity()
+        self.balls.heap_bytes() + self.color_of.heap_bytes() + self.color_rep.heap_bytes()
     }
 }
 
+/// The colours, one a vertex, in the bytes that leave the largest of them
+/// and every colour of `0..q` below the sentinel: one byte while `q ≤ 255`.
+fn pack_colours(q: u32, colours: impl Iterator<Item = u32> + Clone) -> PackedColumn<1> {
+    let top = colours.clone().map(|c| u64::from(c) + 1).max().unwrap_or(0).max(u64::from(q));
+    let mut column = PackedColumn::with_capacity(SlotCodec::new([bytes_for(top)]), colours.clone().count());
+    for c in colours {
+        column.push([c]);
+    }
+    column
+}
+
 /// For every vertex and every colour, the closest vicinity member of that
-/// colour: the settle order is by distance, so the first member of each
-/// colour is the closest. It is also the vertex Lemma 8 hands a sequence
-/// over to, the first of its colour in the vicinity.
-fn build_color_reps(balls: &BallTable, color_of: &[u32], q: usize) -> Vec<VertexId> {
-    let mut reps = Vec::with_capacity(balls.len() * q);
-    let mut found = vec![false; q];
-    for u in (0..balls.len()).map(|u| VertexId(u as u32)) {
+/// colour, at the id width: the settle order is by distance, so the first
+/// member of each colour is the closest. It is also the vertex Lemma 8
+/// hands a sequence over to, the first of its colour in the vicinity.
+fn build_color_reps(balls: &BallTable, color_of: &PackedColumn<1>, q: usize) -> PackedColumn<1> {
+    let n = balls.len();
+    let mut reps = PackedColumn::with_capacity(SlotCodec::for_ids(n), n * q);
+    let (mut row, mut found) = (vec![0u32; q], vec![false; q]);
+    for u in (0..n).map(|u| VertexId(u as u32)) {
         // Colours missing from the vicinity (possible at tiny scales when
         // the colouring repair had to give up on balance) fall back to the
         // vertex itself; routing then starts the technique directly at `u`,
         // which is still correct, merely without the paper's guarantee
         // that `d(u, w) <= d(u, v)`.
-        let row = reps.len();
-        reps.resize(row + q, u);
+        row.fill(u.0);
         found.fill(false);
         for v in balls.ball(u).ids().iter() {
-            let c = color_of[v.index()] as usize;
+            let c = color_of.get(v.index()).map_or(usize::MAX, |[c]: [u32; 1]| c as usize);
             if found.get(c) == Some(&false) {
                 found[c] = true;
-                reps[row + c] = v;
+                row[c] = v.0;
             }
+        }
+        for &w in &row {
+            reps.push([w]);
         }
     }
     reps
@@ -709,8 +734,9 @@ mod tests {
     /// before [`Vicinities::retain`]: the same ports, and of the vicinities
     /// nothing but the packed `[member, port]` slots, within the budget
     /// `balls.rs` pins for them (`⌈4w/3⌉` bytes a member at `w` bytes a
-    /// slot, 32 a vertex), 4 bytes of colour a vertex and 4 of
-    /// representative a (vertex, colour) pair.
+    /// slot, 32 a vertex), a colour a vertex in the bytes `q` needs and a
+    /// representative a (vertex, colour) pair at the id width, and the two
+    /// colour columns' pads.
     fn assert_same_vicinities(key: &str, kept: &Vicinities, direct: &Vicinities<BallTable>) {
         assert_eq!(kept.q, direct.q, "{key}: q");
         assert_eq!(kept.balls, *direct.balls, "{key}: ports");
@@ -721,7 +747,10 @@ mod tests {
         let bound = per_member * members + 32 * n + 64;
         assert!(ports <= bound, "{key}: {ports} B for {members} members");
         let reps = n * kept.q as usize;
-        assert_eq!(kept.heap_bytes(), ports + 4 * n + 4 * reps, "{key}: vicinity bytes");
+        let (colour, id) = (usize::from(bytes_for(kept.q.into())), usize::from(bytes_for(n as u64)));
+        assert_eq!(kept.color_of.codec().width(), colour, "{key}: colour width");
+        let bytes = ports + colour * n + id * reps + 2 * SLOT_PAD;
+        assert_eq!(kept.heap_bytes(), bytes, "{key}: vicinity bytes");
         assert_eq!(kept.color_of, direct.color_of, "{key}: colours");
         assert_eq!(kept.color_rep, direct.color_rep, "{key}: representatives");
     }
@@ -1068,6 +1097,66 @@ mod tests {
                 }
             }
             assert!(foreign_colours > 0, "{key}: no label named a colour >= q");
+        }
+    }
+
+    /// The packed colours and representatives equal the `Vec` layout they
+    /// replaced, rebuilt test-locally — a 4-byte colour a vertex, and a
+    /// 4-byte representative a (vertex, colour) pair, the first member of
+    /// the colour in settle order or the vertex itself — through every
+    /// reader (`color`, `colours`, `reps_at`, `rep`), at 2-byte ids
+    /// (n = 300, every family) and 3-byte ids (a 65,600-vertex grid), and
+    /// at one and two bytes a colour (q = 255 and 256). A colour past
+    /// `0..q` and a vertex past `0..n` answer as the vectors' bounds did.
+    #[test]
+    fn packed_colours_equal_the_vectors_they_replaced() {
+        let mut cases: Vec<(String, Graph, u32)> = Family::ALL
+            .into_iter()
+            .map(|f| (f.name().to_string(), f.generate(300, WeightModel::Unit, &mut StdRng::seed_from_u64(3)), 7))
+            .collect();
+        cases.push(("grid q=255".into(), generators::grid(18, 18), 255));
+        cases.push(("grid q=256".into(), generators::grid(18, 18), 256));
+        cases.push(("grid n=65,600".into(), generators::grid(328, 200), 41));
+        for (key, g, q) in cases {
+            let n = g.n();
+            let ell = 6;
+            let color_of: Vec<u32> = (0..n as u32).map(|v| v.wrapping_mul(2_654_435_761) % q).collect();
+            let vic = Vicinities::balls(&g, ell, BallDists::Skip).coloured_by(color_of.iter().copied(), q);
+            // The vectors, as the stage kept them.
+            let mut reps = Vec::with_capacity(n * q as usize);
+            for u in g.vertices() {
+                let row = reps.len();
+                reps.resize(row + q as usize, u);
+                let mut found = vec![false; q as usize];
+                for v in vic.balls.ball(u).ids().iter() {
+                    let c = color_of[v.index()] as usize;
+                    if !found[c] {
+                        found[c] = true;
+                        reps[row + c] = v;
+                    }
+                }
+            }
+            let (colour_bytes, id_bytes) = (usize::from(q > 255) + 1, usize::from(bytes_for(n as u64)));
+            assert_eq!(vic.color_of.codec().width(), colour_bytes, "{key}: colour width");
+            assert_eq!(vic.color_rep.codec().width(), id_bytes, "{key}: id width");
+            assert_eq!(vic.colours().collect::<Vec<_>>(), color_of, "{key}: colours");
+            for u in g.vertices() {
+                assert_eq!(vic.color(u), color_of[u.index()], "{key}: colour of {u}");
+                let row = &reps[u.index() * q as usize..][..q as usize];
+                assert_eq!(vic.reps_at(u).iter().map(VertexId).collect::<Vec<_>>(), row, "{key}: reps at {u}");
+            }
+            let vic = vic.retain();
+            for u in g.vertices().step_by(7) {
+                for c in 0..q {
+                    assert_eq!(vic.rep(u, c).ok(), Some(reps[u.index() * q as usize + c as usize]), "{key}");
+                }
+                assert!(matches!(vic.rep(u, q), Err(RouteError::BadLabel { .. })), "{key}: colour {q}");
+            }
+            let outside = VertexId(n as u32);
+            assert_eq!((vic.color(outside), vic.reps_at(outside).len()), (u32::MAX, 0), "{key}");
+            assert!(vic.rep(outside, 0).is_err(), "{key}: rep at {outside}");
+            let bytes = vic.balls.heap_bytes() + colour_bytes * n + id_bytes * reps.len() + 2 * SLOT_PAD;
+            assert_eq!(vic.heap_bytes(), bytes, "{key}: bytes");
         }
     }
 }

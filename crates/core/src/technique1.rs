@@ -978,7 +978,7 @@ mod tests {
             assert_eq!(router.sequence_counts_at(VertexId(g.n() as u32)), (0, 0), "{name}");
             let (key, width) = (SlotCodec::for_ids(g.n()).width(), SlotCodec::for_graph(g).width());
             assert_eq!((key, width), (1, 2), "{name}: 1-byte ids, 1-byte ports");
-            let bytes = 8 * (g.n() + 1) + (key + 4) * pairs + width * entries + 2 * SLOT_PAD;
+            let bytes = 8 * g.n() + (key + 4) * pairs + width * entries + 2 * SLOT_PAD;
             assert_eq!(router.sequences_heap_bytes(), bytes, "{name}");
         }
     }

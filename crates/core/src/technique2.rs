@@ -24,7 +24,7 @@ use routing_graph::{Graph, SearchScratch, SlotCodec, VertexId, Weight};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
 use routing_vicinity::{BallDists, BallPorts};
 
-use crate::seq::{push_hops, walk_round, SeqChunk, SeqCursor, SeqEntry, SeqStore};
+use crate::seq::{push_hops, walk_round, SeqChunk, SeqCursor, SeqEntry, SeqStore, SeqStoreBuilder};
 use crate::stages::{self, Vicinities};
 use crate::{BuildError, Params};
 
@@ -49,10 +49,10 @@ const NO_SET: u32 = u32::MAX;
 /// built from the embedding scheme's retained vicinities — the
 /// [`BallPorts`] it passes to [`Technique2Router::step`], the colouring that
 /// is the source partition `U`, and the colour representatives — so no
-/// ball's member ids need outlive the colouring.
+/// ball's member ids need outlive the colouring. The colouring stays the
+/// scheme's: the router keeps the destination partition and the sequences.
 #[derive(Debug, Clone)]
 pub struct Technique2Router {
-    color_of: Vec<u32>,
     /// Per vertex: its index `j` in the destination partition `W`, or
     /// `NO_SET` outside `W`.
     dest_set_of: Vec<u32>,
@@ -65,9 +65,9 @@ pub struct Technique2Router {
 impl Technique2Router {
     /// Builds the router.
     ///
-    /// * `vic.color_of[v]` is the index of the set of `U` containing `v`
-    ///   (every vertex of `V` has one), and `vic.reps_at(x)[j]` the first
-    ///   vertex of `U_j` in `B(x, q̃)`, or `x` when there is none;
+    /// * `vic.color(v)` is the index of the set of `U` containing `v`
+    ///   (every vertex of `V` has one), and `vic.reps_at(x)` holds at `j`
+    ///   the first vertex of `U_j` in `B(x, q̃)`, or `x` when there is none;
     /// * `dest_partition[j]` lists the vertices of `W_j` (the destination
     ///   sets); indices must align with the `U` indices.
     ///
@@ -77,11 +77,13 @@ impl Technique2Router {
     /// the shortest path instead of stopping early, so routing stays correct
     /// but the sequence may be longer than `2b·log(nD)`).
     ///
-    /// One target-bounded search per destination fills a chunk with the
-    /// sequences of its class's sources, and the store is fed from the
-    /// chunks in `(u, w)` order: a class's destinations sorted by id once,
-    /// each source's sequence found at its rank in its class. Beside the
-    /// chunks the merge holds a rank a vertex and an index a destination.
+    /// The store is filled a colour class at a time: class `j`'s sources,
+    /// in id order, and one target-bounded search per destination of `W_j`
+    /// fanned out over per-worker workspaces, each filling a chunk with the
+    /// sequences of the class's sources ([`append_class`] then appends the
+    /// class's rows, each source's key-sorted, and the chunks are dropped).
+    /// A source's rows all come from its own class, so the build holds one
+    /// class's chunks and source list beside the store, not every class's.
     ///
     /// The caller has run [`stages::check`] on `(g, params)`: every source
     /// must reach every destination.
@@ -97,87 +99,70 @@ impl Technique2Router {
         dest_partition: &[Vec<VertexId>],
         params: &Params,
     ) -> Result<Self, BuildError> {
-        let color_of = vic.color_of.clone();
-        assert_eq!(color_of.len(), g.n(), "color_of must cover every vertex");
+        let n = g.n();
         let b = params.b_lemma8();
         let _span = routing_obs::span("technique2");
 
-        let mut dest_set_of = vec![NO_SET; g.n()];
+        let mut dest_set_of = vec![NO_SET; n];
         for (j, set) in dest_partition.iter().enumerate() {
             for &w in set {
                 dest_set_of[w.index()] = j as u32;
             }
         }
 
-        // Group the sources by color, each class in id order, and rank
-        // every source in its class; a color no destination set is indexed
-        // by has no sequences to store.
-        let mut classes: Vec<Vec<VertexId>> = vec![Vec::new(); dest_partition.len()];
-        let mut rank = vec![0u32; g.n()];
-        for v in g.vertices() {
-            if let Some(class) = classes.get_mut(color_of[v.index()] as usize) {
-                rank[v.index()] = class.len() as u32;
-                class.push(v);
-            }
-        }
-
-        // One Dijkstra per destination `w`, then a sequence per matched
-        // source — independent work items, fanned out in parallel. The merge
-        // below reads them in a fixed `(u, w)` order, so the router is
-        // identical for every thread count.
-        let mut work: Vec<(u32, VertexId, &[VertexId])> = Vec::new();
-        for (j, (dests, sources)) in dest_partition.iter().zip(&classes).enumerate() {
-            if sources.is_empty() {
+        let codec = SlotCodec::for_graph(g);
+        let (mut seqs, mut seq_words) = (SeqStoreBuilder::new(codec, n), vec![0usize; n]);
+        let mut sources = Vec::new();
+        for (j, dests) in dest_partition.iter().enumerate() {
+            let j = j as u32;
+            sources.clear();
+            sources.extend(g.vertices().filter(|&v| vic.color(v) == j));
+            if sources.is_empty() || dests.is_empty() {
                 continue;
             }
-            for &w in dests {
-                work.push((j as u32, w, sources.as_slice()));
-            }
-        }
-        // One chunk per destination, its sources' sequences in source order.
-        let codec = SlotCodec::for_graph(g);
-        type Scratch = (SearchScratch, Vec<VertexId>);
-        let per_dest = routing_par::par_map_scratch(
-            work.len(),
-            || (SearchScratch::for_graph(g), Vec::new()),
-            |(scratch, path): &mut Scratch, i| -> Result<SeqChunk, BuildError> {
-                let (j, w, sources) = work[i];
-                // The sequence for source `u` only reads dist/parent on the
-                // shortest `u`-`w` path, and every path vertex is an SPT
-                // ancestor of the target `u` — settled before `u` — so the
-                // target-bounded search is sufficient as well as bit-identical.
-                let _frontier = routing_obs::span("settled-frontier");
-                scratch.dijkstra_targets_into(g, w, sources);
-                routing_obs::counters::BUILD_EARLY_EXIT_SEARCHES.inc();
-                let mut chunk = SeqChunk::new(codec);
-                for &u in sources.iter().filter(|&&u| u != w) {
-                    if !scratch.path_into(u, path) {
-                        return Err(BuildError::Disconnected);
+            // One Dijkstra per destination `w`, then a sequence per source
+            // but `w` — independent work items, fanned out in parallel, one
+            // chunk each, its sequences in source order. They are appended
+            // in a fixed order, so the router is identical for every thread
+            // count.
+            type Scratch = (SearchScratch, Vec<VertexId>);
+            let chunks = routing_par::par_map_scratch(
+                dests.len(),
+                || (SearchScratch::for_graph(g), Vec::new()),
+                |(scratch, path): &mut Scratch, i| -> Result<SeqChunk, BuildError> {
+                    let w = dests[i];
+                    // The sequence for source `u` only reads dist/parent on
+                    // the shortest `u`-`w` path, and every path vertex is an
+                    // SPT ancestor of the target `u` — settled before `u` —
+                    // so the target-bounded search is sufficient as well as
+                    // bit-identical.
+                    let _frontier = routing_obs::span("settled-frontier");
+                    scratch.dijkstra_targets_into(g, w, &sources);
+                    routing_obs::counters::BUILD_EARLY_EXIT_SEARCHES.inc();
+                    let mut chunk = SeqChunk::new(codec);
+                    for &u in sources.iter().filter(|&&u| u != w) {
+                        if !scratch.path_into(u, path) {
+                            return Err(BuildError::Disconnected);
+                        }
+                        path.reverse(); // now u -> w
+                        build_t2_sequence(g, vic, scratch, path, w, j, b, &mut chunk)?;
+                        chunk.close()?;
                     }
-                    path.reverse(); // now u -> w
-                    build_t2_sequence(g, vic, scratch, path, w, j, b, &mut chunk)?;
-                    chunk.close()?;
-                }
-                routing_obs::counters::BUILD_SETTLED_VERTICES.add(scratch.order().len() as u64);
-                chunk.shrink_to_fit();
-                Ok(chunk)
-            },
-        );
-        let chunks = per_dest.into_iter().collect::<Result<Vec<_>, _>>()?;
-        let classes = dest_partition.len();
-        let (seqs, seq_words) = merge(codec, &color_of, &rank, classes, &work, &chunks)?;
+                    routing_obs::counters::BUILD_SETTLED_VERTICES.add(scratch.order().len() as u64);
+                    chunk.shrink_to_fit();
+                    Ok(chunk)
+                },
+            );
+            let chunks = chunks.into_iter().collect::<Result<Vec<_>, _>>()?;
+            append_class(&mut seqs, &mut seq_words, &sources, dests, &chunks)?;
+        }
 
-        Ok(Technique2Router { color_of, dest_set_of, seqs, seq_words, b })
+        Ok(Technique2Router { dest_set_of, seqs: seqs.finish(), seq_words, b })
     }
 
     /// Lemma 8's round budget `b = ⌈2/ε⌉ + 1`.
     pub fn b(&self) -> usize {
         self.b
-    }
-
-    /// The `U` set index of vertex `v`.
-    pub fn color_of(&self, v: VertexId) -> u32 {
-        self.color_of[v.index()]
     }
 
     /// The `W` set index of destination `w`, if `w ∈ W`.
@@ -202,6 +187,12 @@ impl Technique2Router {
     /// many entries those sequences hold.
     pub fn sequence_counts(&self) -> (usize, usize) {
         self.seqs.counts()
+    }
+
+    /// [`sequence_counts`](Self::sequence_counts) of the sequences stored
+    /// at `u` alone; none for a `u` outside `0..n`.
+    pub fn sequence_counts_at(&self, u: VertexId) -> (usize, usize) {
+        self.seqs.counts_at(u)
     }
 
     /// Builds the header for a message starting its Lemma 8 phase at `at`
@@ -279,44 +270,40 @@ impl Technique2Router {
     }
 }
 
-/// The store and the words it charges each vertex, from one chunk per work
-/// item `(j, w, sources)` holding the sequences of `sources` — class `j`, in
-/// id order, `rank` giving each source's place — for `w`, `w` itself
-/// skipped. The work ran destination-major; the store is fed in `(u, w)`
-/// order straight from the chunks, each class's destinations sorted by id
-/// once.
+/// Appends one colour class's rows to `store` and charges them to
+/// `seq_words`: `sources` are the class's vertices in id order, and chunk
+/// `k` holds the sequences for `dests[k]` of every source but `dests[k]`
+/// itself, in source order. Each source's rows go in destination-id order,
+/// read in place from the chunks: the destinations are sorted once, and a
+/// source's sequence sits at its rank in the class, less one when the
+/// chunk's destination is a source ranked before it.
 ///
 /// # Errors
 ///
 /// [`BuildError::Inconsistent`] when a chunk misses a pair's sequence, and
-/// what [`SeqStore::from_sorted`] returns.
-fn merge(
-    codec: SlotCodec<2>,
-    color_of: &[u32],
-    rank: &[u32],
-    classes: usize,
-    work: &[(u32, VertexId, &[VertexId])],
+/// what [`SeqStoreBuilder::extend`] returns.
+fn append_class(
+    store: &mut SeqStoreBuilder,
+    seq_words: &mut [usize],
+    sources: &[VertexId],
+    dests: &[VertexId],
     chunks: &[SeqChunk],
-) -> Result<(SeqStore, Vec<usize>), BuildError> {
-    let n = color_of.len();
-    let mut dests_of: Vec<Vec<(VertexId, usize)>> = vec![Vec::new(); classes];
-    for (k, &(j, w, _)) in work.iter().enumerate() {
-        dests_of[j as usize].push((w, k));
-    }
-    dests_of.iter_mut().for_each(|dests| dests.sort_unstable());
-    // Source `u` of class `j` is sequence `rank(u)` of a chunk, less one
-    // when the chunk's destination is a source of `j` ranked before `u`.
-    let rows = (0..n as u32).map(VertexId).flat_map(|u| {
-        let j = color_of[u.index()];
-        let dests = dests_of.get(j as usize).map_or(&[][..], Vec::as_slice);
-        let place = rank[u.index()] as usize;
-        dests.iter().filter(move |&&(w, _)| w != u).map(move |&(w, k)| {
-            let skipped = w < u && color_of[w.index()] == j;
-            let at = place.checked_sub(usize::from(skipped));
+) -> Result<(), BuildError> {
+    // Per destination, in id order: its chunk and its rank among the
+    // sources (`usize::MAX` for none).
+    let mut by_id: Vec<(VertexId, usize, usize)> = dests
+        .iter()
+        .enumerate()
+        .map(|(k, &w)| (w, k, sources.binary_search(&w).unwrap_or(usize::MAX)))
+        .collect();
+    by_id.sort_unstable();
+    let by_id = &by_id;
+    let rows = sources.iter().enumerate().flat_map(|(place, &u)| {
+        by_id.iter().filter(move |&&(w, ..)| w != u).map(move |&(w, k, rank)| {
+            let at = place.checked_sub(usize::from(rank < place));
             (u, w, at.and_then(|at| chunks.get(k)?.sequence(at)))
         })
     });
-    let mut seq_words = vec![0usize; n];
     for (u, w, entries) in rows.clone() {
         let entries = entries.ok_or_else(|| BuildError::Inconsistent {
             what: format!("no Lemma 8 sequence was built at {u} for {w}"),
@@ -324,8 +311,7 @@ fn merge(
         seq_words[u.index()] += 1 + SeqEntry::words() * entries.len();
     }
     // Every row holds its sequence: the pass above checked them all.
-    let rows = rows.filter_map(|(u, w, entries)| Some((u, w, entries?)));
-    Ok((SeqStore::from_sorted(codec, n, rows)?, seq_words))
+    store.extend(rows.filter_map(|(u, w, entries)| Some((u, w, entries?))))
 }
 
 /// Appends the Lemma 8 sequence stored at `path[0]` for destination
@@ -390,8 +376,8 @@ fn build_t2_sequence(
                 // inside the vicinity (guaranteed by the Lemma 8
                 // assumption), the representative of colour `j` at `xi`. A
                 // vicinity without colour `j` stores `xi` itself there.
-                let z = vic.reps_at(xi).get(j as usize).copied();
-                if let Some(z) = z.filter(|z| vic.color_of.get(z.index()) == Some(&j)) {
+                let z = vic.reps_at(xi).get(j as usize).map(|[z]| VertexId(z));
+                if let Some(z) = z.filter(|&z| vic.color(z) == j) {
                     chunk.push(SeqEntry::ball(z));
                     return Ok(());
                 }
@@ -415,7 +401,8 @@ fn build_t2_sequence(
 pub struct Technique2Scheme {
     n: usize,
     epsilon: f64,
-    balls: BallPorts,
+    /// The ports, the source partition `U` and its representatives.
+    vic: Vicinities,
     router: Technique2Router,
 }
 
@@ -442,10 +429,10 @@ impl Technique2Scheme {
         stages::check(g, params)?;
         let q = dest_partition.len();
         let ell = params.scaled(q.max(1), g.n());
-        let vic = Vicinities::balls(g, ell, BallDists::Skip).coloured_by(color_of, q as u32);
+        let vic = Vicinities::balls(g, ell, BallDists::Skip).coloured_by(color_of.into_iter(), q as u32);
         let vic = vic.retain();
         let router = Technique2Router::build(g, &vic, &dest_partition, params)?;
-        Ok(Technique2Scheme { n: g.n(), epsilon: params.epsilon, balls: vic.balls, router })
+        Ok(Technique2Scheme { n: g.n(), epsilon: params.epsilon, vic, router })
     }
 
     /// The underlying router.
@@ -455,7 +442,7 @@ impl Technique2Scheme {
 
     /// The Lemma 2 ports of the vicinities.
     pub fn balls(&self) -> &BallPorts {
-        &self.balls
+        &self.vic.balls
     }
 }
 
@@ -497,13 +484,10 @@ impl RoutingScheme for Technique2Scheme {
                 what: format!("{} is not a lemma 8 destination (not in W)", dest.vertex),
             });
         }
-        if self.router.color_of(source) != dest.set {
+        let set = self.vic.color(source);
+        if set != dest.set {
             return Err(RouteError::BadLabel {
-                what: format!(
-                    "source set {} does not match destination set {}",
-                    self.router.color_of(source),
-                    dest.set
-                ),
+                what: format!("source set {set} does not match destination set {}", dest.set),
             });
         }
         self.router.start(source, dest.vertex)
@@ -515,11 +499,11 @@ impl RoutingScheme for Technique2Scheme {
         header: &mut Technique2Header,
         dest: &Technique2Label,
     ) -> Result<Decision, RouteError> {
-        self.router.step(at, header, dest.vertex, &self.balls)
+        self.router.step(at, header, dest.vertex, &self.vic.balls)
     }
 
     fn table_words(&self, v: VertexId) -> usize {
-        self.balls.words_at(v) + self.router.table_words(v)
+        self.vic.balls.words_at(v) + self.router.table_words(v)
     }
 
     fn label_words(&self, _v: VertexId) -> usize {
@@ -707,7 +691,7 @@ mod tests {
     /// balls of `ell` members, `color_of`, and the representatives of the
     /// colours `0..q`.
     fn vicinities(g: &Graph, ell: usize, color_of: &[u32], q: u32) -> Vicinities {
-        Vicinities::balls(g, ell, BallDists::Skip).coloured_by(color_of.to_vec(), q).retain()
+        Vicinities::balls(g, ell, BallDists::Skip).coloured_by(color_of.iter().copied(), q).retain()
     }
 
     /// Builds the router at 1 and 4 threads and holds every stored row to
@@ -746,7 +730,7 @@ mod tests {
             assert_eq!(pairs, reference.len(), "{name}");
             assert_eq!(entries, reference.values().map(Vec::len).sum::<usize>(), "{name}");
             let (key, width) = (SlotCodec::for_ids(g.n()).width(), SlotCodec::for_graph(g).width());
-            let bytes = 8 * (g.n() + 1) + (key + 4) * pairs + width * entries + 2 * SLOT_PAD;
+            let bytes = 8 * g.n() + (key + 4) * pairs + width * entries + 2 * SLOT_PAD;
             assert_eq!(router.seqs.heap_bytes(), bytes, "{name}");
         }
         routing_par::set_threads(routing_par::available_threads());
@@ -757,8 +741,8 @@ mod tests {
     /// of degree 255 (1-byte ports, port 254 beside the ball-hop sentinel)
     /// and of degree 256 (2-byte ports), Erdős–Rényi at n = 255 and 256 (1-
     /// and 2-byte ids and keys) — the router, which hands a sequence over to
-    /// the colour's representative and merges the chunks without a row
-    /// list, stores what the `HashMap` build's id scan stored (see
+    /// the colour's representative and appends the chunks a colour class
+    /// at a time, stores what the `HashMap` build's id scan stored (see
     /// [`assert_router_equals_reference`]).
     #[test]
     fn keyed_store_equals_the_hashmap_build_it_replaced() {
@@ -839,18 +823,94 @@ mod tests {
         assert!(matches!(err, BuildError::Inconsistent { .. }), "{err}");
     }
 
-    /// The merge returns an error, not a panic, when a chunk holds fewer
-    /// sequences than its class has sources, and reads every pair of
-    /// complete chunks in `(u, w)` order.
+    /// The store as the build filled it before it went a class at a time:
+    /// every pair's sequence built first, then the rows merged in `(u, w)`
+    /// order into one store, and the words they charge.
+    fn u_major_store(
+        g: &Graph,
+        vic: &Vicinities,
+        dest_partition: &[Vec<VertexId>],
+        b: usize,
+    ) -> (SeqStore, Vec<usize>) {
+        let codec = SlotCodec::for_graph(g);
+        let (mut scratch, mut path) = (SearchScratch::for_graph(g), Vec::new());
+        let mut rows: Vec<(VertexId, VertexId, SeqChunk)> = Vec::new();
+        for (j, dests) in dest_partition.iter().enumerate() {
+            let sources: Vec<VertexId> = g.vertices().filter(|&v| vic.color(v) == j as u32).collect();
+            for &w in dests {
+                scratch.dijkstra_targets_into(g, w, &sources);
+                for &u in sources.iter().filter(|&&u| u != w) {
+                    assert!(scratch.path_into(u, &mut path));
+                    path.reverse();
+                    let mut chunk = SeqChunk::new(codec);
+                    build_t2_sequence(g, vic, &scratch, &path, w, j as u32, b, &mut chunk).unwrap();
+                    chunk.close().unwrap();
+                    rows.push((u, w, chunk));
+                }
+            }
+        }
+        rows.sort_by_key(|&(u, w, _)| (u, w));
+        let mut words = vec![0; g.n()];
+        for (u, _, chunk) in &rows {
+            words[u.index()] += 1 + SeqEntry::words() * chunk.sequence(0).unwrap().len();
+        }
+        let rows = rows.iter().map(|(u, w, chunk)| (*u, *w, chunk.sequence(0).unwrap()));
+        (SeqStore::from_sorted(codec, g.n(), rows).unwrap(), words)
+    }
+
+    /// The store filled a colour class at a time equals the `(u, w)`-order
+    /// merge of every pair's sequence ([`u_major_store`]): every decoded
+    /// row, the words, `(pairs, entries)` per vertex, the tight sizes and
+    /// the bytes — on every family, unit and weighted, at ε = 0.1 and 1,
+    /// threads 1 / 2 / 4, with the last colour given no destination.
+    #[test]
+    fn a_store_filled_by_classes_equals_the_store_merged_by_source() {
+        for family in generators::Family::ALL {
+            for weights in [WeightModel::Unit, WeightModel::Uniform { lo: 1, hi: 9 }] {
+                let g = family.generate(130, weights, &mut StdRng::seed_from_u64(41));
+                for epsilon in [0.1, 1.0] {
+                    let params = Params::with_epsilon(epsilon);
+                    let key = format!("{} {weights:?} ε = {epsilon}", family.name());
+                    let q = 5;
+                    let (color_of, _) = setup(&g, q, Vec::new(), &params, 3);
+                    let mut dest_partition = vec![Vec::new(); q as usize];
+                    for w in g.vertices().filter(|v| v.0 % 4 == 1) {
+                        dest_partition[w.index() % (q as usize - 1)].push(w);
+                    }
+                    let ell = params.scaled(q as usize, g.n());
+                    let vic = vicinities(&g, ell, &color_of, q);
+                    assert!((0..q).all(|j| g.vertices().any(|v| vic.color(v) == j)), "{key}: a colour unused");
+                    let (reference, words) = u_major_store(&g, &vic, &dest_partition, params.b_lemma8());
+                    for threads in [1, 2, 4] {
+                        routing_par::set_threads(threads);
+                        let router = Technique2Router::build(&g, &vic, &dest_partition, &params).unwrap();
+                        let key = format!("{key} x{threads}");
+                        for u in g.vertices() {
+                            for w in g.vertices() {
+                                let got = router.seqs.decoded(u, w);
+                                assert_eq!(got, reference.decoded(u, w), "{key}: ({u}, {w})");
+                            }
+                            assert_eq!(router.table_words(u), words[u.index()], "{key}: words at {u}");
+                            assert_eq!(router.seqs.counts_at(u), reference.counts_at(u), "{key}: {u}");
+                        }
+                        assert_eq!(router.seqs.tight_sizes(), reference.tight_sizes(), "{key}");
+                        assert_eq!(router.sequences_heap_bytes(), reference.heap_bytes(), "{key}");
+                    }
+                }
+            }
+        }
+        routing_par::set_threads(routing_par::available_threads());
+    }
+
+    /// Appending a class returns an error, not a panic, when a chunk holds
+    /// fewer sequences than its class has sources, and reads every pair of
+    /// complete chunks in destination-id order a source. A second class
+    /// whose sources interleave the first's by id is appended after it.
     #[test]
     fn lemma8_merge_refuses_a_missing_sequence() {
         let v = VertexId;
-        let g = generators::path(4);
+        let g = generators::path(6);
         let codec = SlotCodec::for_graph(&g);
-        let (color_of, rank) = ([0, 0, 0, 0], [0, 1, 2, 3]);
-        let sources = [v(0), v(1), v(2), v(3)];
-        // Destinations 3 and 1: each chunk skips its own destination.
-        let work = [(0, v(3), &sources[..]), (0, v(1), &sources[..])];
         let chunk = |us: &[u32], w: u32| {
             let mut chunk = SeqChunk::new(codec);
             for &u in us {
@@ -859,15 +919,23 @@ mod tests {
             }
             chunk
         };
-        let chunks = [chunk(&[0, 1, 2], 3), chunk(&[0, 2, 3], 1)];
-        let (store, words) = merge(codec, &color_of, &rank, 1, &work, &chunks).unwrap();
-        for (u, w) in [(0, 1), (0, 3), (1, 3), (2, 1), (2, 3), (3, 1)] {
+        // Class 0 is {0, 2, 3, 5}, its destinations 5 and 2, each chunk
+        // skipping its own destination; class 1 is {1, 4}, destination 0.
+        let (sources, dests) = ([v(0), v(2), v(3), v(5)], [v(5), v(2)]);
+        let chunks = [chunk(&[0, 2, 3], 5), chunk(&[0, 3, 5], 2)];
+        let mut store = SeqStoreBuilder::new(codec, g.n());
+        let mut words = vec![0; g.n()];
+        append_class(&mut store, &mut words, &sources, &dests, &chunks).unwrap();
+        append_class(&mut store, &mut words, &[v(1), v(4)], &[v(0)], &[chunk(&[1, 4], 0)]).unwrap();
+        let store = store.finish();
+        for (u, w) in [(0, 2), (0, 5), (2, 5), (3, 2), (3, 5), (5, 2), (1, 0), (4, 0)] {
             assert_eq!(store.decoded(v(u), v(w)), Some(vec![SeqEntry::ball(v(10 * u + w))]));
         }
-        assert_eq!(store.counts(), (6, 6));
-        assert_eq!(words, [6, 3, 6, 3]);
-        let short = [chunk(&[0, 1, 2], 3), chunk(&[0, 2], 1)];
-        let err = merge(codec, &color_of, &rank, 1, &work, &short).unwrap_err();
+        assert_eq!(store.tight_sizes(), (8, 8));
+        assert_eq!(words, [6, 3, 3, 6, 3, 3]);
+        let short = [chunk(&[0, 2, 3], 5), chunk(&[0, 3], 2)];
+        let mut store = SeqStoreBuilder::new(codec, g.n());
+        let err = append_class(&mut store, &mut vec![0; g.n()], &sources, &dests, &short).unwrap_err();
         assert!(matches!(err, BuildError::Inconsistent { .. }), "{err}");
     }
 

@@ -43,25 +43,41 @@ impl WeightModel {
     }
 }
 
-fn add_backbone<R: Rng>(b: &mut GraphBuilder, weights: WeightModel, rng: &mut R) {
-    // Connect the vertices with a random spanning path over a shuffled order
-    // so that every generated instance is connected.
+/// The undirected pair `{u, v}` as one sortable key.
+fn pair_key(u: u32, v: u32) -> u64 {
+    (u64::from(u.min(v)) << 32) | u64::from(u.max(v))
+}
+
+/// `b`'s graph, made connected: a random spanning path over a shuffled
+/// order is added, each of its edges unless the sampled edges hold it. A
+/// path over a permutation never repeats one of its own pairs, so the
+/// sampled pairs, sorted once and binary-searched, are all it is checked
+/// against: linear in the edges up to a log factor.
+fn with_backbone<R: Rng>(mut b: GraphBuilder, weights: WeightModel, rng: &mut R) -> Graph {
     let n = b.n();
     if n < 2 {
-        return;
+        return b.build();
     }
+    let mut sampled: Vec<u64> = b.added().iter().map(|&(u, v, _)| pair_key(u, v)).collect();
+    sampled.sort_unstable();
     let mut order: Vec<usize> = (0..n).collect();
     order.shuffle(rng);
     for w in order.windows(2) {
-        if !b.has_edge(w[0], w[1]) {
+        if sampled.binary_search(&pair_key(w[0] as u32, w[1] as u32)).is_err() {
             let weight = weights.sample(rng);
             b.add_edge(w[0], w[1], weight).expect("backbone edge is valid");
         }
     }
+    b.build()
 }
 
 /// Erdős–Rényi `G(n, p)` graph, made connected with a random backbone.
 pub fn erdos_renyi<R: Rng>(n: usize, p: f64, weights: WeightModel, rng: &mut R) -> Graph {
+    with_backbone(erdos_renyi_edges(n, p, weights, rng), weights, rng)
+}
+
+/// The sampled edges of [`erdos_renyi`]: every pair with probability `p`.
+fn erdos_renyi_edges<R: Rng>(n: usize, p: f64, weights: WeightModel, rng: &mut R) -> GraphBuilder {
     let mut b = GraphBuilder::new(n);
     for u in 0..n {
         for v in (u + 1)..n {
@@ -70,8 +86,7 @@ pub fn erdos_renyi<R: Rng>(n: usize, p: f64, weights: WeightModel, rng: &mut R) 
             }
         }
     }
-    add_backbone(&mut b, weights, rng);
-    b.build()
+    b
 }
 
 /// Sparse Erdős–Rényi graph with expected average degree `avg_degree`.
@@ -88,6 +103,12 @@ pub fn erdos_renyi_avg_degree<R: Rng>(
 /// Random geometric graph: `n` points in the unit square, edge iff Euclidean
 /// distance is below `radius`. Made connected with a random backbone.
 pub fn random_geometric<R: Rng>(n: usize, radius: f64, weights: WeightModel, rng: &mut R) -> Graph {
+    with_backbone(geometric_edges(n, radius, weights, rng), weights, rng)
+}
+
+/// The sampled edges of [`random_geometric`]: every pair of points within
+/// `radius`.
+fn geometric_edges<R: Rng>(n: usize, radius: f64, weights: WeightModel, rng: &mut R) -> GraphBuilder {
     let pts: Vec<(f64, f64)> = (0..n).map(|_| (rng.gen::<f64>(), rng.gen::<f64>())).collect();
     let r2 = radius * radius;
     let mut b = GraphBuilder::new(n);
@@ -100,17 +121,22 @@ pub fn random_geometric<R: Rng>(n: usize, radius: f64, weights: WeightModel, rng
             }
         }
     }
-    add_backbone(&mut b, weights, rng);
-    b.build()
+    b
 }
 
 /// Barabási–Albert preferential-attachment graph with `attach` edges per new
 /// vertex. Produces skewed degree distributions (hub-and-spoke structure).
 pub fn barabasi_albert<R: Rng>(n: usize, attach: usize, weights: WeightModel, rng: &mut R) -> Graph {
+    with_backbone(barabasi_albert_edges(n, attach, weights, rng), weights, rng)
+}
+
+/// The sampled edges of [`barabasi_albert`]: a clique of `attach + 1`,
+/// then `attach` degree-proportional targets a vertex.
+fn barabasi_albert_edges<R: Rng>(n: usize, attach: usize, weights: WeightModel, rng: &mut R) -> GraphBuilder {
     let attach = attach.max(1);
     let mut b = GraphBuilder::new(n);
     if n <= 1 {
-        return b.build();
+        return b;
     }
     let seed = (attach + 1).min(n);
     // Start from a small clique.
@@ -146,8 +172,7 @@ pub fn barabasi_albert<R: Rng>(n: usize, attach: usize, weights: WeightModel, rn
             pool.push(t);
         }
     }
-    add_backbone(&mut b, weights, rng);
-    b.build()
+    b
 }
 
 /// Two-dimensional grid graph with `rows * cols` vertices and unit weights.
@@ -408,6 +433,58 @@ mod tests {
             assert!(g.is_connected(), "{} not connected", family.name());
             assert!(g.n() >= 100, "{} too small", family.name());
             assert!(!family.name().is_empty());
+        }
+    }
+
+    /// The backbone as it was added before the sorted pair list: each edge
+    /// of the shuffled path unless a scan of every edge added so far finds
+    /// it.
+    fn scanned_backbone<R: Rng>(mut b: GraphBuilder, weights: WeightModel, rng: &mut R) -> Graph {
+        let n = b.n();
+        if n >= 2 {
+            let mut order: Vec<usize> = (0..n).collect();
+            order.shuffle(rng);
+            for w in order.windows(2) {
+                let (a, c) = (w[0] as u32, w[1] as u32);
+                if !b.added().iter().any(|&(x, y, _)| (x == a && y == c) || (x == c && y == a)) {
+                    let weight = weights.sample(rng);
+                    b.add_edge(w[0], w[1], weight).unwrap();
+                }
+            }
+        }
+        b.build()
+    }
+
+    /// Every family draws the graph the edge scan drew from the same seed,
+    /// unit and weighted, at the smallest sizes and past a few thousand
+    /// vertices: the same sampled edges, then the same backbone — the grid
+    /// has none.
+    #[test]
+    fn backbones_equal_the_ones_the_edge_scan_added() {
+        for n in [2, 3, 500, 3000] {
+            for weights in [WeightModel::Unit, WeightModel::Uniform { lo: 1, hi: 32 }] {
+                for family in Family::ALL {
+                    let seed = StdRng::seed_from_u64(n as u64);
+                    let (mut new, mut old) = (seed.clone(), seed);
+                    let scanned = match family {
+                        Family::ErdosRenyi => {
+                            let p = (8.0 / (n as f64 - 1.0)).min(1.0);
+                            scanned_backbone(erdos_renyi_edges(n, p, weights, &mut old), weights, &mut old)
+                        }
+                        Family::Geometric => {
+                            let r = (8.0 / (std::f64::consts::PI * n as f64)).sqrt();
+                            scanned_backbone(geometric_edges(n, r, weights, &mut old), weights, &mut old)
+                        }
+                        Family::ScaleFree => {
+                            scanned_backbone(barabasi_albert_edges(n, 4, weights, &mut old), weights, &mut old)
+                        }
+                        Family::Grid => family.generate(n, weights, &mut old),
+                    };
+                    let g = family.generate(n, weights, &mut new);
+                    assert_eq!(g, scanned, "{} {weights:?} n = {n}", family.name());
+                    assert!(g.is_connected(), "{} {weights:?} n = {n}", family.name());
+                }
+            }
         }
     }
 }

@@ -294,13 +294,9 @@ impl GraphBuilder {
         self.add_edge(u, v, 1)
     }
 
-    /// Returns true if the edge `(u, v)` was already added (in either
-    /// direction).
-    pub fn has_edge(&self, u: usize, v: usize) -> bool {
-        let (a, b) = (u as u32, v as u32);
-        self.edges
-            .iter()
-            .any(|&(x, y, _)| (x == a && y == b) || (x == b && y == a))
+    /// The edges added so far, as added: `(u, v, weight)`.
+    pub(crate) fn added(&self) -> &[(u32, u32, Weight)] {
+        &self.edges
     }
 
     /// Finalizes the builder into an immutable [`Graph`].

@@ -184,7 +184,9 @@ impl SearchScratch {
             dist: vec![0; n],
             parent: vec![NONE; n],
             first_hop: vec![NONE; n],
-            heap: BinaryHeap::with_capacity(n.min(1 << 16)),
+            // Grown on the first spill past the window: with weights below
+            // `BQ_WINDOW` no push ever reaches it.
+            heap: BinaryHeap::new(),
             bq_slots: vec![Vec::new(); BQ_WINDOW as usize],
             bq_mask: 0,
             bq_cur: 0,

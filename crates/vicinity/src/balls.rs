@@ -937,13 +937,11 @@ mod tests {
     }
 
     /// An `n`-vertex instance of `family` drawn in time linear in its
-    /// edges. The generators test every pair of vertices (Erdős–Rényi,
-    /// geometric) or scan the edges for each backbone edge (all but the
-    /// grid), too slow at n = 65,600; so here Erdős–Rényi graphs are drawn
-    /// by edge count (average degree 8), geometric ones through grid
-    /// buckets of the radius (expected degree about 8) and scale-free ones
-    /// by the generator's preferential attachment, 4 edges a vertex, with
-    /// no backbone. Grids come from the generator.
+    /// edges. The Erdős–Rényi and geometric generators test every pair of
+    /// vertices, too slow at n = 65,600; so here Erdős–Rényi graphs are
+    /// drawn by edge count (average degree 8) and geometric ones through
+    /// grid buckets of the radius (expected degree about 8). Scale-free
+    /// graphs and grids come from the generator.
     fn linear_instance(family: generators::Family, n: usize, weights: generators::WeightModel) -> Graph {
         use generators::{Family, WeightModel};
         use rand::Rng;
@@ -987,24 +985,7 @@ mod tests {
                     }
                 }
             }
-            Family::ScaleFree => {
-                let mut pool: Vec<usize> = vec![0, 1];
-                b.add_edge(0, 1, weight(&mut rng)).unwrap();
-                for v in 2..n {
-                    let mut targets: Vec<usize> = Vec::with_capacity(4);
-                    while targets.len() < 4.min(v) {
-                        let t = pool[rng.gen_range(0..pool.len())];
-                        if !targets.contains(&t) {
-                            targets.push(t);
-                        }
-                    }
-                    for t in targets {
-                        b.add_edge(v, t, weight(&mut rng)).unwrap();
-                        pool.extend([v, t]);
-                    }
-                }
-            }
-            Family::Grid => return family.generate(n, weights, &mut rng),
+            Family::ScaleFree | Family::Grid => return family.generate(n, weights, &mut rng),
         }
         b.build()
     }
