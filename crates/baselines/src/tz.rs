@@ -4,7 +4,11 @@
 //!
 //! These are the baselines of the paper's Table 1 (`k=2` gives the 3-stretch
 //! `Õ(√n)`-space routing scheme, `k=3` the 7-stretch `Õ(n^{1/3})`-space
-//! scheme) and the substrate reused by Theorem 16.
+//! scheme) and the substrate reused by Theorem 16. The paper's introduction
+//! frames `(2k−1)`-spanners with `O(n^{1+1/k})` edges, the `(2k−1)` oracle
+//! and the `(4k−5)` routing scheme as three views of one stretch/space
+//! trade-off; only the last two are built here, since a spanner still needs
+//! `Θ(n)`-word next-hop tables to route on.
 //!
 //! # Construction
 //!

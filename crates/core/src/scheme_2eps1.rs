@@ -148,7 +148,7 @@ impl SchemeTwoPlusEps {
         // Lemma 6 coloring and Lemma 7 over the induced partition.
         let vic = vic.colour(ell, q, params, rng)?;
         let rep_dist = rep_dists(&vic)?;
-        let router = Technique1Router::build(g, &vic.balls, vic.colours().collect(), params)?;
+        let router = Technique1Router::build(g, &vic.balls, |v| vic.color(v), params)?;
 
         Ok(SchemeTwoPlusEps {
             n,

@@ -139,7 +139,7 @@ impl SchemeMultilevel {
         // Section 5's slack split (see the module doc): ε/2 for ℓ > 1.
         let split = if levels > 1 { 2.0 } else { 1.0 };
         let inner = Params { epsilon: params.epsilon / split, ..*params };
-        let router = Technique1Router::build(g, &vic.balls, vic.colours().collect(), &inner)?;
+        let router = Technique1Router::build(g, &vic.balls, |v| vic.color(v), &inner)?;
 
         let vic = vic.retain();
         Ok(SchemeMultilevel { name, n, epsilon: params.epsilon, levels, level_base, vic, router })

@@ -259,11 +259,6 @@ impl<B> Vicinities<B> {
     pub(crate) fn color(&self, v: VertexId) -> u32 {
         self.color_of.get(v.index()).map_or(u32::MAX, |[c]| c)
     }
-
-    /// Every vertex's colour, in id order.
-    pub(crate) fn colours(&self) -> impl Iterator<Item = u32> + '_ {
-        self.color_of.view().iter()
-    }
 }
 
 impl Vicinities {
@@ -1139,7 +1134,8 @@ mod tests {
             let (colour_bytes, id_bytes) = (usize::from(q > 255) + 1, usize::from(bytes_for(n as u64)));
             assert_eq!(vic.color_of.codec().width(), colour_bytes, "{key}: colour width");
             assert_eq!(vic.color_rep.codec().width(), id_bytes, "{key}: id width");
-            assert_eq!(vic.colours().collect::<Vec<_>>(), color_of, "{key}: colours");
+            let colours: Vec<u32> = vic.color_of.view().iter().collect();
+            assert_eq!(colours, color_of, "{key}: colours");
             for u in g.vertices() {
                 assert_eq!(vic.color(u), color_of[u.index()], "{key}: colour of {u}");
                 let row = &reps[u.index() * q as usize..][..q as usize];

@@ -69,7 +69,6 @@ impl HeaderSize for Technique1Header {
 /// trees and the per-pair sequences.
 #[derive(Debug, Clone)]
 pub struct Technique1Router {
-    set_of: Vec<u32>,
     /// The hitting set, id-sorted; tree `i` of `trees` is the global tree
     /// of `hitting[i]`, so one binary search resolves both membership and
     /// tree lookups.
@@ -86,7 +85,8 @@ pub struct Technique1Router {
 impl Technique1Router {
     /// Builds the router for the partition described by `set_of` (the set
     /// index of every vertex). Sequences are stored for every ordered pair of
-    /// distinct vertices sharing a set index.
+    /// distinct vertices sharing a set index. The partition is read in place
+    /// while the sources are sorted, and the router keeps no copy of it.
     ///
     /// `balls` must have been built with the `q̃` the scheme uses; the same
     /// table's ports must later be passed to [`Technique1Router::step`]. The caller
@@ -114,7 +114,7 @@ impl Technique1Router {
     pub(crate) fn build(
         g: &Graph,
         balls: &BallTable,
-        set_of: Vec<u32>,
+        set_of: impl Fn(VertexId) -> u32,
         params: &Params,
     ) -> Result<Self, BuildError> {
         Self::build_by(g, balls, set_of, params, true, ROUNDS)
@@ -127,12 +127,11 @@ impl Technique1Router {
     fn build_by(
         g: &Graph,
         balls: &BallTable,
-        set_of: Vec<u32>,
+        set_of: impl Fn(VertexId) -> u32,
         params: &Params,
         batch: bool,
         rounds: usize,
     ) -> Result<Self, BuildError> {
-        assert_eq!(set_of.len(), g.n(), "set_of must cover every vertex");
         let (n, b) = (g.n(), params.b_lemma7());
         let _span = routing_obs::span("technique1");
 
@@ -150,7 +149,7 @@ impl Technique1Router {
         // Sequences for every same-set ordered pair, a round of sources at
         // a time. Sources are sorted by vertex id and members by id, so the
         // rows arrive in the `(u, v)` order the store wants.
-        let by_set = sort_by_set(&set_of);
+        let by_set = sort_by_set(n, &set_of);
         let sources = same_set_sources(&by_set, &set_of);
         let codec = SlotCodec::for_graph(g);
         let walk = SeqBuilder { g, balls, b, hitting: &hitting, codec };
@@ -185,7 +184,7 @@ impl Technique1Router {
             seqs.extend(rows)
         })?;
         let seqs = seqs.finish();
-        Ok(Technique1Router { set_of, hitting, trees, seqs, seq_words, b })
+        Ok(Technique1Router { hitting, trees, seqs, seq_words, b })
     }
 
     /// The hitting set `H` used by the router.
@@ -196,11 +195,6 @@ impl Technique1Router {
     /// Lemma 7's round budget `b = ⌈2/ε⌉`.
     pub fn b(&self) -> usize {
         self.b
-    }
-
-    /// The set index of `v` in the partition the router was built with.
-    pub fn set_of(&self, v: VertexId) -> u32 {
-        self.set_of[v.index()]
     }
 
     /// True if a sequence is stored at `u` for `v` (i.e. they share a set).
@@ -380,23 +374,26 @@ fn stored_words(
     Ok(1 + SeqEntry::words() * s.len() + label_words)
 }
 
-/// Vertices sorted by `(set, id)`: each set is one consecutive run, and each
-/// run is id-sorted — which is what makes the per-source destination slots
-/// of the flat store binary-searchable.
-fn sort_by_set(set_of: &[u32]) -> Vec<VertexId> {
-    let mut by_set: Vec<VertexId> = (0..set_of.len() as u32).map(VertexId).collect();
-    by_set.sort_unstable_by_key(|&v| (set_of[v.index()], v));
+/// The `n` vertices sorted by `(set, id)`: each set is one consecutive run,
+/// and each run is id-sorted — which is what makes the per-source
+/// destination slots of the flat store binary-searchable.
+fn sort_by_set(n: usize, set_of: impl Fn(VertexId) -> u32) -> Vec<VertexId> {
+    let mut by_set: Vec<VertexId> = (0..n as u32).map(VertexId).collect();
+    by_set.sort_unstable_by_key(|&v| (set_of(v), v));
     by_set
 }
 
 /// Every vertex whose set has another member, with that set's run of
 /// `by_set`, sorted by vertex id: at most one entry a vertex, room for which
 /// is reserved once.
-fn same_set_sources<'a>(by_set: &'a [VertexId], set_of: &[u32]) -> Vec<(VertexId, &'a [VertexId])> {
+fn same_set_sources(
+    by_set: &[VertexId],
+    set_of: impl Fn(VertexId) -> u32,
+) -> Vec<(VertexId, &[VertexId])> {
     let mut sources: Vec<(VertexId, &[VertexId])> = Vec::with_capacity(by_set.len());
     sources.extend(
         by_set
-            .chunk_by(|a, b| set_of[a.index()] == set_of[b.index()])
+            .chunk_by(|&a, &b| set_of(a) == set_of(b))
             .filter(|members| members.len() >= 2)
             .flat_map(|members| members.iter().map(move |&u| (u, members))),
     );
@@ -536,6 +533,8 @@ impl SeqBuilder<'_> {
 pub struct Technique1Scheme {
     n: usize,
     epsilon: f64,
+    /// The set index of every vertex, for labels and the same-set check.
+    set_of: Vec<u32>,
     balls: BallPorts,
     router: Technique1Router,
 }
@@ -553,19 +552,31 @@ impl Technique1Scheme {
     ///
     /// # Errors
     ///
-    /// Propagates [`BuildError`] from the underlying router.
+    /// [`BuildError::BadParameter`] when `set_of` does not hold one set
+    /// index a vertex; otherwise propagates [`BuildError`] from the
+    /// underlying router.
     pub fn build(g: &Graph, set_of: Vec<u32>, params: &Params) -> Result<Self, BuildError> {
         stages::check(g, params)?;
+        if set_of.len() != g.n() {
+            let what = format!("{} set indices for {} vertices", set_of.len(), g.n());
+            return Err(BuildError::BadParameter { what });
+        }
         let q = set_of.iter().copied().max().map(|m| m as usize + 1).unwrap_or(1);
         let ell = params.scaled(q, g.n());
         let balls = BallTable::build_with_dists(g, ell, BallDists::Skip);
-        let router = Technique1Router::build(g, &balls, set_of, params)?;
-        Ok(Technique1Scheme { n: g.n(), epsilon: params.epsilon, balls: balls.into_ports(), router })
+        let router = Technique1Router::build(g, &balls, |v| set_of[v.index()], params)?;
+        let balls = balls.into_ports();
+        Ok(Technique1Scheme { n: g.n(), epsilon: params.epsilon, set_of, balls, router })
     }
 
     /// The underlying router (for inspection in tests and experiments).
     pub fn router(&self) -> &Technique1Router {
         &self.router
+    }
+
+    /// The set index of `v` in the partition the scheme was built with.
+    fn set_of(&self, v: VertexId) -> u32 {
+        self.set_of[v.index()]
     }
 
     /// The Lemma 2 ports of the shared ball table.
@@ -597,7 +608,7 @@ impl RoutingScheme for Technique1Scheme {
     }
 
     fn label_of(&self, v: VertexId) -> Technique1Label {
-        Technique1Label { vertex: v, set: self.router.set_of(v) }
+        Technique1Label { vertex: v, set: self.set_of(v) }
     }
 
     fn init_header(
@@ -605,11 +616,11 @@ impl RoutingScheme for Technique1Scheme {
         source: VertexId,
         dest: &Technique1Label,
     ) -> Result<Technique1Header, RouteError> {
-        if source != dest.vertex && self.router.set_of(source) != dest.set {
+        if source != dest.vertex && self.set_of(source) != dest.set {
             return Err(RouteError::BadLabel {
                 what: format!(
                     "lemma 7 routes only within a partition set ({source} is in set {}, {} in set {})",
-                    self.router.set_of(source),
+                    self.set_of(source),
                     dest.vertex,
                     dest.set
                 ),
@@ -655,6 +666,11 @@ mod tests {
 
     fn partition_mod(n: usize, q: u32) -> Vec<u32> {
         (0..n).map(|v| (v as u32) % q).collect()
+    }
+
+    /// The partition of [`partition_mod`], read in place as the router does.
+    fn set_mod(q: u32) -> impl Fn(VertexId) -> u32 + Copy {
+        move |v| v.0 % q
     }
 
     fn check_intra_set_stretch(g: &Graph, set_of: Vec<u32>, epsilon: f64) {
@@ -737,6 +753,11 @@ mod tests {
         let err =
             Technique1Scheme::build(&g, partition_mod(6, 2), &Params::with_epsilon(0.0)).unwrap_err();
         assert!(matches!(err, BuildError::BadParameter { .. }));
+        // A partition that misses a vertex, or names one past the graph.
+        for n in [5, 7] {
+            let err = Technique1Scheme::build(&g, partition_mod(n, 2), &Params::default()).unwrap_err();
+            assert!(matches!(err, BuildError::BadParameter { .. }), "{n} set indices: {err}");
+        }
     }
 
     /// Every stored row of `router`, decoded, equals `reference`'s, and
@@ -768,15 +789,14 @@ mod tests {
         let params = Params::with_epsilon(0.5);
         for (name, g) in &graphs {
             // Sets of ~10 members: every source runs, and the last batch is short.
-            let set_of = partition_mod(g.n(), 10);
+            let set_of = set_mod(10);
             let balls = BallTable::build(g, params.scaled(10, g.n()));
             for threads in [1, 4] {
                 routing_par::set_threads(threads);
-                let router = Technique1Router::build(g, &balls, set_of.clone(), &params).unwrap();
-                let by_set = sort_by_set(&set_of);
-                assert_eq!(same_set_sources(&by_set, &set_of).len(), g.n());
+                let router = Technique1Router::build(g, &balls, set_of, &params).unwrap();
+                assert_eq!(same_set_sources(&sort_by_set(g.n(), set_of), set_of).len(), g.n());
                 let reference =
-                    Technique1Router::build_by(g, &balls, set_of.clone(), &params, false, ROUNDS).unwrap();
+                    Technique1Router::build_by(g, &balls, set_of, &params, false, ROUNDS).unwrap();
                 assert_same_sequences(&format!("{name} x{threads}"), g, &router, &reference);
             }
             routing_par::set_threads(routing_par::available_threads());
@@ -798,12 +818,12 @@ mod tests {
         let params = Params::with_epsilon(0.5);
         for (name, g) in [("unit er, batch BFS", &unit), ("weighted er, Dijkstra", &weighted)] {
             assert_ne!(g.n() % (BFS_BATCH_WIDTH * ROUNDS), 0, "{name}: the last round is short");
-            let set_of = partition_mod(g.n(), 12);
+            let set_of = set_mod(12);
             let balls = BallTable::build_with_dists(g, params.scaled(12, g.n()), BallDists::Skip);
-            let at_once = Technique1Router::build_by(g, &balls, set_of.clone(), &params, true, 1).unwrap();
+            let at_once = Technique1Router::build_by(g, &balls, set_of, &params, true, 1).unwrap();
             for threads in [1, 2, 4] {
                 routing_par::set_threads(threads);
-                let by_rounds = Technique1Router::build(g, &balls, set_of.clone(), &params).unwrap();
+                let by_rounds = Technique1Router::build(g, &balls, set_of, &params).unwrap();
                 let key = format!("{name} x{threads}");
                 assert_eq!(by_rounds.seqs.tight_sizes(), at_once.seqs.tight_sizes(), "{key}: sizes");
                 assert_eq!(by_rounds.sequences_heap_bytes(), at_once.sequences_heap_bytes(), "{key}: bytes");
@@ -875,7 +895,7 @@ mod tests {
         for (name, g, ell) in instances {
             let set_of = partition_mod(g.n(), 3);
             let balls = BallTable::build(&g, ell);
-            let router = Technique1Router::build(&g, &balls, set_of.clone(), &params).unwrap();
+            let router = Technique1Router::build(&g, &balls, set_mod(3), &params).unwrap();
             assert!(router.hitting.len() >= 2, "{name}: a second tree to shift to");
             let codec = SlotCodec::for_graph(&g);
             let walk =
@@ -911,7 +931,8 @@ mod tests {
             assert!(!early.is_empty(), "{name}: some Lemma 7 sequence stops early");
             assert!(planted_caught > 0, "{name}: an off-by-one tree index goes unnoticed");
             let exact = DistanceMatrix::new(&g);
-            let scheme = Technique1Scheme { n: g.n(), epsilon, balls: balls.into_ports(), router };
+            let balls = balls.into_ports();
+            let scheme = Technique1Scheme { n: g.n(), epsilon, set_of, balls, router };
             for (u, v) in early {
                 let out = simulate(&g, &scheme, u, v).unwrap();
                 let d = exact.dist(u, v).unwrap();
@@ -956,12 +977,12 @@ mod tests {
         ];
         let params = Params::with_epsilon(0.5);
         for (name, g) in &graphs {
-            let set_of = partition_mod(g.n(), 10);
+            let set_of = set_mod(10);
             let balls = BallTable::build(g, params.scaled(10, g.n()));
-            let router = Technique1Router::build(g, &balls, set_of.clone(), &params).unwrap();
+            let router = Technique1Router::build(g, &balls, set_of, &params).unwrap();
             let (pairs, entries) = router.seqs.tight_sizes();
             assert_eq!(router.sequence_counts(), (pairs, entries), "{name}");
-            let set_sizes = set_of.iter().fold([0usize; 10], |mut s, &c| {
+            let set_sizes = g.vertices().map(set_of).fold([0usize; 10], |mut s, c| {
                 s[c as usize] += 1;
                 s
             });
@@ -1001,9 +1022,9 @@ mod tests {
         for (name, g, width) in &graphs {
             let codec = SlotCodec::for_graph(g);
             assert_eq!(codec.width(), *width, "{name}");
-            let set_of = partition_mod(g.n(), 16);
+            let set_of = set_mod(16);
             let balls = BallTable::build(g, params.scaled(16, g.n()));
-            let router = Technique1Router::build(g, &balls, set_of.clone(), &params).unwrap();
+            let router = Technique1Router::build(g, &balls, set_of, &params).unwrap();
             let (b, hitting) = (router.b, &router.hitting);
             let walk = SeqBuilder { g, balls: &balls, b, hitting, codec };
             let mut scratch = SearchScratch::for_graph(g);
@@ -1012,7 +1033,7 @@ mod tests {
                 scratch.dijkstra_into(g, u);
                 for v in g.vertices() {
                     let stored = router.seqs.decoded(u, v);
-                    if u == v || set_of[u.index()] != set_of[v.index()] {
+                    if u == v || set_of(u) != set_of(v) {
                         assert_eq!(stored, None, "{name}: ({u}, {v})");
                         continue;
                     }
@@ -1068,9 +1089,8 @@ mod tests {
                     for ell in [q, params.scaled(q, n)] {
                         let key = format!("{} {weights:?} n = {n} ℓ = {ell}", family.name());
                         let balls = BallTable::build(&g, ell);
-                        let router =
-                            Technique1Router::build(&g, &balls, partition_mod(n, q as u32), &params)
-                                .unwrap();
+                        let set_of = set_mod(q as u32);
+                        let router = Technique1Router::build(&g, &balls, set_of, &params).unwrap();
                         let h = router.hitting_set();
                         let sets = balls.id_prefixes(balls.ell());
                         assert!(h.windows(2).all(|w| w[0] < w[1]), "{key}: sorted, no duplicates");

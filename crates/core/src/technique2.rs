@@ -58,7 +58,6 @@ pub struct Technique2Router {
     dest_set_of: Vec<u32>,
     /// At `u ∈ U_j`, per destination `w ∈ W_j`: the stored sequence.
     seqs: SeqStore,
-    seq_words: Vec<usize>,
     b: usize,
 }
 
@@ -111,7 +110,7 @@ impl Technique2Router {
         }
 
         let codec = SlotCodec::for_graph(g);
-        let (mut seqs, mut seq_words) = (SeqStoreBuilder::new(codec, n), vec![0usize; n]);
+        let mut seqs = SeqStoreBuilder::new(codec, n);
         let mut sources = Vec::new();
         for (j, dests) in dest_partition.iter().enumerate() {
             let j = j as u32;
@@ -154,10 +153,10 @@ impl Technique2Router {
                 },
             );
             let chunks = chunks.into_iter().collect::<Result<Vec<_>, _>>()?;
-            append_class(&mut seqs, &mut seq_words, &sources, dests, &chunks)?;
+            append_class(&mut seqs, &sources, dests, &chunks)?;
         }
 
-        Ok(Technique2Router { dest_set_of, seqs: seqs.finish(), seq_words, b })
+        Ok(Technique2Router { dest_set_of, seqs: seqs.finish(), b })
     }
 
     /// Lemma 8's round budget `b = ⌈2/ε⌉ + 1`.
@@ -263,20 +262,22 @@ impl Technique2Router {
         target.forward(at, balls)
     }
 
-    /// The words Lemma 8 charges to `v`: the stored sequences (the shared
-    /// ball table is accounted by the embedding scheme).
+    /// The words Lemma 8 charges to `v`: one a stored sequence plus its
+    /// entries, read from the store (the shared ball table is accounted by
+    /// the embedding scheme); none for a `v` outside `0..n`.
     pub fn table_words(&self, v: VertexId) -> usize {
-        self.seq_words.get(v.index()).map_or(0, |&w| w)
+        let (pairs, entries) = self.seqs.counts_at(v);
+        pairs + SeqEntry::words() * entries
     }
 }
 
-/// Appends one colour class's rows to `store` and charges them to
-/// `seq_words`: `sources` are the class's vertices in id order, and chunk
-/// `k` holds the sequences for `dests[k]` of every source but `dests[k]`
-/// itself, in source order. Each source's rows go in destination-id order,
-/// read in place from the chunks: the destinations are sorted once, and a
-/// source's sequence sits at its rank in the class, less one when the
-/// chunk's destination is a source ranked before it.
+/// Appends one colour class's rows to `store`: `sources` are the class's
+/// vertices in id order, and chunk `k` holds the sequences for `dests[k]`
+/// of every source but `dests[k]` itself, in source order. Each source's
+/// rows go in destination-id order, read in place from the chunks: the
+/// destinations are sorted once, and a source's sequence sits at its rank
+/// in the class, less one when the chunk's destination is a source ranked
+/// before it.
 ///
 /// # Errors
 ///
@@ -284,7 +285,6 @@ impl Technique2Router {
 /// what [`SeqStoreBuilder::extend`] returns.
 fn append_class(
     store: &mut SeqStoreBuilder,
-    seq_words: &mut [usize],
     sources: &[VertexId],
     dests: &[VertexId],
     chunks: &[SeqChunk],
@@ -304,13 +304,12 @@ fn append_class(
             (u, w, at.and_then(|at| chunks.get(k)?.sequence(at)))
         })
     });
-    for (u, w, entries) in rows.clone() {
-        let entries = entries.ok_or_else(|| BuildError::Inconsistent {
+    if let Some((u, w, _)) = rows.clone().find(|(.., entries)| entries.is_none()) {
+        return Err(BuildError::Inconsistent {
             what: format!("no Lemma 8 sequence was built at {u} for {w}"),
-        })?;
-        seq_words[u.index()] += 1 + SeqEntry::words() * entries.len();
+        });
     }
-    // Every row holds its sequence: the pass above checked them all.
+    // Every row holds its sequence: the check above read them all.
     store.extend(rows.filter_map(|(u, w, entries)| Some((u, w, entries?))))
 }
 
@@ -860,9 +859,10 @@ mod tests {
 
     /// The store filled a colour class at a time equals the `(u, w)`-order
     /// merge of every pair's sequence ([`u_major_store`]): every decoded
-    /// row, the words, `(pairs, entries)` per vertex, the tight sizes and
-    /// the bytes — on every family, unit and weighted, at ε = 0.1 and 1,
-    /// threads 1 / 2 / 4, with the last colour given no destination.
+    /// row, the words (none at `n`), `(pairs, entries)` per vertex, the
+    /// tight sizes and the bytes — on every family, unit and weighted, at
+    /// ε = 0.1 and 1, threads 1 / 2 / 4, with the last colour given no
+    /// destination.
     #[test]
     fn a_store_filled_by_classes_equals_the_store_merged_by_source() {
         for family in generators::Family::ALL {
@@ -893,6 +893,7 @@ mod tests {
                             assert_eq!(router.table_words(u), words[u.index()], "{key}: words at {u}");
                             assert_eq!(router.seqs.counts_at(u), reference.counts_at(u), "{key}: {u}");
                         }
+                        assert_eq!(router.table_words(VertexId(g.n() as u32)), 0, "{key}: words at n");
                         assert_eq!(router.seqs.tight_sizes(), reference.tight_sizes(), "{key}");
                         assert_eq!(router.sequences_heap_bytes(), reference.heap_bytes(), "{key}");
                     }
@@ -924,18 +925,18 @@ mod tests {
         let (sources, dests) = ([v(0), v(2), v(3), v(5)], [v(5), v(2)]);
         let chunks = [chunk(&[0, 2, 3], 5), chunk(&[0, 3, 5], 2)];
         let mut store = SeqStoreBuilder::new(codec, g.n());
-        let mut words = vec![0; g.n()];
-        append_class(&mut store, &mut words, &sources, &dests, &chunks).unwrap();
-        append_class(&mut store, &mut words, &[v(1), v(4)], &[v(0)], &[chunk(&[1, 4], 0)]).unwrap();
+        append_class(&mut store, &sources, &dests, &chunks).unwrap();
+        append_class(&mut store, &[v(1), v(4)], &[v(0)], &[chunk(&[1, 4], 0)]).unwrap();
         let store = store.finish();
         for (u, w) in [(0, 2), (0, 5), (2, 5), (3, 2), (3, 5), (5, 2), (1, 0), (4, 0)] {
             assert_eq!(store.decoded(v(u), v(w)), Some(vec![SeqEntry::ball(v(10 * u + w))]));
         }
         assert_eq!(store.tight_sizes(), (8, 8));
-        assert_eq!(words, [6, 3, 3, 6, 3, 3]);
+        let counts: Vec<(usize, usize)> = g.vertices().map(|u| store.counts_at(u)).collect();
+        assert_eq!(counts, [(2, 2), (1, 1), (1, 1), (2, 2), (1, 1), (1, 1)]);
         let short = [chunk(&[0, 2, 3], 5), chunk(&[0, 3], 2)];
         let mut store = SeqStoreBuilder::new(codec, g.n());
-        let err = append_class(&mut store, &mut vec![0; g.n()], &sources, &dests, &short).unwrap_err();
+        let err = append_class(&mut store, &sources, &dests, &short).unwrap_err();
         assert!(matches!(err, BuildError::Inconsistent { .. }), "{err}");
     }
 

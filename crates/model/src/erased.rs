@@ -58,9 +58,8 @@ use crate::RouteError;
 /// Carries the label's size in `O(log n)`-bit words next to the opaque
 /// payload, so space accounting survives erasure, and — for a label a
 /// scheme produced — a fingerprint of that scheme's name: registry keys may
-/// share a label type (`tz2` and `tz3`; `exact` and `spanner`; `warmup`,
-/// `thm13` and `thm15`), and a label of one is still
-/// [`RouteError::BadLabel`] to the others.
+/// share a label type (`tz2` and `tz3`; `warmup`, `thm13` and `thm15`), and
+/// a label of one is still [`RouteError::BadLabel`] to the others.
 pub struct ErasedLabel {
     inner: Box<dyn ClonableAny>,
     words: usize,

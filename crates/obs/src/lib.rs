@@ -32,7 +32,7 @@
 //!    guards build a tree per thread; [`report`] merges and returns the
 //!    forest; [`reset`] clears it. The preprocessing code of every scheme
 //!    (balls, landmark sampling, cluster searches, technique builds, TZ
-//!    ladder levels, exact/spanner tables) is threaded with these spans,
+//!    ladder levels, exact tables) is threaded with these spans,
 //!    which is where the benchmark's per-phase `core.<scheme>.*_ms` rows
 //!    come from.
 //! 2. [`metrics`] — [`Counter`] statics for the query

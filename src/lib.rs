@@ -20,8 +20,8 @@
 //!   Thorup–Zwick centers.
 //! * [`core`] — the paper's techniques (Lemmas 7/8) and routing schemes
 //!   (Theorems 10, 11, 13, 15, 16 plus the `(3+ε)` warm-up).
-//! * [`baselines`] — Thorup–Zwick compact routing and distance oracles,
-//!   exact routing, and greedy spanners, used as comparison points.
+//! * [`baselines`] — Thorup–Zwick compact routing and distance oracles and
+//!   exact routing, used as comparison points.
 //! * [`churn`] — dynamic-churn workloads: seeded churn schedules, stale-table
 //!   degradation measurement, and rebuild policies with cost accounting.
 //! * [`registry`] — the string-keyed [`registry::SchemeRegistry`]: one

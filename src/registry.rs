@@ -15,7 +15,6 @@
 //! | `tz2` | Thorup–Zwick `(4k−5)`, `k = 2` (stretch 3) | `routing-baselines` |
 //! | `tz3` | Thorup–Zwick `(4k−5)`, `k = 3` (stretch 7) | `routing-baselines` |
 //! | `exact` | full-table shortest-path routing (stretch 1) | `routing-baselines` |
-//! | `spanner` | full tables on a greedy 3-spanner | `routing-baselines` |
 //! | `thm13` | Theorem 13, multilevel `(3+2/ℓ+ε, 2)` at `ℓ = 2` | `routing-core` |
 //! | `thm15` | Theorem 15, multilevel `(3+2/ℓ+ε, 2)` at `ℓ = 4` | `routing-core` |
 //! | `thm16k3` | Theorem 16, `(4k−7+ε)` at `k = 3` | `routing-baselines` |
@@ -61,7 +60,7 @@
 //! # }
 //! ```
 
-use routing_baselines::{ExactScheme, SpannerScheme, Thm16Scheme, TzRoutingScheme};
+use routing_baselines::{ExactScheme, Thm16Scheme, TzRoutingScheme};
 use routing_core::{
     BuildContext, BuildError, SchemeFivePlusEps, SchemeMultilevel, SchemeTwoPlusEps,
 };
@@ -214,18 +213,6 @@ const ROWS: &[Row] = &[
     },
     Row {
         meta: SchemeMeta {
-            key: "spanner",
-            table1_label: "greedy 3-spanner routing",
-            claimed_stretch: "3",
-            stretch_bound: StretchBound { base: 3.0, eps_coeff: 0.0, additive: 0.0 },
-            claimed_space: "Theta(n)",
-            space_exponent: Some(1.0),
-            weighted: true,
-        },
-        build: |g, _| Ok(Box::new(SpannerScheme::build(g, 2)?)),
-    },
-    Row {
-        meta: SchemeMeta {
             key: "thm13",
             table1_label: "this paper: Thm 13 multilevel (l=2)",
             claimed_stretch: "(3+2/l+eps, 2)",
@@ -353,10 +340,7 @@ mod tests {
         let r = SchemeRegistry::with_defaults();
         assert_eq!(
             r.names(),
-            vec![
-                "warmup", "thm10", "thm11", "tz2", "tz3", "exact", "spanner", "thm13", "thm15",
-                "thm16k3"
-            ]
+            vec!["warmup", "thm10", "thm11", "tz2", "tz3", "exact", "thm13", "thm15", "thm16k3"]
         );
         assert_eq!(r.meta("tz2").map(|m| m.key), Ok("tz2"));
         assert_eq!(r.meta("thm13").map(|m| m.claimed_stretch), Ok("(3+2/l+eps, 2)"));

@@ -1103,11 +1103,6 @@ proptest! {
                     &routing_baselines::ExactScheme::build(&g).unwrap(),
                     &pairs,
                 ),
-                "spanner" => assert_erasure_fidelity(
-                    &g,
-                    &routing_baselines::SpannerScheme::build(&g, 2).unwrap(),
-                    &pairs,
-                ),
                 "thm16k3" => assert_erasure_fidelity(
                     &g,
                     &routing_baselines::Thm16Scheme::build(&g, 3, &ctx.params, &mut rng).unwrap(),
