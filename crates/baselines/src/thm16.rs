@@ -9,8 +9,9 @@
 //!
 //! 1. **Direct** — `v` in `u`'s vicinity: exact Lemma 2 forwarding
 //!    (Property 1 keeps the destination visible along the way).
-//! 2. **Source cluster** — `v ∈ C(u)`: route on `u`'s own cluster tree,
-//!    exact since `T(u)` is a shortest-path tree from `u`.
+//! 2. **Source cluster** — `u` of level 0 and `v ∈ C(u)`: route on `u`'s
+//!    own cluster tree, exact since `T(u)` is a shortest-path tree from
+//!    `u`.
 //! 3. **Cheapest pivot** — otherwise, cost every pivot `w = p_i(v)` whose
 //!    tree label is present in `v`'s label: `d(u, w)` comes from `u`'s
 //!    bunch (then `u ∈ C(w)` by duality and the cluster tree covers `u`
@@ -39,16 +40,29 @@
 //! and distances, ever exists — and only then finishes the hierarchy, so
 //! the two builds' transients never overlap. As in the TZ scheme, a label
 //! is a `Copy` handle on that ladder and a header carries a tree-label view.
+//!
+//! # Storage and the shortcut
+//!
+//! The hierarchy keeps a member's label in `T(w)` only where the `(4k−5)`
+//! scheme reads it (see [`crate::tz`]): every member's at a level-0 root,
+//! whose cluster Lemma 4 bounds by `4n^{1/k}`, and elsewhere only the
+//! labels of the `v` with `p_i(v) = w`, which step 3 reads. Step 2 is
+//! therefore taken from a level-0 source only. Nothing is lost: all any
+//! analysis takes from step 2 is that, when it is not taken,
+//! `d(v, A_1) ≤ d(u, v)` — for a level-0 source because `v ∉ C(u)` means
+//! `d(u, v) ≥ d(v, A_1)`, and for a source `u ∈ A_1` with no shortcut,
+//! since `d(u, A_1) = 0` gives `d(v, A_1) ≤ d(v, u) + d(u, A_1) = d(u, v)`.
+//! Step 3's candidates include the plain TZ ladder choice, so the routed
+//! weight stays within the `4k−5` of the TZ argument from that bound.
 
 use rand::Rng;
 
 use routing_core::{BuildError, DistLists, Params};
 use routing_graph::{Graph, VertexId, Weight};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
-use routing_tree::TreeLabelView;
 use routing_vicinity::BallPorts;
 
-use crate::tz::{TzHierarchy, TzLevels};
+use crate::tz::{ClusterLabel, TzHierarchy, TzLevels};
 
 /// Routing phase carried in the message header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,9 +72,9 @@ enum Phase {
     Direct,
     /// Walking (exactly, through the vicinity) towards pivot `w`, then
     /// finishing on `w`'s cluster tree with the carried label.
-    ToPivot { w: VertexId, label: TreeLabelView },
+    ToPivot { w: VertexId, label: ClusterLabel },
     /// Routing on the cluster tree `T(root)` towards the destination.
-    Tree { root: VertexId, label: TreeLabelView },
+    Tree { root: VertexId, label: ClusterLabel },
 }
 
 /// Header of the Theorem 16 scheme.
@@ -221,18 +235,22 @@ impl RoutingScheme for Thm16Scheme {
             routing_obs::counters::ROUTING_PHASE_DIRECT.inc();
             return Ok(Thm16Header { phase: Phase::Direct });
         }
-        // v in the source's own cluster: T(source) is a shortest-path tree
-        // from the source, so this hop is exact.
+        // v in a level-0 source's own cluster: T(source) is a shortest-path
+        // tree from the source, so this hop is exact. A source in A_1 needs
+        // no shortcut (see the module docs).
         let clusters = self.hierarchy.clusters();
-        if let Some(label) = clusters.label_in(source, v) {
-            routing_obs::counters::ROUTING_PHASE_TREE.inc();
-            return Ok(Thm16Header { phase: Phase::Tree { root: source, label } });
+        if self.hierarchy.keeps_every_label(source) {
+            if let Some(view) = clusters.label_in(source, v) {
+                routing_obs::counters::ROUTING_PHASE_TREE.inc();
+                let phase = Phase::Tree { root: source, label: ClusterLabel::in_tree(view) };
+                return Ok(Thm16Header { phase });
+            }
         }
         // Cost every reachable pivot of v and take the cheapest; ties go to
         // the lower ladder level, reproducing plain TZ as the fallback.
         let mut best: Option<(Weight, Phase)> = None;
-        for &((w, dwv), label) in self.hierarchy.ladder(v) {
-            if label == TreeLabelView::ABSENT {
+        for ((w, dwv), label) in self.hierarchy.ladder(v) {
+            if label.is_absent() {
                 continue;
             }
             let (duw, phase) = if w == source {
@@ -311,7 +329,7 @@ impl RoutingScheme for Thm16Scheme {
                         });
                 }
                 Phase::Tree { root, label } => {
-                    return self.hierarchy.clusters().step(*root, at, *label);
+                    return self.hierarchy.step(*root, at, *label);
                 }
             }
         }
@@ -323,7 +341,7 @@ impl RoutingScheme for Thm16Scheme {
 
     /// `v`, its `k` pivots with distances and its `k` tree labels.
     fn label_words(&self, v: VertexId) -> usize {
-        1 + self.hierarchy.ladder(v).iter().map(|(_, label)| 2 + label.words()).sum::<usize>()
+        1 + self.hierarchy.ladder(v).map(|(_, label)| 2 + label.words()).sum::<usize>()
     }
 }
 
@@ -409,7 +427,7 @@ mod tests {
             assert!(scheme.table_words(v) > 0);
             assert_eq!(scheme.label_of(v).vertex, v);
             // v, three pivots with distances and three tree labels.
-            let trees: usize = scheme.hierarchy().ladder(v).iter().map(|(_, l)| l.words()).sum();
+            let trees: usize = scheme.hierarchy().ladder(v).map(|(_, l)| l.words()).sum();
             assert_eq!(scheme.label_words(v), 1 + 2 * 3 + trees);
         }
     }
@@ -536,12 +554,14 @@ mod tests {
             return Ok(Phase::Direct);
         }
         let clusters = scheme.hierarchy.clusters();
-        if let Some(label) = clusters.label_in(source, v) {
-            return Ok(Phase::Tree { root: source, label });
+        if scheme.hierarchy.level_of(source) == 0 {
+            if let Some(view) = clusters.label_in(source, v) {
+                return Ok(Phase::Tree { root: source, label: ClusterLabel::in_tree(view) });
+            }
         }
         let mut best: Option<(Weight, Phase)> = None;
-        for &((w, dwv), label) in scheme.hierarchy.ladder(v) {
-            if label == TreeLabelView::ABSENT {
+        for ((w, dwv), label) in scheme.hierarchy.ladder(v) {
+            if label.is_absent() {
                 continue;
             }
             let (duw, phase) = if w == source {

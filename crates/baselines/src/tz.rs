@@ -39,10 +39,41 @@
 //! finishes on the cluster tree `T_{C(w)}` using the tree label embedded in
 //! `v`'s label. A label is a `Copy` handle: its pivots and tree labels are
 //! read from the one row the hierarchy keeps per vertex (`p_i(v)` with its
-//! distance and the tree label as a view into `T(p_i(v))`, for every `i`),
-//! and it is charged the words of the ladder it stands for. The distance
-//! oracle answers from bunches and that row with the classic ping-pong
-//! scan, returning `d̂(u, v) ≤ (2k−1)·d(u, v)` in `O(k)` time.
+//! distance and `v`'s label in `T(p_i(v))`, for every `i`, packed at the
+//! graph's width, the labels' light ports in a column of their own beside
+//! the rows), and it is charged the words of the ladder it stands for. The distance oracle answers from bunches and that row
+//! with the classic ping-pong scan, returning `d̂(u, v) ≤ (2k−1)·d(u, v)` in
+//! `O(k)` time.
+//!
+//! # Storage and the `4k−5` argument
+//!
+//! Every member of `C(w)` stores its `O(1)` words of `T(w)` routing
+//! information, but `w` stores its members' tree labels only where the
+//! scheme reads them there, so the tables stay within `Õ(n^{1/k})`:
+//!
+//! * a **level-0** root keeps the label of every member of `C(w)`, which
+//!   Lemma 4 bounds by `4n^{1/k}` — the own-cluster shortcut below reads
+//!   them;
+//! * any **other** root keeps none ([`Labels::Drop`]): the only labels the
+//!   scheme reads in its tree are those its members' ladders point to, the
+//!   labels of the `v` with `p_i(v) = w`, and those are part of `v`'s
+//!   routing label — the ladder row carries them, and
+//!   [`RoutingScheme::label_words`] charges them. A top-level root's
+//!   cluster is all of `V`, so keeping every label there would cost `n`.
+//!
+//! A dropped label is gone from the tree and reads as `None`, and
+//! [`TzHierarchy::table_words`] charges the kept ones only. The own-cluster
+//! shortcut — `v ∈ C(u)`: route on `T(u)` exactly — is therefore taken
+//! from a level-0 source only, which keeps `4k−5`. All the analysis takes
+//! from the shortcut is that, when it is not taken, `d(v, A_1) ≤ d(u, v)`.
+//! For a level-0 source `u ∉ A_1` that holds since `v ∉ C(u)` means
+//! `d(u, v) ≥ d(v, A_1)`. For a source `u ∈ A_1` it holds with no shortcut
+//! at all: `d(u, A_1) = 0`, so `d(v, A_1) ≤ d(v, u) + d(u, A_1) = d(u, v)`.
+//! From there each unsuccessful rung `i` gives
+//! `d(v, A_{i+1}) ≤ d(v, A_i) + 2·d(u, v)`, so `d(v, A_i) ≤ (2i−1)·d(u, v)`
+//! for `i ≥ 1`, and the route through `w = p_i(v)` costs at most
+//! `d(u, w) + d(w, v) ≤ d(u, v) + 2·d(v, A_i) ≤ (4i−1)·d(u, v)`, at most
+//! `(4k−5)·d(u, v)` at `i = k−1`.
 //!
 //! Clusters, cluster trees and bunches are one [`routing_core::ClusterFamily`]
 //! built by the stage Theorems 10 and 11 use, and the routing scheme, the
@@ -55,14 +86,50 @@
 use rand::Rng;
 
 use routing_core::{BuildError, ClusterFamily};
-use routing_graph::{Graph, VertexId, Weight, INFINITY};
+use routing_graph::codec::bytes_for;
+use routing_graph::{Graph, PackedColumn, Port, SlotCodec, VertexId, Weight, INFINITY};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
-use routing_tree::{TreeLabelView, TreeView};
+use routing_tree::{Labels, TreeLabelView, TreeView};
 use routing_vicinity::{sample_centers_bounded, Landmarks};
 
 /// One rung of a vertex `v`'s pivot ladder: `(p_i(v), d(v, A_i))` and the
-/// label of `v` in `T(p_i(v))`, [`TreeLabelView::ABSENT`] if it has none.
-pub type Rung = ((VertexId, Weight), TreeLabelView);
+/// label of `v` in `T(p_i(v))`, [`ClusterLabel::ABSENT`] if it has none.
+pub type Rung = ((VertexId, Weight), ClusterLabel);
+
+/// A destination's label in a cluster tree `T(w)`, and where its light
+/// ports are kept: in `T(w)` itself, which keeps every member's label when
+/// `w` is of level 0, or beside the destination's ladder row. `Copy`, and
+/// charged the words of the tree label it stands for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ClusterLabel {
+    /// The tree label's entry time and light-port count.
+    pub view: TreeLabelView,
+    /// The first of its light ports in the ladder's column, or [`IN_TREE`].
+    light_at: u32,
+}
+
+/// [`ClusterLabel::light_at`] of a label whose light ports are `T(w)`'s.
+const IN_TREE: u32 = u32::MAX;
+
+impl ClusterLabel {
+    /// The label of a vertex the tree does not contain.
+    pub const ABSENT: ClusterLabel = ClusterLabel { view: TreeLabelView::ABSENT, light_at: IN_TREE };
+
+    /// A label whose light ports the cluster tree keeps.
+    pub fn in_tree(view: TreeLabelView) -> Self {
+        ClusterLabel { view, light_at: IN_TREE }
+    }
+
+    /// True for the label of a vertex the tree does not contain.
+    pub fn is_absent(&self) -> bool {
+        self.view == TreeLabelView::ABSENT
+    }
+
+    /// Size in `O(log n)`-bit words of the tree label it stands for.
+    pub fn words(&self) -> usize {
+        self.view.words()
+    }
+}
 
 /// The Thorup–Zwick level hierarchy with pivots, bunches and cluster trees.
 #[derive(Debug, Clone)]
@@ -70,9 +137,16 @@ pub struct TzHierarchy {
     k: usize,
     /// `levels[i]` = the set `A_i` (sorted); `levels[0]` is all of `V`.
     levels: Vec<Vec<VertexId>>,
-    /// Row-major `n × k`: entry `v·k + i` is rung `i` of `v`'s ladder, so a
+    /// Row-major `n × k`: record `v·k + i` is rung `i` of `v`'s ladder, so a
     /// query reads one contiguous row. Rung 0 is `((v, 0), label in T(v))`.
-    ladder: Vec<Rung>,
+    /// A rung is `[p_i(v), d(v, A_i), tin, light end]` packed at the
+    /// graph's width ([`ladder_codec`]), where the label's light ports are
+    /// `ladder_light[end of the record before..light end]`: 9 bytes on the
+    /// `t2-geo-direct` graph, where the decoded [`Rung`] is 32.
+    ladder: PackedColumn<4>,
+    /// The light ports of every rung's label, rung after rung, at the
+    /// graph's `[vertex, port]` width (an entry time fits a vertex field).
+    ladder_light: PackedColumn<2>,
     /// The highest level that contains each vertex: below `k ≤ 255`, one
     /// byte a vertex.
     level_of: Vec<u8>,
@@ -123,6 +197,17 @@ impl TzLevels {
     }
 }
 
+/// How a ladder packs its rungs on an `n`-vertex graph whose pivot
+/// distances stay at or below `far` and whose labels list `light` light
+/// ports in all: a pivot and an entry time in the bytes `n` needs (the
+/// absent label's entry time is the sentinel), the distance in the bytes
+/// `far` needs, and the end of the rung's light ports in the bytes `light`
+/// needs.
+fn ladder_codec(n: usize, far: Weight, light: usize) -> SlotCodec<4> {
+    let id = bytes_for(n as u64);
+    SlotCodec::new([id, bytes_for(far.saturating_add(1)), id, bytes_for(light as u64 + 1)])
+}
+
 impl TzHierarchy {
     /// Builds the hierarchy for parameter `k ≥ 2`: [`TzLevels::sample`],
     /// then [`TzHierarchy::from_levels`].
@@ -140,10 +225,18 @@ impl TzHierarchy {
     /// cluster family and the ladder rows. Draws nothing, so a caller may
     /// run other builds between sampling the levels and finishing them.
     ///
+    /// A level-0 root keeps the label of every member of its cluster, which
+    /// Lemma 4 bounds by `4n^{1/k}`; any other root keeps none
+    /// ([`TzHierarchy::keeps_every_label`]). The labels the ladders point
+    /// to, `v`'s in `T(p_i(v))`, are read off the trees' node records
+    /// ([`TreeView::label_in_graph`]) into the ladder rows.
+    ///
     /// # Errors
     ///
     /// [`BuildError::TooSmall`] if a cluster tree cannot be laid out, which
-    /// a well-formed search never produces.
+    /// a well-formed search never produces, and
+    /// [`BuildError::Inconsistent`] if a ladder's light ports outnumber a
+    /// `u32` offset.
     pub fn from_levels(g: &Graph, levels: TzLevels) -> Result<Self, BuildError> {
         let n = g.n();
         let upper = levels.upper;
@@ -177,21 +270,44 @@ impl TzHierarchy {
         drop(span_pivots);
 
         // The cluster of a level-`i` root is bounded by `d(·, A_{i+1})`; the
-        // top level's is unbounded.
+        // top level's is unbounded. Only a level-0 root keeps its members'
+        // labels.
         let unbounded = vec![INFINITY; n];
-        let (clusters, _) = ClusterFamily::build(g, |w| {
-            upper.get(usize::from(level_of[w.index()])).map_or(&unbounded[..], Landmarks::bound_slice)
-        })?;
+        let (clusters, _) = ClusterFamily::build(
+            g,
+            |w| upper.get(usize::from(level_of[w.index()])).map_or(&unbounded[..], Landmarks::bound_slice),
+            |w| if level_of[w.index()] == 0 { Labels::Keep } else { Labels::Drop },
+        )?;
 
-        // One row per vertex: its pivots beside its labels in their trees.
-        let mut ladder = Vec::with_capacity(n * k);
+        // One row per vertex: its pivots beside its labels in their trees,
+        // whose light ports go to a column of their own.
+        let _span = routing_obs::span("ladder");
+        let mut ladder_light = PackedColumn::new(SlotCodec::for_graph(g));
+        let (mut labels, mut ports) = (Vec::with_capacity(n * k), Vec::new());
         for v in g.vertices() {
-            ladder.extend(pivots.iter().map(|level| {
-                let (p, d) = level[v.index()];
-                ((p, d), clusters.label_in(p, v).unwrap_or(TreeLabelView::ABSENT))
-            }));
+            for level in &pivots {
+                let tree = clusters.tree(level[v.index()].0);
+                let tin = match tree.and_then(|t| t.label_in_graph(g, v, &mut ports)) {
+                    Some(tin) => {
+                        ports.iter().for_each(|&(t, port)| ladder_light.push([t, port.0]));
+                        tin
+                    }
+                    None => u32::MAX,
+                };
+                let end = u32::try_from(ladder_light.len()).map_err(|_| BuildError::Inconsistent {
+                    what: "the ladders' light ports outnumber a u32 offset".into(),
+                })?;
+                labels.push([tin, end]);
+            }
         }
-        Ok(TzHierarchy { k, levels, ladder, level_of, clusters })
+        ladder_light.shrink_to_fit();
+        let far = pivots.iter().flatten().map(|&(_, d)| d).filter(|&d| d != INFINITY).max().unwrap_or(0);
+        let mut ladder = PackedColumn::with_capacity(ladder_codec(n, far, ladder_light.len()), n * k);
+        let rungs = g.vertices().flat_map(|v| pivots.iter().map(move |level| level[v.index()]));
+        for ((p, d), [tin, end]) in rungs.zip(labels) {
+            ladder.push([u64::from(p.0), d, tin.into(), end.into()]);
+        }
+        Ok(TzHierarchy { k, levels, ladder, ladder_light, level_of, clusters })
     }
 
     /// What [`TzHierarchy::build`] refuses before any work:
@@ -235,9 +351,53 @@ impl TzHierarchy {
         usize::from(self.level_of[v.index()])
     }
 
-    /// `(p_i(v), d(v, A_i))`.
+    /// True if `w`'s tree keeps every member's label: `w` is a vertex of
+    /// level 0, whose cluster Lemma 4 bounds. Every other root keeps none,
+    /// so the `4k−5` scheme takes the own-cluster shortcut from a level-0
+    /// source only.
+    #[inline]
+    pub fn keeps_every_label(&self, w: VertexId) -> bool {
+        self.level_of.get(w.index()) == Some(&0)
+    }
+
+    /// `(p_i(v), d(v, A_i))`; `(v, ∞)` for an `i` or `v` out of range.
+    #[inline]
     pub fn pivot(&self, i: usize, v: VertexId) -> (VertexId, Weight) {
-        self.ladder[v.index() * self.k + i].0
+        let rung = (i < self.k).then(|| self.rung(v.index() * self.k + i)).flatten();
+        rung.map_or((v, INFINITY), |(pivot, _)| pivot)
+    }
+
+    /// Record `at` of the ladder, decoded: its light ports start where the
+    /// record before it ends.
+    #[inline]
+    fn rung(&self, at: usize) -> Option<Rung> {
+        let [p, d, tin, end] = self.ladder.get::<u64>(at)?;
+        let before = at.checked_sub(1).and_then(|before| self.ladder.get::<u64>(before));
+        let start = before.map_or(0, |[.., end]| end);
+        let tin = u32::try_from(tin).unwrap_or(u32::MAX);
+        let view = TreeLabelView { tin, light_len: end.saturating_sub(start) as u32 };
+        Some(((VertexId(p as u32), d), ClusterLabel { view, light_at: start as u32 }))
+    }
+
+    /// One routing step at `at` on `T(root)` towards the holder of `label`,
+    /// whose light ports are read where it keeps them.
+    ///
+    /// # Errors
+    ///
+    /// As [`ClusterFamily::step`].
+    #[inline]
+    pub fn step(&self, root: VertexId, at: VertexId, label: ClusterLabel) -> Result<Decision, RouteError> {
+        if label.light_at == IN_TREE {
+            return self.clusters.step(root, at, label.view);
+        }
+        let tree = self.clusters.tree(root).ok_or_else(|| RouteError::MissingInformation {
+            at,
+            what: format!("no cluster tree rooted at {root}"),
+        })?;
+        let start = label.light_at as usize;
+        let light = self.ladder_light.slice(start..start + label.view.light_len as usize);
+        let ports = light.into_iter().flat_map(|view| (0..view.len()).map_while(move |i| view.get::<u32>(i)));
+        tree.step_ports(at, label.view.tin, ports.map(|[t, port]| (t, Port(port))))
     }
 
     /// The bunch `B(v)` with distances, decoded, in ascending id order.
@@ -260,29 +420,33 @@ impl TzHierarchy {
         (0..self.n()).map(|v| self.bunch(VertexId(v as u32)).count()).max().unwrap_or(0)
     }
 
-    /// The pivot ladder of `v`, one contiguous row: for `i = 0..k`,
-    /// `(p_i(v), d(v, A_i))` and the label of `v` in `T(p_i(v))`, as a view
-    /// into that tree. Tie inheritance puts `v` in every pivot's cluster; a
-    /// label that is missing anyway is [`TreeLabelView::ABSENT`]. Empty for
-    /// a `v` outside `0..n`.
-    pub fn ladder(&self, v: VertexId) -> &[Rung] {
-        self.ladder.get(v.index() * self.k..(v.index() + 1) * self.k).unwrap_or(&[])
+    /// The pivot ladder of `v`, one contiguous row decoded as it is read:
+    /// for `i = 0..k`, `(p_i(v), d(v, A_i))` and the label of `v` in
+    /// `T(p_i(v))`, its light ports kept beside the row. Tie inheritance
+    /// puts `v` in every pivot's cluster; a label that is missing anyway is
+    /// [`ClusterLabel::ABSENT`]. Empty for a `v` outside `0..n`.
+    #[inline]
+    pub fn ladder(&self, v: VertexId) -> impl Iterator<Item = Rung> + '_ {
+        let row = if v.index() < self.n() { v.index() * self.k..(v.index() + 1) * self.k } else { 0..0 };
+        row.map_while(|at| self.rung(at))
     }
 
     /// Words the routing table of `v` holds: its bunch with distances, the
     /// tree-routing information of every cluster containing it, the labels
-    /// of its own cluster's members, and its `k` pivots with distances.
+    /// its own tree keeps, and its `k` pivots with distances.
     pub fn table_words(&self, v: VertexId) -> usize {
         2 * self.bunch(v).count() + self.clusters.membership_words(v) + 2 * self.k
     }
 
     /// Bytes of heap the hierarchy holds, by capacity: the level sets, the
-    /// ladder rows, the level of every vertex and the cluster family.
+    /// packed ladder rows and their light ports, the level of every vertex
+    /// and the cluster family.
     pub fn heap_bytes(&self) -> usize {
         let level_ids: usize = self.levels.iter().map(Vec::capacity).sum();
         std::mem::size_of::<Vec<VertexId>>() * self.levels.capacity()
             + std::mem::size_of::<VertexId>() * level_ids
-            + std::mem::size_of::<Rung>() * self.ladder.capacity()
+            + self.ladder.heap_bytes()
+            + self.ladder_light.heap_bytes()
             + self.level_of.capacity()
             + self.clusters.heap_bytes()
     }
@@ -360,7 +524,7 @@ pub struct TzLabel {
 #[derive(Debug, Clone, Copy)]
 pub struct TzHeader {
     root: VertexId,
-    label: TreeLabelView,
+    label: ClusterLabel,
 }
 
 impl HeaderSize for TzHeader {
@@ -426,18 +590,22 @@ impl RoutingScheme for TzRoutingScheme {
         }
         if source == v {
             routing_obs::counters::ROUTING_PHASE_DIRECT.inc();
-            return Ok(TzHeader { root: v, label: TreeLabelView { tin: 0, light_len: 0 } });
+            let label = ClusterLabel::in_tree(TreeLabelView { tin: 0, light_len: 0 });
+            return Ok(TzHeader { root: v, label });
         }
-        // 4k-5 improvement: if v is in the source's own cluster, route on the
-        // source's cluster tree with the label stored at the source.
+        // 4k-5 improvement: if v is in a level-0 source's own cluster, route
+        // on the source's cluster tree with the label stored at the source.
+        // A source in A_1 needs no shortcut (see the module docs).
         let clusters = self.hierarchy.clusters();
-        if let Some(label) = clusters.label_in(source, v) {
-            routing_obs::counters::ROUTING_PHASE_TREE.inc();
-            return Ok(TzHeader { root: source, label });
+        if self.hierarchy.keeps_every_label(source) {
+            if let Some(view) = clusters.label_in(source, v) {
+                routing_obs::counters::ROUTING_PHASE_TREE.inc();
+                return Ok(TzHeader { root: source, label: ClusterLabel::in_tree(view) });
+            }
         }
-        for &((w, _), label) in self.hierarchy.ladder(v) {
+        for ((w, _), label) in self.hierarchy.ladder(v) {
             if w == source || clusters.bunch_dist(source, w).is_some() {
-                if label == TreeLabelView::ABSENT {
+                if label.is_absent() {
                     return Err(RouteError::BadLabel {
                         what: format!("{v} has no label in the cluster tree of pivot {w}"),
                     });
@@ -461,7 +629,7 @@ impl RoutingScheme for TzRoutingScheme {
         if at == dest.vertex {
             return Ok(Decision::Deliver);
         }
-        self.hierarchy.clusters().step(header.root, at, header.label)
+        self.hierarchy.step(header.root, at, header.label)
     }
 
     fn table_words(&self, v: VertexId) -> usize {
@@ -470,7 +638,7 @@ impl RoutingScheme for TzRoutingScheme {
 
     /// `v`, its `k` pivots and its `k` tree labels.
     fn label_words(&self, v: VertexId) -> usize {
-        1 + self.hierarchy.ladder(v).iter().map(|(_, label)| 1 + label.words()).sum::<usize>()
+        1 + self.hierarchy.ladder(v).map(|(_, label)| 1 + label.words()).sum::<usize>()
     }
 }
 
@@ -483,7 +651,9 @@ mod tests {
     use rand::SeedableRng;
     use routing_graph::apsp::DistanceMatrix;
     use routing_graph::generators::{self, WeightModel};
+    use routing_graph::SLOT_PAD;
     use routing_model::simulate;
+    use routing_tree::TreeLabel;
 
     fn weighted_graph(n: usize, seed: u64) -> Graph {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -513,8 +683,14 @@ mod tests {
 
     /// The per-level reading the ladder rows replaced: `(p_i(v), d(v, A_i))`
     /// from a landmark search over each level `A_i`, under tie inheritance,
-    /// and `v`'s label looked up in `T(p_i(v))`.
-    fn per_level_ladder(g: &Graph, h: &TzHierarchy, v: VertexId) -> Vec<Rung> {
+    /// and `v`'s label in `T(p_i(v))` of `all`, a cluster family over the
+    /// hierarchy's bounds that keeps every label.
+    fn per_level_ladder(
+        g: &Graph,
+        h: &TzHierarchy,
+        all: &ClusterFamily,
+        v: VertexId,
+    ) -> Vec<((VertexId, Weight), Option<TreeLabel>)> {
         let k = h.k();
         let mut pivots = vec![(v, 0)];
         for level in &h.levels()[1..] {
@@ -526,15 +702,29 @@ mod tests {
                 pivots[i] = pivots[i + 1];
             }
         }
-        pivots
-            .into_iter()
-            .map(|(p, d)| ((p, d), h.clusters().label_in(p, v).unwrap_or(TreeLabelView::ABSENT)))
-            .collect()
+        pivots.into_iter().map(|(p, d)| ((p, d), all.tree(p).and_then(|t| t.label(v)))).collect()
+    }
+
+    /// The hierarchy's cluster family rebuilt keeping every root's labels.
+    fn keeping_every_label(g: &Graph, h: &TzHierarchy) -> ClusterFamily {
+        let uppers: Vec<Landmarks> = h.levels()[1..].iter().map(|a| Landmarks::new(g, a.clone())).collect();
+        let unbounded = vec![INFINITY; g.n()];
+        let bound = |w: VertexId| uppers.get(h.level_of(w)).map_or(&unbounded[..], Landmarks::bound_slice);
+        ClusterFamily::build(g, bound, |_| Labels::Keep).unwrap().0
+    }
+
+    /// A rung's label with its light ports, read where the ladder keeps them.
+    fn ladder_label(h: &TzHierarchy, label: ClusterLabel) -> Option<TreeLabel> {
+        let start = label.light_at as usize;
+        let ports = (start..start + label.view.light_len as usize).map(|i| h.ladder_light.get::<u32>(i).unwrap());
+        let light_ports = ports.map(|[t, port]| (t, Port(port))).collect();
+        (!label.is_absent()).then_some(TreeLabel { tin: label.view.tin, light_ports })
     }
 
     /// Each vertex's ladder row, and `pivot(i, v)`, equal the per-level
-    /// reading: ER, geometric and grid graphs, unit and weighted, around a
-    /// power of two, for `k ∈ {2, 3}`.
+    /// reading, its labels those of trees that keep every label: ER,
+    /// geometric and grid graphs, unit and weighted, around a power of two,
+    /// for `k ∈ {2, 3}`. Only the level-0 trees keep labels themselves.
     #[test]
     fn ladder_rows_equal_the_per_level_reading() {
         use generators::Family;
@@ -545,23 +735,106 @@ mod tests {
                     let g = family.generate(n, weights, &mut rng);
                     for k in [2, 3] {
                         let h = TzHierarchy::build(&g, k, &mut rng).unwrap();
+                        let all = keeping_every_label(&g, &h);
+                        let (mut far, mut light) = (0, 0);
                         for v in g.vertices() {
-                            let reference = per_level_ladder(&g, &h, v);
-                            assert_eq!(h.ladder(v), reference, "{family:?} n = {n} k = {k}: {v}");
-                            for (i, &(pivot, _)) in reference.iter().enumerate() {
-                                assert_eq!(h.pivot(i, v), pivot);
+                            let key = format!("{family:?} n = {n} k = {k}: {v}");
+                            let reference = per_level_ladder(&g, &h, &all, v);
+                            let ladder: Vec<_> = h.ladder(v).map(|(p, label)| (p, ladder_label(&h, label))).collect();
+                            assert_eq!(ladder, reference, "{key}");
+                            for (i, (pivot, label)) in reference.iter().enumerate() {
+                                assert_eq!(h.pivot(i, v), *pivot, "{key}");
+                                assert!(label.is_some(), "{key}: {v} lies in the cluster of p_{i}");
+                                far = far.max(pivot.1);
+                                light += label.as_ref().map_or(0, |l| l.light_ports.len());
                             }
+                            assert_eq!(h.keeps_every_label(v), h.level_of(v) == 0, "{key}");
+                            assert_eq!(h.clusters().tree(v).unwrap().keeps_labels(), h.level_of(v) == 0, "{key}");
                         }
-                        assert!(h.ladder(VertexId(g.n() as u32)).is_empty());
-                        assert_eq!(h.ladder.capacity(), g.n() * k, "no growth slack");
-                        // 24 B a rung and a level's header, 4 an id, 1 a level-of entry.
+                        assert_eq!(h.ladder(VertexId(g.n() as u32)).count(), 0);
+                        assert_eq!(h.pivot(k, VertexId(0)), (VertexId(0), INFINITY));
+                        // A rung packs a pivot and an entry time at the id
+                        // width, a distance in the bytes the farthest pivot
+                        // needs and the end of its light ports in the bytes
+                        // all of them need; a light port is 2 bytes here.
+                        let id = usize::from(bytes_for(g.n() as u64));
+                        let rung = 2 * id + usize::from(bytes_for(far + 1)) + usize::from(bytes_for(light as u64 + 1));
+                        assert_eq!(h.ladder.codec().width(), rung);
+                        assert_eq!(h.ladder.heap_bytes(), rung * g.n() * k + SLOT_PAD, "no growth slack");
+                        assert_eq!(h.ladder_light.heap_bytes(), 2 * light + SLOT_PAD, "no growth slack");
+                        // 24 B a level's header, 4 an id, 1 a level-of entry.
                         let ids: usize = h.levels().iter().map(Vec::len).sum();
-                        let fixed = 24 * h.levels.capacity() + 4 * ids + 24 * g.n() * k + g.n();
+                        let ladder = h.ladder.heap_bytes() + h.ladder_light.heap_bytes();
+                        let fixed = 24 * h.levels.capacity() + 4 * ids + ladder + g.n();
                         assert_eq!(h.heap_bytes(), fixed + h.clusters().heap_bytes());
                     }
                 }
             }
         }
+    }
+
+    /// Only a level-0 root keeps its members' labels: every other root's
+    /// label reads `None` for every member, which still keeps its routing
+    /// record. A vertex is charged exactly its bunch, its records in the
+    /// trees that hold it, the labels its own tree keeps and its pivots.
+    #[test]
+    fn a_root_above_level_0_keeps_no_label_and_is_charged_none() {
+        use generators::Family;
+        for family in [Family::ErdosRenyi, Family::Geometric] {
+            for k in [2, 3] {
+                let g = family.generate(200, WeightModel::Uniform { lo: 1, hi: 9 }, &mut StdRng::seed_from_u64(3));
+                let h = TzHierarchy::build(&g, k, &mut StdRng::seed_from_u64(k as u64)).unwrap();
+                let all = keeping_every_label(&g, &h);
+                let mut dropped = 0;
+                for w in g.vertices() {
+                    let (tree, full) = (h.cluster_tree(w).unwrap(), all.tree(w).unwrap());
+                    let mut kept_words = 0;
+                    for v in full.vertices() {
+                        assert_eq!(tree.node_info(v), full.node_info(v), "{family:?}: {v} in T({w})");
+                        let label = h.clusters().label_in(w, v);
+                        if h.level_of(w) == 0 {
+                            assert_eq!(label, full.label_view(v), "{family:?}: {v} in T({w})");
+                        } else {
+                            assert_eq!((label, tree.label(v)), (None, None), "{family:?}: {v} in T({w})");
+                            dropped += 1;
+                        }
+                        kept_words += label.map_or(0, |l| l.words());
+                    }
+                    let records: usize = h.bunch(w).map(|(r, _)| h.cluster_tree(r).unwrap().table_words(w)).sum();
+                    let want = 2 * h.bunch(w).count() + records + kept_words + 2 * k;
+                    assert_eq!(h.table_words(w), want, "{family:?}: words at {w}");
+                }
+                assert!(dropped > 0, "{family:?}: no root above level 0");
+            }
+        }
+    }
+
+    /// The own-cluster shortcut is taken from a level-0 source only: from a
+    /// source of a higher level the header is the ladder's first pivot
+    /// whose cluster holds the source, also where the destination lies in
+    /// the source's own cluster; and some such pair exists.
+    #[test]
+    fn no_source_above_level_0_takes_the_own_cluster_shortcut() {
+        use generators::Family;
+        let mut skipped = 0;
+        for family in [Family::ErdosRenyi, Family::Geometric, Family::Grid] {
+            let g = family.generate(130, WeightModel::Uniform { lo: 1, hi: 9 }, &mut StdRng::seed_from_u64(5));
+            for k in [2, 3] {
+                let scheme = TzRoutingScheme::build(&g, k, &mut StdRng::seed_from_u64(6)).unwrap();
+                let h = scheme.hierarchy();
+                for u in g.vertices().filter(|&u| h.level_of(u) > 0) {
+                    for v in g.vertices().filter(|&v| v != u) {
+                        let header = scheme.init_header(u, &scheme.label_of(v)).unwrap();
+                        let mut ladder = h.ladder(v);
+                        let want = ladder.find(|&((w, _), _)| w == u || h.clusters().bunch_dist(u, w).is_some()).unwrap();
+                        assert_eq!((header.root, header.label), (want.0 .0, want.1), "{family:?} k = {k}: {u} -> {v}");
+                        let in_own = h.clusters().bunch_dist(v, u).is_some();
+                        skipped += usize::from(in_own && header.root != u);
+                    }
+                }
+            }
+        }
+        assert!(skipped > 0, "no destination in a higher source's cluster is routed through a pivot");
     }
 
     /// A level is one byte a vertex, so `k` stops at 255.

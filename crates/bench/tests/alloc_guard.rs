@@ -47,7 +47,7 @@
 use std::sync::Arc;
 
 use compact_routing::registry::SchemeRegistry;
-use compact_routing::tree::TreeForest;
+use compact_routing::tree::{Labels, TreeForest};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use routing_bench::alloc::{
@@ -532,7 +532,7 @@ fn assert_thm11_build_peak() {
     let s = (N as f64).powf(2.0 / 3.0).ceil() as usize;
     let (clusters, _) = peak_bytes_in(|| {
         let landmarks = sample_centers_bounded(&g, s, &mut StdRng::seed_from_u64(7));
-        ClusterFamily::build(&g, |_| landmarks.bound_slice()).expect("the family builds")
+        ClusterFamily::build(&g, |_| landmarks.bound_slice(), |_| Labels::Keep).expect("the family builds")
     });
     let bound = ball_build.max(full + clusters).max(kept + lemma8);
     assert!(
@@ -676,9 +676,11 @@ fn assert_hierarchy_build_peak(g: &Graph) {
     let chunk = |roots: std::ops::Range<usize>| -> usize {
         let trees = roots.map(|w| clusters.tree(VertexId(w as u32)).expect("a tree a vertex"));
         let bytes = trees.map(|t| {
-            let (nodes, light) = (t.len(), (t.labels_words() - t.len()) / 2);
+            // A tree above level 0 keeps no labels: no light offset or port.
+            let nodes = t.len();
+            let (offsets, light) = if t.keeps_labels() { (nodes, (t.labels_words() - nodes) / 2) } else { (0, 0) };
             let ids = if nodes == n { 0 } else { nodes };
-            8 + 4 * nodes + id * ids + (4 * time + 2 * port) * nodes + (id + port) * light
+            12 + 4 * offsets + id * ids + (4 * time + 2 * port) * nodes + (id + port) * light
                 + (member * nodes + 4)
         });
         bytes.sum()
@@ -739,7 +741,7 @@ fn assert_kept_bytes_are_heap_bytes() {
     assert_eq!(kept as usize, forest.heap_bytes(), "a forest of {} trees", forest.len());
 
     let (kept, family) = kept_bytes_in(|| {
-        ClusterFamily::build(&g, |_| bound).map(|(family, _)| family).expect("the family builds")
+        ClusterFamily::build(&g, |_| bound, |_| Labels::Keep).map(|(family, _)| family).expect("the family builds")
     });
     assert_eq!(kept as usize, family.heap_bytes(), "a cluster family");
 
@@ -768,7 +770,7 @@ fn assert_cluster_family_allocations(g: &Graph) {
     let landmarks = sample_centers_bounded(g, s, &mut StdRng::seed_from_u64(5));
     let before = live_allocations();
     let (_family, members) =
-        ClusterFamily::build(g, |_| landmarks.bound_slice()).expect("the family builds");
+        ClusterFamily::build(g, |_| landmarks.bound_slice(), |_| Labels::Keep).expect("the family builds");
     drop(members);
     let retained = live_allocations() - before;
     assert!(retained <= 7, "a cluster family of {} trees keeps {retained} allocations", g.n());

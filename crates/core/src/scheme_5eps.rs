@@ -22,7 +22,7 @@
 
 use rand::Rng;
 
-use routing_graph::{Graph, Port, VertexId};
+use routing_graph::{Graph, PackedColumn, Port, SlotCodec, VertexId};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
 use routing_tree::TreeLabelView;
 use routing_vicinity::{BallDists, Landmarks};
@@ -98,8 +98,10 @@ pub struct SchemeFivePlusEps {
     pub(crate) vic: Vicinities,
     pub(crate) clusters: Clusters,
     router: Technique2Router,
-    /// Port at `p_A(v)` of the first edge towards `v`, per vertex `v`.
-    first_edge: Vec<Option<(VertexId, Port)>>,
+    /// `[z, port at p_A(v)]` of the first edge towards `v`, per vertex `v`,
+    /// packed at the graph's `[vertex, port]` width; the sentinel record
+    /// where `v` is a landmark.
+    first_edge: PackedColumn<2>,
 }
 
 impl SchemeFivePlusEps {
@@ -167,10 +169,11 @@ impl SchemeFivePlusEps {
                 out
             },
         );
-        let mut first_edge: Vec<Option<(VertexId, Port)>> = vec![None; n];
+        let mut first_edge = PackedColumn::with_capacity(SlotCodec::for_graph(g), n);
+        (0..n).for_each(|_| first_edge.push([u32::MAX; 2]));
         for edges in per_landmark {
-            for (v, edge) in edges? {
-                first_edge[v.index()] = Some(edge);
+            for (v, (z, port)) in edges? {
+                first_edge.set(v.index(), [z.0, port.0]);
             }
         }
         drop(span_fe);
@@ -230,7 +233,9 @@ impl RoutingScheme for SchemeFivePlusEps {
     fn label_of(&self, v: VertexId) -> Scheme5Label {
         let p_a = self.landmarks().nearest(v).unwrap_or(v);
         let alpha = self.router.dest_set_of(p_a).unwrap_or(0);
-        Scheme5Label { vertex: v, p_a, alpha, first_edge: self.first_edge[v.index()] }
+        let edge = self.first_edge.get::<u32>(v.index()).filter(|&[z, _]| z != u32::MAX);
+        let first_edge = edge.map(|[z, port]| (VertexId(z), Port(port)));
+        Scheme5Label { vertex: v, p_a, alpha, first_edge }
     }
 
     fn init_header(&self, source: VertexId, dest: &Scheme5Label) -> Result<Scheme5Header, RouteError> {

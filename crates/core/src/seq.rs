@@ -616,6 +616,17 @@ impl SeqStore {
         })
     }
 
+    /// Every `(key, sequence)` row `u` stores, in key order; none for a `u`
+    /// outside `0..n`.
+    pub(crate) fn rows_at(&self, u: VertexId) -> impl Iterator<Item = (VertexId, PackedView<'_, 2>)> + '_ {
+        let [lo, hi] = self.ends.ranges.get(u.index()).map_or([0, 0], |r| r.map(|b| b as usize));
+        let end = |i: usize| i.checked_sub(1).and_then(|i| self.ends.values.value(i)).map_or(0, |e| e as usize);
+        (lo..hi).filter_map(move |i| {
+            let [key] = self.ends.keys.get::<u32>(i)?;
+            Some((VertexId(key), self.arena.slice(end(i)..end(i + 1))?))
+        })
+    }
+
     /// `(pairs, entries)` stored.
     pub(crate) fn counts(&self) -> (usize, usize) {
         (self.ends.values.len(), self.arena.len())

@@ -41,7 +41,7 @@ use rand::Rng;
 use routing_graph::codec::{bytes_for, Field};
 use routing_graph::{Graph, PackedColumn, PackedView, SearchScratch, SlotCodec, VertexId, Weight};
 use routing_model::{Decision, RouteError};
-use routing_tree::{TreeForest, TreeLabelView, TreeView};
+use routing_tree::{Labels, TreeForest, TreeLabelView, TreeView};
 use routing_vicinity::{
     sample_centers_bounded, BallDists, BallPorts, BallTable, Coloring, Landmarks,
 };
@@ -359,7 +359,11 @@ fn build_color_reps(balls: &BallTable, color_of: &PackedColumn<1>, q: usize) -> 
 /// Lemma 3 tree `T(w)`, and for every `v` the bunch `B(v) = {w : v ∈ C(w)}`
 /// with distances. Theorems 10 and 11 bound every root by `d(·, A)`, the
 /// Thorup–Zwick hierarchy a level-`i` root by `d(·, A_{i+1})`. The trees are
-/// one [`TreeForest`], tree `w` being `T(w)`.
+/// one [`TreeForest`], tree `w` being `T(w)`. Every member of `T(w)` keeps
+/// its tree-routing record; `w` keeps its members' labels where the build
+/// is told to ([`Labels`]): at every root under Theorems 10 and 11, whose
+/// clusters Lemma 4 bounds, and in the Thorup–Zwick hierarchy at the
+/// level-0 roots only.
 #[derive(Debug, Clone)]
 pub struct ClusterFamily {
     /// `T(w)` of every root, indexed by vertex id.
@@ -369,7 +373,8 @@ pub struct ClusterFamily {
 
 impl ClusterFamily {
     /// One restricted search per root `w` under the row `bound(w)`, `T(w)`
-    /// appended straight from the search workspace, and `C(w)` packed as
+    /// appended straight from the search workspace, with its members'
+    /// labels or without them as `labels(w)` says, and `C(w)` packed as
     /// row `w` of the members, a [`DistLists`]: `(v, d(w, v))`, id-sorted,
     /// an id at the id width and a distance in the bytes `n − 1` heaviest
     /// edges need, since no cluster's distance is known before its search
@@ -389,6 +394,7 @@ impl ClusterFamily {
     pub fn build<'b>(
         g: &Graph,
         bound: impl Fn(VertexId) -> &'b [Weight] + Sync,
+        labels: impl Fn(VertexId) -> Labels + Sync,
     ) -> Result<(Self, DistLists), BuildError> {
         let n = g.n();
         let longest = g.weight_range().map_or(0, |(_, hi)| hi.saturating_mul(n.saturating_sub(1) as u64));
@@ -406,7 +412,7 @@ impl ClusterFamily {
                     rows.push_row(&row)?;
                 }
                 let _span = routing_obs::span("cluster-trees");
-                chunk.push_scratch(g, scratch).map_err(tree_error)?;
+                chunk.push_scratch_with(g, scratch, labels(w)).map_err(tree_error)?;
             }
             rows.shrink_to_fit();
             Ok(rows)
@@ -435,16 +441,18 @@ impl ClusterFamily {
         self.bunches.dist(v, w)
     }
 
-    /// The label of `v` in `T(root)`, if `v ∈ C(root)`, as a view into
-    /// `T(root)`'s table: `root` stores the labels of its cluster's members,
-    /// so a header that carries one copies nothing.
+    /// The label of `v` in `T(root)`, if `v ∈ C(root)` and `root` keeps its
+    /// members' labels, as a view into `T(root)`'s table: such a root stores
+    /// them, so a header that carries one copies nothing. A root built with
+    /// [`Labels::Drop`] answers `None` for every member.
     #[inline]
     pub fn label_in(&self, root: VertexId, v: VertexId) -> Option<TreeLabelView> {
         self.tree(root)?.label_view(v)
     }
 
     /// [`ClusterFamily::label_in`] where the scheme's invariants promise
-    /// `v ∈ C(root)`: a miss is [`RouteError::MissingInformation`].
+    /// `v ∈ C(root)` and kept labels: a miss is
+    /// [`RouteError::MissingInformation`].
     #[inline]
     pub fn label_in_cluster(
         &self,
@@ -479,7 +487,8 @@ impl ClusterFamily {
     }
 
     /// Words `u` stores: tree-routing information of every cluster
-    /// containing it and the labels of its own cluster's members.
+    /// containing it and the labels its own tree keeps: every member's, or
+    /// none for a root built with [`Labels::Drop`], which stores none.
     pub fn membership_words(&self, u: VertexId) -> usize {
         let trees = |w: VertexId| self.tree(w);
         let member_of: usize =
@@ -708,7 +717,7 @@ impl Clusters {
         let n = g.n();
         let s = ((n as f64).powf(2.0 / 3.0).ceil() as usize).clamp(1, n);
         let landmarks = sample_centers_bounded(g, s, rng);
-        let (family, members) = ClusterFamily::build(g, |_| landmarks.bound_slice())?;
+        let (family, members) = ClusterFamily::build(g, |_| landmarks.bound_slice(), |_| Labels::Keep)?;
         Ok((Clusters { landmarks, family }, members))
     }
 }
@@ -813,7 +822,7 @@ mod tests {
     /// the standalone tree of the same search, on Erdős–Rényi, geometric and
     /// grid graphs, unit and weighted, around the 64-root block boundary.
     /// The forests are equal at one and four threads, and hold, with no
-    /// growth slack, 8 bytes a tree, 4 a light offset and, packed at the
+    /// growth slack, 12 bytes a tree, 4 a light offset and, packed at the
     /// graph's width, a member id of a tree that does not span the graph
     /// (1 byte below 255 vertices, 2 from 255), a node record (four times
     /// at the bytes `0..=n` need, two ports at the bytes the largest degree
@@ -867,7 +876,7 @@ mod tests {
                         let ids: usize = trees.iter().filter(|t| t.len() != n).map(|t| t.len()).sum();
                         let light: usize = trees.iter().map(|t| (t.labels_words() - t.len()) / 2).sum();
                         let packed = id * ids + (4 * time + 2 * port) * nodes + (id + port) * light;
-                        let bytes = 8 * (trees.len() + 1) + 4 * (nodes + 1) + packed + 3 * SLOT_PAD;
+                        let bytes = 12 * (trees.len() + 1) + 4 * (nodes + 1) + packed + 3 * SLOT_PAD;
                         assert_eq!(forest.heap_bytes(), bytes, "{key}: forest bytes");
                     }
                     let bunches: Vec<_> = g.vertices().flat_map(|v| clusters.bunch(v)).collect();
@@ -934,7 +943,7 @@ mod tests {
                     let want = invert_pairs(&pairs);
                     for threads in [1, 4] {
                         routing_par::set_threads(threads);
-                        let (family, members) = ClusterFamily::build(&g, bound).unwrap();
+                        let (family, members) = ClusterFamily::build(&g, bound, |_| Labels::Keep).unwrap();
                         let key = format!("{key}, {threads} threads");
                         for (w, cluster) in g.vertices().zip(&pairs) {
                             let mut cluster = cluster.clone();
@@ -987,7 +996,7 @@ mod tests {
                 let by_rounds = global_trees(&g, &roots).unwrap();
                 assert_eq!(by_rounds, global, "{key}: global trees");
                 assert_eq!(by_rounds.heap_bytes(), global.heap_bytes(), "{key}: global bytes");
-                let (family, _) = ClusterFamily::build(&g, |_| bound).unwrap();
+                let (family, _) = ClusterFamily::build(&g, |_| bound, |_| Labels::Keep).unwrap();
                 assert_eq!(family.trees, clusters, "{key}: cluster trees");
                 assert_eq!(family.trees.heap_bytes(), clusters.heap_bytes(), "{key}: cluster bytes");
             }

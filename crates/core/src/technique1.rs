@@ -76,9 +76,6 @@ pub struct Technique1Router {
     trees: TreeForest,
     /// At `u`, per same-set destination `v`: the stored sequence.
     seqs: SeqStore,
-    /// Per-vertex word count of the stored sequences, with the tree label
-    /// of each one that stops early (precomputed).
-    seq_words: Vec<usize>,
     b: usize,
 }
 
@@ -166,7 +163,7 @@ impl Technique1Router {
             None => SeqSearch::Dijkstra(SearchScratch::for_graph(g), Vec::new(), Vec::new()),
         };
         let run = |search: &mut SeqSearch, tasks| walk.chunk(search, &sources[tasks], &ramp);
-        let (mut seqs, mut seq_words) = (SeqStoreBuilder::new(codec, n), vec![0usize; n]);
+        let mut seqs = SeqStoreBuilder::new(codec, n);
         by_rounds(plan, scratch, run, |round, chunks| {
             let pairs = sources[round].iter().flat_map(|&(u, members)| {
                 members.iter().filter(move |&&v| v != u).map(move |&v| (u, v))
@@ -179,12 +176,12 @@ impl Technique1Router {
             }
             let rows = pairs.zip(chunks.iter().flat_map(SeqChunk::sequences)).map(|((u, v), s)| (u, v, s));
             for (u, v, s) in rows.clone() {
-                seq_words[u.index()] += stored_words(&hitting, &trees, u, v, s)?;
+                stored_words(&hitting, &trees, u, v, s)?;
             }
             seqs.extend(rows)
         })?;
         let seqs = seqs.finish();
-        Ok(Technique1Router { hitting, trees, seqs, seq_words, b })
+        Ok(Technique1Router { hitting, trees, seqs, b })
     }
 
     /// The hitting set `H` used by the router.
@@ -331,11 +328,14 @@ impl Technique1Router {
     }
 
     /// The words Lemma 7 charges to `v`: tree-routing information for every
-    /// hitting-set tree plus the stored sequences. (The shared ball table is
-    /// accounted by the embedding scheme.)
+    /// hitting-set tree plus the stored sequences, each with the tree label
+    /// it ends in when it stops early, read from the store and the trees.
+    /// (The shared ball table is accounted by the embedding scheme.)
     pub fn table_words(&self, v: VertexId) -> usize {
         let tree_words: usize = self.trees.iter().map(|t| t.table_words(v)).sum();
-        tree_words + self.seq_words.get(v.index()).map_or(0, |&w| w)
+        let rows = self.seqs.rows_at(v);
+        let seq_words = rows.map(|(w, s)| stored_words(&self.hitting, &self.trees, v, w, s).unwrap_or(0));
+        tree_words + seq_words.sum::<usize>()
     }
 }
 
@@ -768,8 +768,25 @@ mod tests {
                 assert_eq!(router.seqs.decoded(u, v), reference.seqs.decoded(u, v), "{key}: ({u}, {v})");
             }
             assert_eq!(router.table_words(u), reference.table_words(u), "{key}: words at {u}");
+            assert_eq!(router.table_words(u), decoded_words(g, router, u), "{key}: words at {u}");
         }
-        assert_eq!(router.seq_words, reference.seq_words, "{key}: sequence words");
+    }
+
+    /// The words `router` charges to `u`, from its trees and its rows read
+    /// a destination at a time: a word a sequence, its entries' words, and
+    /// the words of the destination's label in the tree a sequence stops
+    /// in short of it.
+    fn decoded_words(g: &Graph, router: &Technique1Router, u: VertexId) -> usize {
+        let trees: usize = router.trees.iter().map(|t| t.table_words(u)).sum();
+        let rows = g.vertices().filter_map(|v| Some((v, router.seqs.decoded(u, v)?)));
+        let seqs = rows.map(|(v, row)| {
+            let label = match row.last().map(|e| e.vertex) {
+                Some(w) if w != v => router.tree_of(w).unwrap().label_view(v).unwrap().words(),
+                _ => 0,
+            };
+            1 + SeqEntry::words() * row.len() + label
+        });
+        trees + seqs.sum::<usize>()
     }
 
     /// On a unit-weight graph the router's sequences come from the batch

@@ -20,7 +20,8 @@
 //! `w` and forwarding continues. The header carries the sequence as a cursor
 //! into the router's arena, so the swap re-points the cursor.
 
-use routing_graph::{Graph, SearchScratch, SlotCodec, VertexId, Weight};
+use routing_graph::codec::bytes_for;
+use routing_graph::{Graph, PackedColumn, SearchScratch, SlotCodec, VertexId, Weight};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
 use routing_vicinity::{BallDists, BallPorts};
 
@@ -54,8 +55,9 @@ const NO_SET: u32 = u32::MAX;
 #[derive(Debug, Clone)]
 pub struct Technique2Router {
     /// Per vertex: its index `j` in the destination partition `W`, or
-    /// `NO_SET` outside `W`.
-    dest_set_of: Vec<u32>,
+    /// `NO_SET` (the sentinel) outside `W`, in the bytes the number of sets
+    /// needs: one while there are at most 255.
+    dest_set_of: PackedColumn<1>,
     /// At `u ∈ U_j`, per destination `w ∈ W_j`: the stored sequence.
     seqs: SeqStore,
     b: usize,
@@ -102,10 +104,12 @@ impl Technique2Router {
         let b = params.b_lemma8();
         let _span = routing_obs::span("technique2");
 
-        let mut dest_set_of = vec![NO_SET; n];
+        let sets = SlotCodec::new([bytes_for(dest_partition.len() as u64)]);
+        let mut dest_set_of = PackedColumn::with_capacity(sets, n);
+        (0..n).for_each(|_| dest_set_of.push([NO_SET]));
         for (j, set) in dest_partition.iter().enumerate() {
             for &w in set {
-                dest_set_of[w.index()] = j as u32;
+                dest_set_of.set(w.index(), [j as u32]);
             }
         }
 
@@ -166,7 +170,7 @@ impl Technique2Router {
 
     /// The `W` set index of destination `w`, if `w ∈ W`.
     pub fn dest_set_of(&self, w: VertexId) -> Option<u32> {
-        self.dest_set_of.get(w.index()).copied().filter(|&j| j != NO_SET)
+        self.dest_set_of.get::<u32>(w.index()).map(|[j]| j).filter(|&j| j != NO_SET)
     }
 
     /// True if `u` stores a sequence for destination `w`.

@@ -168,7 +168,7 @@ pub const HOT_PATHS: &[(&str, HotScope)] = &[
     ("crates/core/src/scheme_5eps.rs", HotScope::FnPrefixes(&["init_header", "decide"])),
     (
         "crates/baselines/src/tz.rs",
-        HotScope::FnPrefixes(&["init_header", "decide", "ladder", "pivot"]),
+        HotScope::FnPrefixes(&["init_header", "decide", "ladder", "pivot", "rung", "step"]),
     ),
     (
         "crates/baselines/src/thm16.rs",

@@ -25,8 +25,12 @@
 //! light ports are one [`routing_graph::PackedColumn`] each, at the graph's
 //! width — on a graph of up to 65,535 vertices and degree 255 a node record
 //! is 10 bytes, a light port 3 and an id 2 — beside 4 bytes a light offset
-//! and 8 a tree. A tree is looked up as a `Copy` [`TreeView`], whose
-//! bounded views of the columns decode a record as it is read. Both carry
+//! and 12 a tree. A tree keeps its members' labels or, pushed with
+//! [`Labels::Drop`], its node records only: a scheme whose routes read a
+//! member's label elsewhere needs no copy in the tree, and
+//! [`TreeView::label_in_graph`] reads one off the records. A tree is
+//! looked up as a `Copy` [`TreeView`], whose bounded views of the columns
+//! decode a record as it is read. Both carry
 //! a [`TreeLabelView`] in their own labels and headers — the destination's
 //! entry time and light-port count, a `Copy` view into the tree's own
 //! light-port table — and take one hop with [`TreeView::step_view`].
@@ -198,9 +202,9 @@ impl TreeLabel {
 
 /// A [`TreeLabel`] as a view into the light-port table of the tree that
 /// labelled it: the destination's DFS entry time and the number of light
-/// ports its label lists. The ports themselves stay in the tree, which
-/// already holds every member's label, so the view is two words of stack
-/// and counts the words of the label it stands for.
+/// ports its label lists. The ports themselves stay where the label is
+/// kept — in the tree, when it keeps its members' labels — so the view is
+/// two words of stack and counts the words of the label it stands for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TreeLabelView {
     /// DFS entry time of the destination.
@@ -270,6 +274,16 @@ fn step_over(
         })
 }
 
+/// Whether a tree pushed onto a [`TreeForest`] keeps its members' labels.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Labels {
+    /// Every member's label, with its light ports.
+    Keep,
+    /// No label: node records only, no light port and no light offset. The
+    /// labels read as `None`, never as empty labels.
+    Drop,
+}
+
 /// The slot of `v` in a tree of `len` members: its id when the tree spans
 /// the graph (`ids` empty), its rank among the id-sorted `ids` otherwise.
 #[inline]
@@ -290,9 +304,10 @@ fn slot_in(ids: &[VertexId], len: usize, v: VertexId) -> Option<usize> {
 /// any other tree keeps its id-sorted members as one run of `ids` and finds
 /// a slot by binary search. The node records of every tree are one
 /// slot-indexed `nodes` array, and all labels share one light-port CSR whose
-/// offsets are absolute, one per node and indexed by the tree's first node
-/// plus the member's DFS entry time. Per tree that leaves 8 bytes: where its
-/// nodes and its ids start.
+/// offsets are absolute, one per member of a tree that keeps its labels and
+/// indexed by the tree's first offset plus the member's DFS entry time; a
+/// tree pushed with [`Labels::Drop`] has none. Per tree that leaves 12
+/// bytes: where its nodes, its ids and its offsets start.
 ///
 /// Ids, node records and light ports are [`PackedColumn`]s at the
 /// width of the graph the forest is made for ([`TreeForest::new`]): an id in
@@ -301,17 +316,19 @@ fn slot_in(ids: &[VertexId], len: usize, v: VertexId) -> Option<usize> {
 /// 255 a node record is 10 bytes, a light port 3 and an id 2.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TreeForest {
-    /// `[first node, first id]` of every tree, and a closing entry.
-    spans: Vec<[u32; 2]>,
+    /// `[first node, first id, first light offset]` of every tree, and a
+    /// closing entry.
+    spans: Vec<[u32; 3]>,
     /// Member ids of every tree that does not span the graph, ascending
     /// within each tree.
     ids: PackedColumn<1>,
     /// A node record `[tin, tout, heavy tin, heavy tout, parent port, heavy
     /// port]` per slot, tree after tree; "no port" is the ports' sentinel.
     nodes: PackedColumn<6>,
-    /// One offset per node and a closing one: the light ports of the member
-    /// whose DFS entry time is `t` in the tree whose nodes start at `s` are
-    /// entries `light_off[s + t]..light_off[s + t + 1]` of `light`.
+    /// One offset per member of a tree that keeps its labels, and a closing
+    /// one: the light ports of the member whose DFS entry time is `t` in the
+    /// tree whose offsets start at `s` are entries
+    /// `light_off[s + t]..light_off[s + t + 1]` of `light`.
     light_off: Vec<u32>,
     /// `[tin of the edge's parent, port there]`, at `[vertex, port]` width.
     light: PackedColumn<2>,
@@ -341,7 +358,7 @@ impl TreeForest {
         let [_, port] = light.bytes();
         let time = bytes_for(g.n() as u64 + 1);
         TreeForest {
-            spans: vec![[0, 0]],
+            spans: vec![[0, 0, 0]],
             ids: PackedColumn::new(SlotCodec::for_ids(g.n())),
             nodes: PackedColumn::new(SlotCodec::new([time, time, time, time, port, port])),
             light_off: vec![0],
@@ -349,7 +366,8 @@ impl TreeForest {
         }
     }
 
-    /// Appends the tree of an explicit parent relation as the next tree.
+    /// Appends the tree of an explicit parent relation as the next tree,
+    /// with its members' labels.
     ///
     /// `parents` yields one `(child, parent)` pair per non-root tree vertex,
     /// in any order; the root must not appear as a child. Every parent edge
@@ -360,10 +378,11 @@ impl TreeForest {
     /// CSR (children id-ascending, which fixes the DFS order), preorder
     /// entry times, subtree sizes from one reverse sweep, then labels filled
     /// top-down in preorder — a child's light ports are its parent's plus at
-    /// most one entry. The tree is laid out in working arrays of its own
-    /// first; only once it is known to fit are its ids, node records and
-    /// light ports packed onto the forest's arrays, so on an error the
-    /// forest is left as it was.
+    /// most one entry — unless the tree drops them
+    /// ([`TreeForest::push_scratch_with`]). The tree is laid out in working
+    /// arrays of its own first; only once it is known to fit are its ids,
+    /// node records and light ports packed onto the forest's arrays, so on
+    /// an error the forest is left as it was.
     ///
     /// # Errors
     ///
@@ -371,6 +390,20 @@ impl TreeForest {
     /// relation is not a tree rooted at `root`, `g`'s records do not fit
     /// the forest's widths, or the forest would outgrow its `u32` offsets.
     pub fn push_parents<I>(&mut self, g: &Graph, root: VertexId, parents: I) -> Result<(), TreeBuildError>
+    where
+        I: IntoIterator<Item = (VertexId, VertexId)>,
+    {
+        self.push_parents_with(g, root, parents, Labels::Keep)
+    }
+
+    /// [`TreeForest::push_parents`] with or without the members' labels.
+    fn push_parents_with<I>(
+        &mut self,
+        g: &Graph,
+        root: VertexId,
+        parents: I,
+        labels: Labels,
+    ) -> Result<(), TreeBuildError>
     where
         I: IntoIterator<Item = (VertexId, VertexId)>,
     {
@@ -481,9 +514,11 @@ impl TreeForest {
             let p = &nodes[parent[s] as usize];
             p.heavy().map(|(h_tin, _, _)| h_tin) != Some(nodes[s].tin)
         };
-        let light_edges = (0..m).filter(|&s| parent[s] != UNSET && is_light(s));
+        let labelled = if labels == Labels::Keep { m } else { 0 };
+        let light_edges = (0..labelled).filter(|&s| parent[s] != UNSET && is_light(s));
         let light: usize = light_edges.map(|s| (nodes[s].tout - nodes[s].tin) as usize).sum();
-        let span = [offset(self.nodes.len() + m)?, offset(self.ids.len() + ids.len())?];
+        let offsets = self.light_off.len() - 1 + labelled;
+        let span = [offset(self.nodes.len() + m)?, offset(self.ids.len() + ids.len())?, offset(offsets)?];
         offset(self.light.len() + light)?;
 
         // The tree fits: pack it. Labels go top-down, and offsets are
@@ -492,7 +527,7 @@ impl TreeForest {
         ids.iter().for_each(|v| self.ids.push([v.0]));
         nodes.iter().for_each(|node| self.nodes.push(node.record()));
         let off_base = self.light_off.len() - 1;
-        for &s in &pre {
+        for &s in pre.iter().take(labelled) {
             let s = s as usize;
             if parent[s] != UNSET {
                 let p = &nodes[parent[s] as usize];
@@ -521,8 +556,22 @@ impl TreeForest {
     /// the workspace holds no single-origin search (none has run, or the
     /// last was multi-source); the forest is then unchanged.
     pub fn push_scratch(&mut self, g: &Graph, scratch: &SearchScratch) -> Result<(), TreeBuildError> {
+        self.push_scratch_with(g, scratch, Labels::Keep)
+    }
+
+    /// [`TreeForest::push_scratch`] with or without the members' labels.
+    ///
+    /// # Errors
+    ///
+    /// As [`TreeForest::push_scratch`].
+    pub fn push_scratch_with(
+        &mut self,
+        g: &Graph,
+        scratch: &SearchScratch,
+        labels: Labels,
+    ) -> Result<(), TreeBuildError> {
         let (root, edges) = scratch_tree(scratch)?;
-        self.push_parents(g, root, edges)
+        self.push_parents_with(g, root, edges, labels)
     }
 
     /// Appends the trees of `parts`, forests packed at the same widths, in order:
@@ -544,17 +593,19 @@ impl TreeForest {
         let total = |len: fn(&TreeForest) -> usize| parts.iter().map(len).sum::<usize>();
         let (trees, ids) = (total(TreeForest::len), total(|f| f.ids.len()));
         let (nodes, light) = (total(|f| f.nodes.len()), total(|f| f.light.len()));
+        let offsets = total(|f| f.light_off.len() - 1);
         for more in [self.nodes.len() + nodes, self.ids.len() + ids, self.light.len() + light] {
             offset(more)?;
         }
+        offset(self.light_off.len() - 1 + offsets)?;
         self.spans.reserve_exact(trees);
-        self.light_off.reserve_exact(nodes);
+        self.light_off.reserve_exact(offsets);
         self.ids.reserve_exact(ids);
         self.nodes.reserve_exact(nodes);
         self.light.reserve_exact(light);
         for part in parts {
-            let base = [self.nodes.len() as u32, self.ids.len() as u32];
-            self.spans.extend(part.spans[1..].iter().map(|&[s, i]| [s + base[0], i + base[1]]));
+            let base = [self.nodes.len(), self.ids.len(), self.light_off.len() - 1].map(|b| b as u32);
+            self.spans.extend(part.spans[1..].iter().map(|&[s, i, l]| [s + base[0], i + base[1], l + base[2]]));
             let light_base = self.light.len() as u32;
             self.light_off.extend(part.light_off[1..].iter().map(|&o| o + light_base));
             self.ids.extend_from(part.ids.view());
@@ -577,12 +628,11 @@ impl TreeForest {
     /// Tree `t`, or `None` past the last tree.
     #[inline]
     pub fn tree(&self, t: usize) -> Option<TreeView<'_>> {
-        let (&[n0, i0], &[n1, i1]) = (self.spans.get(t)?, self.spans.get(t + 1)?);
-        let (n0, n1) = (n0 as usize, n1 as usize);
+        let (&[n0, i0, l0], &[n1, i1, l1]) = (self.spans.get(t)?, self.spans.get(t + 1)?);
         Some(TreeView {
             ids: self.ids.slice(i0 as usize..i1 as usize)?,
-            nodes: self.nodes.slice(n0..n1)?,
-            light_off: self.light_off.get(n0..n1 + 1)?,
+            nodes: self.nodes.slice(n0 as usize..n1 as usize)?,
+            light_off: self.light_off.get(l0 as usize..l1 as usize + 1)?,
             light: &self.light,
         })
     }
@@ -592,11 +642,11 @@ impl TreeForest {
         (0..self.len()).filter_map(|t| self.tree(t))
     }
 
-    /// Bytes of heap the arrays hold, by capacity: 8 a tree, 4 a light
+    /// Bytes of heap the arrays hold, by capacity: 12 a tree, 4 a light
     /// offset, and the packed columns of ids (of the trees that do not
     /// span the graph), node records and light ports.
     pub fn heap_bytes(&self) -> usize {
-        std::mem::size_of::<[u32; 2]>() * self.spans.capacity()
+        std::mem::size_of::<[u32; 3]>() * self.spans.capacity()
             + self.ids.heap_bytes()
             + self.nodes.heap_bytes()
             + std::mem::size_of::<u32>() * self.light_off.capacity()
@@ -623,7 +673,8 @@ pub struct TreeView<'a> {
     ids: PackedView<'a, 1>,
     /// The tree's node records by slot, one a member.
     nodes: PackedView<'a, 6>,
-    /// `len() + 1` absolute offsets into `light`, by DFS entry time.
+    /// `len() + 1` absolute offsets into `light`, by DFS entry time; one
+    /// alone where the tree keeps no labels.
     light_off: &'a [u32],
     /// The forest's whole light-port column.
     light: &'a PackedColumn<2>,
@@ -687,47 +738,79 @@ impl<'a> TreeView<'a> {
         self.node(self.slot(v)?)
     }
 
+    /// True if the tree keeps its members' labels.
+    pub fn keeps_labels(&self) -> bool {
+        self.light_off.len() > 1
+    }
+
     /// The range of `light` entries the label whose DFS entry time is `tin`
-    /// lists; empty for an entry time past the tree's.
+    /// lists; `None` for an entry time past the tree's, and in a tree that
+    /// keeps no labels.
     #[inline]
-    fn light_range(&self, tin: u32) -> Range<usize> {
+    fn light_range(&self, tin: u32) -> Option<Range<usize>> {
         let t = tin as usize;
-        match (self.light_off.get(t), self.light_off.get(t + 1)) {
-            (Some(&lo), Some(&hi)) => lo as usize..hi as usize,
-            _ => 0..0,
-        }
+        Some(*self.light_off.get(t)? as usize..*self.light_off.get(t + 1)? as usize)
     }
 
     /// The light ports of the label whose DFS entry time is `tin`, decoded
-    /// one at a time, root first.
+    /// one at a time, root first; none where the tree keeps no label.
     #[inline]
     fn light_ports(&self, tin: u32) -> impl Iterator<Item = (u32, Port)> + 'a {
         let light = self.light;
-        let ports = self.light_range(tin).map_while(move |i| light.get::<u32>(i));
+        let ports = self.light_range(tin).unwrap_or(0..0).map_while(move |i| light.get::<u32>(i));
         ports.map(|[p_tin, port]| (p_tin, Port(port)))
     }
 
-    /// The tree label of tree vertex `v`.
+    /// The tree label of tree vertex `v`; `None` outside the tree and where
+    /// the tree keeps no labels.
     pub fn label(&self, v: VertexId) -> Option<TreeLabel> {
         let tin = self.node_info(v)?.tin;
+        self.light_range(tin)?;
         Some(TreeLabel { tin, light_ports: self.light_ports(tin).collect() })
     }
 
     /// The label of tree vertex `v` as a view into this tree's light-port
-    /// table: what [`TreeView::step_view`] routes with.
+    /// table: what [`TreeView::step_view`] routes with. `None` outside the
+    /// tree and where the tree keeps no labels.
     #[inline]
     pub fn label_view(&self, v: VertexId) -> Option<TreeLabelView> {
         let tin = self.node_info(v)?.tin;
-        Some(TreeLabelView { tin, light_len: self.light_range(tin).len() as u32 })
+        Some(TreeLabelView { tin, light_len: self.light_range(tin)?.len() as u32 })
     }
 
-    /// Total size of every member's label in `O(log n)`-bit words.
+    /// The label of tree vertex `v` read off the node records, whether the
+    /// tree keeps its labels or not: from `v` up to the root, the edge into
+    /// a member that is not its parent's heavy child is light, and `g` —
+    /// the graph the tree was built on — gives the port at the parent.
+    /// `light` is cleared and filled with the light ports, root first, as
+    /// [`TreeView::label`] lists them; the return is `v`'s entry time.
+    /// `None` outside the tree, or if `g` does not hold the tree's edges.
+    pub fn label_in_graph(&self, g: &Graph, v: VertexId, light: &mut Vec<(u32, Port)>) -> Option<u32> {
+        light.clear();
+        let mut node = self.node_info(v)?;
+        let (tin, mut at) = (node.tin, v);
+        while let Some(up) = node.parent_port() {
+            if light.len() >= self.len() || at.index() >= g.n() || up.index() >= g.degree(at) {
+                return None;
+            }
+            let p = g.neighbor_at(at, up).to;
+            let parent = self.node_info(p)?;
+            if parent.heavy().map(|(h_tin, _, _)| h_tin) != Some(node.tin) {
+                light.push((parent.tin, g.port_to(p, at)?));
+            }
+            (at, node) = (p, parent);
+        }
+        light.reverse();
+        Some(tin)
+    }
+
+    /// Total size of the labels the tree keeps in `O(log n)`-bit words:
+    /// every member's, or none.
     pub fn labels_words(&self) -> usize {
-        let light = match (self.light_off.first(), self.light_off.last()) {
-            (Some(&lo), Some(&hi)) => (hi - lo) as usize,
-            _ => 0,
+        let (Some(&lo), Some(&hi)) = (self.light_off.first(), self.light_off.last()) else {
+            return 0;
         };
-        self.len() + 2 * light
+        (self.light_off.len() - 1) + 2 * (hi - lo) as usize
     }
 
     /// Words of tree-routing information `v` stores: its [`TreeNodeInfo`]'s,
@@ -736,9 +819,10 @@ impl<'a> TreeView<'a> {
         self.node_info(v).map_or(0, |node| node.words())
     }
 
-    /// Words of `v`'s label, none outside the tree.
+    /// Words of `v`'s label, none outside the tree or where it keeps no
+    /// labels.
     pub fn label_words(&self, v: VertexId) -> usize {
-        self.node_info(v).map_or(0, |node| 1 + 2 * self.light_range(node.tin).len())
+        self.label_view(v).map_or(0, |label| label.words())
     }
 
     /// One local routing decision at tree vertex `at` towards the holder of
@@ -762,6 +846,23 @@ impl<'a> TreeView<'a> {
     #[inline]
     pub fn step_view(&self, at: VertexId, dest: TreeLabelView) -> Result<Decision, RouteError> {
         self.step_at(at, dest.tin, self.light_ports(dest.tin))
+    }
+
+    /// [`TreeView::step`] towards the member whose entry time is `tin` and
+    /// whose label's light ports, root first, `light` yields: a label kept
+    /// outside the tree, as [`TreeView::label_in_graph`] reads it.
+    ///
+    /// # Errors
+    ///
+    /// As [`TreeView::step`].
+    #[inline]
+    pub fn step_ports(
+        &self,
+        at: VertexId,
+        tin: u32,
+        light: impl Iterator<Item = (u32, Port)>,
+    ) -> Result<Decision, RouteError> {
+        self.step_at(at, tin, light)
     }
 
     /// The step at tree vertex `at`, with errors attributed to `at`.
@@ -1330,7 +1431,68 @@ mod tests {
         // Ids, times (n = 35) and ports take a byte each, and each packed
         // array ends in its pad.
         let packed = ids + 6 * nodes + 2 * light + 3 * SLOT_PAD;
-        assert_eq!(joined.heap_bytes(), 8 * (g.n() + 1) + 4 * (nodes + 1) + packed);
+        assert_eq!(joined.heap_bytes(), 12 * (g.n() + 1) + 4 * (nodes + 1) + packed);
+    }
+
+    /// A tree pushed with [`Labels::Drop`] keeps the node records of the
+    /// tree that keeps its labels and nothing else: every label reads
+    /// `None`, never as an empty label, it writes no light port and no
+    /// light offset, and its labels read off the records with the graph
+    /// equal the kept ones and route the same. Mixed chunks appended equal
+    /// the forest pushed in one piece.
+    #[test]
+    fn a_tree_that_drops_its_labels_keeps_its_records_only() {
+        let g = generators::grid(6, 7);
+        let mut scratch = SearchScratch::for_graph(&g);
+        let bound: Vec<_> = g.vertices().map(|v| if v.index() % 6 == 0 { 0 } else { 4 }).collect();
+        let (mut kept, mut mixed, mut chunks) = (TreeForest::new(&g), TreeForest::new(&g), Vec::new());
+        for r in [0, 20, 41, 9] {
+            if r == 20 {
+                scratch.cluster_into(&g, VertexId(r), &bound);
+            } else {
+                scratch.dijkstra_into(&g, VertexId(r));
+            }
+            let labels = if r == 9 { Labels::Keep } else { Labels::Drop };
+            kept.push_scratch(&g, &scratch).unwrap();
+            mixed.push_scratch_with(&g, &scratch, labels).unwrap();
+            let mut chunk = TreeForest::new(&g);
+            chunk.push_scratch_with(&g, &scratch, labels).unwrap();
+            chunks.push(chunk);
+        }
+        let mut joined = TreeForest::new(&g);
+        joined.append(chunks).unwrap();
+        mixed.shrink_to_fit();
+        assert_eq!(joined, mixed);
+        let mut light = Vec::new();
+        for (t, (full, tree)) in kept.iter().zip(mixed.iter()).enumerate() {
+            let dropped = t != 3;
+            assert_eq!(tree.keeps_labels(), !dropped, "tree {t}");
+            assert_eq!(tree.labels_words(), if dropped { 0 } else { full.labels_words() }, "tree {t}");
+            for v in g.vertices() {
+                assert_eq!(tree.node_info(v), full.node_info(v), "{v} in tree {t}");
+                let label = full.label(v);
+                if dropped {
+                    assert_eq!((tree.label(v), tree.label_view(v), tree.label_words(v)), (None, None, 0), "{v}");
+                } else {
+                    assert_eq!((tree.label(v), tree.label_view(v)), (label.clone(), full.label_view(v)), "{v}");
+                }
+                let tin = tree.label_in_graph(&g, v, &mut light);
+                assert_eq!(tin.map(|tin| TreeLabel { tin, light_ports: light.clone() }), label, "{v} in tree {t}");
+            }
+            for dest in tree.vertices() {
+                let tin = tree.label_in_graph(&g, dest, &mut light).unwrap();
+                for at in tree.vertices() {
+                    let want = full.step_view(at, full.label_view(dest).unwrap());
+                    assert_eq!(tree.step_ports(at, tin, light.iter().copied()), want, "{at} towards {dest}");
+                }
+            }
+        }
+        // The dropped trees hold no light port and no light offset.
+        let keeping = kept.tree(3).unwrap();
+        assert_eq!(mixed.light.len(), (keeping.labels_words() - keeping.len()) / 2);
+        assert_eq!(mixed.light_off.len(), keeping.len() + 1);
+        assert_eq!(mixed.tree(4).map(|t| t.len()), None);
+        assert_eq!(keeping.label_in_graph(&generators::path(3), VertexId(40), &mut light), None, "another graph");
     }
 
     #[test]

@@ -442,8 +442,9 @@ fn check_tz_hierarchy(g: &Graph, h: &TzHierarchy, exact: &DistanceMatrix) {
         let mut bunch = bunches[v.index()].clone();
         bunch.sort_unstable();
         assert_eq!(h.bunch(v).collect::<Vec<_>>(), bunch, "B({v})");
-        let words = trees[v.index()].labels_words()
-            + bunch.iter().map(|&(w, _)| trees[w.index()].table_words(v)).sum::<usize>();
+        // Only a level-0 root keeps (and is charged) its members' labels.
+        let own = if h.level_of(v) == 0 { trees[v.index()].labels_words() } else { 0 };
+        let words = own + bunch.iter().map(|&(w, _)| trees[w.index()].table_words(v)).sum::<usize>();
         assert_eq!(h.clusters().membership_words(v), words, "words at {v}");
         for i in 0..k {
             let tree = h.cluster_tree(h.pivot(i, v).0).unwrap();
@@ -452,7 +453,8 @@ fn check_tz_hierarchy(g: &Graph, h: &TzHierarchy, exact: &DistanceMatrix) {
         for w in g.vertices() {
             let (tree, reference) = (h.cluster_tree(w).unwrap(), &trees[w.index()]);
             assert_eq!(tree.node_info(v).as_ref(), reference.node_info(v), "{v} in T({w})");
-            assert_eq!(tree.label(v), reference.label(v), "label of {v} in T({w})");
+            let label = if h.level_of(w) == 0 { reference.label(v) } else { None };
+            assert_eq!(tree.label(v), label, "label of {v} in T({w})");
             let d = exact.dist(w, v).unwrap();
             let member = d < row(w)[v.index()];
             assert_eq!(tree.contains(v), member, "{v} in C({w}) at d = {d}");
@@ -925,6 +927,53 @@ fn ball_table_holds_its_layout_at_every_slot_width() {
         near.chain((u.index() % 4099..n).step_by(4099)).map(|v| VertexId(v as u32)).collect()
     };
     check_ball_table_probing(&path, &table, |u| reference::ball_hashmap(&path, u, 2), probes);
+}
+
+/// The largest table of each Thorup–Zwick-derived key, over `n^x` with `x`
+/// the key's declared space exponent, on Erdős–Rényi and geometric graphs
+/// (weights 1 to 32) at each size of `sizes`: every ratio must stay within
+/// the polylog envelope `15·log₂ n` — 134 at n = 500, 179 at n = 4000.
+fn assert_tz_tables_inside_their_envelope(sizes: &[usize]) {
+    use compact_routing::registry::SchemeRegistry;
+    use generators::Family;
+    use routing_core::BuildContext;
+
+    let _guard = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let registry = SchemeRegistry::with_defaults();
+    for &n in sizes {
+        for family in [Family::ErdosRenyi, Family::Geometric] {
+            let g = family.generate(n, WeightModel::Uniform { lo: 1, hi: 32 }, &mut StdRng::seed_from_u64(n as u64));
+            let envelope = 15.0 * (n as f64).log2();
+            for key in ["tz2", "tz3", "thm16k3"] {
+                let x = registry.meta(key).unwrap().space_exponent.unwrap();
+                let ctx = BuildContext { params: Params::default(), seed: 13, threads: 2 };
+                let scheme = registry.build(key, &g, &ctx).unwrap_or_else(|e| panic!("{key}: {e}"));
+                let max = g.vertices().map(|v| scheme.table_words(v)).max().unwrap();
+                let ratio = max as f64 / (n as f64).powf(x);
+                assert!(
+                    ratio <= envelope,
+                    "{key} on {family:?} n = {n}: max table {max} words = {ratio:.1}·n^{x:.2}, over 15·log₂ n = {envelope:.1}"
+                );
+            }
+        }
+    }
+    routing_par::set_threads(routing_par::available_threads());
+}
+
+/// The `Õ(n^{1/k})` tables of tz2, tz3 and thm16k3 at n ∈ {500, 1000}: a
+/// root above level 0 keeps no member's label. Where every root keeps
+/// every member's label, a top-level root holds `n` of them and the ratio
+/// reads 200 to 635 at n = 1000.
+#[test]
+fn tz_tables_stay_inside_their_space_envelope() {
+    assert_tz_tables_inside_their_envelope(&[500, 1000]);
+}
+
+/// [`tz_tables_stay_inside_their_space_envelope`] at n ∈ {2000, 4000},
+/// where a ratio that grows with `n` leaves the envelope furthest behind.
+#[test]
+fn tz_tables_stay_inside_their_space_envelope_at_release_sizes() {
+    assert_tz_tables_inside_their_envelope(&[2000, 4000]);
 }
 
 /// Property 1 holds along the stored ports, not only along Dijkstra's path:
