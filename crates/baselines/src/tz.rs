@@ -135,8 +135,6 @@ impl ClusterLabel {
 #[derive(Debug, Clone)]
 pub struct TzHierarchy {
     k: usize,
-    /// `levels[i]` = the set `A_i` (sorted); `levels[0]` is all of `V`.
-    levels: Vec<Vec<VertexId>>,
     /// Row-major `n × k`: record `v·k + i` is rung `i` of `v`'s ladder, so a
     /// query reads one contiguous row. Rung 0 is `((v, 0), label in T(v))`.
     /// A rung is `[p_i(v), d(v, A_i), tin, light end]` packed at the
@@ -241,11 +239,9 @@ impl TzHierarchy {
         let n = g.n();
         let upper = levels.upper;
         let k = upper.len() + 1;
-        let mut levels = vec![g.vertices().collect::<Vec<_>>()];
-        levels.extend(upper.iter().map(|a| a.members().to_vec()));
         let mut level_of = vec![0u8; n];
-        for (i, level) in (0u8..).zip(&levels) {
-            for &v in level {
+        for (i, a) in (1u8..).zip(&upper) {
+            for &v in a.members() {
                 level_of[v.index()] = i;
             }
         }
@@ -307,7 +303,7 @@ impl TzHierarchy {
         for ((p, d), [tin, end]) in rungs.zip(labels) {
             ladder.push([u64::from(p.0), d, tin.into(), end.into()]);
         }
-        Ok(TzHierarchy { k, levels, ladder, ladder_light, level_of, clusters })
+        Ok(TzHierarchy { k, ladder, ladder_light, level_of, clusters })
     }
 
     /// What [`TzHierarchy::build`] refuses before any work:
@@ -341,12 +337,7 @@ impl TzHierarchy {
         self.level_of.len()
     }
 
-    /// The level sets `A_0, ..., A_{k-1}`.
-    pub fn levels(&self) -> &[Vec<VertexId>] {
-        &self.levels
-    }
-
-    /// The highest level containing `v`.
+    /// The highest level containing `v`: `v ∈ A_i ⇔ level_of(v) ≥ i`.
     pub fn level_of(&self, v: VertexId) -> usize {
         usize::from(self.level_of[v.index()])
     }
@@ -415,11 +406,6 @@ impl TzHierarchy {
         &self.clusters
     }
 
-    /// The largest bunch size (a `Õ(k·n^{1/k})` quantity).
-    pub fn max_bunch_size(&self) -> usize {
-        (0..self.n()).map(|v| self.bunch(VertexId(v as u32)).count()).max().unwrap_or(0)
-    }
-
     /// The pivot ladder of `v`, one contiguous row decoded as it is read:
     /// for `i = 0..k`, `(p_i(v), d(v, A_i))` and the label of `v` in
     /// `T(p_i(v))`, its light ports kept beside the row. Tie inheritance
@@ -438,14 +424,11 @@ impl TzHierarchy {
         2 * self.bunch(v).count() + self.clusters.membership_words(v) + 2 * self.k
     }
 
-    /// Bytes of heap the hierarchy holds, by capacity: the level sets, the
-    /// packed ladder rows and their light ports, the level of every vertex
-    /// and the cluster family.
+    /// Bytes of heap the hierarchy holds, by capacity: the packed ladder
+    /// rows and their light ports, the level of every vertex and the
+    /// cluster family.
     pub fn heap_bytes(&self) -> usize {
-        let level_ids: usize = self.levels.iter().map(Vec::capacity).sum();
-        std::mem::size_of::<Vec<VertexId>>() * self.levels.capacity()
-            + std::mem::size_of::<VertexId>() * level_ids
-            + self.ladder.heap_bytes()
+        self.ladder.heap_bytes()
             + self.ladder_light.heap_bytes()
             + self.level_of.capacity()
             + self.clusters.heap_bytes()
@@ -645,7 +628,6 @@ impl RoutingScheme for TzRoutingScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
 
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -660,24 +642,27 @@ mod tests {
         generators::erdos_renyi(n, 0.07, WeightModel::Uniform { lo: 1, hi: 10 }, &mut rng)
     }
 
+    /// The level `A_i`, sorted: every vertex whose highest level is `i` or
+    /// above.
+    fn level(g: &Graph, h: &TzHierarchy, i: usize) -> Vec<VertexId> {
+        g.vertices().filter(|&v| h.level_of(v) >= i).collect()
+    }
+
     #[test]
     fn hierarchy_levels_are_nested_and_nonempty() {
         let g = weighted_graph(80, 1);
         let mut rng = StdRng::seed_from_u64(2);
         let h = TzHierarchy::build(&g, 3, &mut rng).unwrap();
         assert_eq!(h.k(), 3);
-        assert_eq!(h.levels().len(), 3);
-        assert_eq!(h.levels()[0].len(), 80);
+        assert_eq!(level(&g, &h, 0).len(), 80);
         for i in 1..3 {
-            assert!(!h.levels()[i].is_empty());
-            let prev: HashSet<_> = h.levels()[i - 1].iter().collect();
-            assert!(h.levels()[i].iter().all(|v| prev.contains(v)), "levels must be nested");
+            assert!(!level(&g, &h, i).is_empty());
         }
-        assert!(h.max_bunch_size() >= 1);
-        // Pivot at level 0 is the vertex itself.
+        // Pivot at level 0 is the vertex itself; every pivot lies in its level.
         for v in g.vertices() {
             assert_eq!(h.pivot(0, v), (v, 0));
             assert!(h.level_of(v) < 3);
+            assert!((1..3).all(|i| h.level_of(h.pivot(i, v).0) >= i), "p_i({v}) outside A_i");
         }
     }
 
@@ -693,8 +678,8 @@ mod tests {
     ) -> Vec<((VertexId, Weight), Option<TreeLabel>)> {
         let k = h.k();
         let mut pivots = vec![(v, 0)];
-        for level in &h.levels()[1..] {
-            let a = Landmarks::new(g, level.clone());
+        for i in 1..k {
+            let a = Landmarks::new(g, level(g, h, i));
             pivots.push((a.nearest(v).unwrap_or(v), a.dist_to_set(v).unwrap_or(INFINITY)));
         }
         for i in (1..k - 1).rev() {
@@ -707,7 +692,7 @@ mod tests {
 
     /// The hierarchy's cluster family rebuilt keeping every root's labels.
     fn keeping_every_label(g: &Graph, h: &TzHierarchy) -> ClusterFamily {
-        let uppers: Vec<Landmarks> = h.levels()[1..].iter().map(|a| Landmarks::new(g, a.clone())).collect();
+        let uppers: Vec<Landmarks> = (1..h.k()).map(|i| Landmarks::new(g, level(g, h, i))).collect();
         let unbounded = vec![INFINITY; g.n()];
         let bound = |w: VertexId| uppers.get(h.level_of(w)).map_or(&unbounded[..], Landmarks::bound_slice);
         ClusterFamily::build(g, bound, |_| Labels::Keep).unwrap().0
@@ -762,11 +747,9 @@ mod tests {
                         assert_eq!(h.ladder.codec().width(), rung);
                         assert_eq!(h.ladder.heap_bytes(), rung * g.n() * k + SLOT_PAD, "no growth slack");
                         assert_eq!(h.ladder_light.heap_bytes(), 2 * light + SLOT_PAD, "no growth slack");
-                        // 24 B a level's header, 4 an id, 1 a level-of entry.
-                        let ids: usize = h.levels().iter().map(Vec::len).sum();
+                        // The ladder, its light ports and a level-of byte a vertex.
                         let ladder = h.ladder.heap_bytes() + h.ladder_light.heap_bytes();
-                        let fixed = 24 * h.levels.capacity() + 4 * ids + ladder + g.n();
-                        assert_eq!(h.heap_bytes(), fixed + h.clusters().heap_bytes());
+                        assert_eq!(h.heap_bytes(), ladder + g.n() + h.clusters().heap_bytes());
                     }
                 }
             }

@@ -632,7 +632,8 @@ fn assert_thm16_build_peak(g: &Graph, ell: usize, workspace: u64) {
     let scheme = scheme.expect("thm16k3 builds");
     assert_eq!(scheme.vicinity_ell(), ell);
     let kept = scheme.vicinity_heap_bytes() as u64;
-    let (ports, lists) = vicinities(g, ell, &scheme.hierarchy().levels()[1]).expect("vicinities");
+    let a1: Vec<VertexId> = g.vertices().filter(|&v| scheme.hierarchy().level_of(v) >= 1).collect();
+    let (ports, lists) = vicinities(g, ell, &a1).expect("vicinities");
     let (entries, slot_bytes) = (lists.len(), ports.slot_bytes());
     assert_eq!(kept as usize, ports.heap_bytes() + lists.heap_bytes(), "the vicinities");
     let (ports, lists) = (ports.heap_bytes() as u64, lists.heap_bytes() as u64);
@@ -756,8 +757,8 @@ fn assert_kept_bytes_are_heap_bytes() {
         let (kept, ports) = kept_bytes_in(|| BallTable::build_with_dists(&g, 100, dists).into_ports());
         assert_eq!(kept as usize, ports.heap_bytes(), "the ports of a ball table, {dists:?}");
     }
-    let a1 = &hierarchy.levels()[1];
-    let (kept, (ports, lists)) = kept_bytes_in(|| vicinities(&g, 100, a1).expect("the vicinities build"));
+    let a1: Vec<VertexId> = g.vertices().filter(|&v| hierarchy.level_of(v) >= 1).collect();
+    let (kept, (ports, lists)) = kept_bytes_in(|| vicinities(&g, 100, &a1).expect("the vicinities build"));
     assert_eq!(kept as usize, ports.heap_bytes() + lists.heap_bytes(), "the vicinities");
     assert!(!lists.is_empty(), "no vicinity holds a landmark");
 }

@@ -19,10 +19,15 @@
 //! over the first edge `(p_A(v), z)` of a shortest path to `v` (stored in
 //! `v`'s label) and finishes on the cluster tree of `z`, which contains `v`.
 //! The total is at most `(5+3ε)·d(u, v)`.
+//!
+//! Any shortest path's first edge will do, so the build reads it off the
+//! nearest-landmark search: `d(z, v) = d(v, A) − w(p_A(v), z) < d(v, A)`
+//! puts `v` in `C_A(z)`, and the tree path from `z` is a shortest one, so
+//! the last two legs weigh `d(p_A(v), v)` whichever path the search took.
 
 use rand::Rng;
 
-use routing_graph::{Graph, PackedColumn, Port, SlotCodec, VertexId};
+use routing_graph::{Graph, PackedColumn, Port, SearchScratch, SlotCodec, VertexId};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
 use routing_tree::TreeLabelView;
 use routing_vicinity::{BallDists, Landmarks};
@@ -42,8 +47,9 @@ pub struct Scheme5Label {
     /// landmark.
     pub alpha: u32,
     /// The second endpoint `z` of the first edge on a shortest path from
-    /// `p_A(v)` to `v`, together with the port of that edge at `p_A(v)`.
-    /// `None` when `v` is itself a landmark.
+    /// `p_A(v)` to `v` — any one, as the nearest-landmark search found it —
+    /// together with the port of that edge at `p_A(v)`. `None` when `v` is
+    /// itself a landmark.
     pub first_edge: Option<(VertexId, Port)>,
 }
 
@@ -125,58 +131,24 @@ impl SchemeFivePlusEps {
         let (clusters, _) = Clusters::build(g, rng)?;
         let landmarks = &clusters.landmarks;
 
-        // First edge (p_A(v), z) of a shortest path from the landmark to v.
-        // One Dijkstra per landmark, in parallel over per-worker search
-        // workspaces; each landmark only claims the vertices it is the
-        // nearest landmark of, so the merged writes are disjoint and
-        // order-independent.
+        // First edge (p_A(v), z): v's first hop out of its nearest landmark
+        // in one nearest-landmark search (any shortest path will do; see the
+        // module doc).
         let span_fe = routing_obs::span("first-edge");
-        // Invert the nearest-landmark assignment once so each landmark's
-        // search can stop as soon as its claimed vertices are settled; the
-        // claimed lists are built in vertex-id order, matching the old
-        // full-scan filter order exactly.
-        let mut landmark_idx = vec![u32::MAX; n];
-        for (i, &a) in landmarks.members().iter().enumerate() {
-            landmark_idx[a.index()] = i as u32;
-        }
-        let mut claimed: Vec<Vec<VertexId>> = vec![Vec::new(); landmarks.len()];
-        for v in g.vertices() {
-            if let Some(a) = landmarks.nearest(v) {
-                if v != a {
-                    claimed[landmark_idx[a.index()] as usize].push(v);
-                }
-            }
-        }
-        let per_landmark = routing_par::par_map_scratch(
-            landmarks.len(),
-            || routing_graph::SearchScratch::for_graph(g),
-            |scratch, i| {
-                let a = landmarks.members()[i];
-                let _frontier = routing_obs::span("settled-frontier");
-                scratch.dijkstra_targets_into(g, a, &claimed[i]);
-                routing_obs::counters::BUILD_EARLY_EXIT_SEARCHES.inc();
-                let out = claimed[i]
-                    .iter()
-                    .filter_map(|&v| Some((v, scratch.first_hop(v)?)))
-                    .map(|(v, z)| {
-                        let port = g.port_to(a, z).ok_or_else(|| BuildError::Inconsistent {
-                            what: format!("first hop {z} from landmark {a} is not a neighbour"),
-                        })?;
-                        Ok((v, (z, port)))
-                    })
-                    .collect::<Result<Vec<_>, BuildError>>();
-                routing_obs::counters::BUILD_SETTLED_VERTICES.add(scratch.order().len() as u64);
-                out
-            },
-        );
+        let mut search = SearchScratch::for_graph(g);
+        search.multi_source_into(g, landmarks.members());
         let mut first_edge = PackedColumn::with_capacity(SlotCodec::for_graph(g), n);
-        (0..n).for_each(|_| first_edge.push([u32::MAX; 2]));
-        for edges in per_landmark {
-            for (v, (z, port)) in edges? {
-                first_edge.set(v.index(), [z.0, port.0]);
+        for v in g.vertices() {
+            let mut record = [u32::MAX; 2];
+            if let (Some(a), Some(z)) = (search.nearest(v), search.first_hop(v)) {
+                let port = g.port_to(a, z).ok_or_else(|| BuildError::Inconsistent {
+                    what: format!("first hop {z} from landmark {a} is not a neighbour"),
+                })?;
+                record = [z.0, port.0];
             }
+            first_edge.push(record);
         }
-        drop(span_fe);
+        drop((search, span_fe));
 
         // Lemma 6 coloring for the source partition U. Lemma 8 reads the
         // ports and the representatives, so the member ids go here.
@@ -369,6 +341,35 @@ mod tests {
             assert!(scheme.table_words(v) > 0);
             assert!(scheme.label_words(v) >= 3);
         }
+    }
+
+    /// Every non-landmark `v` stores the port at `p_A(v)` of an edge to
+    /// `z` with `v ∈ C_A(z)`, so `z`'s cluster tree finishes the route;
+    /// every landmark stores the sentinel. The column is the same at 1 and
+    /// 2 threads.
+    #[test]
+    fn first_edges_lead_from_the_nearest_landmark_into_a_cluster_holding_v() {
+        for (name, g) in crate::test_support::equivalence_graphs() {
+            let mut columns = Vec::new();
+            for threads in [1, 2] {
+                routing_par::set_threads(threads);
+                let mut rng = StdRng::seed_from_u64(7);
+                let scheme = SchemeFivePlusEps::build(&g, &Params::default(), &mut rng).unwrap();
+                for v in g.vertices() {
+                    let label = scheme.label_of(v);
+                    let Some((z, port)) = label.first_edge else {
+                        assert_eq!(label.p_a, v, "{name}: {v} is no landmark but has no first edge");
+                        continue;
+                    };
+                    assert_ne!(label.p_a, v, "{name}: landmark {v} holds a first edge");
+                    assert_eq!(g.neighbor_at(label.p_a, port).to, z, "{name}: port to {z}");
+                    assert!(scheme.clusters.label_in(z, v).is_some(), "{name}: {v} not in C_A({z})");
+                }
+                columns.push(scheme.first_edge);
+            }
+            assert_eq!(columns[0], columns[1], "{name}: first edges at 1 and 2 threads");
+        }
+        routing_par::set_threads(routing_par::available_threads());
     }
 
     #[test]

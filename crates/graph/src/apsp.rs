@@ -81,11 +81,6 @@ impl DistanceMatrix {
         self.dist.iter().copied().filter(|&d| d != INFINITY).max().unwrap_or(0)
     }
 
-    /// The smallest non-zero pairwise distance.
-    pub fn min_positive_distance(&self) -> Option<Weight> {
-        self.dist.iter().copied().filter(|&d| d != INFINITY && d > 0).min()
-    }
-
     /// Multiplicative stretch of a routed path of total weight `routed`
     /// between `u` and `v`: `routed / d(u, v)`.
     ///
@@ -127,7 +122,6 @@ mod tests {
         }
         assert_eq!(m.n(), 25);
         assert_eq!(m.diameter(), 8);
-        assert_eq!(m.min_positive_distance(), Some(1));
     }
 
     #[test]

@@ -149,18 +149,6 @@ impl SampledDistances {
     pub fn ondemand_searches(&self) -> usize {
         self.ondemand_searches.load(Ordering::Relaxed)
     }
-
-    /// The largest finite distance seen from any source — a lower bound on
-    /// the diameter (equal to it when the sources include a diameter
-    /// endpoint).
-    pub fn diameter_lower_bound(&self) -> Weight {
-        self.rows
-            .iter()
-            .flat_map(|row| row.iter().copied())
-            .filter(|&d| d != INFINITY)
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 impl DistanceOracle for SampledDistances {
@@ -241,13 +229,6 @@ mod tests {
         assert_eq!(oracle.dist(VertexId(4), VertexId(4)), Some(0));
         assert_eq!(oracle.dist(VertexId(2), VertexId(3)), Some(1), "on-demand pair");
         assert_eq!(oracle.n(), 5);
-    }
-
-    #[test]
-    fn diameter_bound_on_path() {
-        let g = generators::path(9);
-        let oracle = SampledDistances::from_sources(&g, vec![VertexId(0)]);
-        assert_eq!(oracle.diameter_lower_bound(), 8);
     }
 
     #[test]

@@ -100,7 +100,7 @@ enum SearchKind {
     /// single origin, `parent` and `first_hop` populated.
     SingleOrigin,
     /// [`SearchScratch::multi_source_into`]: the `parent` slots hold the
-    /// nearest source, `first_hop` is not populated.
+    /// nearest source, `first_hop` the first vertex after it on the path.
     MultiSource,
     /// [`SearchScratch::cluster_into`]: single origin, `parent` populated,
     /// `first_hop` not populated.
@@ -523,9 +523,10 @@ impl SearchScratch {
         }
     }
 
-    /// Runs a multi-source Dijkstra from `sources`, computing `d(v, A)` and
-    /// the nearest source `p_A(v)` (readable as [`nearest`](Self::nearest))
-    /// with ties broken by source id.
+    /// Runs a multi-source Dijkstra from `sources`, computing `d(v, A)`, the
+    /// nearest source `p_A(v)` (readable as [`nearest`](Self::nearest)) with
+    /// ties broken by source id, and the first vertex after `p_A(v)` on a
+    /// shortest path from it to `v` (readable as [`first_hop`](Self::first_hop)).
     ///
     /// `sources` must be sorted by id and deduplicated. Bit-identical to
     /// [`crate::reference::multi_source_alloc`] on the same sources.
@@ -543,6 +544,7 @@ impl SearchScratch {
             self.stamp[si] = self.epoch;
             self.dist[si] = 0;
             self.parent[si] = s.0; // nearest source of a source is itself
+            self.first_hop[si] = NONE;
             self.heap_tagged.push(Reverse((0, s, s)));
         }
         while let Some(Reverse((d, src, u))) = self.heap_tagged.pop() {
@@ -571,6 +573,7 @@ impl SearchScratch {
                     self.stamp[to] = self.epoch;
                     self.dist[to] = nd;
                     self.parent[to] = src.0;
+                    self.first_hop[to] = if u == src { e.to.0 } else { self.first_hop[ui] };
                     self.heap_tagged.push(Reverse((nd, src, e.to)));
                 }
             }
@@ -654,20 +657,20 @@ impl SearchScratch {
     }
 
     /// First vertex after the source on the path to `v` found by the last
-    /// full or bounded single-origin search (`None` for the source and
-    /// unreached vertices).
+    /// full or bounded single-origin search, or after `v`'s nearest source
+    /// by the last multi-source search (`None` for a source and unreached
+    /// vertices).
     ///
     /// # Panics
     ///
-    /// Panics if the last search was not [`dijkstra_into`](Self::dijkstra_into)
-    /// or [`ball_into`](Self::ball_into) — multi-source and cluster searches
-    /// do not record first hops, so a leftover value from an earlier search
-    /// must not leak through.
+    /// Panics if the last search was a [`cluster_into`](Self::cluster_into)
+    /// one, or none — they record no first hops, so a leftover value from an
+    /// earlier search must not leak through.
     #[inline]
     pub fn first_hop(&self, v: VertexId) -> Option<VertexId> {
         assert!(
-            self.kind == SearchKind::SingleOrigin,
-            "first_hop() is only populated by dijkstra_into / ball_into"
+            matches!(self.kind, SearchKind::SingleOrigin | SearchKind::MultiSource),
+            "first_hop() is only populated by dijkstra_into / ball_into / multi_source_into"
         );
         if self.stamp[v.index()] != self.epoch || self.first_hop[v.index()] == NONE {
             return None;
@@ -1360,6 +1363,58 @@ mod tests {
         assert_eq!(s.dist(VertexId(0)), None);
         assert_eq!(s.nearest(VertexId(0)), None);
         assert!(s.order().is_empty());
+    }
+
+    /// After a multi-source search every reached non-source `v` records a
+    /// neighbour `z` of `a = p_A(v)` that starts a shortest `a`–`v` path,
+    /// `w(a, z) + d(z, v) = d(a, v)`; a source or an unreached vertex
+    /// records none. Unit, tie-heavy, geometric and grid graphs, and two
+    /// components with every source in the first.
+    #[test]
+    fn multi_source_first_hops_start_a_shortest_path_from_the_nearest_source() {
+        use generators::WeightModel::{Uniform, Unit};
+        let mut rng = StdRng::seed_from_u64(29);
+        let mut halves = GraphBuilder::new(40);
+        for i in (1..40).filter(|&i| i != 20) {
+            halves.add_unit_edge(i - 1, i).unwrap();
+        }
+        let graphs = [
+            generators::erdos_renyi(90, 0.06, Unit, &mut rng),
+            generators::erdos_renyi(90, 0.06, Uniform { lo: 1, hi: 2 }, &mut rng),
+            generators::random_geometric(90, 0.2, Uniform { lo: 1, hi: 8 }, &mut rng),
+            generators::grid(9, 10),
+            halves.build(),
+        ];
+        for g in &graphs {
+            let sources: Vec<VertexId> = (3..20).step_by(7).map(VertexId).collect();
+            let dm = crate::apsp::DistanceMatrix::new(g);
+            let (mut s, mut full) = (SearchScratch::for_graph(g), SearchScratch::for_graph(g));
+            s.multi_source_into(g, &sources);
+            for v in g.vertices() {
+                let (Some(a), Some(d)) = (s.nearest(v), s.dist(v)) else {
+                    assert_eq!(s.first_hop(v), None, "unreached {v}");
+                    continue;
+                };
+                if a == v {
+                    assert_eq!(s.first_hop(v), None, "source {v}");
+                    continue;
+                }
+                let z = s.first_hop(v).expect("a reached non-source has a first hop");
+                let w = g.edge_weight(a, z).unwrap_or_else(|| panic!("{z} is not adjacent to {a}"));
+                full.dijkstra_into(g, a);
+                assert_eq!(full.dist(v), Some(d), "d({a}, {v})");
+                assert_eq!(dm.dist(z, v).map(|dz| w + dz), Some(d), "{a} -> {z} -> {v}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "parent() after a multi-source search")]
+    fn parent_after_multi_source_search_panics() {
+        let g = generators::path(4);
+        let mut s = SearchScratch::for_graph(&g);
+        s.multi_source_into(&g, &[VertexId(0)]);
+        let _ = s.parent(VertexId(3));
     }
 
     #[test]

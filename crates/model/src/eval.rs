@@ -55,24 +55,6 @@ pub struct EvalReport {
     pub max_header_words: usize,
 }
 
-impl EvalReport {
-    /// One-line human-readable summary (used by the harness binaries).
-    pub fn summary_line(&self) -> String {
-        format!(
-            "{:<28} n={:<5} pairs={:<6} stretch max={:.3} mean={:.3} | table max={} mean={:.1} | label max={} | header max={}",
-            self.scheme,
-            self.n,
-            self.pairs,
-            self.stretch.max_multiplicative().unwrap_or(1.0),
-            self.stretch.mean_multiplicative().unwrap_or(1.0),
-            self.table.max(),
-            self.table.mean(),
-            self.max_label_words,
-            self.max_header_words,
-        )
-    }
-}
-
 /// Routes the selected pairs through `scheme` and aggregates statistics.
 ///
 /// `exact` is any ground-truth backend for `g` — the dense matrix or the
@@ -218,7 +200,6 @@ mod tests {
         assert_eq!(report.table.max(), 16);
         assert_eq!(report.max_label_words, 1);
         assert_eq!(report.max_header_words, 2);
-        assert!(report.summary_line().contains("full"));
         assert_eq!(report.n, 16);
         assert_eq!(report.m, g.m());
         assert!(report.mean_label_words > 0.9);

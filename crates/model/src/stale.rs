@@ -149,17 +149,6 @@ impl ResilienceReport {
             self.delivered as f64 / routable as f64
         }
     }
-
-    /// Delivered fraction over *all* attempted pairs (counting pairs the
-    /// graph disconnects as undeliverable), in `[0, 1]`; `0.0` when no
-    /// pair could be sampled (see [`ResilienceReport::reachability`]).
-    pub fn absolute_reachability(&self) -> f64 {
-        if self.pairs == 0 {
-            0.0
-        } else {
-            self.delivered as f64 / self.pairs as f64
-        }
-    }
 }
 
 /// Routes every pair of `pairs` through `scheme` on `g`, recording failures
@@ -327,7 +316,6 @@ mod tests {
         let report = route_pairs_lossy(&g, &scheme, &exact, &pairs);
         assert_eq!(report.delivered, 100);
         assert_eq!(report.reachability(), 1.0);
-        assert_eq!(report.absolute_reachability(), 1.0);
         assert_eq!(report.failures.total(), 0);
         assert_eq!(report.stretch.max_multiplicative(), Some(1.0));
     }
@@ -369,7 +357,6 @@ mod tests {
         assert_eq!(report.disconnected_pairs, 1);
         assert_eq!(report.delivered, 1);
         assert_eq!(report.reachability(), 1.0);
-        assert_eq!(report.absolute_reachability(), 0.5);
     }
 
     #[test]
@@ -383,7 +370,6 @@ mod tests {
         let report = route_pairs_lossy(&g, &scheme, &exact, &[]);
         assert_eq!(report.pairs, 0);
         assert_eq!(report.reachability(), 0.0);
-        assert_eq!(report.absolute_reachability(), 0.0);
     }
 
     #[test]

@@ -85,15 +85,6 @@ impl StretchStats {
             .fold(0.0_f64, f64::max)
     }
 
-    /// The smallest `alpha` such that `routed <= alpha * exact + beta` holds
-    /// for every sample, given a fixed additive term `beta`.
-    pub fn tightest_alpha(&self, beta: f64) -> Option<f64> {
-        self.samples
-            .iter()
-            .map(|&(r, e)| ((r as f64 - beta) / e as f64).max(1.0))
-            .fold(None, |acc, s| Some(acc.map_or(s, |a: f64| a.max(s))))
-    }
-
     /// Fraction of samples routed on an exactly shortest path.
     pub fn fraction_exact(&self) -> Option<f64> {
         if self.samples.is_empty() {
@@ -157,14 +148,6 @@ impl SpaceStats {
         }
         self.max() as f64 / (self.per_vertex.len() as f64).powf(exponent)
     }
-
-    /// `mean() / n^exponent`.
-    pub fn normalized_mean(&self, exponent: f64) -> f64 {
-        if self.per_vertex.is_empty() {
-            return 0.0;
-        }
-        self.mean() / (self.per_vertex.len() as f64).powf(exponent)
-    }
 }
 
 #[cfg(test)]
@@ -193,7 +176,6 @@ mod tests {
         assert_eq!(s.mean_multiplicative(), None);
         assert_eq!(s.percentile_multiplicative(50.0), None);
         assert_eq!(s.fraction_exact(), None);
-        assert_eq!(s.tightest_alpha(0.0), None);
         assert!(s.check_affine_bound(1.0, 0.0));
     }
 
@@ -207,8 +189,6 @@ mod tests {
         assert!(!s.check_affine_bound(2.0, 0.0));
         assert!(s.worst_affine_excess(2.0, 0.0) > 0.0);
         assert_eq!(s.worst_affine_excess(3.0, 0.0), 0.0);
-        let alpha = s.tightest_alpha(1.0).unwrap();
-        assert!((alpha - 2.0).abs() < 1e-9);
     }
 
     #[test]
@@ -245,7 +225,6 @@ mod tests {
         assert_eq!(s.mean(), 25.0);
         // n = 4, exponent 0.5 -> normalization by 2.
         assert_eq!(s.normalized_max(0.5), 20.0);
-        assert_eq!(s.normalized_mean(0.5), 12.5);
     }
 
     #[test]
@@ -255,6 +234,5 @@ mod tests {
         assert_eq!(s.max(), 0);
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.normalized_max(0.5), 0.0);
-        assert_eq!(s.normalized_mean(0.5), 0.0);
     }
 }

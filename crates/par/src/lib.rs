@@ -95,7 +95,7 @@ pub fn available_threads() -> usize {
 }
 
 /// Sets the process-wide thread count used by [`par_map_index`] and
-/// [`par_map`]. Values are clamped to at least 1; `set_threads(1)` forces
+/// [`par_map_scratch`]. Values are clamped to at least 1; `set_threads(1)` forces
 /// fully sequential execution.
 ///
 /// Because the computations dispatched through this crate are deterministic
@@ -129,18 +129,6 @@ where
     // The scratch executor with a unit scratch — one chunk-claiming loop to
     // maintain instead of two.
     par_map_scratch_with(threads(), n, || (), |_, i| f(i))
-}
-
-/// Applies `f` to every element of `items` in parallel, returning results in
-/// input order. See [`par_map_index`] for the determinism guarantee.
-#[track_caller]
-pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    par_map_index(items.len(), |i| f(&items[i]))
 }
 
 /// [`par_map_index`] with a per-worker scratch workspace: every worker calls
@@ -266,15 +254,6 @@ mod tests {
         assert!(par_map_scratch_with(8, 0, || (), |_, i| i).is_empty());
         assert_eq!(par_map_scratch_with(8, 1, || (), |_, i| i + 1), vec![1]);
         assert_eq!(par_map_scratch_with(8, 2, || (), |_, i| i), vec![0, 1]);
-    }
-
-    #[test]
-    fn par_map_preserves_order() {
-        let items: Vec<String> = (0..100).map(|i| format!("v{i}")).collect();
-        let lens = par_map(&items, |s| s.len());
-        assert_eq!(lens[0], 2);
-        assert_eq!(lens[10], 3);
-        assert_eq!(lens.len(), 100);
     }
 
     #[test]

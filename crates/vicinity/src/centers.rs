@@ -86,20 +86,22 @@ pub fn sample_centers_bounded<R: Rng>(g: &Graph, s: usize, rng: &mut R) -> Landm
     let n = g.n();
     let s = s.clamp(1, n.max(1));
     let limit = (4 * n).div_ceil(s);
-    let mut a: Vec<VertexId> = Vec::new();
     let mut w: Vec<VertexId> = g.vertices().collect();
+    // The latest round's landmarks. The round whose clusters all pass the
+    // check is the last, so its search is returned as it stands.
+    let mut last: Option<Landmarks> = None;
 
-    // Guard against pathological loops: |A| can never usefully exceed n.
-    while !w.is_empty() && a.len() < n {
+    while !w.is_empty() {
         let p = (s as f64 / w.len() as f64).min(1.0);
         let mut newly: Vec<VertexId> = w.iter().copied().filter(|_| rng.gen::<f64>() < p).collect();
         if newly.is_empty() {
             // Force progress: add the smallest-id violating vertex.
             newly.push(w[0]);
         }
+        let mut a = last.take().map_or_else(Vec::new, |l| l.members);
+        a.reserve_exact(newly.len());
         a.extend(newly);
-        let landmarks = Landmarks::new(g, a.clone());
-        a = landmarks.members().to_vec();
+        let landmarks = last.insert(Landmarks::new(g, a));
         // The per-vertex cluster-size checks dominate the sampling loop; they
         // are independent restricted searches, so fan them out over
         // per-worker scratch workspaces (only the settled count is needed,
@@ -115,11 +117,12 @@ pub fn sample_centers_bounded<R: Rng>(g: &Graph, s: usize, rng: &mut R) -> Landm
             },
         );
         w = g.vertices().filter(|v| too_large[v.index()]).collect();
-        if a.len() == n {
+        // Guard against pathological loops: |A| can never usefully exceed n.
+        if landmarks.len() == n {
             break;
         }
     }
-    Landmarks::new(g, a)
+    last.unwrap_or_else(|| Landmarks::new(g, Vec::new()))
 }
 
 /// Computes the cluster `C_A(w)` of every vertex `w`, indexed by vertex id:

@@ -6,7 +6,7 @@
 //! on a single crate:
 //!
 //! * [`par`] — the std-only scoped-thread executor every preprocessing
-//!   phase fans out over (`set_threads` / `par_map`); results are
+//!   phase fans out over (`set_threads` / `par_map_scratch`); results are
 //!   bit-identical for every thread count.
 //! * [`graph`] — graph substrate (CSR graphs with fixed ports, shortest
 //!   paths, synthetic generators, exact APSP behind the
