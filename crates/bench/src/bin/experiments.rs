@@ -464,6 +464,26 @@ mod tests {
         }
     }
 
+    /// The crate map in `docs/ARCHITECTURE.md` lists the experiments as
+    /// `experiments <a\|b\|…>`, and the README's command block runs each
+    /// one as `--bin experiments -- <name>`: both name every experiment,
+    /// and no other.
+    #[test]
+    fn the_docs_name_every_experiment() {
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+        let architecture = include_str!("../../../../docs/ARCHITECTURE.md");
+        let map = architecture.split_once("`experiments <").and_then(|(_, rest)| rest.split_once(">`"));
+        let listed: Vec<&str> = map.expect("the crate map lists the experiments").0.split("\\|").collect();
+        assert_eq!(listed, names, "docs/ARCHITECTURE.md crate map");
+        let readme = include_str!("../../../../README.md");
+        let run: Vec<&str> = readme
+            .lines()
+            .filter_map(|line| line.split_once("--bin experiments -- "))
+            .filter_map(|(_, rest)| rest.split_whitespace().next())
+            .collect();
+        assert_eq!(run, names, "README.md command block");
+    }
+
     #[test]
     fn peak_takes_keys_a_family_and_n() {
         let keys = |ks: &[&str]| ks.iter().map(|k| k.to_string()).collect::<Vec<_>>();

@@ -21,6 +21,9 @@
 //! color `c(v)`: the smaller of "route on the global tree `T(p_A(v))`" and
 //! "walk to `w`, then Lemma 7 to `v`" gives a path of length at most
 //! `(2+2ε)·d(u, v) + 1`.
+//!
+//! Of the landmarks the scheme keeps what a label reads, `[p_A(v), d(v, A)]`
+//! packed a vertex, and the sorted set, which finds `T(p_A(v))`.
 
 use rand::Rng;
 
@@ -31,7 +34,7 @@ use routing_tree::{TreeForest, TreeLabelView, TreeView};
 use routing_vicinity::{BallDists, BallTable, Landmarks};
 
 use crate::seq::{KeyedStore, KeyedStoreBuilder};
-use crate::stages::{self, Clusters, DistLists, Vicinities};
+use crate::stages::{self, ClusterFamily, DistLists, Vicinities};
 use crate::technique1::{Technique1Header, Technique1Router};
 use crate::{BuildError, Params};
 
@@ -102,12 +105,16 @@ pub struct SchemeTwoPlusEps {
     n: usize,
     epsilon: f64,
     pub(crate) vic: Vicinities,
-    pub(crate) clusters: Clusters,
+    pub(crate) clusters: ClusterFamily,
+    /// The landmark set `A`, sorted by id.
+    landmarks: Vec<VertexId>,
+    /// `[p_A(v), d(v, A)]` per vertex `v`.
+    nearest: PackedColumn<2>,
     /// Row-major `n × q`: `d(u, w)` for `u`'s representative `w` of each
     /// color, beside the representative the vicinity stage stores, in the
     /// bytes the largest of them needs.
     rep_dist: PackedColumn<1>,
-    /// Global trees `T(a)`, tree `i` that of landmark `i` in id order.
+    /// Global trees `T(a)`, tree `i` that of `landmarks[i]`.
     global_trees: TreeForest,
     /// At `u`: destination `v` -> best intersection vertex `w`, at the id
     /// width.
@@ -141,8 +148,10 @@ impl SchemeTwoPlusEps {
         // The one build that reads the members' distances: for the
         // intersections and the representatives' distances.
         let vic = Vicinities::balls(g, ell, BallDists::Keep);
-        let (clusters, members) = Clusters::build(g, rng)?;
-        let global_trees = stages::global_trees(g, clusters.landmarks.members())?;
+        let (landmarks, clusters, members) = stages::landmark_clusters(g, rng)?;
+        let global_trees = stages::global_trees(g, landmarks.members())?;
+        let nearest = nearest_landmarks(g, &landmarks);
+        let landmarks = landmarks.into_members();
         let best_intersection = intersections(&vic.balls, &members)?;
         drop(members);
         // Lemma 6 coloring and Lemma 7 over the induced partition.
@@ -155,6 +164,8 @@ impl SchemeTwoPlusEps {
             epsilon: params.epsilon,
             vic: vic.retain(),
             clusters,
+            landmarks,
+            nearest,
             rep_dist,
             global_trees,
             best_intersection,
@@ -173,11 +184,6 @@ impl SchemeTwoPlusEps {
         self.vic.heap_bytes()
     }
 
-    /// The landmark set `A`.
-    pub fn landmarks(&self) -> &Landmarks {
-        &self.clusters.landmarks
-    }
-
     /// The Lemma 7 router, whose sequences every vertex stores.
     pub fn router(&self) -> &Technique1Router {
         &self.router
@@ -186,8 +192,20 @@ impl SchemeTwoPlusEps {
     /// The global tree `T(a)` of landmark `a` — one binary search over the
     /// id-sorted landmark list, no hash table.
     fn global_tree(&self, a: VertexId) -> Option<TreeView<'_>> {
-        self.global_trees.tree(self.landmarks().members().binary_search(&a).ok()?)
+        self.global_trees.tree(self.landmarks.binary_search(&a).ok()?)
     }
+}
+
+/// `[p_A(v), d(v, A)]` of every vertex `v`, as its label reads them (`v`
+/// and 0 where `A` is out of reach), packed: the id at the id width, the
+/// distance in the bytes the largest needs.
+fn nearest_landmarks(g: &Graph, landmarks: &Landmarks) -> PackedColumn<2> {
+    let record = |v| [u64::from(landmarks.nearest(v).unwrap_or(v).0), landmarks.dist_to_set(v).unwrap_or(0)];
+    let far = g.vertices().map(|v| record(v)[1]).max().unwrap_or(0);
+    let codec = SlotCodec::new([bytes_for(g.n() as u64), bytes_for(far + 1)]);
+    let mut column = PackedColumn::with_capacity(codec, g.n());
+    g.vertices().for_each(|v| column.push(record(v)));
+    column
 }
 
 /// Row-major `n × q`: `d(u, w)` for every representative `w` stored at `u`,
@@ -233,7 +251,7 @@ fn members_with_dists(
 /// At every `u`, for every `v` with `B(u, q̃) ∩ B_A(v) ≠ ∅`, the intersection
 /// vertex `w` minimizing `d(u, w) + d(w, v)`; among equal sums, the `w`
 /// settled first from `u`. `clusters` lists `C(w)` with `d(w, v)` for every
-/// root `w`, the members [`Clusters::build`] hands back. The vertices are
+/// root `w`, the members [`stages::landmark_clusters`] hands back. The vertices are
 /// kept at the id width.
 fn intersections(
     balls: &BallTable,
@@ -272,8 +290,8 @@ impl RoutingScheme for SchemeTwoPlusEps {
     }
 
     fn label_of(&self, v: VertexId) -> Scheme2Label {
-        let p_a = self.landmarks().nearest(v).unwrap_or(v);
-        let d_pa = self.landmarks().dist_to_set(v).unwrap_or(0);
+        let [p_a, d_pa] = self.nearest.get::<u64>(v.index()).unwrap_or([v.0.into(), 0]);
+        let p_a = VertexId(p_a as u32);
         let global_label =
             self.global_tree(p_a).and_then(|t| t.label_view(v)).unwrap_or(TreeLabelView::ABSENT);
         Scheme2Label { vertex: v, color: self.vic.color(v), p_a, d_pa, global_label }
@@ -421,8 +439,8 @@ mod tests {
             for threads in [1, 4] {
                 routing_par::set_threads(threads);
                 let balls = BallTable::build(&g, params.scaled(5, g.n()));
-                let (_, clusters) =
-                    Clusters::build(&g, &mut StdRng::seed_from_u64(17)).unwrap();
+                let (_, _, clusters) =
+                    stages::landmark_clusters(&g, &mut StdRng::seed_from_u64(17)).unwrap();
                 let flat = intersections(&balls, &clusters).unwrap();
                 let reference = reference_intersections(&g, &balls, &clusters);
                 assert!(reference.iter().any(|at_u| !at_u.is_empty()));
@@ -459,7 +477,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let ell = params.scaled(5, g.n());
         let vic = Vicinities::balls(&g, ell, BallDists::Skip);
-        let (_, clusters) = Clusters::build(&g, &mut rng).unwrap();
+        let (_, _, clusters) = stages::landmark_clusters(&g, &mut rng).unwrap();
         let refused = |e| matches!(e, BuildError::Inconsistent { .. });
         assert!(intersections(&vic.balls, &clusters).is_err_and(refused));
         let vic = vic.colour(ell, 5, &params, &mut rng).unwrap();
@@ -495,6 +513,32 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every label's `[p_A(v), d(v, A)]` equals a fresh nearest-landmark
+    /// search over the scheme's landmarks, on every equivalence graph with
+    /// unit weights (Theorem 10's domain) at 1 and 2 threads; the column
+    /// packs the distance in the bytes the largest needs.
+    #[test]
+    fn label_records_equal_a_fresh_search_over_the_landmarks() {
+        let unit = crate::test_support::equivalence_graphs().into_iter().filter(|(_, g)| g.is_unweighted());
+        for (name, g) in unit {
+            for threads in [1, 2] {
+                routing_par::set_threads(threads);
+                let scheme =
+                    SchemeTwoPlusEps::build(&g, &Params::default(), &mut StdRng::seed_from_u64(7)).unwrap();
+                let fresh = Landmarks::new(&g, scheme.landmarks.clone());
+                for v in g.vertices() {
+                    let want = (fresh.nearest(v).unwrap(), fresh.dist_to_set(v).unwrap());
+                    let label = scheme.label_of(v);
+                    assert_eq!((label.p_a, label.d_pa), want, "{name} x{threads}: {v}");
+                }
+                let far = g.vertices().filter_map(|v| fresh.dist_to_set(v)).max().unwrap();
+                let codec = SlotCodec::new([bytes_for(g.n() as u64), bytes_for(far + 1)]);
+                assert_eq!(scheme.nearest.codec(), codec, "{name} x{threads}: widths");
+            }
+        }
+        routing_par::set_threads(routing_par::available_threads());
     }
 
     #[test]
@@ -534,7 +578,7 @@ mod tests {
         assert!(scheme.name().contains("thm10"));
         assert_eq!(RoutingScheme::n(&scheme), 60);
         assert!(scheme.q() >= 4);
-        assert!(!scheme.landmarks().is_empty());
+        assert!(!scheme.landmarks.is_empty());
         for v in g.vertices() {
             assert!(scheme.table_words(v) > 0);
             assert!(scheme.label_words(v) >= 4);

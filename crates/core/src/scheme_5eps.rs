@@ -21,18 +21,21 @@
 //! The total is at most `(5+3ε)·d(u, v)`.
 //!
 //! Any shortest path's first edge will do, so the build reads it off the
-//! nearest-landmark search: `d(z, v) = d(v, A) − w(p_A(v), z) < d(v, A)`
-//! puts `v` in `C_A(z)`, and the tree path from `z` is a shortest one, so
-//! the last two legs weigh `d(p_A(v), v)` whichever path the search took.
+//! nearest-landmark search Lemma 4's sampler ran last, the one that gave
+//! `p_A(v)`: `d(z, v) = d(v, A) − w(p_A(v), z) < d(v, A)` puts `v` in
+//! `C_A(z)`, and the tree path from `z` is a shortest one, so the last two
+//! legs weigh `d(p_A(v), v)` whichever path the search took. Of that search
+//! the scheme keeps one packed record a vertex, what a label reads:
+//! `[p_A(v), z, port at p_A(v)]`.
 
 use rand::Rng;
 
-use routing_graph::{Graph, PackedColumn, Port, SearchScratch, SlotCodec, VertexId};
+use routing_graph::{Graph, PackedColumn, Port, SlotCodec, VertexId};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
 use routing_tree::TreeLabelView;
-use routing_vicinity::{BallDists, Landmarks};
+use routing_vicinity::BallDists;
 
-use crate::stages::{self, Clusters, Vicinities};
+use crate::stages::{self, ClusterFamily, Vicinities};
 use crate::technique2::{Technique2Header, Technique2Router};
 use crate::{BuildError, Params};
 
@@ -102,12 +105,13 @@ pub struct SchemeFivePlusEps {
     n: usize,
     epsilon: f64,
     pub(crate) vic: Vicinities,
-    pub(crate) clusters: Clusters,
+    pub(crate) clusters: ClusterFamily,
     router: Technique2Router,
-    /// `[z, port at p_A(v)]` of the first edge towards `v`, per vertex `v`,
-    /// packed at the graph's `[vertex, port]` width; the sentinel record
-    /// where `v` is a landmark.
-    first_edge: PackedColumn<2>,
+    /// `[p_A(v), z, port at p_A(v)]` per vertex `v`: its nearest landmark
+    /// and the first edge `(p_A(v), z)` towards it, ids at the graph's id
+    /// width and the port at its port width; `z` and the port are the
+    /// sentinel where `v` is a landmark.
+    labels: PackedColumn<3>,
 }
 
 impl SchemeFivePlusEps {
@@ -128,39 +132,39 @@ impl SchemeFivePlusEps {
         let q = (n as f64).powf(1.0 / 3.0).ceil().max(1.0) as u32;
         let ell = params.scaled(q as usize, n);
         let vic = Vicinities::balls(g, ell, BallDists::Skip);
-        let (clusters, _) = Clusters::build(g, rng)?;
-        let landmarks = &clusters.landmarks;
+        let (landmarks, clusters, _) = stages::landmark_clusters(g, rng)?;
 
         // First edge (p_A(v), z): v's first hop out of its nearest landmark
-        // in one nearest-landmark search (any shortest path will do; see the
-        // module doc).
+        // in the search that found the landmark (any shortest path will do;
+        // see the module doc).
         let span_fe = routing_obs::span("first-edge");
-        let mut search = SearchScratch::for_graph(g);
-        search.multi_source_into(g, landmarks.members());
-        let mut first_edge = PackedColumn::with_capacity(SlotCodec::for_graph(g), n);
+        let [id, port] = SlotCodec::for_graph(g).bytes();
+        let mut labels = PackedColumn::with_capacity(SlotCodec::new([id, id, port]), n);
         for v in g.vertices() {
-            let mut record = [u32::MAX; 2];
-            if let (Some(a), Some(z)) = (search.nearest(v), search.first_hop(v)) {
+            let a = landmarks.nearest(v).unwrap_or(v);
+            let mut record = [a.0, u32::MAX, u32::MAX];
+            if let Some(z) = landmarks.first_hop(v) {
                 let port = g.port_to(a, z).ok_or_else(|| BuildError::Inconsistent {
                     what: format!("first hop {z} from landmark {a} is not a neighbour"),
                 })?;
-                record = [z.0, port.0];
+                record = [a.0, z.0, port.0];
             }
-            first_edge.push(record);
+            labels.push(record);
         }
-        drop((search, span_fe));
+        drop(span_fe);
+
+        // Arbitrary balanced partition W of the landmark set A, the last
+        // reader of the landmarks.
+        let mut dest_partition: Vec<Vec<VertexId>> = vec![Vec::new(); q as usize];
+        for (i, a) in landmarks.into_members().into_iter().enumerate() {
+            dest_partition[i % q as usize].push(a);
+        }
 
         // Lemma 6 coloring for the source partition U. Lemma 8 reads the
         // ports and the representatives, so the member ids go here.
         let vic = vic.colour(ell, q, params, rng)?.retain();
-
-        // Arbitrary balanced partition W of the landmark set A.
-        let mut dest_partition: Vec<Vec<VertexId>> = vec![Vec::new(); q as usize];
-        for (i, &a) in landmarks.members().iter().enumerate() {
-            dest_partition[i % q as usize].push(a);
-        }
         let router = Technique2Router::build(g, &vic, &dest_partition, params)?;
-        Ok(SchemeFivePlusEps { n, epsilon: params.epsilon, vic, clusters, router, first_edge })
+        Ok(SchemeFivePlusEps { n, epsilon: params.epsilon, vic, clusters, router, labels })
     }
 
     /// The parameter `q = ⌈n^{1/3}⌉`.
@@ -183,11 +187,6 @@ impl SchemeFivePlusEps {
     pub fn color(&self, v: VertexId) -> u32 {
         self.vic.color(v)
     }
-
-    /// The landmark set `A`.
-    pub fn landmarks(&self) -> &Landmarks {
-        &self.clusters.landmarks
-    }
 }
 
 impl RoutingScheme for SchemeFivePlusEps {
@@ -203,10 +202,10 @@ impl RoutingScheme for SchemeFivePlusEps {
     }
 
     fn label_of(&self, v: VertexId) -> Scheme5Label {
-        let p_a = self.landmarks().nearest(v).unwrap_or(v);
+        let [p_a, z, port] = self.labels.get::<u32>(v.index()).unwrap_or([v.0, u32::MAX, u32::MAX]);
+        let p_a = VertexId(p_a);
         let alpha = self.router.dest_set_of(p_a).unwrap_or(0);
-        let edge = self.first_edge.get::<u32>(v.index()).filter(|&[z, _]| z != u32::MAX);
-        let first_edge = edge.map(|[z, port]| (VertexId(z), Port(port)));
+        let first_edge = (z != u32::MAX).then_some((VertexId(z), Port(port)));
         Scheme5Label { vertex: v, p_a, alpha, first_edge }
     }
 
@@ -336,7 +335,7 @@ mod tests {
         assert!(scheme.name().contains("thm11"));
         assert_eq!(RoutingScheme::n(&scheme), 60);
         assert!(scheme.q() >= 4);
-        assert!(!scheme.landmarks().is_empty());
+        assert!(g.vertices().any(|v| scheme.label_of(v).p_a == v), "no landmark");
         for v in g.vertices() {
             assert!(scheme.table_words(v) > 0);
             assert!(scheme.label_words(v) >= 3);
@@ -345,11 +344,17 @@ mod tests {
 
     /// Every non-landmark `v` stores the port at `p_A(v)` of an edge to
     /// `z` with `v ∈ C_A(z)`, so `z`'s cluster tree finishes the route;
-    /// every landmark stores the sentinel. The column is the same at 1 and
-    /// 2 threads.
+    /// every landmark stores the sentinel. Every label's `[p_A(v), z, port]`
+    /// equals what a second nearest-landmark search over the same landmarks
+    /// reads, the stage the build ran before it took the sampler's last
+    /// search (the vicinities draw nothing, so the build's seed samples the
+    /// same landmarks again). The column is the same at 1 and 2 threads.
     #[test]
     fn first_edges_lead_from_the_nearest_landmark_into_a_cluster_holding_v() {
         for (name, g) in crate::test_support::equivalence_graphs() {
+            let (landmarks, _, _) = stages::landmark_clusters(&g, &mut StdRng::seed_from_u64(7)).unwrap();
+            let mut search = routing_graph::SearchScratch::for_graph(&g);
+            search.multi_source_into(&g, landmarks.members());
             let mut columns = Vec::new();
             for threads in [1, 2] {
                 routing_par::set_threads(threads);
@@ -357,6 +362,9 @@ mod tests {
                 let scheme = SchemeFivePlusEps::build(&g, &Params::default(), &mut rng).unwrap();
                 for v in g.vertices() {
                     let label = scheme.label_of(v);
+                    let a = search.nearest(v).unwrap();
+                    let edge = search.first_hop(v).map(|z| (z, g.port_to(a, z).unwrap()));
+                    assert_eq!((label.p_a, label.first_edge), (a, edge), "{name} x{threads}: {v}");
                     let Some((z, port)) = label.first_edge else {
                         assert_eq!(label.p_a, v, "{name}: {v} is no landmark but has no first edge");
                         continue;
@@ -365,7 +373,7 @@ mod tests {
                     assert_eq!(g.neighbor_at(label.p_a, port).to, z, "{name}: port to {z}");
                     assert!(scheme.clusters.label_in(z, v).is_some(), "{name}: {v} not in C_A({z})");
                 }
-                columns.push(scheme.first_edge);
+                columns.push(scheme.labels);
             }
             assert_eq!(columns[0], columns[1], "{name}: first edges at 1 and 2 threads");
         }

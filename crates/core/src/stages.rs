@@ -3,8 +3,8 @@
 //! Each theorem composes the same ingredients with Technique 1 or 2:
 //! Lemma 2 vicinities with a Lemma 6 colouring and one representative per
 //! colour ([`Vicinities`]), Lemma 4 landmarks with their clusters
-//! ([`Clusters`], Theorems 10 and 11) and shortest-path trees spanning `V`
-//! ([`global_trees`]). The scheme files call this module for those
+//! ([`landmark_clusters`], Theorems 10 and 11) and shortest-path trees
+//! spanning `V` ([`global_trees`]). The scheme files call this module for those
 //! ingredients and for the query-side arms that read them; nothing else in
 //! the crate builds a ball table, a colouring or a cluster family. The
 //! cluster family itself ([`ClusterFamily`]) is public: the Thorup–Zwick
@@ -17,7 +17,7 @@
 //! store with it too, a round of sources at a time.
 //!
 //! A scheme that needs both runs [`Vicinities::balls`], then
-//! [`Clusters::build`], then [`Vicinities::colour`]: the landmark sample is
+//! [`landmark_clusters`], then [`Vicinities::colour`]: the landmark sample is
 //! drawn before the colouring attempts, the only two RNG consumers here.
 //! Each stage opens the spans it always had (`balls`; `centers`, `clusters`,
 //! `cluster-trees`, `bunches`; `coloring`, `color-reps`; `global-trees`),
@@ -693,33 +693,19 @@ impl DistLists {
     }
 }
 
-/// Lemma 4 landmarks `A` with clusters of `O(n^{1/3})` vertices, bounded by
-/// `d(·, A)`. Dereferences to its cluster family.
-#[derive(Debug, Clone)]
-pub(crate) struct Clusters {
-    pub(crate) landmarks: Landmarks,
-    family: ClusterFamily,
-}
-
-impl std::ops::Deref for Clusters {
-    type Target = ClusterFamily;
-
-    fn deref(&self) -> &ClusterFamily {
-        &self.family
-    }
-}
-
-impl Clusters {
-    /// Samples `Õ(n^{2/3})` landmarks (the density Theorems 10 and 11 both
-    /// prescribe) and builds the cluster family around them, handing back
-    /// its build-only member lists.
-    pub(crate) fn build<R: Rng>(g: &Graph, rng: &mut R) -> Result<(Self, DistLists), BuildError> {
-        let n = g.n();
-        let s = ((n as f64).powf(2.0 / 3.0).ceil() as usize).clamp(1, n);
-        let landmarks = sample_centers_bounded(g, s, rng);
-        let (family, members) = ClusterFamily::build(g, |_| landmarks.bound_slice(), |_| Labels::Keep)?;
-        Ok((Clusters { landmarks, family }, members))
-    }
+/// Samples `Õ(n^{2/3})` Lemma 4 landmarks `A` (the density Theorems 10 and
+/// 11 both prescribe) and builds the cluster family around them, every
+/// cluster bounded by `d(·, A)` and of `O(n^{1/3})` vertices. Hands back the
+/// landmarks, the family and its build-only member lists.
+pub(crate) fn landmark_clusters<R: Rng>(
+    g: &Graph,
+    rng: &mut R,
+) -> Result<(Landmarks, ClusterFamily, DistLists), BuildError> {
+    let n = g.n();
+    let s = ((n as f64).powf(2.0 / 3.0).ceil() as usize).clamp(1, n);
+    let landmarks = sample_centers_bounded(g, s, rng);
+    let (family, members) = ClusterFamily::build(g, |_| landmarks.bound_slice(), |_| Labels::Keep)?;
+    Ok((landmarks, family, members))
 }
 
 #[cfg(test)]
@@ -762,14 +748,20 @@ mod tests {
     /// The cluster stage equals the path it replaced under the same
     /// landmarks: `all_clusters` + `bunches`, and one `cluster_into` +
     /// `TreeScheme::from_scratch` a root.
-    fn assert_reference_clusters(key: &str, g: &Graph, stage: &Clusters, members: &DistLists) {
-        let raw = routing_vicinity::all_clusters(g, &stage.landmarks);
+    fn assert_reference_clusters(
+        key: &str,
+        g: &Graph,
+        landmarks: &Landmarks,
+        stage: &ClusterFamily,
+        members: &DistLists,
+    ) {
+        let raw = routing_vicinity::all_clusters(g, landmarks);
         let bunches = routing_vicinity::bunches(g, &raw);
         let mut scratch = SearchScratch::for_graph(g);
         let trees: Vec<TreeScheme> = g
             .vertices()
             .map(|w| {
-                scratch.cluster_into(g, w, stage.landmarks.bound_slice());
+                scratch.cluster_into(g, w, landmarks.bound_slice());
                 TreeScheme::from_scratch(g, &scratch).unwrap()
             })
             .collect();
@@ -842,24 +834,24 @@ mod tests {
                     for threads in [1, 4] {
                         routing_par::set_threads(threads);
                         let rng = &mut StdRng::seed_from_u64(5);
-                        let (clusters, _) = Clusters::build(&g, rng).unwrap();
-                        let global = global_trees(&g, clusters.landmarks.members()).unwrap();
-                        built.push((clusters, global));
+                        let (landmarks, clusters, _) = landmark_clusters(&g, rng).unwrap();
+                        let global = global_trees(&g, landmarks.members()).unwrap();
+                        built.push((landmarks, clusters, global));
                     }
                     routing_par::set_threads(routing_par::available_threads());
-                    let (clusters, global) = &built[0];
-                    assert_eq!(clusters.family.trees, built[1].0.family.trees, "{key}: threads");
-                    assert_eq!(*global, built[1].1, "{key}: threads, global trees");
+                    let (landmarks, clusters, global) = &built[0];
+                    assert_eq!(clusters.trees, built[1].1.trees, "{key}: threads");
+                    assert_eq!(*global, built[1].2, "{key}: threads, global trees");
 
                     let mut scratch = SearchScratch::for_graph(&g);
-                    let bound = clusters.landmarks.bound_slice();
+                    let bound = landmarks.bound_slice();
                     for w in g.vertices() {
                         scratch.cluster_into(&g, w, bound);
                         let reference = TreeScheme::from_scratch(&g, &scratch).unwrap();
                         let tree = clusters.tree(w).unwrap();
                         assert_same_tree(&format!("{key}: T({w})"), &g, tree, &reference);
                     }
-                    let landmarks = clusters.landmarks.members();
+                    let landmarks = landmarks.members();
                     assert_eq!(global.len(), landmarks.len(), "{key}: one global tree a landmark");
                     for (i, &a) in landmarks.iter().enumerate() {
                         scratch.dijkstra_into(&g, a);
@@ -870,7 +862,7 @@ mod tests {
 
                     let [_, port] = SlotCodec::for_graph(&g).bytes().map(usize::from);
                     let (id, time) = (usize::from(bytes_for(n as u64)), usize::from(bytes_for(n as u64 + 1)));
-                    for forest in [&clusters.family.trees, global] {
+                    for forest in [&clusters.trees, global] {
                         let trees: Vec<TreeView> = forest.iter().collect();
                         let nodes: usize = trees.iter().map(|t| t.len()).sum();
                         let ids: usize = trees.iter().filter(|t| t.len() != n).map(|t| t.len()).sum();
@@ -883,7 +875,7 @@ mod tests {
                     let far = bunches.iter().map(|&(_, d)| d).max().unwrap_or(0);
                     let entry = id + usize::from(bytes_for(far + 1));
                     assert_eq!(clusters.bunches.entry_bytes(), entry, "{key}: bunch entries");
-                    let family_bytes = clusters.family.trees.heap_bytes()
+                    let family_bytes = clusters.trees.heap_bytes()
                         + 4 * (n + 1)
                         + entry * bunches.len()
                         + SLOT_PAD;
@@ -1030,21 +1022,23 @@ mod tests {
         let ell = params.scaled(4, 60);
         let thm10 = SchemeTwoPlusEps::build(&unit, &params, &mut ctx.rng()).unwrap();
         let mut rng = ctx.rng();
-        let (clusters, members) = Clusters::build(&unit, &mut rng).unwrap();
+        let (landmarks, _, members) = landmark_clusters(&unit, &mut rng).unwrap();
         let vic = Vicinities::balls(&unit, ell, BallDists::Keep);
         let direct = vic.colour(ell, 4, &params, &mut rng).unwrap();
         assert_same_vicinities("thm10", &thm10.vic, &direct);
-        assert_eq!(thm10.clusters.landmarks.members(), clusters.landmarks.members());
-        assert_reference_clusters("thm10", &unit, &thm10.clusters, &members);
+        let own: Vec<VertexId> = unit.vertices().filter(|&v| thm10.label_of(v).p_a == v).collect();
+        assert_eq!(own, landmarks.members(), "thm10: landmarks");
+        assert_reference_clusters("thm10", &unit, &landmarks, &thm10.clusters, &members);
 
         let thm11 = SchemeFivePlusEps::build(&weighted, &params, &mut ctx.rng()).unwrap();
         let mut rng = ctx.rng();
-        let (clusters, members) = Clusters::build(&weighted, &mut rng).unwrap();
+        let (landmarks, _, members) = landmark_clusters(&weighted, &mut rng).unwrap();
         let vic = Vicinities::balls(&weighted, ell, BallDists::Skip);
         let direct = vic.colour(ell, 4, &params, &mut rng).unwrap();
         assert_same_vicinities("thm11", &thm11.vic, &direct);
-        assert_eq!(thm11.clusters.landmarks.members(), clusters.landmarks.members());
-        assert_reference_clusters("thm11", &weighted, &thm11.clusters, &members);
+        let own: Vec<VertexId> = weighted.vertices().filter(|&v| thm11.label_of(v).p_a == v).collect();
+        assert_eq!(own, landmarks.members(), "thm11: landmarks");
+        assert_reference_clusters("thm11", &weighted, &landmarks, &thm11.clusters, &members);
 
         for family in Family::ALL {
             for weights in [WeightModel::Unit, WeightModel::Uniform { lo: 1, hi: 32 }] {
@@ -1052,9 +1046,9 @@ mod tests {
                     let g = family.generate(n, weights, &mut StdRng::seed_from_u64(n as u64));
                     for threads in [1, 4] {
                         routing_par::set_threads(threads);
-                        let built = Clusters::build(&g, &mut ctx.rng()).unwrap();
+                        let (landmarks, clusters, members) = landmark_clusters(&g, &mut ctx.rng()).unwrap();
                         let key = format!("{} {weights:?} n={n} x{threads}", family.name());
-                        assert_reference_clusters(&key, &g, &built.0, &built.1);
+                        assert_reference_clusters(&key, &g, &landmarks, &clusters, &members);
                     }
                 }
             }

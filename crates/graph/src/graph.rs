@@ -210,33 +210,6 @@ impl Graph {
         }
         count == n
     }
-
-    /// The normalized diameter `D = max_{u,v} d(u,v) / min_{u != v} d(u,v)`
-    /// computed from exact distances. Intended for tests and experiment
-    /// reporting on small graphs (runs `n` Dijkstras).
-    ///
-    /// Returns `None` if the graph has fewer than two vertices or is
-    /// disconnected.
-    pub fn normalized_diameter(&self) -> Option<f64> {
-        if self.n() < 2 {
-            return None;
-        }
-        let mut max_d: Weight = 0;
-        let mut min_d: Weight = INFINITY;
-        let mut search = crate::SearchScratch::for_graph(self);
-        for u in self.vertices() {
-            search.dijkstra_into(self, u);
-            for v in self.vertices() {
-                if v == u {
-                    continue;
-                }
-                let d = search.dist(v)?;
-                max_d = max_d.max(d);
-                min_d = min_d.min(d);
-            }
-        }
-        Some(max_d as f64 / min_d as f64)
-    }
 }
 
 /// Builder for [`Graph`]. Duplicate edges keep the smallest weight.
@@ -255,11 +228,6 @@ impl GraphBuilder {
     /// Number of vertices the graph will have.
     pub fn n(&self) -> usize {
         self.n
-    }
-
-    /// Number of edges added so far (before deduplication).
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
     }
 
     /// Adds the undirected edge `(u, v)` with weight `w`.
@@ -435,16 +403,6 @@ mod tests {
         let g = b.build();
         assert!(g.is_unweighted());
         assert_eq!(g.weight_range(), Some((1, 1)));
-    }
-
-    #[test]
-    fn normalized_diameter_of_path() {
-        let mut b = GraphBuilder::new(4);
-        b.add_unit_edge(0, 1).unwrap();
-        b.add_unit_edge(1, 2).unwrap();
-        b.add_unit_edge(2, 3).unwrap();
-        let g = b.build();
-        assert_eq!(g.normalized_diameter(), Some(3.0));
     }
 
     #[test]

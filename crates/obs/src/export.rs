@@ -153,7 +153,8 @@ fn span_text(node: &SpanNode, depth: usize, out: &mut String) {
 }
 
 /// Renders a span forest as an indented text tree (`name  total_ms  xcount`
-/// per line) — the human-readable end-of-run dump of the bench binaries.
+/// per line). No binary calls it: the benchmark reads
+/// [`report`](crate::report) directly.
 pub fn spans_text(forest: &[SpanNode]) -> String {
     let mut out = String::new();
     for node in forest {

@@ -12,19 +12,23 @@
 //! `O(s log n)` such that every cluster has at most `4n/s` vertices.
 //! [`sample_centers_bounded`] implements the iterative resampling algorithm
 //! that guarantees the cluster bound deterministically (it keeps adding
-//! centers until every cluster is small enough).
+//! centers until every cluster is small enough); the [`Landmarks`] it
+//! returns keep its last round's nearest-landmark search.
 
 use rand::Rng;
 
-use routing_graph::{Graph, SearchScratch, VertexId, Weight, INFINITY};
+use routing_graph::codec::bytes_for;
+use routing_graph::{Graph, PackedColumn, SearchScratch, SlotCodec, VertexId, Weight, INFINITY};
 
-/// A landmark set `A` together with the nearest-landmark data of every
-/// vertex.
+/// A landmark set `A` with what one nearest-landmark search over it finds:
+/// `d(v, A)` and `[p_A(v), z]` a vertex, `z` the first vertex after
+/// `p_A(v)` on the search's shortest path to `v` — Theorem 11's first
+/// edge —, packed at the id width, the sentinel where there is none.
 #[derive(Debug, Clone)]
 pub struct Landmarks {
     members: Vec<VertexId>,
     dist: Vec<Weight>,
-    nearest: Vec<Option<VertexId>>,
+    nearest: PackedColumn<2>,
 }
 
 impl Landmarks {
@@ -36,13 +40,21 @@ impl Landmarks {
         members.dedup();
         let mut search = SearchScratch::for_graph(g);
         search.multi_source_into(g, &members);
-        let nearest = g.vertices().map(|v| search.nearest(v)).collect();
+        let id = bytes_for(g.n() as u64);
+        let mut nearest = PackedColumn::with_capacity(SlotCodec::new([id, id]), g.n());
+        let field = |x: Option<VertexId>| x.map_or(u32::MAX, |x| x.0);
+        g.vertices().for_each(|v| nearest.push([field(search.nearest(v)), field(search.first_hop(v))]));
         Landmarks { dist: search.dist_row(g.n()), members, nearest }
     }
 
     /// The landmark vertices, sorted by id.
     pub fn members(&self) -> &[VertexId] {
         &self.members
+    }
+
+    /// The landmark vertices, sorted by id, without the search's record.
+    pub fn into_members(self) -> Vec<VertexId> {
+        self.members
     }
 
     /// Number of landmarks.
@@ -62,7 +74,17 @@ impl Landmarks {
 
     /// The nearest landmark `p_A(v)`, if any; none for `v` outside `0..n`.
     pub fn nearest(&self, v: VertexId) -> Option<VertexId> {
-        self.nearest.get(v.index()).copied().flatten()
+        self.field(v, 0)
+    }
+
+    /// The first vertex after `p_A(v)` on a shortest path from it to `v`;
+    /// none at a landmark, an unreached vertex or `v` outside `0..n`.
+    pub fn first_hop(&self, v: VertexId) -> Option<VertexId> {
+        self.field(v, 1)
+    }
+
+    fn field(&self, v: VertexId, i: usize) -> Option<VertexId> {
+        Some(self.nearest.get::<u32>(v.index())?[i]).filter(|&x| x != u32::MAX).map(VertexId)
     }
 
     /// The per-vertex bound slice `d(·, A)` a cluster search
@@ -98,7 +120,7 @@ pub fn sample_centers_bounded<R: Rng>(g: &Graph, s: usize, rng: &mut R) -> Landm
             // Force progress: add the smallest-id violating vertex.
             newly.push(w[0]);
         }
-        let mut a = last.take().map_or_else(Vec::new, |l| l.members);
+        let mut a = last.take().map_or_else(Vec::new, Landmarks::into_members);
         a.reserve_exact(newly.len());
         a.extend(newly);
         let landmarks = last.insert(Landmarks::new(g, a));
@@ -165,21 +187,6 @@ pub fn bunches(g: &Graph, clusters: &[Vec<(VertexId, Weight)>]) -> Vec<Vec<(Vert
     out
 }
 
-/// Convenience: the largest cluster size for a landmark set.
-pub fn max_cluster_size(g: &Graph, landmarks: &Landmarks) -> usize {
-    routing_par::par_map_scratch(
-        g.n(),
-        || SearchScratch::for_graph(g),
-        |scratch, w| {
-            scratch.cluster_into(g, VertexId(w as u32), landmarks.bound_slice());
-            scratch.order().len()
-        },
-    )
-    .into_iter()
-    .max()
-    .unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,6 +219,64 @@ mod tests {
         assert_eq!(lm.dist_to_set(VertexId(2)), None);
         assert_eq!(lm.nearest(VertexId(2)), None);
         assert!(lm.bound_slice().iter().all(|&d| d == INFINITY));
+    }
+
+    /// The record equals the search it keeps: `p_A(v)` and `d(v, A)` those
+    /// of the reference multi-source Dijkstra, and every reached
+    /// non-landmark `v` a first hop `z` adjacent to `a = p_A(v)` with
+    /// `w(a, z) + d(z, v) = d(a, v)`, `d(a, v)` from `dijkstra_into(a)`; a
+    /// landmark or an unreached vertex has none. Unit, tie-heavy, geometric
+    /// and grid graphs, two components with every landmark in the first,
+    /// and the empty set; ids are packed at 1 byte a field up to 255
+    /// vertices, 2 up to 65,535 and 3 on a grid of 65,600.
+    #[test]
+    fn the_record_equals_the_reference_search() {
+        use generators::WeightModel::{Uniform, Unit};
+        let mut r = rng();
+        let mut halves = routing_graph::GraphBuilder::new(40);
+        for i in (1..40).filter(|&i| i != 20) {
+            halves.add_unit_edge(i - 1, i).unwrap();
+        }
+        let landmarks = |n: u32| (3..n).step_by(11).map(VertexId).collect::<Vec<_>>();
+        let cases = [
+            (generators::erdos_renyi(300, 0.02, Unit, &mut r), landmarks(300)),
+            (generators::erdos_renyi(300, 0.02, Uniform { lo: 1, hi: 2 }, &mut r), landmarks(300)),
+            (generators::random_geometric(300, 0.1, Uniform { lo: 1, hi: 8 }, &mut r), landmarks(300)),
+            (generators::grid(15, 20), landmarks(300)),
+            (halves.build(), landmarks(20)),
+            (generators::grid(6, 6), Vec::new()),
+        ];
+        let mut full = SearchScratch::for_graph(&cases[0].0);
+        for (g, set) in &cases {
+            let lm = Landmarks::new(g, set.clone());
+            let id = if g.n() <= 255 { 1 } else { 2 };
+            assert_eq!(lm.nearest.codec().bytes(), [id, id], "id width at n = {}", g.n());
+            let (dist, nearest) = routing_graph::reference::multi_source_alloc(g, set);
+            let exact = routing_graph::apsp::DistanceMatrix::new(g);
+            for v in g.vertices() {
+                assert_eq!(lm.nearest(v), nearest[v.index()], "p_A({v})");
+                assert_eq!(lm.dist_to_set(v), Some(dist[v.index()]).filter(|&d| d != INFINITY));
+                let Some(a) = lm.nearest(v).filter(|&a| a != v) else {
+                    assert_eq!(lm.first_hop(v), None, "landmark or unreached {v}");
+                    continue;
+                };
+                let z = lm.first_hop(v).expect("a reached non-landmark has a first hop");
+                let w = g.edge_weight(a, z).unwrap_or_else(|| panic!("{z} is not adjacent to {a}"));
+                full.dijkstra_into(g, a);
+                assert_eq!(full.dist(v), lm.dist_to_set(v), "d({a}, {v})");
+                assert_eq!(exact.dist(z, v).map(|d| w + d), full.dist(v), "{a} -> {z} -> {v}");
+            }
+            assert_eq!(lm.first_hop(VertexId(g.n() as u32)), None, "no vertex");
+        }
+        let g = generators::grid(328, 200);
+        let set: Vec<VertexId> = (0..g.n() as u32).step_by(97).map(VertexId).collect();
+        let lm = Landmarks::new(&g, set.clone());
+        assert_eq!(lm.nearest.codec().bytes(), [3, 3], "id width at n = {}", g.n());
+        let (dist, nearest) = routing_graph::reference::multi_source_alloc(&g, &set);
+        for v in g.vertices() {
+            assert_eq!((lm.nearest(v), lm.dist_to_set(v)), (nearest[v.index()], Some(dist[v.index()])));
+            assert_eq!(lm.first_hop(v).is_some(), nearest[v.index()] != Some(v), "first hop of {v}");
+        }
     }
 
     #[test]
@@ -274,7 +339,7 @@ mod tests {
         let s = 12;
         let lm = sample_centers_bounded(&g, s, &mut r);
         let limit = (4 * g.n()).div_ceil(s);
-        assert!(max_cluster_size(&g, &lm) <= limit);
+        assert!(all_clusters(&g, &lm).iter().all(|c| c.len() <= limit));
         assert!(!lm.is_empty());
         // The set should be far from the whole vertex set.
         assert!(lm.len() < g.n() / 2, "landmark set unexpectedly large: {}", lm.len());
@@ -286,6 +351,6 @@ mod tests {
         let mut r = rng();
         let lm = sample_centers_bounded(&g, 1, &mut r);
         let limit = 4 * g.n();
-        assert!(max_cluster_size(&g, &lm) <= limit);
+        assert!(all_clusters(&g, &lm).iter().all(|c| c.len() <= limit));
     }
 }

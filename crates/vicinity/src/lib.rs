@@ -24,9 +24,11 @@
 //!   landmark set `A` of expected size `Õ(n/s)` such that every cluster
 //!   `C_A(w) = {v : d(w, v) < d(v, A)}` has at most `4n/s` vertices
 //!   ([`sample_centers_bounded`]), plus the derived bunches
-//!   `B(v) = {w : d(v, w) < d(v, A)}`, clusters, and nearest-landmark data
-//!   `(p_A(v), d(v, A))` ([`Landmarks`]). These drive the `(5+ε)` scheme of
-//!   Theorem 11 and the Thorup–Zwick baselines.
+//!   `B(v) = {w : d(v, w) < d(v, A)}`, clusters, and what one
+//!   nearest-landmark search finds ([`Landmarks`]): `d(v, A)` and, packed
+//!   at the id width, `p_A(v)` with the first hop out of it towards `v`.
+//!   These drive the schemes of Theorems 10 and 11 and the Thorup–Zwick
+//!   baselines.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
