@@ -206,6 +206,23 @@ fn ladder_codec(n: usize, far: Weight, light: usize) -> SlotCodec<4> {
     SlotCodec::new([id, bytes_for(far.saturating_add(1)), id, bytes_for(light as u64 + 1)])
 }
 
+/// `v`'s pivots `(p_i(v), d(v, A_i))` for `i` in `0..k`, the levels above
+/// 0 being `upper`, into `out`: `(v, 0)` at level 0, the nearest landmark
+/// of each level above (`(v, INFINITY)` where none is reached), and under
+/// Thorup–Zwick's tie inheritance — when `d(v, A_i) = d(v, A_{i+1})` the
+/// higher level's pivot, so that `v` lies in the cluster of each of its
+/// pivots.
+fn pivots_into(upper: &[Landmarks], v: VertexId, out: &mut Vec<(VertexId, Weight)>) {
+    out.clear();
+    out.push((v, 0));
+    out.extend(upper.iter().map(|a| (a.nearest(v).unwrap_or(v), a.dist_to_set(v).unwrap_or(INFINITY))));
+    for i in (1..out.len().saturating_sub(1)).rev() {
+        if out[i].1 == out[i + 1].1 {
+            out[i] = out[i + 1];
+        }
+    }
+}
+
 impl TzHierarchy {
     /// Builds the hierarchy for parameter `k ≥ 2`: [`TzLevels::sample`],
     /// then [`TzHierarchy::from_levels`].
@@ -219,9 +236,10 @@ impl TzHierarchy {
         Self::from_levels(g, TzLevels::sample(g, k, rng)?)
     }
 
-    /// Finishes the hierarchy over levels sampled for `g`: pivots, the
-    /// cluster family and the ladder rows. Draws nothing, so a caller may
-    /// run other builds between sampling the levels and finishing them.
+    /// Finishes the hierarchy over levels sampled for `g`: the cluster
+    /// family and the ladder rows, whose pivots are read off the levels'
+    /// landmarks a vertex at a time. Draws nothing, so a caller may run
+    /// other builds between sampling the levels and finishing them.
     ///
     /// A level-0 root keeps the label of every member of its cluster, which
     /// Lemma 4 bounds by `4n^{1/k}`; any other root keeps none
@@ -246,25 +264,6 @@ impl TzHierarchy {
             }
         }
 
-        let span_pivots = routing_obs::span("pivots");
-        let mut pivots = vec![g.vertices().map(|v| (v, 0)).collect::<Vec<_>>()];
-        pivots.extend(upper.iter().map(|a| {
-            g.vertices()
-                .map(|v| (a.nearest(v).unwrap_or(v), a.dist_to_set(v).unwrap_or(INFINITY)))
-                .collect()
-        }));
-        // Tie inheritance (Thorup–Zwick): when d(v, A_i) = d(v, A_{i+1}) use
-        // the higher-level pivot, so that v is guaranteed to lie in the
-        // cluster of each of its pivots.
-        for i in (1..k - 1).rev() {
-            for v in 0..n {
-                if pivots[i][v].1 == pivots[i + 1][v].1 {
-                    pivots[i][v] = pivots[i + 1][v];
-                }
-            }
-        }
-        drop(span_pivots);
-
         // The cluster of a level-`i` root is bounded by `d(·, A_{i+1})`; the
         // top level's is unbounded. Only a level-0 root keeps its members'
         // labels.
@@ -275,14 +274,16 @@ impl TzHierarchy {
             |w| if level_of[w.index()] == 0 { Labels::Keep } else { Labels::Drop },
         )?;
 
-        // One row per vertex: its pivots beside its labels in their trees,
-        // whose light ports go to a column of their own.
+        // One row per vertex: its pivots, read off the levels' landmarks,
+        // beside its labels in their trees, whose light ports go to a
+        // column of their own.
         let _span = routing_obs::span("ladder");
         let mut ladder_light = PackedColumn::new(SlotCodec::for_graph(g));
-        let (mut labels, mut ports) = (Vec::with_capacity(n * k), Vec::new());
+        let (mut labels, mut ports, mut rungs) = (Vec::with_capacity(n * k), Vec::new(), Vec::with_capacity(k));
         for v in g.vertices() {
-            for level in &pivots {
-                let tree = clusters.tree(level[v.index()].0);
+            pivots_into(&upper, v, &mut rungs);
+            for &(p, _) in &rungs {
+                let tree = clusters.tree(p);
                 let tin = match tree.and_then(|t| t.label_in_graph(g, v, &mut ports)) {
                     Some(tin) => {
                         ports.iter().for_each(|&(t, port)| ladder_light.push([t, port.0]));
@@ -297,11 +298,17 @@ impl TzHierarchy {
             }
         }
         ladder_light.shrink_to_fit();
-        let far = pivots.iter().flatten().map(|&(_, d)| d).filter(|&d| d != INFINITY).max().unwrap_or(0);
+        // Tie inheritance moves pivots, never distances: the farthest pivot
+        // is the farthest landmark of any level.
+        let reached = g.vertices().flat_map(|v| upper.iter().filter_map(move |a| a.dist_to_set(v)));
+        let far = reached.max().unwrap_or(0);
         let mut ladder = PackedColumn::with_capacity(ladder_codec(n, far, ladder_light.len()), n * k);
-        let rungs = g.vertices().flat_map(|v| pivots.iter().map(move |level| level[v.index()]));
-        for ((p, d), [tin, end]) in rungs.zip(labels) {
-            ladder.push([u64::from(p.0), d, tin.into(), end.into()]);
+        let mut labels = labels.into_iter();
+        for v in g.vertices() {
+            pivots_into(&upper, v, &mut rungs);
+            for (&(p, d), [tin, end]) in rungs.iter().zip(labels.by_ref()) {
+                ladder.push([u64::from(p.0), d, tin.into(), end.into()]);
+            }
         }
         Ok(TzHierarchy { k, ladder, ladder_light, level_of, clusters })
     }

@@ -65,7 +65,7 @@ use routing_graph::scratch::BFS_BATCH_WIDTH;
 use routing_graph::{BfsBatch, Graph, PackedColumn, SearchScratch, SlotCodec, VertexId, SLOT_PAD};
 use routing_model::{simulate, simulate_lean, simulate_lean_with_label, DynScheme, ErasedLabel};
 use routing_serve::{EngineConfig, ShardedEngine};
-use routing_vicinity::{sample_centers_bounded, BallDists, BallTable};
+use routing_vicinity::{sample_centers_bounded, BallDists, BallEncoding, BallTable};
 
 routing_bench::counting_allocator!(CountingAlloc);
 
@@ -343,30 +343,45 @@ fn table_beside_ports(g: &Graph, members: usize, dists: BallDists) -> usize {
 }
 
 /// What a ball build holds beside its final arrays: one block of
-/// per-vertex search results at `slot_bytes` a slot, with their distances
-/// if `dists` keeps them, and `workspace`, the bytes of one worker's search
-/// workspace.
-fn ball_block(g: &Graph, ell: usize, dists: BallDists, slot_bytes: usize, workspace: u64) -> usize {
+/// per-vertex search results with their ports in `encoding`, with their
+/// distances if `dists` keeps them, and `workspace`, the bytes of one
+/// worker's search workspace.
+fn ball_block(g: &Graph, ell: usize, dists: BallDists, encoding: BallEncoding, workspace: u64) -> usize {
     /// `balls.rs`'s block count: results are appended a sixteenth at a
     /// time, on unit weights in whole batches of 64 centres.
     const BLOCKS: usize = 16;
     let n = g.n();
     // One ball as a search result: its member ids and, if the table keeps
-    // them, their distances, both at the table's width, and its hashed
-    // region of at most `⌈4ℓ/3⌉ + ℓ + 1` slots at the table's width, each
-    // array closed by its pad; and the record that holds the three.
+    // them, their distances, both at the table's width, each array closed
+    // by its pad; its ports; and the record that holds them. Hashed, the
+    // ports are a region of at most `⌈4ℓ/3⌉ + ℓ + 1` slots at the table's
+    // width and its pad, and the worker hashes into one region of 8-byte
+    // unpacked slots as scratch; as a bitmap, a boxed record of `⌈n/64⌉`
+    // 8-byte blocks, their member counts at the id width and `min(ℓ, n)`
+    // ports at the port width, the last two closed by their pads. Either
+    // way the worker first lists the ball's `ℓ` members as 8-byte slots.
     let (id, dist) = member_widths(g, dists);
-    let region = (4 * ell).div_ceil(3) + ell + 1;
+    let [id_bytes, port_bytes] = SlotCodec::for_graph(g).bytes().map(usize::from);
+    let (ports, region) = match encoding {
+        BallEncoding::Hashed => {
+            let region = (4 * ell).div_ceil(3) + ell + 1;
+            ((id_bytes + port_bytes) * region + SLOT_PAD, region)
+        }
+        BallEncoding::Bitmap => {
+            let blocks = n.div_ceil(64);
+            let boxed = std::mem::size_of::<(Vec<u64>, PackedColumn<1>, PackedColumn<1>)>();
+            ((8 + id_bytes) * blocks + port_bytes * ell.min(n) + 2 * SLOT_PAD + boxed, 0)
+        }
+    };
+    let scratch = 8 * (ell + region);
     let record = std::mem::size_of::<(PackedColumn<1>, Option<PackedColumn<1>>, PackedColumn<2>, u64)>();
-    let ball = (id + dist) * ell + slot_bytes * region + 3 * SLOT_PAD + record;
+    let ball = (id + dist) * ell + 2 * SLOT_PAD + ports + record;
     let balls = if g.is_unweighted() {
         n.div_ceil(BLOCKS).next_multiple_of(BFS_BATCH_WIDTH)
     } else {
         n.div_ceil(BLOCKS)
     };
-    // The worker keeps one region of 8-byte unpacked slots as scratch beside
-    // its search workspace.
-    balls * ball + 8 * region + workspace as usize
+    balls * ball + scratch + workspace as usize
 }
 
 /// `BallTable::build_with_dists(g, ell, dists)` peaks at no more than the
@@ -374,7 +389,7 @@ fn ball_block(g: &Graph, ell: usize, dists: BallDists, slot_bytes: usize, worksp
 /// its members at the graph's width ([`table_beside_ports`]).
 fn assert_ball_build_within_a_block(g: &Graph, ell: usize, dists: BallDists, workspace: u64) {
     let (peak, table) = peak_bytes_in(|| BallTable::build_with_dists(g, ell, dists));
-    let block = ball_block(g, ell, dists, table.slot_bytes(), workspace);
+    let block = ball_block(g, ell, dists, table.encoding(), workspace);
     let kept = table.heap_bytes();
     assert!(
         peak as usize <= kept + block,
@@ -466,11 +481,11 @@ fn assert_multilevel_build_peak() {
     drop(scheme);
     let table = BallTable::build_with_dists(&g, ell, BallDists::Skip);
     let members: usize = g.vertices().map(|u| table.ball(u).len()).sum();
-    let slot_bytes = table.slot_bytes();
+    let encoding = table.encoding();
     let ports = table.into_ports().heap_bytes() as u64;
     let full = ports + table_beside_ports(&g, members, BallDists::Skip) as u64;
     let workspace = ball_run_workspace(&g, ell);
-    let ball_build = full + ball_block(&g, ell, BallDists::Skip, slot_bytes, workspace) as u64;
+    let ball_build = full + ball_block(&g, ell, BallDists::Skip, encoding, workspace) as u64;
     let (peak, _scheme) = peak_bytes_in(build);
     // The greedy holds a count (8 bytes) a vertex, a flag a set and its
     // picks, and the sets are one 16-byte view a vertex.
@@ -595,11 +610,11 @@ fn assert_thm10_build_peak() {
     drop(scheme);
     let table = BallTable::build_with_dists(&g, ell, BallDists::Keep);
     let members: usize = g.vertices().map(|u| table.ball(u).len()).sum();
-    let slot_bytes = table.slot_bytes();
+    let encoding = table.encoding();
     let ports = table.into_ports().heap_bytes() as u64;
     let full = ports + table_beside_ports(&g, members, BallDists::Keep) as u64;
     let workspace = ball_run_workspace(&g, ell);
-    let ball_build = full + ball_block(&g, ell, BallDists::Keep, slot_bytes, workspace) as u64;
+    let ball_build = full + ball_block(&g, ell, BallDists::Keep, encoding, workspace) as u64;
     let bound = ball_build.max(full + kept - ports + lemma7);
     assert!(
         peak <= bound,
@@ -634,10 +649,10 @@ fn assert_thm16_build_peak(g: &Graph, ell: usize, workspace: u64) {
     let kept = scheme.vicinity_heap_bytes() as u64;
     let a1: Vec<VertexId> = g.vertices().filter(|&v| scheme.hierarchy().level_of(v) >= 1).collect();
     let (ports, lists) = vicinities(g, ell, &a1).expect("vicinities");
-    let (entries, slot_bytes) = (lists.len(), ports.slot_bytes());
+    let (entries, encoding) = (lists.len(), ports.encoding());
     assert_eq!(kept as usize, ports.heap_bytes() + lists.heap_bytes(), "the vicinities");
     let (ports, lists) = (ports.heap_bytes() as u64, lists.heap_bytes() as u64);
-    let block = ball_block(g, ell, BallDists::Keep, slot_bytes, workspace) as u64;
+    let block = ball_block(g, ell, BallDists::Keep, encoding, workspace) as u64;
     let transient = block.max(8 * n as u64) + 32 * entries as u64 + 9 * n as u64;
     let vicinities = levels_bytes + kept + transient;
     let bound = sampling.max(vicinities).max(levels_bytes + kept + hierarchy);
@@ -652,10 +667,12 @@ fn assert_thm16_build_peak(g: &Graph, ell: usize, workspace: u64) {
 
 /// `TzHierarchy::from_levels` at k = 3 on the `t2-geo-direct` graph peaks
 /// at no more than what it keeps, the cluster members packed at the
-/// graph's width, one round of tree and member chunks, and the pivots
-/// (16 bytes a vertex a level). The forest and the members are appended a
-/// round of roots at a time, so the chunks of every round appended at once
-/// (a second forest), or members kept as 16-byte pairs, sit over it.
+/// graph's width, one round of tree and member chunks, and the rungs'
+/// labels (8 bytes a vertex a level), which come after the members are
+/// dropped; the pivots are read off the levels' landmarks, with no copy.
+/// The forest and the members are appended a round of roots at a time, so
+/// the chunks of every round appended at once (a second forest), or
+/// members kept as 16-byte pairs, sit over it.
 fn assert_hierarchy_build_peak(g: &Graph) {
     /// `stages.rs`'s round count.
     const ROUNDS: usize = 8;
@@ -695,12 +712,12 @@ fn assert_hierarchy_build_peak(g: &Graph) {
     let round_chunks = (largest.unwrap_or(0) + 512 * blocks) as u64;
     let entries: usize = g.vertices().map(|v| clusters.bunch(v).count()).sum();
     let members = (member * entries + 4 * (n + 1) + 8) as u64;
-    let pivots = (16 * n * K) as u64;
-    let bound = kept + members + round_chunks + pivots;
+    let labels = (8 * n * K) as u64;
+    let bound = kept + (members + round_chunks).max(labels);
     assert!(
         peak <= bound,
         "the k = {K} hierarchy peaked at {peak} bytes over a bound of {bound}: kept {kept}, \
-         members {members}, one round of chunks {round_chunks}, pivots {pivots}"
+         members {members}, one round of chunks {round_chunks}, labels {labels}"
     );
 }
 

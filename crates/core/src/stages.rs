@@ -724,7 +724,8 @@ mod tests {
     /// before [`Vicinities::retain`]: the same ports, and of the vicinities
     /// nothing but the packed `[member, port]` slots, within the budget
     /// `balls.rs` pins for them (`⌈4w/3⌉` bytes a member at `w` bytes a
-    /// slot, 32 a vertex), a colour a vertex in the bytes `q` needs and a
+    /// slot, 32 a vertex; a rank bitmap is taken only where it is smaller
+    /// still), a colour a vertex in the bytes `q` needs and a
     /// representative a (vertex, colour) pair at the id width, and the two
     /// colour columns' pads.
     fn assert_same_vicinities(key: &str, kept: &Vicinities, direct: &Vicinities<BallTable>) {

@@ -740,21 +740,10 @@ impl SearchScratch {
         true
     }
 
-    /// Writes the full distance row of the last search into `out`
-    /// (`INFINITY` for unreached vertices). `out` must have one slot per
-    /// graph vertex.
-    pub fn write_dist_row(&self, out: &mut [Weight]) {
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = if self.stamp[i] == self.epoch { self.dist[i] } else { INFINITY };
-        }
-    }
-
     /// The full distance row of the last search as a fresh vector
     /// (`INFINITY` for unreached vertices), sized like the graph searched.
     pub fn dist_row(&self, n: usize) -> Vec<Weight> {
-        let mut row = vec![INFINITY; n];
-        self.write_dist_row(&mut row);
-        row
+        (0..n).map(|i| if self.stamp.get(i) == Some(&self.epoch) { self.dist[i] } else { INFINITY }).collect()
     }
 }
 
@@ -1832,9 +1821,7 @@ mod tests {
         let mut s = SearchScratch::new(5);
         s.dijkstra_into(&g, VertexId(0));
         assert_eq!(s.dist_row(3), vec![0, 1, 2]);
-        let mut row = vec![0; 3];
-        s.write_dist_row(&mut row);
-        assert_eq!(row, vec![0, 1, 2]);
+        assert_eq!(s.dist_row(5), vec![0, 1, 2, INFINITY, INFINITY], "unreached vertices");
         assert!(s.is_settled(VertexId(2)));
         assert_eq!(s.n(), 5);
     }

@@ -201,8 +201,7 @@ fn check_graph(g: &Graph, stride: usize) {
     let mut scratch = SearchScratch::for_graph(g);
     let sample: Vec<VertexId> = g.vertices().step_by(stride.max(2)).collect();
     scratch.multi_source_into(g, &sample);
-    let mut bound: Vec<Weight> = vec![INFINITY; g.n()];
-    scratch.write_dist_row(&mut bound);
+    let bound: Vec<Weight> = scratch.dist_row(g.n());
 
     for root in g.vertices().step_by(stride) {
         scratch.dijkstra_into(g, root);

@@ -14,15 +14,29 @@
 //! `HashMap` per vertex, and it is split by who reads it.
 //!
 //! * [`BallPorts`] is what Lemma 2 *forwarding* reads, and all that every
-//!   built scheme retains of its vicinities: per vertex one static
-//!   open-addressing region of `[member, port]` slots at load ≤ 3/4, its
-//!   members placed in ascending hash order, so [`BallPorts::contains`] and
-//!   [`BallPorts::first_port`] are one probe of about two adjacent slots,
-//!   for members and non-members alike (see `docs/ARCHITECTURE.md`, "Search
-//!   kernel & memory layout"). A slot is packed at the graph's width: the
-//!   id in the fewest bytes that hold `n`, the port in the fewest that hold
-//!   the largest degree. That is 3 bytes on graphs of up to 65,535
-//!   vertices and degree 255, about 4 bytes a member.
+//!   built scheme retains of its vicinities, in one of two encodings of
+//!   the same map from member to port ([`BallEncoding`]):
+//!   - **hashed**: per vertex one static open-addressing region of
+//!     `[member, port]` slots at load ≤ 3/4, its members placed in
+//!     ascending hash order, so [`BallPorts::contains`] and
+//!     [`BallPorts::first_port`] are one probe of about two adjacent slots,
+//!     for members and non-members alike (see `docs/ARCHITECTURE.md`,
+//!     "Ball slot table"). A slot is packed at the graph's width: the id in
+//!     the fewest bytes that hold `n`, the port in the fewest that hold the
+//!     largest degree. That is 3 bytes on graphs of up to 65,535 vertices
+//!     and degree 255, about 4 bytes a member and 16 a vertex;
+//!   - **rank bitmap**: per vertex `⌈n/64⌉` blocks of 64 membership bits,
+//!     each with the count of members before it at the id width, and then
+//!     `min(ℓ, n)` ports at the port width, the members' in id order. A
+//!     lookup is one bit test, and for a member one popcount and one port
+//!     read: `n/8` bytes and `⌈n/64⌉` counts a vertex, and a port a member.
+//!
+//!   The build takes whichever has fewer bytes, computed from `n`, `ℓ` and
+//!   the widths before any search runs ([`BallEncoding::for_balls`]), and
+//!   packs the ports straight into it. At 2-byte ids and 1-byte ports that
+//!   is the bitmap once `ℓ` passes about `n/20`: Theorems 13 and 15 and the
+//!   warmup on `t1-er-direct`, not the `t2` or serve graphs. No option
+//!   chooses it.
 //!   Theorem 16 keeps, beside it, the distances to the members in its first
 //!   hierarchy level: [`BallPorts::build_visiting`] hands it every ball's
 //!   members and distances, a block of balls at a time, while it builds the
@@ -51,9 +65,10 @@
 //! ([`BfsBatch::run_balls`], each lane retiring once it holds `ℓ` vertices),
 //! otherwise one *bounded* Dijkstra per centre
 //! ([`SearchScratch::ball_into`], which stops after `ℓ` settled vertices).
-//! Both feed one slot-fill routine, and the results are appended to the
-//! final arrays a block of consecutive centres at a time, so the build never
-//! holds a second copy of more than one block. [`BallPorts::build_visiting`]
+//! Both feed one fill routine, which packs each ball's ports in the
+//! table's encoding, and the results are appended to the final arrays a
+//! block of consecutive centres at a time, so the build never holds a
+//! second copy of more than one block. [`BallPorts::build_visiting`]
 //! shows each block's members to its caller as it is appended and keeps
 //! none of them.
 
@@ -61,7 +76,7 @@ use std::ops::{Deref, Range};
 
 use routing_graph::codec::bytes_for;
 use routing_graph::scratch::{BfsBatch, SearchScratch, BFS_BATCH_WIDTH};
-use routing_graph::{Graph, PackedColumn, PackedView, Port, SlotCodec, VertexId, Weight};
+use routing_graph::{Graph, PackedColumn, PackedView, Port, SlotCodec, VertexId, Weight, SLOT_PAD};
 
 /// Sentinel port stored for the ball's center (which has no first hop).
 const NO_PORT: Port = Port(u32::MAX);
@@ -122,20 +137,142 @@ struct Region {
     members: u32,
 }
 
+/// How a [`BallPorts`] stores its map from member to port. A build takes
+/// the encoding of fewer bytes ([`BallEncoding::for_balls`]), decided from
+/// `n`, `ℓ` and the graph's widths before any search runs; both answer
+/// every query alike.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BallEncoding {
+    /// Per vertex one open-addressing region of `[member, port]` slots at
+    /// load ≤ 3/4: about `4/3` of a slot a member, and a 16-byte region
+    /// entry a vertex.
+    Hashed,
+    /// Per vertex a rank bitmap over `0..n` — `⌈n/64⌉` blocks of 64
+    /// membership bits, each with the count of members before it at the id
+    /// width — and then `min(ℓ, n)` ports, the members' in id order: `n/8`
+    /// bytes and `⌈n/64⌉` counts a vertex, and a port a member.
+    Bitmap,
+}
+
+impl BallEncoding {
+    /// Bytes a table of the balls `B(u, ℓ)` of `n` vertices takes in this
+    /// encoding when every ball holds `min(ℓ, n)` members, `codec` the
+    /// `[id, port]` widths of the graph ([`SlotCodec::for_graph`]). Exact
+    /// for a bitmap; a lower bound for a hashed table, whose runs may spill
+    /// past a region's `⌈4ℓ/3⌉` slots.
+    pub fn bytes(self, n: usize, ell: usize, codec: SlotCodec<2>) -> usize {
+        let stride = ell.max(1).min(n);
+        let [id, port] = codec.bytes().map(usize::from);
+        match self {
+            BallEncoding::Hashed => {
+                std::mem::size_of::<Region>() * (n + 1) + codec.width() * n * slot_cap(stride) + SLOT_PAD
+            }
+            BallEncoding::Bitmap => {
+                let blocks = n * n.div_ceil(64);
+                std::mem::size_of::<RankBitmap>() + (8 + id) * blocks + port * n * stride + 2 * SLOT_PAD
+            }
+        }
+    }
+
+    /// The encoding of fewer [`bytes`](Self::bytes), the hashed one on a
+    /// tie: a rank bitmap once balls hold more than about a twentieth of
+    /// the graph.
+    pub fn for_balls(n: usize, ell: usize, codec: SlotCodec<2>) -> Self {
+        let bitmap = BallEncoding::Bitmap.bytes(n, ell, codec);
+        if bitmap < BallEncoding::Hashed.bytes(n, ell, codec) {
+            BallEncoding::Bitmap
+        } else {
+            BallEncoding::Hashed
+        }
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// The encoding ball builds on this thread take whatever its bytes, so
+    /// that tests can pin the two encodings to each other.
+    static FORCED: std::cell::Cell<Option<BallEncoding>> = const { std::cell::Cell::new(None) };
+}
+
+/// The rank of member `v` among the members of a bitmap in id order, where
+/// `block` holds `v`'s bit in `bits` and the count of members before it in
+/// `ranks`: one bit test, one popcount. `None` if `v` is not a member.
+#[inline(always)]
+fn member_rank(bits: &[u64], ranks: &PackedColumn<1>, block: usize, v: u32) -> Option<usize> {
+    let word = *bits.get(block)?;
+    let below = (1u64 << (v % 64)) - 1;
+    if word >> (v % 64) & 1 == 0 {
+        return None;
+    }
+    let [before] = ranks.get::<u32>(block)?;
+    Some(before as usize + (word & below).count_ones() as usize)
+}
+
+/// The map from member to port of a [`BallPorts`], in its encoding.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum PortMap {
+    /// [`BallEncoding::Hashed`].
+    Hashed {
+        /// One entry per vertex, and a closing one of no members that
+        /// starts where the slots end: the region of `u` is
+        /// `regions[u].start..regions[u + 1].start`.
+        regions: Vec<Region>,
+        /// Per vertex: its members in ascending [`slot_hash`] order, each
+        /// at `max(home, previous + 1)`, never wrapping; the region's last
+        /// slot is always empty ([`EMPTY_KEY`]).
+        slots: PackedColumn<2>,
+    },
+    /// [`BallEncoding::Bitmap`], boxed so that a hashed table stays the
+    /// size of its two arrays.
+    Bitmap(Box<RankBitmap>),
+}
+
+/// The rank-bitmap encoding of a [`BallPorts`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct RankBitmap {
+    n: usize,
+    /// `⌈n/64⌉`: the blocks of `u` are `u·blocks..(u + 1)·blocks`.
+    blocks: usize,
+    /// `min(ℓ, n)`: the ports of `u` start at `u·stride`.
+    stride: usize,
+    /// Per vertex and block, bit `v mod 64` of block `⌊v/64⌋` is set iff
+    /// `v ∈ B(u, ℓ)`.
+    bits: Vec<u64>,
+    /// Parallel to `bits`: the members in the vertex's earlier blocks, at
+    /// the id width.
+    ranks: PackedColumn<1>,
+    /// Per vertex `stride` ports at the port width, its members' in id
+    /// order ([`NO_PORT`] for the centre), then zeros where the ball is
+    /// shorter than `ℓ`.
+    ports: PackedColumn<1>,
+}
+
+impl RankBitmap {
+    /// The port stored for member `v` of `B(u, ℓ)`, for `u` and `v` in
+    /// `0..n`.
+    #[inline(always)]
+    fn find(&self, u: usize, v: u32) -> Option<u32> {
+        let rank = member_rank(&self.bits, &self.ranks, u * self.blocks + v as usize / 64, v)?;
+        self.ports.get::<u32>(u * self.stride + rank).map(|[port]| port)
+    }
+
+    /// Members of `B(u, ℓ)`: the last block's count and bits.
+    fn members(&self, u: usize) -> usize {
+        let last = (u + 1) * self.blocks - 1;
+        let before = self.ranks.get::<u32>(last).map_or(0, |[c]| c as usize);
+        before + self.bits.get(last).map_or(0, |w| w.count_ones() as usize)
+    }
+}
+
 /// What Lemma 2 forwarding reads of the balls `B(u, ℓ)`: for every vertex
 /// `u` and member `v`, the port at `u` on a shortest path towards `v`. This
-/// is the part of a [`BallTable`] a scheme keeps for routing.
+/// is the part of a [`BallTable`] a scheme keeps for routing, in the
+/// [`BallEncoding`] of fewer bytes: hashed `[member, port]` slots, or a
+/// rank bitmap and the ports in id order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BallPorts {
     ell: usize,
-    /// One entry per vertex, and a closing one of no members that starts
-    /// where the slots end: the region of `u` is
-    /// `regions[u].start..regions[u + 1].start`.
-    regions: Vec<Region>,
-    /// Per vertex: its members in ascending [`slot_hash`] order, each at
-    /// `max(home, previous + 1)`, never wrapping; the region's last slot is
-    /// always empty ([`EMPTY_KEY`]).
-    slots: PackedColumn<2>,
+    map: PortMap,
 }
 
 impl BallPorts {
@@ -144,29 +281,45 @@ impl BallPorts {
         self.ell
     }
 
-    /// The contents of `v`'s slot in the region of `u`, or `None` when
-    /// `v ∉ B(u, ℓ)` or either id is outside `0..n`. Scans forward from
-    /// `v`'s home slot; the ordered placement means an empty slot or a
-    /// resident with a larger hash proves absence, so a miss stops as early
-    /// as a hit. Inlined into both lookups: it is the probe every hop runs.
+    /// How the table stores its ports.
+    pub fn encoding(&self) -> BallEncoding {
+        match self.map {
+            PortMap::Hashed { .. } => BallEncoding::Hashed,
+            PortMap::Bitmap(_) => BallEncoding::Bitmap,
+        }
+    }
+
+    /// The port stored for `v` in the ball of `u` (`u32::MAX` for the
+    /// centre), or `None` when `v ∉ B(u, ℓ)` or either id is outside
+    /// `0..n`. Inlined into both lookups: it is the probe every hop runs.
+    ///
+    /// Hashed, it scans forward from `v`'s home slot; the ordered placement
+    /// means an empty slot or a resident with a larger hash proves absence,
+    /// so a miss stops as early as a hit. As a bitmap, it is one bit test,
+    /// and for a member one popcount and one port read.
     #[inline(always)]
-    fn find(&self, u: VertexId, v: VertexId) -> Option<Slot> {
+    fn find(&self, u: VertexId, v: VertexId) -> Option<u32> {
         if u.index().max(v.index()) >= self.len() {
             return None;
         }
-        let region = self.regions.get(u.index())?;
-        let h = slot_hash(v.0);
-        let mut at = region.start + home_slot(h, slot_cap(region.members as usize));
-        while let Some(slot) = self.slots.get::<u32>(at) {
-            if slot[0] == v.0 {
-                return Some(slot);
+        match &self.map {
+            PortMap::Hashed { regions, slots } => {
+                let region = regions.get(u.index())?;
+                let h = slot_hash(v.0);
+                let mut at = region.start + home_slot(h, slot_cap(region.members as usize));
+                while let Some([id, port]) = slots.get::<u32>(at) {
+                    if id == v.0 {
+                        return Some(port);
+                    }
+                    if id == EMPTY_KEY || slot_hash(id) > h {
+                        return None;
+                    }
+                    at += 1;
+                }
+                None
             }
-            if slot[0] == EMPTY_KEY || slot_hash(slot[0]) > h {
-                return None;
-            }
-            at += 1;
+            PortMap::Bitmap(bitmap) => bitmap.find(u.index(), v.0),
         }
-        None
     }
 
     /// Returns true if `v ∈ B(u, ℓ)`.
@@ -176,45 +329,77 @@ impl BallPorts {
 
     /// The port at `u` on a shortest path towards ball member `v`.
     pub fn first_port(&self, u: VertexId, v: VertexId) -> Option<Port> {
-        let port = Port(self.find(u, v)?[1]);
+        let port = Port(self.find(u, v)?);
         (port != NO_PORT).then_some(port)
     }
 
-    /// The open-addressing region of `u`, decoded: `[member id, port]`
-    /// slots, `u32::MAX` for the empty key and the centre's port. Queries go
-    /// through [`BallPorts::contains`] and friends; this view exists so
-    /// tests can hold the layout invariants.
+    /// The open-addressing region of `u` in a hashed table, decoded:
+    /// `[member id, port]` slots, `u32::MAX` for the empty key and the
+    /// centre's port; empty for a bitmap. Queries go through
+    /// [`BallPorts::contains`] and friends; this view exists so tests can
+    /// hold the layout invariants.
     pub fn slot_region(&self, u: VertexId) -> Vec<[u32; 2]> {
-        match self.regions.get(u.index()..u.index() + 2) {
-            Some([region, next]) => (region.start..next.start).filter_map(|i| self.slots.get(i)).collect(),
-            _ => Vec::new(),
+        match &self.map {
+            PortMap::Hashed { regions, slots } => match regions.get(u.index()..u.index() + 2) {
+                Some([region, next]) => (region.start..next.start).filter_map(|i| slots.get(i)).collect(),
+                _ => Vec::new(),
+            },
+            PortMap::Bitmap(_) => Vec::new(),
         }
     }
 
-    /// Bytes a packed slot: the id and port widths the table's graph needs.
+    /// Bytes of an `[id, port]` record at the widths the table's graph
+    /// needs: a hashed slot, or a bitmap block's member count and a port.
     pub fn slot_bytes(&self) -> usize {
-        self.slots.codec().width()
+        match &self.map {
+            PortMap::Hashed { slots, .. } => slots.codec().width(),
+            PortMap::Bitmap(bitmap) => bitmap.ranks.codec().width() + bitmap.ports.codec().width(),
+        }
+    }
+
+    /// Members of `B(u, ℓ)`, the centre included; 0 for a `u` outside
+    /// `0..n`.
+    fn members(&self, u: VertexId) -> usize {
+        match &self.map {
+            PortMap::Hashed { regions, .. } => regions.get(u.index()).map_or(0, |r| r.members as usize),
+            PortMap::Bitmap(bitmap) if u.index() < bitmap.n => bitmap.members(u.index()),
+            PortMap::Bitmap(_) => 0,
+        }
     }
 
     /// The space Lemma 2 charges to `u`, in `O(log n)`-bit words: one id, one
     /// distance and one port word per ball member other than `u` itself.
     pub fn words_at(&self, u: VertexId) -> usize {
-        3 * self.regions.get(u.index()).map_or(0, |r| (r.members as usize).saturating_sub(1))
+        3 * self.members(u).saturating_sub(1)
     }
 
     /// Number of vertices covered by the table.
     pub fn len(&self) -> usize {
-        self.regions.len() - 1
+        match &self.map {
+            PortMap::Hashed { regions, .. } => regions.len() - 1,
+            PortMap::Bitmap(bitmap) => bitmap.n,
+        }
     }
 
     /// True if the table covers no vertices.
     pub fn is_empty(&self) -> bool {
-        self.regions.len() <= 1
+        self.len() == 0
     }
 
-    /// Bytes of heap the arrays hold, by capacity.
+    /// Bytes of heap the table holds, by capacity: its arrays and, for a
+    /// bitmap, the box they sit in.
     pub fn heap_bytes(&self) -> usize {
-        std::mem::size_of::<Region>() * self.regions.capacity() + self.slots.heap_bytes()
+        match &self.map {
+            PortMap::Hashed { regions, slots } => {
+                std::mem::size_of::<Region>() * regions.capacity() + slots.heap_bytes()
+            }
+            PortMap::Bitmap(bitmap) => {
+                std::mem::size_of::<RankBitmap>()
+                    + std::mem::size_of::<u64>() * bitmap.bits.capacity()
+                    + bitmap.ranks.heap_bytes()
+                    + bitmap.ports.heap_bytes()
+            }
+        }
     }
 }
 
@@ -288,7 +473,7 @@ impl BallTable {
     fn build_with(g: &Graph, ell: usize, batch: bool, keep: BallDists) -> Self {
         let n = g.n();
         let ball_len = ell.max(1).min(n);
-        let codecs = MemberCodecs::new(g, keep);
+        let codecs = MemberCodecs::new(g, ell, keep);
         let mut offsets = Vec::with_capacity(n + 1);
         let mut ids = PackedColumn::with_capacity(codecs.id, n * ball_len);
         let mut dists = codecs.dist.map(|codec| PackedColumn::with_capacity(codec, n * ball_len));
@@ -348,74 +533,141 @@ impl BallTable {
 
 /// How a ball build packs its members: ids at the id width of `0..n`, and
 /// distances — when kept — in the bytes `n − 1` heaviest edges need, since
-/// no ball's distances are known before its search.
+/// no ball's distances are known before its search; and how it stores their
+/// ports, in the encoding of fewer bytes.
 #[derive(Debug, Clone, Copy)]
 struct MemberCodecs {
     slot: SlotCodec<2>,
     id: SlotCodec<1>,
     dist: Option<SlotCodec<1>>,
+    encoding: BallEncoding,
+    /// A bitmap's blocks a vertex, `⌈n/64⌉`.
+    blocks: usize,
+    /// A bitmap's ports a vertex, `min(ℓ, n)`.
+    stride: usize,
 }
 
 impl MemberCodecs {
-    fn new(g: &Graph, keep: BallDists) -> Self {
+    fn new(g: &Graph, ell: usize, keep: BallDists) -> Self {
         let n = g.n();
         let longest = g.weight_range().map_or(0, |(_, hi)| hi.saturating_mul(n.saturating_sub(1) as u64));
         let dist = SlotCodec::new([bytes_for(longest.saturating_add(1))]);
+        let slot = SlotCodec::for_graph(g);
+        let encoding = BallEncoding::for_balls(n, ell, slot);
+        #[cfg(test)]
+        let encoding = FORCED.get().unwrap_or(encoding);
         MemberCodecs {
-            slot: SlotCodec::for_graph(g),
+            slot,
             id: SlotCodec::for_ids(n),
             dist: (keep == BallDists::Keep).then_some(dist),
+            encoding,
+            blocks: n.div_ceil(64),
+            stride: ell.max(1).min(n),
         }
+    }
+
+    /// A bitmap's per-block member counts: at the id width.
+    fn rank(self) -> SlotCodec<1> {
+        SlotCodec::new([self.slot.bytes()[0]])
+    }
+
+    /// A bitmap's ports: at the port width.
+    fn port(self) -> SlotCodec<1> {
+        SlotCodec::new([self.slot.bytes()[1]])
     }
 }
 
-/// The ports of every ball `B(u, ℓ)` of `g`, built a block of consecutive
-/// centres at a time: `take` sees each ball, its members packed by
+/// The ports of every ball `B(u, ℓ)` of `g`, packed straight into the
+/// encoding `codecs` names: `take` sees each ball, its members packed by
 /// `codecs` (with their distances if it has a distance codec), centre by
 /// centre in order, before its block is dropped. The final arrays are
-/// reserved up front; a block that outgrows the slot reservation grows it
-/// by exactly its own slots. Span `balls`.
+/// reserved up front — a bitmap's exactly; a block that outgrows the slot
+/// reservation of a hashed table grows it by exactly its own slots. Span
+/// `balls`.
 fn build_ports(
     g: &Graph,
     ell: usize,
     batch: bool,
     codecs: MemberCodecs,
-    mut take: impl FnMut(BuiltBall),
+    mut take: impl FnMut(BuiltBall<()>),
 ) -> BallPorts {
     let _span = routing_obs::span("balls");
     let n = g.n();
-    let ball_len = ell.max(1).min(n);
-    let mut regions = Vec::with_capacity(n + 1);
-    let mut slots = PackedColumn::with_capacity(codecs.slot, n * (slot_cap(ball_len) + 2));
+    let map = match codecs.encoding {
+        BallEncoding::Hashed => {
+            let mut regions = Vec::with_capacity(n + 1);
+            let mut slots = PackedColumn::with_capacity(codecs.slot, n * (slot_cap(codecs.stride) + 2));
+            let hash = |region: &mut Vec<Slot>, members: &[Slot]| hash_region(region, members, codecs.slot);
+            build_blocks(g, ell, batch, codecs, hash, |block| {
+                // The up-front reservation is `cap + 2` slots a ball, but a
+                // run can pass a region's `cap` by more: grow by exactly
+                // what this block needs rather than let `extend` double the
+                // array.
+                slots.reserve_exact(block.iter().flatten().map(|b| b.ports.len()).sum());
+                for ball in block.into_iter().flatten() {
+                    // A ball has at most `n` members, and ids are `u32`.
+                    regions.push(Region { start: slots.len(), members: ball.ids.len() as u32 });
+                    slots.extend_from(ball.ports.view());
+                    take(ball.without_ports());
+                }
+            });
+            regions.push(Region { start: slots.len(), members: 0 });
+            // The slot reservation is an upper estimate (regions that
+            // needed no overflow slot): return the slack.
+            slots.shrink_to_fit();
+            PortMap::Hashed { regions, slots }
+        }
+        BallEncoding::Bitmap => {
+            let mut bitmap = RankBitmap {
+                n,
+                blocks: codecs.blocks,
+                stride: codecs.stride,
+                bits: Vec::with_capacity(n * codecs.blocks),
+                ranks: PackedColumn::with_capacity(codecs.rank(), n * codecs.blocks),
+                ports: PackedColumn::with_capacity(codecs.port(), n * codecs.stride),
+            };
+            build_blocks(g, ell, batch, codecs, |_, members| rank_bitmap(members, codecs), |block| {
+                for ball in block.into_iter().flatten() {
+                    bitmap.bits.extend_from_slice(&ball.ports.bits);
+                    bitmap.ranks.extend_from(ball.ports.ranks.view());
+                    bitmap.ports.extend_from(ball.ports.ports.view());
+                    take(ball.without_ports());
+                }
+            });
+            PortMap::Bitmap(Box::new(bitmap))
+        }
+    };
+    BallPorts { ell, map }
+}
+
+/// The searches of [`build_ports`], a block of consecutive centres at a
+/// time: `encode` packs each ball's `[member, port]` slots, in settle
+/// order, into its ports (with a scratch region), and `append` takes each
+/// block's balls in centre order, a list a task.
+fn build_blocks<P: Send>(
+    g: &Graph,
+    ell: usize,
+    batch: bool,
+    codecs: MemberCodecs,
+    encode: impl Fn(&mut Vec<Slot>, &[Slot]) -> P + Sync,
+    mut append: impl FnMut(Vec<Vec<BuiltBall<P>>>),
+) {
+    let n = g.n();
     // Centres per task: one sweep's worth, or one Dijkstra.
     let width = if batch { BFS_BATCH_WIDTH } else { 1 };
     let block = n.div_ceil(BUILD_BLOCKS).next_multiple_of(width).max(1);
     for first in (0..n).step_by(block) {
         let last = n.min(first + block);
-        let per_task: Vec<Vec<BuiltBall>> = routing_par::par_map_scratch(
+        let per_task: Vec<Vec<BuiltBall<P>>> = routing_par::par_map_scratch(
             (last - first).div_ceil(width),
             || BallSearch::new(g, batch),
             |search, k| {
                 let lo = first + k * width;
-                search.balls(g, lo..last.min(lo + width), ell, codecs)
+                search.balls(g, lo..last.min(lo + width), ell, codecs, &encode)
             },
         );
-        // The up-front reservation is `cap + 2` slots a ball, but a run
-        // can pass a region's `cap` by more: grow by exactly what this
-        // block needs rather than let `extend` double the array.
-        slots.reserve_exact(per_task.iter().flatten().map(|b| b.slots.len()).sum());
-        for ball in per_task.into_iter().flatten() {
-            // A ball has at most `n` members, and ids are `u32`.
-            regions.push(Region { start: slots.len(), members: ball.ids.len() as u32 });
-            slots.extend_from(ball.slots.view());
-            take(ball);
-        }
+        append(per_task);
     }
-    regions.push(Region { start: slots.len(), members: 0 });
-    // The slot reservation is an upper estimate (regions that needed no
-    // overflow slot): return the slack.
-    slots.shrink_to_fit();
-    BallPorts { ell, regions, slots }
 }
 
 impl BallPorts {
@@ -427,7 +679,7 @@ impl BallPorts {
     /// its landmark distances this way. The ports are those of
     /// [`BallTable::build`] for every thread count.
     pub fn build_visiting(g: &Graph, ell: usize, mut visit: impl FnMut(MemberIds<'_>, MemberDists<'_>)) -> Self {
-        let codecs = MemberCodecs::new(g, BallDists::Keep);
+        let codecs = MemberCodecs::new(g, ell, BallDists::Keep);
         build_ports(g, ell, g.is_unweighted(), codecs, |ball| {
             if let Some(dists) = &ball.dists {
                 visit(MemberIds(ball.ids.view()), MemberDists(dists.view()));
@@ -437,24 +689,47 @@ impl BallPorts {
 }
 
 /// One ball as [`build_ports`] appends it, its members packed as the table
-/// packs them.
-struct BuiltBall {
+/// packs them, and its ports `P` in the table's encoding.
+struct BuiltBall<P> {
     /// The member ids in settle order.
     ids: PackedColumn<1>,
     /// Their distances from the centre; `None` when none are kept.
     dists: Option<PackedColumn<1>>,
-    /// The hashed slot region.
-    slots: PackedColumn<2>,
+    ports: P,
     radius: Weight,
 }
 
+impl<P> BuiltBall<P> {
+    /// The ball, its ports appended to the table.
+    fn without_ports(self) -> BuiltBall<()> {
+        BuiltBall { ids: self.ids, dists: self.dists, ports: (), radius: self.radius }
+    }
+}
+
+/// One ball's rank bitmap: its blocks, their member counts, and its
+/// `min(ℓ, n)` ports in id order. A build holds it boxed, so that its
+/// block of balls is no larger than a hashed build's.
+struct BitmapPiece {
+    bits: Vec<u64>,
+    ranks: PackedColumn<1>,
+    ports: PackedColumn<1>,
+}
+
 /// One worker's kernel in [`build_ports`], chosen once, with the scratch
-/// region its balls are hashed into.
+/// its balls are listed in and hashed into.
 enum BallSearch {
     /// The budgeted batch BFS, on a unit-weight graph.
-    Batch(BfsBatch, Vec<Slot>),
+    Batch(BfsBatch, FillScratch),
     /// One bounded Dijkstra per centre.
-    Dijkstra(SearchScratch, Vec<Slot>),
+    Dijkstra(SearchScratch, FillScratch),
+}
+
+/// A worker's scratch: a ball's `[member, port]` slots in settle order, and
+/// the region they are hashed into.
+#[derive(Default)]
+struct FillScratch {
+    members: Vec<Slot>,
+    region: Vec<Slot>,
 }
 
 impl BallSearch {
@@ -462,68 +737,87 @@ impl BallSearch {
     /// `g`, the Dijkstra workspace otherwise.
     fn new(g: &Graph, batch: bool) -> Self {
         match batch.then(|| BfsBatch::for_graph(g)).flatten() {
-            Some(bfs) => BallSearch::Batch(bfs, Vec::new()),
-            None => BallSearch::Dijkstra(SearchScratch::for_graph(g), Vec::new()),
+            Some(bfs) => BallSearch::Batch(bfs, FillScratch::default()),
+            None => BallSearch::Dijkstra(SearchScratch::for_graph(g), FillScratch::default()),
         }
     }
 
     /// The balls of the consecutive centres `centres`, in order: one
     /// budgeted sweep (at most [`BFS_BATCH_WIDTH`] centres), or one bounded
-    /// Dijkstra per centre, packed by `codecs`.
-    fn balls(&mut self, g: &Graph, centres: Range<usize>, ell: usize, codecs: MemberCodecs) -> Vec<BuiltBall> {
+    /// Dijkstra per centre, packed by `codecs` and `encode`.
+    fn balls<P>(
+        &mut self,
+        g: &Graph,
+        centres: Range<usize>,
+        ell: usize,
+        codecs: MemberCodecs,
+        encode: &impl Fn(&mut Vec<Slot>, &[Slot]) -> P,
+    ) -> Vec<BuiltBall<P>> {
         match self {
-            BallSearch::Batch(bfs, region) => {
+            BallSearch::Batch(bfs, scratch) => {
                 let ids: Vec<VertexId> = centres.map(|u| VertexId(u as u32)).collect();
                 // The sweep refuses only what `for_graph` already refused, a
                 // graph of another size, or more than a batch of centres.
                 let run = bfs.run_balls(g, &ids, ell);
                 assert!(run.is_ok(), "the batch BFS refused a batch of centres: {run:?}");
                 (0..ids.len())
-                    .map(|i| fill_ball(region, bfs.ball(i), bfs.radius(i), codecs))
+                    .map(|i| fill_ball(scratch, bfs.ball(i), bfs.radius(i), codecs, encode))
                     .collect()
             }
-            BallSearch::Dijkstra(scratch, region) => centres
+            BallSearch::Dijkstra(search, scratch) => centres
                 .map(|u| {
                     let u = VertexId(u as u32);
-                    let radius = scratch.ball_into(g, u, ell);
-                    let port = |v| scratch.first_hop(v).and_then(|hop| g.port_to(u, hop));
-                    let ball = scratch.order().iter().map(|&(v, d)| (v, d, port(v)));
-                    fill_ball(region, ball, radius, codecs)
+                    let radius = search.ball_into(g, u, ell);
+                    let port = |v| search.first_hop(v).and_then(|hop| g.port_to(u, hop));
+                    let ball = search.order().iter().map(|&(v, d)| (v, d, port(v)));
+                    fill_ball(scratch, ball, radius, codecs, encode)
                 })
                 .collect(),
         }
     }
 }
 
-/// Hashes one ball, given as `(member, distance, first port)` in settle
-/// order with no port for the centre, into its slot region, using `region`
-/// as scratch, and packs the region, the ids and — if `codecs` has a
-/// distance codec — the distances.
-///
-/// Ordered insertion: walk from the home slot past smaller hashes, then
-/// carry every larger resident one slot right. The result is the placement
-/// of the members in ascending hash order at `max(home, previous + 1)`,
-/// whatever order they arrive in. `cap + len` slots hold the longest run.
-fn fill_ball(
-    region: &mut Vec<Slot>,
+/// Packs one ball, given as `(member, distance, first port)` in settle
+/// order with no port for the centre: its ids, its distances if `codecs`
+/// has a distance codec, and its `[member, port]` slots through `encode`.
+fn fill_ball<P>(
+    scratch: &mut FillScratch,
     ball: impl ExactSizeIterator<Item = (VertexId, Weight, Option<Port>)>,
     radius: Weight,
     codecs: MemberCodecs,
-) -> BuiltBall {
+    encode: &impl Fn(&mut Vec<Slot>, &[Slot]) -> P,
+) -> BuiltBall<P> {
     let len = ball.len();
-    let cap = slot_cap(len);
-    region.clear();
-    region.resize(cap + len + 1, EMPTY);
     let mut ids = PackedColumn::with_capacity(codecs.id, len);
     let mut dists = codecs.dist.map(|codec| PackedColumn::with_capacity(codec, len));
-    let mut end = 0;
+    scratch.members.clear();
+    scratch.members.reserve_exact(len);
     for (v, d, port) in ball {
         ids.push([v.0]);
         if let Some(dists) = &mut dists {
             dists.push([d]);
         }
-        let mut slot = [v.0, port.unwrap_or(NO_PORT).0];
-        let mut at = home_slot(slot_hash(v.0), cap);
+        scratch.members.push([v.0, port.unwrap_or(NO_PORT).0]);
+    }
+    let ports = encode(&mut scratch.region, &scratch.members);
+    BuiltBall { ids, dists, ports, radius }
+}
+
+/// Hashes the slots of `members` into their open-addressing region, using
+/// `region` as scratch, and packs it by `codec`.
+///
+/// Ordered insertion: walk from the home slot past smaller hashes, then
+/// carry every larger resident one slot right. The result is the placement
+/// of the members in ascending hash order at `max(home, previous + 1)`,
+/// whatever order they arrive in. `cap + len` slots hold the longest run.
+fn hash_region(region: &mut Vec<Slot>, members: &[Slot], codec: SlotCodec<2>) -> PackedColumn<2> {
+    let (len, cap) = (members.len(), slot_cap(members.len()));
+    region.clear();
+    region.resize(cap + len + 1, EMPTY);
+    let mut end = 0;
+    for &member in members {
+        let mut slot = member;
+        let mut at = home_slot(slot_hash(slot[0]), cap);
         while region[at][0] != EMPTY_KEY {
             if slot_hash(region[at][0]) > slot_hash(slot[0]) {
                 std::mem::swap(&mut region[at], &mut slot);
@@ -536,9 +830,32 @@ fn fill_ball(
     // Keep `cap` slots, or more when the last run passes them; either way
     // the region's last slot stays empty.
     let kept = &region[..cap.max(end + 1)];
-    let mut slots = PackedColumn::with_capacity(codecs.slot, kept.len());
+    let mut slots = PackedColumn::with_capacity(codec, kept.len());
     kept.iter().for_each(|&slot| slots.push(slot));
-    BuiltBall { ids, dists, slots, radius }
+    slots
+}
+
+/// The rank bitmap of one ball, its `[member, port]` slots in `members`:
+/// the membership bits of `0..n` in `⌈n/64⌉` blocks, the count of members
+/// before each block, and `min(ℓ, n)` ports, the members' in id order.
+fn rank_bitmap(members: &[Slot], codecs: MemberCodecs) -> Box<BitmapPiece> {
+    let mut bits = vec![0u64; codecs.blocks];
+    for &[v, _] in members {
+        bits[v as usize / 64] |= 1 << (v % 64);
+    }
+    let mut ranks = PackedColumn::with_capacity(codecs.rank(), codecs.blocks);
+    let mut before = 0;
+    for word in &bits {
+        ranks.push([before]);
+        before += word.count_ones();
+    }
+    let mut ports = PackedColumn::zeroed(codecs.port(), codecs.stride);
+    for &[v, port] in members {
+        if let Some(rank) = member_rank(&bits, &ranks, v as usize / 64, v) {
+            ports.set(rank, [port]);
+        }
+    }
+    Box::new(BitmapPiece { bits, ranks, ports })
 }
 
 /// A borrowed view of one ball `B(u, ℓ)` inside a [`BallTable`].
@@ -716,6 +1033,22 @@ mod tests {
     use rand::SeedableRng;
     use routing_graph::{generators, reference, SearchScratch, SLOT_PAD};
 
+    /// `build()` with every ball table built on this thread in `encoding`.
+    fn forced<T>(encoding: BallEncoding, build: impl FnOnce() -> T) -> T {
+        FORCED.set(Some(encoding));
+        let out = build();
+        FORCED.set(None);
+        out
+    }
+
+    /// The regions and slots of a hashed table.
+    fn hashed(t: &BallPorts) -> (&Vec<Region>, &PackedColumn<2>) {
+        match &t.map {
+            PortMap::Hashed { regions, slots } => (regions, slots),
+            PortMap::Bitmap(_) => panic!("a bitmap table"),
+        }
+    }
+
     /// The rank of `v` in `B(u, ℓ)`: its position in the settle-order ids.
     fn position(t: &BallTable, u: VertexId, v: VertexId) -> Option<usize> {
         t.ball(u).ids().position(v)
@@ -832,6 +1165,93 @@ mod tests {
         }
     }
 
+    /// The rank bitmap answers as the hashed slots do: `contains`,
+    /// `first_port` and `words_at` agree for every `(u, v)`, ids at and past
+    /// `n` included, on every family, unit and weighted, at n ∈ {1, 63, 64,
+    /// 65, 130} and ℓ ∈ {1, n/20, n/4, n}, and on two components, whose
+    /// balls stop short of ℓ. The build takes the encoding of fewer formula
+    /// bytes and is then `==` to the table forced into it; a bitmap holds
+    /// exactly its formula, a hashed table of full balls at least its own.
+    #[test]
+    fn both_encodings_answer_alike_and_the_smaller_is_chosen() {
+        use generators::{Family, WeightModel};
+        let mut graphs = Vec::new();
+        for n in [1, 63, 64, 65, 130] {
+            for family in Family::ALL {
+                for weights in [WeightModel::Unit, WeightModel::Uniform { lo: 1, hi: 9 }] {
+                    graphs.push(family.generate(n, weights, &mut StdRng::seed_from_u64(n as u64)));
+                }
+            }
+            let mut halves = routing_graph::GraphBuilder::new(n);
+            for i in (1..n).filter(|&i| i != n / 3) {
+                halves.add_edge(i - 1, i, 1 + i as u64 % 3).unwrap();
+            }
+            graphs.push(halves.build());
+        }
+        let both = [BallEncoding::Hashed, BallEncoding::Bitmap];
+        for g in &graphs {
+            let n = g.n();
+            let codec = SlotCodec::for_graph(g);
+            for ell in [1, n / 20, n / 4, n] {
+                let key = format!("n = {n}, m = {}, ℓ = {ell}", g.m());
+                let [hashed, bitmap] = both.map(|encoding| forced(encoding, || BallTable::build(g, ell)));
+                assert_eq!([hashed.encoding(), bitmap.encoding()], both, "{key}");
+                let table = BallTable::build(g, ell);
+                let chosen = BallEncoding::for_balls(n, ell, codec);
+                let bytes = both.map(|encoding| encoding.bytes(n, ell, codec));
+                assert_eq!(table.encoding(), chosen, "{key}");
+                assert_eq!(chosen.bytes(n, ell, codec), bytes[0].min(bytes[1]), "{key}: the smaller");
+                assert!(table == if chosen == both[0] { hashed.clone() } else { bitmap.clone() }, "{key}");
+                assert_eq!(bitmap.ports.heap_bytes(), bytes[1], "{key}: bitmap bytes");
+                let members: usize = g.vertices().map(|u| table.ball(u).len()).sum();
+                if members == n * ell.clamp(1, n) {
+                    assert!(hashed.ports.heap_bytes() >= bytes[0], "{key}: hashed bytes");
+                }
+                let ids = (0..n as u32 + 2).chain([u32::MAX - 1, u32::MAX]).map(VertexId);
+                for u in ids.clone() {
+                    assert_eq!(hashed.words_at(u), bitmap.words_at(u), "{key}: words_at({u})");
+                    for v in ids.clone() {
+                        assert_eq!(hashed.contains(u, v), bitmap.contains(u, v), "{key}: contains({u}, {v})");
+                        assert_eq!(hashed.first_port(u, v), bitmap.first_port(u, v), "{key}: ({u}, {v})");
+                    }
+                }
+            }
+        }
+    }
+
+    /// At 3-byte ids, on a 65,600-vertex grid, unit and weighted: the rank
+    /// bitmap of one ball, its member counts at 3 bytes, answers for every
+    /// `v` as the hashed table does at that ball's centre. (A whole bitmap
+    /// table there would hold `n²/8` bytes, which is why the build never
+    /// takes one at this ℓ.)
+    #[test]
+    fn a_bitmap_ball_at_three_byte_ids_answers_as_the_hashed_table() {
+        use generators::{Family, WeightModel};
+        let ell = 40;
+        for weights in [WeightModel::Unit, WeightModel::Uniform { lo: 1, hi: 9 }] {
+            let g = Family::Grid.generate(65_600, weights, &mut StdRng::seed_from_u64(3));
+            let table = BallTable::build_with_dists(&g, ell, BallDists::Skip).into_ports();
+            assert_eq!(table.encoding(), BallEncoding::Hashed);
+            let codecs = MemberCodecs::new(&g, ell, BallDists::Skip);
+            assert_eq!(codecs.rank().bytes(), [3], "3-byte member counts");
+            let mut search = BallSearch::new(&g, false);
+            let encode = |_: &mut Vec<Slot>, members: &[Slot]| rank_bitmap(members, codecs);
+            for c in (0..g.n()).step_by(4099).chain([g.n() - 1]) {
+                let ball = search.balls(&g, c..c + 1, ell, codecs, &encode).pop().unwrap();
+                let BitmapPiece { bits, ranks, ports } = *ball.ports;
+                let (blocks, stride) = (codecs.blocks, codecs.stride);
+                let one = RankBitmap { n: g.n(), blocks, stride, bits, ranks, ports };
+                let one = BallPorts { ell, map: PortMap::Bitmap(Box::new(one)) };
+                let (u, c) = (VertexId(0), VertexId(c as u32));
+                assert_eq!(one.words_at(u), table.words_at(c), "{weights:?}: B({c})");
+                for v in g.vertices() {
+                    assert_eq!(one.contains(u, v), table.contains(c, v), "{weights:?}: contains({c}, {v})");
+                    assert_eq!(one.first_port(u, v), table.first_port(c, v), "{weights:?}: ({c}, {v})");
+                }
+            }
+        }
+    }
+
     /// `members` pairs each id with its distance, so on a table without
     /// distances it refuses rather than return a short list.
     #[test]
@@ -874,7 +1294,7 @@ mod tests {
         }
     }
 
-    /// The byte layout, pinned. Retained ports: at these graphs' width (ids
+    /// The byte layout of a hashed table, pinned. Retained ports: at these graphs' width (ids
     /// below 300 in 2 bytes, ports below degree 256 in 1) 3-byte slots at
     /// load 3/4, 4 bytes a member; per vertex on top the region entry
     /// (16 B), up to 2 B of `⌈4m/3⌉` rounding and the overflow slots past
@@ -902,9 +1322,10 @@ mod tests {
             let n = g.n();
             for keep in [BallDists::Keep, BallDists::Skip] {
                 let name = format!("{name} {keep:?}");
-                let t = BallTable::build_with_dists(&g, ell, keep);
+                let t = forced(BallEncoding::Hashed, || BallTable::build_with_dists(&g, ell, keep));
                 let members: usize = g.vertices().map(|u| t.ball(u).len()).sum();
-                let slots = t.slots.len();
+                let (regions, slot_column) = hashed(&t);
+                let slots = slot_column.len();
                 assert!(members > n, "{name}: balls are not trivial");
                 assert_eq!(t.slot_bytes(), 3, "{name}: a 2-byte id and a 1-byte port");
                 let dist_bytes = (keep == BallDists::Keep).then_some(2);
@@ -919,9 +1340,9 @@ mod tests {
                     None => assert_eq!(keep, BallDists::Skip, "{name}: no dists kept"),
                 }
                 assert_eq!(t.radius.capacity(), t.radius.len(), "{name}: radius");
-                assert_eq!(t.slots.heap_bytes(), 3 * slots + SLOT_PAD, "{name}: slots");
+                assert_eq!(slot_column.heap_bytes(), 3 * slots + SLOT_PAD, "{name}: slots");
                 assert_eq!(t.offsets.capacity(), t.offsets.len(), "{name}: offsets");
-                assert_eq!(t.regions.capacity(), t.regions.len(), "{name}: regions");
+                assert_eq!(regions.capacity(), regions.len(), "{name}: regions");
                 let full = t.heap_bytes();
                 let dropped_per_member = 2 + dist_bytes.unwrap_or(0);
                 let bound = (4 + dropped_per_member) * members + 48 * n + 64;
@@ -1253,20 +1674,23 @@ mod tests {
         // The ids take one byte: `0xFF` is the narrow empty key, and
         // `256 + 3` masks down to member 3, so the range check must come
         // before any masking.
+        // Both encodings: the bitmap's block counts take one byte too.
         let g = generators::cycle(12);
-        let t = BallTable::build(&g, 12);
-        assert_eq!(t.slots.codec().bytes()[0], 1);
-        let inside = VertexId(3);
-        let narrow = [VertexId(0xFF), VertexId(256 + 3)];
-        let wide = [VertexId(12), VertexId(13), VertexId(u32::MAX - 1), VertexId(u32::MAX)];
-        for hostile in narrow.into_iter().chain(wide) {
-            for (u, v) in [(inside, hostile), (hostile, inside), (hostile, hostile)] {
-                assert!(!t.contains(u, v), "contains({u}, {v})");
-                assert_eq!(t.first_port(u, v), None);
+        for encoding in [BallEncoding::Hashed, BallEncoding::Bitmap] {
+            let t = forced(encoding, || BallTable::build(&g, 12));
+            assert_eq!((t.encoding(), t.slot_bytes()), (encoding, 2));
+            let inside = VertexId(3);
+            let narrow = [VertexId(0xFF), VertexId(256 + 3)];
+            let wide = [VertexId(12), VertexId(13), VertexId(u32::MAX - 1), VertexId(u32::MAX)];
+            for hostile in narrow.into_iter().chain(wide) {
+                for (u, v) in [(inside, hostile), (hostile, inside), (hostile, hostile)] {
+                    assert!(!t.contains(u, v), "{encoding:?}: contains({u}, {v})");
+                    assert_eq!(t.first_port(u, v), None);
+                }
+                assert_eq!(t.words_at(hostile), 0);
+                assert!(t.ball(hostile).ids().is_empty());
+                assert_eq!(t.ball(hostile).dists().map(MemberDists::len), Some(0));
             }
-            assert_eq!(t.words_at(hostile), 0);
-            assert!(t.ball(hostile).ids().is_empty());
-            assert_eq!(t.ball(hostile).dists().map(MemberDists::len), Some(0));
         }
     }
 }

@@ -11,9 +11,9 @@ use routing_graph::apsp::DistanceMatrix;
 use routing_graph::generators::{self, WeightModel};
 use routing_graph::mutate::apply_events;
 use routing_graph::reference;
-use routing_graph::{Graph, GraphBuilder, Port, SampledDistances, SearchScratch, VertexId, Weight};
+use routing_graph::{Graph, GraphBuilder, Port, SampledDistances, SearchScratch, SlotCodec, VertexId, Weight};
 use routing_model::simulate;
-use routing_vicinity::BallTable;
+use routing_vicinity::{BallEncoding, BallTable};
 
 fn arb_graph() -> impl Strategy<Value = (Graph, u64)> {
     (30usize..70, 1u64..1_000, 1u64..20).prop_map(|(n, seed, max_w)| {
@@ -300,7 +300,9 @@ fn ball_table_at(g: &Graph, ell: usize, threads: usize) -> BallTable {
 /// Holds `table` against `reference(u)` for **every** `(u, v)` pair, members
 /// and non-members alike — the settle-order ids and distances equal the
 /// reference ball's, which fixes every member's rank and distance — and
-/// checks the documented slot layout of every region: every occupied slot
+/// checks the documented slot layout of every region of a hashed table (a
+/// rank bitmap, the encoding of fewer bytes at large ℓ, has none; its bytes
+/// are its formula's): every occupied slot
 /// holds a member listed in the ids, members in strictly ascending hash
 /// order, each at
 /// `max(home, previous + 1)`, load ≤ 3/4, the last slot empty, no slack, and
@@ -323,6 +325,11 @@ fn check_ball_table_probing(
     // What a scheme retains of the table answers exactly as the table did.
     let ports = table.clone().into_ports();
     assert_eq!((ports.ell(), ports.len()), (table.ell(), g.n()));
+    let codec = SlotCodec::for_graph(g);
+    assert_eq!(ports.encoding(), BallEncoding::for_balls(g.n(), table.ell(), codec));
+    if ports.encoding() == BallEncoding::Bitmap {
+        assert_eq!(ports.heap_bytes(), BallEncoding::Bitmap.bytes(g.n(), table.ell(), codec), "bitmap bytes");
+    }
     for u in g.vertices() {
         let (members, first_hops, radius) = reference(u);
         let view = table.ball(u);
@@ -347,6 +354,10 @@ fn check_ball_table_probing(
         }
 
         let region = table.slot_region(u);
+        if table.encoding() == BallEncoding::Bitmap {
+            assert!(region.is_empty(), "a bitmap has no slot region");
+            continue;
+        }
         let m = view.len();
         let cap = (4 * m).div_ceil(3);
         let home = |h: u32| ((u64::from(h) * cap as u64) >> 32) as usize;
