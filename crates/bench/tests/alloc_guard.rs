@@ -65,7 +65,7 @@ use routing_graph::scratch::BFS_BATCH_WIDTH;
 use routing_graph::{BfsBatch, Graph, PackedColumn, SearchScratch, SlotCodec, VertexId, SLOT_PAD};
 use routing_model::{simulate, simulate_lean, simulate_lean_with_label, DynScheme, ErasedLabel};
 use routing_serve::{EngineConfig, ShardedEngine};
-use routing_vicinity::{sample_centers_bounded, BallDists, BallEncoding, BallTable};
+use routing_vicinity::{sample_centers_bounded, BallDists, BallEncoding, BallTable, RankBitmap};
 
 routing_bench::counting_allocator!(CountingAlloc);
 
@@ -368,8 +368,7 @@ fn ball_block(g: &Graph, ell: usize, dists: BallDists, encoding: BallEncoding, w
             ((id_bytes + port_bytes) * region + SLOT_PAD, region)
         }
         BallEncoding::Bitmap => {
-            let blocks = n.div_ceil(64);
-            let boxed = std::mem::size_of::<(Vec<u64>, PackedColumn<1>, PackedColumn<1>)>();
+            let (blocks, boxed) = (n.div_ceil(64), std::mem::size_of::<RankBitmap>());
             ((8 + id_bytes) * blocks + port_bytes * ell.min(n) + 2 * SLOT_PAD + boxed, 0)
         }
     };

@@ -717,25 +717,27 @@ mod tests {
     use routing_graph::SLOT_PAD;
     use routing_model::{simulate_lean_with_label, RoutingScheme};
     use routing_tree::TreeScheme;
+    use routing_vicinity::BallEncoding;
 
     use crate::{BuildContext, SchemeFivePlusEps, SchemeMultilevel, SchemeTwoPlusEps};
 
-    /// `kept` is what a built scheme holds, `direct` the stages' output
-    /// before [`Vicinities::retain`]: the same ports, and of the vicinities
-    /// nothing but the packed `[member, port]` slots, within the budget
-    /// `balls.rs` pins for them (`⌈4w/3⌉` bytes a member at `w` bytes a
-    /// slot, 32 a vertex; a rank bitmap is taken only where it is smaller
-    /// still), a colour a vertex in the bytes `q` needs and a
-    /// representative a (vertex, colour) pair at the id width, and the two
-    /// colour columns' pads.
-    fn assert_same_vicinities(key: &str, kept: &Vicinities, direct: &Vicinities<BallTable>) {
+    /// `kept` is what a built scheme holds on `g`, `direct` the stages'
+    /// output before [`Vicinities::retain`]: the same ports, and of the
+    /// vicinities nothing but the ports, within the budget `balls.rs` pins
+    /// for them (hashed, `⌈4w/3⌉` bytes a member at `w` bytes a slot and 32
+    /// a vertex; a rank bitmap, its [`BallEncoding::bytes`]), a colour a
+    /// vertex in the bytes `q` needs and a representative a (vertex,
+    /// colour) pair at the id width, and the two colour columns' pads.
+    fn assert_same_vicinities(key: &str, g: &Graph, kept: &Vicinities, direct: &Vicinities<BallTable>) {
         assert_eq!(kept.q, direct.q, "{key}: q");
         assert_eq!(kept.balls, *direct.balls, "{key}: ports");
         let n = direct.balls.len();
         let members: usize = (0..n).map(|u| direct.balls.ball(VertexId(u as u32)).len()).sum();
         let ports = kept.balls.heap_bytes();
-        let per_member = (4 * kept.balls.slot_bytes()).div_ceil(3);
-        let bound = per_member * members + 32 * n + 64;
+        let bound = match kept.balls.slot_bytes() {
+            Some(width) => (4 * width).div_ceil(3) * members + 32 * n + 64,
+            None => BallEncoding::Bitmap.bytes(n, kept.balls.ell(), SlotCodec::for_graph(g)),
+        };
         assert!(ports <= bound, "{key}: {ports} B for {members} members");
         let reps = n * kept.q as usize;
         let (colour, id) = (usize::from(bytes_for(kept.q.into())), usize::from(bytes_for(n as u64)));
@@ -1017,7 +1019,7 @@ mod tests {
             let ell = (b * levels).min(60);
             let vic = Vicinities::balls(&weighted, ell, BallDists::Skip);
             let direct = vic.colour(b, 8, &params, &mut ctx.rng());
-            assert_same_vicinities(key, &kept.unwrap().vic, &direct.unwrap());
+            assert_same_vicinities(key, &weighted, &kept.unwrap().vic, &direct.unwrap());
         }
 
         let ell = params.scaled(4, 60);
@@ -1026,7 +1028,7 @@ mod tests {
         let (landmarks, _, members) = landmark_clusters(&unit, &mut rng).unwrap();
         let vic = Vicinities::balls(&unit, ell, BallDists::Keep);
         let direct = vic.colour(ell, 4, &params, &mut rng).unwrap();
-        assert_same_vicinities("thm10", &thm10.vic, &direct);
+        assert_same_vicinities("thm10", &unit, &thm10.vic, &direct);
         let own: Vec<VertexId> = unit.vertices().filter(|&v| thm10.label_of(v).p_a == v).collect();
         assert_eq!(own, landmarks.members(), "thm10: landmarks");
         assert_reference_clusters("thm10", &unit, &landmarks, &thm10.clusters, &members);
@@ -1036,7 +1038,7 @@ mod tests {
         let (landmarks, _, members) = landmark_clusters(&weighted, &mut rng).unwrap();
         let vic = Vicinities::balls(&weighted, ell, BallDists::Skip);
         let direct = vic.colour(ell, 4, &params, &mut rng).unwrap();
-        assert_same_vicinities("thm11", &thm11.vic, &direct);
+        assert_same_vicinities("thm11", &weighted, &thm11.vic, &direct);
         let own: Vec<VertexId> = weighted.vertices().filter(|&v| thm11.label_of(v).p_a == v).collect();
         assert_eq!(own, landmarks.members(), "thm11: landmarks");
         assert_reference_clusters("thm11", &weighted, &landmarks, &thm11.clusters, &members);

@@ -742,8 +742,13 @@ impl SearchScratch {
 
     /// The full distance row of the last search as a fresh vector
     /// (`INFINITY` for unreached vertices), sized like the graph searched.
+    ///
+    /// # Panics
+    ///
+    /// If `n` is larger than the scratch: a scratch smaller than its graph
+    /// has no row to give.
     pub fn dist_row(&self, n: usize) -> Vec<Weight> {
-        (0..n).map(|i| if self.stamp.get(i) == Some(&self.epoch) { self.dist[i] } else { INFINITY }).collect()
+        (0..n).map(|i| if self.stamp[i] == self.epoch { self.dist[i] } else { INFINITY }).collect()
     }
 }
 
@@ -1824,5 +1829,15 @@ mod tests {
         assert_eq!(s.dist_row(5), vec![0, 1, 2, INFINITY, INFINITY], "unreached vertices");
         assert!(s.is_settled(VertexId(2)));
         assert_eq!(s.n(), 5);
+    }
+
+    /// A row longer than the scratch is a scratch sized for another graph:
+    /// it panics rather than report the vertices past it unreached.
+    #[test]
+    #[should_panic]
+    fn dist_row_past_the_scratch_panics() {
+        let mut s = SearchScratch::new(3);
+        s.dijkstra_into(&generators::path(3), VertexId(0));
+        s.dist_row(4);
     }
 }

@@ -227,40 +227,54 @@ enum PortMap {
     Bitmap(Box<RankBitmap>),
 }
 
-/// The rank-bitmap encoding of a [`BallPorts`].
+/// The rank-bitmap encoding of a [`BallPorts`]: the balls of a table's
+/// vertices in order, one after another, each its membership bits over
+/// `0..n`, their counts and its ports. A build packs each ball into one of
+/// these and appends it to the table's, so a table of `n` vertices holds
+/// `n` balls and a ball in the making one. Its fields are private: it is
+/// public so that a build's memory can be accounted by its size.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct RankBitmap {
-    n: usize,
-    /// `⌈n/64⌉`: the blocks of `u` are `u·blocks..(u + 1)·blocks`.
+pub struct RankBitmap {
+    /// Balls held: `n` in a table's bitmap.
+    balls: usize,
+    /// `⌈n/64⌉`: the blocks of the `u`-th ball are `u·blocks..(u + 1)·blocks`.
     blocks: usize,
-    /// `min(ℓ, n)`: the ports of `u` start at `u·stride`.
+    /// `min(ℓ, n)`: the ports of the `u`-th ball start at `u·stride`.
     stride: usize,
-    /// Per vertex and block, bit `v mod 64` of block `⌊v/64⌋` is set iff
-    /// `v ∈ B(u, ℓ)`.
+    /// Per ball and block, bit `v mod 64` of block `⌊v/64⌋` is set iff `v`
+    /// is a member.
     bits: Vec<u64>,
-    /// Parallel to `bits`: the members in the vertex's earlier blocks, at
-    /// the id width.
+    /// Parallel to `bits`: the members in the ball's earlier blocks, at the
+    /// id width.
     ranks: PackedColumn<1>,
-    /// Per vertex `stride` ports at the port width, its members' in id
-    /// order ([`NO_PORT`] for the centre), then zeros where the ball is
-    /// shorter than `ℓ`.
+    /// Per ball `stride` ports at the port width, its members' in id order
+    /// ([`NO_PORT`] for the centre), then zeros where the ball is shorter
+    /// than `ℓ`.
     ports: PackedColumn<1>,
 }
 
 impl RankBitmap {
-    /// The port stored for member `v` of `B(u, ℓ)`, for `u` and `v` in
-    /// `0..n`.
+    /// The port stored for member `v` of the `u`-th ball, for `u` below
+    /// `balls` and `v` in `0..n`.
     #[inline(always)]
     fn find(&self, u: usize, v: u32) -> Option<u32> {
         let rank = member_rank(&self.bits, &self.ranks, u * self.blocks + v as usize / 64, v)?;
         self.ports.get::<u32>(u * self.stride + rank).map(|[port]| port)
     }
 
-    /// Members of `B(u, ℓ)`: the last block's count and bits.
+    /// Members of the `u`-th ball: the last block's count and bits.
     fn members(&self, u: usize) -> usize {
         let last = (u + 1) * self.blocks - 1;
         let before = self.ranks.get::<u32>(last).map_or(0, |[c]| c as usize);
         before + self.bits.get(last).map_or(0, |w| w.count_ones() as usize)
+    }
+
+    /// Appends the balls of `other`, a bitmap of the same widths.
+    fn append(&mut self, other: &RankBitmap) {
+        self.balls += other.balls;
+        self.bits.extend_from_slice(&other.bits);
+        self.ranks.extend_from(other.ranks.view());
+        self.ports.extend_from(other.ports.view());
     }
 }
 
@@ -348,12 +362,12 @@ impl BallPorts {
         }
     }
 
-    /// Bytes of an `[id, port]` record at the widths the table's graph
-    /// needs: a hashed slot, or a bitmap block's member count and a port.
-    pub fn slot_bytes(&self) -> usize {
+    /// Bytes of a hashed table's `[id, port]` slot, at the widths the
+    /// table's graph needs; `None` for a bitmap, which stores no slot.
+    pub fn slot_bytes(&self) -> Option<usize> {
         match &self.map {
-            PortMap::Hashed { slots, .. } => slots.codec().width(),
-            PortMap::Bitmap(bitmap) => bitmap.ranks.codec().width() + bitmap.ports.codec().width(),
+            PortMap::Hashed { slots, .. } => Some(slots.codec().width()),
+            PortMap::Bitmap(_) => None,
         }
     }
 
@@ -362,7 +376,7 @@ impl BallPorts {
     fn members(&self, u: VertexId) -> usize {
         match &self.map {
             PortMap::Hashed { regions, .. } => regions.get(u.index()).map_or(0, |r| r.members as usize),
-            PortMap::Bitmap(bitmap) if u.index() < bitmap.n => bitmap.members(u.index()),
+            PortMap::Bitmap(bitmap) if u.index() < bitmap.balls => bitmap.members(u.index()),
             PortMap::Bitmap(_) => 0,
         }
     }
@@ -377,7 +391,7 @@ impl BallPorts {
     pub fn len(&self) -> usize {
         match &self.map {
             PortMap::Hashed { regions, .. } => regions.len() - 1,
-            PortMap::Bitmap(bitmap) => bitmap.n,
+            PortMap::Bitmap(bitmap) => bitmap.balls,
         }
     }
 
@@ -619,7 +633,7 @@ fn build_ports(
         }
         BallEncoding::Bitmap => {
             let mut bitmap = RankBitmap {
-                n,
+                balls: 0,
                 blocks: codecs.blocks,
                 stride: codecs.stride,
                 bits: Vec::with_capacity(n * codecs.blocks),
@@ -628,9 +642,7 @@ fn build_ports(
             };
             build_blocks(g, ell, batch, codecs, |_, members| rank_bitmap(members, codecs), |block| {
                 for ball in block.into_iter().flatten() {
-                    bitmap.bits.extend_from_slice(&ball.ports.bits);
-                    bitmap.ranks.extend_from(ball.ports.ranks.view());
-                    bitmap.ports.extend_from(ball.ports.ports.view());
+                    bitmap.append(&ball.ports);
                     take(ball.without_ports());
                 }
             });
@@ -704,15 +716,6 @@ impl<P> BuiltBall<P> {
     fn without_ports(self) -> BuiltBall<()> {
         BuiltBall { ids: self.ids, dists: self.dists, ports: (), radius: self.radius }
     }
-}
-
-/// One ball's rank bitmap: its blocks, their member counts, and its
-/// `min(ℓ, n)` ports in id order. A build holds it boxed, so that its
-/// block of balls is no larger than a hashed build's.
-struct BitmapPiece {
-    bits: Vec<u64>,
-    ranks: PackedColumn<1>,
-    ports: PackedColumn<1>,
 }
 
 /// One worker's kernel in [`build_ports`], chosen once, with the scratch
@@ -838,7 +841,9 @@ fn hash_region(region: &mut Vec<Slot>, members: &[Slot], codec: SlotCodec<2>) ->
 /// The rank bitmap of one ball, its `[member, port]` slots in `members`:
 /// the membership bits of `0..n` in `⌈n/64⌉` blocks, the count of members
 /// before each block, and `min(ℓ, n)` ports, the members' in id order.
-fn rank_bitmap(members: &[Slot], codecs: MemberCodecs) -> Box<BitmapPiece> {
+/// Boxed, so that a build's block of balls is no larger than a hashed
+/// build's.
+fn rank_bitmap(members: &[Slot], codecs: MemberCodecs) -> Box<RankBitmap> {
     let mut bits = vec![0u64; codecs.blocks];
     for &[v, _] in members {
         bits[v as usize / 64] |= 1 << (v % 64);
@@ -855,7 +860,7 @@ fn rank_bitmap(members: &[Slot], codecs: MemberCodecs) -> Box<BitmapPiece> {
             ports.set(rank, [port]);
         }
     }
-    Box::new(BitmapPiece { bits, ranks, ports })
+    Box::new(RankBitmap { balls: 1, blocks: codecs.blocks, stride: codecs.stride, bits, ranks, ports })
 }
 
 /// A borrowed view of one ball `B(u, ℓ)` inside a [`BallTable`].
@@ -1219,6 +1224,204 @@ mod tests {
         }
     }
 
+    /// The multiplier of the slot hash as `docs/ARCHITECTURE.md` gives it,
+    /// pinned here so that the layout check below reads the documented
+    /// format rather than [`slot_hash`].
+    const SLOT_HASH_MULT: u32 = 0x9E37_79B1;
+
+    /// Holds `t`, the table of `g` at `ell`, to the reference ball search
+    /// for every `(u, v)` — ids, distances, radius, words, membership and
+    /// first port — and each ball's ports to its encoding's layout, rebuilt
+    /// here from the reference ball. Hashed: the members in strictly
+    /// ascending hash order, each at `max(home, previous + 1)`, then empty
+    /// slots up to `⌈4m/3⌉` or one past the last member, whichever is more
+    /// (load ≤ 3/4, the last slot empty, no slack), and no probe, hit or
+    /// miss, longer than the ball plus the slot that ends it. As a bitmap:
+    /// the members' bits, the count of members before each block, the
+    /// members' ports in id order then zeros, and its formula's bytes.
+    fn check_against_reference(g: &Graph, t: &BallTable, ell: usize, key: &str) {
+        let hash = |id: u32| id.wrapping_mul(SLOT_HASH_MULT);
+        let n = g.n();
+        if t.encoding() == BallEncoding::Bitmap {
+            let bytes = BallEncoding::Bitmap.bytes(n, ell, SlotCodec::for_graph(g));
+            assert_eq!(t.ports.heap_bytes(), bytes, "{key}: bitmap bytes");
+        }
+        for u in g.vertices() {
+            let key = format!("{key}, B({u})");
+            let (members, first_hops, radius) = reference::ball_hashmap(g, u, ell);
+            let (ids, dists): (Vec<VertexId>, Vec<Weight>) = members.iter().copied().unzip();
+            assert_eq!(decoded(t, u), (ids.clone(), Some(dists)), "{key}: members");
+            assert_eq!(t.ball(u).radius(), radius, "{key}: radius");
+            assert_eq!(t.words_at(u), 3 * (ids.len() - 1), "{key}: words");
+            // The ball's `[member, port]` slots by id, the centre's port the
+            // sentinel.
+            let port = |hop: Option<VertexId>| hop.and_then(|hop| g.port_to(u, hop)).unwrap_or(NO_PORT).0;
+            let mut slots: Vec<Slot> = ids.iter().zip(first_hops).map(|(v, hop)| [v.0, port(hop)]).collect();
+            slots.sort_unstable();
+            for v in g.vertices() {
+                let stored = slots.binary_search_by_key(&v.0, |s| s[0]).ok().map(|i| Port(slots[i][1]));
+                assert_eq!(t.contains(u, v), stored.is_some(), "{key}: contains({v})");
+                assert_eq!(t.first_port(u, v), stored.filter(|&p| p != NO_PORT), "{key}: port to {v}");
+            }
+            let m = slots.len();
+            match &t.map {
+                PortMap::Hashed { regions, .. } => {
+                    assert_eq!(regions[u.index()].members as usize, m, "{key}: region members");
+                    let cap = (4 * m).div_ceil(3);
+                    let home = |h: u32| ((u64::from(h) * cap as u64) >> 32) as usize;
+                    slots.sort_unstable_by_key(|s| hash(s[0]));
+                    let mut want = Vec::new();
+                    for slot in slots {
+                        want.resize(home(hash(slot[0])).max(want.len()), EMPTY);
+                        want.push(slot);
+                    }
+                    want.resize(cap.max(want.len() + 1), EMPTY);
+                    let region = t.slot_region(u);
+                    assert_eq!(region, want, "{key}: region");
+                    assert!(4 * m <= 3 * region.len(), "{key}: load above 3/4");
+                    for v in g.vertices() {
+                        let h = hash(v.0);
+                        let stop = region[home(h)..].iter().position(|s| s[0] == v.0 || s[0] == EMPTY_KEY || hash(s[0]) > h);
+                        assert!(stop.is_some_and(|at| at < m + 1), "{key}: probe for {v} runs {stop:?}");
+                    }
+                }
+                PortMap::Bitmap(bitmap) => {
+                    let (blocks, stride) = (n.div_ceil(64), ell.clamp(1, n));
+                    assert_eq!((bitmap.blocks, bitmap.stride), (blocks, stride), "{key}: shape");
+                    let mut before = 0;
+                    for b in 0..blocks {
+                        let in_block = slots.iter().filter(|s| s[0] as usize / 64 == b);
+                        let word = in_block.fold(0u64, |w, s| w | 1 << (s[0] % 64));
+                        let at = u.index() * blocks + b;
+                        assert_eq!(bitmap.bits[at], word, "{key}: block {b}");
+                        assert_eq!(bitmap.ranks.get(at), Some([before]), "{key}: count before block {b}");
+                        before += word.count_ones();
+                    }
+                    let ports: Vec<u32> =
+                        (0..stride).filter_map(|i| bitmap.ports.get(u.index() * stride + i)).map(|[p]| p).collect();
+                    let want: Vec<u32> = slots.iter().map(|s| s[1]).chain(std::iter::repeat(0)).take(stride).collect();
+                    assert_eq!(ports, want, "{key}: ports");
+                }
+            }
+        }
+    }
+
+    /// Graphs whose ids are hostile to the hashed layout, `n` = 240:
+    /// balls that are stride-16 progressions, weighted (the per-vertex
+    /// Dijkstra builds them) and on unit weights (the batch BFS does), a
+    /// ball made of the ids with the smallest slot hashes, which all claim
+    /// the first home slots, weighted and unit, and a two-component unit
+    /// graph whose lanes never fill.
+    fn hostile_graphs() -> Vec<(&'static str, Graph)> {
+        use generators::WeightModel;
+        let n = 240;
+        let mut graphs = Vec::new();
+        // Sixteen unit-weight chains i, i + 16, i + 32, …, joined at their
+        // heads by heavy edges: every ball up to ℓ = 15 is a stride-16
+        // progression.
+        let mut strided = routing_graph::GraphBuilder::new(n);
+        for i in 0..n - 16 {
+            strided.add_edge(i, i + 16, 1).unwrap();
+        }
+        for i in 0..15 {
+            strided.add_edge(i, i + 1, 1_000).unwrap();
+        }
+        graphs.push(("stride-16", strided.build()));
+        // The same chains on unit weights and never joined: sixteen
+        // components of fifteen, so no lane fills past ℓ = 15.
+        let mut chains = routing_graph::GraphBuilder::new(n);
+        for i in 0..n - 16 {
+            chains.add_unit_edge(i, i + 16).unwrap();
+        }
+        graphs.push(("stride-16-unit", chains.build()));
+        // A unit-weight clique on the 40 ids with the smallest slot hashes,
+        // the rest hanging off it on heavy edges: the clique is every
+        // member's ball at ℓ = 40 and its keys all hash to the front of the
+        // region.
+        let mut by_hash: Vec<usize> = (0..n).collect();
+        by_hash.sort_unstable_by_key(|&i| (i as u32).wrapping_mul(SLOT_HASH_MULT));
+        let (clique, rest) = by_hash.split_at(40);
+        let mut clustered = routing_graph::GraphBuilder::new(n);
+        let mut clustered_unit = routing_graph::GraphBuilder::new(n);
+        for (k, &a) in clique.iter().enumerate() {
+            for &b in &clique[k + 1..] {
+                clustered.add_edge(a, b, 1).unwrap();
+                clustered_unit.add_unit_edge(a, b).unwrap();
+            }
+        }
+        for (k, &r) in rest.iter().enumerate() {
+            clustered.add_edge(r, clique[k % clique.len()], 1_000).unwrap();
+        }
+        graphs.push(("hash-clustered", clustered.build()));
+        // On unit weights the rest hangs off one clique member as a path,
+        // so the clique is still the ball at ℓ = 40 of every other member.
+        for (k, &r) in rest.iter().enumerate() {
+            clustered_unit.add_unit_edge(r, if k == 0 { clique[0] } else { rest[k - 1] }).unwrap();
+        }
+        graphs.push(("hash-clustered-unit", clustered_unit.build()));
+        // Two unit components, of 200 and 40: at ℓ = n no lane fills, and
+        // at ℓ = 40 the small one fills exactly at its last level.
+        let mut two = routing_graph::GraphBuilder::new(n);
+        let big = generators::erdos_renyi(200, 6.0 / 200.0, WeightModel::Unit, &mut StdRng::seed_from_u64(61));
+        for u in big.vertices() {
+            for e in big.edges(u).filter(|e| u < e.to) {
+                two.add_unit_edge(u.index(), e.to.index()).unwrap();
+            }
+        }
+        for a in 201..n {
+            two.add_unit_edge(a - 1, a).unwrap();
+        }
+        graphs.push(("two-components-unit", two.build()));
+        graphs
+    }
+
+    /// Forced into either encoding, at 1 and 4 threads, the table is the
+    /// same and holds to the reference search and to its encoding's layout
+    /// (`check_against_reference`) on the hostile graphs at ℓ ∈ {1, 2, 16,
+    /// 40, n}; on eight random weighted Erdős–Rényi graphs of 30–69
+    /// vertices at ℓ ∈ {2, 5, 9, 13}; around the block count (n ∈ {1, 15,
+    /// 16, 17, 33}, weight ties) and around the batch width (unit, n ∈ {63,
+    /// 64, 65, 130}) at ℓ ∈ {1, n − 1, n, 2n}.
+    #[test]
+    fn both_encodings_keep_their_layout_on_hostile_and_random_graphs() {
+        use generators::WeightModel;
+        use rand::Rng;
+        let mut cases: Vec<(String, Graph, Vec<usize>)> =
+            hostile_graphs().into_iter().map(|(name, g)| (name.to_string(), g, vec![1, 2, 16, 40, 240])).collect();
+        for seed in 0..8 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (n, heaviest) = (rng.gen_range(30..70), rng.gen_range(1..20));
+            let weights = WeightModel::Uniform { lo: 1, hi: heaviest };
+            let g = generators::erdos_renyi(n, 10.0 / n as f64, weights, &mut rng);
+            cases.push((format!("er seed {seed}"), g, vec![2, 5, 9, 13]));
+        }
+        let ties = WeightModel::Uniform { lo: 1, hi: 3 };
+        for n in [1, 15, 16, 17, 33] {
+            let g = generators::erdos_renyi(n, 0.25, ties, &mut StdRng::seed_from_u64(n as u64));
+            cases.push((format!("er-ties {n}"), g, vec![1, n - 1, n, 2 * n]));
+        }
+        for n in [63, 64, 65, 130] {
+            let g = generators::erdos_renyi(n, 4.0 / n as f64, WeightModel::Unit, &mut StdRng::seed_from_u64(n as u64));
+            cases.push((format!("er-unit {n}"), g, vec![1, n - 1, n, 2 * n]));
+        }
+        for (name, g, ells) in &cases {
+            for &ell in ells {
+                for encoding in [BallEncoding::Hashed, BallEncoding::Bitmap] {
+                    let key = format!("{name}, ℓ = {ell}, {encoding:?}");
+                    let [one, four] = [1, 4].map(|threads| {
+                        routing_par::set_threads(threads);
+                        let t = forced(encoding, || BallTable::build(g, ell));
+                        routing_par::set_threads(routing_par::available_threads());
+                        t
+                    });
+                    assert_eq!(one.encoding(), encoding, "{key}");
+                    assert!(one == four, "{key}: threads 1 and 4 built different tables");
+                    check_against_reference(g, &one, ell, &key);
+                }
+            }
+        }
+    }
+
     /// At 3-byte ids, on a 65,600-vertex grid, unit and weighted: the rank
     /// bitmap of one ball, its member counts at 3 bytes, answers for every
     /// `v` as the hashed table does at that ball's centre. (A whole bitmap
@@ -1237,16 +1440,12 @@ mod tests {
             let mut search = BallSearch::new(&g, false);
             let encode = |_: &mut Vec<Slot>, members: &[Slot]| rank_bitmap(members, codecs);
             for c in (0..g.n()).step_by(4099).chain([g.n() - 1]) {
-                let ball = search.balls(&g, c..c + 1, ell, codecs, &encode).pop().unwrap();
-                let BitmapPiece { bits, ranks, ports } = *ball.ports;
-                let (blocks, stride) = (codecs.blocks, codecs.stride);
-                let one = RankBitmap { n: g.n(), blocks, stride, bits, ranks, ports };
-                let one = BallPorts { ell, map: PortMap::Bitmap(Box::new(one)) };
-                let (u, c) = (VertexId(0), VertexId(c as u32));
-                assert_eq!(one.words_at(u), table.words_at(c), "{weights:?}: B({c})");
+                let one = search.balls(&g, c..c + 1, ell, codecs, &encode).pop().unwrap().ports;
+                let c = VertexId(c as u32);
+                assert_eq!(one.balls, 1);
+                assert_eq!(one.members(0), table.members(c), "{weights:?}: B({c})");
                 for v in g.vertices() {
-                    assert_eq!(one.contains(u, v), table.contains(c, v), "{weights:?}: contains({c}, {v})");
-                    assert_eq!(one.first_port(u, v), table.first_port(c, v), "{weights:?}: ({c}, {v})");
+                    assert_eq!(one.find(0, v.0), table.find(c, v), "{weights:?}: ({c}, {v})");
                 }
             }
         }
@@ -1327,7 +1526,7 @@ mod tests {
                 let (regions, slot_column) = hashed(&t);
                 let slots = slot_column.len();
                 assert!(members > n, "{name}: balls are not trivial");
-                assert_eq!(t.slot_bytes(), 3, "{name}: a 2-byte id and a 1-byte port");
+                assert_eq!(t.slot_bytes(), Some(3), "{name}: a 2-byte id and a 1-byte port");
                 let dist_bytes = (keep == BallDists::Keep).then_some(2);
                 assert_eq!(member_bytes(&t), (2, dist_bytes), "{name}: a 2-byte id, a 2-byte distance");
                 assert_eq!(t.ids.len(), members);
@@ -1634,7 +1833,7 @@ mod tests {
         for (n, bytes) in [(255, 1), (256, 2), (65_536, 3)] {
             assert_eq!(SlotCodec::for_ids(n).bytes(), [bytes]);
         }
-        assert_eq!(BallTable::build(&generators::star(257), 3).slot_bytes(), 4);
+        assert_eq!(BallTable::build(&generators::star(257), 3).slot_bytes(), Some(4));
     }
 
     /// Every slot packs and unpacks to itself at every width, the sentinels
@@ -1676,9 +1875,10 @@ mod tests {
         // before any masking.
         // Both encodings: the bitmap's block counts take one byte too.
         let g = generators::cycle(12);
+        assert_eq!(SlotCodec::for_graph(&g).bytes(), [1, 1]);
         for encoding in [BallEncoding::Hashed, BallEncoding::Bitmap] {
             let t = forced(encoding, || BallTable::build(&g, 12));
-            assert_eq!((t.encoding(), t.slot_bytes()), (encoding, 2));
+            assert_eq!(t.encoding(), encoding);
             let inside = VertexId(3);
             let narrow = [VertexId(0xFF), VertexId(256 + 3)];
             let wide = [VertexId(12), VertexId(13), VertexId(u32::MAX - 1), VertexId(u32::MAX)];
