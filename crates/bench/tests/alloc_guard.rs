@@ -56,7 +56,8 @@ use routing_bench::alloc::{
 use routing_baselines::thm16::vicinities;
 use routing_baselines::{ExactScheme, Thm16Scheme, TzHierarchy, TzLevels};
 use routing_core::{
-    BuildContext, ClusterFamily, Params, SchemeFivePlusEps, SchemeMultilevel, SchemeTwoPlusEps,
+    BuildContext, BuildError, ClusterFamily, DistLists, Params, SchemeFivePlusEps, SchemeMultilevel,
+    SchemeTwoPlusEps,
 };
 use routing_graph::generators::{self, Family, WeightModel};
 use routing_core::Technique1Router;
@@ -665,22 +666,33 @@ fn assert_thm16_build_peak(g: &Graph, ell: usize, workspace: u64) {
 }
 
 /// `TzHierarchy::from_levels` at k = 3 on the `t2-geo-direct` graph peaks
-/// at no more than what it keeps, the cluster members packed at the
-/// graph's width, one round of tree and member chunks, and the rungs'
-/// labels (8 bytes a vertex a level), which come after the members are
-/// dropped; the pivots are read off the levels' landmarks, with no copy.
-/// The forest and the members are appended a round of roots at a time, so
-/// the chunks of every round appended at once (a second forest), or
-/// members kept as 16-byte pairs, sit over it.
+/// at no more than the largest of its three phases, each the sum of the
+/// arrays it holds, whose sizes are worked out from the finished hierarchy:
+///
+/// * a round of the cluster build: the forest and the members through that
+///   round, beside the round's tree and member chunks;
+/// * the inversion of the members into the bunches: the whole forest,
+///   members and bunches, beside the inversion's cursor row;
+/// * the ladder rows: the hierarchy, beside the rows' labels (8 bytes a
+///   vertex a level).
+///
+/// Throughout, `from_levels` holds a level byte and an unbounded distance
+/// a vertex. The inversion is the peak on this graph and its term is exact:
+/// a 432 kB copy of the pivots held through the cluster build goes over it.
+/// So do the chunks of every round appended at once (a second forest), or
+/// members kept as 16-byte pairs.
 fn assert_hierarchy_build_peak(g: &Graph) {
     /// `stages.rs`'s round count.
     const ROUNDS: usize = 8;
     const K: usize = 3;
+    /// Heap bytes of an empty `DistLists`, a `u32` offset beside a packed
+    /// column's pad, and of an empty `TreeForest`, a `[u32; 3]` span and a
+    /// `u32` offset beside three pads.
+    const EMPTY_LISTS: usize = 4 + SLOT_PAD;
+    const EMPTY_FOREST: usize = 12 + 4 + 3 * SLOT_PAD;
     let n = g.n();
     let levels = TzLevels::sample(g, K, &mut StdRng::seed_from_u64(17)).expect("levels");
-    let before = live_bytes();
     let (peak, hierarchy) = peak_bytes_in(|| TzHierarchy::from_levels(g, levels));
-    let kept = live_bytes() - before;
     let hierarchy = hierarchy.expect("the hierarchy builds");
     let clusters = hierarchy.clusters();
     // A member as `ClusterFamily::build` packs it: an id, and a distance in
@@ -689,34 +701,60 @@ fn assert_hierarchy_build_peak(g: &Graph) {
     let member = usize::from(bytes_for(n as u64) + bytes_for(heaviest * (n as u64 - 1) + 1));
     let [id, port] = SlotCodec::for_graph(g).bytes().map(usize::from);
     let time = usize::from(bytes_for(n as u64 + 1));
-    // The bytes of the trees of the roots in `roots`, and of their members.
-    let chunk = |roots: std::ops::Range<usize>| -> usize {
-        let trees = roots.map(|w| clusters.tree(VertexId(w as u32)).expect("a tree a vertex"));
-        let bytes = trees.map(|t| {
-            // A tree above level 0 keeps no labels: no light offset or port.
-            let nodes = t.len();
-            let (offsets, light) = if t.keeps_labels() { (nodes, (t.labels_words() - nodes) / 2) } else { (0, 0) };
-            let ids = if nodes == n { 0 } else { nodes };
-            12 + 4 * offsets + id * ids + (4 * time + 2 * port) * nodes + (id + port) * light
-                + (member * nodes + 4)
-        });
-        bytes.sum()
+    let trees: Vec<_> = g.vertices().map(|w| clusters.tree(w).expect("a tree a vertex")).collect();
+    // The bytes of tree `w` in a forest's arrays (its span, its ids unless
+    // it spans the graph, its node records, and, if it keeps its members'
+    // labels, an offset a member and its light ports), and of its row of
+    // members (the members and their offset).
+    let tree_bytes = |w: usize| {
+        let t = trees[w];
+        let nodes = t.len();
+        let (offsets, light) = if t.keeps_labels() { (nodes, (t.labels_words() - nodes) / 2) } else { (0, 0) };
+        let ids = if nodes == n { 0 } else { nodes };
+        12 + 4 * offsets + id * ids + (4 * time + 2 * port) * nodes + (id + port) * light
     };
+    let row_bytes = |w: usize| member * trees[w].len() + 4;
+    let forest = EMPTY_FOREST + (0..n).map(tree_bytes).sum::<usize>();
+    let members = EMPTY_LISTS + (0..n).map(row_bytes).sum::<usize>();
+    // The bunches hold every member once more, their distances in the bytes
+    // the largest needs.
+    let bunch_entries = g.vertices().flat_map(|v| clusters.bunch(v));
+    let (entries, far) = bunch_entries.fold((0, 0), |(k, far), (_, d)| (k + 1, far.max(d)));
+    let bunch = usize::from(bytes_for(n as u64) + bytes_for(far + 1));
+    let bunches = 4 * (n + 1) + bunch * entries + SLOT_PAD;
+    assert_eq!(forest + bunches, clusters.heap_bytes(), "the forest and bunches are not what this test models");
+
+    // `level_of` and the unbounded row, and `ClusterFamily::build`'s empty
+    // member lists, which the chunks are cloned from.
+    let held = n + 8 * n + EMPTY_LISTS;
+    // A round at one thread is blocks of at most 64 roots, each a tree and
+    // a member chunk, handed over in at most two vectors at a time. The
+    // forest grows by the round's trees while its chunks are still live,
+    // beside `forest_by_blocks`' empty forest and the members so far.
     let round = n.div_ceil(ROUNDS);
-    let largest = (0..n).step_by(round).map(|first| chunk(first..n.min(first + round))).max();
-    // At one thread a round is blocks of at most 64 roots, each a tree
-    // chunk and a member chunk: their pads, first offsets and the vectors
-    // that hold them.
-    let blocks = round.div_ceil(round.div_ceil(8).clamp(1, 64));
-    let round_chunks = (largest.unwrap_or(0) + 512 * blocks) as u64;
-    let entries: usize = g.vertices().map(|v| clusters.bunch(v).count()).sum();
-    let members = (member * entries + 4 * (n + 1) + 8) as u64;
-    let labels = (8 * n * K) as u64;
-    let bound = kept + (members + round_chunks).max(labels);
+    let block = round.div_ceil(8).clamp(1, 64);
+    let handles = 2 * size_of::<Result<(TreeForest, DistLists), BuildError>>();
+    let (mut cluster_build, mut forest_so_far, mut members_so_far) = (0, EMPTY_FOREST, EMPTY_LISTS);
+    for first in (0..n).step_by(round) {
+        let last = n.min(first + round);
+        let (trees, rows) = (first..last).fold((0, 0), |(t, r), w| (t + tree_bytes(w), r + row_bytes(w)));
+        let chunks = trees + rows + (last - first).div_ceil(block) * (EMPTY_FOREST + EMPTY_LISTS + handles);
+        forest_so_far += trees;
+        cluster_build = cluster_build.max(EMPTY_FOREST + forest_so_far + members_so_far + chunks);
+        members_so_far += rows;
+    }
+    let inversion = forest + members + bunches + 4 * (n + 1);
+    // The ladder rows: the unbounded row beside the hierarchy, the labels,
+    // a vertex's rungs and one label's light ports (at most ⌊log₂ n⌋ + 1,
+    // in a vector grown by doubling).
+    let ports = 8 * (n.ilog2() as usize + 1).next_power_of_two();
+    let ladder = hierarchy.heap_bytes() + 8 * n + 8 * n * K + 16 * K + ports;
+    let bound = (held + cluster_build.max(inversion)).max(ladder) as u64;
     assert!(
         peak <= bound,
-        "the k = {K} hierarchy peaked at {peak} bytes over a bound of {bound}: kept {kept}, \
-         members {members}, one round of chunks {round_chunks}, labels {labels}"
+        "the k = {K} hierarchy peaked at {peak} bytes over a bound of {bound}: held {held}, \
+         largest round of the cluster build {cluster_build}, inversion {inversion} (forest \
+         {forest}, members {members}, bunches {bunches}), ladder {ladder}"
     );
 }
 

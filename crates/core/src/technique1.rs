@@ -462,11 +462,8 @@ impl SeqBuilder<'_> {
                     scratch.dijkstra_targets_into(g, u, members);
                     routing_obs::counters::BUILD_EARLY_EXIT_SEARCHES.inc();
                     for &v in members.iter().filter(|&&v| v != u) {
-                        // Defensive: every member is a target, so it is
-                        // settled unless unreachable.
-                        if !scratch.is_settled(v) && scratch.ensure_settled(g, v) {
-                            routing_obs::counters::BUILD_FRONTIER_RESUMES.inc();
-                        }
+                        // Every member is a target, so it is settled
+                        // unless unreachable.
                         if !scratch.path_into(v, path) {
                             return Err(BuildError::Disconnected);
                         }

@@ -23,13 +23,15 @@
 //!   equals the current epoch, so "resetting" the workspace is a single
 //!   integer increment, `O(1)` regardless of how little of the graph the
 //!   previous search touched;
-//! * the priority queue is a monotone **bucket queue** (Dial's algorithm
-//!   with a 64-distance circular window tracked by one occupancy bitmask)
-//!   backed by a binary-heap overflow for pushes beyond the window, all
-//!   kept allocated between searches — see `SearchScratch::queue_pop`'s
-//!   source for why its pop order is bit-identical to a binary heap's;
+//! * one priority queue serves every search, single-origin and
+//!   multi-source: a monotone **bucket queue** (Dial's algorithm with a
+//!   64-distance circular window tracked by one occupancy bitmask) backed
+//!   by a binary-heap overflow for pushes beyond the window, all kept
+//!   allocated between searches — see `SearchScratch::queue_pop`'s source
+//!   for why its pop order is bit-identical to a binary heap's;
 //! * the settle order (the `(distance, id)`-sorted vertex sequence every
-//!   bounded search is defined by) is recorded in a reusable buffer.
+//!   bounded search is defined by, and every search follows) is recorded
+//!   in a reusable buffer.
 //!
 //! Every search method is **bit-identical** to its allocating counterpart in
 //! [`crate::reference`] — same lexicographic `(distance, id)` tie-breaking,
@@ -76,19 +78,6 @@ const BQ_WINDOW: Weight = 64;
 /// this value, epoch at 0) reports nothing as reached or settled.
 const NEVER: u64 = u64::MAX;
 
-/// When the shared single-origin settle loop ([`SearchScratch::drain`])
-/// stops: never early (full search), once every requested target settled
-/// (target-bounded search), or once one specific vertex settled (resume).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Stop {
-    /// Settle everything the heap reaches (full Dijkstra).
-    HeapEmpty,
-    /// Stop when the target countdown reaches zero.
-    TargetsSettled,
-    /// Stop when this vertex settles ([`SearchScratch::ensure_settled`]).
-    VertexSettled(VertexId),
-}
-
 /// Which search the workspace ran last; accessors whose data only certain
 /// searches produce are gated on this, so a reused workspace can never hand
 /// out a stale value from an earlier search of a different kind.
@@ -119,7 +108,9 @@ enum SearchKind {
 /// read through the accessors ([`dist`](SearchScratch::dist),
 /// [`parent`](SearchScratch::parent), [`first_hop`](SearchScratch::first_hop),
 /// [`order`](SearchScratch::order), …) and stay valid until the next
-/// `*_into` call.
+/// `*_into` call. Every search pops one bucket queue in `(distance, id)`
+/// order, and a stopped search is never resumed: the next one starts
+/// afresh.
 #[derive(Debug, Clone)]
 pub struct SearchScratch {
     n: usize,
@@ -134,14 +125,14 @@ pub struct SearchScratch {
     /// source `p_A(v)` after a multi-source search.
     parent: Vec<u32>,
     first_hop: Vec<u32>,
-    /// Overflow heap of the single-origin bucket queue, ordered by
-    /// `(distance, id)`: holds entries pushed more than [`BQ_WINDOW`]
-    /// distance units past the frontier, which migrate into their bucket
-    /// slot when the frontier reaches them.
+    /// Overflow heap of the bucket queue, ordered by `(distance, id)`:
+    /// holds entries pushed more than [`BQ_WINDOW`] distance units past the
+    /// frontier, which migrate into their bucket slot when the frontier
+    /// reaches them.
     heap: BinaryHeap<Reverse<(Weight, VertexId)>>,
-    /// Bucket slots of the single-origin queue: slot `d % BQ_WINDOW` holds
-    /// the ids of pending entries at distance `d` for the unique such `d`
-    /// inside the current window `[bq_cur, bq_cur + BQ_WINDOW)`.
+    /// Bucket slots of the queue: slot `d % BQ_WINDOW` holds the ids of
+    /// pending entries at distance `d` for the unique such `d` inside the
+    /// current window `[bq_cur, bq_cur + BQ_WINDOW)`.
     bq_slots: Vec<Vec<u32>>,
     /// Occupancy bitmask over `bq_slots` (bit `s` set iff slot `s` holds
     /// pending entries).
@@ -151,8 +142,6 @@ pub struct SearchScratch {
     bq_cur: Weight,
     /// Entries of the current slot already handed out by `queue_pop`.
     bq_pos: usize,
-    /// Heap for multi-source searches, ordered by `(distance, source, id)`.
-    heap_tagged: BinaryHeap<Reverse<(Weight, VertexId, VertexId)>>,
     /// Vertices in settle order with their final distances.
     order: Vec<(VertexId, Weight)>,
     /// Source of the last single-origin search.
@@ -163,14 +152,10 @@ pub struct SearchScratch {
     /// search ([`dijkstra_targets_into`](Self::dijkstra_targets_into)).
     target_stamp: Vec<u64>,
     /// Requested targets of the current epoch not yet settled; the
-    /// target-bounded search stops when this countdown reaches zero.
+    /// single-origin settle loop ([`drain`](Self::drain)) stops when this
+    /// countdown reaches zero. A full search starts it at `usize::MAX`,
+    /// so it never does.
     targets_remaining: usize,
-    /// True when the last search left a resumable frontier: full and
-    /// target-bounded Dijkstra relax every settled vertex's out-edges
-    /// before stopping, so popping more of the heap continues the same
-    /// search. Bounded ball searches break *after* marking a vertex
-    /// settled but before relaxing it, so they must not be resumed.
-    resumable: bool,
 }
 
 impl SearchScratch {
@@ -191,13 +176,11 @@ impl SearchScratch {
             bq_mask: 0,
             bq_cur: 0,
             bq_pos: 0,
-            heap_tagged: BinaryHeap::new(),
             order: Vec::with_capacity(n.min(1 << 16)),
             source: VertexId(0),
             kind: SearchKind::Idle,
             target_stamp: vec![NEVER; n],
             targets_remaining: 0,
-            resumable: false,
         }
     }
 
@@ -216,7 +199,6 @@ impl SearchScratch {
     fn begin(&mut self) {
         self.epoch += 1;
         self.heap.clear();
-        self.heap_tagged.clear();
         // Clear only the occupied bucket slots (a stopped search leaves
         // pending entries behind); capacity is kept.
         while self.bq_mask != 0 {
@@ -228,14 +210,33 @@ impl SearchScratch {
         self.bq_pos = 0;
         self.order.clear();
         self.targets_remaining = 0;
-        self.resumable = false;
     }
 
-    /// Pushes `(d, v)` into the single-origin priority queue.
+    /// Starts a single-origin search of `kind` from `source`: the reset of
+    /// [`begin`](Self::begin), then `source` seeded at distance 0 with no
+    /// parent and no first hop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` has more vertices than the workspace.
+    fn start(&mut self, g: &Graph, kind: SearchKind, source: VertexId) {
+        assert!(g.n() <= self.n, "graph larger than the workspace");
+        self.begin();
+        self.kind = kind;
+        self.source = source;
+        let s = source.index();
+        self.stamp[s] = self.epoch;
+        self.dist[s] = 0;
+        self.parent[s] = NONE;
+        self.first_hop[s] = NONE;
+        self.queue_push(0, source);
+    }
+
+    /// Pushes `(d, v)` into the priority queue every search shares.
     ///
     /// Every caller settles vertices in nondecreasing distance order and
     /// edge weights are strictly positive, so `d` is always strictly past
-    /// the frontier `bq_cur` (or equal to it only for the seed, before any
+    /// the frontier `bq_cur` (or equal to it only for the seeds, before any
     /// pop). Within-window pushes go to the bucket slot `d % BQ_WINDOW`,
     /// farther ones wait in the overflow heap.
     #[inline]
@@ -249,12 +250,12 @@ impl SearchScratch {
         }
     }
 
-    /// Pops the minimum `(distance, id)` entry of the single-origin queue.
+    /// Pops the minimum `(distance, id)` entry of the queue.
     ///
     /// **Bit-identity with a binary heap.** All edge weights are ≥ 1, so
     /// every entry at distance `d` is enqueued while the frontier is still
     /// strictly below `d` (it was pushed when a vertex at `d - w < d`
-    /// settled, or is the seed). Hence when the frontier advances to `d`
+    /// settled, or is a seed). Hence when the frontier advances to `d`
     /// the distance-`d` population is complete: sorting the slot by id —
     /// after migrating any distance-`d` overflow entries into it — and
     /// draining it in that order yields exactly the `(distance, id)`
@@ -326,18 +327,9 @@ impl SearchScratch {
     ///
     /// Panics if `g` has more vertices than the workspace.
     pub fn dijkstra_into(&mut self, g: &Graph, source: VertexId) {
-        assert!(g.n() <= self.n, "graph larger than the workspace");
-        self.begin();
-        self.kind = SearchKind::SingleOrigin;
-        self.resumable = true;
-        self.source = source;
-        let s = source.index();
-        self.stamp[s] = self.epoch;
-        self.dist[s] = 0;
-        self.parent[s] = NONE;
-        self.first_hop[s] = NONE;
-        self.queue_push(0, source);
-        self.drain(g, Stop::HeapEmpty);
+        self.start(g, SearchKind::SingleOrigin, source);
+        self.targets_remaining = usize::MAX;
+        self.drain(g);
     }
 
     /// Runs Dijkstra from `source` but stops the moment the last vertex of
@@ -355,75 +347,34 @@ impl SearchScratch {
     /// their descendants, so [`path_to`](Self::path_to) of any settled
     /// target never leaves the settled frontier.
     ///
-    /// With an empty `targets` list nothing is settled; targets that are
-    /// unreachable from `source` make the search exhaust the component
-    /// (the countdown never reaches zero) — still never worse than a full
-    /// search. Callers probing past the frontier resume the search with
-    /// [`ensure_settled`](Self::ensure_settled).
+    /// With an empty `targets` list nothing is settled. A target that is
+    /// unreachable from `source` makes the search exhaust the component
+    /// (the countdown never reaches zero), so a target left unsettled is
+    /// one no search from `source` reaches: [`path_into`](Self::path_into)
+    /// refuses it.
     ///
     /// # Panics
     ///
     /// Panics if `g` has more vertices than the workspace.
     pub fn dijkstra_targets_into(&mut self, g: &Graph, source: VertexId, targets: &[VertexId]) {
-        assert!(g.n() <= self.n, "graph larger than the workspace");
-        self.begin();
-        self.kind = SearchKind::SingleOrigin;
-        self.resumable = true;
-        self.source = source;
-        let mut remaining = 0usize;
+        self.start(g, SearchKind::SingleOrigin, source);
         for &t in targets {
             let ti = t.index();
             if self.target_stamp[ti] != self.epoch {
                 self.target_stamp[ti] = self.epoch;
-                remaining += 1;
+                self.targets_remaining += 1;
             }
         }
-        self.targets_remaining = remaining;
-        if remaining == 0 {
-            return;
-        }
-        let s = source.index();
-        self.stamp[s] = self.epoch;
-        self.dist[s] = 0;
-        self.parent[s] = NONE;
-        self.first_hop[s] = NONE;
-        self.queue_push(0, source);
-        self.drain(g, Stop::TargetsSettled);
+        self.drain(g);
     }
 
-    /// Resumes the current full or target-bounded Dijkstra until `v` is
-    /// settled, returning whether it was (false only when `v` is
-    /// unreachable from the source). A no-op when `v` is already settled.
-    ///
-    /// Everything settled along the way keeps the bit-identity guarantee of
-    /// [`dijkstra_targets_into`](Self::dijkstra_targets_into): resuming is
-    /// indistinguishable from having asked for a larger target set up
-    /// front.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the last search was not [`dijkstra_into`](Self::dijkstra_into)
-    /// or [`dijkstra_targets_into`](Self::dijkstra_targets_into) — a
-    /// bounded ball search stops *without* relaxing its last settled
-    /// vertex, so its frontier must not be extended.
-    pub fn ensure_settled(&mut self, g: &Graph, v: VertexId) -> bool {
-        assert!(
-            self.kind == SearchKind::SingleOrigin && self.resumable,
-            "ensure_settled() resumes only full or target-bounded Dijkstra searches"
-        );
-        if self.settled[v.index()] == self.epoch {
-            return true;
-        }
-        self.drain(g, Stop::VertexSettled(v));
-        self.settled[v.index()] == self.epoch
-    }
-
-    /// The settle loop shared by the full, target-bounded and resumed
-    /// single-origin searches; runs until its [`Stop`] condition holds or
-    /// the heap empties. The stop checks come *after* the settled vertex's
-    /// out-edges are relaxed, so the frontier always stays resumable.
-    fn drain(&mut self, g: &Graph, stop: Stop) {
-        while let Some((d, u)) = self.queue_pop() {
+    /// The settle loop shared by the full and target-bounded single-origin
+    /// searches: runs until the target countdown reaches zero or the queue
+    /// empties. The countdown is read before each pop, so the last target
+    /// settled has its out-edges relaxed like every other vertex.
+    fn drain(&mut self, g: &Graph) {
+        while self.targets_remaining > 0 {
+            let Some((d, u)) = self.queue_pop() else { return };
             let ui = u.index();
             if self.settled[ui] == self.epoch {
                 continue;
@@ -431,7 +382,7 @@ impl SearchScratch {
             self.settled[ui] = self.epoch;
             self.order.push((u, d));
             if self.target_stamp[ui] == self.epoch {
-                self.targets_remaining = self.targets_remaining.saturating_sub(1);
+                self.targets_remaining -= 1;
             }
             for e in g.edges(u) {
                 let to = e.to.index();
@@ -441,19 +392,6 @@ impl SearchScratch {
                     self.first_hop[to] =
                         if u == self.source { e.to.0 } else { self.first_hop[ui] };
                     self.queue_push(nd, e.to);
-                }
-            }
-            match stop {
-                Stop::HeapEmpty => {}
-                Stop::TargetsSettled => {
-                    if self.targets_remaining == 0 {
-                        return;
-                    }
-                }
-                Stop::VertexSettled(v) => {
-                    if u == v {
-                        return;
-                    }
                 }
             }
         }
@@ -467,17 +405,8 @@ impl SearchScratch {
     ///
     /// Bit-identical to [`crate::reference::ball_hashmap`].
     pub fn ball_into(&mut self, g: &Graph, u: VertexId, ell: usize) -> Weight {
-        assert!(g.n() <= self.n, "graph larger than the workspace");
         let ell = ell.max(1);
-        self.begin();
-        self.kind = SearchKind::SingleOrigin;
-        self.source = u;
-        let s = u.index();
-        self.stamp[s] = self.epoch;
-        self.dist[s] = 0;
-        self.parent[s] = NONE;
-        self.first_hop[s] = NONE;
-        self.queue_push(0, u);
+        self.start(g, SearchKind::SingleOrigin, u);
 
         // Vertices settled after the ball is full, at the same distance as
         // the last member, make the top distance level incomplete.
@@ -528,12 +457,24 @@ impl SearchScratch {
     /// ties broken by source id, and the first vertex after `p_A(v)` on a
     /// shortest path from it to `v` (readable as [`first_hop`](Self::first_hop)).
     ///
-    /// `sources` must be sorted by id and deduplicated. Bit-identical to
+    /// It runs on the same bucket queue as every other search, so vertices
+    /// settle in `(distance, id)` order ([`order`](Self::order)), and a
+    /// vertex's source is read from its `parent` slot when it settles. A
+    /// relaxation wins on `(distance, source)`; the queue is pushed only
+    /// when the distance improves. This is exact because weights are ≥ 1:
+    /// every relaxation into `v` comes from a vertex settled before `v`
+    /// pops, so `v`'s source is final by then, and of the relaxations from
+    /// one source the first, made from the smallest `(distance, id)`
+    /// predecessor, keeps its first hop.
+    ///
+    /// `sources` must be sorted by id and deduplicated: they are the seeds
+    /// at distance 0, popped in the order given. Bit-identical to
     /// [`crate::reference::multi_source_alloc`] on the same sources.
     ///
     /// # Panics
     ///
-    /// Panics (debug) if `sources` is not sorted and deduplicated.
+    /// Panics if `g` has more vertices than the workspace, and (debug) if
+    /// `sources` is not sorted and deduplicated.
     pub fn multi_source_into(&mut self, g: &Graph, sources: &[VertexId]) {
         assert!(g.n() <= self.n, "graph larger than the workspace");
         debug_assert!(sources.windows(2).all(|w| w[0] < w[1]), "sources must be sorted+deduped");
@@ -545,36 +486,28 @@ impl SearchScratch {
             self.dist[si] = 0;
             self.parent[si] = s.0; // nearest source of a source is itself
             self.first_hop[si] = NONE;
-            self.heap_tagged.push(Reverse((0, s, s)));
+            self.queue_push(0, s);
         }
-        while let Some(Reverse((d, src, u))) = self.heap_tagged.pop() {
+        while let Some((d, u)) = self.queue_pop() {
             let ui = u.index();
             if self.settled[ui] == self.epoch {
                 continue;
             }
-            // A stale entry may carry an outdated source; skip it.
-            if self.parent[ui] != src.0 || self.dist[ui] != d {
-                continue;
-            }
             self.settled[ui] = self.epoch;
             self.order.push((u, d));
+            let src = self.parent[ui];
             for e in g.edges(u) {
                 let to = e.to.index();
-                if self.settled[to] == self.epoch {
-                    continue;
-                }
                 let nd = d + e.weight;
-                let better = if self.stamp[to] != self.epoch {
-                    true
-                } else {
-                    nd < self.dist[to] || (nd == self.dist[to] && src.0 < self.parent[to])
-                };
-                if better {
+                let improves = self.stamp[to] != self.epoch || nd < self.dist[to];
+                if improves || (nd == self.dist[to] && src < self.parent[to]) {
                     self.stamp[to] = self.epoch;
                     self.dist[to] = nd;
-                    self.parent[to] = src.0;
-                    self.first_hop[to] = if u == src { e.to.0 } else { self.first_hop[ui] };
-                    self.heap_tagged.push(Reverse((nd, src, e.to)));
+                    self.parent[to] = src;
+                    self.first_hop[to] = if u.0 == src { e.to.0 } else { self.first_hop[ui] };
+                    if improves {
+                        self.queue_push(nd, e.to);
+                    }
                 }
             }
         }
@@ -587,16 +520,8 @@ impl SearchScratch {
     ///
     /// Bit-identical to [`crate::reference::cluster_dijkstra_hashmap`].
     pub fn cluster_into(&mut self, g: &Graph, w: VertexId, bound: &[Weight]) {
-        assert!(g.n() <= self.n, "graph larger than the workspace");
         assert_eq!(bound.len(), g.n(), "bound slice must have one entry per vertex");
-        self.begin();
-        self.kind = SearchKind::Cluster;
-        self.source = w;
-        let s = w.index();
-        self.stamp[s] = self.epoch;
-        self.dist[s] = 0;
-        self.parent[s] = NONE;
-        self.queue_push(0, w);
+        self.start(g, SearchKind::Cluster, w);
         while let Some((d, u)) = self.queue_pop() {
             let ui = u.index();
             if self.settled[ui] == self.epoch {
@@ -1362,8 +1287,29 @@ mod tests {
     /// After a multi-source search every reached non-source `v` records a
     /// neighbour `z` of `a = p_A(v)` that starts a shortest `a`–`v` path,
     /// `w(a, z) + d(z, v) = d(a, v)`; a source or an unreached vertex
-    /// records none. Unit, tie-heavy, geometric and grid graphs, and two
-    /// components with every source in the first.
+    /// records none.
+    fn assert_first_hops_start_shortest_paths(g: &Graph, s: &SearchScratch, at: &str) {
+        let dm = crate::apsp::DistanceMatrix::new(g);
+        let mut full = SearchScratch::for_graph(g);
+        for v in g.vertices() {
+            let (Some(a), Some(d)) = (s.nearest(v), s.dist(v)) else {
+                assert_eq!(s.first_hop(v), None, "{at}: unreached {v}");
+                continue;
+            };
+            if a == v {
+                assert_eq!(s.first_hop(v), None, "{at}: source {v}");
+                continue;
+            }
+            let z = s.first_hop(v).expect("a reached non-source has a first hop");
+            let w = g.edge_weight(a, z).unwrap_or_else(|| panic!("{at}: {z} is not adjacent to {a}"));
+            full.dijkstra_into(g, a);
+            assert_eq!(full.dist(v), Some(d), "{at}: d({a}, {v})");
+            assert_eq!(dm.dist(z, v).map(|dz| w + dz), Some(d), "{at}: {a} -> {z} -> {v}");
+        }
+    }
+
+    /// The first-hop rule on unit, tie-heavy, geometric and grid graphs,
+    /// and on two components with every source in the first.
     #[test]
     fn multi_source_first_hops_start_a_shortest_path_from_the_nearest_source() {
         use generators::WeightModel::{Uniform, Unit};
@@ -1381,23 +1327,74 @@ mod tests {
         ];
         for g in &graphs {
             let sources: Vec<VertexId> = (3..20).step_by(7).map(VertexId).collect();
-            let dm = crate::apsp::DistanceMatrix::new(g);
-            let (mut s, mut full) = (SearchScratch::for_graph(g), SearchScratch::for_graph(g));
+            let mut s = SearchScratch::for_graph(g);
             s.multi_source_into(g, &sources);
-            for v in g.vertices() {
-                let (Some(a), Some(d)) = (s.nearest(v), s.dist(v)) else {
-                    assert_eq!(s.first_hop(v), None, "unreached {v}");
-                    continue;
-                };
-                if a == v {
-                    assert_eq!(s.first_hop(v), None, "source {v}");
-                    continue;
+            assert_first_hops_start_shortest_paths(g, &s, "sources 3, 10, 17");
+        }
+    }
+
+    /// The four benchmark families at `n` vertices under `weights`; the grid
+    /// is `rows × cols = n` and draws its weights like the others.
+    fn kernel_families(n: usize, weights: generators::WeightModel) -> Vec<(&'static str, Graph)> {
+        use generators::WeightModel::{Uniform, Unit};
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(n as u64 + 7);
+        let cols = [13, 8, 7].into_iter().find(|&c| n.is_multiple_of(c)).expect("a grid shape for n");
+        let mut grid = GraphBuilder::new(n);
+        for v in 0..n {
+            for to in [v + 1, v + cols].into_iter().filter(|&to| to < n) {
+                if to == v + cols || to % cols != 0 {
+                    let w = match weights {
+                        Unit => 1,
+                        Uniform { lo, hi } => rng.gen_range(lo..=hi),
+                    };
+                    grid.add_edge(v, to, w).unwrap();
                 }
-                let z = s.first_hop(v).expect("a reached non-source has a first hop");
-                let w = g.edge_weight(a, z).unwrap_or_else(|| panic!("{z} is not adjacent to {a}"));
-                full.dijkstra_into(g, a);
-                assert_eq!(full.dist(v), Some(d), "d({a}, {v})");
-                assert_eq!(dm.dist(z, v).map(|dz| w + dz), Some(d), "{a} -> {z} -> {v}");
+            }
+        }
+        let radius = (8.0 / (std::f64::consts::PI * n as f64)).sqrt();
+        vec![
+            ("erdos-renyi", generators::erdos_renyi_avg_degree(n, 8.0, weights, &mut rng)),
+            ("geometric", generators::random_geometric(n, radius, weights, &mut rng)),
+            ("grid", grid.build()),
+            ("scale-free", generators::barabasi_albert(n, 4, weights, &mut rng)),
+        ]
+    }
+
+    /// On the four families, unit and tie-heavy (weights 1 or 2), around the
+    /// 64-bit word boundaries: distances and nearest sources equal the
+    /// allocating reference, every first hop starts a shortest path, and
+    /// the settle order is every reached vertex once, sorted by
+    /// `(distance, id)` as [`SearchScratch::order`] promises. One workspace
+    /// serves every search, so a stale slot would show.
+    #[test]
+    fn multi_source_equals_the_reference_and_settles_in_distance_id_order() {
+        use generators::WeightModel::{Uniform, Unit};
+        for n in [63, 64, 65, 130] {
+            for weights in [Unit, Uniform { lo: 1, hi: 2 }] {
+                for (name, g) in kernel_families(n, weights) {
+                    assert_eq!(g.n(), n, "{name}");
+                    let mut s = SearchScratch::for_graph(&g);
+                    let all: Vec<VertexId> = g.vertices().collect();
+                    let sparse: Vec<VertexId> = g.vertices().skip(3).step_by(9).collect();
+                    let pair = [VertexId(0), VertexId(n as u32 - 1)];
+                    for sources in [&sparse[..], &pair, &all[..1], &all, &[]] {
+                        let at = format!("{name} n={n} {weights:?} |A|={}", sources.len());
+                        s.multi_source_into(&g, sources);
+                        let (dist, nearest) = reference::multi_source_alloc(&g, sources);
+                        for v in g.vertices() {
+                            let want = (dist[v.index()] != INFINITY).then_some(dist[v.index()]);
+                            assert_eq!(s.dist(v), want, "{at}: d({v}, A)");
+                            assert_eq!(s.nearest(v), nearest[v.index()], "{at}: p_A({v})");
+                        }
+                        assert_first_hops_start_shortest_paths(&g, &s, &at);
+                        let reached = g.vertices().filter(|&v| s.dist(v).is_some()).count();
+                        assert_eq!(s.order().len(), reached, "{at}: each reached vertex settles once");
+                        for w in s.order().windows(2) {
+                            assert!((w[0].1, w[0].0) < (w[1].1, w[1].0), "{at}: {w:?} out of order");
+                        }
+                    }
+                }
             }
         }
     }
@@ -1533,18 +1530,39 @@ mod tests {
         let mut full = SearchScratch::for_graph(&g);
         full.dijkstra_into(&g, VertexId(7));
         assert_dijkstra_matches_reference(&g, &full, VertexId(7));
-        // Target-bounded prefix and resume hold across the hybrid queue.
+        // The target-bounded prefix holds across the hybrid queue.
         let mut bounded = SearchScratch::for_graph(&g);
         bounded.dijkstra_targets_into(&g, VertexId(7), &[VertexId(3), VertexId(64)]);
-        let settled = bounded.order().len();
-        assert_eq!(bounded.order(), &full.order()[..settled]);
-        assert!(bounded.ensure_settled(&g, VertexId(69)));
         let settled = bounded.order().len();
         assert_eq!(bounded.order(), &full.order()[..settled]);
         // Bounded ball searches share the queue; check one against the
         // reference ball search.
         let radius = bounded.ball_into(&g, VertexId(12), 15);
         assert_ball_matches_reference(&g, &bounded, radius, VertexId(12), 15);
+    }
+
+    /// A target in another component is never settled: the search settles
+    /// the source's whole component and stops when the queue empties, and
+    /// the target has no path.
+    #[test]
+    fn a_target_in_another_component_stays_unsettled() {
+        let mut halves = GraphBuilder::new(10);
+        for (a, b) in [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (7, 8), (8, 9)] {
+            halves.add_unit_edge(a, b).unwrap();
+        }
+        let g = halves.build();
+        let mut s = SearchScratch::for_graph(&g);
+        let mut path = vec![VertexId(9)];
+        for targets in [vec![VertexId(7)], vec![VertexId(3), VertexId(7)]] {
+            s.dijkstra_targets_into(&g, VertexId(1), &targets);
+            assert!(!s.is_settled(VertexId(7)));
+            assert_eq!(s.dist(VertexId(7)), None);
+            assert!(!s.path_into(VertexId(7), &mut path) && path.is_empty());
+            let settled: Vec<u32> = s.order().iter().map(|&(v, _)| v.0).collect();
+            assert_eq!(settled, [1, 0, 2, 3, 4], "the whole component, in settle order");
+            assert!(s.path_into(VertexId(3), &mut path));
+            assert_eq!(path, [VertexId(1), VertexId(2), VertexId(3)]);
+        }
     }
 
     #[test]
@@ -1554,51 +1572,6 @@ mod tests {
         s.dijkstra_targets_into(&g, VertexId(0), &[]);
         assert!(s.order().is_empty());
         assert!(!s.is_settled(VertexId(0)));
-    }
-
-    #[test]
-    fn ensure_settled_resumes_past_the_frontier_bit_identically() {
-        let g = random_graph(13);
-        let mut full = SearchScratch::for_graph(&g);
-        full.dijkstra_into(&g, VertexId(5));
-        let mut bounded = SearchScratch::for_graph(&g);
-        bounded.dijkstra_targets_into(&g, VertexId(5), &[VertexId(6)]);
-        // Resume to vertices well past the first frontier, in both orders.
-        for probe in [VertexId(70), VertexId(12), VertexId(79)] {
-            assert!(bounded.ensure_settled(&g, probe));
-            assert!(bounded.is_settled(probe));
-        }
-        let settled = bounded.order().len();
-        assert_eq!(bounded.order(), &full.order()[..settled]);
-        for &(v, _) in bounded.order() {
-            assert_eq!(bounded.dist(v), full.dist(v));
-            assert_eq!(bounded.parent(v), full.parent(v));
-            assert_eq!(bounded.first_hop(v), full.first_hop(v));
-        }
-        // Resuming an exhausted full search is a settled no-op.
-        assert!(full.ensure_settled(&g, VertexId(0)));
-    }
-
-    #[test]
-    fn ensure_settled_reports_unreachable_vertices() {
-        let g = generators::path(3);
-        let mut s = SearchScratch::new(5);
-        s.dijkstra_targets_into(&g, VertexId(0), &[VertexId(2)]);
-        assert!(s.ensure_settled(&g, VertexId(1)));
-        // Vertex 4 exists in the workspace but not in the 3-vertex graph.
-        assert!(!s.ensure_settled(&g, VertexId(4)));
-    }
-
-    #[test]
-    #[should_panic(expected = "ensure_settled() resumes only")]
-    fn ensure_settled_after_ball_search_panics() {
-        let g = random_graph(15);
-        let mut s = SearchScratch::for_graph(&g);
-        // A ball search stops without relaxing its last settled vertex, so
-        // extending its frontier would corrupt the search; the gate must
-        // refuse.
-        s.ball_into(&g, VertexId(0), 4);
-        let _ = s.ensure_settled(&g, VertexId(70));
     }
 
     #[test]

@@ -61,10 +61,10 @@ impl RouteOutcome {
 /// serving layer's per-query answer shape.
 ///
 /// Produced by [`simulate_lean`], which makes exactly the decision sequence
-/// of [`simulate_with_ttl`] without the path vector. For every scheme of the
-/// default registry the lean walk touches the allocator on no successful
-/// query: labels and headers are stack values that point into the scheme's
-/// own tables (an error allocates its message).
+/// of [`simulate`], at the hop budget given, without the path vector. For
+/// every scheme of the default registry the lean walk touches the allocator
+/// on no successful query: labels and headers are stack values that point
+/// into the scheme's own tables (an error allocates its message).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LeanOutcome {
     /// Total weight of the traversed path.
@@ -76,8 +76,9 @@ pub struct LeanOutcome {
     pub max_header_words: usize,
 }
 
-/// Routes a message from `source` to `dest` using `scheme`, with a default
-/// hop budget of `4 * n + 16`.
+/// Routes a message from `source` to `dest` using `scheme`, with a hop
+/// budget of `4 * n + 16`. The path is reserved once, for 32 vertices, and
+/// is the query's one allocation unless the walk outgrows it.
 ///
 /// Takes the scheme through the object-safe [`DynScheme`] surface, so the
 /// same code path serves typed schemes (every `&S where S: RoutingScheme`
@@ -99,34 +100,17 @@ pub fn simulate(
     source: VertexId,
     dest: VertexId,
 ) -> Result<RouteOutcome, RouteError> {
-    simulate_with_ttl(g, scheme, source, dest, 4 * g.n() + 16)
-}
-
-/// Routes a message with an explicit hop budget. See [`simulate`]. The path
-/// is reserved once, for 32 vertices, and is the query's one allocation
-/// unless the walk outgrows it.
-///
-/// # Errors
-///
-/// Same conditions as [`simulate`].
-pub fn simulate_with_ttl(
-    g: &Graph,
-    scheme: &dyn DynScheme,
-    source: VertexId,
-    dest: VertexId,
-    max_hops: usize,
-) -> Result<RouteOutcome, RouteError> {
     let mut path = Vec::with_capacity(PATH_RESERVE);
     path.push(source);
     let LeanOutcome { weight, hops, max_header_words } =
-        scheme.walk(g, source, dest, None, max_hops, Some(&mut path))?;
+        scheme.walk(g, source, dest, None, 4 * g.n() + 16, Some(&mut path))?;
     Ok(RouteOutcome { path, weight, hops, max_header_words })
 }
 
-/// Routes a message like [`simulate_with_ttl`] but without materializing
-/// the traversed path: same decision sequence, same errors. The label comes
-/// from the scheme's typed `label_of`; for every scheme of the default
-/// registry a successful query allocates nothing.
+/// Routes a message like [`simulate`], under an explicit hop budget, but
+/// without materializing the traversed path: same decision sequence, same
+/// errors. The label comes from the scheme's typed `label_of`; for every
+/// scheme of the default registry a successful query allocates nothing.
 ///
 /// Both are the same loop, and a test in this module pins weight, hops,
 /// header words and errors equal. The serving layer routes a batch of such
@@ -424,7 +408,7 @@ mod tests {
         let ttl = 4 * g.n() + 16;
         for u in g.vertices() {
             for v in g.vertices() {
-                let full = simulate_with_ttl(&g, &s, u, v, ttl).unwrap();
+                let full = simulate(&g, &s, u, v).unwrap();
                 let lean = simulate_lean(&g, &s, u, v, ttl).unwrap();
                 assert_eq!(lean.weight, full.weight);
                 assert_eq!(lean.hops, full.hops);
@@ -433,8 +417,8 @@ mod tests {
         }
         // Both variants fail identically at the same hop budget.
         let cyc = generators::cycle(3);
-        let full = simulate_with_ttl(&cyc, &LOOP, VertexId(0), VertexId(2), 10).unwrap_err();
-        let lean = simulate_lean(&cyc, &LOOP, VertexId(0), VertexId(2), 10).unwrap_err();
+        let full = simulate(&cyc, &LOOP, VertexId(0), VertexId(2)).unwrap_err();
+        let lean = simulate_lean(&cyc, &LOOP, VertexId(0), VertexId(2), 4 * cyc.n() + 16).unwrap_err();
         assert_eq!(full, lean);
     }
 
@@ -467,8 +451,11 @@ mod tests {
     #[test]
     fn loops_hit_the_hop_budget() {
         let g = generators::cycle(3);
-        let err = simulate_with_ttl(&g, &LOOP, VertexId(0), VertexId(2), 10).unwrap_err();
+        let err = simulate_lean(&g, &LOOP, VertexId(0), VertexId(2), 10).unwrap_err();
         assert_eq!(err, RouteError::HopBudgetExceeded { budget: 10 });
+        // The full simulator's budget is 4n + 16.
+        let err = simulate(&g, &LOOP, VertexId(0), VertexId(2)).unwrap_err();
+        assert_eq!(err, RouteError::HopBudgetExceeded { budget: 28 });
     }
 
     #[test]

@@ -135,9 +135,10 @@ pub mod counters {
     /// `build_early_exit_searches_total` for the mean settled frontier, and
     /// compare against `n` for the per-source work the early exit saved.
     pub static BUILD_SETTLED_VERTICES: Counter = Counter::new();
-    /// Defensive frontier resumes: a sequence construction probed a vertex
-    /// beyond the settled frontier and the search was resumed to cover it
-    /// (expected to stay at zero — targets settle their own path vertices).
+    /// Frontier resumes of a stopped search. Nothing bumps it any more: a
+    /// target that a target-bounded search leaves unsettled is unreachable,
+    /// so the search kernel has no resume path. It stays, at zero, because
+    /// the benchmark's `graph.build_frontier_resumes` series reads it.
     pub static BUILD_FRONTIER_RESUMES: Counter = Counter::new();
 }
 
@@ -227,7 +228,7 @@ pub static COUNTER_SERIES: &[(&str, &str, &Counter)] = &[
     ),
     (
         "build_frontier_resumes_total",
-        "Sequence constructions that resumed a search past its settled frontier",
+        "Searches resumed past their settled frontier (always 0: nothing resumes)",
         &counters::BUILD_FRONTIER_RESUMES,
     ),
 ];

@@ -519,9 +519,8 @@ proptest! {
     }
 
     /// The target-bounded early-exit search is a bit-identical prefix of the
-    /// full search: the settled order is literally `full_order[..k]`, every
-    /// requested target is settled with matching dist/parent/first-hop, and
-    /// resuming past the frontier (`ensure_settled`) extends the same prefix
+    /// full search: the settled order is literally `full_order[..k]` and
+    /// every requested target is settled with matching dist/parent/first-hop
     /// — with identical results when the per-source searches are fanned out
     /// over worker scratches at thread counts 1 and 4.
     #[test]
@@ -531,26 +530,20 @@ proptest! {
     ) {
         let _guard = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let sources: Vec<VertexId> = g.vertices().step_by(6).collect();
-        // The far probe forces the resume path: the highest-id vertex is
-        // rarely among the first targets settled.
-        let far = VertexId((g.n() - 1) as u32);
+        let targets_of = |i: usize| -> Vec<VertexId> {
+            g.vertices().skip(i % stride).step_by(stride).take(4).collect()
+        };
 
-        type Snapshot = (Vec<(VertexId, u64)>, Vec<(VertexId, u64)>, bool);
-        let run = |threads: usize| -> Vec<Snapshot> {
+        let run = |threads: usize| -> Vec<Vec<(VertexId, u64)>> {
             routing_par::set_threads(threads);
             let out = routing_par::par_map_scratch(
                 sources.len(),
                 || SearchScratch::for_graph(&g),
                 |scratch, i| {
-                    let src = sources[i];
-                    let targets: Vec<VertexId> =
-                        g.vertices().skip(i % stride).step_by(stride).take(4).collect();
-                    scratch.dijkstra_targets_into(&g, src, &targets);
+                    let targets = targets_of(i);
+                    scratch.dijkstra_targets_into(&g, sources[i], &targets);
                     assert!(targets.iter().all(|&t| scratch.is_settled(t)));
-                    let prefix = scratch.order().to_vec();
-                    let resumed = scratch.ensure_settled(&g, far);
-                    assert!(resumed, "graph is connected, far must be reachable");
-                    (prefix, scratch.order().to_vec(), resumed)
+                    scratch.order().to_vec()
                 },
             );
             routing_par::set_threads(routing_par::available_threads());
@@ -562,24 +555,17 @@ proptest! {
         prop_assert_eq!(&single, &fanned, "thread count changed the settled prefixes");
 
         let mut full = SearchScratch::for_graph(&g);
-        for (i, (prefix, extended, _)) in single.iter().enumerate() {
+        let mut probe = SearchScratch::for_graph(&g);
+        for (i, prefix) in single.iter().enumerate() {
             let src = sources[i];
             full.dijkstra_into(&g, src);
-            let full_order = full.order();
-            // Both the stopped search and its resumed extension are literal
-            // prefixes of the full settle order.
-            prop_assert_eq!(&full_order[..prefix.len()], prefix.as_slice());
-            prop_assert_eq!(&full_order[..extended.len()], extended.as_slice());
-            prop_assert!(extended.iter().any(|&(v, _)| v == far));
+            // The stopped search is a literal prefix of the full settle order.
+            prop_assert_eq!(&full.order()[..prefix.len()], prefix.as_slice());
             // Every settled vertex agrees with the allocating reference
             // search on dist, parent and first hop.
             let (dist, parent, first_hop) = reference::dijkstra_alloc(&g, src);
-            let mut probe = SearchScratch::for_graph(&g);
-            let targets: Vec<VertexId> =
-                g.vertices().skip(i % stride).step_by(stride).take(4).collect();
-            probe.dijkstra_targets_into(&g, src, &targets);
-            probe.ensure_settled(&g, far);
-            for &(v, d) in extended {
+            probe.dijkstra_targets_into(&g, src, &targets_of(i));
+            for &(v, d) in prefix {
                 prop_assert_eq!(probe.dist(v), Some(d));
                 prop_assert_eq!(d, dist[v.index()]);
                 prop_assert_eq!(probe.parent(v), parent[v.index()]);
