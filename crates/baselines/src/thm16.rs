@@ -537,7 +537,7 @@ mod tests {
             assert_eq!(lists.len(), entries, "{key}: entries");
             let entry = usize::from(bytes_for(g.n() as u64) + bytes_for(far + 1));
             assert_eq!(lists.entry_bytes(), entry, "{key}: entry bytes");
-            assert_eq!(lists.heap_bytes(), entry * entries + SLOT_PAD + 4 * (g.n() + 1), "{key}: bytes");
+            assert_eq!(lists.heap_bytes(), entry * entries + SLOT_PAD + 4 * g.n(), "{key}: bytes");
             assert!(scheme.balls == table.clone().into_ports(), "{key}: ports");
             assert!(*lists == landmark_lists(&table, &a1), "{key}: the lists the table gives");
         }

@@ -64,7 +64,7 @@ use routing_core::Technique1Router;
 use routing_graph::codec::bytes_for;
 use routing_graph::scratch::BFS_BATCH_WIDTH;
 use routing_graph::{BfsBatch, Graph, PackedColumn, SearchScratch, SlotCodec, VertexId, SLOT_PAD};
-use routing_model::{simulate, simulate_lean, simulate_lean_with_label, DynScheme, ErasedLabel};
+use routing_model::{hop_budget, simulate, simulate_lean, simulate_lean_with_label, DynScheme, ErasedLabel};
 use routing_serve::{EngineConfig, ShardedEngine};
 use routing_vicinity::{sample_centers_bounded, BallDists, BallEncoding, BallTable, RankBitmap};
 
@@ -100,7 +100,7 @@ fn pairs(n: usize, count: usize, rng: &mut StdRng) -> Vec<(VertexId, VertexId)> 
 fn assert_query_path_allocations(g: &Arc<Graph>, scheme: Arc<dyn DynScheme>, what: &str) {
     let mut rng = StdRng::seed_from_u64(0xa110c);
     let n = g.n();
-    let ttl = 4 * n + 16;
+    let ttl = hop_budget(n);
     let queries = pairs(n, PAIRS, &mut rng);
     let s = scheme.as_ref();
     let labels: Vec<ErasedLabel> = queries.iter().map(|&(_, v)| s.label_of(v)).collect();
@@ -335,12 +335,12 @@ fn member_widths(g: &Graph, dists: BallDists) -> (usize, usize) {
 
 /// What a ball table of `g` with `members` members holds beside its
 /// ports, at the graph's width: the packed ids, and distances if `dists`
-/// keeps them, each closed by its pad, and a member offset and a radius
-/// (8 bytes each) a vertex, plus the closing offset.
+/// keeps them, each closed by its pad, and a row end of the ids (4 bytes)
+/// a vertex.
 fn table_beside_ports(g: &Graph, members: usize, dists: BallDists) -> usize {
     let (id, dist) = member_widths(g, dists);
     let pads = SLOT_PAD * (1 + usize::from(dists == BallDists::Keep));
-    (id + dist) * members + pads + 16 * g.n() + 8
+    (id + dist) * members + pads + 4 * g.n()
 }
 
 /// What a ball build holds beside its final arrays: one block of
@@ -685,11 +685,10 @@ fn assert_hierarchy_build_peak(g: &Graph) {
     /// `stages.rs`'s round count.
     const ROUNDS: usize = 8;
     const K: usize = 3;
-    /// Heap bytes of an empty `DistLists`, a `u32` offset beside a packed
-    /// column's pad, and of an empty `TreeForest`, a `[u32; 3]` span and a
-    /// `u32` offset beside three pads.
-    const EMPTY_LISTS: usize = 4 + SLOT_PAD;
-    const EMPTY_FOREST: usize = 12 + 4 + 3 * SLOT_PAD;
+    /// Heap bytes of an empty `DistLists`, a packed column's pad, and of
+    /// an empty `TreeForest`, a `[u32; 3]` span beside three pads.
+    const EMPTY_LISTS: usize = SLOT_PAD;
+    const EMPTY_FOREST: usize = 12 + 3 * SLOT_PAD;
     let n = g.n();
     let levels = TzLevels::sample(g, K, &mut StdRng::seed_from_u64(17)).expect("levels");
     let (peak, hierarchy) = peak_bytes_in(|| TzHierarchy::from_levels(g, levels));
@@ -704,8 +703,8 @@ fn assert_hierarchy_build_peak(g: &Graph) {
     let trees: Vec<_> = g.vertices().map(|w| clusters.tree(w).expect("a tree a vertex")).collect();
     // The bytes of tree `w` in a forest's arrays (its span, its ids unless
     // it spans the graph, its node records, and, if it keeps its members'
-    // labels, an offset a member and its light ports), and of its row of
-    // members (the members and their offset).
+    // labels, a row end a member and its light ports), and of its row of
+    // members (the members and their row end).
     let tree_bytes = |w: usize| {
         let t = trees[w];
         let nodes = t.len();
@@ -721,7 +720,7 @@ fn assert_hierarchy_build_peak(g: &Graph) {
     let bunch_entries = g.vertices().flat_map(|v| clusters.bunch(v));
     let (entries, far) = bunch_entries.fold((0, 0), |(k, far), (_, d)| (k + 1, far.max(d)));
     let bunch = usize::from(bytes_for(n as u64) + bytes_for(far + 1));
-    let bunches = 4 * (n + 1) + bunch * entries + SLOT_PAD;
+    let bunches = 4 * n + bunch * entries + SLOT_PAD;
     assert_eq!(forest + bunches, clusters.heap_bytes(), "the forest and bunches are not what this test models");
 
     // `level_of` and the unbounded row, and `ClusterFamily::build`'s empty
@@ -743,7 +742,7 @@ fn assert_hierarchy_build_peak(g: &Graph) {
         cluster_build = cluster_build.max(EMPTY_FOREST + forest_so_far + members_so_far + chunks);
         members_so_far += rows;
     }
-    let inversion = forest + members + bunches + 4 * (n + 1);
+    let inversion = forest + members + bunches + 4 * n;
     // The ladder rows: the unbounded row beside the hierarchy, the labels,
     // a vertex's rungs and one label's light ports (at most ⌊log₂ n⌋ + 1,
     // in a vector grown by doubling).

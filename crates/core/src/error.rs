@@ -1,6 +1,7 @@
 use std::error::Error;
 use std::fmt;
 
+use routing_graph::codec::TooManyRecords;
 use routing_vicinity::ColoringError;
 
 /// Errors produced while preprocessing (building) a routing scheme.
@@ -65,6 +66,13 @@ impl Error for BuildError {
 impl From<ColoringError> for BuildError {
     fn from(e: ColoringError) -> Self {
         BuildError::Coloring(e)
+    }
+}
+
+/// A table of rows too long for its `u32` row ends.
+impl From<TooManyRecords> for BuildError {
+    fn from(e: TooManyRecords) -> Self {
+        BuildError::TooSmall { what: e.to_string() }
     }
 }
 

@@ -33,7 +33,6 @@ use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
 use routing_tree::{TreeForest, TreeLabelView, TreeView};
 use routing_vicinity::{BallDists, BallTable, Landmarks};
 
-use crate::seq::{KeyedStore, KeyedStoreBuilder};
 use crate::stages::{self, ClusterFamily, DistLists, Vicinities};
 use crate::technique1::{Technique1Header, Technique1Router};
 use crate::{BuildError, Params};
@@ -116,9 +115,9 @@ pub struct SchemeTwoPlusEps {
     rep_dist: PackedColumn<1>,
     /// Global trees `T(a)`, tree `i` that of `landmarks[i]`.
     global_trees: TreeForest,
-    /// At `u`: destination `v` -> best intersection vertex `w`, at the id
-    /// width.
-    best_intersection: KeyedStore<PackedColumn<1>>,
+    /// Row `u` lists `[v, w]`: destination `v` -> best intersection vertex
+    /// `w`, both at the id width.
+    best_intersection: DistLists,
     router: Technique1Router,
 }
 
@@ -251,15 +250,13 @@ fn members_with_dists(
 /// At every `u`, for every `v` with `B(u, q̃) ∩ B_A(v) ≠ ∅`, the intersection
 /// vertex `w` minimizing `d(u, w) + d(w, v)`; among equal sums, the `w`
 /// settled first from `u`. `clusters` lists `C(w)` with `d(w, v)` for every
-/// root `w`, the members [`stages::landmark_clusters`] hands back. The vertices are
-/// kept at the id width.
-fn intersections(
-    balls: &BallTable,
-    clusters: &DistLists,
-) -> Result<KeyedStore<PackedColumn<1>>, BuildError> {
+/// root `w`, the members [`stages::landmark_clusters`] hands back. Row `u`
+/// of the lists holds `[v, w]`, a vertex where a list keeps a distance, so
+/// both at the id width.
+fn intersections(balls: &BallTable, clusters: &DistLists) -> Result<DistLists, BuildError> {
     let _span = routing_obs::span("intersections");
     let n = balls.len();
-    let mut store = KeyedStoreBuilder::new(n, PackedColumn::new(SlotCodec::for_ids(n)));
+    let mut lists = DistLists::empty(n, n.saturating_sub(1) as Weight)?;
     let mut triples: Vec<(VertexId, Weight, VertexId)> = Vec::new();
     for u in (0..n).map(|u| VertexId(u as u32)) {
         triples.clear();
@@ -272,9 +269,10 @@ fn intersections(
         // the first `w` in settle order stays first, and is the one kept.
         triples.sort_by_key(|&(v, sum, _)| (v, sum));
         triples.dedup_by_key(|&mut (v, _, _)| v);
-        store.extend(0, triples.iter().map(|&(v, _, w)| (u, v, w.0)))?;
+        lists.push_row(triples.iter().map(|&(v, _, w)| (v, Weight::from(w.0))))?;
     }
-    Ok(store.finish())
+    lists.shrink_to_fit();
+    Ok(lists)
 }
 
 impl RoutingScheme for SchemeTwoPlusEps {
@@ -303,7 +301,7 @@ impl RoutingScheme for SchemeTwoPlusEps {
             routing_obs::counters::ROUTING_PHASE_DIRECT.inc();
             return Ok(Scheme2Header { phase: Phase::Direct });
         }
-        if let Some(w) = self.best_intersection.get(source, v).map(VertexId) {
+        if let Some(w) = self.best_intersection.dist(source, v).map(|w| VertexId(w as u32)) {
             if w == source {
                 let label = self.clusters.label_in_cluster(source, v)?;
                 routing_obs::counters::ROUTING_PHASE_TREE.inc();
@@ -375,7 +373,7 @@ impl RoutingScheme for SchemeTwoPlusEps {
             + self.vic.q as usize
             + self.clusters.membership_words(u)
             + global
-            + 2 * self.best_intersection.slot_len(u)
+            + 2 * self.best_intersection.row(u).count()
             + self.router.table_words(u)
     }
 
@@ -404,8 +402,8 @@ mod tests {
         crate::test_support::check_all_pairs(g, &scheme, |d| (2.0 + 2.0 * epsilon) * d + 1.0);
     }
 
-    /// `best_intersection` as the `HashMap` build filled it before the keyed
-    /// store replaced it, verbatim; only the argument and return types changed.
+    /// `best_intersection` as the `HashMap` build filled it before the flat
+    /// lists replaced it, verbatim; only the argument and return types changed.
     fn reference_intersections(
         g: &Graph,
         balls: &BallTable,
@@ -444,18 +442,20 @@ mod tests {
                 let flat = intersections(&balls, &clusters).unwrap();
                 let reference = reference_intersections(&g, &balls, &clusters);
                 assert!(reference.iter().any(|at_u| !at_u.is_empty()));
-                // 8 bytes a vertex, a key and a vertex at the id width a
-                // pair, and the two columns' pads.
+                // A 4-byte row end a vertex, a `[v, w]` record at the id
+                // width a pair, and the pad.
                 let pairs: usize = reference.iter().map(HashMap::len).sum();
                 let id = usize::from(bytes_for(g.n() as u64));
-                let bytes = 8 * g.n() + 2 * id * pairs + 2 * routing_graph::SLOT_PAD;
+                assert_eq!(flat.entry_bytes(), 2 * id, "{name} x{threads}: widths");
+                let bytes = 4 * g.n() + 2 * id * pairs + routing_graph::SLOT_PAD;
                 assert_eq!(flat.heap_bytes(), bytes, "{name} x{threads}: bytes");
                 for u in g.vertices() {
                     let at_u = &reference[u.index()];
-                    assert_eq!(flat.slot_len(u), at_u.len(), "{name} x{threads}: slot of {u}");
+                    assert_eq!(flat.row(u).count(), at_u.len(), "{name} x{threads}: row of {u}");
                     for v in g.vertices() {
                         let want = at_u.get(&v).copied();
-                        assert_eq!(flat.get(u, v).map(VertexId), want, "{name} x{threads}: ({u}, {v})");
+                        let got = flat.dist(u, v).map(|w| VertexId(w as u32));
+                        assert_eq!(got, want, "{name} x{threads}: ({u}, {v})");
                     }
                 }
             }

@@ -14,29 +14,32 @@
 //! Both techniques build their sequences with the same per-round walk
 //! (`walk_round`), forward on an entry the same way (`SeqEntry::forward`)
 //! and keep what a vertex stores per destination in the same flat table,
-//! `SeqStore`: a `KeyedStore` — a `[start, end)` slot of id-sorted keys a
-//! vertex — whose value for a pair is the end of its entries in one arena
-//! of packed entries. An entry is a `[vertex, port]` slot of the ball
-//! table's `SlotCodec<2>`, at the graph's width: the vertex in the bytes `n`
-//! needs, the port of an edge hop in the bytes the largest degree needs,
-//! and the port field's all-ones sentinel for a ball hop. Destination keys
-//! are packed the same way, at the id width. On a graph of up to 65,535
-//! vertices and degree 255 a vertex costs 8 bytes, a pair 6 — its 2-byte
-//! key and its 4-byte end — and an entry 3; no sequence is a heap object of
-//! its own. The builders append each task's sequences, packed by the same
-//! codec, to a `SeqChunk`, and a `SeqStoreBuilder` appends the chunks to
-//! the store a batch at a time, each batch growing its arrays by exactly
-//! what it holds and dropped before the next: Lemma 7 a round of sources
-//! at a time, in vertex order, Lemma 8 a colour class of sources at a time.
-//! A vertex's rows are contiguous and key-sorted, the vertices in any
-//! order. A header carries a sequence as a `SeqCursor` — where its row
-//! starts in the arena, how long it is, and which entry is the current
-//! target — and reads one entry at a time; the words it is charged are the
-//! sequence's.
+//! `SeqStore`: a `[start, end)` run of id-sorted destination keys a vertex,
+//! and one row of packed entries a key, cut by `routing_graph::PackedRows`
+//! like every other table of rows. An entry is a `[vertex, port]` slot of
+//! the ball table's `SlotCodec<2>`, at the graph's width: the vertex in the
+//! bytes `n` needs, the port of an edge hop in the bytes the largest degree
+//! needs, and the port field's all-ones sentinel for a ball hop.
+//! Destination keys are packed the same way, at the id width. On a graph of
+//! up to 65,535 vertices and degree 255 a vertex costs 8 bytes, a pair 6 —
+//! its 2-byte key and its 4-byte row end — and an entry 3; no sequence is a
+//! heap object of its own. The builders append each task's sequences,
+//! packed by the same codec, to a `SeqChunk`, and a `SeqStoreBuilder`
+//! appends the chunks to the store a batch at a time, each batch growing
+//! its arrays by exactly what it holds and dropped before the next: Lemma 7
+//! a round of sources at a time, in vertex order, Lemma 8 a colour class of
+//! sources at a time. A vertex's rows are contiguous and key-sorted, the
+//! vertices in any order. A header carries a sequence as a `SeqCursor` —
+//! where its row starts among the entries, how long it is, and which entry
+//! is the current target — and reads one entry at a time; the words it is
+//! charged are the sequence's.
+
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
-use routing_graph::{Graph, PackedColumn, PackedView, Port, SlotCodec, VertexId};
+use routing_graph::codec::row_end;
+use routing_graph::{Graph, PackedColumn, PackedRows, PackedView, Port, SlotCodec, VertexId};
 use routing_model::{Decision, RouteError};
 use routing_vicinity::BallPorts;
 
@@ -115,7 +118,7 @@ pub fn sequence_words(entries: &[SeqEntry]) -> usize {
 }
 
 /// A stored sequence as a header carries it: a view of one [`SeqStore`] row
-/// (`len` entries from `start` in the arena) and the index of the current
+/// (`len` entries from `start` among the entries) and the index of the current
 /// temporary target. The default cursor is the empty sequence.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct SeqCursor {
@@ -240,16 +243,13 @@ pub(crate) fn push_hops(
     Ok(pushed)
 }
 
-/// One build task's sequences back to back, in arena form: entries packed
-/// by the build's codec, sequence `k` in `entries[ends[k - 1]..ends[k]]`
-/// (from `0` for the first). A builder [`push`](Self::push)es a sequence's
-/// entries, then [`close`](Self::close)s it, and
+/// One build task's sequences back to back: one row of entries a sequence,
+/// packed by the build's codec. A builder [`push`](Self::push)es a
+/// sequence's entries, then [`close`](Self::close)s it, and
 /// [`shrink_to_fit`](Self::shrink_to_fit)s the chunk once its task is done.
-/// The chunk holds the packed entries and one 4-byte end a sequence.
 #[derive(Debug)]
 pub(crate) struct SeqChunk {
-    entries: PackedColumn<2>,
-    ends: Vec<u32>,
+    rows: PackedRows<2>,
     /// Every entry pushed, unpacked: the reference the tests hold the
     /// packed rows to.
     #[cfg(test)]
@@ -260,8 +260,7 @@ impl SeqChunk {
     /// An empty chunk whose entries `codec` packs.
     pub(crate) fn new(codec: SlotCodec<2>) -> Self {
         SeqChunk {
-            entries: PackedColumn::new(codec),
-            ends: Vec::new(),
+            rows: PackedRows::new(codec),
             #[cfg(test)]
             pushed: Vec::new(),
         }
@@ -269,7 +268,7 @@ impl SeqChunk {
 
     /// Appends `entry` to the open sequence.
     pub(crate) fn push(&mut self, entry: SeqEntry) {
-        self.entries.push(entry.slot());
+        self.rows.push(entry.slot());
         #[cfg(test)]
         self.pushed.push(entry);
     }
@@ -278,35 +277,26 @@ impl SeqChunk {
     ///
     /// # Errors
     ///
-    /// [`BuildError::BadParameter`] when the chunk's entries outnumber what
-    /// a `u32` end addresses, as the store's arena would.
+    /// [`BuildError::TooSmall`] when the chunk's entries outnumber what a
+    /// `u32` row end addresses, as the store's would.
     pub(crate) fn close(&mut self) -> Result<(), BuildError> {
-        let end = self.entries.len();
-        self.ends.push(u32::try_from(end).map_err(|_| BuildError::BadParameter {
-            what: format!("{end} sequence entries exceed a u32 arena offset"),
-        })?);
-        Ok(())
+        Ok(self.rows.close_row()?)
     }
 
     /// Returns the arrays' growth slack: a finished chunk waits to be
     /// appended to the store at its length.
     pub(crate) fn shrink_to_fit(&mut self) {
-        self.entries.shrink_to_fit();
-        self.ends.shrink_to_fit();
+        self.rows.shrink_to_fit();
     }
 
     /// How many sequences the chunk holds.
     pub(crate) fn len(&self) -> usize {
-        self.ends.len()
+        self.rows.len()
     }
 
     /// Sequence `k`, packed, if the chunk holds that many.
     pub(crate) fn sequence(&self, k: usize) -> Option<PackedView<'_, 2>> {
-        let lo = match k.checked_sub(1) {
-            Some(prev) => *self.ends.get(prev)?,
-            None => 0,
-        };
-        self.entries.slice(lo as usize..*self.ends.get(k)? as usize)
+        self.rows.row(k)
     }
 
     /// The chunk's sequences, packed, in the order they were closed.
@@ -315,250 +305,59 @@ impl SeqChunk {
     }
 }
 
-/// The values a [`KeyedStore`] keeps, one a key, in key order: a vector,
-/// or a [`PackedColumn`] of one field at the width its values need.
-pub(crate) trait Values {
-    /// What a pair stores.
-    type Value: Copy;
-    /// Appends the value of the next key.
-    fn push(&mut self, value: Self::Value);
-    /// The value of key `i`, if there is one.
-    fn value(&self, i: usize) -> Option<Self::Value>;
-    /// Makes room for `more` values.
-    fn reserve_exact(&mut self, more: usize);
-    /// Returns the growth slack.
-    fn shrink_to_fit(&mut self);
-    /// Heap bytes held, by capacity.
-    fn heap_bytes(&self) -> usize;
-}
-
-impl<T: Copy> Values for Vec<T> {
-    type Value = T;
-
-    fn push(&mut self, value: T) {
-        Vec::push(self, value);
-    }
-
-    #[inline]
-    fn value(&self, i: usize) -> Option<T> {
-        self.get(i).copied()
-    }
-
-    fn reserve_exact(&mut self, more: usize) {
-        Vec::reserve_exact(self, more);
-    }
-
-    fn shrink_to_fit(&mut self) {
-        Vec::shrink_to_fit(self);
-    }
-
-    fn heap_bytes(&self) -> usize {
-        std::mem::size_of::<T>() * self.capacity()
-    }
-}
-
-impl Values for PackedColumn<1> {
-    type Value = u32;
-
-    fn push(&mut self, value: u32) {
-        PackedColumn::push(self, [value]);
-    }
-
-    #[inline]
-    fn value(&self, i: usize) -> Option<u32> {
-        self.get::<u32>(i).map(|[v]| v)
-    }
-
-    fn reserve_exact(&mut self, more: usize) {
-        PackedColumn::reserve_exact(self, more);
-    }
-
-    fn shrink_to_fit(&mut self) {
-        PackedColumn::shrink_to_fit(self);
-    }
-
-    fn heap_bytes(&self) -> usize {
-        PackedColumn::heap_bytes(self)
-    }
-}
-
-/// What every vertex stores per destination, as one flat table: a slot of
-/// contiguous, id-sorted destination keys per vertex `u`, in the
-/// `BallTable`/`DistLists` style. A lookup is one binary search over `u`'s
-/// slot, one key window a probe; the resident memory is three flat arrays,
-/// no hashing anywhere. A slot is a `[start, end)` pair of `u32`s, 8 bytes
-/// a vertex, so the slots may be filled in any vertex order: Lemma 8 fills
-/// them a colour class at a time.
-#[derive(Debug, Clone)]
-pub(crate) struct KeyedStore<V> {
-    /// `ranges[u]` is `[start, end)` of `u`'s slot; `[0, 0]` for a vertex
-    /// that stores nothing.
-    ranges: Vec<[u32; 2]>,
-    /// Destination keys, id-sorted within each slot, at the id width of
-    /// `0..n` ([`SlotCodec::for_ids`]).
-    keys: PackedColumn<1>,
-    /// Value `i` belongs to key `i`.
-    values: V,
-}
-
-/// A [`KeyedStore`] being filled, a batch of rows at a time: each vertex's
-/// rows arrive together and sorted by key, the vertices in any order.
-#[derive(Debug)]
-pub(crate) struct KeyedStoreBuilder<V> {
-    store: KeyedStore<V>,
-    /// The last row appended.
-    last: Option<(VertexId, VertexId)>,
-}
-
-impl<V: Values> KeyedStoreBuilder<V> {
-    /// An empty store over vertices `0..n`, its values appended to `values`.
-    pub(crate) fn new(n: usize, values: V) -> Self {
-        let keys = PackedColumn::new(SlotCodec::for_ids(n));
-        KeyedStoreBuilder { store: KeyedStore { ranges: vec![[0, 0]; n], keys, values }, last: None }
-    }
-
-    /// Appends `rows`, `pairs` of them if the caller knows (the keys and
-    /// values then grow by exactly `pairs`): every `u` and key in `0..n`,
-    /// and each vertex's rows contiguous and strictly sorted by key across
-    /// every batch — a vertex's slot is one run of rows.
-    ///
-    /// # Errors
-    ///
-    /// [`BuildError::Inconsistent`] when a row names no vertex, repeats or
-    /// undercuts its vertex's last key, or resumes a vertex whose rows
-    /// ended before another's; [`BuildError::BadParameter`] when the pairs
-    /// outnumber what a `u32` slot bound addresses. The rows before the
-    /// refused one stay appended.
-    pub(crate) fn extend(
-        &mut self,
-        pairs: usize,
-        rows: impl Iterator<Item = (VertexId, VertexId, V::Value)>,
-    ) -> Result<(), BuildError> {
-        let store = &mut self.store;
-        store.keys.reserve_exact(pairs);
-        store.values.reserve_exact(pairs);
-        let n = store.ranges.len();
-        for (u, key, value) in rows {
-            let inconsistent = |what: String| BuildError::Inconsistent { what };
-            if u.index() >= n || key.index() >= n {
-                return Err(inconsistent(format!("row ({u}, {key}) of a store over {n} vertices")));
-            }
-            let end = u32::try_from(store.keys.len() + 1).map_err(|_| BuildError::BadParameter {
-                what: format!("{} stored pairs exceed a u32 slot bound", store.keys.len() + 1),
-            })?;
-            let slot = &mut store.ranges[u.index()];
-            match self.last {
-                Some((last_u, last_key)) if last_u == u => {
-                    if key <= last_key {
-                        return Err(inconsistent(format!("key {key} after {last_key} at {u}")));
-                    }
-                }
-                _ if slot[1] != 0 => {
-                    return Err(inconsistent(format!("the rows of {u} are split by another vertex's")));
-                }
-                _ => slot[0] = end - 1,
-            }
-            slot[1] = end;
-            self.last = Some((u, key));
-            store.keys.push([key.0]);
-            store.values.push(value);
-        }
-        Ok(())
-    }
-
-    /// The store, with no growth slack: it is kept for the scheme's
-    /// lifetime.
-    pub(crate) fn finish(self) -> KeyedStore<V> {
-        let mut store = self.store;
-        store.keys.shrink_to_fit();
-        store.values.shrink_to_fit();
-        store
-    }
-}
-
-#[cfg(test)]
-impl<T: Copy> KeyedStore<Vec<T>> {
-    /// Builds the store over vertices `0..n` from `(u, key, value)` rows,
-    /// each vertex's together and sorted by key, every key in `0..n`.
-    pub(crate) fn from_sorted(n: usize, rows: impl IntoIterator<Item = (VertexId, VertexId, T)>) -> Self {
-        let rows = rows.into_iter();
-        let mut store = KeyedStoreBuilder::new(n, Vec::new());
-        store.extend(rows.size_hint().0, rows).unwrap();
-        store.finish()
-    }
-}
-
-impl<V: Values> KeyedStore<V> {
-    /// The position in the store of what `u` stores for `key`, if
-    /// anything. A `u` or `key` outside `0..n` stores nothing: the range
-    /// check comes before any key is masked to the packed width.
-    #[inline]
-    fn get_index(&self, u: VertexId, key: VertexId) -> Option<usize> {
-        if key.index() >= self.ranges.len() {
-            return None;
-        }
-        let [lo, hi] = self.ranges.get(u.index())?.map(|b| b as usize);
-        Some(lo + self.keys.slice(lo..hi)?.search(key.0.into())?)
-    }
-
-    /// What `u` stores for `key`, if anything. A `u` outside `0..n` stores
-    /// nothing.
-    #[inline]
-    pub(crate) fn get(&self, u: VertexId, key: VertexId) -> Option<V::Value> {
-        self.values.value(self.get_index(u, key)?)
-    }
-
-    /// How many destinations `u` stores something for; none for a `u`
-    /// outside `0..n`.
-    pub(crate) fn slot_len(&self, u: VertexId) -> usize {
-        self.ranges.get(u.index()).map_or(0, |&[lo, hi]| (hi - lo) as usize)
-    }
-
-    /// Heap bytes held, by capacity.
-    pub(crate) fn heap_bytes(&self) -> usize {
-        std::mem::size_of::<[u32; 2]>() * self.ranges.capacity() + self.keys.heap_bytes() + self.values.heap_bytes()
-    }
-}
-
 /// The Lemma 7 or Lemma 8 sequence every vertex stores per destination, as
-/// one [`KeyedStore`] over one arena: the value of a pair is the end of its
-/// entries in `arena`, and they start where the previous pair appended
-/// ends. 8 bytes a vertex, a packed key and 4 bytes a pair, and one packed
-/// slot an entry: 8, 6 and 3 on graphs of up to 65,535 vertices and
-/// degree 255.
+/// one flat table: a run of contiguous, id-sorted destination keys per
+/// vertex `u`, and one row of entries a key. A lookup is one binary search
+/// over `u`'s keys, one key window a probe; the resident memory is four
+/// flat arrays, no hashing anywhere. A vertex's run is a `[start, end)`
+/// pair of `u32`s, 8 bytes a vertex, so the runs may be filled in any
+/// vertex order: Lemma 8 fills them a colour class at a time. A pair costs
+/// its packed key and its 4-byte row end, an entry one packed slot: 8, 6
+/// and 3 bytes on graphs of up to 65,535 vertices and degree 255.
 #[derive(Debug, Clone)]
 pub(crate) struct SeqStore {
-    ends: KeyedStore<Vec<u32>>,
-    arena: PackedColumn<2>,
+    /// `ranges[u]` is `[start, end)` of `u`'s pairs; `[0, 0]` for a vertex
+    /// that stores nothing.
+    ranges: Vec<[u32; 2]>,
+    /// Destination keys, id-sorted within each vertex's run, at the id
+    /// width of `0..n` ([`SlotCodec::for_ids`]).
+    keys: PackedColumn<1>,
+    /// Row `i` is the sequence of key `i`.
+    seqs: PackedRows<2>,
 }
 
 /// A [`SeqStore`] being filled a batch of rows at a time, each batch's
 /// arrays growing by exactly what it holds, so that a build can append
 /// each round (Lemma 7) or colour class (Lemma 8) of its sequence chunks
-/// and drop them before the next.
+/// and drop them before the next. Each vertex's rows arrive together and
+/// sorted by key, the vertices in any order.
 #[derive(Debug)]
 pub(crate) struct SeqStoreBuilder {
-    ends: KeyedStoreBuilder<Vec<u32>>,
-    arena: PackedColumn<2>,
+    store: SeqStore,
+    /// The last row appended.
+    last: Option<(VertexId, VertexId)>,
 }
 
 impl SeqStoreBuilder {
     /// An empty store over vertices `0..n` whose entries `codec` packs.
     pub(crate) fn new(codec: SlotCodec<2>, n: usize) -> Self {
-        SeqStoreBuilder { ends: KeyedStoreBuilder::new(n, Vec::new()), arena: PackedColumn::new(codec) }
+        let (keys, seqs) = (PackedColumn::new(SlotCodec::for_ids(n)), PackedRows::new(codec));
+        SeqStoreBuilder { store: SeqStore { ranges: vec![[0, 0]; n], keys, seqs }, last: None }
     }
 
-    /// Appends `(u, key, entries)` rows, each packed by the store's codec,
-    /// as [`KeyedStoreBuilder::extend`] takes them: each vertex's rows
-    /// together and sorted by key, the vertices in any order. A first pass
-    /// counts the rows and their entries, so every array grows once, by
-    /// exactly that.
+    /// Appends `(u, key, entries)` rows, each packed by the store's codec:
+    /// every `u` and key in `0..n`, and each vertex's rows contiguous and
+    /// strictly sorted by key across every batch — a vertex's pairs are
+    /// one run. A first pass counts the rows and their entries, so every
+    /// array grows once, by exactly that.
     ///
     /// # Errors
     ///
-    /// [`BuildError::BadParameter`] when the entries outnumber what a `u32`
-    /// end offset addresses, and what [`KeyedStoreBuilder::extend`]
-    /// returns.
+    /// [`BuildError::Inconsistent`] when a row names no vertex, repeats or
+    /// undercuts its vertex's last key, or resumes a vertex whose rows
+    /// ended before another's; [`BuildError::TooSmall`] when the pairs or
+    /// the entries outnumber what a `u32` addresses. The rows before the
+    /// refused one stay appended.
     pub(crate) fn extend<'a, I>(&mut self, rows: I) -> Result<(), BuildError>
     where
         I: IntoIterator<Item = (VertexId, VertexId, PackedView<'a, 2>)>,
@@ -566,41 +365,75 @@ impl SeqStoreBuilder {
     {
         let rows = rows.into_iter();
         let (pairs, entries) = rows.clone().fold((0, 0), |(p, e), (_, _, s)| (p + 1, e + s.len()));
-        let total = self.arena.len() + entries;
-        if u32::try_from(total).is_err() {
-            return Err(BuildError::BadParameter {
-                what: format!("{total} sequence entries exceed a u32 arena offset"),
-            });
+        let store = &mut self.store;
+        row_end(store.seqs.column().len() + entries)?;
+        store.keys.reserve_exact(pairs);
+        store.seqs.reserve_exact(pairs, entries);
+        let n = store.ranges.len();
+        for (u, key, entries) in rows {
+            let inconsistent = |what: String| BuildError::Inconsistent { what };
+            if u.index() >= n || key.index() >= n {
+                return Err(inconsistent(format!("row ({u}, {key}) of a store over {n} vertices")));
+            }
+            let end = row_end(store.keys.len() + 1)?;
+            let run = &mut store.ranges[u.index()];
+            match self.last {
+                Some((last_u, last_key)) if last_u == u => {
+                    if key <= last_key {
+                        return Err(inconsistent(format!("key {key} after {last_key} at {u}")));
+                    }
+                }
+                _ if run[1] != 0 => {
+                    return Err(inconsistent(format!("the rows of {u} are split by another vertex's")));
+                }
+                _ => run[0] = end - 1,
+            }
+            run[1] = end;
+            self.last = Some((u, key));
+            store.keys.push([key.0]);
+            store.seqs.extend_from(entries);
+            store.seqs.close_row()?;
         }
-        self.arena.reserve_exact(entries);
-        let arena = &mut self.arena;
-        let rows = rows.map(|(u, key, entries)| {
-            arena.extend_from(entries);
-            (u, key, arena.len() as u32)
-        });
-        self.ends.extend(pairs, rows)
+        Ok(())
     }
 
-    /// The store, with no growth slack.
+    /// The store, with no growth slack: it is kept for the scheme's
+    /// lifetime.
     pub(crate) fn finish(self) -> SeqStore {
-        let mut arena = self.arena;
-        arena.shrink_to_fit();
-        SeqStore { ends: self.ends.finish(), arena }
+        let mut store = self.store;
+        store.keys.shrink_to_fit();
+        store.seqs.shrink_to_fit();
+        store
     }
 }
 
 impl SeqStore {
+    /// The pairs of `u`, as indexes into the keys and rows; none for a `u`
+    /// outside `0..n`.
+    #[inline]
+    fn pairs_at(&self, u: VertexId) -> Range<usize> {
+        self.ranges.get(u.index()).map_or(0..0, |&[lo, hi]| lo as usize..hi as usize)
+    }
+
+    /// The index of the pair `(u, key)`, if `u` stores something for `key`.
+    /// A `u` or `key` outside `0..n` stores nothing: the range check comes
+    /// before any key is masked to the packed width.
+    #[inline]
+    fn pair(&self, u: VertexId, key: VertexId) -> Option<usize> {
+        if key.index() >= self.ranges.len() {
+            return None;
+        }
+        let pairs = self.pairs_at(u);
+        Some(pairs.start + self.keys.slice(pairs)?.search(key.0.into())?)
+    }
+
     /// A cursor on the first entry of what `u` stores for `key`, if
     /// anything. A `u` or `key` outside `0..n` stores nothing.
     #[inline]
     pub(crate) fn cursor(&self, u: VertexId, key: VertexId) -> Option<SeqCursor> {
-        let i = self.ends.get_index(u, key)?;
-        let start = match i.checked_sub(1) {
-            Some(prev) => self.ends.values.value(prev)?,
-            None => 0,
-        };
-        let end = self.ends.values.value(i)?;
-        Some(SeqCursor { start, len: end.checked_sub(start)?, idx: 0 })
+        let row = self.seqs.range(self.pair(u, key)?)?;
+        // Row bounds are `u32` ends.
+        Some(SeqCursor { start: row.start as u32, len: row.len() as u32, idx: 0 })
     }
 
     /// The entry at the cursor's index: the current temporary target of a
@@ -609,7 +442,7 @@ impl SeqStore {
     #[inline]
     pub(crate) fn entry(&self, at: VertexId, c: SeqCursor) -> Result<SeqEntry, RouteError> {
         let i = c.start as usize + c.idx as usize;
-        let entry = (c.idx < c.len).then(|| self.arena.get(i)).flatten();
+        let entry = (c.idx < c.len).then(|| self.seqs.column().get(i)).flatten();
         entry.map(decode_entry).ok_or_else(|| RouteError::MissingInformation {
             at,
             what: format!("the header's sequence cursor {c:?} is off its row"),
@@ -619,31 +452,22 @@ impl SeqStore {
     /// Every `(key, sequence)` row `u` stores, in key order; none for a `u`
     /// outside `0..n`.
     pub(crate) fn rows_at(&self, u: VertexId) -> impl Iterator<Item = (VertexId, PackedView<'_, 2>)> + '_ {
-        let [lo, hi] = self.ends.ranges.get(u.index()).map_or([0, 0], |r| r.map(|b| b as usize));
-        let end = |i: usize| i.checked_sub(1).and_then(|i| self.ends.values.value(i)).map_or(0, |e| e as usize);
-        (lo..hi).filter_map(move |i| {
-            let [key] = self.ends.keys.get::<u32>(i)?;
-            Some((VertexId(key), self.arena.slice(end(i)..end(i + 1))?))
-        })
+        self.pairs_at(u).filter_map(|i| Some((VertexId(self.keys.get::<u32>(i)?[0]), self.seqs.row(i)?)))
     }
 
     /// `(pairs, entries)` stored.
     pub(crate) fn counts(&self) -> (usize, usize) {
-        (self.ends.values.len(), self.arena.len())
+        (self.seqs.len(), self.seqs.column().len())
     }
 
     /// `(pairs, entries)` stored at `u`; none for a `u` outside `0..n`.
     pub(crate) fn counts_at(&self, u: VertexId) -> (usize, usize) {
-        let Some([lo, hi]) = self.ends.ranges.get(u.index()).map(|r| r.map(|b| b as usize)) else {
-            return (0, 0);
-        };
-        let end = |i: usize| i.checked_sub(1).and_then(|i| self.ends.values.value(i)).map_or(0, |e| e as usize);
-        (hi - lo, end(hi) - end(lo))
+        self.seqs.rows(self.pairs_at(u)).map_or((0, 0), |rows| (rows.len(), rows.records()))
     }
 
     /// Heap bytes held, by capacity.
     pub(crate) fn heap_bytes(&self) -> usize {
-        self.ends.heap_bytes() + self.arena.heap_bytes()
+        std::mem::size_of::<[u32; 2]>() * self.ranges.capacity() + self.keys.heap_bytes() + self.seqs.heap_bytes()
     }
 }
 
@@ -665,7 +489,7 @@ impl SeqStore {
 
     /// Every entry of a cursor's sequence, decoded.
     pub(crate) fn decode_row(&self, c: SeqCursor) -> Vec<SeqEntry> {
-        (c.start..c.start + c.len).map(|i| decode_entry(self.arena.get(i as usize).unwrap())).collect()
+        (c.start..c.start + c.len).map(|i| decode_entry(self.seqs.column().get(i as usize).unwrap())).collect()
     }
 
     /// Every entry `u` stores for `key`, decoded, if it stores any.
@@ -674,17 +498,17 @@ impl SeqStore {
     }
 
     /// `(pairs, entries)` stored, after checking that every array's
-    /// capacity is its length, the keys' and the arena's their records and
-    /// pads.
+    /// capacity is its length, the keys' and the entries' their records
+    /// and pads.
     pub(crate) fn tight_sizes(&self) -> (usize, usize) {
-        let KeyedStore { ranges, keys, values } = &self.ends;
-        assert_eq!(ranges.capacity(), ranges.len(), "ranges");
-        assert_eq!(values.capacity(), values.len(), "ends");
-        assert_eq!(keys.len(), values.len(), "a key a pair");
-        for (column, width, what) in [(keys.heap_bytes(), keys.codec().width() * keys.len(), "keys"), (self.arena.heap_bytes(), self.arena.codec().width() * self.arena.len(), "arena")] {
-            assert_eq!(column, width + routing_graph::SLOT_PAD, "{what}");
-        }
-        self.counts()
+        let (pairs, entries) = self.counts();
+        assert_eq!(self.ranges.capacity(), self.ranges.len(), "ranges");
+        assert_eq!(self.keys.len(), pairs, "a key a pair");
+        let keys = self.keys.codec().width() * pairs + routing_graph::SLOT_PAD;
+        assert_eq!(self.keys.heap_bytes(), keys, "keys");
+        let rows = 4 * pairs + self.seqs.codec().width() * entries + routing_graph::SLOT_PAD;
+        assert_eq!(self.seqs.heap_bytes(), rows, "rows");
+        (pairs, entries)
     }
 }
 
@@ -716,7 +540,7 @@ mod tests {
 
     /// Every entry packs into the codec's width and decodes back to itself,
     /// the largest vertex and the ports beside the ball-hop sentinel
-    /// included, from a chunk row and from the store's arena alike.
+    /// included, from a chunk row and from the store's rows alike.
     #[test]
     fn packed_entries_decode_to_what_they_encode() {
         let (_, codec) = three_byte_codec();
@@ -732,7 +556,7 @@ mod tests {
             chunk.push(e);
         }
         chunk.close().unwrap();
-        assert_eq!(chunk.entries.len(), entries.len());
+        assert_eq!(chunk.rows.column().len(), entries.len());
         let rows: Vec<PackedView<'_, 2>> = chunk.sequences().collect();
         let row: Vec<SeqEntry> = (0..=rows[0].len()).map_while(|i| rows[0].get(i).map(decode_entry)).collect();
         assert_eq!(row, entries);
@@ -740,39 +564,62 @@ mod tests {
         assert_eq!(store.decoded(VertexId(1), v), Some(entries.to_vec()));
     }
 
+    /// One chunk of one-entry sequences, a ball hop to each of `targets`
+    /// in turn, at the widths of a 4-vertex path: 2-byte entries.
+    fn one_entry_chunk(targets: &[u32]) -> SeqChunk {
+        let mut chunk = SeqChunk::new(SlotCodec::for_graph(&generators::path(4)));
+        for &x in targets {
+            chunk.push(SeqEntry::ball(VertexId(x)));
+            chunk.close().unwrap();
+        }
+        chunk
+    }
+
+    /// The target of the one-entry sequence `u` stores for `key`, if any.
+    fn target(store: &SeqStore, u: u32, key: u32) -> Option<u32> {
+        let row = store.decoded(VertexId(u), VertexId(key))?;
+        assert_eq!(row.len(), 1, "({u}, {key})");
+        Some(row[0].vertex.0)
+    }
+
     #[test]
     fn keyed_store_finds_exactly_the_stored_pairs() {
         let v = VertexId;
-        let store =
-            KeyedStore::from_sorted(4, [(v(0), v(2), 'a'), (v(0), v(3), 'b'), (v(2), v(0), 'c')]);
-        assert_eq!(store.get(v(0), v(2)), Some('a'));
-        assert_eq!(store.get(v(0), v(3)), Some('b'));
-        assert_eq!(store.get(v(2), v(0)), Some('c'));
-        assert_eq!(store.get(v(0), v(1)), None);
-        assert_eq!(store.get(v(1), v(2)), None, "empty slot");
-        assert_eq!(store.get(v(3), v(0)), None, "last vertex, empty slot");
-        assert_eq!(store.get(v(4), v(0)), None, "a vertex of another instance");
-        assert_eq!([0, 1, 2, 3].map(|u| store.slot_len(v(u))), [2, 0, 1, 0]);
-        // 1-byte keys and their pad, 4-byte chars.
-        assert_eq!(store.heap_bytes(), 8 * 4 + (3 + SLOT_PAD) + 4 * 3);
+        let chunk = one_entry_chunk(&[1, 2, 3]);
+        let keys = [(v(0), v(2)), (v(0), v(3)), (v(2), v(0))];
+        let rows = keys.into_iter().zip(chunk.sequences()).map(|((u, key), s)| (u, key, s));
+        let store = SeqStore::from_sorted(chunk.rows.codec(), 4, rows).unwrap();
+        assert_eq!(target(&store, 0, 2), Some(1));
+        assert_eq!(target(&store, 0, 3), Some(2));
+        assert_eq!(target(&store, 2, 0), Some(3));
+        assert_eq!(target(&store, 0, 1), None);
+        assert_eq!(target(&store, 1, 2), None, "an empty run");
+        assert_eq!(target(&store, 3, 0), None, "last vertex, an empty run");
+        assert_eq!(target(&store, 4, 0), None, "a vertex of another instance");
+        assert_eq!([0, 1, 2, 3].map(|u| store.counts_at(v(u))), [(2, 2), (0, 0), (1, 1), (0, 0)]);
+        // 8 bytes a vertex, 1-byte keys and their pad, a 4-byte row end a
+        // pair, 2-byte entries and their pad.
+        assert_eq!(store.heap_bytes(), 8 * 4 + (3 + SLOT_PAD) + 4 * 3 + (2 * 3 + SLOT_PAD));
     }
 
-    /// The slots may be filled in any vertex order, each vertex's rows
+    /// The runs may be filled in any vertex order, each vertex's rows
     /// together and key-sorted; a vertex whose rows are split by another's,
     /// a key repeated or out of order, and a vertex or key outside `0..n`
     /// are [`BuildError::Inconsistent`], across batches too.
     #[test]
     fn keyed_store_takes_vertices_in_any_order_but_refuses_a_split_vertex() {
         let v = VertexId;
-        let mut store = KeyedStoreBuilder::new(4, Vec::new());
-        store.extend(2, [(v(2), v(0), 'a'), (v(2), v(3), 'b')].into_iter()).unwrap();
-        store.extend(2, [(v(0), v(1), 'c'), (v(3), v(2), 'd')].into_iter()).unwrap();
+        let chunk = one_entry_chunk(&[0, 1, 2, 3]);
+        let seq = |k| chunk.sequence(k).unwrap();
+        let mut store = SeqStoreBuilder::new(chunk.rows.codec(), 4);
+        store.extend([(v(2), v(0), seq(0)), (v(2), v(3), seq(1))]).unwrap();
+        store.extend([(v(0), v(1), seq(2)), (v(3), v(2), seq(3))]).unwrap();
         let store = store.finish();
-        for (u, key, value) in [(2, 0, 'a'), (2, 3, 'b'), (0, 1, 'c'), (3, 2, 'd')] {
-            assert_eq!(store.get(v(u), v(key)), Some(value), "({u}, {key})");
+        for (u, key, value) in [(2, 0, 0), (2, 3, 1), (0, 1, 2), (3, 2, 3)] {
+            assert_eq!(target(&store, u, key), Some(value), "({u}, {key})");
         }
-        assert_eq!(store.get(v(2), v(1)), None);
-        assert_eq!([0, 1, 2, 3].map(|u| store.slot_len(v(u))), [1, 0, 2, 1]);
+        assert_eq!(target(&store, 2, 1), None);
+        assert_eq!([0, 1, 2, 3].map(|u| store.counts_at(v(u)).0), [1, 0, 2, 1]);
         assert_eq!(store.ranges, [[2, 3], [0, 0], [0, 2], [3, 4]]);
         let refused: [&[(u32, u32)]; 6] = [
             &[(0, 1), (1, 0), (0, 2)],
@@ -783,12 +630,12 @@ mod tests {
             &[(0, 4)],
         ];
         for rows in refused {
-            let mut store = KeyedStoreBuilder::new(4, Vec::new());
+            let mut store = SeqStoreBuilder::new(chunk.rows.codec(), 4);
             // Every row but the last in one batch, the last in another.
             let (last, first) = rows.split_last().unwrap();
-            let batch = |rows: &[(u32, u32)]| rows.iter().map(|&(u, key)| (v(u), v(key), ())).collect::<Vec<_>>();
-            store.extend(0, batch(first).into_iter()).unwrap();
-            let err = store.extend(0, batch(&[*last]).into_iter()).unwrap_err();
+            let batch = |rows: &[(u32, u32)]| rows.iter().map(|&(u, key)| (v(u), v(key), seq(0))).collect::<Vec<_>>();
+            store.extend(batch(first)).unwrap();
+            let err = store.extend(batch(&[*last])).unwrap_err();
             assert!(matches!(err, BuildError::Inconsistent { .. }), "{rows:?}: {err}");
         }
     }
@@ -841,9 +688,9 @@ mod tests {
     /// On a store of 1-byte keys, an id that masks down to a stored key
     /// (`256 + k`, or the narrow sentinel `0xFF`), a source outside `0..n`
     /// and a cursor of another store whose entry lies past this store's
-    /// arena all miss, without panicking and without matching: the range
+    /// entries all miss, without panicking and without matching: the range
     /// checks come before any key is masked, and a cursor is checked against
-    /// this store's arena, not its pad.
+    /// this store's entries, not their pad.
     #[test]
     fn hostile_keys_and_cursors_miss_instead_of_panicking_or_matching() {
         let v = VertexId;
@@ -859,7 +706,7 @@ mod tests {
         let rows = keys.iter().zip(chunk.sequences()).map(|(&(u, key), s)| (u, key, s));
         let store = SeqStore::from_sorted(codec, g.n(), rows).unwrap();
         // A larger store: a 40-entry row, then a row that starts past the
-        // small store's arena.
+        // small store's entries.
         let (big_g, big_codec) = three_byte_codec();
         let mut big = SeqChunk::new(big_codec);
         for len in [40, 3] {
@@ -878,9 +725,9 @@ mod tests {
             assert_eq!(store.entry(u, c).ok(), Some(SeqEntry::ball(key)));
             for hostile in [v(256 + key.0), v(0xFF), v(12), v(u32::MAX)] {
                 assert_eq!(store.cursor(u, hostile), None, "({u}, {hostile})");
-                assert_eq!(store.ends.get(u, hostile), None, "({u}, {hostile})");
+                assert_eq!(store.pair(u, hostile), None, "({u}, {hostile})");
                 assert_eq!(store.cursor(hostile, key), None, "({hostile}, {key})");
-                assert_eq!(store.ends.get(hostile, key), None, "({hostile}, {key})");
+                assert_eq!(store.pair(hostile, key), None, "({hostile}, {key})");
             }
         }
         for c in [foreign, foreign.last(), SeqCursor { idx: 3, ..long }, long.last()] {
@@ -905,6 +752,6 @@ mod tests {
         assert!(matches!(err, BuildError::Inconsistent { .. }), "{err}");
         let err = push_hops(&g, &bad, 1, 1, &mut chunk).unwrap_err();
         assert!(matches!(err, BuildError::Inconsistent { .. }), "{err}");
-        assert_eq!(chunk.entries.len(), 0, "nothing was appended");
+        assert_eq!(chunk.rows.column().len(), 0, "nothing was appended");
     }
 }

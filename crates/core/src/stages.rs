@@ -39,7 +39,7 @@ use std::ops::Range;
 use rand::Rng;
 
 use routing_graph::codec::{bytes_for, Field};
-use routing_graph::{Graph, PackedColumn, PackedView, SearchScratch, SlotCodec, VertexId, Weight};
+use routing_graph::{Graph, PackedColumn, PackedRows, PackedView, SearchScratch, SlotCodec, VertexId, Weight};
 use routing_model::{Decision, RouteError};
 use routing_tree::{Labels, TreeForest, TreeLabelView, TreeView};
 use routing_vicinity::{
@@ -390,7 +390,7 @@ impl ClusterFamily {
     ///
     /// [`BuildError::TooSmall`] if a search's parent relation is not a tree
     /// of `g`, which a well-formed search never produces, or the members
-    /// outnumber a `u32` offset.
+    /// outnumber a `u32` row end.
     pub fn build<'b>(
         g: &Graph,
         bound: impl Fn(VertexId) -> &'b [Weight] + Sync,
@@ -409,7 +409,7 @@ impl ClusterFamily {
                     row.clear();
                     row.extend_from_slice(scratch.order());
                     row.sort_unstable_by_key(|&(v, _)| v);
-                    rows.push_row(&row)?;
+                    rows.push_row(row.iter().copied())?;
                 }
                 let _span = routing_obs::span("cluster-trees");
                 chunk.push_scratch_with(g, scratch, labels(w)).map_err(tree_error)?;
@@ -502,92 +502,61 @@ impl ClusterFamily {
     }
 }
 
-/// Per vertex `u`, an id-sorted list of `(w, d)` pairs in one CSR table, a
-/// probe being one binary search over adjacent memory: a cluster family's
-/// members (the list of root `u` is `C(u)`, `d = d(u, w)`,
-/// [`ClusterFamily::build`]) and its bunches (their inversion, `d = d(w, u)`
-/// for every `w ∈ B(u)`, [`DistLists::invert`]), and Theorem 16's landmark
-/// lists (`d = d(u, w)` for the landmarks of `u`'s vicinity,
-/// [`DistLists::from_rows`]). An entry is a [`PackedColumn`] record: `w` in
-/// the bytes `n` needs, `d` in the bytes the table's largest distance needs
-/// (the members', whose largest is not known before they are, in the bytes
-/// of a bound). That is 4 bytes on a graph of up to 65,535 vertices whose
-/// distances stay below 65,535, beside a 4-byte offset a vertex.
+/// Per vertex `u`, an id-sorted list of `(w, d)` pairs, one row of a
+/// [`PackedRows`] a vertex, a probe being one binary search over adjacent
+/// memory: a cluster family's members (the list of root `u` is `C(u)`,
+/// `d = d(u, w)`, [`ClusterFamily::build`]) and its bunches (their
+/// inversion, `d = d(w, u)` for every `w ∈ B(u)`, [`DistLists::invert`]),
+/// Theorem 16's landmark lists (`d = d(u, w)` for the landmarks of `u`'s
+/// vicinity, [`DistLists::from_rows`]), and Theorem 10's intersections
+/// (`d` is no distance there but the intersection vertex of the pair
+/// `(u, w)`). An entry is a record `[w, d]`: `w` in the bytes `n` needs,
+/// `d` in the bytes the table's largest value needs (the members', whose
+/// largest distance is not known before they are, in the bytes of a
+/// bound). That is 4 bytes on a graph of up to 65,535 vertices whose
+/// distances stay below 65,535, beside a 4-byte row end a vertex.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DistLists {
-    /// `offsets[u]..offsets[u + 1]` indexes the entries of `u`.
-    offsets: Vec<u32>,
-    /// `[w, d]`, ascending `w` within each vertex.
-    entries: PackedColumn<2>,
-}
-
-/// Lists too long for a `u32` offset, or a distance no field holds.
-fn too_many(what: String) -> BuildError {
-    BuildError::TooSmall { what }
+    /// Row `u` lists `[w, d]`, ascending `w`.
+    lists: PackedRows<2>,
 }
 
 impl DistLists {
-    /// The entry codec of lists over `n` vertices whose distances are at
-    /// most `max`.
+    /// The entry codec of lists over `n` vertices whose values are at most
+    /// `max`.
     fn codec(n: usize, max: Weight) -> Result<SlotCodec<2>, BuildError> {
-        let max = max.checked_add(1).ok_or_else(|| too_many("an infinite distance in a list".into()))?;
+        let max = max.checked_add(1).ok_or_else(|| BuildError::TooSmall {
+            what: "an infinite distance in a list".into(),
+        })?;
         Ok(SlotCodec::new([bytes_for(n as u64), bytes_for(max)]))
     }
 
     /// Lists of `counts[u]` zeroed entries for each of `n` vertices, whose
-    /// distances are at most `max`.
-    fn zeroed(n: usize, counts: impl Iterator<Item = usize>, max: Weight) -> Result<Self, BuildError> {
-        let codec = Self::codec(n, max)?;
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0);
-        let mut total = 0usize;
-        for count in counts {
-            total += count;
-            offsets.push(Self::offset(total)?);
-        }
-        Ok(DistLists { offsets, entries: PackedColumn::zeroed(codec, total) })
+    /// values are at most `max`.
+    fn zeroed(n: usize, counts: Vec<usize>, max: Weight) -> Result<Self, BuildError> {
+        Ok(DistLists { lists: PackedRows::zeroed(Self::codec(n, max)?, counts.into_iter())? })
     }
 
-    /// The lists of no vertex yet, for ids below `n` and distances of at
-    /// most `max`, to [`push_row`](Self::push_row) to.
-    fn empty(n: usize, max: Weight) -> Result<Self, BuildError> {
-        Ok(DistLists { offsets: vec![0], entries: PackedColumn::new(Self::codec(n, max)?) })
-    }
-
-    /// An entry count as an offset: the one place an offset is converted.
-    fn offset(total: usize) -> Result<u32, BuildError> {
-        u32::try_from(total).map_err(|_| too_many(format!("{total} list entries exceed a u32 offset")))
+    /// The lists of no vertex yet, for ids below `n` and values of at most
+    /// `max`, to [`push_row`](Self::push_row) to.
+    pub(crate) fn empty(n: usize, max: Weight) -> Result<Self, BuildError> {
+        Ok(DistLists { lists: PackedRows::new(Self::codec(n, max)?) })
     }
 
     /// Appends the list of the next vertex: `row`, ascending `w`.
-    fn push_row(&mut self, row: &[(VertexId, Weight)]) -> Result<(), BuildError> {
-        let end = Self::offset(self.entries.len() + row.len())?;
-        row.iter().for_each(|&(w, d)| self.entries.push([u64::from(w.0), d]));
-        self.offsets.push(end);
-        Ok(())
+    pub(crate) fn push_row(&mut self, row: impl IntoIterator<Item = (VertexId, Weight)>) -> Result<(), BuildError> {
+        Ok(self.lists.push_row(row.into_iter().map(|(w, d)| [u64::from(w.0), d]))?)
     }
 
     /// Appends the vertices of `parts`, lists packed by the same codec, in
-    /// order, every offset rebased: each array grows by exactly what the
-    /// parts hold, once.
+    /// order ([`PackedRows::append`]).
     fn append(&mut self, parts: Vec<DistLists>) -> Result<(), BuildError> {
-        let vertices: usize = parts.iter().map(|p| p.offsets.len() - 1).sum();
-        let entries: usize = parts.iter().map(DistLists::len).sum();
-        Self::offset(self.len() + entries)?;
-        self.offsets.reserve_exact(vertices);
-        self.entries.reserve_exact(entries);
-        for part in parts {
-            let base = self.len() as u32;
-            self.offsets.extend(part.offsets[1..].iter().map(|&o| o + base));
-            self.entries.extend_from(part.entries.view());
-        }
-        Ok(())
+        Ok(self.lists.append(parts.iter().map(|p| &p.lists))?)
     }
 
     /// Returns the growth slack.
-    fn shrink_to_fit(&mut self) {
-        self.offsets.shrink_to_fit();
-        self.entries.shrink_to_fit();
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.lists.shrink_to_fit();
     }
 
     /// The inverted lists: `(u, d)` in the list of `w` for every entry
@@ -597,19 +566,20 @@ impl DistLists {
     ///
     /// # Errors
     ///
-    /// [`BuildError::TooSmall`] if the entries outnumber a `u32` offset.
+    /// [`BuildError::TooSmall`] if the entries outnumber a `u32` row end.
     pub fn invert(&self) -> Result<Self, BuildError> {
-        let n = self.offsets.len() - 1;
+        let n = self.lists.len();
         let (mut counts, mut max) = (vec![0usize; n], 0);
-        for [w, d] in (0..self.len()).filter_map(|i| self.entries.get::<u64>(i)) {
+        for [w, d] in self.lists.column().view().records::<u64>() {
             counts[w as usize] += 1;
             max = max.max(d);
         }
-        let mut lists = Self::zeroed(n, counts.into_iter(), max)?;
-        let mut next = lists.offsets.clone();
+        let mut lists = Self::zeroed(n, counts, max)?;
+        // A `u32` a row: no row holds more than the rows' `u32` ends.
+        let mut next = vec![0u32; n];
         for u in (0..n).map(|u| VertexId(u as u32)) {
             for (w, d) in self.row(u) {
-                lists.entries.set(next[w.index()] as usize, [u64::from(u.0), d]);
+                lists.lists.set(w.index(), next[w.index()] as usize, [u64::from(u.0), d]);
                 next[w.index()] += 1;
             }
         }
@@ -623,7 +593,7 @@ impl DistLists {
     /// # Errors
     ///
     /// What `row` returns, and [`BuildError::TooSmall`] if the entries
-    /// outnumber a `u32` offset.
+    /// outnumber a `u32` row end.
     pub fn from_rows<I>(
         n: usize,
         row: impl Fn(VertexId) -> Result<I, BuildError>,
@@ -635,44 +605,36 @@ impl DistLists {
         for u in (0..n).map(|u| VertexId(u as u32)) {
             counts.push(row(u)?.inspect(|&(_, d)| max = max.max(d)).count());
         }
-        let mut lists = Self::zeroed(n, counts.into_iter(), max)?;
+        let mut lists = Self::zeroed(n, counts, max)?;
         let mut sorted = Vec::new();
         for u in 0..n {
             sorted.clear();
             sorted.extend(row(VertexId(u as u32))?);
             sorted.sort_unstable_by_key(|&(w, _)| w);
             for (k, &(w, d)) in sorted.iter().enumerate() {
-                lists.entries.set(lists.offsets[u] as usize + k, [u64::from(w.0), d]);
+                lists.lists.set(u, k, [u64::from(w.0), d]);
             }
         }
         Ok(lists)
     }
 
-    /// The entries of `u`, by index; none for a `u` outside `0..n`.
-    #[inline]
-    fn range(&self, u: VertexId) -> Range<usize> {
-        match (self.offsets.get(u.index()), self.offsets.get(u.index() + 1)) {
-            (Some(&lo), Some(&hi)) => lo as usize..hi as usize,
-            _ => 0..0,
-        }
-    }
-
-    /// `(w, d)` of every entry of `u`, in ascending `w`.
+    /// `(w, d)` of every entry of `u`, in ascending `w`; none for a `u`
+    /// outside `0..n`.
     pub fn row(&self, u: VertexId) -> impl Iterator<Item = (VertexId, Weight)> + '_ {
-        let entries = self.range(u).filter_map(|i| self.entries.get::<u64>(i));
+        let entries = self.lists.row(u.index()).into_iter().flat_map(PackedView::records::<u64>);
         entries.map(|[w, d]| (VertexId(<u32 as Field>::narrow(w)), d))
     }
 
     /// `d` of the entry `(w, d)` of `u`, if `u` lists `w`: one binary search.
     #[inline]
     pub fn dist(&self, u: VertexId, w: VertexId) -> Option<Weight> {
-        let row = self.entries.slice(self.range(u))?;
+        let row = self.lists.row(u.index())?;
         Some(row.get::<u64>(row.search(w.0.into())?)?[1])
     }
 
     /// Entries of every list.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.lists.column().len()
     }
 
     /// True if no vertex lists anything.
@@ -680,16 +642,15 @@ impl DistLists {
         self.len() == 0
     }
 
-    /// Bytes an entry: `w` at the id width, `d` at the distance width.
+    /// Bytes an entry: `w` at the id width, `d` at the value width.
     pub fn entry_bytes(&self) -> usize {
-        self.entries.codec().width()
+        self.lists.codec().width()
     }
 
-    /// Bytes of heap the arrays hold, by capacity: 4 a vertex and one
-    /// closing offset, [`entry_bytes`](Self::entry_bytes) an entry and the
-    /// pad.
+    /// Bytes of heap the arrays hold, by capacity: a 4-byte row end a
+    /// vertex, [`entry_bytes`](Self::entry_bytes) an entry and the pad.
     pub fn heap_bytes(&self) -> usize {
-        std::mem::size_of::<u32>() * self.offsets.capacity() + self.entries.heap_bytes()
+        self.lists.heap_bytes()
     }
 }
 
@@ -817,14 +778,14 @@ mod tests {
     /// the standalone tree of the same search, on Erdős–Rényi, geometric and
     /// grid graphs, unit and weighted, around the 64-root block boundary.
     /// The forests are equal at one and four threads, and hold, with no
-    /// growth slack, 12 bytes a tree, 4 a light offset and, packed at the
+    /// growth slack, 12 bytes a tree, 4 a light-port row and, packed at the
     /// graph's width, a member id of a tree that does not span the graph
     /// (1 byte below 255 vertices, 2 from 255), a node record (four times
     /// at the bytes `0..=n` need, two ports at the bytes the largest degree
     /// needs) and a light port (an entry time and a port), each array closed
-    /// by an 8-byte pad. The bunches hold 4 bytes a vertex and one closing
-    /// offset, and an entry at the id width plus the bytes the largest
-    /// bunch distance needs.
+    /// by an 8-byte pad. The bunches hold a 4-byte row end a vertex, and an
+    /// entry at the id width plus the bytes the largest bunch distance
+    /// needs.
     #[test]
     fn every_forest_tree_equals_the_standalone_tree_of_its_search() {
         for family in [Family::ErdosRenyi, Family::Geometric, Family::Grid] {
@@ -871,7 +832,7 @@ mod tests {
                         let ids: usize = trees.iter().filter(|t| t.len() != n).map(|t| t.len()).sum();
                         let light: usize = trees.iter().map(|t| (t.labels_words() - t.len()) / 2).sum();
                         let packed = id * ids + (4 * time + 2 * port) * nodes + (id + port) * light;
-                        let bytes = 12 * (trees.len() + 1) + 4 * (nodes + 1) + packed + 3 * SLOT_PAD;
+                        let bytes = 12 * (trees.len() + 1) + 4 * nodes + packed + 3 * SLOT_PAD;
                         assert_eq!(forest.heap_bytes(), bytes, "{key}: forest bytes");
                     }
                     let bunches: Vec<_> = g.vertices().flat_map(|v| clusters.bunch(v)).collect();
@@ -879,7 +840,7 @@ mod tests {
                     let entry = id + usize::from(bytes_for(far + 1));
                     assert_eq!(clusters.bunches.entry_bytes(), entry, "{key}: bunch entries");
                     let family_bytes = clusters.trees.heap_bytes()
-                        + 4 * (n + 1)
+                        + 4 * n
                         + entry * bunches.len()
                         + SLOT_PAD;
                     assert_eq!(clusters.heap_bytes(), family_bytes, "{key}: family bytes");
@@ -897,11 +858,11 @@ mod tests {
             counts[v.index()] += 1;
             max = max.max(d);
         }
-        let mut lists = DistLists::zeroed(n, counts.into_iter(), max).unwrap();
-        let mut next = lists.offsets.clone();
+        let mut lists = DistLists::zeroed(n, counts, max).unwrap();
+        let mut next = vec![0; n];
         for (w, members) in clusters.iter().enumerate() {
             for &(v, d) in members {
-                lists.entries.set(next[v.index()] as usize, [w as u64, d]);
+                lists.lists.set(v.index(), next[v.index()], [w as u64, d]);
                 next[v.index()] += 1;
             }
         }

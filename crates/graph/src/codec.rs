@@ -1,4 +1,5 @@
-//! Records packed at a graph's width: [`SlotCodec`] and [`PackedColumn`].
+//! Records packed at a graph's width: [`SlotCodec`], [`PackedColumn`] and
+//! [`PackedRows`].
 //!
 //! Every table a routing scheme keeps is an array of fixed-length records
 //! of small unsigned fields — a ball slot `[member, port]`, a sequence entry
@@ -16,6 +17,7 @@
 //! `unsafe` — one up to 8 bytes, two up to 16, one a field beyond — and its
 //! reads and a [`PackedView`]'s stop at the last record, never at the pad.
 
+use std::fmt;
 use std::hint::select_unpredictable;
 use std::ops::Range;
 
@@ -421,6 +423,12 @@ impl<'a, const F: usize> PackedView<'a, F> {
         let (start, end) = (self.start as usize, self.end as usize);
         Some(self.column.codec.search(&self.column.bytes, start..end, key)? - start)
     }
+
+    /// The view's records, decoded in order.
+    #[inline]
+    pub fn records<T: Field + 'a>(self) -> impl Iterator<Item = [T; F]> + 'a {
+        (0..self.len()).map_while(move |i| self.get(i))
+    }
 }
 
 impl<'a> PackedView<'a, 1> {
@@ -439,6 +447,236 @@ impl<'a> PackedView<'a, 1> {
             let x = window.map_or(0, u64::from_le_bytes) & mask;
             T::narrow(if x == mask { u64::MAX } else { x })
         })
+    }
+}
+
+/// A record count past what a `u32` row end holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TooManyRecords(pub usize);
+
+impl fmt::Display for TooManyRecords {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} records exceed a u32 row end", self.0)
+    }
+}
+
+impl std::error::Error for TooManyRecords {}
+
+/// `records` as the end of a row of a [`PackedRows`]: the one place a
+/// length becomes a `u32`.
+pub fn row_end(records: usize) -> Result<u32, TooManyRecords> {
+    u32::try_from(records).map_err(|_| TooManyRecords(records))
+}
+
+/// Records cut into rows: one [`PackedColumn`] and one `u32` end a row, row
+/// `r` being records `ends[r − 1]..ends[r]` (from 0 for the first). Every
+/// table of rows is one — a vertex's list, a pair's sequence, a member's
+/// light ports — so a row costs 4 bytes and its records their packed width.
+/// A build [`push`](Self::push)es a row's records and
+/// [`close_row`](Self::close_row)s it, or fills [`zeroed`](Self::zeroed)
+/// rows in any order with [`set`](Self::set), and [`append`](Self::append)s
+/// tables built apart, every end rebased.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PackedRows<const F: usize> {
+    ends: Vec<u32>,
+    records: PackedColumn<F>,
+}
+
+impl<const F: usize> PackedRows<F> {
+    /// No rows, their records packed by `codec`.
+    pub fn new(codec: SlotCodec<F>) -> Self {
+        Self::with_capacity(codec, 0, 0)
+    }
+
+    /// No rows, with room for `rows` rows of `records` records in all.
+    pub fn with_capacity(codec: SlotCodec<F>, rows: usize, records: usize) -> Self {
+        PackedRows { ends: Vec::with_capacity(rows), records: PackedColumn::with_capacity(codec, records) }
+    }
+
+    /// Rows of `lens` all-zero records each, to [`set`](Self::set): every
+    /// array at its final size.
+    ///
+    /// # Errors
+    ///
+    /// [`TooManyRecords`] if the rows hold more records than a `u32` ends.
+    pub fn zeroed(codec: SlotCodec<F>, lens: impl ExactSizeIterator<Item = usize>) -> Result<Self, TooManyRecords> {
+        let (mut ends, mut total) = (Vec::with_capacity(lens.len()), 0);
+        for len in lens {
+            total += len;
+            ends.push(row_end(total)?);
+        }
+        Ok(PackedRows { ends, records: PackedColumn::zeroed(codec, total) })
+    }
+
+    /// How the records are packed.
+    #[inline]
+    pub fn codec(&self) -> SlotCodec<F> {
+        self.records.codec
+    }
+
+    /// Closed rows.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True if no row is closed.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Every record, row after row.
+    #[inline]
+    pub fn column(&self) -> &PackedColumn<F> {
+        &self.records
+    }
+
+    /// Appends `fields` to the open row.
+    pub fn push<T: Field>(&mut self, fields: [T; F]) {
+        self.records.push(fields);
+    }
+
+    /// Appends the records of `view`, packed by the same codec, to the open
+    /// row.
+    pub fn extend_from(&mut self, view: PackedView<'_, F>) {
+        self.records.extend_from(view);
+    }
+
+    /// Closes the open row: the records pushed since the last close.
+    ///
+    /// # Errors
+    ///
+    /// [`TooManyRecords`] if its end does not fit a `u32`.
+    pub fn close_row(&mut self) -> Result<(), TooManyRecords> {
+        self.ends.push(row_end(self.records.len())?);
+        Ok(())
+    }
+
+    /// Appends `row` as a row.
+    ///
+    /// # Errors
+    ///
+    /// As [`close_row`](Self::close_row).
+    pub fn push_row<T: Field>(&mut self, row: impl IntoIterator<Item = [T; F]>) -> Result<(), TooManyRecords> {
+        row.into_iter().for_each(|fields| self.records.push(fields));
+        self.close_row()
+    }
+
+    /// Appends the rows of `parts`, packed by the same codec, in order,
+    /// every end rebased: each array grows by exactly what the parts hold,
+    /// once. No row may be open.
+    ///
+    /// # Errors
+    ///
+    /// [`TooManyRecords`] if the records would outgrow a `u32` end; the rows
+    /// are then left as they were.
+    pub fn append<'p>(&mut self, parts: impl Iterator<Item = &'p Self> + Clone) -> Result<(), TooManyRecords> {
+        let (rows, records) = parts.clone().fold((0, 0), |(r, k), p| (r + p.len(), k + p.records.len()));
+        row_end(self.records.len() + records)?;
+        self.ends.reserve_exact(rows);
+        self.records.reserve_exact(records);
+        for part in parts {
+            let base = row_end(self.records.len())?;
+            self.ends.extend(part.ends.iter().map(|&end| end + base));
+            self.records.extend_from(part.records.view());
+        }
+        Ok(())
+    }
+
+    /// Records before row `r`, for `r` up to the rows closed.
+    #[inline]
+    fn start(&self, r: usize) -> usize {
+        r.checked_sub(1).and_then(|last| self.ends.get(last)).map_or(0, |&end| end as usize)
+    }
+
+    /// The records of row `r`, as indexes into the
+    /// [`column`](Self::column); `None` past the last row.
+    #[inline]
+    pub fn range(&self, r: usize) -> Option<Range<usize>> {
+        Some(self.start(r)..*self.ends.get(r)? as usize)
+    }
+
+    /// Row `r`, or `None` past the last row.
+    #[inline]
+    pub fn row(&self, r: usize) -> Option<PackedView<'_, F>> {
+        self.records.slice(self.range(r)?)
+    }
+
+    /// The rows in `range`, or `None` where it runs past the last row.
+    #[inline]
+    pub fn rows(&self, range: Range<usize>) -> Option<RowsView<'_, F>> {
+        let Range { start, end } = range;
+        (start <= end && end <= self.len()).then_some(RowsView { rows: self, start, end })
+    }
+
+    /// Every row.
+    #[inline]
+    pub fn view(&self) -> RowsView<'_, F> {
+        RowsView { rows: self, start: 0, end: self.len() }
+    }
+
+    /// Writes `fields` as record `k` of row `r`.
+    ///
+    /// # Panics
+    ///
+    /// If row `r` holds no record `k`.
+    pub fn set<T: Field>(&mut self, r: usize, k: usize, fields: [T; F]) {
+        let row = self.range(r).unwrap_or(0..0);
+        assert!(k < row.len(), "record {k} of row {r} of {}", self.len());
+        self.records.set(row.start + k, fields);
+    }
+
+    /// Makes room for `rows` more rows of `records` more records.
+    pub fn reserve_exact(&mut self, rows: usize, records: usize) {
+        self.ends.reserve_exact(rows);
+        self.records.reserve_exact(records);
+    }
+
+    /// Returns the growth slack.
+    pub fn shrink_to_fit(&mut self) {
+        self.ends.shrink_to_fit();
+        self.records.shrink_to_fit();
+    }
+
+    /// Bytes of heap held, by capacity: 4 a row, and the records and the
+    /// pad.
+    pub fn heap_bytes(&self) -> usize {
+        std::mem::size_of::<u32>() * self.ends.capacity() + self.records.heap_bytes()
+    }
+}
+
+/// A borrowed range of a [`PackedRows`]' rows, indexed from the range's
+/// first; reads stay inside the range.
+#[derive(Debug, Clone, Copy)]
+pub struct RowsView<'a, const F: usize> {
+    rows: &'a PackedRows<F>,
+    start: usize,
+    end: usize,
+}
+
+impl<'a, const F: usize> RowsView<'a, F> {
+    /// Rows in the view.
+    #[inline]
+    pub fn len(self) -> usize {
+        self.end - self.start
+    }
+
+    /// True if the view holds no row.
+    #[inline]
+    pub fn is_empty(self) -> bool {
+        self.start == self.end
+    }
+
+    /// Records in the view's rows.
+    pub fn records(self) -> usize {
+        self.rows.start(self.end) - self.rows.start(self.start)
+    }
+
+    /// Row `r` of the view, or `None` at and past its last one.
+    #[inline]
+    pub fn row(self, r: usize) -> Option<PackedView<'a, F>> {
+        self.rows.row((r < self.len()).then_some(self.start + r)?)
     }
 }
 
@@ -693,6 +931,128 @@ mod tests {
     #[should_panic(expected = "record 2 of a column of 2")]
     fn set_past_the_last_record_panics() {
         PackedColumn::zeroed(SlotCodec::new([1]), 2).set(2, [7u32]);
+    }
+
+    /// Rows of the lengths `lens`, record `k` of row `r` being
+    /// `[r + k, u32::MAX]` at `codec`'s widths, pushed a row at a time.
+    fn rows_of(codec: SlotCodec<2>, lens: &[usize]) -> PackedRows<2> {
+        let mut rows = PackedRows::new(codec);
+        for (r, &len) in lens.iter().enumerate() {
+            rows.push_row((0..len).map(|k| [(r + k) as u32, u32::MAX])).unwrap();
+        }
+        rows
+    }
+
+    /// Row lengths with empty rows first, between and last.
+    const LENS: [usize; 8] = [0, 3, 1, 0, 0, 5, 2, 0];
+
+    /// Rows read back as pushed at 1-, 2- and 3-byte ids, empty rows
+    /// included: each row's records, its range in the column, a view's rows
+    /// and records, and the bytes, 4 a row and the packed records.
+    #[test]
+    fn rows_round_trip_at_every_id_width() {
+        for id in 1..=3 {
+            let codec = SlotCodec::new([id, 1]);
+            let mut rows = rows_of(codec, &LENS);
+            assert_eq!((rows.len(), rows.column().len()), (LENS.len(), LENS.iter().sum()), "{id} bytes");
+            let mut start = 0;
+            for (r, &len) in LENS.iter().enumerate() {
+                assert_eq!(rows.range(r), Some(start..start + len), "{id} bytes: row {r}");
+                let row = rows.row(r).unwrap();
+                let want: Vec<[u32; 2]> = (0..len).map(|k| [(r + k) as u32, u32::MAX]).collect();
+                assert_eq!(row.records::<u32>().collect::<Vec<_>>(), want, "{id} bytes: row {r}");
+                start += len;
+            }
+            let view = rows.rows(1..6).unwrap();
+            assert_eq!((view.len(), view.records()), (5, 9), "{id} bytes");
+            assert_eq!(view.row(4).map(PackedView::len), Some(5), "{id} bytes");
+            assert_eq!(rows.rows(3..5).map(RowsView::records), Some(0), "{id} bytes: empty rows");
+            assert!(rows.rows(4..4).unwrap().is_empty());
+            rows.shrink_to_fit();
+            let bytes = 4 * LENS.len() + (usize::from(id) + 1) * 11 + SLOT_PAD;
+            assert_eq!(rows.heap_bytes(), bytes, "{id} bytes");
+        }
+        let empty = PackedRows::new(SlotCodec::new([1, 1]));
+        assert_eq!((empty.len(), empty.heap_bytes(), empty.row(0).map(PackedView::len)), (0, SLOT_PAD, None));
+    }
+
+    /// Tables appended are the table filled in one piece byte for byte,
+    /// every end rebased — an empty part, a part of empty rows and a part
+    /// onto rows already there included — and each array grows by exactly
+    /// what the parts hold.
+    #[test]
+    fn appended_rows_equal_the_rows_filled_at_once() {
+        for id in 1..=3 {
+            let codec = SlotCodec::new([id, 2]);
+            let mut whole = rows_of(codec, &LENS);
+            whole.shrink_to_fit();
+            let part = |lens: &[usize], first: usize| {
+                let mut rows = PackedRows::new(codec);
+                for (r, &len) in lens.iter().enumerate() {
+                    rows.push_row((0..len).map(|k| [(first + r + k) as u32, u32::MAX])).unwrap();
+                }
+                rows
+            };
+            let parts = [part(&LENS[1..3], 1), part(&[], 3), part(&LENS[3..5], 3), part(&LENS[5..], 5)];
+            let mut joined = part(&LENS[..1], 0);
+            joined.shrink_to_fit();
+            joined.append(parts[..2].iter()).unwrap();
+            joined.append(parts[2..].iter()).unwrap();
+            assert_eq!(joined, whole, "{id} bytes");
+            assert_eq!(joined.heap_bytes(), whole.heap_bytes(), "{id} bytes");
+        }
+    }
+
+    /// A row, a range or a view past the last row reads `None`, and so does
+    /// a view's row past its own last.
+    #[test]
+    fn rows_past_the_end_read_none() {
+        let rows = rows_of(SlotCodec::new([2, 1]), &LENS);
+        let n = LENS.len();
+        for r in [n, n + 1, usize::MAX] {
+            assert_eq!((rows.row(r).map(PackedView::len), rows.range(r)), (None, None), "row {r}");
+        }
+        let backwards = Range { start: 3, end: 2 };
+        assert!(rows.rows(0..n + 1).is_none() && rows.rows(backwards).is_none());
+        let view = rows.rows(1..3).unwrap();
+        assert_eq!(view.row(2).map(PackedView::len), None, "past the view");
+        assert_eq!(rows.view().row(n - 1).map(PackedView::len), Some(0));
+    }
+
+    /// A record count past `u32::MAX` is an error, not a wrapped end: the
+    /// one conversion, driven with a length no test allocates.
+    #[test]
+    fn row_ends_past_u32_max_are_an_error() {
+        let max = u32::MAX as usize;
+        assert_eq!(row_end(max), Ok(u32::MAX));
+        assert_eq!(row_end(max + 1), Err(TooManyRecords(max + 1)));
+        assert_eq!(row_end(usize::MAX), Err(TooManyRecords(usize::MAX)));
+        assert_eq!(TooManyRecords(max + 1).to_string(), "4294967296 records exceed a u32 row end");
+    }
+
+    /// Zeroed rows take what is set in any order and equal the rows pushed
+    /// one by one.
+    #[test]
+    fn zeroed_rows_take_what_is_set() {
+        let codec = SlotCodec::new([2, 1]);
+        let mut rows = PackedRows::zeroed(codec, LENS.iter().copied()).unwrap();
+        assert!((0..11).all(|i| rows.column().get::<u32>(i) == Some([0, 0])));
+        for (r, &len) in LENS.iter().enumerate().rev() {
+            for k in (0..len).rev() {
+                rows.set(r, k, [(r + k) as u32, u32::MAX]);
+            }
+        }
+        let mut pushed = rows_of(codec, &LENS);
+        pushed.shrink_to_fit();
+        assert_eq!((&rows, rows.heap_bytes()), (&pushed, pushed.heap_bytes()));
+    }
+
+    /// `set` past a row's last record would write into the next row: it
+    /// panics.
+    #[test]
+    #[should_panic(expected = "record 1 of row 2 of 8")]
+    fn set_past_a_rows_last_record_panics() {
+        PackedRows::zeroed(SlotCodec::new([1, 1]), LENS.iter().copied()).unwrap().set(2, 1, [7u32, 7]);
     }
 
     /// `heap_bytes` is the capacity: the records and the pad once the slack

@@ -43,6 +43,13 @@ impl WeightModel {
     }
 }
 
+/// Adds the edge `(u, v)` of weight `w` to `b`: the one panic of the
+/// generators, which add only edges between distinct vertices of the graph
+/// at a positive weight.
+fn add(b: &mut GraphBuilder, u: usize, v: usize, w: Weight) {
+    b.add_edge(u, v, w).expect("a generator adds only valid edges");
+}
+
 /// The undirected pair `{u, v}` as one sortable key.
 fn pair_key(u: u32, v: u32) -> u64 {
     (u64::from(u.min(v)) << 32) | u64::from(u.max(v))
@@ -65,7 +72,7 @@ fn with_backbone<R: Rng>(mut b: GraphBuilder, weights: WeightModel, rng: &mut R)
     for w in order.windows(2) {
         if sampled.binary_search(&pair_key(w[0] as u32, w[1] as u32)).is_err() {
             let weight = weights.sample(rng);
-            b.add_edge(w[0], w[1], weight).expect("backbone edge is valid");
+            add(&mut b, w[0], w[1], weight);
         }
     }
     b.build()
@@ -82,7 +89,7 @@ fn erdos_renyi_edges<R: Rng>(n: usize, p: f64, weights: WeightModel, rng: &mut R
     for u in 0..n {
         for v in (u + 1)..n {
             if rng.gen::<f64>() < p {
-                b.add_edge(u, v, weights.sample(rng)).expect("valid edge");
+                add(&mut b, u, v, weights.sample(rng));
             }
         }
     }
@@ -117,7 +124,7 @@ fn geometric_edges<R: Rng>(n: usize, radius: f64, weights: WeightModel, rng: &mu
             let dx = pts[u].0 - pts[v].0;
             let dy = pts[u].1 - pts[v].1;
             if dx * dx + dy * dy <= r2 {
-                b.add_edge(u, v, weights.sample(rng)).expect("valid edge");
+                add(&mut b, u, v, weights.sample(rng));
             }
         }
     }
@@ -142,7 +149,7 @@ fn barabasi_albert_edges<R: Rng>(n: usize, attach: usize, weights: WeightModel, 
     // Start from a small clique.
     for u in 0..seed {
         for v in (u + 1)..seed {
-            b.add_edge(u, v, weights.sample(rng)).expect("valid edge");
+            add(&mut b, u, v, weights.sample(rng));
         }
     }
     // Degree-proportional attachment via a repeated-endpoint pool.
@@ -167,7 +174,7 @@ fn barabasi_albert_edges<R: Rng>(n: usize, attach: usize, weights: WeightModel, 
             guard += 1;
         }
         for &t in &targets {
-            b.add_edge(v, t, weights.sample(rng)).expect("valid edge");
+            add(&mut b, v, t, weights.sample(rng));
             pool.push(v);
             pool.push(t);
         }
@@ -182,10 +189,10 @@ pub fn grid(rows: usize, cols: usize) -> Graph {
     for r in 0..rows {
         for c in 0..cols {
             if c + 1 < cols {
-                b.add_unit_edge(id(r, c), id(r, c + 1)).expect("valid edge");
+                add(&mut b, id(r, c), id(r, c + 1), 1);
             }
             if r + 1 < rows {
-                b.add_unit_edge(id(r, c), id(r + 1, c)).expect("valid edge");
+                add(&mut b, id(r, c), id(r + 1, c), 1);
             }
         }
     }
@@ -199,10 +206,10 @@ pub fn torus(rows: usize, cols: usize) -> Graph {
     for r in 0..rows {
         for c in 0..cols {
             if cols > 1 {
-                b.add_unit_edge(id(r, c), id(r, (c + 1) % cols)).expect("valid edge");
+                add(&mut b, id(r, c), id(r, (c + 1) % cols), 1);
             }
             if rows > 1 {
-                b.add_unit_edge(id(r, c), id((r + 1) % rows, c)).expect("valid edge");
+                add(&mut b, id(r, c), id((r + 1) % rows, c), 1);
             }
         }
     }
@@ -213,7 +220,7 @@ pub fn torus(rows: usize, cols: usize) -> Graph {
 pub fn path(n: usize) -> Graph {
     let mut b = GraphBuilder::new(n);
     for i in 1..n {
-        b.add_unit_edge(i - 1, i).expect("valid edge");
+        add(&mut b, i - 1, i, 1);
     }
     b.build()
 }
@@ -222,10 +229,10 @@ pub fn path(n: usize) -> Graph {
 pub fn cycle(n: usize) -> Graph {
     let mut b = GraphBuilder::new(n);
     for i in 1..n {
-        b.add_unit_edge(i - 1, i).expect("valid edge");
+        add(&mut b, i - 1, i, 1);
     }
     if n > 2 {
-        b.add_unit_edge(n - 1, 0).expect("valid edge");
+        add(&mut b, n - 1, 0, 1);
     }
     b.build()
 }
@@ -235,7 +242,7 @@ pub fn complete(n: usize) -> Graph {
     let mut b = GraphBuilder::new(n);
     for u in 0..n {
         for v in (u + 1)..n {
-            b.add_unit_edge(u, v).expect("valid edge");
+            add(&mut b, u, v, 1);
         }
     }
     b.build()
@@ -245,7 +252,7 @@ pub fn complete(n: usize) -> Graph {
 pub fn star(n: usize) -> Graph {
     let mut b = GraphBuilder::new(n);
     for v in 1..n {
-        b.add_unit_edge(0, v).expect("valid edge");
+        add(&mut b, 0, v, 1);
     }
     b.build()
 }
@@ -255,7 +262,7 @@ pub fn star(n: usize) -> Graph {
 pub fn binary_tree(n: usize) -> Graph {
     let mut b = GraphBuilder::new(n);
     for v in 1..n {
-        b.add_unit_edge(v, (v - 1) / 2).expect("valid edge");
+        add(&mut b, v, (v - 1) / 2, 1);
     }
     b.build()
 }
@@ -268,7 +275,7 @@ pub fn random_tree<R: Rng>(n: usize, weights: WeightModel, rng: &mut R) -> Graph
     order.shuffle(rng);
     for i in 1..n {
         let parent = order[rng.gen_range(0..i)];
-        b.add_edge(order[i], parent, weights.sample(rng)).expect("valid edge");
+        add(&mut b, order[i], parent, weights.sample(rng));
     }
     b.build()
 }
@@ -279,11 +286,11 @@ pub fn caterpillar(spine: usize, legs: usize) -> Graph {
     let n = spine + spine * legs;
     let mut b = GraphBuilder::new(n.max(1));
     for i in 1..spine {
-        b.add_unit_edge(i - 1, i).expect("valid edge");
+        add(&mut b, i - 1, i, 1);
     }
     for s in 0..spine {
         for l in 0..legs {
-            b.add_unit_edge(s, spine + s * legs + l).expect("valid edge");
+            add(&mut b, s, spine + s * legs + l, 1);
         }
     }
     b.build()

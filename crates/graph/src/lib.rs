@@ -75,7 +75,7 @@ pub mod sampled;
 pub mod scratch;
 
 pub use apsp::DistanceOracle;
-pub use codec::{PackedColumn, PackedView, SlotCodec, SLOT_PAD};
+pub use codec::{PackedColumn, PackedRows, PackedView, RowsView, SlotCodec, SLOT_PAD};
 pub use error::GraphError;
 pub use scratch::{BfsBatch, SearchScratch};
 pub use graph::{EdgeRef, Graph, GraphBuilder, Port, VertexId, Weight, INFINITY};

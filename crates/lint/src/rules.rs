@@ -111,12 +111,14 @@ pub const WORKSPACE_CRATES: &[CrateSpec] = &[
 /// label check it makes once per query, `serve::engine`/`snapshot` (the
 /// serving data plane), the `obs` disabled paths (span/metric fast-outs that
 /// run even when telemetry is off), the `graph::codec` record decode every
-/// packed table read goes through, the `vicinity::balls` slot probe every
+/// packed table read goes through and the row read of every table of rows
+/// (`PackedRows`), the `vicinity::balls` slot probe every
 /// scheme runs per hop, the tree step every tree phase takes per hop and the
 /// forest's tree lookup before it, the query arms every `routing-core`
 /// scheme shares (`stages`' vicinity, cluster and bunch arms and the
-/// distance-list lookup the bunches and Theorem 16's landmark lists share,
-/// `seq`'s keyed-store lookups and the cursor reads a header's sequence goes
+/// distance-list lookup the bunches, Theorem 10's intersections and
+/// Theorem 16's landmark lists share, `seq`'s pair lookups and the cursor
+/// reads a header's sequence goes
 /// through, and Techniques 1 and 2's `start`/`step`), and the core schemes'
 /// own `init_header`/`decide`.
 pub const HOT_PATHS: &[(&str, HotScope)] = &[
@@ -124,7 +126,7 @@ pub const HOT_PATHS: &[(&str, HotScope)] = &[
     (
         "crates/graph/src/codec.rs",
         HotScope::FnPrefixes(&["decode", "search", "field_mask", "narrow", "widen", "get", "holds",
-            "view", "slice", "len", "codec"]),
+            "view", "slice", "len", "codec", "row", "range", "start"]),
     ),
     (
         "crates/vicinity/src/balls.rs",
@@ -133,7 +135,6 @@ pub const HOT_PATHS: &[(&str, HotScope)] = &[
             "contains",
             "first_port",
             "dist",
-            "csr_range",
             "member_range",
         ]),
     ),
@@ -146,7 +147,6 @@ pub const HOT_PATHS: &[(&str, HotScope)] = &[
             "slot",
             "node",
             "member",
-            "light_range",
             "light_ports",
             "label_view",
         ]),
@@ -154,10 +154,10 @@ pub const HOT_PATHS: &[(&str, HotScope)] = &[
     (
         "crates/core/src/stages.rs",
         HotScope::FnPrefixes(&[
-            "sees", "toward", "rep", "label_in", "step", "bunch", "tree", "dist", "range", "row",
+            "sees", "toward", "rep", "label_in", "step", "bunch", "tree", "dist", "row",
         ]),
     ),
-    ("crates/core/src/seq.rs", HotScope::FnPrefixes(&["get", "cursor", "entry", "decode"])),
+    ("crates/core/src/seq.rs", HotScope::FnPrefixes(&["pair", "cursor", "entry", "decode"])),
     (
         "crates/core/src/technique1.rs",
         HotScope::FnPrefixes(&["start", "step", "tree_step", "tree_of", "global_tree"]),

@@ -44,5 +44,7 @@ pub use erased::{DynScheme, ErasedHeader, ErasedLabel};
 pub use error::RouteError;
 pub use eval::{evaluate, evaluate_pairs, sample_pairs_from};
 pub use scheme::{Decision, HeaderSize, RoutingScheme};
-pub use simulator::{simulate, simulate_lean, simulate_lean_with_label, LeanOutcome, RouteOutcome};
+pub use simulator::{
+    hop_budget, simulate, simulate_lean, simulate_lean_with_label, LeanOutcome, RouteOutcome,
+};
 pub use stale::{route_pairs_lossy, sample_alive_pairs, FailureBreakdown, ResilienceReport};

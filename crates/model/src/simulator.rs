@@ -76,8 +76,15 @@ pub struct LeanOutcome {
     pub max_header_words: usize,
 }
 
+/// The hop budget of a walk on an `n`-vertex graph, `4n + 16`: every
+/// simulator entry point, the lossy churn walk and the serving engine give
+/// up on a message that has not arrived after this many hops.
+pub const fn hop_budget(n: usize) -> usize {
+    4 * n + 16
+}
+
 /// Routes a message from `source` to `dest` using `scheme`, with a hop
-/// budget of `4 * n + 16`. The path is reserved once, for 32 vertices, and
+/// budget of [`hop_budget`]. The path is reserved once, for 32 vertices, and
 /// is the query's one allocation unless the walk outgrows it.
 ///
 /// Takes the scheme through the object-safe [`DynScheme`] surface, so the
@@ -103,7 +110,7 @@ pub fn simulate(
     let mut path = Vec::with_capacity(PATH_RESERVE);
     path.push(source);
     let LeanOutcome { weight, hops, max_header_words } =
-        scheme.walk(g, source, dest, None, 4 * g.n() + 16, Some(&mut path))?;
+        scheme.walk(g, source, dest, None, hop_budget(g.n()), Some(&mut path))?;
     Ok(RouteOutcome { path, weight, hops, max_header_words })
 }
 

@@ -33,7 +33,7 @@ use routing_graph::{DistanceOracle, Graph, VertexId};
 
 use crate::erased::DynScheme;
 use crate::eval::sample_pairs_from;
-use crate::simulator::simulate_lean;
+use crate::simulator::{hop_budget, simulate_lean};
 use crate::stats::StretchStats;
 use crate::RouteError;
 
@@ -180,7 +180,7 @@ pub fn route_pairs_lossy<O: DistanceOracle>(
         failures: FailureBreakdown::default(),
         stretch: StretchStats::new(),
     };
-    let max_hops = 4 * g.n() + 16;
+    let max_hops = hop_budget(g.n());
     for &(u, v) in pairs {
         let Some(true_dist) = exact.distance(u, v) else {
             report.disconnected_pairs += 1;
@@ -237,7 +237,7 @@ mod tests {
         debug_assert!(source.index() < scheme.n() && dest.index() < scheme.n());
         let label = scheme.label_of(dest);
         let mut header = scheme.init_header(source, &label).map_err(|_| FailureKind::SchemeError)?;
-        let max_hops = 4 * g.n() + 16;
+        let max_hops = hop_budget(g.n());
         let mut at = source;
         let mut weight: Weight = 0;
         let mut hops = 0usize;

@@ -51,7 +51,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use routing_graph::{Graph, VertexId, Weight};
-use routing_model::{DynScheme, LeanOutcome, RouteError};
+use routing_model::{hop_budget, DynScheme, LeanOutcome, RouteError};
 use routing_obs::latency::LatencyHistogram;
 
 use crate::snapshot::{EpochCell, SchemeSnapshot};
@@ -161,13 +161,11 @@ pub struct EngineConfig {
     /// allocation, so off on the serving hot path; on in the equivalence
     /// suite, which compares paths hop by hop).
     pub record_paths: bool,
-    /// Hop budget per query; `None` uses the simulator default (`4·n + 16`).
-    pub max_hops: Option<usize>,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        EngineConfig { shards: 1, record_paths: false, max_hops: None }
+        EngineConfig { shards: 1, record_paths: false }
     }
 }
 
@@ -308,7 +306,7 @@ impl Shared {
     /// unclaimed. Runs on the caller's thread (lane 0) and on helpers.
     fn work(&self, task: &Task, lane: usize) {
         let (g, scheme) = (task.snap.graph(), task.snap.scheme());
-        let max_hops = self.config.max_hops.unwrap_or(4 * g.n() + 16);
+        let max_hops = hop_budget(g.n());
         let mut pairs = [(VertexId(0), VertexId(0)); CHUNK];
         let mut first = true;
         loop {
@@ -661,7 +659,7 @@ mod tests {
     #[test]
     fn recorded_paths_match_the_full_simulator() {
         let (g, scheme) = build(60, "warmup", 3);
-        let config = EngineConfig { shards: 2, record_paths: true, max_hops: None };
+        let config = EngineConfig { shards: 2, record_paths: true };
         let engine = ShardedEngine::new(Arc::clone(&g), Arc::clone(&scheme), config).unwrap();
         let pairs: Vec<(VertexId, VertexId)> =
             (0..60u32).map(|i| (VertexId(i), VertexId((i * 7 + 1) % 60))).collect();

@@ -59,7 +59,7 @@ proptest! {
             .collect();
 
         for shards in [1usize, 2, 4] {
-            let config = EngineConfig { shards, record_paths: true, max_hops: None };
+            let config = EngineConfig { shards, record_paths: true };
             let engine =
                 ShardedEngine::new(Arc::clone(&g), Arc::clone(&scheme), config).unwrap();
             let answers = engine.route_batch(&pairs);

@@ -164,7 +164,7 @@ fn a_scheme_panic_fails_one_query_and_neither_hangs_nor_poisons_the_engine() {
 
     for (shards, record_paths) in [1usize, 2, 4].into_iter().flat_map(|s| [(s, false), (s, true)]) {
         let scheme = Arc::new(PanicsOn { g: Arc::clone(&g), pair: bad });
-        let config = EngineConfig { shards, record_paths, max_hops: None };
+        let config = EngineConfig { shards, record_paths };
         let engine = ShardedEngine::new(Arc::clone(&g), Arc::clone(&scheme) as _, config).unwrap();
         // Twice: the lane that caught the panic serves the next batch too.
         for _ in 0..2 {

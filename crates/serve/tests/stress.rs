@@ -28,7 +28,7 @@ use rand::SeedableRng;
 use routing_core::BuildContext;
 use routing_graph::generators::{Family, WeightModel};
 use routing_graph::{Graph, VertexId};
-use routing_model::{simulate_lean, DynScheme, LeanOutcome};
+use routing_model::{hop_budget, simulate_lean, DynScheme, LeanOutcome};
 use routing_serve::{EngineConfig, RouteAnswer, ShardedEngine, ZipfWorkload};
 
 const READERS: usize = 4;
@@ -58,7 +58,7 @@ fn truth_for(
     pairs
         .iter()
         .map(|&(u, v)| {
-            ((u, v), simulate_lean(g, scheme, u, v, 4 * g.n() + 16).expect("routes"))
+            ((u, v), simulate_lean(g, scheme, u, v, hop_budget(g.n())).expect("routes"))
         })
         .collect()
 }

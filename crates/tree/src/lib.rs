@@ -22,13 +22,13 @@
 //! trees — a cluster family's `T(w)`, the shortest-path trees of a hitting
 //! or landmark set — as one [`TreeForest`]: a handful of flat arrays for the
 //! whole family and no per-tree object. Its member ids, node records and
-//! light ports are one [`routing_graph::PackedColumn`] each, at the graph's
-//! width — on a graph of up to 65,535 vertices and degree 255 a node record
-//! is 10 bytes, a light port 3 and an id 2 — beside 4 bytes a light offset
-//! and 12 a tree. A tree keeps its members' labels or, pushed with
-//! [`Labels::Drop`], its node records only: a scheme whose routes read a
-//! member's label elsewhere needs no copy in the tree, and
-//! [`TreeView::label_in_graph`] reads one off the records. A tree is
+//! light ports are packed at the graph's width — on a graph of up to 65,535
+//! vertices and degree 255 a node record is 10 bytes, a light port 3 and an
+//! id 2 — the light ports one [`routing_graph::PackedRows`] row a labelled
+//! member, 4 bytes a row, beside 12 bytes a tree. A tree keeps its members'
+//! labels or, pushed with [`Labels::Drop`], its node records only: a
+//! scheme whose routes read a member's label elsewhere needs no copy in the
+//! tree, and [`TreeView::label_in_graph`] reads one off the records. A tree is
 //! looked up as a `Copy` [`TreeView`], whose bounded views of the columns
 //! decode a record as it is read. Both carry
 //! a [`TreeLabelView`] in their own labels and headers — the destination's
@@ -66,12 +66,11 @@
 use std::cmp::Reverse;
 use std::error::Error;
 use std::fmt;
-use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
-use routing_graph::codec::bytes_for;
-use routing_graph::{Graph, PackedColumn, PackedView, Port, SearchScratch, SlotCodec, VertexId};
+use routing_graph::codec::{bytes_for, row_end, TooManyRecords};
+use routing_graph::{Graph, PackedColumn, PackedRows, PackedView, Port, RowsView, SearchScratch, SlotCodec, VertexId};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
 
 /// Errors produced while building a tree router.
@@ -303,20 +302,20 @@ fn slot_in(ids: &[VertexId], len: usize, v: VertexId) -> Option<usize> {
 /// tree that spans the graph has slot = vertex id and stores no member ids;
 /// any other tree keeps its id-sorted members as one run of `ids` and finds
 /// a slot by binary search. The node records of every tree are one
-/// slot-indexed `nodes` array, and all labels share one light-port CSR whose
-/// offsets are absolute, one per member of a tree that keeps its labels and
-/// indexed by the tree's first offset plus the member's DFS entry time; a
-/// tree pushed with [`Labels::Drop`] has none. Per tree that leaves 12
-/// bytes: where its nodes, its ids and its offsets start.
+/// slot-indexed `nodes` array, and all labels share one light-port table, a
+/// row per member of a tree that keeps its labels, indexed by the tree's
+/// first row plus the member's DFS entry time; a tree pushed with
+/// [`Labels::Drop`] has none. Per tree that leaves 12 bytes: where its
+/// nodes, its ids and its rows start.
 ///
-/// Ids, node records and light ports are [`PackedColumn`]s at the
+/// Ids, node records and light ports are packed at the
 /// width of the graph the forest is made for ([`TreeForest::new`]): an id in
 /// the bytes `n` needs, a time in the bytes `0..=n` need, a port in the bytes
 /// the largest degree needs. On a graph of up to 65,535 vertices and degree
 /// 255 a node record is 10 bytes, a light port 3 and an id 2.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TreeForest {
-    /// `[first node, first id, first light offset]` of every tree, and a
+    /// `[first node, first id, first light row]` of every tree, and a
     /// closing entry.
     spans: Vec<[u32; 3]>,
     /// Member ids of every tree that does not span the graph, ascending
@@ -325,19 +324,24 @@ pub struct TreeForest {
     /// A node record `[tin, tout, heavy tin, heavy tout, parent port, heavy
     /// port]` per slot, tree after tree; "no port" is the ports' sentinel.
     nodes: PackedColumn<6>,
-    /// One offset per member of a tree that keeps its labels, and a closing
-    /// one: the light ports of the member whose DFS entry time is `t` in the
-    /// tree whose offsets start at `s` are entries
-    /// `light_off[s + t]..light_off[s + t + 1]` of `light`.
-    light_off: Vec<u32>,
-    /// `[tin of the edge's parent, port there]`, at `[vertex, port]` width.
-    light: PackedColumn<2>,
+    /// One row per member of a tree that keeps its labels: the light ports
+    /// of the member whose DFS entry time is `t` in the tree whose rows
+    /// start at `s` are row `s + t`, each `[tin of the edge's parent, port
+    /// there]` at `[vertex, port]` width.
+    light: PackedRows<2>,
 }
 
 /// An offset into a [`TreeForest`] array: they are `u32`.
 fn offset(len: usize) -> Result<u32, TreeBuildError> {
     u32::try_from(len)
         .map_err(|_| TreeBuildError::NotATree { what: "trees exceed the u32 offset range".into() })
+}
+
+/// Light ports too many for the `u32` row ends of their table.
+impl From<TooManyRecords> for TreeBuildError {
+    fn from(e: TooManyRecords) -> Self {
+        TreeBuildError::NotATree { what: e.to_string() }
+    }
 }
 
 /// The tree the last search on `scratch` settled: its root and the
@@ -361,8 +365,7 @@ impl TreeForest {
             spans: vec![[0, 0, 0]],
             ids: PackedColumn::new(SlotCodec::for_ids(g.n())),
             nodes: PackedColumn::new(SlotCodec::new([time, time, time, time, port, port])),
-            light_off: vec![0],
-            light: PackedColumn::new(light),
+            light: PackedRows::new(light),
         }
     }
 
@@ -517,23 +520,21 @@ impl TreeForest {
         let labelled = if labels == Labels::Keep { m } else { 0 };
         let light_edges = (0..labelled).filter(|&s| parent[s] != UNSET && is_light(s));
         let light: usize = light_edges.map(|s| (nodes[s].tout - nodes[s].tin) as usize).sum();
-        let offsets = self.light_off.len() - 1 + labelled;
-        let span = [offset(self.nodes.len() + m)?, offset(self.ids.len() + ids.len())?, offset(offsets)?];
-        offset(self.light.len() + light)?;
+        let rows = self.light.len() + labelled;
+        let span = [offset(self.nodes.len() + m)?, offset(self.ids.len() + ids.len())?, offset(rows)?];
+        row_end(self.light.column().len() + light)?;
 
-        // The tree fits: pack it. Labels go top-down, and offsets are
-        // absolute, so a parent's light ports are copied from where they
-        // were written.
+        // The tree fits: pack it. Labels go top-down, a row an entry time,
+        // so a parent's light ports are copied from its row.
         ids.iter().for_each(|v| self.ids.push([v.0]));
         nodes.iter().for_each(|node| self.nodes.push(node.record()));
-        let off_base = self.light_off.len() - 1;
+        let first_row = self.light.len();
         for &s in pre.iter().take(labelled) {
             let s = s as usize;
             if parent[s] != UNSET {
                 let p = &nodes[parent[s] as usize];
-                let t = off_base + p.tin as usize;
-                for i in self.light_off[t] as usize..self.light_off[t + 1] as usize {
-                    if let Some(port) = self.light.get::<u32>(i) {
+                for i in self.light.range(first_row + p.tin as usize).unwrap_or(0..0) {
+                    if let Some(port) = self.light.column().get::<u32>(i) {
                         self.light.push(port);
                     }
                 }
@@ -541,7 +542,7 @@ impl TreeForest {
                     self.light.push([p.tin, down_port[s].0]);
                 }
             }
-            self.light_off.push(self.light.len() as u32);
+            self.light.close_row()?;
         }
         self.spans.push(span);
         Ok(())
@@ -576,9 +577,9 @@ impl TreeForest {
 
     /// Appends the trees of `parts`, forests packed at the same widths, in order:
     /// tree `t` of `parts` comes after this forest's trees and the earlier
-    /// parts'. The packed records are copied as bytes, every offset is
-    /// rebased onto the arrays before it, and each array grows by exactly
-    /// what the parts hold, once.
+    /// parts'. The packed records are copied as bytes, every offset and row
+    /// end is rebased onto the arrays before it, and each array grows by
+    /// exactly what the parts hold, once.
     ///
     /// # Errors
     ///
@@ -592,25 +593,21 @@ impl TreeForest {
         }
         let total = |len: fn(&TreeForest) -> usize| parts.iter().map(len).sum::<usize>();
         let (trees, ids) = (total(TreeForest::len), total(|f| f.ids.len()));
-        let (nodes, light) = (total(|f| f.nodes.len()), total(|f| f.light.len()));
-        let offsets = total(|f| f.light_off.len() - 1);
-        for more in [self.nodes.len() + nodes, self.ids.len() + ids, self.light.len() + light] {
-            offset(more)?;
+        let (nodes, rows) = (total(|f| f.nodes.len()), total(|f| f.light.len()));
+        let mut base = [self.nodes.len(), self.ids.len(), self.light.len()];
+        for (at, more) in base.iter().zip([nodes, ids, rows]) {
+            offset(at + more)?;
         }
-        offset(self.light_off.len() - 1 + offsets)?;
+        self.light.append(parts.iter().map(|f| &f.light))?;
         self.spans.reserve_exact(trees);
-        self.light_off.reserve_exact(offsets);
         self.ids.reserve_exact(ids);
         self.nodes.reserve_exact(nodes);
-        self.light.reserve_exact(light);
         for part in parts {
-            let base = [self.nodes.len(), self.ids.len(), self.light_off.len() - 1].map(|b| b as u32);
-            self.spans.extend(part.spans[1..].iter().map(|&[s, i, l]| [s + base[0], i + base[1], l + base[2]]));
-            let light_base = self.light.len() as u32;
-            self.light_off.extend(part.light_off[1..].iter().map(|&o| o + light_base));
+            let rebased = |span: [u32; 3]| [0, 1, 2].map(|k| span[k] + base[k] as u32);
+            self.spans.extend(part.spans[1..].iter().map(|&span| rebased(span)));
             self.ids.extend_from(part.ids.view());
             self.nodes.extend_from(part.nodes.view());
-            self.light.extend_from(part.light.view());
+            base = [self.nodes.len(), self.ids.len(), base[2] + part.light.len()];
         }
         Ok(())
     }
@@ -632,8 +629,7 @@ impl TreeForest {
         Some(TreeView {
             ids: self.ids.slice(i0 as usize..i1 as usize)?,
             nodes: self.nodes.slice(n0 as usize..n1 as usize)?,
-            light_off: self.light_off.get(l0 as usize..l1 as usize + 1)?,
-            light: &self.light,
+            light: self.light.rows(l0 as usize..l1 as usize)?,
         })
     }
 
@@ -642,14 +638,13 @@ impl TreeForest {
         (0..self.len()).filter_map(|t| self.tree(t))
     }
 
-    /// Bytes of heap the arrays hold, by capacity: 12 a tree, 4 a light
-    /// offset, and the packed columns of ids (of the trees that do not
-    /// span the graph), node records and light ports.
+    /// Bytes of heap the arrays hold, by capacity: 12 a tree, and the
+    /// packed ids (of the trees that do not span the graph), node records
+    /// and light ports, 4 a light-port row.
     pub fn heap_bytes(&self) -> usize {
         std::mem::size_of::<[u32; 3]>() * self.spans.capacity()
             + self.ids.heap_bytes()
             + self.nodes.heap_bytes()
-            + std::mem::size_of::<u32>() * self.light_off.capacity()
             + self.light.heap_bytes()
     }
 
@@ -658,7 +653,6 @@ impl TreeForest {
         self.spans.shrink_to_fit();
         self.ids.shrink_to_fit();
         self.nodes.shrink_to_fit();
-        self.light_off.shrink_to_fit();
         self.light.shrink_to_fit();
     }
 }
@@ -673,11 +667,9 @@ pub struct TreeView<'a> {
     ids: PackedView<'a, 1>,
     /// The tree's node records by slot, one a member.
     nodes: PackedView<'a, 6>,
-    /// `len() + 1` absolute offsets into `light`, by DFS entry time; one
-    /// alone where the tree keeps no labels.
-    light_off: &'a [u32],
-    /// The forest's whole light-port column.
-    light: &'a PackedColumn<2>,
+    /// The members' light ports, a row a DFS entry time; none where the
+    /// tree keeps no labels.
+    light: RowsView<'a, 2>,
 }
 
 impl<'a> TreeView<'a> {
@@ -740,24 +732,14 @@ impl<'a> TreeView<'a> {
 
     /// True if the tree keeps its members' labels.
     pub fn keeps_labels(&self) -> bool {
-        self.light_off.len() > 1
-    }
-
-    /// The range of `light` entries the label whose DFS entry time is `tin`
-    /// lists; `None` for an entry time past the tree's, and in a tree that
-    /// keeps no labels.
-    #[inline]
-    fn light_range(&self, tin: u32) -> Option<Range<usize>> {
-        let t = tin as usize;
-        Some(*self.light_off.get(t)? as usize..*self.light_off.get(t + 1)? as usize)
+        !self.light.is_empty()
     }
 
     /// The light ports of the label whose DFS entry time is `tin`, decoded
     /// one at a time, root first; none where the tree keeps no label.
     #[inline]
     fn light_ports(&self, tin: u32) -> impl Iterator<Item = (u32, Port)> + 'a {
-        let light = self.light;
-        let ports = self.light_range(tin).unwrap_or(0..0).map_while(move |i| light.get::<u32>(i));
+        let ports = self.light.row(tin as usize).into_iter().flat_map(PackedView::records::<u32>);
         ports.map(|[p_tin, port]| (p_tin, Port(port)))
     }
 
@@ -765,7 +747,7 @@ impl<'a> TreeView<'a> {
     /// the tree keeps no labels.
     pub fn label(&self, v: VertexId) -> Option<TreeLabel> {
         let tin = self.node_info(v)?.tin;
-        self.light_range(tin)?;
+        self.light.row(tin as usize)?;
         Some(TreeLabel { tin, light_ports: self.light_ports(tin).collect() })
     }
 
@@ -775,7 +757,7 @@ impl<'a> TreeView<'a> {
     #[inline]
     pub fn label_view(&self, v: VertexId) -> Option<TreeLabelView> {
         let tin = self.node_info(v)?.tin;
-        Some(TreeLabelView { tin, light_len: self.light_range(tin)?.len() as u32 })
+        Some(TreeLabelView { tin, light_len: self.light.row(tin as usize)?.len() as u32 })
     }
 
     /// The label of tree vertex `v` read off the node records, whether the
@@ -807,10 +789,7 @@ impl<'a> TreeView<'a> {
     /// Total size of the labels the tree keeps in `O(log n)`-bit words:
     /// every member's, or none.
     pub fn labels_words(&self) -> usize {
-        let (Some(&lo), Some(&hi)) = (self.light_off.first(), self.light_off.last()) else {
-            return 0;
-        };
-        (self.light_off.len() - 1) + 2 * (hi - lo) as usize
+        self.light.len() + 2 * self.light.records()
     }
 
     /// Words of tree-routing information `v` stores: its [`TreeNodeInfo`]'s,
@@ -957,8 +936,7 @@ impl TreeScheme {
         self.forest.tree(0).unwrap_or(TreeView {
             ids: self.forest.ids.view(),
             nodes: self.forest.nodes.view(),
-            light_off: &[],
-            light: &self.forest.light,
+            light: self.forest.light.view(),
         })
     }
 
@@ -1431,13 +1409,13 @@ mod tests {
         // Ids, times (n = 35) and ports take a byte each, and each packed
         // array ends in its pad.
         let packed = ids + 6 * nodes + 2 * light + 3 * SLOT_PAD;
-        assert_eq!(joined.heap_bytes(), 12 * (g.n() + 1) + 4 * (nodes + 1) + packed);
+        assert_eq!(joined.heap_bytes(), 12 * (g.n() + 1) + 4 * nodes + packed);
     }
 
     /// A tree pushed with [`Labels::Drop`] keeps the node records of the
     /// tree that keeps its labels and nothing else: every label reads
     /// `None`, never as an empty label, it writes no light port and no
-    /// light offset, and its labels read off the records with the graph
+    /// light-port row, and its labels read off the records with the graph
     /// equal the kept ones and route the same. Mixed chunks appended equal
     /// the forest pushed in one piece.
     #[test]
@@ -1487,10 +1465,10 @@ mod tests {
                 }
             }
         }
-        // The dropped trees hold no light port and no light offset.
+        // The dropped trees hold no light port and no light-port row.
         let keeping = kept.tree(3).unwrap();
-        assert_eq!(mixed.light.len(), (keeping.labels_words() - keeping.len()) / 2);
-        assert_eq!(mixed.light_off.len(), keeping.len() + 1);
+        assert_eq!(mixed.light.column().len(), (keeping.labels_words() - keeping.len()) / 2);
+        assert_eq!(mixed.light.len(), keeping.len());
         assert_eq!(mixed.tree(4).map(|t| t.len()), None);
         assert_eq!(keeping.label_in_graph(&generators::path(3), VertexId(40), &mut light), None, "another graph");
     }

@@ -9,9 +9,9 @@
 //!
 //! # Memory layout
 //!
-//! The table is stored **flat**: all `n` balls share parallel arrays indexed
-//! through CSR offset tables, instead of one `Ball` object plus one
-//! `HashMap` per vertex, and it is split by who reads it.
+//! The table is stored **flat**: all `n` balls share a few arrays, instead
+//! of one `Ball` object plus one `HashMap` per vertex, and it is split by
+//! who reads it.
 //!
 //! * [`BallPorts`] is what Lemma 2 *forwarding* reads, and all that every
 //!   built scheme retains of its vicinities, in one of two encodings of
@@ -43,8 +43,8 @@
 //!   ports, so no [`BallTable`] exists.
 //! * [`BallTable`] is [`BallPorts`] plus what only *preprocessing* reads:
 //!   every ball's member ids in `(distance, id)` settle order
-//!   ([`BallView::ids`]) and the radii, and — only when the builder asks
-//!   for them — the members' distances, parallel to the ids
+//!   ([`BallView::ids`]), a row of a [`PackedRows`] a ball, and — only when
+//!   the builder asks for them — the members' distances, parallel to the ids
 //!   ([`BallView::dists`]). Both are packed at the graph's width, like the
 //!   slots: an id in the bytes `n` needs, a distance in the bytes that
 //!   `n − 1` heaviest edges need (on a unit-weight graph of up to 65,535
@@ -76,7 +76,7 @@ use std::ops::{Deref, Range};
 
 use routing_graph::codec::bytes_for;
 use routing_graph::scratch::{BfsBatch, SearchScratch, BFS_BATCH_WIDTH};
-use routing_graph::{Graph, PackedColumn, PackedView, Port, SlotCodec, VertexId, Weight, SLOT_PAD};
+use routing_graph::{Graph, PackedColumn, PackedRows, PackedView, Port, SlotCodec, VertexId, Weight, SLOT_PAD};
 
 /// Sentinel port stored for the ball's center (which has no first hop).
 const NO_PORT: Port = Port(u32::MAX);
@@ -117,21 +117,12 @@ fn home_slot(h: u32, cap: usize) -> usize {
     ((u64::from(h) * cap as u64) >> 32) as usize
 }
 
-/// Entry `i` of a CSR offset array: `offsets[i]..offsets[i + 1]`, or `None`
-/// when `i` is not a vertex of the table. Offsets are `usize` — `n·ℓ`
-/// passes `u32::MAX` near `n = 2·10⁵` at Theorem 15's `ℓ`.
-#[inline]
-fn csr_range(offsets: &[usize], i: usize) -> Option<Range<usize>> {
-    Some(*offsets.get(i)?..*offsets.get(i + 1)?)
-}
-
 /// What a lookup reads of a vertex before the slots themselves, in one
 /// 16-byte entry: where its open-addressing region starts in the slot array
 /// and how many members are hashed onto it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Region {
-    /// Offset into the slot array: a `usize`, like a [`BallTable`]'s member
-    /// offsets.
+    /// Offset into the slot array.
     start: usize,
     /// At most `n`, so it fits the width of a vertex id.
     members: u32,
@@ -428,24 +419,19 @@ pub enum BallDists {
     Skip,
 }
 
-/// The balls `B(u, ℓ)` of every vertex in flat CSR form: the routing
+/// The balls `B(u, ℓ)` of every vertex in flat form: the routing
 /// information of Lemma 2 ([`BallPorts`], which the table dereferences to)
-/// beside the member ids, radii and (if asked for) distances preprocessing
-/// reads.
+/// beside the member ids and (if asked for) distances preprocessing reads.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BallTable {
     ports: BallPorts,
-    /// `offsets[u]..offsets[u + 1]` indexes `ids` and `dists` for vertex `u`.
-    offsets: Vec<usize>,
-    /// Member ids, per vertex in `(distance, id)` settle order (center
+    /// Row `u` is `u`'s member ids in `(distance, id)` settle order (center
     /// first), at the id width of `0..n`.
-    ids: PackedColumn<1>,
-    /// Parallel to `ids`: the distance from the ball's center, in the bytes
-    /// `n − 1` heaviest edges need, or `None` for a table built with
-    /// [`BallDists::Skip`].
+    ids: PackedRows<1>,
+    /// Parallel to the ids, indexed like their [`PackedRows::column`]: the
+    /// distance from the ball's center, in the bytes `n − 1` heaviest edges
+    /// need, or `None` for a table built with [`BallDists::Skip`].
     dists: Option<PackedColumn<1>>,
-    /// The radius `r_u(ℓ)` of every ball.
-    radius: Vec<Weight>,
 }
 
 impl Deref for BallTable {
@@ -462,7 +448,7 @@ impl BallTable {
     /// run one budgeted bit-parallel BFS per batch of [`BFS_BATCH_WIDTH`]
     /// consecutive centres ([`BfsBatch::run_balls`]), otherwise one bounded
     /// Dijkstra per centre ([`SearchScratch::ball_into`]); both give the
-    /// same balls, ports and radii. The batches (or centres) are
+    /// same balls and ports. The batches (or centres) are
     /// independent, so they fan out over [`routing_par::threads`] threads,
     /// each worker reusing one workspace. The final arrays are reserved up
     /// front and filled a block of consecutive centres at a time, in index
@@ -475,8 +461,8 @@ impl BallTable {
     }
 
     /// [`BallTable::build`], storing the members' distances only when
-    /// `dists` is [`BallDists::Keep`]. Everything else — ports, ids,
-    /// offsets, radii — is the same either way.
+    /// `dists` is [`BallDists::Keep`]. Everything else — ports, ids, row
+    /// ends — is the same either way.
     pub fn build_with_dists(g: &Graph, ell: usize, dists: BallDists) -> Self {
         Self::build_with(g, ell, g.is_unweighted(), dists)
     }
@@ -488,18 +474,16 @@ impl BallTable {
         let n = g.n();
         let ball_len = ell.max(1).min(n);
         let codecs = MemberCodecs::new(g, ell, keep);
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut ids = PackedColumn::with_capacity(codecs.id, n * ball_len);
+        let mut ids = PackedRows::with_capacity(codecs.id, n, n * ball_len);
         let mut dists = codecs.dist.map(|codec| PackedColumn::with_capacity(codec, n * ball_len));
-        let mut radius = Vec::with_capacity(n);
-        offsets.push(0);
         let ports = build_ports(g, ell, batch, codecs, |ball| {
             ids.extend_from(ball.ids.view());
             if let (Some(dists), Some(ball_dists)) = (&mut dists, &ball.dists) {
                 dists.extend_from(ball_dists.view());
             }
-            radius.push(ball.radius);
-            offsets.push(ids.len());
+            // The ids column holds fewer than 2³² records, so its ends fit.
+            let closed = ids.close_row();
+            assert!(closed.is_ok(), "{closed:?}");
         });
         // The reservations are upper estimates (a component smaller than ℓ):
         // return the slack.
@@ -507,10 +491,10 @@ impl BallTable {
         if let Some(dists) = &mut dists {
             dists.shrink_to_fit();
         }
-        BallTable { ports, offsets, ids, dists, radius }
+        BallTable { ports, ids, dists }
     }
 
-    /// Drops the member ids, distances and radii: what is left is all that
+    /// Drops the member ids and distances: what is left is all that
     /// Lemma 2 forwarding reads.
     pub fn into_ports(self) -> BallPorts {
         self.ports
@@ -532,16 +516,12 @@ impl BallTable {
     /// outside `0..n`.
     #[inline]
     fn member_range(&self, u: VertexId) -> Range<usize> {
-        csr_range(&self.offsets, u.index()).unwrap_or(0..0)
+        self.ids.range(u.index()).unwrap_or(0..0)
     }
 
     /// Bytes of heap the arrays hold, by capacity, the ports included.
     pub fn heap_bytes(&self) -> usize {
-        self.ports.heap_bytes()
-            + std::mem::size_of::<usize>() * self.offsets.capacity()
-            + self.ids.heap_bytes()
-            + self.dists.as_ref().map_or(0, PackedColumn::heap_bytes)
-            + std::mem::size_of::<Weight>() * self.radius.capacity()
+        self.ports.heap_bytes() + self.ids.heap_bytes() + self.dists.as_ref().map_or(0, PackedColumn::heap_bytes)
     }
 }
 
@@ -708,13 +688,12 @@ struct BuiltBall<P> {
     /// Their distances from the centre; `None` when none are kept.
     dists: Option<PackedColumn<1>>,
     ports: P,
-    radius: Weight,
 }
 
 impl<P> BuiltBall<P> {
     /// The ball, its ports appended to the table.
     fn without_ports(self) -> BuiltBall<()> {
-        BuiltBall { ids: self.ids, dists: self.dists, ports: (), radius: self.radius }
+        BuiltBall { ids: self.ids, dists: self.dists, ports: () }
     }
 }
 
@@ -764,16 +743,16 @@ impl BallSearch {
                 let run = bfs.run_balls(g, &ids, ell);
                 assert!(run.is_ok(), "the batch BFS refused a batch of centres: {run:?}");
                 (0..ids.len())
-                    .map(|i| fill_ball(scratch, bfs.ball(i), bfs.radius(i), codecs, encode))
+                    .map(|i| fill_ball(scratch, bfs.ball(i), codecs, encode))
                     .collect()
             }
             BallSearch::Dijkstra(search, scratch) => centres
                 .map(|u| {
                     let u = VertexId(u as u32);
-                    let radius = search.ball_into(g, u, ell);
+                    search.ball_into(g, u, ell);
                     let port = |v| search.first_hop(v).and_then(|hop| g.port_to(u, hop));
                     let ball = search.order().iter().map(|&(v, d)| (v, d, port(v)));
-                    fill_ball(scratch, ball, radius, codecs, encode)
+                    fill_ball(scratch, ball, codecs, encode)
                 })
                 .collect(),
         }
@@ -786,7 +765,6 @@ impl BallSearch {
 fn fill_ball<P>(
     scratch: &mut FillScratch,
     ball: impl ExactSizeIterator<Item = (VertexId, Weight, Option<Port>)>,
-    radius: Weight,
     codecs: MemberCodecs,
     encode: &impl Fn(&mut Vec<Slot>, &[Slot]) -> P,
 ) -> BuiltBall<P> {
@@ -803,7 +781,7 @@ fn fill_ball<P>(
         scratch.members.push([v.0, port.unwrap_or(NO_PORT).0]);
     }
     let ports = encode(&mut scratch.region, &scratch.members);
-    BuiltBall { ids, dists, ports, radius }
+    BuiltBall { ids, dists, ports }
 }
 
 /// Hashes the slots of `members` into their open-addressing region, using
@@ -894,7 +872,7 @@ impl<'a> BallView<'a> {
     /// nested the first `k` ids are exactly `B(u, k)` for any `k` up to the
     /// ball's size.
     pub fn ids(&self) -> MemberIds<'a> {
-        MemberIds(members_in(&self.table.ids, self.table.member_range(self.u)))
+        MemberIds(members_in(self.table.ids.column(), self.table.member_range(self.u)))
     }
 
     /// Parallel to [`BallView::ids`] and of the same length: each member's
@@ -922,13 +900,6 @@ impl<'a> BallView<'a> {
     /// Returns true if `v` is in the ball.
     pub fn contains(&self, v: VertexId) -> bool {
         self.table.contains(self.u, v)
-    }
-
-    /// The largest distance value `r` such that every vertex at distance
-    /// exactly `r` from the center is inside the ball (the paper's
-    /// `r_u(ℓ)`).
-    pub fn radius(&self) -> Weight {
-        self.table.radius[self.u.index()]
     }
 }
 
@@ -1100,7 +1071,7 @@ mod tests {
     }
 
     /// On unit weights the table comes from the budgeted batch BFS; it is
-    /// `==` — members, radii, offsets, every slot — to the table one bounded
+    /// `==` — members, row ends, every slot — to the table one bounded
     /// Dijkstra per vertex builds, on every family and two components
     /// around the batch width, at ℓ below, at and above `n`, at 1 and 4
     /// threads, and across block boundaries (n = 1100: nine blocks of 128).
@@ -1136,7 +1107,7 @@ mod tests {
     }
 
     /// A table built without distances is the table with them, less the
-    /// distances: the same ports, ids, offsets and radii on every family,
+    /// distances: the same ports and ids on every family,
     /// unit and weighted, through both kernels (the batch BFS applies on
     /// unit weights only, so the weighted graphs run the per-vertex
     /// Dijkstra either way), at 1 and 2 threads — and it reports every
@@ -1157,9 +1128,7 @@ mod tests {
                         let key = format!("{} {weights:?}", family.name());
                         let key = format!("{key}, batch {batch}, threads {threads}");
                         assert_eq!(without.ids, with.ids, "{key}: ids");
-                        assert_eq!(without.offsets, with.offsets, "{key}: offsets");
                         for u in g.vertices() {
-                            assert_eq!(without.ball(u).radius(), with.ball(u).radius(), "{key}");
                             assert!(without.ball(u).dists().is_none(), "{key}: B({u})");
                         }
                         assert!(without.dists.is_none(), "{key}: a distance array");
@@ -1230,7 +1199,7 @@ mod tests {
     const SLOT_HASH_MULT: u32 = 0x9E37_79B1;
 
     /// Holds `t`, the table of `g` at `ell`, to the reference ball search
-    /// for every `(u, v)` — ids, distances, radius, words, membership and
+    /// for every `(u, v)` — ids, distances, words, membership and
     /// first port — and each ball's ports to its encoding's layout, rebuilt
     /// here from the reference ball. Hashed: the members in strictly
     /// ascending hash order, each at `max(home, previous + 1)`, then empty
@@ -1248,10 +1217,9 @@ mod tests {
         }
         for u in g.vertices() {
             let key = format!("{key}, B({u})");
-            let (members, first_hops, radius) = reference::ball_hashmap(g, u, ell);
+            let (members, first_hops, _) = reference::ball_hashmap(g, u, ell);
             let (ids, dists): (Vec<VertexId>, Vec<Weight>) = members.iter().copied().unzip();
             assert_eq!(decoded(t, u), (ids.clone(), Some(dists)), "{key}: members");
-            assert_eq!(t.ball(u).radius(), radius, "{key}: radius");
             assert_eq!(t.words_at(u), 3 * (ids.len() - 1), "{key}: words");
             // The ball's `[member, port]` slots by id, the centre's port the
             // sentinel.
@@ -1462,8 +1430,8 @@ mod tests {
 
     #[test]
     fn flat_table_matches_standalone_balls() {
-        // The CSR table must agree with the reference ball search member
-        // for member: same order, ranks (positions in the ids), radii, hops.
+        // The flat table must agree with the reference ball search member
+        // for member: same order, ranks (positions in the ids), hops.
         let mut rng = StdRng::seed_from_u64(23);
         let g = generators::erdos_renyi(
             60,
@@ -1473,13 +1441,12 @@ mod tests {
         );
         let t = BallTable::build(&g, 8);
         for u in g.vertices() {
-            let (members, first_hops, radius) = reference::ball_hashmap(&g, u, 8);
+            let (members, first_hops, _) = reference::ball_hashmap(&g, u, 8);
             let view = t.ball(u);
             assert_eq!(view.members(), members);
             let ids: Vec<VertexId> = members.iter().map(|&(v, _)| v).collect();
             let dists: Vec<Weight> = members.iter().map(|&(_, d)| d).collect();
             assert_eq!(decoded(&t, u), (ids.clone(), Some(dists.clone())));
-            assert_eq!(view.radius(), radius);
             assert_eq!(view.center(), members[0].0);
             assert_eq!(view.is_empty(), members.len() <= 1);
             for v in g.vertices() {
@@ -1504,9 +1471,9 @@ mod tests {
     /// heaviest edges need (2 here: 299 on unit weights, 2,691 at weights
     /// up to 9): 4 bytes a member with distances and 2 without, each column
     /// closed by its 8-byte pad, no per-slot rank and no padded pair, plus
-    /// the member offset and the radius (8 B each) a vertex. So 4 B a
-    /// member and 32 B a vertex bound the ports, 8 B (6 B) a member and
-    /// 48 B a vertex the whole table. And no growth slack in any array,
+    /// a 4-byte row end of the ids a vertex. So 4 B a member and 32 B a
+    /// vertex bound the ports, 8 B (6 B) a member and 36 B a vertex the
+    /// whole table. And no growth slack in any array,
     /// since slack here is memory held for a scheme's lifetime.
     #[test]
     fn heap_bytes_hold_the_bytes_per_member_budget() {
@@ -1529,8 +1496,8 @@ mod tests {
                 assert_eq!(t.slot_bytes(), Some(3), "{name}: a 2-byte id and a 1-byte port");
                 let dist_bytes = (keep == BallDists::Keep).then_some(2);
                 assert_eq!(member_bytes(&t), (2, dist_bytes), "{name}: a 2-byte id, a 2-byte distance");
-                assert_eq!(t.ids.len(), members);
-                assert_eq!(t.ids.heap_bytes(), 2 * members + SLOT_PAD, "{name}: ids");
+                assert_eq!((t.ids.len(), t.ids.column().len()), (n, members));
+                assert_eq!(t.ids.heap_bytes(), 4 * n + 2 * members + SLOT_PAD, "{name}: ids");
                 match &t.dists {
                     Some(dists) => {
                         assert_eq!(dists.len(), members);
@@ -1538,19 +1505,17 @@ mod tests {
                     }
                     None => assert_eq!(keep, BallDists::Skip, "{name}: no dists kept"),
                 }
-                assert_eq!(t.radius.capacity(), t.radius.len(), "{name}: radius");
                 assert_eq!(slot_column.heap_bytes(), 3 * slots + SLOT_PAD, "{name}: slots");
-                assert_eq!(t.offsets.capacity(), t.offsets.len(), "{name}: offsets");
                 assert_eq!(regions.capacity(), regions.len(), "{name}: regions");
                 let full = t.heap_bytes();
                 let dropped_per_member = 2 + dist_bytes.unwrap_or(0);
-                let bound = (4 + dropped_per_member) * members + 48 * n + 64;
+                let bound = (4 + dropped_per_member) * members + 36 * n + 64;
                 assert!(full <= bound, "{name}: {full} B for {members} members");
                 let kept = t.into_ports().heap_bytes();
                 let ports_bound = 4 * members + 32 * n + 64;
                 assert!(kept <= ports_bound, "{name}: {kept} B for {members} members");
                 let pads = SLOT_PAD * (1 + usize::from(dist_bytes.is_some()));
-                let drops = dropped_per_member * members + pads + 16 * n + 8;
+                let drops = dropped_per_member * members + pads + 4 * n;
                 assert_eq!(full - kept, drops, "{name}: what into_ports drops");
             }
         }
@@ -1642,12 +1607,13 @@ mod tests {
                     for &keep in shapes {
                         let t = BallTable::build_with_dists(&g, ell, keep);
                         let key = format!("{key}, {keep:?}");
-                        assert_eq!(t.offsets, offsets, "{key}: offsets");
                         let kept_dist = (keep == BallDists::Keep).then_some(dist_bytes);
                         assert_eq!(member_bytes(&t), (id_bytes, kept_dist), "{key}: widths");
-                        assert_eq!(t.ids.heap_bytes(), id_bytes * ids.len() + SLOT_PAD, "{key}: ids");
+                        let bytes = 4 * g.n() + id_bytes * ids.len() + SLOT_PAD;
+                        assert_eq!(t.ids.heap_bytes(), bytes, "{key}: ids");
                         for u in g.vertices() {
                             let range = offsets[u.index()]..offsets[u.index() + 1];
+                            assert_eq!(t.ids.range(u.index()), Some(range.clone()), "{key}: row of B({u})");
                             let (got_ids, got_dists) = decoded(&t, u);
                             assert_eq!(got_ids, ids[range.clone()], "{key}: ids of B({u})");
                             let want = (keep == BallDists::Keep).then(|| dists[range.clone()].to_vec());
@@ -1662,21 +1628,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// CSR offsets are `usize`: a table of more than `u32::MAX` members
-    /// (Theorem 15 at n ≈ 2·10⁵) keeps every range where it is instead of
-    /// wrapping into another vertex's.
-    #[test]
-    fn csr_ranges_do_not_wrap_past_u32_max() {
-        let big = u32::MAX as usize + 10;
-        let offsets = [0, big - 7, big, big + 5];
-        assert_eq!(csr_range(&offsets, 0), Some(0..big - 7));
-        assert_eq!(csr_range(&offsets, 1), Some(big - 7..big));
-        assert_eq!(csr_range(&offsets, 1).map(|r| r.len()), Some(7));
-        assert_eq!(csr_range(&offsets, 2), Some(big..big + 5));
-        assert_eq!(csr_range(&offsets, 3), None, "the closing offset starts no range");
-        assert_eq!(csr_range(&offsets, usize::MAX), None);
     }
 
     #[test]

@@ -331,14 +331,13 @@ fn check_ball_table_probing(
         assert_eq!(ports.heap_bytes(), BallEncoding::Bitmap.bytes(g.n(), table.ell(), codec), "bitmap bytes");
     }
     for u in g.vertices() {
-        let (members, first_hops, radius) = reference(u);
+        let (members, first_hops, _) = reference(u);
         let view = table.ball(u);
         let ids: Vec<VertexId> = members.iter().map(|&(v, _)| v).collect();
         let dists: Vec<Weight> = members.iter().map(|&(_, d)| d).collect();
         assert_eq!(view.ids().iter().collect::<Vec<_>>(), ids, "ids of B({u})");
         let read = view.dists().map(|d| d.iter().collect::<Vec<_>>());
         assert_eq!(read, Some(dists), "distances in B({u})");
-        assert_eq!(view.radius(), radius);
         assert_eq!(ports.words_at(u), 3 * (members.len() - 1));
         // Each member's first hop, by id: `Some(hop)` for a member.
         let mut by_id: Vec<_> = ids.iter().copied().zip(first_hops).collect();
@@ -783,9 +782,8 @@ proptest! {
                     "n = 1100, ℓ = {}, {:?}: thread counts differ", ell, weights
                 );
                 for u in g.vertices() {
-                    let (members, first_hops, radius) = reference::ball_hashmap(&g, u, ell);
+                    let (members, first_hops, _) = reference::ball_hashmap(&g, u, ell);
                     prop_assert_eq!(table.ball(u).members(), members.clone());
-                    prop_assert_eq!(table.ball(u).radius(), radius);
                     for (&(v, _), hop) in members.iter().zip(first_hops) {
                         let port = hop.and_then(|hop| g.port_to(u, hop));
                         prop_assert_eq!(table.first_port(u, v), port);
@@ -966,7 +964,7 @@ fn assert_erasure_fidelity<S: routing_model::RoutingScheme + Send + Sync>(
     scheme: &S,
     pairs: &[(VertexId, VertexId)],
 ) {
-    use routing_model::{Decision, DynScheme, HeaderSize, RoutingScheme};
+    use routing_model::{hop_budget, Decision, DynScheme, HeaderSize, RoutingScheme};
     let erased: &dyn DynScheme = scheme;
     assert_eq!(RoutingScheme::name(scheme), erased.name());
     assert_eq!(RoutingScheme::n(scheme), erased.n());
@@ -1009,7 +1007,7 @@ fn assert_erasure_fidelity<S: routing_model::RoutingScheme + Send + Sync>(
                     typed_weight += edge.weight;
                     at = edge.to;
                     hops += 1;
-                    assert!(hops <= 4 * g.n() + 16, "walk exceeded the hop budget");
+                    assert!(hops <= hop_budget(g.n()), "walk exceeded the hop budget");
                 }
             }
         }

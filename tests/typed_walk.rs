@@ -16,7 +16,7 @@ use routing_core::{BuildContext, Params};
 use routing_graph::generators::{Family, WeightModel};
 use routing_graph::{Graph, VertexId, Weight};
 use routing_model::{
-    simulate, simulate_lean, simulate_lean_with_label, Decision, DynScheme, HeaderSize,
+    hop_budget, simulate, simulate_lean, simulate_lean_with_label, Decision, DynScheme, HeaderSize,
     LeanOutcome, RouteError, RouteOutcome,
 };
 
@@ -29,7 +29,7 @@ fn erased_reference(
     source: VertexId,
     dest: VertexId,
 ) -> Result<RouteOutcome, RouteError> {
-    let max_hops = 4 * g.n() + 16;
+    let max_hops = hop_budget(g.n());
     let n = scheme.n();
     if source.index() >= n {
         return Err(RouteError::UnknownVertex { at: source });
@@ -118,7 +118,7 @@ fn typed_walk_equals_the_erased_reference_loop() {
                 let stale = simulate(&other, s, u, v);
                 failed_walks += usize::from(stale.is_err());
                 assert_eq!(stale, erased_reference(&other, s, u, v), "{key} stale on {what}");
-                let lean = simulate_lean(&other, s, u, v, 4 * g.n() + 16);
+                let lean = simulate_lean(&other, s, u, v, hop_budget(g.n()));
                 let lean = lean.map(|o| (o.weight, o.hops, o.max_header_words));
                 let full = stale.map(|o| (o.weight, o.hops, o.max_header_words));
                 assert_eq!(lean, full, "{key} stale lean on {what}: {u}->{v}");
@@ -158,7 +158,7 @@ fn walk_in_chunks(
             let out = out.map(|o| (o.weight, o.hops, o.max_header_words));
             assert!(got[k].replace(out).is_none(), "job {k} answered twice");
         };
-        scheme.walk_many(g, jobs, 4 * g.n() + 16, with_paths.then_some(&mut paths[..]), out);
+        scheme.walk_many(g, jobs, hop_budget(g.n()), with_paths.then_some(&mut paths[..]), out);
         for (got, path) in got.into_iter().zip(paths) {
             walked.push((got.expect("every job is answered"), path));
         }
@@ -181,7 +181,7 @@ fn walk_many_answers_every_job_as_simulate_lean_does() {
                     let full = walk_in_chunks(walked_on, s, &jobs, chunk, true);
                     for ((&(u, v), (lean, _)), (full, path)) in jobs.iter().zip(lean).zip(full) {
                         let at = format!("{key} {on}on {what}, chunks of {chunk}: {u}->{v}");
-                        let want = simulate_lean(walked_on, s, u, v, 4 * n + 16);
+                        let want = simulate_lean(walked_on, s, u, v, hop_budget(n));
                         let want = want.map(|o| (o.weight, o.hops, o.max_header_words));
                         checked_errors += usize::from(want.is_err());
                         assert_eq!(lean, want, "{at}");
