@@ -58,7 +58,8 @@
 use rand::Rng;
 
 use routing_core::{BuildError, DistLists, Params};
-use routing_graph::{Graph, VertexId, Weight};
+use routing_graph::codec::{bytes_for, Field};
+use routing_graph::{Graph, PackedRows, PackedView, SlotCodec, VertexId, Weight};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
 use routing_vicinity::BallPorts;
 
@@ -124,31 +125,38 @@ pub struct Thm16Scheme {
 /// distances are read while the balls are built
 /// ([`BallPorts::build_visiting`]), a block of balls at a time, so neither
 /// the member ids nor the distances of the whole table ever exist: beside
-/// the ports, the build holds one block of balls, a flag and an offset a
-/// vertex, and the listed pairs.
+/// the ports, the build holds one block of balls, a flag and a row end a
+/// vertex, and the listed pairs, a `[w, d(u, w)]` record at the id and
+/// distance widths each.
 ///
 /// # Errors
 ///
-/// [`BuildError::TooSmall`] if the listed pairs outnumber a `u32` offset.
+/// [`BuildError::TooSmall`] if the listed pairs outnumber a `u32` row end.
 pub fn vicinities(
     g: &Graph,
     ell: usize,
     level: &[VertexId],
 ) -> Result<(BallPorts, DistLists), BuildError> {
-    let mut marked = vec![false; g.n()];
+    let n = g.n();
+    let mut marked = vec![false; n];
     for &w in level {
         marked[w.index()] = true;
     }
-    // The pairs of `u` are `pairs[ends[u]..ends[u + 1]]`.
-    let (mut ends, mut pairs) = (Vec::with_capacity(g.n() + 1), Vec::new());
-    ends.push(0);
+    // Row `u` holds the pairs of `u`, in settle order.
+    let longest = g.weight_range().map_or(0, |(_, hi)| hi.saturating_mul(n.saturating_sub(1) as u64));
+    let codec = SlotCodec::new([bytes_for(n as u64), bytes_for(longest.saturating_add(1))]);
+    let (mut pairs, mut closed) = (PackedRows::with_capacity(codec, n, 0), Ok(()));
     let ports = BallPorts::build_visiting(g, ell, |ids, dists| {
-        pairs.extend(ids.iter().zip(dists.iter()).filter(|&(w, _)| marked[w.index()]));
-        ends.push(pairs.len());
+        for (w, d) in ids.iter().zip(dists.iter()).filter(|&(w, _)| marked[w.index()]) {
+            pairs.push([u64::from(w.0), d]);
+        }
+        closed = closed.and_then(|()| pairs.close_row());
     });
     drop(marked);
-    let lists = DistLists::from_rows(g.n(), |u| {
-        Ok(pairs[ends[u.index()]..ends[u.index() + 1]].iter().copied())
+    closed?;
+    let lists = DistLists::from_rows(n, |u| {
+        let row = pairs.row(u.index()).into_iter().flat_map(PackedView::records::<u64>);
+        Ok(row.map(|[w, d]| (VertexId(<u32 as Field>::narrow(w)), d)))
     })?;
     Ok((ports, lists))
 }

@@ -4,8 +4,8 @@
 //! the per-call `HashMap`/`Vec` searches this crate originally shipped. The
 //! originals live on here, verbatim, for one purpose: the equivalence
 //! property tests (`tests/properties.rs`) assert the new kernel is
-//! **bit-identical** to them — same distances, parents, first hops, member
-//! order and radii — on random graphs.
+//! **bit-identical** to them — same distances, parents, first hops and
+//! member order — on random graphs.
 //!
 //! Nothing else should call these: they allocate three `HashMap`s per ball
 //! or cluster search and four `O(n)` vectors per Dijkstra run.
@@ -52,14 +52,10 @@ pub fn dijkstra_alloc(
 }
 
 /// The original `HashMap`-backed ball search. Returns the members
-/// `(v, d(u, v))` in `(distance, id)` order, each member's first hop (`None`
-/// for the center) and the radius `r_u(ℓ)`; bit-equal to
+/// `(v, d(u, v))` in `(distance, id)` order and each member's first hop
+/// (`None` for the center); bit-equal to
 /// [`SearchScratch::ball_into`](crate::SearchScratch::ball_into).
-pub fn ball_hashmap(
-    g: &Graph,
-    u: VertexId,
-    ell: usize,
-) -> (Vec<(VertexId, Weight)>, Vec<Option<VertexId>>, Weight) {
+pub fn ball_hashmap(g: &Graph, u: VertexId, ell: usize) -> (Vec<(VertexId, Weight)>, Vec<Option<VertexId>>) {
     let ell = ell.max(1);
     let n = g.n();
     // lint:allow(det-hash-iter): reference impl kept for kernel identity tests; keyed lookups only, members emitted in heap settle order
@@ -76,24 +72,15 @@ pub fn ball_hashmap(
 
     let mut members: Vec<(VertexId, Weight)> = Vec::with_capacity(ell.min(n));
     let mut first_hops: Vec<Option<VertexId>> = Vec::with_capacity(ell.min(n));
-    let mut overflow_at_max = false;
-    let mut max_dist: Weight = 0;
 
-    while let Some(Reverse((d, v))) = heap.pop() {
+    while members.len() < ell {
+        let Some(Reverse((d, v))) = heap.pop() else { break };
         if *settled.get(&v).unwrap_or(&false) {
             continue;
         }
         settled.insert(v, true);
-        if members.len() < ell {
-            members.push((v, d));
-            first_hops.push(first_hop[&v]);
-            max_dist = d;
-        } else if d == max_dist {
-            overflow_at_max = true;
-            break;
-        } else {
-            break;
-        }
+        members.push((v, d));
+        first_hops.push(first_hop[&v]);
         for e in g.edges(v) {
             let nd = d + e.weight;
             let better = match dist.get(&e.to) {
@@ -108,18 +95,7 @@ pub fn ball_hashmap(
             }
         }
     }
-
-    let radius = if overflow_at_max {
-        members
-            .iter()
-            .rev()
-            .map(|&(_, d)| d)
-            .find(|&d| d < max_dist)
-            .unwrap_or(0)
-    } else {
-        max_dist
-    };
-    (members, first_hops, radius)
+    (members, first_hops)
 }
 
 /// The original multi-source Dijkstra. Returns the rows `(d(v, A), p_A(v))`
@@ -230,10 +206,9 @@ mod tests {
         assert_eq!(s.dist_row(n), dist);
         assert_eq!(g.vertices().map(|v| s.parent(v)).collect::<Vec<_>>(), parent);
 
-        let radius = s.ball_into(&g, VertexId(14), 7);
-        let (members, _, radius_ref) = ball_hashmap(&g, VertexId(14), 7);
+        s.ball_into(&g, VertexId(14), 7);
+        let (members, _) = ball_hashmap(&g, VertexId(14), 7);
         assert_eq!(s.order(), members);
-        assert_eq!(radius, radius_ref);
 
         let sources = [VertexId(0), VertexId(35)];
         s.multi_source_into(&g, &sources);

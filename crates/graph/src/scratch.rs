@@ -31,18 +31,24 @@
 //!   for why its pop order is bit-identical to a binary heap's;
 //! * the settle order (the `(distance, id)`-sorted vertex sequence every
 //!   bounded search is defined by, and every search follows) is recorded
-//!   in a reusable buffer.
+//!   in a reusable buffer;
+//! * every search runs one settle loop — pop, skip a settled vertex, mark
+//!   it, record it, count it down, relax its arcs — and differs only in its
+//!   seeds (one source or the sorted sources), in which settles count down
+//!   (none, the requested targets, or every one up to `ℓ`) and in its arc
+//!   rule (single-origin, cluster or multi-source), each compiled into its
+//!   own copy of the loop.
 //!
 //! Every search method is **bit-identical** to its allocating counterpart in
 //! [`crate::reference`] — same lexicographic `(distance, id)` tie-breaking,
-//! same member order, same radius rule — which the equivalence property
-//! tests in `tests/properties.rs` assert.
+//! same member order — which the equivalence property tests in
+//! `tests/properties.rs` assert.
 //!
 //! On a unit-weight graph a second workspace, [`BfsBatch`], runs up to 64
 //! searches as one bit-parallel breadth-first sweep: full searches, with the
 //! distances and tree paths [`SearchScratch::dijkstra_into`] gives, or ball
-//! searches under a per-source budget `ℓ`, with the members, radii and
-//! first ports [`SearchScratch::ball_into`] gives.
+//! searches under a per-source budget `ℓ`, with the members and first
+//! ports [`SearchScratch::ball_into`] gives.
 //!
 //! # Example
 //!
@@ -62,7 +68,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::{Graph, GraphError, Port, VertexId, Weight, INFINITY};
+use crate::{EdgeRef, Graph, GraphError, Port, VertexId, Weight, INFINITY};
 
 /// Sentinel for "no parent / no first hop / no nearest source".
 const NONE: u32 = u32::MAX;
@@ -149,13 +155,9 @@ pub struct SearchScratch {
     /// Which search ran last (gates the kind-specific accessors).
     kind: SearchKind,
     /// Epoch stamp marking the requested targets of a target-bounded
-    /// search ([`dijkstra_targets_into`](Self::dijkstra_targets_into)).
+    /// search ([`dijkstra_targets_into`](Self::dijkstra_targets_into)),
+    /// the settles it counts down.
     target_stamp: Vec<u64>,
-    /// Requested targets of the current epoch not yet settled; the
-    /// single-origin settle loop ([`drain`](Self::drain)) stops when this
-    /// countdown reaches zero. A full search starts it at `usize::MAX`,
-    /// so it never does.
-    targets_remaining: usize,
 }
 
 impl SearchScratch {
@@ -180,7 +182,6 @@ impl SearchScratch {
             source: VertexId(0),
             kind: SearchKind::Idle,
             target_stamp: vec![NEVER; n],
-            targets_remaining: 0,
         }
     }
 
@@ -194,10 +195,16 @@ impl SearchScratch {
         self.n
     }
 
-    /// Starts a new search: bumps the epoch (the `O(1)` reset) and clears
-    /// the reusable buffers, keeping their capacity.
-    fn begin(&mut self) {
+    /// Starts a new search of `kind`: bumps the epoch (the `O(1)` reset)
+    /// and clears the reusable buffers, keeping their capacity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` has more vertices than the workspace.
+    fn begin(&mut self, g: &Graph, kind: SearchKind) {
+        assert!(g.n() <= self.n, "graph larger than the workspace");
         self.epoch += 1;
+        self.kind = kind;
         self.heap.clear();
         // Clear only the occupied bucket slots (a stopped search leaves
         // pending entries behind); capacity is kept.
@@ -209,27 +216,26 @@ impl SearchScratch {
         self.bq_cur = 0;
         self.bq_pos = 0;
         self.order.clear();
-        self.targets_remaining = 0;
+    }
+
+    /// Seeds `v` at distance 0 with no first hop and `parent` in its parent
+    /// slot: `NONE` for a single origin, `v` itself — its own nearest
+    /// source — for a multi-source search.
+    fn seed(&mut self, v: VertexId, parent: u32) {
+        let i = v.index();
+        self.stamp[i] = self.epoch;
+        self.dist[i] = 0;
+        self.parent[i] = parent;
+        self.first_hop[i] = NONE;
+        self.queue_push(0, v);
     }
 
     /// Starts a single-origin search of `kind` from `source`: the reset of
-    /// [`begin`](Self::begin), then `source` seeded at distance 0 with no
-    /// parent and no first hop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g` has more vertices than the workspace.
+    /// [`begin`](Self::begin), then `source` seeded.
     fn start(&mut self, g: &Graph, kind: SearchKind, source: VertexId) {
-        assert!(g.n() <= self.n, "graph larger than the workspace");
-        self.begin();
-        self.kind = kind;
+        self.begin(g, kind);
         self.source = source;
-        let s = source.index();
-        self.stamp[s] = self.epoch;
-        self.dist[s] = 0;
-        self.parent[s] = NONE;
-        self.first_hop[s] = NONE;
-        self.queue_push(0, source);
+        self.seed(source, NONE);
     }
 
     /// Pushes `(d, v)` into the priority queue every search shares.
@@ -306,17 +312,55 @@ impl SearchScratch {
         }
     }
 
-    #[inline]
-    fn relax(&mut self, to: usize, nd: Weight) -> bool {
-        if self.stamp[to] != self.epoch {
+    /// The settle loop every search runs on its seeds: pop the next
+    /// `(distance, id)` entry, skip a vertex already settled, mark it,
+    /// append it to [`order`](Self::order), count it down when `counts`
+    /// says so, and hand each of its arcs to `arc`, until `remaining`
+    /// reaches zero or the queue empties. The countdown is read before each
+    /// pop, so the last vertex counted has its arcs relaxed like every
+    /// other and nothing is popped after it. `counts` and `arc` are
+    /// compiled into a copy of the loop per search, so no search pays a
+    /// branch per arc for another's rule.
+    #[inline(always)]
+    fn settle(
+        &mut self,
+        g: &Graph,
+        mut remaining: usize,
+        counts: impl Fn(&Self, usize) -> bool,
+        mut arc: impl FnMut(&mut Self, VertexId, Weight, EdgeRef),
+    ) {
+        while remaining > 0 {
+            let Some((d, u)) = self.queue_pop() else { return };
+            let ui = u.index();
+            if self.settled[ui] == self.epoch {
+                continue;
+            }
+            self.settled[ui] = self.epoch;
+            self.order.push((u, d));
+            if counts(self, ui) {
+                remaining -= 1;
+            }
+            for e in g.edges(u) {
+                arc(self, u, d, e);
+            }
+        }
+    }
+
+    /// The arc rule of a single-origin search from `source`: the head of
+    /// `e`, out of `u` settled at `d`, takes `d + w` when first reached or
+    /// when that is shorter, with `u` as its parent and `u`'s first hop —
+    /// the head itself out of `source`. Each search passes its own
+    /// `source`, held in a register, rather than have every arc read it
+    /// back from the workspace.
+    #[inline(always)]
+    fn single_origin_arc(&mut self, source: VertexId, u: VertexId, d: Weight, e: EdgeRef) {
+        let (to, nd) = (e.to.index(), d + e.weight);
+        if self.stamp[to] != self.epoch || nd < self.dist[to] {
             self.stamp[to] = self.epoch;
             self.dist[to] = nd;
-            true
-        } else if nd < self.dist[to] {
-            self.dist[to] = nd;
-            true
-        } else {
-            false
+            self.parent[to] = u.0;
+            self.first_hop[to] = if u == source { e.to.0 } else { self.first_hop[u.index()] };
+            self.queue_push(nd, e.to);
         }
     }
 
@@ -328,8 +372,7 @@ impl SearchScratch {
     /// Panics if `g` has more vertices than the workspace.
     pub fn dijkstra_into(&mut self, g: &Graph, source: VertexId) {
         self.start(g, SearchKind::SingleOrigin, source);
-        self.targets_remaining = usize::MAX;
-        self.drain(g);
+        self.settle(g, usize::MAX, |_, _| false, |s, u, d, e| s.single_origin_arc(source, u, d, e));
     }
 
     /// Runs Dijkstra from `source` but stops the moment the last vertex of
@@ -358,98 +401,32 @@ impl SearchScratch {
     /// Panics if `g` has more vertices than the workspace.
     pub fn dijkstra_targets_into(&mut self, g: &Graph, source: VertexId, targets: &[VertexId]) {
         self.start(g, SearchKind::SingleOrigin, source);
+        let mut distinct = 0;
         for &t in targets {
             let ti = t.index();
             if self.target_stamp[ti] != self.epoch {
                 self.target_stamp[ti] = self.epoch;
-                self.targets_remaining += 1;
+                distinct += 1;
             }
         }
-        self.drain(g);
-    }
-
-    /// The settle loop shared by the full and target-bounded single-origin
-    /// searches: runs until the target countdown reaches zero or the queue
-    /// empties. The countdown is read before each pop, so the last target
-    /// settled has its out-edges relaxed like every other vertex.
-    fn drain(&mut self, g: &Graph) {
-        while self.targets_remaining > 0 {
-            let Some((d, u)) = self.queue_pop() else { return };
-            let ui = u.index();
-            if self.settled[ui] == self.epoch {
-                continue;
-            }
-            self.settled[ui] = self.epoch;
-            self.order.push((u, d));
-            if self.target_stamp[ui] == self.epoch {
-                self.targets_remaining -= 1;
-            }
-            for e in g.edges(u) {
-                let to = e.to.index();
-                let nd = d + e.weight;
-                if self.relax(to, nd) {
-                    self.parent[to] = u.0;
-                    self.first_hop[to] =
-                        if u == self.source { e.to.0 } else { self.first_hop[ui] };
-                    self.queue_push(nd, e.to);
-                }
-            }
-        }
+        let counts = |s: &Self, v: usize| s.target_stamp[v] == s.epoch;
+        self.settle(g, distinct, counts, |s, u, d, e| s.single_origin_arc(source, u, d, e));
     }
 
     /// Runs the bounded ball search `B(u, ℓ)`: Dijkstra from `u` that stops
-    /// as soon as `ℓ` vertices are settled (or the component is exhausted),
-    /// so it never pays more than the ball costs. Members (with distances, in
-    /// `(distance, id)` settle order) are available as [`order`](Self::order)
-    /// afterwards; the returned value is the ball radius `r_u(ℓ)`.
+    /// as soon as `max(ℓ, 1)` vertices are settled (or the component is
+    /// exhausted), so it never pays more than the ball costs. The members,
+    /// with distances, in `(distance, id)` settle order, are
+    /// [`order`](Self::order) afterwards, and exactly they are settled.
     ///
     /// Bit-identical to [`crate::reference::ball_hashmap`].
-    pub fn ball_into(&mut self, g: &Graph, u: VertexId, ell: usize) -> Weight {
-        let ell = ell.max(1);
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` has more vertices than the workspace.
+    pub fn ball_into(&mut self, g: &Graph, u: VertexId, ell: usize) {
         self.start(g, SearchKind::SingleOrigin, u);
-
-        // Vertices settled after the ball is full, at the same distance as
-        // the last member, make the top distance level incomplete.
-        let mut overflow_at_max = false;
-        let mut max_dist: Weight = 0;
-        while let Some((d, v)) = self.queue_pop() {
-            let vi = v.index();
-            if self.settled[vi] == self.epoch {
-                continue;
-            }
-            self.settled[vi] = self.epoch;
-            if self.order.len() < ell {
-                self.order.push((v, d));
-                max_dist = d;
-            } else if d == max_dist {
-                overflow_at_max = true;
-                break;
-            } else {
-                break;
-            }
-            for e in g.edges(v) {
-                let to = e.to.index();
-                let nd = d + e.weight;
-                if self.relax(to, nd) {
-                    self.parent[to] = v.0;
-                    self.first_hop[to] = if v == u { e.to.0 } else { self.first_hop[vi] };
-                    self.queue_push(nd, e.to);
-                }
-            }
-        }
-
-        if overflow_at_max {
-            // Not every vertex at distance `max_dist` made it into the ball;
-            // the radius is the previous distinct distance value present.
-            self.order
-                .iter()
-                .rev()
-                .map(|&(_, d)| d)
-                .find(|&d| d < max_dist)
-                .unwrap_or(0)
-        } else {
-            max_dist
-        }
+        self.settle(g, ell.max(1), |_, _| true, |s, v, d, e| s.single_origin_arc(u, v, d, e));
     }
 
     /// Runs a multi-source Dijkstra from `sources`, computing `d(v, A)`, the
@@ -457,9 +434,9 @@ impl SearchScratch {
     /// ties broken by source id, and the first vertex after `p_A(v)` on a
     /// shortest path from it to `v` (readable as [`first_hop`](Self::first_hop)).
     ///
-    /// It runs on the same bucket queue as every other search, so vertices
-    /// settle in `(distance, id)` order ([`order`](Self::order)), and a
-    /// vertex's source is read from its `parent` slot when it settles. A
+    /// It runs the settle loop every other search runs, so vertices settle
+    /// in `(distance, id)` order ([`order`](Self::order)), and a vertex's
+    /// source is read from its `parent` slot when its arcs are relaxed. A
     /// relaxation wins on `(distance, source)`; the queue is pushed only
     /// when the distance improves. This is exact because weights are ≥ 1:
     /// every relaxation into `v` comes from a vertex settled before `v`
@@ -476,41 +453,25 @@ impl SearchScratch {
     /// Panics if `g` has more vertices than the workspace, and (debug) if
     /// `sources` is not sorted and deduplicated.
     pub fn multi_source_into(&mut self, g: &Graph, sources: &[VertexId]) {
-        assert!(g.n() <= self.n, "graph larger than the workspace");
         debug_assert!(sources.windows(2).all(|w| w[0] < w[1]), "sources must be sorted+deduped");
-        self.begin();
-        self.kind = SearchKind::MultiSource;
+        self.begin(g, SearchKind::MultiSource);
         for &s in sources {
-            let si = s.index();
-            self.stamp[si] = self.epoch;
-            self.dist[si] = 0;
-            self.parent[si] = s.0; // nearest source of a source is itself
-            self.first_hop[si] = NONE;
-            self.queue_push(0, s);
+            self.seed(s, s.0);
         }
-        while let Some((d, u)) = self.queue_pop() {
-            let ui = u.index();
-            if self.settled[ui] == self.epoch {
-                continue;
-            }
-            self.settled[ui] = self.epoch;
-            self.order.push((u, d));
-            let src = self.parent[ui];
-            for e in g.edges(u) {
-                let to = e.to.index();
-                let nd = d + e.weight;
-                let improves = self.stamp[to] != self.epoch || nd < self.dist[to];
-                if improves || (nd == self.dist[to] && src < self.parent[to]) {
-                    self.stamp[to] = self.epoch;
-                    self.dist[to] = nd;
-                    self.parent[to] = src;
-                    self.first_hop[to] = if u.0 == src { e.to.0 } else { self.first_hop[ui] };
-                    if improves {
-                        self.queue_push(nd, e.to);
-                    }
+        self.settle(g, usize::MAX, |_, _| false, |s, u, d, e| {
+            let (ui, to, nd) = (u.index(), e.to.index(), d + e.weight);
+            let src = s.parent[ui];
+            let improves = s.stamp[to] != s.epoch || nd < s.dist[to];
+            if improves || (nd == s.dist[to] && src < s.parent[to]) {
+                s.stamp[to] = s.epoch;
+                s.dist[to] = nd;
+                s.parent[to] = src;
+                s.first_hop[to] = if u.0 == src { e.to.0 } else { s.first_hop[ui] };
+                if improves {
+                    s.queue_push(nd, e.to);
                 }
             }
-        }
+        });
     }
 
     /// Runs the restricted (cluster) search from `w`: explores like Dijkstra
@@ -522,27 +483,18 @@ impl SearchScratch {
     pub fn cluster_into(&mut self, g: &Graph, w: VertexId, bound: &[Weight]) {
         assert_eq!(bound.len(), g.n(), "bound slice must have one entry per vertex");
         self.start(g, SearchKind::Cluster, w);
-        while let Some((d, u)) = self.queue_pop() {
-            let ui = u.index();
-            if self.settled[ui] == self.epoch {
-                continue;
+        self.settle(g, usize::MAX, |_, _| false, |s, u, d, e| {
+            let (to, nd) = (e.to.index(), d + e.weight);
+            // Keep the vertex only if it belongs to the cluster (the root
+            // is always kept).
+            let member = e.to == w || nd < bound[to];
+            if member && (s.stamp[to] != s.epoch || nd < s.dist[to]) {
+                s.stamp[to] = s.epoch;
+                s.dist[to] = nd;
+                s.parent[to] = u.0;
+                s.queue_push(nd, e.to);
             }
-            self.settled[ui] = self.epoch;
-            self.order.push((u, d));
-            for e in g.edges(u) {
-                let to = e.to.index();
-                let nd = d + e.weight;
-                // Keep the vertex only if it belongs to the cluster (the
-                // root is always kept).
-                if e.to != w && nd >= bound[to] {
-                    continue;
-                }
-                if self.relax(to, nd) {
-                    self.parent[to] = u.0;
-                    self.queue_push(nd, e.to);
-                }
-            }
-        }
+        });
     }
 
     /// Distance found by the last search, or `None` if `v` was not reached.
@@ -744,11 +696,8 @@ struct Lanes {
 /// batch.run_balls(&g, &[VertexId(0), VertexId(4)], 3).expect("two centres in range");
 /// // Level 1 of vertex 0 is {1, 3}: both fit.
 /// assert_eq!(batch.members(0), [VertexId(0), VertexId(1), VertexId(3)]);
-/// assert_eq!(batch.radius(0), 1);
-/// // Level 1 of vertex 4 is {1, 3, 5}: the two smallest ids fit, so the
-/// // level is cut and the radius is the last complete level.
+/// // Level 1 of vertex 4 is {1, 3, 5}: the two smallest ids fit.
 /// assert_eq!(batch.members(1), [VertexId(4), VertexId(1), VertexId(3)]);
-/// assert_eq!(batch.radius(1), 0);
 /// // Vertex 4's adjacency is [1, 3, 5]: port 1 leads to 3.
 /// assert_eq!(batch.first_port(1, VertexId(3)), Some(Port(1)));
 /// ```
@@ -767,8 +716,6 @@ pub struct BfsBatch {
     /// `members[i * budget..][..ball_len[i]]`.
     members: Vec<VertexId>,
     ball_len: [usize; BFS_BATCH_WIDTH],
-    /// Lanes whose last level did not fit in their ball.
-    cut: u64,
     /// The ball size of the last run, `0` after a full run.
     budget: usize,
     /// Vertices with frontier bits on the current level.
@@ -790,7 +737,6 @@ impl BfsBatch {
             port: Vec::new(),
             members: Vec::new(),
             ball_len: [0; BFS_BATCH_WIDTH],
-            cut: 0,
             budget: 0,
             active: Vec::new(),
             next_active: Vec::new(),
@@ -814,10 +760,9 @@ impl BfsBatch {
     }
 
     /// Runs the ball search `B(s, ℓ)` from every vertex `s` of `centres` —
-    /// `centres[i]` owns bit `i` — as one sweep, with the members, radius
-    /// and first ports [`SearchScratch::ball_into`] gives each centre:
-    /// [`members`](Self::members), [`radius`](Self::radius) and
-    /// [`first_port`](Self::first_port).
+    /// `centres[i]` owns bit `i` — as one sweep, with the members and first
+    /// ports [`SearchScratch::ball_into`] gives each centre:
+    /// [`members`](Self::members) and [`first_port`](Self::first_port).
     ///
     /// A lane counts the vertices it holds. At the end of the first level
     /// `L` at which it holds `ℓ` (or `1` when `ℓ ≤ 1`), it stops offering
@@ -850,7 +795,6 @@ impl BfsBatch {
         self.active.clear();
         self.sources = 0;
         self.budget = 0;
-        self.cut = 0;
         if !g.is_unweighted() {
             return Err(GraphError::NotUnitWeight);
         }
@@ -960,16 +904,11 @@ impl BfsBatch {
                     if let Some(d) = self.level.get_mut(i * n + v as usize) {
                         *d = depth;
                     }
-                    if BALLS {
-                        let len = &mut self.ball_len[i];
-                        if *len < budget {
-                            if let Some(m) = self.members.get_mut(i * budget + *len) {
-                                *m = VertexId(v);
-                            }
-                            *len += 1;
-                        } else {
-                            self.cut |= 1 << i;
+                    if BALLS && self.ball_len[i] < budget {
+                        if let Some(m) = self.members.get_mut(i * budget + self.ball_len[i]) {
+                            *m = VertexId(v);
                         }
+                        self.ball_len[i] += 1;
                     }
                     bits &= bits - 1;
                 }
@@ -1007,15 +946,6 @@ impl BfsBatch {
             return &[];
         }
         self.members.get(i * self.budget..).and_then(|m| m.get(..self.ball_len[i])).unwrap_or(&[])
-    }
-
-    /// The radius `r_s(ℓ)` of ball `i`: its last level `L`, or `L − 1` when
-    /// level `L` did not fit. `0` for a centre the run did not have.
-    pub fn radius(&self, i: usize) -> Weight {
-        let Some(top) = self.members(i).last().and_then(|&v| self.level_of(i, v)) else {
-            return 0;
-        };
-        Weight::from(top).saturating_sub(self.cut >> i & 1)
     }
 
     /// The port at centre `i` of the last [`run_balls`](Self::run_balls) on
@@ -1133,13 +1063,18 @@ mod tests {
         }
     }
 
-    /// The ball search just run on `s` against the reference ball search.
-    fn assert_ball_matches_reference(g: &Graph, s: &SearchScratch, radius: Weight, u: VertexId, ell: usize) {
-        let (members, first_hops, radius_ref) = reference::ball_hashmap(g, u, ell);
-        assert_eq!(radius, radius_ref, "radius of B({u}, {ell})");
+    /// The ball search just run on `s` against the reference ball search:
+    /// its members in order, their first hops, and no vertex settled but
+    /// them — the search stops before it pops past its last member.
+    fn assert_ball_matches_reference(g: &Graph, s: &SearchScratch, u: VertexId, ell: usize) {
+        let (members, first_hops) = reference::ball_hashmap(g, u, ell);
         assert_eq!(s.order(), members, "members of B({u}, {ell})");
         let hops: Vec<_> = s.order().iter().map(|&(v, _)| s.first_hop(v)).collect();
         assert_eq!(hops, first_hops, "first hops in B({u}, {ell})");
+        let mut ids: Vec<VertexId> = members.iter().map(|&(v, _)| v).collect();
+        ids.sort_unstable();
+        let settled: Vec<VertexId> = g.vertices().filter(|&v| s.is_settled(v)).collect();
+        assert_eq!(settled, ids, "settled by B({u}, {ell})");
     }
 
     #[test]
@@ -1159,8 +1094,8 @@ mod tests {
         // Interleave with a full search to prove the epoch reset works.
         s.dijkstra_into(&g, VertexId(0));
         for (u, ell) in [(VertexId(7), 1), (VertexId(7), 9), (VertexId(30), 500)] {
-            let radius = s.ball_into(&g, u, ell);
-            assert_ball_matches_reference(&g, &s, radius, u, ell);
+            s.ball_into(&g, u, ell);
+            assert_ball_matches_reference(&g, &s, u, ell);
         }
     }
 
@@ -1221,22 +1156,20 @@ mod tests {
         // 3 at 0 holds 0 plus the two smallest-id leaves.
         let g = generators::star(5);
         let mut s = SearchScratch::for_graph(&g);
-        let radius = s.ball_into(&g, VertexId(0), 3);
+        s.ball_into(&g, VertexId(0), 3);
         assert_eq!(s.order(), [(VertexId(0), 0), (VertexId(1), 1), (VertexId(2), 1)]);
-        // Not every vertex at distance 1 is inside, so the radius falls back
-        // to the previous distance value (0).
-        assert_eq!(radius, 0);
+        // The next leaf at distance 1 is never popped.
+        assert!(!s.is_settled(VertexId(3)));
     }
 
     #[test]
     fn ball_radius_complete_level() {
-        // From vertex 0 of a path the 4 closest are 0, 1, 2, 3 and every
-        // vertex at distance <= 3 is included, so the radius is 3.
+        // From vertex 0 of a path the 4 closest are 0, 1, 2, 3: every
+        // vertex at distance <= 3.
         let g = generators::path(6);
         let mut s = SearchScratch::for_graph(&g);
-        let radius = s.ball_into(&g, VertexId(0), 4);
+        s.ball_into(&g, VertexId(0), 4);
         assert_eq!(s.order().len(), 4);
-        assert_eq!(radius, 3);
         assert_eq!(s.dist(VertexId(3)), Some(3));
         assert_eq!(s.first_hop(VertexId(3)), Some(VertexId(1)));
         assert_eq!(s.first_hop(VertexId(0)), None);
@@ -1246,9 +1179,8 @@ mod tests {
     fn ball_larger_than_component_returns_component() {
         let g = generators::path(4);
         let mut s = SearchScratch::for_graph(&g);
-        let radius = s.ball_into(&g, VertexId(1), 100);
+        s.ball_into(&g, VertexId(1), 100);
         assert_eq!(s.order().len(), 4);
-        assert_eq!(Some(radius), s.order().last().map(|&(_, d)| d));
     }
 
     #[test]
@@ -1362,11 +1294,18 @@ mod tests {
     }
 
     /// On the four families, unit and tie-heavy (weights 1 or 2), around the
-    /// 64-bit word boundaries: distances and nearest sources equal the
-    /// allocating reference, every first hop starts a shortest path, and
-    /// the settle order is every reached vertex once, sorted by
-    /// `(distance, id)` as [`SearchScratch::order`] promises. One workspace
-    /// serves every search, so a stale slot would show.
+    /// 64-bit word boundaries, one workspace runs every search in turn, so a
+    /// stale slot left by any earlier search of any kind would show. Each
+    /// equals the allocating reference:
+    /// * multi-source: distances and nearest sources, first hops that start
+    ///   a shortest path, and a settle order of every reached vertex once,
+    ///   sorted by `(distance, id)` as [`SearchScratch::order`] promises;
+    /// * cluster under that search's distances as the bound: the members
+    ///   in order and their parents;
+    /// * full Dijkstra: the dist, parent and first-hop rows and every path;
+    /// * target-bounded: a prefix of the full search, its targets settled;
+    /// * ball at `ℓ ∈ {1, 7, n + 5}`: the members in order, their first
+    ///   hops, and exactly they settled.
     #[test]
     fn multi_source_equals_the_reference_and_settles_in_distance_id_order() {
         use generators::WeightModel::{Uniform, Unit};
@@ -1392,6 +1331,36 @@ mod tests {
                         assert_eq!(s.order().len(), reached, "{at}: each reached vertex settles once");
                         for w in s.order().windows(2) {
                             assert!((w[0].1, w[0].0) < (w[1].1, w[1].0), "{at}: {w:?} out of order");
+                        }
+                        for w in [VertexId(1), VertexId(n as u32 / 2)] {
+                            s.cluster_into(&g, w, &dist);
+                            let (members, parents) = reference::cluster_dijkstra_hashmap(&g, w, &dist);
+                            assert_eq!(s.order(), members, "{at}: C({w})");
+                            let got: Vec<_> = members.iter().map(|&(v, _)| s.parent(v)).collect();
+                            assert_eq!(got, parents, "{at}: parents in C({w})");
+                        }
+                    }
+                    for src in [VertexId(0), VertexId(n as u32 / 2), VertexId(n as u32 - 1)] {
+                        let at = format!("{name} n={n} {weights:?} from {src}");
+                        s.dijkstra_into(&g, src);
+                        assert_dijkstra_matches_reference(&g, &s, src);
+                        let full = s.order().to_vec();
+                        let (dist, parent, first_hop) = reference::dijkstra_alloc(&g, src);
+                        let targets = [src.index() + 5, src.index() + n / 3].map(|t| VertexId((t % n) as u32));
+                        s.dijkstra_targets_into(&g, src, &targets);
+                        let settled = s.order().len();
+                        assert_eq!(s.order(), &full[..settled], "{at}: a prefix of the full search");
+                        for &(v, _) in s.order() {
+                            assert_eq!(s.dist(v), Some(dist[v.index()]), "{at}: d({v})");
+                            assert_eq!(s.parent(v), parent[v.index()], "{at}: parent of {v}");
+                            assert_eq!(s.first_hop(v), first_hop[v.index()], "{at}: first hop to {v}");
+                        }
+                        for t in targets.into_iter().filter(|t| dist[t.index()] != INFINITY) {
+                            assert!(s.is_settled(t), "{at}: target {t}");
+                        }
+                        for ell in [1, 7, n + 5] {
+                            s.ball_into(&g, src, ell);
+                            assert_ball_matches_reference(&g, &s, src, ell);
                         }
                     }
                 }
@@ -1537,8 +1506,8 @@ mod tests {
         assert_eq!(bounded.order(), &full.order()[..settled]);
         // Bounded ball searches share the queue; check one against the
         // reference ball search.
-        let radius = bounded.ball_into(&g, VertexId(12), 15);
-        assert_ball_matches_reference(&g, &bounded, radius, VertexId(12), 15);
+        bounded.ball_into(&g, VertexId(12), 15);
+        assert_ball_matches_reference(&g, &bounded, VertexId(12), 15);
     }
 
     /// A target in another component is never settled: the search settles
@@ -1669,8 +1638,8 @@ mod tests {
         }
     }
 
-    /// The budgeted batch is `ball_into` lane by lane: members in order,
-    /// radius, and the port of every member's first hop. One workspace runs
+    /// The budgeted batch is `ball_into` lane by lane: members in order and
+    /// the port of every member's first hop. One workspace runs
     /// every width and ball size, a full run before each ball run and after
     /// it, so a stale lane, level, port or log row from any earlier run —
     /// a larger ball, a full search, another width — would show.
@@ -1689,12 +1658,11 @@ mod tests {
                             let full = batch.reached();
                             batch.run_balls(&g, sources, ell).unwrap();
                             for (i, &s) in sources.iter().enumerate() {
-                                let radius = single.ball_into(&g, s, ell);
+                                single.ball_into(&g, s, ell);
                                 let port = |v| single.first_hop(v).and_then(|hop| g.port_to(s, hop));
                                 let want: Vec<_> = single.order().iter().map(|&(v, d)| (v, d, port(v))).collect();
                                 let at = format!("{name} n={n} w={width} ℓ={ell}: B({s})");
                                 assert_eq!(batch.ball(i).collect::<Vec<_>>(), want, "{at}");
-                                assert_eq!(batch.radius(i), radius, "{at} radius");
                             }
                             assert!(batch.members(sources.len()).is_empty());
                             batch.run(&g, sources).unwrap();
@@ -1708,10 +1676,9 @@ mod tests {
     }
 
     /// The ball rules at their edges, on a path `0 – 1 – … – 9` and two
-    /// components: `ℓ ≤ 1` is the centre alone at radius 0, depth-1 members
-    /// take the centre's own port, a cut level drops the radius by one, an
-    /// exactly full level does not, and a lane whose component runs out
-    /// first keeps all of it.
+    /// components: `ℓ ≤ 1` is the centre alone, depth-1 members take the
+    /// centre's own port, a cut level keeps its smallest ids and retires
+    /// the lane, and a lane whose component runs out first keeps all of it.
     #[test]
     fn bfs_batch_ball_rules() {
         let g = generators::path(10);
@@ -1719,17 +1686,15 @@ mod tests {
         let centre = [VertexId(4)];
         for ell in [0, 1] {
             batch.run_balls(&g, &centre, ell).unwrap();
-            assert_eq!((batch.members(0), batch.radius(0)), (&[VertexId(4)][..], 0));
+            assert_eq!(batch.members(0), [VertexId(4)]);
         }
         batch.run_balls(&g, &centre, 3).unwrap();
         assert_eq!(batch.members(0), [VertexId(4), VertexId(3), VertexId(5)]);
-        assert_eq!(batch.radius(0), 1, "level 1 filled the ball exactly");
         // Vertex 4's adjacency is [3, 5].
         assert_eq!(batch.first_port(0, VertexId(3)), Some(Port(0)));
         assert_eq!(batch.first_port(0, VertexId(5)), Some(Port(1)));
         batch.run_balls(&g, &centre, 4).unwrap();
         assert_eq!(batch.members(0), [VertexId(4), VertexId(3), VertexId(5), VertexId(2)]);
-        assert_eq!(batch.radius(0), 1, "level 2 was cut");
         assert_eq!(batch.first_port(0, VertexId(2)), Some(Port(0)), "inherited from 3");
         assert_eq!(batch.dist(0, VertexId(6)), Some(2), "the cut level is reached");
         assert_eq!(batch.dist(0, VertexId(7)), None, "the lane retired after it");
@@ -1743,7 +1708,6 @@ mod tests {
         batch.run_balls(&g, &[VertexId(1), VertexId(5)], 5).unwrap();
         assert_eq!(batch.members(0), [VertexId(1), VertexId(0), VertexId(2)]);
         assert_eq!(batch.members(1), [VertexId(5), VertexId(4), VertexId(3)]);
-        assert_eq!((batch.radius(0), batch.radius(1)), (1, 2));
     }
 
     #[test]

@@ -1217,7 +1217,7 @@ mod tests {
         }
         for u in g.vertices() {
             let key = format!("{key}, B({u})");
-            let (members, first_hops, _) = reference::ball_hashmap(g, u, ell);
+            let (members, first_hops) = reference::ball_hashmap(g, u, ell);
             let (ids, dists): (Vec<VertexId>, Vec<Weight>) = members.iter().copied().unzip();
             assert_eq!(decoded(t, u), (ids.clone(), Some(dists)), "{key}: members");
             assert_eq!(t.words_at(u), 3 * (ids.len() - 1), "{key}: words");
@@ -1441,7 +1441,7 @@ mod tests {
         );
         let t = BallTable::build(&g, 8);
         for u in g.vertices() {
-            let (members, first_hops, _) = reference::ball_hashmap(&g, u, 8);
+            let (members, first_hops) = reference::ball_hashmap(&g, u, 8);
             let view = t.ball(u);
             assert_eq!(view.members(), members);
             let ids: Vec<VertexId> = members.iter().map(|&(v, _)| v).collect();

@@ -285,8 +285,8 @@ const SLOT_HASH_MULT: u32 = 0x9E37_79B1;
 const EMPTY_KEY: u32 = u32::MAX;
 
 /// A reference ball, the rows [`reference::ball_hashmap`] returns: the
-/// members in settle order, their first hops and the radius.
-type RefBall = (Vec<(VertexId, Weight)>, Vec<Option<VertexId>>, Weight);
+/// members in settle order and their first hops.
+type RefBall = (Vec<(VertexId, Weight)>, Vec<Option<VertexId>>);
 
 /// `BallTable::build` at a given thread count; the caller holds
 /// `THREADS_LOCK`.
@@ -331,7 +331,7 @@ fn check_ball_table_probing(
         assert_eq!(ports.heap_bytes(), BallEncoding::Bitmap.bytes(g.n(), table.ell(), codec), "bitmap bytes");
     }
     for u in g.vertices() {
-        let (members, first_hops, _) = reference(u);
+        let (members, first_hops) = reference(u);
         let view = table.ball(u);
         let ids: Vec<VertexId> = members.iter().map(|&(v, _)| v).collect();
         let dists: Vec<Weight> = members.iter().map(|&(_, d)| d).collect();
@@ -479,7 +479,7 @@ proptest! {
     /// One reused `SearchScratch` running an interleaved mix of full,
     /// bounded, multi-source and restricted searches must agree search by
     /// search with the pre-refactor allocating implementations — distances,
-    /// parents, first hops, member order, radii and nearest-source labels.
+    /// parents, first hops, member order and nearest-source labels.
     #[test]
     fn scratch_kernel_matches_reference_searches((g, _seed) in arb_graph(), ell in 2usize..16) {
         let mut scratch = SearchScratch::for_graph(&g);
@@ -489,9 +489,8 @@ proptest! {
         for u in g.vertices().step_by(5) {
             // Bounded ball search first, so the following full search must
             // overwrite its partial state via the epoch stamp.
-            let radius = scratch.ball_into(&g, u, ell);
-            let (members, first_hops, radius_ref) = reference::ball_hashmap(&g, u, ell);
-            prop_assert_eq!(radius, radius_ref, "radius differs at {}", u);
+            scratch.ball_into(&g, u, ell);
+            let (members, first_hops) = reference::ball_hashmap(&g, u, ell);
             prop_assert_eq!(scratch.order(), members.as_slice());
             let hops: Vec<_> = members.iter().map(|&(v, _)| scratch.first_hop(v)).collect();
             prop_assert_eq!(hops, first_hops);
@@ -754,8 +753,8 @@ proptest! {
     /// components smaller than ℓ, both thread counts build the table the
     /// per-vertex reference search describes — every pair and the layout.
     /// Across block boundaries (n = 1100: nine blocks of 128 on unit
-    /// weights, sixteen of 69 with weight ties) every ball, radius and
-    /// first port still matches it.
+    /// weights, sixteen of 69 with weight ties) every ball and first port
+    /// still matches it.
     #[test]
     fn blocked_ball_build_matches_reference_on_unit_weights(seed in 1u64..500) {
         let _guard = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -782,7 +781,7 @@ proptest! {
                     "n = 1100, ℓ = {}, {:?}: thread counts differ", ell, weights
                 );
                 for u in g.vertices() {
-                    let (members, first_hops, _) = reference::ball_hashmap(&g, u, ell);
+                    let (members, first_hops) = reference::ball_hashmap(&g, u, ell);
                     prop_assert_eq!(table.ball(u).members(), members.clone());
                     for (&(v, _), hop) in members.iter().zip(first_hops) {
                         let port = hop.and_then(|hop| g.port_to(u, hop));
