@@ -143,8 +143,7 @@ pub fn vicinities(
         marked[w.index()] = true;
     }
     // Row `u` holds the pairs of `u`, in settle order.
-    let longest = g.weight_range().map_or(0, |(_, hi)| hi.saturating_mul(n.saturating_sub(1) as u64));
-    let codec = SlotCodec::new([bytes_for(n as u64), bytes_for(longest.saturating_add(1))]);
+    let codec = SlotCodec::new([bytes_for(n as u64), bytes_for(g.distance_bound().saturating_add(1))]);
     let (mut pairs, mut closed) = (PackedRows::with_capacity(codec, n, 0), Ok(()));
     let ports = BallPorts::build_visiting(g, ell, |ids, dists| {
         for (w, d) in ids.iter().zip(dists.iter()).filter(|&(w, _)| marked[w.index()]) {

@@ -11,10 +11,10 @@
 //! hierarchy under `tz*` and `thm16k*` builds each of its levels with it.
 //! Every family of trees built here — a cluster family's `T(w)`, the global
 //! trees — is one [`TreeForest`], built a block of roots at a time and
-//! appended in root order a round of blocks at a time, so no tree is an
-//! object of its own and no build holds a second forest. The round loop
-//! ([`by_rounds`]) is this module's one: Technique 1 fills its sequence
-//! store with it too, a round of sources at a time.
+//! appended in root order a round of blocks at a time
+//! ([`routing_par::by_rounds`], the round loop the ball table and
+//! Technique 1's sequence store run too), so no tree is an object of its
+//! own and no build holds a second forest.
 //!
 //! A scheme that needs both runs [`Vicinities::balls`], then
 //! [`landmark_clusters`], then [`Vicinities::colour`]: the landmark sample is
@@ -62,67 +62,25 @@ pub(crate) fn check(g: &Graph, params: &Params) -> Result<(), BuildError> {
     Ok(())
 }
 
-/// The rounds a build that appends its output a round at a time
-/// ([`by_rounds`]) runs in.
+/// The rounds the tree forests and Technique 1's sequences are built in.
 pub(crate) const ROUNDS: usize = 8;
 
-/// How [`by_rounds`] cuts `0..items`: into `rounds` rounds of consecutive
-/// items, each round a whole number of `align`-item runs (but the last),
-/// and each round into tasks of at most `task` items.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RoundPlan {
-    pub(crate) items: usize,
-    pub(crate) rounds: usize,
-    pub(crate) align: usize,
-    /// Items a task, given the round's length.
-    pub(crate) task: fn(usize) -> usize,
-}
-
-/// Runs `plan.items` items a round at a time: a round's tasks fan out over
-/// per-worker `scratch` workspaces, `run` building a task's output from
-/// its consecutive items, and `take` gets the round's items and outputs,
-/// in task order, before the next round starts. So a build that appends
-/// each round to what it keeps and then drops it holds one round of task
-/// outputs beside it, not all of them; what it builds does not depend on
-/// the rounds, the tasks nor the thread count when `take` appends in
-/// order. The price is a barrier a round, and a regrowth a round of what
-/// the outputs are appended to.
-pub(crate) fn by_rounds<S, T: Send>(
-    plan: RoundPlan,
-    scratch: impl Fn() -> S + Sync,
-    run: impl Fn(&mut S, Range<usize>) -> Result<T, BuildError> + Sync,
-    mut take: impl FnMut(Range<usize>, Vec<T>) -> Result<(), BuildError>,
-) -> Result<(), BuildError> {
-    let RoundPlan { items, rounds, align, task } = plan;
-    let round = items.div_ceil(rounds.max(1)).next_multiple_of(align.max(1)).max(1);
-    for first in (0..items).step_by(round) {
-        let last = items.min(first + round);
-        let width = task(last - first).max(1);
-        let outputs = routing_par::par_map_scratch((last - first).div_ceil(width), &scratch, |scratch, k| {
-            let lo = first + k * width;
-            run(scratch, lo..last.min(lo + width))
-        });
-        take(first..last, outputs.into_iter().collect::<Result<_, _>>()?)?;
-    }
-    Ok(())
-}
-
 /// One tree per root index in `0..roots`, built a round of consecutive
-/// roots at a time ([`by_rounds`]). A round fans out as blocks of
-/// consecutive roots (at most 64, at least eight blocks a worker): `build`
-/// runs a block's searches on a worker's workspace, appends their trees in
-/// root order to the chunk it is handed and returns what the caller keeps
-/// of the block besides. The chunks are trimmed as they finish and
-/// appended to the forest once their round is done, every offset rebased;
-/// `take` then gets the round's kept values, in block order. The forest
-/// therefore does not depend on the rounds, the blocks nor the thread
-/// count, no tree is an object of its own, and the build holds an eighth of
-/// the forest in chunks beside it, where appending every chunk at the end
-/// held a second forest. The price is a regrowth of the forest's arrays a
-/// round, and a barrier: on the `t2-geo-direct` graph (2 vCPUs), tz3's
-/// hierarchy built in 118 to 131 ms (medians of seven, five alternating
-/// runs) against 93 to 118 ms with every chunk appended at the end; at one
-/// thread the two overlap, 139 to 208 ms against 130 to 191.
+/// roots at a time ([`routing_par::by_rounds`]). A round fans out as blocks
+/// of consecutive roots (at most 64, at least eight blocks a worker):
+/// `build` runs a block's searches on a worker's workspace, appends their
+/// trees in root order to the chunk it is handed and returns what the
+/// caller keeps of the block besides. The chunks are trimmed as they finish
+/// and appended to the forest once their round is done, every offset
+/// rebased; `take` then gets the round's kept values, in block order. The
+/// forest therefore does not depend on the rounds, the blocks nor the
+/// thread count, no tree is an object of its own, and the build holds an
+/// eighth of the forest in chunks beside it, where appending every chunk at
+/// the end held a second forest. The price is a regrowth of the forest's
+/// arrays a round, and a barrier: on the `t2-geo-direct` graph (2 vCPUs),
+/// tz3's hierarchy built in 118 to 131 ms (medians of seven, five
+/// alternating runs) against 93 to 118 ms with every chunk appended at the
+/// end; at one thread the two overlap, 139 to 208 ms against 130 to 191.
 fn forest_by_blocks<T: Send>(
     g: &Graph,
     roots: usize,
@@ -131,11 +89,11 @@ fn forest_by_blocks<T: Send>(
 ) -> Result<TreeForest, BuildError> {
     let empty = TreeForest::new(g);
     let mut forest = empty.clone();
-    let plan = RoundPlan {
+    let plan = routing_par::RoundPlan {
         items: roots,
         rounds: ROUNDS,
         align: 1,
-        task: |round| round.div_ceil(8 * routing_par::threads()).clamp(1, 64),
+        task: |round: usize| round.div_ceil(8 * routing_par::threads()).clamp(1, 64),
     };
     let run = |scratch: &mut SearchScratch, block: Range<usize>| {
         let mut chunk = empty.clone();
@@ -143,7 +101,7 @@ fn forest_by_blocks<T: Send>(
         chunk.shrink_to_fit();
         Ok((chunk, kept))
     };
-    by_rounds(plan, || SearchScratch::for_graph(g), run, |_, blocks| {
+    routing_par::by_rounds(plan, || SearchScratch::for_graph(g), run, |_, blocks| {
         let (chunks, kept): (Vec<TreeForest>, Vec<T>) = blocks.into_iter().unzip();
         forest.append(chunks).map_err(tree_error)?;
         take(kept)
@@ -397,8 +355,7 @@ impl ClusterFamily {
         labels: impl Fn(VertexId) -> Labels + Sync,
     ) -> Result<(Self, DistLists), BuildError> {
         let n = g.n();
-        let longest = g.weight_range().map_or(0, |(_, hi)| hi.saturating_mul(n.saturating_sub(1) as u64));
-        let empty = DistLists::empty(n, longest)?;
+        let empty = DistLists::empty(n, g.distance_bound())?;
         let mut members = empty.clone();
         let build = |scratch: &mut SearchScratch, block: Range<usize>, chunk: &mut TreeForest| {
             let (mut rows, mut row) = (empty.clone(), Vec::new());

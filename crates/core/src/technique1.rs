@@ -19,12 +19,12 @@
 //! cursor into that arena and the tree label as a view into `T(w)`'s table.
 //! A sequence reads only a shortest `u`–`v` path and the distance from `u`
 //! to each vertex on it, so one search per source serves all its set's
-//! members. On a unit-weight graph — Theorems 10, 13 and 15 take those, and
-//! the warm-up is run on them — the searches come from
-//! [`BfsBatch`], one bit-parallel BFS per 64
-//! consecutive sources, whose paths are the ones Dijkstra's `(distance, id)`
-//! rule picks; on a weighted graph each source runs a target-bounded
-//! Dijkstra that stops at its last set member.
+//! members. The searches are [`SearchBatch::run_targets`] runs: on a
+//! unit-weight graph — Theorems 10, 13 and 15 take those, and the warm-up
+//! is run on them — one bit-parallel BFS per 64 consecutive sources, whose
+//! paths are the ones Dijkstra's `(distance, id)` rule picks; on a weighted
+//! graph a target-bounded Dijkstra a source that stops at its last set
+//! member.
 //!
 //! **Routing.** The sequence travels in the message header. The message hops
 //! from temporary target to temporary target (ball hops via Lemma 2, edge
@@ -32,14 +32,13 @@
 //! the remaining distance is covered on the tree `T(w)` using `v`'s tree
 //! label. The traversed path has weight at most `(1+ε)·d(u, v)`.
 
-use routing_graph::scratch::BFS_BATCH_WIDTH;
-use routing_graph::{BfsBatch, Graph, PackedView, SearchScratch, SlotCodec, VertexId, Weight};
+use routing_graph::{Graph, PackedView, SearchBatch, SlotCodec, VertexId, Weight};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
 use routing_tree::{TreeForest, TreeLabelView, TreeView};
 use routing_vicinity::{hitting_set_of_vicinities, BallDists, BallPorts, BallTable};
 
 use crate::seq::{push_hops, walk_round, SeqChunk, SeqCursor, SeqEntry, SeqStore, SeqStoreBuilder};
-use crate::stages::{self, by_rounds, RoundPlan, ROUNDS};
+use crate::stages::{self, ROUNDS};
 use crate::{BuildError, Params};
 
 /// The header carried by a message routed with the first technique: the
@@ -91,16 +90,12 @@ impl Technique1Router {
     /// trees must span `V`.
     ///
     /// The sequences come from one search per source with another member
-    /// in its set: a bit-parallel BFS per 64 consecutive sources on a
-    /// unit-weight graph, a target-bounded Dijkstra per source otherwise.
-    /// The sources run a round at a time ([`stages::by_rounds`], eight
-    /// rounds, each a whole number of batches): each round's chunks, one a
-    /// batch or source, are appended to the sequence store and charged to
+    /// in its set, run by [`SearchBatch::run_targets`] eight rounds of
+    /// whole runs at a time ([`routing_par::by_rounds`]): each round's
+    /// chunks, one a run, are appended to the sequence store and charged to
     /// their sources' words, then dropped, so the build holds one round of
-    /// chunks beside the store, and the store's arrays grow by exactly each
-    /// round's rows, keeping no slack. Both kernels give the same paths and
-    /// keep the source order, so the router does not depend on the kernel,
-    /// the rounds nor the thread count.
+    /// chunks beside the store, which keeps no slack. The router does not
+    /// depend on the kernel, the rounds nor the thread count.
     ///
     /// # Errors
     ///
@@ -114,19 +109,19 @@ impl Technique1Router {
         set_of: impl Fn(VertexId) -> u32,
         params: &Params,
     ) -> Result<Self, BuildError> {
-        Self::build_by(g, balls, set_of, params, true, ROUNDS)
+        Self::build_by(g, balls, set_of, params, SearchBatch::for_graph, ROUNDS)
     }
 
-    /// [`Technique1Router::build`] with the batch BFS only when `batch` is
-    /// set (and the graph takes it), in `rounds` rounds: the tests pin the
-    /// batch BFS to the Dijkstra kernel, and the store built by rounds to
-    /// the store built at once, with it.
+    /// [`Technique1Router::build`] on the searches `search` makes, in
+    /// `rounds` rounds: the tests pin the batch BFS to the Dijkstra kernel
+    /// of [`SearchBatch::scalar`], and the store built by rounds to the
+    /// store built at once, with it.
     fn build_by(
         g: &Graph,
         balls: &BallTable,
         set_of: impl Fn(VertexId) -> u32,
         params: &Params,
-        batch: bool,
+        search: fn(&Graph) -> SearchBatch,
         rounds: usize,
     ) -> Result<Self, BuildError> {
         let (n, b) = (g.n(), params.b_lemma7());
@@ -150,21 +145,10 @@ impl Technique1Router {
         let sources = same_set_sources(&by_set, &set_of);
         let codec = SlotCodec::for_graph(g);
         let walk = SeqBuilder { g, balls, b, hitting: &hitting, codec };
-        // The batch BFS takes exactly the unit-weight graphs; on those the
-        // `k`-th vertex of a shortest path from the source is at distance
-        // `k`.
-        let batch = batch && g.is_unweighted();
-        let ramp: Vec<Weight> = if batch { (0..n as Weight).collect() } else { Vec::new() };
-        let (align, task): (usize, fn(usize) -> usize) =
-            if batch { (BFS_BATCH_WIDTH, |_| BFS_BATCH_WIDTH) } else { (1, |_| 1) };
-        let plan = RoundPlan { items: sources.len(), rounds, align, task };
-        let scratch = || match batch.then(|| BfsBatch::for_graph(g)).flatten() {
-            Some(bfs) => SeqSearch::Batch(bfs, Vec::new(), Vec::new()),
-            None => SeqSearch::Dijkstra(SearchScratch::for_graph(g), Vec::new(), Vec::new()),
-        };
-        let run = |search: &mut SeqSearch, tasks| walk.chunk(search, &sources[tasks], &ramp);
+        let plan = search(g).rounds(sources.len(), rounds);
+        let run = |search: &mut SearchBatch, tasks| walk.chunk(search, &sources[tasks]);
         let mut seqs = SeqStoreBuilder::new(codec, n);
-        by_rounds(plan, scratch, run, |round, chunks| {
+        routing_par::by_rounds(plan, || search(g), run, |round, chunks| {
             let pairs = sources[round].iter().flat_map(|&(u, members)| {
                 members.iter().filter(move |&&v| v != u).map(move |&v| (u, v))
             });
@@ -412,70 +396,23 @@ struct SeqBuilder<'a> {
     codec: SlotCodec<2>,
 }
 
-/// One worker's Lemma 7 search, chosen once for the build, with its
-/// buffers.
-enum SeqSearch {
-    /// The batch BFS, on a unit-weight graph, with the batch's sources and
-    /// a path.
-    Batch(BfsBatch, Vec<VertexId>, Vec<VertexId>),
-    /// A target-bounded Dijkstra, with a path and the distances along it.
-    Dijkstra(SearchScratch, Vec<VertexId>, Vec<Weight>),
-}
-
 impl SeqBuilder<'_> {
     /// The sequences of `sources`, in order, one per other member of each
-    /// source's set, as one chunk: from one bit-parallel BFS over at most
-    /// [`BFS_BATCH_WIDTH`] consecutive sources, reading distances off
-    /// `ramp` (`0..n`), or from one target-bounded Dijkstra a source. A
-    /// source only reads shortest paths to its own set members, and every
-    /// vertex those paths visit is an ancestor of a member, settled before
-    /// it, so the Dijkstra stops at the member settled last; it is the
-    /// kernel for weighted graphs, and the reference the batch BFS is
-    /// tested against.
-    fn chunk(
-        &self,
-        search: &mut SeqSearch,
-        sources: &[(VertexId, &[VertexId])],
-        ramp: &[Weight],
-    ) -> Result<SeqChunk, BuildError> {
+    /// source's set, as one chunk, from one [`SearchBatch::run_targets`]
+    /// run: every vertex a path to a member visits is settled before it,
+    /// so a Dijkstra may stop at the member settled last.
+    fn chunk(&self, search: &mut SearchBatch, sources: &[(VertexId, &[VertexId])]) -> Result<SeqChunk, BuildError> {
         let g = self.g;
         let _frontier = routing_obs::span("settled-frontier");
         let mut chunk = SeqChunk::new(self.codec);
-        match search {
-            SeqSearch::Batch(bfs, ids, path) => {
-                ids.clear();
-                ids.extend(sources.iter().map(|&(u, _)| u));
-                bfs.run(g, ids).map_err(|e| BuildError::BadParameter { what: e.to_string() })?;
-                routing_obs::counters::BUILD_SETTLED_VERTICES.add(bfs.reached() as u64);
-                for (i, &(u, members)) in sources.iter().enumerate() {
-                    for &v in members.iter().filter(|&&v| v != u) {
-                        if !bfs.path_into(g, i, v, path) {
-                            return Err(BuildError::Disconnected);
-                        }
-                        self.sequence(path, ramp.get(..path.len()).unwrap_or_default(), &mut chunk)?;
-                        chunk.close()?;
-                    }
-                }
-            }
-            SeqSearch::Dijkstra(scratch, path, prefix) => {
-                for &(u, members) in sources {
-                    scratch.dijkstra_targets_into(g, u, members);
-                    routing_obs::counters::BUILD_EARLY_EXIT_SEARCHES.inc();
-                    for &v in members.iter().filter(|&&v| v != u) {
-                        // Every member is a target, so it is settled
-                        // unless unreachable.
-                        if !scratch.path_into(v, path) {
-                            return Err(BuildError::Disconnected);
-                        }
-                        prefix.clear();
-                        for &x in path.iter() {
-                            prefix.push(scratch.dist(x).ok_or(BuildError::Disconnected)?);
-                        }
-                        self.sequence(path, prefix, &mut chunk)?;
-                        chunk.close()?;
-                    }
-                    routing_obs::counters::BUILD_SETTLED_VERTICES.add(scratch.order().len() as u64);
-                }
+        search.run_targets(g, sources).map_err(|e| BuildError::BadParameter { what: e.to_string() })?;
+        for (i, &(u, members)) in sources.iter().enumerate() {
+            for &v in members.iter().filter(|&&v| v != u) {
+                // Every member is a target, so it is settled unless
+                // unreachable.
+                let (path, prefix) = search.path(g, i, v).ok_or(BuildError::Disconnected)?;
+                self.sequence(path, prefix, &mut chunk)?;
+                chunk.close()?;
             }
         }
         chunk.shrink_to_fit();
@@ -653,7 +590,8 @@ mod tests {
     use rand::SeedableRng;
     use routing_graph::apsp::DistanceMatrix;
     use routing_graph::generators::{self, WeightModel};
-    use routing_graph::Port;
+    use routing_graph::scratch::BFS_BATCH_WIDTH;
+    use routing_graph::{Port, SearchScratch};
     use routing_model::simulate;
     use routing_tree::TreeLabel;
     use routing_vicinity::hitting::hits_all;
@@ -810,7 +748,7 @@ mod tests {
                 let router = Technique1Router::build(g, &balls, set_of, &params).unwrap();
                 assert_eq!(same_set_sources(&sort_by_set(g.n(), set_of), set_of).len(), g.n());
                 let reference =
-                    Technique1Router::build_by(g, &balls, set_of, &params, false, ROUNDS).unwrap();
+                    Technique1Router::build_by(g, &balls, set_of, &params, SearchBatch::scalar, ROUNDS).unwrap();
                 assert_same_sequences(&format!("{name} x{threads}"), g, &router, &reference);
             }
             routing_par::set_threads(routing_par::available_threads());
@@ -834,7 +772,7 @@ mod tests {
             assert_ne!(g.n() % (BFS_BATCH_WIDTH * ROUNDS), 0, "{name}: the last round is short");
             let set_of = set_mod(12);
             let balls = BallTable::build_with_dists(g, params.scaled(12, g.n()), BallDists::Skip);
-            let at_once = Technique1Router::build_by(g, &balls, set_of, &params, true, 1).unwrap();
+            let at_once = Technique1Router::build_by(g, &balls, set_of, &params, SearchBatch::for_graph, 1).unwrap();
             for threads in [1, 2, 4] {
                 routing_par::set_threads(threads);
                 let by_rounds = Technique1Router::build(g, &balls, set_of, &params).unwrap();

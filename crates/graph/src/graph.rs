@@ -188,6 +188,14 @@ impl Graph {
         Some((lo, hi))
     }
 
+    /// A bound no shortest-path distance of the graph exceeds: `n − 1`
+    /// heaviest edges, saturating at [`Weight::MAX`], and `0` without an
+    /// edge. A build that packs distances before its searches run sizes
+    /// the field by it.
+    pub fn distance_bound(&self) -> Weight {
+        self.weight_range().map_or(0, |(_, hi)| hi.saturating_mul(self.n().saturating_sub(1) as u64))
+    }
+
     /// Returns true if the graph is connected (the empty graph and the
     /// single-vertex graph count as connected).
     pub fn is_connected(&self) -> bool {
@@ -403,6 +411,31 @@ mod tests {
         let g = b.build();
         assert!(g.is_unweighted());
         assert_eq!(g.weight_range(), Some((1, 1)));
+    }
+
+    /// `distance_bound` is `n − 1` heaviest edges: on a unit and a
+    /// weighted graph, a single vertex, an edgeless pair and a graph whose
+    /// heaviest edge saturates the product.
+    #[test]
+    fn distance_bound_is_n_minus_one_heaviest_edges() {
+        let old = |g: &Graph| g.weight_range().map_or(0, |(_, hi)| hi.saturating_mul(g.n().saturating_sub(1) as u64));
+        let mut unit = GraphBuilder::new(4);
+        unit.add_unit_edge(0, 1).unwrap();
+        unit.add_unit_edge(1, 2).unwrap();
+        let mut huge = GraphBuilder::new(3);
+        huge.add_edge(0, 1, 1).unwrap();
+        huge.add_edge(1, 2, Weight::MAX).unwrap();
+        let cases = [
+            (unit.build(), 3),
+            (triangle(), 8),
+            (GraphBuilder::new(1).build(), 0),
+            (GraphBuilder::new(2).build(), 0),
+            (huge.build(), Weight::MAX),
+        ];
+        for (g, bound) in cases {
+            assert_eq!(g.distance_bound(), bound, "n = {}, weights {:?}", g.n(), g.weight_range());
+            assert_eq!(g.distance_bound(), old(&g), "n = {}", g.n());
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   search; every preprocessing hot path holds one per worker thread. On
 //!   unit-weight graphs, [`BfsBatch`] runs 64 full or ball searches as one
 //!   bit-parallel BFS sweep with the same distances, paths, balls and first
-//!   ports.
+//!   ports; [`SearchBatch`] picks between the two for a build's sweeps.
 //! * [`mod@reference`] — the pre-refactor allocating implementations, kept
 //!   as bit-identity baselines for the equivalence tests.
 //! * [`generators`] — seeded synthetic graph families used by the experiment
@@ -77,7 +77,7 @@ pub mod scratch;
 pub use apsp::DistanceOracle;
 pub use codec::{PackedColumn, PackedRows, PackedView, RowsView, SlotCodec, SLOT_PAD};
 pub use error::GraphError;
-pub use scratch::{BfsBatch, SearchScratch};
+pub use scratch::{BfsBatch, SearchBatch, SearchScratch};
 pub use graph::{EdgeRef, Graph, GraphBuilder, Port, VertexId, Weight, INFINITY};
 pub use mutate::{ChurnEvent, Mutation, MutationError, MutationStats};
 pub use sampled::SampledDistances;

@@ -48,7 +48,8 @@
 //! searches as one bit-parallel breadth-first sweep: full searches, with the
 //! distances and tree paths [`SearchScratch::dijkstra_into`] gives, or ball
 //! searches under a per-source budget `ℓ`, with the members and first
-//! ports [`SearchScratch::ball_into`] gives.
+//! ports [`SearchScratch::ball_into`] gives. [`SearchBatch`] runs a build's
+//! per-source sweeps on whichever of the two the graph takes.
 //!
 //! # Example
 //!
@@ -67,6 +68,8 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+
+use routing_par::RoundPlan;
 
 use crate::{EdgeRef, Graph, GraphError, Port, VertexId, Weight, INFINITY};
 
@@ -952,6 +955,7 @@ impl BfsBatch {
     /// its shortest path to `v`, the one [`SearchScratch::ball_into`]'s
     /// first hop names; `None` for the centre itself, after a full run, and
     /// for a `v` the lane did not reach.
+    #[inline]
     pub fn first_port(&self, i: usize, v: VertexId) -> Option<Port> {
         if self.budget == 0 || self.level_of(i, v)? == 0 {
             return None;
@@ -1004,6 +1008,163 @@ impl BfsBatch {
     /// run, each source's component, itself included).
     pub fn reached(&self) -> usize {
         self.lanes.iter().map(|l| l.seen.count_ones() as usize).sum()
+    }
+}
+
+/// One worker's searches from a batch of sources, on the kernel its graph
+/// takes — the one place a build chooses it: a [`BfsBatch`] sweep of up
+/// to [`BFS_BATCH_WIDTH`] sources on unit weights, one [`SearchScratch`]
+/// Dijkstra a source otherwise; both give the same balls and paths. Lane
+/// `i` of a run is its `i`-th source. The workspace is allocated by the
+/// first run, so a batch made to read its [`rounds`](Self::rounds) costs
+/// nothing.
+#[derive(Debug, Clone)]
+pub struct SearchBatch {
+    kernel: Kernel,
+    /// The sources of the last run: `ids[..lanes]`.
+    ids: [VertexId; BFS_BATCH_WIDTH],
+    lanes: usize,
+    /// The last path read, and the distance to each of its vertices.
+    path: Vec<VertexId>,
+    prefix: Vec<Weight>,
+}
+
+/// The kernel a [`SearchBatch`] runs, `None` until its first run.
+#[derive(Debug, Clone)]
+enum Kernel {
+    Bfs(Option<BfsBatch>),
+    Dijkstra(Option<SearchScratch>),
+}
+
+impl SearchBatch {
+    /// The batch BFS on a unit-weight `g`, a Dijkstra a source otherwise.
+    pub fn for_graph(g: &Graph) -> Self {
+        let kernel = if g.is_unweighted() { Kernel::Bfs(None) } else { Kernel::Dijkstra(None) };
+        SearchBatch { kernel, ids: [VertexId(0); BFS_BATCH_WIDTH], lanes: 0, path: Vec::new(), prefix: Vec::new() }
+    }
+
+    /// A Dijkstra a source on any graph: the reference the batch BFS is
+    /// held to. It takes `g` only to have [`for_graph`](Self::for_graph)'s
+    /// signature.
+    pub fn scalar(g: &Graph) -> Self {
+        SearchBatch { kernel: Kernel::Dijkstra(None), ..Self::for_graph(g) }
+    }
+
+    /// The sources a run takes: [`BFS_BATCH_WIDTH`], or one for Dijkstra.
+    pub fn width(&self) -> usize {
+        if matches!(self.kernel, Kernel::Bfs(_)) { BFS_BATCH_WIDTH } else { 1 }
+    }
+
+    /// `items` consecutive sources in `rounds` rounds
+    /// ([`routing_par::by_rounds`]), every round but the last a whole
+    /// number of runs, a task a run.
+    pub fn rounds(&self, items: usize, rounds: usize) -> RoundPlan<impl Fn(usize) -> usize> {
+        let width = self.width();
+        RoundPlan { items, rounds, align: width, task: move |_| width }
+    }
+
+    /// Takes a run's sources, allocating the workspace on the first run.
+    /// Refuses, leaving no lane, more than [`width`](Self::width) sources,
+    /// one outside `g`, or the batch BFS on a weighted `g`.
+    fn start(&mut self, g: &Graph, sources: impl ExactSizeIterator<Item = VertexId>) -> Result<(), GraphError> {
+        self.lanes = 0;
+        let (len, width) = (sources.len(), self.width());
+        if len > width {
+            return Err(GraphError::BatchTooWide { sources: len, width });
+        }
+        for (id, s) in self.ids.iter_mut().zip(sources) {
+            if s.index() >= g.n() {
+                return Err(GraphError::VertexOutOfRange { vertex: s.index(), n: g.n() });
+            }
+            *id = s;
+        }
+        match &mut self.kernel {
+            Kernel::Bfs(bfs @ None) => *bfs = Some(BfsBatch::for_graph(g).ok_or(GraphError::NotUnitWeight)?),
+            Kernel::Dijkstra(scratch @ None) => *scratch = Some(SearchScratch::for_graph(g)),
+            _ => {}
+        }
+        self.lanes = len;
+        Ok(())
+    }
+
+    /// Runs the ball search `B(c, ℓ)` from each centre `c`: one budgeted
+    /// sweep ([`BfsBatch::run_balls`]) or a [`SearchScratch::ball_into`].
+    ///
+    /// # Errors
+    ///
+    /// Runs nothing on what [`BfsBatch::run_balls`] refuses, at either
+    /// kernel's width.
+    pub fn run_balls(&mut self, g: &Graph, centres: impl ExactSizeIterator<Item = VertexId>, ell: usize) -> Result<(), GraphError> {
+        self.start(g, centres)?;
+        let centres = &self.ids[..self.lanes];
+        match &mut self.kernel {
+            Kernel::Bfs(Some(bfs)) => bfs.run_balls(g, centres, ell)?,
+            Kernel::Dijkstra(Some(scratch)) => centres.iter().for_each(|&c| scratch.ball_into(g, c, ell)),
+            _ => {}
+        }
+        Ok(())
+    }
+
+    /// Runs a search from each source that settles at least its targets —
+    /// a full sweep ([`BfsBatch::run`]) or a
+    /// [`SearchScratch::dijkstra_targets_into`] — and counts them in
+    /// `BUILD_SETTLED_VERTICES` and, for Dijkstra, `BUILD_EARLY_EXIT_SEARCHES`.
+    ///
+    /// # Errors
+    ///
+    /// As [`run_balls`](Self::run_balls).
+    pub fn run_targets(&mut self, g: &Graph, searches: &[(VertexId, &[VertexId])]) -> Result<(), GraphError> {
+        use routing_obs::counters::{BUILD_EARLY_EXIT_SEARCHES, BUILD_SETTLED_VERTICES};
+        self.start(g, searches.iter().map(|&(s, _)| s))?;
+        match &mut self.kernel {
+            Kernel::Bfs(Some(bfs)) => {
+                bfs.run(g, &self.ids[..self.lanes])?;
+                BUILD_SETTLED_VERTICES.add(bfs.reached() as u64);
+            }
+            Kernel::Dijkstra(Some(scratch)) => {
+                for &(s, targets) in searches {
+                    scratch.dijkstra_targets_into(g, s, targets);
+                    BUILD_EARLY_EXIT_SEARCHES.inc();
+                    BUILD_SETTLED_VERTICES.add(scratch.order().len() as u64);
+                }
+            }
+            _ => {}
+        }
+        Ok(())
+    }
+
+    /// Lane `i`'s ball: `(member, distance, first port)` in `(distance, id)`
+    /// order, the centre first with no port; empty for a lane the run lacked.
+    pub fn ball<'a>(&'a self, g: &'a Graph, i: usize) -> impl ExactSizeIterator<Item = (VertexId, Weight, Option<Port>)> + 'a {
+        let (bfs, scratch) = match &self.kernel {
+            Kernel::Bfs(bfs) => (bfs.as_ref().filter(|_| i < self.lanes), None),
+            Kernel::Dijkstra(scratch) => (None, scratch.as_ref().filter(|_| i < self.lanes)),
+        };
+        let members = bfs.map_or(&[][..], |bfs| bfs.members(i));
+        let order = scratch.map_or(&[][..], SearchScratch::order);
+        (0..members.len() + order.len()).map(move |k| match bfs {
+            Some(bfs) => (members[k], bfs.dist(i, members[k]).unwrap_or(0), bfs.first_port(i, members[k])),
+            None => (order[k].0, order[k].1, scratch.and_then(|s| g.port_to(self.ids[i], s.first_hop(order[k].0)?))),
+        })
+    }
+
+    /// Lane `i`'s shortest path to `v` — [`SearchScratch::path_to`]'s — and
+    /// the distance to each of its vertices; `None` if it did not settle `v`.
+    pub fn path(&mut self, g: &Graph, i: usize, v: VertexId) -> Option<(&[VertexId], &[Weight])> {
+        self.prefix.clear();
+        match &self.kernel {
+            Kernel::Bfs(Some(bfs)) if i < self.lanes && bfs.path_into(g, i, v, &mut self.path) => {
+                // On unit weights the `k`-th vertex of a path is at distance `k`.
+                self.prefix.extend(0..self.path.len() as Weight);
+            }
+            Kernel::Dijkstra(Some(scratch)) if i < self.lanes && scratch.path_into(v, &mut self.path) => {
+                for &x in &self.path {
+                    self.prefix.push(scratch.dist(x)?);
+                }
+            }
+            _ => return None,
+        }
+        Some((&self.path, &self.prefix))
     }
 }
 
@@ -1708,6 +1869,50 @@ mod tests {
         batch.run_balls(&g, &[VertexId(1), VertexId(5)], 5).unwrap();
         assert_eq!(batch.members(0), [VertexId(1), VertexId(0), VertexId(2)]);
         assert_eq!(batch.members(1), [VertexId(5), VertexId(4), VertexId(3)]);
+    }
+
+    /// A `SearchBatch` reads each lane as its kernel found it: on every
+    /// unit family (two components included) the batch BFS and `scalar`'s
+    /// Dijkstra, run a source at a time, give the same balls — members,
+    /// distances and first ports, at ℓ ∈ {1, 7, n} — and the same paths
+    /// with their prefix distances to every vertex. A weighted graph takes
+    /// the Dijkstra. A refused run — more than `width` sources, or one
+    /// outside the graph — leaves no lane.
+    #[test]
+    fn search_batch_lanes_equal_the_scalar_kernel_and_refusals_leave_none() {
+        for (name, g) in unit_families(65) {
+            let (mut batch, mut scalar) = (SearchBatch::for_graph(&g), SearchBatch::scalar(&g));
+            assert_eq!((batch.width(), scalar.width()), (BFS_BATCH_WIDTH, 1), "{name}");
+            let sources: Vec<VertexId> = g.vertices().skip(1).collect();
+            for ell in [1, 7, g.n()] {
+                batch.run_balls(&g, sources.iter().copied(), ell).unwrap();
+                for (i, &c) in sources.iter().enumerate() {
+                    scalar.run_balls(&g, [c].into_iter(), ell).unwrap();
+                    assert!(batch.ball(&g, i).eq(scalar.ball(&g, 0)), "{name}: B({c}, {ell})");
+                }
+            }
+            let everyone: Vec<VertexId> = g.vertices().collect();
+            let searches: Vec<(VertexId, &[VertexId])> = sources.iter().map(|&s| (s, &everyone[..])).collect();
+            batch.run_targets(&g, &searches).unwrap();
+            for i in 0..searches.len() {
+                scalar.run_targets(&g, &searches[i..=i]).unwrap();
+                for v in g.vertices() {
+                    let owned = |(p, d): (&[VertexId], &[Weight])| (p.to_vec(), d.to_vec());
+                    let (one, other) = (batch.path(&g, i, v).map(owned), scalar.path(&g, 0, v).map(owned));
+                    assert_eq!(one, other, "{name}: {} to {v}", searches[i].0);
+                }
+            }
+            let wide = batch.run_targets(&g, &[searches[0]; BFS_BATCH_WIDTH + 1]);
+            assert_eq!(wide, Err(GraphError::BatchTooWide { sources: BFS_BATCH_WIDTH + 1, width: BFS_BATCH_WIDTH }));
+            assert!(batch.path(&g, 0, VertexId(0)).is_none() && batch.ball(&g, 0).len() == 0, "{name}");
+            let two = scalar.run_balls(&g, sources[..2].iter().copied(), 3);
+            assert_eq!(two, Err(GraphError::BatchTooWide { sources: 2, width: 1 }));
+            assert_eq!(scalar.ball(&g, 0).len(), 0, "{name}");
+            let outside = scalar.run_targets(&g, &[(VertexId(65), &everyone[..])]);
+            assert_eq!(outside, Err(GraphError::VertexOutOfRange { vertex: 65, n: 65 }));
+            assert!(scalar.path(&g, 0, VertexId(0)).is_none(), "{name}");
+        }
+        assert_eq!(SearchBatch::for_graph(&random_graph(3)).width(), 1, "weighted graphs take Dijkstra");
     }
 
     #[test]

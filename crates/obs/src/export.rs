@@ -1,14 +1,12 @@
 //! Exporters: render a [`MetricSet`] as Prometheus text exposition or as a
-//! JSON object, and render a span forest ([`crate::report`]) as JSON or an
-//! indented text tree.
+//! JSON object.
 //!
 //! Both writers are hand-rolled over `std` only — metric names are ASCII
-//! identifiers under the workspace's control, help strings and span names
-//! are escaped defensively, and numbers are emitted in plain decimal so the
-//! artifacts diff cleanly across runs.
+//! identifiers under the workspace's control, help strings are escaped
+//! defensively, and numbers are emitted in plain decimal so the artifacts
+//! diff cleanly across runs.
 
 use crate::metrics::{HistogramSummary, MetricSet, MetricValue};
-use crate::profile::SpanNode;
 
 /// Escapes a string for a JSON string literal or a Prometheus HELP line.
 fn escape(s: &str) -> String {
@@ -108,61 +106,6 @@ pub fn json(set: &MetricSet) -> String {
     format!("{{\n{}\n}}\n", parts.join(",\n"))
 }
 
-fn span_json(node: &SpanNode, out: &mut String) {
-    out.push_str(&format!(
-        "{{\"name\": \"{}\", \"count\": {}, \"total_ms\": {}, \"children\": [",
-        escape(node.name),
-        node.count,
-        json_f64(node.total_ms()),
-    ));
-    for (i, child) in node.children.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        span_json(child, out);
-    }
-    out.push_str("]}");
-}
-
-/// Renders a span forest ([`crate::report`]) as a JSON array of
-/// `{name, count, total_ms, children}` trees.
-pub fn spans_json(forest: &[SpanNode]) -> String {
-    let mut out = String::from("[");
-    for (i, node) in forest.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        span_json(node, &mut out);
-    }
-    out.push(']');
-    out
-}
-
-fn span_text(node: &SpanNode, depth: usize, out: &mut String) {
-    out.push_str(&format!(
-        "{:indent$}{:<32} {:>10.1} ms  x{}\n",
-        "",
-        node.name,
-        node.total_ms(),
-        node.count,
-        indent = depth * 2,
-    ));
-    for child in &node.children {
-        span_text(child, depth + 1, out);
-    }
-}
-
-/// Renders a span forest as an indented text tree (`name  total_ms  xcount`
-/// per line). No binary calls it: the benchmark reads
-/// [`report`](crate::report) directly.
-pub fn spans_text(forest: &[SpanNode]) -> String {
-    let mut out = String::new();
-    for node in forest {
-        span_text(node, 0, &mut out);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,30 +193,6 @@ mod tests {
             assert!(!in_str, "unterminated string: {s}");
             Value(s.to_string())
         }
-    }
-
-    #[test]
-    fn span_exporters_render_the_tree() {
-        let forest = vec![SpanNode {
-            name: "build",
-            count: 1,
-            total_ns: 2_500_000,
-            children: vec![SpanNode {
-                name: "balls",
-                count: 3,
-                total_ns: 1_000_000,
-                children: Vec::new(),
-            }],
-        }];
-        let js = spans_json(&forest);
-        assert!(js.contains("\"name\": \"build\""));
-        assert!(js.contains("\"total_ms\": 2.5"));
-        assert!(js.contains("\"name\": \"balls\""));
-        let _ = serde_json_compat::parse(&js);
-        let text = spans_text(&forest);
-        assert!(text.contains("build"));
-        assert!(text.contains("  balls"), "children are indented: {text}");
-        assert!(text.contains("x3"));
     }
 
     #[test]

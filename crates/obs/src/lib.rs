@@ -44,8 +44,7 @@
 //!    histograms.
 //! 3. [`export`] — [`export::prometheus`] renders a `MetricSet` in the
 //!    text exposition format (histograms as summaries with quantile
-//!    labels); [`export::json`] renders the same set as a JSON object;
-//!    [`export::spans_json`]/[`export::spans_text`] render a span forest.
+//!    labels); [`export::json`] renders the same set as a JSON object.
 //!
 //! The [`LatencyHistogram`] (HDR-style log-linear, mergeable) lives here
 //! too — promoted out of `routing-serve`, which re-exports it.

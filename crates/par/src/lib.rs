@@ -46,6 +46,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -237,6 +238,50 @@ where
     out
 }
 
+/// How [`by_rounds`] cuts `0..items`: into `rounds` rounds of consecutive
+/// items, each a whole number of `align`-item runs but the last, and each
+/// round into tasks of at most `task(len)` items, `len` the round's.
+#[derive(Debug, Clone, Copy)]
+pub struct RoundPlan<T> {
+    /// The items, `0..items`.
+    pub items: usize,
+    /// The rounds they run in.
+    pub rounds: usize,
+    /// Every round but the last is a multiple of this many items.
+    pub align: usize,
+    /// A task's most items, given its round's length.
+    pub task: T,
+}
+
+/// Runs `plan.items` items a round at a time: a round's tasks fan out over
+/// per-worker `scratch` workspaces ([`par_map_scratch`]), `run` building a
+/// task's output from its consecutive items, and `take` gets the round's
+/// items and outputs, in task order, before the next round starts. So a
+/// build that appends each round to what it keeps holds one round of
+/// outputs beside it, and what it builds does not depend on the rounds,
+/// the tasks nor the thread count. A round's first error, in task order,
+/// is returned once its tasks are done, and no later round runs.
+#[track_caller]
+pub fn by_rounds<S, T: Send, E: Send>(
+    plan: RoundPlan<impl Fn(usize) -> usize>,
+    scratch: impl Fn() -> S + Sync,
+    run: impl Fn(&mut S, Range<usize>) -> Result<T, E> + Sync,
+    mut take: impl FnMut(Range<usize>, Vec<T>) -> Result<(), E>,
+) -> Result<(), E> {
+    let RoundPlan { items, rounds, align, task } = plan;
+    let round = items.div_ceil(rounds.max(1)).next_multiple_of(align.max(1)).max(1);
+    for first in (0..items).step_by(round) {
+        let last = items.min(first + round);
+        let width = task(last - first).max(1);
+        let outputs = par_map_scratch((last - first).div_ceil(width), &scratch, |scratch, k| {
+            let lo = first + k * width;
+            run(scratch, lo..last.min(lo + width))
+        });
+        take(first..last, outputs.into_iter().collect::<Result<_, _>>()?)?;
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,10 +301,12 @@ mod tests {
         assert_eq!(par_map_scratch_with(8, 2, || (), |_, i| i), vec![0, 1]);
     }
 
+    /// Held by every test that sets the global thread count.
+    static GLOBAL_THREADS: Mutex<()> = Mutex::new(());
+
     #[test]
     fn global_thread_count_round_trips() {
-        // Other tests in this binary do not touch the global, so this is
-        // race-free in practice; results are thread-count independent anyway.
+        let _global = GLOBAL_THREADS.lock().unwrap_or_else(|p| p.into_inner());
         let before = threads();
         set_threads(3);
         assert_eq!(threads(), 3);
@@ -302,6 +349,72 @@ mod tests {
         assert_eq!(inits.load(Ordering::Relaxed), 1);
         assert_eq!(out.len(), 100);
         assert!(par_map_scratch_with(4, 0, || 0, |_: &mut i32, i| i).is_empty());
+    }
+
+    /// `by_rounds` at threads 1, 2 and 4: the rounds cover `0..items` in
+    /// order, at most `rounds` of them, every boundary but the last a
+    /// multiple of `align`; each round's tasks cover it in order with at
+    /// most `task(len)` items each; and zero items call nothing.
+    #[test]
+    fn by_rounds_cuts_aligned_rounds_into_bounded_tasks_in_order() {
+        let _global = GLOBAL_THREADS.lock().unwrap_or_else(|p| p.into_inner());
+        let before = threads();
+        let tasks: [fn(usize) -> usize; 3] = [|_| 1, |len| len.div_ceil(3), |_| 64];
+        for t in [1, 2, 4] {
+            set_threads(t);
+            let plan = RoundPlan { items: 0, rounds: 8, align: 64, task: |_| 1 };
+            let never = |_: &mut (), _| -> Result<(), ()> { panic!("a task for zero items") };
+            assert_eq!(by_rounds(plan, || (), never, |_, _| panic!("a round for zero items")), Ok(()));
+            for items in [1, 63, 64, 65, 1000] {
+                for rounds in [1, 8, 16] {
+                    for align in [1, 64] {
+                        for task in tasks {
+                            let key = format!("threads {t}, {items} items, {rounds} rounds, align {align}");
+                            let plan = RoundPlan { items, rounds, align, task };
+                            let mut seen: Vec<(Range<usize>, Vec<Range<usize>>)> = Vec::new();
+                            let ok = by_rounds(plan, || (), |_, r| Ok::<_, ()>(r), |round, parts| {
+                                seen.push((round, parts));
+                                Ok(())
+                            });
+                            assert_eq!(ok, Ok(()), "{key}");
+                            assert!(!seen.is_empty() && seen.len() <= rounds, "{key}: {} rounds", seen.len());
+                            let mut next = 0;
+                            for (i, (round, parts)) in seen.iter().enumerate() {
+                                assert_eq!(round.start, next, "{key}: rounds in order");
+                                next = round.end;
+                                if i + 1 < seen.len() {
+                                    assert_eq!(round.end % align, 0, "{key}: round {round:?} unaligned");
+                                }
+                                let cap = task(round.len()).max(1);
+                                let mut at = round.start;
+                                for part in parts {
+                                    assert_eq!(part.start, at, "{key}: tasks in order");
+                                    assert!(!part.is_empty() && part.len() <= cap, "{key}: task {part:?} > {cap}");
+                                    at = part.end;
+                                }
+                                assert_eq!(at, round.end, "{key}: tasks cover {round:?}");
+                            }
+                            assert_eq!(next, items, "{key}: rounds cover the items");
+                        }
+                    }
+                }
+            }
+            // An error ends the build: the round it is in reaches no
+            // `take`, and no later round runs.
+            let plan = RoundPlan { items: 100, rounds: 4, align: 1, task: |_| 10 };
+            let (runs, mut taken) = (AtomicUsize::new(0), Vec::new());
+            let failed = by_rounds(plan, || (), |_, r: Range<usize>| {
+                runs.fetch_add(1, Ordering::Relaxed);
+                if r.contains(&30) { Err(r.start) } else { Ok(r.start) }
+            }, |round, _| {
+                taken.push(round);
+                Ok(())
+            });
+            assert_eq!(failed, Err(25), "threads {t}");
+            assert_eq!(taken, vec![(0..25)], "threads {t}");
+            assert_eq!(runs.load(Ordering::Relaxed), 6, "threads {t}");
+        }
+        set_threads(before);
     }
 
     #[test]

@@ -39,7 +39,7 @@
 //!   chooses it.
 //!   Theorem 16 keeps, beside it, the distances to the members in its first
 //!   hierarchy level: [`BallPorts::build_visiting`] hands it every ball's
-//!   members and distances, a block of balls at a time, while it builds the
+//!   members and distances, a round of balls at a time, while it builds the
 //!   ports, so no [`BallTable`] exists.
 //! * [`BallTable`] is [`BallPorts`] plus what only *preprocessing* reads:
 //!   every ball's member ids in `(distance, id)` settle order
@@ -60,23 +60,22 @@
 //!   [`BallTable::into_ports`] drops the rest once the last build-time
 //!   reader has run.
 //!
-//! Building runs on a per-worker reusable workspace: on a unit-weight graph
-//! one budgeted bit-parallel BFS per 64 consecutive centres
-//! ([`BfsBatch::run_balls`], each lane retiring once it holds `ℓ` vertices),
-//! otherwise one *bounded* Dijkstra per centre
-//! ([`SearchScratch::ball_into`], which stops after `ℓ` settled vertices).
-//! Both feed one fill routine, which packs each ball's ports in the
-//! table's encoding, and the results are appended to the final arrays a
-//! block of consecutive centres at a time, so the build never holds a
-//! second copy of more than one block. [`BallPorts::build_visiting`]
-//! shows each block's members to its caller as it is appended and keeps
-//! none of them.
+//! Building runs on a per-worker reusable [`SearchBatch`], which picks the
+//! kernel: on a unit-weight graph one budgeted bit-parallel BFS per 64
+//! consecutive centres, each lane retiring once it holds `ℓ` vertices,
+//! otherwise one *bounded* Dijkstra per centre, which stops after `ℓ`
+//! settled vertices. Every lane's ball feeds one fill routine, which packs
+//! its ports in the table's encoding, and the results are appended to the
+//! final arrays a round of consecutive centres at a time
+//! ([`routing_par::by_rounds`]), so the build never holds a second copy of
+//! more than one round. [`BallPorts::build_visiting`] shows each round's
+//! members to its caller as it is appended and keeps none of them.
 
+use std::convert::Infallible;
 use std::ops::{Deref, Range};
 
 use routing_graph::codec::bytes_for;
-use routing_graph::scratch::{BfsBatch, SearchScratch, BFS_BATCH_WIDTH};
-use routing_graph::{Graph, PackedColumn, PackedRows, PackedView, Port, SlotCodec, VertexId, Weight, SLOT_PAD};
+use routing_graph::{Graph, PackedColumn, PackedRows, PackedView, Port, SearchBatch, SlotCodec, VertexId, Weight, SLOT_PAD};
 
 /// Sentinel port stored for the ball's center (which has no first hop).
 const NO_PORT: Port = Port(u32::MAX);
@@ -91,11 +90,9 @@ const EMPTY_KEY: u32 = u32::MAX;
 /// An unoccupied slot.
 const EMPTY: Slot = [EMPTY_KEY, EMPTY_KEY];
 
-/// [`BallTable::build`] appends the balls to the final arrays in blocks of
-/// `⌈n / BUILD_BLOCKS⌉` consecutive vertices, on unit weights rounded up to
-/// whole batches of [`BFS_BATCH_WIDTH`], so the per-vertex search results
-/// live beside them are a sixteenth of the table plus at most 63 balls.
-const BUILD_BLOCKS: usize = 16;
+/// The rounds [`BallTable::build`] appends its balls in, so the search
+/// results live beside the table are a sixteenth of it plus at most 63 balls.
+const BUILD_ROUNDS: usize = 16;
 
 /// The slot hash: a fixed bijection on `u32` (odd multiplier), so equal
 /// hashes mean equal ids and hash order is a total order on members.
@@ -444,18 +441,14 @@ impl Deref for BallTable {
 
 impl BallTable {
     /// Computes `B(u, ℓ)` for every vertex `u` of `g`, together with the
-    /// first-hop ports Lemma 2 stores. On a unit-weight graph the searches
-    /// run one budgeted bit-parallel BFS per batch of [`BFS_BATCH_WIDTH`]
-    /// consecutive centres ([`BfsBatch::run_balls`]), otherwise one bounded
-    /// Dijkstra per centre ([`SearchScratch::ball_into`]); both give the
-    /// same balls and ports. The batches (or centres) are
-    /// independent, so they fan out over [`routing_par::threads`] threads,
-    /// each worker reusing one workspace. The final arrays are reserved up
-    /// front and filled a block of consecutive centres at a time, in index
-    /// order: at most one block of per-vertex results is live beside them,
-    /// a block that outgrows the slot reservation grows it by exactly its
-    /// own slots, and the table is identical for every thread count. The
-    /// table keeps every member's distance.
+    /// first-hop ports Lemma 2 stores, and every member's distance. The
+    /// searches are [`SearchBatch::run_balls`] runs of consecutive centres,
+    /// fanned out over [`routing_par::threads`] threads. The final arrays
+    /// are reserved up front and filled sixteen rounds of centres at a time
+    /// ([`routing_par::by_rounds`]), in index order: at most one round of
+    /// per-vertex results is live beside them, a round that outgrows the
+    /// slot reservation grows it by exactly its own slots, and the table is
+    /// identical for every kernel and thread count.
     pub fn build(g: &Graph, ell: usize) -> Self {
         Self::build_with_dists(g, ell, BallDists::Keep)
     }
@@ -464,19 +457,19 @@ impl BallTable {
     /// `dists` is [`BallDists::Keep`]. Everything else — ports, ids, row
     /// ends — is the same either way.
     pub fn build_with_dists(g: &Graph, ell: usize, dists: BallDists) -> Self {
-        Self::build_with(g, ell, g.is_unweighted(), dists)
+        Self::build_with(g, ell, SearchBatch::for_graph, dists)
     }
 
-    /// [`BallTable::build_with_dists`] with the batch BFS when `batch` is
-    /// set and one bounded Dijkstra per vertex otherwise (the tests pin the
-    /// batch-built table to the per-vertex one with it).
-    fn build_with(g: &Graph, ell: usize, batch: bool, keep: BallDists) -> Self {
+    /// [`BallTable::build_with_dists`] on the searches `search` makes (the
+    /// tests pin the batch-built table to the one [`SearchBatch::scalar`]
+    /// builds with it).
+    fn build_with(g: &Graph, ell: usize, search: fn(&Graph) -> SearchBatch, keep: BallDists) -> Self {
         let n = g.n();
         let ball_len = ell.max(1).min(n);
         let codecs = MemberCodecs::new(g, ell, keep);
         let mut ids = PackedRows::with_capacity(codecs.id, n, n * ball_len);
         let mut dists = codecs.dist.map(|codec| PackedColumn::with_capacity(codec, n * ball_len));
-        let ports = build_ports(g, ell, batch, codecs, |ball| {
+        let ports = build_ports(g, ell, search, codecs, |ball| {
             ids.extend_from(ball.ids.view());
             if let (Some(dists), Some(ball_dists)) = (&mut dists, &ball.dists) {
                 dists.extend_from(ball_dists.view());
@@ -544,8 +537,7 @@ struct MemberCodecs {
 impl MemberCodecs {
     fn new(g: &Graph, ell: usize, keep: BallDists) -> Self {
         let n = g.n();
-        let longest = g.weight_range().map_or(0, |(_, hi)| hi.saturating_mul(n.saturating_sub(1) as u64));
-        let dist = SlotCodec::new([bytes_for(longest.saturating_add(1))]);
+        let dist = SlotCodec::new([bytes_for(g.distance_bound().saturating_add(1))]);
         let slot = SlotCodec::for_graph(g);
         let encoding = BallEncoding::for_balls(n, ell, slot);
         #[cfg(test)]
@@ -571,17 +563,17 @@ impl MemberCodecs {
     }
 }
 
-/// The ports of every ball `B(u, ℓ)` of `g`, packed straight into the
-/// encoding `codecs` names: `take` sees each ball, its members packed by
-/// `codecs` (with their distances if it has a distance codec), centre by
-/// centre in order, before its block is dropped. The final arrays are
-/// reserved up front — a bitmap's exactly; a block that outgrows the slot
-/// reservation of a hashed table grows it by exactly its own slots. Span
-/// `balls`.
+/// The ports of every ball `B(u, ℓ)` of `g`, found by the searches
+/// `search` makes and packed straight into the encoding `codecs` names:
+/// `take` sees each ball, its members packed by `codecs` (with their
+/// distances if it has a distance codec), centre by centre in order, before
+/// its round is dropped. The final arrays are reserved up front — a
+/// bitmap's exactly; a round that outgrows the slot reservation of a hashed
+/// table grows it by exactly its own slots. Span `balls`.
 fn build_ports(
     g: &Graph,
     ell: usize,
-    batch: bool,
+    search: fn(&Graph) -> SearchBatch,
     codecs: MemberCodecs,
     mut take: impl FnMut(BuiltBall<()>),
 ) -> BallPorts {
@@ -592,13 +584,13 @@ fn build_ports(
             let mut regions = Vec::with_capacity(n + 1);
             let mut slots = PackedColumn::with_capacity(codecs.slot, n * (slot_cap(codecs.stride) + 2));
             let hash = |region: &mut Vec<Slot>, members: &[Slot]| hash_region(region, members, codecs.slot);
-            build_blocks(g, ell, batch, codecs, hash, |block| {
+            build_rounds(g, ell, search, codecs, hash, |round| {
                 // The up-front reservation is `cap + 2` slots a ball, but a
                 // run can pass a region's `cap` by more: grow by exactly
-                // what this block needs rather than let `extend` double the
+                // what this round needs rather than let `extend` double the
                 // array.
-                slots.reserve_exact(block.iter().flatten().map(|b| b.ports.len()).sum());
-                for ball in block.into_iter().flatten() {
+                slots.reserve_exact(round.iter().flatten().map(|b| b.ports.len()).sum());
+                for ball in round.into_iter().flatten() {
                     // A ball has at most `n` members, and ids are `u32`.
                     regions.push(Region { start: slots.len(), members: ball.ids.len() as u32 });
                     slots.extend_from(ball.ports.view());
@@ -620,8 +612,8 @@ fn build_ports(
                 ranks: PackedColumn::with_capacity(codecs.rank(), n * codecs.blocks),
                 ports: PackedColumn::with_capacity(codecs.port(), n * codecs.stride),
             };
-            build_blocks(g, ell, batch, codecs, |_, members| rank_bitmap(members, codecs), |block| {
-                for ball in block.into_iter().flatten() {
+            build_rounds(g, ell, search, codecs, |_, members| rank_bitmap(members, codecs), |round| {
+                for ball in round.into_iter().flatten() {
                     bitmap.append(&ball.ports);
                     take(ball.without_ports());
                 }
@@ -632,34 +624,30 @@ fn build_ports(
     BallPorts { ell, map }
 }
 
-/// The searches of [`build_ports`], a block of consecutive centres at a
-/// time: `encode` packs each ball's `[member, port]` slots, in settle
-/// order, into its ports (with a scratch region), and `append` takes each
-/// block's balls in centre order, a list a task.
-fn build_blocks<P: Send>(
+/// The searches of [`build_ports`]: `encode` packs each ball's `[member,
+/// port]` slots, in settle order, into its ports (with a scratch region),
+/// and `append` takes each round's balls in centre order, a list a run.
+fn build_rounds<P: Send>(
     g: &Graph,
     ell: usize,
-    batch: bool,
+    search: fn(&Graph) -> SearchBatch,
     codecs: MemberCodecs,
     encode: impl Fn(&mut Vec<Slot>, &[Slot]) -> P + Sync,
     mut append: impl FnMut(Vec<Vec<BuiltBall<P>>>),
 ) {
-    let n = g.n();
-    // Centres per task: one sweep's worth, or one Dijkstra.
-    let width = if batch { BFS_BATCH_WIDTH } else { 1 };
-    let block = n.div_ceil(BUILD_BLOCKS).next_multiple_of(width).max(1);
-    for first in (0..n).step_by(block) {
-        let last = n.min(first + block);
-        let per_task: Vec<Vec<BuiltBall<P>>> = routing_par::par_map_scratch(
-            (last - first).div_ceil(width),
-            || BallSearch::new(g, batch),
-            |search, k| {
-                let lo = first + k * width;
-                search.balls(g, lo..last.min(lo + width), ell, codecs, &encode)
-            },
-        );
-        append(per_task);
-    }
+    let plan = search(g).rounds(g.n(), BUILD_ROUNDS);
+    let scratch = || (search(g), FillScratch::default());
+    let run = |(search, fill): &mut (SearchBatch, FillScratch), centres: Range<usize>| {
+        let lanes = centres.len();
+        // The plan hands a run at most its width of centres, all in `g`.
+        let run = search.run_balls(g, centres.map(|u| VertexId(u as u32)), ell);
+        assert!(run.is_ok(), "a ball search refused its centres: {run:?}");
+        Ok((0..lanes).map(|i| fill_ball(fill, search.ball(g, i), codecs, &encode)).collect())
+    };
+    let Ok(()) = routing_par::by_rounds(plan, scratch, run, |_, balls| {
+        append(balls);
+        Ok::<_, Infallible>(())
+    });
 }
 
 impl BallPorts {
@@ -667,12 +655,12 @@ impl BallPorts {
     /// array of the whole table: `visit(ids, dists)` sees every ball's
     /// members in settle order and their distances from the centre, packed
     /// as a [`BallTable`] packs them, centre by centre in order, while the
-    /// block of searches that found them is still live. Theorem 16 takes
+    /// round of searches that found them is still live. Theorem 16 takes
     /// its landmark distances this way. The ports are those of
     /// [`BallTable::build`] for every thread count.
     pub fn build_visiting(g: &Graph, ell: usize, mut visit: impl FnMut(MemberIds<'_>, MemberDists<'_>)) -> Self {
         let codecs = MemberCodecs::new(g, ell, BallDists::Keep);
-        build_ports(g, ell, g.is_unweighted(), codecs, |ball| {
+        build_ports(g, ell, SearchBatch::for_graph, codecs, |ball| {
             if let Some(dists) = &ball.dists {
                 visit(MemberIds(ball.ids.view()), MemberDists(dists.view()));
             }
@@ -697,66 +685,12 @@ impl<P> BuiltBall<P> {
     }
 }
 
-/// One worker's kernel in [`build_ports`], chosen once, with the scratch
-/// its balls are listed in and hashed into.
-enum BallSearch {
-    /// The budgeted batch BFS, on a unit-weight graph.
-    Batch(BfsBatch, FillScratch),
-    /// One bounded Dijkstra per centre.
-    Dijkstra(SearchScratch, FillScratch),
-}
-
 /// A worker's scratch: a ball's `[member, port]` slots in settle order, and
 /// the region they are hashed into.
 #[derive(Default)]
 struct FillScratch {
     members: Vec<Slot>,
     region: Vec<Slot>,
-}
-
-impl BallSearch {
-    /// The batch BFS when `batch` is set and [`BfsBatch::for_graph`] takes
-    /// `g`, the Dijkstra workspace otherwise.
-    fn new(g: &Graph, batch: bool) -> Self {
-        match batch.then(|| BfsBatch::for_graph(g)).flatten() {
-            Some(bfs) => BallSearch::Batch(bfs, FillScratch::default()),
-            None => BallSearch::Dijkstra(SearchScratch::for_graph(g), FillScratch::default()),
-        }
-    }
-
-    /// The balls of the consecutive centres `centres`, in order: one
-    /// budgeted sweep (at most [`BFS_BATCH_WIDTH`] centres), or one bounded
-    /// Dijkstra per centre, packed by `codecs` and `encode`.
-    fn balls<P>(
-        &mut self,
-        g: &Graph,
-        centres: Range<usize>,
-        ell: usize,
-        codecs: MemberCodecs,
-        encode: &impl Fn(&mut Vec<Slot>, &[Slot]) -> P,
-    ) -> Vec<BuiltBall<P>> {
-        match self {
-            BallSearch::Batch(bfs, scratch) => {
-                let ids: Vec<VertexId> = centres.map(|u| VertexId(u as u32)).collect();
-                // The sweep refuses only what `for_graph` already refused, a
-                // graph of another size, or more than a batch of centres.
-                let run = bfs.run_balls(g, &ids, ell);
-                assert!(run.is_ok(), "the batch BFS refused a batch of centres: {run:?}");
-                (0..ids.len())
-                    .map(|i| fill_ball(scratch, bfs.ball(i), codecs, encode))
-                    .collect()
-            }
-            BallSearch::Dijkstra(search, scratch) => centres
-                .map(|u| {
-                    let u = VertexId(u as u32);
-                    search.ball_into(g, u, ell);
-                    let port = |v| search.first_hop(v).and_then(|hop| g.port_to(u, hop));
-                    let ball = search.order().iter().map(|&(v, d)| (v, d, port(v)));
-                    fill_ball(scratch, ball, codecs, encode)
-                })
-                .collect(),
-        }
-    }
 }
 
 /// Packs one ball, given as `(member, distance, first port)` in settle
@@ -819,7 +753,7 @@ fn hash_region(region: &mut Vec<Slot>, members: &[Slot], codec: SlotCodec<2>) ->
 /// The rank bitmap of one ball, its `[member, port]` slots in `members`:
 /// the membership bits of `0..n` in `⌈n/64⌉` blocks, the count of members
 /// before each block, and `min(ℓ, n)` ports, the members' in id order.
-/// Boxed, so that a build's block of balls is no larger than a hashed
+/// Boxed, so that a build's round of balls is no larger than a hashed
 /// build's.
 fn rank_bitmap(members: &[Slot], codecs: MemberCodecs) -> Box<RankBitmap> {
     let mut bits = vec![0u64; codecs.blocks];
@@ -1095,7 +1029,7 @@ mod tests {
         for (g, ells) in graphs {
             assert!(g.is_unweighted());
             for ell in ells {
-                let reference = BallTable::build_with(&g, ell, false, BallDists::Keep);
+                let reference = BallTable::build_with(&g, ell, SearchBatch::scalar, BallDists::Keep);
                 for threads in [1, 4] {
                     routing_par::set_threads(threads);
                     let table = BallTable::build(&g, ell);
@@ -1119,11 +1053,13 @@ mod tests {
             for weights in [WeightModel::Unit, WeightModel::Uniform { lo: 1, hi: 9 }] {
                 let g = family.generate(130, weights, &mut StdRng::seed_from_u64(41));
                 let ell = 17;
-                for batch in [true, false] {
-                    let with = BallTable::build_with(&g, ell, batch, BallDists::Keep);
+                let kernels: [(bool, fn(&Graph) -> SearchBatch); 2] =
+                    [(true, SearchBatch::for_graph), (false, SearchBatch::scalar)];
+                for (batch, search) in kernels {
+                    let with = BallTable::build_with(&g, ell, search, BallDists::Keep);
                     for threads in [1, 2] {
                         routing_par::set_threads(threads);
-                        let without = BallTable::build_with(&g, ell, batch, BallDists::Skip);
+                        let without = BallTable::build_with(&g, ell, search, BallDists::Skip);
                         routing_par::set_threads(routing_par::available_threads());
                         let key = format!("{} {weights:?}", family.name());
                         let key = format!("{key}, batch {batch}, threads {threads}");
@@ -1405,11 +1341,12 @@ mod tests {
             assert_eq!(table.encoding(), BallEncoding::Hashed);
             let codecs = MemberCodecs::new(&g, ell, BallDists::Skip);
             assert_eq!(codecs.rank().bytes(), [3], "3-byte member counts");
-            let mut search = BallSearch::new(&g, false);
+            let (mut search, mut fill) = (SearchBatch::scalar(&g), FillScratch::default());
             let encode = |_: &mut Vec<Slot>, members: &[Slot]| rank_bitmap(members, codecs);
             for c in (0..g.n()).step_by(4099).chain([g.n() - 1]) {
-                let one = search.balls(&g, c..c + 1, ell, codecs, &encode).pop().unwrap().ports;
                 let c = VertexId(c as u32);
+                search.run_balls(&g, [c].into_iter(), ell).unwrap();
+                let one = fill_ball(&mut fill, search.ball(&g, 0), codecs, &encode).ports;
                 assert_eq!(one.balls, 1);
                 assert_eq!(one.members(0), table.members(c), "{weights:?}: B({c})");
                 for v in g.vertices() {
