@@ -87,7 +87,7 @@ use rand::Rng;
 
 use routing_core::{BuildError, ClusterFamily};
 use routing_graph::codec::bytes_for;
-use routing_graph::{Graph, PackedColumn, Port, SlotCodec, VertexId, Weight, INFINITY};
+use routing_graph::{Graph, PackedColumn, SlotCodec, VertexId, Weight, INFINITY};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
 use routing_tree::{Labels, TreeLabelView, TreeView};
 use routing_vicinity::{sample_centers_bounded, Landmarks};
@@ -394,8 +394,11 @@ impl TzHierarchy {
         })?;
         let start = label.light_at as usize;
         let light = self.ladder_light.slice(start..start + label.view.light_len as usize);
-        let ports = light.into_iter().flat_map(|view| (0..view.len()).map_while(move |i| view.get::<u32>(i)));
-        tree.step_ports(at, label.view.tin, ports.map(|[t, port]| (t, Port(port))))
+        let light = light.ok_or_else(|| RouteError::MissingInformation {
+            at,
+            what: "the label's light ports lie past the ladders'".into(),
+        })?;
+        tree.step_ports(at, label.view.tin, light)
     }
 
     /// The bunch `B(v)` with distances, decoded, in ascending id order.
@@ -709,7 +712,7 @@ mod tests {
     fn ladder_label(h: &TzHierarchy, label: ClusterLabel) -> Option<TreeLabel> {
         let start = label.light_at as usize;
         let ports = (start..start + label.view.light_len as usize).map(|i| h.ladder_light.get::<u32>(i).unwrap());
-        let light_ports = ports.map(|[t, port]| (t, Port(port))).collect();
+        let light_ports = ports.map(|[t, port]| (t, routing_graph::Port(port))).collect();
         (!label.is_absent()).then_some(TreeLabel { tin: label.view.tin, light_ports })
     }
 

@@ -24,7 +24,8 @@
 //! filled a colour class of packed sequence chunks at a time, beside
 //! colours and representatives packed at the graph's width (see
 //! `assert_thm11_build_peak`), Theorem 10's, whose Lemma 7 store is filled
-//! a round of chunks at a time (see `assert_thm10_build_peak`), Theorem 16's,
+//! a round of chunks at a time and whose landmark and hitting-set trees
+//! keep no labels (see `assert_thm10_build_peak`), Theorem 16's,
 //! whose vicinities are built with no ball table, before its hierarchy (see
 //! `assert_thm16_build_peak`), and the Thorup–Zwick hierarchy's, whose
 //! cluster trees and packed members are appended a round of roots at a
@@ -426,8 +427,8 @@ fn largest_round(router: &Technique1Router, n: usize, width: usize) -> u64 {
 /// What the Lemma 7 sequences phase of a build on the unit-weight graph `g`
 /// holds beside the ball table and what the scheme keeps: the largest
 /// round of chunks, one batch BFS workspace as it stands after a run, and
-/// per vertex the source list (24 bytes), the set order (4) and the
-/// distance ramp (8).
+/// per vertex the source list (24 bytes), the set order (4) and the mark of
+/// the hitting-set vertices a sequence stops at (1).
 fn lemma7_transients(g: &Graph, router: &Technique1Router) -> u64 {
     let (bfs, _) = peak_bytes_in(|| {
         let mut bfs = BfsBatch::for_graph(g).expect("a unit-weight graph");
@@ -436,7 +437,45 @@ fn lemma7_transients(g: &Graph, router: &Technique1Router) -> u64 {
         bfs
     });
     let width = SlotCodec::for_graph(g).width();
-    largest_round(router, g.n(), width) + bfs + 36 * g.n() as u64
+    largest_round(router, g.n(), width) + bfs + 29 * g.n() as u64
+}
+
+/// Heap bytes of an empty `TreeForest`: a `[u32; 3]` span beside three
+/// pads.
+const EMPTY_FOREST: usize = 12 + 3 * SLOT_PAD;
+
+/// The bytes a shortest-path tree spanning `g` that keeps no labels adds to
+/// a `TreeForest`: its 12-byte span and a node record a vertex — four entry
+/// times in the bytes `0..=n` need, two ports in the bytes the largest
+/// degree needs.
+fn label_free_tree(g: &Graph) -> usize {
+    let [_, port] = SlotCodec::for_graph(g).bytes().map(usize::from);
+    let time = usize::from(bytes_for(g.n() as u64 + 1));
+    12 + (4 * time + 2 * port) * g.n()
+}
+
+/// The heap bytes of a `TreeForest` of `trees` such trees.
+fn label_free_forest(g: &Graph, trees: usize) -> usize {
+    EMPTY_FOREST + trees * label_free_tree(g)
+}
+
+/// What building `trees` label-free trees spanning `g` holds beside the
+/// trees built so far, at one thread: the largest round of chunks
+/// (`stages.rs`'s eight rounds, each a block of at most 64 roots a chunk,
+/// each chunk an empty forest's pads and its trees, handed over as
+/// results), the empty forest the chunks are cloned from, one search
+/// workspace as it stands after a search, and a mark a vertex.
+fn tree_round(g: &Graph, trees: usize) -> u64 {
+    let round = trees.div_ceil(SEQ_ROUNDS).max(1);
+    let block = round.div_ceil(8).clamp(1, 64);
+    let handles = size_of::<Result<(TreeForest, ()), BuildError>>();
+    let chunks = round.div_ceil(block) * (handles + EMPTY_FOREST) + round * label_free_tree(g);
+    let (workspace, _) = kept_bytes_in(|| {
+        let mut scratch = SearchScratch::for_graph(g);
+        scratch.dijkstra_into(g, VertexId(0));
+        scratch
+    });
+    (chunks + EMPTY_FOREST + g.n()) as u64 + workspace
 }
 
 /// One batch BFS workspace on `g` as it stands after a ball run of `ell`
@@ -586,16 +625,21 @@ fn lemma8_transients(g: &Graph, scheme: &SchemeFivePlusEps) -> u64 {
     largest.max().unwrap_or(0) + workspace + 4 * g.n() as u64
 }
 
-/// `SchemeTwoPlusEps::build` on the `t1-er-direct` graph. Its peak is the
-/// Lemma 7 phase at the end of `Technique1Router::build`: one round of
-/// sequence chunks beside the sequence store they are appended to, with
-/// the ball table's packed ids and distances still live, and the source
-/// list, set order and distance ramp ([`lemma7_transients`]). It must stay
-/// within the build of that table (its members at the graph's width beside
-/// the ports, and one block), or the table beside what the scheme keeps
-/// besides its ports and those transients. The chunks of every round held
-/// until the end, ids and distances at 4 and 8 bytes, or chunks left with
-/// their growth slack, sit over it.
+/// `SchemeTwoPlusEps::build` on the `t1-er-direct` graph, with the ball
+/// table's packed ids and distances live until the end of
+/// `Technique1Router::build`. That build holds, beside the table and what
+/// the scheme keeps besides its ports, first the Lemma 7 transients
+/// ([`lemma7_transients`]: one round of sequence chunks, the source list
+/// and the set order) while the hitting set's trees are not built yet, and
+/// then, once the sequence store is finished, one round of those trees
+/// ([`tree_round`]). No sequence stops early on this graph, so no
+/// hitting-set tree keeps labels, and the landmark trees keep none either:
+/// the bound charges both forests as label-free ([`label_free_forest`]),
+/// whatever the scheme keeps. It must stay within the build of that table
+/// (its members at the graph's width beside the ports, and one block), or
+/// the larger of those two phases. Landmark trees that keep their labels,
+/// the chunks of every round held until the end, ids and distances at 4
+/// and 8 bytes, or chunks left with their growth slack, sit over it.
 fn assert_thm10_build_peak() {
     routing_par::set_threads(1);
     let g = t1_graph();
@@ -605,7 +649,14 @@ fn assert_thm10_build_peak() {
         peak_bytes_in(|| SchemeTwoPlusEps::build(&g, &params, &mut StdRng::seed_from_u64(7)));
     let kept = live_bytes() - before;
     let scheme = scheme.expect("thm10 builds");
-    let lemma7 = lemma7_transients(&g, scheme.router());
+    let router = scheme.router();
+    let lemma7 = lemma7_transients(&g, router);
+    let hitting = router.hitting_set().len();
+    let trees = tree_round(&g, hitting);
+    let landmarks = scheme.global_trees();
+    let landmark_forest = landmarks.heap_bytes() as u64;
+    let label_free = label_free_forest(&g, landmarks.len()) as u64;
+    let hitting_forest = label_free_forest(&g, hitting) as u64;
     let ell = params.scaled(scheme.q() as usize, g.n());
     drop(scheme);
     let table = BallTable::build_with_dists(&g, ell, BallDists::Keep);
@@ -615,12 +666,17 @@ fn assert_thm10_build_peak() {
     let full = ports + table_beside_ports(&g, members, BallDists::Keep) as u64;
     let workspace = ball_run_workspace(&g, ell);
     let ball_build = full + ball_block(&g, ell, BallDists::Keep, encoding, workspace) as u64;
-    let bound = ball_build.max(full + kept - ports + lemma7);
+    // What the scheme keeps beside its ports, its landmark forest charged
+    // as label-free.
+    let beside = kept - ports - landmark_forest + label_free;
+    let sequences = full + beside - hitting_forest + lemma7;
+    let bound = ball_build.max(sequences).max(full + beside + trees);
     assert!(
         peak <= bound,
-        "thm10 peaked at {peak} bytes over a bound of {bound}: ball build {ball_build}, \
-         table {full} at ℓ = {ell}, kept {kept} of which ports {ports}, Lemma 7 transients \
-         {lemma7}"
+        "thm10 peaked at {peak} bytes over a bound of {bound}: ball build {ball_build}, table \
+         {full} at ℓ = {ell}, kept {kept} of which ports {ports} and landmark trees \
+         {landmark_forest} (label-free {label_free}), Lemma 7 transients {lemma7} before \
+         {hitting_forest} bytes of hitting-set trees, a round of those {trees}"
     );
 }
 
@@ -685,10 +741,8 @@ fn assert_hierarchy_build_peak(g: &Graph) {
     /// `stages.rs`'s round count.
     const ROUNDS: usize = 8;
     const K: usize = 3;
-    /// Heap bytes of an empty `DistLists`, a packed column's pad, and of
-    /// an empty `TreeForest`, a `[u32; 3]` span beside three pads.
+    /// Heap bytes of an empty `DistLists`, a packed column's pad.
     const EMPTY_LISTS: usize = SLOT_PAD;
-    const EMPTY_FOREST: usize = 12 + 3 * SLOT_PAD;
     let n = g.n();
     let levels = TzLevels::sample(g, K, &mut StdRng::seed_from_u64(17)).expect("levels");
     let (peak, hierarchy) = peak_bytes_in(|| TzHierarchy::from_levels(g, levels));

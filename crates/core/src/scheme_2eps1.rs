@@ -22,15 +22,21 @@
 //! "walk to `w`, then Lemma 7 to `v`" gives a path of length at most
 //! `(2+2ε)·d(u, v) + 1`.
 //!
-//! Of the landmarks the scheme keeps what a label reads, `[p_A(v), d(v, A)]`
-//! packed a vertex, and the sorted set, which finds `T(p_A(v))`.
+//! Of the landmarks the scheme keeps what a label reads and the sorted set,
+//! which finds `T(p_A(v))`. A route reads one label a vertex in the global
+//! trees, `v`'s in `T(p_A(v))`, so the trees are built with
+//! [`Labels::Drop`] — node records only — and that label is read off the
+//! records ([`TreeView::label_in_graph`]) as the Thorup–Zwick ladder reads
+//! its own: `v`'s entry time packed beside `[p_A(v), d(v, A)]`, and its
+//! light ports one [`PackedRows`] row a vertex, which the global-tree phase
+//! steps on ([`TreeView::step_ports`]).
 
 use rand::Rng;
 
 use routing_graph::codec::bytes_for;
-use routing_graph::{Graph, PackedColumn, SlotCodec, VertexId, Weight};
+use routing_graph::{Graph, PackedColumn, PackedRows, SlotCodec, VertexId, Weight};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
-use routing_tree::{TreeForest, TreeLabelView, TreeView};
+use routing_tree::{Labels, TreeForest, TreeLabelView, TreeView};
 use routing_vicinity::{BallDists, BallTable, Landmarks};
 
 use crate::stages::{self, ClusterFamily, DistLists, Vicinities};
@@ -38,7 +44,8 @@ use crate::technique1::{Technique1Header, Technique1Router};
 use crate::{BuildError, Params};
 
 /// Label of a destination under Theorem 10: a `Copy` handle whose tree
-/// label is a view into the global tree `T(p_A(v))` every vertex stores.
+/// label in the global tree `T(p_A(v))` is a view of the entry time and
+/// light ports the scheme keeps for `v`.
 #[derive(Debug, Clone, Copy)]
 pub struct Scheme2Label {
     /// The destination vertex `v`.
@@ -107,13 +114,18 @@ pub struct SchemeTwoPlusEps {
     pub(crate) clusters: ClusterFamily,
     /// The landmark set `A`, sorted by id.
     landmarks: Vec<VertexId>,
-    /// `[p_A(v), d(v, A)]` per vertex `v`.
-    nearest: PackedColumn<2>,
+    /// `[p_A(v), d(v, A), tin]` per vertex `v`, `tin` its entry time in
+    /// `T(p_A(v))`.
+    nearest: PackedColumn<3>,
+    /// Row `v`: the light ports of `v`'s label in `T(p_A(v))`, root first,
+    /// `[tin, port]` at the graph's width.
+    global_light: PackedRows<2>,
     /// Row-major `n × q`: `d(u, w)` for `u`'s representative `w` of each
     /// color, beside the representative the vicinity stage stores, in the
     /// bytes the largest of them needs.
     rep_dist: PackedColumn<1>,
-    /// Global trees `T(a)`, tree `i` that of `landmarks[i]`.
+    /// Global trees `T(a)`, tree `i` that of `landmarks[i]`: node records
+    /// only, their labels dropped.
     global_trees: TreeForest,
     /// Row `u` lists `[v, w]`: destination `v` -> best intersection vertex
     /// `w`, both at the id width.
@@ -148,8 +160,8 @@ impl SchemeTwoPlusEps {
         // intersections and the representatives' distances.
         let vic = Vicinities::balls(g, ell, BallDists::Keep);
         let (landmarks, clusters, members) = stages::landmark_clusters(g, rng)?;
-        let global_trees = stages::global_trees(g, landmarks.members())?;
-        let nearest = nearest_landmarks(g, &landmarks);
+        let global_trees = stages::global_trees(g, landmarks.members(), |_| Labels::Drop)?;
+        let (nearest, global_light) = nearest_labels(g, &landmarks, &global_trees)?;
         let landmarks = landmarks.into_members();
         let best_intersection = intersections(&vic.balls, &members)?;
         drop(members);
@@ -165,6 +177,7 @@ impl SchemeTwoPlusEps {
             clusters,
             landmarks,
             nearest,
+            global_light,
             rep_dist,
             global_trees,
             best_intersection,
@@ -183,6 +196,13 @@ impl SchemeTwoPlusEps {
         self.vic.heap_bytes()
     }
 
+    /// The global trees `T(a)`, one a landmark in id order: node records
+    /// only, since every vertex's label in `T(p_A(v))` is kept beside its
+    /// landmark record.
+    pub fn global_trees(&self) -> &TreeForest {
+        &self.global_trees
+    }
+
     /// The Lemma 7 router, whose sequences every vertex stores.
     pub fn router(&self) -> &Technique1Router {
         &self.router
@@ -195,16 +215,41 @@ impl SchemeTwoPlusEps {
     }
 }
 
-/// `[p_A(v), d(v, A)]` of every vertex `v`, as its label reads them (`v`
-/// and 0 where `A` is out of reach), packed: the id at the id width, the
-/// distance in the bytes the largest needs.
-fn nearest_landmarks(g: &Graph, landmarks: &Landmarks) -> PackedColumn<2> {
-    let record = |v| [u64::from(landmarks.nearest(v).unwrap_or(v).0), landmarks.dist_to_set(v).unwrap_or(0)];
-    let far = g.vertices().map(|v| record(v)[1]).max().unwrap_or(0);
-    let codec = SlotCodec::new([bytes_for(g.n() as u64), bytes_for(far + 1)]);
-    let mut column = PackedColumn::with_capacity(codec, g.n());
-    g.vertices().for_each(|v| column.push(record(v)));
-    column
+/// What the label of every vertex `v` reads: `[p_A(v), d(v, A), tin]`
+/// packed — the ids and the entry time at the id width, the distance in the
+/// bytes the largest needs — and a row of the light ports of `v`'s label in
+/// `T(p_A(v))`, its entry time and light ports read off that tree's node
+/// records. `trees` holds the tree of `landmarks.members()[i]` at `i`.
+///
+/// # Errors
+///
+/// [`BuildError::Inconsistent`] if a vertex is outside the tree of its
+/// nearest landmark, which a connected graph never gives, or the light
+/// ports outnumber a `u32` row end.
+fn nearest_labels(
+    g: &Graph,
+    landmarks: &Landmarks,
+    trees: &TreeForest,
+) -> Result<(PackedColumn<3>, PackedRows<2>), BuildError> {
+    let n = g.n();
+    let far = g.vertices().filter_map(|v| landmarks.dist_to_set(v)).max().unwrap_or(0);
+    let id = bytes_for(n as u64);
+    let mut nearest = PackedColumn::with_capacity(SlotCodec::new([id, bytes_for(far + 1), id]), n);
+    let mut light = PackedRows::with_capacity(SlotCodec::for_graph(g), n, 0);
+    let mut ports = Vec::new();
+    for v in g.vertices() {
+        let (p_a, d) = landmarks.nearest(v).zip(landmarks.dist_to_set(v)).unwrap_or((v, 0));
+        let tree = landmarks.members().binary_search(&p_a).ok().and_then(|i| trees.tree(i));
+        let tin = tree.and_then(|t| t.label_in_graph(g, v, &mut ports)).ok_or_else(|| {
+            BuildError::Inconsistent { what: format!("{v} is outside the tree of its nearest landmark {p_a}") }
+        })?;
+        nearest.push([u64::from(p_a.0), d, u64::from(tin)]);
+        light.push_row(ports.iter().map(|&(t, port)| [t, port.0])).map_err(|e| BuildError::Inconsistent {
+            what: format!("the global labels' light ports: {e}"),
+        })?;
+    }
+    light.shrink_to_fit();
+    Ok((nearest, light))
 }
 
 /// Row-major `n × q`: `d(u, w)` for every representative `w` stored at `u`,
@@ -288,10 +333,14 @@ impl RoutingScheme for SchemeTwoPlusEps {
     }
 
     fn label_of(&self, v: VertexId) -> Scheme2Label {
-        let [p_a, d_pa] = self.nearest.get::<u64>(v.index()).unwrap_or([v.0.into(), 0]);
-        let p_a = VertexId(p_a as u32);
-        let global_label =
-            self.global_tree(p_a).and_then(|t| t.label_view(v)).unwrap_or(TreeLabelView::ABSENT);
+        let record = self.nearest.get::<u64>(v.index()).zip(self.global_light.row(v.index()));
+        let (p_a, d_pa, global_label) = match record {
+            Some(([p_a, d_pa, tin], light)) => {
+                let global_label = TreeLabelView { tin: tin as u32, light_len: light.len() as u32 };
+                (VertexId(p_a as u32), d_pa, global_label)
+            }
+            None => (v, 0, TreeLabelView::ABSENT),
+        };
         Scheme2Label { vertex: v, color: self.vic.color(v), p_a, d_pa, global_label }
     }
 
@@ -351,7 +400,10 @@ impl RoutingScheme for SchemeTwoPlusEps {
                     let tree = self.global_tree(dest.p_a).ok_or_else(|| RouteError::BadLabel {
                         what: format!("{} is not a landmark", dest.p_a),
                     })?;
-                    return tree.step_view(at, dest.global_label);
+                    let light = self.global_light.row(v.index()).ok_or_else(|| RouteError::BadLabel {
+                        what: format!("{v} is not a vertex"),
+                    })?;
+                    return tree.step_ports(at, dest.global_label.tin, light);
                 }
                 Phase::ToRep(w) => {
                     if at == *w {
@@ -394,6 +446,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use routing_graph::generators::{self, WeightModel};
+    use routing_tree::TreeLabel;
     use std::collections::HashMap;
 
     fn check_all_pairs(g: &Graph, epsilon: f64, seed: u64) {
@@ -518,7 +571,8 @@ mod tests {
     /// Every label's `[p_A(v), d(v, A)]` equals a fresh nearest-landmark
     /// search over the scheme's landmarks, on every equivalence graph with
     /// unit weights (Theorem 10's domain) at 1 and 2 threads; the column
-    /// packs the distance in the bytes the largest needs.
+    /// packs the distance in the bytes the largest needs, and the entry
+    /// time beside it at the id width.
     #[test]
     fn label_records_equal_a_fresh_search_over_the_landmarks() {
         let unit = crate::test_support::equivalence_graphs().into_iter().filter(|(_, g)| g.is_unweighted());
@@ -534,8 +588,42 @@ mod tests {
                     assert_eq!((label.p_a, label.d_pa), want, "{name} x{threads}: {v}");
                 }
                 let far = g.vertices().filter_map(|v| fresh.dist_to_set(v)).max().unwrap();
-                let codec = SlotCodec::new([bytes_for(g.n() as u64), bytes_for(far + 1)]);
+                let id = bytes_for(g.n() as u64);
+                let codec = SlotCodec::new([id, bytes_for(far + 1), id]);
                 assert_eq!(scheme.nearest.codec(), codec, "{name} x{threads}: widths");
+            }
+        }
+        routing_par::set_threads(routing_par::available_threads());
+    }
+
+    /// The global trees keep no labels, and what the scheme keeps of `v`'s
+    /// label in `T(p_A(v))` — the entry time in `nearest` and the light
+    /// ports of `v`'s row — is `TreeView::label(v)` of the same tree built
+    /// keeping its labels, on every equivalence graph with unit weights at
+    /// 1 and 2 threads; `label_of` views exactly that label.
+    #[test]
+    fn global_labels_equal_the_labels_a_keeping_tree_holds() {
+        let unit = crate::test_support::equivalence_graphs().into_iter().filter(|(_, g)| g.is_unweighted());
+        for (name, g) in unit {
+            for threads in [1, 2] {
+                routing_par::set_threads(threads);
+                let scheme =
+                    SchemeTwoPlusEps::build(&g, &Params::default(), &mut StdRng::seed_from_u64(7)).unwrap();
+                let keeping = stages::global_trees(&g, &scheme.landmarks, |_| Labels::Keep).unwrap();
+                assert_eq!(scheme.global_trees.len(), keeping.len(), "{name} x{threads}");
+                assert!(scheme.global_trees.iter().all(|t| !t.keeps_labels()), "{name} x{threads}");
+                assert_eq!(scheme.global_light.len(), g.n(), "{name} x{threads}: a row a vertex");
+                for v in g.vertices() {
+                    let label = scheme.label_of(v);
+                    let i = scheme.landmarks.binary_search(&label.p_a).unwrap();
+                    let want = keeping.tree(i).unwrap().label(v).unwrap();
+                    let [.., tin] = scheme.nearest.get::<u32>(v.index()).unwrap();
+                    let row = scheme.global_light.row(v.index()).unwrap();
+                    let light_ports = row.records::<u32>().map(|[t, port]| (t, routing_graph::Port(port))).collect();
+                    assert_eq!(TreeLabel { tin, light_ports }, want, "{name} x{threads}: {v}");
+                    let view = keeping.tree(i).unwrap().label_view(v).unwrap();
+                    assert_eq!(label.global_label, view, "{name} x{threads}: {v}'s view");
+                }
             }
         }
         routing_par::set_threads(routing_par::available_threads());

@@ -116,13 +116,20 @@ fn tree_error(e: routing_tree::TreeBuildError) -> BuildError {
 }
 
 /// A shortest-path tree spanning `V` per root, in `roots` order: one full
-/// Dijkstra each, fanned out over per-worker search workspaces.
-pub(crate) fn global_trees(g: &Graph, roots: &[VertexId]) -> Result<TreeForest, BuildError> {
+/// Dijkstra each, fanned out over per-worker search workspaces. The tree of
+/// root `w` keeps its members' labels as `labels(w)` says: only where a
+/// route reads them in the tree, not where the scheme keeps the one label a
+/// vertex it reads elsewhere.
+pub(crate) fn global_trees(
+    g: &Graph,
+    roots: &[VertexId],
+    labels: impl Fn(VertexId) -> Labels + Sync,
+) -> Result<TreeForest, BuildError> {
     let _span = routing_obs::span("global-trees");
     let build = |scratch: &mut SearchScratch, block: Range<usize>, chunk: &mut TreeForest| {
         for &root in &roots[block] {
             scratch.dijkstra_into(g, root);
-            chunk.push_scratch(g, scratch).map_err(tree_error)?;
+            chunk.push_scratch_with(g, scratch, labels(root)).map_err(tree_error)?;
         }
         Ok(())
     };
@@ -756,7 +763,7 @@ mod tests {
                         routing_par::set_threads(threads);
                         let rng = &mut StdRng::seed_from_u64(5);
                         let (landmarks, clusters, _) = landmark_clusters(&g, rng).unwrap();
-                        let global = global_trees(&g, landmarks.members()).unwrap();
+                        let global = global_trees(&g, landmarks.members(), |_| Labels::Keep).unwrap();
                         built.push((landmarks, clusters, global));
                     }
                     routing_par::set_threads(routing_par::available_threads());
@@ -906,7 +913,7 @@ mod tests {
             for threads in [1, 2, 4] {
                 routing_par::set_threads(threads);
                 let key = format!("{weights:?}, {threads} threads");
-                let by_rounds = global_trees(&g, &roots).unwrap();
+                let by_rounds = global_trees(&g, &roots, |_| Labels::Keep).unwrap();
                 assert_eq!(by_rounds, global, "{key}: global trees");
                 assert_eq!(by_rounds.heap_bytes(), global.heap_bytes(), "{key}: global bytes");
                 let (family, _) = ClusterFamily::build(&g, |_| bound, |_| Labels::Keep).unwrap();

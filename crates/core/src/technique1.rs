@@ -13,10 +13,12 @@
 //! bytes `T(w)`'s light-port table already holds, so it is not stored twice:
 //! [`Technique1Router::start`] reads it from `T(w)` when the sequence's last
 //! target is not the destination, which happens exactly when the sequence
-//! stopped early. The sequences themselves are one `SeqStore` arena, packed
-//! at the graph's width — on graphs of up to 65,535 vertices and degree 255,
-//! 6 bytes a pair and 3 an entry — and a header carries its sequence as a
-//! cursor into that arena and the tree label as a view into `T(w)`'s table.
+//! stopped early. So only a tree some sequence stops at keeps its members'
+//! labels; every other `T(w)` keeps its node records alone. The sequences
+//! themselves are one `SeqStore` arena, packed at the graph's width — on
+//! graphs of up to 65,535 vertices and degree 255, 6 bytes a pair and 3 an
+//! entry — and a header carries its sequence as a cursor into that arena
+//! and the tree label as a view into `T(w)`'s table.
 //! A sequence reads only a shortest `u`–`v` path and the distance from `u`
 //! to each vertex on it, so one search per source serves all its set's
 //! members. The searches are [`SearchBatch::run_targets`] runs: on a
@@ -34,7 +36,7 @@
 
 use routing_graph::{Graph, PackedView, SearchBatch, SlotCodec, VertexId, Weight};
 use routing_model::{Decision, HeaderSize, RouteError, RoutingScheme};
-use routing_tree::{TreeForest, TreeLabelView, TreeView};
+use routing_tree::{Labels, TreeForest, TreeLabelView, TreeView};
 use routing_vicinity::{hitting_set_of_vicinities, BallDists, BallPorts, BallTable};
 
 use crate::seq::{push_hops, walk_round, SeqChunk, SeqCursor, SeqEntry, SeqStore, SeqStoreBuilder};
@@ -89,13 +91,19 @@ impl Technique1Router {
     /// has run [`stages::check`] on `(g, params)`: the global shortest-path
     /// trees must span `V`.
     ///
-    /// The sequences come from one search per source with another member
-    /// in its set, run by [`SearchBatch::run_targets`] eight rounds of
-    /// whole runs at a time ([`routing_par::by_rounds`]): each round's
-    /// chunks, one a run, are appended to the sequence store and charged to
-    /// their sources' words, then dropped, so the build holds one round of
-    /// chunks beside the store, which keeps no slack. The router does not
-    /// depend on the kernel, the rounds nor the thread count.
+    /// The stages run in this order: the Lemma 5 hitting set, the
+    /// sequences, the hitting set's trees, and then the check that every
+    /// stored sequence can be charged its words. The sequences come from
+    /// one search per source with another member in its set, run by
+    /// [`SearchBatch::run_targets`] eight rounds of whole runs at a time
+    /// ([`routing_par::by_rounds`]): each round's chunks, one a run, are
+    /// appended to the sequence store, then dropped, so the build holds one
+    /// round of chunks beside the store, which keeps no slack. A round also
+    /// marks the hitting-set vertices its sequences stop at early; the
+    /// trees are built after the store, beside it, and only a marked
+    /// vertex's tree keeps its members' labels ([`Labels::Keep`]), since
+    /// [`Technique1Router::start`] reads a label from no other. The router
+    /// does not depend on the kernel, the rounds nor the thread count.
     ///
     /// # Errors
     ///
@@ -133,38 +141,55 @@ impl Technique1Router {
             hitting_set_of_vicinities(balls)
         };
 
-        // Global shortest-path trees for the hitting set. These searches
-        // stay *full*: every tree must span V.
-        let trees = stages::global_trees(g, &hitting)?;
-        let _span_seqs = routing_obs::span("sequences");
-
         // Sequences for every same-set ordered pair, a round of sources at
         // a time. Sources are sorted by vertex id and members by id, so the
-        // rows arrive in the `(u, v)` order the store wants.
-        let by_set = sort_by_set(n, &set_of);
-        let sources = same_set_sources(&by_set, &set_of);
-        let codec = SlotCodec::for_graph(g);
-        let walk = SeqBuilder { g, balls, b, hitting: &hitting, codec };
-        let plan = search(g).rounds(sources.len(), rounds);
-        let run = |search: &mut SearchBatch, tasks| walk.chunk(search, &sources[tasks]);
-        let mut seqs = SeqStoreBuilder::new(codec, n);
-        routing_par::by_rounds(plan, || search(g), run, |round, chunks| {
-            let pairs = sources[round].iter().flat_map(|&(u, members)| {
-                members.iter().filter(move |&&v| v != u).map(move |&v| (u, v))
-            });
-            let built = chunks.iter().map(SeqChunk::len).sum::<usize>();
-            if pairs.clone().count() != built {
-                return Err(BuildError::Inconsistent {
-                    what: format!("{built} Lemma 7 sequences built for {} pairs", pairs.count()),
+        // rows arrive in the `(u, v)` order the store wants. A sequence
+        // that stops early marks the vertex it stops at. The source lists
+        // are dropped before the trees are built.
+        let (seqs, stopped_at) = {
+            let _span = routing_obs::span("sequences");
+            let by_set = sort_by_set(n, &set_of);
+            let sources = same_set_sources(&by_set, &set_of);
+            let codec = SlotCodec::for_graph(g);
+            let walk = SeqBuilder { g, balls, b, hitting: &hitting, codec };
+            let plan = search(g).rounds(sources.len(), rounds);
+            let run = |search: &mut SearchBatch, tasks| walk.chunk(search, &sources[tasks]);
+            let (mut seqs, mut stopped_at) = (SeqStoreBuilder::new(codec, n), vec![false; n]);
+            routing_par::by_rounds(plan, || search(g), run, |round, chunks| {
+                let pairs = sources[round].iter().flat_map(|&(u, members)| {
+                    members.iter().filter(move |&&v| v != u).map(move |&v| (u, v))
                 });
+                let built = chunks.iter().map(SeqChunk::len).sum::<usize>();
+                if pairs.clone().count() != built {
+                    return Err(BuildError::Inconsistent {
+                        what: format!("{built} Lemma 7 sequences built for {} pairs", pairs.count()),
+                    });
+                }
+                let rows = pairs.zip(chunks.iter().flat_map(SeqChunk::sequences)).map(|((u, v), s)| (u, v, s));
+                for w in rows.clone().filter_map(|(_, v, s)| stops_early(v, s)) {
+                    stopped_at[w.index()] = true;
+                }
+                seqs.extend(rows)
+            })?;
+            (seqs.finish(), stopped_at)
+        };
+
+        // Global shortest-path trees for the hitting set. These searches
+        // stay *full*: every tree must span V. Only a tree some sequence
+        // stops at is routed on, towards a label read from the tree; every
+        // other tree keeps its node records alone.
+        let trees = stages::global_trees(g, &hitting, |w| {
+            if stopped_at[w.index()] {
+                Labels::Keep
+            } else {
+                Labels::Drop
             }
-            let rows = pairs.zip(chunks.iter().flat_map(SeqChunk::sequences)).map(|((u, v), s)| (u, v, s));
-            for (u, v, s) in rows.clone() {
+        })?;
+        for u in (0..n as u32).map(VertexId) {
+            for (v, s) in seqs.rows_at(u) {
                 stored_words(&hitting, &trees, u, v, s)?;
             }
-            seqs.extend(rows)
-        })?;
-        let seqs = seqs.finish();
+        }
         Ok(Technique1Router { hitting, trees, seqs, b })
     }
 
@@ -345,17 +370,23 @@ fn stored_words(
     v: VertexId,
     s: PackedView<'_, 2>,
 ) -> Result<usize, BuildError> {
-    let last = s.len().checked_sub(1).and_then(|i| s.get::<u32>(i));
-    let label_words = match last.map(|[w, _]| VertexId(w)) {
-        Some(w) if w != v => global_tree(hitting, trees, w)
+    let label_words = match stops_early(v, s) {
+        Some(w) => global_tree(hitting, trees, w)
             .and_then(|t| t.label_view(v))
             .ok_or_else(|| BuildError::Inconsistent {
                 what: format!("the sequence at {u} for {v} stops at {w}, which has no tree"),
             })?
             .words(),
-        _ => 0,
+        None => 0,
     };
     Ok(1 + SeqEntry::words() * s.len() + label_words)
+}
+
+/// The vertex `w ≠ v` the sequence `s` stored for `v` stops at, if it stops
+/// early: a hitting-set vertex, whose tree the route finishes on.
+fn stops_early(v: VertexId, s: PackedView<'_, 2>) -> Option<VertexId> {
+    let [w, _] = s.get::<u32>(s.len().checked_sub(1)?)?;
+    (w != v.0).then_some(VertexId(w))
 }
 
 /// The `n` vertices sorted by `(set, id)`: each set is one consecutive run,
@@ -585,6 +616,7 @@ impl RoutingScheme for Technique1Scheme {
 mod tests {
     use super::*;
     use std::cmp::Reverse;
+    use std::collections::BTreeSet;
 
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -891,6 +923,53 @@ mod tests {
                 assert!(out.weight as f64 <= (1.0 + epsilon) * d as f64 + 1e-9, "{name}: {u}->{v}");
             }
         }
+    }
+
+    /// Only a hitting-set tree that some stored sequence stops early at
+    /// keeps its members' labels. On a path and a grid with balls of three
+    /// or four vertices, where sequences do stop early, the trees that
+    /// report `keeps_labels()` are exactly those `start` hands a final tree
+    /// label from; on the grid, split into ten sets, some tree is stopped
+    /// at by no sequence and drops its labels. Every same-set pair routes
+    /// within `(1+ε)`.
+    #[test]
+    fn only_the_trees_a_sequence_stops_at_keep_their_labels() {
+        let epsilon = 0.5;
+        let params = Params::with_epsilon(epsilon);
+        let instances = [("path", generators::path(60), 3, 3), ("grid", generators::grid(10, 10), 4, 10)];
+        let mut dropped = 0;
+        for (name, g, ell, q) in instances {
+            let set_of = partition_mod(g.n(), q);
+            let balls = BallTable::build(&g, ell);
+            let router = Technique1Router::build(&g, &balls, set_mod(q), &params).unwrap();
+            let pairs: Vec<(VertexId, VertexId)> = g
+                .vertices()
+                .flat_map(|u| g.vertices().map(move |v| (u, v)))
+                .filter(|&(u, v)| u != v && set_of[u.index()] == set_of[v.index()])
+                .collect();
+            let mut stopped_at = BTreeSet::new();
+            for &(u, v) in &pairs {
+                if let Some((w, _)) = router.start(u, v).unwrap().final_tree {
+                    stopped_at.insert(w);
+                }
+            }
+            assert!(!stopped_at.is_empty(), "{name}: some Lemma 7 sequence stops early");
+            assert_eq!(router.trees.len(), router.hitting.len(), "{name}: a tree a hitting-set vertex");
+            for (i, &w) in router.hitting.iter().enumerate() {
+                let keeps = router.trees.tree(i).unwrap().keeps_labels();
+                assert_eq!(keeps, stopped_at.contains(&w), "{name}: T({w})");
+                dropped += usize::from(!keeps);
+            }
+            let exact = DistanceMatrix::new(&g);
+            let balls = balls.into_ports();
+            let scheme = Technique1Scheme { n: g.n(), epsilon, set_of, balls, router };
+            for (u, v) in pairs {
+                let out = simulate(&g, &scheme, u, v).unwrap();
+                let d = exact.dist(u, v).unwrap();
+                assert!(out.weight as f64 <= (1.0 + epsilon) * d as f64 + 1e-9, "{name}: {u}->{v}");
+            }
+        }
+        assert!(dropped > 0, "every tree keeps its labels");
     }
 
     /// The builder returns an error, not a panic, on a path whose

@@ -28,7 +28,14 @@
 //! member, 4 bytes a row, beside 12 bytes a tree. A tree keeps its members'
 //! labels or, pushed with [`Labels::Drop`], its node records only: a
 //! scheme whose routes read a member's label elsewhere needs no copy in the
-//! tree, and [`TreeView::label_in_graph`] reads one off the records. A tree is
+//! tree, and [`TreeView::label_in_graph`] reads one off the records. Three
+//! families are pushed so: the Thorup–Zwick hierarchy's cluster trees above
+//! level 0, whose labels sit beside each vertex's ladder row; Theorem 10's
+//! landmark trees, whose one read label a vertex, in `T(p_A(v))`, sits
+//! beside its landmark record; and Technique 1's hitting-set trees that no
+//! stored sequence stops at, on which no route runs. Such a label's light
+//! ports are packed at the graph's width like the tree's own, and
+//! [`TreeView::step_ports`] steps on them. A tree is
 //! looked up as a `Copy` [`TreeView`], whose bounded views of the columns
 //! decode a record as it is read. Both carry
 //! a [`TreeLabelView`] in their own labels and headers — the destination's
@@ -271,6 +278,12 @@ fn step_over(
             at: VertexId(u32::MAX),
             what: "destination label lacks the light port for this vertex".into(),
         })
+}
+
+/// A label's packed `[tin, port]` light ports, decoded one at a time.
+#[inline]
+fn decoded_ports(light: PackedView<'_, 2>) -> impl Iterator<Item = (u32, Port)> + '_ {
+    light.records::<u32>().map(|[tin, port]| (tin, Port(port)))
 }
 
 /// Whether a tree pushed onto a [`TreeForest`] keeps its members' labels.
@@ -739,8 +752,7 @@ impl<'a> TreeView<'a> {
     /// one at a time, root first; none where the tree keeps no label.
     #[inline]
     fn light_ports(&self, tin: u32) -> impl Iterator<Item = (u32, Port)> + 'a {
-        let ports = self.light.row(tin as usize).into_iter().flat_map(PackedView::records::<u32>);
-        ports.map(|[p_tin, port]| (p_tin, Port(port)))
+        self.light.row(tin as usize).into_iter().flat_map(decoded_ports)
     }
 
     /// The tree label of tree vertex `v`; `None` outside the tree and where
@@ -828,20 +840,17 @@ impl<'a> TreeView<'a> {
     }
 
     /// [`TreeView::step`] towards the member whose entry time is `tin` and
-    /// whose label's light ports, root first, `light` yields: a label kept
-    /// outside the tree, as [`TreeView::label_in_graph`] reads it.
+    /// whose label's light ports, root first, are the `[tin, port]` records
+    /// of `light`: a label kept outside the tree, as
+    /// [`TreeView::label_in_graph`] reads it, packed at the graph's width
+    /// ([`SlotCodec::for_graph`]) like the tree's own.
     ///
     /// # Errors
     ///
     /// As [`TreeView::step`].
     #[inline]
-    pub fn step_ports(
-        &self,
-        at: VertexId,
-        tin: u32,
-        light: impl Iterator<Item = (u32, Port)>,
-    ) -> Result<Decision, RouteError> {
-        self.step_at(at, tin, light)
+    pub fn step_ports(&self, at: VertexId, tin: u32, light: PackedView<'_, 2>) -> Result<Decision, RouteError> {
+        self.step_at(at, tin, decoded_ports(light))
     }
 
     /// The step at tree vertex `at`, with errors attributed to `at`.
@@ -1459,9 +1468,11 @@ mod tests {
             }
             for dest in tree.vertices() {
                 let tin = tree.label_in_graph(&g, dest, &mut light).unwrap();
+                let mut packed = PackedColumn::new(SlotCodec::for_graph(&g));
+                light.iter().for_each(|&(t, port)| packed.push([t, port.0]));
                 for at in tree.vertices() {
                     let want = full.step_view(at, full.label_view(dest).unwrap());
-                    assert_eq!(tree.step_ports(at, tin, light.iter().copied()), want, "{at} towards {dest}");
+                    assert_eq!(tree.step_ports(at, tin, packed.view()), want, "{at} towards {dest}");
                 }
             }
         }
